@@ -14,63 +14,67 @@
 // exclude the WHERE clause are skipped without decoding, only referenced
 // columns are decoded, and min/max/sum/count/avg queries that the index
 // fully covers are answered without touching any payload. `-explain`
-// prints what the planner did. `-prune col=lo:hi` remains as a manual
-// streaming-path override. `-csv` emits results as CSV.
+// prints what the planner did — a range predicate such as
+// `WHERE step >= 10 AND step <= 19` shows up there as skipped chunks. A
+// query is checked against the file's schema before anything is read, so a
+// mistyped column or an ill-typed comparison is an error, never an empty
+// result. `-csv` emits results as CSV.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"amrtools/internal/colfile"
-	"amrtools/internal/telemetry"
 	"amrtools/internal/tql"
 )
 
-func main() {
-	file := flag.String("file", "", "columnar telemetry file")
-	schema := flag.Bool("schema", false, "print the file schema and row count, then exit")
-	prune := flag.String("prune", "", "manual chunk-pruning range predicate: col=lo:hi (streaming path)")
-	explain := flag.Bool("explain", false, "print chunks scanned vs skipped, columns decoded, and metadata-only status")
-	maxRows := flag.Int("rows", 50, "maximum rows to print (0 = all)")
-	asCSV := flag.Bool("csv", false, "emit query results as CSV instead of an aligned table")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the whole command behind main, returning the exit status: 0, 1
+// for a file or query error, 2 for a usage error.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("amrquery", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	file := fs.String("file", "", "columnar telemetry file")
+	schema := fs.Bool("schema", false, "print the file schema and row count, then exit")
+	explain := fs.Bool("explain", false, "print chunks scanned vs skipped, columns decoded, and metadata-only status")
+	maxRows := fs.Int("rows", 50, "maximum rows to print (0 = all)")
+	asCSV := fs.Bool("csv", false, "emit query results as CSV instead of an aligned table")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "amrquery:", err)
+		return 1
+	}
 
 	if *file == "" {
-		fmt.Fprintln(os.Stderr, "amrquery: -file is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "amrquery: -file is required")
+		return 2
 	}
 	f, err := os.Open(*file)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "amrquery:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer f.Close()
 
-	// Manual override: -prune keeps the pre-v2 streaming behavior, with
-	// rows filtered up front and queries running in memory.
-	if *prune != "" {
-		runPruned(f, *prune, *schema, *explain, *maxRows, *asCSV)
-		return
-	}
-
 	r, err := colfile.OpenFile(f)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "amrquery:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	if *schema {
 		// Schema and row count come from the block index: no payload reads.
-		fmt.Printf("%s: %d rows (format v%d, %d chunks)\n", *file, r.NumRows(), r.Version(), r.NumChunks())
+		fmt.Fprintf(stdout, "%s: %d rows (format v%d, %d chunks)\n", *file, r.NumRows(), r.Version(), r.NumChunks())
 		for _, s := range r.Schema() {
-			fmt.Printf("  %-16s %s\n", s.Name, s.Type)
+			fmt.Fprintf(stdout, "  %-16s %s\n", s.Name, s.Type)
 		}
-		return
+		return 0
 	}
 
 	runOne := func(query string) error {
@@ -79,51 +83,50 @@ func main() {
 			return err
 		}
 		out, ex, err := tql.ExecFileExplain(q, r)
-		if *explain && ex != nil {
-			fmt.Println(formatExplain(ex))
+		if *explain {
+			fmt.Fprintln(stdout, formatExplain(ex))
 		}
 		if err != nil {
 			return err
 		}
 		if *asCSV {
-			return out.WriteCSV(os.Stdout)
+			return out.WriteCSV(stdout)
 		}
-		if !*explain && ex != nil && ex.ChunksSkipped > 0 {
-			fmt.Printf("(pruned %d chunks via embedded statistics)\n", ex.ChunksSkipped)
+		if !*explain && ex.ChunksSkipped > 0 {
+			fmt.Fprintf(stdout, "(pruned %d chunks via embedded statistics)\n", ex.ChunksSkipped)
 		}
-		fmt.Print(out.Render(*maxRows))
+		fmt.Fprint(stdout, out.Render(*maxRows))
 		return nil
 	}
 
-	query := strings.Join(flag.Args(), " ")
+	query := strings.Join(fs.Args(), " ")
 	if strings.TrimSpace(query) != "" {
 		if err := runOne(query); err != nil {
-			fmt.Fprintln(os.Stderr, "amrquery:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	// No query on the command line: interactive mode, one TQL statement per
 	// line (the hypothesis-driven exploration loop of §IV-C).
-	fmt.Printf("amrquery: %d rows in table \"t\"; one TQL query per line, ctrl-D to exit\n", r.NumRows())
-	scanner := bufio.NewScanner(os.Stdin)
+	fmt.Fprintf(stdout, "amrquery: %d rows in table \"t\"; one TQL query per line, ctrl-D to exit\n", r.NumRows())
+	scanner := bufio.NewScanner(stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
-		fmt.Print("tql> ")
+		fmt.Fprint(stdout, "tql> ")
 		if !scanner.Scan() {
-			fmt.Println()
-			return
+			fmt.Fprintln(stdout)
+			return 0
 		}
 		line := strings.TrimSpace(scanner.Text())
 		if line == "" {
 			continue
 		}
 		if line == "exit" || line == "quit" {
-			return
+			return 0
 		}
 		if err := runOne(line); err != nil {
-			fmt.Fprintln(os.Stderr, "amrquery:", err)
+			fail(err)
 		}
 	}
 }
@@ -141,72 +144,5 @@ func formatExplain(ex *tql.Explain) string {
 	if ex.MetadataOnly {
 		sb.WriteString("; answered from footer metadata only")
 	}
-	if ex.Fallback != "" {
-		fmt.Fprintf(&sb, "; legacy full-scan path (%s)", ex.Fallback)
-	}
 	return sb.String()
-}
-
-// runPruned is the -prune override: stream the file, skip chunks via the
-// inline min/max statistics, filter rows to [lo,hi], query in memory.
-func runPruned(f *os.File, prune string, schema, explain bool, maxRows int, asCSV bool) {
-	col, lo, hi, err := parsePrune(prune)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "amrquery:", err)
-		os.Exit(2)
-	}
-	table, skipped, err := colfile.ReadWhere(f, col, lo, hi)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "amrquery:", err)
-		os.Exit(1)
-	}
-	if schema {
-		fmt.Printf("%d rows after -prune\n", table.NumRows())
-		for _, s := range table.Schema() {
-			fmt.Printf("  %-16s %s\n", s.Name, s.Type)
-		}
-		return
-	}
-	env := map[string]*telemetry.Table{"t": table}
-	runOne := func(query string) error {
-		out, err := tql.Run(query, env)
-		if err != nil {
-			return err
-		}
-		if asCSV {
-			return out.WriteCSV(os.Stdout)
-		}
-		if explain {
-			fmt.Printf("explain: manual -prune: %d chunks skipped while streaming\n", skipped)
-		} else if skipped > 0 {
-			fmt.Printf("(pruned %d chunks via embedded statistics)\n", skipped)
-		}
-		fmt.Print(out.Render(maxRows))
-		return nil
-	}
-	query := strings.Join(flag.Args(), " ")
-	if strings.TrimSpace(query) == "" {
-		fmt.Fprintln(os.Stderr, "amrquery: -prune requires a query on the command line")
-		os.Exit(2)
-	}
-	if err := runOne(query); err != nil {
-		fmt.Fprintln(os.Stderr, "amrquery:", err)
-		os.Exit(1)
-	}
-}
-
-func parsePrune(s string) (col string, lo, hi float64, err error) {
-	eq := strings.IndexByte(s, '=')
-	colon := strings.LastIndexByte(s, ':')
-	if eq < 0 || colon < eq {
-		return "", 0, 0, fmt.Errorf("bad -prune %q, want col=lo:hi", s)
-	}
-	col = s[:eq]
-	if lo, err = strconv.ParseFloat(s[eq+1:colon], 64); err != nil {
-		return "", 0, 0, fmt.Errorf("bad -prune lower bound: %v", err)
-	}
-	if hi, err = strconv.ParseFloat(s[colon+1:], 64); err != nil {
-		return "", 0, 0, fmt.Errorf("bad -prune upper bound: %v", err)
-	}
-	return col, lo, hi, nil
 }

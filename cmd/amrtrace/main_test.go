@@ -46,7 +46,11 @@ func TestRoundTripColfileTQLPerfetto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := colfile.ReadAll(f)
+	r, err := colfile.OpenFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := r.Table()
 	f.Close()
 	if err != nil {
 		t.Fatal(err)

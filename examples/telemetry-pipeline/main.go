@@ -1,7 +1,7 @@
 // Telemetry-pipeline: the paper's Lesson-4 workflow end to end — run a
 // simulated AMR job, persist its per-step telemetry in the binary columnar
-// format, and interrogate it with SQL-style queries (including a
-// statistics-pruned range scan).
+// format, and interrogate it with SQL-style queries (including a range
+// scan the planner prunes from the embedded statistics).
 //
 // Run with: go run ./examples/telemetry-pipeline
 package main
@@ -49,14 +49,22 @@ func main() {
 	fmt.Printf("columnar encoding: %d rows -> %d bytes (%.1f B/row)\n",
 		res.Steps.NumRows(), buf.Len(), float64(buf.Len())/float64(res.Steps.NumRows()))
 
-	// 3. Prune: a range scan over `step` skips non-matching chunks using
-	// the embedded statistics, without decoding them.
-	table, skipped, err := colfile.ReadWhere(bytes.NewReader(buf.Bytes()), "step", 10, 19)
+	// 3. Prune: a range predicate over `step` lets the planner skip the
+	// chunks whose embedded statistics exclude it, without decoding them.
+	r, err := colfile.OpenBytes(buf.Bytes())
+	if err != nil {
+		log.Fatal(err)
+	}
+	rangeScan, err := tql.Parse("SELECT * FROM t WHERE step >= 10 AND step <= 19")
+	if err != nil {
+		log.Fatal(err)
+	}
+	table, ex, err := tql.ExecFileExplain(rangeScan, r)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("range scan steps 10..19: %d rows, %d chunks pruned via statistics\n\n",
-		table.NumRows(), skipped)
+		table.NumRows(), ex.ChunksSkipped)
 
 	// 4. Query: the diagnosis queries of §IV-C, in TQL.
 	env := map[string]*telemetry.Table{"t": table}

@@ -14,9 +14,9 @@
 // offset, row count, CRC32 checksum, and extended per-column zone maps
 // (min/max/sum/count). Readers with random access (Open) seek straight to
 // the chunks a query needs — or answer min/max/sum/count/avg aggregates
-// from the footer without touching any payload. Version-1 files (no footer)
-// remain readable through both the streaming path and Open, which rebuilds
-// the block index with one header-scan pass.
+// from the footer without touching any payload. There is one reader: Open
+// also reads version-1 files (no footer), rebuilding the block index with
+// one forward scan of the chunk headers.
 //
 // Layout (version 2):
 //
@@ -72,16 +72,6 @@ const (
 	zoneHasRange = 1 << 0
 	zoneHasSum   = 1 << 1
 )
-
-// Stats are the embedded per-chunk, per-column min/max statistics carried
-// inline in every chunk body (versions 1 and 2).
-type Stats struct {
-	Min, Max float64
-	Valid    bool // false for string columns and empty chunks
-}
-
-// ChunkStats maps column name → stats for one chunk.
-type ChunkStats map[string]Stats
 
 // ZoneMap is the footer's extended per-chunk, per-column statistics. For a
 // numeric column of a NaN-free chunk, HasRange and HasSum are both true:
@@ -522,31 +512,32 @@ func decodeChunkBody(schema []telemetry.ColSpec, body []byte, want []bool) (int,
 	return n, cols, nil
 }
 
-// parseChunkStatsHeader reads the inline per-column stats and row count of
-// a chunk body without touching payloads.
-func parseChunkStatsHeader(schema []telemetry.ColSpec, body []byte) (int, []Stats, error) {
+// parseChunkStatsHeader reads the row count and the inline per-column
+// min/max statistics of a chunk body (carried in versions 1 and 2; absent
+// for string columns and empty chunks) without touching payloads.
+func parseChunkStatsHeader(schema []telemetry.ColSpec, body []byte) (int, []ZoneMap, error) {
 	buf := bytes.NewReader(body)
 	var nrows uint32
 	if err := binary.Read(buf, binary.LittleEndian, &nrows); err != nil {
 		return 0, nil, err
 	}
-	stats := make([]Stats, len(schema))
+	zones := make([]ZoneMap, len(schema))
 	for ci := range schema {
 		flag, err := buf.ReadByte()
 		if err != nil {
 			return 0, nil, err
 		}
-		var st Stats
+		z := &zones[ci]
+		z.Count = int64(nrows)
 		if flag == 1 {
-			if err := binary.Read(buf, binary.LittleEndian, &st.Min); err != nil {
+			if err := binary.Read(buf, binary.LittleEndian, &z.Min); err != nil {
 				return 0, nil, err
 			}
-			if err := binary.Read(buf, binary.LittleEndian, &st.Max); err != nil {
+			if err := binary.Read(buf, binary.LittleEndian, &z.Max); err != nil {
 				return 0, nil, err
 			}
-			st.Valid = true
+			z.HasRange = true
 		}
-		stats[ci] = st
 		var plen uint32
 		if err := binary.Read(buf, binary.LittleEndian, &plen); err != nil {
 			return 0, nil, err
@@ -555,7 +546,7 @@ func parseChunkStatsHeader(schema []telemetry.ColSpec, body []byte) (int, []Stat
 			return 0, nil, err
 		}
 	}
-	return int(nrows), stats, nil
+	return int(nrows), zones, nil
 }
 
 // parseHeader reads the file header from r, returning version, schema, and

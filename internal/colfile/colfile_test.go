@@ -37,13 +37,38 @@ func tablesEqual(a, b *telemetry.Table) bool {
 	return true
 }
 
+// readBack opens an encoded file and materializes it.
+func readBack(data []byte) (*telemetry.Table, error) {
+	r, err := OpenBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	return r.Table()
+}
+
+// asV1 rewrites a freshly written version-2 file as the version-1 file
+// with the same chunks: footer dropped, version byte 1. Open then takes the
+// forward-scan path, which trusts the chunk length prefixes and the inline
+// statistics instead of the footer.
+func asV1(t *testing.T, data []byte) []byte {
+	t.Helper()
+	r, err := OpenBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := r.Meta(r.NumChunks() - 1)
+	v1 := append([]byte(nil), data[:last.Offset+4+int64(last.Length)]...)
+	v1[4] = version1
+	return v1
+}
+
 func TestRoundTripSingleChunk(t *testing.T) {
 	src := buildTable(200, 1)
 	var buf bytes.Buffer
 	if err := WriteTable(&buf, src, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf)
+	got, err := readBack(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +83,7 @@ func TestRoundTripMultiChunk(t *testing.T) {
 	if err := WriteTable(&buf, src, 64); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf)
+	got, err := readBack(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +98,7 @@ func TestRoundTripEmpty(t *testing.T) {
 	if err := WriteTable(&buf, src, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf)
+	got, err := readBack(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +117,7 @@ func TestSpecialFloats(t *testing.T) {
 	if err := WriteTable(&buf, src, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf)
+	got, err := readBack(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +140,7 @@ func TestNegativeAndLargeInts(t *testing.T) {
 	if err := WriteTable(&buf, src, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf)
+	got, err := readBack(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +150,7 @@ func TestNegativeAndLargeInts(t *testing.T) {
 }
 
 func TestBadMagicRejected(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("NOPE-nothing"))); err == nil {
+	if _, err := OpenBytes([]byte("NOPE-nothing")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
@@ -136,9 +161,17 @@ func TestTruncatedChunkRejected(t *testing.T) {
 	if err := WriteTable(&buf, src, 0); err != nil {
 		t.Fatal(err)
 	}
-	cut := buf.Bytes()[:buf.Len()-10]
-	if _, err := ReadAll(bytes.NewReader(cut)); err == nil {
+	if _, err := readBack(buf.Bytes()[:buf.Len()-10]); err == nil {
 		t.Fatal("truncated file accepted")
+	}
+	// Version 1 has no footer to miss: the cut lands mid-chunk and the
+	// forward scan must notice the short body.
+	v1 := asV1(t, buf.Bytes())
+	if _, err := readBack(v1); err != nil {
+		t.Fatalf("intact v1 file rejected: %v", err)
+	}
+	if _, err := readBack(v1[:len(v1)-10]); err == nil {
+		t.Fatal("truncated v1 file accepted")
 	}
 }
 
@@ -154,68 +187,34 @@ func TestSchemaMismatchOnWrite(t *testing.T) {
 	}
 }
 
+// TestChunkStats pins the inline per-chunk min/max statistics every chunk
+// body carries: read back as version 1, the index has nothing else to build
+// its zone maps from.
 func TestChunkStats(t *testing.T) {
-	src := telemetry.NewTable(telemetry.IntCol("step"), telemetry.FloatCol("v"))
+	src := telemetry.NewTable(telemetry.IntCol("step"), telemetry.FloatCol("v"), telemetry.StrCol("s"))
 	for i := 0; i < 10; i++ {
-		src.Append(i, float64(100-i))
+		src.Append(i, float64(100-i), "x")
 	}
 	var buf bytes.Buffer
 	if err := WriteTable(&buf, src, 0); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(&buf)
+	r, err := OpenBytes(asV1(t, buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := r.NextChunk()
-	if err != nil {
-		t.Fatal(err)
+	if r.Version() != 1 || r.NumChunks() != 1 || r.DecodeCount() != 0 {
+		t.Fatalf("version %d, %d chunks, %d decodes", r.Version(), r.NumChunks(), r.DecodeCount())
 	}
-	if st := stats["step"]; !st.Valid || st.Min != 0 || st.Max != 9 {
-		t.Fatalf("step stats = %+v", st)
+	zones := r.Meta(0).Zones
+	if z := zones[0]; !z.HasRange || z.Min != 0 || z.Max != 9 || z.Count != 10 {
+		t.Fatalf("step stats = %+v", z)
 	}
-	if st := stats["v"]; !st.Valid || st.Min != 91 || st.Max != 100 {
-		t.Fatalf("v stats = %+v", st)
+	if z := zones[1]; !z.HasRange || z.Min != 91 || z.Max != 100 {
+		t.Fatalf("v stats = %+v", z)
 	}
-}
-
-func TestReadWherePrunesChunks(t *testing.T) {
-	// step is sorted; chunks of 50 rows → 10 chunks of distinct step ranges.
-	src := telemetry.NewTable(telemetry.IntCol("step"), telemetry.FloatCol("v"))
-	for i := 0; i < 500; i++ {
-		src.Append(i, float64(i)*0.5)
-	}
-	var buf bytes.Buffer
-	if err := WriteTable(&buf, src, 50); err != nil {
-		t.Fatal(err)
-	}
-	got, skipped, err := ReadWhere(bytes.NewReader(buf.Bytes()), "step", 100, 149)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != 50 {
-		t.Fatalf("rows = %d, want 50", got.NumRows())
-	}
-	if skipped != 9 {
-		t.Fatalf("skipped = %d, want 9", skipped)
-	}
-	steps := got.Ints("step")
-	if steps[0] != 100 || steps[49] != 149 {
-		t.Fatalf("range = %d..%d", steps[0], steps[49])
-	}
-}
-
-func TestReadWhereErrors(t *testing.T) {
-	src := buildTable(10, 5)
-	var buf bytes.Buffer
-	if err := WriteTable(&buf, src, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadWhere(bytes.NewReader(buf.Bytes()), "policy", 0, 1); err == nil {
-		t.Fatal("string predicate accepted")
-	}
-	if _, _, err := ReadWhere(bytes.NewReader(buf.Bytes()), "missing", 0, 1); err == nil {
-		t.Fatal("missing column accepted")
+	if z := zones[2]; z.HasRange || z.HasSum {
+		t.Fatalf("string column stats = %+v", z)
 	}
 }
 
@@ -229,7 +228,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := WriteTable(&buf, src, chunk); err != nil {
 			return false
 		}
-		got, err := ReadAll(&buf)
+		got, err := readBack(buf.Bytes())
 		if err != nil {
 			return false
 		}
@@ -263,7 +262,7 @@ func BenchmarkWriteRead(b *testing.B) {
 		if err := WriteTable(&buf, src, 1024); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReadAll(&buf); err != nil {
+		if _, err := readBack(buf.Bytes()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,7 +278,7 @@ func TestHeaderCorruptionRejected(t *testing.T) {
 	// Corrupt the version byte.
 	bad := append([]byte(nil), full...)
 	bad[4] = 99
-	if _, err := NewReader(bytes.NewReader(bad)); err == nil {
+	if _, err := OpenBytes(bad); err == nil {
 		t.Error("bad version accepted")
 	}
 	// Corrupt a column type byte (last byte of header region).
@@ -287,11 +286,11 @@ func TestHeaderCorruptionRejected(t *testing.T) {
 	// Header: magic(4)+ver(1)+ncols(2)+cols... find first col type byte:
 	// namelen(2)+name("step"=4)+type(1) → offset 4+1+2+2+4 = 13.
 	bad2[13] = 77
-	if _, err := NewReader(bytes.NewReader(bad2)); err == nil {
+	if _, err := OpenBytes(bad2); err == nil {
 		t.Error("bad column type accepted")
 	}
 	// Truncated header.
-	if _, err := NewReader(bytes.NewReader(full[:6])); err == nil {
+	if _, err := OpenBytes(full[:6]); err == nil {
 		t.Error("truncated header accepted")
 	}
 }
@@ -308,7 +307,7 @@ func TestDuplicateColumnHeaderRejected(t *testing.T) {
 		buf.WriteString("x")    // same name
 		buf.WriteByte(0)        // int64
 	}
-	if _, err := NewReader(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := OpenBytes(buf.Bytes()); err == nil {
 		t.Fatal("duplicate header columns accepted")
 	}
 }
@@ -325,9 +324,13 @@ func TestOversizedLengthFieldsRejected(t *testing.T) {
 	data := buf.Bytes()
 	// Header ends after magic(4)+ver(1)+ncols(2)+namelen(2)+"a"(1)+type(1) = 11.
 	// Chunk length field is the next 4 bytes: blow it up to 4 GB.
-	corrupt := append([]byte(nil), data...)
-	corrupt[11], corrupt[12], corrupt[13], corrupt[14] = 0xff, 0xff, 0xff, 0xff
-	if _, err := ReadAll(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("4GB chunk length accepted")
+	// The footer index locates the chunk regardless, but the prefix must
+	// still agree with it; the version-1 scan has only the prefix.
+	for name, file := range map[string][]byte{"v2": data, "v1": asV1(t, data)} {
+		corrupt := append([]byte(nil), file...)
+		corrupt[11], corrupt[12], corrupt[13], corrupt[14] = 0xff, 0xff, 0xff, 0xff
+		if _, err := readBack(corrupt); err == nil {
+			t.Fatalf("%s: 4GB chunk length accepted", name)
+		}
 	}
 }

@@ -44,15 +44,42 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	return seeds
 }
 
-// FuzzReadAll asserts the streaming reader never panics on arbitrary
-// bytes: corrupt or truncated files must surface as errors.
+// FuzzReadAll asserts that reading a whole file back is all or nothing:
+// arbitrary bytes either fail to open or decode, or yield a table with
+// exactly the rows the index promised — one that survives being written
+// and read again unchanged. Corrupt or truncated files must surface as
+// errors, never as a short or different table.
 func FuzzReadAll(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = ReadAll(bytes.NewReader(data))
-		_, _, _ = ReadWhere(bytes.NewReader(data), "step", 0, 10)
+		r, err := OpenBytes(data)
+		if err != nil {
+			return
+		}
+		got, err := r.Table()
+		if err != nil {
+			return
+		}
+		if int64(got.NumRows()) != r.NumRows() {
+			t.Fatalf("Table() has %d rows, index promised %d", got.NumRows(), r.NumRows())
+		}
+		// Compare encodings, not cells: a fuzzed float may be NaN.
+		var buf, buf2 bytes.Buffer
+		if err := WriteTable(&buf, got, 3); err != nil {
+			t.Fatal(err)
+		}
+		again, err := readBack(buf.Bytes())
+		if err != nil {
+			t.Fatalf("rewritten file does not read back: %v", err)
+		}
+		if err := WriteTable(&buf2, again, 3); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+			t.Fatal("table changed across a write/read cycle")
+		}
 	})
 }
 

@@ -195,16 +195,9 @@ func (r *Reader) scanV1(hlen int64) error {
 		if _, err := r.ra.ReadAt(body, off+4); err != nil {
 			return err
 		}
-		rows, stats, err := parseChunkStatsHeader(r.schema, body)
+		rows, zones, err := parseChunkStatsHeader(r.schema, body)
 		if err != nil {
 			return err
-		}
-		zones := make([]ZoneMap, len(r.schema))
-		for ci := range r.schema {
-			if stats[ci].Valid {
-				zones[ci] = ZoneMap{Min: stats[ci].Min, Max: stats[ci].Max, HasRange: true}
-			}
-			zones[ci].Count = int64(rows)
 		}
 		r.chunks = append(r.chunks, ChunkMeta{
 			Offset: off,
@@ -248,13 +241,18 @@ func (r *Reader) ColIndex(name string) int {
 // metadata alone (zero) or how many chunks pushdown actually touched.
 func (r *Reader) DecodeCount() int64 { return r.decodes.Load() }
 
-// chunkBody reads and checksum-verifies the raw body of chunk i.
+// chunkBody reads the raw body of chunk i, verified against the index: the
+// chunk's own length prefix must agree with it, and so must the checksum.
 func (r *Reader) chunkBody(i int) ([]byte, error) {
 	m := r.chunks[i]
-	body := make([]byte, m.Length)
-	if _, err := r.ra.ReadAt(body, m.Offset+4); err != nil {
+	buf := make([]byte, 4+int64(m.Length))
+	if _, err := r.ra.ReadAt(buf, m.Offset); err != nil {
 		return nil, fmt.Errorf("colfile: chunk %d: %w", i, err)
 	}
+	if got := binary.LittleEndian.Uint32(buf); got != m.Length {
+		return nil, fmt.Errorf("colfile: chunk %d length prefix %d does not match the index (%d)", i, got, m.Length)
+	}
+	body := buf[4:]
 	if m.HasCRC {
 		if got := crc32.ChecksumIEEE(body); got != m.CRC {
 			return nil, fmt.Errorf("colfile: chunk %d checksum mismatch: %08x != %08x", i, got, m.CRC)

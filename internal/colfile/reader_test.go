@@ -171,17 +171,49 @@ func goldenV1Table() *telemetry.Table {
 	return t
 }
 
+// TestV1GoldenStreamRead reads the golden file the way a scan does — chunk
+// by chunk in file order through the projection decoder, one column at a
+// time — and must reassemble the golden table.
 func TestV1GoldenStreamRead(t *testing.T) {
 	data, err := os.ReadFile("testdata/v1_golden.col")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(bytes.NewReader(data))
+	r, err := OpenBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tablesEqual(goldenV1Table(), got) {
-		t.Fatal("v1 golden table mismatch via streaming reader")
+	want := goldenV1Table()
+	row := 0
+	for i := 0; i < r.NumChunks(); i++ {
+		n := 0
+		for ci, s := range r.Schema() {
+			only := make([]bool, len(r.Schema()))
+			only[ci] = true
+			cols, rows, err := r.DecodeColumns(i, only)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n = rows
+			for j := 0; j < rows; j++ {
+				var got interface{}
+				switch s.Type {
+				case telemetry.Int64:
+					got = cols[ci].Ints[j]
+				case telemetry.Float64:
+					got = cols[ci].Floats[j]
+				case telemetry.String:
+					got = cols[ci].Strings()[j]
+				}
+				if w := want.ValueAt(s.Name, row+j); got != w {
+					t.Fatalf("chunk %d row %d column %q = %v, want %v", i, j, s.Name, got, w)
+				}
+			}
+		}
+		row += n
+	}
+	if row != want.NumRows() {
+		t.Fatalf("scanned %d rows, want %d", row, want.NumRows())
 	}
 }
 
@@ -215,10 +247,6 @@ func TestFooterChecksumMismatch(t *testing.T) {
 	if _, err := OpenBytes(bad); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupt footer: err = %v, want checksum mismatch", err)
 	}
-	// Streaming path must reject it too.
-	if _, err := ReadAll(bytes.NewReader(bad)); err == nil {
-		t.Fatal("streaming reader accepted corrupt footer")
-	}
 }
 
 func TestTruncatedFooterRejected(t *testing.T) {
@@ -227,9 +255,6 @@ func TestTruncatedFooterRejected(t *testing.T) {
 		short := data[:len(data)-cut]
 		if _, err := OpenBytes(short); err == nil {
 			t.Fatalf("Open accepted file truncated by %d bytes", cut)
-		}
-		if _, err := ReadAll(bytes.NewReader(short)); err == nil {
-			t.Fatalf("ReadAll accepted file truncated by %d bytes", cut)
 		}
 	}
 }
@@ -240,9 +265,6 @@ func TestFooterBadMagicRejected(t *testing.T) {
 	copy(bad[len(bad)-4:], "XXXX")
 	if _, err := OpenBytes(bad); err == nil {
 		t.Fatal("bad footer magic accepted by Open")
-	}
-	if _, err := ReadAll(bytes.NewReader(bad)); err == nil {
-		t.Fatal("bad footer magic accepted by ReadAll")
 	}
 }
 

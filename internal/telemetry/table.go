@@ -193,27 +193,14 @@ func FromColumns(specs []ColSpec, cols []interface{}) (*Table, error) {
 	return t, nil
 }
 
-// Renamed returns a table with the same data and new column names, sharing
-// the underlying column storage with t (no row copies). names must match
-// the column count positionally. The returned table is a read-only view:
-// appending to it (or to t afterwards) is not supported, matching the
-// query-result use where relabeled tables are terminal.
-func (t *Table) Renamed(names ...string) *Table {
-	if len(names) != len(t.cols) {
-		panic(fmt.Sprintf("telemetry: Renamed with %d names, schema has %d columns", len(names), len(t.cols)))
-	}
-	out := &Table{byName: make(map[string]int, len(t.cols)), rows: t.rows}
-	for i, c := range t.cols {
-		if _, dup := out.byName[names[i]]; dup {
-			panic("telemetry: duplicate column " + names[i])
-		}
-		nc := &column{spec: ColSpec{Name: names[i], Type: c.spec.Type}}
-		nc.ints, nc.floats, nc.strs = c.ints, c.floats, c.strs
-		nc.dict, nc.dictID = c.dict, c.dictID
-		out.byName[names[i]] = len(out.cols)
-		out.cols = append(out.cols, nc)
-	}
-	return out
+// ColumnData returns the backing storage of column i (schema order) as
+// read-only views: ints for an Int64 column, floats for a Float64 column,
+// dictionary ids plus the dictionary for a String column; the results the
+// column's type does not use are nil. It is what lets the query executor
+// scan a table in place, as one chunk, without copying it.
+func (t *Table) ColumnData(i int) (ints []int64, floats []float64, ids []uint32, dict []string) {
+	c := t.cols[i]
+	return c.ints, c.floats, c.strs, c.dict
 }
 
 // Schema returns the column specs in order.

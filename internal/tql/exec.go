@@ -3,6 +3,7 @@ package tql
 import (
 	"fmt"
 
+	"amrtools/internal/colfile"
 	"amrtools/internal/telemetry"
 )
 
@@ -19,153 +20,301 @@ func Run(query string, tables map[string]*telemetry.Table) (*telemetry.Table, er
 	return Exec(q, t)
 }
 
-// Exec executes a parsed query against one table.
+// Exec executes a parsed query against one in-memory table: the same bind
+// and the same kernels as ExecFile, with the table's own column storage
+// standing in as a single chunk.
 func Exec(q *Query, t *telemetry.Table) (*telemetry.Table, error) {
-	// 1. WHERE. The first evaluation error (in row order) fails the whole
-	// query; rows with errors must not be silently dropped.
-	cur := t
-	if q.Where != nil {
-		src := cur
-		var ferr error
-		cur = src.Filter(func(row int) bool {
-			if ferr != nil {
-				return false
-			}
-			ok, err := asBool(q.Where, src, row)
-			if err != nil {
-				ferr = err
-				return false
-			}
-			return ok
-		})
-		if ferr != nil {
-			return nil, ferr
-		}
-	}
-	return execAfterWhere(q, cur)
-}
-
-// execAfterWhere runs the post-filter stages of a query — projection or
-// aggregation, then ORDER BY and LIMIT — on an already-filtered table. Both
-// the in-memory path (Exec) and the pushdown path (ExecFile) funnel through
-// this, which is what keeps their results bit-identical.
-func execAfterWhere(q *Query, cur *telemetry.Table) (*telemetry.Table, error) {
-	// 2. Projection / aggregation.
-	hasAgg := false
-	for _, s := range q.Select {
-		if s.IsAgg {
-			hasAgg = true
-		}
-	}
-	switch {
-	case q.Star:
-		if len(q.GroupBy) > 0 {
-			return nil, fmt.Errorf("tql: SELECT * with GROUP BY")
-		}
-	case hasAgg || len(q.GroupBy) > 0:
-		var err error
-		cur, err = execAggregate(q, cur)
+	if q.Where == nil {
+		// Nothing to filter: the later stages read the table in place.
+		b, err := bind(q, t.Schema())
 		if err != nil {
 			return nil, err
 		}
-	default:
-		names := make([]string, len(q.Select))
-		aliases := make([]string, len(q.Select))
-		for i, s := range q.Select {
-			if !cur.HasCol(s.Col) {
-				return nil, fmt.Errorf("tql: unknown column %q", s.Col)
-			}
-			names[i] = s.Col
-			aliases[i] = s.OutName()
-		}
-		cur = cur.Select(names...)
-		cur = rename(cur, aliases)
+		return b.finish(t), nil
 	}
-	return applyOrderLimit(q, cur)
+	out, _, err := execute(q, tableSource{t})
+	return out, err
 }
 
-// applyOrderLimit runs the ORDER BY and LIMIT stages.
-func applyOrderLimit(q *Query, cur *telemetry.Table) (*telemetry.Table, error) {
-	// 3. ORDER BY.
-	for i := len(q.OrderBy) - 1; i >= 0; i-- { // stable multi-key sort
-		o := q.OrderBy[i]
-		if !cur.HasCol(o.Col) {
-			return nil, fmt.Errorf("tql: ORDER BY unknown column %q", o.Col)
-		}
-		cur = cur.SortBy(o.Col, o.Desc)
-	}
-
-	// 4. LIMIT.
-	if q.Limit >= 0 {
-		cur = cur.Head(q.Limit)
-	}
-	return cur, nil
+// chunkSource is what the executor scans: a schema and a sequence of
+// chunks, each with block-index metadata and a projection decode.
+// *colfile.Reader is one as it stands; tableSource adapts a table.
+type chunkSource interface {
+	Schema() []telemetry.ColSpec
+	NumChunks() int
+	Meta(i int) colfile.ChunkMeta
+	DecodeColumns(i int, want []bool) ([]colfile.ColData, int, error)
 }
 
-// execAggregate handles queries with aggregates and/or GROUP BY.
-func execAggregate(q *Query, t *telemetry.Table) (*telemetry.Table, error) {
-	// Every non-aggregate select item must be a group key.
-	keySet := map[string]bool{}
-	for _, k := range q.GroupBy {
-		if !t.HasCol(k) {
-			return nil, fmt.Errorf("tql: GROUP BY unknown column %q", k)
-		}
-		keySet[k] = true
-	}
-	var aggs []telemetry.AggSpec
-	for _, s := range q.Select {
-		if s.IsAgg {
-			if s.Col != "" && !t.HasCol(s.Col) {
-				return nil, fmt.Errorf("tql: unknown column %q", s.Col)
-			}
-			if s.Col != "" {
-				if spec, err := t.ColDescr(s.Col); err == nil && spec.Type == telemetry.String {
-					return nil, fmt.Errorf("tql: aggregate over string column %q", s.Col)
-				}
-			}
-			f := s.Agg
-			col := s.Col
-			if col == "" && f != telemetry.Count {
-				return nil, fmt.Errorf("tql: %s(*) is only valid for count", f)
-			}
-			if f == telemetry.Count {
-				col = "" // count ignores the column
-			}
-			aggs = append(aggs, telemetry.AggSpec{Func: f, Col: col, As: s.OutName()})
-		} else if !keySet[s.Col] {
-			return nil, fmt.Errorf("tql: column %q must appear in GROUP BY", s.Col)
+// tableSource presents an in-memory table as one chunk with no zone maps,
+// its columns views of the table's storage (nothing is copied). Without
+// zone maps a WHERE makes the chunk classSome, so the metadata-only path
+// never sees it; Exec scans a tableSource only when there is a WHERE.
+type tableSource struct{ t *telemetry.Table }
+
+func (s tableSource) Schema() []telemetry.ColSpec { return s.t.Schema() }
+func (s tableSource) NumChunks() int              { return 1 }
+func (s tableSource) Meta(int) colfile.ChunkMeta  { return colfile.ChunkMeta{Rows: s.t.NumRows()} }
+
+func (s tableSource) DecodeColumns(_ int, want []bool) ([]colfile.ColData, int, error) {
+	cols := make([]colfile.ColData, len(want))
+	for i, w := range want {
+		if w {
+			c := &cols[i]
+			c.Ints, c.Floats, c.StrIDs, c.Dict = s.t.ColumnData(i)
 		}
 	}
-	g := t.GroupBy(q.GroupBy, aggs)
-	// Project to the select order (keys may be selected in any order, and
-	// unselected keys are dropped).
-	names := make([]string, len(q.Select))
-	aliases := make([]string, len(q.Select))
-	for i, s := range q.Select {
-		if s.IsAgg {
-			names[i] = s.OutName()
-		} else {
-			names[i] = s.Col
-		}
-		aliases[i] = s.OutName()
-	}
-	return rename(g.Select(names...), aliases), nil
+	return cols, s.t.NumRows(), nil
 }
 
-// rename returns a table with the same data and new column names. The
-// result shares column storage with t (a relabel is O(columns), not
-// O(rows)); query results are terminal, so the view restriction of
-// telemetry.Renamed is safe here.
-func rename(t *telemetry.Table, names []string) *telemetry.Table {
-	schema := t.Schema()
-	changed := false
-	for i := range schema {
-		if schema[i].Name != names[i] {
-			changed = true
+// execute is the one executor: bind, classify every chunk from its zone
+// map, answer from metadata alone when that suffices, otherwise decode only
+// the referenced columns of only the surviving chunks, filter them through
+// the kernels, and run the post-WHERE stages on the matched rows. The
+// Explain is valid even when the result is an error.
+func execute(q *Query, src chunkSource) (*telemetry.Table, *Explain, error) {
+	ex := &Explain{ChunksTotal: src.NumChunks()}
+	b, err := bind(q, src.Schema())
+	if err != nil {
+		return nil, ex, err
+	}
+
+	classes := make([]chunkClass, src.NumChunks())
+	matched := int64(0) // rows in classAll chunks
+	allOrNone := true
+	for i := range classes {
+		m := src.Meta(i)
+		classes[i] = b.classifyChunk(m)
+		switch classes[i] {
+		case classAll:
+			matched += int64(m.Rows)
+		case classSome:
+			allOrNone = false
+		case classNone:
+			// contributes no rows and no decode
 		}
 	}
-	if !changed {
-		return t
+	if allOrNone {
+		if out, ok := b.metadataOnly(src, classes, matched); ok {
+			ex.MetadataOnly = true
+			ex.ChunksSkipped = src.NumChunks()
+			return out, ex, nil
+		}
 	}
-	return t.Renamed(names...)
+
+	// Fully-matching chunks decode only the output columns; chunks that
+	// must be filtered add the WHERE columns.
+	acc := newAccumulator(b)
+	decoded := b.needOut
+	for i, class := range classes {
+		switch class {
+		case classNone:
+			ex.ChunksSkipped++
+		case classAll:
+			cols, n, err := src.DecodeColumns(i, b.needOut)
+			if err != nil {
+				return nil, ex, err
+			}
+			ex.ChunksScanned++
+			acc.appendAll(cols, n)
+		case classSome:
+			cols, n, err := src.DecodeColumns(i, b.needScan)
+			if err != nil {
+				return nil, ex, err
+			}
+			ex.ChunksScanned++
+			decoded = b.needScan
+			sel, err := b.match(&chunkCtx{cols: cols, n: n})
+			if err != nil {
+				return nil, ex, err
+			}
+			acc.appendRows(cols, sel)
+		}
+	}
+	if ex.ChunksScanned > 0 {
+		for i, s := range b.schema {
+			if decoded[i] {
+				ex.ColumnsDecoded = append(ex.ColumnsDecoded, s.Name)
+			}
+		}
+	}
+	cur, err := acc.table()
+	if err != nil {
+		return nil, ex, err
+	}
+	return b.finish(cur), ex, nil
+}
+
+// match returns the rows of the chunk that satisfy the WHERE clause, in
+// row order. Conjuncts run left to right, each on the rows its
+// predecessors kept — short-circuit AND over the top-level spine.
+func (b *bound) match(c *chunkCtx) ([]int, error) {
+	sel := make([]int, c.n)
+	for i := range sel {
+		sel[i] = i
+	}
+	for _, cj := range b.conjs {
+		mask, err := cj.pred.eval(c, sel)
+		if err != nil {
+			return nil, err
+		}
+		kept := sel[:0]
+		for i, ok := range mask {
+			if ok {
+				kept = append(kept, sel[i])
+			}
+		}
+		sel = kept
+	}
+	return sel, nil
+}
+
+// finish runs the post-WHERE stages — projection or aggregation, then
+// ORDER BY and LIMIT — on the matched rows. cur must hold at least the
+// needOut columns; bind has already ruled out every way this can fail.
+func (b *bound) finish(cur *telemetry.Table) *telemetry.Table {
+	if !b.q.Star {
+		if b.grouped {
+			cur = cur.GroupBy(b.keys, b.aggs)
+		}
+		cur = project(cur, b.src, b.out)
+	}
+	return b.orderLimit(cur)
+}
+
+// orderLimit runs the ORDER BY and LIMIT stages.
+func (b *bound) orderLimit(cur *telemetry.Table) *telemetry.Table {
+	for i := len(b.q.OrderBy) - 1; i >= 0; i-- { // stable multi-key sort
+		cur = cur.SortBy(b.q.OrderBy[i].Col, b.q.OrderBy[i].Desc)
+	}
+	if b.q.Limit >= 0 {
+		cur = cur.Head(b.q.Limit)
+	}
+	return cur
+}
+
+// project returns the table whose i-th column is t's column src[i] under
+// the name out[i]. A source may repeat (SELECT rank AS a, rank AS b).
+// Numeric columns share t's storage, capped so an append to either table
+// cannot reach the other; a relabel is O(columns), not O(rows).
+func project(t *telemetry.Table, src, out []string) *telemetry.Table {
+	specs := make([]telemetry.ColSpec, len(src))
+	cols := make([]interface{}, len(src))
+	n := t.NumRows()
+	for i, name := range src {
+		s, err := t.ColDescr(name)
+		if err != nil {
+			panic(err) // bind resolved every name
+		}
+		specs[i] = telemetry.ColSpec{Name: out[i], Type: s.Type}
+		switch s.Type {
+		case telemetry.Int64:
+			cols[i] = t.Ints(name)[:n:n]
+		case telemetry.Float64:
+			cols[i] = t.Floats(name)[:n:n]
+		case telemetry.String:
+			cols[i] = t.Strings(name)
+		default:
+			panic("tql: unknown column type")
+		}
+	}
+	res, err := telemetry.FromColumns(specs, cols)
+	if err != nil {
+		panic(err) // equal-length columns of one table under distinct names
+	}
+	return res
+}
+
+// accumulator collects matched rows of the needOut columns into typed
+// builders, then seals them into a table via telemetry.FromColumns (no
+// per-cell boxing).
+type accumulator struct {
+	idx    []int // schema index of each carried column
+	specs  []telemetry.ColSpec
+	ints   [][]int64
+	floats [][]float64
+	strs   [][]string
+	rows   int
+}
+
+func newAccumulator(b *bound) *accumulator {
+	a := &accumulator{}
+	for i, s := range b.schema {
+		if b.needOut[i] {
+			a.idx = append(a.idx, i)
+			a.specs = append(a.specs, s)
+		}
+	}
+	a.ints = make([][]int64, len(a.idx))
+	a.floats = make([][]float64, len(a.idx))
+	a.strs = make([][]string, len(a.idx))
+	return a
+}
+
+// appendRows copies the selected rows of a chunk into the builders.
+func (a *accumulator) appendRows(cols []colfile.ColData, sel []int) {
+	for k, ci := range a.idx {
+		c := &cols[ci]
+		switch a.specs[k].Type {
+		case telemetry.Int64:
+			for _, r := range sel {
+				a.ints[k] = append(a.ints[k], c.Ints[r])
+			}
+		case telemetry.Float64:
+			for _, r := range sel {
+				a.floats[k] = append(a.floats[k], c.Floats[r])
+			}
+		case telemetry.String:
+			for _, r := range sel {
+				a.strs[k] = append(a.strs[k], c.Dict[c.StrIDs[r]])
+			}
+		default:
+			panic("tql: unknown column type")
+		}
+	}
+	a.rows += len(sel)
+}
+
+// appendAll copies all n rows of a chunk (full-match fast path).
+func (a *accumulator) appendAll(cols []colfile.ColData, n int) {
+	for k, ci := range a.idx {
+		c := &cols[ci]
+		switch a.specs[k].Type {
+		case telemetry.Int64:
+			a.ints[k] = append(a.ints[k], c.Ints...)
+		case telemetry.Float64:
+			a.floats[k] = append(a.floats[k], c.Floats...)
+		case telemetry.String:
+			for _, id := range c.StrIDs {
+				a.strs[k] = append(a.strs[k], c.Dict[id])
+			}
+		default:
+			panic("tql: unknown column type")
+		}
+	}
+	a.rows += n
+}
+
+// table seals the accumulated columns.
+func (a *accumulator) table() (*telemetry.Table, error) {
+	if len(a.idx) == 0 && a.rows > 0 {
+		// count(*) alone reads no column, but its row count must survive:
+		// carry it on a placeholder no query can name.
+		return telemetry.FromColumns(
+			[]telemetry.ColSpec{telemetry.IntCol("#rows")}, []interface{}{make([]int64, a.rows)})
+	}
+	cols := make([]interface{}, len(a.idx))
+	for k, s := range a.specs {
+		switch s.Type {
+		case telemetry.Int64:
+			cols[k] = a.ints[k]
+		case telemetry.Float64:
+			cols[k] = a.floats[k]
+		case telemetry.String:
+			cols[k] = a.strs[k]
+		default:
+			panic("tql: unknown column type")
+		}
+	}
+	return telemetry.FromColumns(a.specs, cols)
 }

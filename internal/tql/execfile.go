@@ -1,8 +1,6 @@
 package tql
 
 import (
-	"fmt"
-
 	"amrtools/internal/colfile"
 	"amrtools/internal/telemetry"
 )
@@ -18,413 +16,78 @@ func RunFile(query string, r *colfile.Reader) (*telemetry.Table, error) {
 
 // ExecFile executes a parsed query directly against a colfile, using the
 // footer block index for predicate pushdown (zone-map chunk skipping),
-// projection pushdown (only referenced columns decoded), metadata-only
-// aggregate answers, and a vectorized WHERE evaluator. Results are
-// bit-identical to materializing the file and calling Exec. Memory is
-// O(one chunk + result), not O(file).
+// projection pushdown (only referenced columns decoded) and metadata-only
+// aggregate answers. It is Exec over a different chunk source: the result
+// equals materializing the file and calling Exec, in O(one chunk + result)
+// memory instead of O(file).
 func ExecFile(q *Query, r *colfile.Reader) (*telemetry.Table, error) {
-	t, _, err := ExecFileExplain(q, r)
+	t, _, err := execute(q, r)
 	return t, err
 }
 
 // ExecFileExplain is ExecFile plus a report of how the query was answered.
 // The Explain is valid even when the result is an error.
 func ExecFileExplain(q *Query, r *colfile.Reader) (*telemetry.Table, *Explain, error) {
-	ex := &Explain{ChunksTotal: r.NumChunks()}
-	schema := r.Schema()
-
-	// Compile the WHERE clause once. Queries the compiler cannot type
-	// soundly run on the legacy path against a full materialization.
-	var pred boolNode
-	if q.Where != nil {
-		var err error
-		pred, err = compileBool(q.Where, schema)
-		if err != nil {
-			if nv, ok := err.(errNotVectorizable); ok {
-				return execFileFallback(q, r, ex, nv.reason)
-			}
-			return nil, ex, err
-		}
-	}
-
-	p := newPlan(q.Where, schema)
-
-	// Classify every chunk from zone maps alone.
-	classes := make([]chunkClass, r.NumChunks())
-	matched := int64(0) // rows in classAll chunks
-	allOrNone := true
-	for i := range classes {
-		classes[i] = p.classifyChunk(r.Meta(i))
-		switch classes[i] {
-		case classAll:
-			matched += int64(r.Meta(i).Rows)
-		case classSome:
-			allOrNone = false
-		case classNone:
-			// contributes no rows and no decode
-		}
-	}
-
-	// Metadata-only aggregates: every chunk fully in or fully out, and the
-	// whole select list computable from the footer.
-	if allOrNone && metadataEligible(q, schema, r, classes) {
-		out, err := execMetadataOnly(q, schema, r, classes, matched)
-		if err == nil {
-			ex.MetadataOnly = true
-			ex.ChunksSkipped = r.NumChunks()
-			return out, ex, nil
-		}
-		return nil, ex, err
-	}
-
-	// Scan path: decode only referenced columns of only surviving chunks.
-	// needOut: columns the post-WHERE stages read (select, group by);
-	// needScan: needOut plus WHERE columns — what a filtered chunk decodes.
-	// Fully-matching chunks skip the WHERE-only columns too.
-	needOut, err := neededColumns(q, schema)
-	if err != nil {
-		// Unknown select/group-by column: legacy surfaces this after the
-		// WHERE stage; replicate by filtering first on the legacy path.
-		return execFileFallback(q, r, ex, "unresolved columns")
-	}
-	needScan := make([]bool, len(schema))
-	copy(needScan, needOut)
-	markWhereCols(q.Where, schema, needScan)
-
-	acc := newAccumulator(schema, needOut)
-	filteredScan := false
-	for i := range classes {
-		switch classes[i] {
-		case classNone:
-			ex.ChunksSkipped++
-			continue
-		case classAll:
-			cols, n, err := r.DecodeColumns(i, needOut)
-			if err != nil {
-				return nil, ex, err
-			}
-			ex.ChunksScanned++
-			acc.appendAll(cols, n)
-		case classSome:
-			cols, n, err := r.DecodeColumns(i, needScan)
-			if err != nil {
-				return nil, ex, err
-			}
-			ex.ChunksScanned++
-			filteredScan = true
-			if pred == nil {
-				acc.appendAll(cols, n)
-				continue
-			}
-			ctx := &chunkCtx{cols: cols, n: n}
-			sel := make([]int, n)
-			for j := range sel {
-				sel[j] = j
-			}
-			mask, ev := pred.eval(ctx, sel)
-			bound := n
-			if ev.idx >= 0 {
-				bound = ev.idx
-			}
-			for j := 0; j < bound; j++ {
-				if mask[j] {
-					acc.appendRow(cols, j)
-				}
-			}
-			if ev.idx >= 0 {
-				return nil, ex, ev.err
-			}
-		}
-	}
-	if ex.ChunksScanned > 0 {
-		decoded := needOut
-		if filteredScan {
-			decoded = needScan
-		}
-		for i, s := range schema {
-			if decoded[i] {
-				ex.ColumnsDecoded = append(ex.ColumnsDecoded, s.Name)
-			}
-		}
-	}
-	cur, err := acc.table()
-	if err != nil {
-		return nil, ex, err
-	}
-	out, err := execAfterWhere(q, cur)
-	return out, ex, err
+	return execute(q, r)
 }
 
-// execFileFallback materializes the whole file and runs the legacy
-// in-memory path — the escape hatch that keeps exotic queries (and their
-// error semantics) exactly as before.
-func execFileFallback(q *Query, r *colfile.Reader, ex *Explain, reason string) (*telemetry.Table, *Explain, error) {
-	ex.Fallback = reason
-	ex.ChunksScanned = r.NumChunks()
-	for _, s := range r.Schema() {
-		ex.ColumnsDecoded = append(ex.ColumnsDecoded, s.Name)
+// metadataOnly answers the query from zone maps alone when it can: no
+// GROUP BY, every select item a min/max/sum/count/avg aggregate, every
+// chunk fully in or fully out (the caller checked), and every fully-in
+// chunk carrying the statistics its aggregates need. Chunk sums fold in
+// chunk order; each zone sum was itself accumulated left to right, so this
+// matches the sequential sum exactly whenever the additions are exact and
+// differs by at most reassociation ULPs otherwise (DESIGN.md §12).
+func (b *bound) metadataOnly(src chunkSource, classes []chunkClass, matched int64) (*telemetry.Table, bool) {
+	if !b.grouped || len(b.keys) > 0 {
+		return nil, false
 	}
-	t, err := r.Table()
-	if err != nil {
-		return nil, ex, err
-	}
-	out, err := Exec(q, t)
-	return out, ex, err
-}
-
-// metadataEligible reports whether the select list can be answered from
-// zone maps alone: no GROUP BY, aggregates only, each over a numeric
-// column whose surviving chunks all carry the stats that aggregate needs.
-func metadataEligible(q *Query, schema []telemetry.ColSpec, r *colfile.Reader, classes []chunkClass) bool {
-	if q.Star || len(q.GroupBy) > 0 || len(q.Select) == 0 {
-		return false
-	}
-	for _, s := range q.Select {
-		if !s.IsAgg {
-			return false
-		}
+	specs := make([]telemetry.ColSpec, len(b.q.Select))
+	vals := make([]interface{}, len(b.q.Select))
+	for si, s := range b.q.Select {
+		v, first := 0.0, true
 		switch s.Agg {
 		case telemetry.Count:
-			continue // row counts are always in the index
+			v = float64(matched) // row counts are always in the index
 		case telemetry.Sum, telemetry.Mean, telemetry.Min, telemetry.Max:
-		case telemetry.P50, telemetry.P99, telemetry.Var, telemetry.Std:
-			return false // order statistics and moments need the raw values
-		default:
-			return false
-		}
-		ci := schemaIdx(schema, s.Col)
-		if ci < 0 || schema[ci].Type == telemetry.String {
-			return false
-		}
-		for i, cl := range classes {
-			if cl != classAll || r.Meta(i).Rows == 0 {
-				continue // empty chunks contribute no rows, need no zones
-			}
-			z := r.Meta(i).Zones[ci]
-			switch s.Agg {
-			case telemetry.Min, telemetry.Max:
-				if !z.HasRange {
-					return false
+			ci := schemaIdx(b.schema, s.Col)
+			for i, class := range classes {
+				m := src.Meta(i)
+				if class != classAll || m.Rows == 0 {
+					continue // empty chunks contribute no rows, need no zones
 				}
-			case telemetry.Sum, telemetry.Mean:
-				if !z.HasSum {
-					return false
-				}
-			case telemetry.Count, telemetry.P50, telemetry.P99, telemetry.Var, telemetry.Std:
-				// unreachable: filtered by the eligibility switch above
-			default:
-			}
-		}
-	}
-	return true
-}
-
-// execMetadataOnly folds zone maps into the aggregate answer. Chunk sums
-// are folded in chunk order; because each zone sum was itself accumulated
-// left-to-right, this matches the legacy sequential sum exactly whenever
-// the additions are exact, and differs by at most reassociation ULPs
-// otherwise (documented in DESIGN.md §12).
-func execMetadataOnly(q *Query, schema []telemetry.ColSpec, r *colfile.Reader, classes []chunkClass, matched int64) (*telemetry.Table, error) {
-	if matched == 0 {
-		// Legacy GroupBy over zero rows yields a zero-row result; reuse the
-		// legacy tail on an empty table to reproduce it exactly.
-		return execAfterWhere(q, telemetry.NewTable(schema...))
-	}
-	specs := make([]telemetry.ColSpec, len(q.Select))
-	vals := make([]interface{}, len(q.Select))
-	for si, s := range q.Select {
-		specs[si] = telemetry.FloatCol(s.OutName())
-		switch s.Agg {
-		case telemetry.Count:
-			vals[si] = float64(matched)
-		case telemetry.Sum, telemetry.Mean:
-			sum := 0.0
-			for i, cl := range classes {
-				if cl == classAll && r.Meta(i).Rows > 0 {
-					sum += r.Meta(i).Zones[schemaIdx(schema, s.Col)].Sum
-				}
-			}
-			if s.Agg == telemetry.Mean {
-				sum /= float64(matched)
-			}
-			vals[si] = sum
-		case telemetry.Min, telemetry.Max:
-			first := true
-			m := 0.0
-			for i, cl := range classes {
-				if cl != classAll || r.Meta(i).Rows == 0 {
-					continue
-				}
-				z := r.Meta(i).Zones[schemaIdx(schema, s.Col)]
-				v := z.Min
-				if s.Agg == telemetry.Max {
+				z := m.Zones[ci]
+				switch {
+				case s.Agg == telemetry.Sum || s.Agg == telemetry.Mean:
+					if !z.HasSum {
+						return nil, false
+					}
+					v += z.Sum
+				case !z.HasRange:
+					return nil, false
+				case s.Agg == telemetry.Min && (first || z.Min < v):
+					v = z.Min
+				case s.Agg == telemetry.Max && (first || z.Max > v):
 					v = z.Max
-				}
-				if first || (s.Agg == telemetry.Min && v < m) || (s.Agg == telemetry.Max && v > m) {
-					m = v
 				}
 				first = false
 			}
-			vals[si] = m
+			if s.Agg == telemetry.Mean && matched > 0 {
+				v /= float64(matched)
+			}
 		case telemetry.P50, telemetry.P99, telemetry.Var, telemetry.Std:
-			return nil, fmt.Errorf("tql: internal: aggregate %s is not metadata-computable", s.Agg)
+			return nil, false // order statistics and moments need the raw values
 		default:
-			return nil, fmt.Errorf("tql: internal: aggregate %s is not metadata-computable", s.Agg)
+			return nil, false
 		}
+		specs[si] = telemetry.FloatCol(b.out[si])
+		vals[si] = v
+	}
+	if matched == 0 {
+		// An aggregate over zero rows is a zero-row result, as in finish.
+		return b.finish(telemetry.NewTable(b.schema...)), true
 	}
 	out := telemetry.NewTable(specs...)
 	out.Append(vals...)
-	return applyOrderLimit(q, out)
-}
-
-// neededColumns returns the schema columns the post-WHERE stages read:
-// select targets, aggregate arguments, and GROUP BY keys. An unresolvable
-// name forces the legacy path (which owns the error message).
-func neededColumns(q *Query, schema []telemetry.ColSpec) ([]bool, error) {
-	need := make([]bool, len(schema))
-	if q.Star {
-		for i := range need {
-			need[i] = true
-		}
-		return need, nil
-	}
-	mark := func(name string) error {
-		i := schemaIdx(schema, name)
-		if i < 0 {
-			return fmt.Errorf("unknown column %q", name)
-		}
-		need[i] = true
-		return nil
-	}
-	for _, s := range q.Select {
-		if s.Col == "" {
-			continue // count(*)
-		}
-		if err := mark(s.Col); err != nil {
-			return nil, err
-		}
-	}
-	for _, k := range q.GroupBy {
-		if err := mark(k); err != nil {
-			return nil, err
-		}
-	}
-	return need, nil
-}
-
-// markWhereCols adds every column referenced by the WHERE clause.
-func markWhereCols(e Expr, schema []telemetry.ColSpec, need []bool) {
-	switch x := e.(type) {
-	case colRef:
-		if i := schemaIdx(schema, x.name); i >= 0 {
-			need[i] = true
-		}
-	case cmp:
-		markWhereCols(x.l, schema, need)
-		markWhereCols(x.r, schema, need)
-	case logic:
-		markWhereCols(x.l, schema, need)
-		markWhereCols(x.r, schema, need)
-	case neg:
-		markWhereCols(x.e, schema, need)
-	case negNum:
-		markWhereCols(x.e, schema, need)
-	case arith:
-		markWhereCols(x.l, schema, need)
-		markWhereCols(x.r, schema, need)
-	}
-}
-
-// accumulator collects matched rows column-wise into typed builders, then
-// seals them into a table via telemetry.FromColumns (no per-cell boxing).
-// Only needed columns are materialized; the rest stay empty so the table
-// still carries the full schema for the legacy tail stages.
-type accumulator struct {
-	schema []telemetry.ColSpec
-	need   []bool
-	ints   [][]int64
-	floats [][]float64
-	strs   [][]string
-	rows   int
-}
-
-func newAccumulator(schema []telemetry.ColSpec, need []bool) *accumulator {
-	return &accumulator{
-		schema: schema,
-		need:   need,
-		ints:   make([][]int64, len(schema)),
-		floats: make([][]float64, len(schema)),
-		strs:   make([][]string, len(schema)),
-	}
-}
-
-// appendRow copies row j of a decoded chunk into the builders.
-func (a *accumulator) appendRow(cols []colfile.ColData, j int) {
-	for ci, s := range a.schema {
-		if !a.need[ci] {
-			continue
-		}
-		switch s.Type {
-		case telemetry.Int64:
-			a.ints[ci] = append(a.ints[ci], cols[ci].Ints[j])
-		case telemetry.Float64:
-			a.floats[ci] = append(a.floats[ci], cols[ci].Floats[j])
-		case telemetry.String:
-			a.strs[ci] = append(a.strs[ci], cols[ci].Dict[cols[ci].StrIDs[j]])
-		default:
-			panic("tql: unknown column type")
-		}
-	}
-	a.rows++
-}
-
-// appendAll copies all n rows of a decoded chunk (full-match fast path).
-func (a *accumulator) appendAll(cols []colfile.ColData, n int) {
-	for ci, s := range a.schema {
-		if !a.need[ci] {
-			continue
-		}
-		switch s.Type {
-		case telemetry.Int64:
-			a.ints[ci] = append(a.ints[ci], cols[ci].Ints...)
-		case telemetry.Float64:
-			a.floats[ci] = append(a.floats[ci], cols[ci].Floats...)
-		case telemetry.String:
-			for j := 0; j < n; j++ {
-				a.strs[ci] = append(a.strs[ci], cols[ci].Dict[cols[ci].StrIDs[j]])
-			}
-		default:
-			panic("tql: unknown column type")
-		}
-	}
-	a.rows += n
-}
-
-// table seals the accumulated columns. Unneeded columns are padded with
-// zero values so every column has equal length; legacy stages never read
-// them (neededColumns proved it), but FromColumns demands a rectangle.
-func (a *accumulator) table() (*telemetry.Table, error) {
-	cols := make([]interface{}, len(a.schema))
-	for ci, s := range a.schema {
-		switch s.Type {
-		case telemetry.Int64:
-			if !a.need[ci] {
-				a.ints[ci] = make([]int64, a.rows)
-			}
-			cols[ci] = a.ints[ci]
-		case telemetry.Float64:
-			if !a.need[ci] {
-				a.floats[ci] = make([]float64, a.rows)
-			}
-			cols[ci] = a.floats[ci]
-		case telemetry.String:
-			if !a.need[ci] {
-				a.strs[ci] = make([]string, a.rows)
-			}
-			cols[ci] = a.strs[ci]
-		default:
-			panic("tql: unknown column type")
-		}
-	}
-	return telemetry.FromColumns(a.schema, cols)
+	return b.orderLimit(out), true
 }

@@ -2,6 +2,8 @@ package tql
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -36,121 +38,189 @@ func TestWhereErrorShortCircuitStillSafe(t *testing.T) {
 	}
 }
 
-// differentialQueries is the full corpus the pushdown path must answer
-// bit-identically to the in-memory path — including which queries error.
-var differentialQueries = []string{
-	"SELECT * FROM t",
-	"select rank, wait from t",
-	"SELECT * FROM t WHERE step >= 1 AND wait < 20",
-	"SELECT * FROM t WHERE policy = 'lpt'",
-	"SELECT * FROM t WHERE policy != 'lpt'",
-	"SELECT * FROM t WHERE (step = 0 OR step = 2) AND NOT policy = 'cdp'",
-	"SELECT policy, sum(wait) AS total FROM t GROUP BY policy ORDER BY total DESC",
-	"SELECT count(*) AS n, mean(wait) AS m, max(wait) FROM t",
-	"SELECT rank, policy, sum(wait) AS s FROM t GROUP BY rank, policy ORDER BY s DESC LIMIT 2",
-	"SELECT * FROM t ORDER BY rank ASC, wait DESC",
-	"SELECT * FROM t LIMIT 0",
-	"SELECT nope FROM t",
-	"SELECT rank FROM t WHERE bogus = 1",
-	"SELECT rank, sum(wait) FROM t",
-	"SELECT sum(policy) FROM t",
-	"SELECT * FROM t GROUP BY rank",
-	"SELECT * FROM t WHERE wait = 'x'",
-	"sElEcT RANK, SUM(WAIT) as S frOm t GrOuP bY rank",
-	"SELECT * FROM t WHERE wait >= 1.5e1",
-	"SELECT * FROM t WHERE wait < .5",
-	"SELECT * FROM t WHERE step = 1",
-	"SELECT p99(wait), count(*) FROM t",
-	"SELECT policy, mean(wait) FROM t GROUP BY policy",
-	"SELECT * FROM t WHERE wait = 4",
-	"SELECT * FROM t WHERE wait <> 4",
-	"SELECT * FROM t WHERE wait < 4",
-	"SELECT * FROM t WHERE wait <= 4",
-	"SELECT * FROM t WHERE wait > 4",
-	"SELECT * FROM t WHERE wait >= 4",
-	"SELECT * FROM t WHERE policy < 'lpt'",
-	"SELECT * FROM t WHERE policy <= 'lpt'",
-	"SELECT * FROM t WHERE policy > 'cdp'",
-	"SELECT * FROM t WHERE policy >= 'cdp'",
-	"SELECT rank AS r, wait AS w FROM t LIMIT 1",
-	"SELECT policy AS p, count(*) AS n FROM t GROUP BY policy",
-	"SELECT * FROM t WHERE wait > 2 * 4",
-	"SELECT * FROM t WHERE wait >= 2 + 6",
-	"SELECT * FROM t WHERE wait < 32 / 2",
-	"SELECT * FROM t WHERE wait - 1 = 0",
-	"SELECT * FROM t WHERE -wait < 0",
-	"SELECT * FROM t WHERE wait * 2 > wait + 1",
-	"SELECT * FROM t WHERE (wait + 1) * 2 >= 10",
-	"SELECT * FROM t WHERE wait > step * 10",
-	"SELECT * FROM t WHERE wait / 0 > 1",
-	"SELECT * FROM t WHERE policy + 1 > 0",
-	"SELECT * FROM t WHERE 1 / (wait - 2) > 0",
-	"SELECT * FROM t WHERE wait != 2 AND 1 / (wait - 2) > 0",
-	"SELECT * FROM t WHERE wait = 2 OR 1 / (wait - 2) > 0",
-	"SELECT * FROM t WHERE 1 / (wait - 2) > 0 AND step > 100",
-	"SELECT * FROM t WHERE step > 100 AND 1 / (wait - 2) > 0",
-	"SELECT count(*) AS n, sum(wait), min(wait), max(wait), mean(wait) FROM t",
-	"SELECT min(step), max(rank) FROM t WHERE step >= 0",
-	"SELECT sum(wait) FROM t WHERE step > 100",
-	"SELECT sum(step) AS s FROM t WHERE step >= 1",
-	"SELECT policy, mean(wait) AS mw FROM t WHERE step >= 1 GROUP BY policy ORDER BY mw",
-	"SELECT rank FROM t WHERE step = 1",
-	"SELECT wait FROM t ORDER BY wait DESC LIMIT 3",
-	"SELECT * FROM t WHERE step != 1",
-	"SELECT * FROM t WHERE 1 = 1",
-	"SELECT * FROM t WHERE 'a' = 'b'",
-	"SELECT * FROM t WHERE policy = policy",
-	"SELECT * FROM t WHERE 'lpt' = policy",
-	"SELECT * FROM t WHERE NOT (step = 1 OR wait > 10)",
-	"SELECT var(wait), std(wait) FROM t WHERE step <= 1",
+// corpusQuery is one differential-corpus entry. A query that must be
+// rejected at bind carries the exact error text; every other query binds,
+// and the oracle says what it must return.
+type corpusQuery struct{ src, bindErr string }
+
+// differentialQueries is the full corpus: both sources must answer every
+// entry exactly as the oracle does (result table or division-by-zero
+// error), or reject it at bind with the recorded text.
+var differentialQueries = []corpusQuery{
+	{src: "SELECT * FROM t"},
+	{src: "select rank, wait from t"},
+	{src: "SELECT * FROM t WHERE step >= 1 AND wait < 20"},
+	{src: "SELECT * FROM t WHERE policy = 'lpt'"},
+	{src: "SELECT * FROM t WHERE policy != 'lpt'"},
+	{src: "SELECT * FROM t WHERE (step = 0 OR step = 2) AND NOT policy = 'cdp'"},
+	{src: "SELECT policy, sum(wait) AS total FROM t GROUP BY policy ORDER BY total DESC"},
+	{src: "SELECT count(*) AS n, mean(wait) AS m, max(wait) FROM t"},
+	{src: "SELECT rank, policy, sum(wait) AS s FROM t GROUP BY rank, policy ORDER BY s DESC LIMIT 2"},
+	{src: "SELECT * FROM t ORDER BY rank ASC, wait DESC"},
+	{src: "SELECT * FROM t LIMIT 0"},
+	{"SELECT nope FROM t", `tql: unknown column "nope"`},
+	{"SELECT rank FROM t WHERE bogus = 1", `tql: unknown column "bogus"`},
+	{"SELECT rank, sum(wait) FROM t", `tql: column "rank" must appear in GROUP BY`},
+	{"SELECT sum(policy) FROM t", `tql: aggregate over string column "policy"`},
+	{"SELECT * FROM t GROUP BY rank", `tql: SELECT * with GROUP BY`},
+	{"SELECT * FROM t WHERE wait = 'x'", `tql: comparing number with string`},
+	{src: "sElEcT RANK, SUM(WAIT) as S frOm t GrOuP bY rank"},
+	{src: "SELECT * FROM t WHERE wait >= 1.5e1"},
+	{src: "SELECT * FROM t WHERE wait < .5"},
+	{src: "SELECT * FROM t WHERE step = 1"},
+	{src: "SELECT p99(wait), count(*) FROM t"},
+	{src: "SELECT policy, mean(wait) FROM t GROUP BY policy"},
+	{src: "SELECT * FROM t WHERE wait = 4"},
+	{src: "SELECT * FROM t WHERE wait <> 4"},
+	{src: "SELECT * FROM t WHERE wait < 4"},
+	{src: "SELECT * FROM t WHERE wait <= 4"},
+	{src: "SELECT * FROM t WHERE wait > 4"},
+	{src: "SELECT * FROM t WHERE wait >= 4"},
+	{src: "SELECT * FROM t WHERE policy < 'lpt'"},
+	{src: "SELECT * FROM t WHERE policy <= 'lpt'"},
+	{src: "SELECT * FROM t WHERE policy > 'cdp'"},
+	{src: "SELECT * FROM t WHERE policy >= 'cdp'"},
+	{src: "SELECT rank AS r, wait AS w FROM t LIMIT 1"},
+	{src: "SELECT policy AS p, count(*) AS n FROM t GROUP BY policy"},
+	{src: "SELECT * FROM t WHERE wait > 2 * 4"},
+	{src: "SELECT * FROM t WHERE wait >= 2 + 6"},
+	{src: "SELECT * FROM t WHERE wait < 32 / 2"},
+	{src: "SELECT * FROM t WHERE wait - 1 = 0"},
+	{src: "SELECT * FROM t WHERE -wait < 0"},
+	{src: "SELECT * FROM t WHERE wait * 2 > wait + 1"},
+	{src: "SELECT * FROM t WHERE (wait + 1) * 2 >= 10"},
+	{src: "SELECT * FROM t WHERE wait > step * 10"},
+	{src: "SELECT * FROM t WHERE wait / 0 > 1"},
+	{"SELECT * FROM t WHERE policy + 1 > 0", `tql: expected number, got string`},
+	{src: "SELECT * FROM t WHERE 1 / (wait - 2) > 0"},
+	{src: "SELECT * FROM t WHERE wait != 2 AND 1 / (wait - 2) > 0"},
+	{src: "SELECT * FROM t WHERE wait = 2 OR 1 / (wait - 2) > 0"},
+	{src: "SELECT * FROM t WHERE 1 / (wait - 2) > 0 AND step > 100"},
+	{src: "SELECT * FROM t WHERE step > 100 AND 1 / (wait - 2) > 0"},
+	{src: "SELECT count(*) AS n, sum(wait), min(wait), max(wait), mean(wait) FROM t"},
+	{src: "SELECT min(step), max(rank) FROM t WHERE step >= 0"},
+	{src: "SELECT sum(wait) FROM t WHERE step > 100"},
+	{src: "SELECT sum(step) AS s FROM t WHERE step >= 1"},
+	{src: "SELECT policy, mean(wait) AS mw FROM t WHERE step >= 1 GROUP BY policy ORDER BY mw"},
+	{src: "SELECT rank FROM t WHERE step = 1"},
+	{src: "SELECT wait FROM t ORDER BY wait DESC LIMIT 3"},
+	{src: "SELECT * FROM t WHERE step != 1"},
+	{src: "SELECT * FROM t WHERE 1 = 1"},
+	{src: "SELECT * FROM t WHERE 'a' = 'b'"},
+	{src: "SELECT * FROM t WHERE policy = policy"},
+	{src: "SELECT * FROM t WHERE 'lpt' = policy"},
+	{src: "SELECT * FROM t WHERE NOT (step = 1 OR wait > 10)"},
+	{src: "SELECT var(wait), std(wait) FROM t WHERE step <= 1"},
+
+	// Bind errors do not depend on which rows evaluation reaches: a typo
+	// guarded by AND/OR (or on an empty table) is rejected, not a silent
+	// empty result.
+	{"SELECT * FROM t WHERE step > 100 AND bogus = 1", `tql: unknown column "bogus"`},
+	{"SELECT * FROM t WHERE step >= 0 OR bogus = 1", `tql: unknown column "bogus"`},
+	{"SELECT * FROM t WHERE step > 100 AND wait = 'x'", `tql: comparing number with string`},
+	{"SELECT * FROM t WHERE 'x' < wait", `tql: comparing string with number`},
+	{"SELECT * FROM t WHERE wait", `tql: expected boolean, got number`},
+	{"SELECT * FROM t WHERE NOT policy", `tql: expected boolean, got string`},
+	{"SELECT * FROM t WHERE (wait > 1) + 1 > 0", `tql: expected number, got boolean`},
+	{"SELECT * FROM t WHERE (wait > 1) = (step > 1)", `tql: cannot compare boolean`},
+	{"SELECT * FROM t WHERE -policy < 0", `tql: expected number, got string`},
+	// Bind errors win over runtime errors.
+	{"SELECT nope FROM t WHERE 1 / (wait - 2) > 0", `tql: unknown column "nope"`},
+	{"SELECT * FROM t WHERE 1 / (wait - 2) > 0 AND bogus = 1", `tql: unknown column "bogus"`},
+	// count(col) checks its column like every other aggregate, also when
+	// the footer could answer without looking.
+	{"SELECT count(nope) FROM t", `tql: unknown column "nope"`},
+	{"SELECT count(policy) FROM t", `tql: aggregate over string column "policy"`},
+	{src: "SELECT count(wait) FROM t"},
+	{src: "SELECT count(wait) AS n FROM t WHERE step >= 1"},
+	// Duplicate output names are an error naming the column, not a panic.
+	{"SELECT rank, rank FROM t", `tql: duplicate output column "rank"`},
+	{"SELECT rank AS a, wait AS a FROM t", `tql: duplicate output column "a"`},
+	{"SELECT sum(wait) AS rank, rank FROM t GROUP BY rank", `tql: duplicate output column "rank"`},
+	{"SELECT count(*), count(*) FROM t", `tql: duplicate output column "count"`},
+	// The same column twice under distinct names, an alias shadowing a
+	// key, and a repeated key are all legal.
+	{src: "SELECT rank AS a, rank AS b FROM t"},
+	{src: "SELECT rank AS r, sum(wait) AS rank FROM t GROUP BY rank"},
+	{src: "SELECT sum(wait) AS rank FROM t GROUP BY rank"},
+	{src: "SELECT rank, count(*) AS n FROM t GROUP BY rank, rank"},
+	// The remaining legality checks, each once.
+	{"SELECT mean(*) FROM t", `tql: mean(*) is only valid for count`},
+	{"SELECT rank FROM t GROUP BY nope", `tql: GROUP BY unknown column "nope"`},
+	{"SELECT rank FROM t ORDER BY wait", `tql: ORDER BY unknown column "wait"`},
+	{"SELECT sum(wait) AS s FROM t GROUP BY rank ORDER BY rank", `tql: ORDER BY unknown column "rank"`},
+	{src: "SELECT count(*) AS n FROM t WHERE wait > 2"},
+	{src: "SELECT * FROM t WHERE wait >= 2 AND wait <= 8"},
+	{src: "SELECT * FROM t WHERE 4 > wait"},
+	{src: "SELECT * FROM t WHERE wait / -2 < -1"},
 }
 
-// runDifferential asserts Exec and ExecFile agree (result and error) for
-// every corpus query against the given table at several chunk sizes.
-func runDifferential(t *testing.T, src *telemetry.Table, label string) {
+// corpusReaders encodes src at the corpus chunk sizes.
+func corpusReaders(t *testing.T, src *telemetry.Table) map[string]*colfile.Reader {
 	t.Helper()
+	readers := map[string]*colfile.Reader{}
 	for _, chunkRows := range []int{0, 1, 2, 4} {
-		var buf bytes.Buffer
-		if err := colfile.WriteTable(&buf, src, chunkRows); err != nil {
-			t.Fatal(err)
-		}
-		r, err := colfile.OpenBytes(buf.Bytes())
+		readers[fmt.Sprintf("file chunk=%d", chunkRows)] = fileFor(t, src, chunkRows)
+	}
+	return readers
+}
+
+// runDifferential runs the whole corpus over src in memory and over every
+// reader (each of which must hold src's rows): a query that binds must
+// match the oracle — same table, or the same error — on every source, and a
+// query that does not must fail everywhere with its recorded text.
+func runDifferential(t *testing.T, label string, src *telemetry.Table, readers map[string]*colfile.Reader) {
+	t.Helper()
+	for _, cq := range differentialQueries {
+		q, err := Parse(cq.src)
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("%q: corpus query does not parse: %v", cq.src, err)
+			continue
 		}
-		for _, query := range differentialQueries {
-			q, err := Parse(query)
-			if err != nil {
-				continue // parse errors never reach either executor
-			}
-			want, wantErr := Exec(q, src)
-			got, gotErr := ExecFile(q, r)
+		var want *telemetry.Table
+		var wantErr error
+		if cq.bindErr != "" {
+			wantErr = errors.New(cq.bindErr)
+		} else if want, wantErr = oracleExec(q, src); wantErr != nil && wantErr.Error() != errDivZero.Error() {
+			t.Errorf("%s %q: oracle failed with %v; a query that binds may only divide by zero", label, cq.src, wantErr)
+			continue
+		}
+		check := func(source string, got *telemetry.Table, gotErr error) {
+			t.Helper()
 			switch {
-			case (wantErr == nil) != (gotErr == nil):
-				t.Errorf("%s chunk=%d %q: legacy err=%v, file err=%v",
-					label, chunkRows, query, wantErr, gotErr)
 			case wantErr != nil:
-				if wantErr.Error() != gotErr.Error() {
-					t.Errorf("%s chunk=%d %q: error text %q != %q",
-						label, chunkRows, query, gotErr, wantErr)
+				if gotErr == nil || gotErr.Error() != wantErr.Error() {
+					t.Errorf("%s %s %q: err = %v, want %v", label, source, cq.src, gotErr, wantErr)
 				}
+			case gotErr != nil:
+				t.Errorf("%s %s %q: err = %v, want none", label, source, cq.src, gotErr)
 			case !telemetry.Equal(want, got):
-				t.Errorf("%s chunk=%d %q: results differ\nlegacy:\n%sfile:\n%s",
-					label, chunkRows, query, want.Render(0), got.Render(0))
+				t.Errorf("%s %s %q: results differ\noracle:\n%sgot:\n%s",
+					label, source, cq.src, want.Render(0), got.Render(0))
+			}
+		}
+		got, gotErr := Exec(q, src)
+		check("memory", got, gotErr)
+		for name, r := range readers {
+			before := r.DecodeCount()
+			got, gotErr = ExecFile(q, r)
+			check(name, got, gotErr)
+			if cq.bindErr != "" && r.DecodeCount() != before {
+				t.Errorf("%s %s %q: bind error after decoding %d chunks", label, name, cq.src, r.DecodeCount()-before)
 			}
 		}
 	}
 }
 
 func TestDifferentialExecFile(t *testing.T) {
-	runDifferential(t, testTable(), "corpus")
+	runDifferential(t, "corpus", testTable(), corpusReaders(t, testTable()))
 }
 
 func TestDifferentialExecFileEmptyTable(t *testing.T) {
 	empty := telemetry.NewTable(
 		telemetry.IntCol("step"), telemetry.IntCol("rank"),
 		telemetry.FloatCol("wait"), telemetry.StrCol("policy"))
-	runDifferential(t, empty, "empty")
+	runDifferential(t, "empty", empty, corpusReaders(t, empty))
 }
 
 // TestDifferentialExecFileV1 runs the corpus against the committed
@@ -164,28 +234,11 @@ func TestDifferentialExecFileV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := colfile.ReadAll(bytes.NewReader(data))
+	src, err := r.Table()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, query := range differentialQueries {
-		q, err := Parse(query)
-		if err != nil {
-			continue
-		}
-		want, wantErr := Exec(q, src)
-		got, gotErr := ExecFile(q, r)
-		switch {
-		case (wantErr == nil) != (gotErr == nil):
-			t.Errorf("v1 %q: legacy err=%v, file err=%v", query, wantErr, gotErr)
-		case wantErr != nil:
-			if wantErr.Error() != gotErr.Error() {
-				t.Errorf("v1 %q: error text %q != %q", query, gotErr, wantErr)
-			}
-		case !telemetry.Equal(want, got):
-			t.Errorf("v1 %q: results differ", query)
-		}
-	}
+	runDifferential(t, "v1", src, map[string]*colfile.Reader{"golden": r})
 }
 
 // fileFor writes src as a v2 colfile and opens a seekable reader on it.
@@ -344,21 +397,26 @@ func TestPruningUnsoundWithFalliblePrefix(t *testing.T) {
 	}
 }
 
-// TestExplainFallback: queries the compiler cannot type run legacy.
+// TestExplainFallback: there is no fallback route. A query the binder
+// cannot type is an error before any chunk is read, and Explain.Fallback —
+// still declared for bench/ — stays empty.
 func TestExplainFallback(t *testing.T) {
 	r := fileFor(t, testTable(), 2)
 	q, err := Parse("SELECT * FROM f WHERE wait = 'x'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ex, _ := ExecFileExplain(q, r)
-	if ex.Fallback == "" {
-		t.Fatalf("explain = %+v, want fallback", ex)
+	_, ex, err := ExecFileExplain(q, r)
+	if err == nil || err.Error() != "tql: comparing number with string" {
+		t.Fatalf("err = %v, want the bind error", err)
+	}
+	if ex.Fallback != "" || ex.ChunksScanned != 0 || ex.ChunksTotal != 3 || r.DecodeCount() != 0 {
+		t.Fatalf("explain = %+v after %d decodes, want an untouched file and no fallback", ex, r.DecodeCount())
 	}
 }
 
-// oldRename is the pre-PR row-copying implementation, kept as the
-// benchmark baseline for the storage-sharing version.
+// oldRename is the row-copying relabel, kept as the reference and
+// benchmark baseline for the storage-sharing project.
 func oldRename(t *telemetry.Table, names []string) *telemetry.Table {
 	schema := t.Schema()
 	for i := range schema {
@@ -389,7 +447,7 @@ func BenchmarkRenameShared(b *testing.B) {
 	t, names := renameBenchTable(100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := rename(t, names); out.NumRows() != t.NumRows() {
+		if out := project(t, []string{"a", "b", "c"}, names); out.NumRows() != t.NumRows() {
 			b.Fatal("bad rename")
 		}
 	}
@@ -407,7 +465,7 @@ func BenchmarkRenameCopy(b *testing.B) {
 
 func TestRenameSharedMatchesCopy(t *testing.T) {
 	tb, names := renameBenchTable(100)
-	if !telemetry.Equal(oldRename(tb, names), rename(tb, names)) {
-		t.Fatal("shared rename differs from copying rename")
+	if !telemetry.Equal(oldRename(tb, names), project(tb, []string{"a", "b", "c"}, names)) {
+		t.Fatal("storage-sharing projection differs from copying rename")
 	}
 }

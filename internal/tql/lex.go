@@ -13,6 +13,17 @@
 // One table per query (FROM names are resolved by the caller), aggregates
 // from the telemetry package (sum, mean/avg, min, max, count, p50/median,
 // p99, var, std), numeric and string comparisons, AND/OR/NOT.
+//
+// There is one query path. bind resolves a parsed query against a schema:
+// every column located, every WHERE subexpression typed and compiled to a
+// kernel, aggregate and output-name legality checked — so every mistake
+// that depends only on query + schema is an error before a row is read.
+// One executor then runs the bound query over a chunk source: a colfile
+// (ExecFile: zone-map chunk skipping, projection pushdown, aggregates
+// answered from the footer) or an in-memory table (Exec: the table's own
+// storage as a single chunk). The only error left for run time is division
+// by zero. The row-at-a-time interpreter this replaced lives on in the
+// package's tests as the differential oracle (DESIGN.md §12).
 package tql
 
 import (

@@ -46,98 +46,20 @@ type OrderItem struct {
 	Desc bool
 }
 
-// Expr is a boolean/value expression evaluated per row.
-type Expr interface {
-	// Eval returns the expression value for the given row: float64,
-	// string, or bool.
-	Eval(t *telemetry.Table, row int) (interface{}, error)
-}
+// Expr is a WHERE-clause expression node. The AST carries no evaluation
+// logic: bind types it against a schema and compiles it to kernels.
+type Expr interface{ expr() }
 
 // colRef reads a column value.
 type colRef struct{ name string }
 
-func (c colRef) Eval(t *telemetry.Table, row int) (interface{}, error) {
-	if !t.HasCol(c.name) {
-		return nil, fmt.Errorf("tql: unknown column %q", c.name)
-	}
-	v := t.ValueAt(c.name, row)
-	if iv, ok := v.(int64); ok {
-		return float64(iv), nil
-	}
-	return v, nil
-}
-
-// lit is a literal number or string.
+// lit is a literal number (float64) or string.
 type lit struct{ v interface{} }
-
-func (l lit) Eval(*telemetry.Table, int) (interface{}, error) { return l.v, nil }
 
 // cmp is a binary comparison.
 type cmp struct {
 	op   string
 	l, r Expr
-}
-
-func (c cmp) Eval(t *telemetry.Table, row int) (interface{}, error) {
-	lv, err := c.l.Eval(t, row)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := c.r.Eval(t, row)
-	if err != nil {
-		return nil, err
-	}
-	switch a := lv.(type) {
-	case float64:
-		b, ok := rv.(float64)
-		if !ok {
-			return nil, fmt.Errorf("tql: comparing number with %T", rv)
-		}
-		return compareFloat(c.op, a, b)
-	case string:
-		b, ok := rv.(string)
-		if !ok {
-			return nil, fmt.Errorf("tql: comparing string with %T", rv)
-		}
-		return compareString(c.op, a, b)
-	}
-	return nil, fmt.Errorf("tql: cannot compare %T", lv)
-}
-
-func compareFloat(op string, a, b float64) (interface{}, error) {
-	switch op {
-	case "=":
-		return a == b, nil
-	case "!=", "<>":
-		return a != b, nil
-	case "<":
-		return a < b, nil
-	case "<=":
-		return a <= b, nil
-	case ">":
-		return a > b, nil
-	case ">=":
-		return a >= b, nil
-	}
-	return nil, fmt.Errorf("tql: bad operator %q", op)
-}
-
-func compareString(op string, a, b string) (interface{}, error) {
-	switch op {
-	case "=":
-		return a == b, nil
-	case "!=", "<>":
-		return a != b, nil
-	case "<":
-		return a < b, nil
-	case "<=":
-		return a <= b, nil
-	case ">":
-		return a > b, nil
-	case ">=":
-		return a >= b, nil
-	}
-	return nil, fmt.Errorf("tql: bad operator %q", op)
 }
 
 // logic is AND/OR; neg is NOT.
@@ -146,30 +68,7 @@ type logic struct {
 	l, r Expr
 }
 
-func (x logic) Eval(t *telemetry.Table, row int) (interface{}, error) {
-	lv, err := asBool(x.l, t, row)
-	if err != nil {
-		return nil, err
-	}
-	// Short circuit.
-	if x.op == "and" && !lv {
-		return false, nil
-	}
-	if x.op == "or" && lv {
-		return true, nil
-	}
-	return asBool(x.r, t, row)
-}
-
 type neg struct{ e Expr }
-
-func (n neg) Eval(t *telemetry.Table, row int) (interface{}, error) {
-	v, err := asBool(n.e, t, row)
-	if err != nil {
-		return nil, err
-	}
-	return !v, nil
-}
 
 // arith is a binary numeric operation (+ - * /), enabling diagnosis
 // predicates like `sync > 0.5 * compute`.
@@ -178,65 +77,16 @@ type arith struct {
 	l, r Expr
 }
 
-func (a arith) Eval(t *telemetry.Table, row int) (interface{}, error) {
-	lv, err := asNumber(a.l, t, row)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := asNumber(a.r, t, row)
-	if err != nil {
-		return nil, err
-	}
-	switch a.op {
-	case '+':
-		return lv + rv, nil
-	case '-':
-		return lv - rv, nil
-	case '*':
-		return lv * rv, nil
-	case '/':
-		if rv == 0 {
-			return nil, fmt.Errorf("tql: division by zero")
-		}
-		return lv / rv, nil
-	}
-	return nil, fmt.Errorf("tql: bad arithmetic operator %q", a.op)
-}
-
 // negNum is unary numeric minus.
 type negNum struct{ e Expr }
 
-func (n negNum) Eval(t *telemetry.Table, row int) (interface{}, error) {
-	v, err := asNumber(n.e, t, row)
-	if err != nil {
-		return nil, err
-	}
-	return -v, nil
-}
-
-func asNumber(e Expr, t *telemetry.Table, row int) (float64, error) {
-	v, err := e.Eval(t, row)
-	if err != nil {
-		return 0, err
-	}
-	f, ok := v.(float64)
-	if !ok {
-		return 0, fmt.Errorf("tql: expected number, got %T", v)
-	}
-	return f, nil
-}
-
-func asBool(e Expr, t *telemetry.Table, row int) (bool, error) {
-	v, err := e.Eval(t, row)
-	if err != nil {
-		return false, err
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("tql: expected boolean, got %T", v)
-	}
-	return b, nil
-}
+func (colRef) expr() {}
+func (lit) expr()    {}
+func (cmp) expr()    {}
+func (logic) expr()  {}
+func (neg) expr()    {}
+func (arith) expr()  {}
+func (negNum) expr() {}
 
 type parser struct {
 	toks []token

@@ -1,9 +1,6 @@
 package tql
 
-import (
-	"amrtools/internal/colfile"
-	"amrtools/internal/telemetry"
-)
+import "amrtools/internal/colfile"
 
 // Explain reports how ExecFile answered a query — the observable side of
 // predicate and projection pushdown. amrquery -explain prints it.
@@ -13,7 +10,7 @@ type Explain struct {
 	ChunksSkipped  int      // chunks excluded by zone maps alone
 	ColumnsDecoded []string // schema columns whose payloads were decoded
 	MetadataOnly   bool     // answer came entirely from the footer index
-	Fallback       string   // non-empty: why the legacy full-scan path ran
+	Fallback       string   // always empty (there is no fallback route); declared only because bench/ reads it
 }
 
 // chunkClass is the planner's verdict for one chunk against the WHERE
@@ -32,199 +29,48 @@ const (
 	classNone
 )
 
-// conjunct is one top-level AND term of the WHERE clause, in evaluation
-// order (the parser is left-associative, so flattening ((A and B) and C)
-// yields [A, B, C] — the order legacy short-circuit evaluation uses).
-type conjunct struct {
-	expr Expr
-	// sarg holds the "col OP literal" shape when the conjunct is sargable
-	// against zone maps; nil otherwise.
-	sarg *sargPred
-	// fallible reports whether evaluating this conjunct can return an
-	// error on some row (today: a division whose divisor is not a nonzero
-	// literal). Pruning a chunk on conjunct i is only sound when every
-	// conjunct before i is infallible — legacy evaluation still runs those
-	// on every row of the chunk before short-circuiting on i.
-	fallible bool
-}
-
-// sargPred is a search-argument predicate: column OP literal, with the
-// literal on the right (lit OP col is normalized by flipping OP).
-type sargPred struct {
-	colIdx int
-	op     string
-	val    float64
-}
-
-// flattenConjuncts splits the top-level AND spine of e in evaluation order.
-func flattenConjuncts(e Expr) []Expr {
-	if l, ok := e.(logic); ok && l.op == "and" {
-		return append(flattenConjuncts(l.l), flattenConjuncts(l.r)...)
-	}
-	return []Expr{e}
-}
-
-// litFloat extracts a numeric literal, folding unary minus.
-func litFloat(e Expr) (float64, bool) {
-	switch x := e.(type) {
-	case lit:
-		f, ok := x.v.(float64)
-		return f, ok
-	case negNum:
-		f, ok := litFloat(x.e)
-		return -f, ok
-	}
-	return 0, false
-}
-
-// flipOp mirrors a comparison operator (for lit OP col → col flip(OP) lit).
-func flipOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return op // =, !=, <> are symmetric
-}
-
-// extractSarg recognizes "numericCol OP numericLit" (either orientation).
-// String columns are never sargable: zone maps carry no string ranges.
-func extractSarg(e Expr, schema []telemetry.ColSpec) *sargPred {
-	c, ok := e.(cmp)
-	if !ok {
-		return nil
-	}
-	colSide, litSide, op := c.l, c.r, c.op
-	if _, isCol := colSide.(colRef); !isCol {
-		colSide, litSide, op = c.r, c.l, flipOp(c.op)
-	}
-	ref, ok := colSide.(colRef)
-	if !ok {
-		return nil
-	}
-	val, ok := litFloat(litSide)
-	if !ok {
-		return nil
-	}
-	for i, s := range schema {
-		if s.Name == ref.name {
-			if s.Type == telemetry.String {
-				return nil
-			}
-			return &sargPred{colIdx: i, op: op, val: val}
-		}
-	}
-	return nil
-}
-
-// exprFallible conservatively reports whether evaluating e can error on
-// some row, assuming it already compiled against the schema (so unknown
-// columns and type mismatches are ruled out). The only remaining runtime
-// error is division whose divisor is not a nonzero literal.
-func exprFallible(e Expr) bool {
-	switch x := e.(type) {
-	case colRef, lit:
-		return false
-	case cmp:
-		return exprFallible(x.l) || exprFallible(x.r)
-	case logic:
-		return exprFallible(x.l) || exprFallible(x.r)
-	case neg:
-		return exprFallible(x.e)
-	case negNum:
-		return exprFallible(x.e)
-	case arith:
-		if exprFallible(x.l) || exprFallible(x.r) {
-			return true
-		}
-		if x.op != '/' {
-			return false
-		}
-		d, ok := litFloat(x.r)
-		return !ok || d == 0
-	}
-	return true // unknown node kind: assume the worst
-}
-
-// plan is the per-query pushdown plan over one file.
-type plan struct {
-	conjs []conjunct
-	// infalliblePrefix[i] is true when conjuncts 0..i-1 are all infallible,
-	// i.e. pruning on conjunct i is sound.
-	infalliblePrefix []bool
-	// allSargable is true when every conjunct is sargable — the
-	// precondition for classAll (and thus metadata-only answers).
-	allSargable bool
-}
-
-func newPlan(where Expr, schema []telemetry.ColSpec) *plan {
-	p := &plan{allSargable: true}
-	if where == nil {
-		return p
-	}
-	exprs := flattenConjuncts(where)
-	p.conjs = make([]conjunct, len(exprs))
-	p.infalliblePrefix = make([]bool, len(exprs))
-	prefix := true
-	for i, e := range exprs {
-		p.infalliblePrefix[i] = prefix
-		c := conjunct{expr: e, sarg: extractSarg(e, schema), fallible: exprFallible(e)}
-		if c.sarg == nil {
-			p.allSargable = false
-		}
-		p.conjs[i] = c
-		prefix = prefix && !c.fallible
-	}
-	return p
-}
-
 // classifySarg decides a single sargable predicate against a zone map.
 func classifySarg(s *sargPred, z colfile.ZoneMap) chunkClass {
 	if !z.HasRange {
 		return classSome
 	}
 	switch s.op {
-	case "=":
+	case opEq:
 		if s.val < z.Min || s.val > z.Max {
 			return classNone
 		}
 		if z.Min == z.Max && z.Min == s.val {
 			return classAll
 		}
-	case "!=", "<>":
+	case opNe:
 		if z.Min == z.Max && z.Min == s.val {
 			return classNone
 		}
 		if s.val < z.Min || s.val > z.Max {
 			return classAll
 		}
-	case "<":
+	case opLt:
 		if z.Max < s.val {
 			return classAll
 		}
 		if z.Min >= s.val {
 			return classNone
 		}
-	case "<=":
+	case opLe:
 		if z.Max <= s.val {
 			return classAll
 		}
 		if z.Min > s.val {
 			return classNone
 		}
-	case ">":
+	case opGt:
 		if z.Min > s.val {
 			return classAll
 		}
 		if z.Max <= s.val {
 			return classNone
 		}
-	case ">=":
+	case opGe:
 		if z.Min >= s.val {
 			return classAll
 		}
@@ -236,21 +82,27 @@ func classifySarg(s *sargPred, z colfile.ZoneMap) chunkClass {
 }
 
 // classifyChunk decides the chunk's class against the whole WHERE clause.
-// With no WHERE (or no conjuncts) every chunk is classAll.
-func (p *plan) classifyChunk(m colfile.ChunkMeta) chunkClass {
-	all := true
-	for i := range p.conjs {
-		c := &p.conjs[i]
+// With no WHERE every chunk is classAll; a source without zone maps (an
+// in-memory table) decides nothing, so any WHERE makes its chunk classSome.
+//
+// A conjunct may only rule a chunk out when every conjunct before it is
+// infallible: short-circuit evaluation still runs those on every row of the
+// chunk, and skipping it would lose a division by zero they raise there.
+func (b *bound) classifyChunk(m colfile.ChunkMeta) chunkClass {
+	all, prefixInfallible := true, true
+	for i := range b.conjs {
+		c := &b.conjs[i]
 		st := classSome
-		if c.sarg != nil {
+		if c.sarg != nil && m.Zones != nil {
 			st = classifySarg(c.sarg, m.Zones[c.sarg.colIdx])
 		}
-		if st == classNone && p.infalliblePrefix[i] {
+		if st == classNone && prefixInfallible {
 			return classNone
 		}
 		if st != classAll {
 			all = false
 		}
+		prefixInfallible = prefixInfallible && !c.fallible
 	}
 	if all {
 		return classAll

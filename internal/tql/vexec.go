@@ -1,74 +1,94 @@
 package tql
 
 import (
-	"fmt"
+	"errors"
 
 	"amrtools/internal/colfile"
-	"amrtools/internal/telemetry"
 )
 
-// This file is the vectorized file executor: ExecFile runs a query straight
-// off a colfile.Reader, chunk at a time. The WHERE AST is compiled once
-// into typed predicate nodes over decoded column slices (replacing per-row
-// asBool interpretation), zone maps skip chunks the predicate excludes,
-// only referenced columns are decoded, and fully-covered aggregate queries
-// are answered from the footer index without decoding any payload.
-//
-// Semantics contract: ExecFile must be bit-identical to materializing the
-// file and calling Exec — including *which* error surfaces. Legacy
-// evaluation is row-at-a-time in file order with short-circuit AND/OR, so
-// compiled nodes track the first row (in selection order) whose evaluation
-// errors, and subexpressions are only evaluated on rows where legacy
-// short-circuiting would reach them. Queries the compiler cannot type
-// (unknown columns, string/number mixes, non-boolean WHERE) fall back to
-// the legacy path wholesale rather than approximating its error behavior.
+// This file holds the WHERE kernels: typed predicate nodes that bind
+// compiles the AST into, evaluated chunk at a time over selection vectors
+// (chunk-local row indices). Every type question is settled at bind, so the
+// only error a kernel can raise is division by zero, and short-circuit
+// reach — the right arm of AND/OR sees only the rows the left arm leaves
+// undecided — is what makes that error mean "some row evaluation reaches
+// has a zero divisor" (DESIGN.md §12).
 
-// chunkCtx is one decoded chunk from the vectorized executor's view.
+// errDivZero is the one runtime error a bound query can raise.
+var errDivZero = errors.New("tql: division by zero")
+
+// cmpOp is a comparison operator resolved at bind.
+type cmpOp uint8
+
+const (
+	opEq cmpOp = iota
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+)
+
+// flip mirrors the operator (lit OP col → col flip(OP) lit).
+func (o cmpOp) flip() cmpOp {
+	switch o {
+	case opLt:
+		return opGt
+	case opLe:
+		return opGe
+	case opGt:
+		return opLt
+	case opGe:
+		return opLe
+	case opEq, opNe:
+	}
+	return o // = and != are symmetric
+}
+
+// cmpStrings applies op to one pair of strings.
+func cmpStrings(op cmpOp, a, b string) bool {
+	switch op {
+	case opEq:
+		return a == b
+	case opNe:
+		return a != b
+	case opLt:
+		return a < b
+	case opLe:
+		return a <= b
+	case opGt:
+		return a > b
+	case opGe:
+		return a >= b
+	}
+	panic("tql: unresolved comparison operator")
+}
+
+// chunkCtx is one chunk's columns as the kernels see them: decoded from a
+// file, or views of an in-memory table's storage.
 type chunkCtx struct {
 	cols []colfile.ColData
 	n    int
 }
 
-// evalErr is a located evaluation error: the index (into the current
-// selection vector) of the first row whose evaluation fails. idx == -1
-// means no error. Rows at or after idx hold garbage values.
-type evalErr struct {
-	idx int
-	err error
-}
-
-var noErr = evalErr{idx: -1}
-
-// firstErr picks the earlier of two located errors; a wins ties, matching
-// legacy left-to-right evaluation within a row.
-func firstErr(a, b evalErr) evalErr {
-	if a.idx == -1 {
-		return b
-	}
-	if b.idx == -1 || a.idx <= b.idx {
-		return a
-	}
-	return b
-}
-
 // boolNode evaluates to a boolean per selected row.
 type boolNode interface {
-	eval(c *chunkCtx, sel []int) ([]bool, evalErr)
+	eval(c *chunkCtx, sel []int) ([]bool, error)
 }
 
 // numNode evaluates to a float64 per selected row.
 type numNode interface {
-	evalNum(c *chunkCtx, sel []int) ([]float64, evalErr)
+	evalNum(c *chunkCtx, sel []int) ([]float64, error)
 }
 
 type vNumLit struct{ v float64 }
 
-func (n vNumLit) evalNum(_ *chunkCtx, sel []int) ([]float64, evalErr) {
+func (n vNumLit) evalNum(_ *chunkCtx, sel []int) ([]float64, error) {
 	out := make([]float64, len(sel))
 	for i := range out {
 		out[i] = n.v
 	}
-	return out, noErr
+	return out, nil
 }
 
 type vNumCol struct {
@@ -76,7 +96,7 @@ type vNumCol struct {
 	isInt bool
 }
 
-func (n vNumCol) evalNum(c *chunkCtx, sel []int) ([]float64, evalErr) {
+func (n vNumCol) evalNum(c *chunkCtx, sel []int) ([]float64, error) {
 	out := make([]float64, len(sel))
 	if n.isInt {
 		xs := c.cols[n.idx].Ints
@@ -89,21 +109,17 @@ func (n vNumCol) evalNum(c *chunkCtx, sel []int) ([]float64, evalErr) {
 			out[i] = xs[r]
 		}
 	}
-	return out, noErr
+	return out, nil
 }
 
 type vNegNum struct{ e numNode }
 
-func (n vNegNum) evalNum(c *chunkCtx, sel []int) ([]float64, evalErr) {
-	out, e := n.e.evalNum(c, sel)
-	bound := len(out)
-	if e.idx >= 0 {
-		bound = e.idx
-	}
-	for i := 0; i < bound; i++ {
+func (n vNegNum) evalNum(c *chunkCtx, sel []int) ([]float64, error) {
+	out, err := n.e.evalNum(c, sel)
+	for i := range out {
 		out[i] = -out[i]
 	}
-	return out, e
+	return out, err
 }
 
 type vArith struct {
@@ -111,407 +127,171 @@ type vArith struct {
 	l, r numNode
 }
 
-func (n vArith) evalNum(c *chunkCtx, sel []int) ([]float64, evalErr) {
-	lv, le := n.l.evalNum(c, sel)
-	rv, re := n.r.evalNum(c, sel)
-	e := firstErr(le, re)
-	bound := len(sel)
-	if e.idx >= 0 {
-		bound = e.idx
+func (n vArith) evalNum(c *chunkCtx, sel []int) ([]float64, error) {
+	out, err := n.l.evalNum(c, sel)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]float64, len(sel))
+	rv, err := n.r.evalNum(c, sel)
+	if err != nil {
+		return nil, err
+	}
 	switch n.op {
 	case '+':
-		for i := 0; i < bound; i++ {
-			out[i] = lv[i] + rv[i]
+		for i := range out {
+			out[i] += rv[i]
 		}
 	case '-':
-		for i := 0; i < bound; i++ {
-			out[i] = lv[i] - rv[i]
+		for i := range out {
+			out[i] -= rv[i]
 		}
 	case '*':
-		for i := 0; i < bound; i++ {
-			out[i] = lv[i] * rv[i]
+		for i := range out {
+			out[i] *= rv[i]
 		}
 	case '/':
-		for i := 0; i < bound; i++ {
+		for i := range out {
 			if rv[i] == 0 {
-				// Legacy checks the divisor after evaluating both sides,
-				// so a left/right error at this same row wins — but those
-				// are already folded into bound above.
-				e = firstErr(e, evalErr{idx: i, err: fmt.Errorf("tql: division by zero")})
-				break
+				return nil, errDivZero
 			}
-			out[i] = lv[i] / rv[i]
+			out[i] /= rv[i]
 		}
 	}
-	return out, e
+	return out, nil
 }
 
 // vCmpNum compares two numeric subexpressions row-wise.
 type vCmpNum struct {
-	op   string
+	op   cmpOp
 	l, r numNode
 }
 
-func (n vCmpNum) eval(c *chunkCtx, sel []int) ([]bool, evalErr) {
-	lv, le := n.l.evalNum(c, sel)
-	rv, re := n.r.evalNum(c, sel)
-	e := firstErr(le, re)
-	bound := len(sel)
-	if e.idx >= 0 {
-		bound = e.idx
+func (n vCmpNum) eval(c *chunkCtx, sel []int) ([]bool, error) {
+	lv, err := n.l.evalNum(c, sel)
+	if err != nil {
+		return nil, err
+	}
+	rv, err := n.r.evalNum(c, sel)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]bool, len(sel))
 	switch n.op {
-	case "=":
-		for i := 0; i < bound; i++ {
+	case opEq:
+		for i := range out {
 			out[i] = lv[i] == rv[i]
 		}
-	case "!=", "<>":
-		for i := 0; i < bound; i++ {
+	case opNe:
+		for i := range out {
 			out[i] = lv[i] != rv[i]
 		}
-	case "<":
-		for i := 0; i < bound; i++ {
+	case opLt:
+		for i := range out {
 			out[i] = lv[i] < rv[i]
 		}
-	case "<=":
-		for i := 0; i < bound; i++ {
+	case opLe:
+		for i := range out {
 			out[i] = lv[i] <= rv[i]
 		}
-	case ">":
-		for i := 0; i < bound; i++ {
+	case opGt:
+		for i := range out {
 			out[i] = lv[i] > rv[i]
 		}
-	case ">=":
-		for i := 0; i < bound; i++ {
+	case opGe:
+		for i := range out {
 			out[i] = lv[i] >= rv[i]
 		}
 	}
-	return out, e
+	return out, nil
 }
 
-// vCmpStrColLit compares a string column against a string literal. The
-// comparison is hoisted to the chunk dictionary: one string compare per
-// distinct value, then a per-row id lookup.
+// vCmpStrColLit compares a string column against a string literal (bind
+// flips `lit OP col` into this shape). The comparison is hoisted to the
+// chunk dictionary: one string compare per distinct value, then a per-row
+// id lookup.
 type vCmpStrColLit struct {
-	op  string
+	op  cmpOp
 	idx int
 	lit string
 }
 
-func (n vCmpStrColLit) eval(c *chunkCtx, sel []int) ([]bool, evalErr) {
+func (n vCmpStrColLit) eval(c *chunkCtx, sel []int) ([]bool, error) {
 	col := &c.cols[n.idx]
 	byID := make([]bool, len(col.Dict))
 	for id, s := range col.Dict {
-		r, err := compareString(n.op, s, n.lit)
-		if err != nil {
-			// Row-wise evaluation would fail at the first selected row; an
-			// empty selection evaluates no rows and surfaces nothing.
-			if len(sel) == 0 {
-				return make([]bool, 0), noErr
-			}
-			return make([]bool, len(sel)), evalErr{idx: 0, err: err}
-		}
-		byID[id] = r.(bool)
+		byID[id] = cmpStrings(n.op, s, n.lit)
 	}
 	out := make([]bool, len(sel))
 	for i, r := range sel {
 		out[i] = byID[col.StrIDs[r]]
 	}
-	return out, noErr
-}
-
-// vCmpStrLitCol is the mirrored orientation (literal OP column).
-type vCmpStrLitCol struct {
-	op  string
-	lit string
-	idx int
-}
-
-func (n vCmpStrLitCol) eval(c *chunkCtx, sel []int) ([]bool, evalErr) {
-	col := &c.cols[n.idx]
-	byID := make([]bool, len(col.Dict))
-	for id, s := range col.Dict {
-		r, err := compareString(n.op, n.lit, s)
-		if err != nil {
-			if len(sel) == 0 {
-				return make([]bool, 0), noErr
-			}
-			return make([]bool, len(sel)), evalErr{idx: 0, err: err}
-		}
-		byID[id] = r.(bool)
-	}
-	out := make([]bool, len(sel))
-	for i, r := range sel {
-		out[i] = byID[col.StrIDs[r]]
-	}
-	return out, noErr
+	return out, nil
 }
 
 // vCmpStrColCol compares two string columns row-wise.
 type vCmpStrColCol struct {
-	op     string
+	op     cmpOp
 	li, ri int
 }
 
-func (n vCmpStrColCol) eval(c *chunkCtx, sel []int) ([]bool, evalErr) {
+func (n vCmpStrColCol) eval(c *chunkCtx, sel []int) ([]bool, error) {
 	l, r := &c.cols[n.li], &c.cols[n.ri]
 	out := make([]bool, len(sel))
 	for i, row := range sel {
-		v, err := compareString(n.op, l.Dict[l.StrIDs[row]], r.Dict[r.StrIDs[row]])
-		if err != nil {
-			return out, evalErr{idx: i, err: err}
-		}
-		out[i] = v.(bool)
+		out[i] = cmpStrings(n.op, l.Dict[l.StrIDs[row]], r.Dict[r.StrIDs[row]])
 	}
-	return out, noErr
+	return out, nil
 }
 
-// vConstBool is a compile-time-constant boolean (e.g. 'a' = 'b').
+// vConstBool is a bind-time-constant boolean (e.g. 'a' = 'b').
 type vConstBool struct{ v bool }
 
-func (n vConstBool) eval(_ *chunkCtx, sel []int) ([]bool, evalErr) {
+func (n vConstBool) eval(_ *chunkCtx, sel []int) ([]bool, error) {
 	out := make([]bool, len(sel))
 	for i := range out {
 		out[i] = n.v
 	}
-	return out, noErr
+	return out, nil
 }
 
 type vNot struct{ e boolNode }
 
-func (n vNot) eval(c *chunkCtx, sel []int) ([]bool, evalErr) {
-	out, e := n.e.eval(c, sel)
-	bound := len(out)
-	if e.idx >= 0 {
-		bound = e.idx
-	}
-	for i := 0; i < bound; i++ {
+func (n vNot) eval(c *chunkCtx, sel []int) ([]bool, error) {
+	out, err := n.e.eval(c, sel)
+	for i := range out {
 		out[i] = !out[i]
 	}
-	return out, e
+	return out, err
 }
 
-// vAnd evaluates the right side only on rows where the left is true,
-// replicating legacy short-circuit (both for cost and for error parity:
-// a division in the right arm must not fire on rows the left rules out).
-type vAnd struct{ l, r boolNode }
+// vLogic is short-circuit AND/OR: the right arm is evaluated only on the
+// rows the left arm leaves undecided (true under AND, false under OR), both
+// for cost and so a division in the right arm cannot fire on rows the left
+// arm already settled.
+type vLogic struct {
+	and  bool
+	l, r boolNode
+}
 
-func (n vAnd) eval(c *chunkCtx, sel []int) ([]bool, evalErr) {
-	lv, le := n.l.eval(c, sel)
-	bound := len(sel)
-	if le.idx >= 0 {
-		bound = le.idx
+func (n vLogic) eval(c *chunkCtx, sel []int) ([]bool, error) {
+	out, err := n.l.eval(c, sel)
+	if err != nil {
+		return nil, err
 	}
-	sub := make([]int, 0, bound)
-	subPos := make([]int, 0, bound)
-	for i := 0; i < bound; i++ {
-		if lv[i] {
+	sub := make([]int, 0, len(sel))
+	pos := make([]int, 0, len(sel))
+	for i, v := range out {
+		if v == n.and {
 			sub = append(sub, sel[i])
-			subPos = append(subPos, i)
+			pos = append(pos, i)
 		}
 	}
-	rv, re := n.r.eval(c, sub)
-	e := le
-	if re.idx >= 0 {
-		// Map the sub-selection index back into sel coordinates. The
-		// mapped row precedes bound, so it wins over the left error.
-		e = evalErr{idx: subPos[re.idx], err: re.err}
+	rv, err := n.r.eval(c, sub)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]bool, len(sel)) // false everywhere the left was false
-	rbound := len(sub)
-	if re.idx >= 0 {
-		rbound = re.idx
+	for i, p := range pos {
+		out[p] = rv[i]
 	}
-	for i := 0; i < rbound; i++ {
-		out[subPos[i]] = rv[i]
-	}
-	return out, e
-}
-
-// vOr evaluates the right side only on rows where the left is false.
-type vOr struct{ l, r boolNode }
-
-func (n vOr) eval(c *chunkCtx, sel []int) ([]bool, evalErr) {
-	lv, le := n.l.eval(c, sel)
-	bound := len(sel)
-	if le.idx >= 0 {
-		bound = le.idx
-	}
-	sub := make([]int, 0, bound)
-	subPos := make([]int, 0, bound)
-	out := make([]bool, len(sel))
-	for i := 0; i < bound; i++ {
-		if lv[i] {
-			out[i] = true
-		} else {
-			sub = append(sub, sel[i])
-			subPos = append(subPos, i)
-		}
-	}
-	rv, re := n.r.eval(c, sub)
-	e := le
-	if re.idx >= 0 {
-		e = evalErr{idx: subPos[re.idx], err: re.err}
-	}
-	rbound := len(sub)
-	if re.idx >= 0 {
-		rbound = re.idx
-	}
-	for i := 0; i < rbound; i++ {
-		out[subPos[i]] = rv[i]
-	}
-	return out, e
-}
-
-// errNotVectorizable marks queries the compiler cannot type soundly; the
-// caller falls back to materialize + legacy Exec, which reproduces legacy
-// error behavior exactly (including errors short-circuiting never hits).
-type errNotVectorizable struct{ reason string }
-
-func (e errNotVectorizable) Error() string { return "tql: not vectorizable: " + e.reason }
-
-func schemaIdx(schema []telemetry.ColSpec, name string) int {
-	for i, s := range schema {
-		if s.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// litString extracts a string literal.
-func litString(e Expr) (string, bool) {
-	l, ok := e.(lit)
-	if !ok {
-		return "", false
-	}
-	s, ok := l.v.(string)
-	return s, ok
-}
-
-// isStringExpr reports whether e is string-typed under the schema (string
-// literal or reference to a string column).
-func isStringExpr(e Expr, schema []telemetry.ColSpec) bool {
-	if _, ok := litString(e); ok {
-		return true
-	}
-	if c, ok := e.(colRef); ok {
-		if i := schemaIdx(schema, c.name); i >= 0 {
-			return schema[i].Type == telemetry.String
-		}
-	}
-	return false
-}
-
-// compileBool compiles a boolean expression against the schema.
-func compileBool(e Expr, schema []telemetry.ColSpec) (boolNode, error) {
-	switch x := e.(type) {
-	case logic:
-		l, err := compileBool(x.l, schema)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileBool(x.r, schema)
-		if err != nil {
-			return nil, err
-		}
-		if x.op == "and" {
-			return vAnd{l: l, r: r}, nil
-		}
-		return vOr{l: l, r: r}, nil
-	case neg:
-		n, err := compileBool(x.e, schema)
-		if err != nil {
-			return nil, err
-		}
-		return vNot{e: n}, nil
-	case cmp:
-		ls, rs := isStringExpr(x.l, schema), isStringExpr(x.r, schema)
-		switch {
-		case ls && rs:
-			return compileStrCmp(x, schema)
-		case ls || rs:
-			// Legacy would raise "comparing number with string" only on
-			// rows it reaches; don't guess, fall back.
-			return nil, errNotVectorizable{reason: "string/number comparison"}
-		default:
-			l, err := compileNum(x.l, schema)
-			if err != nil {
-				return nil, err
-			}
-			r, err := compileNum(x.r, schema)
-			if err != nil {
-				return nil, err
-			}
-			return vCmpNum{op: x.op, l: l, r: r}, nil
-		}
-	}
-	return nil, errNotVectorizable{reason: fmt.Sprintf("non-boolean WHERE term %T", e)}
-}
-
-func compileStrCmp(x cmp, schema []telemetry.ColSpec) (boolNode, error) {
-	if ls, ok := litString(x.l); ok {
-		if rs, ok2 := litString(x.r); ok2 {
-			v, err := compareString(x.op, ls, rs)
-			if err != nil {
-				return nil, err
-			}
-			return vConstBool{v: v.(bool)}, nil
-		}
-		r := x.r.(colRef)
-		return vCmpStrLitCol{op: x.op, lit: ls, idx: schemaIdx(schema, r.name)}, nil
-	}
-	l := x.l.(colRef)
-	if rs, ok := litString(x.r); ok {
-		return vCmpStrColLit{op: x.op, idx: schemaIdx(schema, l.name), lit: rs}, nil
-	}
-	r := x.r.(colRef)
-	return vCmpStrColCol{op: x.op, li: schemaIdx(schema, l.name), ri: schemaIdx(schema, r.name)}, nil
-}
-
-// compileNum compiles a numeric expression against the schema.
-func compileNum(e Expr, schema []telemetry.ColSpec) (numNode, error) {
-	switch x := e.(type) {
-	case lit:
-		f, ok := x.v.(float64)
-		if !ok {
-			return nil, errNotVectorizable{reason: "string literal in numeric context"}
-		}
-		return vNumLit{v: f}, nil
-	case colRef:
-		i := schemaIdx(schema, x.name)
-		if i < 0 {
-			return nil, errNotVectorizable{reason: fmt.Sprintf("unknown column %q", x.name)}
-		}
-		switch schema[i].Type {
-		case telemetry.Int64:
-			return vNumCol{idx: i, isInt: true}, nil
-		case telemetry.Float64:
-			return vNumCol{idx: i}, nil
-		case telemetry.String:
-			return nil, errNotVectorizable{reason: fmt.Sprintf("string column %q in numeric context", x.name)}
-		default:
-			return nil, errNotVectorizable{reason: "unknown column type"}
-		}
-	case negNum:
-		n, err := compileNum(x.e, schema)
-		if err != nil {
-			return nil, err
-		}
-		return vNegNum{e: n}, nil
-	case arith:
-		l, err := compileNum(x.l, schema)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileNum(x.r, schema)
-		if err != nil {
-			return nil, err
-		}
-		return vArith{op: x.op, l: l, r: r}, nil
-	}
-	return nil, errNotVectorizable{reason: fmt.Sprintf("non-numeric term %T", e)}
+	return out, nil
 }

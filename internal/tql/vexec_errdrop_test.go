@@ -5,16 +5,57 @@ import (
 	"testing"
 
 	"amrtools/internal/colfile"
+	"amrtools/internal/telemetry"
 )
 
-// Regression tests for the errdrop findings in the vectorized string
-// comparators: compareString's error used to be discarded with `r, _ :=`,
-// so an operator the string comparator does not support either panicked on
-// the nil result's type assertion (dictionary-hoisted paths) or silently
-// evaluated every row to false (row-wise path). The parser happens to
-// admit only supported operators today, which is exactly how the class
-// survives review — these tests drive the comparators directly, the way a
-// future operator addition would.
+// Regression tests for the errdrop findings in the string comparators: the
+// string compare's error used to be discarded with `r, _ :=`, so an
+// operator it does not support either panicked on the nil result's type
+// assertion (dictionary-hoisted paths) or silently evaluated every row to
+// false (row-wise path). The parser happens to admit only supported
+// operators, which is exactly how the class survives review — so these
+// tests hand-build the AST, the way a future operator addition would.
+//
+// Operators are resolved at bind, once, so a kernel cannot hold an
+// unresolved one: the query must be rejected before any row, on every
+// comparison shape, rows or no rows.
+
+var badOpShapes = map[string]cmp{
+	"col-lit": {op: "~", l: colRef{"policy"}, r: lit{"aa"}},
+	"lit-col": {op: "~", l: lit{"aa"}, r: colRef{"policy"}},
+	"col-col": {op: "~", l: colRef{"policy"}, r: colRef{"policy"}},
+	"lit-lit": {op: "~", l: lit{"aa"}, r: lit{"bb"}},
+	"numeric": {op: "~", l: colRef{"wait"}, r: lit{1.0}},
+}
+
+func wantBadOp(t *testing.T, name string, src *telemetry.Table, where Expr) {
+	t.Helper()
+	q := &Query{Star: true, From: "t", Where: where, Limit: -1}
+	if _, err := bind(q, src.Schema()); err == nil || !strings.Contains(err.Error(), `bad operator "~"`) {
+		t.Fatalf("%s: bind error = %v, want bad-operator error", name, err)
+	}
+	if _, err := Exec(q, src); err == nil || !strings.Contains(err.Error(), `bad operator "~"`) {
+		t.Fatalf("%s: Exec error = %v, want bad-operator error", name, err)
+	}
+}
+
+func TestVCmpStrBadOpSurfacesError(t *testing.T) {
+	for name, c := range badOpShapes {
+		wantBadOp(t, name, testTable(), c)
+		// Guarded by a conjunct that rules every row out: still rejected.
+		wantBadOp(t, name+" guarded", testTable(),
+			logic{op: "and", l: cmp{op: ">", l: colRef{"step"}, r: lit{100.0}}, r: c})
+	}
+}
+
+// A bad operator is rejected over a table with no rows too: bind does not
+// depend on the rows.
+func TestVCmpStrBadOpEmptySelection(t *testing.T) {
+	empty := telemetry.NewTable(testTable().Schema()...)
+	for name, c := range badOpShapes {
+		wantBadOp(t, name, empty, c)
+	}
+}
 
 func strChunk() *chunkCtx {
 	return &chunkCtx{
@@ -26,65 +67,29 @@ func strChunk() *chunkCtx {
 	}
 }
 
-func wantBadOp(t *testing.T, name string, ev evalErr, wantIdx int) {
-	t.Helper()
-	if ev.idx != wantIdx {
-		t.Fatalf("%s: error index = %d, want %d", name, ev.idx, wantIdx)
-	}
-	if ev.err == nil || !strings.Contains(ev.err.Error(), "bad operator") {
-		t.Fatalf("%s: error = %v, want bad-operator error", name, ev.err)
-	}
-}
-
-func TestVCmpStrBadOpSurfacesError(t *testing.T) {
-	c := strChunk()
-	sel := []int{0, 1, 2}
-
-	_, ev := vCmpStrColLit{op: "~", idx: 0, lit: "aa"}.eval(c, sel)
-	wantBadOp(t, "col-lit", ev, 0)
-
-	_, ev = vCmpStrLitCol{op: "~", lit: "aa", idx: 0}.eval(c, sel)
-	wantBadOp(t, "lit-col", ev, 0)
-
-	_, ev = vCmpStrColCol{op: "~", li: 0, ri: 1}.eval(c, sel)
-	wantBadOp(t, "col-col", ev, 0)
-}
-
-// A bad operator over an empty selection evaluates no rows, matching the
-// legacy row-wise evaluator: no row, no error.
-func TestVCmpStrBadOpEmptySelection(t *testing.T) {
-	c := strChunk()
-	if _, ev := (vCmpStrColLit{op: "~", idx: 0, lit: "aa"}).eval(c, nil); ev.idx != -1 {
-		t.Fatalf("col-lit over empty selection: error %v at %d, want none", ev.err, ev.idx)
-	}
-	if _, ev := (vCmpStrLitCol{op: "~", lit: "aa", idx: 0}).eval(c, nil); ev.idx != -1 {
-		t.Fatalf("lit-col over empty selection: error %v at %d, want none", ev.err, ev.idx)
-	}
-}
-
-// The supported operators still evaluate correctly through the dictionary
-// hoist after the error path was added.
+// The supported operators evaluate correctly through the dictionary hoist
+// and the row-wise column/column kernel.
 func TestVCmpStrGoodOpsStillWork(t *testing.T) {
 	c := strChunk()
 	sel := []int{0, 1, 2}
-	out, ev := vCmpStrColLit{op: "=", idx: 0, lit: "aa"}.eval(c, sel)
-	if ev.idx != -1 {
-		t.Fatalf("unexpected error: %v", ev.err)
-	}
-	want := []bool{true, false, true}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("row %d: got %v, want %v", i, out[i], want[i])
+	for _, tc := range []struct {
+		name string
+		node boolNode
+		want []bool
+	}{
+		{"col = lit", vCmpStrColLit{op: opEq, idx: 0, lit: "aa"}, []bool{true, false, true}},
+		{"col > lit", vCmpStrColLit{op: opGt, idx: 0, lit: "aa"}, []bool{false, true, false}},
+		{"col != col", vCmpStrColCol{op: opNe, li: 0, ri: 1}, []bool{false, true, true}},
+		{"col <= col", vCmpStrColCol{op: opLe, li: 0, ri: 1}, []bool{true, false, true}},
+	} {
+		out, err := tc.node.eval(c, sel)
+		if err != nil {
+			t.Fatalf("%s: unexpected error: %v", tc.name, err)
 		}
-	}
-	out, ev = vCmpStrColCol{op: "!=", li: 0, ri: 1}.eval(c, sel)
-	if ev.idx != -1 {
-		t.Fatalf("unexpected error: %v", ev.err)
-	}
-	want = []bool{false, true, true}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("row %d: got %v, want %v", i, out[i], want[i])
+		for i := range tc.want {
+			if out[i] != tc.want[i] {
+				t.Fatalf("%s row %d: got %v, want %v", tc.name, i, out[i], tc.want[i])
+			}
 		}
 	}
 }

@@ -1,17 +1,19 @@
 package amrtools
 
-// Query-path benchmarks for the colfile v2 block index and the vectorized
-// TQL executor (DESIGN.md §12). All four run the same million-row telemetry
+// Query-path benchmarks for the colfile v2 block index and the TQL
+// executor (DESIGN.md §12). All four run the same million-row telemetry
 // file; the contrasts are the point:
 //
 //   - QueryFullScan vs QueryPushdown: the same selective range query (~8% of
-//     rows, step-sorted file) with the pre-v2 materialize-then-filter path
-//     against zone-map chunk skipping plus projection pushdown.
+//     rows, step-sorted file), first materializing the whole file and
+//     querying the table in memory, then querying the file directly —
+//     zone-map chunk skipping plus projection pushdown. Both run the same
+//     bind and the same kernels; the delta is what the index saves.
 //   - QueryMetadataOnly: aggregate-only query answered entirely from the
 //     footer index — decoded-chunks/op must report 0.
-//   - QueryVectorizedScan vs QueryLegacyScan: a WHERE clause no zone map can
-//     exclude (every chunk is partially selected), so the delta isolates the
-//     compiled selection-vector executor against row-at-a-time evaluation.
+//   - QueryVectorizedScan: a WHERE clause no zone map can exclude (every
+//     chunk is partially selected), so the time is the kernels and the
+//     projection decode, not the index.
 //
 // The file is generated once per process and held in memory, so ns/op
 // measures decode + query work, not disk.
@@ -68,8 +70,9 @@ func queryBenchReader(b *testing.B) *colfile.Reader {
 // chunks — the acceptance case for footer-index pushdown.
 const selectiveQuery = "SELECT rank, sum(wait) AS w FROM t WHERE step >= 920 GROUP BY rank ORDER BY w DESC LIMIT 8"
 
-// BenchmarkQueryFullScan is the pre-v2 baseline: decode every chunk of
-// every column into a table, then run the query in memory.
+// BenchmarkQueryFullScan is the no-index baseline: decode every chunk of
+// every column into a table, then run the query over the table in memory
+// (the same executor, with nothing to prune and nothing to project away).
 func BenchmarkQueryFullScan(b *testing.B) {
 	r := queryBenchReader(b)
 	b.ReportAllocs()
@@ -137,31 +140,12 @@ func BenchmarkQueryMetadataOnly(b *testing.B) {
 }
 
 // unsortableQuery selects on wait and rank, which cycle within every chunk:
-// no chunk can be skipped or fully taken, so ExecFile's advantage here is
-// purely the compiled predicate + projection, not the index.
+// no chunk can be skipped or fully taken, so what is timed is the compiled
+// predicate and the projection decode, not the index.
 const unsortableQuery = "SELECT rank, count(*) AS n FROM t WHERE wait > 0.9 AND rank < 64 GROUP BY rank ORDER BY n DESC LIMIT 4"
 
-// BenchmarkQueryLegacyScan: full materialization + row-at-a-time WHERE.
-func BenchmarkQueryLegacyScan(b *testing.B) {
-	r := queryBenchReader(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		table, err := r.Table()
-		if err != nil {
-			b.Fatal(err)
-		}
-		out, err := tql.Run(unsortableQuery, map[string]*telemetry.Table{"t": table})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.NumRows() != 4 {
-			b.Fatalf("got %d rows", out.NumRows())
-		}
-	}
-}
-
-// BenchmarkQueryVectorizedScan: same query through the selection-vector
-// executor, decoding only the two referenced columns.
+// BenchmarkQueryVectorizedScan: the unsortable query through the
+// selection-vector kernels, decoding only the two referenced columns.
 func BenchmarkQueryVectorizedScan(b *testing.B) {
 	r := queryBenchReader(b)
 	q, err := tql.Parse(unsortableQuery)
