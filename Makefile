@@ -6,7 +6,7 @@ GO ?= go
 # cannot hide a real race in an "uninteresting" package.
 RACE_PKGS = ./...
 
-.PHONY: all build vet lint test race bench-module bench benchcmp serve-smoke check fmt
+.PHONY: all build vet lint test race bench-module bench benchcmp ab serve-smoke check fmt
 
 all: check
 
@@ -47,6 +47,16 @@ bench:
 # marked. Advisory — the target never fails the build.
 benchcmp:
 	$(GO) run ./cmd/benchjson -compare BENCH_PR8.json BENCH_PR9.json -threshold 10
+
+# Paired A/B of one repo-benchmark workload (BENCHMARK.json) between a base
+# revision and the working tree, both measured by the working tree's bench/:
+#   make ab OLD=HEAD~1 WORKLOAD=sedov_sweep [PAIRS=10] [SEED=1]
+# Alternating pairs, per-metric medians, quartiles and pairs won; fails on a
+# result-digest mismatch. This is how a PR's speed claim is produced.
+PAIRS ?= 10
+SEED ?= 1
+ab:
+	OLD="$(OLD)" WORKLOAD="$(WORKLOAD)" PAIRS="$(PAIRS)" SEED="$(SEED)" ./scripts/ab.sh
 
 # Live-endpoint smoke: run a short campaign with -serve and scrape
 # /metrics + /statusz while it executes; any non-200 response or an empty

@@ -352,6 +352,10 @@ func Run(cfg Config) (*Result, error) {
 		net = simnet.New(eng, cfg.Net)
 		world = mpi.NewWorld(eng, net)
 	}
+	// Every exit — success, interrupt, simulated deadlock, a panic out of a
+	// rank program or a policy — unwinds the rank processes still suspended
+	// and stops the shard worker pool.
+	defer closeSim(shs, eng)
 	nranks := world.NumRanks()
 	paranoid := check.Enabled(cfg.Paranoid)
 	net.SetParanoid(paranoid)
@@ -463,7 +467,6 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 	if err := runSim(shs, eng); err != nil {
-		closeSim(shs, eng)
 		return nil, err
 	}
 	var blocked []*sim.Proc
@@ -473,7 +476,6 @@ func Run(cfg Config) (*Result, error) {
 		blocked = eng.Blocked()
 	}
 	if len(blocked) > 0 {
-		closeSim(shs, eng)
 		return nil, fmt.Errorf("driver: simulated deadlock, %d ranks blocked (first: %s)",
 			len(blocked), blocked[0].Name())
 	}
@@ -483,12 +485,6 @@ func Run(cfg Config) (*Result, error) {
 		world.AuditTeardown()
 		net.AuditDrained()
 	}
-	if shs != nil {
-		// All rank procs finished; this only stops the worker pool so a long
-		// campaign of sharded runs never accumulates idle goroutines.
-		shs.Close()
-	}
-
 	if shs != nil {
 		st.res.Makespan = shs.Now()
 		st.res.Events = shs.Events()
@@ -577,8 +573,8 @@ func runSim(shs *sim.Shards, eng *sim.Engine) (err error) {
 	return nil
 }
 
-// closeSim terminates the machine's blocked processes (and, in sharded mode,
-// its worker pool) after an aborted or deadlocked run.
+// closeSim unwinds the machine's unfinished processes and, in sharded mode,
+// stops its worker pool.
 func closeSim(shs *sim.Shards, eng *sim.Engine) {
 	if shs != nil {
 		shs.Close()

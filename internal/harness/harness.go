@@ -46,9 +46,10 @@ const (
 	// StatusPanic means the spec panicked; the panic was recovered into a
 	// *PanicError.
 	StatusPanic
-	// StatusTimeout means the spec exceeded the plan's per-run timeout. The
-	// run goroutine is abandoned (it cannot be killed) and its result
-	// discarded.
+	// StatusTimeout means the spec exceeded the plan's per-run timeout and
+	// its result is discarded. A spec that honours Meter.Aborted (every
+	// driver run does) stops at its next interrupt poll and tears its
+	// machine down; one that does not keeps its goroutine until it returns.
 	StatusTimeout
 )
 
@@ -78,8 +79,8 @@ type Meter struct {
 
 // Aborted reports whether the harness has given up on this run (its plan
 // timeout expired). Long-running specs should poll it — driver runs wire it
-// to driver.Config.Interrupt — so a timed-out run exits promptly instead of
-// simulating on as an abandoned goroutine until process exit.
+// to driver.Config.Interrupt — so a timed-out run stops promptly, unwinds
+// its rank processes and shard workers, and returns its goroutine.
 func (m *Meter) Aborted() bool { return m.aborted.Load() }
 
 // AddEvents accumulates DES events processed by this run.
@@ -169,10 +170,11 @@ type ProgressFunc func(Progress)
 type Exec struct {
 	// Workers is the fan-out width; 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Timeout is the per-run limit; 0 means none. A timed-out run's
-	// goroutine is abandoned, not killed: the harness moves on and the
-	// stuck run keeps its goroutine until process exit, so timeouts are a
-	// safety net against simulated deadlock, not a cancellation mechanism.
+	// Timeout is the per-run limit; 0 means none. On expiry the harness
+	// moves on and raises Meter.Aborted: a spec that honours it (driver runs
+	// do, through driver.Config.Interrupt) is torn down — processes unwound,
+	// workers stopped, goroutine returned — within one interrupt poll. A
+	// spec that never polls cannot be killed and runs on to its own end.
 	Timeout time.Duration
 	// Progress, when set, observes every run completion.
 	Progress ProgressFunc
@@ -313,8 +315,8 @@ func runOne[T any](timeout time.Duration, s Spec[T]) Result[T] {
 		res.Events, res.RankBytes, res.HeapMB = o.events, o.rbytes, o.heapMB
 	case <-timer.C:
 		// Signal the run to bail out at its next interrupt poll; specs that
-		// honor Meter.Aborted exit within one event window instead of
-		// leaking a goroutine that simulates to completion.
+		// honor Meter.Aborted tear down within one event window instead of
+		// simulating to completion.
 		m.aborted.Store(true)
 		res.Err = &TimeoutError{ID: s.ID, Limit: timeout}
 		res.Status = StatusTimeout

@@ -16,8 +16,9 @@
 // steady state: requests come from a per-world free list and carry their
 // completion future inline, the two per-message events (sender done,
 // delivery) are typed sim payloads instead of closures, and matching state
-// lives in per-key FIFO rings that reuse their backing storage. DESIGN.md §7
-// records the allocation budget and the pooling invariants.
+// lives in per-key FIFO rings that reuse their backing storage, found through
+// a per-rank open-addressed index (matchindex.go). DESIGN.md §7 records the
+// allocation budget and the pooling invariants.
 package mpi
 
 import (
@@ -90,7 +91,7 @@ type World struct {
 	// Matching is FIFO per key. Only rank dst's shard ever touches
 	// mq[dst] — deliveries execute on the destination's engine — so the
 	// matching state needs no locking in sharded mode.
-	mq []map[msgKey]*matchQueue
+	mq []matchIndex
 
 	// pool is the single-engine request pool; sharded worlds use the
 	// per-shard pools in shard instead.
@@ -164,8 +165,6 @@ type collRound struct {
 	op       string
 }
 
-type msgKey struct{ src, tag int }
-
 // matchQueue is the per-(destination, source, tag) matching state: a FIFO of
 // arrived-but-unmatched message sizes and a FIFO of posted-but-unmatched
 // receive requests. At most one side is non-empty at any instant — an
@@ -187,13 +186,12 @@ func NewWorld(eng *sim.Engine, net *simnet.Network) *World {
 		nranks: n,
 		meters: make([]Meter, n),
 		rngs:   make([]*xrand.RNG, n),
-		mq:     make([]map[msgKey]*matchQueue, n),
+		mq:     make([]matchIndex, n),
 	}
 	w.paranoid = check.Forced()
 	seedRoot := xrand.New(net.Config().Seed ^ 0x5eed)
 	for i := 0; i < n; i++ {
 		w.rngs[i] = seedRoot.Split()
-		w.mq[i] = make(map[msgKey]*matchQueue)
 	}
 	eng.SetSink(w)
 	return w
@@ -215,7 +213,7 @@ func NewShardedWorld(s *sim.Shards, net *simnet.Network, shardOfNode []int32) *W
 		nranks: n,
 		meters: make([]Meter, n),
 		rngs:   make([]*xrand.RNG, n),
-		mq:     make([]map[msgKey]*matchQueue, n),
+		mq:     make([]matchIndex, n),
 	}
 	w.paranoid = check.Forced()
 	seedRoot := xrand.New(net.Config().Seed ^ 0x5eed)
@@ -230,7 +228,6 @@ func NewShardedWorld(s *sim.Shards, net *simnet.Network, shardOfNode []int32) *W
 	rpn := net.Config().RanksPerNode
 	for i := 0; i < n; i++ {
 		w.rngs[i] = seedRoot.Split()
-		w.mq[i] = make(map[msgKey]*matchQueue)
 		sh := shardOfNode[i/rpn]
 		st.shardOfRank[i] = sh
 		st.engOf[i] = s.Engine(int(sh))
@@ -368,15 +365,7 @@ func (c *Comm) World() *World { return c.w }
 // queueFor returns dst's matching queue for key, creating it on first use.
 // Queues persist for the life of the world (keys recur every step), so the
 // per-key allocation amortizes to zero.
-func (w *World) queueFor(dst int, key msgKey) *matchQueue {
-	m := w.mq[dst]
-	q := m[key]
-	if q == nil {
-		q = &matchQueue{} //lint:ignore hotalloc first-use only: queues persist for the world's life and keys recur every step, so this amortizes to zero
-		m[key] = q
-	}
-	return q
-}
+func (w *World) queueFor(dst int, key msgKey) *matchQueue { return w.mq[dst].queue(key) }
 
 // Isend posts a non-blocking send of bytes to dst with the given tag and
 // returns the sender-side request. The message is injected into the fabric
@@ -392,6 +381,9 @@ func (c *Comm) Isend(dst, tag, bytes int) *Request {
 	if dst < 0 || dst >= w.nranks {
 		panic(fmt.Sprintf("mpi: rank %d Isend to invalid peer rank %d (world has %d ranks)",
 			c.rank, dst, w.nranks))
+	}
+	if tag != int(int32(tag)) {
+		panic(fmt.Sprintf("mpi: rank %d Isend to rank %d with tag %d outside the int32 range", c.rank, dst, tag))
 	}
 	m := &w.meters[c.rank]
 	m.MsgsSent++
@@ -441,7 +433,7 @@ func (w *World) DeliverMsg(src, dst, tag int32, bytes int64, local bool) {
 	// is the destination's node — so in sharded mode this stays on the
 	// executing shard, like the matching state below (owned by dst).
 	w.net.DeliveryDone(int(src), simnet.SendPlan{Local: local})
-	q := w.queueFor(int(dst), msgKey{src: int(src), tag: int(tag)})
+	q := w.queueFor(int(dst), msgKey{src: src, tag: tag})
 	if q.recvs.n > 0 {
 		req := q.recvs.pop()
 		req.bytes = int(bytes)
@@ -470,13 +462,16 @@ func (c *Comm) Irecv(src, tag int) *Request {
 		panic(fmt.Sprintf("mpi: rank %d Irecv from invalid peer rank %d (world has %d ranks)",
 			c.rank, src, w.nranks))
 	}
+	if tag != int(int32(tag)) {
+		panic(fmt.Sprintf("mpi: rank %d Irecv from rank %d with tag %d outside the int32 range", c.rank, src, tag))
+	}
 	req := c.newRequest(WaitRecv, 0, src, tag)
 	if tr := w.tracer; tr != nil {
 		now := float64(c.p.Now())
 		tr.Emit(trace.Span{Rank: int32(c.rank), Kind: trace.Irecv, T0: now, T1: now,
 			Peer: int32(src), Tag: int32(tag)})
 	}
-	q := w.queueFor(c.rank, msgKey{src: src, tag: tag})
+	q := w.queueFor(c.rank, msgKey{src: int32(src), tag: int32(tag)})
 	if q.arrivals.n > 0 {
 		req.bytes = int(q.arrivals.pop())
 		w.meters[c.rank].MsgsRecvd++

@@ -55,9 +55,9 @@ type nopSink struct{}
 func (nopSink) DeliverMsg(src, dst, tag int32, bytes int64, local bool) {}
 
 // TestProcSwitchAllocFree: a process sleep/resume cycle (two coroutine
-// handoffs plus one heap event) must not allocate. Spawn itself allocates
-// (proc struct, goroutine, channel), so the cost is amortized over many
-// switches and the budget is a small fraction per switch.
+// switches plus one heap event) must not allocate. Spawn itself allocates
+// (TestSpawnAllocBudget), so its cost is amortized over many switches and
+// the budget is a small fraction per switch.
 func TestProcSwitchAllocFree(t *testing.T) {
 	e := NewEngine()
 	const switches = 2048
@@ -71,5 +71,26 @@ func TestProcSwitchAllocFree(t *testing.T) {
 	}) / switches
 	if per > 0.02 {
 		t.Errorf("proc switch allocates %.4f objects per switch, want ~0 (spawn overhead only)", per)
+	}
+}
+
+// TestSpawnAllocBudget pins what one Engine.Spawn costs, start to finish of
+// a body that blocks once: the Proc, the iter.Pull coroutine with its
+// closure state, and the body closure — 13 small objects on go1.24.
+// Budgets that amortize a spawn (above, and mpi's per-message ones) lean on
+// this number staying small; a runtime or Spawn change that moves it shows
+// here under its own name.
+func TestSpawnAllocBudget(t *testing.T) {
+	e := NewEngine()
+	const procs = 256
+	per := testing.AllocsPerRun(5, func() {
+		for i := 0; i < procs; i++ {
+			e.Spawn("s", func(p *Proc) { p.Sleep(1) })
+		}
+		e.Run()
+	}) / procs
+	t.Logf("%.2f allocations per Spawn", per)
+	if per > 16 {
+		t.Errorf("Spawn allocates %.2f objects per process, budget 16", per)
 	}
 }

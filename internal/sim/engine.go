@@ -9,10 +9,11 @@
 // inputs replay identical schedules, which is what makes the telemetry
 // experiments reproducible.
 //
-// Processes are goroutines that synchronize with the engine through a
-// rendezvous channel: the engine resumes a process, the process runs until
-// it blocks (Sleep, Await) or finishes, then hands control back. Only one
-// goroutine is ever runnable, so process code needs no locking.
+// Processes are runtime coroutines (iter.Pull): the engine resumes a
+// process, the process runs until it blocks (Sleep, Await) or finishes, then
+// yields back. A switch swaps stacks directly without entering the Go
+// scheduler, exactly one side runs at a time, so process code needs no
+// locking, and Close unwinds every unfinished process deterministically.
 //
 // The engine is also the hot path of every experiment (millions of events
 // per run), so scheduling is allocation-free in steady state: events are
@@ -359,21 +360,20 @@ func (e *Engine) Blocked() []*Proc {
 		}
 	}
 	for _, p := range e.procs {
-		if !p.finished && p.started && !scheduled[p] {
+		if !p.finished && !scheduled[p] {
 			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// Close terminates all blocked processes by panicking inside them with a
-// killed marker (recovered by the process wrapper), releasing their
-// goroutines. The engine must not be used afterwards.
+// Close unwinds every unfinished process (each sees its pending block panic
+// with a killed marker, recovered by the process epilogue), releasing their
+// coroutines. Closing twice is harmless; the engine must not otherwise be
+// used afterwards.
 func (e *Engine) Close() {
 	for _, p := range e.procs {
-		if p.started && !p.finished {
-			p.kill = true
-			p.run() // resumes the proc, which panics and unwinds
-		}
+		p.stop()
 	}
+	e.procs = nil
 }

@@ -1,96 +1,74 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// deterministically by the engine. All Proc methods must be called from the
-// process's own goroutine (inside the function passed to Spawn).
+// Proc is a simulated process: a runtime coroutine (iter.Pull) the engine
+// resumes and the process body yields from. All Proc methods must be called
+// from inside the function passed to Spawn.
 type Proc struct {
 	eng  *Engine
 	name string
 
-	// hand is the single rendezvous channel between the engine and the
-	// process. Control strictly alternates — the engine sends to resume the
-	// process, then receives its yield; the process sends to yield, then
-	// receives its next resume — so one channel serves both directions.
-	// (The previous two-channel handoff touched two hchans per switch; one
-	// channel keeps the same hchan hot in cache for all four operations.)
-	hand chan struct{}
+	// next resumes the body until its next block (or its end) and stop
+	// unwinds it; yield is the body's side of the same switch. Control
+	// strictly alternates between the engine caller and the body, and a
+	// switch is a direct stack swap: it never enters the Go scheduler, wakes
+	// no thread and parks nothing.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
-	started  bool
 	finished bool
-	kill     bool
-
-	// panicked captures a non-kill panic raised inside the process body; the
-	// engine re-raises it when it regains control (see run).
-	panicked interface{}
 }
 
-// killedError unwinds a process goroutine terminated by Engine.Close.
+// killedError unwinds a process body terminated by Engine.Close.
 type killedError struct{ name string }
 
 func (k killedError) Error() string { return "sim: proc " + k.name + " killed" }
 
 // Spawn creates a process running fn, scheduled to start at the current
-// virtual time. fn runs in its own goroutine under engine control.
+// virtual time. fn runs as a coroutine under engine control.
 //
-// A panic inside fn (other than the engine-kill unwind) is captured and
-// re-raised from the engine caller's goroutine (Run/Step), where tests and
-// the campaign harness can recover it — a panic in the process goroutine
-// itself would crash the whole process unrecoverably. After such a panic the
-// engine is poisoned: remaining process goroutines stay parked until process
-// exit, exactly like a timed-out harness run.
+// A panic inside fn surfaces from the engine caller's goroutine (Run/Step)
+// with its original value, where tests and the campaign harness can recover
+// it. The other processes stay suspended until Close unwinds them.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:  e,
-		name: name,
-		hand: make(chan struct{}),
-	}
-	e.procs = append(e.procs, p)
-	//lint:ignore determinism DES coroutine: the hand channel keeps exactly one goroutine runnable at a time, so interleaving is fixed by the event order
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killedError); !ok {
-					p.panicked = r // re-raised by run in the engine goroutine
-				}
-			}
-			p.finished = true
-			p.hand <- struct{}{}
-		}()
-		<-p.hand
-		p.checkKill()
+	p := &Proc{eng: e, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
 		fn(p)
-	}()
+	})
+	e.procs = append(e.procs, p)
 	e.schedProc(e.now, p)
-	p.started = true
 	return p
+}
+
+// exit is the body's deferred epilogue: it swallows the kill unwind and lets
+// every other panic continue into iter.Pull, which re-raises it from next.
+func (p *Proc) exit() {
+	p.finished = true
+	if r := recover(); r != nil {
+		if _, ok := r.(killedError); !ok {
+			panic(r)
+		}
+	}
 }
 
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// run resumes the process goroutine and waits until it blocks or finishes.
-// Called only by the engine. A panic captured from the process body is
-// re-raised here, in the engine caller's goroutine.
-func (p *Proc) run() {
-	p.hand <- struct{}{}
-	<-p.hand
-	if r := p.panicked; r != nil {
-		p.panicked = nil
-		panic(r)
-	}
-}
+// run resumes the process until it blocks or finishes. Called only by the
+// engine.
+func (p *Proc) run() { p.next() }
 
-// block hands control back to the engine and waits to be rescheduled.
+// block hands control back to the engine and waits to be rescheduled. A
+// false yield means Close stopped the coroutine: unwind the body.
 func (p *Proc) block() {
-	p.hand <- struct{}{}
-	<-p.hand
-	p.checkKill()
-}
-
-func (p *Proc) checkKill() {
-	if p.kill {
+	if !p.yield(struct{}{}) {
 		panic(killedError{p.name})
 	}
 }

@@ -36,6 +36,7 @@ package sim
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"amrtools/internal/check"
 	"amrtools/internal/metrics"
@@ -82,9 +83,10 @@ type Shards struct {
 	// well. Execution mode never affects results (see package comment).
 	minParallel int
 
-	workers []chan Time   // per-shard window commands (nil until first fan-out)
-	done    chan int      // worker completion notifications
-	panics  []interface{} // per-shard panic captured during a fanned-out window
+	workers []chan Time    // per-shard window commands (nil until first fan-out)
+	done    chan int       // worker completion notifications
+	panics  []interface{}  // per-shard panic captured during a fanned-out window
+	exited  sync.WaitGroup // worker goroutines still alive, for Close
 
 	// mx, when non-nil, is the run's host-plane scheduler instrument set
 	// (internal/metrics): window counts, events per window, occupancy,
@@ -232,13 +234,15 @@ func (s *Shards) Blocked() []*Proc {
 	return out
 }
 
-// Close stops the worker pool and terminates all blocked processes on every
-// shard. The scheduler must not be used afterwards.
+// Close stops the worker pool, returning once every worker has exited, and
+// unwinds all unfinished processes on every shard. Closing twice is
+// harmless; the scheduler must not otherwise be used afterwards.
 func (s *Shards) Close() {
 	for _, cmd := range s.workers {
 		close(cmd)
 	}
 	s.workers = nil
+	s.exited.Wait()
 	for _, e := range s.engs {
 		e.Close()
 	}
@@ -405,8 +409,10 @@ func (s *Shards) startWorkers() {
 		cmd := make(chan Time)
 		s.workers[i] = cmd
 		eng, id := s.engs[i], i
+		s.exited.Add(1)
 		//lint:ignore determinism conservative-PDES worker pool: shards own disjoint engine state, cross-shard effects only move through the staged merge sorted by (t, src, seq), and the cmd/done channels give every window a fixed fork-join — so worker interleaving can never reach result tables
 		go func() {
+			defer s.exited.Done()
 			for end := range cmd {
 				func() {
 					defer func() {

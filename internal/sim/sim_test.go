@@ -219,6 +219,30 @@ func TestBlockedDetection(t *testing.T) {
 	}
 }
 
+// TestCloseUnwindsProcesses: Close stops a blocked process by unwinding its
+// body (deferred functions run, nothing after the block does), never starts
+// a body that had not run yet, and is harmless to repeat.
+func TestCloseUnwindsProcesses(t *testing.T) {
+	e := NewEngine()
+	f := NewFuture() // never completed
+	var deferred, resumed, started bool
+	e.Spawn("stuck", func(p *Proc) {
+		defer func() { deferred = true }()
+		p.Await(f)
+		resumed = true
+	})
+	e.Run()
+	e.Spawn("late", func(p *Proc) { started = true }) // spawned, never stepped
+	e.Close()
+	e.Close()
+	if !deferred || resumed {
+		t.Fatalf("blocked body: deferred ran = %v, code after the block ran = %v; want true, false", deferred, resumed)
+	}
+	if started {
+		t.Fatal("Close started a process body that had never run")
+	}
+}
+
 func TestNegativeSleepPanics(t *testing.T) {
 	e := NewEngine()
 	panicked := false
