@@ -6,7 +6,7 @@ GO ?= go
 # cannot hide a real race in an "uninteresting" package.
 RACE_PKGS = ./...
 
-.PHONY: all build vet lint test race bench-module bench benchcmp ab serve-smoke check fmt
+.PHONY: all build vet lint test race bench-module bench bench-layers benchcmp ab serve-smoke check fmt
 
 all: check
 
@@ -41,6 +41,14 @@ bench-module:
 # BENCH_PR9.json for the CI artifact.
 bench:
 	$(GO) test -bench=. -benchtime=1x . | $(GO) run ./cmd/benchjson -out BENCH_PR9.json
+
+# One iteration of every package-level microbenchmark under internal/ (event
+# heap, proc switch, LPT/CDP/CPLX kernels, mesh refine and neighbours, SFC
+# encode, colfile write/read, …): the per-layer tier under the root figure
+# benchmarks. One -benchtime=1x sample is not a measurement; the target
+# exists so every layer benchmark is compiled and executed on every push.
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./internal/...
 
 # Delta table between the previous PR's archived benchmark run and the
 # current one: ns/op and allocs/op per benchmark, regressions beyond 10%

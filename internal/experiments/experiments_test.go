@@ -253,7 +253,7 @@ func TestFig7cWithinBudget(t *testing.T) {
 		// contention headroom.
 		limit := 50.0
 		if ranks >= 8192 {
-			limit = 150
+			limit = 75
 		}
 		if ms > limit {
 			t.Errorf("%d ranks %s: placement %.2f ms exceeds %v ms",

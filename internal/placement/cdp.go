@@ -1,9 +1,6 @@
 package placement
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // CDP is the Contiguous-DP policy (§V-C): partition the SFC-ordered blocks
 // into r contiguous segments minimizing the maximum segment cost (makespan),
@@ -50,7 +47,7 @@ func (c CDP) Assign(costs []float64, nranks int) Assignment {
 	}
 	var sizes []int
 	if c.Restricted {
-		sizes = cdpRestrictedSizes(costs, nranks)
+		sizes = cdpRestrictedSizes(new(cdpScratch), costs, nranks)
 	} else {
 		sizes = cdpFullSizes(costs, nranks)
 	}
@@ -66,78 +63,119 @@ func prefixSums(costs []float64) []float64 {
 	return w
 }
 
-// cdpRestrictedSizes solves the two-chunk-size DP.
+// cdpScratch is the working memory of one restricted-CDP solve: prefix sums,
+// the rolling DP row, the bit-packed backtrace and the resulting sizes. A
+// zero value is ready to use; a fork-join worker reuses one across its spans
+// (each buffer is regrown only when a span needs more than any before it).
+type cdpScratch struct {
+	w      []float64
+	dp     []float64
+	choice []uint64
+	sizes  []int
+}
+
+// grow returns buf resliced to n entries with unspecified contents,
+// reallocating (exactly n, no copy) only when its capacity is too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// cdpRestrictedSizes solves the two-chunk-size DP. The returned sizes alias
+// s and are valid until its next use.
 //
 // With floor = n/r and m = n mod r, a valid partition uses exactly m chunks
 // of size floor+1 and r-m of size floor. State (k, c): after k chunks, c of
 // them ceil-sized, covering exactly i = k*floor + c blocks. DP value is the
-// minimum makespan; transitions append one floor- or ceil-sized chunk.
-// Complexity O(r · (m+1)) time and memory — O(nr) worst case as in §V-C.
-func cdpRestrictedSizes(costs []float64, r int) []int {
+// minimum makespan; transitions append one floor- or ceil-sized chunk. State
+// (k, c) exists for cMin(k) <= c <= cMax(k): at most k (and m) chunks so far
+// were ceil-sized, and the r-k still to come can absorb the other m-c.
+//
+// Only one DP row is kept: row k overwrites row k-1 in place with c
+// descending, so dp[c] and dp[c-1] still hold row k-1 when (k, c) is
+// computed. Row k reads exactly the states of row k-1 that exist: the floor
+// transition into (k, c) comes from (k-1, c), which exists unless c = k; the
+// ceil transition comes from (k-1, c-1), which exists unless c = 0. Entries
+// below cMin(k) go stale and entries above cMax(k) are uninitialised, but
+// neither is read: cMin rises by at most one per k, so the lowest read at
+// step k is dp[cMin(k)-1] = dp[cMin(k-1)], and the highest is dp[cMax(k-1)].
+// The floor transition is the default and the ceil one wins only when
+// strictly better; that choice is one bit per state.
+// Complexity O(r·(m+1)) time — O(nr) worst case as in §V-C — and O(m) words
+// plus r·(m+1) bits of memory.
+func cdpRestrictedSizes(s *cdpScratch, costs []float64, r int) []int {
 	n := len(costs)
-	if n == 0 {
-		return make([]int, r)
-	}
-	w := prefixSums(costs)
 	floor := n / r
 	m := n % r // number of ceil-sized chunks
-	const inf = 1e308
-
-	// dp[k][c] with c offset into [0, m]; choice[k][c] = true if the k-th
-	// chunk was ceil-sized.
-	dp := make([][]float64, r+1)
-	choice := make([][]bool, r+1)
-	for k := range dp {
-		dp[k] = make([]float64, m+1)
-		choice[k] = make([]bool, m+1)
-		for c := range dp[k] {
-			dp[k][c] = inf
+	s.sizes = grow(s.sizes, r)
+	sizes := s.sizes
+	if m == 0 { // one feasible partition (covers n == 0)
+		for k := range sizes {
+			sizes[k] = floor
 		}
+		return sizes
 	}
-	dp[0][0] = 0
+	s.w = grow(s.w, n+1)
+	w := s.w
+	w[0] = 0
+	for i, c := range costs {
+		w[i+1] = w[i] + c
+	}
+	s.dp = grow(s.dp, m+1)
+	s.dp[0] = 0
+	// Bit c of row k is set if the k-th chunk of the best path into (k, c)
+	// is ceil-sized.
+	words := (m + 1 + 63) / 64
+	s.choice = grow(s.choice, (r+1)*words)
+	choice := s.choice
+	clear(choice)
 	for k := 1; k <= r; k++ {
-		cMin := m - (r - k) // remaining chunks must absorb remaining ceils
-		if cMin < 0 {
-			cMin = 0
-		}
-		cMax := k
-		if cMax > m {
-			cMax = m
-		}
-		for c := cMin; c <= cMax; c++ {
-			i := k*floor + c // blocks covered
-			// Option 1: k-th chunk floor-sized, from state (k-1, c).
-			// (floor may be 0 when n < r: the chunk is then empty.)
-			if j := i - floor; j >= 0 && dp[k-1][c] < inf {
-				v := dp[k-1][c]
-				if seg := w[i] - w[j]; seg > v {
-					v = seg
-				}
-				if v < dp[k][c] {
-					dp[k][c] = v
-					choice[k][c] = false
-				}
+		cMin := max(m-(r-k), 0)
+		cMax := min(k, m)
+		row := choice[k*words : (k+1)*words]
+		// wk[c] = w[i] for the i = k*floor + c blocks covered; a floor-sized
+		// k-th chunk starts at wf[c], a ceil-sized one at wf[c-1]. (floor
+		// may be 0 when n < r: a floor-sized chunk is then empty.)
+		wk := w[k*floor : k*floor+cMax+1]
+		wf := w[(k-1)*floor : (k-1)*floor+cMax+1]
+		dp := s.dp[:cMax+1]
+		c := cMax
+		if c == k { // every chunk so far ceil-sized
+			v := dp[c-1]
+			if seg := wk[c] - wf[c-1]; seg > v {
+				v = seg
 			}
-			// Option 2: k-th chunk ceil-sized, from state (k-1, c-1).
-			if c > 0 {
-				if j := i - (floor + 1); j >= 0 && dp[k-1][c-1] < inf {
-					v := dp[k-1][c-1]
-					if seg := w[i] - w[j]; seg > v {
-						v = seg
-					}
-					if v < dp[k][c] {
-						dp[k][c] = v
-						choice[k][c] = true
-					}
-				}
+			dp[c] = v
+			row[c>>6] |= 1 << (c & 63)
+			c--
+		}
+		for lo := max(cMin, 1); c >= lo; c-- {
+			v := dp[c]
+			if seg := wk[c] - wf[c]; seg > v {
+				v = seg
+			}
+			ceil := dp[c-1]
+			if seg := wk[c] - wf[c-1]; seg > ceil {
+				ceil = seg
+			}
+			if ceil < v {
+				v = ceil
+				row[c>>6] |= 1 << (c & 63)
+			}
+			dp[c] = v
+		}
+		if cMin == 0 { // every chunk so far floor-sized
+			if seg := wk[0] - wf[0]; seg > dp[0] {
+				dp[0] = seg
 			}
 		}
 	}
 	// Reconstruct chunk sizes.
-	sizes := make([]int, r)
 	c := m
 	for k := r; k >= 1; k-- {
-		if choice[k][c] {
+		if choice[k*words+c>>6]>>(c&63)&1 != 0 {
 			sizes[k-1] = floor + 1
 			c--
 		} else {
@@ -208,61 +246,19 @@ func cdpFullSizes(costs []float64, r int) []int {
 
 // assignChunked implements hierarchical chunking: split blocks into
 // nranks/ChunkSize contiguous super-chunks of approximately equal total
-// cost, then solve each super-chunk's restricted CDP in parallel with
-// ChunkSize ranks.
+// cost, then solve each super-chunk's restricted CDP in parallel with its
+// share of the ranks.
 func (c CDP) assignChunked(costs []float64, nranks int) Assignment {
-	n := len(costs)
-	nChunks := nranks / c.ChunkSize
-	if nranks%c.ChunkSize != 0 {
-		nChunks++
-	}
-	// Split blocks into nChunks contiguous pieces of ~equal cost using a
-	// greedy walk over the prefix sums.
-	w := prefixSums(costs)
-	bounds := make([]int, nChunks+1) // block index boundaries
-	bounds[nChunks] = n
-	target := w[n] / float64(nChunks)
-	j := 0
-	for k := 1; k < nChunks; k++ {
-		want := float64(k) * target
-		for j < n && w[j+1] < want {
-			j++
-		}
-		// Ensure each chunk keeps at least one block per rank if possible.
-		if j < k {
-			j = k
-		}
-		bounds[k] = j
-	}
-	// Rank ranges per chunk: spread ranks as evenly as block counts allow.
-	a := make(Assignment, n)
-	var wg sync.WaitGroup
-	rankLo := 0
-	for k := 0; k < nChunks; k++ {
-		ranks := nranks / nChunks
-		if k < nranks%nChunks {
-			ranks++
-		}
-		bLo, bHi := bounds[k], bounds[k+1]
-		wg.Add(1)
-		//lint:ignore determinism deterministic fork-join: fixed chunk partition, each goroutine writes a disjoint range of a, WaitGroup barrier before any read
-		go func(bLo, bHi, rankLo, ranks int) {
-			defer wg.Done()
-			if bHi <= bLo {
-				return
+	nChunks := (nranks + c.ChunkSize - 1) / c.ChunkSize
+	a := make(Assignment, len(costs))
+	forEachSpan(costs, nranks, nChunks, func(sp span, s *cdpScratch) {
+		idx := sp.bLo
+		for rr, size := range cdpRestrictedSizes(s, costs[sp.bLo:sp.bHi], sp.ranks) {
+			for end := idx + size; idx < end; idx++ {
+				a[idx] = sp.rankLo + rr
 			}
-			sizes := cdpRestrictedSizes(costs[bLo:bHi], ranks)
-			idx := bLo
-			for rr, size := range sizes {
-				for s := 0; s < size; s++ {
-					a[idx] = rankLo + rr
-					idx++
-				}
-			}
-		}(bLo, bHi, rankLo, ranks)
-		rankLo += ranks
-	}
-	wg.Wait()
+		}
+	})
 	return a
 }
 

@@ -2,7 +2,7 @@ package placement
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CPLX is the paper's hybrid policy (§V-D): start from a locality-preserving
@@ -45,16 +45,8 @@ func (p CPLX) Assign(costs []float64, nranks int) Assignment {
 	if p.X < 0 || p.X > 100 {
 		panic(fmt.Sprintf("placement: cplx X=%d out of [0,100]", p.X))
 	}
-	seed := CDP{Restricted: true, ChunkSize: p.ChunkSize}.Assign(costs, nranks)
-	if p.X == 0 || len(costs) == 0 {
-		return seed
-	}
-	a := append(Assignment(nil), seed...)
-	if p.TopOnly {
-		rebalance(costs, a, nranks, p.X, true)
-	} else {
-		RebalanceExtremes(costs, a, nranks, p.X)
-	}
+	a := CDP{Restricted: true, ChunkSize: p.ChunkSize}.Assign(costs, nranks)
+	rebalance(costs, a, nranks, p.X, p.TopOnly)
 	return a
 }
 
@@ -77,35 +69,31 @@ func rebalance(costs []float64, a Assignment, nranks, x int, topOnly bool) {
 		// the exported entry point shuffle two ranks when told to touch none.
 		return
 	}
-	loads := Loads(costs, a, nranks)
-	order := make([]int, nranks) // ranks sorted by descending load
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if loads[order[i]] != loads[order[j]] {
-			return loads[order[i]] > loads[order[j]]
-		}
-		return order[i] < order[j]
-	})
 	if nranks < 2 {
 		return // single rank: nothing to trade
 	}
-	selected := make(map[int]bool)
-	var ranks []int
+	order := make([]rankLoad, nranks) // ranks sorted by descending load
+	for r := range order {
+		order[r].rank = r
+	}
+	for b, r := range a {
+		order[r].load += costs[b]
+	}
+	slices.SortFunc(order, func(p, q rankLoad) int {
+		if p.load != q.load {
+			if p.load > q.load {
+				return -1
+			}
+			return 1
+		}
+		return p.rank - q.rank
+	})
+	// The selected ranks become the LPT heap in order's own storage; its
+	// layout is irrelevant to lptInto.
+	var h []rankLoad
 	if topOnly {
 		// Ablation: the whole x% budget from the overloaded end.
-		k := nranks * x / 100
-		if k == 0 {
-			k = 1
-		}
-		if k > nranks {
-			k = nranks
-		}
-		for i := 0; i < k; i++ {
-			selected[order[i]] = true
-			ranks = append(ranks, order[i])
-		}
+		h = order[:min(max(nranks*x/100, 1), nranks)]
 	} else {
 		// Half the X% budget from each end; at least one from each end
 		// when X > 0 so small rank counts still rebalance. X = 100 selects
@@ -115,30 +103,28 @@ func rebalance(costs []float64, a Assignment, nranks, x int, topOnly bool) {
 		if x >= 100 {
 			perEnd = (nranks + 1) / 2
 		}
-		if perEnd == 0 {
-			perEnd = 1
-		}
-		if 2*perEnd > nranks+1 {
-			perEnd = (nranks + 1) / 2
-		}
-		for i := 0; i < perEnd; i++ {
-			for _, r := range []int{order[i], order[nranks-1-i]} {
-				if !selected[r] {
-					selected[r] = true
-					ranks = append(ranks, r)
-				}
-			}
+		perEnd = min(max(perEnd, 1), (nranks+1)/2)
+		h = order
+		if 2*perEnd < nranks {
+			h = append(order[:perEnd], order[nranks-perEnd:]...)
 		}
 	}
-	sort.Ints(ranks) // deterministic rank ordering for the LPT heap
-	var pool []int
+	selected := make([]bool, nranks)
+	for i := range h {
+		selected[h[i].rank] = true
+		h[i].load = 0
+	}
+	npool := 0
+	for _, r := range a {
+		if selected[r] {
+			npool++
+		}
+	}
+	pool := make([]blockCost, 0, npool)
 	for b, r := range a {
 		if selected[r] {
-			pool = append(pool, b)
+			pool = append(pool, blockCost{cost: costs[b], idx: b})
 		}
 	}
-	if len(pool) == 0 {
-		return
-	}
-	lptInto(costs, pool, ranks, nil, a)
+	lptInto(pool, h, a)
 }

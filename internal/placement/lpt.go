@@ -1,9 +1,6 @@
 package placement
 
-import (
-	"container/heap"
-	"sort"
-)
+import "slices"
 
 // LPT is the Longest-Processing-Time-first greedy for makespan minimization
 // (§V-B): sort blocks by descending cost, assign each to the least-loaded
@@ -21,81 +18,82 @@ func (LPT) Assign(costs []float64, nranks int) Assignment {
 	if nranks <= 0 {
 		panic("placement: lpt with nranks <= 0")
 	}
+	blocks := make([]blockCost, len(costs))
+	for i, c := range costs {
+		blocks[i] = blockCost{cost: c, idx: i}
+	}
+	h := make([]rankLoad, nranks)
+	for r := range h {
+		h[r].rank = r
+	}
 	a := make(Assignment, len(costs))
-	lptInto(costs, blockIndices(len(costs)), ranksIota(nranks), nil, a)
+	lptInto(blocks, h, a)
 	return a
 }
 
-func blockIndices(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
-func ranksIota(r int) []int {
-	out := make([]int, r)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+// blockCost is one block of an LPT run: its cost and global block index.
+type blockCost struct {
+	cost float64
+	idx  int
 }
 
 // rankLoad is a min-heap entry: the rank with the smallest load (ties on
-// rank id) is popped first.
+// rank id) sits on top.
 type rankLoad struct {
 	load float64
 	rank int
 }
 
-type loadHeap []rankLoad
-
-func (h loadHeap) Len() int { return len(h) }
-func (h loadHeap) Less(i, j int) bool {
-	if h[i].load != h[j].load {
-		return h[i].load < h[j].load
+func (a rankLoad) less(b rankLoad) bool {
+	if a.load != b.load {
+		return a.load < b.load
 	}
-	return h[i].rank < h[j].rank
-}
-func (h loadHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *loadHeap) Push(x interface{}) { *h = append(*h, x.(rankLoad)) }
-func (h *loadHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return a.rank < b.rank
 }
 
-// lptInto runs LPT over the given block subset and rank subset, writing
-// results into out (indexed by global block index). initLoad optionally
-// seeds per-rank starting loads (indexed like ranks); nil means zero.
-// This is the shared kernel used by both pure LPT and the CPLX rebalance
-// stage.
-func lptInto(costs []float64, blocks, ranks []int, initLoad []float64, out Assignment) {
-	// Sort block subset by descending cost; ties on ascending index.
-	order := append([]int(nil), blocks...)
-	sort.Slice(order, func(i, j int) bool {
-		ci, cj := costs[order[i]], costs[order[j]]
-		if ci != cj {
-			return ci > cj
+// siftDown restores the min-heap property of h below position i.
+func siftDown(h []rankLoad, i int) {
+	e := h[i]
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
 		}
-		return order[i] < order[j]
+		if right := child + 1; right < len(h) && h[right].less(h[child]) {
+			child = right
+		}
+		if !h[child].less(e) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = e
+}
+
+// lptInto runs LPT: blocks are placed heaviest first (ties on ascending
+// index), each onto the least-loaded rank of h, and out[idx] receives the
+// rank. h holds the participating ranks, each once, with their starting
+// loads in any order; (load, rank) is a strict total order, so the rank
+// chosen at every step does not depend on the heap's layout. blocks and h
+// are reordered in place. This is the shared kernel used by both pure LPT
+// and the CPLX rebalance stage.
+func lptInto(blocks []blockCost, h []rankLoad, out Assignment) {
+	slices.SortFunc(blocks, func(a, b blockCost) int {
+		if a.cost != b.cost {
+			if a.cost > b.cost {
+				return -1
+			}
+			return 1
+		}
+		return a.idx - b.idx
 	})
-	h := make(loadHeap, len(ranks))
-	for i, r := range ranks {
-		load := 0.0
-		if initLoad != nil {
-			load = initLoad[i]
-		}
-		h[i] = rankLoad{load: load, rank: r}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	heap.Init(&h)
-	for _, b := range order {
-		entry := heap.Pop(&h).(rankLoad)
-		out[b] = entry.rank
-		entry.load += costs[b]
-		heap.Push(&h, entry)
+	for _, b := range blocks {
+		out[b.idx] = h[0].rank
+		h[0].load += b.cost
+		siftDown(h, 0)
 	}
 }

@@ -519,31 +519,32 @@ func TestEmptyBlockList(t *testing.T) {
 	}
 }
 
-func BenchmarkLPT4096(b *testing.B) {
-	rng := xrand.New(1)
-	costs := randomCosts(rng, 8192)
+func benchAssign(b *testing.B, p Policy, blocks, ranks int) {
+	costs := randomCosts(xrand.New(1), blocks)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = LPT{}.Assign(costs, 4096)
+		benchSink = p.Assign(costs, ranks)
 	}
 }
 
+var benchSink Assignment
+
+func BenchmarkLPT4096(b *testing.B)  { benchAssign(b, LPT{}, 2*4096, 4096) }
+func BenchmarkLPT16384(b *testing.B) { benchAssign(b, LPT{}, 2*16384, 16384) }
+
+// The CDP-seeded benchmarks use the Fig 7c shape, 1.5 blocks per rank: every
+// restricted DP then has m ≈ r/2 ceil-sized segments and the widest row. (At
+// exactly 2 blocks per rank the unchunked DP has m = 0 and one feasible
+// partition, so it would not run at all.)
 func BenchmarkCDPRestricted4096(b *testing.B) {
-	rng := xrand.New(1)
-	costs := randomCosts(rng, 8192)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = CDP{Restricted: true}.Assign(costs, 4096)
-	}
+	benchAssign(b, CDP{Restricted: true}, 4096+2048, 4096)
 }
-
 func BenchmarkCPLX50Chunked4096(b *testing.B) {
-	rng := xrand.New(1)
-	costs := randomCosts(rng, 8192)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = CPLX{X: 50, ChunkSize: 512}.Assign(costs, 4096)
-	}
+	benchAssign(b, CPLX{X: 50, ChunkSize: 512}, 4096+2048, 4096)
+}
+func BenchmarkCPLX50Chunked65536(b *testing.B) {
+	benchAssign(b, CPLX{X: 50, ChunkSize: 512}, 65536+32768, 65536)
 }
 
 func TestCPLXTopOnlyValidityAndName(t *testing.T) {

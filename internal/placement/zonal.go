@@ -1,9 +1,6 @@
 package placement
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Zonal wraps any policy with the zonal architecture the paper recommends
 // beyond ~16K ranks (§VI-C, Fig 7c): ranks are divided into Zones zones,
@@ -32,46 +29,12 @@ func (z Zonal) Assign(costs []float64, nranks int) Assignment {
 	if k <= 1 || nranks < 2*k {
 		return z.Inner.Assign(costs, nranks)
 	}
-	n := len(costs)
-	w := prefixSums(costs)
-	bounds := make([]int, k+1)
-	bounds[k] = n
-	target := w[n] / float64(k)
-	j := 0
-	for zone := 1; zone < k; zone++ {
-		want := float64(zone) * target
-		for j < n && w[j+1] < want {
-			j++
+	a := make(Assignment, len(costs))
+	forEachSpan(costs, nranks, k, func(sp span, _ *cdpScratch) {
+		for i, r := range z.Inner.Assign(costs[sp.bLo:sp.bHi], sp.ranks) {
+			a[sp.bLo+i] = sp.rankLo + r
 		}
-		if j < zone { // keep at least one block per zone when possible
-			j = zone
-		}
-		bounds[zone] = j
-	}
-	a := make(Assignment, n)
-	var wg sync.WaitGroup
-	rankLo := 0
-	for zone := 0; zone < k; zone++ {
-		ranks := nranks / k
-		if zone < nranks%k {
-			ranks++
-		}
-		bLo, bHi := bounds[zone], bounds[zone+1]
-		wg.Add(1)
-		//lint:ignore determinism deterministic fork-join: zones partition the block range, each goroutine writes a disjoint slice of a, WaitGroup barrier before any read
-		go func(bLo, bHi, rankLo, ranks int) {
-			defer wg.Done()
-			if bHi <= bLo {
-				return
-			}
-			sub := z.Inner.Assign(costs[bLo:bHi], ranks)
-			for i, r := range sub {
-				a[bLo+i] = rankLo + r
-			}
-		}(bLo, bHi, rankLo, ranks)
-		rankLo += ranks
-	}
-	wg.Wait()
+	})
 	return a
 }
 
