@@ -60,7 +60,7 @@ func main() {
 	traceDir := flag.String("trace", "", "record per-run span traces into this directory (one colfile per run, plus campaign.col)")
 	timeout := flag.Duration("timeout", 0, "per-run timeout (0 = none); a safety net against simulated deadlocks")
 	paranoid := flag.Bool("paranoid", false, "run every simulation with the internal/check invariant audits on")
-	shards := flag.Int("shards", 0, "node-sharded event queues per simulation (0 = single-engine scheduler; results identical for any value)")
+	shards := flag.Int("shards", 0, "node-sharded event queues per simulation; results are identical for every value >= 1 (0 = the legacy sequential engine, whose tables differ)")
 	serve := flag.String("serve", "", "serve live /metrics, /statusz, and /debug/pprof on this address (e.g. :8080) for the duration of the run")
 	metricsDir := flag.String("metricsdir", "", "write each run's metric snapshot into this directory (one colfile per run)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this file")

@@ -42,7 +42,7 @@ func main() {
 	workers := flag.Int("j", 0, "parallel runs per campaign (0 = GOMAXPROCS)")
 	scale := flag.Bool("scale", false, "run the distributed-forest rank-scaling sweep (full driver runs)")
 	paranoid := flag.Bool("paranoid", false, "run -scale simulations with the internal/check invariant audits on")
-	shards := flag.Int("shards", 0, "node-sharded event queues per simulation (0 = single-engine scheduler; results identical for any value)")
+	shards := flag.Int("shards", 0, "node-sharded event queues per simulation; results are identical for every value >= 1 (0 = the legacy sequential engine, whose tables differ)")
 	metricsOut := flag.String("metrics", "", "write per-run campaign telemetry to this colfile")
 	serve := flag.String("serve", "", "serve live /metrics, /statusz, and /debug/pprof on this address (e.g. :8080) for the duration of the run")
 	timeout := flag.Duration("timeout", 0, "per-run timeout (0 = none); a safety net against simulated deadlocks")

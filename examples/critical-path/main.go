@@ -1,7 +1,8 @@
-// Critical-path: trace one timestep of a live simulated AMR run, extract
-// its critical path (§IV-D of the paper), verify the two-rank principle,
-// and export the window as Chrome trace-event JSON for visual inspection in
-// chrome://tracing or https://ui.perfetto.dev.
+// Critical-path: run a simulated AMR code under the flight recorder, rebuild
+// one timestep's synchronization window from its spans, extract the critical
+// path (§IV-D of the paper), verify the two-rank principle, and export the
+// window as Chrome trace-event JSON for visual inspection in chrome://tracing
+// or https://ui.perfetto.dev.
 //
 // Run with: go run ./examples/critical-path
 package main
@@ -14,18 +15,22 @@ import (
 	"amrtools/internal/critpath"
 	"amrtools/internal/driver"
 	"amrtools/internal/placement"
+	"amrtools/internal/trace"
 )
 
 func main() {
-	// A 64-rank Sedov run; trace the schedule of timestep 6 (mid-run, after
+	// A 64-rank Sedov run; analyze the schedule of timestep 6 (mid-run, after
 	// the first refinements created fine-coarse boundaries).
 	cfg := driver.DefaultConfig([3]int{4, 4, 4}, 2, 10, placement.Baseline{}, 11)
-	cfg.TraceStep = 6
+	cfg.Trace = &trace.Config{}
 	res, err := driver.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr := res.Trace
+	tr, err := critpath.FromSpans(res.Spans.Table(), 6)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("traced %d tasks in the step-6 synchronization window\n", tr.Len())
 
 	cp, ok := critpath.CheckTwoRankPrinciple(tr)

@@ -11,6 +11,10 @@
 // postings are fixed, §IV-D), so it is the reduction target for both
 // optimizations the paper derives: operation reordering (send early) and
 // overlap (hide waits behind independent work).
+//
+// A window is either rebuilt from a simulated run's flight-recorder spans
+// (FromSpans — the telemetry route the paper's analysis took) or assembled
+// task by task with Trace.Add.
 package critpath
 
 import (

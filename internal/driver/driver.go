@@ -23,7 +23,6 @@ import (
 
 	"amrtools/internal/check"
 	"amrtools/internal/cost"
-	"amrtools/internal/critpath"
 	"amrtools/internal/health"
 	"amrtools/internal/mesh"
 	"amrtools/internal/metrics"
@@ -89,12 +88,6 @@ type Config struct {
 	// wall clock, which is reported separately). Zero uses a 2 ms default.
 	PlacementCharge float64
 
-	// TraceStep, when >= 0, records a critical-path task trace
-	// (internal/critpath) of that timestep's synchronization window:
-	// compute kernels, send posts, and ghost waits with their message
-	// dependencies. Result.Trace holds the trace.
-	TraceStep int
-
 	// PlacementEvery recomputes placement on every k-th mesh change; in
 	// between, new blocks inherit their parent's rank (the deferred
 	// load-balancing question of Meta-Balancer, §VIII). 0 or 1 re-places
@@ -141,8 +134,6 @@ type Config struct {
 	// any GOMAXPROCS, but differ from the sequential Shards == 0 default
 	// (fabric randomness moves from one shared stream to per-node streams,
 	// and same-time table rows order by rank instead of engine arrival).
-	// Forced to 0 when TraceStep >= 0: the critical-path trace window shares
-	// one task list across ranks and needs the sequential engine.
 	Shards int
 
 	// Interrupt, when set, is polled during execution — every few thousand
@@ -190,7 +181,6 @@ func DefaultConfig(rootDims [3]int, maxLevel, steps int, pol placement.Policy, s
 		Net:              simnet.Tuned(nodes, ranksPerNode, seed),
 		CollectSteps:     true,
 		MaxWaitEvents:    200000,
-		TraceStep:        -1,
 	}
 }
 
@@ -231,12 +221,9 @@ type Result struct {
 	Migrations int
 	// BlockHistory is the leaf count after each redistribution.
 	BlockHistory []int
-	// Trace is the task trace of the TraceStep window (nil unless
-	// requested).
-	Trace *critpath.Trace
 	// Spans is the flight recorder (nil unless Config.Trace was set); its
-	// Table() is the whole-run span stream for trace/diagnose and Perfetto
-	// export.
+	// Table() is the whole-run span stream for trace/diagnose, Perfetto
+	// export, and critpath.FromSpans.
 	Spans *trace.Recorder
 	// Deltas aggregates the ownership-delta records exchanged at
 	// redistributions — the distributed forest's only metadata traffic when
@@ -312,20 +299,12 @@ type runState struct {
 	// meshChanges counts redistributions that changed the mesh, for the
 	// PlacementEvery deferral.
 	meshChanges int
-
-	// Trace-window state: sendTask maps message tag → Post task id so
-	// receivers can record their cross-rank dependencies. Engine
-	// serialization makes unsynchronized appends safe.
-	sendTask map[int]int
 }
 
 // Run executes the simulation and returns its results.
 func Run(cfg Config) (*Result, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
-	}
-	if cfg.TraceStep >= cfg.Steps {
-		return nil, fmt.Errorf("driver: TraceStep %d beyond last step %d", cfg.TraceStep, cfg.Steps-1)
 	}
 	var (
 		eng   *sim.Engine
@@ -544,9 +523,7 @@ func validate(cfg *Config) error {
 	if cfg.MaxWaitEvents <= 0 {
 		cfg.MaxWaitEvents = 200000
 	}
-	if cfg.Shards < 0 || cfg.TraceStep >= 0 {
-		// The critical-path trace window appends to one shared task list from
-		// every rank; it requires the sequential engine.
+	if cfg.Shards < 0 {
 		cfg.Shards = 0
 	}
 	return nil
@@ -825,62 +802,19 @@ func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World, prev *mpi.Meter) 
 				st.observe(rank, lb.ID, dur/scale)
 			}
 		}
-		tracing := step == st.cfg.TraceStep
-		if tracing && st.res.Trace == nil {
-			st.res.Trace = &critpath.Trace{}
-			st.sendTask = make(map[int]int)
-		}
-		tracedCompute := func() {
-			if !tracing {
-				compute()
-				return
-			}
-			for _, lb := range plan.view.Owned {
-				t0 := c.Now()
-				dur := c.Compute(st.cfg.Problem.Cost(lb.ID, step) * scale)
-				st.observe(rank, lb.ID, dur/scale)
-				st.res.Trace.Add(rank, critpath.Compute,
-					fmt.Sprintf("compute b%d", lb.Index), t0, c.Now())
-			}
-		}
-		tracedSends := func() {
-			postSends()
-			if tracing {
-				now := c.Now()
-				for _, e := range plan.sends {
-					st.sendTask[int(e.tag)] = st.res.Trace.Add(rank, critpath.Post,
-						fmt.Sprintf("send t%d", e.tag), now, now)
-				}
-			}
-		}
-		tracedRecvWait := func() {
-			if !tracing {
-				c.WaitAll(recvReqs)
-				return
-			}
-			t0 := c.Now()
-			c.WaitAll(recvReqs)
-			deps := make([]int, 0, len(plan.recvs))
-			for _, e := range plan.recvs {
-				if id, ok := st.sendTask[int(e.tag)]; ok {
-					deps = append(deps, id)
-				}
-			}
-			st.res.Trace.Add(rank, critpath.Wait, "ghost wait", t0, c.Now(), deps...)
-		}
 		if st.cfg.SendsFirst {
 			// Tuned schedule (§IV-B): sends dispatch immediately, so
 			// neighbors' ghost waits are transfer-bound only.
-			tracedSends()
-			tracedRecvWait()
-			tracedCompute()
+			postSends()
+			c.WaitAll(recvReqs)
+			compute()
 		} else {
 			// Untuned schedule: send tasks sit behind compute tasks, so a
 			// neighbor's ghost wait absorbs this rank's entire compute
 			// time — the cascading delays of Fig 3 (left).
-			tracedCompute()
-			tracedSends()
-			tracedRecvWait()
+			compute()
+			postSends()
+			c.WaitAll(recvReqs)
 		}
 		c.WaitAll(sendReqs)
 

@@ -3,9 +3,11 @@ package driver
 import (
 	"testing"
 
+	"amrtools/internal/critpath"
 	"amrtools/internal/placement"
 	"amrtools/internal/simnet"
 	"amrtools/internal/telemetry"
+	"amrtools/internal/trace"
 )
 
 // smallConfig is a quick 64-rank Sedov run.
@@ -270,19 +272,36 @@ func BenchmarkSedov64Ranks(b *testing.B) {
 	}
 }
 
+// TestTraceWindowExtraction rebuilds one step's synchronization window from
+// the flight recorder. The pinned numbers are what the driver's former
+// in-line task tracer recorded for this configuration.
 func TestTraceWindowExtraction(t *testing.T) {
 	cfg := smallConfig(placement.Baseline{}, 8, 37)
-	cfg.TraceStep = 3
+	cfg.Trace = &trace.Config{}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || res.Trace.Len() == 0 {
-		t.Fatal("no trace recorded")
+	if d := res.Spans.Dropped(); d != 0 {
+		t.Fatalf("ring evicted %d spans; the window would be truncated", d)
 	}
-	result := res.Trace.Analyze()
-	if result.Makespan <= 0 {
-		t.Fatal("trace makespan zero")
+	tr, err := critpath.FromSpans(res.Spans.Table(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[critpath.Kind]int{}
+	for id := 0; id < tr.Len(); id++ {
+		kinds[tr.Task(id).Kind]++
+	}
+	// 64 ranks, one block each at step 3: a compute and a ghost wait per
+	// rank, a post per boundary message.
+	if kinds[critpath.Compute] != 64 || kinds[critpath.Wait] != 64 || kinds[critpath.Post] != 936 {
+		t.Fatalf("window tasks by kind = %v", kinds)
+	}
+	result := tr.Analyze()
+	if result.Makespan != 0.09613948671078512 || result.WaitOnPath != 0.00020835200000046683 || len(result.Path) != 19 {
+		t.Fatalf("critical path moved: makespan %v, wait on path %v, %d tasks",
+			result.Makespan, result.WaitOnPath, len(result.Path))
 	}
 	// One ghost-exchange round per window: the two-rank principle of
 	// §IV-D must hold on the real simulated schedule.
@@ -292,13 +311,9 @@ func TestTraceWindowExtraction(t *testing.T) {
 	if result.CrossRankEdges > 1 {
 		t.Fatalf("critical path crosses ranks %d times", result.CrossRankEdges)
 	}
-}
-
-func TestTraceStepBeyondStepsRejected(t *testing.T) {
-	cfg := smallConfig(placement.Baseline{}, 5, 1)
-	cfg.TraceStep = 5
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("TraceStep beyond last step accepted")
+	// A step the run never reached has no window.
+	if _, err := critpath.FromSpans(res.Spans.Table(), cfg.Steps); err == nil {
+		t.Fatal("window of a step beyond the run accepted")
 	}
 }
 

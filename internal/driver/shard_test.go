@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"amrtools/internal/critpath"
 	"amrtools/internal/placement"
 	"amrtools/internal/sim"
+	"amrtools/internal/trace"
 )
 
 // shardConfig is smallConfig with full telemetry collection and the
@@ -97,8 +99,9 @@ func TestShardedMatchesSequentialStructure(t *testing.T) {
 }
 
 // TestShardClampAndTraceFallback: shard counts beyond the node count clamp
-// (still sharded), and task tracing forces the legacy engine because the
-// critical-path task list is a shared mutable structure.
+// (still sharded), and turning the flight recorder on does not fall back to
+// the legacy engine — the traced sharded run is the untraced sharded run,
+// not the sequential one, and its window is analysable.
 func TestShardClampAndTraceFallback(t *testing.T) {
 	res, err := Run(shardConfig(placement.LPT{}, 8, 5, 64)) // only 4 nodes
 	if err != nil {
@@ -107,15 +110,24 @@ func TestShardClampAndTraceFallback(t *testing.T) {
 	if res.Makespan <= 0 {
 		t.Fatal("clamped sharded run produced no work")
 	}
+	sharded := res.Makespan
 
 	cfg := shardConfig(placement.LPT{}, 8, 5, 2)
-	cfg.TraceStep = 4
+	cfg.Trace = &trace.Config{}
 	res, err = Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil {
-		t.Fatal("TraceStep with Shards>0 produced no trace (fallback missing)")
+	legacy, err := Run(shardConfig(placement.LPT{}, 8, 5, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Makespan != sharded || res.Makespan == legacy.Makespan {
+		t.Fatalf("traced Shards=2 makespan %v: want the sharded %v, not the legacy %v",
+			res.Makespan, sharded, legacy.Makespan)
+	}
+	if _, err := critpath.FromSpans(res.Spans.Table(), 4); err != nil {
+		t.Fatal(err)
 	}
 }
 

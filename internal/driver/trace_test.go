@@ -144,3 +144,35 @@ func TestTraceDisabledByDefault(t *testing.T) {
 		t.Fatal("recorder allocated without Config.Trace")
 	}
 }
+
+// TestTracingDoesNotChangeTheRun: observing a run must not change it. Every
+// table and scalar of a run is identical with the flight recorder on and off,
+// on either engine — so a window rebuilt from spans is a window of the run
+// that would have happened anyway.
+func TestTracingDoesNotChangeTheRun(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		plain, err := Run(shardConfig(placement.CPLX{X: 50}, 12, 9, shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := shardConfig(placement.CPLX{X: 50}, 12, 9, shards)
+		cfg.Trace = &trace.Config{}
+		traced, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traced.Spans.Len() == 0 {
+			t.Fatalf("shards=%d: traced run recorded no spans", shards)
+		}
+		if traced.Steps.Render(0) != plain.Steps.Render(0) {
+			t.Errorf("shards=%d: Steps table differs with tracing on", shards)
+		}
+		if traced.Waits.Render(0) != plain.Waits.Render(0) {
+			t.Errorf("shards=%d: Waits table differs with tracing on", shards)
+		}
+		if traced.Makespan != plain.Makespan || traced.Events != plain.Events || traced.Census != plain.Census {
+			t.Errorf("shards=%d: tracing changed the run: makespan %v vs %v, events %d vs %d, census %+v vs %+v",
+				shards, traced.Makespan, plain.Makespan, traced.Events, plain.Events, traced.Census, plain.Census)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"amrtools/internal/harness"
 	"amrtools/internal/placement"
 	"amrtools/internal/telemetry"
+	"amrtools/internal/trace"
 	"amrtools/internal/xrand"
 )
 
@@ -59,19 +60,24 @@ func Fig4(opts Options) *telemetry.Table {
 			w.res.Makespan*1e3, w.res.WaitOnPath*1e3, w.holds)
 	}
 
-	// (b) A real simulated synchronization window: trace one Sedov timestep
-	// through the driver and analyze its actual task schedule.
+	// (b) A real simulated synchronization window: run Sedov under the flight
+	// recorder and analyze one timestep's actual task schedule, rebuilt from
+	// its spans (eight steps fit the default per-rank ring).
 	names := []string{"sedov-window-compute-first", "sedov-window-sends-first"}
 	var specs []harness.Spec[*driver.Result]
 	for _, name := range names {
 		cfg := opts.sedovConfig(QuickScale, placement.Baseline{}, 8, opts.Seed)
 		cfg.SendsFirst = name == "sedov-window-sends-first"
-		cfg.TraceStep = 6
+		cfg.Trace = &trace.Config{}
 		cfg.CollectSteps = false
 		specs = append(specs, opts.sedovSpec(name, cfg))
 	}
 	for i, res := range runCampaign(opts, "fig4-sedov", specs) {
-		cpRes, ok := critpath.CheckTwoRankPrinciple(res.Trace)
+		tr, err := critpath.FromSpans(res.Spans.Table(), fig4Step)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: fig4 %s: %v", names[i], err))
+		}
+		cpRes, ok := critpath.CheckTwoRankPrinciple(tr)
 		holds := 0
 		if ok {
 			holds = 1
@@ -98,6 +104,10 @@ func Fig4(opts Options) *telemetry.Table {
 	}
 	return out
 }
+
+// fig4Step is the timestep whose synchronization window Fig 4 analyzes:
+// mid-run, after the first refinements created fine-coarse boundaries.
+const fig4Step = 6
 
 // randomSingleRoundWindow builds a synchronization window where every rank
 // computes, posts one send, then waits on one message from a random peer —
