@@ -18,7 +18,9 @@ vet:
 
 # amrlint: the repo's own static analyzer (cmd/amrlint). Enforces the
 # determinism/resource-discipline rules of DESIGN.md §8; any diagnostic
-# fails the build. Waive single sites with //lint:ignore <rule> <reason>.
+# fails the build. Waive single sites with //lint:ignore <rule> <reason>;
+# the run ends with "amrlint: N live waiver(s)" on stderr — the register
+# CHANGES.md quotes (`amrlint -json` lists it), which only goes down.
 lint:
 	$(GO) run ./cmd/amrlint ./...
 

@@ -11,9 +11,15 @@
 // "./cmd/experiments"). Exit status is 1 when any diagnostic survives
 // waivers, 2 on load errors — so `go run ./cmd/amrlint ./...` is a CI gate.
 //
-// In -json mode each diagnostic is one JSON object per line:
+// In -json mode each diagnostic is one JSON object per line, and the stream
+// closes with one object listing the live waiver set:
 //
 //	{"file":"internal/solver/solver.go","line":70,"col":14,"rule":"determinism","message":"…","fix":"…"}
+//	{"waivers":[{"file":"internal/driver/driver.go","line":597,"rule":"determinism","reason":"…"}]}
+//
+// Text mode prints the waiver count on stderr; that number — not a grep for
+// the directive, which also hits docs and usage strings — is the figure
+// CHANGES.md reports.
 package main
 
 import (
@@ -26,7 +32,7 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit one JSON object per diagnostic line")
+	jsonOut := flag.Bool("json", false, "emit one JSON object per diagnostic line, then one {\"waivers\":[…]} line")
 	dir := flag.String("C", "", "module root (default: nearest go.mod above the working directory)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: amrlint [-json] [-C dir] [patterns ...]\n\nrules:\n")
@@ -58,11 +64,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "amrlint: patterns %v matched no packages\n", flag.Args())
 		os.Exit(2)
 	}
-	diags := lint.Run(set, lint.Analyzers())
-	relativize(diags, root)
+	diags, waivers := lint.Run(set, lint.Analyzers())
+	for i := range diags {
+		diags[i].File = relativize(diags[i].File, root)
+	}
+	for i := range waivers {
+		waivers[i].File = relativize(waivers[i].File, root)
+	}
 
 	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, diags); err != nil {
+		if err := lint.WriteJSON(os.Stdout, diags, waivers); err != nil {
 			fmt.Fprintln(os.Stderr, "amrlint:", err)
 			os.Exit(2)
 		}
@@ -70,6 +81,7 @@ func main() {
 		for _, d := range diags {
 			fmt.Println(d)
 		}
+		fmt.Fprintf(os.Stderr, "amrlint: %d live waiver(s)\n", len(waivers))
 	}
 	if len(diags) > 0 {
 		if !*jsonOut {
@@ -97,12 +109,11 @@ func moduleRoot() (string, error) {
 	}
 }
 
-// relativize rewrites absolute file paths to module-relative ones so output
-// is stable across checkouts.
-func relativize(diags []lint.Diagnostic, root string) {
-	for i := range diags {
-		if rel, err := filepath.Rel(root, diags[i].File); err == nil {
-			diags[i].File = filepath.ToSlash(rel)
-		}
+// relativize rewrites an absolute file path to a module-relative one so
+// output is stable across checkouts.
+func relativize(file, root string) string {
+	if rel, err := filepath.Rel(root, file); err == nil {
+		return filepath.ToSlash(rel)
 	}
+	return file
 }

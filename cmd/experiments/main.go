@@ -38,6 +38,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -45,61 +46,78 @@ import (
 	"time"
 
 	"amrtools/internal/check"
-	"amrtools/internal/colfile"
 	"amrtools/internal/experiments"
 	"amrtools/internal/harness"
 	"amrtools/internal/metrics"
 )
 
-func main() {
-	quick := flag.Bool("quick", false, "run shrunken configurations (seconds instead of minutes)")
-	seed := flag.Uint64("seed", 42, "experiment seed")
-	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
-	workers := flag.Int("j", 0, "parallel runs per campaign (0 = GOMAXPROCS)")
-	out := flag.String("out", "", "write per-run campaign telemetry to this colfile")
-	traceDir := flag.String("trace", "", "record per-run span traces into this directory (one colfile per run, plus campaign.col)")
-	timeout := flag.Duration("timeout", 0, "per-run timeout (0 = none); a safety net against simulated deadlocks")
-	paranoid := flag.Bool("paranoid", false, "run every simulation with the internal/check invariant audits on")
-	shards := flag.Int("shards", 0, "node-sharded event queues per simulation; results are identical for every value >= 1 (0 = the legacy sequential engine, whose tables differ)")
-	serve := flag.String("serve", "", "serve live /metrics, /statusz, and /debug/pprof on this address (e.g. :8080) for the duration of the run")
-	metricsDir := flag.String("metricsdir", "", "write each run's metric snapshot into this directory (one colfile per run)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this file")
-	memprofile := flag.String("memprofile", "", "write a post-GC heap profile to this file on exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind main, returning the exit status: 0, 1 for
+// an I/O error, 2 for a usage error (bad flag, unknown experiment id).
+// Tables go to stdout; progress, timing and file notices go to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "run shrunken configurations (seconds instead of minutes)")
+	seed := fs.Uint64("seed", 42, "experiment seed")
+	only := fs.String("only", "", "comma-separated experiment ids (default: all)")
+	workers := fs.Int("j", 0, "parallel runs per campaign (0 = GOMAXPROCS)")
+	out := fs.String("out", "", "write per-run campaign telemetry to this colfile")
+	traceDir := fs.String("trace", "", "record per-run span traces into this directory (one colfile per run, plus campaign.col)")
+	timeout := fs.Duration("timeout", 0, "per-run timeout (0 = none); a safety net against simulated deadlocks")
+	paranoid := fs.Bool("paranoid", false, "run every simulation with the internal/check invariant audits on")
+	shards := fs.Int("shards", 0, "node-sharded event queues per simulation; results are identical for every value >= 1 (0 = the legacy sequential engine, whose tables differ)")
+	serve := fs.String("serve", "", "serve live /metrics, /statusz, and /debug/pprof on this address (e.g. :8080) for the duration of the run")
+	metricsDir := fs.String("metricsdir", "", "write each run's metric snapshot into this directory (one colfile per run)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this file")
+	memprofile := fs.String("memprofile", "", "write a post-GC heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
+	}
+	// Resolve -only before anything starts: a typo must not cost a profile
+	// file or a listening socket.
+	selected, err := experiments.Select(*only)
+	if err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
+			return fail(fmt.Errorf("cpuprofile: %w", err))
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
-			fmt.Fprintf(os.Stderr, "cpu profile -> %s\n", *cpuprofile)
+			fmt.Fprintf(stderr, "cpu profile -> %s\n", *cpuprofile)
 		}()
 	}
 	if *memprofile != "" {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			runtime.GC() // materialize final live-heap state
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
+				fmt.Fprintln(stderr, "memprofile:", err)
 			}
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
-			fmt.Fprintf(os.Stderr, "heap profile -> %s\n", *memprofile)
+			fmt.Fprintf(stderr, "heap profile -> %s\n", *memprofile)
 		}()
 	}
 
@@ -111,8 +129,7 @@ func main() {
 	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 	var camp *metrics.Campaign
@@ -122,11 +139,10 @@ func main() {
 	if *serve != "" {
 		srv, err := metrics.Serve(*serve, camp)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "serving /metrics /statusz /debug/pprof on http://%s\n", srv.Addr())
+		fmt.Fprintf(stderr, "serving /metrics /statusz /debug/pprof on http://%s\n", srv.Addr())
 	}
 	rec := harness.NewRecorder()
 	opts := experiments.Options{
@@ -142,57 +158,41 @@ func main() {
 			Timeout:  *timeout,
 			Recorder: rec,
 			Progress: func(p harness.Progress) {
-				fmt.Fprintf(os.Stderr, "  [%s] %d/%d done: %s (%s, %v)\n",
+				fmt.Fprintf(stderr, "  [%s] %d/%d done: %s (%s, %v)\n",
 					p.Campaign, p.Done, p.Total, p.ID, p.Status, p.Wall.Round(time.Millisecond))
 			},
 		},
 	}
 
-	selected, err := experiments.Select(*only)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	for _, e := range selected {
-		fmt.Printf("=== %s [%s] ===\n", e.Title, e.ID)
+		fmt.Fprintf(stdout, "=== %s [%s] ===\n", e.Title, e.ID)
 		start := time.Now()
 		for _, nt := range e.Run(opts) {
 			if nt.Name != "" {
-				fmt.Printf("--- %s ---\n", nt.Name)
+				fmt.Fprintf(stdout, "--- %s ---\n", nt.Name)
 			}
-			fmt.Print(nt.Table.Render(0))
+			fmt.Fprint(stdout, nt.Table.Render(0))
 		}
-		fmt.Println()
-		fmt.Fprintf(os.Stderr, "[%s] elapsed %v\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stderr, "[%s] elapsed %v\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 
+	var dumps []string
 	if *out != "" {
-		writeCampaignTable(rec, *out)
+		dumps = append(dumps, *out)
 	}
 	if *traceDir != "" {
 		// The span colfiles were written by the runners as they went; the
 		// campaign table alongside them carries the harness metrics (wall
 		// time, DES events, allocations) keyed by the same campaign/run ids,
 		// so `amrquery` can join spans against run-level costs.
-		writeCampaignTable(rec, filepath.Join(*traceDir, "campaign.col"))
+		dumps = append(dumps, filepath.Join(*traceDir, "campaign.col"))
 	}
-}
-
-// writeCampaignTable dumps the harness recorder's per-run table as a colfile.
-func writeCampaignTable(rec *harness.Recorder, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	for _, path := range dumps {
+		if err := rec.WriteFile(path); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr, "campaign telemetry: %d rows -> %s\n", rec.Table().NumRows(), path)
 	}
-	if err := colfile.WriteTable(f, rec.Table(), 256); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "campaign telemetry: %d rows -> %s\n", rec.Table().NumRows(), path)
+	return 0
 }

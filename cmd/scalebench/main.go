@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"amrtools/internal/check"
-	"amrtools/internal/colfile"
 	"amrtools/internal/experiments"
 	"amrtools/internal/harness"
 	"amrtools/internal/metrics"
@@ -92,16 +91,7 @@ func main() {
 	}
 
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := colfile.WriteTable(f, rec.Table(), 256); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
+		if err := rec.WriteFile(*metricsOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

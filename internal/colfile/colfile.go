@@ -46,6 +46,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 
 	"amrtools/internal/telemetry"
 )
@@ -598,6 +599,20 @@ func parseHeader(r io.Reader) (byte, []telemetry.ColSpec, int64, error) {
 		hlen += int64(2 + len(name) + 1)
 	}
 	return ver, schema, hlen, nil
+}
+
+// WriteFile writes t as a colfile at path (created or truncated), chunked
+// like WriteTable.
+func WriteFile(path string, t *telemetry.Table, chunkRows int) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteTable(f, t, chunkRows); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WriteTable writes t to w in chunks of chunkRows rows (0 = one chunk).

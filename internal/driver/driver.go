@@ -110,13 +110,15 @@ type Config struct {
 	// tracing off — the disabled path is one nil check per emission site.
 	Trace *trace.Config
 
-	// Metrics, when non-nil, enables the run's aggregate instrument
+	// Metrics, when non-nil, publishes the run's aggregate instrument
 	// registry (internal/metrics): sim-plane counters/sums/histograms for
 	// MPI traffic, fabric stalls, and migration volume (bit-identical
 	// across Shards and harness workers) plus host-plane scheduler
 	// instruments. Result.Metrics holds the populated set; a Campaign in
 	// the config receives live host-plane updates for the HTTP endpoints.
-	// Nil means metrics off — one nil check per emission site, like Trace.
+	// Nil means no registry in Result.Metrics and no scheduler instruments;
+	// the MPI and fabric lanes are the run's accounting and exist either
+	// way, so setting this changes nothing else in the Result.
 	Metrics *metrics.Config
 
 	// OnStepRecord, when set (requires CollectSteps), observes every
@@ -289,9 +291,8 @@ type runState struct {
 	// conditional rebalance barrier below stays collective).
 	chargePending bool
 	res           *Result
-	tracer        *trace.Recorder        // nil unless Config.Trace
-	mx            *metrics.DriverMetrics // nil unless Config.Metrics
-	sizes         [3]int                 // face/edge/vertex message bytes
+	tracer        *trace.Recorder // nil unless Config.Trace
+	sizes         [3]int          // face/edge/vertex message bytes
 	// stage holds the per-rank telemetry staging buffers of a sharded run
 	// (nil in sequential mode); see shardstage.go.
 	stage *shardStage
@@ -362,7 +363,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Metrics != nil {
 		ms := metrics.NewRunSet(nranks, cfg.Net.Nodes, cfg.Metrics.Campaign)
 		st.res.Metrics = ms
-		st.mx = ms.Drv
 		world.SetMetrics(ms.MPI)
 		net.SetMetrics(ms.Net)
 		if shs != nil {
@@ -438,12 +438,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	prev := make([]mpi.Meter, nranks) // last snapshot per rank
 	for r := 0; r < nranks; r++ {
-		r := r
-		world.Spawn(r, func(c *mpi.Comm) {
-			st.rankProgram(c, world, &prev[r])
-		})
+		world.Spawn(r, func(c *mpi.Comm) { st.rankProgram(c, world) })
 	}
 	if err := runSim(shs, eng); err != nil {
 		return nil, err
@@ -478,18 +474,22 @@ func Run(cfg Config) (*Result, error) {
 	}
 	st.res.FinalBlocks = st.m.NumLeaves()
 	st.res.Census = net.CensusTotal()
-	var tot PhaseTotals
-	for r := 0; r < nranks; r++ {
-		m := world.Meter(r)
-		tot.Compute += m.Compute
-		tot.Comm += m.CommWait
-		tot.Sync += m.Sync
-		tot.Rebalance += m.Rebalance
-	}
-	n := float64(nranks)
+	// Mean-over-ranks phase totals: each Sum folds its lanes in rank order.
+	mx, n := world.Metrics(), float64(nranks)
 	st.res.Phases = PhaseTotals{
-		Compute: tot.Compute / n, Comm: tot.Comm / n,
-		Sync: tot.Sync / n, Rebalance: tot.Rebalance / n,
+		Compute: mx.Compute.Total() / n, Comm: mx.CommWait.Total() / n,
+		Sync: mx.Sync.Total() / n, Rebalance: mx.Rebalance.Total() / n,
+	}
+	if ms := st.res.Metrics; ms != nil {
+		// The driver's instruments are whole-run totals of quantities the
+		// Result already carries: filled once here, counted nowhere else.
+		res, d := st.res, ms.Drv
+		d.Epochs.Add(0, int64(len(res.BlockHistory)))
+		d.MigratedBlocks.Add(0, int64(res.Migrations))
+		d.MigratedBytes.Add(0, int64(res.Migrations)*int64(st.blockBytes()))
+		d.DirHandoffs.Add(0, int64(res.Deltas.Handoffs))
+		d.DirInstalls.Add(0, int64(res.Deltas.Installs))
+		d.Steps.Add(0, int64(cfg.Steps)*int64(nranks))
 	}
 	return st.res, nil
 }
@@ -570,6 +570,11 @@ func emitProbes(tr *trace.Recorder, net simnet.Config, kind trace.Kind, t0 float
 	}
 }
 
+// blockBytes is the state one migrating block carries.
+func (st *runState) blockBytes() int {
+	return st.cfg.BlockCells * st.cfg.BlockCells * st.cfg.BlockCells * st.cfg.NVars * 8
+}
+
 func unitCosts(n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
@@ -647,9 +652,8 @@ func (st *runState) buildEpochWith(assign placement.Assignment, costs []float64,
 	// pay the fabric — charging everything at remote rates overstated the
 	// rebalance cost of exactly the locality-preserving policies the
 	// PlacementEvery/Fig 6 comparisons are about.
-	blockBytes := st.cfg.BlockCells * st.cfg.BlockCells * st.cfg.BlockCells * st.cfg.NVars * 8
+	blockBytes := st.blockBytes()
 	migTime := make([]float64, nranks)
-	migBefore := st.res.Migrations
 	oldDir := st.dir
 	if oldDir != nil {
 		rpn := st.cfg.Net.RanksPerNode
@@ -686,20 +690,8 @@ func (st *runState) buildEpochWith(assign placement.Assignment, costs []float64,
 	// New ownership directory, and the install records pushing each block's
 	// (key, level, owner) entry to its home rank under the new partition.
 	st.dir = buildDirectory(st.m.Geometry(), ep.leafIDs, assign, nranks)
-	installs := 0
 	if oldDir != nil {
-		installs = countInstalls(st.dir)
-		st.res.Deltas.Installs += installs
-	}
-	if mx := st.mx; mx != nil {
-		// Epoch-scoped sim-plane counters, lane 0: buildEpochWith always runs
-		// in rank 0's deterministic redistribution context.
-		moved := int64(st.res.Migrations - migBefore)
-		mx.Epochs.Inc(0)
-		mx.MigratedBlocks.Add(0, moved)
-		mx.MigratedBytes.Add(0, moved*int64(blockBytes))
-		mx.DirHandoffs.Add(0, moved)
-		mx.DirInstalls.Add(0, int64(installs))
+		st.res.Deltas.Installs += countInstalls(st.dir)
 	}
 
 	// Metadata telemetry: the largest per-rank footprint this epoch, and
@@ -766,10 +758,11 @@ func (st *runState) redistribute(step, nranks int) {
 }
 
 // rankProgram is the per-rank BSP loop.
-func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World, prev *mpi.Meter) {
+func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World) {
 	rank := c.Rank()
 	nranks := world.NumRanks()
 	scale := st.cfg.CostTimeScale
+	var prev mpi.Meter // the rank's accounting at the end of the previous step
 	for step := 0; step < st.cfg.Steps; step++ {
 		ep := st.ep
 		plan := &ep.plans[rank]
@@ -822,8 +815,8 @@ func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World, prev *mpi.Meter) 
 		// is taken after the barrier so this step's record includes its
 		// sync wait.
 		c.Barrier()
-		m := world.Meter(rank)
 		if st.res.Steps != nil {
+			m := world.Meter(rank)
 			if sg := st.stage; sg != nil {
 				sg.steps[rank] = append(sg.steps[rank], stepRow{
 					step: step, node: world.Net().NodeOf(rank),
@@ -844,10 +837,7 @@ func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World, prev *mpi.Meter) 
 					st.cfg.OnStepRecord(st.res.Steps, st.res.Steps.NumRows()-1)
 				}
 			}
-		}
-		*prev = *m
-		if mx := st.mx; mx != nil {
-			mx.Steps.Inc(rank)
+			prev = m
 		}
 
 		// Redistribution window.

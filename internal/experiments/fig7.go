@@ -291,7 +291,7 @@ func commbenchMesh(ranks int, rootDims [3]int, pol placement.Policy, rounds int,
 		}
 		lats = append(lats, lat)
 	}
-	cs := net.Census
+	cs := net.CensusTotal()
 	share := float64(cs.RemoteMsgs) / float64(cs.RemoteMsgs+cs.LocalMsgs)
 	return lats, share, eng.Events()
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"amrtools/internal/colfile"
 	"amrtools/internal/telemetry"
 )
 
@@ -53,6 +54,11 @@ func (r *Recorder) Table() *telemetry.Table {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.table
+}
+
+// WriteFile dumps the accumulated table as an amrquery-readable colfile.
+func (r *Recorder) WriteFile(path string) error {
+	return colfile.WriteFile(path, r.Table(), 256)
 }
 
 // recording measures process-wide allocation across one campaign.

@@ -94,18 +94,6 @@ func (d *Determinism) coreSet() map[string]bool {
 	return out
 }
 
-// Run applies the in-core checks to one package — kept for standalone
-// per-package use; under lint.Run the analyzer runs once as a
-// ModuleAnalyzer instead.
-func (d *Determinism) Run(pass *Pass) {
-	if !d.coreSet()[pass.Pkg.Path] {
-		return
-	}
-	d.checkCorePkg(pass.Pkg, func(pos token.Pos, fix, format string, args ...interface{}) {
-		pass.Reportf(pos, d.Name(), fix, format, args...)
-	})
-}
-
 // RunModule applies the in-core checks to every core package, then walks
 // the call graph outward: any non-core module function reachable from core
 // code — by direct call, sealed-interface dispatch, or function-value

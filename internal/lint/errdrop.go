@@ -35,9 +35,6 @@ func (ErrDrop) Doc() string {
 	return "module-internal error results must be checked, not discarded or overwritten"
 }
 
-// Run is unused: ErrDrop is a ModuleAnalyzer.
-func (ErrDrop) Run(*Pass) {}
-
 func (ed ErrDrop) RunModule(mp *ModulePass) {
 	for _, n := range mp.Graph.Nodes {
 		if n.Body() == nil {

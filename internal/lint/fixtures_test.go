@@ -64,8 +64,8 @@ func collectExpectations(t *testing.T, root string) []*expectation {
 
 // fixtureAnalyzers is the production set with the determinism and
 // plane-classification cores pointed at the fixture module's core package.
-func fixtureAnalyzers() []Analyzer {
-	return []Analyzer{
+func fixtureAnalyzers() []Rule {
+	return []Rule{
 		NewDeterminism([]string{"fixturemod/core"}),
 		MapOrder{},
 		ReqLeak{},
@@ -84,7 +84,7 @@ func TestFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(set, fixtureAnalyzers())
+	diags, _ := Run(set, fixtureAnalyzers())
 	wants := collectExpectations(t, root)
 
 	for _, d := range diags {

@@ -43,9 +43,6 @@ func (HotAlloc) Doc() string {
 	return "no closure, composite, or boxing allocation reachable from //amr:hotpath roots"
 }
 
-// Run is unused: HotAlloc is a ModuleAnalyzer.
-func (HotAlloc) Run(*Pass) {}
-
 func (ha HotAlloc) RunModule(mp *ModulePass) {
 	g := mp.Graph
 	roots := HotRoots(g)

@@ -7,10 +7,12 @@ import (
 	"io"
 )
 
-// WriteJSON emits one JSON object per line per diagnostic — the -json
+// WriteJSON emits one JSON object per line per diagnostic, then one closing
+// {"waivers":[…]} object listing the live waiver set (pass a non-nil slice:
+// the line is how a reader tells the stream is complete) — the -json
 // machine-readable mode of cmd/amrlint, consumable by CI annotators a line
 // at a time without buffering the whole report.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
+func WriteJSON(w io.Writer, diags []Diagnostic, waivers []Waiver) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, d := range diags {
@@ -18,21 +20,34 @@ func WriteJSON(w io.Writer, diags []Diagnostic) error {
 			return err
 		}
 	}
+	closing := struct {
+		Waivers []Waiver `json:"waivers"`
+	}{waivers}
+	if err := enc.Encode(closing); err != nil {
+		return err
+	}
 	return bw.Flush()
 }
 
-// ReadJSON parses a stream written by WriteJSON back into diagnostics.
-func ReadJSON(r io.Reader) ([]Diagnostic, error) {
+// ReadJSON parses a stream written by WriteJSON back into diagnostics and
+// the waiver list.
+func ReadJSON(r io.Reader) ([]Diagnostic, []Waiver, error) {
 	dec := json.NewDecoder(r)
-	var out []Diagnostic
+	var diags []Diagnostic
 	for {
-		var d Diagnostic
-		if err := dec.Decode(&d); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("lint: decoding diagnostic %d: %w", len(out), err)
+		var line struct {
+			Diagnostic
+			Waivers []Waiver `json:"waivers"`
 		}
-		out = append(out, d)
+		if err := dec.Decode(&line); err == io.EOF {
+			return nil, nil, fmt.Errorf("lint: stream ended after %d diagnostics without the waivers line", len(diags))
+		} else if err != nil {
+			return nil, nil, fmt.Errorf("lint: decoding diagnostic %d: %w", len(diags), err)
+		}
+		if line.Waivers != nil {
+			return diags, line.Waivers, nil
+		}
+		diags = append(diags, line.Diagnostic)
 	}
 }
 
@@ -40,8 +55,8 @@ func ReadJSON(r io.Reader) ([]Diagnostic, error) {
 // deterministic-core package list: the five per-package rules of PR 5 (two
 // of them — determinism and reqleak — now interprocedural) plus the four
 // call-graph rules.
-func Analyzers() []Analyzer {
-	return []Analyzer{
+func Analyzers() []Rule {
+	return []Rule{
 		NewDeterminism(nil),
 		MapOrder{},
 		ReqLeak{},

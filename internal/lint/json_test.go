@@ -20,15 +20,24 @@ func TestJSONRoundTrip(t *testing.T) {
 			Fix:     "give each shard/worker its own instance",
 			Path:    []string{"driver.runEpoch$1", "physics.(*heatProblem).Cost"}},
 	}
+	waivers := []Waiver{
+		{File: "internal/driver/driver.go", Line: 597, Rule: "determinism",
+			Reason: "telemetry-only: PlacementWall records the host-side cost"},
+		{File: "internal/mpi/mpi.go", Line: 312, Rule: "hotalloc", Reason: "pool fill"},
+	}
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, in); err != nil {
+	if err := WriteJSON(&buf, in, waivers); err != nil {
 		t.Fatal(err)
 	}
 	// One self-contained JSON object per line: CI annotators consume the
-	// stream a line at a time without buffering the report.
+	// stream a line at a time without buffering the report. The closing
+	// line is the waiver list.
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != len(in) {
-		t.Fatalf("wrote %d lines for %d diagnostics:\n%s", len(lines), len(in), buf.String())
+	if len(lines) != len(in)+1 {
+		t.Fatalf("wrote %d lines for %d diagnostics + the waivers line:\n%s", len(lines), len(in), buf.String())
+	}
+	if !strings.HasPrefix(lines[len(in)], `{"waivers":[{"file":`) {
+		t.Fatalf("closing line is not the waiver list: %s", lines[len(in)])
 	}
 	for i, l := range lines {
 		var m map[string]any
@@ -36,20 +45,28 @@ func TestJSONRoundTrip(t *testing.T) {
 			t.Fatalf("line %d is not a standalone JSON object: %v", i, err)
 		}
 	}
-	out, err := ReadJSON(bytes.NewReader(buf.Bytes()))
+	out, outW, err := ReadJSON(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
 	}
+	if !reflect.DeepEqual(waivers, outW) {
+		t.Fatalf("waiver round trip mismatch:\n in: %+v\nout: %+v", waivers, outW)
+	}
 }
 
 func TestJSONOmitsEmptyFix(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteJSON(&buf, []Diagnostic{{File: "a.go", Line: 1, Col: 1, Rule: "waiver", Message: "m"}})
+	err := WriteJSON(&buf, []Diagnostic{{File: "a.go", Line: 1, Col: 1, Rule: "waiver", Message: "m"}}, []Waiver{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A clean, waiver-free tree still closes the stream: "waivers":[] tells
+	// a reader the report is complete.
+	if !strings.HasSuffix(buf.String(), "{\"waivers\":[]}\n") {
+		t.Fatalf("empty waiver list not emitted as []: %s", buf.String())
 	}
 	if strings.Contains(buf.String(), "fix") {
 		t.Fatalf("empty fix serialized: %s", buf.String())
@@ -62,7 +79,10 @@ func TestJSONOmitsEmptyFix(t *testing.T) {
 }
 
 func TestReadJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader(`{"file":"a.go"}` + "\nnot json\n")); err == nil {
+	if _, _, err := ReadJSON(strings.NewReader(`{"file":"a.go"}` + "\nnot json\n")); err == nil {
 		t.Fatal("garbage line decoded without error")
+	}
+	if _, _, err := ReadJSON(strings.NewReader(`{"file":"a.go"}` + "\n")); err == nil {
+		t.Fatal("a stream without its closing waivers line decoded without error")
 	}
 }

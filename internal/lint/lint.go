@@ -121,23 +121,27 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.Pkg.Info.Uses[id]
 }
 
-// An Analyzer checks one rule over one package at a time.
-type Analyzer interface {
+// A Rule is one named check. Every rule is exactly one of an Analyzer (per
+// package) or a ModuleAnalyzer (whole module).
+type Rule interface {
 	// Name is the stable rule id used in diagnostics and waivers.
 	Name() string
 	// Doc is a one-line description for amrlint's usage text.
 	Doc() string
+}
+
+// An Analyzer checks one rule over one package at a time.
+type Analyzer interface {
+	Rule
 	// Run analyzes pass.Pkg, reporting findings through pass.Reportf.
 	Run(pass *Pass)
 }
 
 // A ModuleAnalyzer checks one rule over the whole module at once — the
 // interface of the interprocedural rules, which need the module call graph
-// and the per-function summaries rather than one package's AST. An analyzer
-// implementing both interfaces is run once as a ModuleAnalyzer; its Run
-// method is ignored.
+// and the per-function summaries rather than one package's AST.
 type ModuleAnalyzer interface {
-	Analyzer
+	Rule
 	// RunModule analyzes the whole module through the shared call graph and
 	// summaries, reporting through mp.Reportf.
 	RunModule(mp *ModulePass)
@@ -174,39 +178,42 @@ func (mp *ModulePass) Reportf(pos token.Pos, rule, fix string, path []string, fo
 	})
 }
 
-// Run executes every analyzer over the module, applies waivers, flags
-// unused waivers, and returns the surviving diagnostics sorted by position.
-// Per-package analyzers see the pattern-selected packages; module analyzers
-// always see the whole module (an interprocedural fact does not stop at a
-// pattern boundary) but their findings are filtered to selected packages.
-func Run(set *ModuleSet, analyzers []Analyzer) []Diagnostic {
+// Run executes every rule over the module, applies waivers, flags unused
+// waivers, and returns the surviving diagnostics sorted by position plus the
+// live waiver set of the selected packages. Per-package analyzers see the
+// pattern-selected packages; module analyzers always see the whole module
+// (an interprocedural fact does not stop at a pattern boundary) but their
+// findings are filtered to selected packages.
+func Run(set *ModuleSet, rules []Rule) ([]Diagnostic, []Waiver) {
 	var raw []Diagnostic
 	var modRaw []Diagnostic
 	var mp *ModulePass
-	for _, a := range analyzers {
-		ma, ok := a.(ModuleAnalyzer)
-		if !ok {
-			continue
+	var perPkg []Analyzer
+	for _, r := range rules {
+		switch a := r.(type) {
+		case ModuleAnalyzer:
+			if mp == nil {
+				g := BuildGraph(set.All)
+				mp = &ModulePass{Set: set, Graph: g, Sums: Summarize(g), diags: &modRaw}
+			}
+			a.RunModule(mp)
+		case Analyzer:
+			perPkg = append(perPkg, a)
+		default:
+			panic("lint: rule " + r.Name() + " is neither an Analyzer nor a ModuleAnalyzer")
 		}
-		if mp == nil {
-			g := BuildGraph(set.All)
-			mp = &ModulePass{Set: set, Graph: g, Sums: Summarize(g), diags: &modRaw}
-		}
-		ma.RunModule(mp)
 	}
 	for _, pkg := range set.Selected {
 		pass := &Pass{Pkg: pkg, Module: set.All, diags: &raw}
-		for _, a := range analyzers {
-			if _, ok := a.(ModuleAnalyzer); ok {
-				continue
-			}
+		for _, a := range perPkg {
 			a.Run(pass)
 		}
 	}
 	raw = append(raw, set.restrict(modRaw)...)
 	ws := collectWaivers(set.All)
 	diags := ws.filter(raw)
-	diags = append(diags, ws.unusedIn(set.selectedFiles())...)
+	selected := set.selectedFiles()
+	diags = append(diags, ws.unusedIn(selected)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.File != b.File {
@@ -220,5 +227,5 @@ func Run(set *ModuleSet, analyzers []Analyzer) []Diagnostic {
 		}
 		return a.Rule < b.Rule
 	})
-	return diags
+	return diags, ws.liveIn(selected)
 }

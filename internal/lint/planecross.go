@@ -44,9 +44,6 @@ func (*PlaneCross) Doc() string {
 	return "sim-plane metrics only from window contexts, host-plane metrics only from host contexts"
 }
 
-// Run is unused: PlaneCross is a ModuleAnalyzer.
-func (*PlaneCross) Run(*Pass) {}
-
 // simUpdateMethods / hostUpdateMethods are the mutating methods of each
 // plane's instrument types.
 var (

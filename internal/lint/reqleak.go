@@ -32,13 +32,6 @@ func (ReqLeak) Doc() string {
 
 const reqLeakFix = "Wait on the request (or WaitAll on the slice collecting it)"
 
-// Run applies the rule to one package without summaries (every call
-// consumes) — kept for standalone per-package use; under lint.Run the
-// analyzer runs once as a ModuleAnalyzer instead.
-func (ReqLeak) Run(pass *Pass) {
-	mustConsume(pass, "reqleak", reqLeakFix, isRequestProducer, "Isend/Irecv request")
-}
-
 // RunModule applies the rule to every package, consulting the request-
 // parameter summaries to decide whether passing a request to a module
 // helper consumes it.
@@ -56,7 +49,7 @@ func (ReqLeak) RunModule(mp *ModulePass) {
 	}
 	for _, pkg := range mp.Set.All {
 		pass := &Pass{Pkg: pkg, Module: mp.Set.All, diags: mp.diags}
-		mustConsumeVia(pass, "reqleak", reqLeakFix, isRequestProducer,
+		mustConsume(pass, "reqleak", reqLeakFix, isRequestProducer,
 			"Isend/Irecv request", consumes)
 	}
 }

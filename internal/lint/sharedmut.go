@@ -36,9 +36,6 @@ func (SharedMut) Doc() string {
 	return "no unlaned shared mutable state reachable from shard windows or harness workers"
 }
 
-// Run is unused: SharedMut is a ModuleAnalyzer.
-func (SharedMut) Run(*Pass) {}
-
 func (sm SharedMut) RunModule(mp *ModulePass) {
 	g := mp.Graph
 	roots := append(WindowRoots(g), WorkerRoots(g)...)

@@ -24,7 +24,7 @@ func (SpanPair) Doc() string {
 func (SpanPair) Run(pass *Pass) {
 	mustConsume(pass, "spanpair",
 		"call End/EndRaw on the handle (defer works) or return it to the caller",
-		isSpanBegin, "span Begin handle")
+		isSpanBegin, "span Begin handle", nil)
 }
 
 // isSpanBegin matches method calls named Begin returning a value (or

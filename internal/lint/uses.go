@@ -18,16 +18,13 @@ import (
 // on *all* paths (that is what the runtime freed-marker panics are for); it
 // catches the leak shapes that survive review — results dropped on the
 // floor and request slices built up and forgotten.
-func mustConsume(pass *Pass, rule, fix string, isProducer func(*Pass, *ast.CallExpr) bool, what string) {
-	mustConsumeVia(pass, rule, fix, isProducer, what, nil)
-}
-
-// mustConsumeVia is mustConsume with an interprocedural consumption test:
-// when consumes is non-nil, passing a tracked value as argument argIdx of a
-// call only counts as consumption if consumes(pass, call, argIdx) says so
-// (the reqleak summaries answer "does that helper actually handle its
-// request parameter?"). nil keeps the purely local rule: any call consumes.
-func mustConsumeVia(pass *Pass, rule, fix string, isProducer func(*Pass, *ast.CallExpr) bool, what string, consumes func(*Pass, *ast.CallExpr, int) bool) {
+//
+// consumes is the interprocedural consumption test: when non-nil, passing a
+// tracked value as argument argIdx of a call only counts as consumption if
+// consumes(pass, call, argIdx) says so (the reqleak summaries answer "does
+// that helper actually handle its request parameter?"). nil keeps the purely
+// local rule: any call consumes.
+func mustConsume(pass *Pass, rule, fix string, isProducer func(*Pass, *ast.CallExpr) bool, what string, consumes func(*Pass, *ast.CallExpr, int) bool) {
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)

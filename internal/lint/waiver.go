@@ -5,18 +5,25 @@ import (
 	"strings"
 )
 
-// A waiver is one //lint:ignore <rule> <reason> comment. It suppresses
+// A Waiver is one //lint:ignore <rule> <reason> comment. It suppresses
 // diagnostics of the named rule on the line it trails, or — when it stands
 // alone on its own line — on the next line. Every waiver must carry a
 // non-empty reason, and a waiver that suppresses nothing is itself reported
 // (rule "waiver"), so removing the offending code without removing its
-// waiver still fails the build.
+// waiver still fails the build. The live waivers are amrlint's debt
+// register (-json's "waivers" line, the count `make lint` prints), which
+// the ROADMAP says only goes down.
+type Waiver struct {
+	File   string `json:"file"`
+	Line   int    `json:"line"` // line of the comment itself
+	Rule   string `json:"rule"`
+	Reason string `json:"reason"`
+}
+
+// waiver is a Waiver plus whether it suppressed anything this run.
 type waiver struct {
-	file   string
-	line   int // line of the comment itself
-	rule   string
-	reason string
-	used   bool
+	Waiver
+	used bool
 }
 
 // WaiverRule is the rule id under which malformed and unused waivers are
@@ -52,12 +59,12 @@ func collectWaivers(pkgs []*Package) *waiverSet {
 						})
 						continue
 					}
-					ws.add(&waiver{
-						file:   pos.Filename,
-						line:   pos.Line,
-						rule:   fields[0],
-						reason: strings.Join(fields[1:], " "),
-					})
+					ws.add(&waiver{Waiver: Waiver{
+						File:   pos.Filename,
+						Line:   pos.Line,
+						Rule:   fields[0],
+						Reason: strings.Join(fields[1:], " "),
+					}})
 				}
 			}
 		}
@@ -66,19 +73,19 @@ func collectWaivers(pkgs []*Package) *waiverSet {
 }
 
 func (ws *waiverSet) add(w *waiver) {
-	ws.byFile[w.file] = append(ws.byFile[w.file], w)
+	ws.byFile[w.File] = append(ws.byFile[w.File], w)
 }
 
 // covers reports whether w suppresses a diagnostic of the given rule at
 // file:line.
 func (w *waiver) covers(rule, file string, line int) bool {
-	if w.rule != rule || w.file != file {
+	if w.Rule != rule || w.File != file {
 		return false
 	}
 	// A waiver covers its own line (trailing form) and the following line
 	// (standalone form). Covering both keeps the directive usable without
 	// the scanner having to know which form it is.
-	return line == w.line || line == w.line+1
+	return line == w.Line || line == w.Line+1
 }
 
 // filter drops waived diagnostics, marking the waivers that fired.
@@ -126,13 +133,35 @@ func (ws *waiverSet) unusedIn(selected map[string]bool) []Diagnostic {
 		for _, w := range ws.byFile[f] {
 			if !w.used {
 				out = append(out, Diagnostic{
-					File: w.file, Line: w.line, Col: 1,
+					File: w.File, Line: w.Line, Col: 1,
 					Rule:    WaiverRule,
-					Message: "unused waiver for rule " + w.rule + ": no diagnostic suppressed",
+					Message: "unused waiver for rule " + w.Rule + ": no diagnostic suppressed",
 					Fix:     "delete the //lint:ignore comment",
 				})
 			}
 		}
 	}
+	return out
+}
+
+// liveIn lists every well-formed waiver in the selected file set, sorted by
+// file and line. (A listed waiver that suppressed nothing is also a
+// diagnostic, so on a clean tree every entry is load-bearing.)
+func (ws *waiverSet) liveIn(selected map[string]bool) []Waiver {
+	out := []Waiver{}
+	for f, list := range ws.byFile {
+		if !selected[f] {
+			continue
+		}
+		for _, w := range list {
+			out = append(out, w.Waiver)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].File != out[j].File {
+			return out[i].File < out[j].File
+		}
+		return out[i].Line < out[j].Line
+	})
 	return out
 }

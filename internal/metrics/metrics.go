@@ -10,9 +10,8 @@
 // harness worker counts, exactly like every result table. To make float
 // accumulation order-independent of worker scheduling, sim-plane instruments
 // are *laned*: every update lands in the caller's lane (rank for MPI-driven
-// metrics, node for fabric-driven ones — the same ownership discipline the
-// meters and the census already follow), and Snapshot folds lanes in
-// ascending lane order.
+// metrics, node for fabric-driven ones — the ownership discipline of the
+// DES itself), and Snapshot folds lanes in ascending lane order.
 //
 // Host-plane instruments carry execution-machinery quantities — shard
 // windows, events per window, worker-pool occupancy, merge-queue depth,
@@ -21,8 +20,13 @@
 // experiments.NondetCols. Host instruments are atomics so a live HTTP
 // handler (serve.go) can read them mid-run without touching sim-plane state.
 //
-// The disabled path follows internal/trace: a nil instrument-set pointer on
-// the instrumented layer, one nil check per emission site, nothing else.
+// The sim-plane MPI and fabric sets are not an optional mirror of some
+// other bookkeeping: they are the store. mpi.World and simnet.Network each
+// own a set from construction (free-standing until driver.Config.Metrics
+// swaps in the run's registered one), every emission site updates its lane
+// unconditionally, and mpi.Meter, the census stall counts, the driver's
+// per-step rows and Result.Phases are folds over those lanes. Only the
+// host-plane scheduler set is optional (a nil check per window).
 package metrics
 
 import (
@@ -119,8 +123,13 @@ func NewRegistry() *Registry {
 }
 
 // register panics on duplicate names — metric names are a public, stable
-// namespace; a silent collision would merge unrelated series.
+// namespace; a silent collision would merge unrelated series. A nil
+// registry registers nothing: its constructors return free-standing
+// instruments (NewMPIMetrics, NewNetMetrics).
 func (r *Registry) register(name string, in instrument) {
+	if r == nil {
+		return
+	}
 	if r.names[name] {
 		panic("metrics: duplicate metric name " + name)
 	}
@@ -208,8 +217,10 @@ func (c *Counter) Inc(lane int) { c.lanes[lane]++ }
 // Add adds n to the caller's lane.
 func (c *Counter) Add(lane int, n int64) { c.lanes[lane] += n }
 
-// Total folds the lanes (integer addition — order-free; the fold exists for
-// symmetry with Sum and for tests).
+// Lane returns one lane's count.
+func (c *Counter) Lane(lane int) int64 { return c.lanes[lane] }
+
+// Total folds the lanes (integer addition — order-free).
 func (c *Counter) Total() int64 {
 	var t int64
 	for _, v := range c.lanes {
@@ -234,6 +245,9 @@ type Sum struct {
 
 // Add accumulates v into the caller's lane.
 func (s *Sum) Add(lane int, v float64) { s.lanes[lane] += v }
+
+// Lane returns one lane's accumulated value.
+func (s *Sum) Lane(lane int) float64 { return s.lanes[lane] }
 
 // Total folds the lanes in ascending lane order.
 func (s *Sum) Total() float64 {

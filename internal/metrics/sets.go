@@ -2,9 +2,10 @@ package metrics
 
 import "sync/atomic"
 
-// Config gates per-run metrics collection (driver.Config.Metrics). A nil
-// Config means metrics off — the disabled path is one nil check per
-// emission site, like trace.Config.
+// Config asks a run to publish its metrics (driver.Config.Metrics). A nil
+// Config means no registry in Result.Metrics and no host-plane scheduler
+// instruments; the sim-plane MPI and fabric lanes exist either way — they
+// are the run's accounting (see MPIMetrics).
 type Config struct {
 	// Campaign, when non-nil, is the campaign-level aggregate the run
 	// reports into: host-plane counters mirror into it live (so /metrics
@@ -14,13 +15,16 @@ type Config struct {
 }
 
 // MPIMetrics is the sim-plane instrument set of the MPI runtime, laned by
-// rank: every update happens on the owning rank's program, whose event
-// order is deterministic for any shard count.
+// rank: every update happens on the owning rank's events, whose order is
+// deterministic for any shard count. It is the runtime's only accumulator —
+// mpi.World always holds one, mpi.Meter is a per-rank fold over its lanes,
+// and the driver's phase totals are its Sum totals.
 type MPIMetrics struct {
-	// Per collective class: point-to-point messages/bytes and collective
-	// operation counts.
+	// Per collective class: point-to-point messages/bytes sent, messages
+	// matched at the receiver, and collective operation counts.
 	P2PMsgs    *Counter
 	P2PBytes   *Counter
+	P2PRecvd   *Counter
 	Barriers   *Counter
 	Allreduces *Counter
 
@@ -39,7 +43,8 @@ type MPIMetrics struct {
 
 // NetMetrics is the sim-plane instrument set of the fabric, laned by node:
 // every update happens inside a node's fabric events, which never span
-// shards.
+// shards. simnet.Network always holds one; the census's stall counts are
+// its counter totals.
 type NetMetrics struct {
 	// Shared-memory queue contention (the §IV-B "queue size tuning"
 	// pathology): stall count and total simulated stall time.
@@ -54,16 +59,15 @@ type NetMetrics struct {
 	AckStallTime *Sum
 }
 
-// DriverMetrics is the sim-plane instrument set of the driver: epoch-scoped
-// counters updated from rank 0's redistribution context (lane 0) and a
-// per-rank step counter.
+// DriverMetrics is the sim-plane instrument set of the driver: whole-run
+// totals the driver fills once from its Result when the run completes.
 type DriverMetrics struct {
 	Epochs         *Counter
 	MigratedBlocks *Counter
 	MigratedBytes  *Counter
 	DirHandoffs    *Counter
 	DirInstalls    *Counter
-	Steps          *Counter // rank lanes
+	Steps          *Counter
 }
 
 // SchedMetrics is the host-plane instrument set of the sharded scheduler:
@@ -109,6 +113,38 @@ var decadeBounds = []float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6}
 // shardBounds buckets active-shard counts by power of two.
 var shardBounds = []float64{1, 2, 4, 8, 16, 32, 64}
 
+// NewMPIMetrics builds the MPI instrument set over nranks rank lanes. A nil
+// registry yields a free-standing set: the same lanes, exported nowhere —
+// what a World owns until a run's registered set is swapped in.
+func NewMPIMetrics(r *Registry, nranks int) *MPIMetrics {
+	return &MPIMetrics{
+		P2PMsgs:    r.Counter("sim_mpi_p2p_msgs_total", "point-to-point messages sent", nranks),
+		P2PBytes:   r.Counter("sim_mpi_p2p_bytes_total", "point-to-point bytes sent", nranks),
+		P2PRecvd:   r.Counter("sim_mpi_p2p_msgs_recvd_total", "point-to-point messages matched to a receive", nranks),
+		Barriers:   r.Counter("sim_mpi_barrier_ops_total", "barrier operations completed (per participating rank)", nranks),
+		Allreduces: r.Counter("sim_mpi_allreduce_ops_total", "allreduce operations completed (per participating rank)", nranks),
+		Waits:      r.Counter("sim_mpi_waits_total", "MPI_Wait calls that blocked", nranks),
+		WaitHist:   r.Histogram("sim_mpi_wait_seconds", "blocked MPI_Wait durations, simulated seconds", nranks, waitBounds),
+		Compute:    r.Sum("sim_phase_compute_seconds_total", "simulated time in compute kernels, summed over ranks", nranks),
+		CommWait:   r.Sum("sim_phase_commwait_seconds_total", "simulated time blocked in P2P waits, summed over ranks", nranks),
+		Sync:       r.Sum("sim_phase_sync_seconds_total", "simulated time blocked in collectives, summed over ranks", nranks),
+		Rebalance:  r.Sum("sim_phase_rebalance_seconds_total", "simulated time charged to redistribution, summed over ranks", nranks),
+	}
+}
+
+// NewNetMetrics builds the fabric instrument set over nodes node lanes (nil
+// registry: free-standing, as for NewMPIMetrics).
+func NewNetMetrics(r *Registry, nodes int) *NetMetrics {
+	return &NetMetrics{
+		ShmStalls:     r.Counter("sim_net_shm_stalls_total", "local deliveries stalled by shm queue contention", nodes),
+		ShmStallTime:  r.Sum("sim_net_shm_stall_seconds_total", "total simulated shm contention stall time", nodes),
+		NicSerials:    r.Counter("sim_net_nic_serial_total", "remote sends serialized behind the node NIC", nodes),
+		NicSerialTime: r.Sum("sim_net_nic_serial_seconds_total", "total simulated NIC egress serialization wait", nodes),
+		AckStalls:     r.Counter("sim_net_ack_stalls_total", "sends blocked in the missing-ACK recovery path", nodes),
+		AckStallTime:  r.Sum("sim_net_ack_stall_seconds_total", "total simulated ACK-recovery stall time", nodes),
+	}
+}
+
 // NewRunSet builds the registry and instrument sets for a run over nranks
 // ranks on nodes nodes. campaign may be nil; when set, host counters mirror
 // into its live aggregates.
@@ -120,33 +156,15 @@ func NewRunSet(nranks, nodes int, campaign *Campaign) *RunSet {
 	}
 	return &RunSet{
 		Reg: r,
-		MPI: &MPIMetrics{
-			P2PMsgs:    r.Counter("sim_mpi_p2p_msgs_total", "point-to-point messages sent", nranks),
-			P2PBytes:   r.Counter("sim_mpi_p2p_bytes_total", "point-to-point bytes sent", nranks),
-			Barriers:   r.Counter("sim_mpi_barrier_ops_total", "barrier operations completed (per participating rank)", nranks),
-			Allreduces: r.Counter("sim_mpi_allreduce_ops_total", "allreduce operations completed (per participating rank)", nranks),
-			Waits:      r.Counter("sim_mpi_waits_total", "MPI_Wait calls that blocked", nranks),
-			WaitHist:   r.Histogram("sim_mpi_wait_seconds", "blocked MPI_Wait durations, simulated seconds", nranks, waitBounds),
-			Compute:    r.Sum("sim_phase_compute_seconds_total", "simulated time in compute kernels, summed over ranks", nranks),
-			CommWait:   r.Sum("sim_phase_commwait_seconds_total", "simulated time blocked in P2P waits, summed over ranks", nranks),
-			Sync:       r.Sum("sim_phase_sync_seconds_total", "simulated time blocked in collectives, summed over ranks", nranks),
-			Rebalance:  r.Sum("sim_phase_rebalance_seconds_total", "simulated time charged to redistribution, summed over ranks", nranks),
-		},
-		Net: &NetMetrics{
-			ShmStalls:     r.Counter("sim_net_shm_stalls_total", "local deliveries stalled by shm queue contention", nodes),
-			ShmStallTime:  r.Sum("sim_net_shm_stall_seconds_total", "total simulated shm contention stall time", nodes),
-			NicSerials:    r.Counter("sim_net_nic_serial_total", "remote sends serialized behind the node NIC", nodes),
-			NicSerialTime: r.Sum("sim_net_nic_serial_seconds_total", "total simulated NIC egress serialization wait", nodes),
-			AckStalls:     r.Counter("sim_net_ack_stalls_total", "sends blocked in the missing-ACK recovery path", nodes),
-			AckStallTime:  r.Sum("sim_net_ack_stall_seconds_total", "total simulated ACK-recovery stall time", nodes),
-		},
+		MPI: NewMPIMetrics(r, nranks),
+		Net: NewNetMetrics(r, nodes),
 		Drv: &DriverMetrics{
 			Epochs:         r.Counter("sim_driver_epochs_total", "communication-plan epochs built (including the initial placement)", 1),
 			MigratedBlocks: r.Counter("sim_driver_migrated_blocks_total", "blocks migrated at redistributions", 1),
 			MigratedBytes:  r.Counter("sim_driver_migrated_bytes_total", "block state bytes migrated at redistributions", 1),
 			DirHandoffs:    r.Counter("sim_driver_dir_handoffs_total", "ownership-delta handoff records exchanged", 1),
 			DirInstalls:    r.Counter("sim_driver_dir_installs_total", "directory install records pushed to home ranks", 1),
-			Steps:          r.Counter("sim_driver_steps_total", "BSP timesteps executed, summed over ranks", nranks),
+			Steps:          r.Counter("sim_driver_steps_total", "BSP timesteps executed, summed over ranks", 1),
 		},
 		Sched: &SchedMetrics{
 			Windows:         r.HostCounter("host_sched_windows_total", "lookahead windows executed", windowsParent),

@@ -25,9 +25,10 @@ type sendRecord struct {
 //   - every mailbox is empty (no message arrived that nothing received);
 //   - every receive queue is empty (no Irecv was left unmatched);
 //   - every send request posted while paranoid completed;
-//   - the per-rank meter totals reconcile with the network census
-//     (MsgsSent vs LocalMsgs+RemoteMsgs, bytes likewise, and everything
-//     sent was received).
+//   - the world's message lanes reconcile with the network census — two
+//     tallies counted independently, one at each layer (messages sent vs
+//     LocalMsgs+RemoteMsgs, bytes likewise, and everything sent was
+//     received).
 //
 // Any breach panics with a structured check.Violation. Call only after a
 // clean engine drain (a deadlock already reports more precisely through
@@ -66,18 +67,13 @@ func (w *World) AuditTeardown() {
 		}
 	}
 
-	var sent, recvd, bytes int64
-	for i := range w.meters {
-		sent += w.meters[i].MsgsSent
-		recvd += w.meters[i].MsgsRecvd
-		bytes += w.meters[i].BytesSent
-	}
+	sent, recvd, bytes := w.mx.P2PMsgs.Total(), w.mx.P2PRecvd.Total(), w.mx.P2PBytes.Total()
 	c := w.net.CensusTotal()
 	check.Assertf(sent == c.LocalMsgs+c.RemoteMsgs, "mpi", "census-msgs",
-		"meters record %d sends but the census counted %d (%d local + %d remote)",
+		"the mpi lanes record %d sends but the census counted %d (%d local + %d remote)",
 		sent, c.LocalMsgs+c.RemoteMsgs, c.LocalMsgs, c.RemoteMsgs)
 	check.Assertf(bytes == c.LocalBytes+c.RemoteBytes, "mpi", "census-bytes",
-		"meters record %d bytes sent but the census counted %d (%d local + %d remote)",
+		"the mpi lanes record %d bytes sent but the census counted %d (%d local + %d remote)",
 		bytes, c.LocalBytes+c.RemoteBytes, c.LocalBytes, c.RemoteBytes)
 	check.Assertf(recvd == sent, "mpi", "census-recvd",
 		"%d messages sent but %d received at teardown", sent, recvd)

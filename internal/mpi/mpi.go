@@ -4,6 +4,12 @@
 // accounting (compute / P2P wait / synchronization / rebalance) matching the
 // decomposition of the paper's Fig 6a.
 //
+// The accounting has one store: the rank-laned instrument set of
+// internal/metrics (metrics.MPIMetrics), which every World owns from
+// construction. Each operation adds each quantity to its lane once,
+// unconditionally; Meter is a per-rank fold over those lanes, and the
+// driver's phase totals and the metrics registry read the same words.
+//
 // Semantics follow the subset of MPI the paper's codes rely on: Isend and
 // Irecv post immediately and return requests; Wait blocks until completion;
 // message matching is FIFO per (source, tag) pair. Sender-side request
@@ -33,8 +39,9 @@ import (
 	"amrtools/internal/xrand"
 )
 
-// Meter accumulates per-rank phase times and message counters. The driver
-// snapshots and resets meters at telemetry-window boundaries.
+// Meter is a snapshot of one rank's phase times and message counters, folded
+// from the rank's instrument lanes by World.Meter. The driver differences
+// successive snapshots into per-step telemetry rows.
 type Meter struct {
 	Compute   float64 // time in compute kernels
 	CommWait  float64 // time blocked in Wait on P2P requests
@@ -46,12 +53,6 @@ type Meter struct {
 	BytesSent int64
 	Waits     int64 // number of Wait calls that actually blocked
 }
-
-// Reset zeroes the meter.
-func (m *Meter) Reset() { *m = Meter{} }
-
-// Total returns the sum of all phase buckets.
-func (m *Meter) Total() float64 { return m.Compute + m.CommWait + m.Sync + m.Rebalance }
 
 // WaitKind distinguishes which request type a Wait observed, for telemetry.
 type WaitKind uint8
@@ -83,8 +84,7 @@ type World struct {
 	net    *simnet.Network
 	nranks int
 
-	meters []Meter
-	rngs   []*xrand.RNG
+	rngs []*xrand.RNG
 
 	// mq[dst] holds the per-(source, tag) matching state of rank dst:
 	// arrived-but-unmatched messages and posted-but-unmatched receives.
@@ -117,9 +117,10 @@ type World struct {
 	// each emission site is the entire disabled-path cost.
 	tracer *trace.Recorder
 
-	// mx, when non-nil, is the run's sim-plane MPI instrument set
-	// (internal/metrics), laned by rank — same disabled-path discipline as
-	// the tracer: one nil check per site.
+	// mx is the sim-plane MPI instrument set (internal/metrics), laned by
+	// rank: the world's only phase and message accounting. Never nil — the
+	// world starts with a free-standing set and SetMetrics swaps in the
+	// run's registered one. Only rank r's shard ever writes lane r.
 	mx *metrics.MPIMetrics
 
 	// paranoid enables the invariant audits of internal/check: collective
@@ -184,9 +185,9 @@ func NewWorld(eng *sim.Engine, net *simnet.Network) *World {
 		eng:    eng,
 		net:    net,
 		nranks: n,
-		meters: make([]Meter, n),
 		rngs:   make([]*xrand.RNG, n),
 		mq:     make([]matchIndex, n),
+		mx:     metrics.NewMPIMetrics(nil, n),
 	}
 	w.paranoid = check.Forced()
 	seedRoot := xrand.New(net.Config().Seed ^ 0x5eed)
@@ -200,8 +201,8 @@ func NewWorld(eng *sim.Engine, net *simnet.Network) *World {
 // NewShardedWorld creates a world over the conservative parallel scheduler:
 // one rank per network endpoint, ranks routed to the shard hosting their
 // node (shardOfNode must match the mapping the network was built with).
-// Per-rank state — meters, RNG streams (split in rank order, identical to
-// single-engine mode), matching queues — is only ever touched by the
+// Per-rank state — instrument lanes, RNG streams (split in rank order,
+// identical to single-engine mode), matching queues — is only ever touched by the
 // owning shard; requests pool per shard; collectives stage arrivals
 // through per-shard outboxes and complete on the coordinator at window
 // merges, so the released order and the reduced sum are fixed by (arrival
@@ -211,9 +212,9 @@ func NewShardedWorld(s *sim.Shards, net *simnet.Network, shardOfNode []int32) *W
 	w := &World{
 		net:    net,
 		nranks: n,
-		meters: make([]Meter, n),
 		rngs:   make([]*xrand.RNG, n),
 		mq:     make([]matchIndex, n),
+		mx:     metrics.NewMPIMetrics(nil, n),
 	}
 	w.paranoid = check.Forced()
 	seedRoot := xrand.New(net.Config().Seed ^ 0x5eed)
@@ -250,16 +251,34 @@ func (w *World) Net() *simnet.Network { return w.net }
 // world, whose ranks live on per-shard engines).
 func (w *World) Engine() *sim.Engine { return w.eng }
 
-// Meter returns rank's accumulator.
-func (w *World) Meter(rank int) *Meter { return &w.meters[rank] }
+// Meter returns a snapshot of rank's accounting, folded from its lanes.
+func (w *World) Meter(rank int) Meter {
+	mx := w.mx
+	return Meter{
+		Compute:   mx.Compute.Lane(rank),
+		CommWait:  mx.CommWait.Lane(rank),
+		Sync:      mx.Sync.Lane(rank),
+		Rebalance: mx.Rebalance.Lane(rank),
+		MsgsSent:  mx.P2PMsgs.Lane(rank),
+		MsgsRecvd: mx.P2PRecvd.Lane(rank),
+		BytesSent: mx.P2PBytes.Lane(rank),
+		Waits:     mx.Waits.Lane(rank),
+	}
+}
 
 // SetTracer attaches a flight recorder (nil detaches it).
 func (w *World) SetTracer(tr *trace.Recorder) { w.tracer = tr }
 
-// SetMetrics attaches the run's MPI instrument set (nil detaches it). The
-// set must be laned by rank (metrics.NewRunSet does this): each rank only
-// ever writes its own lane, so sharded execution needs no locking and float
-// phase totals fold in deterministic lane order.
+// Metrics returns the world's MPI instrument set: the lanes every operation
+// accounts into. Read totals only after the engines drain.
+func (w *World) Metrics() *metrics.MPIMetrics { return w.mx }
+
+// SetMetrics swaps in the run's registered MPI instrument set. The set must
+// be laned by rank (metrics.NewRunSet does this): each rank only ever writes
+// its own lane, so sharded execution needs no locking and float phase totals
+// fold in deterministic lane order. mx must not be nil (the lanes are the
+// world's accounting). Call before Spawn: anything already accounted stays
+// with the set being replaced.
 func (w *World) SetMetrics(mx *metrics.MPIMetrics) { w.mx = mx }
 
 // Spawn starts rank's program as a simulated process. body receives the
@@ -385,13 +404,8 @@ func (c *Comm) Isend(dst, tag, bytes int) *Request {
 	if tag != int(int32(tag)) {
 		panic(fmt.Sprintf("mpi: rank %d Isend to rank %d with tag %d outside the int32 range", c.rank, dst, tag))
 	}
-	m := &w.meters[c.rank]
-	m.MsgsSent++
-	m.BytesSent += int64(bytes)
-	if mx := w.mx; mx != nil {
-		mx.P2PMsgs.Inc(c.rank)
-		mx.P2PBytes.Add(c.rank, int64(bytes))
-	}
+	w.mx.P2PMsgs.Inc(c.rank)
+	w.mx.P2PBytes.Add(c.rank, int64(bytes))
 	plan := w.net.PlanSend(c.rank, dst, bytes)
 	req := c.newRequest(WaitSend, bytes, dst, tag)
 	src := c.rank
@@ -437,7 +451,7 @@ func (w *World) DeliverMsg(src, dst, tag int32, bytes int64, local bool) {
 	if q.recvs.n > 0 {
 		req := q.recvs.pop()
 		req.bytes = int(bytes)
-		w.meters[dst].MsgsRecvd++
+		w.mx.P2PRecvd.Inc(int(dst))
 		req.fut.Complete(w.engFor(dst))
 		return
 	}
@@ -474,7 +488,7 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	q := w.queueFor(c.rank, msgKey{src: int32(src), tag: int32(tag)})
 	if q.arrivals.n > 0 {
 		req.bytes = int(q.arrivals.pop())
-		w.meters[c.rank].MsgsRecvd++
+		w.mx.P2PRecvd.Inc(c.rank)
 		req.fut.Complete(c.eng)
 		return req
 	}
@@ -493,17 +507,13 @@ func (c *Comm) Wait(req *Request) {
 		panic("mpi: Wait on a request already released by a previous Wait")
 	}
 	if !req.fut.Done() {
-		m := &c.w.meters[c.rank]
 		start := c.p.Now()
 		c.p.Await(&req.fut)
 		dur := c.p.Now() - start
-		m.CommWait += dur
-		m.Waits++
-		if mx := c.w.mx; mx != nil {
-			mx.Waits.Inc(c.rank)
-			mx.WaitHist.Observe(c.rank, dur)
-			mx.CommWait.Add(c.rank, dur)
-		}
+		mx := c.w.mx
+		mx.Waits.Inc(c.rank)
+		mx.WaitHist.Observe(c.rank, dur)
+		mx.CommWait.Add(c.rank, dur)
 		if tr := c.w.tracer; tr != nil {
 			kind := trace.SendWait
 			if req.kind == WaitRecv {
@@ -621,11 +631,8 @@ func (c *Comm) Barrier() {
 		c.eng.CompleteAfter(release, &b.fut)
 	}
 	c.p.Await(&b.fut)
-	w.meters[c.rank].Sync += c.p.Now() - arrivedAt
-	if mx := w.mx; mx != nil {
-		mx.Barriers.Inc(c.rank)
-		mx.Sync.Add(c.rank, c.p.Now()-arrivedAt)
-	}
+	w.mx.Barriers.Inc(c.rank)
+	w.mx.Sync.Add(c.rank, c.p.Now()-arrivedAt)
 	w.depart(b)
 	sp.End(float64(c.p.Now()))
 }
@@ -652,11 +659,8 @@ func (c *Comm) AllreduceSum(v float64) float64 {
 	}
 	c.p.Await(&b.fut)
 	sum := b.sum
-	w.meters[c.rank].Sync += c.p.Now() - arrivedAt
-	if mx := w.mx; mx != nil {
-		mx.Allreduces.Inc(c.rank)
-		mx.Sync.Add(c.rank, c.p.Now()-arrivedAt)
-	}
+	w.mx.Allreduces.Inc(c.rank)
+	w.mx.Sync.Add(c.rank, c.p.Now()-arrivedAt)
 	w.depart(b)
 	sp.End(float64(c.p.Now()))
 	return sum
@@ -679,15 +683,12 @@ func (c *Comm) shardCollective(op string, kind trace.Kind, v float64) float64 {
 	st.outColl[c.shard] = append(st.outColl[c.shard],
 		collArrival{t: arrivedAt, v: v, rank: int32(c.rank), op: op, c: c})
 	c.p.Await(&c.collFut)
-	w.meters[c.rank].Sync += c.p.Now() - arrivedAt
-	if mx := w.mx; mx != nil {
-		if op == "barrier" {
-			mx.Barriers.Inc(c.rank)
-		} else {
-			mx.Allreduces.Inc(c.rank)
-		}
-		mx.Sync.Add(c.rank, c.p.Now()-arrivedAt)
+	if op == "barrier" {
+		w.mx.Barriers.Inc(c.rank)
+	} else {
+		w.mx.Allreduces.Inc(c.rank)
 	}
+	w.mx.Sync.Add(c.rank, c.p.Now()-arrivedAt)
 	sp.End(float64(c.p.Now()))
 	return c.collSum
 }
@@ -798,10 +799,7 @@ func (c *Comm) Compute(cost float64) float64 {
 	dur := cost * factor * c.jitter()
 	start := c.p.Now()
 	c.p.Sleep(dur)
-	c.w.meters[c.rank].Compute += dur
-	if mx := c.w.mx; mx != nil {
-		mx.Compute.Add(c.rank, dur)
-	}
+	c.w.mx.Compute.Add(c.rank, dur)
 	if tr := c.w.tracer; tr != nil {
 		t0, t1 := float64(start), float64(c.p.Now())
 		tr.Emit(trace.Span{Rank: int32(c.rank), Kind: trace.Compute,
@@ -838,10 +836,7 @@ func (c *Comm) ChargeRebalance(d float64) {
 	}
 	start := c.p.Now()
 	c.p.Sleep(d)
-	c.w.meters[c.rank].Rebalance += d
-	if mx := c.w.mx; mx != nil {
-		mx.Rebalance.Add(c.rank, d)
-	}
+	c.w.mx.Rebalance.Add(c.rank, d)
 	if tr := c.w.tracer; tr != nil {
 		tr.Emit(trace.Span{Rank: int32(c.rank), Kind: trace.Rebalance,
 			T0: float64(start), T1: float64(c.p.Now()), Peer: -1, Tag: -1})

@@ -192,8 +192,8 @@ func TestDrainQueueSuppressesStalls(t *testing.T) {
 		c.Wait(c.Irecv(0, 0))
 	})
 	runWorld(t, eng)
-	if w.Net().Census.Drained != 1 {
-		t.Fatalf("drained = %d, want 1", w.Net().Census.Drained)
+	if w.Net().CensusTotal().Drained != 1 {
+		t.Fatalf("drained = %d, want 1", w.Net().CensusTotal().Drained)
 	}
 }
 
@@ -277,7 +277,7 @@ func TestRemoteVsLocalCensus(t *testing.T) {
 	w.Spawn(2, func(c *Comm) { c.Wait(c.Irecv(0, 0)) })
 	w.Spawn(3, func(c *Comm) {})
 	runWorld(t, eng)
-	cs := w.Net().Census
+	cs := w.Net().CensusTotal()
 	if cs.LocalMsgs != 1 || cs.RemoteMsgs != 1 || cs.IntraRank != 1 {
 		t.Fatalf("census = %+v", cs)
 	}
@@ -334,17 +334,6 @@ func TestShmContentionAddsDelay(t *testing.T) {
 	deep := run(1024)
 	if shallow <= deep {
 		t.Fatalf("contention missing: shallow=%v deep=%v", shallow, deep)
-	}
-}
-
-func TestMeterReset(t *testing.T) {
-	m := Meter{Compute: 1, CommWait: 2, Sync: 3, Rebalance: 4, MsgsSent: 5}
-	if m.Total() != 10 {
-		t.Fatalf("total = %v", m.Total())
-	}
-	m.Reset()
-	if m.Total() != 0 || m.MsgsSent != 0 {
-		t.Fatal("reset incomplete")
 	}
 }
 

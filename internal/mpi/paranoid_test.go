@@ -95,18 +95,18 @@ func TestParanoidUnmatchedIrecvAtTeardown(t *testing.T) {
 }
 
 func TestParanoidCensusReconciliation(t *testing.T) {
-	// After a clean exchange the meters and the network census agree; a
-	// doctored meter must break the census-msgs reconciliation.
+	// After a clean exchange the mpi lanes and the network census agree; a
+	// doctored send lane must break the census-msgs reconciliation.
 	eng, w := newWorld(t, quietConfig(1, 2))
 	w.Spawn(0, func(c *Comm) { c.Wait(c.Isend(1, 3, 512)) })
 	w.Spawn(1, func(c *Comm) { c.Wait(c.Irecv(0, 3)) })
 	runWorld(t, eng)
 	w.AuditTeardown() // clean run must pass
 
-	w.Meter(0).MsgsSent++ // corrupt the accounting
+	w.mx.P2PMsgs.Inc(0) // corrupt the accounting
 	v, ok := check.Catch(func() { w.AuditTeardown() })
 	if !ok {
-		t.Fatal("corrupted meter raised no violation")
+		t.Fatal("corrupted send lane raised no violation")
 	}
 	if v.Layer != "mpi" || v.Invariant != "census-msgs" {
 		t.Fatalf("violation = %v, want mpi/census-msgs", v)

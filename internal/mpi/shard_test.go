@@ -21,6 +21,15 @@ func newSharded(t *testing.T, cfg simnet.Config, nshards int) (*sim.Shards, *Wor
 	return shs, NewShardedWorld(shs, net, shardOfNode)
 }
 
+// meters snapshots every rank's Meter.
+func meters(w *World) []Meter {
+	out := make([]Meter, w.NumRanks())
+	for r := range out {
+		out[r] = w.Meter(r)
+	}
+	return out
+}
+
 // exerciseWorld is a small cross-node ring program: every rank sends to its
 // slot on the next node, receives from the previous, barriers, allreduces.
 func exerciseWorld(w *World, computed []float64) {
@@ -71,7 +80,7 @@ func TestShardedIdentityAcrossShardCounts(t *testing.T) {
 		defer shs.Close()
 		out := outcome{now: shs.Now(), events: shs.Events(), sums: sums,
 			census: w.Net().CensusTotal()}
-		out.meters = append(out.meters, w.meters...)
+		out.meters = meters(w)
 		return out
 	}
 	base := run(1)
@@ -134,10 +143,10 @@ func TestShardedMatchesSequentialQuiet(t *testing.T) {
 	if eng.Events() != shs.Events() {
 		t.Fatalf("events: sequential %d, sharded %d", eng.Events(), shs.Events())
 	}
-	for r := range ws.meters {
-		if ws.meters[r] != wp.meters[r] {
-			t.Fatalf("rank %d meter: sequential %+v, sharded %+v",
-				r, ws.meters[r], wp.meters[r])
+	ms, mp := meters(ws), meters(wp)
+	for r := range ms {
+		if ms[r] != mp[r] {
+			t.Fatalf("rank %d meter: sequential %+v, sharded %+v", r, ms[r], mp[r])
 		}
 	}
 	cs, cp := ws.Net().CensusTotal(), wp.Net().CensusTotal()

@@ -13,6 +13,11 @@
 //
 // The hardware constants default to the paper's testbed shape: Intel Xeon
 // nodes, 16 ranks/node, a 40 Gbps QLogic fabric (§IV "Hardware").
+//
+// Accounting is per node and counted once: message paths go to the node's
+// Census, pathology counts and stall times to the node's lane of the fabric
+// instruments (metrics.NetMetrics), which every Network owns from
+// construction. CensusTotal folds both into the one Census callers read.
 package simnet
 
 import (
@@ -118,7 +123,9 @@ func Untuned(nodes, ranksPerNode int, seed uint64) Config {
 
 // Census counts messages by path, the measurement behind Fig 6c's
 // local-vs-remote split. IntraRank counts block pairs co-located on one
-// rank, exchanged via memcpy and invisible to MPI.
+// rank, exchanged via memcpy and invisible to MPI. The network tallies one
+// Census per node; CensusTotal folds them and takes the two stall counts
+// from the fabric instrument lanes (metrics.NetMetrics), their only store.
 type Census struct {
 	IntraRank      int64
 	LocalMsgs      int64 // intra-node shared memory
@@ -143,26 +150,26 @@ type Network struct {
 	rng       *xrand.RNG
 	nicFreeAt []float64 // per-node NIC egress availability
 	shmInUse  []int     // per-node in-flight local messages
-	Census    Census    // single-engine mode tallies; use CensusTotal() to read either mode
+	census    []Census  // per-node path tallies, folded by CensusTotal
 
-	// Sharded mode (nil in single-engine mode): the engine, RNG stream and
-	// census shard the same way the event queues do, keeping the NIC-clock
-	// and queue audits shard-local. nodeRngs is split from the seed in node
+	// Sharded mode (nil in single-engine mode): the engine and RNG stream
+	// shard the same way the event queues do, keeping the NIC-clock and
+	// queue audits shard-local. nodeRngs is split from the seed in node
 	// order, so streams — and therefore all fabric randomness — are
 	// identical for every shard count.
 	engs        []*sim.Engine // per-shard engines
 	shardOfNode []int32       // node -> shard
 	nodeRngs    []*xrand.RNG  // per-node randomness streams
-	shardCensus []Census      // per-shard tallies, summed by CensusTotal
 
 	// tracer, when non-nil, receives a span for every fabric pathology
 	// event (shm queue-full stall, NIC egress serialization, missing-ACK
 	// recovery stall) — the flight recorder of internal/trace.
 	tracer *trace.Recorder
 
-	// mx, when non-nil, is the run's sim-plane fabric instrument set
-	// (internal/metrics), laned by node — a node's fabric events never
-	// span shards, so lane updates need no locking.
+	// mx is the sim-plane fabric instrument set (internal/metrics), laned
+	// by node — a node's fabric events never span shards, so lane updates
+	// need no locking. Never nil: the network starts with a free-standing
+	// set and SetMetrics swaps in the run's registered one.
 	mx *metrics.NetMetrics
 
 	// paranoid enables the invariant audits of internal/check: shm queue
@@ -182,6 +189,8 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		rng:       xrand.New(cfg.Seed),
 		nicFreeAt: make([]float64, cfg.Nodes),
 		shmInUse:  make([]int, cfg.Nodes),
+		census:    make([]Census, cfg.Nodes),
+		mx:        metrics.NewNetMetrics(nil, cfg.Nodes),
 		paranoid:  check.Forced(),
 	}
 }
@@ -216,11 +225,12 @@ func NewSharded(engs []*sim.Engine, shardOfNode []int32, cfg Config) *Network {
 		cfg:         cfg,
 		nicFreeAt:   make([]float64, cfg.Nodes),
 		shmInUse:    make([]int, cfg.Nodes),
+		census:      make([]Census, cfg.Nodes),
+		mx:          metrics.NewNetMetrics(nil, cfg.Nodes),
 		paranoid:    check.Forced(),
 		engs:        engs,
 		shardOfNode: shardOfNode,
 		nodeRngs:    rngs,
-		shardCensus: make([]Census, len(engs)),
 	}
 }
 
@@ -240,35 +250,21 @@ func (n *Network) rngFor(node int) *xrand.RNG {
 	return n.nodeRngs[node]
 }
 
-// censusFor returns the census a node's messages tally into.
-func (n *Network) censusFor(node int) *Census {
-	if n.shardCensus == nil {
-		return &n.Census
-	}
-	return &n.shardCensus[n.shardOfNode[node]]
-}
-
-// add accumulates o into c.
-func (c *Census) add(o Census) {
-	c.IntraRank += o.IntraRank
-	c.LocalMsgs += o.LocalMsgs
-	c.RemoteMsgs += o.RemoteMsgs
-	c.LocalBytes += o.LocalBytes
-	c.RemoteBytes += o.RemoteBytes
-	c.AckStalls += o.AckStalls
-	c.Drained += o.Drained
-	c.ShmContentions += o.ShmContentions
-}
-
-// CensusTotal returns the message census regardless of mode: the single
-// shared tally, or the per-shard tallies summed in shard order.
+// CensusTotal returns the whole-network message census: the per-node path
+// tallies summed, plus the stall counts folded from the instrument lanes.
 func (n *Network) CensusTotal() Census {
-	if n.shardCensus == nil {
-		return n.Census
+	total := Census{
+		AckStalls:      n.mx.AckStalls.Total(),
+		ShmContentions: n.mx.ShmStalls.Total(),
 	}
-	var total Census
-	for i := range n.shardCensus {
-		total.add(n.shardCensus[i])
+	for i := range n.census {
+		c := &n.census[i]
+		total.IntraRank += c.IntraRank
+		total.LocalMsgs += c.LocalMsgs
+		total.RemoteMsgs += c.RemoteMsgs
+		total.LocalBytes += c.LocalBytes
+		total.RemoteBytes += c.RemoteBytes
+		total.Drained += c.Drained
 	}
 	return total
 }
@@ -283,8 +279,9 @@ func (n *Network) Paranoid() bool { return n.paranoid }
 // SetTracer attaches a flight recorder (nil detaches it).
 func (n *Network) SetTracer(tr *trace.Recorder) { n.tracer = tr }
 
-// SetMetrics attaches the run's fabric instrument set (nil detaches it).
-// The set must be laned by node (metrics.NewRunSet does this).
+// SetMetrics swaps in the run's registered fabric instrument set, laned by
+// node (metrics.NewRunSet does this); mx must not be nil. Call before the
+// first send: counts already taken stay with the set being replaced.
 func (n *Network) SetMetrics(mx *metrics.NetMetrics) { n.mx = mx }
 
 // Config returns the network configuration.
@@ -332,7 +329,7 @@ func (n *Network) PlanSend(src, dst, bytes int) SendPlan {
 
 func (n *Network) planLocal(src, dst, bytes int) SendPlan {
 	node := n.NodeOf(src)
-	cs := n.censusFor(node)
+	cs := &n.census[node]
 	cs.LocalMsgs++
 	cs.LocalBytes += int64(bytes)
 	delay := n.cfg.LocalLatency + float64(bytes)/n.cfg.LocalBandwidth
@@ -340,13 +337,10 @@ func (n *Network) planLocal(src, dst, bytes int) SendPlan {
 	if excess := n.shmInUse[node] - n.cfg.ShmQueueDepth; excess > 0 {
 		// Undersized queue: the shared-memory path degrades into a
 		// contended retry loop with a heavy tail (§IV-B queue size tuning).
-		cs.ShmContentions++
 		stall := float64(excess) * n.cfg.ShmContentionPenalty * (1 + n.rngFor(node).ExpFloat64())
 		delay += stall
-		if mx := n.mx; mx != nil {
-			mx.ShmStalls.Inc(node)
-			mx.ShmStallTime.Add(node, stall)
-		}
+		n.mx.ShmStalls.Inc(node)
+		n.mx.ShmStallTime.Add(node, stall)
 		if tr := n.tracer; tr != nil {
 			now := n.engFor(node).Now()
 			tr.Emit(trace.Span{Rank: int32(src), Kind: trace.ShmStall,
@@ -359,7 +353,7 @@ func (n *Network) planLocal(src, dst, bytes int) SendPlan {
 
 func (n *Network) planRemote(src, dst, bytes int) SendPlan {
 	node := n.NodeOf(src)
-	cs := n.censusFor(node)
+	cs := &n.census[node]
 	cs.RemoteMsgs++
 	cs.RemoteBytes += int64(bytes)
 	now := n.engFor(node).Now()
@@ -368,10 +362,8 @@ func (n *Network) planRemote(src, dst, bytes int) SendPlan {
 	start := now
 	if n.nicFreeAt[node] > start {
 		start = n.nicFreeAt[node]
-		if mx := n.mx; mx != nil {
-			mx.NicSerials.Inc(node)
-			mx.NicSerialTime.Add(node, start-now)
-		}
+		n.mx.NicSerials.Inc(node)
+		n.mx.NicSerialTime.Add(node, start-now)
 		if tr := n.tracer; tr != nil {
 			// Egress queue wait: the message sat behind co-located ranks'
 			// traffic at the node's shared NIC.
@@ -400,12 +392,9 @@ func (n *Network) planRemote(src, dst, bytes int) SendPlan {
 		} else {
 			// Missing ACK: the fabric recovery path blocks the sender even
 			// though the receiver already has the data.
-			cs.AckStalls++
 			senderDone = n.cfg.AckRecoveryDelay * (0.5 + n.rngFor(node).Float64())
-			if mx := n.mx; mx != nil {
-				mx.AckStalls.Inc(node)
-				mx.AckStallTime.Add(node, senderDone)
-			}
+			n.mx.AckStalls.Inc(node)
+			n.mx.AckStallTime.Add(node, senderDone)
 			if tr := n.tracer; tr != nil {
 				tr.Emit(trace.Span{Rank: int32(src), Kind: trace.AckStall,
 					T0: now, T1: now + senderDone,
@@ -444,15 +433,7 @@ func (n *Network) AuditDrained() {
 
 // RecordIntraRank counts a block-pair exchange by rank that stayed on one
 // rank (handled by memcpy, no MPI message).
-func (n *Network) RecordIntraRank(rank int) { n.censusFor(n.NodeOf(rank)).IntraRank++ }
-
-// ResetCensus zeroes the message census (e.g. per measurement window).
-func (n *Network) ResetCensus() {
-	n.Census = Census{}
-	for i := range n.shardCensus {
-		n.shardCensus[i] = Census{}
-	}
-}
+func (n *Network) RecordIntraRank(rank int) { n.census[n.NodeOf(rank)].IntraRank++ }
 
 // CollectiveLatency returns the software latency of a barrier/allreduce
 // release over nranks ranks: a tree of depth log2(n) of fabric hops.
@@ -462,19 +443,4 @@ func (n *Network) CollectiveLatency(nranks int) float64 {
 		depth++
 	}
 	return float64(depth) * n.cfg.RemoteLatency
-}
-
-// JitterFactor returns a multiplicative compute-noise factor
-// ~ (1 + Jitter·|N(0,1)|). It draws from the shared single-engine stream,
-// so it must not be called in sharded mode (rank compute noise there comes
-// from the MPI world's per-rank streams, as everywhere in the driver).
-func (n *Network) JitterFactor() float64 {
-	if n.cfg.Jitter == 0 {
-		return 1
-	}
-	v := n.rng.NormFloat64()
-	if v < 0 {
-		v = -v
-	}
-	return 1 + n.cfg.Jitter*v
 }

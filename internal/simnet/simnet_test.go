@@ -3,6 +3,7 @@ package simnet
 import (
 	"testing"
 
+	"amrtools/internal/metrics"
 	"amrtools/internal/sim"
 )
 
@@ -52,8 +53,8 @@ func TestPlanSendLocalVsRemote(t *testing.T) {
 	if remote.DeliverAfter <= local.DeliverAfter {
 		t.Fatalf("remote (%v) not slower than local (%v)", remote.DeliverAfter, local.DeliverAfter)
 	}
-	if n.Census.LocalMsgs != 1 || n.Census.RemoteMsgs != 1 {
-		t.Fatalf("census = %+v", n.Census)
+	if n.CensusTotal().LocalMsgs != 1 || n.CensusTotal().RemoteMsgs != 1 {
+		t.Fatalf("census = %+v", n.CensusTotal())
 	}
 }
 
@@ -79,8 +80,8 @@ func TestShmQueueContention(t *testing.T) {
 	if p3.DeliverAfter <= p2.DeliverAfter {
 		t.Fatal("overflow message not delayed")
 	}
-	if n.Census.ShmContentions != 1 {
-		t.Fatalf("contentions = %d", n.Census.ShmContentions)
+	if n.CensusTotal().ShmContentions != 1 {
+		t.Fatalf("contentions = %d", n.CensusTotal().ShmContentions)
 	}
 	// Releasing slots restores fast delivery.
 	n.DeliveryDone(0, p1)
@@ -100,8 +101,8 @@ func TestAckStallAndDrain(t *testing.T) {
 	if p.SenderDoneAfter < cfg.AckRecoveryDelay*0.4 {
 		t.Fatalf("no ACK stall: %v", p.SenderDoneAfter)
 	}
-	if n.Census.AckStalls != 1 {
-		t.Fatalf("stalls = %d", n.Census.AckStalls)
+	if n.CensusTotal().AckStalls != 1 {
+		t.Fatalf("stalls = %d", n.CensusTotal().AckStalls)
 	}
 	cfg.DrainQueue = true
 	n2 := New(sim.NewEngine(), cfg)
@@ -109,8 +110,8 @@ func TestAckStallAndDrain(t *testing.T) {
 	if p2.SenderDoneAfter != cfg.SendOverhead {
 		t.Fatalf("drain queue did not suppress stall: %v", p2.SenderDoneAfter)
 	}
-	if n2.Census.Drained != 1 {
-		t.Fatalf("drained = %d", n2.Census.Drained)
+	if n2.CensusTotal().Drained != 1 {
+		t.Fatalf("drained = %d", n2.CensusTotal().Drained)
 	}
 }
 
@@ -124,32 +125,30 @@ func TestCollectiveLatencyGrowsWithScale(t *testing.T) {
 	}
 }
 
-func TestJitterFactor(t *testing.T) {
-	cfg := Tuned(1, 1, 1)
-	cfg.Jitter = 0
+// TestCensusTotalFoldsNodesAndLanes: the census is tallied per node and the
+// two stall counts live only in the instrument lanes, so CensusTotal must sum
+// every node's paths and read the stalls from whichever set is installed.
+func TestCensusTotalFoldsNodesAndLanes(t *testing.T) {
+	cfg := Untuned(2, 2, 1)
+	cfg.AckLossProb = 1
+	cfg.ShmQueueDepth = 1
 	n := New(sim.NewEngine(), cfg)
-	if n.JitterFactor() != 1 {
-		t.Fatal("zero jitter not exactly 1")
-	}
-	cfg.Jitter = 0.1
-	n2 := New(sim.NewEngine(), cfg)
-	for i := 0; i < 100; i++ {
-		f := n2.JitterFactor()
-		if f < 1 {
-			t.Fatalf("jitter factor %v below 1", f)
-		}
-	}
-}
-
-func TestResetCensus(t *testing.T) {
-	cfg := Tuned(2, 1, 1)
-	cfg.AckLossProb = 0
-	n := New(sim.NewEngine(), cfg)
-	n.PlanSend(0, 1, 10)
+	set := metrics.NewRunSet(n.NumRanks(), cfg.Nodes, nil)
+	n.SetMetrics(set.Net)
+	n.PlanSend(0, 1, 10) // node 0, local
+	n.PlanSend(0, 1, 10) // node 0, local, overflows the queue
+	n.PlanSend(2, 3, 20) // node 1, local
+	n.PlanSend(1, 2, 30) // node 0 -> 1, remote, ACK stall
+	n.PlanSend(3, 0, 40) // node 1 -> 0, remote, ACK stall
 	n.RecordIntraRank(0)
-	n.ResetCensus()
-	if n.Census != (Census{}) {
-		t.Fatalf("census not reset: %+v", n.Census)
+	n.RecordIntraRank(3)
+	want := Census{IntraRank: 2, LocalMsgs: 3, RemoteMsgs: 2, LocalBytes: 40, RemoteBytes: 70,
+		AckStalls: 2, ShmContentions: 1}
+	if got := n.CensusTotal(); got != want {
+		t.Fatalf("census = %+v, want %+v", got, want)
+	}
+	if got := set.Net.AckStalls.Total(); got != 2 {
+		t.Fatalf("registered ack-stall lanes = %d, want 2", got)
 	}
 }
 
