@@ -1,7 +1,8 @@
 // Command amrlint runs the repo's custom static analyzers (internal/lint)
-// over the module: determinism, map-order, request-leak, span-pairing, and
-// exhaustive-switch rules, each the compile-time half of a runtime invariant
-// audited by internal/check. See DESIGN.md §8 for the rule table.
+// over the module: determinism, map-order, request-leak and
+// exhaustive-switch rules plus the call-graph set, each the compile-time half
+// of a runtime invariant audited by internal/check. See DESIGN.md §8 for the
+// rule table.
 //
 // Usage:
 //
@@ -25,44 +26,53 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"amrtools/internal/lint"
 )
 
-func main() {
-	jsonOut := flag.Bool("json", false, "emit one JSON object per diagnostic line, then one {\"waivers\":[…]} line")
-	dir := flag.String("C", "", "module root (default: nearest go.mod above the working directory)")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: amrlint [-json] [-C dir] [patterns ...]\n\nrules:\n")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind main, returning the exit status: 0 clean,
+// 1 when a diagnostic survives waivers, 2 for a usage or load error (bad
+// flag, no go.mod, a pattern matching nothing).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("amrlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit one JSON object per diagnostic line, then one {\"waivers\":[…]} line")
+	dir := fs.String("C", "", "module root (default: nearest go.mod above the working directory)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: amrlint [-json] [-C dir] [patterns ...]\n\nrules:\n")
 		for _, a := range lint.Analyzers() {
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", a.Name(), a.Doc())
+			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name(), a.Doc())
 		}
-		fmt.Fprintf(flag.CommandLine.Output(), "  %-12s malformed or unused //lint:ignore waivers\n\nflags:\n", lint.WaiverRule)
-		flag.PrintDefaults()
+		fmt.Fprintf(stderr, "  %-12s malformed or unused //lint:ignore waivers\n\nflags:\n", lint.WaiverRule)
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "amrlint:", err)
+		return 2
+	}
 
 	root := *dir
 	if root == "" {
 		var err error
-		root, err = moduleRoot()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "amrlint:", err)
-			os.Exit(2)
+		if root, err = moduleRoot(); err != nil {
+			return fail(err)
 		}
 	}
-
-	set, err := lint.LoadSet(lint.LoadConfig{Dir: root, Patterns: flag.Args()})
+	set, err := lint.LoadSet(lint.LoadConfig{Dir: root, Patterns: fs.Args()})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "amrlint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 	if len(set.Selected) == 0 {
 		// A typo'd pattern must not pass silently as "zero diagnostics".
-		fmt.Fprintf(os.Stderr, "amrlint: patterns %v matched no packages\n", flag.Args())
-		os.Exit(2)
+		return fail(fmt.Errorf("patterns %v matched no packages", fs.Args()))
 	}
 	diags, waivers := lint.Run(set, lint.Analyzers())
 	for i := range diags {
@@ -73,22 +83,22 @@ func main() {
 	}
 
 	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, diags, waivers); err != nil {
-			fmt.Fprintln(os.Stderr, "amrlint:", err)
-			os.Exit(2)
+		if err := lint.WriteJSON(stdout, diags, waivers); err != nil {
+			return fail(err)
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
-		fmt.Fprintf(os.Stderr, "amrlint: %d live waiver(s)\n", len(waivers))
+		fmt.Fprintf(stderr, "amrlint: %d live waiver(s)\n", len(waivers))
 	}
 	if len(diags) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "amrlint: %d diagnostic(s)\n", len(diags))
+			fmt.Fprintf(stderr, "amrlint: %d diagnostic(s)\n", len(diags))
 		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // moduleRoot walks up from the working directory to the nearest go.mod.

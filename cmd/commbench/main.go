@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -20,15 +21,24 @@ import (
 	"amrtools/internal/harness"
 )
 
-func main() {
-	ranks := flag.Int("ranks", 512, "simulated rank count")
-	policies := flag.String("policies", "cpl0,cpl25,cpl50,cpl75,cpl100",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind main, returning the exit status: 0, 1 for
+// a configuration the benchmark rejects (rank count, policy name, round
+// count), 2 for a bad flag. The table goes to stdout, errors to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("commbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	ranks := fs.Int("ranks", 512, "simulated rank count")
+	policies := fs.String("policies", "cpl0,cpl25,cpl50,cpl75,cpl100",
 		"comma-separated placement policies")
-	meshes := flag.Int("meshes", 5, "random meshes per policy")
-	rounds := flag.Int("rounds", 20, "communication rounds per mesh")
-	seed := flag.Uint64("seed", 42, "mesh/network seed")
-	workers := flag.Int("j", 0, "parallel runs (0 = GOMAXPROCS)")
-	flag.Parse()
+	meshes := fs.Int("meshes", 5, "random meshes per policy")
+	rounds := fs.Int("rounds", 20, "communication rounds per mesh")
+	seed := fs.Uint64("seed", 42, "mesh/network seed")
+	workers := fs.Int("j", 0, "parallel runs (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	tab, err := experiments.Commbench(experiments.CommbenchConfig{
 		Ranks:    *ranks,
@@ -39,9 +49,10 @@ func main() {
 		Exec:     harness.Exec{Workers: *workers},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "commbench:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "commbench:", err)
+		return 1
 	}
-	fmt.Printf("commbench: %d ranks, %d meshes x %d rounds per policy\n", *ranks, *meshes, *rounds)
-	fmt.Print(tab.Render(0))
+	fmt.Fprintf(stdout, "commbench: %d ranks, %d meshes x %d rounds per policy\n", *ranks, *meshes, *rounds)
+	fmt.Fprint(stdout, tab.Render(0))
+	return 0
 }

@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -35,17 +36,30 @@ import (
 	"amrtools/internal/metrics"
 )
 
-func main() {
-	full := flag.Bool("full", false, "sweep to 131072 ranks (takes longer; 65536 in -scale mode)")
-	seed := flag.Uint64("seed", 42, "cost-sampling seed")
-	workers := flag.Int("j", 0, "parallel runs per campaign (0 = GOMAXPROCS)")
-	scale := flag.Bool("scale", false, "run the distributed-forest rank-scaling sweep (full driver runs)")
-	paranoid := flag.Bool("paranoid", false, "run -scale simulations with the internal/check invariant audits on")
-	shards := flag.Int("shards", 0, "node-sharded event queues per simulation; results are identical for every value >= 1 (0 = the legacy sequential engine, whose tables differ)")
-	metricsOut := flag.String("metrics", "", "write per-run campaign telemetry to this colfile")
-	serve := flag.String("serve", "", "serve live /metrics, /statusz, and /debug/pprof on this address (e.g. :8080) for the duration of the run")
-	timeout := flag.Duration("timeout", 0, "per-run timeout (0 = none); a safety net against simulated deadlocks")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind main, returning the exit status: 0, 1 for
+// an I/O error (the -serve socket, the -metrics file), 2 for a bad flag.
+// Tables go to stdout; progress and file notices go to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("scalebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	full := fs.Bool("full", false, "sweep to 131072 ranks (takes longer; 65536 in -scale mode)")
+	seed := fs.Uint64("seed", 42, "cost-sampling seed")
+	workers := fs.Int("j", 0, "parallel runs per campaign (0 = GOMAXPROCS)")
+	scale := fs.Bool("scale", false, "run the distributed-forest rank-scaling sweep (full driver runs)")
+	paranoid := fs.Bool("paranoid", false, "run -scale simulations with the internal/check invariant audits on")
+	shards := fs.Int("shards", 0, "node-sharded event queues for every simulation the binary runs; results are identical for every value >= 1 (0 = the sequential engine, whose tables differ)")
+	metricsOut := fs.String("metrics", "", "write per-run campaign telemetry to this colfile")
+	serve := fs.String("serve", "", "serve live /metrics, /statusz, and /debug/pprof on this address (e.g. :8080) for the duration of the run")
+	timeout := fs.Duration("timeout", 0, "per-run timeout (0 = none); a safety net against simulated deadlocks")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "scalebench:", err)
+		return 1
+	}
 
 	if *paranoid {
 		check.Force(true)
@@ -55,11 +69,10 @@ func main() {
 		camp = metrics.NewCampaign()
 		srv, err := metrics.Serve(*serve, camp)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "serving /metrics /statusz /debug/pprof on http://%s\n", srv.Addr())
+		fmt.Fprintf(stderr, "serving /metrics /statusz /debug/pprof on http://%s\n", srv.Addr())
 	}
 	rec := harness.NewRecorder()
 	opts := experiments.Options{
@@ -73,28 +86,28 @@ func main() {
 			Timeout:  *timeout,
 			Recorder: rec,
 			Progress: func(p harness.Progress) {
-				fmt.Fprintf(os.Stderr, "  [%s] %d/%d done: %s (%s, %v)\n",
+				fmt.Fprintf(stderr, "  [%s] %d/%d done: %s (%s, %v)\n",
 					p.Campaign, p.Done, p.Total, p.ID, p.Status, p.Wall.Round(time.Millisecond))
 			},
 		},
 	}
 
 	if *scale {
-		fmt.Println("scalebench: distributed-forest rank scaling (per-rank metadata economy)")
-		fmt.Print(experiments.Scale(opts).Render(0))
+		fmt.Fprintln(stdout, "scalebench: distributed-forest rank scaling (per-rank metadata economy)")
+		fmt.Fprint(stdout, experiments.Scale(opts).Render(0))
 	} else {
-		fmt.Println("scalebench: normalized makespan (makespan / lower bound, lower is better)")
-		fmt.Print(experiments.Fig7b(opts).Render(0))
-		fmt.Println()
-		fmt.Println("scalebench: placement computation overhead (50 ms budget)")
-		fmt.Print(experiments.Fig7c(opts).Render(0))
+		fmt.Fprintln(stdout, "scalebench: normalized makespan (makespan / lower bound, lower is better)")
+		fmt.Fprint(stdout, experiments.Fig7b(opts).Render(0))
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, "scalebench: placement computation overhead (50 ms budget)")
+		fmt.Fprint(stdout, experiments.Fig7c(opts).Render(0))
 	}
 
 	if *metricsOut != "" {
 		if err := rec.WriteFile(*metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "campaign telemetry: %d rows -> %s\n", rec.Table().NumRows(), *metricsOut)
+		fmt.Fprintf(stderr, "campaign telemetry: %d rows -> %s\n", rec.Table().NumRows(), *metricsOut)
 	}
+	return 0
 }

@@ -15,20 +15,20 @@ func twoRankSpans() *trace.Recorder {
 	rec := trace.NewRecorder(2, 1, trace.Config{})
 	for r := 0; r < 2; r++ {
 		rec.SetPhase(r, 0, 0)
-		rec.Begin(int32(r), trace.Barrier, 0).End(1)
+		rec.Emit(trace.Span{Rank: int32(r), Kind: trace.Barrier, T0: 0, T1: 1, Peer: -1, Tag: -1})
 		rec.SetPhase(r, 1, 0)
 	}
-	rec.Begin(0, trace.Irecv, 1).WithPeer(1, 8).End(1)
-	rec.Begin(0, trace.Compute, 1).End(1.006)
-	rec.Begin(0, trace.Isend, 1.006).WithPeer(1, 7).End(1.006)
+	rec.Emit(trace.Span{Rank: 0, Kind: trace.Irecv, T0: 1, T1: 1, Peer: 1, Tag: 8})
+	rec.Emit(trace.Span{Rank: 0, Kind: trace.Compute, T0: 1, T1: 1.006, Peer: -1, Tag: -1})
+	rec.Emit(trace.Span{Rank: 0, Kind: trace.Isend, T0: 1.006, T1: 1.006, Peer: 1, Tag: 7})
 	// Rank 1's message arrived long ago, so rank 0 never blocks.
-	rec.Begin(0, trace.Barrier, 1.006).End(1.0063)
+	rec.Emit(trace.Span{Rank: 0, Kind: trace.Barrier, T0: 1.006, T1: 1.0063, Peer: -1, Tag: -1})
 
-	rec.Begin(1, trace.Irecv, 1).WithPeer(0, 7).End(1)
-	rec.Begin(1, trace.Compute, 1).End(1.002)
-	rec.Begin(1, trace.Isend, 1.002).WithPeer(0, 8).End(1.002)
-	rec.Begin(1, trace.RecvWait, 1.002).WithPeer(0, 7).End(1.0062)
-	rec.Begin(1, trace.Barrier, 1.0062).End(1.0063)
+	rec.Emit(trace.Span{Rank: 1, Kind: trace.Irecv, T0: 1, T1: 1, Peer: 0, Tag: 7})
+	rec.Emit(trace.Span{Rank: 1, Kind: trace.Compute, T0: 1, T1: 1.002, Peer: -1, Tag: -1})
+	rec.Emit(trace.Span{Rank: 1, Kind: trace.Isend, T0: 1.002, T1: 1.002, Peer: 0, Tag: 8})
+	rec.Emit(trace.Span{Rank: 1, Kind: trace.RecvWait, T0: 1.002, T1: 1.0062, Peer: 0, Tag: 7})
+	rec.Emit(trace.Span{Rank: 1, Kind: trace.Barrier, T0: 1.0062, T1: 1.0063, Peer: -1, Tag: -1})
 	return rec
 }
 

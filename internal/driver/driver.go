@@ -79,9 +79,8 @@ type Config struct {
 	// CollectSteps enables the per-step per-rank telemetry table.
 	CollectSteps bool
 	// CollectWaits enables the individual wait-event table (Fig 1b),
-	// capped at MaxWaitEvents rows.
-	CollectWaits  bool
-	MaxWaitEvents int
+	// capped at 200 000 rows.
+	CollectWaits bool
 
 	// PlacementCharge is the virtual time charged per redistribution for
 	// computing the placement (deterministic stand-in for the measured
@@ -127,15 +126,13 @@ type Config struct {
 	// moment a condition appears in live telemetry (see telemetry.Watcher).
 	OnStepRecord func(t *telemetry.Table, row int)
 
-	// Shards, when > 0, runs the simulation on the conservative parallel
-	// scheduler (sim.Shards): the simulated nodes split into min(Shards,
-	// Net.Nodes) contiguous groups, each with its own event queue, advanced
-	// in lockstep lookahead windows bounded by the network's cross-node
-	// latency (simnet.Config.Lookahead) and executed concurrently when enough
-	// shards are active. Results are byte-identical for every Shards >= 1 and
-	// any GOMAXPROCS, but differ from the sequential Shards == 0 default
-	// (fabric randomness moves from one shared stream to per-node streams,
-	// and same-time table rows order by rank instead of engine arrival).
+	// Shards picks the DES engine the cluster is launched on (mpi.Launch):
+	// 0 the sequential engine, >= 1 the conservative parallel scheduler over
+	// min(Shards, Net.Nodes) contiguous node groups. Results are
+	// byte-identical for every Shards >= 1 and any GOMAXPROCS, but differ
+	// from the Shards == 0 default (fabric randomness moves from one shared
+	// stream to per-node streams, and same-time table rows order by rank
+	// instead of engine arrival).
 	Shards int
 
 	// Interrupt, when set, is polled during execution — every few thousand
@@ -182,9 +179,12 @@ func DefaultConfig(rootDims [3]int, maxLevel, steps int, pol placement.Policy, s
 		Problem:          physics.NewSedov(rootDims, steps, seed),
 		Net:              simnet.Tuned(nodes, ranksPerNode, seed),
 		CollectSteps:     true,
-		MaxWaitEvents:    200000,
 	}
 }
+
+// maxWaitEvents caps the wait-event table (Config.CollectWaits): an untuned
+// fabric blocks in Wait millions of times, and Fig 1b needs the early ones.
+const maxWaitEvents = 200_000
 
 // PhaseTotals aggregates per-phase times (mean over ranks, seconds).
 type PhaseTotals struct {
@@ -293,8 +293,13 @@ type runState struct {
 	res           *Result
 	tracer        *trace.Recorder // nil unless Config.Trace
 	sizes         [3]int          // face/edge/vertex message bytes
-	// stage holds the per-rank telemetry staging buffers of a sharded run
-	// (nil in sequential mode); see shardstage.go.
+	// obs stages each rank's per-block cost observations until rank 0
+	// replays them at the next redistribution (syncObservations).
+	obs [][]obsRow
+	// stage holds the per-rank step/wait row staging of a run on the
+	// scheduler, flushed in (step, rank) / (t, rank) order at window merges;
+	// nil on the sequential engine, whose rows append in engine order. See
+	// shardstage.go.
 	stage *shardStage
 
 	// meshChanges counts redistributions that changed the mesh, for the
@@ -307,49 +312,16 @@ func Run(cfg Config) (*Result, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
-	var (
-		eng   *sim.Engine
-		shs   *sim.Shards
-		net   *simnet.Network
-		world *mpi.World
-	)
-	if cfg.Shards > 0 {
-		// Conservative parallel DES (DESIGN.md §10): contiguous node groups,
-		// one event queue each, under the lookahead-window scheduler.
-		nsh := cfg.Shards
-		if nsh > cfg.Net.Nodes {
-			nsh = cfg.Net.Nodes
-		}
-		shardOfNode := make([]int32, cfg.Net.Nodes)
-		for nd := range shardOfNode {
-			shardOfNode[nd] = int32(nd * nsh / cfg.Net.Nodes)
-		}
-		shs = sim.NewShards(nsh, cfg.Net.Lookahead())
-		net = simnet.NewSharded(shs.Engines(), shardOfNode, cfg.Net)
-		world = mpi.NewShardedWorld(shs, net, shardOfNode)
-	} else {
-		eng = sim.NewEngine()
-		net = simnet.New(eng, cfg.Net)
-		world = mpi.NewWorld(eng, net)
-	}
+	world := mpi.Launch(cfg.Net, cfg.Shards)
 	// Every exit — success, interrupt, simulated deadlock, a panic out of a
 	// rank program or a policy — unwinds the rank processes still suspended
 	// and stops the shard worker pool.
-	defer closeSim(shs, eng)
+	defer world.Close()
+	net := world.Net()
 	nranks := world.NumRanks()
 	paranoid := check.Enabled(cfg.Paranoid)
-	net.SetParanoid(paranoid)
 	world.SetParanoid(paranoid)
-	if shs != nil {
-		shs.SetParanoid(paranoid)
-	}
-	if cfg.Interrupt != nil {
-		if shs != nil {
-			shs.SetInterrupt(cfg.Interrupt)
-		} else {
-			eng.SetInterrupt(cfg.Interrupt)
-		}
-	}
+	world.SetInterrupt(cfg.Interrupt)
 
 	st := &runState{
 		cfg:       cfg,
@@ -359,22 +331,22 @@ func Run(cfg Config) (*Result, error) {
 		rebCharge: make([]float64, nranks),
 		res:       &Result{},
 		sizes:     messageSizes(cfg),
+		obs:       make([][]obsRow, nranks),
 	}
 	if cfg.Metrics != nil {
 		ms := metrics.NewRunSet(nranks, cfg.Net.Nodes, cfg.Metrics.Campaign)
 		st.res.Metrics = ms
 		world.SetMetrics(ms.MPI)
 		net.SetMetrics(ms.Net)
-		if shs != nil {
-			shs.SetMetrics(ms.Sched)
-		}
+		world.SetSchedMetrics(ms.Sched)
 	}
 	st.res.InitialBlocks = st.m.NumLeaves()
-	if shs != nil {
+	// Engine-dependent site 4 of 4 (step/wait row order; dies with
+	// ROADMAP 1(d)): on the scheduler rows stage per rank and flush at window
+	// merges — after the world's own collective merge, so rows staged before
+	// a barrier flush in the merge that releases it.
+	if world.OnMerge(st.flushStage) {
 		st.stage = newShardStage(nranks)
-		// Registered after the world's collective merge (NewShardedWorld), so
-		// rows staged before a barrier flush in the merge that releases it.
-		shs.OnMerge(st.flushStage)
 	}
 
 	if cfg.Trace != nil {
@@ -421,52 +393,28 @@ func Run(cfg Config) (*Result, error) {
 			telemetry.StrCol("kind"), telemetry.FloatCol("dur"),
 		)
 		world.OnWait = func(rank int, kind mpi.WaitKind, t sim.Time, dur float64) {
+			// Site 4, wait rows (ROADMAP 1(d)): staged on the scheduler, else
+			// appended in engine order.
 			if sg := st.stage; sg != nil {
 				if !sg.waitsFull {
 					sg.waits[rank] = append(sg.waits[rank], waitRow{t: t, dur: dur, kind: kind})
 				}
 				return
 			}
-			if st.res.Waits.NumRows() >= cfg.MaxWaitEvents {
-				return
-			}
-			ks := "recv"
-			if kind == mpi.WaitSend {
-				ks = "send"
-			}
-			st.res.Waits.Append(t, rank, ks, dur)
+			st.appendWait(t, rank, kind, dur)
 		}
 	}
 
 	for r := 0; r < nranks; r++ {
 		world.Spawn(r, func(c *mpi.Comm) { st.rankProgram(c, world) })
 	}
-	if err := runSim(shs, eng); err != nil {
-		return nil, err
+	// Run ends with the teardown audits when paranoid: MPI hygiene and
+	// census reconciliation, then full shm-queue release at engine drain.
+	if err := world.Run(); err != nil {
+		return nil, fmt.Errorf("driver: %w", err)
 	}
-	var blocked []*sim.Proc
-	if shs != nil {
-		blocked = shs.Blocked()
-	} else {
-		blocked = eng.Blocked()
-	}
-	if len(blocked) > 0 {
-		return nil, fmt.Errorf("driver: simulated deadlock, %d ranks blocked (first: %s)",
-			len(blocked), blocked[0].Name())
-	}
-	if st.paranoid {
-		// End-of-run audits: MPI teardown hygiene and census reconciliation,
-		// then full shm-queue release at engine drain.
-		world.AuditTeardown()
-		net.AuditDrained()
-	}
-	if shs != nil {
-		st.res.Makespan = shs.Now()
-		st.res.Events = shs.Events()
-	} else {
-		st.res.Makespan = eng.Now()
-		st.res.Events = eng.Events()
-	}
+	st.res.Makespan = world.Now()
+	st.res.Events = world.Events()
 	if st.tracer != nil {
 		// Post-run probe of the same nodes, placed after the run on the
 		// virtual timeline.
@@ -520,53 +468,17 @@ func validate(cfg *Config) error {
 	if cfg.PlacementCharge <= 0 {
 		cfg.PlacementCharge = 2e-3
 	}
-	if cfg.MaxWaitEvents <= 0 {
-		cfg.MaxWaitEvents = 200000
-	}
-	if cfg.Shards < 0 {
-		cfg.Shards = 0
-	}
 	return nil
-}
-
-// runSim drives the machine to completion, converting an interrupt panic
-// (Config.Interrupt) into an error wrapping sim.ErrInterrupted. Any other
-// panic propagates.
-func runSim(shs *sim.Shards, eng *sim.Engine) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r == sim.ErrInterrupted {
-				err = fmt.Errorf("driver: %w", sim.ErrInterrupted)
-				return
-			}
-			panic(r)
-		}
-	}()
-	if shs != nil {
-		shs.Run()
-	} else {
-		eng.Run()
-	}
-	return nil
-}
-
-// closeSim unwinds the machine's unfinished processes and, in sharded mode,
-// stops its worker pool.
-func closeSim(shs *sim.Shards, eng *sim.Engine) {
-	if shs != nil {
-		shs.Close()
-		return
-	}
-	eng.Close()
 }
 
 // emitProbes runs the health-probe kernel over the run's cluster and records
 // one span per node (rank = the node's first rank, duration = worst-rank
-// kernel time) at virtual time t0.
+// kernel time) at virtual time t0, outside the timestep loop (step and epoch
+// -1).
 func emitProbes(tr *trace.Recorder, net simnet.Config, kind trace.Kind, t0 float64) {
 	for _, p := range health.ProbeNodes(net) {
-		sp := tr.Begin(int32(p.Node*net.RanksPerNode), kind, t0)
-		sp.EndRaw(t0 + p.KernelTime)
+		tr.EmitRaw(trace.Span{Rank: int32(p.Node * net.RanksPerNode), Kind: kind,
+			T0: t0, T1: t0 + p.KernelTime, Peer: -1, Tag: -1, Step: -1, Epoch: -1})
 	}
 }
 
@@ -817,6 +729,8 @@ func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World) {
 		c.Barrier()
 		if st.res.Steps != nil {
 			m := world.Meter(rank)
+			// Site 4, step rows (ROADMAP 1(d)): staged on the scheduler, else
+			// appended in engine order.
 			if sg := st.stage; sg != nil {
 				sg.steps[rank] = append(sg.steps[rank], stepRow{
 					step: step, node: world.Net().NodeOf(rank),

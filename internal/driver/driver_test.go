@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"amrtools/internal/critpath"
+	"amrtools/internal/mpi"
 	"amrtools/internal/placement"
 	"amrtools/internal/simnet"
 	"amrtools/internal/telemetry"
@@ -198,7 +199,6 @@ func TestWaitEventCollection(t *testing.T) {
 	cfg := smallConfig(placement.Baseline{}, 8, 23)
 	cfg.Net = simnet.Untuned(4, 16, 23)
 	cfg.CollectWaits = true
-	cfg.MaxWaitEvents = 1000
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +206,21 @@ func TestWaitEventCollection(t *testing.T) {
 	if res.Waits == nil || res.Waits.NumRows() == 0 {
 		t.Fatal("no wait events collected")
 	}
-	if res.Waits.NumRows() > 1000 {
+	if res.Waits.NumRows() > maxWaitEvents {
 		t.Fatalf("wait cap exceeded: %d", res.Waits.NumRows())
+	}
+
+	// The cap itself, on the one append both engines' wait rows go through:
+	// row maxWaitEvents is kept, the next one is dropped.
+	for res.Waits.NumRows() < maxWaitEvents-1 {
+		res.Waits.Append(0.0, 0, "recv", 0.0)
+	}
+	st := &runState{res: res}
+	if !st.appendWait(1, 0, mpi.WaitSend, 0) || st.appendWait(2, 0, mpi.WaitSend, 0) {
+		t.Fatal("appendWait does not stop at exactly maxWaitEvents rows")
+	}
+	if res.Waits.NumRows() != maxWaitEvents {
+		t.Fatalf("table holds %d rows, want the cap %d", res.Waits.NumRows(), maxWaitEvents)
 	}
 }
 

@@ -1,12 +1,13 @@
-// Sharded-run telemetry staging. Under the conservative parallel scheduler
+// Telemetry staging. Under the conservative parallel scheduler
 // (Config.Shards > 0) rank programs execute concurrently on per-shard worker
 // goroutines, so they cannot append to the shared result tables or the cost
 // recorder directly. Each rank instead stages rows in buffers owned by its
-// shard; the coordinator flushes them between windows (sim.Shards.OnMerge) in
-// a deterministic order — (step, rank) for step telemetry, (t, rank, program
-// order) for wait events — and rank 0 replays staged cost observations into
-// the EWMA recorder at the top of every redistribution. Flushed tables are
-// therefore byte-identical for every shard count and any GOMAXPROCS.
+// shard; the coordinator flushes them between windows (World.OnMerge) in a
+// deterministic order — (step, rank) for step telemetry, (t, rank, program
+// order) for wait events. Flushed tables are therefore byte-identical for
+// every shard count and any GOMAXPROCS. Cost observations stage per rank on
+// either engine, and rank 0 replays them into the EWMA recorder at the top
+// of every redistribution.
 package driver
 
 import (
@@ -57,16 +58,13 @@ type shardStage struct {
 
 	waits     [][]waitRow
 	wscratch  []waitMerge
-	waitsFull bool // Waits table reached MaxWaitEvents; drop further rows
-
-	obs [][]obsRow
+	waitsFull bool // Waits table reached maxWaitEvents; drop further rows
 }
 
 func newShardStage(nranks int) *shardStage {
 	return &shardStage{
 		steps: make([][]stepRow, nranks),
 		waits: make([][]waitRow, nranks),
-		obs:   make([][]obsRow, nranks),
 	}
 }
 
@@ -157,46 +155,46 @@ func (st *runState) flushWaits() {
 		return sc[i].idx < sc[j].idx
 	})
 	for _, w := range sc {
-		if st.res.Waits.NumRows() >= st.cfg.MaxWaitEvents {
+		if !st.appendWait(w.t, int(w.rank), w.kind, w.dur) {
 			sg.waitsFull = true
 			break
 		}
-		ks := "recv"
-		if w.kind == mpi.WaitSend {
-			ks = "send"
-		}
-		st.res.Waits.Append(w.t, int(w.rank), ks, w.dur)
 	}
 	sg.wscratch = sc[:0]
 }
 
-// observe routes one measured block cost to the EWMA recorder: directly in
-// sequential mode, via the rank's staging buffer in sharded mode (replayed
-// by syncObservations before the recorder is next read).
-func (st *runState) observe(rank int, id mesh.BlockID, v float64) {
-	if sg := st.stage; sg != nil {
-		sg.obs[rank] = append(sg.obs[rank], obsRow{id: id, v: v})
-		return
+// appendWait adds one wait event to the Waits table unless the table already
+// holds maxWaitEvents rows, and reports whether the row was kept.
+func (st *runState) appendWait(t sim.Time, rank int, kind mpi.WaitKind, dur float64) bool {
+	if st.res.Waits.NumRows() >= maxWaitEvents {
+		return false
 	}
-	st.rec.Observe(id, v)
+	ks := "recv"
+	if kind == mpi.WaitSend {
+		ks = "send"
+	}
+	st.res.Waits.Append(t, rank, ks, dur)
+	return true
+}
+
+// observe stages one measured block cost in the rank's buffer;
+// syncObservations replays it before the recorder is next read.
+func (st *runState) observe(rank int, id mesh.BlockID, v float64) {
+	st.obs[rank] = append(st.obs[rank], obsRow{id: id, v: v})
 }
 
 // syncObservations replays staged cost observations into the recorder in
-// rank order. The per-block EWMA state is bit-identical to sequential
-// execution: within a redistribution interval each block is observed by
+// rank order. The per-block EWMA state is bit-identical to observing in
+// event order: within a redistribution interval each block is observed by
 // exactly one rank, and a rank's observations replay in program order.
 // Called by rank 0 at the top of every redistribution, when all other ranks
-// are parked at the preceding barrier (their staged rows are ordered before
-// this read by the scheduler's merge fork-join).
+// are parked at the preceding barrier (on the scheduler their staged rows
+// are ordered before this read by the merge fork-join).
 func (st *runState) syncObservations() {
-	sg := st.stage
-	if sg == nil {
-		return
-	}
-	for r := range sg.obs {
-		for _, o := range sg.obs[r] {
+	for r := range st.obs {
+		for _, o := range st.obs[r] {
 			st.rec.Observe(o.id, o.v)
 		}
-		sg.obs[r] = sg.obs[r][:0]
+		st.obs[r] = st.obs[r][:0]
 	}
 }

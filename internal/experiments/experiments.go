@@ -47,13 +47,16 @@ type Options struct {
 	// workers with no timeout and no recording.
 	Exec harness.Exec
 	// Paranoid turns on the runtime invariant audits (internal/check) in
-	// every driver run the experiments launch. The differential experiment
-	// always runs paranoid regardless of this flag.
+	// every driver run the experiments launch (worlds launched outside the
+	// driver — commbench and neighborhood rounds, health probes — audit
+	// under check.Force, which cmd/experiments -paranoid also sets). The
+	// differential experiment always runs paranoid regardless of this flag.
 	Paranoid bool
-	// Shards, when positive, runs every driver simulation on the
-	// conservative parallel scheduler with that many node-sharded event
-	// queues (driver.Config.Shards). Results are bit-identical to any
-	// other positive shard count; 0 keeps the single-engine scheduler.
+	// Shards, when positive, runs every simulation — driver runs,
+	// commbench and neighborhood rounds — on the conservative parallel
+	// scheduler with that many node-sharded event queues (mpi.Launch).
+	// Results are bit-identical to any other positive shard count; 0 keeps
+	// the sequential engine.
 	Shards int
 	// TraceDir, when non-empty, turns on the flight recorder
 	// (internal/trace) in every driver run and writes each run's span

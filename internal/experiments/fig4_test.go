@@ -213,20 +213,20 @@ func TestFromSpansRoundTrip(t *testing.T) {
 			rank := int32(r)
 			rec.SetPhase(r, 0, 0)
 			compute, send, wait, tail := tasks[0], tasks[1], tasks[2], tasks[3]
-			rec.Begin(rank, trace.Irecv, 0).WithPeer(int32(want.Task(wait.Deps[0]).Rank), 0).End(0)
-			rec.Begin(rank, trace.Compute, compute.Start).End(compute.End)
+			rec.Emit(trace.Span{Rank: rank, Kind: trace.Irecv, T0: 0, T1: 0, Peer: int32(want.Task(wait.Deps[0]).Rank), Tag: 0})
+			rec.Emit(trace.Span{Rank: rank, Kind: trace.Compute, T0: compute.Start, T1: compute.End, Peer: -1, Tag: -1})
 			for _, dst := range receivers[r] {
-				rec.Begin(rank, trace.Isend, send.Start).WithPeer(int32(dst), 0).End(send.End)
+				rec.Emit(trace.Span{Rank: rank, Kind: trace.Isend, T0: send.Start, T1: send.End, Peer: int32(dst), Tag: 0})
 			}
 			if len(receivers[r]) == 0 {
 				// Nobody waits on this send; tag 1 keeps it unmatched.
-				rec.Begin(rank, trace.Isend, send.Start).WithPeer(int32((r+1)%nranks), 1).End(send.End)
+				rec.Emit(trace.Span{Rank: rank, Kind: trace.Isend, T0: send.Start, T1: send.End, Peer: int32((r + 1) % nranks), Tag: 1})
 			}
 			if wait.End > wait.Start {
 				// Like mpi.Wait: a span only when the rank actually blocked.
-				rec.Begin(rank, trace.RecvWait, wait.Start).WithPeer(int32(want.Task(wait.Deps[0]).Rank), 0).End(wait.End)
+				rec.Emit(trace.Span{Rank: rank, Kind: trace.RecvWait, T0: wait.Start, T1: wait.End, Peer: int32(want.Task(wait.Deps[0]).Rank), Tag: 0})
 			}
-			rec.Begin(rank, trace.Compute, tail.Start).End(tail.End)
+			rec.Emit(trace.Span{Rank: rank, Kind: trace.Compute, T0: tail.Start, T1: tail.End, Peer: -1, Tag: -1})
 		}
 
 		got, err := critpath.FromSpans(rec.Table(), 0)

@@ -7,10 +7,7 @@ import (
 	"amrtools/internal/cost"
 	"amrtools/internal/harness"
 	"amrtools/internal/mesh"
-	"amrtools/internal/mpi"
 	"amrtools/internal/placement"
-	"amrtools/internal/sim"
-	"amrtools/internal/simnet"
 	"amrtools/internal/stats"
 	"amrtools/internal/telemetry"
 	"amrtools/internal/xrand"
@@ -58,7 +55,7 @@ func Fig7a(opts Options) *telemetry.Table {
 			for m := 0; m < meshes; m++ {
 				specs = append(specs, commbenchSpec(
 					fmt.Sprintf("%dranks-%s-mesh%d", sc.ranks, pol.Name(), m),
-					sc.ranks, sc.rootDims, pol, rounds, rng.Split()))
+					opts.Shards, sc.ranks, sc.rootDims, pol, rounds, rng.Split()))
 			}
 		}
 	}
@@ -87,13 +84,28 @@ type meshRun struct {
 	share float64
 }
 
-// commbenchSpec wraps one commbench mesh as a harness spec.
-func commbenchSpec(id string, ranks int, rootDims [3]int, pol placement.Policy, rounds int, rng *xrand.RNG) harness.Spec[meshRun] {
+// commbenchSpec wraps one commbench mesh as a harness spec: rounds
+// boundary-exchange rounds over one random AMR mesh under the given policy,
+// keeping the round latencies and the remote message share. The cold-start
+// round and rounds above the 10 ms fabric-recovery threshold are discarded.
+func commbenchSpec(id string, shards, ranks int, rootDims [3]int, pol placement.Policy, rounds int, rng *xrand.RNG) harness.Spec[meshRun] {
 	return harness.Spec[meshRun]{
 		ID: id,
 		Run: func(m *harness.Meter) (meshRun, error) {
-			lats, share, events := commbenchMesh(ranks, rootDims, pol, rounds, rng)
-			m.AddEvents(events)
+			plan := commbenchPlan(ranks, rootDims, pol, rng)
+			res, err := runRounds(m.Aborted, shards, rounds, rng, plan)
+			if err != nil {
+				return meshRun{}, err
+			}
+			m.AddEvents(res.events)
+			var lats []float64
+			for _, lat := range res.lats {
+				if lat <= 10e-3 { // fabric-recovery outliers
+					lats = append(lats, lat)
+				}
+			}
+			cs := res.census
+			share := float64(cs.RemoteMsgs) / float64(cs.RemoteMsgs+cs.LocalMsgs)
 			return meshRun{lats: lats, share: share}, nil
 		},
 	}
@@ -141,7 +153,7 @@ func Commbench(cfg CommbenchConfig) (*telemetry.Table, error) {
 		for m := 0; m < cfg.Meshes; m++ {
 			specs = append(specs, commbenchSpec(
 				fmt.Sprintf("%s-mesh%d", pol.Name(), m),
-				cfg.Ranks, rootDims, pol, cfg.Rounds, rng.Split()))
+				0, cfg.Ranks, rootDims, pol, cfg.Rounds, rng.Split()))
 		}
 	}
 	runs, err := harness.Values(harness.Run(cfg.Exec, "commbench", specs))
@@ -185,40 +197,34 @@ func cubeDims(ranks int) ([3]int, error) {
 	return dims, nil
 }
 
-// commbenchMesh runs `rounds` boundary-exchange rounds over one random AMR
-// mesh under the given policy and returns kept round latencies plus the
-// remote message share. The first round (cold start) and rounds above the
-// 10 ms fabric-recovery threshold are discarded.
+// commbenchPlan builds one random AMR mesh, places it under pol and returns
+// the round plan of its boundary exchanges.
 //
 // commbench simulates the full placement pipeline (§VI-C): block "costs"
 // fed to the policy are per-block boundary-traffic volumes (face exchanges
 // dominate), so CPLX's rebalancing diffuses the communication hotspots that
 // strict locality preservation clusters onto few ranks — the mechanism
 // behind the latency inversion of Fig 7 (top).
-func commbenchMesh(ranks int, rootDims [3]int, pol placement.Policy, rounds int, rng *xrand.RNG) ([]float64, float64, int64) {
+func commbenchPlan(ranks int, rootDims [3]int, pol placement.Policy, rng *xrand.RNG) *roundPlan {
 	target := ranks + ranks/2 // 1.5 blocks per rank
 	m := mesh.RandomRefined(rootDims[0], rootDims[1], rootDims[2], 3, target, rng)
 	leaves := m.Leaves()
 	n := len(leaves)
 
 	// Directed exchange inventory and per-block traffic volumes.
-	sizes := [3]int{16 * 16 * 2 * 9 * 8, 16 * 2 * 2 * 9 * 8, 2 * 2 * 2 * 9 * 8}
 	index := make(map[mesh.BlockID]int, n)
 	for i, b := range leaves {
 		index[b.ID] = i
 	}
-	type exch struct{ tag, from, to, size int }
+	type exch struct{ from, to, size int }
 	var all []exch
 	traffic := make([]float64, n)
-	tag := 0
 	for i, b := range leaves {
 		for _, nb := range m.NeighborsOf(b.ID) {
-			j := index[nb.ID]
-			e := exch{tag: tag, from: i, to: j, size: sizes[int(nb.Kind)]}
-			tag++
+			e := exch{from: i, to: index[nb.ID], size: boundaryBytes[int(nb.Kind)]}
 			all = append(all, e)
-			traffic[i] += float64(e.size)
-			traffic[j] += float64(e.size)
+			traffic[e.from] += float64(e.size)
+			traffic[e.to] += float64(e.size)
 		}
 	}
 	// Normalize traffic to unit mean so the policy sees familiar cost
@@ -233,68 +239,18 @@ func commbenchMesh(ranks int, rootDims [3]int, pol placement.Policy, rounds int,
 	}
 	assign := pol.Assign(traffic, ranks)
 
-	sends := make([][]exch, ranks)
-	recvs := make([][]exch, ranks)
+	plan := newRoundPlan(ranks)
 	for _, e := range all {
-		sr, dr := assign[e.from], assign[e.to]
-		if sr == dr {
-			continue
+		if sr, dr := assign[e.from], assign[e.to]; sr != dr {
+			plan.add(sr, dr, e.size)
 		}
-		sends[sr] = append(sends[sr], e)
-		recvs[dr] = append(recvs[dr], e)
 	}
-
-	nodes := ranks / 16
-	if nodes == 0 {
-		nodes = 1
-	}
-	rpn := ranks / nodes
-	netCfg := simnet.Tuned(nodes, rpn, rng.Uint64())
-	netCfg.AckLossProb = 0 // commbench isolates placement effects
-	eng := sim.NewEngine()
-	net := simnet.New(eng, netCfg)
-	world := mpi.NewWorld(eng, net)
-
-	releases := make([]float64, 0, rounds)
-	for r := 0; r < ranks; r++ {
-		r := r
-		world.Spawn(r, func(c *mpi.Comm) {
-			for round := 0; round < rounds; round++ {
-				reqs := make([]*mpi.Request, 0, len(recvs[r])+len(sends[r]))
-				for _, e := range recvs[r] {
-					reqs = append(reqs, c.Irecv(assign[e.from], round*tag+e.tag))
-				}
-				for _, e := range sends[r] {
-					reqs = append(reqs, c.Isend(assign[e.to], round*tag+e.tag, e.size))
-				}
-				c.WaitAll(reqs)
-				c.Barrier()
-				if r == 0 {
-					releases = append(releases, c.Now()) //lint:ignore sharedmut single-writer: only rank 0 appends, and the DES runs rank programs sequentially under one engine
-				}
-			}
-		})
-	}
-	eng.Run()
-	if blocked := eng.Blocked(); len(blocked) > 0 {
-		eng.Close()
-		panic(fmt.Sprintf("commbench deadlock: %d ranks blocked", len(blocked)))
-	}
-
-	var lats []float64
-	prev := 0.0
-	for i, rel := range releases {
-		lat := rel - prev
-		prev = rel
-		if i == 0 || lat > 10e-3 { // cold start / fabric-recovery outliers
-			continue
-		}
-		lats = append(lats, lat)
-	}
-	cs := net.CensusTotal()
-	share := float64(cs.RemoteMsgs) / float64(cs.RemoteMsgs+cs.LocalMsgs)
-	return lats, share, eng.Events()
+	return plan
 }
+
+// boundaryBytes is the [face, edge, vertex] message size of the round
+// benchmarks' 16³-cell, 9-variable, 2-deep-ghost blocks.
+var boundaryBytes = [3]int{16 * 16 * 2 * 9 * 8, 16 * 2 * 2 * 9 * 8, 2 * 2 * 2 * 9 * 8}
 
 // Fig7b is scalebench's makespan panel (§VI-C middle): normalized makespan
 // (relative to the trivial lower bound) across CPLX settings for the three

@@ -5,10 +5,7 @@ import (
 
 	"amrtools/internal/harness"
 	"amrtools/internal/mesh"
-	"amrtools/internal/mpi"
 	"amrtools/internal/placement"
-	"amrtools/internal/sim"
-	"amrtools/internal/simnet"
 	"amrtools/internal/stats"
 	"amrtools/internal/telemetry"
 	"amrtools/internal/xrand"
@@ -42,10 +39,6 @@ func NeighborhoodCollectives(opts Options) *telemetry.Table {
 	// Fan out every (scale, mode, mesh) round as its own spec. Each cell's
 	// per-mesh RNGs are split from the shared stream at plan-build time, so
 	// mesh m sees the same stream it did under the sequential loop.
-	type roundOut struct {
-		lats []float64
-		msgs int
-	}
 	type cellKey struct {
 		ranks     int
 		aggregate bool
@@ -57,19 +50,13 @@ func NeighborhoodCollectives(opts Options) *telemetry.Table {
 			cells = append(cells, cellKey{sc.ranks, aggregate})
 			rng := xrand.New(opts.Seed + uint64(sc.ranks) + 77)
 			for m := 0; m < meshes; m++ {
-				sc, aggregate, mrng := sc, aggregate, rng.Split()
 				mode := "p2p"
 				if aggregate {
 					mode = "aggregated"
 				}
-				specs = append(specs, harness.Spec[roundOut]{
-					ID: fmt.Sprintf("%dranks-%s-mesh%d", sc.ranks, mode, m),
-					Run: func(mt *harness.Meter) (roundOut, error) {
-						ls, nm, ev := neighborhoodRound(sc.ranks, sc.rootDims, aggregate, rounds, mrng)
-						mt.AddEvents(ev)
-						return roundOut{lats: ls, msgs: nm}, nil
-					},
-				})
+				specs = append(specs, neighborhoodSpec(
+					fmt.Sprintf("%dranks-%s-mesh%d", sc.ranks, mode, m),
+					opts.Shards, sc.ranks, sc.rootDims, aggregate, rounds, rng.Split()))
 			}
 		}
 	}
@@ -92,107 +79,63 @@ func NeighborhoodCollectives(opts Options) *telemetry.Table {
 	return out
 }
 
-// neighborhoodRound measures boundary-exchange rounds either as raw P2P
-// (one message per boundary element) or aggregated per rank pair. The third
-// return is the number of DES events the round processed.
-func neighborhoodRound(ranks int, rootDims [3]int, aggregate bool, rounds int, rng *xrand.RNG) ([]float64, int, int64) {
+// roundOut is one neighborhood mesh outcome: round latencies and the
+// messages one round exchanges.
+type roundOut struct {
+	lats []float64
+	msgs int
+}
+
+// neighborhoodSpec wraps one neighborhood mesh as a harness spec.
+func neighborhoodSpec(id string, shards, ranks int, rootDims [3]int, aggregate bool, rounds int, rng *xrand.RNG) harness.Spec[roundOut] {
+	return harness.Spec[roundOut]{
+		ID: id,
+		Run: func(mt *harness.Meter) (roundOut, error) {
+			plan := neighborhoodPlan(ranks, rootDims, aggregate, rng)
+			res, err := runRounds(mt.Aborted, shards, rounds, rng, plan)
+			mt.AddEvents(res.events)
+			return roundOut{lats: res.lats, msgs: plan.ntags}, err
+		},
+	}
+}
+
+// neighborhoodPlan builds one random AMR mesh under CPL50 and returns its
+// boundary exchanges as a round plan: raw P2P (one message per boundary
+// element) or aggregated (one combined message per communicating rank pair).
+func neighborhoodPlan(ranks int, rootDims [3]int, aggregate bool, rng *xrand.RNG) *roundPlan {
 	m := mesh.RandomRefined(rootDims[0], rootDims[1], rootDims[2], 3, ranks+ranks/2, rng)
 	leaves := m.Leaves()
 	n := len(leaves)
 	assign := placement.CPLX{X: 50}.Assign(unitCosts(n), ranks)
 
-	sizes := [3]int{16 * 16 * 2 * 9 * 8, 16 * 2 * 2 * 9 * 8, 2 * 2 * 2 * 9 * 8}
 	index := make(map[mesh.BlockID]int, n)
 	for i, b := range leaves {
 		index[b.ID] = i
 	}
-	type exch struct{ tag, src, dst, size int }
-	var plan []exch
-	if aggregate {
-		// One combined message per communicating rank pair.
-		bundle := map[[2]int]int{}
-		for i, b := range leaves {
-			for _, nb := range m.NeighborsOf(b.ID) {
-				sr, dr := assign[i], assign[index[nb.ID]]
-				if sr != dr {
-					bundle[[2]int{sr, dr}] += sizes[int(nb.Kind)]
-				}
+	plan := newRoundPlan(ranks)
+	bundle := map[[2]int]int{} // aggregated: bytes per communicating rank pair
+	for i, b := range leaves {
+		for _, nb := range m.NeighborsOf(b.ID) {
+			sr, dr, size := assign[i], assign[index[nb.ID]], boundaryBytes[int(nb.Kind)]
+			if sr == dr {
+				continue
+			}
+			if aggregate {
+				bundle[[2]int{sr, dr}] += size
+			} else {
+				plan.add(sr, dr, size)
 			}
 		}
-		// Deterministic order for tags.
-		tag := 0
+	}
+	if aggregate {
+		// One combined message per pair, posted in (source, destination) order.
 		for sr := 0; sr < ranks; sr++ {
 			for dr := 0; dr < ranks; dr++ {
 				if sz, ok := bundle[[2]int{sr, dr}]; ok {
-					plan = append(plan, exch{tag: tag, src: sr, dst: dr, size: sz})
-					tag++
-				}
-			}
-		}
-	} else {
-		tag := 0
-		for i, b := range leaves {
-			for _, nb := range m.NeighborsOf(b.ID) {
-				sr, dr := assign[i], assign[index[nb.ID]]
-				if sr != dr {
-					plan = append(plan, exch{tag: tag, src: sr, dst: dr, size: sizes[int(nb.Kind)]})
-					tag++
+					plan.add(sr, dr, sz)
 				}
 			}
 		}
 	}
-	sends := make([][]exch, ranks)
-	recvs := make([][]exch, ranks)
-	for _, e := range plan {
-		sends[e.src] = append(sends[e.src], e)
-		recvs[e.dst] = append(recvs[e.dst], e)
-	}
-	total := len(plan)
-
-	nodes := ranks / 16
-	if nodes == 0 {
-		nodes = 1
-	}
-	netCfg := simnet.Tuned(nodes, ranks/nodes, rng.Uint64())
-	netCfg.AckLossProb = 0
-	eng := sim.NewEngine()
-	net := simnet.New(eng, netCfg)
-	world := mpi.NewWorld(eng, net)
-
-	releases := make([]float64, 0, rounds)
-	for r := 0; r < ranks; r++ {
-		r := r
-		world.Spawn(r, func(c *mpi.Comm) {
-			for round := 0; round < rounds; round++ {
-				reqs := make([]*mpi.Request, 0, len(recvs[r])+len(sends[r]))
-				for _, e := range recvs[r] {
-					reqs = append(reqs, c.Irecv(e.src, round*total+e.tag))
-				}
-				for _, e := range sends[r] {
-					reqs = append(reqs, c.Isend(e.dst, round*total+e.tag, e.size))
-				}
-				c.WaitAll(reqs)
-				c.Barrier()
-				if r == 0 {
-					releases = append(releases, c.Now()) //lint:ignore sharedmut single-writer: only rank 0 appends, and the DES runs rank programs sequentially under one engine
-				}
-			}
-		})
-	}
-	eng.Run()
-	if blocked := eng.Blocked(); len(blocked) > 0 {
-		eng.Close()
-		panic(fmt.Sprintf("neighborhood round deadlock: %d blocked", len(blocked)))
-	}
-	var lats []float64
-	prev := 0.0
-	for i, rel := range releases {
-		lat := rel - prev
-		prev = rel
-		if i == 0 {
-			continue
-		}
-		lats = append(lats, lat)
-	}
-	return lats, total, eng.Events()
+	return plan
 }

@@ -48,7 +48,7 @@ const (
 	StatusPanic
 	// StatusTimeout means the spec exceeded the plan's per-run timeout and
 	// its result is discarded. A spec that honours Meter.Aborted (every
-	// driver run does) stops at its next interrupt poll and tears its
+	// simulation does) stops at its next interrupt poll and tears its
 	// machine down; one that does not keeps its goroutine until it returns.
 	StatusTimeout
 )
@@ -78,9 +78,10 @@ type Meter struct {
 }
 
 // Aborted reports whether the harness has given up on this run (its plan
-// timeout expired). Long-running specs should poll it — driver runs wire it
-// to driver.Config.Interrupt — so a timed-out run stops promptly, unwinds
-// its rank processes and shard workers, and returns its goroutine.
+// timeout expired). Long-running specs should poll it — every simulation
+// wires it to its world's interrupt (driver.Config.Interrupt,
+// mpi.World.SetInterrupt) — so a timed-out run stops promptly, unwinds its
+// rank processes and shard workers, and returns its goroutine.
 func (m *Meter) Aborted() bool { return m.aborted.Load() }
 
 // AddEvents accumulates DES events processed by this run.
@@ -171,10 +172,11 @@ type Exec struct {
 	// Workers is the fan-out width; 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Timeout is the per-run limit; 0 means none. On expiry the harness
-	// moves on and raises Meter.Aborted: a spec that honours it (driver runs
-	// do, through driver.Config.Interrupt) is torn down — processes unwound,
-	// workers stopped, goroutine returned — within one interrupt poll. A
-	// spec that never polls cannot be killed and runs on to its own end.
+	// moves on and raises Meter.Aborted: a spec that honours it (every
+	// simulation does, through its world's interrupt) is torn down —
+	// processes unwound, workers stopped, goroutine returned — within one
+	// interrupt poll. A spec that never polls cannot be killed and runs on
+	// to its own end.
 	Timeout time.Duration
 	// Progress, when set, observes every run completion.
 	Progress ProgressFunc

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"amrtools/internal/mpi"
-	"amrtools/internal/sim"
 	"amrtools/internal/simnet"
 	"amrtools/internal/stats"
 )
@@ -35,18 +34,19 @@ type ProbeResult struct {
 // observes the same throttling a real job would, because it executes through
 // the same simulated hardware.
 func ProbeNodes(cfg simnet.Config) []ProbeResult {
-	eng := sim.NewEngine()
-	net := simnet.New(eng, cfg)
-	w := mpi.NewWorld(eng, net)
+	w := mpi.Launch(cfg, 0)
+	defer w.Close()
 	const kernel = 1e-3 // 1 ms nominal kernel
 	times := make([]float64, w.NumRanks())
 	for r := 0; r < w.NumRanks(); r++ {
-		r := r
 		w.Spawn(r, func(c *mpi.Comm) {
 			times[r] = c.Compute(kernel)
 		})
 	}
-	eng.Run()
+	if err := w.Run(); err != nil {
+		// No interrupt is installed and a lone kernel cannot block.
+		panic(err)
+	}
 
 	out := make([]ProbeResult, cfg.Nodes)
 	for node := 0; node < cfg.Nodes; node++ {

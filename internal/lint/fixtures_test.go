@@ -69,7 +69,6 @@ func fixtureAnalyzers() []Rule {
 		NewDeterminism([]string{"fixturemod/core"}),
 		MapOrder{},
 		ReqLeak{},
-		SpanPair{},
 		Exhaustive{},
 		SharedMut{},
 		ErrDrop{},

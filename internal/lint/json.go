@@ -52,15 +52,14 @@ func ReadJSON(r io.Reader) ([]Diagnostic, []Waiver, error) {
 }
 
 // Analyzers returns the production analyzer set over the module's default
-// deterministic-core package list: the five per-package rules of PR 5 (two
-// of them — determinism and reqleak — now interprocedural) plus the four
+// deterministic-core package list: the four remaining rules of PR 5 (two of
+// them — determinism and reqleak — now interprocedural) plus the four
 // call-graph rules.
 func Analyzers() []Rule {
 	return []Rule{
 		NewDeterminism(nil),
 		MapOrder{},
 		ReqLeak{},
-		SpanPair{},
 		Exhaustive{},
 		SharedMut{},
 		ErrDrop{},

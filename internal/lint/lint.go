@@ -7,9 +7,8 @@
 // panic when a runtime invariant breaks. This package is the static half:
 // the mistakes that make runs irreproducible (a stray time.Now in the
 // deterministic core, ranging over a map into an ordered sink, a leaked MPI
-// request, an unclosed trace span, a kind-switch that silently drops a new
-// variant) are flagged on every build, before any campaign has to diverge to
-// reveal them.
+// request, a kind-switch that silently drops a new variant) are flagged on
+// every build, before any campaign has to diverge to reveal them.
 //
 // The implementation is deliberately stdlib-only: go/parser, go/ast and
 // go/types with the "source" importer — no golang.org/x/tools. Module
@@ -47,8 +46,8 @@ type Diagnostic struct {
 	Line int `json:"line"`
 	Col  int `json:"col"`
 	// Rule is the stable rule id ("determinism", "maporder", "reqleak",
-	// "spanpair", "exhaustive", "sharedmut", "errdrop", "hotalloc",
-	// "planecross", "waiver").
+	// "exhaustive", "sharedmut", "errdrop", "hotalloc", "planecross",
+	// "waiver").
 	Rule string `json:"rule"`
 	// Message describes the violation.
 	Message string `json:"message"`

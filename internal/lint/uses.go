@@ -6,12 +6,12 @@ import (
 	"go/types"
 )
 
-// mustConsume is the shared machinery behind the reqleak and spanpair rules:
-// every call matched by isProducer yields a value that must be consumed —
-// passed to another call, returned, stored into a field/map/global, or (via
-// append chains) accumulated into a slice that is itself consumed. A
-// produced value that is discarded, assigned to the blank identifier, or
-// parked in a local that is never touched again is reported.
+// mustConsume is the machinery behind the reqleak rule: every call matched
+// by isProducer yields a value that must be consumed — passed to another
+// call, returned, stored into a field/map/global, or (via append chains)
+// accumulated into a slice that is itself consumed. A produced value that is
+// discarded, assigned to the blank identifier, or parked in a local that is
+// never touched again is reported.
 //
 // The analysis is deliberately syntactic and conservative: any genuine use
 // of the value counts as consumption, so it cannot prove that a Wait happens
@@ -19,11 +19,10 @@ import (
 // catches the leak shapes that survive review — results dropped on the
 // floor and request slices built up and forgotten.
 //
-// consumes is the interprocedural consumption test: when non-nil, passing a
-// tracked value as argument argIdx of a call only counts as consumption if
+// consumes is the interprocedural consumption test: passing a tracked value
+// as argument argIdx of a call only counts as consumption if
 // consumes(pass, call, argIdx) says so (the reqleak summaries answer "does
-// that helper actually handle its request parameter?"). nil keeps the purely
-// local rule: any call consumes.
+// that helper actually handle its request parameter?").
 func mustConsume(pass *Pass, rule, fix string, isProducer func(*Pass, *ast.CallExpr) bool, what string, consumes func(*Pass, *ast.CallExpr, int) bool) {
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
@@ -77,11 +76,9 @@ func checkConsume(pass *Pass, body *ast.BlockStmt, rule, fix string, isProducer 
 			}
 			// Any other call consumes the value directly — unless the
 			// interprocedural test says the callee never handles it.
-			if consumes != nil {
-				if idx := rhsIndex(p.Args, call); idx >= 0 && !consumes(pass, p, idx) {
-					pass.Reportf(call.Pos(), rule, fix,
-						"%s passed to a helper that never waits on or stores it", what)
-				}
+			if idx := rhsIndex(p.Args, call); idx >= 0 && !consumes(pass, p, idx) {
+				pass.Reportf(call.Pos(), rule, fix,
+					"%s passed to a helper that never waits on or stores it", what)
 			}
 		default:
 			// Return, composite literal, channel send, index store, …:
@@ -126,13 +123,11 @@ func checkConsume(pass *Pass, body *ast.BlockStmt, rule, fix string, isProducer 
 					changed = true
 					return
 				}
-				if consumes != nil {
-					// An argument position whose callee never handles the
-					// value is not a use: the obligation stays pending.
-					if call, isCall := parentNode(stack).(*ast.CallExpr); isCall && !isAppend(pass, call) {
-						if idx := argIndex(call, id); idx >= 0 && !consumes(pass, call, idx) {
-							return
-						}
+				// An argument position whose callee never handles the value
+				// is not a use: the obligation stays pending.
+				if call, isCall := parentNode(stack).(*ast.CallExpr); isCall && !isAppend(pass, call) {
+					if idx := argIndex(call, id); idx >= 0 && !consumes(pass, call, idx) {
+						return
 					}
 				}
 				delete(pending, obj) // genuinely consumed

@@ -1,17 +1,9 @@
 // Paranoid-mode audits for the MPI runtime (see internal/check): inline
 // collective-membership tracking lives in joinCollective; this file holds the
-// end-of-run teardown audit and the paranoid switch.
+// end-of-run teardown audit (the paranoid switch is World.SetParanoid).
 package mpi
 
 import "amrtools/internal/check"
-
-// SetParanoid enables or disables the world's invariant audits. The global
-// check.Force override wins over an explicit false. Call before Spawn:
-// send-request tracking only covers sends posted while paranoid.
-func (w *World) SetParanoid(on bool) { w.paranoid = check.Enabled(on) }
-
-// Paranoid reports whether the world's invariant audits are enabled.
-func (w *World) Paranoid() bool { return w.paranoid }
 
 // sendRecord remembers one posted send request for the teardown audit.
 type sendRecord struct {
@@ -32,11 +24,13 @@ type sendRecord struct {
 //
 // Any breach panics with a structured check.Violation. Call only after a
 // clean engine drain (a deadlock already reports more precisely through
-// Engine.Blocked).
+// World.Run); Run calls it when paranoid.
 func (w *World) AuditTeardown() {
 	check.Assertf(w.barrier == nil, "mpi", "collective-round-open",
 		"a collective round (%s) is still open at teardown with %d arrivals",
 		openOp(w.barrier), openArrivals(w.barrier))
+	// Engine-dependent site 2 of 4, the audit twin of Barrier/AllreduceSum:
+	// dies with ROADMAP 1(d).
 	if st := w.shard; st != nil {
 		open := len(st.round.arrivals)
 		for sh := range st.outColl {
@@ -60,8 +54,8 @@ func (w *World) AuditTeardown() {
 				dst, s.q.recvs.n, s.key.src, s.key.tag)
 		}
 	}
-	for _, pool := range w.allPools() {
-		for _, s := range pool.sends {
+	for i := range w.pools {
+		for _, s := range w.pools[i].sends {
 			check.Assertf(s.req.Done(), "mpi", "send-completion",
 				"send %d->%d tag %d never completed", s.src, s.dst, s.tag)
 		}
@@ -77,19 +71,6 @@ func (w *World) AuditTeardown() {
 		bytes, c.LocalBytes+c.RemoteBytes, c.LocalBytes, c.RemoteBytes)
 	check.Assertf(recvd == sent, "mpi", "census-recvd",
 		"%d messages sent but %d received at teardown", sent, recvd)
-}
-
-// allPools returns every request pool of the world — the single legacy pool
-// or the per-shard pools — for the teardown sweep.
-func (w *World) allPools() []*reqPool {
-	if st := w.shard; st != nil {
-		out := make([]*reqPool, len(st.pools))
-		for i := range st.pools {
-			out[i] = &st.pools[i]
-		}
-		return out
-	}
-	return []*reqPool{&w.pool}
 }
 
 func openOp(b *barrierState) string {

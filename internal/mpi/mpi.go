@@ -4,6 +4,10 @@
 // accounting (compute / P2P wait / synchronization / rebalance) matching the
 // decomposition of the paper's Fig 6a.
 //
+// A simulated cluster is built and run one way: Launch(cfg, shards) returns
+// a World over the engine shards selects, and Spawn / Run / Close are its
+// lifecycle on either engine (launch.go).
+//
 // The accounting has one store: the rank-laned instrument set of
 // internal/metrics (metrics.MPIMetrics), which every World owns from
 // construction. Each operation adds each quantity to its lane once,
@@ -19,7 +23,7 @@
 //
 // The runtime is the inner loop of every experiment (two DES events per
 // message, millions per run), so the per-message path is allocation-free in
-// steady state: requests come from a per-world free list and carry their
+// steady state: requests come from a per-shard free list and carry their
 // completion future inline, the two per-message events (sender done,
 // delivery) are typed sim payloads instead of closures, and matching state
 // lives in per-key FIFO rings that reuse their backing storage, found through
@@ -64,10 +68,10 @@ const (
 	WaitRecv
 )
 
-// reqPool is one request free list plus its paranoid send log. The legacy
-// single-engine world owns one; the sharded world owns one per shard, so
-// requests never cross shards and PR-4's zero-allocation steady state
-// survives parallel execution without any locking.
+// reqPool is one request free list plus its paranoid send log. A world owns
+// one per shard (a sequential world is one shard), so requests never cross
+// shards and PR-4's zero-allocation steady state survives parallel execution
+// without any locking.
 type reqPool struct {
 	// reqFree is the request free list: Wait returns completed requests
 	// here (outside paranoid mode) and Isend/Irecv reuse them, so steady
@@ -80,7 +84,9 @@ type reqPool struct {
 
 // World is one simulated MPI job: a set of ranks over a Network.
 type World struct {
-	eng    *sim.Engine // single-engine mode; nil in sharded mode
+	// mach is the machine under the world — the sequential engine or the
+	// sharded scheduler — behind the lifecycle of launch.go.
+	mach   machine
 	net    *simnet.Network
 	nranks int
 
@@ -93,17 +99,24 @@ type World struct {
 	// matching state needs no locking in sharded mode.
 	mq []matchIndex
 
-	// pool is the single-engine request pool; sharded worlds use the
-	// per-shard pools in shard instead.
-	pool reqPool
-	// barFree holds retired collective rounds for reuse. At most two rounds
-	// can be live at once (ranks may enter round k+1 before the slowest rank
-	// has departed round k), so this list stays tiny.
-	barFree []*barrierState
+	// engOf[rank] is the engine carrying rank's events, shardOf[rank] its
+	// shard and pools[shard] the request pool it draws from. A sequential
+	// world is one shard: every rank on the one engine, one pool.
+	engOf   []*sim.Engine
+	shardOf []int32
+	pools   []reqPool
 
+	// barrier is the open collective round of a world on the sequential
+	// engine, completed inline by its last arrival, and barFree the retired
+	// rounds kept for reuse. At most two rounds can be live at once (ranks
+	// may enter round k+1 before the slowest rank has departed round k), so
+	// the list stays tiny.
+	barFree []*barrierState
 	barrier *barrierState
 
-	// shard is the sharded-scheduler state (nil in single-engine mode).
+	// shard is the scheduler-side state of a world on sim.Shards (nil on the
+	// sequential engine): staged deliveries and collective rounds completed
+	// at window merges.
 	shard *shardState
 
 	// OnWait, when set, observes every blocking Wait (rank, kind, end
@@ -131,16 +144,12 @@ type World struct {
 	paranoid bool
 }
 
-// shardState is the sharded world's coordinator-side state: rank-to-shard
-// routing, per-shard pools and collective outboxes, and the current
-// collective round. Outboxes are appended by shard executors during a
-// window and drained by the coordinator at the merge; everything else is
-// coordinator-only.
+// shardState is the sharded world's coordinator-side state: the scheduler,
+// per-shard collective outboxes, and the current collective round. Outboxes
+// are appended by shard executors during a window and drained by the
+// coordinator at the merge; everything else is coordinator-only.
 type shardState struct {
-	s           *sim.Shards
-	shardOfRank []int32
-	engOf       []*sim.Engine
-	pools       []reqPool
+	s *sim.Shards
 	// msgSeq is the per-source-rank program-order stamp for staged
 	// cross-shard deliveries — the deterministic merge tie-break.
 	msgSeq []int64
@@ -178,65 +187,60 @@ type matchQueue struct {
 	recvs    ring[*Request]
 }
 
-// NewWorld creates a world with one rank per network endpoint.
-func NewWorld(eng *sim.Engine, net *simnet.Network) *World {
+// buildWorld builds the engine-independent part of a world: one rank per
+// network endpoint on the engine of the shard hosting its node, one request
+// pool per shard, RNG streams split in rank order.
+func buildWorld(mach machine, engs []*sim.Engine, net *simnet.Network, shardOfNode []int32) *World {
 	n := net.NumRanks()
 	w := &World{
-		eng:    eng,
-		net:    net,
-		nranks: n,
-		rngs:   make([]*xrand.RNG, n),
-		mq:     make([]matchIndex, n),
-		mx:     metrics.NewMPIMetrics(nil, n),
+		mach:     mach,
+		net:      net,
+		nranks:   n,
+		rngs:     make([]*xrand.RNG, n),
+		mq:       make([]matchIndex, n),
+		engOf:    make([]*sim.Engine, n),
+		shardOf:  make([]int32, n),
+		pools:    make([]reqPool, len(engs)),
+		mx:       metrics.NewMPIMetrics(nil, n),
+		paranoid: check.Forced(),
 	}
-	w.paranoid = check.Forced()
 	seedRoot := xrand.New(net.Config().Seed ^ 0x5eed)
+	rpn := net.Config().RanksPerNode
 	for i := 0; i < n; i++ {
 		w.rngs[i] = seedRoot.Split()
+		sh := shardOfNode[i/rpn]
+		w.shardOf[i] = sh
+		w.engOf[i] = engs[sh]
 	}
-	eng.SetSink(w)
+	for _, eng := range engs {
+		eng.SetSink(w)
+	}
 	return w
+}
+
+// NewWorld creates a world with one rank per network endpoint on the
+// sequential engine. Product code builds worlds with Launch.
+func NewWorld(eng *sim.Engine, net *simnet.Network) *World {
+	return buildWorld(eng, []*sim.Engine{eng}, net, make([]int32, net.Config().Nodes))
 }
 
 // NewShardedWorld creates a world over the conservative parallel scheduler:
 // one rank per network endpoint, ranks routed to the shard hosting their
 // node (shardOfNode must match the mapping the network was built with).
 // Per-rank state — instrument lanes, RNG streams (split in rank order,
-// identical to single-engine mode), matching queues — is only ever touched by the
-// owning shard; requests pool per shard; collectives stage arrivals
-// through per-shard outboxes and complete on the coordinator at window
-// merges, so the released order and the reduced sum are fixed by (arrival
-// time, rank), not by worker scheduling.
+// identical to the sequential world's), matching queues — is only ever
+// touched by the owning shard; requests pool per shard; collectives stage
+// arrivals through per-shard outboxes and complete on the coordinator at
+// window merges, so the released order and the reduced sum are fixed by
+// (arrival time, rank), not by worker scheduling. Product code builds worlds
+// with Launch.
 func NewShardedWorld(s *sim.Shards, net *simnet.Network, shardOfNode []int32) *World {
-	n := net.NumRanks()
-	w := &World{
-		net:    net,
-		nranks: n,
-		rngs:   make([]*xrand.RNG, n),
-		mq:     make([]matchIndex, n),
-		mx:     metrics.NewMPIMetrics(nil, n),
+	w := buildWorld(s, s.Engines(), net, shardOfNode)
+	w.shard = &shardState{
+		s:       s,
+		msgSeq:  make([]int64, w.nranks),
+		outColl: make([][]collArrival, s.NumShards()),
 	}
-	w.paranoid = check.Forced()
-	seedRoot := xrand.New(net.Config().Seed ^ 0x5eed)
-	st := &shardState{
-		s:           s,
-		shardOfRank: make([]int32, n),
-		engOf:       make([]*sim.Engine, n),
-		pools:       make([]reqPool, s.NumShards()),
-		msgSeq:      make([]int64, n),
-		outColl:     make([][]collArrival, s.NumShards()),
-	}
-	rpn := net.Config().RanksPerNode
-	for i := 0; i < n; i++ {
-		w.rngs[i] = seedRoot.Split()
-		sh := shardOfNode[i/rpn]
-		st.shardOfRank[i] = sh
-		st.engOf[i] = s.Engine(int(sh))
-	}
-	for _, eng := range s.Engines() {
-		eng.SetSink(w)
-	}
-	w.shard = st
 	s.OnMerge(w.mergeCollectives)
 	return w
 }
@@ -246,10 +250,6 @@ func (w *World) NumRanks() int { return w.nranks }
 
 // Net returns the underlying network.
 func (w *World) Net() *simnet.Network { return w.net }
-
-// Engine returns the underlying simulation engine (nil for a sharded
-// world, whose ranks live on per-shard engines).
-func (w *World) Engine() *sim.Engine { return w.eng }
 
 // Meter returns a snapshot of rank's accounting, folded from its lanes.
 func (w *World) Meter(rank int) Meter {
@@ -287,12 +287,8 @@ func (w *World) Spawn(rank int, body func(c *Comm)) {
 	if rank < 0 || rank >= w.nranks {
 		panic(fmt.Sprintf("mpi: spawn of invalid rank %d", rank))
 	}
-	eng, shard, pool := w.eng, int32(0), &w.pool
-	if st := w.shard; st != nil {
-		shard = st.shardOfRank[rank]
-		eng = st.engOf[rank]
-		pool = &st.pools[shard]
-	}
+	eng, shard := w.engOf[rank], w.shardOf[rank]
+	pool := &w.pools[shard]
 	eng.Spawn(fmt.Sprintf("rank%d", rank), func(p *sim.Proc) {
 		body(&Comm{w: w, rank: rank, p: p, eng: eng, shard: shard, pool: pool})
 	})
@@ -359,8 +355,8 @@ type Comm struct {
 	rank int
 	p    *sim.Proc
 
-	// eng is the engine carrying this rank's events (the world engine, or
-	// the rank's shard engine), and pool the request pool it draws from.
+	// eng is the engine carrying this rank's events (its shard's), and pool
+	// the request pool it draws from.
 	eng   *sim.Engine
 	pool  *reqPool
 	shard int32
@@ -423,6 +419,7 @@ func (c *Comm) Isend(dst, tag, bytes int) *Request {
 	// tie-break, so the event sequence is identical to the closure era.
 	now := c.eng.Now()
 	c.eng.CompleteAt(now+plan.SenderDoneAfter, &req.fut)
+	// Engine-dependent site 1 of 4 (delivery staging; dies with ROADMAP 1(d)).
 	if st := w.shard; st != nil && !plan.Local {
 		// Cross-node, therefore possibly cross-shard: the delivery detours
 		// through the coordinator's staging buffer even when source and
@@ -430,7 +427,7 @@ func (c *Comm) Isend(dst, tag, bytes int) *Request {
 		// and with it every table — is independent of the shard count.
 		seq := st.msgSeq[src]
 		st.msgSeq[src] = seq + 1
-		st.s.StageDelivery(int(c.shard), int(st.shardOfRank[dst]), now+plan.DeliverAfter,
+		st.s.StageDelivery(int(c.shard), int(w.shardOf[dst]), now+plan.DeliverAfter,
 			int32(src), int32(dst), int32(tag), int64(bytes), seq)
 	} else {
 		c.eng.DeliverAt(now+plan.DeliverAfter,
@@ -452,18 +449,10 @@ func (w *World) DeliverMsg(src, dst, tag int32, bytes int64, local bool) {
 		req := q.recvs.pop()
 		req.bytes = int(bytes)
 		w.mx.P2PRecvd.Inc(int(dst))
-		req.fut.Complete(w.engFor(dst))
+		req.fut.Complete(w.engOf[dst])
 		return
 	}
 	q.arrivals.push(bytes)
-}
-
-// engFor returns the engine carrying a rank's events.
-func (w *World) engFor(rank int32) *sim.Engine {
-	if st := w.shard; st != nil {
-		return st.engOf[rank]
-	}
-	return w.eng
 }
 
 // Irecv posts a non-blocking receive for a message from src with the given
@@ -618,23 +607,22 @@ func (w *World) joinCollective(op string, rank int) *barrierState {
 // synchronization phase.
 func (c *Comm) Barrier() {
 	w := c.w
+	// Engine-dependent site 2 of 4 (round completion, with AllreduceSum and
+	// AuditTeardown): dies with ROADMAP 1(d).
 	if w.shard != nil && w.nranks > 1 {
 		c.shardCollective("barrier", trace.Barrier, 0)
 		return
 	}
 	b := w.joinCollective("barrier", c.rank)
 	arrivedAt := c.p.Now()
-	sp := w.tracer.Begin(int32(c.rank), trace.Barrier, float64(arrivedAt))
 	if b.arrived == w.nranks {
 		w.barrier = nil // next Barrier call starts a new round
 		release := w.net.CollectiveLatency(w.nranks)
 		c.eng.CompleteAfter(release, &b.fut)
 	}
 	c.p.Await(&b.fut)
-	w.mx.Barriers.Inc(c.rank)
-	w.mx.Sync.Add(c.rank, c.p.Now()-arrivedAt)
 	w.depart(b)
-	sp.End(float64(c.p.Now()))
+	c.released(trace.Barrier, arrivedAt)
 }
 
 // AllreduceSum performs a blocking sum-allreduce over all ranks: every rank
@@ -645,13 +633,13 @@ func (c *Comm) Barrier() {
 // the straggler.
 func (c *Comm) AllreduceSum(v float64) float64 {
 	w := c.w
+	// Engine-dependent site 2 of 4, as in Barrier (dies with ROADMAP 1(d)).
 	if w.shard != nil && w.nranks > 1 {
 		return c.shardCollective("allreduce", trace.Allreduce, v)
 	}
 	b := w.joinCollective("allreduce", c.rank)
 	b.sum += v
 	arrivedAt := c.p.Now()
-	sp := w.tracer.Begin(int32(c.rank), trace.Allreduce, float64(arrivedAt))
 	if b.arrived == w.nranks {
 		w.barrier = nil
 		release := 2 * w.net.CollectiveLatency(w.nranks)
@@ -659,37 +647,44 @@ func (c *Comm) AllreduceSum(v float64) float64 {
 	}
 	c.p.Await(&b.fut)
 	sum := b.sum
-	w.mx.Allreduces.Inc(c.rank)
-	w.mx.Sync.Add(c.rank, c.p.Now()-arrivedAt)
 	w.depart(b)
-	sp.End(float64(c.p.Now()))
+	c.released(trace.Allreduce, arrivedAt)
 	return sum
+}
+
+// released accounts a collective the caller just left: one more of its kind,
+// the blocked interval (arrival → now) to Sync, and the span.
+func (c *Comm) released(kind trace.Kind, arrivedAt sim.Time) {
+	mx, now := c.w.mx, c.p.Now()
+	if kind == trace.Barrier {
+		mx.Barriers.Inc(c.rank)
+	} else {
+		mx.Allreduces.Inc(c.rank)
+	}
+	mx.Sync.Add(c.rank, now-arrivedAt)
+	if tr := c.w.tracer; tr != nil {
+		tr.Emit(trace.Span{Rank: int32(c.rank), Kind: kind,
+			T0: float64(arrivedAt), T1: float64(now), Peer: -1, Tag: -1})
+	}
 }
 
 // shardCollective is the sharded arrival side of Barrier/AllreduceSum: the
 // rank stages its arrival in its shard's outbox and blocks on its pooled
 // collective future; the coordinator completes the round at a window merge
 // (mergeCollectives). Single-rank worlds never take this path — their
-// collectives complete locally through the legacy round state, which also
-// keeps the zero-latency release (CollectiveLatency(1) == 0) on the rank's
-// own engine.
+// collectives complete locally through the sequential round state, which
+// also keeps the zero-latency release (CollectiveLatency(1) == 0) on the
+// rank's own engine.
 func (c *Comm) shardCollective(op string, kind trace.Kind, v float64) float64 {
-	w, st := c.w, c.w.shard
+	st := c.w.shard
 	// Safe: the previous round released and this rank resumed, so no waiter
 	// can be pending on the pooled future.
 	c.collFut.Reset()
 	arrivedAt := c.p.Now()
-	sp := w.tracer.Begin(int32(c.rank), kind, float64(arrivedAt))
 	st.outColl[c.shard] = append(st.outColl[c.shard],
 		collArrival{t: arrivedAt, v: v, rank: int32(c.rank), op: op, c: c})
 	c.p.Await(&c.collFut)
-	if op == "barrier" {
-		w.mx.Barriers.Inc(c.rank)
-	} else {
-		w.mx.Allreduces.Inc(c.rank)
-	}
-	w.mx.Sync.Add(c.rank, c.p.Now()-arrivedAt)
-	sp.End(float64(c.p.Now()))
+	c.released(kind, arrivedAt)
 	return c.collSum
 }
 
@@ -713,7 +708,7 @@ func (w *World) mergeCollectives(horizon sim.Time) {
 
 // addArrival registers one arrival at the coordinator, enforcing the same
 // collective-op and (paranoid) membership invariants joinCollective does
-// inline in single-engine mode.
+// inline on the sequential engine.
 func (w *World) addArrival(a collArrival) {
 	r := &w.shard.round
 	if len(r.arrivals) == 0 {
@@ -764,16 +759,16 @@ func (w *World) completeRound() {
 	// also shard-grouped, giving one injection per participating shard.
 	sort.Slice(arr, func(i, j int) bool { return arr[i].rank < arr[j].rank })
 	for i := 0; i < len(arr); {
-		sh := st.shardOfRank[arr[i].rank]
+		sh := w.shardOf[arr[i].rank]
 		j := i
-		for j < len(arr) && st.shardOfRank[arr[j].rank] == sh {
+		for j < len(arr) && w.shardOf[arr[j].rank] == sh {
 			j++
 		}
 		group := make([]*Comm, 0, j-i)
 		for _, a := range arr[i:j] {
 			group = append(group, a.c)
 		}
-		eng := st.engOf[arr[i].rank]
+		eng := w.engOf[arr[i].rank]
 		st.s.InjectAt(int(sh), tRel, func() {
 			for _, c := range group {
 				c.collSum = sum

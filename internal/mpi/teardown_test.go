@@ -6,6 +6,16 @@ import (
 	"time"
 )
 
+// settled polls runtime.NumGoroutine until it is back at (or below) base: a
+// closed worker's exit trails its WaitGroup.Done by a few instructions.
+func settled(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
 // TestCloseReleasesDeadlockedRanks: a simulated deadlock — rank 0 waits for
 // a message nobody sends, every other rank waits for rank 0 at a barrier —
 // leaves all ranks suspended after Run. Close must unwind every one of them
@@ -18,14 +28,6 @@ func TestCloseReleasesDeadlockedRanks(t *testing.T) {
 		}
 		c.Barrier()
 	}
-	settled := func(base int) int {
-		n := runtime.NumGoroutine()
-		for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-			time.Sleep(time.Millisecond)
-		}
-		return n
-	}
-
 	base := runtime.NumGoroutine()
 	eng, w := newWorld(t, quietConfig(2, 4))
 	for r := 0; r < w.NumRanks(); r++ {

@@ -339,16 +339,6 @@ func (e *Engine) runWindow(until Time) {
 	}
 }
 
-// RunUntil executes events with time <= t, then sets the clock to t.
-func (e *Engine) RunUntil(t Time) {
-	for len(e.pq) > 0 && e.pq[0].t <= t {
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
-	}
-}
-
 // Blocked returns the processes that are blocked (not finished, not
 // scheduled). A non-empty result after Run means simulated deadlock.
 func (e *Engine) Blocked() []*Proc {

@@ -99,13 +99,6 @@ func (p *Proc) Await(f *Future) {
 	p.block()
 }
 
-// AwaitAll blocks until every future completes, in order.
-func (p *Proc) AwaitAll(fs []*Future) {
-	for _, f := range fs {
-		p.Await(f)
-	}
-}
-
 // Future is a one-shot completion signal processes can Await. The zero value
 // is a pending future.
 //

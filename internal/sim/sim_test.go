@@ -59,21 +59,6 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(1, func() { fired++ })
-	e.At(5, func() { fired++ })
-	e.RunUntil(3)
-	if fired != 1 || e.Now() != 3 {
-		t.Fatalf("fired=%d now=%v", fired, e.Now())
-	}
-	e.Run()
-	if fired != 2 {
-		t.Fatalf("fired=%d after full run", fired)
-	}
-}
-
 func TestProcSleep(t *testing.T) {
 	e := NewEngine()
 	var wake []Time
@@ -153,23 +138,6 @@ func TestAwaitCompletedFutureIsImmediate(t *testing.T) {
 	e.Run()
 	if got != 0 {
 		t.Fatalf("resumed at %v, want 0", got)
-	}
-}
-
-func TestAwaitAll(t *testing.T) {
-	e := NewEngine()
-	fs := []*Future{NewFuture(), NewFuture(), NewFuture()}
-	var got Time = -1
-	e.Spawn("w", func(p *Proc) {
-		p.AwaitAll(fs)
-		got = p.Now()
-	})
-	e.At(1, func() { fs[1].Complete(e) })
-	e.At(2, func() { fs[0].Complete(e) })
-	e.At(5, func() { fs[2].Complete(e) })
-	e.Run()
-	if got != 5 {
-		t.Fatalf("AwaitAll resumed at %v, want 5", got)
 	}
 }
 

@@ -137,29 +137,26 @@ type Census struct {
 	ShmContentions int64 // local deliveries that overflowed the queue
 }
 
-// Network is the simulated fabric. In single-engine mode (New) all methods
-// must be called from engine context (events or procs); Network is not safe
-// for other goroutines. In sharded mode (NewSharded) the per-message paths
-// (PlanSend, DeliveryDone, RecordIntraRank) may be called concurrently from
-// different shards, because every mutable word they touch — NIC clock, shm
-// queue, RNG stream, census — is indexed by the caller's node and nodes
+// Network is the simulated fabric. Over one engine (New) all methods must be
+// called from engine context (events or procs); Network is not safe for
+// other goroutines. Over the scheduler's engines (NewSharded) the per-message
+// paths (PlanSend, DeliveryDone, RecordIntraRank) may be called concurrently
+// from different shards, because every mutable word they touch — NIC clock,
+// shm queue, RNG stream, census — is indexed by the caller's node and nodes
 // never span shards.
 type Network struct {
 	cfg       Config
-	eng       *sim.Engine
-	rng       *xrand.RNG
-	nicFreeAt []float64 // per-node NIC egress availability
-	shmInUse  []int     // per-node in-flight local messages
-	census    []Census  // per-node path tallies, folded by CensusTotal
+	engOf     []*sim.Engine // per-node: the engine carrying the node's events
+	nicFreeAt []float64     // per-node NIC egress availability
+	shmInUse  []int         // per-node in-flight local messages
+	census    []Census      // per-node path tallies, folded by CensusTotal
 
-	// Sharded mode (nil in single-engine mode): the engine and RNG stream
-	// shard the same way the event queues do, keeping the NIC-clock and
-	// queue audits shard-local. nodeRngs is split from the seed in node
-	// order, so streams — and therefore all fabric randomness — are
-	// identical for every shard count.
-	engs        []*sim.Engine // per-shard engines
-	shardOfNode []int32       // node -> shard
-	nodeRngs    []*xrand.RNG  // per-node randomness streams
+	// Fabric randomness: one shared stream on the sequential engine (rng),
+	// one stream per node on the scheduler (nodeRngs, split from the seed in
+	// node order, so all fabric randomness is identical for every shard
+	// count). Exactly one is set; see rngFor.
+	rng      *xrand.RNG
+	nodeRngs []*xrand.RNG
 
 	// tracer, when non-nil, receives a span for every fabric pathology
 	// event (shm queue-full stall, NIC egress serialization, missing-ACK
@@ -178,15 +175,14 @@ type Network struct {
 	paranoid bool
 }
 
-// New builds a Network over the engine.
-func New(eng *sim.Engine, cfg Config) *Network {
+// newNetwork builds the engine-independent part of a Network.
+func newNetwork(cfg Config) *Network {
 	if cfg.Nodes <= 0 || cfg.RanksPerNode <= 0 {
 		panic("simnet: non-positive cluster dimensions")
 	}
 	return &Network{
 		cfg:       cfg,
-		eng:       eng,
-		rng:       xrand.New(cfg.Seed),
+		engOf:     make([]*sim.Engine, cfg.Nodes),
 		nicFreeAt: make([]float64, cfg.Nodes),
 		shmInUse:  make([]int, cfg.Nodes),
 		census:    make([]Census, cfg.Nodes),
@@ -195,19 +191,30 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	}
 }
 
+// New builds a Network over one engine. Product code builds clusters with
+// mpi.Launch.
+func New(eng *sim.Engine, cfg Config) *Network {
+	n := newNetwork(cfg)
+	for node := range n.engOf {
+		n.engOf[node] = eng
+	}
+	n.rng = xrand.New(cfg.Seed)
+	return n
+}
+
 // NewSharded builds a Network over the sharded scheduler's engines: engs is
 // indexed by shard and shardOfNode maps each node to its shard (nodes never
 // split across shards). Fabric randomness moves from one shared stream to
 // one split stream per node, derived in node order — so results are
-// identical for every shard count N >= 1, though not with single-engine
-// mode's shared stream.
+// identical for every shard count N >= 1, though not with the sequential
+// engine's shared stream. Product code builds clusters with mpi.Launch.
 func NewSharded(engs []*sim.Engine, shardOfNode []int32, cfg Config) *Network {
-	if cfg.Nodes <= 0 || cfg.RanksPerNode <= 0 {
-		panic("simnet: non-positive cluster dimensions")
-	}
+	n := newNetwork(cfg)
 	if len(shardOfNode) != cfg.Nodes {
 		panic("simnet: shardOfNode length does not match Nodes")
 	}
+	root := xrand.New(cfg.Seed)
+	n.nodeRngs = make([]*xrand.RNG, cfg.Nodes)
 	for node, sh := range shardOfNode {
 		if int(sh) < 0 || int(sh) >= len(engs) {
 			panic("simnet: node mapped to nonexistent shard")
@@ -215,34 +222,16 @@ func NewSharded(engs []*sim.Engine, shardOfNode []int32, cfg Config) *Network {
 		if node > 0 && sh < shardOfNode[node-1] {
 			panic("simnet: shardOfNode must be nondecreasing (contiguous node groups)")
 		}
+		n.engOf[node] = engs[sh]
+		n.nodeRngs[node] = root.Split()
 	}
-	root := xrand.New(cfg.Seed)
-	rngs := make([]*xrand.RNG, cfg.Nodes)
-	for node := range rngs {
-		rngs[node] = root.Split()
-	}
-	return &Network{
-		cfg:         cfg,
-		nicFreeAt:   make([]float64, cfg.Nodes),
-		shmInUse:    make([]int, cfg.Nodes),
-		census:      make([]Census, cfg.Nodes),
-		mx:          metrics.NewNetMetrics(nil, cfg.Nodes),
-		paranoid:    check.Forced(),
-		engs:        engs,
-		shardOfNode: shardOfNode,
-		nodeRngs:    rngs,
-	}
-}
-
-// engFor returns the engine carrying a node's events.
-func (n *Network) engFor(node int) *sim.Engine {
-	if n.engs == nil {
-		return n.eng
-	}
-	return n.engs[n.shardOfNode[node]]
+	return n
 }
 
 // rngFor returns the randomness stream for a node's fabric events.
+// Engine-dependent site 3 of 4 (the fabric RNG stream; dies with
+// ROADMAP 1(d)): which stream a draw comes from decides every stall and ACK
+// loss, so the two engines' tables differ here by construction.
 func (n *Network) rngFor(node int) *xrand.RNG {
 	if n.nodeRngs == nil {
 		return n.rng
@@ -272,9 +261,6 @@ func (n *Network) CensusTotal() Census {
 // SetParanoid enables or disables the network's invariant audits. The global
 // check.Force override wins over an explicit false.
 func (n *Network) SetParanoid(on bool) { n.paranoid = check.Enabled(on) }
-
-// Paranoid reports whether the network's invariant audits are enabled.
-func (n *Network) Paranoid() bool { return n.paranoid }
 
 // SetTracer attaches a flight recorder (nil detaches it).
 func (n *Network) SetTracer(tr *trace.Recorder) { n.tracer = tr }
@@ -342,7 +328,7 @@ func (n *Network) planLocal(src, dst, bytes int) SendPlan {
 		n.mx.ShmStalls.Inc(node)
 		n.mx.ShmStallTime.Add(node, stall)
 		if tr := n.tracer; tr != nil {
-			now := n.engFor(node).Now()
+			now := n.engOf[node].Now()
 			tr.Emit(trace.Span{Rank: int32(src), Kind: trace.ShmStall,
 				T0: now, T1: now + stall,
 				Peer: int32(dst), Bytes: int64(bytes), Tag: -1})
@@ -356,7 +342,7 @@ func (n *Network) planRemote(src, dst, bytes int) SendPlan {
 	cs := &n.census[node]
 	cs.RemoteMsgs++
 	cs.RemoteBytes += int64(bytes)
-	now := n.engFor(node).Now()
+	now := n.engOf[node].Now()
 	// NIC egress serialization: messages from all 16 ranks of a node share
 	// one NIC.
 	start := now

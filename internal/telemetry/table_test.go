@@ -303,7 +303,7 @@ func TestAggFuncStrings(t *testing.T) {
 
 func TestWatcherTriggers(t *testing.T) {
 	tb := NewTable(IntCol("step"), FloatCol("sync"))
-	w := NewWatcher(tb)
+	w := watch(tb)
 	var onceRows, everyRows []int
 	w.OnRow("sync-spike-once", true,
 		func(t *Table, row int) bool { return t.Floats("sync")[row] > 1 },
@@ -325,7 +325,7 @@ func TestWatcherTriggers(t *testing.T) {
 	if counts["sync-spike-once"] != 1 || counts["sync-spike-every"] != 3 {
 		t.Fatalf("fire counts = %v", counts)
 	}
-	if w.Table().NumRows() != 5 {
-		t.Fatalf("table rows = %d", w.Table().NumRows())
+	if tb.NumRows() != 5 {
+		t.Fatalf("table rows = %d", tb.NumRows())
 	}
 }

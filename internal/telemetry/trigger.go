@@ -18,12 +18,9 @@ type trigger struct {
 	fired int
 }
 
-// NewWatcher wraps a table; append rows through the watcher so triggers see
-// them.
+// NewWatcher wraps a table; whoever appends rows to it reports each one with
+// Observe so triggers see them.
 func NewWatcher(t *Table) *Watcher { return &Watcher{t: t} }
-
-// Table returns the wrapped table.
-func (w *Watcher) Table() *Table { return w.t }
 
 // OnRow registers a trigger: when(t, row) is evaluated for every appended
 // row; fire(row) runs on match. Triggers fire at most once when once is
@@ -32,14 +29,8 @@ func (w *Watcher) OnRow(name string, once bool, when func(t *Table, row int) boo
 	w.triggers = append(w.triggers, &trigger{name: name, when: when, fire: fire, once: once})
 }
 
-// Append adds a row to the table and evaluates every armed trigger on it.
-func (w *Watcher) Append(vals ...interface{}) {
-	w.t.Append(vals...)
-	w.Observe(w.t.NumRows() - 1)
-}
-
-// Observe evaluates every armed trigger against an existing row — for rows
-// appended to the table outside the watcher (e.g. by the driver's step loop).
+// Observe evaluates every armed trigger against a row already appended to
+// the table (the driver's step loop appends, then observes).
 func (w *Watcher) Observe(row int) {
 	for _, tr := range w.triggers {
 		if tr.once && tr.fired > 0 {

@@ -238,65 +238,14 @@ func (r *Recorder) Emit(s Span) {
 }
 
 // EmitRaw records a span without phase stamping, without the arming gate,
-// and outside the rings — for out-of-loop spans (health probes) whose count
-// is bounded by construction (at most two per node per run). Keeping them
+// and outside the rings — for out-of-loop spans (health probes, stamped step
+// and epoch -1 by their emitter) whose count is bounded by construction (at
+// most two per node per run). Keeping them
 // out of the rings matters: probe_pre spans are the oldest in the run, so a
 // saturated ring would evict exactly the baseline the post-run drift
 // comparison needs.
 func (r *Recorder) EmitRaw(s Span) {
 	r.raw = append(r.raw, s)
-}
-
-// Open is an in-progress span: the handle returned by Begin that must be
-// closed by End or EndRaw in the function that opened it (or escape to a
-// caller that closes it) — a pairing enforced statically by amrlint's
-// spanpair rule, since a dropped handle is a span that silently never
-// reaches the recorder. Open is a small value type: holding one across a
-// blocking simulation call allocates nothing.
-type Open struct {
-	r *Recorder
-	s Span
-}
-
-// Begin opens a span at virtual time t0 with Peer/Tag unset (-1). It is
-// nil-safe: Begin on a nil *Recorder returns a handle whose End is a no-op,
-// so call sites need no extra guard beyond the one they already have.
-func (r *Recorder) Begin(rank int32, kind Kind, t0 float64) Open {
-	return Open{r: r, s: Span{Rank: rank, Kind: kind, T0: t0, Peer: -1, Tag: -1}}
-}
-
-// WithPeer returns the handle with the peer and tag fields set.
-func (o Open) WithPeer(peer, tag int32) Open {
-	o.s.Peer, o.s.Tag = peer, tag
-	return o
-}
-
-// WithBytes returns the handle with the byte count set.
-func (o Open) WithBytes(bytes int64) Open {
-	o.s.Bytes = bytes
-	return o
-}
-
-// End closes the span at virtual time t1 and emits it through the normal
-// path (phase stamping, arming gate, ring eviction).
-func (o Open) End(t1 float64) {
-	if o.r == nil {
-		return
-	}
-	o.s.T1 = t1
-	o.r.Emit(o.s)
-}
-
-// EndRaw closes the span at t1 and emits it through EmitRaw — for
-// out-of-loop spans (health probes) that bypass arming and eviction. Step
-// and Epoch are stamped -1, matching Span's out-of-loop convention.
-func (o Open) EndRaw(t1 float64) {
-	if o.r == nil {
-		return
-	}
-	o.s.T1 = t1
-	o.s.Step, o.s.Epoch = -1, -1
-	o.r.EmitRaw(o.s)
 }
 
 // Len returns the total number of retained spans (including EmitRaw spans).
