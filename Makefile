@@ -6,7 +6,7 @@ GO ?= go
 # cannot hide a real race in an "uninteresting" package.
 RACE_PKGS = ./...
 
-.PHONY: all build vet lint test race bench-module bench bench-layers ab serve-smoke check fmt
+.PHONY: all build vet lint test race bench-module bench bench-layers ab serve-smoke scale-smoke fuzz-smoke check fmt
 
 all: check
 
@@ -74,6 +74,17 @@ serve-smoke:
 # recorder reports is the single-run footprint.
 scale-smoke:
 	$(GO) run ./cmd/scalebench -scale -full -paranoid -timeout 20m -j 1
+
+# Fifteen seconds of coverage-guided fuzzing per target (go test takes one
+# -fuzz target per invocation): the differential query fuzzer over derived
+# tables and chunk sizes, the parser, and the colfile reader twice (a file is
+# outside input all the way up through the table operators and back out the
+# writer). `go test` alone only replays the seed corpora.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 15s ./internal/tql
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/tql
+	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 15s ./internal/colfile
+	$(GO) test -run '^$$' -fuzz '^FuzzReadAll$$' -fuzztime 15s ./internal/colfile
 
 fmt:
 	gofmt -l . && test -z "$$(gofmt -l .)"

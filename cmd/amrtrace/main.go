@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"amrtools/internal/colfile"
@@ -31,35 +32,57 @@ import (
 	"amrtools/internal/trace/diagnose"
 )
 
-func main() {
-	file := flag.String("file", "", "span colfile (written by experiments -trace or driver runs)")
-	schema := flag.Bool("schema", false, "print the span schema and row count, then exit")
-	query := flag.String("tql", "", "TQL query over the span table (named \"t\")")
-	perfetto := flag.String("perfetto", "", "write spans as Chrome trace-event JSON to this file")
-	maxRows := flag.Int("rows", 50, "maximum rows to print (0 = all)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind main, returning the exit status: 0, 1
+// for a file or query error, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("amrtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	file := fs.String("file", "", "span colfile (written by experiments -trace or driver runs)")
+	schema := fs.Bool("schema", false, "print the span schema and row count, then exit")
+	query := fs.String("tql", "", "TQL query over the span table (named \"t\")")
+	perfetto := fs.String("perfetto", "", "write spans as Chrome trace-event JSON to this file")
+	maxRows := fs.Int("rows", 50, "maximum rows to print (0 = all)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "amrtrace:", err)
+		return 1
+	}
 
 	if *file == "" {
-		fmt.Fprintln(os.Stderr, "amrtrace: -file is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "amrtrace: -file is required")
+		return 2
 	}
 	f, err := os.Open(*file)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	defer f.Close()
 	r, err := colfile.OpenFile(f)
 	if err != nil {
-		fail(err)
+		return fail(fmt.Errorf("%s: %w", *file, err))
 	}
 
 	if *schema {
 		// Schema and row count come from the footer index: no payload reads.
-		fmt.Printf("%s: %d spans\n", *file, r.NumRows())
+		fmt.Fprintf(stdout, "%s: %d spans\n", *file, r.NumRows())
 		for _, s := range r.Schema() {
-			fmt.Printf("  %-16s %s\n", s.Name, s.Type)
+			fmt.Fprintf(stdout, "  %-16s %s\n", s.Name, s.Type)
 		}
-		return
+		return 0
+	}
+
+	// export is the -perfetto ending: the spans go to the named file, the
+	// confirmation to stderr.
+	export := func(table *telemetry.Table) int {
+		if err := writePerfetto(table, *perfetto); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr, "amrtrace: %d spans -> %s\n", table.NumRows(), *perfetto)
+		return 0
 	}
 
 	if *query != "" {
@@ -67,57 +90,48 @@ func main() {
 		// pruning, projection pushdown, metadata-only aggregates.
 		out, err := tql.RunFile(*query, r)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if *perfetto != "" {
 			// The query result becomes the exported timeline: slice the
 			// trace down (by step window, kind, rank...) before handing it
 			// to Perfetto. The result must keep the span columns.
-			writePerfetto(out, *perfetto)
-			return
+			return export(out)
 		}
-		fmt.Print(out.Render(*maxRows))
-		return
+		fmt.Fprint(stdout, out.Render(*maxRows))
+		return 0
 	}
 
 	// The detectors and the Perfetto exporter walk every span: materialize
 	// the full table once.
 	table, err := r.Table()
 	if err != nil {
-		fail(err)
+		return fail(fmt.Errorf("%s: %w", *file, err))
 	}
 
 	if *perfetto != "" {
-		writePerfetto(table, *perfetto)
-		return
+		return export(table)
 	}
 
 	// Default mode: run the detectors and print the diagnosis report.
 	findings := diagnose.Diagnose(table, diagnose.Options{})
 	if len(findings) == 0 {
-		fmt.Printf("%s: %d spans, no findings (wait-spike, shm-contention and throttling detectors all clean)\n",
+		fmt.Fprintf(stdout, "%s: %d spans, no findings (wait-spike, shm-contention and throttling detectors all clean)\n",
 			*file, table.NumRows())
-		return
+		return 0
 	}
-	fmt.Print(diagnose.ReportTable(findings).Render(*maxRows))
+	fmt.Fprint(stdout, diagnose.ReportTable(findings).Render(*maxRows))
+	return 0
 }
 
-func writePerfetto(t *telemetry.Table, path string) {
+func writePerfetto(t *telemetry.Table, path string) error {
 	out, err := os.Create(path)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if err := trace.WritePerfetto(out, t); err != nil {
 		out.Close()
-		fail(err)
+		return err
 	}
-	if err := out.Close(); err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "amrtrace: %d spans -> %s\n", t.NumRows(), path)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "amrtrace:", err)
-	os.Exit(1)
+	return out.Close()
 }

@@ -8,8 +8,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"amrtools/internal/colfile"
@@ -124,5 +126,158 @@ func TestRoundTripColfileTQLPerfetto(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("rank %d has %d timeline rows, want exactly 1", tid, n)
 		}
+	}
+}
+
+// untunedTrace writes the span file of a committed-seed run on the untuned
+// fabric — missing-ACK recovery exposed, so send waits spike — the way
+// `experiments -trace` would, and returns its path and span count.
+func untunedTrace(t *testing.T) (string, int) {
+	t.Helper()
+	cfg := driver.DefaultConfig([3]int{4, 4, 4}, 2, 10, placement.Baseline{}, 11)
+	cfg.Net = simnet.Untuned(4, 16, 11)
+	cfg.Net.AckRecoveryDelay = 20e-3 // long enough to outlast the step's other waits
+	cfg.Trace = &trace.Config{PerRankCap: 8192}
+	res, err := driver.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "spans.col")
+	if err := colfile.WriteFile(path, res.Spans.Table(), 8192); err != nil {
+		t.Fatal(err)
+	}
+	return path, res.Spans.Len()
+}
+
+// amrtrace runs the command in process and returns its exit status and
+// the two output streams.
+func amrtrace(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// TestCLI pins exit code and output for every surface of the command.
+func TestCLI(t *testing.T) {
+	path, spans := untunedTrace(t)
+	corrupt := filepath.Join(t.TempDir(), "corrupt.col")
+	if err := os.WriteFile(corrupt, []byte("not a colfile"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	perfetto := filepath.Join(t.TempDir(), "out.json")
+	const reportHead = "detector        node  rank  first_step  last_step  events  severity    probe_pre  probe_post  probe_drift  probe_confirmed  detail"
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		code   int
+		stdout string   // exact, unless outHas is set
+		outHas []string // substrings of stdout
+		errHas []string // substrings of stderr
+	}{
+		{
+			name: "schema", args: []string{"-file", path, "-schema"},
+			stdout: fmt.Sprintf("%s: %d spans\n", path, spans) +
+				"  rank             int64\n  node             int64\n  kind             string\n" +
+				"  t0               float64\n  t1               float64\n  dur              float64\n" +
+				"  peer             int64\n  bytes            int64\n  tag              int64\n" +
+				"  step             int64\n  epoch            int64\n",
+		},
+		{
+			name: "tql", args: []string{"-file", path, "-tql", "SELECT kind, count(*) AS n FROM t GROUP BY kind ORDER BY kind"},
+			stdout: "kind        n    \n----------  -----\n" +
+				"ack_stall   225  \nbarrier     768  \ncompute     2600 \nirecv       41120\nisend       41120\n" +
+				"nic_serial  11570\nprobe_post  4    \nprobe_pre   4    \nrebalance   64   \nrecv_wait   4509 \n" +
+				"send_wait   32   \nshm_stall   29190\n",
+		},
+		{
+			name: "tql rows cap", args: []string{"-file", path, "-rows", "1", "-tql", "SELECT rank, dur FROM t WHERE kind = 'send_wait' ORDER BY dur DESC LIMIT 3"},
+			stdout: "rank  dur      \n----  ---------\n53    0.0235342\n... (2 more rows)\n",
+		},
+		{
+			// The default mode: the detectors' report. The stretched ACK
+			// recovery shows as send-wait spikes, the eight-slot shm queue
+			// as saturation on every node.
+			name: "detector report", args: []string{"-file", path, "-rows", "0"},
+			outHas: []string{
+				reportHead,
+				"wait-spike      0     3     0           1          2       0.0192955   0          0           0            0                2 send-wait spikes on rank 3 (worst 19.3 ms): missing-ACK recovery signature",
+				"shm-contention  3     -1    0           9          7355    44.5049     0          0           0            0                node 3 shm queue saturated: 7355 of 7435 local sends stalled (rate 0.99, 44.5 s total): undersized queue signature",
+			},
+		},
+		{
+			name: "perfetto", args: []string{"-file", path, "-tql", "SELECT * FROM t WHERE step = 2 AND rank < 4", "-perfetto", perfetto},
+			errHas: []string{" spans -> " + perfetto},
+		},
+		{
+			name: "bad query", args: []string{"-file", path, "-tql", "SELECT nope FROM t"},
+			code: 1, errHas: []string{`amrtrace: tql: unknown column "nope"`},
+		},
+		{
+			name: "missing -file", args: []string{"-schema"},
+			code: 2, errHas: []string{"amrtrace: -file is required"},
+		},
+		{
+			name: "unknown flag", args: []string{"-file", path, "-nosuch"},
+			code: 2, errHas: []string{"flag provided but not defined: -nosuch", "Usage of amrtrace"},
+		},
+		{
+			name: "missing file", args: []string{"-file", path + ".absent"},
+			code: 1, errHas: []string{"amrtrace: open " + path + ".absent"},
+		},
+		{
+			name: "corrupt file", args: []string{"-file", corrupt, "-schema"},
+			code: 1, errHas: []string{"amrtrace: " + corrupt + ": colfile: bad magic"},
+		},
+		{
+			name: "unwritable -perfetto", args: []string{"-file", path, "-perfetto", filepath.Join(path, "x.json")},
+			code: 1, errHas: []string{"amrtrace: open "},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := amrtrace(tc.args...)
+			if code != tc.code {
+				t.Errorf("exit = %d, want %d (stderr: %s)", code, tc.code, stderr)
+			}
+			if tc.outHas == nil && stdout != tc.stdout {
+				t.Errorf("stdout =\n%s\nwant\n%s", stdout, tc.stdout)
+			}
+			for _, s := range tc.outHas {
+				if !strings.Contains(stdout, s) {
+					t.Errorf("stdout lacks %q:\n%s", s, stdout)
+				}
+			}
+			for _, s := range tc.errHas {
+				if !strings.Contains(stderr, s) {
+					t.Errorf("stderr lacks %q:\n%s", s, stderr)
+				}
+			}
+			if tc.errHas == nil && stderr != "" {
+				t.Errorf("stderr = %q, want none", stderr)
+			}
+		})
+	}
+
+	// The -perfetto case's file: Chrome trace-event JSON, one slice per
+	// selected span.
+	data, err := os.ReadFile(perfetto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("-perfetto output is not JSON: %v", err)
+	}
+	slices := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			slices++
+		}
+	}
+	if slices == 0 {
+		t.Fatal("-perfetto wrote no slices")
 	}
 }

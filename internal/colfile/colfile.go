@@ -110,10 +110,15 @@ type Writer struct {
 	off    int64 // bytes emitted so far (header + chunks)
 	index  []ChunkMeta
 	done   bool
+	// remap is the string encoder's scratch, table dictionary id → chunk
+	// id + 1. It is all zeros between columns: the encoder clears exactly
+	// the entries it set, so a chunk costs O(its rows) however large the
+	// table's dictionary is.
+	remap []uint32
 }
 
 // NewWriter writes the header for schema and returns a chunk writer. Call
-// Finalize (or Flush) once after the last chunk to emit the footer.
+// Finalize once after the last chunk to emit the footer.
 func NewWriter(w io.Writer, schema []telemetry.ColSpec) (*Writer, error) {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(magic[:]); err != nil {
@@ -155,8 +160,9 @@ func (w *Writer) WriteChunk(t *telemetry.Table) error {
 		return err
 	}
 	zones := make([]ZoneMap, len(w.schema))
+	cols := t.Columns()
 	for ci, s := range w.schema {
-		payload, z, err := encodeColumn(t, s)
+		payload, z, err := w.encodeColumn(s, cols[ci])
 		if err != nil {
 			return err
 		}
@@ -240,10 +246,6 @@ func (w *Writer) Finalize() error {
 	return w.w.Flush()
 }
 
-// Flush finalizes the file (footer included) and flushes buffered output.
-// It is the historical name for Finalize; call once after the last chunk.
-func (w *Writer) Flush() error { return w.Finalize() }
-
 func sameSchema(a, b []telemetry.ColSpec) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("colfile: schema mismatch: %d vs %d columns", len(a), len(b))
@@ -256,12 +258,12 @@ func sameSchema(a, b []telemetry.ColSpec) error {
 	return nil
 }
 
-func encodeColumn(t *telemetry.Table, s telemetry.ColSpec) ([]byte, ZoneMap, error) {
+func (w *Writer) encodeColumn(s telemetry.ColSpec, c telemetry.Column) ([]byte, ZoneMap, error) {
 	var buf bytes.Buffer
 	var z ZoneMap
 	switch s.Type {
 	case telemetry.Int64:
-		xs := t.Ints(s.Name)
+		xs := c.Ints
 		var tmp [binary.MaxVarintLen64]byte
 		prev := int64(0)
 		for i, v := range xs {
@@ -281,7 +283,7 @@ func encodeColumn(t *telemetry.Table, s telemetry.ColSpec) ([]byte, ZoneMap, err
 		z.HasRange = len(xs) > 0
 		z.HasSum = len(xs) > 0
 	case telemetry.Float64:
-		xs := t.Floats(s.Name)
+		xs := c.Floats
 		sawNaN := false
 		for i, v := range xs {
 			if v != v {
@@ -306,52 +308,47 @@ func encodeColumn(t *telemetry.Table, s telemetry.ColSpec) ([]byte, ZoneMap, err
 		z.HasRange = len(xs) > 0 && !sawNaN
 		z.HasSum = z.HasRange
 	case telemetry.String:
-		ss := t.Strings(s.Name)
-		// Chunk-local dictionary.
-		ids := make([]uint64, len(ss))
-		dict := []string{}
-		index := map[string]uint64{}
-		for i, v := range ss {
-			id, ok := index[v]
-			if !ok {
-				id = uint64(len(dict))
-				dict = append(dict, v)
-				index[v] = id
+		// Chunk-local dictionary: the values this chunk uses, numbered in
+		// order of first appearance. The payload is thus a function of the
+		// chunk's values alone — whatever else the table's dictionary
+		// holds (a view keeps its source's whole) and however it is
+		// numbered, the bytes are the same.
+		if len(w.remap) < len(c.Dict) {
+			w.remap = make([]uint32, len(c.Dict))
+		}
+		var dict []uint32 // table ids, in chunk-id order
+		for _, id := range c.IDs {
+			if w.remap[id] == 0 {
+				dict = append(dict, id)
+				w.remap[id] = uint32(len(dict))
 			}
-			ids[i] = id
 		}
 		var tmp [binary.MaxVarintLen64]byte
 		n := binary.PutUvarint(tmp[:], uint64(len(dict)))
 		buf.Write(tmp[:n])
-		for _, d := range dict {
-			n := binary.PutUvarint(tmp[:], uint64(len(d)))
+		for _, id := range dict {
+			n := binary.PutUvarint(tmp[:], uint64(len(c.Dict[id])))
 			buf.Write(tmp[:n])
-			buf.WriteString(d)
+			buf.WriteString(c.Dict[id])
 		}
-		for _, id := range ids {
-			n := binary.PutUvarint(tmp[:], id)
+		for _, id := range c.IDs {
+			n := binary.PutUvarint(tmp[:], uint64(w.remap[id]-1))
 			buf.Write(tmp[:n])
 		}
-		z.Count = int64(len(ss))
+		for _, id := range dict {
+			w.remap[id] = 0
+		}
+		z.Count = int64(len(c.IDs))
 	default:
 		return nil, z, fmt.Errorf("colfile: unknown column type %v", s.Type)
 	}
 	return buf.Bytes(), z, nil
 }
 
-// ColData is one decoded column of one chunk: exactly one of the slice
-// fields is populated, per the column's type. String columns stay in
-// dictionary form (StrIDs indexes Dict) so scanning code can compare ids
-// instead of materializing strings.
-type ColData struct {
-	Ints   []int64
-	Floats []float64
-	StrIDs []uint32
-	Dict   []string
-}
-
-func decodeColumnData(s telemetry.ColSpec, payload []byte, n int) (ColData, error) {
-	var cd ColData
+// decodeColumnData decodes one column payload of n rows. A String column
+// stays in dictionary form, with the chunk's own dictionary.
+func decodeColumnData(s telemetry.ColSpec, payload []byte, n int) (telemetry.Column, error) {
+	var cd telemetry.Column
 	// Every encoding needs at least one byte per value (floats eight), so a
 	// row count that outruns the payload is corruption — reject it before
 	// allocating n-sized slices.
@@ -419,7 +416,7 @@ func decodeColumnData(s telemetry.ColSpec, payload []byte, n int) (ColData, erro
 			}
 			out[i] = uint32(id)
 		}
-		cd.StrIDs = out
+		cd.IDs = out
 		cd.Dict = dict
 		return cd, nil
 	default:
@@ -427,45 +424,10 @@ func decodeColumnData(s telemetry.ColSpec, payload []byte, n int) (ColData, erro
 	}
 }
 
-// Strings materializes a dictionary-form string column.
-func (cd ColData) Strings() []string {
-	out := make([]string, len(cd.StrIDs))
-	for i, id := range cd.StrIDs {
-		out[i] = cd.Dict[id]
-	}
-	return out
-}
-
-// chunkBodyTable decodes a full chunk body into a table (all columns).
-func chunkBodyTable(schema []telemetry.ColSpec, body []byte) (*telemetry.Table, error) {
-	_, cols, err := decodeChunkBody(schema, body, nil)
-	if err != nil {
-		return nil, err
-	}
-	raw := make([]interface{}, len(schema))
-	for ci, s := range schema {
-		switch s.Type {
-		case telemetry.Int64:
-			raw[ci] = cols[ci].Ints
-		case telemetry.Float64:
-			raw[ci] = cols[ci].Floats
-		case telemetry.String:
-			raw[ci] = cols[ci].Strings()
-		default:
-			return nil, fmt.Errorf("colfile: unknown column type %v", s.Type)
-		}
-	}
-	t, err := telemetry.FromColumns(schema, raw)
-	if err != nil {
-		return nil, fmt.Errorf("colfile: %w", err)
-	}
-	return t, nil
-}
-
 // decodeChunkBody walks a chunk body and decodes the selected columns
 // (want == nil decodes all). The returned slice is indexed by schema column
-// index; unselected columns are zero ColData.
-func decodeChunkBody(schema []telemetry.ColSpec, body []byte, want []bool) (int, []ColData, error) {
+// index; unselected columns are zero Columns.
+func decodeChunkBody(schema []telemetry.ColSpec, body []byte, want []bool) (int, []telemetry.Column, error) {
 	buf := bytes.NewReader(body)
 	var nrows uint32
 	if err := binary.Read(buf, binary.LittleEndian, &nrows); err != nil {
@@ -475,7 +437,7 @@ func decodeChunkBody(schema []telemetry.ColSpec, body []byte, want []bool) (int,
 	if len(schema) == 0 && n > 0 {
 		return 0, nil, fmt.Errorf("colfile: %d rows in a zero-column chunk", n)
 	}
-	cols := make([]ColData, len(schema))
+	cols := make([]telemetry.Column, len(schema))
 	for ci, s := range schema {
 		flag, err := buf.ReadByte()
 		if err != nil {
@@ -636,11 +598,7 @@ func WriteTable(w io.Writer, t *telemetry.Table, chunkRows int) error {
 		if hi > n {
 			hi = n
 		}
-		part := telemetry.NewTable(t.Schema()...)
-		for r := lo; r < hi; r++ {
-			part.AppendFrom(t, r)
-		}
-		if err := cw.WriteChunk(part); err != nil {
+		if err := cw.WriteChunk(t.Slice(lo, hi)); err != nil {
 			return err
 		}
 	}

@@ -52,14 +52,22 @@ func readBack(data []byte) (*telemetry.Table, error) {
 // statistics instead of the footer.
 func asV1(t *testing.T, data []byte) []byte {
 	t.Helper()
-	r, err := OpenBytes(data)
+	v1, err := stripFooter(data)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return v1
+}
+
+func stripFooter(data []byte) ([]byte, error) {
+	r, err := OpenBytes(data)
+	if err != nil {
+		return nil, err
 	}
 	last := r.Meta(r.NumChunks() - 1)
 	v1 := append([]byte(nil), data[:last.Offset+4+int64(last.Length)]...)
 	v1[4] = version1
-	return v1
+	return v1, nil
 }
 
 func TestRoundTripSingleChunk(t *testing.T) {

@@ -261,21 +261,26 @@ func (r *Reader) chunkBody(i int) ([]byte, error) {
 	return body, nil
 }
 
-// DecodeChunk materializes chunk i as a table (all columns).
+// DecodeChunk materializes chunk i as a table (all columns). The table
+// adopts the decoded columns, chunk dictionaries included.
 func (r *Reader) DecodeChunk(i int) (*telemetry.Table, error) {
-	body, err := r.chunkBody(i)
+	cols, _, err := r.DecodeColumns(i, nil)
 	if err != nil {
 		return nil, err
 	}
-	r.decodes.Add(1)
-	return chunkBodyTable(r.schema, body)
+	t, err := telemetry.FromColumns(r.schema, cols)
+	if err != nil {
+		return nil, fmt.Errorf("colfile: %w", err)
+	}
+	return t, nil
 }
 
 // DecodeColumns decodes only the selected schema column indices of chunk i
-// (projection pushdown): unselected payloads are skipped, not parsed. The
-// returned slice is indexed by schema column index; unselected entries are
-// zero. The second result is the chunk's row count.
-func (r *Reader) DecodeColumns(i int, want []bool) ([]ColData, int, error) {
+// (projection pushdown): unselected payloads are skipped, not parsed; a nil
+// want selects every column. The returned slice is indexed by schema column
+// index; unselected entries are zero. The second result is the chunk's row
+// count.
+func (r *Reader) DecodeColumns(i int, want []bool) ([]telemetry.Column, int, error) {
 	body, err := r.chunkBody(i)
 	if err != nil {
 		return nil, 0, err
@@ -292,13 +297,11 @@ func (r *Reader) DecodeColumns(i int, want []bool) ([]ColData, int, error) {
 func (r *Reader) Table() (*telemetry.Table, error) {
 	out := telemetry.NewTable(r.schema...)
 	for i := range r.chunks {
-		chunk, err := r.DecodeChunk(i)
+		cols, _, err := r.DecodeColumns(i, nil)
 		if err != nil {
 			return nil, err
 		}
-		for row := 0; row < chunk.NumRows(); row++ {
-			out.AppendFrom(chunk, row)
-		}
+		out.AppendColumns(cols, nil)
 	}
 	return out, nil
 }

@@ -111,7 +111,7 @@ func TestProjectionDecode(t *testing.T) {
 	if len(cols[2].Floats) != 100 {
 		t.Fatalf("wait not decoded: %d", len(cols[2].Floats))
 	}
-	if cols[0].Ints != nil || cols[3].StrIDs != nil {
+	if cols[0].Ints != nil || cols[3].IDs != nil {
 		t.Fatal("unselected columns were decoded")
 	}
 	if cols[2].Floats[0] != src.Floats("wait")[0] {
@@ -203,7 +203,7 @@ func TestV1GoldenStreamRead(t *testing.T) {
 				case telemetry.Float64:
 					got = cols[ci].Floats[j]
 				case telemetry.String:
-					got = cols[ci].Strings()[j]
+					got = cols[ci].Dict[cols[ci].IDs[j]]
 				}
 				if w := want.ValueAt(s.Name, row+j); got != w {
 					t.Fatalf("chunk %d row %d column %q = %v, want %v", i, j, s.Name, got, w)

@@ -242,11 +242,11 @@ func (t *Table) Render(maxRows int) string {
 		for i, c := range t.cols {
 			switch c.spec.Type {
 			case Int64:
-				row[i] = fmt.Sprintf("%d", c.ints[r])
+				row[i] = fmt.Sprintf("%d", c.Ints[r])
 			case Float64:
-				row[i] = fmt.Sprintf("%.6g", c.floats[r])
+				row[i] = fmt.Sprintf("%.6g", c.Floats[r])
 			case String:
-				row[i] = c.dict[c.strs[r]]
+				row[i] = c.Dict[c.IDs[r]]
 			default:
 				panic("telemetry: unknown column type")
 			}

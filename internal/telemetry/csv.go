@@ -24,11 +24,11 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		for i, c := range t.cols {
 			switch c.spec.Type {
 			case Int64:
-				row[i] = strconv.FormatInt(c.ints[r], 10)
+				row[i] = strconv.FormatInt(c.Ints[r], 10)
 			case Float64:
-				row[i] = strconv.FormatFloat(c.floats[r], 'g', -1, 64)
+				row[i] = strconv.FormatFloat(c.Floats[r], 'g', -1, 64)
 			case String:
-				row[i] = c.dict[c.strs[r]]
+				row[i] = c.Dict[c.IDs[r]]
 			default:
 				panic("telemetry: unknown column type")
 			}

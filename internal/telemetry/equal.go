@@ -10,9 +10,10 @@ package telemetry
 
 import "fmt"
 
-// Without returns a new table with the named columns removed — the
-// complement of Select. Naming a column the table does not have panics, so
-// a stale mask entry fails loudly instead of silently comparing nothing.
+// Without returns the table with the named columns removed — the complement
+// of Select, and like it a view sharing t's storage. Naming a column the
+// table does not have panics, so a stale mask entry fails loudly instead of
+// silently comparing nothing.
 func (t *Table) Without(names ...string) *Table {
 	drop := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -21,13 +22,13 @@ func (t *Table) Without(names ...string) *Table {
 		}
 		drop[n] = true
 	}
-	keep := make([]string, 0, len(t.cols))
+	pick := make([]*column, 0, len(t.cols))
 	for _, c := range t.cols {
 		if !drop[c.spec.Name] {
-			keep = append(keep, c.spec.Name)
+			pick = append(pick, c)
 		}
 	}
-	return t.Select(keep...)
+	return t.view(pick, 0, t.rows)
 }
 
 // Equal reports whether two tables have the same schema and bit-identical
@@ -44,20 +45,20 @@ func Equal(a, b *Table) bool {
 		}
 		switch ca.spec.Type {
 		case Int64:
-			for r := range ca.ints {
-				if ca.ints[r] != cb.ints[r] {
+			for r := range ca.Ints {
+				if ca.Ints[r] != cb.Ints[r] {
 					return false
 				}
 			}
 		case Float64:
-			for r := range ca.floats {
-				if ca.floats[r] != cb.floats[r] {
+			for r := range ca.Floats {
+				if ca.Floats[r] != cb.Floats[r] {
 					return false
 				}
 			}
 		case String:
-			for r := range ca.strs {
-				if ca.dict[ca.strs[r]] != cb.dict[cb.strs[r]] {
+			for r := range ca.IDs {
+				if ca.Dict[ca.IDs[r]] != cb.Dict[cb.IDs[r]] {
 					return false
 				}
 			}

@@ -27,7 +27,7 @@ func TestEqualMaskedWallOnlyDiff(t *testing.T) {
 		t.Fatal("wall-only diff failed the masked comparison")
 	}
 	// A data diff in a kept column still fails under the mask.
-	b.cols[2].floats[1] = 0.75000001
+	b.cols[2].Floats[1] = 0.75000001
 	if EqualMasked(a, b, "wall_ms") {
 		t.Fatal("masked comparison missed a virtual-time diff")
 	}
@@ -41,12 +41,12 @@ func TestEqualSchemaAndValueMismatches(t *testing.T) {
 		t.Fatal("different schemas compared equal")
 	}
 	b, _ := pairOfTables()
-	b.cols[1].strs[0] = b.cols[1].strs[1] // policy "lpt" -> "cpl50"
+	b.cols[1].IDs[0] = b.cols[1].IDs[1] // policy "lpt" -> "cpl50"
 	if Equal(a.Without("wall_ms"), b.Without("wall_ms")) {
 		t.Fatal("string diff compared equal")
 	}
 	c, _ := pairOfTables()
-	c.cols[0].ints[0] = 65
+	c.cols[0].Ints[0] = 65
 	if EqualMasked(a, c, "wall_ms") {
 		t.Fatal("int diff compared equal")
 	}
@@ -57,8 +57,8 @@ func TestEqualSchemaAndValueMismatches(t *testing.T) {
 func TestEqualRejectsNaN(t *testing.T) {
 	a, _ := pairOfTables()
 	b, _ := pairOfTables()
-	a.cols[2].floats[0] = math.NaN()
-	b.cols[2].floats[0] = math.NaN()
+	a.cols[2].Floats[0] = math.NaN()
+	b.cols[2].Floats[0] = math.NaN()
 	if EqualMasked(a, b, "wall_ms") {
 		t.Fatal("NaN cells satisfied the identity check")
 	}

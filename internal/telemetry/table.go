@@ -13,6 +13,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -56,14 +57,62 @@ func FloatCol(name string) ColSpec { return ColSpec{Name: name, Type: Float64} }
 // StrCol declares a String column.
 func StrCol(name string) ColSpec { return ColSpec{Name: name, Type: String} }
 
-// column is the typed storage for one column.
+// Column is the in-memory form of one column, and the only one: tables
+// store it, colfile decodes into it and encodes from it, the tql kernels scan
+// it. Exactly one representation is populated, per the column's ColType:
+// Ints, Floats, or for String the dictionary form — IDs, one per row,
+// indexing Dict.
+//
+// A column's values are Dict[IDs[r]], never Dict itself: a view keeps its
+// source's dictionary whole, unused entries included, and one decoded from a
+// foreign file may even repeat an entry. Every operator compares strings by
+// value and the colfile encoder renumbers ids per chunk, so neither tables
+// nor files depend on what else a dictionary holds.
+type Column struct {
+	Ints   []int64
+	Floats []float64
+	IDs    []uint32
+	Dict   []string
+}
+
+// rows returns the column's row count, read off the representation typ uses.
+func (c Column) rows(typ ColType) int {
+	switch typ {
+	case Int64:
+		return len(c.Ints)
+	case Float64:
+		return len(c.Floats)
+	case String:
+		return len(c.IDs)
+	}
+	panic("telemetry: unknown column type")
+}
+
+// column is one column of a table.
 type column struct {
-	spec   ColSpec
-	ints   []int64
-	floats []float64
-	strs   []uint32 // dictionary ids
-	dict   []string
+	spec ColSpec
+	Column
+	// dictID maps a string to its id in Dict, for appends. It is built on
+	// the table's first append and never shared: a view has its source's
+	// dictionary but not its index, so neither can see an id the other adds.
 	dictID map[string]uint32
+}
+
+// intern returns the id of s in the column's dictionary, adding it if new.
+func (c *column) intern(s string) uint32 {
+	if c.dictID == nil {
+		c.dictID = make(map[string]uint32, len(c.Dict))
+		for id, d := range c.Dict {
+			c.dictID[d] = uint32(id)
+		}
+	}
+	id, ok := c.dictID[s]
+	if !ok {
+		id = uint32(len(c.Dict))
+		c.Dict = append(c.Dict, s)
+		c.dictID[s] = id
+	}
+	return id
 }
 
 func (c *column) appendValue(v interface{}) error {
@@ -71,18 +120,18 @@ func (c *column) appendValue(v interface{}) error {
 	case Int64:
 		switch x := v.(type) {
 		case int64:
-			c.ints = append(c.ints, x)
+			c.Ints = append(c.Ints, x)
 		case int:
-			c.ints = append(c.ints, int64(x))
+			c.Ints = append(c.Ints, int64(x))
 		default:
 			return fmt.Errorf("telemetry: column %q wants int64, got %T", c.spec.Name, v)
 		}
 	case Float64:
 		switch x := v.(type) {
 		case float64:
-			c.floats = append(c.floats, x)
+			c.Floats = append(c.Floats, x)
 		case int:
-			c.floats = append(c.floats, float64(x))
+			c.Floats = append(c.Floats, float64(x))
 		default:
 			return fmt.Errorf("telemetry: column %q wants float64, got %T", c.spec.Name, v)
 		}
@@ -91,13 +140,7 @@ func (c *column) appendValue(v interface{}) error {
 		if !ok {
 			return fmt.Errorf("telemetry: column %q wants string, got %T", c.spec.Name, v)
 		}
-		id, ok := c.dictID[x]
-		if !ok {
-			id = uint32(len(c.dict))
-			c.dict = append(c.dict, x)
-			c.dictID[x] = id
-		}
-		c.strs = append(c.strs, id)
+		c.IDs = append(c.IDs, c.intern(x))
 	}
 	return nil
 }
@@ -106,6 +149,10 @@ func (c *column) appendValue(v interface{}) error {
 // usable; construct with NewTable. Tables are single-writer: the j1-vs-jN
 // identity tests pin down that every append happens on the run's collector
 // context, never concurrently from shard windows.
+//
+// Rows move between tables through two kernels, both in this file: view
+// (zero-copy: Slice, Head, Select, Without) and AppendColumns (the one
+// copying loop: Filter, SortBy, every reader assembling a table from chunks).
 //
 //amr:shardowned
 type Table struct {
@@ -122,85 +169,62 @@ func NewTable(schema ...ColSpec) *Table {
 		if _, dup := t.byName[s.Name]; dup {
 			panic("telemetry: duplicate column " + s.Name)
 		}
-		col := &column{spec: s}
-		if s.Type == String {
-			col.dictID = make(map[string]uint32)
-		}
 		t.byName[s.Name] = len(t.cols)
-		t.cols = append(t.cols, col)
+		t.cols = append(t.cols, &column{spec: s})
 	}
 	return t
 }
 
-// FromColumns builds a table directly from typed column slices, one per
-// spec: []int64 for Int64, []float64 for Float64, []string for String. All
-// slices must have equal length. Unlike row-wise Append, no per-cell
-// interface boxing happens — this is the fast path decoders use.
-// Int64/Float64 slices are adopted, not copied: the caller must not modify
-// them afterwards.
-func FromColumns(specs []ColSpec, cols []interface{}) (*Table, error) {
+// adopt builds the table whose columns are rows [lo, hi) of cols, shared,
+// not copied. Every slice is capped at its length, so an append to either
+// side reallocates instead of writing where the other can see.
+func adopt(specs []ColSpec, cols []Column, lo, hi int) *Table {
+	t := NewTable(specs...)
+	t.rows = hi - lo
+	for i, c := range t.cols {
+		src := cols[i]
+		switch c.spec.Type {
+		case Int64:
+			c.Ints = src.Ints[lo:hi:hi]
+		case Float64:
+			c.Floats = src.Floats[lo:hi:hi]
+		case String:
+			c.IDs = src.IDs[lo:hi:hi]
+			c.Dict = src.Dict[:len(src.Dict):len(src.Dict)]
+		default:
+			panic("telemetry: unknown column type")
+		}
+	}
+	return t
+}
+
+// FromColumns builds a table that adopts cols, one per spec, without
+// copying: the caller must not modify the storage afterwards (appending to
+// the table never writes into it). Each column must populate its spec's
+// representation, all with one length, and every String id must index Dict.
+func FromColumns(specs []ColSpec, cols []Column) (*Table, error) {
 	if len(specs) != len(cols) {
 		return nil, fmt.Errorf("telemetry: FromColumns: %d specs, %d columns", len(specs), len(cols))
 	}
-	t := NewTable(specs...)
-	rows := -1
+	rows := 0
 	for i, s := range specs {
-		c := t.cols[i]
-		var n int
-		switch s.Type {
-		case Int64:
-			xs, ok := cols[i].([]int64)
-			if !ok {
-				return nil, fmt.Errorf("telemetry: FromColumns: column %q wants []int64, got %T", s.Name, cols[i])
-			}
-			c.ints = xs
-			n = len(xs)
-		case Float64:
-			xs, ok := cols[i].([]float64)
-			if !ok {
-				return nil, fmt.Errorf("telemetry: FromColumns: column %q wants []float64, got %T", s.Name, cols[i])
-			}
-			c.floats = xs
-			n = len(xs)
-		case String:
-			xs, ok := cols[i].([]string)
-			if !ok {
-				return nil, fmt.Errorf("telemetry: FromColumns: column %q wants []string, got %T", s.Name, cols[i])
-			}
-			c.strs = make([]uint32, len(xs))
-			for r, v := range xs {
-				id, seen := c.dictID[v]
-				if !seen {
-					id = uint32(len(c.dict))
-					c.dict = append(c.dict, v)
-					c.dictID[v] = id
-				}
-				c.strs[r] = id
-			}
-			n = len(xs)
-		default:
-			return nil, fmt.Errorf("telemetry: FromColumns: unknown column type %v", s.Type)
-		}
-		if rows >= 0 && n != rows {
+		n := cols[i].rows(s.Type)
+		if i > 0 && n != rows {
 			return nil, fmt.Errorf("telemetry: FromColumns: column %q has %d rows, want %d", s.Name, n, rows)
 		}
 		rows = n
 	}
-	if rows < 0 {
-		rows = 0
-	}
-	t.rows = rows
-	return t, nil
+	return adopt(specs, cols, 0, rows), nil
 }
 
-// ColumnData returns the backing storage of column i (schema order) as
-// read-only views: ints for an Int64 column, floats for a Float64 column,
-// dictionary ids plus the dictionary for a String column; the results the
-// column's type does not use are nil. It is what lets the query executor
-// scan a table in place, as one chunk, without copying it.
-func (t *Table) ColumnData(i int) (ints []int64, floats []float64, ids []uint32, dict []string) {
-	c := t.cols[i]
-	return c.ints, c.floats, c.strs, c.dict
+// Columns returns the table's columns in schema order. They share the
+// table's storage: read-only.
+func (t *Table) Columns() []Column {
+	out := make([]Column, len(t.cols))
+	for i, c := range t.cols {
+		out[i] = c.Column
+	}
+	return out
 }
 
 // Schema returns the column specs in order.
@@ -246,6 +270,94 @@ func (t *Table) Append(vals ...interface{}) {
 	t.rows++
 }
 
+// AppendColumns is the copying row kernel: it appends rows sel of cols, in
+// sel order; cols holds one column per table column, of its type. A nil sel
+// — nil, not merely empty — means every row. String ids go through the
+// table's dictionary once per distinct source id, new entries added as rows
+// reach them, so the table ends up as if each row had been Appended in turn.
+func (t *Table) AppendColumns(cols []Column, sel []int) {
+	if len(cols) != len(t.cols) {
+		panic(fmt.Sprintf("telemetry: AppendColumns with %d columns, schema has %d", len(cols), len(t.cols)))
+	}
+	n := len(sel)
+	if sel == nil && len(cols) > 0 {
+		n = cols[0].rows(t.cols[0].spec.Type)
+	}
+	for i, c := range t.cols {
+		src := cols[i]
+		if have := src.rows(c.spec.Type); sel == nil && have != n {
+			panic(fmt.Sprintf("telemetry: AppendColumns: column %q has %d rows, want %d", c.spec.Name, have, n))
+		}
+		switch c.spec.Type {
+		case Int64:
+			c.Ints = gather(c.Ints, src.Ints, sel)
+		case Float64:
+			c.Floats = gather(c.Floats, src.Floats, sel)
+		case String:
+			xlat := make([]uint32, len(src.Dict)) // source id → table id + 1; 0: not met yet
+			ids := gather(c.IDs, src.IDs, sel)
+			for k := len(c.IDs); k < len(ids); k++ {
+				id := ids[k]
+				if xlat[id] == 0 {
+					xlat[id] = c.intern(src.Dict[id]) + 1
+				}
+				ids[k] = xlat[id] - 1
+			}
+			c.IDs = ids
+		default:
+			panic("telemetry: unknown column type")
+		}
+	}
+	t.rows += n
+}
+
+// gather appends src[sel...] (all of src when sel is nil) to dst.
+func gather[T any](dst, src []T, sel []int) []T {
+	if sel == nil {
+		return append(dst, src...)
+	}
+	dst = slices.Grow(dst, len(sel))
+	for _, r := range sel {
+		dst = append(dst, src[r])
+	}
+	return dst
+}
+
+// view is the zero-copy row kernel: rows [lo, hi) of the columns pick, in
+// that order. See adopt for why neither table can reach the other afterwards.
+func (t *Table) view(pick []*column, lo, hi int) *Table {
+	if lo < 0 || hi > t.rows || lo > hi {
+		panic(fmt.Sprintf("telemetry: rows [%d, %d) of a table with %d", lo, hi, t.rows))
+	}
+	specs := make([]ColSpec, len(pick))
+	cols := make([]Column, len(pick))
+	for i, c := range pick {
+		specs[i], cols[i] = c.spec, c.Column
+	}
+	return adopt(specs, cols, lo, hi)
+}
+
+// Slice returns rows [lo, hi) as a view: a table sharing t's storage, though
+// an append to either never shows in the other. Bounds outside
+// 0 <= lo <= hi <= NumRows panic.
+func (t *Table) Slice(lo, hi int) *Table { return t.view(t.cols, lo, hi) }
+
+// Head returns the first n rows, as Slice does; n is clamped to [0, NumRows].
+func (t *Table) Head(n int) *Table { return t.Slice(0, max(0, min(n, t.rows))) }
+
+// Select returns the table of only the named columns, in the order named,
+// sharing t's storage like Slice.
+func (t *Table) Select(names ...string) *Table {
+	pick := make([]*column, len(names))
+	for i, n := range names {
+		if _, err := t.ColDescr(n); err != nil {
+			panic(err)
+		}
+		pick[i] = t.col(n)
+	}
+	return t.view(pick, 0, t.rows)
+}
+
 func (t *Table) col(name string) *column {
 	i, ok := t.byName[name]
 	if !ok {
@@ -260,7 +372,7 @@ func (t *Table) Ints(name string) []int64 {
 	if c.spec.Type != Int64 {
 		panic("telemetry: " + name + " is not int64")
 	}
-	return c.ints
+	return c.Ints
 }
 
 // Floats returns the backing slice of a Float64 column (do not modify).
@@ -269,7 +381,7 @@ func (t *Table) Floats(name string) []float64 {
 	if c.spec.Type != Float64 {
 		panic("telemetry: " + name + " is not float64")
 	}
-	return c.floats
+	return c.Floats
 }
 
 // Strings materializes a String column as a []string.
@@ -278,9 +390,9 @@ func (t *Table) Strings(name string) []string {
 	if c.spec.Type != String {
 		panic("telemetry: " + name + " is not string")
 	}
-	out := make([]string, len(c.strs))
-	for i, id := range c.strs {
-		out[i] = c.dict[id]
+	out := make([]string, len(c.IDs))
+	for i, id := range c.IDs {
+		out[i] = c.Dict[id]
 	}
 	return out
 }
@@ -291,9 +403,9 @@ func (t *Table) NumericAt(name string, row int) float64 {
 	c := t.col(name)
 	switch c.spec.Type {
 	case Int64:
-		return float64(c.ints[row])
+		return float64(c.Ints[row])
 	case Float64:
-		return c.floats[row]
+		return c.Floats[row]
 	case String:
 		return math.NaN()
 	default:
@@ -306,54 +418,31 @@ func (t *Table) ValueAt(name string, row int) interface{} {
 	c := t.col(name)
 	switch c.spec.Type {
 	case Int64:
-		return c.ints[row]
+		return c.Ints[row]
 	case Float64:
-		return c.floats[row]
+		return c.Floats[row]
 	case String:
-		return c.dict[c.strs[row]]
+		return c.Dict[c.IDs[row]]
 	default:
 		panic("telemetry: unknown column type")
 	}
 }
 
-// AppendFrom copies row `row` of src (which must share the schema) into t.
-func (t *Table) AppendFrom(src *Table, row int) {
-	vals := make([]interface{}, len(t.cols))
-	for i, c := range t.cols {
-		vals[i] = src.ValueAt(c.spec.Name, row)
-	}
-	t.Append(vals...)
-}
-
 // Filter returns a new table holding rows where keep(row) is true.
 func (t *Table) Filter(keep func(row int) bool) *Table {
-	out := NewTable(t.Schema()...)
+	sel := make([]int, 0, t.rows) // never nil: no match must not mean every row
 	for r := 0; r < t.rows; r++ {
 		if keep(r) {
-			out.AppendFrom(t, r)
+			sel = append(sel, r)
 		}
 	}
-	return out
+	return t.take(sel)
 }
 
-// Select returns a new table with only the named columns, in order.
-func (t *Table) Select(names ...string) *Table {
-	specs := make([]ColSpec, len(names))
-	for i, n := range names {
-		s, err := t.ColDescr(n)
-		if err != nil {
-			panic(err)
-		}
-		specs[i] = s
-	}
-	out := NewTable(specs...)
-	for r := 0; r < t.rows; r++ {
-		vals := make([]interface{}, len(names))
-		for i, n := range names {
-			vals[i] = t.ValueAt(n, r)
-		}
-		out.Append(vals...)
-	}
+// take returns a new table holding rows sel of t, in sel order.
+func (t *Table) take(sel []int) *Table {
+	out := NewTable(t.Schema()...)
+	out.AppendColumns(t.Columns(), sel)
 	return out
 }
 
@@ -368,11 +457,11 @@ func (t *Table) SortBy(name string, desc bool) *Table {
 	less := func(a, b int) bool {
 		switch c.spec.Type {
 		case Int64:
-			return c.ints[a] < c.ints[b]
+			return c.Ints[a] < c.Ints[b]
 		case Float64:
-			return c.floats[a] < c.floats[b]
+			return c.Floats[a] < c.Floats[b]
 		case String:
-			return c.dict[c.strs[a]] < c.dict[c.strs[b]]
+			return c.Dict[c.IDs[a]] < c.Dict[c.IDs[b]]
 		default:
 			panic("telemetry: unknown column type")
 		}
@@ -383,21 +472,5 @@ func (t *Table) SortBy(name string, desc bool) *Table {
 		}
 		return less(idx[i], idx[j])
 	})
-	out := NewTable(t.Schema()...)
-	for _, r := range idx {
-		out.AppendFrom(t, r)
-	}
-	return out
-}
-
-// Head returns a new table with the first n rows.
-func (t *Table) Head(n int) *Table {
-	out := NewTable(t.Schema()...)
-	if n > t.rows {
-		n = t.rows
-	}
-	for r := 0; r < n; r++ {
-		out.AppendFrom(t, r)
-	}
-	return out
+	return t.take(idx)
 }

@@ -43,28 +43,21 @@ type chunkSource interface {
 	Schema() []telemetry.ColSpec
 	NumChunks() int
 	Meta(i int) colfile.ChunkMeta
-	DecodeColumns(i int, want []bool) ([]colfile.ColData, int, error)
+	DecodeColumns(i int, want []bool) ([]telemetry.Column, int, error)
 }
 
 // tableSource presents an in-memory table as one chunk with no zone maps,
-// its columns views of the table's storage (nothing is copied). Without
-// zone maps a WHERE makes the chunk classSome, so the metadata-only path
-// never sees it; Exec scans a tableSource only when there is a WHERE.
+// its columns the table's own (nothing is copied). Without zone maps a
+// WHERE makes the chunk classSome, so the metadata-only path never sees it;
+// Exec scans a tableSource only when there is a WHERE.
 type tableSource struct{ t *telemetry.Table }
 
 func (s tableSource) Schema() []telemetry.ColSpec { return s.t.Schema() }
 func (s tableSource) NumChunks() int              { return 1 }
 func (s tableSource) Meta(int) colfile.ChunkMeta  { return colfile.ChunkMeta{Rows: s.t.NumRows()} }
 
-func (s tableSource) DecodeColumns(_ int, want []bool) ([]colfile.ColData, int, error) {
-	cols := make([]colfile.ColData, len(want))
-	for i, w := range want {
-		if w {
-			c := &cols[i]
-			c.Ints, c.Floats, c.StrIDs, c.Dict = s.t.ColumnData(i)
-		}
-	}
-	return cols, s.t.NumRows(), nil
+func (s tableSource) DecodeColumns(int, []bool) ([]telemetry.Column, int, error) {
+	return s.t.Columns(), s.t.NumRows(), nil
 }
 
 // execute is the one executor: bind, classify every chunk from its zone
@@ -116,7 +109,7 @@ func execute(q *Query, src chunkSource) (*telemetry.Table, *Explain, error) {
 				return nil, ex, err
 			}
 			ex.ChunksScanned++
-			acc.appendAll(cols, n)
+			acc.add(cols, n, nil)
 		case classSome:
 			cols, n, err := src.DecodeColumns(i, b.needScan)
 			if err != nil {
@@ -128,7 +121,7 @@ func execute(q *Query, src chunkSource) (*telemetry.Table, *Explain, error) {
 			if err != nil {
 				return nil, ex, err
 			}
-			acc.appendRows(cols, sel)
+			acc.add(cols, len(sel), sel)
 		}
 	}
 	if ex.ChunksScanned > 0 {
@@ -138,16 +131,13 @@ func execute(q *Query, src chunkSource) (*telemetry.Table, *Explain, error) {
 			}
 		}
 	}
-	cur, err := acc.table()
-	if err != nil {
-		return nil, ex, err
-	}
-	return b.finish(cur), ex, nil
+	return b.finish(acc.t), ex, nil
 }
 
 // match returns the rows of the chunk that satisfy the WHERE clause, in
-// row order. Conjuncts run left to right, each on the rows its
-// predecessors kept — short-circuit AND over the top-level spine.
+// row order — never nil, which the accumulator would read as "every row".
+// Conjuncts run left to right, each on the rows its predecessors kept —
+// short-circuit AND over the top-level spine.
 func (b *bound) match(c *chunkCtx) ([]int, error) {
 	sel := make([]int, c.n)
 	for i := range sel {
@@ -194,29 +184,19 @@ func (b *bound) orderLimit(cur *telemetry.Table) *telemetry.Table {
 }
 
 // project returns the table whose i-th column is t's column src[i] under
-// the name out[i]. A source may repeat (SELECT rank AS a, rank AS b).
-// Numeric columns share t's storage, capped so an append to either table
-// cannot reach the other; a relabel is O(columns), not O(rows).
+// the name out[i]. A source may repeat (SELECT rank AS a, rank AS b). The
+// result shares t's storage: a relabel is O(columns), not O(rows).
 func project(t *telemetry.Table, src, out []string) *telemetry.Table {
+	schema, all := t.Schema(), t.Columns()
 	specs := make([]telemetry.ColSpec, len(src))
-	cols := make([]interface{}, len(src))
-	n := t.NumRows()
+	cols := make([]telemetry.Column, len(src))
 	for i, name := range src {
-		s, err := t.ColDescr(name)
-		if err != nil {
-			panic(err) // bind resolved every name
+		ci := schemaIdx(schema, name)
+		if ci < 0 {
+			panic("tql: no column " + name) // bind resolved every name
 		}
-		specs[i] = telemetry.ColSpec{Name: out[i], Type: s.Type}
-		switch s.Type {
-		case telemetry.Int64:
-			cols[i] = t.Ints(name)[:n:n]
-		case telemetry.Float64:
-			cols[i] = t.Floats(name)[:n:n]
-		case telemetry.String:
-			cols[i] = t.Strings(name)
-		default:
-			panic("tql: unknown column type")
-		}
+		specs[i] = telemetry.ColSpec{Name: out[i], Type: schema[ci].Type}
+		cols[i] = all[ci]
 	}
 	res, err := telemetry.FromColumns(specs, cols)
 	if err != nil {
@@ -225,96 +205,41 @@ func project(t *telemetry.Table, src, out []string) *telemetry.Table {
 	return res
 }
 
-// accumulator collects matched rows of the needOut columns into typed
-// builders, then seals them into a table via telemetry.FromColumns (no
-// per-cell boxing).
+// accumulator collects the matched rows of the needOut columns, chunk by
+// chunk, into the table the post-WHERE stages run on.
 type accumulator struct {
-	idx    []int // schema index of each carried column
-	specs  []telemetry.ColSpec
-	ints   [][]int64
-	floats [][]float64
-	strs   [][]string
-	rows   int
+	idx  []int              // schema index of each carried column
+	pick []telemetry.Column // scratch: one chunk's carried columns
+	t    *telemetry.Table
 }
 
 func newAccumulator(b *bound) *accumulator {
 	a := &accumulator{}
+	var specs []telemetry.ColSpec
 	for i, s := range b.schema {
 		if b.needOut[i] {
 			a.idx = append(a.idx, i)
-			a.specs = append(a.specs, s)
+			specs = append(specs, s)
 		}
 	}
-	a.ints = make([][]int64, len(a.idx))
-	a.floats = make([][]float64, len(a.idx))
-	a.strs = make([][]string, len(a.idx))
+	if len(specs) == 0 {
+		// count(*) alone reads no column, but its row count must survive:
+		// carry it on a placeholder no query can name.
+		specs = []telemetry.ColSpec{telemetry.IntCol("#rows")}
+	}
+	a.pick = make([]telemetry.Column, len(specs))
+	a.t = telemetry.NewTable(specs...)
 	return a
 }
 
-// appendRows copies the selected rows of a chunk into the builders.
-func (a *accumulator) appendRows(cols []colfile.ColData, sel []int) {
+// add appends rows sel of a chunk's columns (nil: all of them); n is how
+// many rows that is.
+func (a *accumulator) add(cols []telemetry.Column, n int, sel []int) {
+	if len(a.idx) == 0 {
+		a.pick[0], sel = telemetry.Column{Ints: make([]int64, n)}, nil
+	}
 	for k, ci := range a.idx {
-		c := &cols[ci]
-		switch a.specs[k].Type {
-		case telemetry.Int64:
-			for _, r := range sel {
-				a.ints[k] = append(a.ints[k], c.Ints[r])
-			}
-		case telemetry.Float64:
-			for _, r := range sel {
-				a.floats[k] = append(a.floats[k], c.Floats[r])
-			}
-		case telemetry.String:
-			for _, r := range sel {
-				a.strs[k] = append(a.strs[k], c.Dict[c.StrIDs[r]])
-			}
-		default:
-			panic("tql: unknown column type")
-		}
+		a.pick[k] = cols[ci]
 	}
-	a.rows += len(sel)
-}
-
-// appendAll copies all n rows of a chunk (full-match fast path).
-func (a *accumulator) appendAll(cols []colfile.ColData, n int) {
-	for k, ci := range a.idx {
-		c := &cols[ci]
-		switch a.specs[k].Type {
-		case telemetry.Int64:
-			a.ints[k] = append(a.ints[k], c.Ints...)
-		case telemetry.Float64:
-			a.floats[k] = append(a.floats[k], c.Floats...)
-		case telemetry.String:
-			for _, id := range c.StrIDs {
-				a.strs[k] = append(a.strs[k], c.Dict[id])
-			}
-		default:
-			panic("tql: unknown column type")
-		}
-	}
-	a.rows += n
-}
-
-// table seals the accumulated columns.
-func (a *accumulator) table() (*telemetry.Table, error) {
-	if len(a.idx) == 0 && a.rows > 0 {
-		// count(*) alone reads no column, but its row count must survive:
-		// carry it on a placeholder no query can name.
-		return telemetry.FromColumns(
-			[]telemetry.ColSpec{telemetry.IntCol("#rows")}, []interface{}{make([]int64, a.rows)})
-	}
-	cols := make([]interface{}, len(a.idx))
-	for k, s := range a.specs {
-		switch s.Type {
-		case telemetry.Int64:
-			cols[k] = a.ints[k]
-		case telemetry.Float64:
-			cols[k] = a.floats[k]
-		case telemetry.String:
-			cols[k] = a.strs[k]
-		default:
-			panic("tql: unknown column type")
-		}
-	}
-	return telemetry.FromColumns(a.specs, cols)
+	a.t.AppendColumns(a.pick, sel)
 }

@@ -415,23 +415,14 @@ func TestExplainFallback(t *testing.T) {
 	}
 }
 
-// oldRename is the row-copying relabel, kept as the reference and
-// benchmark baseline for the storage-sharing project.
+// oldRename is the row-copying relabel (the oracle's refProject), the
+// reference and benchmark baseline for the storage-sharing project.
 func oldRename(t *telemetry.Table, names []string) *telemetry.Table {
-	schema := t.Schema()
-	for i := range schema {
-		schema[i].Name = names[i]
+	old := make([]string, t.NumCols())
+	for i, s := range t.Schema() {
+		old[i] = s.Name
 	}
-	out := telemetry.NewTable(schema...)
-	old := t.Schema()
-	vals := make([]interface{}, len(schema))
-	for r := 0; r < t.NumRows(); r++ {
-		for i := range schema {
-			vals[i] = t.ValueAt(old[i].Name, r)
-		}
-		out.Append(vals...)
-	}
-	return out
+	return refProject(t, old, names, allRows(t))
 }
 
 func renameBenchTable(rows int) (*telemetry.Table, []string) {

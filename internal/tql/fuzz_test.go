@@ -50,38 +50,119 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// fuzzTable is the table FuzzQuery runs over. The floats are small dyadic
-// rationals so every sum is exact and the footer's per-chunk partial sums
-// fold to the same bits as a row-order sum.
-func fuzzTable() *telemetry.Table {
-	tb := telemetry.NewTable(
+// fuzzCols names the columns of every fuzzed table, by position; the seed
+// queries are written against them. Types are the fuzz input's to choose,
+// so a seed's sum(wait) also meets a string wait and must fail at bind on
+// every source alike.
+var fuzzCols = []string{"step", "rank", "wait", "compute", "policy", "note"}
+
+var fuzzStrs = []string{"lpt", "cdp", "cpl50", "", "a", "b"}
+
+// fuzzShape derives FuzzQuery's table and chunk size from fuzz input:
+//
+//	shape[0] % 9        rows per chunk (0: one chunk)
+//	shape[1] % 6 + 1    columns, named fuzzCols[:n]
+//	next n bytes % 3    their types
+//	the rest            cells in row order, one byte each, at most 64 rows
+//
+// An int cell is its byte as an int8; a float cell that over 4, a small
+// dyadic rational, so every sum is exact and the footer's per-chunk partial
+// sums fold to the same bits as a row-order sum; a string cell picks from
+// fuzzStrs. Missing bytes read as zero.
+func fuzzShape(shape []byte) (*telemetry.Table, int) {
+	next := func() byte {
+		if len(shape) == 0 {
+			return 0
+		}
+		b := shape[0]
+		shape = shape[1:]
+		return b
+	}
+	chunk := int(next() % 9)
+	specs := make([]telemetry.ColSpec, next()%6+1)
+	for i := range specs {
+		specs[i] = telemetry.ColSpec{Name: fuzzCols[i], Type: telemetry.ColType(next() % 3)}
+	}
+	tb := telemetry.NewTable(specs...)
+	vals := make([]interface{}, len(specs))
+	for rows := 0; len(shape) > 0 && rows < 64; rows++ {
+		for i, s := range specs {
+			switch b := next(); s.Type {
+			case telemetry.Int64:
+				vals[i] = int64(int8(b))
+			case telemetry.Float64:
+				vals[i] = float64(int8(b)) / 4
+			default:
+				vals[i] = fuzzStrs[int(b)%len(fuzzStrs)]
+			}
+		}
+		tb.Append(vals...)
+	}
+	return tb, chunk
+}
+
+// fuzzShapes seed FuzzQuery's table dimension. The first is the five-row
+// table every seed query was written against, in two-row chunks:
+//
+//	step rank wait compute policy
+//	1    0    1.5  2.0     lpt
+//	2    1    0.5  1.0     cdp
+//	2    0    2.0  0.0     cdp
+//	3    1    0.25 4.0     lpt
+//	4    0    2.0  0.5     cpl50
+var fuzzShapes = [][]byte{
+	{2, 4, 0, 0, 1, 1, 2,
+		1, 0, 6, 8, 0,
+		2, 1, 2, 4, 1,
+		2, 0, 8, 0, 1,
+		3, 1, 1, 16, 0,
+		4, 0, 8, 2, 2},
+	{0, 4, 0, 0, 1, 1, 2}, // the same schema, no rows
+	{1, 5, 0, 0, 2, 1, 2, 0, // wait is a string; one-row chunks; negative ints; "" and repeats
+		0xff, 3, 3, 0xfc, 0, 5,
+		0x80, 3, 4, 7, 3, 3,
+		5, 0xfe, 3, 0, 1, 4},
+	{3, 0, 1, 9, 9, 200, 9, 13}, // one float column
+}
+
+// TestFuzzShapeSeed pins the first seed shape to the table in its comment.
+func TestFuzzShapeSeed(t *testing.T) {
+	want := telemetry.NewTable(
 		telemetry.IntCol("step"), telemetry.IntCol("rank"),
 		telemetry.FloatCol("wait"), telemetry.FloatCol("compute"),
 		telemetry.StrCol("policy"))
-	tb.Append(1, 0, 1.5, 2.0, "lpt")
-	tb.Append(2, 1, 0.5, 1.0, "cdp")
-	tb.Append(2, 0, 2.0, 0.0, "cdp")
-	tb.Append(3, 1, 0.25, 4.0, "lpt")
-	tb.Append(4, 0, 2.0, 0.5, "cpl50")
-	return tb
+	want.Append(1, 0, 1.5, 2.0, "lpt")
+	want.Append(2, 1, 0.5, 1.0, "cdp")
+	want.Append(2, 0, 2.0, 0.0, "cdp")
+	want.Append(3, 1, 0.25, 4.0, "lpt")
+	want.Append(4, 0, 2.0, 0.5, "cpl50")
+	if got, chunk := fuzzShape(fuzzShapes[0]); chunk != 2 || !telemetry.Equal(got, want) {
+		t.Fatalf("first seed shape is, in chunks of %d,\n%s", chunk, got.Render(0))
+	}
 }
 
-// FuzzQuery is the differential fuzzer: anything that parses is bound; a
-// bind error must be reported identically by both sources, and a query
-// that binds must get the oracle's answer — the same table or the same
-// division-by-zero error — from the in-memory source and from a file
-// source with two-row chunks. Nothing may panic.
+// FuzzQuery is the differential fuzzer: the second input shapes a table and
+// a chunk size (fuzzShape); anything that parses is bound against it; a
+// bind error must be reported identically by both sources, and a query that
+// binds must get the oracle's answer — the same table or the same
+// division-by-zero error — from the in-memory source and from a file source
+// in chunks of that size. Nothing may panic.
 func FuzzQuery(f *testing.F) {
 	for _, s := range fuzzSeeds {
-		f.Add(s)
+		f.Add(s, fuzzShapes[0])
 	}
-	tb := fuzzTable()
-	f.Fuzz(func(t *testing.T, src string) {
+	for _, shape := range fuzzShapes[1:] {
+		for _, s := range fuzzSeeds[12:] {
+			f.Add(s, shape)
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string, shape []byte) {
 		q, err := Parse(src)
 		if err != nil {
 			return
 		}
-		r := fileFor(t, tb, 2)
+		tb, chunk := fuzzShape(shape)
+		r := fileFor(t, tb, chunk)
 		mem, memErr := Exec(q, tb)
 		file, fileErr := ExecFile(q, r)
 		if _, bindErr := bind(q, tb.Schema()); bindErr != nil {
@@ -107,10 +188,10 @@ func FuzzQuery(f *testing.F) {
 			t.Fatalf("%q: oracle succeeded, memory err = %v, file err = %v", src, memErr, fileErr)
 		}
 		if !telemetry.Equal(want, mem) {
-			t.Fatalf("%q: memory result differs\noracle:\n%sgot:\n%s", src, want.Render(0), mem.Render(0))
+			t.Fatalf("%q over\n%smemory result differs\noracle:\n%sgot:\n%s", src, tb.Render(0), want.Render(0), mem.Render(0))
 		}
 		if !telemetry.Equal(want, file) {
-			t.Fatalf("%q: file result differs\noracle:\n%sgot:\n%s", src, want.Render(0), file.Render(0))
+			t.Fatalf("%q over\n%sin chunks of %d: file result differs\noracle:\n%sgot:\n%s", src, tb.Render(0), chunk, want.Render(0), file.Render(0))
 		}
 	})
 }

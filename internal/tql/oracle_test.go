@@ -2,6 +2,7 @@ package tql
 
 import (
 	"fmt"
+	"sort"
 
 	"amrtools/internal/telemetry"
 )
@@ -9,9 +10,11 @@ import (
 // The differential oracle: a row-at-a-time interpreter, the reference
 // implementation the corpus and the fuzzer compare both sources against.
 // It evaluates the WHERE AST one row at a time with Go's own
-// short-circuit order and dynamic typing, sharing nothing with the kernels;
-// the post-WHERE stages are the executor's own (finish), which is sound
-// because the oracle is only consulted for queries that bind.
+// short-circuit order and dynamic typing, and moves rows — the filter, the
+// projection, ORDER BY, LIMIT — one boxed cell at a time through refProject,
+// sharing neither the WHERE kernels nor the table's view and gather kernels
+// with the executor it checks. What it does share is bind (it is only
+// consulted for queries that bind) and GroupBy's algorithm.
 
 // oracleExec runs q over t through the row interpreter. It fails with the
 // first evaluation error in row order.
@@ -20,25 +23,96 @@ func oracleExec(q *Query, t *telemetry.Table) (*telemetry.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oracle consulted for a query that does not bind: %w", err)
 	}
-	cur := t
-	if q.Where != nil {
-		var ferr error
-		cur = t.Filter(func(row int) bool {
-			if ferr != nil {
-				return false
+	rows := make([]int, 0, t.NumRows())
+	for row := 0; row < t.NumRows(); row++ {
+		ok := true
+		if q.Where != nil {
+			if ok, err = asBool(q.Where, t, row); err != nil {
+				return nil, err
 			}
-			ok, err := asBool(q.Where, t, row)
-			if err != nil {
-				ferr = err
-				return false
-			}
-			return ok
-		})
-		if ferr != nil {
-			return nil, ferr
+		}
+		if ok {
+			rows = append(rows, row)
 		}
 	}
-	return b.finish(cur), nil
+	cur := refTake(t, rows)
+	if !q.Star {
+		if b.grouped {
+			cur = cur.GroupBy(b.keys, b.aggs)
+		}
+		cur = refProject(cur, b.src, b.out, allRows(cur))
+	}
+	for i := len(q.OrderBy) - 1; i >= 0; i-- { // stable multi-key sort
+		cur = refTake(cur, refSorted(cur, q.OrderBy[i].Col, q.OrderBy[i].Desc))
+	}
+	if q.Limit >= 0 && q.Limit < cur.NumRows() {
+		cur = refTake(cur, allRows(cur)[:q.Limit])
+	}
+	return cur, nil
+}
+
+// refProject is the row-at-a-time reference for every way the executor
+// moves rows: a new table whose i-th column is t's column src[i] under the
+// name out[i], holding the given rows in order, built by one boxed
+// Append(ValueAt...) per row.
+func refProject(t *telemetry.Table, src, out []string, rows []int) *telemetry.Table {
+	specs := make([]telemetry.ColSpec, len(src))
+	for i, name := range src {
+		s, err := t.ColDescr(name)
+		if err != nil {
+			panic(err)
+		}
+		specs[i] = telemetry.ColSpec{Name: out[i], Type: s.Type}
+	}
+	res := telemetry.NewTable(specs...)
+	vals := make([]interface{}, len(src))
+	for _, r := range rows {
+		for i, name := range src {
+			vals[i] = t.ValueAt(name, r)
+		}
+		res.Append(vals...)
+	}
+	return res
+}
+
+// refTake is refProject over every column under its own name.
+func refTake(t *telemetry.Table, rows []int) *telemetry.Table {
+	names := make([]string, t.NumCols())
+	for i, s := range t.Schema() {
+		names[i] = s.Name
+	}
+	return refProject(t, names, names, rows)
+}
+
+func allRows(t *telemetry.Table) []int {
+	rows := make([]int, t.NumRows())
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
+
+// refSorted is the stable order ORDER BY name must produce, from boxed
+// cells.
+func refSorted(t *telemetry.Table, name string, desc bool) []int {
+	idx := allRows(t)
+	less := func(a, b int) bool {
+		switch x := t.ValueAt(name, a).(type) {
+		case int64:
+			return x < t.ValueAt(name, b).(int64)
+		case float64:
+			return x < t.ValueAt(name, b).(float64)
+		default:
+			return x.(string) < t.ValueAt(name, b).(string)
+		}
+	}
+	sort.SliceStable(idx, func(i, j int) bool {
+		if desc {
+			return less(idx[j], idx[i])
+		}
+		return less(idx[i], idx[j])
+	})
+	return idx
 }
 
 // evaler is what every AST node implements here: the value of the

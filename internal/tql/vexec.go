@@ -3,7 +3,7 @@ package tql
 import (
 	"errors"
 
-	"amrtools/internal/colfile"
+	"amrtools/internal/telemetry"
 )
 
 // This file holds the WHERE kernels: typed predicate nodes that bind
@@ -65,9 +65,9 @@ func cmpStrings(op cmpOp, a, b string) bool {
 }
 
 // chunkCtx is one chunk's columns as the kernels see them: decoded from a
-// file, or views of an in-memory table's storage.
+// file, or an in-memory table's own.
 type chunkCtx struct {
-	cols []colfile.ColData
+	cols []telemetry.Column
 	n    int
 }
 
@@ -223,7 +223,7 @@ func (n vCmpStrColLit) eval(c *chunkCtx, sel []int) ([]bool, error) {
 	}
 	out := make([]bool, len(sel))
 	for i, r := range sel {
-		out[i] = byID[col.StrIDs[r]]
+		out[i] = byID[col.IDs[r]]
 	}
 	return out, nil
 }
@@ -238,7 +238,7 @@ func (n vCmpStrColCol) eval(c *chunkCtx, sel []int) ([]bool, error) {
 	l, r := &c.cols[n.li], &c.cols[n.ri]
 	out := make([]bool, len(sel))
 	for i, row := range sel {
-		out[i] = cmpStrings(n.op, l.Dict[l.StrIDs[row]], r.Dict[r.StrIDs[row]])
+		out[i] = cmpStrings(n.op, l.Dict[l.IDs[row]], r.Dict[r.IDs[row]])
 	}
 	return out, nil
 }

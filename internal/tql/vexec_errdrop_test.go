@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"amrtools/internal/colfile"
 	"amrtools/internal/telemetry"
 )
 
@@ -59,9 +58,9 @@ func TestVCmpStrBadOpEmptySelection(t *testing.T) {
 
 func strChunk() *chunkCtx {
 	return &chunkCtx{
-		cols: []colfile.ColData{
-			{Dict: []string{"aa", "bb"}, StrIDs: []uint32{0, 1, 0}},
-			{Dict: []string{"aa", "cc"}, StrIDs: []uint32{0, 0, 1}},
+		cols: []telemetry.Column{
+			{Dict: []string{"aa", "bb"}, IDs: []uint32{0, 1, 0}},
+			{Dict: []string{"aa", "cc"}, IDs: []uint32{0, 0, 1}},
 		},
 		n: 3,
 	}

@@ -291,29 +291,56 @@ func Schema() []telemetry.ColSpec {
 // Table materializes the retained spans as a columnar table: ranks in
 // ascending order, each rank's spans oldest to newest. The layout is
 // deterministic for a deterministic run, so span colfiles are bit-identical
-// across harness worker counts.
+// across harness worker counts. The columns are filled as typed slices and
+// handed to the table whole — no per-span row, no boxed cell — with kind
+// already in dictionary form: Kind k is id k.
 func (r *Recorder) Table() *telemetry.Table {
-	t := telemetry.NewTable(Schema()...)
-	appendSpan := func(s Span) {
-		t.Append(
-			int64(s.Rank), int64(int(s.Rank)/r.rpn), s.Kind.String(),
-			s.T0, s.T1, s.T1-s.T0,
-			int64(s.Peer), s.Bytes, int64(s.Tag), int64(s.Step), int64(s.Epoch),
-		)
+	n := r.Len()
+	ints := func() []int64 { return make([]int64, 0, n) }
+	floats := func() []float64 { return make([]float64, 0, n) }
+	rank, node, peer, size, tag, step, epoch := ints(), ints(), ints(), ints(), ints(), ints(), ints()
+	t0, t1, dur := floats(), floats(), floats()
+	kind := make([]uint32, 0, n)
+	add := func(s Span) {
+		rank = append(rank, int64(s.Rank))
+		node = append(node, int64(int(s.Rank)/r.rpn))
+		kind = append(kind, uint32(s.Kind))
+		t0 = append(t0, s.T0)
+		t1 = append(t1, s.T1)
+		dur = append(dur, s.T1-s.T0)
+		peer = append(peer, int64(s.Peer))
+		size = append(size, s.Bytes)
+		tag = append(tag, int64(s.Tag))
+		step = append(step, int64(s.Step))
+		epoch = append(epoch, int64(s.Epoch))
+	}
+	// Out-of-loop spans, bucketed by rank in one pass (appending keeps each
+	// rank's emission order) and placed before the rank's ring: probe_pre
+	// precedes every ring span, and probe_post is emitted in rank order too.
+	raw := make([][]Span, len(r.rings))
+	for _, s := range r.raw {
+		raw[s.Rank] = append(raw[s.Rank], s)
 	}
 	for rank := range r.rings {
-		// Out-of-loop spans first (probe_pre precedes every ring span and
-		// probe_post is emitted in rank order too, so per-rank emission
-		// order is preserved), then the ring oldest to newest.
-		for _, s := range r.raw {
-			if int(s.Rank) == rank {
-				appendSpan(s)
-			}
+		for _, s := range raw[rank] {
+			add(s)
 		}
 		rg := &r.rings[rank]
 		for i := 0; i < rg.n; i++ {
-			appendSpan(rg.spans[(rg.head+i)%len(rg.spans)])
+			add(rg.spans[(rg.head+i)%len(rg.spans)])
 		}
+	}
+	kinds := make([]string, numKinds)
+	for k := range kinds {
+		kinds[k] = Kind(k).String()
+	}
+	t, err := telemetry.FromColumns(Schema(), []telemetry.Column{
+		{Ints: rank}, {Ints: node}, {IDs: kind, Dict: kinds},
+		{Floats: t0}, {Floats: t1}, {Floats: dur},
+		{Ints: peer}, {Ints: size}, {Ints: tag}, {Ints: step}, {Ints: epoch},
+	})
+	if err != nil {
+		panic(err) // eleven columns of one length, in Schema order
 	}
 	return t
 }

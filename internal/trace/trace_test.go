@@ -110,6 +110,68 @@ func TestTableLayout(t *testing.T) {
 	}
 }
 
+// refTable is Table as it was first written — one boxed Append per span,
+// and one pass over every out-of-loop span per rank — kept as the reference
+// the typed, bucketed fill must reproduce.
+func refTable(r *Recorder) *telemetry.Table {
+	t := telemetry.NewTable(Schema()...)
+	appendSpan := func(s Span) {
+		t.Append(
+			int64(s.Rank), int64(int(s.Rank)/r.rpn), s.Kind.String(),
+			s.T0, s.T1, s.T1-s.T0,
+			int64(s.Peer), s.Bytes, int64(s.Tag), int64(s.Step), int64(s.Epoch),
+		)
+	}
+	for rank := range r.rings {
+		for _, s := range r.raw {
+			if int(s.Rank) == rank {
+				appendSpan(s)
+			}
+		}
+		rg := &r.rings[rank]
+		for i := 0; i < rg.n; i++ {
+			appendSpan(rg.spans[(rg.head+i)%len(rg.spans)])
+		}
+	}
+	return t
+}
+
+// TestTableMatchesReferenceWithProbes: pre- and post-run probes on 1024
+// nodes (emitted node by node, post after pre, as the driver does), ring
+// spans of every kind around them, and a few rings wrapped past their cap.
+func TestTableMatchesReferenceWithProbes(t *testing.T) {
+	const nodes, rpn, cap = 1024, 4, 6
+	r := NewRecorder(nodes*rpn, rpn, Config{PerRankCap: cap})
+	probe := func(kind Kind) {
+		for n := 0; n < nodes; n++ {
+			r.EmitRaw(Span{Rank: int32(n * rpn), Kind: kind, T0: 0, T1: 1e-3 * float64(n%7+1), Peer: -1, Tag: -1, Step: -1, Epoch: -1})
+		}
+	}
+	probe(ProbePre)
+	for i := 0; i < 3*nodes*rpn; i++ {
+		rank := int32((i * 7919) % (nodes * rpn)) // out of rank order
+		r.SetPhase(int(rank), int32(i%5), int32(i%2))
+		r.Emit(Span{Rank: rank, Kind: Kind(i % int(ProbePre)), T0: float64(i), T1: float64(i) + 0.5, Peer: int32(i % 9), Bytes: int64(i), Tag: int32(i % 3)})
+	}
+	for i := 0; i < 4*cap; i++ { // wrap rank 5's and the last rank's rings
+		r.Emit(span(5, Compute, float64(i), float64(i)+1))
+		r.Emit(span(nodes*rpn-1, RecvWait, float64(i), float64(i)+2))
+	}
+	probe(ProbePost)
+	if r.Dropped() == 0 {
+		t.Fatal("no ring wrapped; the test lost its eviction case")
+	}
+	got, want := r.Table(), refTable(r)
+	if got.NumRows() != r.Len() || !telemetry.Equal(got, want) {
+		t.Fatalf("Table() has %d rows and differs from the reference (%d rows, Len %d)", got.NumRows(), want.NumRows(), r.Len())
+	}
+	// A span table is appendable like any other.
+	got.Append(0, 0, "custom", 0.0, 1.0, 1.0, -1, 0, -1, -1, -1)
+	if again := r.Table(); !telemetry.Equal(again, want) {
+		t.Fatal("appending to one span table changed the next")
+	}
+}
+
 func TestKindStringsStable(t *testing.T) {
 	want := map[Kind]string{
 		Compute: "compute", Throttle: "throttle", Isend: "isend",
