@@ -77,14 +77,16 @@ scale-smoke:
 
 # Fifteen seconds of coverage-guided fuzzing per target (go test takes one
 # -fuzz target per invocation): the differential query fuzzer over derived
-# tables and chunk sizes, the parser, and the colfile reader twice (a file is
+# tables and chunk sizes, the parser, the colfile reader twice (a file is
 # outside input all the way up through the table operators and back out the
-# writer). `go test` alone only replays the seed corpora.
+# writer), and the hash-aggregate kernel against its row-loop reference, fed
+# whole and in pieces. `go test` alone only replays the seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 15s ./internal/tql
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/tql
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 15s ./internal/colfile
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAll$$' -fuzztime 15s ./internal/colfile
+	$(GO) test -run '^$$' -fuzz '^FuzzGroupBy$$' -fuzztime 15s ./internal/telemetry
 
 fmt:
 	gofmt -l . && test -z "$$(gofmt -l .)"

@@ -42,7 +42,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	file := fs.String("file", "", "columnar telemetry file")
 	schema := fs.Bool("schema", false, "print the file schema and row count, then exit")
-	explain := fs.Bool("explain", false, "print chunks scanned vs skipped, columns decoded, and metadata-only status")
+	explain := fs.Bool("explain", false, "print chunks scanned vs skipped, columns decoded, rows matched, and metadata-only status")
 	maxRows := fs.Int("rows", 50, "maximum rows to print (0 = all)")
 	asCSV := fs.Bool("csv", false, "emit query results as CSV instead of an aligned table")
 	if err := fs.Parse(args); err != nil {
@@ -141,6 +141,7 @@ func formatExplain(ex *tql.Explain) string {
 	} else {
 		sb.WriteString("; columns decoded: none")
 	}
+	fmt.Fprintf(&sb, "; rows matched: %d", ex.RowsMatched)
 	if ex.MetadataOnly {
 		sb.WriteString("; answered from footer metadata only")
 	}

@@ -75,12 +75,12 @@ func TestCLI(t *testing.T) {
 		},
 		{
 			name: "explain range", args: []string{"-file", path, "-explain", "SELECT wait FROM t WHERE step >= 10 AND step <= 19"},
-			outHas:   []string{"explain: chunks: 1 scanned, 3 skipped (of 4); columns decoded: wait\n", "wait\n----\n5   \n"},
+			outHas:   []string{"explain: chunks: 1 scanned, 3 skipped (of 4); columns decoded: wait; rows matched: 10\n", "wait\n----\n5   \n"},
 			outLacks: []string{"legacy", "fallback", "(pruned"},
 		},
 		{
 			name: "explain metadata only", args: []string{"-file", path, "-explain", "SELECT count(*) AS n, max(wait) AS hi FROM t"},
-			stdout: "explain: chunks: 0 scanned, 4 skipped (of 4); columns decoded: none; answered from footer metadata only\n" +
+			stdout: "explain: chunks: 0 scanned, 4 skipped (of 4); columns decoded: none; rows matched: 40; answered from footer metadata only\n" +
 				"n   hi  \n--  ----\n40  19.5\n",
 		},
 		{

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"amrtools/internal/stats"
@@ -125,91 +124,19 @@ func (a AggSpec) outName() string {
 }
 
 // GroupBy groups rows by the key columns and evaluates the aggregates per
-// group. The result has the key columns followed by one Float64 column per
-// aggregate, with groups sorted ascending by key values.
+// group: one feed of the whole table through GroupAgg, which defines group
+// identity and the floats. The result has the key columns followed by one
+// Float64 column per aggregate, groups ascending by key values — the order
+// SortBy sorts in: NaN first, strings by byte — and the two zeros, which are
+// distinct groups that compare equal, in order of first appearance.
 func (t *Table) GroupBy(keys []string, aggs []AggSpec) *Table {
-	// Output schema.
-	specs := make([]ColSpec, 0, len(keys)+len(aggs))
-	for _, k := range keys {
-		s, err := t.ColDescr(k)
-		if err != nil {
-			panic(err)
-		}
-		specs = append(specs, s)
+	g := NewGroupAgg(t.Schema(), keys, aggs)
+	var sel []int
+	if len(t.cols) == 0 {
+		sel = make([]int, t.rows) // no column to count a zero-column table's rows by
 	}
-	for _, a := range aggs {
-		if a.Func != Count {
-			if s, err := t.ColDescr(a.Col); err != nil {
-				panic(err)
-			} else if s.Type == String {
-				panic("telemetry: aggregate over string column " + a.Col)
-			}
-		}
-		specs = append(specs, FloatCol(a.outName()))
-	}
-
-	// Group rows by composite key.
-	groups := make(map[string][]int)
-	var order []string
-	for r := 0; r < t.rows; r++ {
-		var sb strings.Builder
-		for _, k := range keys {
-			fmt.Fprintf(&sb, "%v\x00", t.ValueAt(k, r))
-		}
-		key := sb.String()
-		if _, seen := groups[key]; !seen {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], r)
-	}
-	// Sort groups by their key values (via the first row of each group).
-	sort.Slice(order, func(i, j int) bool {
-		ri, rj := groups[order[i]][0], groups[order[j]][0]
-		for _, k := range keys {
-			vi, vj := t.ValueAt(k, ri), t.ValueAt(k, rj)
-			switch a := vi.(type) {
-			case int64:
-				b := vj.(int64)
-				if a != b {
-					return a < b
-				}
-			case float64:
-				b := vj.(float64)
-				if a != b {
-					return a < b
-				}
-			case string:
-				b := vj.(string)
-				if a != b {
-					return a < b
-				}
-			}
-		}
-		return false
-	})
-
-	out := NewTable(specs...)
-	for _, key := range order {
-		rows := groups[key]
-		vals := make([]interface{}, 0, len(specs))
-		for _, k := range keys {
-			vals = append(vals, t.ValueAt(k, rows[0]))
-		}
-		for _, a := range aggs {
-			var xs []float64
-			if a.Func == Count {
-				xs = make([]float64, len(rows))
-			} else {
-				xs = make([]float64, len(rows))
-				for i, r := range rows {
-					xs[i] = t.NumericAt(a.Col, r)
-				}
-			}
-			vals = append(vals, a.Func.Apply(xs))
-		}
-		out.Append(vals...)
-	}
-	return out
+	g.Add(t.Columns(), sel)
+	return g.Table()
 }
 
 // Correlate returns the Pearson correlation between two numeric columns —

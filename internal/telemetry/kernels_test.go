@@ -61,24 +61,36 @@ func rowRange(lo, hi int) []int {
 // refTake is refPick over every column.
 func refTake(t *telemetry.Table, rows []int) *telemetry.Table { return refPick(t, colNames(t), rows) }
 
-// refSorted is the order SortBy must produce, computed from boxed cells.
+// refLess states the documented ascending order over two boxed cells of one
+// type, on its own terms rather than the product comparator's: ints and
+// strings by <, floats by < with every NaN below every number and no NaN
+// below another. -0 and +0 are equal under <, so neither is below the other.
+func refLess(x, y interface{}) bool {
+	switch a := x.(type) {
+	case int64:
+		return a < y.(int64)
+	case float64:
+		b := y.(float64)
+		if math.IsNaN(a) || math.IsNaN(b) {
+			return math.IsNaN(a) && !math.IsNaN(b)
+		}
+		return a < b
+	default:
+		return a.(string) < y.(string)
+	}
+}
+
+// refSorted is the order SortBy must produce, computed from boxed cells: the
+// stable sort under refLess, or under its converse for desc — which moves NaN
+// to the end and still leaves equal cells in row order.
 func refSorted(t *telemetry.Table, name string, desc bool) []int {
 	idx := rowRange(0, t.NumRows())
-	less := func(a, b int) bool {
-		switch x := t.ValueAt(name, a).(type) {
-		case int64:
-			return x < t.ValueAt(name, b).(int64)
-		case float64:
-			return x < t.ValueAt(name, b).(float64)
-		default:
-			return x.(string) < t.ValueAt(name, b).(string)
-		}
-	}
 	sort.SliceStable(idx, func(i, j int) bool {
+		x, y := t.ValueAt(name, idx[i]), t.ValueAt(name, idx[j])
 		if desc {
-			return less(idx[j], idx[i])
+			x, y = y, x
 		}
-		return less(idx[i], idx[j])
+		return refLess(x, y)
 	})
 	return idx
 }

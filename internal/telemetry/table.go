@@ -13,8 +13,9 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
-	"sort"
+	"strconv"
 )
 
 // ColType is the type of a column.
@@ -115,6 +116,16 @@ func (c *column) intern(s string) uint32 {
 	return id
 }
 
+// typeName is what %T would print for v, without retaining v: a boxed value
+// handed to fmt escapes, and then every Append caller heap-allocates each
+// argument it boxes — on the path that never fails.
+func typeName(v interface{}) string {
+	if v == nil {
+		return "<nil>"
+	}
+	return reflect.TypeOf(v).String()
+}
+
 func (c *column) appendValue(v interface{}) error {
 	switch c.spec.Type {
 	case Int64:
@@ -124,7 +135,7 @@ func (c *column) appendValue(v interface{}) error {
 		case int:
 			c.Ints = append(c.Ints, int64(x))
 		default:
-			return fmt.Errorf("telemetry: column %q wants int64, got %T", c.spec.Name, v)
+			return fmt.Errorf("telemetry: column %q wants int64, got %s", c.spec.Name, typeName(v))
 		}
 	case Float64:
 		switch x := v.(type) {
@@ -133,12 +144,12 @@ func (c *column) appendValue(v interface{}) error {
 		case int:
 			c.Floats = append(c.Floats, float64(x))
 		default:
-			return fmt.Errorf("telemetry: column %q wants float64, got %T", c.spec.Name, v)
+			return fmt.Errorf("telemetry: column %q wants float64, got %s", c.spec.Name, typeName(v))
 		}
 	case String:
 		x, ok := v.(string)
 		if !ok {
-			return fmt.Errorf("telemetry: column %q wants string, got %T", c.spec.Name, v)
+			return fmt.Errorf("telemetry: column %q wants string, got %s", c.spec.Name, typeName(v))
 		}
 		c.IDs = append(c.IDs, c.intern(x))
 	}
@@ -276,18 +287,9 @@ func (t *Table) Append(vals ...interface{}) {
 // table's dictionary once per distinct source id, new entries added as rows
 // reach them, so the table ends up as if each row had been Appended in turn.
 func (t *Table) AppendColumns(cols []Column, sel []int) {
-	if len(cols) != len(t.cols) {
-		panic(fmt.Sprintf("telemetry: AppendColumns with %d columns, schema has %d", len(cols), len(t.cols)))
-	}
-	n := len(sel)
-	if sel == nil && len(cols) > 0 {
-		n = cols[0].rows(t.cols[0].spec.Type)
-	}
+	n := feedRows("AppendColumns", t.Schema(), cols, sel)
 	for i, c := range t.cols {
 		src := cols[i]
-		if have := src.rows(c.spec.Type); sel == nil && have != n {
-			panic(fmt.Sprintf("telemetry: AppendColumns: column %q has %d rows, want %d", c.spec.Name, have, n))
-		}
 		switch c.spec.Type {
 		case Int64:
 			c.Ints = gather(c.Ints, src.Ints, sel)
@@ -309,6 +311,36 @@ func (t *Table) AppendColumns(cols []Column, sel []int) {
 		}
 	}
 	t.rows += n
+}
+
+// feedRows checks one feed of the (cols, sel) shape AppendColumns defines —
+// one column per spec, of its type; a nil sel means every row, so the columns
+// must then agree on how many that is — and returns its row count. who names
+// the caller in the panic.
+func feedRows(who string, specs []ColSpec, cols []Column, sel []int) int {
+	if len(cols) != len(specs) {
+		panic(fmt.Sprintf("telemetry: %s with %d columns, schema has %d", who, len(cols), len(specs)))
+	}
+	if sel != nil || len(cols) == 0 {
+		return len(sel)
+	}
+	n := cols[0].rows(specs[0].Type)
+	for i, s := range specs {
+		if have := cols[i].rows(s.Type); have != n {
+			panic(fmt.Sprintf("telemetry: %s: column %q has %d rows, want %d", who, s.Name, have, n))
+		}
+	}
+	return n
+}
+
+// schemaIndex returns the position of the named column in schema; a name it
+// does not hold panics.
+func schemaIndex(schema []ColSpec, name string) int {
+	i := slices.IndexFunc(schema, func(s ColSpec) bool { return s.Name == name })
+	if i < 0 {
+		panic("telemetry: no column " + strconv.Quote(name))
+	}
+	return i
 }
 
 // gather appends src[sel...] (all of src when sel is nil) to dst.
@@ -401,7 +433,12 @@ func (t *Table) Strings(name string) []string {
 // columns return NaN.
 func (t *Table) NumericAt(name string, row int) float64 {
 	c := t.col(name)
-	switch c.spec.Type {
+	return numericCell(c.spec.Type, &c.Column, row)
+}
+
+// numericCell is NumericAt on a bare column of type typ.
+func numericCell(typ ColType, c *Column, row int) float64 {
+	switch typ {
 	case Int64:
 		return float64(c.Ints[row])
 	case Float64:
@@ -446,31 +483,22 @@ func (t *Table) take(sel []int) *Table {
 	return out
 }
 
-// SortBy returns a new table sorted by the named column (stable). desc
-// reverses the order.
+// SortBy returns a new table sorted by the named column under the package's
+// one order (compareCells: NaN before every number, -0 equal to +0, strings
+// by byte), stably — rows with equal keys keep their order. desc reverses
+// the order of unequal keys, so NaN then sorts last; ties still keep theirs.
 func (t *Table) SortBy(name string, desc bool) *Table {
-	c := t.col(name)
+	c := &t.col(name).Column
+	typ := t.col(name).spec.Type
 	idx := make([]int, t.rows)
 	for i := range idx {
 		idx[i] = i
 	}
-	less := func(a, b int) bool {
-		switch c.spec.Type {
-		case Int64:
-			return c.Ints[a] < c.Ints[b]
-		case Float64:
-			return c.Floats[a] < c.Floats[b]
-		case String:
-			return c.Dict[c.IDs[a]] < c.Dict[c.IDs[b]]
-		default:
-			panic("telemetry: unknown column type")
-		}
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
+	slices.SortStableFunc(idx, func(a, b int) int {
 		if desc {
-			return less(idx[j], idx[i])
+			a, b = b, a
 		}
-		return less(idx[i], idx[j])
+		return compareCells(typ, c, a, c, b)
 	})
 	return t.take(idx)
 }

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -55,6 +57,58 @@ func TestAppendTypeMismatchPanics(t *testing.T) {
 		}
 	}()
 	tb.Append("not an int")
+}
+
+// TestAppendTypeMismatchText pins the three panics to the text %T gave them,
+// now that the type is named without handing the value to fmt.
+func TestAppendTypeMismatchText(t *testing.T) {
+	for _, c := range []struct {
+		col  ColSpec
+		v    interface{}
+		want string
+	}{
+		{IntCol("a"), "x", `telemetry: column "a" wants int64, got string`},
+		{IntCol("a"), 1.5, `telemetry: column "a" wants int64, got float64`},
+		{IntCol("a"), nil, `telemetry: column "a" wants int64, got <nil>`},
+		{FloatCol("f"), int64(1), `telemetry: column "f" wants float64, got int64`},
+		{FloatCol("f"), []byte("x"), `telemetry: column "f" wants float64, got []uint8`},
+		{StrCol("s"), 7, `telemetry: column "s" wants string, got int`},
+		{StrCol("s"), nil, `telemetry: column "s" wants string, got <nil>`},
+		{StrCol("s"), &c0, `telemetry: column "s" wants string, got *telemetry.ColSpec`},
+	} {
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != c.want || got != fmt.Sprintf("telemetry: column %q wants %s, got %T", c.col.Name, c.col.Type, c.v) {
+					t.Errorf("Append(%#v) to %s panicked with %q, want %q", c.v, c.col.Name, got, c.want)
+				}
+			}()
+			NewTable(c.col).Append(c.v)
+		}()
+	}
+}
+
+var c0 ColSpec
+
+// TestAppendDoesNotBox: a row of runtime values costs no allocation of its
+// own — what remains is slice growth. (When the error path handed the boxed
+// value to fmt, escape analysis moved every argument of every caller to the
+// heap: three or four allocations per row.)
+func TestAppendDoesNotBox(t *testing.T) {
+	const rows = 100000
+	names := []string{"lpt", "cdp", "cpl50"}
+	tb := NewTable(IntCol("big"), IntCol("i"), FloatCol("f"), StrCol("s"))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rows; i++ {
+		tb.Append(int64(i)+1000, int64(i), float64(i)*0.5, names[i%len(names)])
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / rows; per >= 0.1 {
+		t.Fatalf("%.2f allocations per appended row, want < 0.1", per)
+	}
+	if tb.NumRows() != rows || tb.Ints("big")[rows-1] != rows+999 || tb.Strings("s")[4] != "cdp" {
+		t.Fatal("rows did not land")
+	}
 }
 
 func TestAppendArityPanics(t *testing.T) {

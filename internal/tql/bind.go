@@ -2,6 +2,7 @@ package tql
 
 import (
 	"fmt"
+	"slices"
 
 	"amrtools/internal/telemetry"
 )
@@ -31,7 +32,27 @@ type bound struct {
 	// Projection, one entry per select item: the column (or internal
 	// aggregate name) it reads and the name it is output under.
 	src, out []string
+	// sink is where the matched rows go; orderSrc is the ORDER BY of a
+	// sinkTopK query over the columns the rows still have there, before
+	// projection renames them.
+	sink     sinkKind
+	orderSrc []OrderItem
 }
+
+// sinkKind is the post-WHERE sink of a query. What a query asks for decides
+// it, never the source or the data: a grouped or top-k query folds its
+// matched rows chunk by chunk and holds only groups or LIMIT rows.
+type sinkKind uint8
+
+const (
+	// sinkGather: a plain projection needs every matched row.
+	sinkGather sinkKind = iota
+	// sinkAggregate: any aggregate or GROUP BY needs only the groups.
+	sinkAggregate
+	// sinkTopK: an ungrouped ORDER BY … LIMIT needs only the first LIMIT
+	// rows in order.
+	sinkTopK
+)
 
 // conjunct is one top-level AND term of the WHERE clause.
 type conjunct struct {
@@ -181,6 +202,18 @@ func bind(q *Query, schema []telemetry.ColSpec) (*bound, error) {
 	for _, o := range q.OrderBy {
 		if !outNames[o.Col] {
 			return nil, fmt.Errorf("tql: ORDER BY unknown column %q", o.Col)
+		}
+	}
+	switch {
+	case b.grouped:
+		b.sink = sinkAggregate
+	case len(q.OrderBy) > 0 && q.Limit >= 0:
+		b.sink = sinkTopK
+		for _, o := range q.OrderBy {
+			if i := slices.Index(b.out, o.Col); i >= 0 { // else SELECT *: no renames
+				o.Col = b.src[i]
+			}
+			b.orderSrc = append(b.orderSrc, o)
 		}
 	}
 	return b, nil

@@ -25,12 +25,18 @@ func Run(query string, tables map[string]*telemetry.Table) (*telemetry.Table, er
 // standing in as a single chunk.
 func Exec(q *Query, t *telemetry.Table) (*telemetry.Table, error) {
 	if q.Where == nil {
-		// Nothing to filter: the later stages read the table in place.
 		b, err := bind(q, t.Schema())
 		if err != nil {
 			return nil, err
 		}
-		return b.finish(t), nil
+		if b.sink == sinkGather {
+			// Nothing to filter, nothing to fold: the later stages read the
+			// table in place.
+			return b.finish(t), nil
+		}
+		acc := newAccumulator(b)
+		acc.add(t.Columns(), t.NumRows(), nil)
+		return b.finish(acc.sink.Table()), nil
 	}
 	out, _, err := execute(q, tableSource{t})
 	return out, err
@@ -63,8 +69,8 @@ func (s tableSource) DecodeColumns(int, []bool) ([]telemetry.Column, int, error)
 // execute is the one executor: bind, classify every chunk from its zone
 // map, answer from metadata alone when that suffices, otherwise decode only
 // the referenced columns of only the surviving chunks, filter them through
-// the kernels, and run the post-WHERE stages on the matched rows. The
-// Explain is valid even when the result is an error.
+// the kernels and feed the matched rows, chunk by chunk, to the query's
+// post-WHERE sink. The Explain is valid even when the result is an error.
 func execute(q *Query, src chunkSource) (*telemetry.Table, *Explain, error) {
 	ex := &Explain{ChunksTotal: src.NumChunks()}
 	b, err := bind(q, src.Schema())
@@ -91,6 +97,7 @@ func execute(q *Query, src chunkSource) (*telemetry.Table, *Explain, error) {
 		if out, ok := b.metadataOnly(src, classes, matched); ok {
 			ex.MetadataOnly = true
 			ex.ChunksSkipped = src.NumChunks()
+			ex.RowsMatched = matched
 			return out, ex, nil
 		}
 	}
@@ -109,6 +116,7 @@ func execute(q *Query, src chunkSource) (*telemetry.Table, *Explain, error) {
 				return nil, ex, err
 			}
 			ex.ChunksScanned++
+			ex.RowsMatched += int64(n)
 			acc.add(cols, n, nil)
 		case classSome:
 			cols, n, err := src.DecodeColumns(i, b.needScan)
@@ -121,6 +129,7 @@ func execute(q *Query, src chunkSource) (*telemetry.Table, *Explain, error) {
 			if err != nil {
 				return nil, ex, err
 			}
+			ex.RowsMatched += int64(len(sel))
 			acc.add(cols, len(sel), sel)
 		}
 	}
@@ -131,7 +140,7 @@ func execute(q *Query, src chunkSource) (*telemetry.Table, *Explain, error) {
 			}
 		}
 	}
-	return b.finish(acc.t), ex, nil
+	return b.finish(acc.sink.Table()), ex, nil
 }
 
 // match returns the rows of the chunk that satisfy the WHERE clause, in
@@ -159,26 +168,32 @@ func (b *bound) match(c *chunkCtx) ([]int, error) {
 	return sel, nil
 }
 
-// finish runs the post-WHERE stages — projection or aggregation, then
-// ORDER BY and LIMIT — on the matched rows. cur must hold at least the
-// needOut columns; bind has already ruled out every way this can fail.
+// finish turns what the sink holds — the matched rows, their groups, or
+// their first LIMIT rows in order — into the result: projection, then ORDER
+// BY and LIMIT. cur must hold at least the columns b.src names; bind has
+// already ruled out every way this can fail.
 func (b *bound) finish(cur *telemetry.Table) *telemetry.Table {
 	if !b.q.Star {
-		if b.grouped {
-			cur = cur.GroupBy(b.keys, b.aggs)
-		}
 		cur = project(cur, b.src, b.out)
 	}
 	return b.orderLimit(cur)
 }
 
-// orderLimit runs the ORDER BY and LIMIT stages.
+// orderLimit runs the ORDER BY and LIMIT stages, by one rule: ORDER BY with
+// a LIMIT is the top-k kernel, ORDER BY alone the stable sort chain (which
+// the kernel equals, row for row, followed by Head).
 func (b *bound) orderLimit(cur *telemetry.Table) *telemetry.Table {
-	for i := len(b.q.OrderBy) - 1; i >= 0; i-- { // stable multi-key sort
-		cur = cur.SortBy(b.q.OrderBy[i].Col, b.q.OrderBy[i].Desc)
+	by := b.q.OrderBy
+	switch {
+	case len(by) > 0 && b.q.Limit >= 0:
+		top := telemetry.NewTopK(cur.Schema(), by, b.q.Limit)
+		top.Add(cur.Columns(), nil)
+		return top.Table()
+	case b.q.Limit >= 0:
+		return cur.Head(b.q.Limit)
 	}
-	if b.q.Limit >= 0 {
-		cur = cur.Head(b.q.Limit)
+	for i := len(by) - 1; i >= 0; i-- { // stable multi-key sort
+		cur = cur.SortBy(by[i].Col, by[i].Desc)
 	}
 	return cur
 }
@@ -205,12 +220,25 @@ func project(t *telemetry.Table, src, out []string) *telemetry.Table {
 	return res
 }
 
-// accumulator collects the matched rows of the needOut columns, chunk by
-// chunk, into the table the post-WHERE stages run on.
+// sink is where matched rows go, chunk by chunk, and what they have become
+// by the end. There are three, chosen at bind (sinkKind).
+type sink interface {
+	Add(cols []telemetry.Column, sel []int)
+	Table() *telemetry.Table
+}
+
+// gatherSink is the table of every matched row.
+type gatherSink struct{ t *telemetry.Table }
+
+func (g gatherSink) Add(cols []telemetry.Column, sel []int) { g.t.AppendColumns(cols, sel) }
+func (g gatherSink) Table() *telemetry.Table                { return g.t }
+
+// accumulator feeds the matched rows of the needOut columns, chunk by chunk,
+// to the query's sink.
 type accumulator struct {
 	idx  []int              // schema index of each carried column
 	pick []telemetry.Column // scratch: one chunk's carried columns
-	t    *telemetry.Table
+	sink sink
 }
 
 func newAccumulator(b *bound) *accumulator {
@@ -228,12 +256,21 @@ func newAccumulator(b *bound) *accumulator {
 		specs = []telemetry.ColSpec{telemetry.IntCol("#rows")}
 	}
 	a.pick = make([]telemetry.Column, len(specs))
-	a.t = telemetry.NewTable(specs...)
+	switch b.sink {
+	case sinkGather:
+		a.sink = gatherSink{telemetry.NewTable(specs...)}
+	case sinkAggregate:
+		a.sink = telemetry.NewGroupAgg(specs, b.keys, b.aggs)
+	case sinkTopK:
+		a.sink = telemetry.NewTopK(specs, b.orderSrc, b.q.Limit)
+	default:
+		panic("tql: unresolved sink")
+	}
 	return a
 }
 
-// add appends rows sel of a chunk's columns (nil: all of them); n is how
-// many rows that is.
+// add feeds rows sel of a chunk's columns (nil: all of them); n is how many
+// rows that is.
 func (a *accumulator) add(cols []telemetry.Column, n int, sel []int) {
 	if len(a.idx) == 0 {
 		a.pick[0], sel = telemetry.Column{Ints: make([]int64, n)}, nil
@@ -241,5 +278,5 @@ func (a *accumulator) add(cols []telemetry.Column, n int, sel []int) {
 	for k, ci := range a.idx {
 		a.pick[k] = cols[ci]
 	}
-	a.t.AppendColumns(a.pick, sel)
+	a.sink.Add(a.pick, sel)
 }

@@ -84,8 +84,9 @@ func (b *bound) metadataOnly(src chunkSource, classes []chunkClass, matched int6
 		vals[si] = v
 	}
 	if matched == 0 {
-		// An aggregate over zero rows is a zero-row result, as in finish.
-		return b.finish(telemetry.NewTable(b.schema...)), true
+		// An aggregate over zero rows is a zero-row result: what the sink
+		// holds when nothing was fed to it.
+		return b.finish(newAccumulator(b).sink.Table()), true
 	}
 	out := telemetry.NewTable(specs...)
 	out.Append(vals...)

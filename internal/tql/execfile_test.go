@@ -153,6 +153,25 @@ var differentialQueries = []corpusQuery{
 	{src: "SELECT * FROM t WHERE wait >= 2 AND wait <= 8"},
 	{src: "SELECT * FROM t WHERE 4 > wait"},
 	{src: "SELECT * FROM t WHERE wait / -2 < -1"},
+
+	// The post-WHERE sinks. At chunk sizes 1 and 2 every tie below has its
+	// rows in different chunks: they must come out in file row order, as the
+	// stable sort of the whole table leaves them.
+	{src: "SELECT step, rank, wait FROM t ORDER BY rank LIMIT 4"},
+	{src: "SELECT * FROM t ORDER BY policy DESC, rank LIMIT 5"},
+	{src: "SELECT step, wait FROM t WHERE wait > 1 ORDER BY step DESC LIMIT 3"},
+	{src: "SELECT policy FROM t WHERE step >= 1 ORDER BY policy LIMIT 2"},
+	{src: "SELECT * FROM t ORDER BY rank LIMIT 100"}, // more than the table holds
+	{src: "SELECT * FROM t ORDER BY step DESC LIMIT 0"},
+	{src: "SELECT rank AS r, wait AS w FROM t ORDER BY r DESC, w LIMIT 2"},
+	{src: "SELECT wait AS rank, rank AS wait FROM t ORDER BY wait, rank DESC LIMIT 3"}, // ORDER BY names outputs, not sources
+	{src: "SELECT rank FROM t ORDER BY rank, rank DESC LIMIT 4"},
+	{src: "SELECT policy, count(*) AS n, sum(wait) AS s, min(wait) AS lo, max(wait) AS hi, p50(wait) AS med, std(wait) AS sd FROM t GROUP BY policy ORDER BY policy"},
+	{src: "SELECT rank, step, count(*) AS n FROM t WHERE wait >= 2 GROUP BY rank, step ORDER BY n DESC, rank LIMIT 10"},
+	{src: "SELECT wait, count(*) AS n FROM t GROUP BY wait"},
+	{src: "SELECT step, var(wait) AS v, p99(rank) AS r FROM t GROUP BY step ORDER BY v DESC LIMIT 2"},
+	{src: "SELECT policy, rank, mean(step) AS m FROM t GROUP BY policy, rank ORDER BY m, policy DESC LIMIT 3"},
+	{src: "SELECT count(*) AS n FROM t WHERE policy = 'cdp' ORDER BY n LIMIT 7"},
 }
 
 // corpusReaders encodes src at the corpus chunk sizes.
@@ -199,12 +218,29 @@ func runDifferential(t *testing.T, label string, src *telemetry.Table, readers m
 					label, source, cq.src, want.Render(0), got.Render(0))
 			}
 		}
+		// Explain.RowsMatched must be the oracle's filtered row count on every
+		// source — once a grouped or top-k query holds no matched-row table,
+		// it is the only place selectivity shows.
+		checkMatched := func(source string, ex *Explain) {
+			t.Helper()
+			if wantErr != nil {
+				return
+			}
+			if rows, err := oracleMatch(q, src); err != nil || ex.RowsMatched != int64(len(rows)) {
+				t.Errorf("%s %s %q: RowsMatched = %d, oracle matched %d rows (err %v)", label, source, cq.src, ex.RowsMatched, len(rows), err)
+			}
+		}
 		got, gotErr := Exec(q, src)
 		check("memory", got, gotErr)
+		if q.Where != nil { // without one Exec has nothing to scan, and no Explain
+			_, ex, _ := execute(q, tableSource{src})
+			checkMatched("memory", ex)
+		}
 		for name, r := range readers {
 			before := r.DecodeCount()
-			got, gotErr = ExecFile(q, r)
+			got, ex, gotErr := ExecFileExplain(q, r)
 			check(name, got, gotErr)
+			checkMatched(name, ex)
 			if cq.bindErr != "" && r.DecodeCount() != before {
 				t.Errorf("%s %s %q: bind error after decoding %d chunks", label, name, cq.src, r.DecodeCount()-before)
 			}

@@ -36,6 +36,10 @@ var fuzzSeeds = []string{
 	"SELECT policy, min(wait), max(compute), avg(wait) FROM t WHERE policy >= 'cdp' AND NOT step = 3 GROUP BY policy ORDER BY policy",
 	"SELECT min(wait), max(wait), sum(compute), count(*) FROM t WHERE step >= 2",
 	"SELECT step FROM t WHERE -wait < -(compute / 2) OR 'a' < 'b' ORDER BY step DESC LIMIT 2",
+	"SELECT wait, count(*) AS n, sum(compute) AS c FROM t GROUP BY wait ORDER BY wait",
+	"SELECT policy, count(*) AS n, max(wait) AS hi, p50(compute) AS med FROM t WHERE step >= 2 GROUP BY policy",
+	"SELECT step, rank, wait FROM t ORDER BY step DESC, rank LIMIT 3",
+	"SELECT rank AS wait, wait AS rank FROM t ORDER BY wait LIMIT 9",
 }
 
 // FuzzParse asserts the parser never panics: malformed queries must return

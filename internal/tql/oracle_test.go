@@ -2,6 +2,7 @@ package tql
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"amrtools/internal/telemetry"
@@ -14,7 +15,29 @@ import (
 // projection, ORDER BY, LIMIT — one boxed cell at a time through refProject,
 // sharing neither the WHERE kernels nor the table's view and gather kernels
 // with the executor it checks. What it does share is bind (it is only
-// consulted for queries that bind) and GroupBy's algorithm.
+// consulted for queries that bind) and the aggregate kernel: it calls one-shot
+// Table.GroupBy on reference-moved rows, so what it holds the executor to is
+// the chunked feed and the sink wiring; the kernel itself answers to
+// refGroupBy in internal/telemetry.
+
+// oracleMatch returns the rows of t the WHERE clause keeps, in row order,
+// evaluated one row at a time; it fails with the first evaluation error.
+func oracleMatch(q *Query, t *telemetry.Table) ([]int, error) {
+	rows := make([]int, 0, t.NumRows())
+	for row := 0; row < t.NumRows(); row++ {
+		ok := true
+		if q.Where != nil {
+			var err error
+			if ok, err = asBool(q.Where, t, row); err != nil {
+				return nil, err
+			}
+		}
+		if ok {
+			rows = append(rows, row)
+		}
+	}
+	return rows, nil
+}
 
 // oracleExec runs q over t through the row interpreter. It fails with the
 // first evaluation error in row order.
@@ -23,17 +46,9 @@ func oracleExec(q *Query, t *telemetry.Table) (*telemetry.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oracle consulted for a query that does not bind: %w", err)
 	}
-	rows := make([]int, 0, t.NumRows())
-	for row := 0; row < t.NumRows(); row++ {
-		ok := true
-		if q.Where != nil {
-			if ok, err = asBool(q.Where, t, row); err != nil {
-				return nil, err
-			}
-		}
-		if ok {
-			rows = append(rows, row)
-		}
+	rows, err := oracleMatch(q, t)
+	if err != nil {
+		return nil, err
 	}
 	cur := refTake(t, rows)
 	if !q.Star {
@@ -92,25 +107,36 @@ func allRows(t *telemetry.Table) []int {
 	return rows
 }
 
+// refLess states the documented ascending order over two boxed cells of one
+// type, in the oracle's own words: ints and strings by <, floats by < with
+// every NaN below every number and no NaN below another (-0 and +0 are
+// equal under <, so neither is below the other).
+func refLess(x, y interface{}) bool {
+	switch a := x.(type) {
+	case int64:
+		return a < y.(int64)
+	case float64:
+		b := y.(float64)
+		if math.IsNaN(a) || math.IsNaN(b) {
+			return math.IsNaN(a) && !math.IsNaN(b)
+		}
+		return a < b
+	default:
+		return a.(string) < y.(string)
+	}
+}
+
 // refSorted is the stable order ORDER BY name must produce, from boxed
-// cells.
+// cells: refLess ascending, its converse descending, equal cells in row
+// order either way.
 func refSorted(t *telemetry.Table, name string, desc bool) []int {
 	idx := allRows(t)
-	less := func(a, b int) bool {
-		switch x := t.ValueAt(name, a).(type) {
-		case int64:
-			return x < t.ValueAt(name, b).(int64)
-		case float64:
-			return x < t.ValueAt(name, b).(float64)
-		default:
-			return x.(string) < t.ValueAt(name, b).(string)
-		}
-	}
 	sort.SliceStable(idx, func(i, j int) bool {
+		x, y := t.ValueAt(name, idx[i]), t.ValueAt(name, idx[j])
 		if desc {
-			return less(idx[j], idx[i])
+			x, y = y, x
 		}
-		return less(idx[i], idx[j])
+		return refLess(x, y)
 	})
 	return idx
 }

@@ -40,11 +40,8 @@ func (s SelectItem) OutName() string {
 	return s.Col
 }
 
-// OrderItem is one ORDER BY key.
-type OrderItem struct {
-	Col  string
-	Desc bool
-}
+// OrderItem is one ORDER BY key, in the form the sort kernels take it.
+type OrderItem = telemetry.SortKey
 
 // Expr is a WHERE-clause expression node. The AST carries no evaluation
 // logic: bind types it against a schema and compiles it to kernels.

@@ -9,6 +9,7 @@ type Explain struct {
 	ChunksScanned  int      // chunks whose payload was decoded
 	ChunksSkipped  int      // chunks excluded by zone maps alone
 	ColumnsDecoded []string // schema columns whose payloads were decoded
+	RowsMatched    int64    // rows that reached the post-WHERE stage (the footer's count on a metadata-only answer)
 	MetadataOnly   bool     // answer came entirely from the footer index
 	Fallback       string   // always empty (there is no fallback route); declared only because bench/ reads it
 }
