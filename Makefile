@@ -1,9 +1,9 @@
 GO ?= go
 
-# The race job used to enumerate only the concurrency-bearing layers; with
-# the interprocedural lint rules guarding the sequential packages' sharing
-# discipline too, the whole module runs under the detector so a rule gap
-# cannot hide a real race in an "uninteresting" package.
+# The whole module runs under the race detector: with shard-count identity
+# it is the only enforcement of the sharing discipline across shard windows
+# and harness workers (DESIGN.md §8's ledger), so no package is exempt as
+# "uninteresting".
 RACE_PKGS = ./...
 
 .PHONY: all build vet lint test race bench-module bench bench-layers ab serve-smoke scale-smoke fuzz-smoke check fmt
@@ -16,11 +16,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# amrlint: the repo's own static analyzer (cmd/amrlint). Enforces the
-# determinism/resource-discipline rules of DESIGN.md §8; any diagnostic
-# fails the build. Waive single sites with //lint:ignore <rule> <reason>;
-# the run ends with "amrlint: N live waiver(s)" on stderr — the register
-# CHANGES.md quotes (`amrlint -json` lists it), which only goes down.
+# amrlint: the repo's own static analyzer (cmd/amrlint). Enforces the five
+# rules of DESIGN.md §8 (determinism, map order, exhaustive switches, dropped
+# errors, metric planes); any diagnostic fails the build. Waive single sites
+# with //lint:ignore <rule> <reason>; the run ends with "amrlint: N live
+# waiver(s)" on stderr — the register CHANGES.md quotes (`amrlint -json`
+# lists it), which only goes down.
 lint:
 	$(GO) run ./cmd/amrlint ./...
 

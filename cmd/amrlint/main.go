@@ -1,8 +1,8 @@
 // Command amrlint runs the repo's custom static analyzers (internal/lint)
-// over the module: determinism, map-order, request-leak and
-// exhaustive-switch rules plus the call-graph set, each the compile-time half
-// of a runtime invariant audited by internal/check. See DESIGN.md §8 for the
-// rule table.
+// over the module: the determinism, map-order, exhaustive-switch,
+// dropped-error and metric-plane rules — each kept because it caught a real
+// defect here or because no runtime check can see its defect class. See
+// DESIGN.md §8 for the rule table and the evidence ledger.
 //
 // Usage:
 //

@@ -29,6 +29,16 @@ func TestCLI(t *testing.T) {
 		if code != 2 || stdout != "" || !strings.Contains(stderr, "nosuchflag") || !strings.Contains(stderr, "rules:") {
 			t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2 naming the flag above the rule list", code, stdout, stderr)
 		}
+		// The rule list is the five analyzers plus the waiver check, one
+		// indented line each between "rules:" and "flags:".
+		list := stderr[strings.Index(stderr, "rules:\n")+len("rules:\n") : strings.Index(stderr, "\nflags:")]
+		var got []string
+		for _, line := range strings.Split(strings.TrimSpace(list), "\n") {
+			got = append(got, strings.Fields(line)[0])
+		}
+		if want := "determinism maporder exhaustive errdrop planecross waiver"; strings.Join(got, " ") != want {
+			t.Errorf("usage lists rules %q, want %q", strings.Join(got, " "), want)
+		}
 	})
 	t.Run("pattern matching nothing", func(t *testing.T) {
 		code, stdout, stderr := amrlintCLI("-C", "../..", "./nosuch/...")

@@ -52,8 +52,6 @@ func (v *Violation) Error() string {
 
 // Failf panics with a *Violation for the given layer and invariant. It
 // never returns, so its allocations are failure-path only.
-//
-//amr:cold
 func Failf(layer, invariant, format string, args ...interface{}) {
 	panic(&Violation{Layer: layer, Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
 }

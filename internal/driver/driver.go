@@ -273,8 +273,6 @@ type epoch struct {
 // Every mutation happens inside the epoch protocol — ranks quiesce at the
 // collective barrier before rank 0 touches it, and paranoid mode audits the
 // handoff — so the mutation discipline is ownership transfer, not lanes.
-//
-//amr:shardowned
 type runState struct {
 	cfg      Config
 	paranoid bool // resolved Config.Paranoid || check.Forced()

@@ -22,11 +22,6 @@ import (
 //
 // Columns: ranks, policy, mean_round_ms, p99_round_ms, remote_share.
 func Fig7a(opts Options) *telemetry.Table {
-	out := telemetry.NewTable(
-		telemetry.IntCol("ranks"), telemetry.StrCol("policy"),
-		telemetry.FloatCol("mean_round_ms"), telemetry.FloatCol("p99_round_ms"),
-		telemetry.FloatCol("remote_share"),
-	)
 	type scale struct {
 		ranks    int
 		rootDims [3]int
@@ -37,45 +32,72 @@ func Fig7a(opts Options) *telemetry.Table {
 		scales = []scale{{128, [3]int{4, 4, 8}}}
 		meshes, rounds = 2, 8
 	}
-	// One spec per (scale, X, mesh): the per-mesh RNGs are split off
-	// sequentially at plan-build time so the fan-out sees the exact streams
-	// the sequential loop did.
-	type cell struct {
-		ranks  int
-		pol    placement.CPLX
-		meshes int
-	}
-	var cells []cell
-	var specs []harness.Spec[meshRun]
+	var cells []meshCell
 	for _, sc := range scales {
 		for _, x := range []int{0, 25, 50, 75, 100} {
 			pol := placement.CPLX{X: x, ChunkSize: chunkFor(sc.ranks)}
-			cells = append(cells, cell{sc.ranks, pol, meshes})
-			rng := xrand.New(opts.Seed + uint64(sc.ranks))
-			for m := 0; m < meshes; m++ {
-				specs = append(specs, commbenchSpec(
-					fmt.Sprintf("%dranks-%s-mesh%d", sc.ranks, pol.Name(), m),
-					opts.Shards, sc.ranks, sc.rootDims, pol, rounds, rng.Split()))
-			}
+			id := fmt.Sprintf("%dranks-%s", sc.ranks, pol.Name())
+			cells = append(cells, meshCell{id: id, ranks: sc.ranks, rootDims: sc.rootDims, pol: pol})
 		}
 	}
-	runs := harness.MustValues(harness.Run(opts.Exec, "fig7a", specs))
+	out, err := meshCampaign(opts.Exec, "fig7a", cells, opts.Seed, opts.Shards, meshes, rounds)
+	if err != nil {
+		panic(err) // statically-correct specs: harness.MustValues' contract
+	}
+	return out
+}
+
+// meshCell is one row of a commbench table: a policy on a rank count,
+// averaged over several random meshes. id prefixes the cell's spec ids.
+type meshCell struct {
+	id       string
+	ranks    int
+	rootDims [3]int
+	pol      placement.Policy
+}
+
+// meshCampaign is the commbench fan-out and reduce behind Fig7a and
+// Commbench: one spec per (cell, mesh), then one row per cell pooling its
+// meshes' round latencies and averaging their remote shares. The per-mesh
+// RNGs are split off sequentially at plan-build time, from one stream per
+// cell seeded by seed + ranks, so the fan-out sees the exact streams a
+// sequential loop would.
+//
+// Columns: ranks, policy, mean_round_ms, p99_round_ms, remote_share.
+func meshCampaign(ex harness.Exec, campaign string, cells []meshCell, seed uint64, shards, meshes, rounds int) (*telemetry.Table, error) {
+	var specs []harness.Spec[meshRun]
 	for _, c := range cells {
+		rng := xrand.New(seed + uint64(c.ranks))
+		for m := 0; m < meshes; m++ {
+			specs = append(specs, commbenchSpec(
+				fmt.Sprintf("%s-mesh%d", c.id, m),
+				shards, c.ranks, c.rootDims, c.pol, rounds, rng.Split()))
+		}
+	}
+	runs, err := harness.Values(harness.Run(ex, campaign, specs))
+	if err != nil {
+		return nil, err
+	}
+	out := telemetry.NewTable(
+		telemetry.IntCol("ranks"), telemetry.StrCol("policy"),
+		telemetry.FloatCol("mean_round_ms"), telemetry.FloatCol("p99_round_ms"),
+		telemetry.FloatCol("remote_share"),
+	)
+	for i, c := range cells {
 		var lats []float64
 		var remoteShare float64
-		for m := 0; m < c.meshes; m++ {
-			lats = append(lats, runs[0].lats...)
-			remoteShare += runs[0].share
-			runs = runs[1:]
+		for _, run := range runs[i*meshes : (i+1)*meshes] {
+			lats = append(lats, run.lats...)
+			remoteShare += run.share
 		}
 		if len(lats) == 0 {
 			continue
 		}
 		out.Append(c.ranks, c.pol.Name(),
 			stats.Mean(lats)*1e3, stats.Percentile(lats, 99)*1e3,
-			remoteShare/float64(c.meshes))
+			remoteShare/float64(meshes))
 	}
-	return out
+	return out, nil
 }
 
 // meshRun is one commbench mesh outcome.
@@ -136,46 +158,15 @@ func Commbench(cfg CommbenchConfig) (*telemetry.Table, error) {
 	if cfg.Meshes <= 0 || cfg.Rounds <= 1 {
 		return nil, fmt.Errorf("experiments: commbench needs >=1 mesh and >=2 rounds")
 	}
-	out := telemetry.NewTable(
-		telemetry.IntCol("ranks"), telemetry.StrCol("policy"),
-		telemetry.FloatCol("mean_round_ms"), telemetry.FloatCol("p99_round_ms"),
-		telemetry.FloatCol("remote_share"),
-	)
-	pols := make([]placement.Policy, len(cfg.Policies))
-	var specs []harness.Spec[meshRun]
+	cells := make([]meshCell, len(cfg.Policies))
 	for i, name := range cfg.Policies {
 		pol, err := placement.ByName(name, chunkFor(cfg.Ranks))
 		if err != nil {
 			return nil, err
 		}
-		pols[i] = pol
-		rng := xrand.New(cfg.Seed + uint64(cfg.Ranks))
-		for m := 0; m < cfg.Meshes; m++ {
-			specs = append(specs, commbenchSpec(
-				fmt.Sprintf("%s-mesh%d", pol.Name(), m),
-				0, cfg.Ranks, rootDims, pol, cfg.Rounds, rng.Split()))
-		}
+		cells[i] = meshCell{id: pol.Name(), ranks: cfg.Ranks, rootDims: rootDims, pol: pol}
 	}
-	runs, err := harness.Values(harness.Run(cfg.Exec, "commbench", specs))
-	if err != nil {
-		return nil, err
-	}
-	for _, pol := range pols {
-		var lats []float64
-		var remoteShare float64
-		for m := 0; m < cfg.Meshes; m++ {
-			lats = append(lats, runs[0].lats...)
-			remoteShare += runs[0].share
-			runs = runs[1:]
-		}
-		if len(lats) == 0 {
-			continue
-		}
-		out.Append(cfg.Ranks, pol.Name(),
-			stats.Mean(lats)*1e3, stats.Percentile(lats, 99)*1e3,
-			remoteShare/float64(cfg.Meshes))
-	}
-	return out, nil
+	return meshCampaign(cfg.Exec, "commbench", cells, cfg.Seed, 0, cfg.Meshes, cfg.Rounds)
 }
 
 // cubeDims builds a near-cubic root grid with the given product, doubling

@@ -26,8 +26,7 @@ import (
 //	            being created, a named function passed as an argument or
 //	            stored in a field. Whoever holds the value may call it, so
 //	            rules about code *executed in a context* (window phase,
-//	            worker goroutines) follow these edges; rules about direct
-//	            control flow (hot-path allocation) do not.
+//	            host goroutines) follow these edges.
 //
 // Calls through arbitrary function-typed variables produce no edge — the
 // reference edge at the value's creation site already over-approximates
@@ -75,10 +74,6 @@ type FuncNode struct {
 	Parent *FuncNode
 	// Out are the outgoing edges, in source order.
 	Out []Edge
-	// Hot and Cold mirror the //amr:hotpath and //amr:cold directives on a
-	// declaration (always false for literals).
-	Hot  bool
-	Cold bool
 
 	index int // position in Graph.Nodes, for deterministic traversal
 }
@@ -107,17 +102,9 @@ type Graph struct {
 
 	byObj map[*types.Func]*FuncNode
 	byLit map[*ast.FuncLit]*FuncNode
-	// modulePkgs maps the type-checker packages of the module, so callee
-	// resolution can tell module functions from stdlib ones.
-	modulePkgs map[*types.Package]*Package
 	// impls caches sealed-interface dispatch resolution per interface
 	// method object.
 	impls map[*types.Func][]*FuncNode
-
-	// windowRoots/workerRoots memoize the context-root scans, which cost a
-	// full module AST walk each and are needed by several rules.
-	windowRoots, workerRoots         []*FuncNode
-	windowRootsOnce, workerRootsOnce bool
 }
 
 // NodeOf returns the node of a declared function object (nil when obj is
@@ -135,13 +122,9 @@ func (g *Graph) LitNode(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
 // BuildGraph constructs the call graph over every loaded package.
 func BuildGraph(pkgs []*Package) *Graph {
 	g := &Graph{
-		byObj:      map[*types.Func]*FuncNode{},
-		byLit:      map[*ast.FuncLit]*FuncNode{},
-		modulePkgs: map[*types.Package]*Package{},
-		impls:      map[*types.Func][]*FuncNode{},
-	}
-	for _, pkg := range pkgs {
-		g.modulePkgs[pkg.Types] = pkg
+		byObj: map[*types.Func]*FuncNode{},
+		byLit: map[*ast.FuncLit]*FuncNode{},
+		impls: map[*types.Func][]*FuncNode{},
 	}
 	// Pass 1: create nodes for declarations and their nested literals.
 	for _, pkg := range pkgs {
@@ -155,8 +138,6 @@ func BuildGraph(pkgs []*Package) *Graph {
 				node := &FuncNode{
 					Name: declName(pkg, fd),
 					Pkg:  pkg, Obj: obj, Decl: fd,
-					Hot:  hasDirective(fd.Doc, "hotpath"),
-					Cold: hasDirective(fd.Doc, "cold"),
 				}
 				g.addNode(node)
 				if obj != nil {
@@ -382,19 +363,6 @@ func declName(pkg *Package, fd *ast.FuncDecl) string {
 		return base + ".(" + recv + ")." + fd.Name.Name
 	}
 	return base + "." + recv + "." + fd.Name.Name
-}
-
-// hasDirective reports whether a doc comment carries //amr:<name>.
-func hasDirective(doc *ast.CommentGroup, name string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.TrimSpace(c.Text) == "//amr:"+name {
-			return true
-		}
-	}
-	return false
 }
 
 // Reach is one BFS over the graph: the reached set plus parent pointers for

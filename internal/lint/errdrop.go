@@ -330,3 +330,9 @@ func objVar(pkg *Package, id *ast.Ident) *types.Var {
 	}
 	return nil
 }
+
+// localTo reports whether obj is declared inside body (package-level and
+// parameter objects escape the analysis).
+func localTo(body *ast.BlockStmt, obj types.Object) bool {
+	return obj.Pos() >= body.Pos() && obj.Pos() <= body.End()
+}

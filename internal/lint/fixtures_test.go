@@ -68,11 +68,8 @@ func fixtureAnalyzers() []Rule {
 	return []Rule{
 		NewDeterminism([]string{"fixturemod/core"}),
 		MapOrder{},
-		ReqLeak{},
 		Exhaustive{},
-		SharedMut{},
 		ErrDrop{},
-		HotAlloc{},
 		NewPlaneCross([]string{"fixturemod/core"}),
 	}
 }

@@ -52,18 +52,14 @@ func ReadJSON(r io.Reader) ([]Diagnostic, []Waiver, error) {
 }
 
 // Analyzers returns the production analyzer set over the module's default
-// deterministic-core package list: the four remaining rules of PR 5 (two of
-// them — determinism and reqleak — now interprocedural) plus the four
-// call-graph rules.
+// deterministic-core package list: the rules with a true positive on the real
+// tree, or with no runtime check on the same defect (DESIGN.md §8's ledger).
 func Analyzers() []Rule {
 	return []Rule{
 		NewDeterminism(nil),
 		MapOrder{},
-		ReqLeak{},
 		Exhaustive{},
-		SharedMut{},
 		ErrDrop{},
-		HotAlloc{},
 		NewPlaneCross(nil),
 	}
 }

@@ -15,15 +15,15 @@ func TestJSONRoundTrip(t *testing.T) {
 			Fix:     "derive times from the DES virtual clock"},
 		{File: "internal/lint/waiver.go", Line: 3, Col: 1, Rule: "waiver",
 			Message: "unused waiver for rule maporder: no diagnostic suppressed"},
-		{File: "internal/physics/heat.go", Line: 41, Col: 9, Rule: "sharedmut",
-			Message: `order-dependent state advance: xrand.(*RNG).Intn mutates scalar state of shared "p" and returns a value`,
-			Fix:     "give each shard/worker its own instance",
-			Path:    []string{"driver.runEpoch$1", "physics.(*heatProblem).Cost"}},
+		{File: "internal/metrics/host.go", Line: 41, Col: 9, Rule: "planecross",
+			Message: "host-plane instrument HostCounter.Inc updated from a window-phase context",
+			Fix:     "record through the window's laned sim instruments",
+			Path:    []string{"driver.runEpoch$1", "metrics.(*HostCounter).Inc"}},
 	}
 	waivers := []Waiver{
 		{File: "internal/driver/driver.go", Line: 597, Rule: "determinism",
 			Reason: "telemetry-only: PlacementWall records the host-side cost"},
-		{File: "internal/mpi/mpi.go", Line: 312, Rule: "hotalloc", Reason: "pool fill"},
+		{File: "internal/trace/diagnose.go", Line: 312, Rule: "maporder", Reason: "only feeds stats.Median"},
 	}
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, in, waivers); err != nil {

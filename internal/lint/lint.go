@@ -1,14 +1,19 @@
-// Package lint is amrlint: a stdlib-only static analyzer that enforces the
-// repo's determinism and resource-discipline invariants at build time.
+// Package lint is amrlint: a stdlib-only static analyzer for the constructs
+// that make this repo's experiment tables irreproducible or silently wrong.
 //
-// The experiment tables are this repo's product, and DESIGN.md promises they
-// are bit-identical across machines and harness worker counts. PRs 2-4
-// enforce that promise dynamically — paranoid-mode audits (internal/check)
-// panic when a runtime invariant breaks. This package is the static half:
-// the mistakes that make runs irreproducible (a stray time.Now in the
-// deterministic core, ranging over a map into an ordered sink, a leaked MPI
-// request, a kind-switch that silently drops a new variant) are flagged on
-// every build, before any campaign has to diverge to reveal them.
+// The tables are the product, and DESIGN.md promises they are bit-identical
+// across machines and harness worker counts. Most of that promise is
+// enforced at runtime — paranoid-mode audits (internal/check), the identity
+// suites, allocation budgets, the race detector. This package holds the five
+// rules that either caught a real defect on this tree or describe a defect no
+// runtime check can see: a stray time.Now in the deterministic core
+// (determinism), ranging over a map into an ordered sink (maporder), a
+// kind-switch that silently drops a new variant (exhaustive), a swallowed
+// module error (errdrop), a metric instrument updated from the wrong plane
+// (planecross). An invariant has exactly one enforcement: a rule whose
+// defect class a runtime test already fails on is deleted, not kept as a
+// second opinion. DESIGN.md §8 holds the rule table and the per-rule
+// evidence ledger.
 //
 // The implementation is deliberately stdlib-only: go/parser, go/ast and
 // go/types with the "source" importer — no golang.org/x/tools. Module
@@ -22,8 +27,7 @@
 //
 // either trailing the offending line or on the line directly above it. A
 // waiver that suppresses nothing is itself a diagnostic (rule "waiver"), so
-// stale waivers cannot accumulate. See DESIGN.md §8 for the rule table and
-// the runtime counterpart of each rule.
+// stale waivers cannot accumulate.
 package lint
 
 import (
@@ -45,17 +49,16 @@ type Diagnostic struct {
 	// Line and Col are the 1-based position of the finding.
 	Line int `json:"line"`
 	Col  int `json:"col"`
-	// Rule is the stable rule id ("determinism", "maporder", "reqleak",
-	// "exhaustive", "sharedmut", "errdrop", "hotalloc", "planecross",
-	// "waiver").
+	// Rule is the stable rule id ("determinism", "maporder", "exhaustive",
+	// "errdrop", "planecross", "waiver").
 	Rule string `json:"rule"`
 	// Message describes the violation.
 	Message string `json:"message"`
 	// Fix is the suggested remediation, when the analyzer has one.
 	Fix string `json:"fix,omitempty"`
 	// Path is the call-path witness of an interprocedural finding: function
-	// display names from the analysis root (a window-phase closure, a
-	// hot-path annotation, a core entry point) to the function containing
+	// display names from the analysis root (a window-phase closure, a host
+	// goroutine, a core entry point) to the function containing
 	// the flagged site. Empty for the purely local rules.
 	Path []string `json:"path,omitempty"`
 }
@@ -155,8 +158,7 @@ type ModulePass struct {
 	// Graph is the module call graph (static calls, sealed-interface
 	// dispatch, closure/function-value references).
 	Graph *Graph
-	// Sums holds the per-function summaries (receiver mutation, error
-	// propagation, request-parameter handling).
+	// Sums holds the per-function summaries (error propagation).
 	Sums *Summaries
 
 	diags *[]Diagnostic

@@ -177,3 +177,59 @@ func isSortCall(pass *Pass, call *ast.CallExpr) bool {
 func sortHelperName(name string) bool {
 	return strings.HasPrefix(name, "sort") || strings.HasPrefix(name, "Sort")
 }
+
+// walkStack walks the AST calling fn with each node and the stack of its
+// ancestors (outermost first, excluding n itself).
+func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		fn(n, stack)
+		stack = append(stack, n)
+		return true
+	})
+}
+
+func isAppend(pass *Pass, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := pass.Pkg.Info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "append"
+}
+
+// appendTarget resolves the object that an append call's result is assigned
+// to: a plain ident (local or package-level) or a field selector
+// (m.ordered = append(m.ordered, …) resolves to the field). nil when the
+// result lands anywhere else.
+func appendTarget(pass *Pass, appendCall *ast.CallExpr, stack []ast.Node) types.Object {
+	for i := len(stack) - 1; i >= 0; i-- {
+		if as, ok := stack[i].(*ast.AssignStmt); ok {
+			idx := rhsIndex(as.Rhs, appendCall)
+			if idx < 0 || len(as.Lhs) != len(as.Rhs) {
+				return nil
+			}
+			switch lhs := ast.Unparen(as.Lhs[idx]).(type) {
+			case *ast.Ident:
+				return pass.ObjectOf(lhs)
+			case *ast.SelectorExpr:
+				return pass.Pkg.Info.Uses[lhs.Sel]
+			}
+			return nil
+		}
+	}
+	return nil
+}
+
+func rhsIndex(rhs []ast.Expr, call *ast.CallExpr) int {
+	for i, e := range rhs {
+		if ast.Unparen(e) == call {
+			return i
+		}
+	}
+	return -1
+}

@@ -12,14 +12,9 @@ import (
 //	    points (Spawn/At/After/InjectAt/OnMerge). Everything they reach runs
 //	    inside a simulated window, where shards execute concurrently and
 //	    only laned or shard-owned state may be mutated.
-//	worker roots — functions installed as a harness Spec's Run field: the
-//	    body each harness worker goroutine executes, one whole experiment
-//	    per call, concurrently across workers.
 //	host-plane roots — goroutine bodies spawned outside the deterministic
 //	    core plus HTTP-handler-shaped functions: the wall-clock side of the
 //	    two-plane design (DESIGN.md §11).
-//	hot-path roots — functions annotated //amr:hotpath; //amr:cold prunes
-//	    the traversal below a node.
 //
 // Roots are matched by shape (method name, field name, signature), not by
 // import path, so the fixture module can exercise every rule without
@@ -66,12 +61,8 @@ func funcValueNodes(g *Graph, pkg *Package, e ast.Expr) []*FuncNode {
 
 // WindowRoots returns every function value passed to a window-phase entry
 // point (a method call named Spawn/At/After/InjectAt/OnMerge), in
-// deterministic node order. The scan is memoized on the graph: several
-// rules need it and it walks every function body.
+// deterministic node order.
 func WindowRoots(g *Graph) []*FuncNode {
-	if g.windowRootsOnce {
-		return g.windowRoots
-	}
 	var out []*FuncNode
 	seen := map[*FuncNode]bool{}
 	for _, n := range g.Nodes {
@@ -100,56 +91,7 @@ func WindowRoots(g *Graph) []*FuncNode {
 			}
 		})
 	}
-	g.windowRoots, g.windowRootsOnce = out, true
 	return out
-}
-
-// WorkerRoots returns every function value installed as the Run field of a
-// composite literal of a type named Spec — the harness worker bodies. Like
-// WindowRoots, the scan is memoized on the graph.
-func WorkerRoots(g *Graph) []*FuncNode {
-	if g.workerRootsOnce {
-		return g.workerRoots
-	}
-	var out []*FuncNode
-	seen := map[*FuncNode]bool{}
-	for _, n := range g.Nodes {
-		walkOwn(n.Body(), func(node ast.Node) {
-			lit, ok := node.(*ast.CompositeLit)
-			if !ok || !isSpecType(n.Pkg, lit) {
-				return
-			}
-			for _, el := range lit.Elts {
-				kv, ok := el.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				key, ok := kv.Key.(*ast.Ident)
-				if !ok || key.Name != "Run" {
-					continue
-				}
-				for _, root := range funcValueNodes(g, n.Pkg, kv.Value) {
-					if !seen[root] {
-						seen[root] = true
-						out = append(out, root)
-					}
-				}
-			}
-		})
-	}
-	g.workerRoots, g.workerRootsOnce = out, true
-	return out
-}
-
-// isSpecType reports whether a composite literal's type is a (possibly
-// generic, possibly pointered) named type called Spec.
-func isSpecType(pkg *Package, lit *ast.CompositeLit) bool {
-	t := pkg.Info.TypeOf(lit)
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Spec"
 }
 
 // HostRoots returns the host-plane entry points: goroutine bodies spawned
@@ -215,17 +157,6 @@ func isNetHTTPNamed(t types.Type, name string) bool {
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Pkg() != nil &&
 		named.Obj().Pkg().Path() == "net/http" && named.Obj().Name() == name
-}
-
-// HotRoots returns every node annotated //amr:hotpath.
-func HotRoots(g *Graph) []*FuncNode {
-	var out []*FuncNode
-	for _, n := range g.Nodes {
-		if n.Hot {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // isFuncTyped reports whether an expression's static type is a function

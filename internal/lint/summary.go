@@ -2,319 +2,38 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// Per-function summaries for the interprocedural rules. Each summary is a
-// conservative fact about what a function does to state it does not own:
+// Per-function summaries for the interprocedural rules: conservative facts
+// about a function that a rule consults at its call sites.
 //
-//	recvMut    — does a method mutate its receiver, and if so is every
-//	             mutation laned (indexed by a parameter-derived expression,
-//	             the metrics-instrument discipline) or is some of it scalar
-//	             (a fixed location: an RNG state word, a freelist head)?
-//	             Scalar mutation plus a result value is the signature of
-//	             order-dependent "read-modify" state — the PR 7 shared-RNG
-//	             class.
 //	errNeverNil — is every error result of the function statically nil on
 //	             every return path? Ignoring such a function's error is not
 //	             a dropped error (errdrop uses this to stay quiet).
-//	reqParams  — for each *Request/[]*Request parameter: does the function
-//	             retire it (Wait), use it, or let it escape? Passing a
-//	             request to a helper that does none of these does not
-//	             discharge the Wait obligation (reqleak uses this to track
-//	             requests through helper calls).
 //
-// Summaries are computed bottom-up to a fixpoint over the call graph, so a
-// method that mutates its receiver only by calling another mutating method,
-// or a wrapper that forwards another function's error, classifies the same
-// as the direct form.
-
-// RecvMut classifies a method's receiver mutation.
-type RecvMut uint8
-
-const (
-	// RecvPure means no receiver mutation was found.
-	RecvPure RecvMut = iota
-	// RecvLaned means every receiver write lands in an element indexed by
-	// a parameter-derived expression — the lane discipline.
-	RecvLaned
-	// RecvScalar means some receiver write hits a fixed location: calls are
-	// order-dependent whenever the receiver is shared.
-	RecvScalar
-)
+// Summaries are computed to a fixpoint over the call graph, so a wrapper
+// that forwards another function's error classifies the same as the direct
+// form.
 
 // Summaries holds every per-function summary, keyed by graph node.
 type Summaries struct {
-	g *Graph
-
-	recv    map[*FuncNode]RecvMut
-	recvPos map[*FuncNode]token.Pos // first scalar write (or propagating call)
-	errNil  map[*FuncNode]bool
-	// reqHandled[n][i] — parameter i of n (a request-shaped param) is
-	// retired/used/escaped. Params absent from the inner map are not
-	// request-shaped.
-	reqHandled map[*FuncNode]map[int]bool
-	// shardOwned holds named types annotated //amr:shardowned: their
-	// receiver-mutating methods are exempt from sharedmut's read-modify
-	// check because the runtime's shard-ownership protocol (audited by
-	// paranoid mode) serializes access.
-	shardOwned map[*types.TypeName]bool
+	g      *Graph
+	errNil map[*FuncNode]bool
 }
-
-// RecvMutOf returns the receiver-mutation class of a function (RecvPure for
-// non-methods and unknown functions).
-func (s *Summaries) RecvMutOf(n *FuncNode) RecvMut { return s.recv[n] }
-
-// RecvMutPos returns the position of the write (or call) that made a method
-// RecvScalar.
-func (s *Summaries) RecvMutPos(n *FuncNode) token.Pos { return s.recvPos[n] }
 
 // ErrAlwaysNil reports whether every error result of n is statically nil
 // on every return path — ignoring such an error is not a dropped error.
 func (s *Summaries) ErrAlwaysNil(n *FuncNode) bool { return s.errNil[n] }
 
-// ReqParamHandled reports whether request-shaped parameter i of n is
-// retired, used, or escaped. ok is false when i is not request-shaped.
-func (s *Summaries) ReqParamHandled(n *FuncNode, i int) (handled, ok bool) {
-	m := s.reqHandled[n]
-	if m == nil {
-		return false, false
-	}
-	handled, ok = m[i]
-	return handled, ok
-}
-
-// ShardOwned reports whether a named type carries //amr:shardowned.
-func (s *Summaries) ShardOwned(tn *types.TypeName) bool { return s.shardOwned[tn] }
-
 // Summarize computes every summary over the graph.
 func Summarize(g *Graph) *Summaries {
-	s := &Summaries{
-		g:          g,
-		recv:       map[*FuncNode]RecvMut{},
-		recvPos:    map[*FuncNode]token.Pos{},
-		errNil:     map[*FuncNode]bool{},
-		reqHandled: map[*FuncNode]map[int]bool{},
-		shardOwned: map[*types.TypeName]bool{},
-	}
-	s.collectShardOwned()
+	s := &Summaries{g: g, errNil: map[*FuncNode]bool{}}
 	for _, n := range g.Nodes {
-		s.directRecvMut(n)
 		s.directErrNil(n)
-		s.directReqParams(n)
 	}
-	s.fixRecvMut()
 	s.fixErrNil()
-	s.fixReqParams()
 	return s
-}
-
-// collectShardOwned scans type declarations for the //amr:shardowned
-// directive (on the TypeSpec or its enclosing GenDecl).
-func (s *Summaries) collectShardOwned() {
-	for _, pkg := range s.g.modulePkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					if !hasDirective(ts.Doc, "shardowned") && !hasDirective(gd.Doc, "shardowned") {
-						continue
-					}
-					if tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
-						s.shardOwned[tn] = true
-					}
-				}
-			}
-		}
-	}
-}
-
-// recvObj returns the receiver variable object of a method node (nil for
-// functions and literals).
-func recvObj(n *FuncNode) *types.Var {
-	if n.Decl == nil || n.Decl.Recv == nil || len(n.Decl.Recv.List) == 0 {
-		return nil
-	}
-	names := n.Decl.Recv.List[0].Names
-	if len(names) == 0 {
-		return nil
-	}
-	v, _ := n.Pkg.Info.Defs[names[0]].(*types.Var)
-	return v
-}
-
-// paramObjs returns the declared parameter objects of a node (methods and
-// literals included), in order.
-func paramObjs(n *FuncNode) []*types.Var {
-	var ft *ast.FuncType
-	if n.Decl != nil {
-		ft = n.Decl.Type
-	} else {
-		ft = n.Lit.Type
-	}
-	var out []*types.Var
-	if ft.Params == nil {
-		return nil
-	}
-	for _, field := range ft.Params.List {
-		for _, name := range field.Names {
-			if v, ok := n.Pkg.Info.Defs[name].(*types.Var); ok {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
-// directRecvMut scans a method body for direct receiver writes and
-// classifies them.
-func (s *Summaries) directRecvMut(n *FuncNode) {
-	rv := recvObj(n)
-	if rv == nil || n.Body() == nil {
-		return
-	}
-	params := map[*types.Var]bool{}
-	for _, p := range paramObjs(n) {
-		params[p] = true
-	}
-	byParam := func(v *types.Var) bool { return params[v] }
-	note := func(pos token.Pos, laned bool) {
-		if laned {
-			if s.recv[n] == RecvPure {
-				s.recv[n] = RecvLaned
-			}
-			return
-		}
-		if s.recv[n] != RecvScalar {
-			s.recv[n] = RecvScalar
-			s.recvPos[n] = pos
-		}
-	}
-	walkOwn(n.Body(), func(node ast.Node) {
-		switch e := node.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range e.Lhs {
-				if base, laned, ok := writeTarget(n.Pkg, lhs, byParam); ok && base == rv {
-					note(lhs.Pos(), laned)
-				}
-			}
-		case *ast.IncDecStmt:
-			if base, laned, ok := writeTarget(n.Pkg, e.X, byParam); ok && base == rv {
-				note(e.X.Pos(), laned)
-			}
-		}
-	})
-}
-
-// writeTarget decomposes an lvalue into its base object, reporting whether
-// the path goes through an element indexed by an expression the laneVar
-// predicate accepts (the lane discipline: a per-shard/per-rank index).
-// laneVar may be nil (no index counts as laned). ok is false when the base
-// is not a plain identifier.
-func writeTarget(pkg *Package, lhs ast.Expr, laneVar func(*types.Var) bool) (base *types.Var, laned bool, ok bool) {
-	lanedSoFar := false
-	e := ast.Unparen(lhs)
-	for {
-		switch t := e.(type) {
-		case *ast.Ident:
-			v, isVar := pkg.Info.Uses[t].(*types.Var)
-			if !isVar {
-				v, isVar = pkg.Info.Defs[t].(*types.Var)
-			}
-			if !isVar {
-				return nil, false, false
-			}
-			return v, lanedSoFar, true
-		case *ast.SelectorExpr:
-			e = ast.Unparen(t.X)
-		case *ast.IndexExpr:
-			if laneVar != nil && exprMentionsWhere(pkg, t.Index, laneVar) {
-				lanedSoFar = true
-			}
-			e = ast.Unparen(t.X)
-		case *ast.StarExpr:
-			e = ast.Unparen(t.X)
-		default:
-			return nil, false, false
-		}
-	}
-}
-
-// exprMentionsWhere reports whether expr references a variable the
-// predicate accepts.
-func exprMentionsWhere(pkg *Package, expr ast.Expr, pred func(*types.Var) bool) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if v, ok := pkg.Info.Uses[id].(*types.Var); ok && pred(v) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// fixRecvMut propagates scalar receiver mutation through receiver-chain
-// calls: r.helper() or r.field.M() where the callee mutates its own
-// receiver makes the calling method a receiver mutator too.
-func (s *Summaries) fixRecvMut() {
-	for changed := true; changed; {
-		changed = false
-		for _, n := range s.g.Nodes {
-			rv := recvObj(n)
-			if rv == nil || n.Body() == nil || s.recv[n] == RecvScalar {
-				continue
-			}
-			walkOwn(n.Body(), func(node ast.Node) {
-				call, ok := node.(*ast.CallExpr)
-				if !ok {
-					return
-				}
-				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-				if !ok {
-					return
-				}
-				base, _, okT := writeTarget(n.Pkg, sel.X, nil)
-				if !okT || base != rv {
-					return
-				}
-				callee := s.calleeNode(n, call)
-				if callee == nil {
-					return
-				}
-				switch s.recv[callee] {
-				case RecvScalar:
-					if s.recv[n] != RecvScalar {
-						s.recv[n] = RecvScalar
-						s.recvPos[n] = call.Pos()
-						changed = true
-					}
-				case RecvLaned:
-					if s.recv[n] == RecvPure {
-						s.recv[n] = RecvLaned
-						changed = true
-					}
-				case RecvPure:
-					// Callee does not mutate its receiver; nothing propagates.
-				}
-			})
-		}
-	}
-}
-
-// calleeNode resolves a call to its static callee node (nil for dynamic,
-// interface, and non-module calls).
-func (s *Summaries) calleeNode(n *FuncNode, call *ast.CallExpr) *FuncNode {
-	return staticCallee(s.g, n.Pkg, call)
 }
 
 // staticCallee resolves a call in pkg to its static module callee node
@@ -457,214 +176,5 @@ func (s *Summaries) returnedCallee(n *FuncNode, e ast.Expr) *FuncNode {
 	if !ok {
 		return nil
 	}
-	return s.calleeNode(n, call)
-}
-
-// isRequestShaped reports whether t is *Request or []*Request (matching by
-// type name, like the reqleak producer check, so fixtures work without
-// importing the real mpi).
-func isRequestShaped(t types.Type) bool {
-	if sl, ok := t.(*types.Slice); ok {
-		t = sl.Elem()
-	}
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	return ok && named.Obj().Name() == "Request"
-}
-
-// sigParamVars returns the function's parameter variables aligned to
-// signature positions; unnamed and blank parameters yield nil entries, so
-// indexes line up with call-site argument positions.
-func sigParamVars(n *FuncNode) []*types.Var {
-	var ft *ast.FuncType
-	if n.Decl != nil {
-		ft = n.Decl.Type
-	} else {
-		ft = n.Lit.Type
-	}
-	if ft.Params == nil {
-		return nil
-	}
-	var out []*types.Var
-	for _, field := range ft.Params.List {
-		if len(field.Names) == 0 {
-			out = append(out, nil)
-			continue
-		}
-		for _, name := range field.Names {
-			v, _ := n.Pkg.Info.Defs[name].(*types.Var)
-			if name.Name == "_" {
-				v = nil
-			}
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// nodeParamType returns the type of signature parameter i (nil when out of
-// range).
-func nodeParamType(n *FuncNode, i int) types.Type {
-	sig := nodeSignature(n)
-	if sig == nil || i >= sig.Params().Len() {
-		return nil
-	}
-	return sig.Params().At(i).Type()
-}
-
-// directReqParams seeds reqHandled: for every request-shaped parameter,
-// scan the body for a use that retires, touches, or escapes it. Uses that
-// only forward the request to a module function are recorded as
-// dependencies resolved by fixReqParams. An unnamed or blank request
-// parameter can never be handled — the callee cannot even refer to it.
-func (s *Summaries) directReqParams(n *FuncNode) {
-	if n.Body() == nil {
-		return
-	}
-	m := map[int]bool{}
-	for i, p := range sigParamVars(n) {
-		if p == nil {
-			if t := nodeParamType(n, i); t != nil && isRequestShaped(t) {
-				m[i] = false
-			}
-			continue
-		}
-		if isRequestShaped(p.Type()) {
-			m[i] = s.paramDirectlyHandled(n, p)
-		}
-	}
-	if len(m) > 0 {
-		s.reqHandled[n] = m
-	}
-}
-
-// paramDirectlyHandled reports whether param p is used in a way that
-// discharges the Wait obligation without consulting callee summaries:
-// any use except (a) pure reassignment and (b) appearing as an argument to
-// a module-internal call (resolved later by the fixpoint).
-func (s *Summaries) paramDirectlyHandled(n *FuncNode, p *types.Var) bool {
-	handled := false
-	walkStack(n.Body(), func(node ast.Node, stack []ast.Node) {
-		if handled {
-			return
-		}
-		id, ok := node.(*ast.Ident)
-		if !ok || n.Pkg.Info.Uses[id] != p {
-			return
-		}
-		if isAssignLhs(id, stack) {
-			return // reassignment, not a use
-		}
-		parent := parentNode(stack)
-		// Direct argument to a module-internal call: deferred to fixpoint.
-		if call, isC := parent.(*ast.CallExpr); isC && ast.Unparen(call.Fun) != ast.Node(id) {
-			if callee := s.calleeNode(n, call); callee != nil && !isAppend2(n.Pkg, call) {
-				if argIndex(call, id) >= 0 {
-					return
-				}
-			}
-		}
-		handled = true
-	})
-	return handled
-}
-
-func isAppend2(pkg *Package, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := pkg.Info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "append"
-}
-
-// argIndex returns the argument position of id in call (-1 when id is not
-// a direct argument).
-func argIndex(call *ast.CallExpr, id *ast.Ident) int {
-	for i, a := range call.Args {
-		if ast.Unparen(a) == ast.Node(id) {
-			return i
-		}
-	}
-	return -1
-}
-
-// fixReqParams resolves forwarded requests: parameter i of f is handled if
-// some call in f forwards it to parameter j of g and g handles j. Cyclic
-// forwarding with no Wait anywhere stays unhandled — correctly.
-func (s *Summaries) fixReqParams() {
-	for changed := true; changed; {
-		changed = false
-		for _, n := range s.g.Nodes {
-			m := s.reqHandled[n]
-			if m == nil {
-				continue
-			}
-			params := sigParamVars(n)
-			for i, done := range m {
-				if done || i >= len(params) || params[i] == nil {
-					continue
-				}
-				if s.paramForwardHandled(n, params[i]) {
-					m[i] = true
-					changed = true
-				}
-			}
-		}
-	}
-}
-
-// paramForwardHandled reports whether p is passed to a module function
-// whose corresponding parameter is handled.
-func (s *Summaries) paramForwardHandled(n *FuncNode, p *types.Var) bool {
-	handled := false
-	walkStack(n.Body(), func(node ast.Node, stack []ast.Node) {
-		if handled {
-			return
-		}
-		id, ok := node.(*ast.Ident)
-		if !ok || n.Pkg.Info.Uses[id] != p {
-			return
-		}
-		call, isC := parentNode(stack).(*ast.CallExpr)
-		if !isC {
-			return
-		}
-		callee := s.calleeNode(n, call)
-		if callee == nil {
-			return
-		}
-		if h, ok := s.calleeParamHandled(callee, call, argIndex(call, id)); ok && h {
-			handled = true
-		}
-	})
-	return handled
-}
-
-// calleeParamHandled maps an argument position to the callee's parameter
-// and returns its handled state. ok is false when the position does not map
-// to a request-shaped parameter (e.g. the callee is unknown or variadic
-// shapes don't line up) — callers treat that as not-forwarded.
-func (s *Summaries) calleeParamHandled(callee *FuncNode, call *ast.CallExpr, argIdx int) (handled, ok bool) {
-	if argIdx < 0 {
-		return false, false
-	}
-	m := s.reqHandled[callee]
-	if m == nil {
-		return false, false
-	}
-	sig := nodeSignature(callee)
-	if sig == nil {
-		return false, false
-	}
-	pi := argIdx
-	// Method expressions aside, a method call's args align with params.
-	if sig.Variadic() && pi >= sig.Params().Len()-1 {
-		pi = sig.Params().Len() - 1
-	}
-	h, present := m[pi]
-	return h, present
+	return staticCallee(s.g, n.Pkg, call)
 }

@@ -5,10 +5,11 @@ package mpi
 
 import "amrtools/internal/check"
 
-// sendRecord remembers one posted send request for the teardown audit.
-type sendRecord struct {
-	req           *Request
-	src, dst, tag int
+// postRecord remembers one posted request and the rank that posted it for
+// the teardown audit; peer, tag and kind are the request's own.
+type postRecord struct {
+	req  *Request
+	rank int
 }
 
 // AuditTeardown verifies end-of-run MPI hygiene after the engine drained:
@@ -16,7 +17,8 @@ type sendRecord struct {
 //   - no collective round is still open;
 //   - every mailbox is empty (no message arrived that nothing received);
 //   - every receive queue is empty (no Irecv was left unmatched);
-//   - every send request posted while paranoid completed;
+//   - every send request posted while paranoid completed, and every request
+//     posted while paranoid, send or receive, reached a Wait;
 //   - the world's message lanes reconcile with the network census — two
 //     tallies counted independently, one at each layer (messages sent vs
 //     LocalMsgs+RemoteMsgs, bytes likewise, and everything sent was
@@ -55,9 +57,15 @@ func (w *World) AuditTeardown() {
 		}
 	}
 	for i := range w.pools {
-		for _, s := range w.pools[i].sends {
-			check.Assertf(s.req.Done(), "mpi", "send-completion",
-				"send %d->%d tag %d never completed", s.src, s.dst, s.tag)
+		for _, p := range w.pools[i].posted {
+			r, op := p.req, "Irecv from"
+			if r.kind == WaitSend {
+				op = "Isend to"
+				check.Assertf(r.Done(), "mpi", "send-completion",
+					"send %d->%d tag %d never completed", p.rank, r.peer, r.tag)
+			}
+			check.Assertf(r.freed, "mpi", "request-waited",
+				"rank %d never waited on its %s rank %d tag %d", p.rank, op, r.peer, r.tag)
 		}
 	}
 

@@ -145,10 +145,10 @@ func TestRequestRecycledAfterWait(t *testing.T) {
 	}
 }
 
-// TestWaitTwicePanicsWhenRecycling: waiting on an already-released request
-// is use-after-free; the freed marker must catch it deterministically.
-func TestWaitTwicePanicsWhenRecycling(t *testing.T) {
-	unforced(t)
+// doubleWait runs a send/receive pair whose sender waits twice on its
+// request and returns the world with the second Wait's panic message.
+func doubleWait(t *testing.T) (*World, string) {
+	t.Helper()
 	eng, w := newWorld(t, quietConfig(1, 2))
 	var msg string
 	w.Spawn(0, func(c *Comm) {
@@ -163,24 +163,27 @@ func TestWaitTwicePanicsWhenRecycling(t *testing.T) {
 	})
 	w.Spawn(1, func(c *Comm) { c.Wait(c.Irecv(0, 0)) })
 	runWorld(t, eng)
-	if !strings.Contains(msg, "already released") {
+	return w, msg
+}
+
+// TestWaitTwicePanicsWhenRecycling: waiting on an already-released request
+// is use-after-free; the freed marker must catch it deterministically.
+func TestWaitTwicePanicsWhenRecycling(t *testing.T) {
+	unforced(t)
+	if _, msg := doubleWait(t); !strings.Contains(msg, "already released") {
 		t.Fatalf("double Wait did not panic with the release message: %q", msg)
 	}
 }
 
 // TestParanoidKeepsRequestsLive: under paranoid mode requests are never
-// recycled (the teardown audit asserts on the recorded pointers), and the
-// pre-pooling semantics — a second Wait on a completed request returns
-// immediately — still hold.
+// recycled (the teardown audit asserts on the recorded pointers), yet a
+// waited request carries the same freed mark as in production — it is what
+// the request-waited audit reads — so a second Wait panics here too.
 func TestParanoidKeepsRequestsLive(t *testing.T) {
-	eng, w := newWorld(t, quietConfig(1, 2)) // TestMain forces paranoid on
-	w.Spawn(0, func(c *Comm) {
-		req := c.Isend(1, 0, 64)
-		c.Wait(req)
-		c.Wait(req) // must be a no-op, not a panic
-	})
-	w.Spawn(1, func(c *Comm) { c.Wait(c.Irecv(0, 0)) })
-	runWorld(t, eng)
+	w, msg := doubleWait(t) // TestMain forces paranoid on
+	if !strings.Contains(msg, "already released") {
+		t.Fatalf("double Wait did not panic with the release message: %q", msg)
+	}
 	if len(w.pools[0].reqFree) != 0 {
 		t.Fatal("paranoid mode recycled a request the teardown audit tracks")
 	}

@@ -24,8 +24,6 @@ type matchSlot struct {
 // walk in slot order is deterministic. Only the shard hosting the
 // destination rank touches its index (deliveries and receives both execute
 // on the destination's engine).
-//
-//amr:shardowned
 type matchIndex struct {
 	slots []matchSlot // nil until the first insertion
 	n     int         // occupied slots
@@ -59,8 +57,6 @@ func (x *matchIndex) queue(key msgKey) *matchQueue {
 // insert adds a queue for a key the table does not hold, doubling the slot
 // array first when the insertion would pass half load. First use of a key
 // only: keys recur every step, so both allocations amortize to zero.
-//
-//amr:cold
 func (x *matchIndex) insert(key msgKey) *matchQueue {
 	if 2*(x.n+1) > len(x.slots) {
 		old := x.slots

@@ -68,7 +68,7 @@ const (
 	WaitRecv
 )
 
-// reqPool is one request free list plus its paranoid send log. A world owns
+// reqPool is one request free list plus its paranoid request log. A world owns
 // one per shard (a sequential world is one shard), so requests never cross
 // shards and PR-4's zero-allocation steady state survives parallel execution
 // without any locking.
@@ -77,9 +77,9 @@ type reqPool struct {
 	// here (outside paranoid mode) and Isend/Irecv reuse them, so steady
 	// state allocates no request or future per message.
 	reqFree []*Request
-	// sends tracks every posted send request for the teardown audit
-	// (populated only when paranoid).
-	sends []sendRecord
+	// posted tracks every posted request, sends and receives, for the
+	// teardown audit (populated only when paranoid).
+	posted []postRecord
 }
 
 // World is one simulated MPI job: a set of ranks over a Network.
@@ -315,7 +315,7 @@ type Request struct {
 func (r *Request) Done() bool { return r.fut.Done() }
 
 // newRequest returns a reset request from the caller's shard pool, or a
-// fresh one.
+// fresh one, and logs it for the teardown audit when paranoid.
 func (c *Comm) newRequest(kind WaitKind, bytes, peer, tag int) *Request {
 	var r *Request
 	if n := len(c.pool.reqFree); n > 0 {
@@ -324,23 +324,26 @@ func (c *Comm) newRequest(kind WaitKind, bytes, peer, tag int) *Request {
 		r.fut.Reset()
 		r.freed = false
 	} else {
-		r = &Request{} //lint:ignore hotalloc pool fill: only on freelist miss, and the request returns to reqFree on Wait, so steady state allocates nothing
+		r = &Request{}
 	}
 	r.kind = kind
 	r.bytes = bytes
 	r.peer = int32(peer)
 	r.tag = int32(tag)
+	if c.w.paranoid {
+		c.pool.posted = append(c.pool.posted, postRecord{req: r, rank: c.rank})
+	}
 	return r
 }
 
 // release returns a completed, waited-on request to its shard's free list.
-// Paranoid mode keeps requests alive instead: the teardown audit asserts on
-// the very pointers it recorded at Isend.
+// Paranoid mode marks it freed but keeps it out of the pool: the teardown
+// audit asserts on the very pointers it recorded when they were posted.
 func (c *Comm) release(r *Request) {
+	r.freed = true
 	if c.w.paranoid {
 		return
 	}
-	r.freed = true
 	c.pool.reqFree = append(c.pool.reqFree, r)
 }
 
@@ -348,8 +351,6 @@ func (c *Comm) release(r *Request) {
 // own process. That single-rank binding is the ownership protocol: each
 // Comm (including its jitter RNG and request pool) is mutated only by the
 // simulated process that owns it, which paranoid mode asserts at runtime.
-//
-//amr:shardowned
 type Comm struct {
 	w    *World
 	rank int
@@ -386,8 +387,6 @@ func (w *World) queueFor(dst int, key msgKey) *matchQueue { return w.mq[dst].que
 // returns the sender-side request. The message is injected into the fabric
 // immediately; the request completes when the fabric releases the send
 // buffer (usually ~SendOverhead, but the ACK-recovery fault can stretch it).
-//
-//amr:hotpath
 func (c *Comm) Isend(dst, tag, bytes int) *Request {
 	if dst == c.rank {
 		panic("mpi: Isend to self; intra-rank exchanges use memcpy")
@@ -409,9 +408,6 @@ func (c *Comm) Isend(dst, tag, bytes int) *Request {
 		now := float64(c.p.Now())
 		tr.Emit(trace.Span{Rank: int32(src), Kind: trace.Isend, T0: now, T1: now,
 			Peer: int32(dst), Bytes: int64(bytes), Tag: int32(tag)})
-	}
-	if w.paranoid {
-		c.pool.sends = append(c.pool.sends, sendRecord{req: req, src: src, dst: dst, tag: tag})
 	}
 	// The two per-message events, as typed payloads: sender-buffer release
 	// completes the request's inline future; delivery routes back through
@@ -457,8 +453,6 @@ func (w *World) DeliverMsg(src, dst, tag int32, bytes int64, local bool) {
 
 // Irecv posts a non-blocking receive for a message from src with the given
 // tag. If a matching message already arrived, the request is born complete.
-//
-//amr:hotpath
 func (c *Comm) Irecv(src, tag int) *Request {
 	w := c.w
 	if src < 0 || src >= w.nranks {
@@ -489,8 +483,6 @@ func (c *Comm) Irecv(src, tag int) *Request {
 // rank's CommWait bucket and reporting it to OnWait. Wait consumes the
 // request: it returns to the world's free list, so the caller must drop the
 // pointer afterwards (waiting twice on the same request panics).
-//
-//amr:hotpath
 func (c *Comm) Wait(req *Request) {
 	if req.freed {
 		panic("mpi: Wait on a request already released by a previous Wait")

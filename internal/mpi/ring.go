@@ -49,7 +49,7 @@ func (r *ring[T]) grow() {
 	if len(r.buf) > 0 {
 		nc = 2 * len(r.buf)
 	}
-	nb := make([]T, nc) //lint:ignore hotalloc doubling growth: O(log n) allocations over a run, and the buffer is retained across steps
+	nb := make([]T, nc)
 	for i := 0; i < r.n; i++ {
 		j := r.head + i
 		if j >= len(r.buf) {

@@ -2,8 +2,11 @@ package mpi
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"amrtools/internal/check"
 )
 
 // settled polls runtime.NumGoroutine until it is back at (or below) base: a
@@ -57,5 +60,57 @@ func TestCloseReleasesDeadlockedRanks(t *testing.T) {
 	shs.Close()
 	if n := settled(base); n > base {
 		t.Errorf("2 shards: %d goroutines after Close, %d before the run", n, base)
+	}
+}
+
+// TestTeardownAuditRequiresWait: every message below is sent, delivered and
+// matched, so the mailbox, receive-queue, send-completion and census audits
+// all pass — only the request-waited audit can tell that rank 0 dropped a
+// request without waiting on it. It must name the rank, the peer and the tag
+// of the first one posted, on both engines (two nodes, so two shards put the
+// ranks on different ones), and a program that waits on everything must end
+// Run cleanly.
+func TestTeardownAuditRequiresWait(t *testing.T) {
+	cases := []struct {
+		name               string
+		waitSend, waitRecv bool
+		want               string // "" = clean
+	}{
+		{"neither waited", false, false, "rank 0 never waited on its Isend to rank 1 tag 7"},
+		{"send dropped", false, true, "rank 0 never waited on its Isend to rank 1 tag 7"},
+		{"recv dropped", true, false, "rank 0 never waited on its Irecv from rank 1 tag 8"},
+		{"all waited", true, true, ""},
+	}
+	for _, shards := range []int{0, 2} {
+		for _, tc := range cases {
+			w := Launch(quietConfig(2, 1), shards)
+			w.Spawn(0, func(c *Comm) {
+				send, recv := c.Isend(1, 7, 64), c.Irecv(1, 8)
+				if tc.waitSend {
+					c.Wait(send)
+				}
+				if tc.waitRecv {
+					c.Wait(recv)
+				}
+				c.Compute(1) // outlive both transfers either way
+			})
+			w.Spawn(1, func(c *Comm) {
+				c.Wait(c.Irecv(0, 7))
+				c.Wait(c.Isend(0, 8, 64))
+			})
+			var err error
+			v, ok := check.Catch(func() { err = w.Run() }) // TestMain forces paranoid on
+			w.Close()
+			switch {
+			case err != nil:
+				t.Errorf("shards=%d %s: Run: %v", shards, tc.name, err)
+			case tc.want == "" && ok:
+				t.Errorf("shards=%d %s: clean run raised %v", shards, tc.name, v)
+			case tc.want != "" && !ok:
+				t.Errorf("shards=%d %s: no violation", shards, tc.name)
+			case tc.want != "" && (v.Layer != "mpi" || v.Invariant != "request-waited" || !strings.Contains(v.Detail, tc.want)):
+				t.Errorf("shards=%d %s: violation = %v, want mpi/request-waited: %s", shards, tc.name, v, tc.want)
+			}
+		}
 	}
 }

@@ -154,8 +154,6 @@ func (h *eventHeap) pop() event {
 // construct with NewEngine. Engines are not safe for concurrent use: in
 // sharded runs each shard drives its own Engine, and the conservative-DES
 // merge protocol is the only cross-shard access path.
-//
-//amr:shardowned
 type Engine struct {
 	now     Time
 	seq     int64
@@ -281,9 +279,7 @@ func (e *Engine) schedProc(t Time, p *Proc) {
 
 // Step executes the next event. It returns false when no events remain.
 // This is the simulator's innermost loop — §profiling puts it on every
-// flame graph — so allocations here are policed by the hotalloc rule.
-//
-//amr:hotpath
+// flame graph — so it must not allocate: alloc_test.go holds the budget.
 func (e *Engine) Step() bool {
 	if len(e.pq) == 0 {
 		return false

@@ -180,7 +180,7 @@ func (s *Shards) StageDelivery(srcShard, dstShard int, t Time, src, dst, tag int
 		now := s.engs[srcShard].now
 		check.Assertf(t >= now+s.lookahead, "sim", "window-safety",
 			"delivery %d->%d tag %d staged at t=%.9g, within lookahead %.3g of source shard %d clock %.9g",
-			src, dst, tag, t, s.lookahead, srcShard, now) //lint:ignore hotalloc paranoid-gated: boxing only happens inside the s.paranoid audit branch, which production runs disable
+			src, dst, tag, t, s.lookahead, srcShard, now)
 	}
 	s.out[srcShard] = append(s.out[srcShard], stagedMsg{
 		t: t, seq: seq, bytes: bytes, src: src, dst: dst, tag: tag, dstShard: int32(dstShard),

@@ -304,8 +304,6 @@ type SendPlan struct {
 // the given size between two ranks, updating contention state and the
 // census. Callers must invoke DeliveryDone when the delivery completes if
 // the message was local (to release its shm queue slot).
-//
-//amr:hotpath
 func (n *Network) PlanSend(src, dst, bytes int) SendPlan {
 	if n.NodeOf(src) == n.NodeOf(dst) {
 		return n.planLocal(src, dst, bytes)
@@ -364,7 +362,7 @@ func (n *Network) planRemote(src, dst, bytes int) SendPlan {
 		// the previous one would let later messages overtake serialization.
 		check.Assertf(depart >= n.nicFreeAt[node], "simnet", "nic-monotone",
 			"node %d NIC clock rewound: depart %.9g < free-at %.9g (msg %d->%d, %d bytes)",
-			node, depart, n.nicFreeAt[node], src, dst, bytes) //lint:ignore hotalloc paranoid-gated: boxing only happens inside the n.paranoid audit branch, which production runs disable
+			node, depart, n.nicFreeAt[node], src, dst, bytes)
 	}
 	n.nicFreeAt[node] = depart
 	deliver := depart + n.cfg.RemoteLatency - now
@@ -400,7 +398,7 @@ func (n *Network) DeliveryDone(src int, plan SendPlan) {
 		if n.paranoid {
 			check.Assertf(n.shmInUse[node] >= 0, "simnet", "shm-slot",
 				"node %d released more shm queue slots than it acquired (count %d)",
-				node, n.shmInUse[node]) //lint:ignore hotalloc paranoid-gated: boxing only happens inside the n.paranoid audit branch, which production runs disable
+				node, n.shmInUse[node])
 		}
 	}
 }

@@ -164,8 +164,6 @@ func (c *column) appendValue(v interface{}) error {
 // Rows move between tables through two kernels, both in this file: view
 // (zero-copy: Slice, Head, Select, Without) and AppendColumns (the one
 // copying loop: Filter, SortBy, every reader assembling a table from chunks).
-//
-//amr:shardowned
 type Table struct {
 	cols   []*column
 	byName map[string]int

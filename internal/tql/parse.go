@@ -383,7 +383,6 @@ func (p *parser) parseUnary() (Expr, error) {
 
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
-	//lint:ignore exhaustive tokEOF falls through to the unexpected-token error below; a truncated query is a user syntax error, not an invariant breach
 	switch t.kind {
 	case tokNumber:
 		v, err := strconv.ParseFloat(t.text, 64)
@@ -413,6 +412,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 			}
 			return e, nil
 		}
+	case tokEOF:
+		// A truncated query is a user syntax error like any other stray
+		// token: the error below.
 	}
 	return nil, fmt.Errorf("tql: unexpected token at offset %d", t.pos)
 }

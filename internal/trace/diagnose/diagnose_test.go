@@ -9,6 +9,7 @@ package diagnose_test
 // wait-event table), plus a clean control run that must produce no findings.
 
 import (
+	"bytes"
 	"testing"
 
 	"amrtools/internal/driver"
@@ -188,5 +189,42 @@ func TestReportTableEmpty(t *testing.T) {
 	}
 	if !rep.HasCol("probe_drift") {
 		t.Fatal("empty report missing schema")
+	}
+}
+
+// TestReportIsDeterministic backs the package's four maporder waivers
+// ("only feeds stats.Median / Percentile"): Go re-randomizes map iteration
+// on every range, so if one of the waived loops — or any other map walk in
+// the detectors — ever starts feeding an ordered sink, repeated diagnoses of
+// one span table stop agreeing byte for byte. The table carries all three
+// faults at once so every detector has findings to order.
+func TestReportIsDeterministic(t *testing.T) {
+	res := tracedRun(t, 5, func(n *simnet.Config) {
+		n.ThrottledNodes = map[int]float64{1: 4}
+		n.ShmQueueDepth = 8
+		n.ShmContentionPenalty = 5e-6
+		n.AckLossProb = 0.02
+		n.DrainQueue = false
+		n.AckRecoveryDelay = 20e-3
+	})
+	spans := res.Spans.Table()
+	report := func() []byte {
+		var buf bytes.Buffer
+		if err := diagnose.ReportTable(diagnose.Diagnose(spans, diagnose.Options{})).WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	fs := byDetector(diagnose.Diagnose(spans, diagnose.Options{}))
+	for _, det := range []string{"wait-spike", "shm-contention", "throttling"} {
+		if len(fs[det]) == 0 {
+			t.Fatalf("the combined injection produced no %s finding; the test is vacuous for that detector", det)
+		}
+	}
+	first := report()
+	for i := 1; i < 20; i++ {
+		if got := report(); !bytes.Equal(got, first) {
+			t.Fatalf("diagnosis %d of the same span table differs:\n%s\nfirst:\n%s", i, got, first)
+		}
 	}
 }
