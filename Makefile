@@ -1,10 +1,13 @@
 GO ?= go
 
 # The whole module runs under the race detector: with shard-count identity
-# it is the only enforcement of the sharing discipline across shard windows
-# and harness workers (DESIGN.md §8's ledger), so no package is exempt as
-# "uninteresting".
+# it is the only enforcement of the sharing discipline across forked shard
+# windows and harness workers (DESIGN.md §8's ledger), so no package is exempt
+# as "uninteresting". The scheduler's packages run a second time at one, two
+# and four Ps: on one P every window runs inline, on more the windows a merge
+# just filled fork, and both must be under the detector whatever the host.
 RACE_PKGS = ./...
+SCHED_PKGS = ./internal/sim ./internal/mpi ./internal/driver
 
 .PHONY: all build vet lint test race bench-module bench bench-layers ab serve-smoke scale-smoke fuzz-smoke check fmt
 
@@ -30,6 +33,7 @@ test:
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
+	$(GO) test -race -count=1 -cpu 1,2,4 $(SCHED_PKGS)
 
 # bench/ is a nested module (the repo benchmark, BENCHMARK.json): the root
 # ./... patterns above do not reach it, yet it imports tql, colfile,

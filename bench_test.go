@@ -8,14 +8,11 @@ package amrtools
 // results table.
 
 import (
-	"fmt"
 	"testing"
 
-	"amrtools/internal/driver"
 	"amrtools/internal/experiments"
 	"amrtools/internal/harness"
 	"amrtools/internal/mpi"
-	"amrtools/internal/placement"
 	"amrtools/internal/sim"
 	"amrtools/internal/simnet"
 	"amrtools/internal/telemetry"
@@ -321,32 +318,6 @@ func BenchmarkBarrierStorm(b *testing.B) {
 		eng.Run()
 	}
 	b.ReportMetric(float64(rounds), "rounds/op")
-}
-
-// BenchmarkFig6aShardScaling runs the Fig 6a workload (quick Sedov, LPT) on
-// the conservative parallel scheduler at increasing shard counts — the A/B
-// pair behind EXPERIMENTS.md's speedup methodology. Each sub-benchmark
-// reports its makespan and DES event count, which the scheduler's identity
-// contract requires to be equal across all positive shard counts (and, for
-// shards=0, equal in structure; the virtual results differ only by RNG
-// stream layout — see DESIGN.md §10). Wall-clock scaling is meaningful only
-// on multi-core hosts, so CI runs this at -benchtime=1x for coverage and
-// never gates on its ns/op.
-func BenchmarkFig6aShardScaling(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := driver.DefaultConfig(experiments.QuickScale.RootDims, 2, 10, placement.LPT{}, 42)
-				cfg.Shards = shards
-				res, err := driver.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Makespan, "makespan")
-				b.ReportMetric(float64(res.Events), "des-events")
-			}
-		})
-	}
 }
 
 // BenchmarkCoolingComparison regenerates the §VI AthenaPK-style cross-check:

@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceDir := fs.String("trace", "", "record per-run span traces into this directory (one colfile per run, plus campaign.col)")
 	timeout := fs.Duration("timeout", 0, "per-run timeout (0 = none); a safety net against simulated deadlocks")
 	paranoid := fs.Bool("paranoid", false, "run every simulation with the internal/check invariant audits on")
-	shards := fs.Int("shards", 0, "node-sharded event queues for every simulation the binary runs; results are identical for every value >= 1 (0 = the sequential engine, whose tables differ)")
+	shards := fs.Int("shards", 0, "node-sharded event queues for every simulation the binary runs; the burst windows of a timestep run one goroutine per queue when GOMAXPROCS > 1; results are identical for every value >= 1 (0 = the sequential engine, whose tables differ)")
 	serve := fs.String("serve", "", "serve live /metrics, /statusz, and /debug/pprof on this address (e.g. :8080) for the duration of the run")
 	metricsDir := fs.String("metricsdir", "", "write each run's metric snapshot into this directory (one colfile per run)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this file")

@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("j", 0, "parallel runs per campaign (0 = GOMAXPROCS)")
 	scale := fs.Bool("scale", false, "run the distributed-forest rank-scaling sweep (full driver runs)")
 	paranoid := fs.Bool("paranoid", false, "run -scale simulations with the internal/check invariant audits on")
-	shards := fs.Int("shards", 0, "node-sharded event queues for every simulation the binary runs; results are identical for every value >= 1 (0 = the sequential engine, whose tables differ)")
+	shards := fs.Int("shards", 0, "node-sharded event queues for every simulation the binary runs; the burst windows of a timestep run one goroutine per queue when GOMAXPROCS > 1; results are identical for every value >= 1 (0 = the sequential engine, whose tables differ)")
 	metricsOut := fs.String("metrics", "", "write per-run campaign telemetry to this colfile")
 	serve := fs.String("serve", "", "serve live /metrics, /statusz, and /debug/pprof on this address (e.g. :8080) for the duration of the run")
 	timeout := fs.Duration("timeout", 0, "per-run timeout (0 = none); a safety net against simulated deadlocks")

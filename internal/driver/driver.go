@@ -312,8 +312,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	world := mpi.Launch(cfg.Net, cfg.Shards)
 	// Every exit — success, interrupt, simulated deadlock, a panic out of a
-	// rank program or a policy — unwinds the rank processes still suspended
-	// and stops the shard worker pool.
+	// rank program or a policy — unwinds the rank processes still suspended.
 	defer world.Close()
 	net := world.Net()
 	nranks := world.NumRanks()

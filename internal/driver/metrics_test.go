@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -71,6 +72,47 @@ func TestMetricsPopulated(t *testing.T) {
 	}
 	if ms.Sched.WindowEvents.Count() == 0 {
 		t.Error("no per-window event observations")
+	}
+}
+
+// TestOnePNeverForks: on one P a fork can only add hand-offs, so a two-shard
+// run must execute every window inline there — and, on two, fork some — with
+// every table and the sim-plane snapshot equal either way; the critical path
+// (busiest shard per window) does not depend on how the windows ran.
+func TestOnePNeverForks(t *testing.T) {
+	run := func(procs int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := Run(metricsConfig(placement.LPT{}, 12, 7, 2))
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		return res
+	}
+	one, two := run(1), run(2)
+	if n := one.Metrics.Sched.ParallelWindows.Value(); n != 0 {
+		t.Errorf("GOMAXPROCS=1: %d windows forked", n)
+	}
+	if n := one.Metrics.Sched.ParallelEvents.Value(); n != 0 {
+		t.Errorf("GOMAXPROCS=1: %d events ran in forked windows", n)
+	}
+	sched := two.Metrics.Sched
+	if sched.ParallelWindows.Value() == 0 || sched.ParallelEvents.Value() == 0 {
+		t.Errorf("GOMAXPROCS=2: no window forked (%d windows, %d events)",
+			sched.ParallelWindows.Value(), sched.ParallelEvents.Value())
+	}
+	if crit := sched.CriticalEvents.Value(); crit <= 0 || crit > two.Events || sched.ParallelEvents.Value() > two.Events {
+		t.Errorf("GOMAXPROCS=2: critical path %d, forked %d of %d events", crit, sched.ParallelEvents.Value(), two.Events)
+	}
+	if c1, c2 := one.Metrics.Sched.CriticalEvents.Value(), sched.CriticalEvents.Value(); c1 != c2 {
+		t.Errorf("critical path depends on how windows ran: %d on one P, %d on two", c1, c2)
+	}
+	if one.Steps.Render(0) != two.Steps.Render(0) || one.Waits.Render(0) != two.Waits.Render(0) ||
+		one.Makespan != two.Makespan || one.Events != two.Events {
+		t.Errorf("tables differ between GOMAXPROCS 1 and 2: makespan %v vs %v, events %d vs %d",
+			one.Makespan, two.Makespan, one.Events, two.Events)
+	}
+	if one.Metrics.Reg.SimSnapshot().Render(0) != two.Metrics.Reg.SimSnapshot().Render(0) {
+		t.Error("sim-plane snapshot differs between GOMAXPROCS 1 and 2")
 	}
 }
 

@@ -23,7 +23,7 @@ func shardConfig(pol placement.Policy, steps int, seed uint64, shards int) Confi
 
 // TestShardCountIdentity: the whole point of the conservative scheduler —
 // every output table and scalar must be byte-identical for any shard count
-// (and the worker pool must not perturb it).
+// (and forked windows must not perturb it).
 func TestShardCountIdentity(t *testing.T) {
 	type snap struct {
 		steps, waits       string

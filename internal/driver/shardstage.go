@@ -1,13 +1,13 @@
 // Telemetry staging. Under the conservative parallel scheduler
-// (Config.Shards > 0) rank programs execute concurrently on per-shard worker
-// goroutines, so they cannot append to the shared result tables or the cost
-// recorder directly. Each rank instead stages rows in buffers owned by its
-// shard; the coordinator flushes them between windows (World.OnMerge) in a
-// deterministic order — (step, rank) for step telemetry, (t, rank, program
-// order) for wait events. Flushed tables are therefore byte-identical for
-// every shard count and any GOMAXPROCS. Cost observations stage per rank on
-// either engine, and rank 0 replays them into the EWMA recorder at the top
-// of every redistribution.
+// (Config.Shards > 0) rank programs of different shards execute concurrently
+// in the windows the scheduler forks, so they cannot append to the shared
+// result tables or the cost recorder directly. Each rank instead stages rows
+// in buffers owned by its shard; the coordinator flushes them between windows
+// (World.OnMerge) in a deterministic order — (step, rank) for step telemetry,
+// (t, rank, program order) for wait events. Flushed tables are therefore
+// byte-identical for every shard count and any GOMAXPROCS. Cost observations
+// stage per rank on either engine, and rank 0 replays them into the EWMA
+// recorder at the top of every redistribution.
 package driver
 
 import (

@@ -57,8 +57,8 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			t.Errorf("shards=%d: %d goroutines after a rank-program panic, %d before the run", shards, n, base)
 		}
 
-		// Interrupt once the run is under way, so rank processes (and, when
-		// sharded, the worker pool) exist and are suspended mid-program.
+		// Interrupt once the run is under way, so rank processes exist and are
+		// suspended mid-program.
 		cfg = shardConfig(placement.Baseline{}, 25, 2, shards)
 		polls := 0
 		cfg.Interrupt = func() bool { polls++; return polls > 3 }

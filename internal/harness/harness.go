@@ -81,7 +81,7 @@ type Meter struct {
 // timeout expired). Long-running specs should poll it — every simulation
 // wires it to its world's interrupt (driver.Config.Interrupt,
 // mpi.World.SetInterrupt) — so a timed-out run stops promptly, unwinds its
-// rank processes and shard workers, and returns its goroutine.
+// rank processes, and returns its goroutine.
 func (m *Meter) Aborted() bool { return m.aborted.Load() }
 
 // AddEvents accumulates DES events processed by this run.
@@ -174,9 +174,8 @@ type Exec struct {
 	// Timeout is the per-run limit; 0 means none. On expiry the harness
 	// moves on and raises Meter.Aborted: a spec that honours it (every
 	// simulation does, through its world's interrupt) is torn down —
-	// processes unwound, workers stopped, goroutine returned — within one
-	// interrupt poll. A spec that never polls cannot be killed and runs on
-	// to its own end.
+	// processes unwound, goroutine returned — within one interrupt poll. A
+	// spec that never polls cannot be killed and runs on to its own end.
 	Timeout time.Duration
 	// Progress, when set, observes every run completion.
 	Progress ProgressFunc

@@ -188,7 +188,12 @@ type Status struct {
 	Elapsed     time.Duration // since the current campaign began
 	ETA         time.Duration // naive remaining-time estimate (0 = unknown)
 	LiveWindows int64         // shard windows executed so far (live)
-	Uptime      time.Duration
+	// Scheduler event split over completed runs: events executed in shard
+	// windows, the part that ran in forked windows, and the critical path
+	// (busiest shard per window) — SchedEvents ÷ CriticalEvents bounds what
+	// forking can gain.
+	SchedEvents, ParallelEvents, CriticalEvents int64
+	Uptime                                      time.Duration
 }
 
 // StatusNow snapshots campaign progress.
@@ -206,6 +211,9 @@ func (c *Campaign) StatusNow() Status {
 	if !c.began.IsZero() {
 		s.Elapsed = now.Sub(c.began)
 	}
+	s.SchedEvents = int64(c.agg["host_sched_window_events"].sum)
+	s.ParallelEvents = int64(c.agg["host_sched_parallel_events_total"].value)
+	s.CriticalEvents = int64(c.agg["host_sched_critical_events_total"].value)
 	c.mu.Unlock()
 	s.AllDone = c.runsDone.Load()
 	s.AllTotal = c.runsTotal.Load()

@@ -14,7 +14,7 @@
 // DES itself), and Snapshot folds lanes in ascending lane order.
 //
 // Host-plane instruments carry execution-machinery quantities — shard
-// windows, events per window, worker-pool occupancy, merge-queue depth,
+// windows, events per window, forked windows, merge-queue depth,
 // campaign run counts. They are wall-clock/schedule-dependent by nature and
 // are excluded from every equality check, the row-level counterpart of
 // experiments.NondetCols. Host instruments are atomics so a live HTTP

@@ -100,6 +100,10 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		row("eta", st.ETA.Round(time.Second).String())
 	}
 	row("shard windows (live)", fmt.Sprintf("%d", st.LiveWindows))
+	if st.CriticalEvents > 0 {
+		row("shard events (completed runs)", fmt.Sprintf("%d in windows, %d forked, %d critical (ceiling %.2fx)",
+			st.SchedEvents, st.ParallelEvents, st.CriticalEvents, float64(st.SchedEvents)/float64(st.CriticalEvents)))
+	}
 	row("uptime", st.Uptime.Round(time.Second).String())
 	fmt.Fprint(w, "</table>")
 	fmt.Fprint(w, `<p><a href="/metrics">/metrics</a> · <a href="/debug/pprof/">/debug/pprof/</a></p>`)

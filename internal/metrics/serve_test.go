@@ -31,6 +31,13 @@ func TestServeEndpoints(t *testing.T) {
 	c := r.Counter("sim_probe_total", "probe", 1)
 	c.Add(0, 11)
 	camp.AddRun(r)
+	// A sharded run's scheduler split: 60 events in windows, 30 of them in
+	// forked windows, 40 on the busiest shard.
+	rs := NewRunSet(2, 1, camp)
+	rs.Sched.WindowEvents.Observe(60)
+	rs.Sched.ParallelEvents.Add(30)
+	rs.Sched.CriticalEvents.Add(40)
+	camp.AddRun(rs.Reg)
 
 	srv, err := Serve("127.0.0.1:0", camp)
 	if err != nil {
@@ -60,7 +67,8 @@ func TestServeEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/statusz status = %d", code)
 	}
-	for _, want := range []string{"serve-test", "1/3", "campaign progress"} {
+	for _, want := range []string{"serve-test", "1/3", "campaign progress",
+		"60 in windows, 30 forked, 40 critical (ceiling 1.50x)"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/statusz missing %q:\n%s", want, body)
 		}

@@ -71,15 +71,21 @@ type DriverMetrics struct {
 }
 
 // SchedMetrics is the host-plane instrument set of the sharded scheduler:
-// window structure and worker-pool behavior. Everything here depends on the
-// shard count (and occupancy on GOMAXPROCS), so it lives on the host plane
-// and is excluded from identity checks.
+// window structure and how much of it ran forked. Everything here depends on
+// the shard count (and the fork counts on GOMAXPROCS), so it lives on the
+// host plane and is excluded from identity checks.
 type SchedMetrics struct {
 	// Windows counts executed lookahead windows; ParallelWindows the subset
-	// fanned out to the worker pool (the rest ran inline on the
-	// coordinator) — together the worker-pool occupancy picture.
+	// that forked, one goroutine per active shard (the rest ran inline on
+	// the coordinator).
 	Windows         *HostCounter
 	ParallelWindows *HostCounter
+	// ParallelEvents counts the DES events executed in forked windows;
+	// CriticalEvents sums, over every window, the busiest active shard's
+	// events — the run's critical path in events, so total events ÷
+	// CriticalEvents is the speed-up no fork rule can exceed.
+	ParallelEvents *HostCounter
+	CriticalEvents *HostCounter
 	// WindowEvents is the distribution of DES events executed per window,
 	// ActiveShards the distribution of shards active per window.
 	WindowEvents *HostHistogram
@@ -168,7 +174,9 @@ func NewRunSet(nranks, nodes int, campaign *Campaign) *RunSet {
 		},
 		Sched: &SchedMetrics{
 			Windows:         r.HostCounter("host_sched_windows_total", "lookahead windows executed", windowsParent),
-			ParallelWindows: r.HostCounter("host_sched_parallel_windows_total", "windows fanned out to the worker pool", nil),
+			ParallelWindows: r.HostCounter("host_sched_parallel_windows_total", "windows forked, one goroutine per active shard", nil),
+			ParallelEvents:  r.HostCounter("host_sched_parallel_events_total", "DES events executed in forked windows", nil),
+			CriticalEvents:  r.HostCounter("host_sched_critical_events_total", "busiest active shard's events, summed over windows", nil),
 			WindowEvents:    r.HostHistogram("host_sched_window_events", "DES events executed per window", decadeBounds),
 			ActiveShards:    r.HostHistogram("host_sched_active_shards", "shards active per window", shardBounds),
 			MergeDepth:      r.HostHistogram("host_sched_merge_queue_depth", "staged cross-shard deliveries per merge", decadeBounds),

@@ -29,10 +29,12 @@ type machine interface {
 // the sequential engine; shards >= 1 the conservative parallel scheduler
 // (sim.Shards) over min(shards, cfg.Nodes) contiguous node groups, each with
 // its own event queue, advanced in lockstep lookahead windows bounded by
-// cfg.Lookahead(). Results are byte-identical for every shards >= 1 and any
-// GOMAXPROCS, but differ from shards == 0 (DESIGN.md §10 lists the four sites
-// where the engines differ). The caller owns the world: Close it on every
-// path.
+// cfg.Lookahead(); the scheduler forks the few windows a ghost exchange or a
+// collective release just filled and runs the rest on the caller's goroutine,
+// all of them on one P. Results are byte-identical for every shards >= 1 and
+// any GOMAXPROCS, but differ from shards == 0 (DESIGN.md §10 lists the four
+// sites where the engines differ). The caller owns the world: Close it on
+// every path.
 func Launch(cfg simnet.Config, shards int) *World {
 	if shards <= 0 { // ROADMAP 1(c) flips this 0; 1(d) deletes the branch
 		eng := sim.NewEngine()
@@ -73,9 +75,8 @@ func (w *World) Run() (err error) {
 	return nil
 }
 
-// Close unwinds the rank processes still suspended and stops the scheduler's
-// worker pool. Closing twice is harmless; the world must not otherwise be
-// used afterwards.
+// Close unwinds the rank processes still suspended. Closing twice is
+// harmless; the world must not otherwise be used afterwards.
 func (w *World) Close() { w.mach.Close() }
 
 // Now returns the machine's virtual time — after Run, the makespan.

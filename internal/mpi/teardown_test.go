@@ -10,7 +10,7 @@ import (
 )
 
 // settled polls runtime.NumGoroutine until it is back at (or below) base: a
-// closed worker's exit trails its WaitGroup.Done by a few instructions.
+// stopped coroutine's exit trails the stop call by a few instructions.
 func settled(base int) int {
 	n := runtime.NumGoroutine()
 	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
@@ -22,8 +22,8 @@ func settled(base int) int {
 // TestCloseReleasesDeadlockedRanks: a simulated deadlock — rank 0 waits for
 // a message nobody sends, every other rank waits for rank 0 at a barrier —
 // leaves all ranks suspended after Run. Close must unwind every one of them
-// (and, sharded, stop the worker pool) so the host is back at its pre-run
-// goroutine count, and closing a second time must be harmless.
+// so the host is back at its pre-run goroutine count, and closing a second
+// time must be harmless.
 func TestCloseReleasesDeadlockedRanks(t *testing.T) {
 	program := func(c *Comm) {
 		if c.Rank() == 0 {
@@ -48,7 +48,6 @@ func TestCloseReleasesDeadlockedRanks(t *testing.T) {
 
 	base = runtime.NumGoroutine()
 	shs, sw := newSharded(t, quietConfig(2, 4), 2)
-	shs.SetMinParallel(1) // start the worker pool even for this short run
 	for r := 0; r < sw.NumRanks(); r++ {
 		sw.Spawn(r, program)
 	}

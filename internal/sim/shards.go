@@ -27,14 +27,15 @@
 //	          horizon, because events below it already executed.
 //
 // Determinism does not depend on the execution mode of a window (inline on
-// the coordinator vs fanned out to the worker pool): events inside a window
-// are pairwise independent across shards, each shard's own order is fixed by
-// its heap, and the merge order is fixed by sorting — so tables are
+// the coordinator vs forked, one goroutine per active shard): events inside a
+// window are pairwise independent across shards, each shard's own order is
+// fixed by its heap, and the merge order is fixed by sorting — so tables are
 // byte-identical for any shard count N >= 1 and any GOMAXPROCS.
 package sim
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -74,23 +75,19 @@ type Shards struct {
 	hooks   []func(horizon Time)
 	intr    func() bool
 
-	// minParallel is the number of window-active shards at which the window
-	// fans out to the worker pool instead of running inline on the
-	// coordinator. Windows in the compute-spread phase of a BSP step usually
-	// hold a handful of events on one or two shards — fanning those out
-	// would cost more in handoffs than the events themselves — while
-	// barrier-release bursts activate every shard at once and parallelize
-	// well. Execution mode never affects results (see package comment).
-	minParallel int
-
-	workers []chan Time    // per-shard window commands (nil until first fan-out)
-	done    chan int       // worker completion notifications
-	panics  []interface{}  // per-shard panic captured during a fanned-out window
-	exited  sync.WaitGroup // worker goroutines still alive, for Close
+	// burst is set when the coordinator itself just made the next window
+	// big — the merge injected at least forkMinStaged deliveries, or a hook
+	// released a collective through InjectAt — and cleared by the window that
+	// follows. Only such a window is worth a fork: the compute-spread phase
+	// of a BSP step crawls through windows of a handful of events on one or
+	// two shards, fewer than a goroutine hand-off costs, while a ghost
+	// exchange or a barrier release activates every shard at once. Execution
+	// mode never affects results (see package comment).
+	burst bool
 
 	// mx, when non-nil, is the run's host-plane scheduler instrument set
-	// (internal/metrics): window counts, events per window, occupancy,
-	// merge depth. Host plane because all of it depends on the shard count;
+	// (internal/metrics): window counts, events per window, the forked and
+	// critical-path shares, merge depth. Host plane because all of it depends on the shard count;
 	// updated only on the coordinator, between window executions. evBase is
 	// its per-window Events() baseline, reused across windows.
 	mx     *metrics.SchedMetrics
@@ -99,8 +96,11 @@ type Shards struct {
 	running bool
 }
 
-// defaultMinParallel is the fan-out threshold; see Shards.minParallel.
-const defaultMinParallel = 2
+// forkMinStaged is the number of staged deliveries one merge must inject for
+// the window after it to fork; see Shards.burst. The windows that can repay a
+// fork hold thousands of events (a ghost exchange stages ~20 000 deliveries
+// at 512 ranks) and the rest hold tens, so the exact value matters little.
+const forkMinStaged = 1000
 
 // NewShards builds n empty engines under a scheduler with the given
 // lookahead bound (seconds of virtual time; must be positive — the network
@@ -113,11 +113,10 @@ func NewShards(n int, lookahead float64) *Shards {
 		panic("sim: NewShards with non-positive lookahead")
 	}
 	s := &Shards{
-		engs:        make([]*Engine, n),
-		lookahead:   lookahead,
-		out:         make([][]stagedMsg, n),
-		minParallel: defaultMinParallel,
-		paranoid:    check.Forced(),
+		engs:      make([]*Engine, n),
+		lookahead: lookahead,
+		out:       make([][]stagedMsg, n),
+		paranoid:  check.Forced(),
 	}
 	for i := range s.engs {
 		s.engs[i] = NewEngine()
@@ -145,17 +144,6 @@ func (s *Shards) SetParanoid(on bool) { s.paranoid = check.Enabled(on) }
 // SetInterrupt installs a cancellation poll, checked once per window; Run
 // panics with ErrInterrupted when it reports true.
 func (s *Shards) SetInterrupt(fn func() bool) { s.intr = fn }
-
-// SetMinParallel overrides the fan-out threshold (active shards per window
-// at which the worker pool engages). n <= 0 restores the default. Results
-// are independent of this knob; tests set 1 to force every multi-shard
-// window through the worker pool.
-func (s *Shards) SetMinParallel(n int) {
-	if n <= 0 {
-		n = defaultMinParallel
-	}
-	s.minParallel = n
-}
 
 // SetMetrics attaches the run's scheduler instrument set (nil detaches it).
 func (s *Shards) SetMetrics(mx *metrics.SchedMetrics) { s.mx = mx }
@@ -190,13 +178,15 @@ func (s *Shards) StageDelivery(srcShard, dstShard int, t Time, src, dst, tag int
 // InjectAt schedules coordinator-originated work (a collective release) on a
 // shard. Only merge hooks may call it. The event is silent — the caller
 // accounts its work via AddCoordinatorEvents so Events() stays independent
-// of the shard count.
+// of the shard count. A release wakes every rank of the shard at once, so
+// the next window is marked a burst.
 func (s *Shards) InjectAt(shard int, t Time, fn func()) {
 	if t < s.horizon {
 		check.Failf("sim", "window-safety",
 			"coordinator injection on shard %d at t=%.9g before merged horizon %.9g",
 			shard, t, s.horizon)
 	}
+	s.burst = true
 	s.engs[shard].injectSilent(t, fn)
 }
 
@@ -234,15 +224,9 @@ func (s *Shards) Blocked() []*Proc {
 	return out
 }
 
-// Close stops the worker pool, returning once every worker has exited, and
-// unwinds all unfinished processes on every shard. Closing twice is
+// Close unwinds all unfinished processes on every shard. Closing twice is
 // harmless; the scheduler must not otherwise be used afterwards.
 func (s *Shards) Close() {
-	for _, cmd := range s.workers {
-		close(cmd)
-	}
-	s.workers = nil
-	s.exited.Wait()
 	for _, e := range s.engs {
 		e.Close()
 	}
@@ -257,6 +241,9 @@ func (s *Shards) Run() Time {
 	}
 	s.running = true
 	defer func() { s.running = false }()
+	// Read once per Run, not once per process: tests change it between runs.
+	// On one P a fork can only add hand-offs, so every window runs inline.
+	multiP := runtime.GOMAXPROCS(0) > 1
 	for {
 		if s.intr != nil && s.intr() {
 			panic(ErrInterrupted)
@@ -278,7 +265,7 @@ func (s *Shards) Run() Time {
 			break // drained
 		}
 		end := w + s.lookahead
-		s.runOneWindow(end)
+		s.runOneWindow(end, multiP)
 		s.horizon = end
 	}
 	return s.Now()
@@ -302,6 +289,9 @@ func (s *Shards) mergeStaged() {
 	if mx := s.mx; mx != nil {
 		mx.MergeDepth.Observe(float64(len(sc)))
 	}
+	if len(sc) >= forkMinStaged {
+		s.burst = true
+	}
 	sort.Slice(sc, func(i, j int) bool {
 		if sc[i].t != sc[j].t {
 			return sc[i].t < sc[j].t
@@ -323,9 +313,11 @@ func (s *Shards) mergeStaged() {
 }
 
 // runOneWindow executes one window on every shard holding an event before
-// end — inline on the coordinator below the fan-out threshold, on the
-// worker pool at or above it.
-func (s *Shards) runOneWindow(end Time) {
+// end: inline on the coordinator, or — when the preceding merge marked a
+// burst, at least two shards are active and the host has a second P —
+// forked, the coordinator running the first active shard and one goroutine
+// each the rest.
+func (s *Shards) runOneWindow(end Time, multiP bool) {
 	act := s.active[:0]
 	for i, e := range s.engs {
 		if t, ok := e.nextTime(); ok && t < end {
@@ -333,6 +325,8 @@ func (s *Shards) runOneWindow(end Time) {
 		}
 	}
 	s.active = act
+	fork := s.burst && multiP && len(act) >= 2
+	s.burst = false
 	if mx := s.mx; mx != nil {
 		mx.Windows.Inc()
 		mx.ActiveShards.Observe(float64(len(act)))
@@ -343,39 +337,53 @@ func (s *Shards) runOneWindow(end Time) {
 			s.evBase[i] = s.engs[i].Events()
 		}
 	}
-	if len(act) < s.minParallel {
+	if fork {
+		s.forkWindow(act, end)
+	} else {
 		for _, i := range act {
 			s.engs[i].runWindow(end)
 		}
-		s.observeWindow(act)
-		return
 	}
-	if mx := s.mx; mx != nil {
-		mx.ParallelWindows.Inc()
+	s.observeWindow(act, fork)
+}
+
+// forkWindow runs one window's active shards concurrently and joins them. A
+// goroutine owns its engine only between the go statement and wg.Wait's
+// return; the coordinator owns it otherwise, so engine state needs no locking
+// and the fork and the join are the only happens-before edges required.
+func (s *Shards) forkWindow(act []int, end Time) {
+	panics := make([]interface{}, len(act))
+	run := func(k int) {
+		defer func() { panics[k] = recover() }()
+		s.engs[act[k]].runWindow(end)
 	}
-	s.startWorkers()
-	for _, i := range act {
-		s.workers[i] <- end
+	var wg sync.WaitGroup
+	for k := 1; k < len(act); k++ {
+		wg.Add(1)
+		//lint:ignore determinism conservative-PDES fork-join: shards own disjoint engine state, cross-shard effects only move through the staged merge sorted by (t, src, seq), and wg.Wait joins every goroutine before the window returns — so their interleaving can never reach result tables
+		go func(k int) {
+			defer wg.Done()
+			run(k)
+		}(k)
 	}
-	for range act {
-		<-s.done
-	}
+	run(0)
+	wg.Wait()
 	// Propagate the lowest panicking shard's value, matching the inline
 	// path's shard-order abort point: the panicking set is deterministic
 	// (each shard's window execution is), so the surfaced panic is too.
-	for _, i := range act {
-		if pv := s.panics[i]; pv != nil {
-			s.panics[i] = nil
+	for _, pv := range panics {
+		if pv != nil {
 			panic(pv)
 		}
 	}
-	s.observeWindow(act)
 }
 
 // observeWindow records the finished window's per-shard event deltas into
-// the host-plane instruments: total events this window and the max/mean
-// imbalance across its active shards.
-func (s *Shards) observeWindow(act []int) {
+// the host-plane instruments: total events this window, the busiest shard's
+// share of them (what the window costs however it runs — Σ events ÷ Σ
+// critical is the run's Amdahl ceiling), the events that ran forked, and the
+// max/mean imbalance across its active shards.
+func (s *Shards) observeWindow(act []int, forked bool) {
 	mx := s.mx
 	if mx == nil || len(act) == 0 {
 		return
@@ -389,41 +397,12 @@ func (s *Shards) observeWindow(act []int) {
 		}
 	}
 	mx.WindowEvents.Observe(float64(total))
+	mx.CriticalEvents.Add(max)
+	if forked {
+		mx.ParallelWindows.Inc()
+		mx.ParallelEvents.Add(total)
+	}
 	if total > 0 {
 		mx.ImbalanceMax.SetMax(float64(max) * float64(len(act)) / float64(total))
-	}
-}
-
-// startWorkers lazily spawns one worker goroutine per shard. A worker owns
-// its engine only between a window command and the matching completion
-// notification; the coordinator owns it otherwise, so engine state needs no
-// locking and every handoff is a happens-before edge.
-func (s *Shards) startWorkers() {
-	if s.workers != nil {
-		return
-	}
-	s.workers = make([]chan Time, len(s.engs))
-	s.done = make(chan int, len(s.engs))
-	s.panics = make([]interface{}, len(s.engs))
-	for i := range s.engs {
-		cmd := make(chan Time)
-		s.workers[i] = cmd
-		eng, id := s.engs[i], i
-		s.exited.Add(1)
-		//lint:ignore determinism conservative-PDES worker pool: shards own disjoint engine state, cross-shard effects only move through the staged merge sorted by (t, src, seq), and the cmd/done channels give every window a fixed fork-join — so worker interleaving can never reach result tables
-		go func() {
-			defer s.exited.Done()
-			for end := range cmd {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							s.panics[id] = r
-						}
-					}()
-					eng.runWindow(end)
-				}()
-				s.done <- id
-			}
-		}()
 	}
 }

@@ -2,9 +2,13 @@ package sim
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"amrtools/internal/check"
+	"amrtools/internal/metrics"
 )
 
 // recordingSink captures delivery order on one engine.
@@ -40,28 +44,182 @@ func TestShardsRunSleepers(t *testing.T) {
 	s.Close()
 }
 
-func TestShardsWorkerPoolMatchesInline(t *testing.T) {
-	run := func(minParallel int) (Time, int64) {
-		s := NewShards(4, 1e-6)
-		s.SetMinParallel(minParallel)
-		for i := 0; i < 4; i++ {
-			i := i
-			s.Engine(i).Spawn("p", func(p *Proc) {
-				for k := 0; k < 50; k++ {
-					p.Sleep(1e-5 + float64(i)*1e-9)
+// burstResult is everything burstProgram can observe of a run.
+type burstResult struct {
+	end    Time
+	events int64
+	recvd  [4][]burstRecv // per destination rank, in delivery order
+}
+
+type burstRecv struct {
+	t        Time
+	src, tag int32
+}
+
+// burstSink logs one engine's deliveries into the destination rank's slot.
+type burstSink struct {
+	eng *Engine
+	res *burstResult
+}
+
+func (b burstSink) DeliverMsg(src, dst, tag int32, bytes int64, local bool) {
+	b.res.recvd[dst] = append(b.res.recvd[dst], burstRecv{b.eng.Now(), src, tag})
+}
+
+// burstRounds is the number of BSP rounds burstProgram runs.
+const burstRounds = 3
+
+// burstProgram runs four ranks (rank r on shard r*nshards/4) through
+// burstRounds BSP rounds that make the next window big in the two ways the coordinator
+// can: every rank computes for the same time and stages fan deliveries to
+// the rank two places on, all landing at one instant on every shard (one
+// merge of 4*fan); then, after a rank-specific second compute, joins a
+// barrier that an OnMerge hook releases through InjectAt once all four
+// arrived. It returns what the run computed and how many windows forked.
+func burstProgram(nshards, fan int) (burstResult, int64) {
+	const ranks, rounds = 4, burstRounds
+	s := NewShards(nshards, 1e-6)
+	defer s.Close()
+	ms := metrics.NewRunSet(ranks, 1, nil)
+	s.SetMetrics(ms.Sched)
+	var res burstResult
+	for _, e := range s.Engines() {
+		e.SetSink(burstSink{e, &res})
+	}
+	shardOf := func(r int) int { return r * nshards / ranks }
+
+	// A four-rank barrier, the way the MPI layer builds one: arrivals park in
+	// the arriving shard's outbox, the merge hook collects them.
+	arrived := make([][]int, nshards)
+	futs := make([]Future, ranks)
+	waiting := 0
+	s.OnMerge(func(horizon Time) {
+		for sh := range arrived {
+			waiting += len(arrived[sh])
+			arrived[sh] = arrived[sh][:0]
+		}
+		if waiting < ranks {
+			return
+		}
+		waiting = 0
+		for sh := 0; sh < nshards; sh++ {
+			sh := sh
+			s.InjectAt(sh, horizon+1e-4, func() {
+				for r := range futs {
+					if shardOf(r) == sh {
+						futs[r].Complete(s.Engine(sh))
+					}
 				}
 			})
 		}
-		defer s.Close()
-		return s.Run(), s.Events()
+		s.AddCoordinatorEvents(1)
+	})
+
+	for r := 0; r < ranks; r++ {
+		r, sh := r, shardOf(r)
+		s.Engine(sh).Spawn("rank", func(p *Proc) {
+			dst := (r + 2) % ranks
+			for round := 0; round < rounds; round++ {
+				p.Sleep(1e-3)
+				for k := 0; k < fan; k++ {
+					s.StageDelivery(sh, shardOf(dst), p.Now()+1e-3, int32(r), int32(dst), int32(round), 8, int64(round*fan+k))
+				}
+				p.Sleep(2e-3 + float64(r)*1e-5)
+				futs[r].Reset()
+				arrived[sh] = append(arrived[sh], r)
+				p.Await(&futs[r])
+			}
+		})
 	}
-	// minParallel 1 forces every window through the worker pool; a huge
-	// threshold keeps everything inline on the coordinator.
-	inlineEnd, inlineEv := run(1 << 20)
-	poolEnd, poolEv := run(1)
-	if inlineEnd != poolEnd || inlineEv != poolEv {
-		t.Fatalf("worker pool changed results: (%v, %d) vs (%v, %d)",
-			poolEnd, poolEv, inlineEnd, inlineEv)
+	res.end = s.Run()
+	res.events = s.Events()
+	return res, ms.Sched.ParallelWindows.Value()
+}
+
+// TestShardsForkRule: a window forks only when the merge before it injected
+// at least forkMinStaged deliveries or a hook released a collective through
+// InjectAt — never on one P — and how a window ran never shows in the
+// results, which equal the one-shard run's for every shard count.
+func TestShardsForkRule(t *testing.T) {
+	const rounds = burstRounds
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	base, forks := burstProgram(1, forkMinStaged/4)
+	if forks != 0 {
+		t.Fatalf("one shard forked %d windows", forks)
+	}
+	if base.events == 0 || len(base.recvd[3]) != rounds*forkMinStaged/4 {
+		t.Fatalf("degenerate base run: %d events, rank 3 received %d", base.events, len(base.recvd[3]))
+	}
+	for _, tc := range []struct {
+		name               string
+		procs, shards, fan int
+		wantForks          int64
+	}{
+		// Each round: one merge of 4*fan deliveries, one barrier release.
+		{"merge at the threshold and release both fork", 2, 2, forkMinStaged / 4, 2 * rounds},
+		{"four shards", 2, 4, forkMinStaged / 4, 2 * rounds},
+		{"merge one below the threshold does not", 2, 2, forkMinStaged/4 - 1, rounds},
+		{"one P never forks", 1, 2, forkMinStaged / 4, 0},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		got, forks := burstProgram(tc.shards, tc.fan)
+		if forks != tc.wantForks {
+			t.Errorf("%s: %d windows forked, want %d", tc.name, forks, tc.wantForks)
+		}
+		if tc.fan == forkMinStaged/4 && !reflect.DeepEqual(got, base) {
+			t.Errorf("%s: results differ from the one-shard run: (%v, %d) vs (%v, %d)",
+				tc.name, got.end, got.events, base.end, base.events)
+		}
+	}
+}
+
+// TestShardsForkedPanic: two shards panic in one forked window. The lowest
+// panicking shard's value must surface — the inline path's abort point —
+// whichever goroutine got there first, and the fork must have been joined: no
+// goroutine outlives Run.
+func TestShardsForkedPanic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	before := runtime.NumGoroutine()
+	s := NewShards(3, 1e-6)
+	defer s.Close()
+	started := make(chan struct{})
+	injected := false
+	s.OnMerge(func(horizon Time) {
+		if injected {
+			return
+		}
+		injected = true
+		// Shard 0 waits for shard 1 to start: only a forked window gets past.
+		s.InjectAt(0, 1e-3, func() {
+			select {
+			case <-started:
+			case <-time.After(10 * time.Second):
+				t.Error("the window after an InjectAt ran inline")
+			}
+		})
+		s.InjectAt(1, 1e-3, func() {
+			close(started)
+			panic("shard 1")
+		})
+		s.InjectAt(2, 1e-3, func() { panic("shard 2") })
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "shard 1" {
+				t.Errorf("recovered %v, want the lowest panicking shard's value %q", r, "shard 1")
+			}
+		}()
+		s.Run()
+		t.Error("Run returned past a panicking window")
+	}()
+	// forkWindow returns only after wg.Wait, and a goroutine's exit trails its
+	// Done by a few instructions.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Errorf("%d goroutines after the panic, %d before the run", n, before)
 	}
 }
 
