@@ -84,13 +84,16 @@ scale-smoke:
 # -fuzz target per invocation): the differential query fuzzer over derived
 # tables and chunk sizes, the parser, the colfile reader twice (a file is
 # outside input all the way up through the table operators and back out the
-# writer), and the hash-aggregate kernel against its row-loop reference, fed
-# whole and in pieces. `go test` alone only replays the seed corpora.
+# writer), the chunk codec against the buffer-per-column encoder and
+# byte-reader decoder it replaced (kept as _test.go oracles), and the
+# hash-aggregate kernel against its row-loop reference, fed whole and in
+# pieces. `go test` alone only replays the seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 15s ./internal/tql
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/tql
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 15s ./internal/colfile
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAll$$' -fuzztime 15s ./internal/colfile
+	$(GO) test -run '^$$' -fuzz '^FuzzCodec$$' -fuzztime 15s ./internal/colfile
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupBy$$' -fuzztime 15s ./internal/telemetry
 
 fmt:

@@ -42,11 +42,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"amrtools/internal/telemetry"
 )
@@ -62,8 +64,8 @@ const (
 
 	// footerSentinel marks the end of the chunk sequence in version-2
 	// files: it occupies the position of a chunk length prefix and can
-	// never be a real one (chunk lengths near 4 GiB are rejected long
-	// before that by the row-count/payload cross-checks).
+	// never be a real one (the writer refuses a chunk body that long, see
+	// checkBodyLen).
 	footerSentinel = 0xFFFFFFFF
 
 	// trailerLen is the fixed-size tail of a version-2 file: footer body
@@ -110,40 +112,45 @@ type Writer struct {
 	off    int64 // bytes emitted so far (header + chunks)
 	index  []ChunkMeta
 	done   bool
-	// remap is the string encoder's scratch, table dictionary id → chunk
-	// id + 1. It is all zeros between columns: the encoder clears exactly
-	// the entries it set, so a chunk costs O(its rows) however large the
-	// table's dictionary is.
+	// body is the one buffer every chunk (length prefix included) and the
+	// footer are encoded into, reused from chunk to chunk: each value is
+	// appended to it once and it goes to the underlying writer from there.
+	body []byte
+	// remap and dict are the string encoder's scratch: table dictionary id →
+	// chunk id + 1, and the table ids in chunk-id order. remap is all zeros
+	// between columns: the encoder clears exactly the entries it set, so a
+	// chunk costs O(its rows) however large the table's dictionary is.
 	remap []uint32
+	dict  []uint32
 }
+
+var le = binary.LittleEndian
 
 // NewWriter writes the header for schema and returns a chunk writer. Call
 // Finalize once after the last chunk to emit the footer.
 func NewWriter(w io.Writer, schema []telemetry.ColSpec) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return nil, err
-	}
-	if err := bw.WriteByte(version2); err != nil {
-		return nil, err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(len(schema))); err != nil {
-		return nil, err
-	}
-	off := int64(4 + 1 + 2)
+	hdr := append([]byte(nil), magic[:]...)
+	hdr = append(hdr, version2)
+	hdr = le.AppendUint16(hdr, uint16(len(schema)))
 	for _, s := range schema {
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(s.Name))); err != nil {
-			return nil, err
-		}
-		if _, err := bw.WriteString(s.Name); err != nil {
-			return nil, err
-		}
-		if err := bw.WriteByte(byte(s.Type)); err != nil {
-			return nil, err
-		}
-		off += int64(2 + len(s.Name) + 1)
+		hdr = le.AppendUint16(hdr, uint16(len(s.Name)))
+		hdr = append(hdr, s.Name...)
+		hdr = append(hdr, byte(s.Type))
 	}
-	return &Writer{w: bw, schema: schema, off: off}, nil
+	bw := bufio.NewWriter(w)
+	if _, err := bw.Write(hdr); err != nil {
+		return nil, err
+	}
+	return &Writer{w: bw, schema: schema, off: int64(len(hdr))}, nil
+}
+
+// checkBodyLen rejects a chunk body the format cannot frame: its length is a
+// u32, and 0xFFFFFFFF in that position is the footer sentinel.
+func checkBodyLen(n int) error {
+	if uint64(n) >= footerSentinel {
+		return fmt.Errorf("colfile: chunk body of %d bytes exceeds the format's 4 GiB limit (write smaller chunks)", n)
+	}
+	return nil
 }
 
 // WriteChunk appends all rows of t as one chunk. t's schema must match the
@@ -155,43 +162,33 @@ func (w *Writer) WriteChunk(t *telemetry.Table) error {
 	if err := sameSchema(w.schema, t.Schema()); err != nil {
 		return err
 	}
-	var body bytes.Buffer
-	if err := binary.Write(&body, binary.LittleEndian, uint32(t.NumRows())); err != nil {
-		return err
-	}
+	b := append(w.body[:0], 0, 0, 0, 0) // the body's length, patched below
+	b = le.AppendUint32(b, uint32(t.NumRows()))
 	zones := make([]ZoneMap, len(w.schema))
-	cols := t.Columns()
-	for ci, s := range w.schema {
-		payload, z, err := w.encodeColumn(s, cols[ci])
-		if err != nil {
+	for ci, c := range t.Columns() {
+		var err error
+		if b, zones[ci], err = w.appendColumn(b, w.schema[ci], c); err != nil {
 			return err
 		}
-		zones[ci] = z
-		if z.HasRange {
-			body.WriteByte(1)
-			binary.Write(&body, binary.LittleEndian, z.Min)
-			binary.Write(&body, binary.LittleEndian, z.Max)
-		} else {
-			body.WriteByte(0)
-		}
-		binary.Write(&body, binary.LittleEndian, uint32(len(payload)))
-		body.Write(payload)
 	}
-	if err := binary.Write(w.w, binary.LittleEndian, uint32(body.Len())); err != nil {
+	w.body = b
+	body := b[4:]
+	if err := checkBodyLen(len(body)); err != nil {
 		return err
 	}
-	if _, err := w.w.Write(body.Bytes()); err != nil {
+	le.PutUint32(b, uint32(len(body)))
+	if _, err := w.w.Write(b); err != nil {
 		return err
 	}
 	w.index = append(w.index, ChunkMeta{
 		Offset: w.off,
-		Length: uint32(body.Len()),
+		Length: uint32(len(body)),
 		Rows:   t.NumRows(),
-		CRC:    crc32.ChecksumIEEE(body.Bytes()),
+		CRC:    crc32.ChecksumIEEE(body),
 		HasCRC: true,
 		Zones:  zones,
 	})
-	w.off += int64(4 + body.Len())
+	w.off += int64(len(b))
 	return nil
 }
 
@@ -202,13 +199,13 @@ func (w *Writer) Finalize() error {
 		return w.w.Flush()
 	}
 	w.done = true
-	var foot bytes.Buffer
-	binary.Write(&foot, binary.LittleEndian, uint32(len(w.index)))
+	b := le.AppendUint32(w.body[:0], footerSentinel)
+	b = le.AppendUint32(b, uint32(len(w.index)))
 	for _, m := range w.index {
-		binary.Write(&foot, binary.LittleEndian, uint64(m.Offset))
-		binary.Write(&foot, binary.LittleEndian, m.Length)
-		binary.Write(&foot, binary.LittleEndian, uint32(m.Rows))
-		binary.Write(&foot, binary.LittleEndian, m.CRC)
+		b = le.AppendUint64(b, uint64(m.Offset))
+		b = le.AppendUint32(b, m.Length)
+		b = le.AppendUint32(b, uint32(m.Rows))
+		b = le.AppendUint32(b, m.CRC)
 		for _, z := range m.Zones {
 			var flag byte
 			if z.HasRange {
@@ -217,30 +214,21 @@ func (w *Writer) Finalize() error {
 			if z.HasSum {
 				flag |= zoneHasSum
 			}
-			foot.WriteByte(flag)
+			b = append(b, flag)
 			if z.HasRange {
-				binary.Write(&foot, binary.LittleEndian, z.Min)
-				binary.Write(&foot, binary.LittleEndian, z.Max)
+				b = appendFloat(appendFloat(b, z.Min), z.Max)
 			}
 			if z.HasSum {
-				binary.Write(&foot, binary.LittleEndian, z.Sum)
-				binary.Write(&foot, binary.LittleEndian, uint64(z.Count))
+				b = le.AppendUint64(appendFloat(b, z.Sum), uint64(z.Count))
 			}
 		}
 	}
-	if err := binary.Write(w.w, binary.LittleEndian, uint32(footerSentinel)); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(foot.Bytes()); err != nil {
-		return err
-	}
-	if err := binary.Write(w.w, binary.LittleEndian, uint32(foot.Len())); err != nil {
-		return err
-	}
-	if err := binary.Write(w.w, binary.LittleEndian, crc32.ChecksumIEEE(foot.Bytes())); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(footerMagic[:]); err != nil {
+	foot := b[4:]
+	b = le.AppendUint32(b, uint32(len(foot)))
+	b = le.AppendUint32(b, crc32.ChecksumIEEE(foot))
+	b = append(b, footerMagic[:]...)
+	w.body = b
+	if _, err := w.w.Write(b); err != nil {
 		return err
 	}
 	return w.w.Flush()
@@ -258,13 +246,25 @@ func sameSchema(a, b []telemetry.ColSpec) error {
 	return nil
 }
 
-func (w *Writer) encodeColumn(s telemetry.ColSpec, c telemetry.Column) ([]byte, ZoneMap, error) {
-	var buf bytes.Buffer
+func appendFloat(b []byte, v float64) []byte {
+	return le.AppendUint64(b, math.Float64bits(v))
+}
+
+// appendColumn is the encoder: it appends one column of a chunk body to b —
+// stats flag [min, max], payload length, payload — in one pass over the
+// values, each written once where it stays. What the pass only learns at its
+// end (an int column's range, every payload's length) is patched into the
+// bytes reserved for it.
+func (w *Writer) appendColumn(b []byte, s telemetry.ColSpec, c telemetry.Column) ([]byte, ZoneMap, error) {
 	var z ZoneMap
 	switch s.Type {
 	case telemetry.Int64:
 		xs := c.Ints
-		var tmp [binary.MaxVarintLen64]byte
+		z.Count = int64(len(xs))
+		z.HasRange = len(xs) > 0
+		z.HasSum = len(xs) > 0
+		b = appendStatsHeader(b, z)
+		start := len(b)
 		prev := int64(0)
 		for i, v := range xs {
 			f := float64(v)
@@ -275,14 +275,17 @@ func (w *Writer) encodeColumn(s telemetry.ColSpec, c telemetry.Column) ([]byte, 
 				z.Max = f
 			}
 			z.Sum += f
-			n := binary.PutVarint(tmp[:], v-prev) // signed varint = zigzag
-			buf.Write(tmp[:n])
+			b = binary.AppendVarint(b, v-prev) // signed varint = zig-zag
 			prev = v
 		}
-		z.Count = int64(len(xs))
-		z.HasRange = len(xs) > 0
-		z.HasSum = len(xs) > 0
+		if z.HasRange {
+			le.PutUint64(b[start-20:], math.Float64bits(z.Min))
+			le.PutUint64(b[start-12:], math.Float64bits(z.Max))
+		}
+		le.PutUint32(b[start-4:], uint32(len(b)-start))
 	case telemetry.Float64:
+		// The payload's size is known up front, so the statistics go first
+		// and the header is written whole.
 		xs := c.Floats
 		sawNaN := false
 		for i, v := range xs {
@@ -296,9 +299,6 @@ func (w *Writer) encodeColumn(s telemetry.ColSpec, c telemetry.Column) ([]byte, 
 				z.Max = v
 			}
 			z.Sum += v
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			buf.Write(b[:])
 		}
 		z.Count = int64(len(xs))
 		// A NaN never registers in the < / > min-max updates, so a zone
@@ -307,6 +307,13 @@ func (w *Writer) encodeColumn(s telemetry.ColSpec, c telemetry.Column) ([]byte, 
 		// from it (pushdown soundness, DESIGN.md §12).
 		z.HasRange = len(xs) > 0 && !sawNaN
 		z.HasSum = z.HasRange
+		b = appendStatsHeader(b, z)
+		start := len(b)
+		b = slices.Grow(b, 8*len(xs))[:start+8*len(xs)]
+		for i, v := range xs {
+			le.PutUint64(b[start+8*i:], math.Float64bits(v))
+		}
+		le.PutUint32(b[start-4:], uint32(8*len(xs)))
 	case telemetry.String:
 		// Chunk-local dictionary: the values this chunk uses, numbered in
 		// order of first appearance. The payload is thus a function of the
@@ -316,37 +323,79 @@ func (w *Writer) encodeColumn(s telemetry.ColSpec, c telemetry.Column) ([]byte, 
 		if len(w.remap) < len(c.Dict) {
 			w.remap = make([]uint32, len(c.Dict))
 		}
-		var dict []uint32 // table ids, in chunk-id order
+		dict := w.dict[:0] // table ids, in chunk-id order
 		for _, id := range c.IDs {
 			if w.remap[id] == 0 {
 				dict = append(dict, id)
 				w.remap[id] = uint32(len(dict))
 			}
 		}
-		var tmp [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(tmp[:], uint64(len(dict)))
-		buf.Write(tmp[:n])
+		w.dict = dict
+		z.Count = int64(len(c.IDs))
+		b = appendStatsHeader(b, z)
+		start := len(b)
+		b = binary.AppendUvarint(b, uint64(len(dict)))
 		for _, id := range dict {
-			n := binary.PutUvarint(tmp[:], uint64(len(c.Dict[id])))
-			buf.Write(tmp[:n])
-			buf.WriteString(c.Dict[id])
+			b = binary.AppendUvarint(b, uint64(len(c.Dict[id])))
+			b = append(b, c.Dict[id]...)
 		}
 		for _, id := range c.IDs {
-			n := binary.PutUvarint(tmp[:], uint64(w.remap[id]-1))
-			buf.Write(tmp[:n])
+			b = binary.AppendUvarint(b, uint64(w.remap[id]-1))
 		}
 		for _, id := range dict {
 			w.remap[id] = 0
 		}
-		z.Count = int64(len(c.IDs))
+		le.PutUint32(b[start-4:], uint32(len(b)-start))
 	default:
-		return nil, z, fmt.Errorf("colfile: unknown column type %v", s.Type)
+		return b, z, fmt.Errorf("colfile: unknown column type %v", s.Type)
 	}
-	return buf.Bytes(), z, nil
+	return b, z, nil
 }
 
-// decodeColumnData decodes one column payload of n rows. A String column
-// stays in dictionary form, with the chunk's own dictionary.
+// appendStatsHeader appends a column's inline header: the stats flag, room
+// for [min, max] when z has a range (filled with z's, which an int column
+// patches once it knows them), and room for the payload length.
+func appendStatsHeader(b []byte, z ZoneMap) []byte {
+	if !z.HasRange {
+		return append(b, 0, 0, 0, 0, 0)
+	}
+	b = appendFloat(appendFloat(append(b, 1), z.Min), z.Max)
+	return append(b, 0, 0, 0, 0)
+}
+
+// errVarintOverflow is what encoding/binary's readers say of a varint longer
+// than 64 bits.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// uvarint decodes the varint at p[at:], returning the index after it. A
+// payload that ends first is io.EOF at the varint's first byte and
+// io.ErrUnexpectedEOF inside it, as a byte reader would report.
+func uvarint(p []byte, at int) (uint64, int, error) {
+	var x uint64
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		if at+i >= len(p) {
+			if i > 0 {
+				return x, at + i, io.ErrUnexpectedEOF
+			}
+			return x, at, io.EOF
+		}
+		b := p[at+i]
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return x, at + i + 1, errVarintOverflow
+			}
+			return x | uint64(b)<<s, at + i + 1, nil
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
+	}
+	return x, at + binary.MaxVarintLen64, errVarintOverflow
+}
+
+// decodeColumnData decodes one column payload of n rows, walking the payload
+// by index. A String column stays in dictionary form, with the chunk's own
+// dictionary.
 func decodeColumnData(s telemetry.ColSpec, payload []byte, n int) (telemetry.Column, error) {
 	var cd telemetry.Column
 	// Every encoding needs at least one byte per value (floats eight), so a
@@ -359,56 +408,53 @@ func decodeColumnData(s telemetry.ColSpec, payload []byte, n int) (telemetry.Col
 	if n < 0 || minBytes > len(payload) {
 		return cd, fmt.Errorf("row count %d exceeds %d payload bytes", n, len(payload))
 	}
-	buf := bytes.NewReader(payload)
 	switch s.Type {
 	case telemetry.Int64:
 		out := make([]int64, n)
-		prev := int64(0)
-		for i := 0; i < n; i++ {
-			d, err := binary.ReadVarint(buf)
+		at, prev := 0, int64(0)
+		for i := range out {
+			u, next, err := uvarint(payload, at)
 			if err != nil {
 				return cd, err
 			}
-			prev += d
+			at = next
+			prev += int64(u>>1) ^ -int64(u&1) // zig-zag
 			out[i] = prev
 		}
 		cd.Ints = out
 		return cd, nil
 	case telemetry.Float64:
 		out := make([]float64, n)
-		for i := 0; i < n; i++ {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i : 8*i+8]))
+		for i := range out {
+			out[i] = math.Float64frombits(le.Uint64(payload[8*i:]))
 		}
 		cd.Floats = out
 		return cd, nil
 	case telemetry.String:
-		dictN, err := binary.ReadUvarint(buf)
+		dictN, at, err := uvarint(payload, 0)
 		if err != nil {
 			return cd, err
 		}
 		// Each dictionary entry costs at least one byte (its length prefix).
-		if dictN > uint64(buf.Len()) {
+		if dictN > uint64(len(payload)-at) {
 			return cd, fmt.Errorf("dictionary size %d exceeds payload", dictN)
 		}
 		dict := make([]string, dictN)
 		for i := range dict {
-			l, err := binary.ReadUvarint(buf)
-			if err != nil {
+			var l uint64
+			if l, at, err = uvarint(payload, at); err != nil {
 				return cd, err
 			}
-			if l > uint64(buf.Len()) {
+			if l > uint64(len(payload)-at) {
 				return cd, fmt.Errorf("dictionary entry length %d exceeds payload", l)
 			}
-			b := make([]byte, l)
-			if _, err := io.ReadFull(buf, b); err != nil {
-				return cd, err
-			}
-			dict[i] = string(b)
+			dict[i] = string(payload[at : at+int(l)])
+			at += int(l)
 		}
 		out := make([]uint32, n)
-		for i := 0; i < n; i++ {
-			id, err := binary.ReadUvarint(buf)
-			if err != nil {
+		for i := range out {
+			var id uint64
+			if id, at, err = uvarint(payload, at); err != nil {
 				return cd, err
 			}
 			if id >= dictN || id > math.MaxUint32 {
@@ -424,47 +470,52 @@ func decodeColumnData(s telemetry.ColSpec, payload []byte, n int) (telemetry.Col
 	}
 }
 
-// decodeChunkBody walks a chunk body and decodes the selected columns
-// (want == nil decodes all). The returned slice is indexed by schema column
-// index; unselected columns are zero Columns.
+// u32At reads the little-endian u32 at body[at:]; a body that ends first is
+// io.EOF at the field's first byte and io.ErrUnexpectedEOF inside it.
+func u32At(body []byte, at int) (uint32, error) {
+	if at >= len(body) {
+		return 0, io.EOF
+	}
+	if at+4 > len(body) {
+		return 0, io.ErrUnexpectedEOF
+	}
+	return le.Uint32(body[at:]), nil
+}
+
+// decodeChunkBody walks a chunk body by index and decodes the selected
+// columns (want == nil decodes all). The returned slice is indexed by schema
+// column index; unselected columns are zero Columns.
 func decodeChunkBody(schema []telemetry.ColSpec, body []byte, want []bool) (int, []telemetry.Column, error) {
-	buf := bytes.NewReader(body)
-	var nrows uint32
-	if err := binary.Read(buf, binary.LittleEndian, &nrows); err != nil {
+	nrows, err := u32At(body, 0)
+	if err != nil {
 		return 0, nil, err
 	}
+	at := 4
 	n := int(nrows)
 	if len(schema) == 0 && n > 0 {
 		return 0, nil, fmt.Errorf("colfile: %d rows in a zero-column chunk", n)
 	}
 	cols := make([]telemetry.Column, len(schema))
 	for ci, s := range schema {
-		flag, err := buf.ReadByte()
+		if at >= len(body) {
+			return 0, nil, io.EOF
+		}
+		if body[at] == 1 {
+			at += 16 // inline [min, max]
+		}
+		at++
+		plen, err := u32At(body, at)
 		if err != nil {
 			return 0, nil, err
 		}
-		if flag == 1 {
-			if _, err := buf.Seek(16, io.SeekCurrent); err != nil {
-				return 0, nil, err
-			}
-		}
-		var plen uint32
-		if err := binary.Read(buf, binary.LittleEndian, &plen); err != nil {
-			return 0, nil, err
-		}
-		if int64(plen) > int64(buf.Len()) {
+		at += 4
+		if int64(plen) > int64(len(body)-at) {
 			return 0, nil, fmt.Errorf("colfile: column %q payload length %d exceeds chunk body", s.Name, plen)
 		}
+		payload := body[at : at+int(plen)]
+		at += int(plen)
 		if want != nil && !want[ci] {
-			if _, err := buf.Seek(int64(plen), io.SeekCurrent); err != nil {
-				return 0, nil, err
-			}
 			continue
-		}
-		start := len(body) - buf.Len()
-		payload := body[start : start+int(plen)]
-		if _, err := buf.Seek(int64(plen), io.SeekCurrent); err != nil {
-			return 0, nil, err
 		}
 		cd, err := decodeColumnData(s, payload, n)
 		if err != nil {

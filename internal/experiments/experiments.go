@@ -20,6 +20,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,7 +32,6 @@ import (
 	"amrtools/internal/physics"
 	"amrtools/internal/placement"
 	"amrtools/internal/simnet"
-	"amrtools/internal/telemetry"
 	"amrtools/internal/trace"
 )
 
@@ -172,8 +172,8 @@ func (o Options) sedovSpec(id string, cfg driver.Config) harness.Spec[*driver.Re
 // runCampaign fans the specs out through the harness and returns their
 // results in spec order, panicking on any failure (the experiment
 // definitions are static, so a failed run is a bug, not an input error).
-// With Options.TraceDir set, every traced run's span table is written as
-// `<TraceDir>/<campaign>--<id>.col`.
+// With Options.TraceDir set, every traced run's spans are streamed to
+// `<TraceDir>/<campaign>--<id>.col` (the span table is never built).
 func runCampaign(opts Options, campaign string, specs []harness.Spec[*driver.Result]) []*driver.Result {
 	e := opts.Exec
 	if e.Metrics == nil {
@@ -181,11 +181,11 @@ func runCampaign(opts Options, campaign string, specs []harness.Spec[*driver.Res
 	}
 	results := harness.MustValues(harness.Run(e, campaign, specs))
 	if opts.TraceDir != "" {
-		err := dumpTables(opts.TraceDir, campaign, specs, results, func(r *driver.Result) *telemetry.Table {
+		err := dumpFiles(opts.TraceDir, campaign, specs, results, func(r *driver.Result) func(io.Writer) error {
 			if r.Spans == nil {
 				return nil
 			}
-			return r.Spans.Table()
+			return func(w io.Writer) error { return r.Spans.WriteTo(w, dumpChunkRows) }
 		})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: span dump failed: %v", err))
@@ -193,11 +193,11 @@ func runCampaign(opts Options, campaign string, specs []harness.Spec[*driver.Res
 	}
 	if opts.MetricsDir != "" {
 		// The full snapshot, both planes.
-		err := dumpTables(opts.MetricsDir, campaign, specs, results, func(r *driver.Result) *telemetry.Table {
+		err := dumpFiles(opts.MetricsDir, campaign, specs, results, func(r *driver.Result) func(io.Writer) error {
 			if r.Metrics == nil {
 				return nil
 			}
-			return r.Metrics.Reg.Snapshot()
+			return func(w io.Writer) error { return colfile.WriteTable(w, r.Metrics.Reg.Snapshot(), dumpChunkRows) }
 		})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: metrics dump failed: %v", err))
@@ -206,11 +206,14 @@ func runCampaign(opts Options, campaign string, specs []harness.Spec[*driver.Res
 	return results
 }
 
-// dumpTables writes the table pick selects from each result (nil = skip the
-// run) as a colfile named `<campaign>--<id>.col` under dir ("/" in spec ids
-// becomes "_").
-func dumpTables(dir, campaign string, specs []harness.Spec[*driver.Result], results []*driver.Result,
-	pick func(*driver.Result) *telemetry.Table) error {
+// dumpChunkRows is the chunk size of every per-run colfile a campaign dumps.
+const dumpChunkRows = 8192
+
+// dumpFiles writes one colfile per result, named `<campaign>--<id>.col`
+// under dir ("/" in spec ids becomes "_"), through the writer pick returns
+// for it (nil = skip the run).
+func dumpFiles(dir, campaign string, specs []harness.Spec[*driver.Result], results []*driver.Result,
+	pick func(*driver.Result) func(io.Writer) error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -218,12 +221,20 @@ func dumpTables(dir, campaign string, specs []harness.Spec[*driver.Result], resu
 		if res == nil {
 			continue
 		}
-		t := pick(res)
-		if t == nil {
+		write := pick(res)
+		if write == nil {
 			continue
 		}
 		name := campaign + "--" + strings.ReplaceAll(specs[i].ID, "/", "_") + ".col"
-		if err := colfile.WriteFile(filepath.Join(dir, name), t, 8192); err != nil {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			return err
+		}
+		if err := write(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 	}

@@ -15,13 +15,19 @@
 //
 // Discipline mirrors internal/check: the recorder is always compiled, a nil
 // *Recorder means tracing is off, and every emission site guards with a
-// single nil check so the disabled path costs nothing measurable. Memory is
-// bounded by construction: each rank's buffer is a fixed-capacity ring that
-// evicts its oldest span, so an arbitrarily long run retains at most
-// NumRanks x PerRankCap spans (evictions are counted, never silent).
+// single nil check so the disabled path costs nothing measurable. Memory
+// follows emission and is bounded by construction: each rank's buffer is a
+// ring of fixed-size pages allocated as the rank emits, so a rank holds
+// min(emitted, PerRankCap) spans rounded up to a page — an idle rank holds
+// nothing — and once it reaches PerRankCap it evicts its oldest span, so an
+// arbitrarily long run retains at most NumRanks x PerRankCap spans
+// (evictions are counted, never silent).
 package trace
 
 import (
+	"io"
+
+	"amrtools/internal/colfile"
 	"amrtools/internal/telemetry"
 )
 
@@ -104,17 +110,18 @@ func (k Kind) String() string {
 
 // Span is one recorded interval on a rank's timeline. Peer and Tag are -1
 // when not applicable; Step and Epoch are -1 for spans outside the timestep
-// loop (health probes).
+// loop (health probes). The fields are ordered widest first so that a span
+// is 48 bytes (TestSpanSize); construct it with a keyed literal.
 type Span struct {
-	Rank  int32
-	Kind  Kind
 	T0    float64
 	T1    float64
-	Peer  int32
 	Bytes int64
+	Rank  int32
+	Peer  int32
 	Tag   int32
 	Step  int32
 	Epoch int32
+	Kind  Kind
 }
 
 // Config parameterizes a Recorder.
@@ -140,28 +147,58 @@ type Config struct {
 }
 
 // DefaultPerRankCap bounds per-rank span memory when Config.PerRankCap is 0:
-// 4096 spans x ~48 bytes ~= 200 KiB/rank.
+// 4096 spans x 48 bytes = 192 KiB for a rank that emits that many.
 const DefaultPerRankCap = 4096
 
-// ring is a fixed-capacity circular span buffer. Its eviction counter is
-// per-ring (not recorder-global) so that ranks emitting concurrently from
-// different shards of the parallel scheduler never share a counter word.
+// A ring's storage is pages of pageSpans spans (6 KiB), a power of two so
+// that a slot splits into page and offset with a shift and a mask.
+const (
+	pageShift = 7
+	pageSpans = 1 << pageShift
+)
+
+// ring is a circular span buffer of at most cap spans, stored in pages that
+// are allocated as the ring fills: slot i lives at pages[i>>pageShift]
+// [i&(pageSpans-1)], and a ring that has reached cap overwrites its oldest
+// slot. Its eviction counter is per-ring (not recorder-global) so that ranks
+// emitting concurrently from different shards of the parallel scheduler never
+// share a counter word.
 type ring struct {
-	spans   []Span
-	head    int // index of the oldest retained span
+	pages   []*[pageSpans]Span
+	cap     int
+	head    int // slot of the oldest retained span; 0 until the ring is full
 	n       int // retained count
 	dropped int64
 }
 
 func (rg *ring) push(s Span) {
-	if rg.n < len(rg.spans) {
-		rg.spans[(rg.head+rg.n)%len(rg.spans)] = s
+	slot := rg.n
+	if slot < rg.cap {
+		if slot>>pageShift == len(rg.pages) {
+			rg.pages = append(rg.pages, new([pageSpans]Span))
+		}
 		rg.n++
-		return
+	} else {
+		slot = rg.head
+		if rg.head++; rg.head == rg.cap {
+			rg.head = 0
+		}
+		rg.dropped++
 	}
-	rg.spans[rg.head] = s
-	rg.head = (rg.head + 1) % len(rg.spans)
-	rg.dropped++
+	rg.pages[slot>>pageShift][slot&(pageSpans-1)] = s
+}
+
+// run returns the retained spans from the i-th oldest (0 <= i < n) on, as
+// far as they are contiguous in storage: up to the end of their page, of the
+// slots, or of what is retained.
+func (rg *ring) run(i int) []Span {
+	slot := rg.head + i
+	if slot >= rg.cap {
+		slot -= rg.cap
+	}
+	base := slot &^ (pageSpans - 1)
+	end := min(slot+rg.n-i, rg.cap, base+pageSpans)
+	return rg.pages[slot>>pageShift][slot-base : end-base]
 }
 
 // Recorder is the per-run flight recorder. It is bound to one simulation and
@@ -172,7 +209,8 @@ func (rg *ring) push(s Span) {
 // ranks on different shards emit concurrently but each rank's state is only
 // ever touched by the shard that owns it. The armed flag is written only by
 // the coordinator between windows (Arm via the step-telemetry trigger), which
-// the scheduler's fork-join channels order against every worker read.
+// the scheduler's fork and sync.WaitGroup join order against every read from
+// a forked shard.
 type Recorder struct {
 	rpn        int // ranks per node, for the table's node column
 	armed      bool
@@ -201,7 +239,7 @@ func NewRecorder(nranks, ranksPerNode int, cfg Config) *Recorder {
 		suppressed: make([]int64, nranks),
 	}
 	for i := range r.rings {
-		r.rings[i].spans = make([]Span, cap)
+		r.rings[i].cap = cap
 	}
 	for i := range r.step {
 		r.step[i] = -1
@@ -288,32 +326,86 @@ func Schema() []telemetry.ColSpec {
 	}
 }
 
-// Table materializes the retained spans as a columnar table: ranks in
-// ascending order, each rank's spans oldest to newest. The layout is
-// deterministic for a deterministic run, so span colfiles are bit-identical
-// across harness worker counts. The columns are filled as typed slices and
-// handed to the table whole — no per-span row, no boxed cell — with kind
-// already in dictionary form: Kind k is id k.
-func (r *Recorder) Table() *telemetry.Table {
-	n := r.Len()
+// spanCols is the span table's columns as typed slices — no per-span row, no
+// boxed cell — with kind already in dictionary form: Kind k is id k.
+type spanCols struct {
+	rank, node, peer, size, tag, step, epoch []int64
+	t0, t1, dur                              []float64
+	kind                                     []uint32
+}
+
+// newSpanCols returns empty columns with room for n spans.
+func newSpanCols(n int) *spanCols {
 	ints := func() []int64 { return make([]int64, 0, n) }
 	floats := func() []float64 { return make([]float64, 0, n) }
-	rank, node, peer, size, tag, step, epoch := ints(), ints(), ints(), ints(), ints(), ints(), ints()
-	t0, t1, dur := floats(), floats(), floats()
-	kind := make([]uint32, 0, n)
-	add := func(s Span) {
-		rank = append(rank, int64(s.Rank))
-		node = append(node, int64(int(s.Rank)/r.rpn))
-		kind = append(kind, uint32(s.Kind))
-		t0 = append(t0, s.T0)
-		t1 = append(t1, s.T1)
-		dur = append(dur, s.T1-s.T0)
-		peer = append(peer, int64(s.Peer))
-		size = append(size, s.Bytes)
-		tag = append(tag, int64(s.Tag))
-		step = append(step, int64(s.Step))
-		epoch = append(epoch, int64(s.Epoch))
+	return &spanCols{
+		rank: ints(), node: ints(), peer: ints(), size: ints(), tag: ints(), step: ints(), epoch: ints(),
+		t0: floats(), t1: floats(), dur: floats(),
+		kind: make([]uint32, 0, n),
 	}
+}
+
+// add appends one row per span of seg.
+func (c *spanCols) add(seg []Span, rpn int) {
+	for i := range seg {
+		s := &seg[i]
+		c.rank = append(c.rank, int64(s.Rank))
+		c.node = append(c.node, int64(int(s.Rank)/rpn))
+		c.kind = append(c.kind, uint32(s.Kind))
+		c.t0 = append(c.t0, s.T0)
+		c.t1 = append(c.t1, s.T1)
+		c.dur = append(c.dur, s.T1-s.T0)
+		c.peer = append(c.peer, int64(s.Peer))
+		c.size = append(c.size, s.Bytes)
+		c.tag = append(c.tag, int64(s.Tag))
+		c.step = append(c.step, int64(s.Step))
+		c.epoch = append(c.epoch, int64(s.Epoch))
+	}
+}
+
+// reset empties the columns, keeping their storage for the next chunk.
+func (c *spanCols) reset() {
+	c.rank, c.node, c.peer, c.size = c.rank[:0], c.node[:0], c.peer[:0], c.size[:0]
+	c.tag, c.step, c.epoch = c.tag[:0], c.step[:0], c.epoch[:0]
+	c.t0, c.t1, c.dur, c.kind = c.t0[:0], c.t1[:0], c.dur[:0], c.kind[:0]
+}
+
+// kindDict is the kind column's dictionary, shared by every span table (a
+// table never writes into a dictionary it adopted).
+var kindDict = func() []string {
+	d := make([]string, numKinds)
+	for k := range d {
+		d[k] = Kind(k).String()
+	}
+	return d
+}()
+
+// table hands the columns to a table whole, in Schema order. The table
+// shares their storage until the next reset.
+func (c *spanCols) table() *telemetry.Table {
+	t, err := telemetry.FromColumns(Schema(), []telemetry.Column{
+		{Ints: c.rank}, {Ints: c.node}, {IDs: c.kind, Dict: kindDict},
+		{Floats: c.t0}, {Floats: c.t1}, {Floats: c.dur},
+		{Ints: c.peer}, {Ints: c.size}, {Ints: c.tag}, {Ints: c.step}, {Ints: c.epoch},
+	})
+	if err != nil {
+		panic(err) // eleven columns of one length, in Schema order
+	}
+	return t
+}
+
+// reader walks the retained spans in table order: ranks ascending, each
+// rank's out-of-loop spans before its ring, oldest to newest. The order is
+// deterministic for a deterministic run, so span tables and span colfiles are
+// bit-identical across harness worker counts.
+type reader struct {
+	rec  *Recorder
+	raw  [][]Span // rec.raw by rank
+	rank int
+	i    int // spans of rank already read
+}
+
+func (r *Recorder) reader() *reader {
 	// Out-of-loop spans, bucketed by rank in one pass (appending keeps each
 	// rank's emission order) and placed before the rank's ring: probe_pre
 	// precedes every ring span, and probe_post is emitted in rank order too.
@@ -321,28 +413,67 @@ func (r *Recorder) Table() *telemetry.Table {
 	for _, s := range r.raw {
 		raw[s.Rank] = append(raw[s.Rank], s)
 	}
-	for rank := range r.rings {
-		for _, s := range raw[rank] {
-			add(s)
-		}
-		rg := &r.rings[rank]
-		for i := 0; i < rg.n; i++ {
-			add(rg.spans[(rg.head+i)%len(rg.spans)])
+	return &reader{rec: r, raw: raw}
+}
+
+// fill is the span→column kernel, the only loop that turns spans into rows:
+// it appends the next k spans (fewer when the recorder runs out) to c, a
+// contiguous run of storage at a time.
+func (rd *reader) fill(c *spanCols, k int) {
+	rings, rpn := rd.rec.rings, rd.rec.rpn
+	for ; rd.rank < len(rings); rd.rank, rd.i = rd.rank+1, 0 {
+		raw, rg := rd.raw[rd.rank], &rings[rd.rank]
+		for rd.i < len(raw)+rg.n {
+			if k == 0 {
+				return
+			}
+			var seg []Span
+			if rd.i < len(raw) {
+				seg = raw[rd.i:]
+			} else {
+				seg = rg.run(rd.i - len(raw))
+			}
+			seg = seg[:min(len(seg), k)]
+			c.add(seg, rpn)
+			rd.i, k = rd.i+len(seg), k-len(seg)
 		}
 	}
-	kinds := make([]string, numKinds)
-	for k := range kinds {
-		kinds[k] = Kind(k).String()
-	}
-	t, err := telemetry.FromColumns(Schema(), []telemetry.Column{
-		{Ints: rank}, {Ints: node}, {IDs: kind, Dict: kinds},
-		{Floats: t0}, {Floats: t1}, {Floats: dur},
-		{Ints: peer}, {Ints: size}, {Ints: tag}, {Ints: step}, {Ints: epoch},
-	})
+}
+
+// Table materializes the retained spans as a columnar table, in the reader's
+// order: the kernel run once over every span.
+func (r *Recorder) Table() *telemetry.Table {
+	n := r.Len()
+	c := newSpanCols(n)
+	r.reader().fill(c, n)
+	return c.table()
+}
+
+// WriteTo writes the retained spans to w as a colfile in chunks of chunkRows
+// rows (0 = one chunk), byte for byte the file colfile.WriteTable makes of
+// Table() — without the table: the kernel fills one reused chunk of columns
+// at a time, so writing a span file costs a chunk of memory, not the run's.
+func (r *Recorder) WriteTo(w io.Writer, chunkRows int) error {
+	cw, err := colfile.NewWriter(w, Schema())
 	if err != nil {
-		panic(err) // eleven columns of one length, in Schema order
+		return err
 	}
-	return t
+	left := r.Len()
+	if chunkRows <= 0 || chunkRows > left {
+		chunkRows = left
+	}
+	c, rd := newSpanCols(chunkRows), r.reader()
+	for { // an empty recorder still writes its one, empty chunk
+		k := min(left, chunkRows)
+		c.reset()
+		rd.fill(c, k)
+		if err := cw.WriteChunk(c.table()); err != nil {
+			return err
+		}
+		if left -= k; left == 0 {
+			return cw.Finalize()
+		}
+	}
 }
 
 // ArmOn returns a driver OnStepRecord hook that arms rec through a

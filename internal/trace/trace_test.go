@@ -3,13 +3,24 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"amrtools/internal/colfile"
 	"amrtools/internal/telemetry"
 )
 
 func span(rank int32, kind Kind, t0, t1 float64) Span {
 	return Span{Rank: rank, Kind: kind, T0: t0, T1: t1, Peer: -1, Tag: -1}
+}
+
+// at is the i-th oldest retained span, by the ring's definition rather than
+// by run's arithmetic.
+func (rg *ring) at(i int) Span {
+	slot := (rg.head + i) % rg.cap
+	return rg.pages[slot/pageSpans][slot%pageSpans]
 }
 
 func TestRingCapBoundsMemory(t *testing.T) {
@@ -130,7 +141,7 @@ func refTable(r *Recorder) *telemetry.Table {
 		}
 		rg := &r.rings[rank]
 		for i := 0; i < rg.n; i++ {
-			appendSpan(rg.spans[(rg.head+i)%len(rg.spans)])
+			appendSpan(rg.at(i))
 		}
 	}
 	return t
@@ -171,6 +182,171 @@ func TestTableMatchesReferenceWithProbes(t *testing.T) {
 		t.Fatal("appending to one span table changed the next")
 	}
 }
+
+// TestSpanSize pins the figure DefaultPerRankCap's comment and DESIGN.md
+// quote: a field added or reordered carelessly costs every retained span.
+func TestSpanSize(t *testing.T) {
+	if got := unsafe.Sizeof(Span{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(Span{}) = %d, want 48", got)
+	}
+}
+
+func heapAlloc() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+func pagesHeld(r *Recorder) int {
+	n := 0
+	for i := range r.rings {
+		n += len(r.rings[i].pages)
+	}
+	return n
+}
+
+// TestRingGrowsWithEmission: span memory follows what was emitted, not the
+// cap. Before the rings were paged this recorder held 1 024 x 8 192 x 56 B =
+// 448 MiB from construction on.
+func TestRingGrowsWithEmission(t *testing.T) {
+	const ranks, cap, perRank = 1024, 8192, 10
+	before := heapAlloc()
+	r := NewRecorder(ranks, 16, Config{PerRankCap: cap})
+	if got := pagesHeld(r); got != 0 {
+		t.Fatalf("an idle recorder holds %d pages, want 0", got)
+	}
+	idle := heapAlloc()
+	for i := 0; i < perRank; i++ {
+		for rank := int32(0); rank < ranks; rank++ {
+			r.Emit(span(rank, Compute, float64(i), float64(i)+1))
+		}
+	}
+	if got := pagesHeld(r); got != ranks {
+		t.Fatalf("%d spans per rank hold %d pages, want one per rank (%d)", perRank, got, ranks)
+	}
+	after := heapAlloc()
+	if r.Len() != ranks*perRank || r.Dropped() != 0 {
+		t.Fatalf("Len %d, Dropped %d", r.Len(), r.Dropped())
+	}
+	// One page per rank plus the rank-indexed bookkeeping; the old rings
+	// would be 50 times this bound.
+	const page = pageSpans * 48
+	if grew := int64(idle) - int64(before); grew > ranks*256 {
+		t.Fatalf("an idle recorder of %d ranks holds %d heap bytes", ranks, grew)
+	}
+	if grew := int64(after) - int64(before); grew > ranks*(page+1024) {
+		t.Fatalf("recorder holds %d heap bytes for %d spans per rank, want <= %d", grew, perRank, ranks*(page+1024))
+	}
+	runtime.KeepAlive(r)
+}
+
+// TestEvictionAtUnalignedCap wraps rings whose cap is not a multiple of the
+// page size (nor, for one, as large as a page) several times and checks the
+// table against a model that never saw a ring: each rank's last cap spans,
+// oldest first.
+func TestEvictionAtUnalignedCap(t *testing.T) {
+	for _, cap := range []int{1, pageSpans - 1, pageSpans, pageSpans + 1, 3*pageSpans + 37} {
+		const ranks = 3
+		r := NewRecorder(ranks, 2, Config{PerRankCap: cap})
+		emitted := make([][]Span, ranks)
+		// Rank 0 stays below the cap, rank 1 lands exactly on it, rank 2
+		// wraps three and a bit times.
+		for rank, n := range []int{cap / 2, cap, 3*cap + cap/3 + 1} {
+			for i := 0; i < n; i++ {
+				r.SetPhase(rank, int32(i/7), int32(i%2))
+				s := Span{Rank: int32(rank), Kind: Kind(i % int(ProbePre)), T0: float64(i), T1: float64(i) + 0.25, Peer: int32(i % 5), Bytes: int64(i) * 3, Tag: int32(i % 4)}
+				r.Emit(s)
+				s.Step, s.Epoch = int32(i/7), int32(i%2)
+				emitted[rank] = append(emitted[rank], s)
+			}
+		}
+		want := newSpanCols(0)
+		var dropped int64
+		for _, spans := range emitted {
+			if over := len(spans) - cap; over > 0 {
+				dropped += int64(over)
+				spans = spans[over:]
+			}
+			want.add(spans, 2)
+		}
+		if got := r.Dropped(); got != dropped {
+			t.Fatalf("cap %d: Dropped = %d, want %d", cap, got, dropped)
+		}
+		got := r.Table()
+		if got.NumRows() != r.Len() || !telemetry.Equal(got, want.table()) || !telemetry.Equal(got, refTable(r)) {
+			t.Fatalf("cap %d: Table() (%d rows) differs from the last-cap-spans model (%d rows)", cap, got.NumRows(), len(want.rank))
+		}
+		for i := range r.rings {
+			if have, most := len(r.rings[i].pages), (cap+pageSpans-1)/pageSpans; have > most {
+				t.Fatalf("cap %d: rank %d holds %d pages, cap needs %d", cap, i, have, most)
+			}
+		}
+	}
+}
+
+// TestWriteToMatchesWriteTable: the streamed span file is the file
+// WriteTable makes of the whole table, whatever the chunking.
+func TestWriteToMatchesWriteTable(t *testing.T) {
+	const ranks, rpn, cap = 12, 4, pageSpans + 9
+	build := map[string]func(r *Recorder){
+		"zero spans": func(r *Recorder) {},
+		"raw only": func(r *Recorder) {
+			r.EmitRaw(Span{Rank: 4, Kind: ProbePre, T0: 0, T1: 1e-3, Peer: -1, Tag: -1, Step: -1, Epoch: -1})
+			r.EmitRaw(Span{Rank: 4, Kind: ProbePost, T0: 9, T1: 9.5, Peer: -1, Tag: -1, Step: -1, Epoch: -1})
+		},
+		"wrapped, probes, empty ranks": func(r *Recorder) {
+			for n := 0; n < ranks/rpn; n++ {
+				r.EmitRaw(Span{Rank: int32(n * rpn), Kind: ProbePre, T0: 0, T1: 1e-3 * float64(n+1), Peer: -1, Tag: -1, Step: -1, Epoch: -1})
+			}
+			for i := 0; i < 2000; i++ {
+				rank := int32((i * 7) % ranks)
+				if rank == 3 || rank == ranks-1 { // two ranks never emit
+					rank = 5 // and one wraps its ring
+				}
+				r.SetPhase(int(rank), int32(i/100), int32(i/1000))
+				r.Emit(Span{Rank: rank, Kind: Kind(i % int(ProbePre)), T0: float64(i) * 0.5, T1: float64(i)*0.5 + 0.125, Peer: int32(i % ranks), Bytes: int64(i * i), Tag: int32(i % 3)})
+			}
+			for n := 0; n < ranks/rpn; n++ {
+				r.EmitRaw(Span{Rank: int32(n * rpn), Kind: ProbePost, T0: 1e3, T1: 1e3 + 1e-3, Peer: -1, Tag: -1, Step: -1, Epoch: -1})
+			}
+			if r.Dropped() == 0 {
+				t.Fatal("no ring wrapped; the test lost its eviction case")
+			}
+		},
+	}
+	for name, emit := range build {
+		r := NewRecorder(ranks, rpn, Config{PerRankCap: cap})
+		emit(r)
+		for _, chunkRows := range []int{0, 1, 7, 8192, r.Len() + 1} {
+			var got, want bytes.Buffer
+			if err := r.WriteTo(&got, chunkRows); err != nil {
+				t.Fatal(err)
+			}
+			if err := colfile.WriteTable(&want, r.Table(), chunkRows); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s, chunkRows %d: WriteTo wrote %d bytes that differ from WriteTable's %d", name, chunkRows, got.Len(), want.Len())
+			}
+			back, err := colfile.OpenBytes(got.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tab, err := back.Table(); err != nil || !telemetry.Equal(tab, r.Table()) {
+				t.Fatalf("%s, chunkRows %d: span file does not read back as Table() (%v)", name, chunkRows, err)
+			}
+		}
+		// A writer that fails surfaces from WriteTo.
+		if err := r.WriteTo(failWriter{}, 7); err == nil {
+			t.Fatalf("%s: WriteTo on a failing writer returned nil", name)
+		}
+	}
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("disk full") }
 
 func TestKindStringsStable(t *testing.T) {
 	want := map[Kind]string{
