@@ -24,7 +24,8 @@ vet:
 # errors, metric planes); any diagnostic fails the build. Waive single sites
 # with //lint:ignore <rule> <reason>; the run ends with "amrlint: N live
 # waiver(s)" on stderr — the register CHANGES.md quotes (`amrlint -json`
-# lists it), which only goes down.
+# lists it), which only goes down: 9 since PR 24, all `determinism`
+# (internal/lint TestRealModuleClean pins the bound).
 lint:
 	$(GO) run ./cmd/amrlint ./...
 
@@ -43,9 +44,9 @@ bench-module:
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 # One iteration of every root benchmark (each regenerates a paper table or
-# figure, plus the query-path benchmarks over the million-row colfile): the
-# table/figure index of DESIGN.md §4, compiled and executed for coverage.
-# Measuring is bench/ (BENCHMARK.json) and `make ab`, not this target.
+# figure): the table/figure index of DESIGN.md §4, compiled and executed for
+# coverage. Measuring — the query path and the MPI hot paths included — is
+# bench/ (BENCHMARK.json) and `make ab`, not this target.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
 

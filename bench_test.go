@@ -12,9 +12,6 @@ import (
 
 	"amrtools/internal/experiments"
 	"amrtools/internal/harness"
-	"amrtools/internal/mpi"
-	"amrtools/internal/sim"
-	"amrtools/internal/simnet"
 	"amrtools/internal/telemetry"
 )
 
@@ -235,89 +232,6 @@ func BenchmarkNeighborhoodCollectives(b *testing.B) {
 			b.ReportMetric(lookupF(tab, "mode", "aggregated", "mean_round_ms"), "agg-round-ms")
 		})
 	}
-}
-
-// --- DES hot-path microbenchmarks ---
-//
-// The figure benchmarks above measure whole experiments; the three below
-// isolate the layers the zero-allocation work targets (sim event loop, mpi
-// matching, collectives) so a regression is attributable to a layer before
-// it shows up as a slower figure. All three report allocs/op.
-
-// benchWorld builds a small fault-free world outside the timed region.
-func benchWorld(nodes, rpn int) (*sim.Engine, *mpi.World) {
-	cfg := simnet.Tuned(nodes, rpn, 1)
-	cfg.AckLossProb = 0
-	cfg.Jitter = 0
-	eng := sim.NewEngine()
-	return eng, mpi.NewWorld(eng, simnet.New(eng, cfg))
-}
-
-// BenchmarkIsendWaitHotPath: one-directional stream, sender waits each
-// message before posting the next. Exercises request pooling, the typed
-// sender-done/delivery events, and the per-key match queue.
-func BenchmarkIsendWaitHotPath(b *testing.B) {
-	b.ReportAllocs()
-	const msgs = 4096
-	for i := 0; i < b.N; i++ {
-		eng, w := benchWorld(1, 2)
-		w.Spawn(0, func(c *mpi.Comm) {
-			for m := 0; m < msgs; m++ {
-				c.Wait(c.Isend(1, 0, 1024))
-			}
-		})
-		w.Spawn(1, func(c *mpi.Comm) {
-			for m := 0; m < msgs; m++ {
-				c.Wait(c.Irecv(0, 0))
-			}
-		})
-		eng.Run()
-	}
-	b.ReportMetric(float64(msgs), "msgs/op")
-}
-
-// BenchmarkPingPong: strict request/reply alternation between two ranks on
-// different nodes — the latency-bound pattern where coroutine handoff cost
-// dominates, since every message forces an engine→proc→engine switch.
-func BenchmarkPingPong(b *testing.B) {
-	b.ReportAllocs()
-	const roundTrips = 2048
-	for i := 0; i < b.N; i++ {
-		eng, w := benchWorld(2, 1)
-		w.Spawn(0, func(c *mpi.Comm) {
-			for m := 0; m < roundTrips; m++ {
-				c.Wait(c.Isend(1, 0, 64))
-				c.Wait(c.Irecv(1, 1))
-			}
-		})
-		w.Spawn(1, func(c *mpi.Comm) {
-			for m := 0; m < roundTrips; m++ {
-				c.Wait(c.Irecv(0, 0))
-				c.Wait(c.Isend(0, 1, 64))
-			}
-		})
-		eng.Run()
-	}
-	b.ReportMetric(float64(roundTrips), "roundtrips/op")
-}
-
-// BenchmarkBarrierStorm: back-to-back barrier rounds across a full node —
-// the collective-state pooling path.
-func BenchmarkBarrierStorm(b *testing.B) {
-	b.ReportAllocs()
-	const rounds, ranks = 512, 16
-	for i := 0; i < b.N; i++ {
-		eng, w := benchWorld(1, ranks)
-		for r := 0; r < ranks; r++ {
-			w.Spawn(r, func(c *mpi.Comm) {
-				for m := 0; m < rounds; m++ {
-					c.Barrier()
-				}
-			})
-		}
-		eng.Run()
-	}
-	b.ReportMetric(float64(rounds), "rounds/op")
 }
 
 // BenchmarkCoolingComparison regenerates the §VI AthenaPK-style cross-check:

@@ -16,7 +16,10 @@
 // in Perfetto or chrome://tracing: one timeline row per rank, one slice per
 // span. Without -tql or -perfetto the command runs the wait-spike,
 // shm-contention and throttling detectors (internal/trace/diagnose) and
-// prints their findings, including the pre/post probe drift column.
+// prints their findings, including the pre/post probe drift column. The
+// detectors are TQL queries over the open file, like -tql: a chunk at a
+// time, only the columns they name. Only -perfetto without -tql reads every
+// row.
 package main
 
 import (
@@ -88,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *query != "" {
 		// Queries run against the file through the block index: chunk
 		// pruning, projection pushdown, metadata-only aggregates.
-		out, err := tql.RunFile(*query, r)
+		out, err := tql.RunOn(*query, r)
 		if err != nil {
 			return fail(err)
 		}
@@ -102,22 +105,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// The detectors and the Perfetto exporter walk every span: materialize
-	// the full table once.
-	table, err := r.Table()
-	if err != nil {
-		return fail(fmt.Errorf("%s: %w", *file, err))
-	}
-
 	if *perfetto != "" {
+		// The exporter writes one slice per span: the one mode that needs
+		// every row of the file.
+		table, err := r.Table()
+		if err != nil {
+			return fail(fmt.Errorf("%s: %w", *file, err))
+		}
 		return export(table)
 	}
 
-	// Default mode: run the detectors and print the diagnosis report.
-	findings := diagnose.Diagnose(table, diagnose.Options{})
+	// Default mode: run the detectors and print the diagnosis report. They
+	// are queries too — the file is scanned a chunk at a time, never held.
+	findings, err := diagnose.Diagnose(r, diagnose.Options{})
+	if err != nil {
+		return fail(fmt.Errorf("%s: %w", *file, err))
+	}
 	if len(findings) == 0 {
 		fmt.Fprintf(stdout, "%s: %d spans, no findings (wait-spike, shm-contention and throttling detectors all clean)\n",
-			*file, table.NumRows())
+			*file, r.NumRows())
 		return 0
 	}
 	fmt.Fprint(stdout, diagnose.ReportTable(findings).Render(*maxRows))

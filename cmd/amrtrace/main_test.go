@@ -164,6 +164,22 @@ func TestCLI(t *testing.T) {
 	if err := os.WriteFile(corrupt, []byte("not a colfile"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A colfile that is not a span stream, shaped like the campaign.col
+	// `experiments -trace dir/` writes beside the span files, and a span
+	// stream too short to show anything.
+	campaign := filepath.Join(t.TempDir(), "campaign.col")
+	ct := telemetry.NewTable(telemetry.StrCol("spec"), telemetry.FloatCol("wall_ms"), telemetry.IntCol("events"))
+	ct.Append("fig6/baseline", 12.5, 1000)
+	if err := colfile.WriteFile(campaign, ct, 8192); err != nil {
+		t.Fatal(err)
+	}
+	quiet := filepath.Join(t.TempDir(), "quiet.col")
+	qt := telemetry.NewTable(trace.Schema()...)
+	qt.Append(0, 0, "compute", 0.0, 1e-3, 1e-3, -1, 0, 0, 0, 0)
+	qt.Append(1, 0, "compute", 0.0, 1e-3, 1e-3, -1, 0, 0, 0, 0)
+	if err := colfile.WriteFile(quiet, qt, 1); err != nil {
+		t.Fatal(err)
+	}
 	perfetto := filepath.Join(t.TempDir(), "out.json")
 	const reportHead = "detector        node  rank  first_step  last_step  events  severity    probe_pre  probe_post  probe_drift  probe_confirmed  detail"
 	for _, tc := range []struct {
@@ -203,6 +219,14 @@ func TestCLI(t *testing.T) {
 				"wait-spike      0     3     0           1          2       0.0192955   0          0           0            0                2 send-wait spikes on rank 3 (worst 19.3 ms): missing-ACK recovery signature",
 				"shm-contention  3     -1    0           9          7355    44.5049     0          0           0            0                node 3 shm queue saturated: 7355 of 7435 local sends stalled (rate 0.99, 44.5 s total): undersized queue signature",
 			},
+		},
+		{
+			name: "no findings", args: []string{"-file", quiet},
+			stdout: quiet + ": 2 spans, no findings (wait-spike, shm-contention and throttling detectors all clean)\n",
+		},
+		{
+			name: "not a span file", args: []string{"-file", campaign},
+			code: 1, errHas: []string{"amrtrace: " + campaign + ": ", `no column "kind"`},
 		},
 		{
 			name: "perfetto", args: []string{"-file", path, "-tql", "SELECT * FROM t WHERE step = 2 AND rank < 4", "-perfetto", perfetto},

@@ -13,8 +13,8 @@ import (
 // traverse (DESIGN.md §8). Nodes are the module's declared functions and
 // methods plus every function literal (closures are where the window-phase
 // and worker-pool code lives, so they must be first-class). Edges come in
-// three kinds, so each rule can pick the reachability semantics its
-// invariant needs:
+// three kinds; every rule built on the graph is about code *executed in a
+// context*, so Reachable follows all of them:
 //
 //	EdgeCall  — a direct static call: f(x), recv.Method(x), or an
 //	            immediately-invoked literal func(){…}().
@@ -33,8 +33,7 @@ import (
 // where it can run, which is the conservative direction for every rule
 // built on this graph.
 
-// EdgeKind classifies one call-graph edge; kinds combine as a bit set when
-// selecting traversal semantics.
+// EdgeKind classifies one call-graph edge.
 type EdgeKind uint8
 
 const (
@@ -115,9 +114,6 @@ func (g *Graph) NodeOf(obj *types.Func) *FuncNode {
 	}
 	return g.byObj[obj.Origin()]
 }
-
-// LitNode returns the node of a function literal.
-func (g *Graph) LitNode(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
 
 // BuildGraph constructs the call graph over every loaded package.
 func BuildGraph(pkgs []*Package) *Graph {
@@ -373,10 +369,10 @@ type Reach struct {
 	in   map[*FuncNode]bool
 }
 
-// Reachable runs a BFS from roots along edges whose kind is in kinds,
+// Reachable runs a BFS from roots along every edge, whatever its kind,
 // refusing to expand nodes for which stop returns true (the node itself is
 // still marked reached). stop may be nil.
-func (g *Graph) Reachable(roots []*FuncNode, kinds EdgeKind, stop func(*FuncNode) bool) *Reach {
+func (g *Graph) Reachable(roots []*FuncNode, stop func(*FuncNode) bool) *Reach {
 	r := &Reach{g: g, from: map[*FuncNode]Edge{}, in: map[*FuncNode]bool{}}
 	// Deterministic worklist order: sort roots by node index.
 	queue := append([]*FuncNode(nil), roots...)
@@ -391,7 +387,7 @@ func (g *Graph) Reachable(roots []*FuncNode, kinds EdgeKind, stop func(*FuncNode
 			continue
 		}
 		for _, e := range n.Out {
-			if e.Kind&kinds == 0 || r.in[e.To] {
+			if r.in[e.To] {
 				continue
 			}
 			r.in[e.To] = true
@@ -422,22 +418,4 @@ func (r *Reach) Path(n *FuncNode) []string {
 		out[len(rev)-1-i] = s
 	}
 	return out
-}
-
-// EnclosingNode maps a position inside some function body to its innermost
-// function node — the bridge from a syntactic finding to the graph.
-func (g *Graph) EnclosingNode(pkg *Package, pos token.Pos) *FuncNode {
-	var best *FuncNode
-	for _, n := range g.Nodes {
-		if n.Pkg != pkg || n.Body() == nil {
-			continue
-		}
-		if pos < n.Body().Pos() || pos > n.Body().End() {
-			continue
-		}
-		if best == nil || (n.Body().Pos() >= best.Body().Pos() && n.Body().End() <= best.Body().End()) {
-			best = n
-		}
-	}
-	return best
 }

@@ -117,7 +117,7 @@ func (d *Determinism) RunModule(mp *ModulePass) {
 	if len(roots) == 0 {
 		return
 	}
-	reach := mp.Graph.Reachable(roots, EdgeCall|EdgeIface|EdgeRef, nil)
+	reach := mp.Graph.Reachable(roots, nil)
 	for _, n := range mp.Graph.Nodes {
 		if core[n.Pkg.Path] || !reach.Has(n) {
 			continue

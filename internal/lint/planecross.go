@@ -56,8 +56,8 @@ var (
 
 func (pc *PlaneCross) RunModule(mp *ModulePass) {
 	g := mp.Graph
-	simReach := g.Reachable(WindowRoots(g), EdgeCall|EdgeIface|EdgeRef, nil)
-	hostReach := g.Reachable(HostRoots(g, pc.Core), EdgeCall|EdgeIface|EdgeRef,
+	simReach := g.Reachable(WindowRoots(g), nil)
+	hostReach := g.Reachable(HostRoots(g, pc.Core),
 		func(n *FuncNode) bool { return simReach.Has(n) })
 	for _, n := range g.Nodes {
 		if simReach.Has(n) {

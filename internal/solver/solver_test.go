@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"amrtools/internal/cost"
 	"amrtools/internal/placement"
 	"amrtools/internal/xrand"
 )
@@ -92,6 +93,30 @@ func TestSolverNeverWorseThanLPT(t *testing.T) {
 		res := Solve(costs, nr, 200_000)
 		if res.Makespan > lpt+1e-9 {
 			t.Fatalf("solver %v worse than LPT %v", res.Makespan, lpt)
+		}
+	}
+}
+
+// Graham's bound, checked against the true optimum rather than a lower
+// bound: on small draws (≤ 12 blocks, ≤ 4 ranks) from the three scalebench
+// cost distributions the search always completes, and LPT's makespan must be
+// within 4/3 − 1/(3m) of what it proves optimal. (The case sits here and not
+// in placement's randomized tests because this package imports placement.)
+func TestLPTWithinGrahamBoundOfOptimum(t *testing.T) {
+	rng := xrand.New(17)
+	for _, d := range cost.ScalebenchDistributions() {
+		for trial := 0; trial < 40; trial++ {
+			costs := cost.Sample(d, 1+rng.Intn(12), rng)
+			m := 1 + rng.Intn(4)
+			res := Solve(costs, m, noLimit)
+			if !res.Optimal {
+				t.Fatalf("%s %v on %d ranks: unbounded search did not prove optimality", d.Name(), costs, m)
+			}
+			lpt := placement.Makespan(costs, placement.LPT{}.Assign(costs, m), m)
+			if bound := (4.0/3 - 1/(3*float64(m))) * res.Makespan; lpt > bound+1e-9 {
+				t.Fatalf("%s %v on %d ranks: LPT makespan %v exceeds %v (optimum %v)",
+					d.Name(), costs, m, lpt, bound, res.Makespan)
+			}
 		}
 	}
 }

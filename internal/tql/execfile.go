@@ -1,17 +1,34 @@
 package tql
 
 import (
+	"fmt"
+
 	"amrtools/internal/colfile"
 	"amrtools/internal/telemetry"
 )
 
-// RunFile parses query and executes it against a colfile via ExecFile.
-func RunFile(query string, r *colfile.Reader) (*telemetry.Table, error) {
+// Source is where a query's rows come from: an open *colfile.Reader or an
+// in-memory *telemetry.Table, the two things the executor scans.
+type Source interface {
+	Schema() []telemetry.ColSpec
+}
+
+// RunOn parses query and executes it against src, whichever of the two it
+// is (the FROM name is not looked at): ExecFile over a colfile, Exec over a
+// table — for callers that hold a stream of rows and should not care
+// whether it is still on disk.
+func RunOn(query string, src Source) (*telemetry.Table, error) {
 	q, err := Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return ExecFile(q, r)
+	switch s := src.(type) {
+	case *colfile.Reader:
+		return ExecFile(q, s)
+	case *telemetry.Table:
+		return Exec(q, s)
+	}
+	return nil, fmt.Errorf("tql: cannot query a %T", src)
 }
 
 // ExecFile executes a parsed query directly against a colfile, using the

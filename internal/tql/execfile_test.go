@@ -232,6 +232,8 @@ func runDifferential(t *testing.T, label string, src *telemetry.Table, readers m
 		}
 		got, gotErr := Exec(q, src)
 		check("memory", got, gotErr)
+		got, gotErr = RunOn(cq.src, src)
+		check("RunOn memory", got, gotErr)
 		if q.Where != nil { // without one Exec has nothing to scan, and no Explain
 			_, ex, _ := execute(q, tableSource{src})
 			checkMatched("memory", ex)
@@ -241,6 +243,8 @@ func runDifferential(t *testing.T, label string, src *telemetry.Table, readers m
 			got, ex, gotErr := ExecFileExplain(q, r)
 			check(name, got, gotErr)
 			checkMatched(name, ex)
+			got, gotErr = RunOn(cq.src, r)
+			check("RunOn "+name, got, gotErr)
 			if cq.bindErr != "" && r.DecodeCount() != before {
 				t.Errorf("%s %s %q: bind error after decoding %d chunks", label, name, cq.src, r.DecodeCount()-before)
 			}
@@ -250,6 +254,15 @@ func runDifferential(t *testing.T, label string, src *telemetry.Table, readers m
 
 func TestDifferentialExecFile(t *testing.T) {
 	runDifferential(t, "corpus", testTable(), corpusReaders(t, testTable()))
+}
+
+// TestRunOnRejectsOtherSources: a Source that is neither a colfile reader
+// nor a table is an error naming its type.
+func TestRunOnRejectsOtherSources(t *testing.T) {
+	_, err := RunOn("SELECT count(*) FROM t", tableSource{sortedTable(4)})
+	if err == nil || err.Error() != "tql: cannot query a tql.tableSource" {
+		t.Fatalf("RunOn = %v, want the unsupported-source error", err)
+	}
 }
 
 func TestDifferentialExecFileEmptyTable(t *testing.T) {

@@ -69,7 +69,7 @@ func TestPlannerRangeBindErrors(t *testing.T) {
 		"SELECT * FROM t WHERE policy >= 0 AND policy <= 1":   "tql: comparing string with number",
 		"SELECT * FROM t WHERE missing >= 0 AND missing <= 1": `tql: unknown column "missing"`,
 	} {
-		if _, err := RunFile(query, r); err == nil || err.Error() != want {
+		if _, err := RunOn(query, r); err == nil || err.Error() != want {
 			t.Errorf("%q: err = %v, want %s", query, err, want)
 		}
 	}

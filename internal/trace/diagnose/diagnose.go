@@ -1,26 +1,31 @@
 // Package diagnose turns a flight-recorder span stream into structured
 // findings that reproduce the paper's §IV diagnoses from telemetry alone:
 //
-//   - WaitSpikes finds rank-relative MPI_Wait outliers per step — the
+//   - wait-spike: rank-relative MPI_Wait outliers per step — the
 //     missing-ACK sender stalls of Fig 1b;
-//   - ShmContention finds nodes losing time to a full shared-memory queue —
+//   - shm-contention: nodes losing time to a full shared-memory queue —
 //     the undersized-queue pathology of §IV-B;
-//   - Throttling finds nodes with sustained compute-time inflation against
+//   - throttling: nodes with sustained compute-time inflation against
 //     the fleet median, cross-checked against the pre/post health probes —
 //     the thermal throttling of Fig 2 / §IV-A.
 //
-// The detectors read only the span table (trace.Schema layout); they never
-// see the fault-injection configuration, which is what lets tests validate
-// them against ground truth the way the paper validated its pipeline against
+// A detector is a few TQL queries over the span table (trace.Schema layout)
+// and a fold over their results — the paper's Lesson 4, queryable columnar
+// telemetry, applied to the tool itself. The detectors never see the
+// fault-injection configuration, which is what lets tests validate them
+// against ground truth the way the paper validated its pipeline against
 // known hardware faults.
 package diagnose
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"amrtools/internal/stats"
 	"amrtools/internal/telemetry"
+	"amrtools/internal/tql"
 )
 
 // Options are the detector thresholds. The zero value selects defaults.
@@ -113,164 +118,212 @@ type Finding struct {
 	Detail string
 }
 
-// spanView caches the span-table columns the detectors read.
-type spanView struct {
-	n     int
-	kinds []string
-	ranks []int64
-	nodes []int64
-	steps []int64
-	t0s   []float64
-	durs  []float64
+// The detector queries, over the span table "t" — the whole of what the
+// detectors read. Each runs through the one TQL executor (paste any of them
+// into `amrtrace -tql`), so a file-backed diagnosis decodes only the columns
+// a query names, one chunk at a time, and holds groups, never spans. Grouped
+// results arrive in key order, which is what makes every fold below ordered.
+const (
+	// Every rank with a span, and its node (a rank lives on one node): the
+	// fleet wait-spike counts, the peers shm-contention places.
+	qRanks = `SELECT rank, node FROM t GROUP BY rank, node`
+	// wait-spike: the candidate spans (%s: Options.SpikeFloor), then every
+	// rank's send-wait total per step, the baseline they are cut against.
+	qSpikes   = `SELECT rank, node, step, dur FROM t WHERE kind = 'send_wait' AND dur >= %s`
+	qSendWait = `SELECT step, rank, sum(dur) FROM t WHERE kind = 'send_wait' GROUP BY step, rank`
+	// shm-contention: stalls per node, then send posts per (node, peer).
+	qStalls = `SELECT node, count(*), sum(dur), min(step), max(step) FROM t WHERE kind = 'shm_stall' GROUP BY node`
+	qSends  = `SELECT node, peer, count(*) FROM t WHERE kind = 'isend' GROUP BY node, peer`
+	// throttling: compute seconds per (step, node), then the probe spans.
+	qCompute = `SELECT step, node, sum(dur) FROM t WHERE kind = 'compute' AND step >= 0 GROUP BY step, node`
+	qProbes  = `SELECT kind, node, dur FROM t WHERE kind = 'probe_pre' OR kind = 'probe_post'`
+)
+
+// spanCols are the span columns the queries read, typed as trace.Schema
+// types them.
+var spanCols = []telemetry.ColSpec{
+	telemetry.StrCol("kind"), telemetry.IntCol("rank"), telemetry.IntCol("node"),
+	telemetry.IntCol("step"), telemetry.IntCol("peer"), telemetry.FloatCol("dur"),
 }
 
-func view(t *telemetry.Table) spanView {
-	return spanView{
-		n:     t.NumRows(),
-		kinds: t.Strings("kind"),
-		ranks: t.Ints("rank"),
-		nodes: t.Ints("node"),
-		steps: t.Ints("step"),
-		t0s:   t.Floats("t0"),
-		durs:  t.Floats("dur"),
+// Diagnose runs the three detectors over a span stream — an open span
+// colfile or an in-memory span table — and returns their findings: wait
+// spikes, shm contention, throttling, each ordered by node, then rank. A
+// source without the span columns, or a chunk that fails to decode, is an
+// error.
+func Diagnose(src tql.Source, o Options) ([]Finding, error) {
+	have := src.Schema()
+	for _, want := range spanCols {
+		i := slices.IndexFunc(have, func(s telemetry.ColSpec) bool { return s.Name == want.Name })
+		if i < 0 {
+			return nil, fmt.Errorf("diagnose: not a span stream: no column %q", want.Name)
+		}
+		if have[i].Type != want.Type {
+			return nil, fmt.Errorf("diagnose: not a span stream: column %q is %s, not %s", want.Name, have[i].Type, want.Type)
+		}
 	}
+	o = o.withDefaults()
+	var out []Finding
+	for _, detect := range []func(tql.Source, Options) ([]Finding, error){
+		waitSpikes, shmContention, throttling,
+	} {
+		fs, err := detect(src, o)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, fs...)
+	}
+	return out, nil
 }
 
-// WaitSpikes detects rank-relative MPI_Wait outliers: send-wait spans whose
+// keyed holds values under int64 keys in key order — what a detector keeps
+// where a map would be, so that every walk over one is ordered.
+type keyed[V any] struct {
+	keys []int64
+	vals []V
+}
+
+// at returns the value under key, a zero one added first if there is none.
+func (k *keyed[V]) at(key int64) *V {
+	i, ok := slices.BinarySearch(k.keys, key)
+	if !ok {
+		var zero V
+		k.keys = slices.Insert(k.keys, i, key)
+		k.vals = slices.Insert(k.vals, i, zero)
+	}
+	return &k.vals[i]
+}
+
+// get returns the value under key, zero if there is none.
+func (k *keyed[V]) get(key int64) (v V) {
+	if i, ok := slices.BinarySearch(k.keys, key); ok {
+		v = k.vals[i]
+	}
+	return v
+}
+
+// runEnd returns where the run of equal keys starting at lo ends.
+func runEnd(keys []int64, lo int) int {
+	hi := lo + 1
+	for hi < len(keys) && keys[hi] == keys[lo] {
+		hi++
+	}
+	return hi
+}
+
+// waitSpikes detects rank-relative MPI_Wait outliers: send-wait spans whose
 // duration exceeds both the absolute floor and a multiple of their step's
 // median send-wait. One finding per implicated rank.
-func WaitSpikes(spans *telemetry.Table, o Options) []Finding {
-	o = o.withDefaults()
-	v := view(spans)
+func waitSpikes(src tql.Source, o Options) ([]Finding, error) {
+	spikes, err := tql.RunOn(fmt.Sprintf(qSpikes, strconv.FormatFloat(o.SpikeFloor, 'g', -1, 64)), src)
+	if err != nil || spikes.NumRows() == 0 {
+		return nil, err
+	}
+	waits, err := tql.RunOn(qSendWait, src)
+	if err != nil {
+		return nil, err
+	}
+	ranks, err := tql.RunOn(qRanks, src)
+	if err != nil {
+		return nil, err
+	}
 
 	// Fleet-relative baseline: per step, the median over every rank's total
 	// send-wait time, counting zero for ranks that never blocked. Taking the
 	// median over only the spans themselves would let a handful of spikes
 	// (the usual case — healthy sends complete before Wait) define their own
 	// baseline and suppress the cut.
-	fleet := map[int64]bool{}
-	for r := 0; r < v.n; r++ {
-		fleet[v.ranks[r]] = true
+	fleet := 0
+	for lo, rk := 0, ranks.Ints("rank"); lo < len(rk); lo = runEnd(rk, lo) {
+		fleet++
 	}
-	byStep := map[int64]map[int64]float64{} // step -> rank -> total send wait
-	for r := 0; r < v.n; r++ {
-		if v.kinds[r] != "send_wait" {
-			continue
-		}
-		m := byStep[v.steps[r]]
-		if m == nil {
-			m = map[int64]float64{}
-			byStep[v.steps[r]] = m
-		}
-		m[v.ranks[r]] += v.durs[r]
-	}
-	medians := make(map[int64]float64, len(byStep))
-	for step, perRank := range byStep { //lint:ignore maporder order-independent: totals only feeds stats.Median, which sorts internally
-		totals := make([]float64, 0, len(fleet))
-		for rank := range fleet { //lint:ignore maporder order-independent: totals only feeds stats.Median, which sorts internally
-			totals = append(totals, perRank[rank])
-		}
-		medians[step] = stats.Median(totals)
+	var medians keyed[float64]
+	waitSteps, waitSecs := waits.Ints("step"), waits.Floats("sum_dur")
+	for lo, hi := 0, 0; lo < len(waitSteps); lo = hi {
+		hi = runEnd(waitSteps, lo)
+		totals := make([]float64, fleet) // the ranks that never blocked stay zero
+		copy(totals, waitSecs[lo:hi])
+		*medians.at(waitSteps[lo]) = stats.Median(totals)
 	}
 
-	perRank := map[int64]*Finding{}
-	for r := 0; r < v.n; r++ {
-		if v.kinds[r] != "send_wait" {
-			continue
-		}
+	var perRank keyed[Finding]
+	rk, nodes, steps, durs := spikes.Ints("rank"), spikes.Ints("node"), spikes.Ints("step"), spikes.Floats("dur")
+	for r := range rk {
 		cut := o.SpikeFloor
-		if rel := o.SpikeFactor * medians[v.steps[r]]; rel > cut {
+		if rel := o.SpikeFactor * medians.get(steps[r]); rel > cut {
 			cut = rel
 		}
-		if v.durs[r] < cut {
+		if durs[r] < cut {
 			continue
 		}
-		f := perRank[v.ranks[r]]
-		if f == nil {
-			f = &Finding{
+		f, step := perRank.at(rk[r]), int(steps[r])
+		if f.Events == 0 {
+			*f = Finding{
 				Detector: "wait-spike",
-				Node:     int(v.nodes[r]), Rank: int(v.ranks[r]),
-				FirstStep: int(v.steps[r]), LastStep: int(v.steps[r]),
+				Node:     int(nodes[r]), Rank: int(rk[r]),
+				FirstStep: step, LastStep: step,
 			}
-			perRank[v.ranks[r]] = f
 		}
 		f.Events++
-		if v.durs[r] > f.Severity {
-			f.Severity = v.durs[r]
-		}
-		if s := int(v.steps[r]); s < f.FirstStep {
-			f.FirstStep = s
-		} else if s > f.LastStep {
-			f.LastStep = s
-		}
+		f.Severity = max(f.Severity, durs[r])
+		f.FirstStep, f.LastStep = min(f.FirstStep, step), max(f.LastStep, step)
 	}
-	var out []Finding
-	for _, f := range perRank {
+	out := perRank.vals
+	for i := range out {
+		f := &out[i]
 		f.Detail = fmt.Sprintf("%d send-wait spikes on rank %d (worst %.3g ms): missing-ACK recovery signature",
 			f.Events, f.Rank, f.Severity*1e3)
-		out = append(out, *f)
 	}
 	sortFindings(out)
-	return out
+	return out, nil
 }
 
-// ShmContention detects nodes whose shared-memory queue is undersized: one
+// shmContention detects nodes whose shared-memory queue is undersized: one
 // finding per node whose queue-full stall *rate* (stalls per local send)
 // shows saturation rather than burst peaks. A correctly sized queue still
 // overflows at exchange-burst peaks (every rank posts its sends at step
 // start), so absolute stall counts cannot separate tuned from mis-tuned —
 // the rate can: an undersized queue stalls nearly every local message.
-func ShmContention(spans *telemetry.Table, o Options) []Finding {
-	o = o.withDefaults()
-	v := view(spans)
+func shmContention(src tql.Source, o Options) ([]Finding, error) {
+	stalls, err := tql.RunOn(qStalls, src)
+	if err != nil || stalls.NumRows() == 0 {
+		return nil, err
+	}
+	sends, err := tql.RunOn(qSends, src)
+	if err != nil {
+		return nil, err
+	}
+	ranks, err := tql.RunOn(qRanks, src)
+	if err != nil {
+		return nil, err
+	}
 
 	// Local-send denominators: an isend span is local when its peer lives on
 	// the sender's node (node resolved through the rank→node map the span
 	// stream itself provides).
-	nodeOf := map[int64]int64{}
-	for r := 0; r < v.n; r++ {
-		nodeOf[v.ranks[r]] = v.nodes[r]
-	}
-	peers := spans.Ints("peer")
-	localSends := map[int64]int{}
-	for r := 0; r < v.n; r++ {
-		if v.kinds[r] != "isend" {
-			continue
-		}
-		if pn, ok := nodeOf[peers[r]]; ok && pn == v.nodes[r] {
-			localSends[v.nodes[r]]++
+	var localSends keyed[int]
+	rk, nodeOf := ranks.Ints("rank"), ranks.Ints("node")
+	senders, peers, posts := sends.Ints("node"), sends.Ints("peer"), sends.Floats("count")
+	for r, node := range senders {
+		if i, ok := slices.BinarySearch(rk, peers[r]); ok && nodeOf[i] == node {
+			*localSends.at(node) += int(posts[r])
 		}
 	}
 
-	perNode := map[int64]*Finding{}
-	for r := 0; r < v.n; r++ {
-		if v.kinds[r] != "shm_stall" {
-			continue
-		}
-		f := perNode[v.nodes[r]]
-		if f == nil {
-			f = &Finding{
-				Detector: "shm-contention",
-				Node:     int(v.nodes[r]), Rank: -1,
-				FirstStep: int(v.steps[r]), LastStep: int(v.steps[r]),
-			}
-			perNode[v.nodes[r]] = f
-		}
-		f.Events++
-		f.Severity += v.durs[r]
-		if s := int(v.steps[r]); s < f.FirstStep {
-			f.FirstStep = s
-		} else if s > f.LastStep {
-			f.LastStep = s
-		}
-	}
 	var out []Finding
-	for _, f := range perNode {
+	nodes, events, secs := stalls.Ints("node"), stalls.Floats("count"), stalls.Floats("sum_dur")
+	first, last := stalls.Floats("min_step"), stalls.Floats("max_step")
+	for r := range nodes {
+		f := Finding{
+			Detector: "shm-contention",
+			Node:     int(nodes[r]), Rank: -1,
+			FirstStep: int(first[r]), LastStep: int(last[r]),
+			Events: int(events[r]), Severity: secs[r],
+		}
 		if f.Events < o.ShmMinEvents {
 			continue
 		}
-		sends := localSends[int64(f.Node)]
-		if sends > 0 {
+		if sends := localSends.get(nodes[r]); sends > 0 {
 			rate := float64(f.Events) / float64(sends)
 			if rate < o.ShmSaturation {
 				continue
@@ -287,174 +340,112 @@ func ShmContention(spans *telemetry.Table, o Options) []Finding {
 			f.Detail = fmt.Sprintf("node %d shm queue stalling %.3g ms per event over %d events: undersized queue signature",
 				f.Node, f.Severity/float64(f.Events)*1e3, f.Events)
 		}
-		out = append(out, *f)
+		out = append(out, f)
 	}
-	sortFindings(out)
-	return out
+	return out, nil
 }
 
-// Throttling detects nodes with sustained compute inflation: per step, each
+// throttling detects nodes with sustained compute inflation: per step, each
 // node's total compute-span time is compared with the fleet median; a node
 // throttled in at least SustainFrac of its observed steps is flagged, and
 // the finding is cross-checked against any probe spans in the stream.
-func Throttling(spans *telemetry.Table, o Options) []Finding {
-	o = o.withDefaults()
-	v := view(spans)
-
-	// node -> step -> total compute seconds.
-	compute := map[int64]map[int64]float64{}
-	stepSet := map[int64]bool{}
-	for r := 0; r < v.n; r++ {
-		if v.kinds[r] != "compute" || v.steps[r] < 0 {
-			continue
-		}
-		m := compute[v.nodes[r]]
-		if m == nil {
-			m = map[int64]float64{}
-			compute[v.nodes[r]] = m
-		}
-		m[v.steps[r]] += v.durs[r]
-		stepSet[v.steps[r]] = true
+// Inflation is relative: a node alone in the stream is its own median, at
+// ratio 1, and is never flagged.
+func throttling(src tql.Source, o Options) ([]Finding, error) {
+	compute, err := tql.RunOn(qCompute, src)
+	if err != nil {
+		return nil, err
 	}
-	if len(compute) < 2 {
-		return nil // inflation is relative; one node has no fleet to compare against
-	}
-	steps := make([]int64, 0, len(stepSet))
-	for s := range stepSet {
-		steps = append(steps, s)
-	}
-	sort.Slice(steps, func(i, j int) bool { return steps[i] < steps[j] })
-
 	type acc struct {
-		hot, seen int
-		ratioSum  float64
-		first     int64
-		last      int64
+		hot, seen   int
+		ratioSum    float64
+		first, last int64
 	}
-	accs := map[int64]*acc{}
-	for _, step := range steps {
-		var fleet []float64
-		for _, m := range compute { //lint:ignore maporder order-independent: fleet only feeds stats.Median, which sorts internally
-			if c, ok := m[step]; ok {
-				fleet = append(fleet, c)
-			}
-		}
-		med := stats.Median(fleet)
+	var accs keyed[acc]
+	steps, nodes, secs := compute.Ints("step"), compute.Ints("node"), compute.Floats("sum_dur")
+	for lo, hi := 0, 0; lo < len(steps); lo = hi {
+		hi = runEnd(steps, lo)
+		med := stats.Median(secs[lo:hi])
 		if med <= 0 {
 			continue
 		}
-		for node, m := range compute {
-			c, ok := m[step]
-			if !ok {
-				continue
-			}
-			a := accs[node]
-			if a == nil {
-				a = &acc{first: step, last: step}
-				accs[node] = a
-			}
+		for r := lo; r < hi; r++ {
+			a := accs.at(nodes[r])
 			a.seen++
-			ratio := c / med
-			if ratio >= o.ThrottleRatio {
+			if ratio := secs[r] / med; ratio >= o.ThrottleRatio {
 				if a.hot == 0 {
-					a.first = step
+					a.first = steps[r]
 				}
 				a.hot++
-				a.last = step
+				a.last = steps[r]
 				a.ratioSum += ratio
 			}
 		}
 	}
 
-	probes := probeRatios(spans)
 	var out []Finding
-	for node, a := range accs {
-		if a.seen == 0 || float64(a.hot)/float64(a.seen) < o.SustainFrac {
+	for i, a := range accs.vals {
+		if float64(a.hot)/float64(a.seen) < o.SustainFrac {
 			continue
 		}
-		f := Finding{
+		out = append(out, Finding{
 			Detector: "throttling",
-			Node:     int(node), Rank: -1,
+			Node:     int(accs.keys[i]), Rank: -1,
 			FirstStep: int(a.first), LastStep: int(a.last),
 			Events:   a.hot,
 			Severity: a.ratioSum / float64(a.hot),
+		})
+	}
+	if len(out) == 0 {
+		return nil, nil
+	}
+	pre, post, err := probeRatios(src)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		f := &out[i]
+		f.ProbePre, f.ProbePost = pre.get(int64(f.Node)), post.get(int64(f.Node))
+		if f.ProbePre > 0 {
+			f.ProbeDrift = (f.ProbePost - f.ProbePre) / f.ProbePre
 		}
-		if p, ok := probes[node]; ok {
-			f.ProbePre, f.ProbePost = p.pre, p.post
-			if p.pre > 0 {
-				f.ProbeDrift = (p.post - p.pre) / p.pre
-			}
-			f.ProbeConfirmed = p.pre > o.ProbeRatio || p.post > o.ProbeRatio
-		}
+		f.ProbeConfirmed = f.ProbePre > o.ProbeRatio || f.ProbePost > o.ProbeRatio
 		f.Detail = fmt.Sprintf("node %d compute inflated %.2fx vs fleet median in %d/%d steps (probe confirmed: %v)",
-			f.Node, f.Severity, a.hot, a.seen, f.ProbeConfirmed)
-		out = append(out, f)
+			f.Node, f.Severity, f.Events, accs.get(int64(f.Node)).seen, f.ProbeConfirmed)
 	}
-	sortFindings(out)
-	return out
+	return out, nil
 }
 
-// probePair is one node's pre/post probe kernel-time ratios vs the
-// lower-quartile reference (the internal/health baseline).
-type probePair struct{ pre, post float64 }
-
-// probeRatios extracts health-probe spans (kind probe_pre/probe_post) and
-// normalizes each node's kernel time by the fleet's lower-quartile time.
-func probeRatios(spans *telemetry.Table) map[int64]probePair {
-	v := view(spans)
-	pre := map[int64]float64{}
-	post := map[int64]float64{}
-	for r := 0; r < v.n; r++ {
-		switch v.kinds[r] {
-		case "probe_pre":
-			pre[v.nodes[r]] = v.durs[r]
-		case "probe_post":
-			post[v.nodes[r]] = v.durs[r]
+// probeRatios extracts the health-probe spans (kind probe_pre/probe_post):
+// per node, the kernel time of its last probe of each kind over the fleet's
+// lower-quartile time (the internal/health baseline). A node without a
+// probe reads as zero.
+func probeRatios(src tql.Source) (pre, post keyed[float64], err error) {
+	probes, err := tql.RunOn(qProbes, src)
+	if err != nil {
+		return pre, post, err
+	}
+	kinds, nodes, durs := probes.Strings("kind"), probes.Ints("node"), probes.Floats("dur")
+	for r, kind := range kinds {
+		if kind == "probe_pre" {
+			*pre.at(nodes[r]) = durs[r]
+		} else {
+			*post.at(nodes[r]) = durs[r]
 		}
 	}
-	if len(pre) == 0 && len(post) == 0 {
-		return nil
-	}
-	norm := func(m map[int64]float64) {
-		xs := make([]float64, 0, len(m))
-		for _, t := range m { //lint:ignore maporder order-independent: xs only feeds stats.Percentile, which sorts internally
-			xs = append(xs, t)
+	for _, times := range [][]float64{pre.vals, post.vals} {
+		if len(times) == 0 {
+			continue
 		}
-		if len(xs) == 0 {
-			return
-		}
-		ref := stats.Percentile(xs, 25)
+		ref := stats.Percentile(times, 25)
 		if ref <= 0 {
-			return
+			continue
 		}
-		for node, t := range m {
-			m[node] = t / ref
+		for i := range times {
+			times[i] /= ref
 		}
 	}
-	norm(pre)
-	norm(post)
-	out := map[int64]probePair{}
-	for node, r := range pre {
-		p := out[node]
-		p.pre = r
-		out[node] = p
-	}
-	for node, r := range post {
-		p := out[node]
-		p.post = r
-		out[node] = p
-	}
-	return out
-}
-
-// Diagnose runs all three detectors and returns their findings,
-// most-severe-first within each detector, detectors in a stable order.
-func Diagnose(spans *telemetry.Table, o Options) []Finding {
-	var out []Finding
-	out = append(out, WaitSpikes(spans, o)...)
-	out = append(out, ShmContention(spans, o)...)
-	out = append(out, Throttling(spans, o)...)
-	return out
+	return pre, post, nil
 }
 
 // sortFindings orders findings deterministically: by node, then rank.

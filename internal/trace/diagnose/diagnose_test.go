@@ -15,6 +15,7 @@ import (
 	"amrtools/internal/driver"
 	"amrtools/internal/placement"
 	"amrtools/internal/simnet"
+	"amrtools/internal/telemetry"
 	"amrtools/internal/trace"
 	"amrtools/internal/trace/diagnose"
 )
@@ -40,6 +41,16 @@ func tracedRun(t *testing.T, seed uint64, mut func(*simnet.Config)) *driver.Resu
 	return res
 }
 
+// mustDiagnose runs the detectors at their default thresholds.
+func mustDiagnose(t *testing.T, spans *telemetry.Table) []diagnose.Finding {
+	t.Helper()
+	fs, err := diagnose.Diagnose(spans, diagnose.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
 func byDetector(fs []diagnose.Finding) map[string][]diagnose.Finding {
 	out := map[string][]diagnose.Finding{}
 	for _, f := range fs {
@@ -50,7 +61,7 @@ func byDetector(fs []diagnose.Finding) map[string][]diagnose.Finding {
 
 func TestControlNoFalsePositives(t *testing.T) {
 	res := tracedRun(t, 5, nil)
-	fs := diagnose.Diagnose(res.Spans.Table(), diagnose.Options{})
+	fs := mustDiagnose(t, res.Spans.Table())
 	if len(fs) != 0 {
 		t.Fatalf("clean tuned control produced %d findings: %+v", len(fs), fs)
 	}
@@ -59,7 +70,7 @@ func TestControlNoFalsePositives(t *testing.T) {
 func TestThrottlingDetection(t *testing.T) {
 	injected := map[int]float64{1: 4} // ground truth the detector never sees
 	res := tracedRun(t, 5, func(n *simnet.Config) { n.ThrottledNodes = injected })
-	fs := byDetector(diagnose.Diagnose(res.Spans.Table(), diagnose.Options{}))
+	fs := byDetector(mustDiagnose(t, res.Spans.Table()))
 
 	got := fs["throttling"]
 	if len(got) != len(injected) {
@@ -92,7 +103,7 @@ func TestShmContentionDetection(t *testing.T) {
 		n.ShmQueueDepth = 8
 		n.ShmContentionPenalty = 5e-6
 	})
-	fs := byDetector(diagnose.Diagnose(res.Spans.Table(), diagnose.Options{}))
+	fs := byDetector(mustDiagnose(t, res.Spans.Table()))
 
 	got := map[int]bool{}
 	for _, f := range fs["shm-contention"] {
@@ -119,7 +130,7 @@ func TestWaitSpikeDetection(t *testing.T) {
 		n.DrainQueue = false
 		n.AckRecoveryDelay = 20e-3
 	})
-	fs := byDetector(diagnose.Diagnose(res.Spans.Table(), diagnose.Options{}))
+	fs := byDetector(mustDiagnose(t, res.Spans.Table()))
 
 	// Ground truth from the driver's independent wait-event table: ranks that
 	// blocked >= 1 ms in a send wait. The detector sees only the span table.
@@ -155,7 +166,7 @@ func TestWaitSpikeDetection(t *testing.T) {
 
 func TestReportTableProbeDrift(t *testing.T) {
 	res := tracedRun(t, 7, func(n *simnet.Config) { n.ThrottledNodes = map[int]float64{2: 4} })
-	rep := diagnose.ReportTable(diagnose.Diagnose(res.Spans.Table(), diagnose.Options{}))
+	rep := diagnose.ReportTable(mustDiagnose(t, res.Spans.Table()))
 	for _, col := range []string{"detector", "node", "rank", "first_step", "last_step",
 		"events", "severity", "probe_pre", "probe_post", "probe_drift", "probe_confirmed", "detail"} {
 		if !rep.HasCol(col) {
@@ -192,12 +203,11 @@ func TestReportTableEmpty(t *testing.T) {
 	}
 }
 
-// TestReportIsDeterministic backs the package's four maporder waivers
-// ("only feeds stats.Median / Percentile"): Go re-randomizes map iteration
-// on every range, so if one of the waived loops — or any other map walk in
-// the detectors — ever starts feeding an ordered sink, repeated diagnoses of
-// one span table stop agreeing byte for byte. The table carries all three
-// faults at once so every detector has findings to order.
+// TestReportIsDeterministic holds the report to one byte string per span
+// table: the detectors fold key-ordered query results and keep no map, so
+// repeated diagnoses must agree byte for byte — which an unordered walk
+// feeding an ordered sink would break. The table carries all three faults at
+// once so every detector has findings to order.
 func TestReportIsDeterministic(t *testing.T) {
 	res := tracedRun(t, 5, func(n *simnet.Config) {
 		n.ThrottledNodes = map[int]float64{1: 4}
@@ -210,12 +220,12 @@ func TestReportIsDeterministic(t *testing.T) {
 	spans := res.Spans.Table()
 	report := func() []byte {
 		var buf bytes.Buffer
-		if err := diagnose.ReportTable(diagnose.Diagnose(spans, diagnose.Options{})).WriteCSV(&buf); err != nil {
+		if err := diagnose.ReportTable(mustDiagnose(t, spans)).WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	fs := byDetector(diagnose.Diagnose(spans, diagnose.Options{}))
+	fs := byDetector(mustDiagnose(t, spans))
 	for _, det := range []string{"wait-spike", "shm-contention", "throttling"} {
 		if len(fs[det]) == 0 {
 			t.Fatalf("the combined injection produced no %s finding; the test is vacuous for that detector", det)
