@@ -86,9 +86,10 @@ scale-smoke:
 # tables and chunk sizes, the parser, the colfile reader twice (a file is
 # outside input all the way up through the table operators and back out the
 # writer), the chunk codec against the buffer-per-column encoder and
-# byte-reader decoder it replaced (kept as _test.go oracles), and the
+# byte-reader decoder it replaced (kept as _test.go oracles), the
 # hash-aggregate kernel against its row-loop reference, fed whole and in
-# pieces. `go test` alone only replays the seed corpora.
+# pieces, and the DES engine's laned event order against the heap-only
+# order it must equal. `go test` alone only replays the seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 15s ./internal/tql
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/tql
@@ -96,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAll$$' -fuzztime 15s ./internal/colfile
 	$(GO) test -run '^$$' -fuzz '^FuzzCodec$$' -fuzztime 15s ./internal/colfile
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupBy$$' -fuzztime 15s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 15s ./internal/sim
 
 fmt:
 	gofmt -l . && test -z "$$(gofmt -l .)"

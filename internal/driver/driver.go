@@ -672,6 +672,9 @@ func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World) {
 	nranks := world.NumRanks()
 	scale := st.cfg.CostTimeScale
 	var prev mpi.Meter // the rank's accounting at the end of the previous step
+	// The step's requests, in slices reused across steps: Wait recycles the
+	// requests themselves, these only hold them until then.
+	var recvReqs, sendReqs []*mpi.Request
 	for step := 0; step < st.cfg.Steps; step++ {
 		ep := st.ep
 		plan := &ep.plans[rank]
@@ -685,11 +688,11 @@ func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World) {
 		// sends are ready the moment the step begins. Pre-post every ghost
 		// receive. The rank executes purely from its own plan: peers and
 		// tags were derived from its local view, never a global table.
-		recvReqs := make([]*mpi.Request, len(plan.recvs))
-		for i, e := range plan.recvs {
-			recvReqs[i] = c.Irecv(int(e.peer), int(e.tag))
+		recvReqs = recvReqs[:0]
+		for _, e := range plan.recvs {
+			recvReqs = append(recvReqs, c.Irecv(int(e.peer), int(e.tag)))
 		}
-		var sendReqs []*mpi.Request
+		sendReqs = sendReqs[:0]
 		postSends := func() {
 			for _, e := range plan.sends {
 				sendReqs = append(sendReqs, c.Isend(int(e.peer), int(e.tag), int(e.size)))

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"slices"
 	"sort"
 
 	"amrtools/internal/check"
@@ -214,15 +215,16 @@ func buildRankPlan(v *mesh.RankView, sizes [3]int, fluxSize int, noFlux bool) ra
 			})
 		})
 	}
+	var seen []mesh.Ref // one owned block's remote partners so far: a few dozen at most
 	for k := range v.Owned {
 		to := v.Owned[k].ID
 		toIdx := v.Owned[k].Index
-		seen := make(map[mesh.Ref]bool)
+		seen = seen[:0]
 		v.Neighbors(k, func(ref mesh.Ref, _ mesh.PairEntry) {
-			if ref.IsOwned() || seen[ref] {
+			if ref.IsOwned() || slices.Contains(seen, ref) {
 				return
 			}
-			seen[ref] = true
+			seen = append(seen, ref)
 			fromIdx := v.RefIndex(ref)
 			for _, e := range mesh.PairExchanges(v.Geom, v.RefID(ref), to) {
 				if e.Flux && noFlux {

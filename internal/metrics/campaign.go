@@ -193,7 +193,11 @@ type Status struct {
 	// (busiest shard per window) — SchedEvents ÷ CriticalEvents bounds what
 	// forking can gain.
 	SchedEvents, ParallelEvents, CriticalEvents int64
-	Uptime                                      time.Duration
+	// Event-queue split over completed runs, either engine: events appended
+	// behind a process lane's tail, events pushed on the heap, and the heap
+	// length summed over pops.
+	LaneEvents, HeapEvents, HeapLenAtPop int64
+	Uptime                               time.Duration
 }
 
 // StatusNow snapshots campaign progress.
@@ -214,6 +218,9 @@ func (c *Campaign) StatusNow() Status {
 	s.SchedEvents = int64(c.agg["host_sched_window_events"].sum)
 	s.ParallelEvents = int64(c.agg["host_sched_parallel_events_total"].value)
 	s.CriticalEvents = int64(c.agg["host_sched_critical_events_total"].value)
+	s.LaneEvents = int64(c.agg["host_sched_lane_events_total"].value)
+	s.HeapEvents = int64(c.agg["host_sched_heap_events_total"].value)
+	s.HeapLenAtPop = int64(c.agg["host_sched_heap_len_at_pop_total"].value)
 	c.mu.Unlock()
 	s.AllDone = c.runsDone.Load()
 	s.AllTotal = c.runsTotal.Load()

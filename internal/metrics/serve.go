@@ -104,6 +104,10 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		row("shard events (completed runs)", fmt.Sprintf("%d in windows, %d forked, %d critical (ceiling %.2fx)",
 			st.SchedEvents, st.ParallelEvents, st.CriticalEvents, float64(st.SchedEvents)/float64(st.CriticalEvents)))
 	}
+	if n := st.LaneEvents + st.HeapEvents; n > 0 {
+		row("event queue (completed runs)", fmt.Sprintf("%d laned, %d via heap (%.1f%% laned), mean heap %.0f at pop",
+			st.LaneEvents, st.HeapEvents, 100*float64(st.LaneEvents)/float64(n), float64(st.HeapLenAtPop)/float64(n)))
+	}
 	row("uptime", st.Uptime.Round(time.Second).String())
 	fmt.Fprint(w, "</table>")
 	fmt.Fprint(w, `<p><a href="/metrics">/metrics</a> · <a href="/debug/pprof/">/debug/pprof/</a></p>`)

@@ -37,6 +37,11 @@ func TestServeEndpoints(t *testing.T) {
 	rs.Sched.WindowEvents.Observe(60)
 	rs.Sched.ParallelEvents.Add(30)
 	rs.Sched.CriticalEvents.Add(40)
+	// Its event queue: 75 of 100 events appended to a lane, 2 000 heap
+	// entries summed over the pops.
+	rs.Sched.LaneEvents.Add(75)
+	rs.Sched.HeapEvents.Add(25)
+	rs.Sched.HeapLenAtPop.Add(2000)
 	camp.AddRun(rs.Reg)
 
 	srv, err := Serve("127.0.0.1:0", camp)
@@ -68,7 +73,8 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("/statusz status = %d", code)
 	}
 	for _, want := range []string{"serve-test", "1/3", "campaign progress",
-		"60 in windows, 30 forked, 40 critical (ceiling 1.50x)"} {
+		"60 in windows, 30 forked, 40 critical (ceiling 1.50x)",
+		"75 laned, 25 via heap (75.0% laned), mean heap 20 at pop"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/statusz missing %q:\n%s", want, body)
 		}

@@ -70,11 +70,20 @@ type DriverMetrics struct {
 	Steps          *Counter
 }
 
-// SchedMetrics is the host-plane instrument set of the sharded scheduler:
-// window structure and how much of it ran forked. Everything here depends on
-// the shard count (and the fork counts on GOMAXPROCS), so it lives on the
-// host plane and is excluded from identity checks.
+// SchedMetrics is the host-plane instrument set of the DES machinery: the
+// event queue of either engine, and the sharded scheduler's window structure
+// and how much of it ran forked. Everything here depends on the engine and
+// shard count (and the fork counts on GOMAXPROCS), so it lives on the host
+// plane and is excluded from identity checks.
 type SchedMetrics struct {
+	// LaneEvents counts events appended behind the tail of a process's FIFO
+	// lane, HeapEvents the events pushed on the event heap (every other one,
+	// lane fronts included); HeapLenAtPop sums the heap length over pops, so
+	// HeapLenAtPop ÷ (LaneEvents + HeapEvents) is the mean heap at pop.
+	LaneEvents   *HostCounter
+	HeapEvents   *HostCounter
+	HeapLenAtPop *HostCounter
+
 	// Windows counts executed lookahead windows; ParallelWindows the subset
 	// that forked, one goroutine per active shard (the rest ran inline on
 	// the coordinator).
@@ -173,6 +182,9 @@ func NewRunSet(nranks, nodes int, campaign *Campaign) *RunSet {
 			Steps:          r.Counter("sim_driver_steps_total", "BSP timesteps executed, summed over ranks", 1),
 		},
 		Sched: &SchedMetrics{
+			LaneEvents:      r.HostCounter("host_sched_lane_events_total", "DES events appended behind a process lane's tail, never sifted", nil),
+			HeapEvents:      r.HostCounter("host_sched_heap_events_total", "DES events pushed on the event heap", nil),
+			HeapLenAtPop:    r.HostCounter("host_sched_heap_len_at_pop_total", "event-heap length summed over pops", nil),
 			Windows:         r.HostCounter("host_sched_windows_total", "lookahead windows executed", windowsParent),
 			ParallelWindows: r.HostCounter("host_sched_parallel_windows_total", "windows forked, one goroutine per active shard", nil),
 			ParallelEvents:  r.HostCounter("host_sched_parallel_events_total", "DES events executed in forked windows", nil),

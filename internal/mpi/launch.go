@@ -22,6 +22,7 @@ type machine interface {
 	Events() int64
 	Blocked() []*sim.Proc
 	SetInterrupt(fn func() bool)
+	SetMetrics(mx *metrics.SchedMetrics)
 }
 
 // Launch builds the simulated cluster cfg describes — engine(s), fabric and
@@ -91,7 +92,11 @@ func (w *World) Events() int64 { return w.mach.Events() }
 // (harness.Meter.Aborted is).
 func (w *World) SetInterrupt(fn func() bool) { w.mach.SetInterrupt(fn) }
 
-// The three setters below reach the scheduler, which a world on the
+// SetSchedMetrics attaches the run's host-plane scheduler instrument set:
+// event-queue counts on either engine, window structure on the scheduler.
+func (w *World) SetSchedMetrics(mx *metrics.SchedMetrics) { w.mach.SetMetrics(mx) }
+
+// The two setters below reach the scheduler, which a world on the
 // sequential engine does not have; their st != nil halves carry no semantics
 // and go with ROADMAP 1(d).
 
@@ -119,12 +124,4 @@ func (w *World) OnMerge(fn func(horizon sim.Time)) bool {
 		st.s.OnMerge(fn)
 	}
 	return st != nil
-}
-
-// SetSchedMetrics attaches the run's host-plane scheduler instrument set;
-// the sequential engine has no scheduler to observe.
-func (w *World) SetSchedMetrics(mx *metrics.SchedMetrics) {
-	if st := w.shard; st != nil {
-		st.s.SetMetrics(mx)
-	}
 }

@@ -50,6 +50,40 @@ func TestTypedMessageEventsAllocFree(t *testing.T) {
 	}
 }
 
+// TestLanedEventsAllocFree: the same typed events issued by a running
+// process — the path that appends them to its lanes and replaces the heap
+// top at pop — must be allocation-free once the lane rings have grown.
+func TestLanedEventsAllocFree(t *testing.T) {
+	e := NewEngine()
+	e.SetSink(nopSink{})
+	defer e.Close()
+	var futs [64]Future
+	e.Spawn("burst", func(p *Proc) {
+		for {
+			now := p.Now()
+			for i := range futs {
+				futs[i].Reset()
+				e.CompleteAt(now+1, &futs[i])
+				e.DeliverAt(now+1+float64(i%7), 0, 1, int32(i), 64, true)
+				e.DeliverAt(now+2+float64(i), 0, 1, int32(i), 64, false)
+			}
+			p.Sleep(100)
+		}
+	})
+	const perBurst = 3*len(futs) + 1 // its events plus the resume that posts the next
+	per := testing.AllocsPerRun(10, func() {
+		for i := 0; i < perBurst; i++ {
+			e.Step()
+		}
+	})
+	if per > 0 {
+		t.Errorf("laned typed events allocate %.1f objects per %d-event burst, want 0", per, perBurst)
+	}
+	if e.laneIn == 0 {
+		t.Fatal("no event entered a lane: the test does not exercise the lane path")
+	}
+}
+
 type nopSink struct{}
 
 func (nopSink) DeliverMsg(src, dst, tag int32, bytes int64, local bool) {}

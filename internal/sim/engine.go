@@ -20,12 +20,15 @@
 // typed payloads, not closures. The generic At/After closure form remains
 // for cold paths; the per-message fast paths (future completion, message
 // delivery) have dedicated typed variants so the MPI layer never allocates
-// to schedule them.
+// to schedule them, and the ones a running process issues mostly skip the
+// heap: they wait in that process's FIFO lanes (see lane).
 package sim
 
 import (
 	"errors"
 	"fmt"
+
+	"amrtools/internal/metrics"
 )
 
 // Time is virtual time in seconds.
@@ -66,7 +69,12 @@ const (
 type event struct {
 	t   Time
 	seq int64
-	idx int32 // index into Engine.bodies
+	// idx indexes Engine.bodies — or, when negative, names lane -1-idx of
+	// Engine.lanes: the heap holds each non-empty lane as one entry keyed
+	// by the lane's front, whose own idx the ring holds. A sign, not a second
+	// int32 field: push would store the two halves separately and pop reload
+	// them as one word, a store-forwarding stall on every event.
+	idx int32
 }
 
 // evBody is the payload of one scheduled event. Exactly one variant (fn,
@@ -123,14 +131,25 @@ func (h *eventHeap) push(ev event) {
 	}
 }
 
-// pop removes and returns the minimum event, sifting the root down.
-func (h *eventHeap) pop() event {
+// pop removes the minimum event, sifting the last one down from the root.
+func (h *eventHeap) pop() {
 	q := *h
-	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q = q[:n]
-	*h = q
+	*h = q[:n]
+	h.down()
+}
+
+// replaceTop replaces the minimum event with ev: one sift-down where a pop
+// and a push would sift twice.
+func (h eventHeap) replaceTop(ev event) {
+	h[0] = ev
+	h.down()
+}
+
+// down restores the heap after its root changed.
+func (h eventHeap) down() {
+	n := len(h)
 	i := 0
 	for {
 		left := 2*i + 1
@@ -138,17 +157,55 @@ func (h *eventHeap) pop() event {
 			break
 		}
 		least := left
-		if right := left + 1; right < n && q.less(right, left) {
+		if right := left + 1; right < n && h.less(right, left) {
 			least = right
 		}
-		if !q.less(least, i) {
+		if !h.less(least, i) {
 			break
 		}
-		q[i], q[least] = q[least], q[i]
+		h[i], h[least] = h[least], h[i]
 		i = least
 	}
-	return top
 }
+
+// Lane kinds: the typed events a process mostly issues in nondecreasing
+// time order, one lane each. In the MPI layer a send's buffer release is a
+// fixed overhead after the send, and remote deliveries leave the node's
+// monotone NIC clock. Local deliveries get their own lane because they land
+// microseconds out where remote ones land a millisecond out: in a shared
+// lane every local delivery after the first remote one would be earlier than
+// the tail.
+const (
+	laneDone int32 = iota
+	laneLocal
+	laneRemote
+	nLanes
+)
+
+// lane is one process's FIFO of pending events of one kind, sorted by
+// (t, seq): a power-of-two ring, represented on the heap by one entry keyed
+// by its front. A ring, not an append-only slice, so a lane that drains and
+// refills every BSP step reuses its storage.
+type lane struct {
+	buf  []event
+	head int
+	n    int
+}
+
+func (l *lane) push(ev event) {
+	if l.n == len(l.buf) {
+		nb := make([]event, max(8, 2*len(l.buf)))
+		for i := 0; i < l.n; i++ {
+			nb[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
+		}
+		l.buf, l.head = nb, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
+	l.n++
+}
+
+// tail returns the time of the lane's last event; the lane must be non-empty.
+func (l *lane) tail() Time { return l.buf[(l.head+l.n-1)&(len(l.buf)-1)].t }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with NewEngine. Engines are not safe for concurrent use: in
@@ -161,10 +218,19 @@ type Engine struct {
 	pq      eventHeap
 	bodies  []evBody // payload arena, indexed by event.idx
 	freeB   []int32  // free slots in bodies
+	lanes   []lane   // nLanes per spawned process, from Proc.lanes
+	cur     *Proc    // the process being resumed, nil in event context
 	sink    MsgSink  // receiver of evMsg payloads (set once by the MPI world)
 	procs   []*Proc  // all spawned processes, for Close
 	running bool
 	intr    func() bool // optional cancellation poll (see SetInterrupt)
+
+	// Event-queue accounting, flushed into mx (if set) when Run returns:
+	// events appended behind a lane's tail and the heap length summed over
+	// pops since the last flush, which was at sequence number flushedSeq
+	// (every other event scheduled since was pushed on the heap).
+	laneIn, heapLenSum, flushedSeq int64
+	mx                             *metrics.SchedMetrics
 }
 
 // NewEngine returns an empty engine at time 0.
@@ -187,8 +253,26 @@ func (e *Engine) SetSink(s MsgSink) {
 	e.sink = s
 }
 
-// schedule stores the body in a free arena slot and pushes its heap entry.
-func (e *Engine) schedule(t Time, b evBody) {
+// SetMetrics attaches the run's scheduler instrument set (nil detaches it);
+// Run adds the engine's event-queue counts to it on return.
+func (e *Engine) SetMetrics(mx *metrics.SchedMetrics) { e.mx = mx }
+
+// flushQueueStats adds the event-queue counts gathered since the last flush
+// to mx.
+func (e *Engine) flushQueueStats(mx *metrics.SchedMetrics) {
+	if mx == nil {
+		return
+	}
+	mx.LaneEvents.Add(e.laneIn)
+	mx.HeapEvents.Add(e.seq - e.flushedSeq - e.laneIn)
+	mx.HeapLenAtPop.Add(e.heapLenSum)
+	e.laneIn, e.heapLenSum, e.flushedSeq = 0, 0, e.seq
+}
+
+// newEvent stores the body in a free arena slot and returns its event,
+// sequenced after every event scheduled before it. The body comes by pointer
+// so that it is copied once, from the caller's argument into the arena.
+func (e *Engine) newEvent(t Time, b *evBody) event {
 	var idx int32
 	if n := len(e.freeB); n > 0 {
 		idx = e.freeB[n-1]
@@ -197,9 +281,36 @@ func (e *Engine) schedule(t Time, b evBody) {
 		e.bodies = append(e.bodies, evBody{})
 		idx = int32(len(e.bodies) - 1)
 	}
-	e.bodies[idx] = b
+	e.bodies[idx] = *b
 	e.seq++
-	e.pq.push(event{t: t, seq: e.seq, idx: idx})
+	return event{t: t, seq: e.seq, idx: idx}
+}
+
+// schedule queues an event on the heap.
+func (e *Engine) schedule(t Time, b evBody) { e.pq.push(e.newEvent(t, &b)) }
+
+// scheduleLaned queues a typed event through lane k of the current process:
+// behind the lane's tail when it is not earlier (O(1), no sift); into the
+// empty lane, which then goes on the heap keyed by the event; otherwise — or
+// in event context — on the heap alone. Every lane stays sorted by (t, seq),
+// because seq grows with each event and t is checked against the tail, and
+// the heap always holds each non-empty lane keyed by its front, so the heap
+// top is still the (t, seq)-least pending event and the pop order is the
+// heap-only order.
+func (e *Engine) scheduleLaned(t Time, b evBody, k int32) {
+	ev := e.newEvent(t, &b)
+	if p := e.cur; p != nil {
+		id := p.lanes + k
+		if l := &e.lanes[id]; l.n == 0 || t >= l.tail() {
+			l.push(ev)
+			if l.n > 1 {
+				e.laneIn++
+				return
+			}
+			ev.idx = -1 - id
+		}
+	}
+	e.pq.push(ev)
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -222,7 +333,7 @@ func (e *Engine) CompleteAt(t Time, f *Future) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
-	e.schedule(t, evBody{kind: evFuture, fut: f})
+	e.scheduleLaned(t, evBody{kind: evFuture, fut: f}, laneDone)
 }
 
 // CompleteAfter schedules f to complete d seconds from now.
@@ -239,7 +350,11 @@ func (e *Engine) DeliverAt(t Time, src, dst, tag int32, bytes int64, local bool)
 	if e.sink == nil {
 		panic("sim: DeliverAt with no MsgSink registered")
 	}
-	e.schedule(t, evBody{kind: evMsg, src: src, dst: dst, tag: tag, bytes: bytes, local: local})
+	k := laneRemote
+	if local {
+		k = laneLocal
+	}
+	e.scheduleLaned(t, evBody{kind: evMsg, src: src, dst: dst, tag: tag, bytes: bytes, local: local}, k)
 }
 
 // SetInterrupt installs a cancellation poll. Run (and the sharded
@@ -284,17 +399,39 @@ func (e *Engine) Step() bool {
 	if len(e.pq) == 0 {
 		return false
 	}
-	ev := e.pq.pop()
-	b := e.bodies[ev.idx]
-	e.bodies[ev.idx] = evBody{} // release fn/proc/fut references
-	e.freeB = append(e.freeB, ev.idx)
+	e.heapLenSum += int64(len(e.pq))
+	ev := e.pq[0]
+	idx := ev.idx
+	if idx >= 0 {
+		e.pq.pop()
+	} else {
+		// A lane's entry: take the lane's front, then re-key the entry by
+		// the next event, or drop it with the lane empty.
+		l := &e.lanes[-1-idx]
+		idx = l.buf[l.head].idx
+		l.head = (l.head + 1) & (len(l.buf) - 1)
+		if l.n--; l.n > 0 {
+			next := l.buf[l.head]
+			next.idx = ev.idx
+			e.pq.replaceTop(next)
+		} else {
+			e.pq.pop()
+		}
+	}
+	b := e.bodies[idx]
+	e.bodies[idx] = evBody{} // release fn/proc/fut references
+	e.freeB = append(e.freeB, idx)
 	e.now = ev.t
 	e.events++
 	switch b.kind {
 	case evFn:
 		b.fn()
 	case evProc:
-		b.proc.run()
+		// The resumed process is current until it blocks: the typed events
+		// it schedules meanwhile may use its lanes.
+		e.cur = b.proc
+		b.proc.next()
+		e.cur = nil
 	case evFuture:
 		b.fut.Complete(e)
 	case evMsg:
@@ -316,7 +453,10 @@ func (e *Engine) Run() Time {
 		panic("sim: Run re-entered")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer func() {
+		e.running = false
+		e.flushQueueStats(e.mx)
+	}()
 	for n := 0; e.Step(); n++ {
 		if n&4095 == 0 && e.intr != nil && e.intr() {
 			panic(ErrInterrupted)
@@ -341,6 +481,9 @@ func (e *Engine) Blocked() []*Proc {
 	var out []*Proc
 	scheduled := map[*Proc]bool{}
 	for _, ev := range e.pq {
+		if ev.idx < 0 {
+			continue // a lane: typed events only
+		}
 		if p := e.bodies[ev.idx].proc; p != nil {
 			scheduled[p] = true
 		}

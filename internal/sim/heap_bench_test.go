@@ -41,7 +41,8 @@ func BenchmarkEventHeapTyped(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := h.pop()
+		ev := h[0]
+		h.pop()
 		ev.t += 1
 		ev.seq = int64(heapPool + i)
 		h.push(ev)
@@ -63,6 +64,47 @@ func BenchmarkEventHeapBoxed(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineBurst is the traffic shape of a BSP step, run through the
+// whole engine: 128 processes leave a barrier at the same instant and each
+// posts a burst of 16 sends — a sender-buffer completion plus a delivery
+// each, remote ones leaving a monotone NIC clock, local ones landing by
+// message size — then waits for its completions. b.N counts events.
+func BenchmarkEngineBurst(b *testing.B) {
+	const procs, burst, round = 128, 16, 1e-3
+	e := NewEngine()
+	e.SetSink(nopSink{})
+	for r := 0; r < procs; r++ {
+		e.Spawn("rank", func(p *Proc) {
+			var reqs [burst]Future
+			for {
+				now := p.Now()
+				nic := now
+				for i := range reqs {
+					reqs[i].Reset()
+					e.CompleteAt(now+1e-7, &reqs[i])
+					if i%4 == 0 {
+						e.DeliverAt(now+1e-6*float64(1+(i*5)%3), int32(r), int32(r+1), int32(i), 4096, true)
+					} else {
+						nic += 2e-6
+						e.DeliverAt(nic+1e-5, int32(r), int32(r+procs/2), int32(i), 4096, false)
+					}
+				}
+				for i := range reqs {
+					p.Await(&reqs[i])
+				}
+				p.Sleep(round - (p.Now() - now))
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for e.Events() < int64(b.N) {
+		e.Step()
+	}
+	b.StopTimer()
+	e.Close()
+}
+
 // TestEventHeapOrdering replays a scrambled schedule through the typed heap
 // and asserts (t, seq) order — the engine's determinism contract.
 func TestEventHeapOrdering(t *testing.T) {
@@ -75,7 +117,8 @@ func TestEventHeapOrdering(t *testing.T) {
 	}
 	var prev event
 	for i := 0; len(h) > 0; i++ {
-		ev := h.pop()
+		ev := h[0]
+		h.pop()
 		if i > 0 {
 			if ev.t < prev.t || (ev.t == prev.t && ev.seq < prev.seq) {
 				t.Fatalf("pop %d out of order: (%v,%d) after (%v,%d)",

@@ -21,6 +21,7 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 
+	lanes    int32 // index of the process's first lane in Engine.lanes
 	finished bool
 }
 
@@ -36,7 +37,8 @@ func (k killedError) Error() string { return "sim: proc " + k.name + " killed" }
 // with its original value, where tests and the campaign harness can recover
 // it. The other processes stay suspended until Close unwinds them.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name}
+	p := &Proc{eng: e, name: name, lanes: int32(len(e.lanes))}
+	e.lanes = append(e.lanes, make([]lane, nLanes)...)
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer p.exit()
@@ -48,9 +50,11 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // exit is the body's deferred epilogue: it swallows the kill unwind and lets
-// every other panic continue into iter.Pull, which re-raises it from next.
+// every other panic continue into iter.Pull, which re-raises it from next —
+// past Step, so the engine's current process is cleared here.
 func (p *Proc) exit() {
 	p.finished = true
+	p.eng.cur = nil
 	if r := recover(); r != nil {
 		if _, ok := r.(killedError); !ok {
 			panic(r)
@@ -60,10 +64,6 @@ func (p *Proc) exit() {
 
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
-
-// run resumes the process until it blocks or finishes. Called only by the
-// engine.
-func (p *Proc) run() { p.next() }
 
 // block hands control back to the engine and waits to be rescheduled. A
 // false yield means Close stopped the coroutine: unwind the body.

@@ -34,9 +34,10 @@
 package sim
 
 import (
+	"cmp"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"amrtools/internal/check"
@@ -240,7 +241,12 @@ func (s *Shards) Run() Time {
 		panic("sim: Run re-entered")
 	}
 	s.running = true
-	defer func() { s.running = false }()
+	defer func() {
+		s.running = false
+		for _, e := range s.engs {
+			e.flushQueueStats(s.mx)
+		}
+	}()
 	// Read once per Run, not once per process: tests change it between runs.
 	// On one P a fork can only add hand-offs, so every window runs inline.
 	multiP := runtime.GOMAXPROCS(0) > 1
@@ -292,14 +298,14 @@ func (s *Shards) mergeStaged() {
 	if len(sc) >= forkMinStaged {
 		s.burst = true
 	}
-	sort.Slice(sc, func(i, j int) bool {
-		if sc[i].t != sc[j].t {
-			return sc[i].t < sc[j].t
+	slices.SortFunc(sc, func(a, b stagedMsg) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
 		}
-		if sc[i].src != sc[j].src {
-			return sc[i].src < sc[j].src
+		if c := cmp.Compare(a.src, b.src); c != 0 {
+			return c
 		}
-		return sc[i].seq < sc[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for _, m := range sc {
 		if m.t < s.horizon {

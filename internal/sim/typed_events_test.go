@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"amrtools/internal/metrics"
+)
 
 // msgRec is a test MsgSink recording every delivery it receives.
 type msgRec struct {
@@ -151,4 +155,51 @@ func TestResetPendingFutureWithWaiterPanics(t *testing.T) {
 		e.Close()
 	}()
 	f.Reset()
+}
+
+// TestQueueStatsReachMetrics: either engine adds its event-queue counts to
+// the run's scheduler set when Run returns. Three rounds of an 8-send burst
+// from one process: the first send of a round opens the completion lane (a
+// heap push), the other seven append behind it; every event is counted once.
+func TestQueueStatsReachMetrics(t *testing.T) {
+	burst := func(e *Engine) {
+		e.Spawn("burst", func(p *Proc) {
+			var f [8]Future
+			for round := 0; round < 3; round++ {
+				for i := range f {
+					f[i].Reset()
+					e.CompleteAt(p.Now()+1, &f[i])
+				}
+				for i := range f {
+					p.Await(&f[i])
+				}
+			}
+		})
+	}
+	want := func(name string, mx *metrics.SchedMetrics, events int64) {
+		t.Helper()
+		if got := mx.LaneEvents.Value(); got != 21 {
+			t.Errorf("%s: %d laned events, want 21", name, got)
+		}
+		if got := mx.LaneEvents.Value() + mx.HeapEvents.Value(); got != events {
+			t.Errorf("%s: %d laned + heap events, want every event (%d)", name, got, events)
+		}
+		if mx.HeapLenAtPop.Value() <= 0 {
+			t.Errorf("%s: heap length at pop not counted", name)
+		}
+	}
+
+	e := NewEngine()
+	seq := metrics.NewRunSet(1, 1, nil).Sched
+	e.SetMetrics(seq)
+	burst(e)
+	e.Run()
+	want("engine", seq, e.Events())
+
+	s := NewShards(2, 1)
+	sharded := metrics.NewRunSet(1, 1, nil).Sched
+	s.SetMetrics(sharded)
+	burst(s.Engine(1))
+	s.Run()
+	want("shards", sharded, s.Events())
 }
