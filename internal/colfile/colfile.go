@@ -9,14 +9,13 @@
 // delta+zigzag+varint encoded, floats are raw little-endian, strings are
 // chunk-local dictionaries.
 //
-// Version 2 (written by this package) is a multi-block layout: chunks as in
-// version 1, followed by a footer block index holding every chunk's byte
-// offset, row count, CRC32 checksum, and extended per-column zone maps
+// There is one on-disk format, version 2: a multi-block layout of chunks
+// followed by a footer block index holding every chunk's byte offset, row
+// count, CRC32 checksum, and extended per-column zone maps
 // (min/max/sum/count). Readers with random access (Open) seek straight to
 // the chunks a query needs — or answer min/max/sum/count/avg aggregates
-// from the footer without touching any payload. There is one reader: Open
-// also reads version-1 files (no footer), rebuilding the block index with
-// one forward scan of the chunk headers.
+// from the footer without touching any payload. Any other version byte —
+// the footer-less version 1 included — is rejected at Open.
 //
 // Layout (version 2):
 //
@@ -34,13 +33,10 @@
 //	             per column: zone flag u8 (bit0 = min/max, bit1 = sum/count)
 //	               [min f64, max f64] [sum f64, count u64]
 //	         footer body length u32, crc32(footer body) u32, magic "AMRF"
-//
-// Version 1 is the same minus the footer, with version byte 1.
 package colfile
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -59,7 +55,6 @@ var (
 )
 
 const (
-	version1 = 1
 	version2 = 2
 
 	// footerSentinel marks the end of the chunk sequence in version-2
@@ -98,8 +93,7 @@ type ChunkMeta struct {
 	Offset int64  // file offset of the chunk's u32 length prefix
 	Length uint32 // chunk body length in bytes
 	Rows   int
-	CRC    uint32 // crc32 (IEEE) of the chunk body; valid when HasCRC
-	HasCRC bool   // false for version-1 files (no checksums on disk)
+	CRC    uint32 // crc32 (IEEE) of the chunk body
 	Zones  []ZoneMap
 }
 
@@ -185,7 +179,6 @@ func (w *Writer) WriteChunk(t *telemetry.Table) error {
 		Length: uint32(len(body)),
 		Rows:   t.NumRows(),
 		CRC:    crc32.ChecksumIEEE(body),
-		HasCRC: true,
 		Zones:  zones,
 	})
 	w.off += int64(len(b))
@@ -526,43 +519,6 @@ func decodeChunkBody(schema []telemetry.ColSpec, body []byte, want []bool) (int,
 	return n, cols, nil
 }
 
-// parseChunkStatsHeader reads the row count and the inline per-column
-// min/max statistics of a chunk body (carried in versions 1 and 2; absent
-// for string columns and empty chunks) without touching payloads.
-func parseChunkStatsHeader(schema []telemetry.ColSpec, body []byte) (int, []ZoneMap, error) {
-	buf := bytes.NewReader(body)
-	var nrows uint32
-	if err := binary.Read(buf, binary.LittleEndian, &nrows); err != nil {
-		return 0, nil, err
-	}
-	zones := make([]ZoneMap, len(schema))
-	for ci := range schema {
-		flag, err := buf.ReadByte()
-		if err != nil {
-			return 0, nil, err
-		}
-		z := &zones[ci]
-		z.Count = int64(nrows)
-		if flag == 1 {
-			if err := binary.Read(buf, binary.LittleEndian, &z.Min); err != nil {
-				return 0, nil, err
-			}
-			if err := binary.Read(buf, binary.LittleEndian, &z.Max); err != nil {
-				return 0, nil, err
-			}
-			z.HasRange = true
-		}
-		var plen uint32
-		if err := binary.Read(buf, binary.LittleEndian, &plen); err != nil {
-			return 0, nil, err
-		}
-		if _, err := buf.Seek(int64(plen), io.SeekCurrent); err != nil {
-			return 0, nil, err
-		}
-	}
-	return int(nrows), zones, nil
-}
-
 // parseHeader reads the file header from r, returning version, schema, and
 // the header's byte length.
 func parseHeader(r io.Reader) (byte, []telemetry.ColSpec, int64, error) {
@@ -578,7 +534,7 @@ func parseHeader(r io.Reader) (byte, []telemetry.ColSpec, int64, error) {
 		return 0, nil, 0, err
 	}
 	ver := verByte[0]
-	if ver != version1 && ver != version2 {
+	if ver != version2 {
 		return 0, nil, 0, fmt.Errorf("colfile: unsupported version %d", ver)
 	}
 	var ncols uint16

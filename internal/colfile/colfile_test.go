@@ -46,30 +46,6 @@ func readBack(data []byte) (*telemetry.Table, error) {
 	return r.Table()
 }
 
-// asV1 rewrites a freshly written version-2 file as the version-1 file
-// with the same chunks: footer dropped, version byte 1. Open then takes the
-// forward-scan path, which trusts the chunk length prefixes and the inline
-// statistics instead of the footer.
-func asV1(t *testing.T, data []byte) []byte {
-	t.Helper()
-	v1, err := stripFooter(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v1
-}
-
-func stripFooter(data []byte) ([]byte, error) {
-	r, err := OpenBytes(data)
-	if err != nil {
-		return nil, err
-	}
-	last := r.Meta(r.NumChunks() - 1)
-	v1 := append([]byte(nil), data[:last.Offset+4+int64(last.Length)]...)
-	v1[4] = version1
-	return v1, nil
-}
-
 func TestRoundTripSingleChunk(t *testing.T) {
 	src := buildTable(200, 1)
 	var buf bytes.Buffer
@@ -172,15 +148,6 @@ func TestTruncatedChunkRejected(t *testing.T) {
 	if _, err := readBack(buf.Bytes()[:buf.Len()-10]); err == nil {
 		t.Fatal("truncated file accepted")
 	}
-	// Version 1 has no footer to miss: the cut lands mid-chunk and the
-	// forward scan must notice the short body.
-	v1 := asV1(t, buf.Bytes())
-	if _, err := readBack(v1); err != nil {
-		t.Fatalf("intact v1 file rejected: %v", err)
-	}
-	if _, err := readBack(v1[:len(v1)-10]); err == nil {
-		t.Fatal("truncated v1 file accepted")
-	}
 }
 
 func TestSchemaMismatchOnWrite(t *testing.T) {
@@ -195,9 +162,9 @@ func TestSchemaMismatchOnWrite(t *testing.T) {
 	}
 }
 
-// TestChunkStats pins the inline per-chunk min/max statistics every chunk
-// body carries: read back as version 1, the index has nothing else to build
-// its zone maps from.
+// TestChunkStats pins the per-chunk statistics: the footer's zone maps, and
+// the inline min/max every numeric column of a chunk body carries on disk
+// (the footer index is what readers use; the inline bytes are format).
 func TestChunkStats(t *testing.T) {
 	src := telemetry.NewTable(telemetry.IntCol("step"), telemetry.FloatCol("v"), telemetry.StrCol("s"))
 	for i := 0; i < 10; i++ {
@@ -207,12 +174,21 @@ func TestChunkStats(t *testing.T) {
 	if err := WriteTable(&buf, src, 0); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenBytes(asV1(t, buf.Bytes()))
+	r, err := OpenBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Version() != 1 || r.NumChunks() != 1 || r.DecodeCount() != 0 {
+	if r.Version() != 2 || r.NumChunks() != 1 || r.DecodeCount() != 0 {
 		t.Fatalf("version %d, %d chunks, %d decodes", r.Version(), r.NumChunks(), r.DecodeCount())
+	}
+	// Body: rows u32, then step's flag u8 and inline [min, max] f64.
+	body, err := r.chunkBody(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if le.Uint32(body) != 10 || body[4] != 1 ||
+		math.Float64frombits(le.Uint64(body[5:])) != 0 || math.Float64frombits(le.Uint64(body[13:])) != 9 {
+		t.Fatalf("inline step stats = % x", body[:21])
 	}
 	zones := r.Meta(0).Zones
 	if z := zones[0]; !z.HasRange || z.Min != 0 || z.Max != 9 || z.Count != 10 {
@@ -333,12 +309,10 @@ func TestOversizedLengthFieldsRejected(t *testing.T) {
 	// Header ends after magic(4)+ver(1)+ncols(2)+namelen(2)+"a"(1)+type(1) = 11.
 	// Chunk length field is the next 4 bytes: blow it up to 4 GB.
 	// The footer index locates the chunk regardless, but the prefix must
-	// still agree with it; the version-1 scan has only the prefix.
-	for name, file := range map[string][]byte{"v2": data, "v1": asV1(t, data)} {
-		corrupt := append([]byte(nil), file...)
-		corrupt[11], corrupt[12], corrupt[13], corrupt[14] = 0xff, 0xff, 0xff, 0xff
-		if _, err := readBack(corrupt); err == nil {
-			t.Fatalf("%s: 4GB chunk length accepted", name)
-		}
+	// still agree with it.
+	corrupt := append([]byte(nil), data...)
+	corrupt[11], corrupt[12], corrupt[13], corrupt[14] = 0xff, 0xff, 0xff, 0xff
+	if _, err := readBack(corrupt); err == nil {
+		t.Fatal("4GB chunk length accepted")
 	}
 }

@@ -2,14 +2,15 @@ package colfile
 
 import (
 	"bytes"
+	"hash/crc32"
 	"testing"
 
 	"amrtools/internal/telemetry"
 )
 
-// fuzzSeeds returns encoded files covering both format versions: a valid
-// version-2 file (with footer index), a version-2 multi-chunk file, and
-// corruption-shaped fragments. Mutations of real structure explore the
+// fuzzSeeds returns encoded files: a valid file (with footer index), a
+// multi-chunk file, and corruption-shaped fragments (a version-1 header
+// among them). Mutations of real structure explore the
 // footer parser, sentinel handling, and chunk codec together.
 func fuzzSeeds(f *testing.F) [][]byte {
 	valid := telemetry.NewTable(
@@ -48,7 +49,8 @@ func fuzzSeeds(f *testing.F) [][]byte {
 // string column s carries the dictionary ["a", "a", "c"] — a repeated entry
 // and an unused one — under the ids [0, 1, 0], beside the int column v =
 // [1, 2, 3]. A reader must treat a dictionary as the outside input it is.
-// Version 1, so there is no checksum to recompute after the patch.
+// The chunk is patched in place and its checksums recomputed, so only the
+// dictionary is hostile.
 func hostileDictFile() []byte {
 	t := telemetry.NewTable(telemetry.StrCol("s"), telemetry.IntCol("v"))
 	t.Append("a", 1)
@@ -58,16 +60,21 @@ func hostileDictFile() []byte {
 	if err := WriteTable(&buf, t, 0); err != nil {
 		panic(err)
 	}
-	file, err := stripFooter(buf.Bytes())
-	if err != nil {
-		panic(err)
-	}
+	file := buf.Bytes()
 	clean := []byte("\x03\x01a\x01b\x01c\x00\x01\x02") // dictionary of 3, then the ids
 	at := bytes.Index(file, clean)
 	if at < 0 {
 		panic("colfile: string payload not where the format says")
 	}
 	copy(file[at:], "\x03\x01a\x01a\x01c\x00\x01\x00")
+	// Re-sum chunk 0 into its footer entry (after the chunk count: offset
+	// u64, length u32, rows u32, crc u32), then the footer body itself.
+	n := len(file)
+	footStart := n - trailerLen - int(le.Uint32(file[n-trailerLen:]))
+	entry := file[footStart+4:]
+	off, length := le.Uint64(entry), uint64(le.Uint32(entry[8:]))
+	le.PutUint32(entry[16:], crc32.ChecksumIEEE(file[off+4:off+4+length]))
+	le.PutUint32(file[n-trailerLen+4:], crc32.ChecksumIEEE(file[footStart:n-trailerLen]))
 	return file
 }
 

@@ -12,13 +12,10 @@ import (
 	"amrtools/internal/telemetry"
 )
 
-// Reader is a random-access colfile reader over an io.ReaderAt. For
-// version-2 files it parses the footer block index — chunk offsets, row
-// counts, checksums, and zone maps — so queries seek straight to matching
-// chunks (or skip payloads entirely for metadata-only aggregates). For
-// version-1 files it rebuilds an equivalent index with one scan pass over
-// the chunk headers: min/max zone maps come from the inline stats, sums
-// and checksums are unavailable.
+// Reader is a random-access colfile reader over an io.ReaderAt. It parses
+// the footer block index — chunk offsets, row counts, checksums, and zone
+// maps — so queries seek straight to matching chunks (or skip payloads
+// entirely for metadata-only aggregates).
 //
 // A Reader is safe for concurrent use: the index is immutable after Open,
 // chunk reads go through io.ReaderAt, and the decode counter is atomic.
@@ -41,12 +38,7 @@ func Open(ra io.ReaderAt, size int64) (*Reader, error) {
 		return nil, err
 	}
 	r := &Reader{ra: ra, size: size, version: ver, schema: schema}
-	if ver == version2 {
-		err = r.loadFooter(hlen)
-	} else {
-		err = r.scanV1(hlen)
-	}
-	if err != nil {
+	if err := r.loadFooter(hlen); err != nil {
 		return nil, err
 	}
 	for _, m := range r.chunks {
@@ -69,7 +61,7 @@ func OpenBytes(data []byte) (*Reader, error) {
 	return Open(bytes.NewReader(data), int64(len(data)))
 }
 
-// loadFooter parses the version-2 footer block index and validates it
+// loadFooter parses the footer block index and validates it
 // against the file geometry and its own checksum.
 func (r *Reader) loadFooter(hlen int64) error {
 	if r.size < hlen+4+trailerLen {
@@ -135,7 +127,6 @@ func (r *Reader) loadFooter(hlen int64) error {
 		}
 		m.Offset = int64(off)
 		m.Rows = int(rows)
-		m.HasCRC = true
 		if m.Offset < 0 || m.Offset+4+int64(m.Length) > chunkRegionEnd {
 			return fmt.Errorf("colfile: footer entry %d: chunk [%d,+%d] outside chunk region [0,%d)",
 				i, m.Offset, m.Length, chunkRegionEnd)
@@ -177,43 +168,10 @@ func (r *Reader) loadFooter(hlen int64) error {
 	return nil
 }
 
-// scanV1 rebuilds a block index for a version-1 file by scanning chunk
-// headers: offsets and row counts are exact, zone maps carry the inline
-// min/max only (no sums), and there are no checksums to verify.
-func (r *Reader) scanV1(hlen int64) error {
-	off := hlen
-	for off < r.size {
-		var lenBuf [4]byte
-		if _, err := r.ra.ReadAt(lenBuf[:], off); err != nil {
-			return fmt.Errorf("colfile: chunk length at %d: %w", off, err)
-		}
-		chunkLen := int64(binary.LittleEndian.Uint32(lenBuf[:]))
-		if off+4+chunkLen > r.size {
-			return fmt.Errorf("colfile: truncated chunk (%d of %d bytes)", r.size-off-4, chunkLen)
-		}
-		body := make([]byte, chunkLen)
-		if _, err := r.ra.ReadAt(body, off+4); err != nil {
-			return err
-		}
-		rows, zones, err := parseChunkStatsHeader(r.schema, body)
-		if err != nil {
-			return err
-		}
-		r.chunks = append(r.chunks, ChunkMeta{
-			Offset: off,
-			Length: uint32(chunkLen),
-			Rows:   rows,
-			Zones:  zones,
-		})
-		off += 4 + chunkLen
-	}
-	return nil
-}
-
 // Schema returns the file's column specs (read-only).
 func (r *Reader) Schema() []telemetry.ColSpec { return r.schema }
 
-// Version returns the file format version (1 or 2).
+// Version returns the file format version (always 2: Open rejects others).
 func (r *Reader) Version() int { return int(r.version) }
 
 // NumChunks returns the number of chunks in the block index.
@@ -253,10 +211,8 @@ func (r *Reader) chunkBody(i int) ([]byte, error) {
 		return nil, fmt.Errorf("colfile: chunk %d length prefix %d does not match the index (%d)", i, got, m.Length)
 	}
 	body := buf[4:]
-	if m.HasCRC {
-		if got := crc32.ChecksumIEEE(body); got != m.CRC {
-			return nil, fmt.Errorf("colfile: chunk %d checksum mismatch: %08x != %08x", i, got, m.CRC)
-		}
+	if got := crc32.ChecksumIEEE(body); got != m.CRC {
+		return nil, fmt.Errorf("colfile: chunk %d checksum mismatch: %08x != %08x", i, got, m.CRC)
 	}
 	return body, nil
 }

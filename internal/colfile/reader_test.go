@@ -119,101 +119,17 @@ func TestProjectionDecode(t *testing.T) {
 	}
 }
 
-func TestOpenV1BuildsIndex(t *testing.T) {
-	// A version-1 body has no footer; Open must scan and rebuild the index
-	// with min/max zones (no sums, no checksums).
+// TestOpenV1Rejected: version 2 is the only format. A version-1 file — this
+// one was written by the footer-less writer the package once had — is refused
+// at Open with a clean error naming the version, before any chunk is read.
+func TestOpenV1Rejected(t *testing.T) {
 	data, err := os.ReadFile("testdata/v1_golden.col")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r, err := OpenBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Version() != 1 {
-		t.Fatalf("version = %d, want 1", r.Version())
-	}
-	if r.NumChunks() != 7 { // ceil(100/16)
-		t.Fatalf("chunks = %d, want 7", r.NumChunks())
-	}
-	if r.NumRows() != 100 {
-		t.Fatalf("rows = %d, want 100", r.NumRows())
-	}
-	m := r.Meta(0) // rows 0..15: step = i/10 → 0..1
-	if z := m.Zones[0]; !z.HasRange || z.Min != 0 || z.Max != 1 {
-		t.Fatalf("v1 step zone = %+v", z)
-	}
-	if m.Zones[0].HasSum {
-		t.Fatal("v1 index invented sums")
-	}
-	if m.HasCRC {
-		t.Fatal("v1 index invented checksums")
-	}
-	got, err := r.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tablesEqual(goldenV1Table(), got) {
-		t.Fatal("v1 golden table mismatch via seekable reader")
-	}
-}
-
-// goldenV1Table mirrors the generator that produced testdata/v1_golden.col
-// with the pre-v2 writer. Do not change: it pins backward compatibility.
-func goldenV1Table() *telemetry.Table {
-	t := telemetry.NewTable(
-		telemetry.IntCol("step"), telemetry.IntCol("rank"),
-		telemetry.FloatCol("wait"), telemetry.StrCol("policy"))
-	policies := []string{"baseline", "lpt", "cdp", "cpl50"}
-	for i := 0; i < 100; i++ {
-		t.Append(i/10, i%7, float64(i)*0.25-3.0, policies[i%4])
-	}
-	return t
-}
-
-// TestV1GoldenStreamRead reads the golden file the way a scan does — chunk
-// by chunk in file order through the projection decoder, one column at a
-// time — and must reassemble the golden table.
-func TestV1GoldenStreamRead(t *testing.T) {
-	data, err := os.ReadFile("testdata/v1_golden.col")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := goldenV1Table()
-	row := 0
-	for i := 0; i < r.NumChunks(); i++ {
-		n := 0
-		for ci, s := range r.Schema() {
-			only := make([]bool, len(r.Schema()))
-			only[ci] = true
-			cols, rows, err := r.DecodeColumns(i, only)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n = rows
-			for j := 0; j < rows; j++ {
-				var got interface{}
-				switch s.Type {
-				case telemetry.Int64:
-					got = cols[ci].Ints[j]
-				case telemetry.Float64:
-					got = cols[ci].Floats[j]
-				case telemetry.String:
-					got = cols[ci].Dict[cols[ci].IDs[j]]
-				}
-				if w := want.ValueAt(s.Name, row+j); got != w {
-					t.Fatalf("chunk %d row %d column %q = %v, want %v", i, j, s.Name, got, w)
-				}
-			}
-		}
-		row += n
-	}
-	if row != want.NumRows() {
-		t.Fatalf("scanned %d rows, want %d", row, want.NumRows())
+	if err == nil || err.Error() != "colfile: unsupported version 1" {
+		t.Fatalf("Open of a version-1 file: reader %v, err %v; want unsupported version 1", r, err)
 	}
 }
 

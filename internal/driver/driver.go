@@ -29,7 +29,6 @@ import (
 	"amrtools/internal/mpi"
 	"amrtools/internal/physics"
 	"amrtools/internal/placement"
-	"amrtools/internal/sim"
 	"amrtools/internal/simnet"
 	"amrtools/internal/telemetry"
 	"amrtools/internal/trace"
@@ -389,17 +388,6 @@ func Run(cfg Config) (*Result, error) {
 			telemetry.FloatCol("t"), telemetry.IntCol("rank"),
 			telemetry.StrCol("kind"), telemetry.FloatCol("dur"),
 		)
-		world.OnWait = func(rank int, kind mpi.WaitKind, t sim.Time, dur float64) {
-			// Site 4, wait rows (ROADMAP 1(d)): staged on the scheduler, else
-			// appended in engine order.
-			if sg := st.stage; sg != nil {
-				if !sg.waitsFull {
-					sg.waits[rank] = append(sg.waits[rank], waitRow{t: t, dur: dur, kind: kind})
-				}
-				return
-			}
-			st.appendWait(t, rank, kind, dur)
-		}
 	}
 
 	for r := 0; r < nranks; r++ {
@@ -711,7 +699,7 @@ func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World) {
 			// Tuned schedule (§IV-B): sends dispatch immediately, so
 			// neighbors' ghost waits are transfer-bound only.
 			postSends()
-			c.WaitAll(recvReqs)
+			st.waitAll(c, recvReqs, mpi.WaitRecv)
 			compute()
 		} else {
 			// Untuned schedule: send tasks sit behind compute tasks, so a
@@ -719,9 +707,9 @@ func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World) {
 			// time — the cascading delays of Fig 3 (left).
 			compute()
 			postSends()
-			c.WaitAll(recvReqs)
+			st.waitAll(c, recvReqs, mpi.WaitRecv)
 		}
-		c.WaitAll(sendReqs)
+		st.waitAll(c, sendReqs, mpi.WaitSend)
 
 		// Global synchronization, then step telemetry: the meter snapshot
 		// is taken after the barrier so this step's record includes its

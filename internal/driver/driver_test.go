@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"amrtools/internal/critpath"
+	"amrtools/internal/metrics"
 	"amrtools/internal/mpi"
 	"amrtools/internal/placement"
 	"amrtools/internal/simnet"
@@ -221,6 +222,46 @@ func TestWaitEventCollection(t *testing.T) {
 	}
 	if res.Waits.NumRows() != maxWaitEvents {
 		t.Fatalf("table holds %d rows, want the cap %d", res.Waits.NumRows(), maxWaitEvents)
+	}
+}
+
+// TestWaitTableObservesSpikes: on the untuned fabric the ACK-recovery path
+// stretches sender-buffer release to milliseconds (§IV-B), and the wait table
+// must show it as send-wait rows above the recovery floor. The rows are the
+// driver's own timing of the waits that block, so there must be exactly one
+// per blocked wait the MPI lanes counted, on either engine.
+func TestWaitTableObservesSpikes(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		cfg := smallConfig(placement.Baseline{}, 8, 31)
+		cfg.Net = simnet.Untuned(4, 16, 31)
+		cfg.SendsFirst = false
+		cfg.CollectWaits = true
+		cfg.Metrics = &metrics.Config{}
+		cfg.Shards = shards
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Census.AckStalls == 0 {
+			t.Fatalf("shards=%d: untuned run saw no ACK stalls", shards)
+		}
+		w := res.Waits
+		if got, want := int64(w.NumRows()), res.Metrics.MPI.Waits.Total(); got != want {
+			t.Fatalf("shards=%d: %d wait rows, the MPI lanes counted %d blocked waits", shards, got, want)
+		}
+		spikes := 0
+		for r := 0; r < w.NumRows(); r++ {
+			dur := w.Floats("dur")[r]
+			if dur <= 0 {
+				t.Fatalf("shards=%d row %d: a blocked wait of %v s", shards, r, dur)
+			}
+			if w.ValueAt("kind", r) == "send" && dur >= 0.4*cfg.Net.AckRecoveryDelay {
+				spikes++
+			}
+		}
+		if spikes == 0 {
+			t.Fatalf("shards=%d: no send wait reaches the ACK-recovery floor %v s", shards, 0.4*cfg.Net.AckRecoveryDelay)
+		}
 	}
 }
 

@@ -163,6 +163,36 @@ func (st *runState) flushWaits() {
 	sg.wscratch = sc[:0]
 }
 
+// waitAll waits on reqs, all of one kind, in order. With the wait-event
+// table on (Config.CollectWaits) it times every wait that blocks — Done
+// before the Wait, the clock around it — and records it as a row: t is when
+// the wait ended, dur how long the rank was blocked.
+func (st *runState) waitAll(c *mpi.Comm, reqs []*mpi.Request, kind mpi.WaitKind) {
+	if st.res.Waits == nil {
+		c.WaitAll(reqs)
+		return
+	}
+	rank := c.Rank()
+	for _, r := range reqs {
+		if r.Done() {
+			c.Wait(r)
+			continue
+		}
+		start := c.Now()
+		c.Wait(r)
+		t := c.Now()
+		// Site 4, wait rows (ROADMAP 1(d)): staged on the scheduler, else
+		// appended in engine order.
+		if sg := st.stage; sg != nil {
+			if !sg.waitsFull {
+				sg.waits[rank] = append(sg.waits[rank], waitRow{t: t, dur: t - start, kind: kind})
+			}
+			continue
+		}
+		st.appendWait(t, rank, kind, t-start)
+	}
+}
+
 // appendWait adds one wait event to the Waits table unless the table already
 // holds maxWaitEvents rows, and reports whether the row was kept.
 func (st *runState) appendWait(t sim.Time, rank int, kind mpi.WaitKind, dur float64) bool {

@@ -13,16 +13,16 @@ import (
 // traverse (DESIGN.md §8). Nodes are the module's declared functions and
 // methods plus every function literal (closures are where the window-phase
 // and worker-pool code lives, so they must be first-class). Edges come in
-// three kinds; every rule built on the graph is about code *executed in a
-// context*, so Reachable follows all of them:
+// three kinds, which no rule tells apart: every rule built on the graph is
+// about code *executed in a context*, so Reachable follows all of them:
 //
-//	EdgeCall  — a direct static call: f(x), recv.Method(x), or an
+//	call      — a direct static call: f(x), recv.Method(x), or an
 //	            immediately-invoked literal func(){…}().
-//	EdgeIface — an interface-method call, resolved to every module type
+//	interface — an interface-method call, resolved to every module type
 //	            implementing the interface. The module's interfaces are
 //	            sealed in practice (physics.Problem, sim.MsgSink, …), so
 //	            enumerating module implementers is the whole dispatch set.
-//	EdgeRef   — a function value referenced without being called: a closure
+//	reference — a function value referenced without being called: a closure
 //	            being created, a named function passed as an argument or
 //	            stored in a field. Whoever holds the value may call it, so
 //	            rules about code *executed in a context* (window phase,
@@ -33,23 +33,9 @@ import (
 // where it can run, which is the conservative direction for every rule
 // built on this graph.
 
-// EdgeKind classifies one call-graph edge.
-type EdgeKind uint8
-
-const (
-	// EdgeCall is a direct static call.
-	EdgeCall EdgeKind = 1 << iota
-	// EdgeIface is an interface dispatch, resolved to a module implementer.
-	EdgeIface
-	// EdgeRef is a function value reference (closure creation, func passed
-	// or stored without being called at this site).
-	EdgeRef
-)
-
 // Edge is one outgoing call-graph edge.
 type Edge struct {
-	Kind EdgeKind
-	To   *FuncNode
+	To *FuncNode
 	// Pos is the call or reference site.
 	Pos token.Pos
 }
@@ -224,12 +210,12 @@ func (g *Graph) callEdge(from *FuncNode, call *ast.CallExpr) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.FuncLit:
 		if to := g.byLit[fun]; to != nil {
-			from.Out = append(from.Out, Edge{Kind: EdgeCall, To: to, Pos: call.Pos()})
+			from.Out = append(from.Out, Edge{To: to, Pos: call.Pos()})
 		}
 	case *ast.Ident:
 		if obj, ok := from.Pkg.Info.Uses[fun].(*types.Func); ok {
 			if to := g.NodeOf(obj); to != nil {
-				from.Out = append(from.Out, Edge{Kind: EdgeCall, To: to, Pos: call.Pos()})
+				from.Out = append(from.Out, Edge{To: to, Pos: call.Pos()})
 			}
 		}
 	case *ast.SelectorExpr:
@@ -238,7 +224,7 @@ func (g *Graph) callEdge(from *FuncNode, call *ast.CallExpr) {
 			// Package-qualified function: pkg.Fun.
 			if obj, ok := from.Pkg.Info.Uses[fun.Sel].(*types.Func); ok {
 				if to := g.NodeOf(obj); to != nil {
-					from.Out = append(from.Out, Edge{Kind: EdgeCall, To: to, Pos: call.Pos()})
+					from.Out = append(from.Out, Edge{To: to, Pos: call.Pos()})
 				}
 			}
 			return
@@ -249,12 +235,12 @@ func (g *Graph) callEdge(from *FuncNode, call *ast.CallExpr) {
 		}
 		if types.IsInterface(sel.Recv()) {
 			for _, impl := range g.implementers(obj, sel.Recv()) {
-				from.Out = append(from.Out, Edge{Kind: EdgeIface, To: impl, Pos: call.Pos()})
+				from.Out = append(from.Out, Edge{To: impl, Pos: call.Pos()})
 			}
 			return
 		}
 		if to := g.NodeOf(obj); to != nil {
-			from.Out = append(from.Out, Edge{Kind: EdgeCall, To: to, Pos: call.Pos()})
+			from.Out = append(from.Out, Edge{To: to, Pos: call.Pos()})
 		}
 	}
 }
@@ -316,7 +302,7 @@ func (g *Graph) refWalk(from *FuncNode, body *ast.BlockStmt) {
 		}
 	})
 	report := func(pos token.Pos, to *FuncNode) {
-		from.Out = append(from.Out, Edge{Kind: EdgeRef, To: to, Pos: pos})
+		from.Out = append(from.Out, Edge{To: to, Pos: pos})
 	}
 	walkOwn(body, func(n ast.Node) {
 		id, ok := n.(*ast.Ident)
@@ -391,7 +377,7 @@ func (g *Graph) Reachable(roots []*FuncNode, stop func(*FuncNode) bool) *Reach {
 				continue
 			}
 			r.in[e.To] = true
-			r.from[e.To] = Edge{Kind: e.Kind, To: n, Pos: e.Pos} // To doubles as "via"
+			r.from[e.To] = Edge{To: n, Pos: e.Pos} // To doubles as "via"
 			queue = append(queue, e.To)
 		}
 	}

@@ -1,5 +1,5 @@
 // Paranoid-mode audits for the MPI runtime (see internal/check): inline
-// collective-membership tracking lives in joinCollective; this file holds the
+// collective-membership tracking lives in addArrival; this file holds the
 // end-of-run teardown audit (the paranoid switch is World.SetParanoid).
 package mpi
 
@@ -28,20 +28,14 @@ type postRecord struct {
 // clean engine drain (a deadlock already reports more precisely through
 // World.Run); Run calls it when paranoid.
 func (w *World) AuditTeardown() {
-	check.Assertf(w.barrier == nil, "mpi", "collective-round-open",
-		"a collective round (%s) is still open at teardown with %d arrivals",
-		openOp(w.barrier), openArrivals(w.barrier))
-	// Engine-dependent site 2 of 4, the audit twin of Barrier/AllreduceSum:
-	// dies with ROADMAP 1(d).
+	open := len(w.round.arrivals)
 	if st := w.shard; st != nil {
-		open := len(st.round.arrivals)
 		for sh := range st.outColl {
 			open += len(st.outColl[sh])
 		}
-		check.Assertf(open == 0, "mpi", "collective-round-open",
-			"a sharded collective round (%s) is still open at teardown with %d arrivals",
-			st.round.op, open)
 	}
+	check.Assertf(open == 0, "mpi", "collective-round-open",
+		"a collective round (%s) is still open at teardown with %d arrivals", w.round.op, open)
 	for dst := range w.mq {
 		// Slot order: the first orphan reported is the same on every run.
 		for _, s := range w.mq[dst].slots {
@@ -79,18 +73,4 @@ func (w *World) AuditTeardown() {
 		bytes, c.LocalBytes+c.RemoteBytes, c.LocalBytes, c.RemoteBytes)
 	check.Assertf(recvd == sent, "mpi", "census-recvd",
 		"%d messages sent but %d received at teardown", sent, recvd)
-}
-
-func openOp(b *barrierState) string {
-	if b == nil {
-		return ""
-	}
-	return b.op
-}
-
-func openArrivals(b *barrierState) int {
-	if b == nil {
-		return 0
-	}
-	return b.arrived
 }

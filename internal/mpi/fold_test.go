@@ -52,13 +52,16 @@ func genFoldProgram(rng *xrand.RNG, n int) []foldRound {
 }
 
 // foldTally is what a rank's Meter must read, computed from the program text
-// alone — plus the two quantities only the run can tell (blocked-wait time
-// and count), which come from the independent OnWait hook.
+// alone — plus the quantities only the run can tell: blocked-wait time and
+// count, which the rank program tallies itself (Done before each Wait, the
+// clock around it), independently of the lanes, and its finish time.
 type foldTally struct {
 	want       Meter
 	bytesRecvd int64
 	barriers   int64
 	allreduces int64
+	waited     float64
+	waits      int64
 	finish     sim.Time
 }
 
@@ -116,7 +119,16 @@ func spawnFoldProgram(w *World, prog []foldRound, tally []foldTally) {
 				if r.recvLate[rank] {
 					recvs()
 				}
-				c.WaitAll(reqs)
+				for _, req := range reqs {
+					if req.Done() {
+						c.Wait(req)
+						continue
+					}
+					start := c.Now()
+					c.Wait(req)
+					tally[rank].waited += c.Now() - start
+					tally[rank].waits++
+				}
 				if d := r.rebalance[rank]; d > 0 {
 					c.ChargeRebalance(d)
 				}
@@ -136,7 +148,7 @@ func spawnFoldProgram(w *World, prog []foldRound, tally []foldTally) {
 // quantity": over seeded random programs, on the single engine and on 1, 2
 // and 4 shards, every rank's Meter must equal a plain-Go tally of the program
 // (messages, bytes, compute, rebalance exactly; blocked waits against the
-// independent OnWait stream; sync by conservation — a rank's phases add up to
+// program's own tally of them; sync by conservation — a rank's phases add up to
 // its finish time). A site that forgets its lane fails here. The meters must
 // also be bit-identical for every shard count, and bytes sent must equal
 // bytes received and the fabric's own census.
@@ -171,12 +183,6 @@ func TestMeterIsFoldOfLanes(t *testing.T) {
 				blocked = func() int { return len(shs.Blocked()) }
 			}
 			tally := tallyFoldProgram(prog, n, w.Net().ComputeFactor)
-			waitDur := make([]float64, n)
-			waitN := make([]int64, n)
-			w.OnWait = func(rank int, _ WaitKind, _ sim.Time, dur float64) {
-				waitDur[rank] += dur
-				waitN[rank]++
-			}
 			spawnFoldProgram(w, prog, tally)
 			run()
 			if b := blocked(); b != 0 {
@@ -193,7 +199,7 @@ func TestMeterIsFoldOfLanes(t *testing.T) {
 			var sent, recvd, waits int64
 			for rank, m := range got {
 				want := tally[rank].want
-				want.CommWait, want.Waits = waitDur[rank], waitN[rank]
+				want.CommWait, want.Waits = tally[rank].waited, tally[rank].waits
 				want.Sync = m.Sync // checked by conservation below
 				if m != want {
 					t.Fatalf("%s rank %d: Meter %+v, program tally %+v", name, rank, m, want)
@@ -209,10 +215,10 @@ func TestMeterIsFoldOfLanes(t *testing.T) {
 				}
 				sent += m.BytesSent
 				recvd += tally[rank].bytesRecvd
-				waits += waitN[rank]
+				waits += tally[rank].waits
 			}
 			if h := w.mx.WaitHist.Count(); h != waits {
-				t.Fatalf("%s: wait histogram holds %d observations, OnWait saw %d", name, h, waits)
+				t.Fatalf("%s: wait histogram holds %d observations, the programs counted %d", name, h, waits)
 			}
 			cs := w.Net().CensusTotal()
 			if sent != recvd || sent != cs.LocalBytes+cs.RemoteBytes {

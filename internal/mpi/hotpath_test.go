@@ -190,27 +190,6 @@ func TestParanoidKeepsRequestsLive(t *testing.T) {
 	w.AuditTeardown()
 }
 
-// TestBarrierStateRecycled: collective rounds are pooled. Because fast
-// ranks enter round k+1 before the slowest rank has departed round k, the
-// steady state alternates between exactly two pooled states no matter how
-// many rounds run — both parked on the free list once every rank is done.
-func TestBarrierStateRecycled(t *testing.T) {
-	unforced(t)
-	eng, w := newWorld(t, quietConfig(1, 3))
-	for r := 0; r < 3; r++ {
-		w.Spawn(r, func(c *Comm) {
-			for i := 0; i < 16; i++ {
-				c.Barrier()
-			}
-		})
-	}
-	runWorld(t, eng)
-	if len(w.barFree) != 2 {
-		t.Fatalf("barrier free list holds %d states after 16 rounds, want 2 (two-round overlap)",
-			len(w.barFree))
-	}
-}
-
 // TestAllreduceSumWithPooling locks the value semantics under state reuse:
 // every round's sum must be freshly accumulated, never inherited from the
 // recycled state.

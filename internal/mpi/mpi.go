@@ -106,24 +106,15 @@ type World struct {
 	shardOf []int32
 	pools   []reqPool
 
-	// barrier is the open collective round of a world on the sequential
-	// engine, completed inline by its last arrival, and barFree the retired
-	// rounds kept for reuse. At most two rounds can be live at once (ranks
-	// may enter round k+1 before the slowest rank has departed round k), so
-	// the list stays tiny.
-	barFree []*barrierState
-	barrier *barrierState
+	// round is the open collective round, on either engine (see collective),
+	// and release the sequential engine's release event for it, built once
+	// so that a round schedules it without allocating.
+	round   collRound
+	release func()
 
 	// shard is the scheduler-side state of a world on sim.Shards (nil on the
-	// sequential engine): staged deliveries and collective rounds completed
-	// at window merges.
+	// sequential engine): staged deliveries and collective arrivals.
 	shard *shardState
-
-	// OnWait, when set, observes every blocking Wait (rank, kind, end
-	// time, duration). The telemetry collector hooks in here to catch the
-	// MPI_Wait spikes of Fig 1b; the end time lets the sharded driver
-	// merge per-rank wait logs deterministically.
-	OnWait func(rank int, kind WaitKind, t sim.Time, dur float64)
 
 	// tracer, when non-nil, receives a span for every communicator
 	// operation — the flight recorder of internal/trace. The nil check at
@@ -144,10 +135,10 @@ type World struct {
 	paranoid bool
 }
 
-// shardState is the sharded world's coordinator-side state: the scheduler,
-// per-shard collective outboxes, and the current collective round. Outboxes
-// are appended by shard executors during a window and drained by the
-// coordinator at the merge; everything else is coordinator-only.
+// shardState is the sharded world's coordinator-side state: the scheduler
+// and the per-shard collective outboxes. Outboxes are appended by shard
+// executors during a window and drained by the coordinator at the merge;
+// everything else is coordinator-only.
 type shardState struct {
 	s *sim.Shards
 	// msgSeq is the per-source-rank program-order stamp for staged
@@ -155,7 +146,6 @@ type shardState struct {
 	msgSeq []int64
 	// outColl stages collective arrivals per shard until the next merge.
 	outColl [][]collArrival
-	round   collRound
 }
 
 // collArrival is one rank's arrival at the current collective round.
@@ -167,8 +157,9 @@ type collArrival struct {
 	c    *Comm
 }
 
-// collRound accumulates arrivals at the coordinator until every rank has
-// joined, then releases (see completeRound).
+// collRound accumulates a collective's arrivals until every rank has
+// joined. Rounds are globally sequential — no rank arrives at round k+1
+// before round k's release completed its future — so one round suffices.
 type collRound struct {
 	arrivals []collArrival
 	members  []bool // paranoid double-join tracking
@@ -215,6 +206,7 @@ func buildWorld(mach machine, engs []*sim.Engine, net *simnet.Network, shardOfNo
 	for _, eng := range engs {
 		eng.SetSink(w)
 	}
+	w.release = w.releaseRound
 	return w
 }
 
@@ -363,8 +355,8 @@ type Comm struct {
 	shard int32
 
 	// collFut/collSum are this rank's pooled collective future and
-	// allreduce result in sharded mode: the coordinator completes collFut
-	// at the release time and deposits the reduced sum in collSum.
+	// allreduce result: the round's release completes collFut at the
+	// release time and deposits the reduced sum in collSum.
 	collFut sim.Future
 	collSum float64
 }
@@ -480,9 +472,9 @@ func (c *Comm) Irecv(src, tag int) *Request {
 }
 
 // Wait blocks until the request completes, charging the blocked time to the
-// rank's CommWait bucket and reporting it to OnWait. Wait consumes the
-// request: it returns to the world's free list, so the caller must drop the
-// pointer afterwards (waiting twice on the same request panics).
+// rank's CommWait bucket. Wait consumes the request: it returns to the
+// world's free list, so the caller must drop the pointer afterwards (waiting
+// twice on the same request panics).
 func (c *Comm) Wait(req *Request) {
 	if req.freed {
 		panic("mpi: Wait on a request already released by a previous Wait")
@@ -504,9 +496,6 @@ func (c *Comm) Wait(req *Request) {
 				T0: float64(start), T1: float64(c.p.Now()),
 				Peer: req.peer, Bytes: int64(req.bytes), Tag: req.tag})
 		}
-		if c.w.OnWait != nil {
-			c.w.OnWait(c.rank, req.kind, c.p.Now(), dur)
-		}
 	}
 	c.release(req)
 }
@@ -518,104 +507,11 @@ func (c *Comm) WaitAll(reqs []*Request) {
 	}
 }
 
-type barrierState struct {
-	fut      sim.Future
-	arrived  int
-	departed int
-	sum      float64
-	// op guards against mismatched collectives: every rank in a round must
-	// call the same operation (as MPI requires).
-	op string
-	// members tracks which ranks joined this round (paranoid mode only): a
-	// duplicate arrival would hit the release count with a rank still
-	// missing, silently releasing the collective early.
-	members []bool
-}
-
-// getBarrier returns a reset collective round from the free list, or a
-// fresh one.
-func (w *World) getBarrier(op string) *barrierState {
-	var b *barrierState
-	if n := len(w.barFree); n > 0 {
-		b = w.barFree[n-1]
-		w.barFree = w.barFree[:n-1]
-		b.fut.Reset()
-		b.arrived = 0
-		b.departed = 0
-		b.sum = 0
-	} else {
-		b = &barrierState{}
-	}
-	b.op = op
-	if w.paranoid {
-		if cap(b.members) >= w.nranks {
-			b.members = b.members[:w.nranks]
-			for i := range b.members {
-				b.members[i] = false
-			}
-		} else {
-			b.members = make([]bool, w.nranks)
-		}
-	} else {
-		b.members = nil
-	}
-	return b
-}
-
-// depart records one rank leaving the released collective; the last
-// departure retires the round's state to the free list for reuse.
-func (w *World) depart(b *barrierState) {
-	b.departed++
-	if b.departed == w.nranks {
-		w.barFree = append(w.barFree, b)
-	}
-}
-
-// joinCollective registers the caller in the current collective round,
-// enforcing that all ranks call the same operation and (in paranoid mode)
-// that no rank joins the same round twice.
-func (w *World) joinCollective(op string, rank int) *barrierState {
-	if w.barrier == nil {
-		w.barrier = w.getBarrier(op)
-	}
-	b := w.barrier
-	if b.op != op {
-		check.Failf("mpi", "collective-op",
-			"mismatched collectives in one round: %s vs %s", b.op, op)
-	}
-	if b.members != nil {
-		check.Assertf(!b.members[rank], "mpi", "collective-membership",
-			"rank %d joined the same %s round twice (arrival %d/%d): a duplicate arrival releases the collective with another rank still missing",
-			rank, op, b.arrived+1, w.nranks)
-		b.members[rank] = true
-	}
-	b.arrived++
-	return b
-}
-
 // Barrier blocks until every rank in the world has arrived, then releases
 // all ranks after the collective's tree latency. The blocked interval
 // (arrival → release) is charged to the Sync bucket — the paper's
 // synchronization phase.
-func (c *Comm) Barrier() {
-	w := c.w
-	// Engine-dependent site 2 of 4 (round completion, with AllreduceSum and
-	// AuditTeardown): dies with ROADMAP 1(d).
-	if w.shard != nil && w.nranks > 1 {
-		c.shardCollective("barrier", trace.Barrier, 0)
-		return
-	}
-	b := w.joinCollective("barrier", c.rank)
-	arrivedAt := c.p.Now()
-	if b.arrived == w.nranks {
-		w.barrier = nil // next Barrier call starts a new round
-		release := w.net.CollectiveLatency(w.nranks)
-		c.eng.CompleteAfter(release, &b.fut)
-	}
-	c.p.Await(&b.fut)
-	w.depart(b)
-	c.released(trace.Barrier, arrivedAt)
-}
+func (c *Comm) Barrier() { c.collective("barrier", trace.Barrier, 0) }
 
 // AllreduceSum performs a blocking sum-allreduce over all ranks: every rank
 // contributes v and receives the global sum. Like Barrier, it releases after
@@ -624,24 +520,37 @@ func (c *Comm) Barrier() {
 // the implicit synchronizations of §II-B that force every rank to observe
 // the straggler.
 func (c *Comm) AllreduceSum(v float64) float64 {
+	return c.collective("allreduce", trace.Allreduce, v)
+}
+
+// collective is Barrier and AllreduceSum: the rank joins the world's round
+// and blocks on its own pooled future until the round's release completes it,
+// then reads the reduced sum. Only who completes the round depends on the
+// engine. On the sequential engine (and in a one-rank world, whose release
+// is immediate: CollectiveLatency(1) == 0) the last arrival completes it
+// inline: the arrivals, in arrival order, are summed and released by one
+// event. On the scheduler the arrival stages in its shard's outbox and the
+// coordinator completes the round at a window merge (mergeCollectives).
+func (c *Comm) collective(op string, kind trace.Kind, v float64) float64 {
 	w := c.w
-	// Engine-dependent site 2 of 4, as in Barrier (dies with ROADMAP 1(d)).
-	if w.shard != nil && w.nranks > 1 {
-		return c.shardCollective("allreduce", trace.Allreduce, v)
-	}
-	b := w.joinCollective("allreduce", c.rank)
-	b.sum += v
+	// Safe: the previous round released and this rank resumed, so no waiter
+	// can be pending on the pooled future.
+	c.collFut.Reset()
 	arrivedAt := c.p.Now()
-	if b.arrived == w.nranks {
-		w.barrier = nil
-		release := 2 * w.net.CollectiveLatency(w.nranks)
-		c.eng.CompleteAfter(release, &b.fut)
+	a := collArrival{t: arrivedAt, v: v, rank: int32(c.rank), op: op, c: c}
+	// Engine-dependent site 2 of 4 (who completes the round): dies with
+	// ROADMAP 2(d).
+	if st := w.shard; st == nil || w.nranks == 1 {
+		w.addArrival(a)
+		if len(w.round.arrivals) == w.nranks {
+			c.eng.At(arrivedAt+w.releaseAfter(op), w.release)
+		}
+	} else {
+		st.outColl[c.shard] = append(st.outColl[c.shard], a)
 	}
-	c.p.Await(&b.fut)
-	sum := b.sum
-	w.depart(b)
-	c.released(trace.Allreduce, arrivedAt)
-	return sum
+	c.p.Await(&c.collFut)
+	c.released(kind, arrivedAt)
+	return c.collSum
 }
 
 // released accounts a collective the caller just left: one more of its kind,
@@ -660,49 +569,12 @@ func (c *Comm) released(kind trace.Kind, arrivedAt sim.Time) {
 	}
 }
 
-// shardCollective is the sharded arrival side of Barrier/AllreduceSum: the
-// rank stages its arrival in its shard's outbox and blocks on its pooled
-// collective future; the coordinator completes the round at a window merge
-// (mergeCollectives). Single-rank worlds never take this path — their
-// collectives complete locally through the sequential round state, which
-// also keeps the zero-latency release (CollectiveLatency(1) == 0) on the
-// rank's own engine.
-func (c *Comm) shardCollective(op string, kind trace.Kind, v float64) float64 {
-	st := c.w.shard
-	// Safe: the previous round released and this rank resumed, so no waiter
-	// can be pending on the pooled future.
-	c.collFut.Reset()
-	arrivedAt := c.p.Now()
-	st.outColl[c.shard] = append(st.outColl[c.shard],
-		collArrival{t: arrivedAt, v: v, rank: int32(c.rank), op: op, c: c})
-	c.p.Await(&c.collFut)
-	c.released(kind, arrivedAt)
-	return c.collSum
-}
-
-// mergeCollectives is the world's merge hook (sim.Shards.OnMerge): it
-// drains every shard's arrival outbox into the current round and, once all
-// ranks joined, releases the round. Rounds are globally sequential — no
-// rank can arrive at round k+1 before round k's release resumed it — so
-// one accumulator suffices.
-func (w *World) mergeCollectives(horizon sim.Time) {
-	st := w.shard
-	for sh := range st.outColl {
-		for i := range st.outColl[sh] {
-			w.addArrival(st.outColl[sh][i])
-		}
-		st.outColl[sh] = st.outColl[sh][:0]
-	}
-	if len(st.round.arrivals) >= w.nranks {
-		w.completeRound()
-	}
-}
-
-// addArrival registers one arrival at the coordinator, enforcing the same
-// collective-op and (paranoid) membership invariants joinCollective does
-// inline on the sequential engine.
+// addArrival registers one arrival at the open round: the only place that
+// enforces that every rank calls the same operation (as MPI requires) and,
+// when paranoid, that no rank joins a round twice — a duplicate arrival
+// would release the collective with another rank still missing.
 func (w *World) addArrival(a collArrival) {
-	r := &w.shard.round
+	r := &w.round
 	if len(r.arrivals) == 0 {
 		r.op = a.op
 	} else if r.op != a.op {
@@ -721,7 +593,62 @@ func (w *World) addArrival(a collArrival) {
 	r.arrivals = append(r.arrivals, a)
 }
 
-// completeRound releases the current collective round: arrivals sort by
+// releaseAfter is the tree latency from the last arrival to the release.
+func (w *World) releaseAfter(op string) float64 {
+	d := w.net.CollectiveLatency(w.nranks)
+	if op == "allreduce" {
+		d *= 2 // reduce + broadcast
+	}
+	return d
+}
+
+// sum reduces the round's contributions in arrival-list order.
+func (r *collRound) sum() float64 {
+	var s float64
+	for i := range r.arrivals {
+		s += r.arrivals[i].v
+	}
+	return s
+}
+
+// reset empties the round for the next collective, keeping its storage.
+func (r *collRound) reset() {
+	r.arrivals = r.arrivals[:0]
+	r.op = ""
+	clear(r.members)
+}
+
+// releaseRound is the sequential engine's release event (World.release): it
+// deposits the sum and completes every arrival's future in arrival order —
+// the order their resumes are scheduled in — and empties the round.
+func (w *World) releaseRound() {
+	r := &w.round
+	sum := r.sum()
+	for i := range r.arrivals {
+		c := r.arrivals[i].c
+		c.collSum = sum
+		c.collFut.Complete(c.eng)
+	}
+	r.reset()
+}
+
+// mergeCollectives is the world's merge hook (sim.Shards.OnMerge): it
+// drains every shard's arrival outbox into the round and, once all ranks
+// joined, completes it.
+func (w *World) mergeCollectives(horizon sim.Time) {
+	st := w.shard
+	for sh := range st.outColl {
+		for i := range st.outColl[sh] {
+			w.addArrival(st.outColl[sh][i])
+		}
+		st.outColl[sh] = st.outColl[sh][:0]
+	}
+	if len(w.round.arrivals) >= w.nranks {
+		w.completeRound()
+	}
+}
+
+// completeRound releases the round on the scheduler: arrivals sort by
 // (time, rank) — the deterministic, shard-count-independent order — the
 // allreduce sum reduces in that order, and one silent release event per
 // participating shard completes its ranks' futures in rank order at
@@ -729,7 +656,7 @@ func (w *World) addArrival(a collArrival) {
 // event, matching the single release event of the sequential engine.
 func (w *World) completeRound() {
 	st := w.shard
-	r := &st.round
+	r := &w.round
 	arr := r.arrivals
 	sort.Slice(arr, func(i, j int) bool {
 		if arr[i].t != arr[j].t {
@@ -737,16 +664,8 @@ func (w *World) completeRound() {
 		}
 		return arr[i].rank < arr[j].rank
 	})
-	tLast := arr[len(arr)-1].t
-	var sum float64
-	for i := range arr {
-		sum += arr[i].v
-	}
-	release := w.net.CollectiveLatency(w.nranks)
-	if r.op == "allreduce" {
-		release *= 2 // reduce + broadcast
-	}
-	tRel := tLast + release
+	sum := r.sum()
+	tRel := arr[len(arr)-1].t + w.releaseAfter(r.op)
 	// Re-sort by rank: shards hold contiguous rank ranges, so rank order is
 	// also shard-grouped, giving one injection per participating shard.
 	sort.Slice(arr, func(i, j int) bool { return arr[i].rank < arr[j].rank })
@@ -770,11 +689,7 @@ func (w *World) completeRound() {
 		i = j
 	}
 	st.s.AddCoordinatorEvents(1)
-	r.arrivals = r.arrivals[:0]
-	r.op = ""
-	for i := range r.members {
-		r.members[i] = false
-	}
+	r.reset()
 }
 
 // Compute runs a compute kernel of the given nominal cost (seconds on a

@@ -150,32 +150,6 @@ func TestWaitChargesCommWait(t *testing.T) {
 	}
 }
 
-func TestOnWaitHookObservesSpikes(t *testing.T) {
-	cfg := simnet.Untuned(2, 1, 3)
-	cfg.AckLossProb = 1 // every remote send stalls
-	cfg.Jitter = 0
-	eng, w := newWorld(t, cfg)
-	var sendWaits []float64
-	w.OnWait = func(rank int, kind WaitKind, t sim.Time, dur float64) {
-		if kind == WaitSend {
-			sendWaits = append(sendWaits, dur)
-		}
-	}
-	w.Spawn(0, func(c *Comm) {
-		c.Wait(c.Isend(1, 0, 1024))
-	})
-	w.Spawn(1, func(c *Comm) {
-		c.Wait(c.Irecv(0, 0))
-	})
-	runWorld(t, eng)
-	if len(sendWaits) != 1 {
-		t.Fatalf("observed %d send waits, want 1", len(sendWaits))
-	}
-	if sendWaits[0] < cfg.AckRecoveryDelay*0.4 {
-		t.Fatalf("ACK stall %v shorter than recovery floor", sendWaits[0])
-	}
-}
-
 func TestDrainQueueSuppressesStalls(t *testing.T) {
 	cfg := simnet.Untuned(2, 1, 3)
 	cfg.AckLossProb = 1

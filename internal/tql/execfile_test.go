@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -270,24 +269,6 @@ func TestDifferentialExecFileEmptyTable(t *testing.T) {
 		telemetry.IntCol("step"), telemetry.IntCol("rank"),
 		telemetry.FloatCol("wait"), telemetry.StrCol("policy"))
 	runDifferential(t, "empty", empty, corpusReaders(t, empty))
-}
-
-// TestDifferentialExecFileV1 runs the corpus against the committed
-// pre-PR version-1 golden file: old files must answer new queries.
-func TestDifferentialExecFileV1(t *testing.T) {
-	data, err := os.ReadFile("../colfile/testdata/v1_golden.col")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := colfile.OpenBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := r.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	runDifferential(t, "v1", src, map[string]*colfile.Reader{"golden": r})
 }
 
 // fileFor writes src as a v2 colfile and opens a seekable reader on it.
