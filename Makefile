@@ -19,12 +19,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# amrlint: the repo's own static analyzer (cmd/amrlint). Enforces the five
+# amrlint: the repo's own static analyzer (cmd/amrlint). Enforces the four
 # rules of DESIGN.md §8 (determinism, map order, exhaustive switches, dropped
-# errors, metric planes); any diagnostic fails the build. Waive single sites
-# with //lint:ignore <rule> <reason>; the run ends with "amrlint: N live
+# errors); any diagnostic fails the build. Waive single sites with
+# //lint:ignore <rule> <reason>; the run ends with "amrlint: N live
 # waiver(s)" on stderr — the register CHANGES.md quotes (`amrlint -json`
-# lists it), which only goes down: 9 since PR 24, all `determinism`
+# lists it), which only goes down: 4, all `determinism`
 # (internal/lint TestRealModuleClean pins the bound).
 lint:
 	$(GO) run ./cmd/amrlint ./...

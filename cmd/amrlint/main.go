@@ -1,7 +1,7 @@
 // Command amrlint runs the repo's custom static analyzers (internal/lint)
-// over the module: the determinism, map-order, exhaustive-switch,
-// dropped-error and metric-plane rules — each kept because it caught a real
-// defect here or because no runtime check can see its defect class. See
+// over the module: the determinism, map-order, exhaustive-switch and
+// dropped-error rules — each kept because it caught a real defect here or
+// because no runtime check can see its defect class. See
 // DESIGN.md §8 for the rule table and the evidence ledger.
 //
 // Usage:

@@ -190,22 +190,19 @@ func (st *runState) auditPlanEquivalence(ep *epoch, nranks int) {
 	for i, id := range ep.leafIDs {
 		index[id] = i
 	}
-	fluxSize := (st.cfg.BlockCells / 2) * (st.cfg.BlockCells / 2) * st.cfg.NVars * 8
+	fluxBytes := st.fluxBytes()
 	refSends := make([][]exchange, nranks)
 	refRecvs := make([][]exchange, nranks)
 	refIntra := make([]int, nranks)
 	for i, id := range ep.leafIDs {
 		emit := func(j int, e mesh.PairEntry) {
-			if e.Flux && st.cfg.NoFluxCorrection {
-				return
-			}
 			sr, dr := ep.assign[i], ep.assign[j]
 			if sr == dr {
 				refIntra[sr]++
 				return
 			}
 			tag := messageTag(int32(i), e)
-			size := exchangeSize(e, st.sizes, fluxSize)
+			size := exchangeSize(e, st.sizes, fluxBytes)
 			refSends[sr] = append(refSends[sr],
 				exchange{tag: tag, from: int32(i), to: int32(j), peer: int32(dr), size: size})
 			refRecvs[dr] = append(refRecvs[dr],

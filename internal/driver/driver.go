@@ -93,13 +93,6 @@ type Config struct {
 	// number of mesh changes never re-places at all.
 	PlacementEvery int
 
-	// NoFluxCorrection disables the flux-correction exchange (§II-B):
-	// fine blocks send restricted face fluxes to coarser face neighbors to
-	// keep conserved quantities consistent — the same small-message
-	// latency-sensitive P2P pattern as ghost exchange. Like ghosts, the
-	// messages carry previous-step data and dispatch at step start.
-	NoFluxCorrection bool
-
 	// Trace, when non-nil, enables the whole-run flight recorder
 	// (internal/trace): every MPI operation and fabric pathology event is
 	// recorded as a span into per-rank ring buffers bounded by
@@ -472,6 +465,13 @@ func (st *runState) blockBytes() int {
 	return st.cfg.BlockCells * st.cfg.BlockCells * st.cfg.BlockCells * st.cfg.NVars * 8
 }
 
+// fluxBytes is one flux-correction message (§II-B): a fine block's face
+// fluxes restricted to the coarser neighbor's resolution, half the cells
+// along each face axis.
+func (st *runState) fluxBytes() int {
+	return (st.cfg.BlockCells / 2) * (st.cfg.BlockCells / 2) * st.cfg.NVars * 8
+}
+
 func unitCosts(n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
@@ -578,10 +578,10 @@ func (st *runState) buildEpochWith(assign placement.Assignment, costs []float64,
 	// endpoints compute independently. The view build is the substrate pass
 	// standing in for a real code's neighborhood exchange.
 	views := st.m.BuildRankViews(assign, nranks)
-	fluxSize := (st.cfg.BlockCells / 2) * (st.cfg.BlockCells / 2) * st.cfg.NVars * 8
+	fluxBytes := st.fluxBytes()
 	ep.plans = make([]rankPlan, nranks)
 	for r := 0; r < nranks; r++ {
-		ep.plans[r] = buildRankPlan(views[r], st.sizes, fluxSize, st.cfg.NoFluxCorrection)
+		ep.plans[r] = buildRankPlan(views[r], st.sizes, fluxBytes)
 	}
 
 	// New ownership directory, and the install records pushing each block's

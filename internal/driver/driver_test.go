@@ -3,7 +3,9 @@ package driver
 import (
 	"testing"
 
+	"amrtools/internal/cost"
 	"amrtools/internal/critpath"
+	"amrtools/internal/mesh"
 	"amrtools/internal/metrics"
 	"amrtools/internal/mpi"
 	"amrtools/internal/placement"
@@ -416,28 +418,74 @@ func TestInheritanceKeepsChildrenOnParentRank(t *testing.T) {
 	}
 }
 
+// TestFluxCorrectionMessages: after refinement, fine-coarse face boundaries
+// exist, so some planned exchanges are flux riders (§II-B: a fine block's
+// restricted face fluxes to its coarser neighbor); they are a modest share of
+// the plan, and each is priced at fluxBytes. Riders are told apart by their
+// mesh entry, never by size: at the default block shape a flux message and
+// an edge ghost slab are both 4 608 bytes.
 func TestFluxCorrectionMessages(t *testing.T) {
-	// With refinement, fine-coarse face boundaries exist, so flux messages
-	// flow; disabling the feature removes them.
-	on := smallConfig(placement.Baseline{}, 20, 47)
-	resOn, err := Run(on)
-	if err != nil {
+	cfg := smallConfig(placement.Baseline{}, 5, 47)
+	if err := validate(&cfg); err != nil {
 		t.Fatal(err)
 	}
-	off := on
-	off.NoFluxCorrection = true
-	resOff, err := Run(off)
-	if err != nil {
-		t.Fatal(err)
+	nranks := cfg.Net.Nodes * cfg.Net.RanksPerNode
+	m := mesh.NewUniform(cfg.RootDims[0], cfg.RootDims[1], cfg.RootDims[2], cfg.MaxLevel)
+	for _, i := range []int{0, 21, 42} {
+		if err := m.Refine(m.Leaves()[i].ID); err != nil {
+			t.Fatal(err)
+		}
 	}
-	totalOn := resOn.Census.LocalMsgs + resOn.Census.RemoteMsgs
-	totalOff := resOff.Census.LocalMsgs + resOff.Census.RemoteMsgs
-	if totalOn <= totalOff {
-		t.Fatalf("flux correction added no messages: %d vs %d", totalOn, totalOff)
+	st := &runState{
+		cfg:       cfg,
+		m:         m,
+		rec:       cost.NewRecorder(cfg.CostAlpha),
+		rebCharge: make([]float64, nranks),
+		res:       &Result{},
+		sizes:     messageSizes(cfg),
 	}
-	// Flux messages are a modest addition (restricted faces only).
-	if float64(totalOn) > 1.3*float64(totalOff) {
-		t.Fatalf("flux messages implausibly many: %d vs %d", totalOn, totalOff)
+	costs := unitCosts(m.NumLeaves())
+	st.buildEpochWith(placement.Baseline{}.Assign(costs, nranks), costs, nranks, true)
+
+	var flux, total int
+	for r, p := range st.ep.plans {
+		v, i := p.view, 0
+		for k := range v.Owned {
+			v.Neighbors(k, func(ref mesh.Ref, e mesh.PairEntry) {
+				if ref.IsOwned() {
+					return
+				}
+				// Sends follow the neighbor enumeration one to one.
+				x := p.sends[i]
+				i++
+				if x.tag != messageTag(v.Owned[k].Index, e) {
+					t.Fatalf("rank %d send %d: tag %d, want the entry's %d", r, i-1, x.tag, messageTag(v.Owned[k].Index, e))
+				}
+				want := st.sizes[e.Kind]
+				if e.Flux {
+					flux++
+					want = st.fluxBytes()
+				}
+				if int(x.size) != want {
+					t.Errorf("rank %d send %d (flux %v): %d bytes, want %d", r, i-1, e.Flux, x.size, want)
+				}
+			})
+		}
+		if i != len(p.sends) {
+			t.Fatalf("rank %d plans %d sends, its view enumerates %d remote entries", r, len(p.sends), i)
+		}
+		total += i
+	}
+	if st.fluxBytes() != st.sizes[mesh.Edge] {
+		t.Fatalf("flux message %d B, edge slab %d B: the test's premise that size cannot tell them apart is stale",
+			st.fluxBytes(), st.sizes[mesh.Edge])
+	}
+	if flux == 0 {
+		t.Fatalf("refined mesh plans no flux riders among %d sends", total)
+	}
+	// Restricted faces only: a modest share of the exchange.
+	if float64(flux) > 0.25*float64(total) {
+		t.Fatalf("%d of %d planned sends are flux riders: implausibly many", flux, total)
 	}
 }
 

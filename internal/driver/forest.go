@@ -194,14 +194,11 @@ func messageTag(from int32, e mesh.PairEntry) int32 {
 // reconstruction of each remote partner's entries toward the owned blocks
 // (mesh.PairExchanges), sorted into the senders' tag order. Cost is linear
 // in the rank's local block count.
-func buildRankPlan(v *mesh.RankView, sizes [3]int, fluxSize int, noFlux bool) rankPlan {
+func buildRankPlan(v *mesh.RankView, sizes [3]int, fluxBytes int) rankPlan {
 	p := rankPlan{view: v}
 	for k := range v.Owned {
 		from := v.Owned[k].Index
 		v.Neighbors(k, func(ref mesh.Ref, e mesh.PairEntry) {
-			if e.Flux && noFlux {
-				return
-			}
 			if ref.IsOwned() {
 				p.intra++ // co-located pair: a memcpy, not a message
 				return
@@ -211,7 +208,7 @@ func buildRankPlan(v *mesh.RankView, sizes [3]int, fluxSize int, noFlux bool) ra
 				from: from,
 				to:   v.RefIndex(ref),
 				peer: int32(v.RefOwner(ref)),
-				size: exchangeSize(e, sizes, fluxSize),
+				size: exchangeSize(e, sizes, fluxBytes),
 			})
 		})
 	}
@@ -227,15 +224,12 @@ func buildRankPlan(v *mesh.RankView, sizes [3]int, fluxSize int, noFlux bool) ra
 			seen = append(seen, ref)
 			fromIdx := v.RefIndex(ref)
 			for _, e := range mesh.PairExchanges(v.Geom, v.RefID(ref), to) {
-				if e.Flux && noFlux {
-					continue
-				}
 				p.recvs = append(p.recvs, exchange{
 					tag:  messageTag(fromIdx, e),
 					from: fromIdx,
 					to:   toIdx,
 					peer: int32(v.RefOwner(ref)),
-					size: exchangeSize(e, sizes, fluxSize),
+					size: exchangeSize(e, sizes, fluxBytes),
 				})
 			}
 		})
@@ -249,9 +243,9 @@ func buildRankPlan(v *mesh.RankView, sizes [3]int, fluxSize int, noFlux bool) ra
 
 // exchangeSize prices one entry: ghost slabs by contact kind, flux riders by
 // the restricted fine-face area.
-func exchangeSize(e mesh.PairEntry, sizes [3]int, fluxSize int) int32 {
+func exchangeSize(e mesh.PairEntry, sizes [3]int, fluxBytes int) int32 {
 	if e.Flux {
-		return int32(fluxSize)
+		return int32(fluxBytes)
 	}
 	return int32(sizes[int(e.Kind)])
 }

@@ -164,9 +164,9 @@ func (st *runState) flushWaits() {
 }
 
 // waitAll waits on reqs, all of one kind, in order. With the wait-event
-// table on (Config.CollectWaits) it times every wait that blocks — Done
-// before the Wait, the clock around it — and records it as a row: t is when
-// the wait ended, dur how long the rank was blocked.
+// table on (Config.CollectWaits) every wait that blocked becomes a row: t is
+// when the wait ended, dur how long the rank was blocked, as Comm.Wait
+// measured it.
 func (st *runState) waitAll(c *mpi.Comm, reqs []*mpi.Request, kind mpi.WaitKind) {
 	if st.res.Waits == nil {
 		c.WaitAll(reqs)
@@ -174,22 +174,20 @@ func (st *runState) waitAll(c *mpi.Comm, reqs []*mpi.Request, kind mpi.WaitKind)
 	}
 	rank := c.Rank()
 	for _, r := range reqs {
-		if r.Done() {
-			c.Wait(r)
+		dur, blocked := c.Wait(r)
+		if !blocked {
 			continue
 		}
-		start := c.Now()
-		c.Wait(r)
 		t := c.Now()
 		// Site 4, wait rows (ROADMAP 1(d)): staged on the scheduler, else
 		// appended in engine order.
 		if sg := st.stage; sg != nil {
 			if !sg.waitsFull {
-				sg.waits[rank] = append(sg.waits[rank], waitRow{t: t, dur: t - start, kind: kind})
+				sg.waits[rank] = append(sg.waits[rank], waitRow{t: t, dur: dur, kind: kind})
 			}
 			continue
 		}
-		st.appendWait(t, rank, kind, t-start)
+		st.appendWait(t, rank, kind, dur)
 	}
 }
 

@@ -275,18 +275,10 @@ func Run[T any](e Exec, campaign string, specs []Spec[T]) []Result[T] {
 }
 
 // runOne executes a single spec with panic recovery and the optional
-// timeout.
+// timeout. The spec always runs on its own goroutine; without a timeout the
+// timer channel is nil and the select waits for the outcome alone.
 func runOne[T any](timeout time.Duration, s Spec[T]) Result[T] {
 	res := Result[T]{ID: s.ID}
-	if timeout <= 0 {
-		start := time.Now()
-		var m Meter
-		res.Value, res.Err, res.Status = call(s, &m)
-		res.Wall = time.Since(start)
-		res.Events, res.RankBytes = m.events, m.rankBytes
-		res.HeapMB = heapMB()
-		return res
-	}
 	type outcome struct {
 		value  T
 		err    error
@@ -308,13 +300,17 @@ func runOne[T any](timeout time.Duration, s Spec[T]) Result[T] {
 		o.heapMB = heapMB()
 		ch <- o
 	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	var expired <-chan time.Time
+	if timeout > 0 {
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		expired = timer.C
+	}
 	select {
 	case o := <-ch:
 		res.Value, res.Err, res.Status = o.value, o.err, o.status
 		res.Events, res.RankBytes, res.HeapMB = o.events, o.rbytes, o.heapMB
-	case <-timer.C:
+	case <-expired:
 		// Signal the run to bail out at its next interrupt poll; specs that
 		// honor Meter.Aborted tear down within one event window instead of
 		// simulating to completion.

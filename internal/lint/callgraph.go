@@ -11,10 +11,10 @@ import (
 
 // This file builds the module-wide call graph the interprocedural rules
 // traverse (DESIGN.md §8). Nodes are the module's declared functions and
-// methods plus every function literal (closures are where the window-phase
-// and worker-pool code lives, so they must be first-class). Edges come in
-// three kinds, which no rule tells apart: every rule built on the graph is
-// about code *executed in a context*, so Reachable follows all of them:
+// methods plus every function literal (closures are where rank programs and
+// event callbacks live, so they must be first-class). Edges come in three
+// kinds, which no rule tells apart: determinism is about code *executed on
+// behalf of the core*, so Reachable follows all of them:
 //
 //	call      — a direct static call: f(x), recv.Method(x), or an
 //	            immediately-invoked literal func(){…}().
@@ -25,13 +25,11 @@ import (
 //	reference — a function value referenced without being called: a closure
 //	            being created, a named function passed as an argument or
 //	            stored in a field. Whoever holds the value may call it, so
-//	            rules about code *executed in a context* (window phase,
-//	            host goroutines) follow these edges.
+//	            reachability follows these edges.
 //
 // Calls through arbitrary function-typed variables produce no edge — the
 // reference edge at the value's creation site already over-approximates
-// where it can run, which is the conservative direction for every rule
-// built on this graph.
+// where it can run, which is the conservative direction for reachability.
 
 // Edge is one outgoing call-graph edge.
 type Edge struct {
@@ -355,10 +353,8 @@ type Reach struct {
 	in   map[*FuncNode]bool
 }
 
-// Reachable runs a BFS from roots along every edge, whatever its kind,
-// refusing to expand nodes for which stop returns true (the node itself is
-// still marked reached). stop may be nil.
-func (g *Graph) Reachable(roots []*FuncNode, stop func(*FuncNode) bool) *Reach {
+// Reachable runs a BFS from roots along every edge, whatever its kind.
+func (g *Graph) Reachable(roots []*FuncNode) *Reach {
 	r := &Reach{g: g, from: map[*FuncNode]Edge{}, in: map[*FuncNode]bool{}}
 	// Deterministic worklist order: sort roots by node index.
 	queue := append([]*FuncNode(nil), roots...)
@@ -369,9 +365,6 @@ func (g *Graph) Reachable(roots []*FuncNode, stop func(*FuncNode) bool) *Reach {
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		if stop != nil && stop(n) {
-			continue
-		}
 		for _, e := range n.Out {
 			if r.in[e.To] {
 				continue

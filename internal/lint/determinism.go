@@ -26,13 +26,6 @@ var DefaultCorePackages = []string{
 	"amrtools/internal/critpath",
 	"amrtools/internal/health",
 	"amrtools/internal/check",
-	// internal/metrics is core for its simulated plane (laned instruments,
-	// registry, snapshots, exposition). Its host-plane files (campaign.go,
-	// serve.go) are wall-clock machinery by design and carry per-line
-	// `//lint:ignore determinism host-plane: <reason>` waivers — the
-	// documented pattern for non-deterministic code inside a core package
-	// (DESIGN.md §11).
-	"amrtools/internal/metrics",
 	// The storage and query layer is core: the same file queried twice (or
 	// on two machines) must return bit-identical tables, and the v2 footer
 	// index must encode identically for identical input.
@@ -117,7 +110,7 @@ func (d *Determinism) RunModule(mp *ModulePass) {
 	if len(roots) == 0 {
 		return
 	}
-	reach := mp.Graph.Reachable(roots, nil)
+	reach := mp.Graph.Reachable(roots)
 	for _, n := range mp.Graph.Nodes {
 		if core[n.Pkg.Path] || !reach.Has(n) {
 			continue

@@ -62,15 +62,14 @@ func collectExpectations(t *testing.T, root string) []*expectation {
 	return out
 }
 
-// fixtureAnalyzers is the production set with the determinism and
-// plane-classification cores pointed at the fixture module's core package.
+// fixtureAnalyzers is the production set with the determinism core pointed
+// at the fixture module's core package.
 func fixtureAnalyzers() []Rule {
 	return []Rule{
 		NewDeterminism([]string{"fixturemod/core"}),
 		MapOrder{},
 		Exhaustive{},
 		ErrDrop{},
-		NewPlaneCross([]string{"fixturemod/core"}),
 	}
 }
 

@@ -60,6 +60,5 @@ func Analyzers() []Rule {
 		MapOrder{},
 		Exhaustive{},
 		ErrDrop{},
-		NewPlaneCross(nil),
 	}
 }

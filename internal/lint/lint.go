@@ -4,15 +4,14 @@
 // The tables are the product, and DESIGN.md promises they are bit-identical
 // across machines and harness worker counts. Most of that promise is
 // enforced at runtime — paranoid-mode audits (internal/check), the identity
-// suites, allocation budgets, the race detector. This package holds the five
+// suites, allocation budgets, the race detector. This package holds the four
 // rules that either caught a real defect on this tree or describe a defect no
 // runtime check can see: a stray time.Now in the deterministic core
 // (determinism), ranging over a map into an ordered sink (maporder), a
 // kind-switch that silently drops a new variant (exhaustive), a swallowed
-// module error (errdrop), a metric instrument updated from the wrong plane
-// (planecross). An invariant has exactly one enforcement: a rule whose
-// defect class a runtime test already fails on is deleted, not kept as a
-// second opinion. DESIGN.md §8 holds the rule table and the per-rule
+// module error (errdrop). An invariant has exactly one enforcement: a rule
+// whose defect class a runtime test already fails on is deleted, not kept as
+// a second opinion. DESIGN.md §8 holds the rule table and the per-rule
 // evidence ledger.
 //
 // The implementation is deliberately stdlib-only: go/parser, go/ast and
@@ -50,16 +49,15 @@ type Diagnostic struct {
 	Line int `json:"line"`
 	Col  int `json:"col"`
 	// Rule is the stable rule id ("determinism", "maporder", "exhaustive",
-	// "errdrop", "planecross", "waiver").
+	// "errdrop", "waiver").
 	Rule string `json:"rule"`
 	// Message describes the violation.
 	Message string `json:"message"`
 	// Fix is the suggested remediation, when the analyzer has one.
 	Fix string `json:"fix,omitempty"`
 	// Path is the call-path witness of an interprocedural finding: function
-	// display names from the analysis root (a window-phase closure, a host
-	// goroutine, a core entry point) to the function containing
-	// the flagged site. Empty for the purely local rules.
+	// display names from the analysis root (a core function) to the function
+	// containing the flagged site. Empty for the purely local rules.
 	Path []string `json:"path,omitempty"`
 }
 

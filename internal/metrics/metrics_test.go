@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -237,5 +238,50 @@ func TestCampaignStatus(t *testing.T) {
 	}
 	if st.ETA <= 0 {
 		t.Fatalf("ETA should be positive with 2/10 done, got %v", st.ETA)
+	}
+}
+
+// TestInstrumentSetsKeepTheirPlane: the two-plane split (DESIGN.md §11) is
+// carried by the set types. Every field of a sim-plane set is a laned
+// instrument and every field of SchedMetrics an atomic host instrument, so a
+// layer handed a set can only update the plane the set belongs to. A new set
+// in RunSet must be entered in planeOf.
+func TestInstrumentSetsKeepTheirPlane(t *testing.T) {
+	simTypes := map[reflect.Type]bool{
+		reflect.TypeOf((*Counter)(nil)): true, reflect.TypeOf((*Sum)(nil)): true,
+		reflect.TypeOf((*Histogram)(nil)): true,
+	}
+	hostTypes := map[reflect.Type]bool{
+		reflect.TypeOf((*HostCounter)(nil)): true, reflect.TypeOf((*HostGauge)(nil)): true,
+		reflect.TypeOf((*HostHistogram)(nil)): true,
+	}
+	planeOf := map[reflect.Type]map[reflect.Type]bool{
+		reflect.TypeOf((*MPIMetrics)(nil)):    simTypes,
+		reflect.TypeOf((*NetMetrics)(nil)):    simTypes,
+		reflect.TypeOf((*DriverMetrics)(nil)): simTypes,
+		reflect.TypeOf((*SchedMetrics)(nil)):  hostTypes,
+	}
+	run := reflect.TypeOf(RunSet{})
+	sets := 0
+	for i := 0; i < run.NumField(); i++ {
+		f := run.Field(i)
+		if f.Type == reflect.TypeOf((*Registry)(nil)) {
+			continue
+		}
+		allowed, ok := planeOf[f.Type]
+		if !ok {
+			t.Errorf("RunSet.%s (%v) belongs to no plane", f.Name, f.Type)
+			continue
+		}
+		sets++
+		set := f.Type.Elem()
+		for j := 0; j < set.NumField(); j++ {
+			if g := set.Field(j); !allowed[g.Type] {
+				t.Errorf("%s.%s is a %v, not an instrument of its set's plane", set.Name(), g.Name, g.Type)
+			}
+		}
+	}
+	if sets != len(planeOf) {
+		t.Fatalf("RunSet holds %d of the %d instrument sets", sets, len(planeOf))
 	}
 }

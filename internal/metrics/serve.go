@@ -5,9 +5,8 @@ package metrics
 // (/statusz), and the standard pprof handlers (/debug/pprof/). Everything
 // here reads Campaign atomics or mutex-guarded aggregates — never a live
 // run's sim-plane lanes — so serving concurrently with executing runs is
-// safe and cannot perturb results. This file is host-plane: the goroutine
-// and clock waivers below are the documented //lint:ignore pattern for
-// non-deterministic machinery inside an otherwise-core package.
+// safe and cannot perturb results. This file is host-plane, and only the
+// binaries' -serve flags reach it, never simulation code.
 
 import (
 	"fmt"
@@ -44,7 +43,6 @@ func Serve(addr string, c *Campaign) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	s.srv = &http.Server{Handler: mux}
-	//lint:ignore determinism host-plane: the HTTP accept loop serves observers only; it reads campaign atomics and never touches simulation state
 	go s.srv.Serve(lis)
 	return s, nil
 }

@@ -472,17 +472,18 @@ func (c *Comm) Irecv(src, tag int) *Request {
 }
 
 // Wait blocks until the request completes, charging the blocked time to the
-// rank's CommWait bucket. Wait consumes the request: it returns to the
-// world's free list, so the caller must drop the pointer afterwards (waiting
-// twice on the same request panics).
-func (c *Comm) Wait(req *Request) {
+// rank's CommWait bucket, and returns that time and whether the call blocked
+// at all (a request already complete returns 0, false). Wait consumes the
+// request: it returns to the world's free list, so the caller must drop the
+// pointer afterwards (waiting twice on the same request panics).
+func (c *Comm) Wait(req *Request) (dur float64, blocked bool) {
 	if req.freed {
 		panic("mpi: Wait on a request already released by a previous Wait")
 	}
 	if !req.fut.Done() {
 		start := c.p.Now()
 		c.p.Await(&req.fut)
-		dur := c.p.Now() - start
+		dur, blocked = c.p.Now()-start, true
 		mx := c.w.mx
 		mx.Waits.Inc(c.rank)
 		mx.WaitHist.Observe(c.rank, dur)
@@ -498,6 +499,7 @@ func (c *Comm) Wait(req *Request) {
 		}
 	}
 	c.release(req)
+	return dur, blocked
 }
 
 // WaitAll waits on every request in order.

@@ -336,9 +336,6 @@ func (e *Engine) CompleteAt(t Time, f *Future) {
 	e.scheduleLaned(t, evBody{kind: evFuture, fut: f}, laneDone)
 }
 
-// CompleteAfter schedules f to complete d seconds from now.
-func (e *Engine) CompleteAfter(d float64, f *Future) { e.CompleteAt(e.now+d, f) }
-
 // DeliverAt schedules a message-delivery event: at time t the registered
 // MsgSink receives the payload verbatim. This is the closure-free delivery
 // path — the payload is a value in the event arena, so a simulated message

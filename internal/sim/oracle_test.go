@@ -171,8 +171,11 @@ func (r *progRun) body(proc int, ops []progOp) func(p *Proc) {
 			case 4:
 				p.Sleep(0.25 * float64(o.a%5))
 			case 5, 6:
+				// A future has one waiter: await only one nobody awaits yet.
 				if len(r.futs) > 0 {
-					p.Await(r.futs[o.a%len(r.futs)])
+					if f := r.futs[o.a%len(r.futs)]; f.w == nil {
+						p.Await(f)
+					}
 				}
 			default:
 				if o.a < 24 {

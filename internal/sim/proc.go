@@ -86,31 +86,30 @@ func (p *Proc) Sleep(d float64) {
 func (p *Proc) Now() Time { return p.eng.Now() }
 
 // Await blocks until f completes. If f is already complete it returns
-// immediately without yielding.
+// immediately without yielding. A future has at most one waiter: awaiting
+// one that already has a waiter panics, naming both processes.
 func (p *Proc) Await(f *Future) {
 	if f.done {
 		return
 	}
-	if f.w0 == nil {
-		f.w0 = p
-	} else {
-		f.more = append(f.more, p)
+	if f.w != nil {
+		panic(fmt.Sprintf("sim: proc %s awaits a future proc %s already awaits (one waiter per future)",
+			p.name, f.w.name))
 	}
+	f.w = p
 	p.block()
 }
 
-// Future is a one-shot completion signal processes can Await. The zero value
-// is a pending future.
+// Future is a one-shot completion signal one process can Await. The zero
+// value is a pending future.
 //
-// The first waiter is stored inline: almost every future in the MPI runtime
-// (send and receive requests) has exactly one waiter, so the common Await
-// never touches the overflow slice and never allocates. An owner that pools
-// futures may return one to pending with Reset once it has completed and
-// every waiter has resumed.
+// Every future in the MPI runtime has exactly one waiter: a request is waited
+// by the rank that posted it, and each rank blocks in a collective on its own
+// future. An owner that pools futures may return one to pending with Reset
+// once it has completed and its waiter has resumed.
 type Future struct {
 	done bool
-	w0   *Proc   // first waiter, inline
-	more []*Proc // additional waiters, in Await order (collectives)
+	w    *Proc // the waiter, if any
 }
 
 // NewFuture returns a pending future.
@@ -119,33 +118,27 @@ func NewFuture() *Future { return &Future{} }
 // Done reports whether the future has completed.
 func (f *Future) Done() bool { return f.done }
 
-// Complete marks the future done and schedules every waiter to resume at the
-// current virtual time, in Await order. Completing twice panics — it would
-// indicate double delivery of a message.
+// Complete marks the future done and schedules its waiter, if any, to resume
+// at the current virtual time. Completing twice panics — it would indicate
+// double delivery of a message.
 func (f *Future) Complete(e *Engine) {
 	if f.done {
 		panic("sim: Future completed twice")
 	}
 	f.done = true
-	if w := f.w0; w != nil {
-		f.w0 = nil
+	if w := f.w; w != nil {
+		f.w = nil
 		e.schedProc(e.now, w)
 	}
-	for _, w := range f.more {
-		e.schedProc(e.now, w)
-	}
-	f.more = f.more[:0] // keep capacity for pooled reuse
 }
 
 // Reset returns a completed future to pending so its owner can reuse it
 // (the request/collective pools of the MPI runtime). Only safe after
-// Complete has run and every waiter has resumed: resetting a pending future
-// would strand its waiters, so that is a programming error and panics.
+// Complete has run and its waiter has resumed: resetting a pending future
+// would strand its waiter, so that is a programming error and panics.
 func (f *Future) Reset() {
-	if !f.done && (f.w0 != nil || len(f.more) > 0) {
-		panic("sim: Reset of a pending future with waiters")
+	if f.w != nil {
+		panic("sim: Reset of a pending future with a waiter")
 	}
 	f.done = false
-	f.w0 = nil
-	f.more = f.more[:0]
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -153,21 +154,23 @@ func TestDoubleCompletePanics(t *testing.T) {
 	f.Complete(e)
 }
 
-func TestMultipleWaiterWakeOrder(t *testing.T) {
+// TestSecondWaiterPanics: a future has one waiter, so a second Await panics
+// out of Run, naming the process that tried and the one already waiting.
+func TestSecondWaiterPanics(t *testing.T) {
 	e := NewEngine()
+	defer e.Close()
 	f := NewFuture()
-	var order []string
-	for _, n := range []string{"x", "y", "z"} {
-		n := n
-		e.Spawn(n, func(p *Proc) {
-			p.Await(f)
-			order = append(order, n)
-		})
+	for _, n := range []string{"x", "y"} {
+		e.Spawn(n, func(p *Proc) { p.Await(f) })
 	}
-	e.At(1, func() { f.Complete(e) })
-	e.Run()
-	if len(order) != 3 || order[0] != "x" || order[1] != "y" || order[2] != "z" {
-		t.Fatalf("wake order = %v", order)
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		e.Run()
+		return nil
+	}()
+	msg, _ := got.(string)
+	if !strings.Contains(msg, "proc y awaits") || !strings.Contains(msg, "proc x already awaits") {
+		t.Fatalf("second Await panicked with %v, want a message naming y and x", got)
 	}
 }
 

@@ -203,3 +203,55 @@ func TestQueueStatsReachMetrics(t *testing.T) {
 	s.Run()
 	want("shards", sharded, s.Events())
 }
+
+// TestStepTouchesNoHostInstrument: the per-event path never updates a
+// host-plane instrument. The engine counts its queue in plain fields and adds
+// them to the scheduler set only when Run returns (DESIGN.md §11). Driven by
+// Step alone — laned and heap typed events, closures, sleeps, awaits — an
+// engine leaves every host instrument of its run set at zero; the Run that
+// follows flushes non-zero lane and heap counts, so the set was wired.
+func TestStepTouchesNoHostInstrument(t *testing.T) {
+	rs := metrics.NewRunSet(2, 1, nil)
+	e := NewEngine()
+	e.SetMetrics(rs.Sched)
+	e.SetSink(&msgRec{eng: e})
+	var reqs [8]Future
+	var gate Future
+	e.Spawn("sender", func(p *Proc) {
+		for i := range reqs {
+			e.CompleteAt(p.Now()+1, &reqs[i]) // the first opens the lane, the rest append
+			e.DeliverAt(p.Now()+0.5, 0, 1, int32(i), 64, i%2 == 0)
+		}
+		p.Sleep(0.25)
+		for i := range reqs {
+			p.Await(&reqs[i])
+		}
+	})
+	e.Spawn("waiter", func(p *Proc) { p.Await(&gate) })
+	e.At(2, func() { e.CompleteAt(e.Now()+1, &gate) }) // event context: heap only
+	for e.Step() {
+	}
+	if len(e.Blocked()) != 0 || e.laneIn == 0 {
+		t.Fatalf("program did not drain through its lanes: %d blocked, %d laned", len(e.Blocked()), e.laneIn)
+	}
+	snap := rs.Reg.Snapshot()
+	planes, names, vals := snap.Strings("plane"), snap.Strings("metric"), snap.Floats("value")
+	host := 0
+	for i := range planes {
+		if planes[i] != metrics.HostPlane.String() {
+			continue
+		}
+		host++
+		if vals[i] != 0 {
+			t.Errorf("host instrument %s = %v after Step alone, want 0", names[i], vals[i])
+		}
+	}
+	if host == 0 {
+		t.Fatal("the run set exports no host-plane rows")
+	}
+	e.Run()
+	if rs.Sched.LaneEvents.Value() == 0 || rs.Sched.HeapEvents.Value() == 0 {
+		t.Fatalf("Run flushed %d laned and %d heap events, want both non-zero",
+			rs.Sched.LaneEvents.Value(), rs.Sched.HeapEvents.Value())
+	}
+}
