@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -189,55 +190,52 @@ func messageTag(from int32, e mesh.PairEntry) int32 {
 	return from*mesh.TagSlotsPerBlock + int32(e.Slot())
 }
 
-// buildRankPlan assembles one rank's plan from its view: sends by direct
-// enumeration of owned-block neighborhoods, recvs by arithmetic
-// reconstruction of each remote partner's entries toward the owned blocks
-// (mesh.PairExchanges), sorted into the senders' tag order. Cost is linear
-// in the rank's local block count.
+// buildRankPlan assembles one rank's plan from its view in one walk over
+// each owned block's neighbourhood: the walk yields the block's sends
+// directly and its distinct remote partners, whose entries toward the block
+// are then reconstructed arithmetically (mesh.PairExchanges) as recvs,
+// sorted into the senders' tag order. Cost is linear in the rank's local
+// block count.
 func buildRankPlan(v *mesh.RankView, sizes [3]int, fluxBytes int) rankPlan {
 	p := rankPlan{view: v}
+	var partners []mesh.Ref // one owned block's remote partners: a few dozen at most
 	for k := range v.Owned {
-		from := v.Owned[k].Index
+		own := v.Owned[k].Index
+		partners = partners[:0]
 		v.Neighbors(k, func(ref mesh.Ref, e mesh.PairEntry) {
 			if ref.IsOwned() {
 				p.intra++ // co-located pair: a memcpy, not a message
 				return
 			}
 			p.sends = append(p.sends, exchange{
-				tag:  messageTag(from, e),
-				from: from,
+				tag:  messageTag(own, e),
+				from: own,
 				to:   v.RefIndex(ref),
 				peer: int32(v.RefOwner(ref)),
 				size: exchangeSize(e, sizes, fluxBytes),
 			})
-		})
-	}
-	var seen []mesh.Ref // one owned block's remote partners so far: a few dozen at most
-	for k := range v.Owned {
-		to := v.Owned[k].ID
-		toIdx := v.Owned[k].Index
-		seen = seen[:0]
-		v.Neighbors(k, func(ref mesh.Ref, _ mesh.PairEntry) {
-			if ref.IsOwned() || slices.Contains(seen, ref) {
-				return
+			if !slices.Contains(partners, ref) {
+				partners = append(partners, ref)
 			}
-			seen = append(seen, ref)
+		})
+		to := v.Owned[k].ID
+		for _, ref := range partners {
 			fromIdx := v.RefIndex(ref)
 			for _, e := range mesh.PairExchanges(v.Geom, v.RefID(ref), to) {
 				p.recvs = append(p.recvs, exchange{
 					tag:  messageTag(fromIdx, e),
 					from: fromIdx,
-					to:   toIdx,
+					to:   own,
 					peer: int32(v.RefOwner(ref)),
 					size: exchangeSize(e, sizes, fluxBytes),
 				})
 			}
-		})
+		}
 	}
 	// Senders post in ascending tag order; receivers must pre-post in the
 	// same global order to replay the pre-refactor event sequence exactly.
 	// Tags are globally unique, so this sort is deterministic.
-	sort.Slice(p.recvs, func(i, j int) bool { return p.recvs[i].tag < p.recvs[j].tag })
+	slices.SortFunc(p.recvs, func(a, b exchange) int { return cmp.Compare(a.tag, b.tag) })
 	return p
 }
 

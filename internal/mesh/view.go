@@ -123,16 +123,47 @@ func pairEntries(out []PairEntry, ord int, dir [3]int, from, to BlockID, nc Bloc
 // receiving rank reconstructs its incoming message list from its halo view
 // alone. Valid under the 2:1 balance invariant (levels differing by more
 // than one yield no entries); from == to yields no entries.
+//
+// A direction can only reach `to` if, on every axis, its offset lands
+// `from`'s same-level neighbour on `to`'s cell range, so the offsets each
+// axis allows are worked out first and only the directions they span are
+// tried: one to four of the 26, more only where a periodic dimension is one
+// or two blocks wide and several offsets wrap onto the same cell.
 func PairExchanges(g Geometry, from, to BlockID) []PairEntry {
 	if from == to {
 		return nil
 	}
+	var allow [3]uint8 // per axis, bit o+1 set: offset o can land on `to`
+	fc := [3]uint32{from.X, from.Y, from.Z}
+	tc := [3]uint32{to.X, to.Y, to.Z}
+	for d := range allow {
+		// to's cell range on the axis, in from's level-local units.
+		var lo, hi uint32
+		switch to.Level - from.Level {
+		case 0:
+			lo, hi = tc[d], tc[d]
+		case -1:
+			lo, hi = tc[d]<<1, tc[d]<<1|1
+		case 1:
+			lo, hi = tc[d]>>1, tc[d]>>1
+		default:
+			return nil
+		}
+		for o := -1; o <= 1; o++ {
+			if c, ok := g.wrap(int64(fc[d])+int64(o), d, from.Level); ok && lo <= c && c <= hi {
+				allow[d] |= 1 << (o + 1)
+			}
+		}
+		if allow[d] == 0 {
+			return nil
+		}
+	}
 	var out []PairEntry
 	for ord, dir := range directions {
-		nc, ok := g.NeighborCoord(from, dir)
-		if !ok {
+		if (allow[0]>>(dir[0]+1))&(allow[1]>>(dir[1]+1))&(allow[2]>>(dir[2]+1))&1 == 0 {
 			continue
 		}
+		nc, _ := g.NeighborCoord(from, dir) // in the domain: every axis allowed it
 		out = pairEntries(out, ord, dir, from, to, nc)
 	}
 	return out

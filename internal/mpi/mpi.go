@@ -26,8 +26,8 @@
 // steady state: requests come from a per-shard free list and carry their
 // completion future inline, the two per-message events (sender done,
 // delivery) are typed sim payloads instead of closures, and matching state
-// lives in per-key FIFO rings that reuse their backing storage, found through
-// a per-rank open-addressed index (matchindex.go). DESIGN.md §7 records the
+// lives inline in the slots of a per-rank open-addressed index that holds
+// only keys with something queued (matchindex.go). DESIGN.md §7 records the
 // allocation budget and the pooling invariants.
 package mpi
 
@@ -93,10 +93,11 @@ type World struct {
 	rngs []*xrand.RNG
 
 	// mq[dst] holds the per-(source, tag) matching state of rank dst:
-	// arrived-but-unmatched messages and posted-but-unmatched receives.
-	// Matching is FIFO per key. Only rank dst's shard ever touches
-	// mq[dst] — deliveries execute on the destination's engine — so the
-	// matching state needs no locking in sharded mode.
+	// arrived-but-unmatched messages and posted-but-unmatched receives, a
+	// key only while something is queued on it. Matching is FIFO per key.
+	// Only rank dst's shard ever touches mq[dst] — deliveries execute on the
+	// destination's engine — so the matching state needs no locking in
+	// sharded mode.
 	mq []matchIndex
 
 	// engOf[rank] is the engine carrying rank's events, shardOf[rank] its
@@ -164,18 +165,6 @@ type collRound struct {
 	arrivals []collArrival
 	members  []bool // paranoid double-join tracking
 	op       string
-}
-
-// matchQueue is the per-(destination, source, tag) matching state: a FIFO of
-// arrived-but-unmatched message sizes and a FIFO of posted-but-unmatched
-// receive requests. At most one side is non-empty at any instant — an
-// arrival immediately matches a queued receive and vice versa. Arrivals are
-// plain byte counts (a value type): queuing a message that nobody has posted
-// for costs no allocation once the ring has grown to the key's high-water
-// mark.
-type matchQueue struct {
-	arrivals ring[int64]
-	recvs    ring[*Request]
 }
 
 // buildWorld builds the engine-independent part of a world: one rank per
@@ -370,11 +359,6 @@ func (c *Comm) Now() sim.Time { return c.p.Now() }
 // World returns the communicator's world.
 func (c *Comm) World() *World { return c.w }
 
-// queueFor returns dst's matching queue for key, creating it on first use.
-// Queues persist for the life of the world (keys recur every step), so the
-// per-key allocation amortizes to zero.
-func (w *World) queueFor(dst int, key msgKey) *matchQueue { return w.mq[dst].queue(key) }
-
 // Isend posts a non-blocking send of bytes to dst with the given tag and
 // returns the sender-side request. The message is injected into the fabric
 // immediately; the request completes when the fabric releases the send
@@ -432,15 +416,11 @@ func (w *World) DeliverMsg(src, dst, tag int32, bytes int64, local bool) {
 	// is the destination's node — so in sharded mode this stays on the
 	// executing shard, like the matching state below (owned by dst).
 	w.net.DeliveryDone(int(src), simnet.SendPlan{Local: local})
-	q := w.queueFor(int(dst), msgKey{src: src, tag: tag})
-	if q.recvs.n > 0 {
-		req := q.recvs.pop()
+	if req := w.mq[dst].deliver(msgKey{src: src, tag: tag}, bytes); req != nil {
 		req.bytes = int(bytes)
 		w.mx.P2PRecvd.Inc(int(dst))
 		req.fut.Complete(w.engOf[dst])
-		return
 	}
-	q.arrivals.push(bytes)
 }
 
 // Irecv posts a non-blocking receive for a message from src with the given
@@ -451,6 +431,9 @@ func (c *Comm) Irecv(src, tag int) *Request {
 		panic(fmt.Sprintf("mpi: rank %d Irecv from invalid peer rank %d (world has %d ranks)",
 			c.rank, src, w.nranks))
 	}
+	if src == c.rank {
+		panic(fmt.Sprintf("mpi: rank %d Irecv from self; intra-rank exchanges use memcpy", c.rank))
+	}
 	if tag != int(int32(tag)) {
 		panic(fmt.Sprintf("mpi: rank %d Irecv from rank %d with tag %d outside the int32 range", c.rank, src, tag))
 	}
@@ -460,14 +443,11 @@ func (c *Comm) Irecv(src, tag int) *Request {
 		tr.Emit(trace.Span{Rank: int32(c.rank), Kind: trace.Irecv, T0: now, T1: now,
 			Peer: int32(src), Tag: int32(tag)})
 	}
-	q := w.queueFor(c.rank, msgKey{src: int32(src), tag: int32(tag)})
-	if q.arrivals.n > 0 {
-		req.bytes = int(q.arrivals.pop())
+	if bytes, matched := w.mq[c.rank].post(msgKey{src: int32(src), tag: int32(tag)}, req); matched {
+		req.bytes = int(bytes)
 		w.mx.P2PRecvd.Inc(c.rank)
 		req.fut.Complete(c.eng)
-		return req
 	}
-	q.recvs.push(req)
 	return req
 }
 

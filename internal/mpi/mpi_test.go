@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"amrtools/internal/sim"
@@ -124,6 +125,26 @@ func TestSelfSendPanics(t *testing.T) {
 	eng.Run()
 	if !panicked {
 		t.Fatal("self-send did not panic")
+	}
+}
+
+// TestSelfRecvPanics: a receive from self can never match — Isend to self
+// panics — so it must be rejected at the call, naming it, instead of ending
+// the run as an unexplained simulated deadlock.
+func TestSelfRecvPanics(t *testing.T) {
+	eng, w := newWorld(t, quietConfig(1, 2))
+	var msg string
+	w.Spawn(1, func(c *Comm) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = r.(string)
+			}
+		}()
+		c.Irecv(1, 0)
+	})
+	eng.Run()
+	if !strings.Contains(msg, "rank 1 Irecv from self") {
+		t.Fatalf("self-receive panic = %q, want it to name the rank and the call", msg)
 	}
 }
 

@@ -1,7 +1,7 @@
 package mpi
 
-// ring is a growable FIFO over a circular buffer. The mailbox / receive
-// queues of the matching engine push and pop one element per message, so
+// ring is a growable FIFO over a circular buffer. The spill queues of the
+// match index push and pop one element per message beyond a key's first, so
 // unlike the earlier append-and-reslice pattern (`q = append(q, x)` /
 // `q = q[1:]`) — which leaks the consumed prefix and reallocates every time
 // the slice regrows past it — a ring reuses its backing array forever: in
@@ -26,8 +26,8 @@ func (r *ring[T]) push(v T) {
 }
 
 // pop removes and returns the oldest element. The vacated slot is zeroed so
-// the ring never pins popped pointers. Popping an empty ring panics via the
-// index below, which indicates a matching-logic bug.
+// the ring never pins popped pointers. Popping an empty ring panics: it
+// indicates a matching-logic bug.
 func (r *ring[T]) pop() T {
 	if r.n == 0 {
 		panic("mpi: pop of empty ring")
