@@ -79,7 +79,7 @@ serve-smoke:
 # per-run timeout as the deadlock net. Serial (-j 1) so the peak heap the
 # recorder reports is the single-run footprint.
 scale-smoke:
-	$(GO) run ./cmd/scalebench -scale -full -paranoid -timeout 20m -j 1
+	$(GO) run ./cmd/experiments -only scale -paranoid -timeout 20m -j 1
 
 # Fifteen seconds of coverage-guided fuzzing per target (go test takes one
 # -fuzz target per invocation): the differential query fuzzer over derived

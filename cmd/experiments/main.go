@@ -6,8 +6,9 @@
 //	experiments [-quick] [-seed N] [-only fig6,table1,...] [-j N] [-out f.col] [-trace dir] [-serve :8080] [-metricsdir dir] [-timeout d] [-paranoid] [-cpuprofile f] [-memprofile f]
 //
 // Full mode reproduces the paper's scales (512–4096 simulated ranks for the
-// Sedov runs, up to 131072 ranks for scalebench) and takes several minutes;
-// -quick shrinks everything to seconds. Every experiment fans its
+// Sedov runs, up to 131072 ranks for the §VI-C scalebench sweeps of
+// -only fig7b,fig7c, 65536 for the -only scale distributed-forest sweep) and
+// takes several minutes; -quick shrinks everything to seconds. Every experiment fans its
 // independent runs out onto -j workers (default GOMAXPROCS); tables are
 // bit-identical for any -j. Tables go to stdout; progress and timing go to
 // stderr. -out dumps the per-run campaign telemetry (wall time, DES events,
@@ -151,12 +152,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Paranoid:   *paranoid,
 		Shards:     *shards,
 		TraceDir:   *traceDir,
-		Metrics:    camp,
 		MetricsDir: *metricsDir,
 		Exec: harness.Exec{
 			Workers:  *workers,
 			Timeout:  *timeout,
 			Recorder: rec,
+			Metrics:  camp,
 			Progress: func(p harness.Progress) {
 				fmt.Fprintf(stderr, "  [%s] %d/%d done: %s (%s, %v)\n",
 					p.Campaign, p.Done, p.Total, p.ID, p.Status, p.Wall.Round(time.Millisecond))

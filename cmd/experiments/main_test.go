@@ -116,4 +116,48 @@ func TestCLI(t *testing.T) {
 			t.Fatalf("campaign colfile has %d rows, wall_ms at %d; want 3 runs + the campaign row", r.NumRows(), r.ColIndex("wall_ms"))
 		}
 	})
+	t.Run("scalebench sweeps", func(t *testing.T) {
+		// The §VI-C synthetic sweeps: the makespan panel then the overhead
+		// panel, each headed and followed by a blank line.
+		code, stdout, stderr := experimentsCLI("-quick", "-only", "fig7b,fig7c", "-j", "1")
+		if code != 0 {
+			t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+		}
+		panels := strings.Split(strings.TrimRight(stdout, "\n"), "\n\n")
+		if len(panels) != 2 {
+			t.Fatalf("stdout holds %d blank-line-separated panels, want 2:\n%s", len(panels), stdout)
+		}
+		makespan := strings.Split(panels[0], "\n")
+		if makespan[0] != "=== Fig 7 (middle): scalebench normalized makespan [fig7b] ===" {
+			t.Fatalf("first header %q", makespan[0])
+		}
+		// 2 scales x 3 distributions x (baseline + 5 CPLX settings).
+		rows := maskNondet(t, makespan[1:])
+		if rows[0] != "ranks dist policy norm_makespan" || len(rows) != 1+36 ||
+			rows[1] != "512 exponential baseline 1.64073" || rows[36] != "2048 powerlaw cpl100 1" {
+			t.Fatalf("makespan table (%d lines):\n%s", len(rows), strings.Join(rows, "\n"))
+		}
+		overhead := strings.Split(panels[1], "\n")
+		if overhead[0] != "=== Fig 7 (bottom): placement computation overhead [fig7c] ===" {
+			t.Fatalf("second header %q", overhead[0])
+		}
+		got := maskNondet(t, overhead[1:])
+		want := []string{
+			"ranks policy placement_ms within_50ms_budget",
+			"512 cpl50 * *", "2048 cpl50 * *", "8192 cpl50 * *",
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("masked overhead table:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		if !strings.Contains(stderr, "[fig7b] 6/6 done") || !strings.Contains(stderr, "[fig7c] 3/3 done") {
+			t.Errorf("stderr lacks the progress lines:\n%s", stderr)
+		}
+	})
+	t.Run("unwritable -out", func(t *testing.T) {
+		code, _, stderr := experimentsCLI("-quick", "-j", "1", "-only", "table1",
+			"-out", filepath.Join(t.TempDir(), "no", "such", "dir.col"))
+		if code != 1 || !strings.Contains(stderr, "\nexperiments: ") {
+			t.Fatalf("exit %d, stderr:\n%s\nwant exit 1 and an experiments: error line", code, stderr)
+		}
+	})
 }

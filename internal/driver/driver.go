@@ -113,9 +113,11 @@ type Config struct {
 	Metrics *metrics.Config
 
 	// OnStepRecord, when set (requires CollectSteps), observes every
-	// per-step per-rank telemetry row as it is appended — the hook for
-	// programmable telemetry triggers (§IV-C): arm heavier collection the
-	// moment a condition appears in live telemetry (see telemetry.Watcher).
+	// per-step per-rank telemetry row as it is appended, in (step, rank)
+	// order on the scheduler and engine order on the sequential engine,
+	// after Trace.ArmOn has seen the row. Arming the flight recorder is
+	// Trace.ArmOn's job; this hook is for a caller's own reaction to live
+	// telemetry (§IV-C).
 	OnStepRecord func(t *telemetry.Table, row int)
 
 	// Shards picks the DES engine the cluster is launched on (mpi.Launch):
@@ -330,10 +332,10 @@ func Run(cfg Config) (*Result, error) {
 		world.SetSchedMetrics(ms.Sched)
 	}
 	st.res.InitialBlocks = st.m.NumLeaves()
-	// Engine-dependent site 4 of 4 (step/wait row order; dies with
-	// ROADMAP 1(d)): on the scheduler rows stage per rank and flush at window
-	// merges — after the world's own collective merge, so rows staged before
-	// a barrier flush in the merge that releases it.
+	// Engine-dependent site 4 of 4 (step/wait row order; DESIGN.md §10): on
+	// the scheduler rows stage per rank and flush at window merges — after
+	// the world's own collective merge, so rows staged before a barrier
+	// flush in the merge that releases it.
 	if world.OnMerge(st.flushStage) {
 		st.stage = newShardStage(nranks)
 	}
@@ -343,19 +345,6 @@ func Run(cfg Config) (*Result, error) {
 		st.res.Spans = st.tracer
 		world.SetTracer(st.tracer)
 		net.SetTracer(st.tracer)
-		if cfg.Trace.Disarmed && cfg.Trace.ArmOn != nil {
-			// Programmable trigger (§IV-C): watch the cheap per-step
-			// telemetry and arm span retention on the first matching row,
-			// chaining with any user hook.
-			arm := trace.ArmOn(st.tracer, "trace-arm", cfg.Trace.ArmOn)
-			user := cfg.OnStepRecord
-			st.cfg.OnStepRecord = func(t *telemetry.Table, row int) {
-				arm(t, row)
-				if user != nil {
-					user(t, row)
-				}
-			}
-		}
 		// Pre-run health probe (§IV-A): per-node worst-rank kernel time,
 		// carried in the span stream so the diagnosis report can cross-check
 		// throttling findings and compute pre/post drift. EmitRaw bypasses
@@ -717,7 +706,7 @@ func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World) {
 		c.Barrier()
 		if st.res.Steps != nil {
 			m := world.Meter(rank)
-			// Site 4, step rows (ROADMAP 1(d)): staged on the scheduler, else
+			// Site 4, step rows (DESIGN.md §10): staged on the scheduler, else
 			// appended in engine order.
 			if sg := st.stage; sg != nil {
 				sg.steps[rank] = append(sg.steps[rank], stepRow{
@@ -735,9 +724,7 @@ func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World) {
 					m.MsgsSent-prev.MsgsSent, m.BytesSent-prev.BytesSent,
 					m.MsgsRecvd-prev.MsgsRecvd,
 				)
-				if st.cfg.OnStepRecord != nil {
-					st.cfg.OnStepRecord(st.res.Steps, st.res.Steps.NumRows()-1)
-				}
+				st.stepRecorded()
 			}
 			prev = m
 		}
@@ -753,5 +740,20 @@ func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World) {
 				c.Barrier() // migration is collective in the codes we model
 			}
 		}
+	}
+}
+
+// stepRecorded reports the step-table row just appended; both engines' row
+// sites call it (the sequential step loop and the scheduler's flushSteps).
+// While the recorder is disarmed — which it starts as exactly when
+// Trace.ArmOn is set — it evaluates ArmOn and arms on the first match (the
+// §IV-C programmable trigger); then it fires OnStepRecord.
+func (st *runState) stepRecorded() {
+	row := st.res.Steps.NumRows() - 1
+	if tr := st.tracer; tr != nil && !tr.Armed() && st.cfg.Trace.ArmOn(st.res.Steps, row) {
+		tr.Arm()
+	}
+	if st.cfg.OnStepRecord != nil {
+		st.cfg.OnStepRecord(st.res.Steps, row)
 	}
 }

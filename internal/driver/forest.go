@@ -11,7 +11,7 @@ import (
 	"amrtools/internal/sfc"
 )
 
-// This file is the driver side of the distributed forest (ROADMAP item 3):
+// This file is the driver side of the distributed forest (DESIGN.md §9):
 // ownership resolution through an SFC-range-partitioned directory instead of
 // a replicated global owner map, per-rank communication plans built from
 // mesh.RankView neighborhoods, and the ownership-delta accounting exchanged

@@ -81,7 +81,7 @@ func (st *runState) flushStage(sim.Time) {
 }
 
 // flushSteps appends complete steps — ones where every rank staged its
-// row — in (step, rank) order, firing OnStepRecord per appended row.
+// row — in (step, rank) order, reporting each appended row (stepRecorded).
 func (st *runState) flushSteps() {
 	sg := st.stage
 	for {
@@ -102,9 +102,7 @@ func (st *runState) flushSteps() {
 				row.compute, row.comm, row.sync, row.rebalance,
 				row.msgsSent, row.bytesSent, row.msgsRecvd,
 			)
-			if st.cfg.OnStepRecord != nil {
-				st.cfg.OnStepRecord(st.res.Steps, st.res.Steps.NumRows()-1)
-			}
+			st.stepRecorded()
 		}
 		sg.stepCur++
 	}
@@ -179,7 +177,7 @@ func (st *runState) waitAll(c *mpi.Comm, reqs []*mpi.Request, kind mpi.WaitKind)
 			continue
 		}
 		t := c.Now()
-		// Site 4, wait rows (ROADMAP 1(d)): staged on the scheduler, else
+		// Site 4, wait rows (DESIGN.md §10): staged on the scheduler, else
 		// appended in engine order.
 		if sg := st.stage; sg != nil {
 			if !sg.waitsFull {

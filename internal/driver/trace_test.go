@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"fmt"
 	"testing"
 
 	"amrtools/internal/placement"
@@ -61,65 +62,73 @@ func TestTraceMemoryBoundedLongRun(t *testing.T) {
 }
 
 // TestTraceArmingBoundsGrowth validates the §IV-C programmable-trigger
-// workflow end to end: a disarmed recorder with a wait-spike arming condition
-// retains nothing during the clean prefix of the run (bounded growth — only
-// the fixed probe spans), then fills once the injected ACK stalls push a
-// rank's per-step comm over the trigger threshold.
+// workflow end to end on both engines: a recorder with a wait-spike arming
+// condition retains nothing during the clean prefix of the run (bounded
+// growth — only the fixed probe spans), then fills once the injected ACK
+// stalls push a rank's per-step comm over the trigger threshold. Shards 0
+// evaluates the condition at the sequential engine's row site, Shards 2 at
+// the scheduler's flushSteps.
 func TestTraceArmingBoundsGrowth(t *testing.T) {
 	// Threshold between the clean fleet's worst per-step comm (~6 ms here)
 	// and the 20 ms injected recovery stalls.
 	const threshold = 0.015
 
-	clean := smallConfig(placement.Baseline{}, 20, 5)
-	clean.Trace = &trace.Config{PerRankCap: 4096, Disarmed: true, ArmOn: trace.WaitSpikeCondition(threshold)}
-	res, err := Run(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probeSpans := 2 * clean.Net.Nodes // pre + post per node
-	if res.Spans.Armed() {
-		t.Fatal("clean run armed the wait-spike trigger")
-	}
-	if got := res.Spans.Len(); got != probeSpans {
-		t.Fatalf("disarmed clean run retained %d spans, want only the %d probe spans", got, probeSpans)
-	}
-	if res.Spans.Suppressed() == 0 {
-		t.Fatal("disarmed run suppressed nothing — emission sites not exercised")
-	}
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			clean := smallConfig(placement.Baseline{}, 20, 5)
+			clean.Shards = shards
+			clean.Trace = &trace.Config{PerRankCap: 4096, ArmOn: trace.WaitSpikeCondition(threshold)}
+			res, err := Run(clean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probeSpans := 2 * clean.Net.Nodes // pre + post per node
+			if res.Spans.Armed() {
+				t.Fatal("clean run armed the wait-spike trigger")
+			}
+			if got := res.Spans.Len(); got != probeSpans {
+				t.Fatalf("disarmed clean run retained %d spans, want only the %d probe spans", got, probeSpans)
+			}
+			if res.Spans.Suppressed() == 0 {
+				t.Fatal("disarmed run suppressed nothing — emission sites not exercised")
+			}
 
-	faulty := smallConfig(placement.Baseline{}, 20, 5)
-	faulty.Net.AckLossProb = 0.02
-	faulty.Net.DrainQueue = false
-	faulty.Net.AckRecoveryDelay = 20e-3
-	faulty.Trace = &trace.Config{PerRankCap: 4096, Disarmed: true, ArmOn: trace.WaitSpikeCondition(threshold)}
-	res, err = Run(faulty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Spans.Armed() {
-		t.Fatal("injected ACK stalls never armed the wait-spike trigger")
-	}
-	if res.Spans.Len() <= probeSpans {
-		t.Fatal("armed recorder retained no spans")
-	}
-	if res.Spans.Suppressed() == 0 {
-		t.Fatal("recorder was armed from the start — trigger did not gate collection")
-	}
-	// Nothing from before the arming step may be retained (other than the
-	// out-of-loop probe spans at step -1).
-	tab := res.Spans.Table()
-	steps, kinds := tab.Ints("step"), tab.Strings("kind")
-	armStep := int64(-1)
-	for i, s := range steps {
-		if kinds[i] == "probe_pre" || kinds[i] == "probe_post" {
-			continue
-		}
-		if armStep == -1 || s < armStep {
-			armStep = s
-		}
-	}
-	if armStep < 1 {
-		t.Fatalf("earliest retained span at step %d — buffers grew before the trigger fired", armStep)
+			faulty := smallConfig(placement.Baseline{}, 20, 5)
+			faulty.Shards = shards
+			faulty.Net.AckLossProb = 0.02
+			faulty.Net.DrainQueue = false
+			faulty.Net.AckRecoveryDelay = 20e-3
+			faulty.Trace = &trace.Config{PerRankCap: 4096, ArmOn: trace.WaitSpikeCondition(threshold)}
+			res, err = Run(faulty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Spans.Armed() {
+				t.Fatal("injected ACK stalls never armed the wait-spike trigger")
+			}
+			if res.Spans.Len() <= probeSpans {
+				t.Fatal("armed recorder retained no spans")
+			}
+			if res.Spans.Suppressed() == 0 {
+				t.Fatal("recorder was armed from the start — trigger did not gate collection")
+			}
+			// Nothing from before the arming step may be retained (other
+			// than the out-of-loop probe spans at step -1).
+			tab := res.Spans.Table()
+			steps, kinds := tab.Ints("step"), tab.Strings("kind")
+			armStep := int64(-1)
+			for i, s := range steps {
+				if kinds[i] == "probe_pre" || kinds[i] == "probe_post" {
+					continue
+				}
+				if armStep == -1 || s < armStep {
+					armStep = s
+				}
+			}
+			if armStep < 1 {
+				t.Fatalf("earliest retained span at step %d — buffers grew before the trigger fired", armStep)
+			}
+		})
 	}
 }
 
@@ -128,7 +137,7 @@ func TestTraceArmingBoundsGrowth(t *testing.T) {
 func TestTraceArmOnRequiresCollectSteps(t *testing.T) {
 	cfg := smallConfig(placement.Baseline{}, 5, 1)
 	cfg.CollectSteps = false
-	cfg.Trace = &trace.Config{Disarmed: true, ArmOn: trace.WaitSpikeCondition(1)}
+	cfg.Trace = &trace.Config{ArmOn: trace.WaitSpikeCondition(1)}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected validation error for ArmOn without CollectSteps")
 	}

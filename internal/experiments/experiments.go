@@ -44,7 +44,13 @@ type Options struct {
 	// Exec carries the campaign-execution knobs — worker count (-j),
 	// per-run timeout, progress callback, metrics recorder — into every
 	// runner's harness plan. The zero value runs plans on GOMAXPROCS
-	// workers with no timeout and no recording.
+	// workers with no timeout and no recording. Exec.Metrics, when non-nil,
+	// also turns on the two-plane metrics registry (internal/metrics) in
+	// every driver run and merges each completed run's snapshot into that
+	// campaign aggregate — the object behind the live /metrics and /statusz
+	// endpoints. Merging happens in run-completion order, so the aggregate
+	// is exposition-only; per-run sim-plane snapshots remain bit-identical
+	// across -j and -shards.
 	Exec harness.Exec
 	// Paranoid turns on the runtime invariant audits (internal/check) in
 	// every driver run the experiments launch (worlds launched outside the
@@ -65,13 +71,6 @@ type Options struct {
 	// deterministic simulation only, so they are bit-identical across
 	// Exec.Workers settings.
 	TraceDir string
-	// Metrics, when non-nil, turns on the two-plane metrics registry
-	// (internal/metrics) in every driver run and merges each completed run's
-	// snapshot into this campaign aggregate — the object behind the live
-	// /metrics and /statusz endpoints. Merging happens in run-completion
-	// order, so the aggregate is exposition-only; per-run sim-plane
-	// snapshots remain bit-identical across -j and -shards.
-	Metrics *metrics.Campaign
 	// MetricsDir, when non-empty, also writes each run's full metric
 	// snapshot as `<MetricsDir>/<campaign>--<id>.col` (amrquery-compatible).
 	// Setting MetricsDir alone enables collection without a live aggregate.
@@ -80,7 +79,7 @@ type Options struct {
 
 // metricsOn reports whether driver runs should build a metrics registry.
 func (o Options) metricsOn() bool {
-	return o.Metrics != nil || o.MetricsDir != ""
+	return o.Exec.Metrics != nil || o.MetricsDir != ""
 }
 
 // NondetCols names the wall-clock-derived columns that byte-identity checks
@@ -145,7 +144,7 @@ func (o Options) sedovSpec(id string, cfg driver.Config) harness.Spec[*driver.Re
 		cfg.Trace = &trace.Config{}
 	}
 	if o.metricsOn() && cfg.Metrics == nil {
-		cfg.Metrics = &metrics.Config{Campaign: o.Metrics}
+		cfg.Metrics = &metrics.Config{Campaign: o.Exec.Metrics}
 	}
 	return harness.Spec[*driver.Result]{
 		ID: id,
@@ -161,8 +160,8 @@ func (o Options) sedovSpec(id string, cfg driver.Config) harness.Spec[*driver.Re
 			}
 			m.AddEvents(res.Events)
 			m.SetRankBytes(int64(res.MaxRankMetaBytes))
-			if o.Metrics != nil && res.Metrics != nil {
-				o.Metrics.AddRun(res.Metrics.Reg)
+			if o.Exec.Metrics != nil && res.Metrics != nil {
+				o.Exec.Metrics.AddRun(res.Metrics.Reg)
 			}
 			return res, nil
 		},
@@ -175,11 +174,7 @@ func (o Options) sedovSpec(id string, cfg driver.Config) harness.Spec[*driver.Re
 // With Options.TraceDir set, every traced run's spans are streamed to
 // `<TraceDir>/<campaign>--<id>.col` (the span table is never built).
 func runCampaign(opts Options, campaign string, specs []harness.Spec[*driver.Result]) []*driver.Result {
-	e := opts.Exec
-	if e.Metrics == nil {
-		e.Metrics = opts.Metrics
-	}
-	results := harness.MustValues(harness.Run(e, campaign, specs))
+	results := harness.MustValues(harness.Run(opts.Exec, campaign, specs))
 	if opts.TraceDir != "" {
 		err := dumpFiles(opts.TraceDir, campaign, specs, results, func(r *driver.Result) func(io.Writer) error {
 			if r.Spans == nil {

@@ -62,7 +62,7 @@ func differentialTable(opts Options) *telemetry.Table {
 		for side, pol := range []placement.Policy{p.A, p.B} {
 			cfg := opts.sedovConfig(sc, pol, steps, opts.Seed)
 			cfg.Paranoid = true // the audit campaign always runs paranoid
-			cfg.Metrics = &metrics.Config{Campaign: opts.Metrics}
+			cfg.Metrics = &metrics.Config{Campaign: opts.Exec.Metrics}
 			specs = append(specs, opts.sedovSpec(fmt.Sprintf("%s/%d", p.ID, side), cfg))
 		}
 	}

@@ -37,7 +37,7 @@ func ScaleConfig(ranks int, paranoid bool, seed uint64) (driver.Config, error) {
 	return cfg, nil
 }
 
-// Scale is the distributed-forest scaling experiment (ROADMAP item 3): run
+// Scale is the distributed-forest scaling experiment (DESIGN.md §9): run
 // the full DES driver at rank counts far beyond the Sedov campaigns and
 // report the per-rank metadata economy of the distributed mesh. The claim
 // under test: the largest per-rank footprint (view + plan + directory
@@ -48,7 +48,7 @@ func ScaleConfig(ranks int, paranoid bool, seed uint64) (driver.Config, error) {
 // All columns derive from virtual time and deterministic plan construction,
 // so the table is bit-identical across -j and across hosts. Wall-clock and
 // heap telemetry for these runs land in the harness recorder's wall_ms,
-// rank_bytes, and heap_mb columns (-out / scalebench -metrics).
+// rank_bytes, and heap_mb columns (cmd/experiments -out).
 //
 // Columns: ranks, blocks, makespan, rank_meta_b, partition_b, handoffs,
 // installs.

@@ -88,7 +88,6 @@ type Checker struct {
 	// fail-slow behaviour while tolerating jitter).
 	Threshold float64
 	blacklist map[int]bool
-	failCount map[int]int
 }
 
 // NewChecker creates a checker with the given outlier threshold.
@@ -99,7 +98,6 @@ func NewChecker(threshold float64) *Checker {
 	return &Checker{
 		Threshold: threshold,
 		blacklist: make(map[int]bool),
-		failCount: make(map[int]int),
 	}
 }
 
@@ -109,16 +107,12 @@ func (c *Checker) Evaluate(probes []ProbeResult) []int {
 	for _, p := range probes {
 		if p.Ratio > c.Threshold {
 			failing = append(failing, p.Node)
-			c.failCount[p.Node]++
 			c.blacklist[p.Node] = true
 		}
 	}
 	sort.Ints(failing)
 	return failing
 }
-
-// IsBlacklisted reports whether node has ever failed a check.
-func (c *Checker) IsBlacklisted(node int) bool { return c.blacklist[node] }
 
 // Blacklisted returns all blacklisted nodes in order.
 func (c *Checker) Blacklisted() []int {

@@ -32,9 +32,6 @@ func TestCheckerEvaluateAndBlacklist(t *testing.T) {
 	if len(failing) != 1 || failing[0] != 1 {
 		t.Fatalf("failing = %v, want [1]", failing)
 	}
-	if !c.IsBlacklisted(1) || c.IsBlacklisted(0) {
-		t.Fatal("blacklist state wrong")
-	}
 	if bl := c.Blacklisted(); len(bl) != 1 || bl[0] != 1 {
 		t.Fatalf("blacklisted = %v", bl)
 	}

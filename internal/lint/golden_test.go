@@ -24,7 +24,7 @@ func TestRealModuleClean(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("unwaived diagnostic: %s", d.String())
 	}
-	// The waiver register only goes down (ROADMAP item 7): four, all
+	// The waiver register only goes down (DESIGN.md §8): four, all
 	// determinism. Lower this bound when a waiver is retired; never raise it.
 	if len(waivers) > 4 {
 		t.Errorf("%d live //lint:ignore waivers, the register allows 4: retire one before adding one", len(waivers))

@@ -13,7 +13,6 @@ import (
 type Mesh struct {
 	rootDims [3]uint32 // root blocks per dimension
 	maxLevel int       // deepest allowed refinement level
-	periodic bool      // whether the domain wraps around
 
 	leaves map[BlockID]*Block
 
@@ -51,10 +50,6 @@ func NewUniform(nx, ny, nz, maxLevel int) *Mesh {
 	}
 	return m
 }
-
-// SetPeriodic toggles periodic boundary conditions; with periodic boundaries
-// every block has exactly 26 neighbor directions.
-func (m *Mesh) SetPeriodic(p bool) { m.periodic = p }
 
 // RootDims returns the number of root blocks along each dimension.
 func (m *Mesh) RootDims() [3]int {

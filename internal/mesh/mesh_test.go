@@ -237,15 +237,6 @@ func TestNeighborsCorner(t *testing.T) {
 	}
 }
 
-func TestNeighborsPeriodic(t *testing.T) {
-	m := NewUniform(3, 3, 3, 2)
-	m.SetPeriodic(true)
-	corner := BlockID{Level: 0, X: 0, Y: 0, Z: 0}
-	if ns := m.NeighborsOf(corner); len(ns) != 26 {
-		t.Fatalf("periodic corner has %d neighbors, want 26", len(ns))
-	}
-}
-
 func TestNeighborsAcrossLevels(t *testing.T) {
 	m := NewUniform(2, 1, 1, 2)
 	right := BlockID{Level: 0, X: 1, Y: 0, Z: 0}

@@ -19,10 +19,10 @@ var directions = func() [][3]int {
 	return out
 }()
 
-// neighborCoord returns the same-level cell adjacent to id in direction dir,
-// wrapping at domain boundaries when the mesh is periodic. ok is false when
-// the position falls outside a non-periodic domain. The arithmetic lives on
-// Geometry so distributed-forest views share it without the leaf set.
+// neighborCoord returns the same-level cell adjacent to id in direction dir;
+// ok is false when the position falls outside the domain. The arithmetic
+// lives on Geometry so distributed-forest views share it without the leaf
+// set.
 func (m *Mesh) neighborCoord(id BlockID, dir [3]int) (BlockID, bool) {
 	return m.Geometry().NeighborCoord(id, dir)
 }
@@ -42,9 +42,7 @@ func (m *Mesh) NeighborsOf(id BlockID) []Neighbor {
 		}
 		kind := KindOf(dir[0], dir[1], dir[2])
 		if cover, found := m.coveringLeaf(nc); found {
-			if cover != id { // periodic wrap in a 1-wide dimension
-				out = append(out, Neighbor{ID: cover, Kind: kind})
-			}
+			out = append(out, Neighbor{ID: cover, Kind: kind})
 			continue
 		}
 		m.collectFine(nc, dir, kind, &out)

@@ -26,13 +26,11 @@ func pairExchangesScan(g Geometry, from, to BlockID) []PairEntry {
 	return out
 }
 
-// randomBalancedMesh refines random leaves of an nx×ny×nz root grid —
-// periodic before the first refinement, so 2:1 balance holds across the
-// wrap too — until it has about target leaves.
-func randomBalancedMesh(t *testing.T, rng *xrand.RNG, dims [3]int, maxLevel, target int, periodic bool) *Mesh {
+// randomBalancedMesh refines random leaves of an nx×ny×nz root grid until
+// it has about target leaves.
+func randomBalancedMesh(t *testing.T, rng *xrand.RNG, dims [3]int, maxLevel, target int) *Mesh {
 	t.Helper()
 	m := NewUniform(dims[0], dims[1], dims[2], maxLevel)
-	m.SetPeriodic(periodic)
 	for tries := 0; m.NumLeaves() < target && tries < 4*target; tries++ {
 		leaves := m.Leaves()
 		if id := leaves[rng.Intn(len(leaves))].ID; m.CanRefine(id) {
@@ -42,14 +40,13 @@ func randomBalancedMesh(t *testing.T, rng *xrand.RNG, dims [3]int, maxLevel, tar
 		}
 	}
 	if a, b, ok := m.CheckBalance(); !ok {
-		t.Fatalf("mesh %v periodic=%v: %v and %v break 2:1 balance", dims, periodic, a, b)
+		t.Fatalf("mesh %v: %v and %v break 2:1 balance", dims, a, b)
 	}
 	return m
 }
 
-// TestPairExchangesMatchesDirectionScan: over random 2:1-balanced meshes —
-// periodic and not, with 1- and 2-wide root dimensions, where several
-// directions wrap onto the same partner — PairExchanges must return exactly
+// TestPairExchangesMatchesDirectionScan: over random 2:1-balanced meshes,
+// 1- and 2-wide root dimensions among them, PairExchanges must return exactly
 // what the 26-direction scan returns, for every leaf and every partner
 // NeighborsOf names, for random far leaves (both empty), and for blocks two
 // levels apart (both empty).
@@ -58,29 +55,27 @@ func TestPairExchangesMatchesDirectionScan(t *testing.T) {
 	rng := xrand.New(29)
 	pairs := 0
 	for _, dims := range shapes {
-		for _, periodic := range []bool{false, true} {
-			for rep := 0; rep < 3; rep++ {
-				m := randomBalancedMesh(t, rng, dims, 3, 40+rng.Intn(120), periodic)
-				g := m.Geometry()
-				leaves := m.Leaves()
-				compare := func(from, to BlockID) {
-					pairs++
-					got, want := PairExchanges(g, from, to), pairExchangesScan(g, from, to)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v periodic=%v: %v → %v: PairExchanges %v, scan %v", dims, periodic, from, to, got, want)
-					}
+		for rep := 0; rep < 3; rep++ {
+			m := randomBalancedMesh(t, rng, dims, 3, 40+rng.Intn(120))
+			g := m.Geometry()
+			leaves := m.Leaves()
+			compare := func(from, to BlockID) {
+				pairs++
+				got, want := PairExchanges(g, from, to), pairExchangesScan(g, from, to)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v: %v → %v: PairExchanges %v, scan %v", dims, from, to, got, want)
 				}
-				for _, b := range leaves {
-					for _, nb := range m.NeighborsOf(b.ID) {
-						compare(b.ID, nb.ID)
-					}
-					compare(b.ID, b.ID)
-					for i := 0; i < 4; i++ {
-						compare(b.ID, leaves[rng.Intn(len(leaves))].ID)
-					}
-					if b.ID.Level >= 2 {
-						compare(b.ID, b.ID.Parent().Parent())
-					}
+			}
+			for _, b := range leaves {
+				for _, nb := range m.NeighborsOf(b.ID) {
+					compare(b.ID, nb.ID)
+				}
+				compare(b.ID, b.ID)
+				for i := 0; i < 4; i++ {
+					compare(b.ID, leaves[rng.Intn(len(leaves))].ID)
+				}
+				if b.ID.Level >= 2 {
+					compare(b.ID, b.ID.Parent().Parent())
 				}
 			}
 		}

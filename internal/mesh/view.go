@@ -3,8 +3,8 @@ package mesh
 import "fmt"
 
 // This file is the distributed-forest view of the mesh: what one simulated
-// rank actually holds when no rank replicates global metadata (ROADMAP item
-// 3; Schornbaum & Rüde's distributed forest, Parthenon's non-replicated
+// rank actually holds when no rank replicates global metadata (DESIGN.md §9;
+// Schornbaum & Rüde's distributed forest, Parthenon's non-replicated
 // BlockList). A rank owns its blocks, sees a one-block-deep halo of remote
 // neighbors, and can enumerate every boundary-exchange message it sends or
 // receives from that view alone — message identities come from deterministic
@@ -17,38 +17,26 @@ import "fmt"
 type Geometry struct {
 	RootDims [3]int
 	MaxLevel int
-	Periodic bool
 }
 
 // Geometry returns the mesh's domain geometry.
 func (m *Mesh) Geometry() Geometry {
-	return Geometry{RootDims: m.RootDims(), MaxLevel: m.maxLevel, Periodic: m.periodic}
+	return Geometry{RootDims: m.RootDims(), MaxLevel: m.maxLevel}
 }
 
-// wrap maps a signed level-local coordinate into the domain, wrapping when
-// periodic. ok is false outside a non-periodic domain.
-func (g Geometry) wrap(c int64, d, level int) (uint32, bool) {
+// coord checks a signed level-local coordinate on axis d against the
+// domain: ok is false outside it.
+func (g Geometry) coord(c int64, d, level int) (uint32, bool) {
 	n := int64(g.RootDims[d]) << uint(level)
-	if c >= 0 && c < n {
-		return uint32(c), true
-	}
-	if !g.Periodic {
-		return 0, false
-	}
-	c %= n
-	if c < 0 {
-		c += n
-	}
-	return uint32(c), true
+	return uint32(c), c >= 0 && c < n
 }
 
-// NeighborCoord returns the same-level cell adjacent to id in direction dir,
-// wrapping at domain boundaries when periodic. ok is false when the position
-// falls outside a non-periodic domain.
+// NeighborCoord returns the same-level cell adjacent to id in direction dir.
+// ok is false when the position falls outside the domain.
 func (g Geometry) NeighborCoord(id BlockID, dir [3]int) (BlockID, bool) {
-	x, okx := g.wrap(int64(id.X)+int64(dir[0]), 0, id.Level)
-	y, oky := g.wrap(int64(id.Y)+int64(dir[1]), 1, id.Level)
-	z, okz := g.wrap(int64(id.Z)+int64(dir[2]), 2, id.Level)
+	x, okx := g.coord(int64(id.X)+int64(dir[0]), 0, id.Level)
+	y, oky := g.coord(int64(id.Y)+int64(dir[1]), 1, id.Level)
+	z, okz := g.coord(int64(id.Z)+int64(dir[2]), 2, id.Level)
 	if !okx || !oky || !okz {
 		return BlockID{}, false
 	}
@@ -127,8 +115,7 @@ func pairEntries(out []PairEntry, ord int, dir [3]int, from, to BlockID, nc Bloc
 // A direction can only reach `to` if, on every axis, its offset lands
 // `from`'s same-level neighbour on `to`'s cell range, so the offsets each
 // axis allows are worked out first and only the directions they span are
-// tried: one to four of the 26, more only where a periodic dimension is one
-// or two blocks wide and several offsets wrap onto the same cell.
+// tried: one to four of the 26.
 func PairExchanges(g Geometry, from, to BlockID) []PairEntry {
 	if from == to {
 		return nil
@@ -150,7 +137,7 @@ func PairExchanges(g Geometry, from, to BlockID) []PairEntry {
 			return nil
 		}
 		for o := -1; o <= 1; o++ {
-			if c, ok := g.wrap(int64(fc[d])+int64(o), d, from.Level); ok && lo <= c && c <= hi {
+			if c, ok := g.coord(int64(fc[d])+int64(o), d, from.Level); ok && lo <= c && c <= hi {
 				allow[d] |= 1 << (o + 1)
 			}
 		}
@@ -275,9 +262,6 @@ func (v *RankView) Neighbors(ownedIdx int, emit func(partner Ref, e PairEntry)) 
 		}
 		kind := KindOf(dir[0], dir[1], dir[2])
 		if ref, cover, found := v.covering(nc); found {
-			if cover == from { // periodic wrap in a 1-wide dimension
-				continue
-			}
 			emit(ref, PairEntry{DirOrd: uint8(ord), SubSlot: 0, Kind: kind})
 			if kind == Face && cover.Level == from.Level-1 {
 				emit(ref, PairEntry{DirOrd: uint8(ord), SubSlot: FluxSubSlot, Kind: kind, Flux: true})

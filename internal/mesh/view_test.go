@@ -8,19 +8,15 @@ import (
 )
 
 // testMeshes returns a spread of mesh shapes: uniform, refined clusters,
-// periodic, non-power-of-two root grids, and a 1-wide periodic dimension
-// (the self-neighbor wrap case).
+// non-power-of-two root grids, and 1-wide dimensions.
 func testMeshes(t *testing.T) map[string]*Mesh {
 	t.Helper()
 	out := map[string]*Mesh{
-		"uniform":  NewUniform(3, 2, 2, 2),
-		"refined":  RandomRefined(2, 2, 2, 3, 120, xrand.New(11)),
-		"ragged":   RandomRefined(3, 5, 2, 2, 150, xrand.New(5)),
-		"periodic": RandomRefined(2, 2, 2, 2, 80, xrand.New(3)),
-		"thin":     NewUniform(1, 1, 4, 1),
+		"uniform": NewUniform(3, 2, 2, 2),
+		"refined": RandomRefined(2, 2, 2, 3, 120, xrand.New(11)),
+		"ragged":  RandomRefined(3, 5, 2, 2, 150, xrand.New(5)),
+		"thin":    NewUniform(1, 1, 4, 1),
 	}
-	out["periodic"].SetPeriodic(true)
-	out["thin"].SetPeriodic(true)
 	out["thin"].RefineOnce(func(id BlockID) bool { return id.Z == 0 })
 	return out
 }
@@ -66,7 +62,7 @@ func globalEntries(m *Mesh, id BlockID) []sent {
 // TestPairExchangesMatchesNeighborsOf: the arithmetic pair enumeration must
 // account for every (direction, partner) message NeighborsOf produces — same
 // multiplicity, same kinds, flux riders exactly after fine→coarse face
-// ghosts — across mesh shapes including periodic wrap.
+// ghosts — across mesh shapes.
 func TestPairExchangesMatchesNeighborsOf(t *testing.T) {
 	for name, m := range testMeshes(t) {
 		g := m.Geometry()

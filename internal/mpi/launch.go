@@ -37,7 +37,7 @@ type machine interface {
 // sites where the engines differ). The caller owns the world: Close it on
 // every path.
 func Launch(cfg simnet.Config, shards int) *World {
-	if shards <= 0 { // ROADMAP 1(c) flips this 0; 1(d) deletes the branch
+	if shards <= 0 { // the sequential engine; DESIGN.md §10 on retiring it
 		eng := sim.NewEngine()
 		return NewWorld(eng, simnet.New(eng, cfg))
 	}
@@ -98,7 +98,7 @@ func (w *World) SetSchedMetrics(mx *metrics.SchedMetrics) { w.mach.SetMetrics(mx
 
 // The two setters below reach the scheduler, which a world on the
 // sequential engine does not have; their st != nil halves carry no semantics
-// and go with ROADMAP 1(d).
+// and go with the sequential engine (DESIGN.md §10).
 
 // SetParanoid enables or disables the invariant audits of internal/check in
 // every layer under the world: collective membership and teardown hygiene

@@ -391,7 +391,7 @@ func (c *Comm) Isend(dst, tag, bytes int) *Request {
 	// tie-break, so the event sequence is identical to the closure era.
 	now := c.eng.Now()
 	c.eng.CompleteAt(now+plan.SenderDoneAfter, &req.fut)
-	// Engine-dependent site 1 of 4 (delivery staging; dies with ROADMAP 1(d)).
+	// Engine-dependent site 1 of 4 (delivery staging; DESIGN.md §10).
 	if st := w.shard; st != nil && !plan.Local {
 		// Cross-node, therefore possibly cross-shard: the delivery detours
 		// through the coordinator's staging buffer even when source and
@@ -520,8 +520,7 @@ func (c *Comm) collective(op string, kind trace.Kind, v float64) float64 {
 	c.collFut.Reset()
 	arrivedAt := c.p.Now()
 	a := collArrival{t: arrivedAt, v: v, rank: int32(c.rank), op: op, c: c}
-	// Engine-dependent site 2 of 4 (who completes the round): dies with
-	// ROADMAP 2(d).
+	// Engine-dependent site 2 of 4 (who completes the round; DESIGN.md §10).
 	if st := w.shard; st == nil || w.nranks == 1 {
 		w.addArrival(a)
 		if len(w.round.arrivals) == w.nranks {

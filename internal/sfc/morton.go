@@ -6,16 +6,12 @@
 // Block IDs assigned in Z-order approximately preserve spatial locality:
 // blocks with nearby IDs are likely to be spatial neighbors. Dimensionality
 // reduction is inherently lossy — the paper measures that even baseline
-// placements route ~64% of messages across nodes at 4096 ranks — and the
-// Locality metrics in this package quantify exactly that loss.
+// placements route ~64% of messages across nodes at 4096 ranks.
 package sfc
 
 // MaxLevel3D is the deepest refinement level representable by a 64-bit
 // 3-D Morton key (21 bits per dimension).
 const MaxLevel3D = 21
-
-// MaxLevel2D is the deepest level representable by a 64-bit 2-D Morton key.
-const MaxLevel2D = 31
 
 // spread1in3 spreads the low 21 bits of x so each lands 3 positions apart.
 func spread1in3(x uint64) uint64 {
@@ -48,38 +44,6 @@ func Encode3D(x, y, z uint32) uint64 {
 // Decode3D is the inverse of Encode3D.
 func Decode3D(key uint64) (x, y, z uint32) {
 	return uint32(compact1in3(key)), uint32(compact1in3(key >> 1)), uint32(compact1in3(key >> 2))
-}
-
-// spread1in2 spreads the low 31 bits of x so each lands 2 positions apart.
-func spread1in2(x uint64) uint64 {
-	x &= 0x7fffffff
-	x = (x | x<<16) & 0x0000ffff0000ffff
-	x = (x | x<<8) & 0x00ff00ff00ff00ff
-	x = (x | x<<4) & 0x0f0f0f0f0f0f0f0f
-	x = (x | x<<2) & 0x3333333333333333
-	x = (x | x<<1) & 0x5555555555555555
-	return x
-}
-
-// compact1in2 is the inverse of spread1in2.
-func compact1in2(x uint64) uint64 {
-	x &= 0x5555555555555555
-	x = (x | x>>1) & 0x3333333333333333
-	x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
-	x = (x | x>>4) & 0x00ff00ff00ff00ff
-	x = (x | x>>8) & 0x0000ffff0000ffff
-	x = (x | x>>16) & 0x00000000ffffffff
-	return x
-}
-
-// Encode2D interleaves the low 31 bits of x and y into a 2-D Morton key.
-func Encode2D(x, y uint32) uint64 {
-	return spread1in2(uint64(x)) | spread1in2(uint64(y))<<1
-}
-
-// Decode2D is the inverse of Encode2D.
-func Decode2D(key uint64) (x, y uint32) {
-	return uint32(compact1in2(key)), uint32(compact1in2(key >> 1))
 }
 
 // Key3DAtLevel returns the ordering key for a block whose integer coordinates

@@ -33,55 +33,34 @@ type RangePartition struct {
 // PartitionByCount splits n sorted keys into nranks near-equal contiguous
 // chunks (the first n mod nranks ranks receive one extra key — the same
 // convention as the contiguous baseline placement) and returns the partition
-// whose rank ranges begin at each chunk's first key. Keys must be strictly
-// ascending (leaf SFC keys are unique by construction); the call panics
-// otherwise, and on nranks <= 0.
+// whose rank ranges begin at each chunk's first key. When n < nranks the
+// trailing ranks get empty ranges. Keys must be strictly ascending (leaf SFC
+// keys are unique by construction); the call panics otherwise, and on
+// nranks <= 0.
 func PartitionByCount(keys []uint64, nranks int) RangePartition {
 	if nranks <= 0 {
 		panic(fmt.Sprintf("sfc: partition over %d ranks", nranks))
 	}
-	n := len(keys)
-	counts := make([]int, nranks)
-	lo, extra := n/nranks, n%nranks
-	for r := range counts {
-		counts[r] = lo
-		if r < extra {
-			counts[r]++
-		}
-	}
-	return PartitionFromCounts(keys, counts)
-}
-
-// PartitionFromCounts builds the partition in which rank r's range begins at
-// the first of its counts[r] consecutive keys (in ascending key order) and
-// extends to the start of the next non-empty range. A zero count yields an
-// empty range. It panics when the counts do not sum to len(keys), when any
-// count is negative, or when keys are not strictly ascending.
-func PartitionFromCounts(keys []uint64, counts []int) RangePartition {
 	for i := 1; i < len(keys); i++ {
 		if keys[i] <= keys[i-1] {
 			panic(fmt.Sprintf("sfc: partition keys not strictly ascending at %d (%#x after %#x)",
 				i, keys[i], keys[i-1]))
 		}
 	}
-	p := RangePartition{nranks: len(counts)}
-	idx := 0
-	for r, c := range counts {
-		if c < 0 {
-			panic(fmt.Sprintf("sfc: negative partition count %d for rank %d", c, r))
+	n := len(keys)
+	p := RangePartition{nranks: nranks}
+	lo, extra := n/nranks, n%nranks
+	for r, idx := 0, 0; r < nranks && idx < n; r++ {
+		start := keys[idx]
+		if r == 0 {
+			start = 0 // the first range starts at the bottom of the key space
 		}
-		if c > 0 {
-			start := keys[idx]
-			if len(p.starts) == 0 {
-				start = 0 // the first range starts at the bottom of the key space
-			}
-			p.starts = append(p.starts, start)
-			p.ranks = append(p.ranks, int32(r))
+		p.starts = append(p.starts, start)
+		p.ranks = append(p.ranks, int32(r))
+		idx += lo
+		if r < extra {
+			idx++
 		}
-		idx += c
-	}
-	if idx != len(keys) {
-		panic(fmt.Sprintf("sfc: partition counts cover %d keys, want %d", idx, len(keys)))
 	}
 	return p
 }

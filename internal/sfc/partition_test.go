@@ -90,24 +90,6 @@ func TestPartitionSingleBlockForest(t *testing.T) {
 	}
 }
 
-func TestPartitionFromCountsZeroInterior(t *testing.T) {
-	// Zero-count ranks in the middle (a policy may assign a rank no blocks):
-	// keys resolve to the rank whose chunk actually holds them.
-	keys := []uint64{5, 6, 7, 8}
-	counts := []int{2, 0, 0, 2}
-	p := sfc.PartitionFromCounts(keys, counts)
-	wants := []int{0, 0, 3, 3}
-	for i, k := range keys {
-		if got := p.Owner(k); got != wants[i] {
-			t.Fatalf("Owner(%d) = %d, want %d", k, got, wants[i])
-		}
-	}
-	// Keys between chunks fall to the last rank at or below them.
-	if got := p.Owner(6); got != 0 {
-		t.Fatalf("Owner(6) = %d, want 0", got)
-	}
-}
-
 func TestPartitionBytesIndependentOfKeys(t *testing.T) {
 	a := sfc.PartitionByCount(make17(), 5)
 	big := make([]uint64, 4096)
@@ -141,8 +123,6 @@ func TestPartitionRejectsBadInput(t *testing.T) {
 	mustPanic("unsorted keys", func() { sfc.PartitionByCount([]uint64{2, 1}, 2) })
 	mustPanic("duplicate keys", func() { sfc.PartitionByCount([]uint64{1, 1}, 2) })
 	mustPanic("zero ranks", func() { sfc.PartitionByCount([]uint64{1}, 0) })
-	mustPanic("count mismatch", func() { sfc.PartitionFromCounts([]uint64{1, 2}, []int{1}) })
-	mustPanic("negative count", func() { sfc.PartitionFromCounts([]uint64{1}, []int{-1, 2}) })
 	mustPanic("empty Owner", func() { sfc.RangePartition{}.Owner(0) })
 }
 

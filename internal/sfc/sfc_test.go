@@ -40,17 +40,6 @@ func TestMorton3DRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMorton2DRoundTrip(t *testing.T) {
-	if err := quick.Check(func(x, y uint32) bool {
-		x &= 0x7fffffff
-		y &= 0x7fffffff
-		gx, gy := Decode2D(Encode2D(x, y))
-		return gx == x && gy == y
-	}, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Morton order of a full grid must equal the Z-order traversal: sorting by
 // key is the same as recursive octant traversal. We check monotonicity in
 // each coordinate along axis-aligned lines within an octant cell.
@@ -232,9 +221,9 @@ func TestCurvesBeatRandomLocality(t *testing.T) {
 	for i := range ms {
 		randomOrder[ms[i].cell] = perm[i]
 	}
-	md := AvgNeighborDistance(mortonOrder, pairs)
-	hd := AvgNeighborDistance(hilbertOrder, pairs)
-	rd := AvgNeighborDistance(randomOrder, pairs)
+	md := avgNeighborDistance(mortonOrder, pairs)
+	hd := avgNeighborDistance(hilbertOrder, pairs)
+	rd := avgNeighborDistance(randomOrder, pairs)
 	if md >= rd/2 {
 		t.Errorf("Morton avg neighbor distance %v not clearly better than random %v", md, rd)
 	}
@@ -243,29 +232,15 @@ func TestCurvesBeatRandomLocality(t *testing.T) {
 	}
 }
 
-func TestAvgNeighborDistanceEdgeCases(t *testing.T) {
-	if d := AvgNeighborDistance(map[uint64]int{}, nil); d != 0 {
-		t.Errorf("empty = %v, want 0", d)
+// avgNeighborDistance returns the mean absolute index distance, under the
+// ordering order[cell] = position, between the two cells of each pair.
+func avgNeighborDistance(order map[uint64]int, pairs [][2]uint64) float64 {
+	sum := 0
+	for _, p := range pairs {
+		d := order[p[0]] - order[p[1]]
+		sum += max(d, -d)
 	}
-	order := map[uint64]int{1: 0, 2: 5}
-	pairs := [][2]uint64{{1, 2}, {1, 99}}
-	if d := AvgNeighborDistance(order, pairs); d != 5 {
-		t.Errorf("distance = %v, want 5 (missing endpoint skipped)", d)
-	}
-}
-
-func TestSameBucketFraction(t *testing.T) {
-	order := map[uint64]int{1: 0, 2: 1, 3: 2, 4: 3}
-	pairs := [][2]uint64{{1, 2}, {3, 4}, {2, 3}}
-	if f := SameBucketFraction(order, pairs, 2); f != 2.0/3.0 {
-		t.Errorf("fraction = %v, want 2/3", f)
-	}
-	if f := SameBucketFraction(order, pairs, 0); f != 0 {
-		t.Errorf("bucketSize=0 fraction = %v, want 0", f)
-	}
-	if f := SameBucketFraction(order, nil, 2); f != 0 {
-		t.Errorf("no pairs fraction = %v, want 0", f)
-	}
+	return float64(sum) / float64(len(pairs))
 }
 
 func TestRandomKeysSortStable(t *testing.T) {

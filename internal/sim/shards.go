@@ -2,7 +2,7 @@
 // lookahead-window scheduler.
 //
 // The sequential Engine executes one global (t, seq) heap; at large rank
-// counts that single heap is the wall-clock bottleneck (ROADMAP item 4).
+// counts that single heap is the wall-clock bottleneck (DESIGN.md §10).
 // Shards splits the simulated cluster into groups of nodes, giving each
 // group its own Engine, and exploits the physical property that ranks on
 // different nodes can only interact through the fabric: every cross-node

@@ -229,9 +229,9 @@ func NewSharded(engs []*sim.Engine, shardOfNode []int32, cfg Config) *Network {
 }
 
 // rngFor returns the randomness stream for a node's fabric events.
-// Engine-dependent site 3 of 4 (the fabric RNG stream; dies with
-// ROADMAP 1(d)): which stream a draw comes from decides every stall and ACK
-// loss, so the two engines' tables differ here by construction.
+// Engine-dependent site 3 of 4 (the fabric RNG stream; DESIGN.md §10):
+// which stream a draw comes from decides every stall and ACK loss, so the
+// two engines' tables differ here by construction.
 func (n *Network) rngFor(node int) *xrand.RNG {
 	if n.nodeRngs == nil {
 		return n.rng

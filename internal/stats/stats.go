@@ -1,6 +1,6 @@
 // Package stats provides the descriptive statistics used throughout the
-// telemetry analysis pipeline: moments, percentiles, Pearson correlation,
-// histograms, and least-squares fits.
+// telemetry analysis pipeline: moments, percentiles, and Pearson
+// correlation.
 //
 // The paper's methodology (§IV) leans on exactly these primitives: Pearson
 // correlation between message volume and communication time is the paper's
@@ -9,7 +9,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -139,107 +138,3 @@ func Pearson(xs, ys []float64) float64 {
 	}
 	return sxy / math.Sqrt(sxx*syy)
 }
-
-// LinearFit returns the least-squares slope and intercept of ys against xs.
-// Both are 0 when the inputs are degenerate.
-func LinearFit(xs, ys []float64) (slope, intercept float64) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0, 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxy += dx * (ys[i] - my)
-		sxx += dx * dx
-	}
-	if sxx == 0 {
-		return 0, my
-	}
-	slope = sxy / sxx
-	return slope, my - slope*mx
-}
-
-// Summary bundles the descriptive statistics reported for a metric series.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P25    float64
-	Median float64
-	P75    float64
-	P99    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs. The zero Summary is returned for an
-// empty input.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		P25:    Percentile(xs, 25),
-		Median: Median(xs),
-		P75:    Percentile(xs, 75),
-		P99:    Percentile(xs, 99),
-		Max:    Max(xs),
-	}
-}
-
-// String renders the summary as a single human-readable line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p99=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P99, s.Max)
-}
-
-// Histogram is a fixed-width-bucket histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // observations < Lo
-	Over     int // observations >= Hi
-	binWidth float64
-}
-
-// NewHistogram creates a histogram with bins equal-width buckets over
-// [lo, hi). It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins), binWidth: (hi - lo) / float64(bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Counts) { // guard the float edge case x ≈ Hi
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// BucketLo returns the lower edge of bucket i.
-func (h *Histogram) BucketLo(i int) float64 { return h.Lo + float64(i)*h.binWidth }

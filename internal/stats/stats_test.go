@@ -30,9 +30,6 @@ func TestEmptyAndSingleton(t *testing.T) {
 	if Variance([]float64{5}) != 0 {
 		t.Error("singleton variance should be 0")
 	}
-	if Summarize(nil) != (Summary{}) {
-		t.Error("Summarize(nil) should be zero Summary")
-	}
 }
 
 func TestMinMaxSum(t *testing.T) {
@@ -114,22 +111,6 @@ func TestPearsonBounds(t *testing.T) {
 	_ = rng
 }
 
-func TestLinearFit(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 2x + 1
-	slope, icept := LinearFit(xs, ys)
-	if !almostEqual(slope, 2, 1e-12) || !almostEqual(icept, 1, 1e-12) {
-		t.Errorf("fit = (%v, %v), want (2, 1)", slope, icept)
-	}
-}
-
-func TestLinearFitDegenerate(t *testing.T) {
-	slope, icept := LinearFit([]float64{2, 2, 2}, []float64{1, 2, 3})
-	if slope != 0 || icept != 2 {
-		t.Errorf("degenerate fit = (%v, %v), want (0, 2)", slope, icept)
-	}
-}
-
 func TestCoefVar(t *testing.T) {
 	if cv := CoefVar([]float64{5, 5, 5}); cv != 0 {
 		t.Errorf("uniform CV = %v, want 0", cv)
@@ -141,48 +122,6 @@ func TestCoefVar(t *testing.T) {
 	if cv := CoefVar(xs); !almostEqual(cv, 0.5, 1e-12) {
 		t.Errorf("CV = %v, want 0.5", cv)
 	}
-}
-
-func TestSummarize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s := Summarize(xs)
-	if s.N != 10 || s.Min != 1 || s.Max != 10 || !almostEqual(s.Median, 5.5, 1e-12) {
-		t.Errorf("summary wrong: %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("empty summary string")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.999, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bucket 0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 || h.Counts[2] != 1 || h.Counts[4] != 1 {
-		t.Errorf("buckets = %v", h.Counts)
-	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d, want 8", h.Total())
-	}
-	if h.BucketLo(2) != 4 {
-		t.Errorf("BucketLo(2) = %v, want 4", h.BucketLo(2))
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram(1, 0, 5) did not panic")
-		}
-	}()
-	NewHistogram(1, 0, 5)
 }
 
 // Property: variance is invariant under shifting, scales quadratically.

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -39,60 +38,4 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses CSV (with header) into a table, inferring column types
-// from the first data row: int64 if it parses as an integer, float64 if it
-// parses as a float, string otherwise. An empty body yields a zero-row
-// table of string columns.
-func ReadCSV(r io.Reader) (*Table, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: reading csv: %w", err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("telemetry: csv has no header")
-	}
-	header := records[0]
-	body := records[1:]
-	specs := make([]ColSpec, len(header))
-	for i, name := range header {
-		typ := String
-		if len(body) > 0 {
-			v := body[0][i]
-			if _, err := strconv.ParseInt(v, 10, 64); err == nil {
-				typ = Int64
-			} else if _, err := strconv.ParseFloat(v, 64); err == nil {
-				typ = Float64
-			}
-		}
-		specs[i] = ColSpec{Name: name, Type: typ}
-	}
-	t := NewTable(specs...)
-	vals := make([]interface{}, len(specs))
-	for rowIdx, rec := range body {
-		for i, s := range specs {
-			switch s.Type {
-			case Int64:
-				v, err := strconv.ParseInt(rec[i], 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("telemetry: csv row %d col %q: %v", rowIdx+1, s.Name, err)
-				}
-				vals[i] = v
-			case Float64:
-				v, err := strconv.ParseFloat(rec[i], 64)
-				if err != nil {
-					return nil, fmt.Errorf("telemetry: csv row %d col %q: %v", rowIdx+1, s.Name, err)
-				}
-				vals[i] = v
-			case String:
-				vals[i] = rec[i]
-			default:
-				panic("telemetry: unknown column type")
-			}
-		}
-		t.Append(vals...)
-	}
-	return t, nil
 }

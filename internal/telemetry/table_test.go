@@ -354,32 +354,3 @@ func TestAggFuncStrings(t *testing.T) {
 		t.Error("unknown AggFunc string wrong")
 	}
 }
-
-func TestWatcherTriggers(t *testing.T) {
-	tb := NewTable(IntCol("step"), FloatCol("sync"))
-	w := watch(tb)
-	var onceRows, everyRows []int
-	w.OnRow("sync-spike-once", true,
-		func(t *Table, row int) bool { return t.Floats("sync")[row] > 1 },
-		func(row int) { onceRows = append(onceRows, row) })
-	w.OnRow("sync-spike-every", false,
-		func(t *Table, row int) bool { return t.Floats("sync")[row] > 1 },
-		func(row int) { everyRows = append(everyRows, row) })
-
-	for i, sync := range []float64{0.1, 2.0, 0.2, 3.0, 5.0} {
-		w.Append(i, sync)
-	}
-	if len(onceRows) != 1 || onceRows[0] != 1 {
-		t.Fatalf("once trigger rows = %v", onceRows)
-	}
-	if len(everyRows) != 3 {
-		t.Fatalf("every trigger rows = %v", everyRows)
-	}
-	counts := w.FireCounts()
-	if counts["sync-spike-once"] != 1 || counts["sync-spike-every"] != 3 {
-		t.Fatalf("fire counts = %v", counts)
-	}
-	if tb.NumRows() != 5 {
-		t.Fatalf("table rows = %d", tb.NumRows())
-	}
-}

@@ -130,19 +130,16 @@ type Config struct {
 	// rank's ring fills, its oldest span is evicted (and counted in
 	// Dropped). 0 uses DefaultPerRankCap.
 	PerRankCap int
-	// Disarmed starts the recorder disarmed: spans offered before Arm() is
-	// called are counted in Suppressed but not retained. This is the
-	// programmable-trigger workflow of §IV-C — cheap step telemetry watches
-	// for an anomaly and arms heavy span collection only once it appears
-	// (see ArmOn). Probe spans (EmitRaw) bypass arming and ring eviction:
-	// there are at most two per node per run, so they cannot grow the
-	// buffers.
-	Disarmed bool
-	// ArmOn, together with Disarmed, is the arming condition: the driver
-	// evaluates it (through a telemetry.Watcher trigger) against every
-	// per-step telemetry row and arms the recorder on the first match.
-	// Requires the driver's per-step telemetry (CollectSteps). See
-	// WaitSpikeCondition for the Fig 1b anomaly condition.
+	// ArmOn, when set, is the arming condition of the §IV-C programmable
+	// trigger: the recorder starts disarmed — spans offered before Arm() are
+	// counted in Suppressed but not retained — and the driver evaluates
+	// ArmOn against every per-step telemetry row, arming the recorder on
+	// the first match, so cheap step telemetry watches for an anomaly and
+	// heavy span collection starts only once it appears. Requires the
+	// driver's per-step telemetry (CollectSteps). See WaitSpikeCondition
+	// for the Fig 1b anomaly condition. Probe spans (EmitRaw) bypass arming
+	// and ring eviction: there are at most two per node per run, so they
+	// cannot grow the buffers.
 	ArmOn func(t *telemetry.Table, row int) bool
 }
 
@@ -232,7 +229,7 @@ func NewRecorder(nranks, ranksPerNode int, cfg Config) *Recorder {
 	}
 	r := &Recorder{
 		rpn:        ranksPerNode,
-		armed:      !cfg.Disarmed,
+		armed:      cfg.ArmOn == nil,
 		rings:      make([]ring, nranks),
 		step:       make([]int32, nranks),
 		epoch:      make([]int32, nranks),
@@ -248,7 +245,7 @@ func NewRecorder(nranks, ranksPerNode int, cfg Config) *Recorder {
 	return r
 }
 
-// Arm enables span retention (idempotent). See Config.Disarmed.
+// Arm enables span retention (idempotent). See Config.ArmOn.
 func (r *Recorder) Arm() { r.armed = true }
 
 // Armed reports whether spans are currently retained.
@@ -473,22 +470,6 @@ func (r *Recorder) WriteTo(w io.Writer, chunkRows int) error {
 		if left -= k; left == 0 {
 			return cw.Finalize()
 		}
-	}
-}
-
-// ArmOn returns a driver OnStepRecord hook that arms rec through a
-// telemetry.Watcher trigger the first time cond matches a step-table row —
-// the §IV-C programmable-trigger workflow: run with Config.Disarmed, watch
-// the cheap per-step telemetry, and start paying for span retention only
-// once the anomaly shows up.
-func ArmOn(rec *Recorder, name string, cond func(t *telemetry.Table, row int) bool) func(t *telemetry.Table, row int) {
-	var w *telemetry.Watcher
-	return func(t *telemetry.Table, row int) {
-		if w == nil {
-			w = telemetry.NewWatcher(t)
-			w.OnRow(name, true, cond, func(int) { rec.Arm() })
-		}
-		w.Observe(row)
 	}
 }
 

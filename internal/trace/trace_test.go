@@ -46,7 +46,7 @@ func TestRingCapBoundsMemory(t *testing.T) {
 }
 
 func TestDisarmedSuppresses(t *testing.T) {
-	r := NewRecorder(2, 2, Config{PerRankCap: 8, Disarmed: true})
+	r := NewRecorder(2, 2, Config{PerRankCap: 8, ArmOn: WaitSpikeCondition(1)})
 	for i := 0; i < 5; i++ {
 		r.Emit(span(0, Compute, float64(i), float64(i)+1))
 	}
@@ -360,32 +360,6 @@ func TestKindStringsStable(t *testing.T) {
 		if s, ok := want[k]; !ok || k.String() != s {
 			t.Fatalf("Kind(%d).String() = %q, want %q", k, k.String(), s)
 		}
-	}
-}
-
-func TestArmOnTrigger(t *testing.T) {
-	rec := NewRecorder(1, 1, Config{PerRankCap: 8, Disarmed: true})
-	tab := telemetry.NewTable(telemetry.IntCol("step"), telemetry.FloatCol("comm"))
-	hook := ArmOn(rec, "wait-spike", WaitSpikeCondition(0.5))
-	for i := 0; i < 3; i++ {
-		tab.Append(i, 0.1)
-		hook(tab, tab.NumRows()-1)
-		rec.Emit(span(0, Compute, float64(i), float64(i)+1))
-	}
-	if rec.Armed() || rec.Len() != 0 {
-		t.Fatalf("armed before trigger: armed=%v len=%d", rec.Armed(), rec.Len())
-	}
-	tab.Append(3, 0.9) // the spike
-	hook(tab, tab.NumRows()-1)
-	if !rec.Armed() {
-		t.Fatal("trigger did not arm the recorder")
-	}
-	rec.Emit(span(0, Compute, 4, 5))
-	if rec.Len() != 1 {
-		t.Fatalf("post-arm Len = %d, want 1", rec.Len())
-	}
-	if rec.Suppressed() != 3 {
-		t.Fatalf("Suppressed = %d, want 3", rec.Suppressed())
 	}
 }
 
