@@ -89,7 +89,8 @@ scale-smoke:
 # byte-reader decoder it replaced (kept as _test.go oracles), the
 # hash-aggregate kernel against its row-loop reference, fed whole and in
 # pieces, the DES engine's laned event order against the heap-only order it
-# must equal, and the MPI match index against a map of FIFOs. `go test`
+# must equal, the sharded scheduler's run merge against sorting the staged
+# deliveries, and the MPI match index against a map of FIFOs. `go test`
 # alone only replays the seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 15s ./internal/tql
@@ -99,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCodec$$' -fuzztime 15s ./internal/colfile
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupBy$$' -fuzztime 15s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 15s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzMergeStaged$$' -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzMatchIndex$$' -fuzztime 15s ./internal/mpi
 
 fmt:

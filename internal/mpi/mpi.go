@@ -145,6 +145,8 @@ type shardState struct {
 	// msgSeq is the per-source-rank program-order stamp for staged
 	// cross-shard deliveries — the deterministic merge tie-break.
 	msgSeq []int64
+	// procOf[rank] is rank's process, which the merge delivers into.
+	procOf []*sim.Proc
 	// outColl stages collective arrivals per shard until the next merge.
 	outColl [][]collArrival
 }
@@ -220,6 +222,7 @@ func NewShardedWorld(s *sim.Shards, net *simnet.Network, shardOfNode []int32) *W
 	w.shard = &shardState{
 		s:       s,
 		msgSeq:  make([]int64, w.nranks),
+		procOf:  make([]*sim.Proc, w.nranks),
 		outColl: make([][]collArrival, s.NumShards()),
 	}
 	s.OnMerge(w.mergeCollectives)
@@ -270,9 +273,12 @@ func (w *World) Spawn(rank int, body func(c *Comm)) {
 	}
 	eng, shard := w.engOf[rank], w.shardOf[rank]
 	pool := &w.pools[shard]
-	eng.Spawn(fmt.Sprintf("rank%d", rank), func(p *sim.Proc) {
+	p := eng.Spawn(fmt.Sprintf("rank%d", rank), func(p *sim.Proc) {
 		body(&Comm{w: w, rank: rank, p: p, eng: eng, shard: shard, pool: pool})
 	})
+	if st := w.shard; st != nil {
+		st.procOf[rank] = p
+	}
 }
 
 // Request is a non-blocking operation handle. Requests are owned by the
@@ -399,7 +405,7 @@ func (c *Comm) Isend(dst, tag, bytes int) *Request {
 		// and with it every table — is independent of the shard count.
 		seq := st.msgSeq[src]
 		st.msgSeq[src] = seq + 1
-		st.s.StageDelivery(int(c.shard), int(w.shardOf[dst]), now+plan.DeliverAfter,
+		st.s.StageDeliveryTo(int(c.shard), int(w.shardOf[dst]), st.procOf[dst], now+plan.DeliverAfter,
 			int32(src), int32(dst), int32(tag), int64(bytes), seq)
 	} else {
 		c.eng.DeliverAt(now+plan.DeliverAfter,

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"amrtools/internal/metrics"
+)
 
 // The engine is the hot path of every experiment (millions of events per
 // run), so this file locks in the zero-allocation scheduling contract with
@@ -81,6 +85,42 @@ func TestLanedEventsAllocFree(t *testing.T) {
 	}
 	if e.laneIn == 0 {
 		t.Fatal("no event entered a lane: the test does not exercise the lane path")
+	}
+}
+
+// TestMergedDeliveriesAllocFree: a cross-shard delivery's whole scheduler
+// path — staged by the source shard, merged on the coordinator into its
+// destination process's remote lane, popped from the lane — must be
+// allocation-free once the staging buffers, the merge's run heap and the
+// lane ring have grown. Attached to a run's metrics, the lane count Run
+// flushes must be non-zero: the merged deliveries waited in the lane, not on
+// the heap.
+func TestMergedDeliveriesAllocFree(t *testing.T) {
+	s := NewShards(2, 1e-6)
+	defer s.Close()
+	for _, e := range s.Engines() {
+		e.SetSink(nopSink{})
+	}
+	var never Future
+	dst := s.Engine(1).Spawn("dst", func(p *Proc) { p.Await(&never) })
+	const batch = 512
+	cycle := func() {
+		base := s.Now() + 1
+		for i := 0; i < batch; i++ {
+			// Two interleaved ascending runs, as two NIC clocks stage them.
+			s.StageDeliveryTo(i%2, 1, dst, base+float64(i/2)+0.5*float64(i%2), int32(i%2), 0, int32(i), 64, int64(i))
+		}
+		s.Run()
+	}
+	per := testing.AllocsPerRun(10, cycle)
+	if per > 0 {
+		t.Errorf("stage → merge → lane → pop allocates %.1f objects per %d-delivery batch, want 0", per, batch)
+	}
+	ms := metrics.NewRunSet(2, 1, nil)
+	s.SetMetrics(ms.Sched)
+	cycle()
+	if ms.Sched.LaneEvents.Value() == 0 {
+		t.Error("no merged delivery entered the destination's lane: the merge fell back to the heap")
 	}
 }
 

@@ -20,8 +20,8 @@
 // typed payloads, not closures. The generic At/After closure form remains
 // for cold paths; the per-message fast paths (future completion, message
 // delivery) have dedicated typed variants so the MPI layer never allocates
-// to schedule them, and the ones a running process issues mostly skip the
-// heap: they wait in that process's FIFO lanes (see lane).
+// to schedule them, and most of them skip the heap and the arena: they wait,
+// payload and all, in a process's FIFO lanes (see ring).
 package sim
 
 import (
@@ -69,18 +69,20 @@ const (
 type event struct {
 	t   Time
 	seq int64
-	// idx indexes Engine.bodies — or, when negative, names lane -1-idx of
-	// Engine.lanes: the heap holds each non-empty lane as one entry keyed
-	// by the lane's front, whose own idx the ring holds. A sign, not a second
-	// int32 field: push would store the two halves separately and pop reload
-	// them as one word, a store-forwarding stall on every event.
+	// idx indexes Engine.bodies — or, when negative, names lane -1-idx (see
+	// laneID): the heap holds each non-empty lane as one entry keyed by the
+	// lane's front, whose payload the ring holds. A sign, not a second int32
+	// field: push would store the two halves separately and pop reload them
+	// as one word, a store-forwarding stall on every event.
 	idx int32
 }
 
-// evBody is the payload of one scheduled event. Exactly one variant (fn,
-// proc, fut, or the msg fields) is meaningful, selected by kind. Bodies
-// live in an engine-owned arena recycled through a free list, so scheduling
-// allocates only when the pending-event high-water mark grows.
+// evBody is the payload of one heap event. Exactly one variant (fn, proc,
+// fut, or the msg fields) is meaningful, selected by kind. Bodies live in an
+// engine-owned arena recycled through a free list, so scheduling allocates
+// only when the pending-event high-water mark grows. Typed events that wait
+// in a lane never touch it: the arena holds process resumes, closures,
+// silent injections and the typed events that missed their lane.
 type evBody struct {
 	fn    func()
 	proc  *Proc
@@ -174,38 +176,74 @@ func (h eventHeap) down() {
 // monotone NIC clock. Local deliveries get their own lane because they land
 // microseconds out where remote ones land a millisecond out: in a shared
 // lane every local delivery after the first remote one would be earlier than
-// the tail.
+// the tail. A delivery lane's kind is its deliveries' local flag.
 const (
-	laneDone int32 = iota
-	laneLocal
+	laneLocal int32 = iota
 	laneRemote
-	nLanes
+	laneDone
 )
 
-// lane is one process's FIFO of pending events of one kind, sorted by
-// (t, seq): a power-of-two ring, represented on the heap by one entry keyed
-// by its front. A ring, not an append-only slice, so a lane that drains and
-// refills every BSP step reuses its storage.
-type lane struct {
-	buf  []event
+// doneEntry is a future completion waiting in a done lane.
+type doneEntry struct {
+	t   Time
+	seq int64
+	fut *Future
+}
+
+// msgEntry is a message delivery waiting in a delivery lane.
+type msgEntry struct {
+	t             Time
+	seq           int64
+	bytes         int64
+	src, dst, tag int32
+}
+
+// procLanes is one process's three lanes. The lane of kind k of the process
+// whose Proc.lanes is i has the id i<<2 | k.
+type procLanes struct {
+	msg  [2]ring[msgEntry] // indexed by laneLocal, laneRemote
+	done ring[doneEntry]
+}
+
+// laneID names lane k of the process whose lanes are at index i.
+func laneID(i, k int32) int32 { return i<<2 | k }
+
+// ring is one lane: a FIFO of pending typed events sorted by (t, seq),
+// represented on the heap by one entry keyed by its front. A power-of-two
+// ring, not an append-only slice, so a lane that drains and refills every
+// BSP step reuses its storage.
+type ring[E any] struct {
+	buf  []E
 	head int
 	n    int
 }
 
-func (l *lane) push(ev event) {
-	if l.n == len(l.buf) {
-		nb := make([]event, max(8, 2*len(l.buf)))
-		for i := 0; i < l.n; i++ {
-			nb[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
-		}
-		l.buf, l.head = nb, 0
+func (r *ring[E]) push(x E) {
+	if r.n == len(r.buf) {
+		r.grow()
 	}
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
-	l.n++
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = x
+	r.n++
 }
 
-// tail returns the time of the lane's last event; the lane must be non-empty.
-func (l *lane) tail() Time { return l.buf[(l.head+l.n-1)&(len(l.buf)-1)].t }
+func (r *ring[E]) grow() {
+	nb := make([]E, max(8, 2*len(r.buf)))
+	for i := 0; i < r.n; i++ {
+		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf, r.head = nb, 0
+}
+
+// front and back return the first and the last entry; the ring must be
+// non-empty.
+func (r *ring[E]) front() *E { return &r.buf[r.head] }
+func (r *ring[E]) back() *E  { return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)] }
+
+// drop removes the front entry.
+func (r *ring[E]) drop() {
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+}
 
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with NewEngine. Engines are not safe for concurrent use: in
@@ -216,12 +254,12 @@ type Engine struct {
 	seq     int64
 	events  int64
 	pq      eventHeap
-	bodies  []evBody // payload arena, indexed by event.idx
-	freeB   []int32  // free slots in bodies
-	lanes   []lane   // nLanes per spawned process, from Proc.lanes
-	cur     *Proc    // the process being resumed, nil in event context
-	sink    MsgSink  // receiver of evMsg payloads (set once by the MPI world)
-	procs   []*Proc  // all spawned processes, for Close
+	bodies  []evBody    // heap-event payload arena, indexed by event.idx
+	freeB   []int32     // free slots in bodies
+	lanes   []procLanes // one per spawned process, at Proc.lanes
+	cur     *Proc       // the process being resumed, nil in event context
+	sink    MsgSink     // receiver of evMsg payloads (set once by the MPI world)
+	procs   []*Proc     // all spawned processes, for Close
 	running bool
 	intr    func() bool // optional cancellation poll (see SetInterrupt)
 
@@ -289,28 +327,20 @@ func (e *Engine) newEvent(t Time, b *evBody) event {
 // schedule queues an event on the heap.
 func (e *Engine) schedule(t Time, b evBody) { e.pq.push(e.newEvent(t, &b)) }
 
-// scheduleLaned queues a typed event through lane k of the current process:
-// behind the lane's tail when it is not earlier (O(1), no sift); into the
-// empty lane, which then goes on the heap keyed by the event; otherwise — or
-// in event context — on the heap alone. Every lane stays sorted by (t, seq),
-// because seq grows with each event and t is checked against the tail, and
-// the heap always holds each non-empty lane keyed by its front, so the heap
-// top is still the (t, seq)-least pending event and the pop order is the
-// heap-only order.
-func (e *Engine) scheduleLaned(t Time, b evBody, k int32) {
-	ev := e.newEvent(t, &b)
-	if p := e.cur; p != nil {
-		id := p.lanes + k
-		if l := &e.lanes[id]; l.n == 0 || t >= l.tail() {
-			l.push(ev)
-			if l.n > 1 {
-				e.laneIn++
-				return
-			}
-			ev.idx = -1 - id
-		}
+// enlaned accounts for an entry, sequenced e.seq, that was just pushed on
+// lane id, which now holds n entries. Behind the tail that is all (O(1), no
+// sift); as the lane's only entry it puts the lane on the heap, keyed by the
+// entry. Callers push only when the lane is empty or t is not earlier than
+// its tail: every lane stays sorted by (t, seq), because seq grows with each
+// event, and the heap always holds each non-empty lane keyed by its front,
+// so the heap top is still the (t, seq)-least pending event and the pop
+// order is the heap-only order.
+func (e *Engine) enlaned(n int, t Time, id int32) {
+	if n > 1 {
+		e.laneIn++
+		return
 	}
-	e.pq.push(ev)
+	e.pq.push(event{t: t, seq: e.seq, idx: -1 - id})
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -333,25 +363,52 @@ func (e *Engine) CompleteAt(t Time, f *Future) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
-	e.scheduleLaned(t, evBody{kind: evFuture, fut: f}, laneDone)
+	if p := e.cur; p != nil {
+		// Issued by the running process: its done lane, if it fits.
+		if l := &e.lanes[p.lanes].done; l.n == 0 || t >= l.back().t {
+			e.seq++
+			l.push(doneEntry{t: t, seq: e.seq, fut: f})
+			e.enlaned(l.n, t, laneID(p.lanes, laneDone))
+			return
+		}
+	}
+	e.schedule(t, evBody{kind: evFuture, fut: f})
 }
 
 // DeliverAt schedules a message-delivery event: at time t the registered
 // MsgSink receives the payload verbatim. This is the closure-free delivery
-// path — the payload is a value in the event arena, so a simulated message
-// costs no heap allocation to schedule.
+// path — the payload is a value in a lane or the event arena, so a simulated
+// message costs no heap allocation to schedule. A delivery the running
+// process issues joins that process's lane of its kind.
 func (e *Engine) DeliverAt(t Time, src, dst, tag int32, bytes int64, local bool) {
+	k := laneRemote
+	if local {
+		k = laneLocal
+	}
+	e.deliver(t, e.cur, k, src, dst, tag, bytes)
+}
+
+// deliver schedules a delivery through delivery lane k of p when p is not
+// nil and the lane is empty or its tail is not later than t, and on the heap
+// otherwise. DeliverAt passes the running process; the sharded merge passes
+// the destination process, whose remote lane is otherwise empty on the
+// scheduler, because every cross-node send is staged.
+func (e *Engine) deliver(t Time, p *Proc, k int32, src, dst, tag int32, bytes int64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	if e.sink == nil {
 		panic("sim: DeliverAt with no MsgSink registered")
 	}
-	k := laneRemote
-	if local {
-		k = laneLocal
+	if p != nil {
+		if l := &e.lanes[p.lanes].msg[k]; l.n == 0 || t >= l.back().t {
+			e.seq++
+			l.push(msgEntry{t: t, seq: e.seq, bytes: bytes, src: src, dst: dst, tag: tag})
+			e.enlaned(l.n, t, laneID(p.lanes, k))
+			return
+		}
 	}
-	e.scheduleLaned(t, evBody{kind: evMsg, src: src, dst: dst, tag: tag, bytes: bytes, local: local}, k)
+	e.schedule(t, evBody{kind: evMsg, src: src, dst: dst, tag: tag, bytes: bytes, local: k == laneLocal})
 }
 
 // SetInterrupt installs a cancellation poll. Run (and the sharded
@@ -398,28 +455,16 @@ func (e *Engine) Step() bool {
 	}
 	e.heapLenSum += int64(len(e.pq))
 	ev := e.pq[0]
-	idx := ev.idx
-	if idx >= 0 {
-		e.pq.pop()
-	} else {
-		// A lane's entry: take the lane's front, then re-key the entry by
-		// the next event, or drop it with the lane empty.
-		l := &e.lanes[-1-idx]
-		idx = l.buf[l.head].idx
-		l.head = (l.head + 1) & (len(l.buf) - 1)
-		if l.n--; l.n > 0 {
-			next := l.buf[l.head]
-			next.idx = ev.idx
-			e.pq.replaceTop(next)
-		} else {
-			e.pq.pop()
-		}
-	}
-	b := e.bodies[idx]
-	e.bodies[idx] = evBody{} // release fn/proc/fut references
-	e.freeB = append(e.freeB, idx)
 	e.now = ev.t
 	e.events++
+	if ev.idx < 0 {
+		e.stepLane(ev.idx)
+		return true
+	}
+	e.pq.pop()
+	b := e.bodies[ev.idx]
+	e.bodies[ev.idx] = evBody{} // release fn/proc/fut references
+	e.freeB = append(e.freeB, ev.idx)
 	switch b.kind {
 	case evFn:
 		b.fn()
@@ -440,6 +485,40 @@ func (e *Engine) Step() bool {
 		panic("sim: unknown event kind")
 	}
 	return true
+}
+
+// stepLane executes the front of the lane the heap top names (idx < 0):
+// it takes the front's payload, re-keys the heap entry by the next entry or
+// drops it with the lane empty, then runs the event.
+func (e *Engine) stepLane(idx int32) {
+	id := -1 - idx
+	pl := &e.lanes[id>>2]
+	switch k := id & 3; k {
+	case laneDone:
+		l := &pl.done
+		f := l.front().fut
+		l.drop()
+		if l.n > 0 {
+			nx := l.front()
+			e.pq.replaceTop(event{t: nx.t, seq: nx.seq, idx: idx})
+		} else {
+			e.pq.pop()
+		}
+		f.Complete(e)
+	case laneLocal, laneRemote:
+		l := &pl.msg[k]
+		m := *l.front()
+		l.drop()
+		if l.n > 0 {
+			nx := l.front()
+			e.pq.replaceTop(event{t: nx.t, seq: nx.seq, idx: idx})
+		} else {
+			e.pq.pop()
+		}
+		e.sink.DeliverMsg(m.src, m.dst, m.tag, m.bytes, k == laneLocal)
+	default:
+		panic("sim: unknown lane kind")
+	}
 }
 
 // Run executes events until none remain, then returns the final time.

@@ -61,13 +61,16 @@ func (s *progSrc) next() int {
 }
 
 // progOp is one step of a process body: a burst of typed events (op < 4), a
-// sleep, an await, or — rarely — a panic.
+// sleep, an await, a closure that delivers a burst into another process's
+// remote lane, or — rarely — a panic.
 type progOp struct{ op, n, a int }
 
 // program is a randomized engine workload: processes posting CompleteAt /
 // DeliverAt bursts at rising, equal, falling and mixed times, sleeping and
 // awaiting each other's futures; event-context schedules from the sink and
-// from top-level closures; and an optional Close after stopAt pops.
+// from top-level closures; bursts delivered from event context into a
+// destination process's lane, as the sharded merge does; and an optional
+// Close after stopAt pops.
 type program struct {
 	procs  [][]progOp
 	top    int
@@ -80,7 +83,7 @@ func decodeProgram(src *progSrc) program {
 	for i := 0; i < nprocs; i++ {
 		ops := make([]progOp, src.next()%12)
 		for j := range ops {
-			ops[j] = progOp{op: src.next() % 8, n: src.next(), a: src.next()}
+			ops[j] = progOp{op: src.next() % 9, n: src.next(), a: src.next()}
 		}
 		p.procs = append(p.procs, ops)
 	}
@@ -105,14 +108,19 @@ type popRec struct {
 	proc  string
 }
 
-// progRun is the state of one program execution: its engine, the futures
-// the program created (indexed in creation order) and its event log.
+// progRun is the state of one program execution: its engine and processes,
+// the futures the program created (indexed in creation order) and its event
+// log. Under the oracle, deliveries addressed to a process's lane take the
+// heap instead.
 type progRun struct {
-	e     *Engine
-	futs  []*Future
-	futID map[*Future]int
-	tag   int32
-	log   []string // closure events and deliveries, in execution order
+	e      *Engine
+	procs  []*Proc
+	oracle bool
+	futs   []*Future
+	futID  map[*Future]int
+	tag    int32
+	log    []string // closure events and deliveries, in execution order
+	merged int64    // addressed deliveries that entered a lane behind its tail
 }
 
 func (r *progRun) newFuture() *Future {
@@ -146,6 +154,39 @@ func (r *progRun) post(t Time, kind int, proc int) {
 	}
 }
 
+// burstOffset is the time offset of event i of an n-event burst of the
+// given shape: rising, equal, falling or mixed, d apart.
+func burstOffset(shape, i, n, a int, d float64) float64 {
+	switch shape {
+	case 0:
+		return d * float64(i)
+	case 1:
+		return d
+	case 2:
+		return d * float64(n-i)
+	default:
+		return d * float64((i*7+a)%5)
+	}
+}
+
+// deliverTo delivers a burst from event context into the remote lane of
+// process dst — the sharded merge's path — or, under the oracle, onto the
+// heap.
+func (r *progRun) deliverTo(dst int, o progOp) {
+	to := r.procs[dst]
+	if r.oracle {
+		to = nil
+	}
+	n := 1 + o.n%12
+	now := r.e.Now()
+	for i := 0; i < n; i++ {
+		r.tag++
+		before := r.e.laneIn
+		r.e.deliver(now+0.5+burstOffset((o.a>>2)%4, i, n, o.a, 0.25), to, laneRemote, -2, int32(dst), r.tag, 16)
+		r.merged += r.e.laneIn - before
+	}
+}
+
 func (r *progRun) body(proc int, ops []progOp) func(p *Proc) {
 	return func(p *Proc) {
 		for _, o := range ops {
@@ -155,18 +196,7 @@ func (r *progRun) body(proc int, ops []progOp) func(p *Proc) {
 				n := 1 + o.n%12
 				d := 0.25 * float64(1+(o.a>>4)%3)
 				for i := 0; i < n; i++ {
-					var off float64
-					switch o.op {
-					case 0:
-						off = d * float64(i)
-					case 1:
-						off = d
-					case 2:
-						off = d * float64(n-i)
-					default:
-						off = d * float64((i*7+o.a)%5)
-					}
-					r.post(now+off, (o.a+i*(1+o.n>>4))%3, proc)
+					r.post(now+burstOffset(o.op, i, n, o.a, d), (o.a+i*(1+o.n>>4))%3, proc)
 				}
 			case 4:
 				p.Sleep(0.25 * float64(o.a%5))
@@ -177,6 +207,9 @@ func (r *progRun) body(proc int, ops []progOp) func(p *Proc) {
 						p.Await(f)
 					}
 				}
+			case 7:
+				dst := (proc + 1 + o.a) % len(r.procs)
+				r.e.At(now+0.25*float64(o.a%3), func() { r.deliverTo(dst, o) })
 			default:
 				if o.a < 24 {
 					panic(fmt.Sprintf("proc %d panics", proc))
@@ -189,24 +222,26 @@ func (r *progRun) body(proc int, ops []progOp) func(p *Proc) {
 
 // progResult is what one execution of a program shows: the pop sequence,
 // the closure/delivery log, Events(), the panic value a process raised (if
-// any) and how many events entered a lane behind its tail.
+// any), how many events entered a lane behind its tail, and how many of
+// those were addressed to a destination process's lane.
 type progResult struct {
 	pops   []popRec
 	log    []string
 	events int64
 	panic  any
 	laned  int64
+	merged int64
 }
 
 // runProgram executes prog on a fresh engine — through Engine.Step, or
 // through oracleStep when oracle is set. It fails t when a panic or Close
 // leaves a current process behind.
 func runProgram(t testing.TB, prog program, oracle bool) progResult {
-	r := &progRun{e: NewEngine(), futID: map[*Future]int{}}
+	r := &progRun{e: NewEngine(), oracle: oracle, futID: map[*Future]int{}}
 	e := r.e
 	e.SetSink(r)
 	for i, ops := range prog.procs {
-		e.Spawn(fmt.Sprintf("p%d", i), r.body(i, ops))
+		r.procs = append(r.procs, e.Spawn(fmt.Sprintf("p%d", i), r.body(i, ops)))
 	}
 	for k := 0; k < prog.top; k++ {
 		e.At(0.25*float64(k), func() {
@@ -224,19 +259,33 @@ func runProgram(t testing.TB, prog program, oracle bool) progResult {
 		defer func() { res.panic = recover() }()
 		for n := 0; len(e.pq) > 0 && (prog.stopAt == 0 || n < prog.stopAt); n++ {
 			ev := e.pq[0]
-			idx := ev.idx
-			if idx < 0 {
-				l := &e.lanes[-1-idx]
-				idx = l.buf[l.head].idx
-			}
-			b := e.bodies[idx]
-			rec := popRec{t: ev.t, seq: ev.seq, kind: b.kind, src: b.src, dst: b.dst,
-				tag: b.tag, bytes: b.bytes, local: b.local, fut: -1}
-			if b.fut != nil {
-				rec.fut = r.futID[b.fut]
-			}
-			if b.proc != nil {
-				rec.proc = b.proc.name
+			rec := popRec{t: ev.t, seq: ev.seq, fut: -1}
+			if ev.idx < 0 {
+				// A lane: its front holds the payload and the heap entry's key.
+				id := -1 - ev.idx
+				pl := &e.lanes[id>>2]
+				var t0 Time
+				var seq int64
+				if k := id & 3; k == laneDone {
+					x := pl.done.front()
+					t0, seq, rec.kind, rec.fut = x.t, x.seq, evFuture, r.futID[x.fut]
+				} else {
+					m := pl.msg[k].front()
+					t0, seq, rec.kind = m.t, m.seq, evMsg
+					rec.src, rec.dst, rec.tag, rec.bytes, rec.local = m.src, m.dst, m.tag, m.bytes, k == laneLocal
+				}
+				if t0 != ev.t || seq != ev.seq {
+					t.Errorf("lane %d keyed (%v, %d) on the heap, its front is (%v, %d)", id, ev.t, ev.seq, t0, seq)
+				}
+			} else {
+				b := e.bodies[ev.idx]
+				rec.kind, rec.src, rec.dst, rec.tag, rec.bytes, rec.local = b.kind, b.src, b.dst, b.tag, b.bytes, b.local
+				if b.fut != nil {
+					rec.fut = r.futID[b.fut]
+				}
+				if b.proc != nil {
+					rec.proc = b.proc.name
+				}
 			}
 			res.pops = append(res.pops, rec)
 			step()
@@ -249,13 +298,13 @@ func runProgram(t testing.TB, prog program, oracle bool) progResult {
 	if e.cur != nil {
 		t.Errorf("current process %q left set after Close", e.cur.name)
 	}
-	res.log, res.events, res.laned = r.log, e.Events(), e.laneIn
+	res.log, res.events, res.laned, res.merged = r.log, e.Events(), e.laneIn, r.merged
 	return res
 }
 
 // checkProgram runs prog through the lanes and through the oracle, asserts
-// the same pops, log, Events() and panic, and returns the laned count.
-func checkProgram(t testing.TB, prog program) int64 {
+// the same pops, log, Events() and panic, and returns the lanes' run.
+func checkProgram(t testing.TB, prog program) progResult {
 	got, want := runProgram(t, prog, false), runProgram(t, prog, true)
 	for i := range min(len(got.pops), len(want.pops)) {
 		if got.pops[i] != want.pops[i] {
@@ -274,24 +323,27 @@ func checkProgram(t testing.TB, prog program) int64 {
 	if !reflect.DeepEqual(got.panic, want.panic) {
 		t.Fatalf("panic %v, oracle %v", got.panic, want.panic)
 	}
-	return got.laned
+	return got
 }
 
 // TestLanesMatchHeapOracle: on random programs the laned engine pops exactly
 // the oracle's (t, seq, kind, payload) sequence, with the same Events() —
-// through Close mid-run and a panicking process — and lanes are really used.
+// through Close mid-run and a panicking process — and lanes are really used,
+// by the running process and by deliveries addressed to a destination.
 func TestLanesMatchHeapOracle(t *testing.T) {
 	rng := xrand.New(26)
-	var laned int64
+	var laned, merged int64
 	for i := 0; i < 400; i++ {
 		data := make([]byte, 160)
 		for j := range data {
 			data[j] = byte(rng.Uint64())
 		}
-		laned += checkProgram(t, decodeProgram(&progSrc{data: data}))
+		res := checkProgram(t, decodeProgram(&progSrc{data: data}))
+		laned += res.laned
+		merged += res.merged
 	}
-	if laned == 0 {
-		t.Fatal("no event entered a lane behind its tail: the draw does not exercise lanes")
+	if laned == 0 || merged == 0 {
+		t.Fatalf("%d events entered a lane behind its tail, %d of them addressed: the draw does not exercise both lane paths", laned, merged)
 	}
 }
 

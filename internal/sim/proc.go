@@ -21,7 +21,7 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 
-	lanes    int32 // index of the process's first lane in Engine.lanes
+	lanes    int32 // index of the process's lanes in Engine.lanes
 	finished bool
 }
 
@@ -38,7 +38,7 @@ func (k killedError) Error() string { return "sim: proc " + k.name + " killed" }
 // it. The other processes stay suspended until Close unwinds them.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, lanes: int32(len(e.lanes))}
-	e.lanes = append(e.lanes, make([]lane, nLanes)...)
+	e.lanes = append(e.lanes, procLanes{})
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer p.exit()

@@ -18,9 +18,9 @@
 //	          (W = earliest pending event across shards). Shards touch only
 //	          their own state; cross-shard sends are appended to a per-shard
 //	          staging buffer, never delivered directly.
-//	merge   — on the coordinator goroutine: staged messages are sorted by
-//	          (t, src rank, per-source sequence) and injected into their
-//	          destination shards, then the registered merge hooks run (the
+//	merge   — on the coordinator goroutine: staged messages are merged in
+//	          (t, src rank, per-source sequence) order and injected into
+//	          their destination shards, then the registered merge hooks run (the
 //	          MPI layer completes collective rounds, the driver flushes
 //	          per-rank table rows). Each injection is audited against the
 //	          window-safety invariant: nothing may land before the merged
@@ -29,15 +29,13 @@
 // Determinism does not depend on the execution mode of a window (inline on
 // the coordinator vs forked, one goroutine per active shard): events inside a
 // window are pairwise independent across shards, each shard's own order is
-// fixed by its heap, and the merge order is fixed by sorting — so tables are
+// fixed by its heap, and the merge order is fixed by the merge key — so tables are
 // byte-identical for any shard count N >= 1 and any GOMAXPROCS.
 package sim
 
 import (
-	"cmp"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 
 	"amrtools/internal/check"
@@ -49,14 +47,53 @@ import (
 // key: seq is a per-source-rank program-order counter maintained by the MPI
 // layer, so ties at equal t between sources break by rank and within a
 // source by issue order — independent of shard count and worker scheduling.
+// to is the destination process, nil when the delivery was staged without
+// one.
 type stagedMsg struct {
 	t        Time
 	seq      int64
 	bytes    int64
+	to       *Proc
 	src      int32
 	dst      int32
 	tag      int32
 	dstShard int32
+}
+
+// stagedLess is the merge order: (t, src, seq).
+func stagedLess(a, b *stagedMsg) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	if a.src != b.src {
+		return a.src < b.src
+	}
+	return a.seq < b.seq
+}
+
+// runHeap is the merge's min-heap of ascending runs, ordered by each run's
+// first delivery; every run is non-empty.
+type runHeap [][]stagedMsg
+
+func (h runHeap) less(i, j int) bool { return stagedLess(&h[i][0], &h[j][0]) }
+
+// down restores the heap below i after h[i]'s first delivery changed.
+func (h runHeap) down(i int) {
+	n := len(h)
+	for {
+		least := 2*i + 1
+		if least >= n {
+			return
+		}
+		if r := least + 1; r < n && h.less(r, least) {
+			least = r
+		}
+		if !h.less(least, i) {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // Shards is the conservative parallel scheduler: a fixed set of Engines
@@ -70,11 +107,11 @@ type Shards struct {
 	extra     int64 // coordinator-accounted events (completed collective rounds)
 	paranoid  bool
 
-	out     [][]stagedMsg // staged cross-shard deliveries, indexed by source shard
-	scratch []stagedMsg   // merge-time sort buffer, reused across windows
-	active  []int         // shards with an event inside the current window, reused
-	hooks   []func(horizon Time)
-	intr    func() bool
+	out    [][]stagedMsg // staged cross-shard deliveries, indexed by source shard
+	runs   runHeap       // merge-time run cursors into out, reused across windows
+	active []int         // shards with an event inside the current window, reused
+	hooks  []func(horizon Time)
+	intr   func() bool
 
 	// burst is set when the coordinator itself just made the next window
 	// big — the merge injected at least forkMinStaged deliveries, or a hook
@@ -160,8 +197,18 @@ func (s *Shards) OnMerge(fn func(horizon Time)) { s.hooks = append(s.hooks, fn) 
 // staging buffer. Safe to call from srcShard's executor during a window (the
 // buffer is owned by that shard until the next merge). seq must be a
 // per-source-rank program-order counter — it is the deterministic tie-break
-// for equal-time deliveries from the same rank.
+// for equal-time deliveries from the same rank. The merge schedules the
+// delivery on the destination shard's heap; StageDeliveryTo names the
+// process that receives it, so that it can wait in that process's lane.
 func (s *Shards) StageDelivery(srcShard, dstShard int, t Time, src, dst, tag int32, bytes int64, seq int64) {
+	s.StageDeliveryTo(srcShard, dstShard, nil, t, src, dst, tag, bytes, seq)
+}
+
+// StageDeliveryTo is StageDelivery addressed to the destination process to,
+// spawned on shard dstShard's engine (nil: none). The merge appends the
+// delivery to to's remote-delivery lane when it is not earlier than the
+// lane's tail, instead of pushing it on the heap.
+func (s *Shards) StageDeliveryTo(srcShard, dstShard int, to *Proc, t Time, src, dst, tag int32, bytes int64, seq int64) {
 	if s.paranoid {
 		// The conservative guarantee itself: a cross-shard effect must be at
 		// least one lookahead away from its cause, or the window that is
@@ -170,9 +217,14 @@ func (s *Shards) StageDelivery(srcShard, dstShard int, t Time, src, dst, tag int
 		check.Assertf(t >= now+s.lookahead, "sim", "window-safety",
 			"delivery %d->%d tag %d staged at t=%.9g, within lookahead %.3g of source shard %d clock %.9g",
 			src, dst, tag, t, s.lookahead, srcShard, now)
+		if to != nil && to.eng != s.engs[dstShard] {
+			check.Failf("sim", "staged-destination",
+				"delivery %d->%d tag %d staged for process %s, which is not on shard %d",
+				src, dst, tag, to.name, dstShard)
+		}
 	}
 	s.out[srcShard] = append(s.out[srcShard], stagedMsg{
-		t: t, seq: seq, bytes: bytes, src: src, dst: dst, tag: tag, dstShard: int32(dstShard),
+		t: t, seq: seq, bytes: bytes, to: to, src: src, dst: dst, tag: tag, dstShard: int32(dstShard),
 	})
 }
 
@@ -277,45 +329,62 @@ func (s *Shards) Run() Time {
 	return s.Now()
 }
 
-// mergeStaged drains every shard's staging buffer, orders the deliveries by
-// (t, src, seq), audits each against the merged horizon, and injects them
-// into their destination engines. Injection order assigns destination-heap
-// sequence numbers, so equal-time deliveries replay identically for any
-// shard count.
+// mergeStaged drains every shard's staging buffer in (t, src, seq) order,
+// audits each delivery against the merged horizon, and injects it into its
+// destination engine. Injection order assigns destination-heap sequence
+// numbers, so equal-time deliveries replay identically for any shard count.
+//
+// A buffer fills in its shard's execution order, so it is a few long
+// ascending runs — about one per node NIC clock — not random: the merge
+// splits every buffer into its maximal ascending runs and interleaves them
+// through a heap of run cursors keyed by each run's next delivery, reading
+// the deliveries where they were staged.
 func (s *Shards) mergeStaged() {
-	sc := s.scratch[:0]
-	for i := range s.out {
-		sc = append(sc, s.out[i]...)
-		s.out[i] = s.out[i][:0]
+	runs, n := s.runs[:0], 0
+	for _, buf := range s.out {
+		n += len(buf)
+		for len(buf) > 0 {
+			k := 1
+			for k < len(buf) && !stagedLess(&buf[k], &buf[k-1]) {
+				k++
+			}
+			runs = append(runs, buf[:k])
+			buf = buf[k:]
+		}
 	}
-	if len(sc) == 0 {
-		s.scratch = sc
+	if n == 0 {
 		return
 	}
 	if mx := s.mx; mx != nil {
-		mx.MergeDepth.Observe(float64(len(sc)))
+		mx.MergeDepth.Observe(float64(n))
 	}
-	if len(sc) >= forkMinStaged {
+	if n >= forkMinStaged {
 		s.burst = true
 	}
-	slices.SortFunc(sc, func(a, b stagedMsg) int {
-		if c := cmp.Compare(a.t, b.t); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.src, b.src); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	for _, m := range sc {
+	for i := len(runs)/2 - 1; i >= 0; i-- {
+		runs.down(i)
+	}
+	for len(runs) > 0 {
+		m := &runs[0][0]
 		if m.t < s.horizon {
 			check.Failf("sim", "window-safety",
 				"staged delivery %d->%d tag %d at t=%.9g merged after horizon %.9g already executed (lookahead %.3g)",
 				m.src, m.dst, m.tag, m.t, s.horizon, s.lookahead)
 		}
-		s.engs[m.dstShard].DeliverAt(m.t, m.src, m.dst, m.tag, m.bytes, false)
+		s.engs[m.dstShard].deliver(m.t, m.to, laneRemote, m.src, m.dst, m.tag, m.bytes)
+		if r := runs[0][1:]; len(r) > 0 {
+			runs[0] = r
+		} else {
+			last := len(runs) - 1
+			runs[0] = runs[last]
+			runs = runs[:last]
+		}
+		runs.down(0)
 	}
-	s.scratch = sc[:0]
+	for i := range s.out {
+		s.out[i] = s.out[i][:0]
+	}
+	s.runs = runs
 }
 
 // runOneWindow executes one window on every shard holding an event before
@@ -366,7 +435,7 @@ func (s *Shards) forkWindow(act []int, end Time) {
 	var wg sync.WaitGroup
 	for k := 1; k < len(act); k++ {
 		wg.Add(1)
-		//lint:ignore determinism conservative-PDES fork-join: shards own disjoint engine state, cross-shard effects only move through the staged merge sorted by (t, src, seq), and wg.Wait joins every goroutine before the window returns — so their interleaving can never reach result tables
+		//lint:ignore determinism conservative-PDES fork-join: shards own disjoint engine state, cross-shard effects only move through the staged merge in (t, src, seq) order, and wg.Wait joins every goroutine before the window returns — so their interleaving can never reach result tables
 		go func(k int) {
 			defer wg.Done()
 			run(k)

@@ -1,14 +1,17 @@
 package sim
 
 import (
+	"cmp"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"amrtools/internal/check"
 	"amrtools/internal/metrics"
+	"amrtools/internal/xrand"
 )
 
 // recordingSink captures delivery order on one engine.
@@ -249,6 +252,207 @@ func TestMergeStagedOrder(t *testing.T) {
 	}
 }
 
+// drawMerge deals one randomized merge input: the staging buffers of 1–4
+// shards, each a concatenation of ascending, descending or unordered pieces,
+// over a few sources and a few distinct times so that equal-time ties across
+// sources are common. tag is each delivery's index in staging order; (src,
+// seq) is unique, as the MPI layer's per-source counter makes it.
+func drawMerge(src *progSrc) [][]stagedMsg {
+	nsh := 1 + src.next()%4
+	bufs := make([][]stagedMsg, nsh)
+	var next [5]int64
+	var tag int32
+	for sh := range bufs {
+		for pieces := src.next() % 4; pieces > 0; pieces-- {
+			shape, n := src.next()%3, 1+src.next()%10
+			piece := make([]stagedMsg, n)
+			for i := range piece {
+				from := src.next() % len(next)
+				piece[i] = stagedMsg{
+					t:   float64(1+src.next()%6) * 1e-3,
+					seq: next[from], src: int32(from), dst: int32(src.next() % 8), tag: tag,
+					dstShard: int32(src.next() % nsh),
+				}
+				next[from]++
+				tag++
+			}
+			switch shape {
+			case 0:
+				slices.SortFunc(piece, cmpStaged)
+			case 1:
+				slices.SortFunc(piece, func(a, b stagedMsg) int { return cmpStaged(b, a) })
+			}
+			bufs[sh] = append(bufs[sh], piece...)
+		}
+	}
+	return bufs
+}
+
+// cmpStaged is the merge key as a three-way comparison: the sort oracle's.
+func cmpStaged(a, b stagedMsg) int {
+	if c := cmp.Compare(a.t, b.t); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// checkMerge stages bufs — the even destination ranks addressed to a process on
+// their shard, the odd ones without one — merges it once, and asserts that
+// every destination engine was injected the oracle's order: the sorted
+// staged deliveries bound for that shard, in sequence-number order whether
+// they joined a lane or went on the heap.
+func checkMerge(t testing.TB, bufs [][]stagedMsg) {
+	s := NewShards(len(bufs), 1e-6)
+	s.SetParanoid(true)
+	defer s.Close()
+	procs := make([][]*Proc, len(bufs))
+	for sh, e := range s.Engines() {
+		e.SetSink(nopSink{})
+		for r := 0; r < 8; r += 2 {
+			procs[sh] = append(procs[sh], e.Spawn("rank", func(p *Proc) { p.Await(&Future{}) }))
+		}
+	}
+	var want []stagedMsg
+	for sh, buf := range bufs {
+		for _, m := range buf {
+			var to *Proc
+			if m.dst%2 == 0 {
+				to = procs[m.dstShard][m.dst/2]
+			}
+			s.StageDeliveryTo(sh, int(m.dstShard), to, m.t, m.src, m.dst, m.tag, 8, m.seq)
+		}
+		want = append(want, buf...)
+	}
+	slices.SortFunc(want, cmpStaged)
+	s.mergeStaged()
+	for sh, e := range s.Engines() {
+		var wantTags []int32
+		for _, m := range want {
+			if int(m.dstShard) == sh {
+				wantTags = append(wantTags, m.tag)
+			}
+		}
+		if got := injectedTags(e); !slices.Equal(got, wantTags) {
+			t.Fatalf("shard %d injected tags %v, sort oracle %v (staged %v)", sh, got, wantTags, bufs)
+		}
+	}
+	for i := range s.out {
+		if len(s.out[i]) != 0 {
+			t.Fatalf("shard %d staging buffer holds %d deliveries after the merge", i, len(s.out[i]))
+		}
+	}
+}
+
+// injectedTags lists the tags of e's pending deliveries, heap and lanes, in
+// the order they were scheduled.
+func injectedTags(e *Engine) []int32 {
+	type pending struct {
+		seq int64
+		tag int32
+	}
+	var ps []pending
+	for _, ev := range e.pq {
+		if ev.idx >= 0 && e.bodies[ev.idx].kind == evMsg {
+			ps = append(ps, pending{ev.seq, e.bodies[ev.idx].tag})
+		}
+	}
+	for i := range e.lanes {
+		for k := range e.lanes[i].msg {
+			l := &e.lanes[i].msg[k]
+			for j := 0; j < l.n; j++ {
+				m := &l.buf[(l.head+j)&(len(l.buf)-1)]
+				ps = append(ps, pending{m.seq, m.tag})
+			}
+		}
+	}
+	slices.SortFunc(ps, func(a, b pending) int { return cmp.Compare(a.seq, b.seq) })
+	tags := make([]int32, 0, len(ps))
+	for _, p := range ps {
+		tags = append(tags, p.tag)
+	}
+	return tags
+}
+
+// TestMergeMatchesSortOracle: on random staging buffers of 1–4 shards the
+// run merge injects exactly the order slices.SortFunc gives on (t, src,
+// seq), and the draws cover what a run merge can get wrong: equal-time ties
+// across sources, descending and single-element runs, empty shards and a
+// shard that is one run.
+func TestMergeMatchesSortOracle(t *testing.T) {
+	rng := xrand.New(33)
+	var ties, desc, single, empty, oneRun int
+	for i := 0; i < 2000; i++ {
+		data := make([]byte, 256)
+		for j := range data {
+			data[j] = byte(rng.Uint64())
+		}
+		bufs := drawMerge(&progSrc{data: data})
+		checkMerge(t, bufs)
+		var all []stagedMsg
+		for _, buf := range bufs {
+			all = append(all, buf...)
+			if len(buf) == 0 {
+				empty++
+				continue
+			}
+			runs := runLengths(buf)
+			if len(runs) == 1 {
+				oneRun++
+			}
+			if slices.Contains(runs, 1) {
+				single++
+			}
+			for j := 2; j < len(buf); j++ {
+				if cmpStaged(buf[j], buf[j-1]) < 0 && cmpStaged(buf[j-1], buf[j-2]) < 0 {
+					desc++
+					break
+				}
+			}
+		}
+		slices.SortFunc(all, cmpStaged)
+		for j := 1; j < len(all); j++ {
+			if all[j].t == all[j-1].t && all[j].src != all[j-1].src {
+				ties++
+				break
+			}
+		}
+	}
+	for name, n := range map[string]int{"equal-time ties across sources": ties, "descending runs": desc,
+		"single-element runs": single, "empty shards": empty, "one-run shards": oneRun} {
+		if n == 0 {
+			t.Errorf("the draws never produced %s", name)
+		}
+	}
+}
+
+// runLengths returns the lengths of buf's maximal ascending runs.
+func runLengths(buf []stagedMsg) []int {
+	var runs []int
+	start := 0
+	for j := 1; j <= len(buf); j++ {
+		if j == len(buf) || cmpStaged(buf[j], buf[j-1]) < 0 {
+			runs = append(runs, j-start)
+			start = j
+		}
+	}
+	return runs
+}
+
+// FuzzMergeStaged drives drawMerge with arbitrary bytes; `go test` alone
+// replays the seeds.
+func FuzzMergeStaged(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 9, 0, 2, 0, 0, 1, 2, 0, 0})
+	f.Add([]byte{3, 3, 1, 9, 2, 4, 1, 0, 0, 3, 2, 1, 5, 6, 7, 0, 2, 2, 8, 4, 4, 1, 1, 1, 2, 0, 3})
+	f.Add([]byte{2, 0, 2, 2, 5, 1, 1, 7, 3, 2, 2, 0, 9, 1, 0, 1, 4, 2, 2, 3, 8, 0, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkMerge(t, drawMerge(&progSrc{data: data}))
+	})
+}
+
 // TestInjectBeforeHorizonViolation: coordinator work landing before the
 // merged horizon would rewrite executed history; the always-on audit must
 // raise a structured window-safety violation.
@@ -265,19 +469,29 @@ func TestInjectBeforeHorizonViolation(t *testing.T) {
 }
 
 // TestStageWithinLookaheadViolation: a cross-shard delivery closer than the
-// lookahead to its source clock breaks the conservative guarantee; the
-// paranoid stage-time audit must catch the injection at the source.
+// lookahead to its source clock breaks the conservative guarantee, and one
+// addressed to a process on another shard would be merged into the wrong
+// engine's lanes; the paranoid stage-time audit must catch both at the
+// source.
 func TestStageWithinLookaheadViolation(t *testing.T) {
 	s := NewShards(2, 1e-3)
 	s.SetParanoid(true)
-	v, ok := check.Catch(func() {
-		s.StageDelivery(0, 1, 1e-6, 0, 1, 0, 10, 0) // t << lookahead
-	})
-	if !ok {
-		t.Fatal("within-lookahead staging did not panic with a violation")
-	}
-	if v.Layer != "sim" || v.Invariant != "window-safety" {
-		t.Fatalf("violation = %s/%s, want sim/window-safety", v.Layer, v.Invariant)
+	defer s.Close()
+	p := s.Engine(0).Spawn("rank0", func(p *Proc) {})
+	for _, tc := range []struct {
+		name, invariant string
+		stage           func()
+	}{
+		{"within lookahead", "window-safety", func() { s.StageDelivery(0, 1, 1e-6, 0, 1, 0, 10, 0) }}, // t << lookahead
+		{"process on another shard", "staged-destination", func() { s.StageDeliveryTo(0, 1, p, 1, 0, 1, 0, 10, 0) }},
+	} {
+		v, ok := check.Catch(tc.stage)
+		if !ok {
+			t.Fatalf("%s: staging did not panic with a violation", tc.name)
+		}
+		if v.Layer != "sim" || v.Invariant != tc.invariant {
+			t.Fatalf("%s: violation = %s/%s, want sim/%s", tc.name, v.Layer, v.Invariant, tc.invariant)
+		}
 	}
 }
 
