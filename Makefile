@@ -9,7 +9,7 @@ GO ?= go
 RACE_PKGS = ./...
 SCHED_PKGS = ./internal/sim ./internal/mpi ./internal/driver
 
-.PHONY: all build vet lint test race bench-module bench bench-layers ab serve-smoke scale-smoke fuzz-smoke check fmt
+.PHONY: all build vet lint test race bench-module bench-layers ab serve-smoke scale-smoke fuzz-smoke check fmt
 
 all: check
 
@@ -43,17 +43,10 @@ race:
 bench-module:
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
-# One iteration of every root benchmark (each regenerates a paper table or
-# figure): the table/figure index of DESIGN.md §4, compiled and executed for
-# coverage. Measuring — the query path and the MPI hot paths included — is
-# bench/ (BENCHMARK.json) and `make ab`, not this target.
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime=1x .
-
 # One iteration of every package-level microbenchmark under internal/ (event
 # heap, proc switch, LPT/CDP/CPLX kernels, mesh refine and neighbours, SFC
-# encode, colfile write/read, …): the per-layer tier under the root figure
-# benchmarks. One -benchtime=1x sample is not a measurement; the target
+# encode, colfile write/read, …). One -benchtime=1x sample is not a
+# measurement — that is bench/ (BENCHMARK.json) and `make ab`; the target
 # exists so every layer benchmark is compiled and executed on every push.
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./internal/...

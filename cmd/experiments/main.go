@@ -55,8 +55,10 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command behind main, returning the exit status: 0, 1 for
-// an I/O error, 2 for a usage error (bad flag, unknown experiment id).
-// Tables go to stdout; progress, timing and file notices go to stderr.
+// an I/O error or a paper claim whose verdict disagrees with its ledger
+// status, 2 for a usage error (bad flag, unknown experiment id). Tables, then
+// the paper-claims ledger (experiments.Shapes), go to stdout; progress,
+// timing and file notices go to stderr.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -165,10 +167,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		},
 	}
 
+	tables := map[string][]experiments.NamedTable{}
 	for _, e := range selected {
 		fmt.Fprintf(stdout, "=== %s [%s] ===\n", e.Title, e.ID)
 		start := time.Now()
-		for _, nt := range e.Run(opts) {
+		tables[e.ID] = e.Run(opts)
+		for _, nt := range tables[e.ID] {
 			if nt.Name != "" {
 				fmt.Fprintf(stdout, "--- %s ---\n", nt.Name)
 			}
@@ -176,6 +180,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stdout)
 		fmt.Fprintf(stderr, "[%s] elapsed %v\n", e.ID, time.Since(start).Round(time.Millisecond))
+	}
+	ledger, disagree := experiments.Judge(experiments.Shapes, tables, *quick)
+	if ledger.NumRows() > 0 {
+		fmt.Fprintf(stdout, "=== paper claims ===\n%s\n", ledger.Render(0))
 	}
 
 	var dumps []string
@@ -194,6 +202,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "campaign telemetry: %d rows -> %s\n", rec.Table().NumRows(), path)
+	}
+	if disagree > 0 {
+		fmt.Fprintf(stderr, "experiments: %d paper claim(s) disagree with their ledger status\n", disagree)
+		return 1
 	}
 	return 0
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,6 +49,28 @@ func maskNondet(t *testing.T, table []string) []string {
 	return out
 }
 
+// cutLedger cuts stdout at the paper-claims header, requires the ledger
+// under it to list exactly experiment exp's claims, and returns the figure
+// tables above it.
+func cutLedger(t *testing.T, stdout, exp string) string {
+	t.Helper()
+	tables, ledger, _ := strings.Cut(stdout, "=== paper claims ===\n")
+	var got, want []string
+	lines := strings.Split(strings.TrimSpace(ledger), "\n")
+	for _, line := range lines[min(2, len(lines)):] { // below the header and its dashes
+		got = append(got, strings.Fields(line)[0])
+	}
+	for _, c := range experiments.Shapes {
+		if slices.Equal(c.Exps, []string{exp}) {
+			want = append(want, c.ID)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("paper claims %v, want %s's %v:\n%s", got, exp, want, stdout)
+	}
+	return tables
+}
+
 // TestCLI pins exit codes and output shape: usage errors exit 2 and name
 // what is known, tables land on stdout only, progress and file notices on
 // stderr only.
@@ -75,11 +98,20 @@ func TestCLI(t *testing.T) {
 			"ranks  mesh      t_total  t_lb  n_initial  n_final\n" +
 			"-----  --------  -------  ----  ---------  -------\n" +
 			"128    64^2x128  25       3     128        632    \n\n"
-		if code != 0 || stdout != want {
+		if code != 0 || cutLedger(t, stdout, "table1") != want {
 			t.Fatalf("exit %d, stdout:\n%s\nwant:\n%s", code, stdout, want)
 		}
 		if !strings.Contains(stderr, "[table1] elapsed") || !strings.Contains(stderr, "1/1 done") {
 			t.Errorf("progress and timing missing from stderr:\n%s", stderr)
+		}
+	})
+	t.Run("paper claims", func(t *testing.T) {
+		code, stdout, stderr := experimentsCLI("-quick", "-j", "1", "-only", "fig1top")
+		if code != 0 {
+			t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+		}
+		if tables := cutLedger(t, stdout, "fig1top"); !strings.HasPrefix(tables, "=== Fig 1 (top)") || strings.Contains(stdout, "disagrees") {
+			t.Errorf("want the Fig 1 (top) table, then its claims with none disagreeing:\n%s", stdout)
 		}
 	})
 	t.Run("wall-clock table and -out", func(t *testing.T) {
@@ -118,11 +150,12 @@ func TestCLI(t *testing.T) {
 	})
 	t.Run("scalebench sweeps", func(t *testing.T) {
 		// The §VI-C synthetic sweeps: the makespan panel then the overhead
-		// panel, each headed and followed by a blank line.
+		// panel, each headed and followed by a blank line, then fig7b's claims.
 		code, stdout, stderr := experimentsCLI("-quick", "-only", "fig7b,fig7c", "-j", "1")
 		if code != 0 {
 			t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 		}
+		stdout = cutLedger(t, stdout, "fig7b")
 		panels := strings.Split(strings.TrimRight(stdout, "\n"), "\n\n")
 		if len(panels) != 2 {
 			t.Fatalf("stdout holds %d blank-line-separated panels, want 2:\n%s", len(panels), stdout)

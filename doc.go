@@ -7,7 +7,8 @@
 //
 // See README.md for an overview, DESIGN.md for the system inventory and
 // experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The root-level benchmarks in bench_test.go are the entry points that
-// regenerate each experiment; the cmd/experiments binary runs them at full
-// scale.
+// The cmd/experiments binary regenerates every experiment (-quick for a
+// seconds-long pass) and ends with the paper-claims ledger
+// (internal/experiments.Shapes), which exits non-zero when a claim's verdict
+// disagrees with its recorded status.
 package amrtools

@@ -1,7 +1,9 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation. Each runner returns a telemetry.Table whose rows are
 // the series the paper plots, so the same code backs the `experiments`
-// binary, the root-level benchmarks, and EXPERIMENTS.md.
+// binary and EXPERIMENTS.md. Shapes (shapes.go) states each of the paper's
+// shape claims once, as a predicate over those tables, with its status in
+// this reproduction.
 //
 // Index (see DESIGN.md for the full mapping):
 //
@@ -36,7 +38,7 @@ import (
 )
 
 // Options selects experiment scale. Quick mode shrinks rank counts and step
-// counts so the whole suite runs in seconds (used by tests and benchmarks);
+// counts so the whole suite runs in seconds (used by tests and CI);
 // full mode reproduces the paper's scales.
 type Options struct {
 	Quick bool
@@ -106,7 +108,7 @@ var TableIScales = []SedovScale{
 	{Ranks: 4096, RootDims: [3]int{16, 16, 16}, MeshDesc: "256^3"},
 }
 
-// QuickScale is the shrunken configuration used by tests and benchmarks.
+// QuickScale is the shrunken configuration used by tests, CI and bench/.
 var QuickScale = SedovScale{Ranks: 128, RootDims: [3]int{4, 4, 8}, MeshDesc: "64^2x128"}
 
 // scales returns the Sedov scales to run under opts.
