@@ -5,6 +5,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -27,21 +28,77 @@ var seed1 = map[string]string{
 	"ablations/top-only-within-cdp-seed": "holds",
 }
 
-// TestShapes runs every experiment the ledger reads at quick scale, seed 1,
-// and requires each claim's verdict: the one its Quick status names, or the
-// pinned seed-1 verdict.
-func TestShapes(t *testing.T) {
-	ts := tabs{}
-	for _, e := range Suite() {
-		if slices.ContainsFunc(Shapes, func(c Claim) bool { return slices.Contains(c.Exps, e.ID) }) {
-			ts[e.ID] = e.Run(quick)
+// shapeTests names the test that judges each claim-id prefix (the part of
+// the id before its "/").
+var shapeTests = map[string]string{
+	"fig1top":      "TestFig1TopTuningRestoresCorrelation",
+	"fig1bottom":   "TestFig1BottomDrainQueueRemovesSpikes",
+	"fig2":         "TestFig2HealthPruningRecoversRuntime",
+	"fig3":         "TestFig3StagesReduceVariance",
+	"fig4":         "TestFig4TwoRankPrinciple",
+	"table1":       "TestTableIShape",
+	"fig6a":        "TestFig6QualitativeFindings",
+	"fig6b":        "TestFig6QualitativeFindings",
+	"fig6c":        "TestFig6QualitativeFindings",
+	"fig7a":        "TestFig7aProducesLatencies",
+	"fig7b":        "TestFig7bLPTBestAndCPL25CapturesBulk",
+	"lptilp":       "TestLPTvsILPNoLargeGap",
+	"cooling":      "TestFig6CoolingDirectionallySimilar",
+	"ablations":    "TestAblations",
+	"lbinterval":   "TestLBIntervalSweep",
+	"hilbert":      "TestHilbertOrderStudy",
+	"neighborhood": "TestNeighborhoodCollectives",
+}
+
+func claimPrefix(c Claim) string { p, _, _ := strings.Cut(c.ID, "/"); return p }
+
+// shapeRuns holds each experiment's quick seed-1 tables, run once for all
+// the shape tests that read them.
+var shapeRuns = struct {
+	sync.Mutex
+	ts tabs
+}{ts: tabs{}}
+
+// checkShapes runs the experiments the claims of the given prefixes read,
+// at quick scale, seed 1, and requires each claim's verdict: the one its
+// Quick status names, or the pinned seed-1 verdict.
+func checkShapes(t *testing.T, prefixes ...string) {
+	t.Helper()
+	var claims []Claim
+	for _, c := range Shapes {
+		if slices.Contains(prefixes, claimPrefix(c)) {
+			claims = append(claims, c)
 		}
 	}
-	ledger, _ := Judge(Shapes, ts, true)
-	if ledger.NumRows() != len(Shapes) {
-		t.Fatalf("ledger has %d rows for %d claims:\n%s", ledger.NumRows(), len(Shapes), ledger.Render(0))
+	for _, p := range prefixes {
+		if shapeTests[p] != t.Name() {
+			t.Fatalf("claims %s/... are judged by %q, not %s", p, shapeTests[p], t.Name())
+		}
 	}
-	for i, c := range Shapes {
+	if len(claims) == 0 {
+		t.Fatalf("the ledger has no claims %v", prefixes)
+	}
+	ts := tabs{}
+	shapeRuns.Lock()
+	for _, c := range claims {
+		for _, id := range c.Exps {
+			if _, ok := shapeRuns.ts[id]; !ok {
+				i := slices.IndexFunc(Suite(), func(e Experiment) bool { return e.ID == id })
+				if i < 0 {
+					shapeRuns.Unlock()
+					t.Fatalf("claim %s reads unknown experiment %q", c.ID, id)
+				}
+				shapeRuns.ts[id] = Suite()[i].Run(quick)
+			}
+			ts[id] = shapeRuns.ts[id]
+		}
+	}
+	shapeRuns.Unlock()
+	ledger, _ := Judge(claims, ts, true)
+	if ledger.NumRows() != len(claims) {
+		t.Fatalf("ledger has %d rows for %d claims:\n%s", ledger.NumRows(), len(claims), ledger.Render(0))
+	}
+	for i, c := range claims {
 		t.Run(c.ID, func(t *testing.T) {
 			want, pinned := seed1[c.ID]
 			if c.Full.isVaries() || c.Quick.isVaries() != (pinned && want != "n/a") {
@@ -57,6 +114,37 @@ func TestShapes(t *testing.T) {
 		})
 	}
 }
+
+// TestShapes requires every claim of the ledger to have a shape test that
+// judges it, and every pinned verdict to belong to a claim.
+func TestShapes(t *testing.T) {
+	for _, c := range Shapes {
+		if _, ok := shapeTests[claimPrefix(c)]; !ok {
+			t.Errorf("claim %s has no shape test: add its prefix to shapeTests", c.ID)
+		}
+	}
+	for id := range seed1 {
+		if !slices.ContainsFunc(Shapes, func(c Claim) bool { return c.ID == id }) {
+			t.Errorf("seed1 pins %s, which is not a claim", id)
+		}
+	}
+}
+
+func TestFig1TopTuningRestoresCorrelation(t *testing.T)  { checkShapes(t, "fig1top") }
+func TestFig1BottomDrainQueueRemovesSpikes(t *testing.T) { checkShapes(t, "fig1bottom") }
+func TestFig2HealthPruningRecoversRuntime(t *testing.T)  { checkShapes(t, "fig2") }
+func TestFig3StagesReduceVariance(t *testing.T)          { checkShapes(t, "fig3") }
+func TestFig4TwoRankPrinciple(t *testing.T)              { checkShapes(t, "fig4") }
+func TestTableIShape(t *testing.T)                       { checkShapes(t, "table1") }
+func TestFig6QualitativeFindings(t *testing.T)           { checkShapes(t, "fig6a", "fig6b", "fig6c") }
+func TestFig7aProducesLatencies(t *testing.T)            { checkShapes(t, "fig7a") }
+func TestFig7bLPTBestAndCPL25CapturesBulk(t *testing.T)  { checkShapes(t, "fig7b") }
+func TestLPTvsILPNoLargeGap(t *testing.T)                { checkShapes(t, "lptilp") }
+func TestFig6CoolingDirectionallySimilar(t *testing.T)   { checkShapes(t, "cooling") }
+func TestAblations(t *testing.T)                         { checkShapes(t, "ablations") }
+func TestLBIntervalSweep(t *testing.T)                   { checkShapes(t, "lbinterval") }
+func TestHilbertOrderStudy(t *testing.T)                 { checkShapes(t, "hilbert") }
+func TestNeighborhoodCollectives(t *testing.T)           { checkShapes(t, "neighborhood") }
 
 // TestJudge covers every status against both verdicts, at both scales, and
 // a claim whose experiments did not all run.
