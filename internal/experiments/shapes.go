@@ -11,38 +11,39 @@ import (
 
 // Status is a paper claim's standing in this reproduction. A claim's Check
 // always tests what the paper says, so Holds expects it to pass and Weaker
-// and NotReproduced expect it to fail. A quick-scale status may also be
-// varies: the quick seed sweep saw the claim both hold and fail.
+// and NotReproduced expect it to fail. Varies, a quick status only, marks a
+// claim the quick seed sweep saw both hold and fail; it never disagrees.
 type Status string
 
 const (
 	Holds         Status = "holds"          // reproduced
 	Weaker        Status = "weaker"         // same direction, not the paper's degree
 	NotReproduced Status = "not-reproduced" // absent from this model
+	Varies        Status = "varies"         // quick only: seed-dependent (EXPERIMENTS.md has the sweep's counts)
 )
-
-// varies is the quick status of a claim the 11-seed quick sweep (seeds 1-10
-// and 42, EXPERIMENTS.md) saw both hold and fail: it held at seq seeds with
-// -shards 0 and at sharded seeds with -shards 2.
-func varies(seq, sharded int) Status {
-	return Status(fmt.Sprintf("varies %d/11 seeds, %d/11 sharded", seq, sharded))
-}
-
-func (s Status) isVaries() bool { return strings.HasPrefix(string(s), "varies ") }
 
 // tabs is every table a run printed, keyed by experiment id.
 type tabs = map[string][]NamedTable
 
 // Claim is one of the paper's shape claims, stated once: what the paper
 // says, how this reproduction stands on it at full and at quick scale, and
-// the predicate that decides it from the experiment tables. Check reports
-// applicable = false when the tables lack the scale the claim is about.
+// the predicate that decides it from the experiment tables. An empty Quick
+// means the same as Full. Check reports applicable = false when the tables
+// lack the scale the claim is about.
 type Claim struct {
 	ID          string
 	Exps        []string // suite ids whose tables Check reads
 	Paper       string
 	Full, Quick Status
 	Check       func(tabs) (measured string, holds, applicable bool)
+}
+
+// status is c's status at quick or at full scale.
+func (c Claim) status(quick bool) Status {
+	if quick && c.Quick != "" {
+		return c.Quick
+	}
+	return c.Full
 }
 
 // Judge evaluates every claim whose experiments all ran against the tables
@@ -57,10 +58,7 @@ func Judge(claims []Claim, ts tabs, quick bool) (*telemetry.Table, int) {
 		if slices.ContainsFunc(c.Exps, func(id string) bool { _, ok := ts[id]; return !ok }) {
 			continue
 		}
-		st := c.Full
-		if quick {
-			st = c.Quick
-		}
+		st := c.status(quick)
 		measured, holds, applicable := c.Check(ts)
 		verdict := "fails"
 		switch {
@@ -69,15 +67,11 @@ func Judge(claims []Claim, ts tabs, quick bool) (*telemetry.Table, int) {
 		case holds:
 			verdict = "holds"
 		}
-		status := string(st)
-		if st.isVaries() {
-			status = "varies"
-			measured += "; holds at " + strings.TrimPrefix(string(st), "varies ")
-		} else if applicable && holds != (st == Holds) {
+		if st != Varies && applicable && holds != (st == Holds) {
 			bad++
 			verdict += " (disagrees)"
 		}
-		out.Append(c.ID, status, c.Paper, measured, verdict)
+		out.Append(c.ID, string(st), c.Paper, measured, verdict)
 	}
 	return out, bad
 }
@@ -123,8 +117,8 @@ func perScale(t *telemetry.Table, f func(ranks int64) (string, bool)) (string, b
 
 // rows is a claim on experiment exp's first table that ok decides from
 // column col at the rows whose keyCol holds each of keys.
-func rows(id, exp, paper string, full, quick Status, col, keyCol string, ok func([]float64) bool, keys ...any) Claim {
-	return Claim{ID: id, Exps: []string{exp}, Paper: paper, Full: full, Quick: quick,
+func rows(id, exp, paper string, st Status, col, keyCol string, ok func([]float64) bool, keys ...any) Claim {
+	return Claim{ID: id, Exps: []string{exp}, Paper: paper, Full: st,
 		Check: func(ts tabs) (string, bool, bool) {
 			v := make([]float64, len(keys))
 			for i, k := range keys {
@@ -136,8 +130,8 @@ func rows(id, exp, paper string, full, quick Status, col, keyCol string, ok func
 
 // scaled is a claim on table panel of experiment exp that must hold at
 // every scale it has; ok decides from column col at each of the policies.
-func scaled(id, exp string, panel int, paper string, full, quick Status, col string, ok func([]float64) bool, pols ...string) Claim {
-	return Claim{ID: id, Exps: []string{exp}, Paper: paper, Full: full, Quick: quick,
+func scaled(id, exp string, panel int, paper string, st Status, col string, ok func([]float64) bool, pols ...string) Claim {
+	return Claim{ID: id, Exps: []string{exp}, Paper: paper, Full: st,
 		Check: func(ts tabs) (string, bool, bool) {
 			t := ts[exp][panel].Table
 			return perScale(t, func(r int64) (string, bool) {
@@ -149,6 +143,9 @@ func scaled(id, exp string, panel int, paper string, full, quick Status, col str
 			})
 		}}
 }
+
+// variesAtQuick gives c the quick status Varies.
+func variesAtQuick(c Claim) Claim { c.Quick = Varies; return c }
 
 // join renders cells in order, a -> b -> ...
 func join(v []float64) string {
@@ -185,48 +182,50 @@ func argmin(t *telemetry.Table, col string, ranks int64) string {
 // interior reports whether policy p is an intermediate X (neither end).
 func interior(p string) bool { return p != cplx[0] && p != cplx[len(cplx)-1] }
 
-// Shapes is the ledger of the paper's shape claims, in suite order. Full
-// statuses come from the full run at seed 42, quick ones from the quick
-// seed sweep; cmd/experiments prints the ledger after the tables and exits
-// 1 when a verdict disagrees with its status.
+// Shapes is the ledger of the paper's shape claims, in suite order;
+// cmd/experiments prints it after the tables and exits 1 when a verdict
+// disagrees with its status. The statuses were recorded at particular
+// seeds: Full from the full run at seed 42, Quick from the quick sweep over
+// seeds 1-10 and 42 on both engines (EXPERIMENTS.md). At any other seed a
+// disagreement is a finding to record here, not a regression.
 var Shapes = []Claim{
 	rows("fig1top/tuning-raises-corr", "fig1top", "corr(msg volume, comm time) is poor untuned and much better tuned",
-		Holds, Holds, "corr", "config", up, "untuned", "tuned"),
+		Holds, "corr", "config", up, "untuned", "tuned"),
 	rows("fig1top/tuned-corr-strong", "fig1top", "tuned telemetry can ground placement: corr >= 0.5",
-		Holds, Holds, "corr", "config", atLeast(0.5), "tuned"),
+		Holds, "corr", "config", atLeast(0.5), "tuned"),
 	rows("fig1bottom/spikes-without-drain", "fig1bottom", "occasional MPI_Wait spikes on the faulty fabric",
-		Holds, Holds, "spikes_gt_1ms", "config", above(0), "no-drain"),
+		Holds, "spikes_gt_1ms", "config", above(0), "no-drain"),
 	rows("fig1bottom/drain-removes-spikes", "fig1bottom", "the drain queue removes the spikes",
-		Holds, Holds, "spikes_gt_1ms", "config", func(v []float64) bool { return v[0] == 0 }, "drain-queue"),
+		Holds, "spikes_gt_1ms", "config", func(v []float64) bool { return v[0] == 0 }, "drain-queue"),
 	rows("fig1bottom/drain-cuts-sync", "fig1bottom", "the drain queue cuts collective time",
-		Holds, Holds, "mean_sync_per_step_ms", "config", down, "no-drain", "drain-queue"),
+		Holds, "mean_sync_per_step_ms", "config", down, "no-drain", "drain-queue"),
 	rows("fig1bottom/drain-cuts-sync-3x", "fig1bottom", "the drain queue cuts collective time ~3x (>= 2x)",
-		Weaker, Weaker, "mean_sync_per_step_ms", "config", func(v []float64) bool { return v[0] >= 2*v[1] }, "no-drain", "drain-queue"),
+		Weaker, "mean_sync_per_step_ms", "config", func(v []float64) bool { return v[0] >= 2*v[1] }, "no-drain", "drain-queue"),
 	rows("fig2/throttle-inflates-compute", "fig2", "throttled nodes compute ~4x slower (>= 3x)",
-		Holds, Holds, "throttled_compute_ratio", "config", atLeast(3), "throttled"),
+		Holds, "throttled_compute_ratio", "config", atLeast(3), "throttled"),
 	rows("fig2/sync-dominates-throttled", "fig2", "sync dominates a throttled run (share >= 50 %)",
-		Holds, Holds, "sync_share", "config", atLeast(0.5), "throttled"),
+		Holds, "sync_share", "config", atLeast(0.5), "throttled"),
 	rows("fig2/sync-share-over-70pct", "fig2", "sync takes > 70 % of a throttled run",
-		Holds, Holds, "sync_share", "config", above(0.7), "throttled"),
+		Holds, "sync_share", "config", above(0.7), "throttled"),
 	rows("fig2/pruning-recovers-runtime", "fig2", "health pruning recovers runtime (>= 1.5x)",
-		Holds, Holds, "speedup_vs_throttled", "config", atLeast(1.5), "health-pruned"),
-	rows("fig2/pruning-speedup-4x", "fig2", "health pruning cuts runtime ~4x, 10 h -> 2.5 h (>= 3x)",
-		Holds, varies(8, 8), "speedup_vs_throttled", "config", atLeast(3), "health-pruned"),
+		Holds, "speedup_vs_throttled", "config", atLeast(1.5), "health-pruned"),
+	variesAtQuick(rows("fig2/pruning-speedup-4x", "fig2", "health pruning cuts runtime ~4x, 10 h -> 2.5 h (>= 3x)",
+		Holds, "speedup_vs_throttled", "config", atLeast(3), "health-pruned")),
 	rows("fig3/send-priority-cuts-comm", "fig3", "send priority cuts comm time",
-		Holds, Holds, "mean_comm_ms_per_step", "stage", down, "untuned", "sends-first"),
+		Holds, "mean_comm_ms_per_step", "stage", down, "untuned", "sends-first"),
 	rows("fig3/queue-tuning-cuts-comm", "fig3", "queue tuning cuts comm time further",
-		Holds, Holds, "mean_comm_ms_per_step", "stage", down, "sends-first", "sends-first+queue-tuned"),
-	rows("fig3/send-priority-cuts-cv", "fig3", "send priority reduces rankwise noise (comm CV)",
-		Holds, varies(11, 9), "comm_cv", "stage", down, "untuned", "sends-first"),
-	rows("fig3/queue-tuning-cuts-cv", "fig3", "queue tuning further reduces variance (comm CV)",
-		Holds, varies(1, 11), "comm_cv", "stage", down, "sends-first", "sends-first+queue-tuned"),
+		Holds, "mean_comm_ms_per_step", "stage", down, "sends-first", "sends-first+queue-tuned"),
+	variesAtQuick(rows("fig3/send-priority-cuts-cv", "fig3", "send priority reduces rankwise noise (comm CV)",
+		Holds, "comm_cv", "stage", down, "untuned", "sends-first")),
+	variesAtQuick(rows("fig3/queue-tuning-cuts-cv", "fig3", "queue tuning further reduces variance (comm CV)",
+		Holds, "comm_cv", "stage", down, "sends-first", "sends-first+queue-tuned")),
 	rows("fig3/tuning-cuts-cv", "fig3", "full tuning cuts comm CV versus untuned",
-		Holds, Holds, "comm_cv", "stage", down, "untuned", "sends-first+queue-tuned"),
-	rows("fig3/send-priority-raises-corr", "fig3", "send priority reveals faint trends (corr up)",
-		Holds, varies(11, 0), "corr", "stage", up, "untuned", "sends-first"),
+		Holds, "comm_cv", "stage", down, "untuned", "sends-first+queue-tuned"),
+	variesAtQuick(rows("fig3/send-priority-raises-corr", "fig3", "send priority reveals faint trends (corr up)",
+		Holds, "corr", "stage", up, "untuned", "sends-first")),
 	rows("fig3/tuning-raises-corr", "fig3", "full tuning raises corr(msg volume, comm time)",
-		Holds, Holds, "corr", "stage", up, "untuned", "sends-first+queue-tuned"),
-	{ID: "fig4/two-rank-principle", Exps: []string{"fig4"}, Full: Holds, Quick: Holds,
+		Holds, "corr", "stage", up, "untuned", "sends-first+queue-tuned"),
+	{ID: "fig4/two-rank-principle", Exps: []string{"fig4"}, Full: Holds,
 		Paper: "a sync window's critical path involves at most 2 ranks",
 		Check: func(ts tabs) (string, bool, bool) {
 			t := ts["fig4"][0].Table
@@ -235,10 +234,10 @@ var Shapes = []Claim{
 				most <= 2 && slices.Min(t.Ints("principle_holds")) == 1, true
 		}},
 	rows("fig4/send-priority-shortens-path", "fig4", "send priority shortens the Fig 4 schedule",
-		Holds, Holds, "makespan_ms", "window", down, "schedule-compute-first", "schedule-sends-first"),
+		Holds, "makespan_ms", "window", down, "schedule-compute-first", "schedule-sends-first"),
 	rows("fig4/send-priority-cuts-path-wait", "fig4", "send priority removes dispatch delay from a Sedov window's path",
-		Holds, Holds, "wait_on_path_ms", "window", down, "sedov-window-compute-first", "sedov-window-sends-first"),
-	{ID: "table1/block-growth", Exps: []string{"table1"}, Full: Holds, Quick: Holds,
+		Holds, "wait_on_path_ms", "window", down, "sedov-window-compute-first", "sedov-window-sends-first"),
+	{ID: "table1/block-growth", Exps: []string{"table1"}, Full: Holds,
 		Paper: "one block per rank at start, <= 6x that at the end, load balancing runs",
 		Check: func(ts tabs) (string, bool, bool) {
 			t := ts["table1"][0].Table
@@ -247,7 +246,7 @@ var Shapes = []Claim{
 				return fmt.Sprintf("%.0f -> %.0f blocks, t_lb %.0f", a, b, lb), a == float64(r) && b > a && b <= 6*a && lb > 0
 			})
 		}},
-	{ID: "table1/growth-near-paper", Exps: []string{"table1"}, Full: Holds, Quick: Holds,
+	{ID: "table1/growth-near-paper", Exps: []string{"table1"}, Full: Holds,
 		Paper: "n_final 2080 / 3824 / 4848 / 8968 at 512-4096 ranks (within 40 %)",
 		Check: func(ts tabs) (string, bool, bool) {
 			t := ts["table1"][0].Table
@@ -260,40 +259,40 @@ var Shapes = []Claim{
 				return fmt.Sprintf("%.2fx", x), x >= 0.6 && x <= 1.4
 			})
 		}},
-	scaled("fig6a/cpl0-beats-baseline", "fig6", 0, "CPL0 improves on baseline at every scale",
-		Holds, varies(9, 9), "improvement_pct", above(0), "cpl0"),
+	variesAtQuick(scaled("fig6a/cpl0-beats-baseline", "fig6", 0, "CPL0 improves on baseline at every scale",
+		Holds, "improvement_pct", above(0), "cpl0")),
 	scaled("fig6a/cplx-beats-baseline", "fig6", 0, "CPL25..CPL100 improve on baseline at every scale",
-		Holds, Holds, "improvement_pct", above(0), cplx[1:]...),
+		Holds, "improvement_pct", above(0), cplx[1:]...),
 	scaled("fig6a/compute-flat", "fig6", 0, "compute time is invariant to placement (within 10 %)",
-		Holds, Holds, "compute_s", func(v []float64) bool { return slices.Max(v) <= 1.1*v[0] && slices.Min(v) >= 0.9*v[0] },
+		Holds, "compute_s", func(v []float64) bool { return slices.Max(v) <= 1.1*v[0] && slices.Min(v) >= 0.9*v[0] },
 		append([]string{"baseline"}, cplx...)...),
-	{ID: "fig6a/interior-optimum", Exps: []string{"fig6"}, Full: NotReproduced, Quick: varies(6, 6),
+	{ID: "fig6a/interior-optimum", Exps: []string{"fig6"}, Full: NotReproduced, Quick: Varies,
 		Paper: "runtime is lowest at an intermediate X (CPL50 best)",
 		Check: func(ts tabs) (string, bool, bool) {
 			t := ts["fig6"][0].Table
 			return perScale(t, func(r int64) (string, bool) { best := argmin(t, "total_s", r); return best, interior(best) })
 		}},
-	{ID: "fig6a/baseline-sync-share", Exps: []string{"fig6"}, Full: Weaker, Quick: Weaker,
+	{ID: "fig6a/baseline-sync-share", Exps: []string{"fig6"}, Full: Weaker,
 		Paper: "baseline sync share 35 % at 512 -> 50 % at 4096 ranks (within 5 points)",
 		Check: func(ts tabs) (string, bool, bool) {
 			a, b, m, ok := syncShares(ts)
 			return m, math.Abs(a-0.35) <= 0.05 && math.Abs(b-0.5) <= 0.05, ok
 		}},
-	{ID: "fig6a/sync-share-grows-with-scale", Exps: []string{"fig6"}, Full: Holds, Quick: Holds,
+	{ID: "fig6a/sync-share-grows-with-scale", Exps: []string{"fig6"}, Full: Holds,
 		Paper: "baseline sync share grows from 512 to 4096 ranks",
 		Check: func(ts tabs) (string, bool, bool) {
 			a, b, m, ok := syncShares(ts)
 			return m, b > a, ok
 		}},
 	scaled("fig6b/comm-grows-with-x", "fig6", 1, "comm time grows with X",
-		Holds, Holds, "comm_vs_baseline", up, "cpl0", "cpl100"),
+		Holds, "comm_vs_baseline", up, "cpl0", "cpl100"),
 	scaled("fig6b/sync-falls-with-x", "fig6", 1, "sync time falls with X",
-		Holds, Holds, "sync_vs_baseline", down, "cpl0", "cpl100"),
+		Holds, "sync_vs_baseline", down, "cpl0", "cpl100"),
 	scaled("fig6b/lpt-comm-1.55x", "fig6", 1, "CPL100 comm is ~1.55x baseline (within 20 %)",
-		Weaker, Weaker, "comm_vs_baseline", func(v []float64) bool { return math.Abs(v[0]/1.55-1) <= 0.2 }, "cpl100"),
+		Weaker, "comm_vs_baseline", func(v []float64) bool { return math.Abs(v[0]/1.55-1) <= 0.2 }, "cpl100"),
 	scaled("fig6c/remote-grows-with-x", "fig6", 2, "remote message share grows with X",
-		Holds, Holds, "remote_share", up, "cpl0", "cpl100"),
-	{ID: "fig6c/volume-grows-with-x", Exps: []string{"fig6"}, Full: Holds, Quick: Holds,
+		Holds, "remote_share", up, "cpl0", "cpl100"),
+	{ID: "fig6c/volume-grows-with-x", Exps: []string{"fig6"}, Full: Holds,
 		Paper: "total MPI volume grows with X (memcpy becomes MPI)",
 		Check: func(ts tabs) (string, bool, bool) {
 			t := ts["fig6"][2].Table
@@ -303,17 +302,17 @@ var Shapes = []Claim{
 				return fmt.Sprintf("%.3gx", v), v > 1
 			})
 		}},
-	{ID: "cooling/not-strongly-negative", Exps: []string{"cooling"}, Full: Holds, Quick: Holds,
+	{ID: "cooling/not-strongly-negative", Exps: []string{"cooling"}, Full: Holds,
 		Paper: "CPL50 gains on Sedov and does not hurt cooling (> -3 %)",
 		Check: func(ts tabs) (string, bool, bool) { s, c, m := coolingGains(ts); return m, s > 0 && c > -3, true }},
-	{ID: "cooling/directionally-similar", Exps: []string{"cooling"}, Full: Holds, Quick: Holds,
+	{ID: "cooling/directionally-similar", Exps: []string{"cooling"}, Full: Holds,
 		Paper: "galaxy cooling gains from CPL50 in the same direction as Sedov",
 		Check: func(ts tabs) (string, bool, bool) { s, c, m := coolingGains(ts); return m, s > 0 && c > 0, true }},
 	scaled("fig7a/remote-grows-with-x", "fig7a", 0, "commbench's remote share grows with X",
-		Holds, Holds, "remote_share", up, "cpl0", "cpl100"),
+		Holds, "remote_share", up, "cpl0", "cpl100"),
 	scaled("fig7a/latency-in-range", "fig7a", 0, "a boundary-exchange round takes (0, 10] ms",
-		Holds, Holds, "mean_round_ms", func(v []float64) bool { return slices.Min(v) > 0 && slices.Max(v) <= 10 }, cplx...),
-	{ID: "fig7a/locality-lowers-latency", Exps: []string{"fig7a"}, Full: Holds, Quick: Holds,
+		Holds, "mean_round_ms", func(v []float64) bool { return slices.Min(v) > 0 && slices.Max(v) <= 10 }, cplx...),
+	{ID: "fig7a/locality-lowers-latency", Exps: []string{"fig7a"}, Full: Holds,
 		Paper: "at <= 512 ranks higher locality means lower latency (CPL0 < CPL100)",
 		Check: func(ts tabs) (string, bool, bool) {
 			t := ts["fig7a"][0].Table
@@ -321,7 +320,7 @@ var Shapes = []Claim{
 			a, b := cell(t, "mean_round_ms", "ranks", r, "policy", "cpl0"), cell(t, "mean_round_ms", "ranks", r, "policy", "cpl100")
 			return fmt.Sprintf("%d: %s ms", r, join([]float64{a, b})), a < b, r <= 512
 		}},
-	{ID: "fig7a/u-shape-at-2048", Exps: []string{"fig7a"}, Full: NotReproduced, Quick: NotReproduced,
+	{ID: "fig7a/u-shape-at-2048", Exps: []string{"fig7a"}, Full: NotReproduced,
 		Paper: "at 2048 ranks an intermediate X has the lowest latency",
 		Check: func(ts tabs) (string, bool, bool) {
 			t := ts["fig7a"][0].Table
@@ -331,7 +330,7 @@ var Shapes = []Claim{
 			best := argmin(t, "mean_round_ms", 2048)
 			return best + " fastest", interior(best), true
 		}},
-	{ID: "fig7a/commbench-x-is-e2e-x", Exps: []string{"fig7a", "fig6"}, Full: NotReproduced, Quick: NotReproduced,
+	{ID: "fig7a/commbench-x-is-e2e-x", Exps: []string{"fig7a", "fig6"}, Full: NotReproduced,
 		Paper: "commbench selects the X that is best end to end",
 		Check: func(ts tabs) (string, bool, bool) {
 			cb, e2e := ts["fig7a"][0].Table, ts["fig6"][0].Table
@@ -350,30 +349,30 @@ var Shapes = []Claim{
 		gap := ms("baseline") - ms("cpl100")
 		return gap <= 0.05 || (ms("baseline")-ms("cpl25"))/gap >= 0.6
 	}),
-	lptGap("lptilp/solver-within-5pct", "the exact solver beats LPT by no more than 5 %", Holds, varies(9, 9),
-		func(gap []float64) bool { return slices.Max(gap) <= 5 }),
-	lptGap("lptilp/solver-not-worse", "the exact solver never returns worse than its LPT incumbent", Holds, Holds,
+	variesAtQuick(lptGap("lptilp/solver-within-5pct", "the exact solver beats LPT by no more than 5 %", Holds,
+		func(gap []float64) bool { return slices.Max(gap) <= 5 })),
+	lptGap("lptilp/solver-not-worse", "the exact solver never returns worse than its LPT incumbent", Holds,
 		func(gap []float64) bool { return slices.Min(gap) >= -1e-9 }),
-	lptGap("lptilp/solver-no-gain", "200 s of Gurobi finds no improvement over LPT (gap < 1 %)", Weaker, varies(3, 3),
-		func(gap []float64) bool { return slices.Max(gap) < 1 }),
+	variesAtQuick(lptGap("lptilp/solver-no-gain", "200 s of Gurobi finds no improvement over LPT (gap < 1 %)", Weaker,
+		func(gap []float64) bool { return slices.Max(gap) < 1 })),
 	rows("ablations/measured-beats-unit-costs", "ablations", "telemetry-measured block costs are the enabler (beat unit costs)",
-		Holds, Holds, "improvement_pct", "variant", down, "measured-costs", "unit-costs"),
+		Holds, "improvement_pct", "variant", down, "measured-costs", "unit-costs"),
 	rows("ablations/both-ends-beat-top-only", "ablations", "rebalancing both ends is crucial (beats top-only)",
-		Holds, Holds, "makespan_norm", "variant", up, "cpl50", "cpl50-toponly"),
-	rows("ablations/top-only-within-cdp-seed", "ablations", "top-only rebalancing is no worse than its CDP seed",
-		Holds, varies(10, 10), "makespan_norm", "variant", func(v []float64) bool { return v[0] <= v[1]+1e-9 }, "cpl50-toponly", "cpl0"),
+		Holds, "makespan_norm", "variant", up, "cpl50", "cpl50-toponly"),
+	variesAtQuick(rows("ablations/top-only-within-cdp-seed", "ablations", "top-only rebalancing is no worse than its CDP seed",
+		Holds, "makespan_norm", "variant", func(v []float64) bool { return v[0] <= v[1]+1e-9 }, "cpl50-toponly", "cpl0")),
 	rows("lbinterval/always-replace-beats-never", "lbinterval", "re-placing on every mesh change beats inheritance only",
-		Holds, Holds, "improvement_pct", "placement_every", up, int64(0), int64(4), int64(2), int64(1)),
+		Holds, "improvement_pct", "placement_every", up, int64(0), int64(4), int64(2), int64(1)),
 	rows("hilbert/nontrivial-locality", "hilbert", "both orderings keep > 5 % of neighbours node-local",
-		Holds, Holds, "node_locality", "ordering", above(0.05), "morton", "hilbert"),
+		Holds, "node_locality", "ordering", above(0.05), "morton", "hilbert"),
 	rows("hilbert/competitive", "hilbert", "Hilbert node locality is within 20 % of Morton's",
-		Holds, Holds, "node_locality", "ordering", func(v []float64) bool { return v[1] >= 0.8*v[0] }, "morton", "hilbert"),
+		Holds, "node_locality", "ordering", func(v []float64) bool { return v[1] >= 0.8*v[0] }, "morton", "hilbert"),
 	rows("neighborhood/fewer-messages", "neighborhood", "rank-pair aggregation sends fewer messages",
-		Holds, Holds, "msgs_per_round", "mode", down, "p2p", "aggregated"),
+		Holds, "msgs_per_round", "mode", down, "p2p", "aggregated"),
 	rows("neighborhood/not-much-slower", "neighborhood", "an aggregated round is at most 1.5x a p2p round",
-		Holds, Holds, "mean_round_ms", "mode", func(v []float64) bool { return v[1] <= 1.5*v[0] }, "p2p", "aggregated"),
+		Holds, "mean_round_ms", "mode", func(v []float64) bool { return v[1] <= 1.5*v[0] }, "p2p", "aggregated"),
 	rows("neighborhood/aggregation-faster", "neighborhood", "aggregation amortizes per-message cost: rounds get faster",
-		Holds, Holds, "mean_round_ms", "mode", down, "p2p", "aggregated"),
+		Holds, "mean_round_ms", "mode", down, "p2p", "aggregated"),
 }
 
 // syncShares returns Fig 6a's baseline sync share at 512 and at 4096 ranks,
@@ -399,7 +398,7 @@ func coolingGains(ts tabs) (sedov, cooling float64, measured string) {
 // fig7bEach is a claim that ok holds in every (ranks, dist) cell of Fig 7b,
 // given the cell's normalized makespan by policy.
 func fig7bEach(id, paper string, ok func(ms func(policy string) float64) bool) Claim {
-	return Claim{ID: id, Exps: []string{"fig7b"}, Paper: paper, Full: Holds, Quick: Holds,
+	return Claim{ID: id, Exps: []string{"fig7b"}, Paper: paper, Full: Holds,
 		Check: func(ts tabs) (string, bool, bool) {
 			t := ts["fig7b"][0].Table
 			ranks, dists := t.Ints("ranks"), t.Strings("dist")
@@ -419,8 +418,8 @@ func fig7bEach(id, paper string, ok func(ms func(policy string) float64) bool) C
 }
 
 // lptGap is a claim on the §V-B solver's gaps over LPT, in percent.
-func lptGap(id, paper string, full, quick Status, ok func(gap []float64) bool) Claim {
-	return Claim{ID: id, Exps: []string{"lptilp"}, Paper: paper, Full: full, Quick: quick,
+func lptGap(id, paper string, st Status, ok func(gap []float64) bool) Claim {
+	return Claim{ID: id, Exps: []string{"lptilp"}, Paper: paper, Full: st,
 		Check: func(ts tabs) (string, bool, bool) {
 			gap := ts["lptilp"][0].Table.Floats("gap_pct")
 			return fmt.Sprintf("gap %.3g..%.3g %%", slices.Min(gap), slices.Max(gap)), ok(gap), true

@@ -5,7 +5,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -28,99 +27,94 @@ var seed1 = map[string]string{
 	"ablations/top-only-within-cdp-seed": "holds",
 }
 
-// shapeTests names the test that judges each claim-id prefix (the part of
-// the id before its "/").
-var shapeTests = map[string]string{
-	"fig1top":      "TestFig1TopTuningRestoresCorrelation",
-	"fig1bottom":   "TestFig1BottomDrainQueueRemovesSpikes",
-	"fig2":         "TestFig2HealthPruningRecoversRuntime",
-	"fig3":         "TestFig3StagesReduceVariance",
-	"fig4":         "TestFig4TwoRankPrinciple",
-	"table1":       "TestTableIShape",
-	"fig6a":        "TestFig6QualitativeFindings",
-	"fig6b":        "TestFig6QualitativeFindings",
-	"fig6c":        "TestFig6QualitativeFindings",
-	"fig7a":        "TestFig7aProducesLatencies",
-	"fig7b":        "TestFig7bLPTBestAndCPL25CapturesBulk",
-	"lptilp":       "TestLPTvsILPNoLargeGap",
-	"cooling":      "TestFig6CoolingDirectionallySimilar",
-	"ablations":    "TestAblations",
-	"lbinterval":   "TestLBIntervalSweep",
-	"hilbert":      "TestHilbertOrderStudy",
-	"neighborhood": "TestNeighborhoodCollectives",
+// shapeExps names, for each experiment, the shape test that judges its
+// claims (a claim belongs to the first experiment it reads) and the
+// experiment's row count per table at quick scale. The claims find their
+// cells by key, so only the counts catch an extra row: a fourth Fig 3
+// stage, a second Table I scale, a baseline row in Fig 7a.
+var shapeExps = map[string]struct {
+	test string
+	rows []int
+}{
+	"fig1top":      {"TestFig1TopTuningRestoresCorrelation", []int{2}},
+	"fig1bottom":   {"TestFig1BottomDrainQueueRemovesSpikes", []int{2}},
+	"fig2":         {"TestFig2HealthPruningRecoversRuntime", []int{2}},
+	"fig3":         {"TestFig3StagesReduceVariance", []int{3}},
+	"fig4":         {"TestFig4TwoRankPrinciple", []int{6}},
+	"table1":       {"TestTableIShape", []int{1}},
+	"fig6":         {"TestFig6QualitativeFindings", []int{6, 6, 6}}, // one quick scale x (baseline + 5 X values)
+	"cooling":      {"TestFig6CoolingDirectionallySimilar", []int{4}},
+	"fig7a":        {"TestFig7aProducesLatencies", []int{5}}, // one quick scale x 5 X values
+	"fig7b":        {"TestFig7bLPTBestAndCPL25CapturesBulk", []int{36}},
+	"lptilp":       {"TestLPTvsILPNoLargeGap", []int{2}},
+	"ablations":    {"TestAblations", []int{8}},
+	"lbinterval":   {"TestLBIntervalSweep", []int{4}},
+	"hilbert":      {"TestHilbertOrderStudy", []int{2}},
+	"neighborhood": {"TestNeighborhoodCollectives", []int{2}},
 }
 
-func claimPrefix(c Claim) string { p, _, _ := strings.Cut(c.ID, "/"); return p }
-
 // shapeRuns holds each experiment's quick seed-1 tables, run once for all
-// the shape tests that read them.
-var shapeRuns = struct {
-	sync.Mutex
-	ts tabs
-}{ts: tabs{}}
+// the shape tests (which do not run in parallel) that read them.
+var shapeRuns = tabs{}
 
-// checkShapes runs the experiments the claims of the given prefixes read,
-// at quick scale, seed 1, and requires each claim's verdict: the one its
-// Quick status names, or the pinned seed-1 verdict.
-func checkShapes(t *testing.T, prefixes ...string) {
+// checkShapes runs experiment exp and the others its claims read, at quick
+// scale, seed 1, checks exp's row counts, and requires each claim's
+// verdict: the one its quick status names, or the pinned seed-1 verdict.
+func checkShapes(t *testing.T, exp string) {
 	t.Helper()
+	if shapeExps[exp].test != t.Name() {
+		t.Fatalf("%s's claims are judged by %q, not %s", exp, shapeExps[exp].test, t.Name())
+	}
 	var claims []Claim
-	for _, c := range Shapes {
-		if slices.Contains(prefixes, claimPrefix(c)) {
-			claims = append(claims, c)
-		}
-	}
-	for _, p := range prefixes {
-		if shapeTests[p] != t.Name() {
-			t.Fatalf("claims %s/... are judged by %q, not %s", p, shapeTests[p], t.Name())
-		}
-	}
-	if len(claims) == 0 {
-		t.Fatalf("the ledger has no claims %v", prefixes)
-	}
 	ts := tabs{}
-	shapeRuns.Lock()
-	for _, c := range claims {
+	for _, c := range Shapes {
+		if c.Exps[0] != exp {
+			continue
+		}
+		claims = append(claims, c)
 		for _, id := range c.Exps {
-			if _, ok := shapeRuns.ts[id]; !ok {
-				i := slices.IndexFunc(Suite(), func(e Experiment) bool { return e.ID == id })
-				if i < 0 {
-					shapeRuns.Unlock()
-					t.Fatalf("claim %s reads unknown experiment %q", c.ID, id)
-				}
-				shapeRuns.ts[id] = Suite()[i].Run(quick)
+			if shapeRuns[id] == nil {
+				shapeRuns[id] = Suite()[slices.IndexFunc(Suite(), func(e Experiment) bool { return e.ID == id })].Run(quick)
 			}
-			ts[id] = shapeRuns.ts[id]
+			ts[id] = shapeRuns[id]
 		}
 	}
-	shapeRuns.Unlock()
+	var rows []int
+	for _, nt := range ts[exp] {
+		rows = append(rows, nt.Table.NumRows())
+	}
+	if !slices.Equal(rows, shapeExps[exp].rows) {
+		t.Errorf("%s: rows per table %v, want %v", exp, rows, shapeExps[exp].rows)
+	}
 	ledger, _ := Judge(claims, ts, true)
-	if ledger.NumRows() != len(claims) {
+	if len(claims) == 0 || ledger.NumRows() != len(claims) {
 		t.Fatalf("ledger has %d rows for %d claims:\n%s", ledger.NumRows(), len(claims), ledger.Render(0))
 	}
 	for i, c := range claims {
 		t.Run(c.ID, func(t *testing.T) {
 			want, pinned := seed1[c.ID]
-			if c.Full.isVaries() || c.Quick.isVaries() != (pinned && want != "n/a") {
+			if c.Full == Varies || (c.Quick == Varies) != (pinned && want != "n/a") {
 				t.Fatalf("varies is a quick status, and only varies and n/a claims pin a seed-1 verdict")
 			}
 			if !pinned {
-				want = map[bool]string{true: "holds", false: "fails"}[c.Quick == Holds]
+				want = map[bool]string{true: "holds", false: "fails"}[c.status(true) == Holds]
 			}
 			if got := ledger.Strings("verdict")[i]; got != want {
 				t.Errorf("verdict %q, want %q (quick status %s; measured %s)",
-					got, want, c.Quick, ledger.Strings("measured")[i])
+					got, want, c.status(true), ledger.Strings("measured")[i])
 			}
 		})
 	}
 }
 
-// TestShapes requires every claim of the ledger to have a shape test that
-// judges it, and every pinned verdict to belong to a claim.
+// TestShapes requires every experiment a claim reads to have a shape test
+// and row counts, and every pinned verdict to belong to a claim.
 func TestShapes(t *testing.T) {
 	for _, c := range Shapes {
-		if _, ok := shapeTests[claimPrefix(c)]; !ok {
-			t.Errorf("claim %s has no shape test: add its prefix to shapeTests", c.ID)
+		for _, id := range c.Exps {
+			if _, ok := shapeExps[id]; !ok {
+				t.Errorf("claim %s reads %s, which has no entry in shapeExps", c.ID, id)
+			}
 		}
 	}
 	for id := range seed1 {
@@ -136,7 +130,7 @@ func TestFig2HealthPruningRecoversRuntime(t *testing.T)  { checkShapes(t, "fig2"
 func TestFig3StagesReduceVariance(t *testing.T)          { checkShapes(t, "fig3") }
 func TestFig4TwoRankPrinciple(t *testing.T)              { checkShapes(t, "fig4") }
 func TestTableIShape(t *testing.T)                       { checkShapes(t, "table1") }
-func TestFig6QualitativeFindings(t *testing.T)           { checkShapes(t, "fig6a", "fig6b", "fig6c") }
+func TestFig6QualitativeFindings(t *testing.T)           { checkShapes(t, "fig6") }
 func TestFig7aProducesLatencies(t *testing.T)            { checkShapes(t, "fig7a") }
 func TestFig7bLPTBestAndCPL25CapturesBulk(t *testing.T)  { checkShapes(t, "fig7b") }
 func TestLPTvsILPNoLargeGap(t *testing.T)                { checkShapes(t, "lptilp") }
@@ -146,76 +140,99 @@ func TestLBIntervalSweep(t *testing.T)                   { checkShapes(t, "lbint
 func TestHilbertOrderStudy(t *testing.T)                 { checkShapes(t, "hilbert") }
 func TestNeighborhoodCollectives(t *testing.T)           { checkShapes(t, "neighborhood") }
 
-// TestJudge covers every status against both verdicts, at both scales, and
-// a claim whose experiments did not all run.
+// TestJudge covers every status against both verdicts, at both scales, a
+// Quick status left empty, and a claim whose experiments did not all run.
 func TestJudge(t *testing.T) {
-	claim := func(id string, full, quick Status, holds, applicable bool, exps ...string) Claim {
-		return Claim{ID: id, Exps: exps, Paper: "p", Full: full, Quick: quick,
-			Check: func(tabs) (string, bool, bool) { return "m", holds, applicable }}
+	cases := []struct {
+		full, quick       Status
+		holds, applicable bool
+		atQuick, atFull   string // status / verdict; "" for a claim Judge leaves out
+	}{
+		{Holds, "", true, true, "holds / holds", "holds / holds"},
+		{Holds, "", false, true, "holds / fails (disagrees)", "holds / fails (disagrees)"},
+		{Weaker, "", false, true, "weaker / fails", "weaker / fails"},
+		{Weaker, "", true, true, "weaker / holds (disagrees)", "weaker / holds (disagrees)"},
+		{NotReproduced, "", false, true, "not-reproduced / fails", "not-reproduced / fails"},
+		{NotReproduced, "", true, true, "not-reproduced / holds (disagrees)", "not-reproduced / holds (disagrees)"},
+		{Holds, Varies, true, true, "varies / holds", "holds / holds"},
+		{Holds, Varies, false, true, "varies / fails", "holds / fails (disagrees)"},
+		{Holds, Weaker, true, false, "weaker / n/a", "holds / n/a"},
+		{Holds, Weaker, true, true, "weaker / holds (disagrees)", "holds / holds"},
+		{Holds, "", false, true, "", ""}, // reads experiment "b", which did not run
 	}
-	claims := []Claim{
-		claim("holds/holds", Holds, Holds, true, true, "a"),
-		claim("holds/fails", Holds, Holds, false, true, "a"),
-		claim("weaker/fails", Weaker, Weaker, false, true, "a"),
-		claim("weaker/holds", Weaker, Weaker, true, true, "a"),
-		claim("not-reproduced/fails", NotReproduced, NotReproduced, false, true, "a"),
-		claim("not-reproduced/holds", NotReproduced, NotReproduced, true, true, "a"),
-		claim("varies/holds", Holds, varies(3, 2), true, true, "a"),
-		claim("varies/fails", Holds, varies(3, 3), false, true, "a"),
-		claim("n/a", Holds, Weaker, true, false, "a"),
-		claim("not-run", Holds, Holds, false, true, "a", "b"),
-		claim("scales-differ", Holds, Weaker, true, true, "a"),
-	}
-	// Each row's status and verdict at quick scale, then at full scale;
-	// "not-run" is left out.
-	want := [][4]string{
-		{"holds", "holds", "holds", "holds"},
-		{"holds", "fails (disagrees)", "holds", "fails (disagrees)"},
-		{"weaker", "fails", "weaker", "fails"},
-		{"weaker", "holds (disagrees)", "weaker", "holds (disagrees)"},
-		{"not-reproduced", "fails", "not-reproduced", "fails"},
-		{"not-reproduced", "holds (disagrees)", "not-reproduced", "holds (disagrees)"},
-		{"varies", "holds", "holds", "holds"},
-		{"varies", "fails", "holds", "fails (disagrees)"},
-		{"weaker", "n/a", "holds", "n/a"},
-		{"weaker", "holds (disagrees)", "holds", "holds"},
-	}
-	for col, quick := range []bool{true, false} {
-		ledger, bad := Judge(claims, tabs{"a": nil}, quick)
-		id, st, v := ledger.Strings("id"), ledger.Strings("status"), ledger.Strings("verdict")
-		if bad != 4 || len(v) != len(want) || slices.Contains(id, "not-run") {
-			t.Fatalf("quick=%v: %d disagreements in\n%s", quick, bad, ledger.Render(0))
+	var claims []Claim
+	for i, tc := range cases {
+		exps := []string{"a"}
+		if tc.atQuick == "" {
+			exps = append(exps, "b")
 		}
-		for r, w := range want {
-			if st[r] != w[2*col] || v[r] != w[2*col+1] {
-				t.Errorf("quick=%v %s: %s / %s, want %s / %s", quick, id[r], st[r], v[r], w[2*col], w[2*col+1])
+		claims = append(claims, Claim{ID: fmt.Sprint(i), Exps: exps, Full: tc.full, Quick: tc.quick,
+			Check: func(tabs) (string, bool, bool) { return "m", tc.holds, tc.applicable }})
+	}
+	for _, quick := range []bool{true, false} {
+		ledger, bad := Judge(claims, tabs{"a": nil}, quick)
+		got := map[string]string{}
+		for r, id := range ledger.Strings("id") {
+			got[id] = ledger.Strings("status")[r] + " / " + ledger.Strings("verdict")[r]
+			if m := ledger.Strings("measured")[r]; m != "m" {
+				t.Errorf("quick=%v case %s: measured %q, want only what Check measured", quick, id, m)
 			}
 		}
-		if m := ledger.Strings("measured"); quick && (m[6] != "m; holds at 3/11 seeds, 2/11 sharded" || m[7] != "m; holds at 3/11 seeds, 3/11 sharded") {
-			t.Errorf("varies rows measure %q, %q", m[6], m[7])
+		if bad != 4 || len(got) != len(cases)-1 {
+			t.Errorf("quick=%v: %d disagreements in\n%s", quick, bad, ledger.Render(0))
+		}
+		for i, tc := range cases {
+			if want := map[bool]string{true: tc.atQuick, false: tc.atFull}[quick]; got[fmt.Sprint(i)] != want {
+				t.Errorf("quick=%v case %d: %q, want %q", quick, i, got[fmt.Sprint(i)], want)
+			}
 		}
 	}
 }
 
 // TestExperimentsDocClaims requires EXPERIMENTS.md's claims table to be
-// the ledger's rendering: a status changes in both places or in neither.
+// the ledger's rendering, and its seed-sweep table, which holds the sweep's
+// counts, to list exactly the claims whose quick status is varies: a status
+// changes in the doc and the ledger or in neither.
 func TestExperimentsDocClaims(t *testing.T) {
-	const begin, end = "<!-- claims: rendered from experiments.Shapes -->\n", "<!-- end claims -->"
-	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	raw, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rest, ok := strings.Cut(string(doc), begin)
-	table, _, ok2 := strings.Cut(rest, end)
-	if !ok || !ok2 {
-		t.Fatalf("EXPERIMENTS.md lacks the %q ... %q block", begin, end)
+	doc := string(raw)
+	block := func(begin, end string) string {
+		_, rest, ok := strings.Cut(doc, begin)
+		b, _, ok2 := strings.Cut(rest, end)
+		if !ok || !ok2 {
+			t.Fatalf("EXPERIMENTS.md lacks the %q ... %q block", begin, end)
+		}
+		return b
 	}
 	var want strings.Builder
-	want.WriteString("| claim | paper | full, seed 42 | quick sweep |\n|---|---|---|---|\n")
+	want.WriteString("| claim | paper | status (full, seed 42; quick where it differs) |\n|---|---|---|\n")
+	var varies []string
 	for _, c := range Shapes {
-		fmt.Fprintf(&want, "| `%s` | %s | %s | %s |\n", c.ID, c.Paper, c.Full, c.Quick)
+		st := string(c.Full)
+		if c.Quick != "" {
+			st += "; quick: " + string(c.Quick)
+		}
+		fmt.Fprintf(&want, "| `%s` | %s | %s |\n", c.ID, c.Paper, st)
+		if c.Quick == Varies {
+			varies = append(varies, c.ID)
+		}
 	}
-	if table != want.String() {
+	if table := block("<!-- claims: rendered from experiments.Shapes -->\n", "<!-- end claims -->"); table != want.String() {
 		t.Errorf("EXPERIMENTS.md's claims table drifted from the ledger; replace it with:\n%s", want.String())
+	}
+	var swept []string
+	for _, line := range strings.Split(block("<!-- sweep: one row per varies claim of experiments.Shapes -->\n", "<!-- end sweep -->"), "\n") {
+		if id, ok := strings.CutPrefix(line, "| `"); ok {
+			id, _, _ = strings.Cut(id, "`")
+			swept = append(swept, id)
+		}
+	}
+	slices.Sort(varies)
+	slices.Sort(swept)
+	if !slices.Equal(swept, varies) {
+		t.Errorf("EXPERIMENTS.md's seed-sweep table lists %v, want the varies claims %v", swept, varies)
 	}
 }
