@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"slices"
 	"sort"
 
 	"amrtools/internal/check"
@@ -186,9 +187,18 @@ func (st *runState) auditDeltaSymmetry(ep *epoch, oldDir *ownerDirectory, nranks
 // distributed refactor, enforced at runtime.
 func (st *runState) auditPlanEquivalence(ep *epoch, nranks int) {
 	g := st.m.Geometry()
-	index := make(map[mesh.BlockID]int, len(ep.leafIDs))
+	// A partner's SFC index is its position in ep.leafIDs, which ascend by
+	// key.
+	keys := make([]uint64, len(ep.leafIDs))
 	for i, id := range ep.leafIDs {
-		index[id] = i
+		keys[i] = g.Key(id)
+	}
+	index := func(id mesh.BlockID) int {
+		j, ok := slices.BinarySearch(keys, g.Key(id))
+		if !ok || ep.leafIDs[j] != id {
+			check.Failf("driver", "plan-equivalence", "NeighborsOf names %v, which is not a leaf of the epoch", id)
+		}
+		return j
 	}
 	fluxBytes := st.fluxBytes()
 	refSends := make([][]exchange, nranks)
@@ -216,10 +226,11 @@ func (st *runState) auditPlanEquivalence(ep *epoch, nranks int) {
 			}
 			check.Assertf(len(entries) > 0, "driver", "plan-equivalence",
 				"NeighborsOf lists %v -> %v more often than PairExchanges accounts for", id, nb.ID)
-			emit(index[nb.ID], entries[0])
+			j := index(nb.ID)
+			emit(j, entries[0])
 			entries = entries[1:]
 			if len(entries) > 0 && entries[0].Flux {
-				emit(index[nb.ID], entries[0])
+				emit(j, entries[0])
 				entries = entries[1:]
 			}
 			queues[nb.ID] = entries

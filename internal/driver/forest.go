@@ -1,8 +1,6 @@
 package driver
 
 import (
-	"cmp"
-	"slices"
 	"sort"
 
 	"amrtools/internal/check"
@@ -45,9 +43,12 @@ type dirShard struct {
 // buildDirectory constructs the directory for the current epoch: the range
 // partition splits the leaf keys evenly across home ranks (home load is a
 // metadata-balance concern, independent of the placement policy), and each
-// leaf's (key, level, owner) record lands in its home shard.
+// leaf's (key, level, owner) record lands in its home shard. The records are
+// counting-sorted by home rank into three flat arrays the shards slice, so
+// the build allocates a fixed number of times whatever the rank count.
 func buildDirectory(geom mesh.Geometry, leafIDs []mesh.BlockID, assign placement.Assignment, nranks int) *ownerDirectory {
-	keys := make([]uint64, len(leafIDs))
+	n := len(leafIDs)
+	keys := make([]uint64, n)
 	for i, id := range leafIDs {
 		keys[i] = geom.Key(id)
 	}
@@ -56,9 +57,22 @@ func buildDirectory(geom mesh.Geometry, leafIDs []mesh.BlockID, assign placement
 		part:     sfc.PartitionByCount(keys, nranks),
 		shards:   make([]dirShard, nranks),
 	}
+	homes := make([]int32, n)
+	at := make([]int, nranks+1)
+	for i, k := range keys {
+		homes[i] = int32(d.part.Owner(k))
+		at[homes[i]+1]++
+	}
+	for h := range nranks {
+		at[h+1] += at[h]
+	}
+	recKeys, levels, owners := make([]uint64, n), make([]uint8, n), make([]int32, n)
+	for h := range d.shards {
+		lo, hi := at[h], at[h+1]
+		d.shards[h] = dirShard{keys: recKeys[lo:lo:hi], levels: levels[lo:lo:hi], owners: owners[lo:lo:hi]}
+	}
 	for i, id := range leafIDs {
-		h := d.part.Owner(keys[i])
-		s := &d.shards[h]
+		s := &d.shards[homes[i]]
 		s.keys = append(s.keys, keys[i])
 		s.levels = append(s.levels, uint8(id.Level))
 		s.owners = append(s.owners, int32(assign[i]))
@@ -190,52 +204,47 @@ func messageTag(from int32, e mesh.PairEntry) int32 {
 	return from*mesh.TagSlotsPerBlock + int32(e.Slot())
 }
 
-// buildRankPlan assembles one rank's plan from its view in one walk over
-// each owned block's neighbourhood: the walk yields the block's sends
-// directly and its distinct remote partners, whose entries toward the block
-// are then reconstructed arithmetically (mesh.PairExchanges) as recvs,
-// sorted into the senders' tag order. Cost is linear in the rank's local
-// block count.
+// buildRankPlan assembles one rank's plan from its view in two loops over
+// the messages the view recorded: its owned blocks' sends (a partner it owns
+// is an intra-rank copy, the rest are sends, in the senders' tag order) and
+// its halo's messages to its owned blocks, which the view already holds in
+// tag order — the order receivers must pre-post in to replay the global
+// build's event sequence exactly. Cost is linear in the rank's local message
+// count.
 func buildRankPlan(v *mesh.RankView, sizes [3]int, fluxBytes int) rankPlan {
 	p := rankPlan{view: v}
-	var partners []mesh.Ref // one owned block's remote partners: a few dozen at most
-	for k := range v.Owned {
-		own := v.Owned[k].Index
-		partners = partners[:0]
-		v.Neighbors(k, func(ref mesh.Ref, e mesh.PairEntry) {
-			if ref.IsOwned() {
-				p.intra++ // co-located pair: a memcpy, not a message
-				return
-			}
-			p.sends = append(p.sends, exchange{
-				tag:  messageTag(own, e),
-				from: own,
-				to:   v.RefIndex(ref),
-				peer: int32(v.RefOwner(ref)),
-				size: exchangeSize(e, sizes, fluxBytes),
-			})
-			if !slices.Contains(partners, ref) {
-				partners = append(partners, ref)
-			}
-		})
-		to := v.Owned[k].ID
-		for _, ref := range partners {
-			fromIdx := v.RefIndex(ref)
-			for _, e := range mesh.PairExchanges(v.Geom, v.RefID(ref), to) {
-				p.recvs = append(p.recvs, exchange{
-					tag:  messageTag(fromIdx, e),
-					from: fromIdx,
-					to:   own,
-					peer: int32(v.RefOwner(ref)),
-					size: exchangeSize(e, sizes, fluxBytes),
-				})
-			}
+	sends := v.Sends()
+	for _, x := range sends {
+		if x.To.IsOwned() {
+			p.intra++ // co-located pair: a memcpy, not a message
 		}
 	}
-	// Senders post in ascending tag order; receivers must pre-post in the
-	// same global order to replay the pre-refactor event sequence exactly.
-	// Tags are globally unique, so this sort is deterministic.
-	slices.SortFunc(p.recvs, func(a, b exchange) int { return cmp.Compare(a.tag, b.tag) })
+	p.sends = make([]exchange, 0, len(sends)-p.intra)
+	for _, x := range sends {
+		if x.To.IsOwned() {
+			continue
+		}
+		from := v.RefIndex(x.From)
+		p.sends = append(p.sends, exchange{
+			tag:  messageTag(from, x.PairEntry),
+			from: from,
+			to:   v.RefIndex(x.To),
+			peer: int32(v.RefOwner(x.To)),
+			size: exchangeSize(x.PairEntry, sizes, fluxBytes),
+		})
+	}
+	recvs := v.Receives()
+	p.recvs = make([]exchange, len(recvs))
+	for k, x := range recvs {
+		from := v.RefIndex(x.From)
+		p.recvs[k] = exchange{
+			tag:  messageTag(from, x.PairEntry),
+			from: from,
+			to:   v.RefIndex(x.To),
+			peer: int32(v.RefOwner(x.From)),
+			size: exchangeSize(x.PairEntry, sizes, fluxBytes),
+		}
+	}
 	return p
 }
 

@@ -91,15 +91,15 @@ func (m *Mesh) invalidate() { m.ordered = nil }
 
 // coveringLeaf returns the leaf covering the cell at (level, x, y, z):
 // the cell itself if it is a leaf, else the nearest coarser ancestor leaf.
-// ok is false when no leaf covers the position (only possible for positions
-// outside the domain, which callers exclude).
-func (m *Mesh) coveringLeaf(id BlockID) (BlockID, bool) {
+// It is nil when no leaf covers the position: the region is subdivided, or
+// lies outside the domain, which callers exclude.
+func (m *Mesh) coveringLeaf(id BlockID) *Block {
 	for {
-		if _, ok := m.leaves[id]; ok {
-			return id, true
+		if b := m.leaves[id]; b != nil {
+			return b
 		}
 		if id.Level == 0 {
-			return BlockID{}, false
+			return nil
 		}
 		id = id.Parent()
 	}
@@ -136,11 +136,11 @@ func (m *Mesh) refineBalanced(id BlockID) {
 			continue
 		}
 		for {
-			cover, found := m.coveringLeaf(nc)
-			if !found || cover.Level >= id.Level {
+			cover := m.coveringLeaf(nc)
+			if cover == nil || cover.ID.Level >= id.Level {
 				break
 			}
-			m.refineBalanced(cover)
+			m.refineBalanced(cover.ID)
 		}
 	}
 	delete(m.leaves, id)
@@ -182,8 +182,8 @@ func (m *Mesh) CanCoarsen(parent BlockID) bool {
 // finestLeafLevelIn returns the maximum refinement level of any leaf
 // contained in (or covering) region, or -1 when region is outside the mesh.
 func (m *Mesh) finestLeafLevelIn(region BlockID) int {
-	if cover, ok := m.coveringLeaf(region); ok {
-		return cover.Level // region itself is a leaf, or lies inside one
+	if cover := m.coveringLeaf(region); cover != nil {
+		return cover.ID.Level // region itself is a leaf, or lies inside one
 	}
 	if region.Level >= m.maxLevel {
 		return -1

@@ -41,8 +41,8 @@ func (m *Mesh) NeighborsOf(id BlockID) []Neighbor {
 			continue
 		}
 		kind := KindOf(dir[0], dir[1], dir[2])
-		if cover, found := m.coveringLeaf(nc); found {
-			out = append(out, Neighbor{ID: cover, Kind: kind})
+		if cover := m.coveringLeaf(nc); cover != nil {
+			out = append(out, Neighbor{ID: cover.ID, Kind: kind})
 			continue
 		}
 		m.collectFine(nc, dir, kind, &out)
@@ -114,14 +114,10 @@ func (m *Mesh) UniqueNeighbors(id BlockID) []Neighbor {
 // placement-quality metrics and commbench consume.
 func (m *Mesh) AdjacencyBySFC() [][]int {
 	leaves := m.Leaves()
-	index := make(map[BlockID]int, len(leaves))
-	for i, b := range leaves {
-		index[b.ID] = i
-	}
 	adj := make([][]int, len(leaves))
 	for i, b := range leaves {
 		for _, n := range m.UniqueNeighbors(b.ID) {
-			adj[i] = append(adj[i], index[n.ID])
+			adj[i] = append(adj[i], m.leaves[n.ID].SFCIndex)
 		}
 	}
 	return adj

@@ -1,7 +1,9 @@
 package mesh
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
 
 	"amrtools/internal/xrand"
@@ -106,6 +108,31 @@ func TestPairExchangesMatchesNeighborsOf(t *testing.T) {
 	}
 }
 
+// testAssign is one block→rank assignment shape of the view tests.
+type testAssign struct {
+	name   string
+	nranks int
+	assign []int
+}
+
+// testAssigns returns the assignment shapes the view tests run over n
+// leaves: one rank, round robin, SFC-contiguous ranges, and round robin
+// over ranks 0, 1 and 3, which leaves rank 2 without a block.
+func testAssigns(n int) []testAssign {
+	out := []testAssign{
+		{"single", 1, make([]int, n)},
+		{"roundrobin", 7, make([]int, n)},
+		{"split", 3, make([]int, n)},
+		{"gap", 4, make([]int, n)},
+	}
+	for i := range n {
+		out[1].assign[i] = i % 7
+		out[2].assign[i] = i * 3 / n
+		out[3].assign[i] = []int{0, 1, 3}[i%3]
+	}
+	return out
+}
+
 // TestViewNeighborsMatchesGlobalEnumeration: for every block under every
 // assignment shape, the view-local enumeration must emit the identical
 // ordered entry sequence as the global reference, with strictly ascending
@@ -113,19 +140,9 @@ func TestPairExchangesMatchesNeighborsOf(t *testing.T) {
 func TestViewNeighborsMatchesGlobalEnumeration(t *testing.T) {
 	for name, m := range testMeshes(t) {
 		leaves := m.Leaves()
-		assigns := map[string][]int{
-			"single":     make([]int, len(leaves)),
-			"roundrobin": make([]int, len(leaves)),
-			"split":      make([]int, len(leaves)),
-		}
-		for i := range leaves {
-			assigns["roundrobin"][i] = i % 7
-			assigns["split"][i] = i * 3 / len(leaves)
-		}
-		nranksOf := map[string]int{"single": 1, "roundrobin": 7, "split": 3}
-		for aname, assign := range assigns {
-			nranks := nranksOf[aname]
-			views := m.BuildRankViews(assign, nranks)
+		for _, a := range testAssigns(len(leaves)) {
+			aname, assign := a.name, a.assign
+			views := m.BuildRankViews(assign, a.nranks)
 			seen := 0
 			for _, v := range views {
 				for k := range v.Owned {
@@ -153,6 +170,59 @@ func TestViewNeighborsMatchesGlobalEnumeration(t *testing.T) {
 			}
 			if seen != len(leaves) {
 				t.Fatalf("%s/%s: views own %d blocks, want %d", name, aname, seen, len(leaves))
+			}
+		}
+	}
+}
+
+// received is one recorded receive by global SFC indices.
+type received struct {
+	from, to int32
+	entry    PairEntry
+}
+
+// TestViewReceivesMatchPairExchanges: a view's receives must be derivable
+// from the view alone. For every (halo sender, owned block) pair they hold
+// exactly the messages PairExchanges reconstructs, ordered by (sender index,
+// slot) — the senders' tag order — with From a halo ref and To an owned one.
+// A rank without blocks gets a well-formed empty view.
+func TestViewReceivesMatchPairExchanges(t *testing.T) {
+	for name, m := range testMeshes(t) {
+		leaves := m.Leaves()
+		g := m.Geometry()
+		for _, a := range testAssigns(len(leaves)) {
+			total := 0
+			for _, v := range m.BuildRankViews(a.assign, a.nranks) {
+				var got, want []received
+				for _, x := range v.Receives() {
+					if x.From.IsOwned() || !x.To.IsOwned() {
+						t.Fatalf("%s/%s: rank %d receive %+v: want a halo sender and an owned receiver", name, a.name, v.Rank, x)
+					}
+					got = append(got, received{v.RefIndex(x.From), v.RefIndex(x.To), x.PairEntry})
+				}
+				for _, hb := range v.Halo {
+					for _, lb := range v.Owned {
+						for _, e := range PairExchanges(g, hb.ID, lb.ID) {
+							want = append(want, received{hb.Index, lb.Index, e})
+						}
+					}
+				}
+				slices.SortFunc(want, func(x, y received) int {
+					return cmp.Or(cmp.Compare(x.from, y.from), cmp.Compare(x.entry.Slot(), y.entry.Slot()))
+				})
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s: rank %d receives\n %v\nPairExchanges gives\n %v", name, a.name, v.Rank, got, want)
+				}
+				if len(v.Owned) == 0 {
+					if len(v.Halo) != 0 || len(v.Sends()) != 0 || len(v.Receives()) != 0 || v.Bytes() != 0 {
+						t.Fatalf("%s/%s: empty rank %d has halo %d, sends %d, receives %d, %d bytes",
+							name, a.name, v.Rank, len(v.Halo), len(v.Sends()), len(v.Receives()), v.Bytes())
+					}
+				}
+				total += len(got)
+			}
+			if a.nranks > 1 && total == 0 {
+				t.Fatalf("%s/%s: no rank receives anything", name, a.name)
 			}
 		}
 	}
@@ -210,23 +280,40 @@ func seq(n int) []int {
 	return out
 }
 
-// TestViewResolveAndRefs exercises the Ref encoding round-trip.
+// TestViewRefEncoding exercises the Ref encoding round trip through the
+// recorded messages: an owned partner, a halo partner and its owner, and the
+// same message seen from the receiving side.
 func TestViewRefEncoding(t *testing.T) {
 	m := NewUniform(2, 1, 1, 0)
-	views := m.BuildRankViews([]int{0, 1}, 2)
-	v := views[0]
-	ref, ok := v.Resolve(v.Owned[0].ID)
-	if !ok || !ref.IsOwned() || ref.OwnedIndex() != 0 {
-		t.Fatalf("owned resolve: ref=%v ok=%v", ref, ok)
-	}
+	v := m.BuildRankViews([]int{0, 1}, 2)[0]
 	if len(v.Halo) != 1 {
 		t.Fatalf("halo size %d, want 1", len(v.Halo))
 	}
-	href, ok := v.Resolve(v.Halo[0].ID)
-	if !ok || href.IsOwned() || href.HaloIndex() != 0 {
-		t.Fatalf("halo resolve: ref=%v ok=%v", href, ok)
+	var refs []Ref
+	v.Neighbors(0, func(ref Ref, e PairEntry) { refs = append(refs, ref) })
+	if len(refs) != 1 {
+		t.Fatalf("owned block 0 sends %d messages, want 1", len(refs))
 	}
-	if v.RefOwner(href) != 1 || v.RefOwner(ref) != 0 {
-		t.Fatalf("ref owners: %d %d", v.RefOwner(ref), v.RefOwner(href))
+	href := refs[0]
+	if href.IsOwned() || href.HaloIndex() != 0 || v.RefID(href) != v.Halo[0].ID || v.RefOwner(href) != 1 {
+		t.Fatalf("halo ref %v: owned %v, id %v, owner %d", href, href.IsOwned(), v.RefID(href), v.RefOwner(href))
+	}
+	from := v.Sends()[0].From
+	if !from.IsOwned() || from.OwnedIndex() != 0 || v.RefID(from) != v.Owned[0].ID || v.RefOwner(from) != 0 {
+		t.Fatalf("owned ref %v: owned %v, id %v, owner %d", from, from.IsOwned(), v.RefID(from), v.RefOwner(from))
+	}
+	if got := v.Receives(); len(got) != 1 || got[0].From != href || got[0].To != from {
+		t.Fatalf("receives %v, want one message %v -> %v", got, href, from)
+	}
+
+	// One rank owning both: the partner resolves to the second owned block.
+	v = m.BuildRankViews([]int{0, 0}, 1)[0]
+	refs = refs[:0]
+	v.Neighbors(0, func(ref Ref, e PairEntry) { refs = append(refs, ref) })
+	if len(refs) != 1 || !refs[0].IsOwned() || refs[0].OwnedIndex() != 1 || v.RefIndex(refs[0]) != 1 {
+		t.Fatalf("co-owned partner refs %v", refs)
+	}
+	if len(v.Halo) != 0 || len(v.Receives()) != 0 {
+		t.Fatalf("sole rank has halo %v, receives %v", v.Halo, v.Receives())
 	}
 }
