@@ -1,9 +1,6 @@
 package placement
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // CPLX is the paper's hybrid policy (§V-D): start from a locality-preserving
 // CDP placement, then strategically break locality only where it pays —
@@ -61,7 +58,11 @@ func RebalanceExtremes(costs []float64, a Assignment, nranks, x int) {
 
 // rebalance implements RebalanceExtremes; topOnly selects the x% budget
 // entirely from the overloaded end (the ablation of §V-D's "both ends"
-// design argument).
+// design argument). Ranks are ordered by (load desc, rank asc) with
+// descOrder, the same stable radix order lptInto gives the blocks, so −0
+// and +0 loads tie on rank and a NaN load sorts by its sign bit. The
+// selected ranks restart at load 0 and enter lptInto in ascending rank
+// order, as its contract requires.
 func rebalance(costs []float64, a Assignment, nranks, x int, topOnly bool) {
 	if x <= 0 {
 		// Zero percent selects zero ranks. The "at least one per end" bump
@@ -72,28 +73,17 @@ func rebalance(costs []float64, a Assignment, nranks, x int, topOnly bool) {
 	if nranks < 2 {
 		return // single rank: nothing to trade
 	}
-	order := make([]rankLoad, nranks) // ranks sorted by descending load
+	loads := Loads(costs, a, nranks)
+	buf := make([]int32, 2*nranks)
+	order := buf[:nranks]
 	for r := range order {
-		order[r].rank = r
+		order[r] = int32(r)
 	}
-	for b, r := range a {
-		order[r].load += costs[b]
-	}
-	slices.SortFunc(order, func(p, q rankLoad) int {
-		if p.load != q.load {
-			if p.load > q.load {
-				return -1
-			}
-			return 1
-		}
-		return p.rank - q.rank
-	})
-	// The selected ranks become the LPT heap in order's own storage; its
-	// layout is irrelevant to lptInto.
-	var h []rankLoad
+	order = descOrder(loads, order, buf[nranks:]) // ranks by descending load
+	var picked []int32
 	if topOnly {
 		// Ablation: the whole x% budget from the overloaded end.
-		h = order[:min(max(nranks*x/100, 1), nranks)]
+		picked = order[:min(max(nranks*x/100, 1), nranks)]
 	} else {
 		// Half the X% budget from each end; at least one from each end
 		// when X > 0 so small rank counts still rebalance. X = 100 selects
@@ -104,15 +94,20 @@ func rebalance(costs []float64, a Assignment, nranks, x int, topOnly bool) {
 			perEnd = (nranks + 1) / 2
 		}
 		perEnd = min(max(perEnd, 1), (nranks+1)/2)
-		h = order
+		picked = order
 		if 2*perEnd < nranks {
-			h = append(order[:perEnd], order[nranks-perEnd:]...)
+			picked = append(order[:perEnd], order[nranks-perEnd:]...)
 		}
 	}
 	selected := make([]bool, nranks)
-	for i := range h {
-		selected[h[i].rank] = true
-		h[i].load = 0
+	for _, r := range picked {
+		selected[r] = true
+	}
+	h := make([]rankLoad, 0, len(picked))
+	for r, s := range selected {
+		if s {
+			h = append(h, rankLoad{rank: r})
+		}
 	}
 	npool := 0
 	for _, r := range a {
@@ -120,11 +115,11 @@ func rebalance(costs []float64, a Assignment, nranks, x int, topOnly bool) {
 			npool++
 		}
 	}
-	pool := make([]blockCost, 0, npool)
+	pool := make([]int32, 0, 2*npool) // the blocks, then lptInto's scratch
 	for b, r := range a {
 		if selected[r] {
-			pool = append(pool, blockCost{cost: costs[b], idx: b})
+			pool = append(pool, int32(b))
 		}
 	}
-	lptInto(pool, h, a)
+	lptInto(costs, pool, pool[npool:2*npool], h, a)
 }

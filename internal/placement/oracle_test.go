@@ -3,6 +3,7 @@ package placement
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"testing"
@@ -293,7 +294,9 @@ func oracleZonal(zones int, inner func([]float64, int) Assignment) func([]float6
 }
 
 // oracleDists are the cost distributions of the property test: the generic
-// case plus the ones that make tie-breaks decide the outcome.
+// case plus the ones that make tie-breaks decide the outcome. signedzero
+// mixes −0 into the draws: the comparator holds −0 and +0 equal, so an
+// order built on the float's bits must too.
 var oracleDists = []struct {
 	name string
 	draw func(rng *xrand.RNG) float64
@@ -304,6 +307,7 @@ var oracleDists = []struct {
 	{"zeros", func(rng *xrand.RNG) float64 { return float64(rng.Intn(3)) * 0.5 * float64(rng.Intn(2)) }},
 	{"allzero", func(*xrand.RNG) float64 { return 0 }},
 	{"pareto", func(rng *xrand.RNG) float64 { return rng.Pareto(1, 1.5) }},
+	{"signedzero", func(rng *xrand.RNG) float64 { return [...]float64{math.Copysign(0, -1), 0, 1, 2}[rng.Intn(4)] }},
 }
 
 // oracleShapes returns block counts for r ranks covering n < r, n = r,
@@ -316,12 +320,47 @@ func oracleShapes(rng *xrand.RNG, r int) []int {
 	}
 }
 
-func TestKernelsMatchOracle(t *testing.T) {
-	type variant struct {
-		pol    Policy
-		oracle func([]float64, int) Assignment
-		spans  int // > 0: runs through forEachSpan with this many spans
+// oracleVariant is one live policy and the oracle it must match; spans > 0
+// means it runs through forEachSpan with that many spans.
+type oracleVariant struct {
+	pol    Policy
+	oracle func([]float64, int) Assignment
+	spans  int
+}
+
+// matchOracle runs every variant on costs at r ranks (the span variants at
+// 1, 2 and 8 procs) and fails on the first block placed differently from
+// the oracle. It returns the number of assignments compared.
+func matchOracle(t *testing.T, vs []oracleVariant, dist string, costs []float64, r int) int {
+	t.Helper()
+	n, draws := len(costs), 0
+	for _, v := range vs {
+		if v.spans > n {
+			continue // the old split is undefined below one block per span
+		}
+		want := v.oracle(costs, r)
+		procs := []int{0}
+		if v.spans > 0 {
+			procs = []int{1, 2, 8}
+		}
+		for _, p := range procs {
+			got := withGOMAXPROCS(p, func() Assignment { return v.pol.Assign(costs, r) })
+			draws++
+			if err := Validate(got, n, r); err != nil {
+				t.Fatalf("%s %s n=%d r=%d procs=%d: %v", v.pol.Name(), dist, n, r, p, err)
+			}
+			for b := range want {
+				if got[b] != want[b] {
+					t.Fatalf("%s %s n=%d r=%d procs=%d: block %d on rank %d, oracle %d\ncosts %v\n got %v\nwant %v",
+						v.pol.Name(), dist, n, r, p, b, got[b], want[b], costs, got, want)
+				}
+			}
+		}
 	}
+	return draws
+}
+
+func TestKernelsMatchOracle(t *testing.T) {
 	rankCounts := []int{1, 2, 3, 5, 8, 16, 33, 64, 100}
 	if testing.Short() {
 		rankCounts = []int{1, 3, 16, 33}
@@ -330,7 +369,7 @@ func TestKernelsMatchOracle(t *testing.T) {
 	for _, r := range rankCounts {
 		chunk := max(r/4, 2)
 		zones := 3
-		vs := []variant{
+		vs := []oracleVariant{
 			{CDP{Restricted: true}, oracleCDP(0), 0},
 			{CDP{Restricted: true, ChunkSize: chunk}, oracleCDP(chunk), (r + chunk - 1) / chunk},
 			{LPT{}, oracleLPT, 0},
@@ -341,8 +380,8 @@ func TestKernelsMatchOracle(t *testing.T) {
 		}
 		for _, x := range []int{0, 25, 50, 75, 100} {
 			vs = append(vs,
-				variant{CPLX{X: x}, oracleCPLX(x, 0, false), 0},
-				variant{CPLX{X: x, ChunkSize: chunk}, oracleCPLX(x, chunk, false), (r + chunk - 1) / chunk})
+				oracleVariant{CPLX{X: x}, oracleCPLX(x, 0, false), 0},
+				oracleVariant{CPLX{X: x, ChunkSize: chunk}, oracleCPLX(x, chunk, false), (r + chunk - 1) / chunk})
 		}
 		rng := xrand.New(uint64(1000 + r))
 		for _, dist := range oracleDists {
@@ -351,33 +390,75 @@ func TestKernelsMatchOracle(t *testing.T) {
 				for i := range costs {
 					costs[i] = dist.draw(rng)
 				}
-				for _, v := range vs {
-					if v.spans > n {
-						continue // the old split is undefined below one block per span
-					}
-					want := v.oracle(costs, r)
-					procs := []int{0}
-					if v.spans > 0 {
-						procs = []int{1, 2, 8}
-					}
-					for _, p := range procs {
-						got := withGOMAXPROCS(p, func() Assignment { return v.pol.Assign(costs, r) })
-						draws++
-						if err := Validate(got, n, r); err != nil {
-							t.Fatalf("%s %s n=%d r=%d procs=%d: %v", v.pol.Name(), dist.name, n, r, p, err)
-						}
-						for b := range want {
-							if got[b] != want[b] {
-								t.Fatalf("%s %s n=%d r=%d procs=%d: block %d on rank %d, oracle %d\ncosts %v\n got %v\nwant %v",
-									v.pol.Name(), dist.name, n, r, p, b, got[b], want[b], costs, got, want)
-							}
-						}
-					}
+				draws += matchOracle(t, vs, dist.name, costs, r)
+			}
+		}
+	}
+	if !testing.Short() {
+		// The Fig 7c and bench shape, where the radix order runs all its
+		// digit passes and the first round hands thousands of ranks to the
+		// heap. The CDP seeds are chunked as in the bench: the oracle's
+		// unchunked DP matrix would take ~75 MB at n = 1.5r.
+		const r, chunk = 4096, 512
+		vs := []oracleVariant{
+			{LPT{}, oracleLPT, 0},
+			{CPLX{X: 50, ChunkSize: chunk}, oracleCPLX(50, chunk, false), r / chunk},
+			{CPLX{X: 100, ChunkSize: chunk}, oracleCPLX(100, chunk, false), r / chunk},
+		}
+		rng := xrand.New(4096)
+		for _, dist := range oracleDists {
+			if dist.name != "uniform" && dist.name != "pareto" && dist.name != "ties" {
+				continue
+			}
+			for _, n := range []int{r + r/2, 2 * r} {
+				costs := make([]float64, n)
+				for i := range costs {
+					costs[i] = dist.draw(rng)
 				}
+				draws += matchOracle(t, vs, dist.name, costs, r)
 			}
 		}
 	}
 	t.Logf("%d assignments identical to the oracle", draws)
+}
+
+// TestDescOrderMatchesComparator: the radix order is the comparator order
+// LPT used to sort with — descending value, ties on the incoming position —
+// over values that exercise every digit and the sign: negatives, ±0, ±Inf,
+// subnormals and runs of equal values. −0 and +0 must tie; no assignment
+// can show it, since zero-cost blocks all land on the root rank.
+func TestDescOrderMatchesComparator(t *testing.T) {
+	special := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 5e-324, -5e-324, 1, -1, 2.5}
+	rng := xrand.New(11)
+	for trial := 0; trial < 200; trial++ {
+		vals := make([]float64, rng.Intn(300))
+		for i := range vals {
+			switch rng.Intn(3) {
+			case 0:
+				vals[i] = special[rng.Intn(len(special))]
+			case 1:
+				vals[i] = (rng.Float64() - 0.5) * math.Pow(2, float64(rng.Intn(200)-100))
+			default:
+				vals[i] = float64(rng.Intn(5) - 2)
+			}
+		}
+		// A shuffled permutation, so the tie-break is on incoming position
+		// rather than on index.
+		idx := make([]int32, len(vals))
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+		for i := len(idx) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			idx[i], idx[j] = idx[j], idx[i]
+		}
+		want := append([]int32(nil), idx...)
+		sort.SliceStable(want, func(i, j int) bool { return vals[want[i]] > vals[want[j]] })
+		got := descOrder(vals, idx, make([]int32, len(idx)))
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: vals %v\n got %v\nwant %v", trial, vals, got, want)
+		}
+	}
 }
 
 // withGOMAXPROCS runs f under the given GOMAXPROCS (0 leaves it alone) and

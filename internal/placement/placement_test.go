@@ -111,6 +111,28 @@ func TestLPTDeterministic(t *testing.T) {
 	}
 }
 
+// TestNaNCostsPlaceDeterministically: a NaN cost has no place in the
+// (cost desc, index asc) order, so there is no oracle to match; the radix
+// order still gives it one by its sign bit. LPT and CPLX must place every
+// block and repeat themselves exactly.
+func TestNaNCostsPlaceDeterministically(t *testing.T) {
+	rng := xrand.New(13)
+	costs := randomCosts(rng, 300)
+	for i := 0; i < 20; i++ {
+		costs[rng.Intn(len(costs))] = math.NaN()
+		costs[rng.Intn(len(costs))] = math.Copysign(math.NaN(), -1)
+	}
+	for _, p := range []Policy{LPT{}, CPLX{X: 50}, CPLX{X: 100}} {
+		a := p.Assign(costs, 16)
+		if err := Validate(a, len(costs), 16); err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		if b := p.Assign(costs, 16); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s not deterministic with NaN costs", p.Name())
+		}
+	}
+}
+
 // Graham bound property: LPT makespan <= (4/3 - 1/(3r)) * OPT, and since
 // OPT >= LowerBound, check the weaker LPT <= 4/3 * OPT via the exact optimum
 // on small instances.
@@ -532,6 +554,7 @@ var benchSink Assignment
 
 func BenchmarkLPT4096(b *testing.B)  { benchAssign(b, LPT{}, 2*4096, 4096) }
 func BenchmarkLPT16384(b *testing.B) { benchAssign(b, LPT{}, 2*16384, 16384) }
+func BenchmarkLPT65536(b *testing.B) { benchAssign(b, LPT{}, 2*65536, 65536) }
 
 // The CDP-seeded benchmarks use the Fig 7c shape, 1.5 blocks per rank: every
 // restricted DP then has m ≈ r/2 ceil-sized segments and the widest row. (At
@@ -545,6 +568,9 @@ func BenchmarkCPLX50Chunked4096(b *testing.B) {
 }
 func BenchmarkCPLX50Chunked65536(b *testing.B) {
 	benchAssign(b, CPLX{X: 50, ChunkSize: 512}, 65536+32768, 65536)
+}
+func BenchmarkCPLX100Chunked65536(b *testing.B) {
+	benchAssign(b, CPLX{X: 100, ChunkSize: 512}, 65536+32768, 65536)
 }
 
 func TestCPLXTopOnlyValidityAndName(t *testing.T) {
