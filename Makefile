@@ -1,13 +1,11 @@
 GO ?= go
 
-# The whole module runs under the race detector: with shard-count identity
-# it is the only enforcement of the sharing discipline across forked shard
-# windows and harness workers (DESIGN.md §8's ledger), so no package is exempt
-# as "uninteresting". The scheduler's packages run a second time at one, two
-# and four Ps: on one P every window runs inline, on more the windows a merge
-# just filled fork, and both must be under the detector whatever the host.
+# The whole module runs under the race detector: it is the only enforcement
+# of the sharing discipline across harness workers and the placement span
+# fork-join (DESIGN.md §8's ledger), so no package is exempt as
+# "uninteresting". The DES scheduler starts no goroutine of its own, so one
+# pass at the default GOMAXPROCS covers it.
 RACE_PKGS = ./...
-SCHED_PKGS = ./internal/sim ./internal/mpi ./internal/driver
 
 .PHONY: all build vet lint test race bench-module bench-layers ab serve-smoke scale-smoke fuzz-smoke check fmt
 
@@ -24,8 +22,9 @@ vet:
 # errors); any diagnostic fails the build. Waive single sites with
 # //lint:ignore <rule> <reason>; the run ends with "amrlint: N live
 # waiver(s)" on stderr — the register CHANGES.md quotes (`amrlint -json`
-# lists it), which only goes down: 4, all `determinism`
-# (internal/lint TestRealModuleClean pins the bound).
+# lists it), which only goes down: 3, all `determinism` — PlacementWall's
+# two wall-clock reads and placement's span fork-join (internal/lint
+# TestRealModuleClean pins the bound).
 lint:
 	$(GO) run ./cmd/amrlint ./...
 
@@ -34,7 +33,6 @@ test:
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
-	$(GO) test -race -count=1 -cpu 1,2,4 $(SCHED_PKGS)
 
 # bench/ is a nested module (the repo benchmark, BENCHMARK.json): the root
 # ./... patterns above do not reach it, yet it imports tql, colfile,

@@ -56,7 +56,7 @@ func TestCLI(t *testing.T) {
 		}
 	})
 	t.Run("json closes with the waivers", func(t *testing.T) {
-		code, stdout, stderr := amrlintCLI("-json", "-C", "../..", "./internal/sim/...")
+		code, stdout, stderr := amrlintCLI("-json", "-C", "../..", "./internal/placement/...")
 		if code != 0 || stderr != "" {
 			t.Fatalf("exit %d, stderr %q", code, stderr)
 		}
@@ -66,10 +66,10 @@ func TestCLI(t *testing.T) {
 		}
 		diags, waivers, err := lint.ReadJSON(strings.NewReader(stdout))
 		if err != nil || len(diags) != 0 || len(waivers) == 0 {
-			t.Fatalf("ReadJSON: %d diagnostics, %d waivers, err %v; want the sim package's waivers only", len(diags), len(waivers), err)
+			t.Fatalf("ReadJSON: %d diagnostics, %d waivers, err %v; want the placement package's waivers only", len(diags), len(waivers), err)
 		}
 		for _, w := range waivers {
-			if !strings.HasPrefix(w.File, "internal/sim/") {
+			if !strings.HasPrefix(w.File, "internal/placement/") {
 				t.Errorf("waiver %+v is not module-relative under the selected package", w)
 			}
 		}

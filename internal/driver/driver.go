@@ -121,12 +121,12 @@ type Config struct {
 	OnStepRecord func(t *telemetry.Table, row int)
 
 	// Shards picks the DES engine the cluster is launched on (mpi.Launch):
-	// 0 the sequential engine, >= 1 the conservative parallel scheduler over
-	// min(Shards, Net.Nodes) contiguous node groups. Results are
-	// byte-identical for every Shards >= 1 and any GOMAXPROCS, but differ
-	// from the Shards == 0 default (fabric randomness moves from one shared
-	// stream to per-node streams, and same-time table rows order by rank
-	// instead of engine arrival).
+	// 0 the sequential engine, >= 1 the conservative lookahead-window
+	// scheduler over min(Shards, Net.Nodes) contiguous node groups, run on
+	// the caller's goroutine. Results are byte-identical for every
+	// Shards >= 1, but differ from the Shards == 0 default (fabric
+	// randomness moves from one shared stream to per-node streams, and
+	// same-time table rows order by rank instead of engine arrival).
 	Shards int
 
 	// Interrupt, when set, is polled during execution — every few thousand

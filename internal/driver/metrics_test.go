@@ -75,11 +75,10 @@ func TestMetricsPopulated(t *testing.T) {
 	}
 }
 
-// TestOnePNeverForks: on one P a fork can only add hand-offs, so a two-shard
-// run must execute every window inline there — and, on two, fork some — with
-// every table and the sim-plane snapshot equal either way; the critical path
-// (busiest shard per window) does not depend on how the windows ran.
-func TestOnePNeverForks(t *testing.T) {
+// TestGOMAXPROCSIdentity: the scheduler runs every window on the caller's
+// goroutine, so a two-shard run's tables, sim-plane snapshot and window
+// structure (the critical path in events) are the same on one P and on two.
+func TestGOMAXPROCSIdentity(t *testing.T) {
 	run := func(procs int) *Result {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		res, err := Run(metricsConfig(placement.LPT{}, 12, 7, 2))
@@ -89,22 +88,11 @@ func TestOnePNeverForks(t *testing.T) {
 		return res
 	}
 	one, two := run(1), run(2)
-	if n := one.Metrics.Sched.ParallelWindows.Value(); n != 0 {
-		t.Errorf("GOMAXPROCS=1: %d windows forked", n)
+	if crit := two.Metrics.Sched.CriticalEvents.Value(); crit <= 0 || crit > two.Events {
+		t.Errorf("GOMAXPROCS=2: critical path %d of %d events", crit, two.Events)
 	}
-	if n := one.Metrics.Sched.ParallelEvents.Value(); n != 0 {
-		t.Errorf("GOMAXPROCS=1: %d events ran in forked windows", n)
-	}
-	sched := two.Metrics.Sched
-	if sched.ParallelWindows.Value() == 0 || sched.ParallelEvents.Value() == 0 {
-		t.Errorf("GOMAXPROCS=2: no window forked (%d windows, %d events)",
-			sched.ParallelWindows.Value(), sched.ParallelEvents.Value())
-	}
-	if crit := sched.CriticalEvents.Value(); crit <= 0 || crit > two.Events || sched.ParallelEvents.Value() > two.Events {
-		t.Errorf("GOMAXPROCS=2: critical path %d, forked %d of %d events", crit, sched.ParallelEvents.Value(), two.Events)
-	}
-	if c1, c2 := one.Metrics.Sched.CriticalEvents.Value(), sched.CriticalEvents.Value(); c1 != c2 {
-		t.Errorf("critical path depends on how windows ran: %d on one P, %d on two", c1, c2)
+	if c1, c2 := one.Metrics.Sched.CriticalEvents.Value(), two.Metrics.Sched.CriticalEvents.Value(); c1 != c2 {
+		t.Errorf("critical path depends on GOMAXPROCS: %d on one P, %d on two", c1, c2)
 	}
 	if one.Steps.Render(0) != two.Steps.Render(0) || one.Waits.Render(0) != two.Waits.Render(0) ||
 		one.Makespan != two.Makespan || one.Events != two.Events {

@@ -1,11 +1,12 @@
-// Telemetry staging. Under the conservative parallel scheduler
-// (Config.Shards > 0) rank programs of different shards execute concurrently
-// in the windows the scheduler forks, so they cannot append to the shared
-// result tables or the cost recorder directly. Each rank instead stages rows
-// in buffers owned by its shard; the coordinator flushes them between windows
+// Telemetry staging. Under the lookahead-window scheduler (Config.Shards > 0)
+// a window runs its shards one after the other, so rank programs of different
+// shards produce rows in shard order, not in simulated-time order: appending
+// to the shared result tables or the cost recorder directly would make the
+// tables depend on the shard count. Each rank instead stages rows in buffers
+// owned by its shard; a merge hook flushes them between windows
 // (World.OnMerge) in a deterministic order — (step, rank) for step telemetry,
 // (t, rank, program order) for wait events. Flushed tables are therefore
-// byte-identical for every shard count and any GOMAXPROCS. Cost observations
+// byte-identical for every shard count. Cost observations
 // stage per rank on either engine, and rank 0 replays them into the EWMA
 // recorder at the top of every redistribution.
 package driver
@@ -50,8 +51,7 @@ type waitMerge struct {
 
 // shardStage holds the per-rank staging buffers. Each rank's slices are
 // appended only by the shard that owns the rank during a window and drained
-// only by the coordinator between windows; the scheduler's fork-join
-// channels order every append against every drain.
+// only by the merge hook between windows.
 type shardStage struct {
 	steps   [][]stepRow
 	stepCur int // per-rank rows already flushed (ranks advance in lockstep)
@@ -215,7 +215,7 @@ func (st *runState) observe(rank int, id mesh.BlockID, v float64) {
 // exactly one rank, and a rank's observations replay in program order.
 // Called by rank 0 at the top of every redistribution, when all other ranks
 // are parked at the preceding barrier (on the scheduler their staged rows
-// are ordered before this read by the merge fork-join).
+// were appended in an earlier window).
 func (st *runState) syncObservations() {
 	for r := range st.obs {
 		for _, o := range st.obs[r] {

@@ -61,8 +61,9 @@ type Options struct {
 	// differential experiment always runs paranoid regardless of this flag.
 	Paranoid bool
 	// Shards, when positive, runs every simulation — driver runs,
-	// commbench and neighborhood rounds — on the conservative parallel
-	// scheduler with that many node-sharded event queues (mpi.Launch).
+	// commbench and neighborhood rounds — on the conservative
+	// lookahead-window scheduler with that many node-sharded event queues
+	// (mpi.Launch), one window after the other on the run's goroutine.
 	// Results are bit-identical to any other positive shard count; 0 keeps
 	// the sequential engine.
 	Shards int

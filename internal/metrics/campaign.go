@@ -189,10 +189,10 @@ type Status struct {
 	ETA         time.Duration // naive remaining-time estimate (0 = unknown)
 	LiveWindows int64         // shard windows executed so far (live)
 	// Scheduler event split over completed runs: events executed in shard
-	// windows, the part that ran in forked windows, and the critical path
-	// (busiest shard per window) — SchedEvents ÷ CriticalEvents bounds what
-	// forking can gain.
-	SchedEvents, ParallelEvents, CriticalEvents int64
+	// windows and the critical path (busiest shard per window) —
+	// SchedEvents ÷ CriticalEvents bounds what running a window's shards at
+	// once could gain.
+	SchedEvents, CriticalEvents int64
 	// Event-queue split over completed runs, either engine: events appended
 	// behind a process lane's tail, events pushed on the heap, and the heap
 	// length summed over pops.
@@ -216,7 +216,6 @@ func (c *Campaign) StatusNow() Status {
 		s.Elapsed = now.Sub(c.began)
 	}
 	s.SchedEvents = int64(c.agg["host_sched_window_events"].sum)
-	s.ParallelEvents = int64(c.agg["host_sched_parallel_events_total"].value)
 	s.CriticalEvents = int64(c.agg["host_sched_critical_events_total"].value)
 	s.LaneEvents = int64(c.agg["host_sched_lane_events_total"].value)
 	s.HeapEvents = int64(c.agg["host_sched_heap_events_total"].value)

@@ -14,7 +14,7 @@
 // DES itself), and Snapshot folds lanes in ascending lane order.
 //
 // Host-plane instruments carry execution-machinery quantities — shard
-// windows, events per window, forked windows, merge-queue depth,
+// windows, events per window, critical-path events, merge-queue depth,
 // campaign run counts. They are wall-clock/schedule-dependent by nature and
 // are excluded from every equality check, the row-level counterpart of
 // experiments.NondetCols. Host instruments are atomics so a live HTTP
@@ -205,7 +205,7 @@ func (r *Registry) HostHistogram(name, help string, bounds []float64) *HostHisto
 
 // Counter is a sim-plane monotonic counter. Each lane is owned by exactly
 // one deterministic execution context (a rank's program, a node's fabric
-// events), so concurrent shard executors never touch the same lane.
+// events), so no lane's value depends on the shard count.
 type Counter struct {
 	name, help string
 	lanes      []int64

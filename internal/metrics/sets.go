@@ -71,10 +71,9 @@ type DriverMetrics struct {
 }
 
 // SchedMetrics is the host-plane instrument set of the DES machinery: the
-// event queue of either engine, and the sharded scheduler's window structure
-// and how much of it ran forked. Everything here depends on the engine and
-// shard count (and the fork counts on GOMAXPROCS), so it lives on the host
-// plane and is excluded from identity checks.
+// event queue of either engine, and the sharded scheduler's window
+// structure. Everything here depends on the engine and shard count, so it
+// lives on the host plane and is excluded from identity checks.
 type SchedMetrics struct {
 	// LaneEvents counts events appended behind the tail of a process's FIFO
 	// lane, HeapEvents the events pushed on the event heap (every other one,
@@ -84,16 +83,11 @@ type SchedMetrics struct {
 	HeapEvents   *HostCounter
 	HeapLenAtPop *HostCounter
 
-	// Windows counts executed lookahead windows; ParallelWindows the subset
-	// that forked, one goroutine per active shard (the rest ran inline on
-	// the coordinator).
-	Windows         *HostCounter
-	ParallelWindows *HostCounter
-	// ParallelEvents counts the DES events executed in forked windows;
-	// CriticalEvents sums, over every window, the busiest active shard's
-	// events — the run's critical path in events, so total events ÷
-	// CriticalEvents is the speed-up no fork rule can exceed.
-	ParallelEvents *HostCounter
+	// Windows counts executed lookahead windows. CriticalEvents sums, over
+	// every window, the busiest active shard's events — the run's critical
+	// path in events, so total events ÷ CriticalEvents is the speed-up that
+	// running a window's shards at once could not exceed.
+	Windows        *HostCounter
 	CriticalEvents *HostCounter
 	// WindowEvents is the distribution of DES events executed per window,
 	// ActiveShards the distribution of shards active per window.
@@ -182,17 +176,15 @@ func NewRunSet(nranks, nodes int, campaign *Campaign) *RunSet {
 			Steps:          r.Counter("sim_driver_steps_total", "BSP timesteps executed, summed over ranks", 1),
 		},
 		Sched: &SchedMetrics{
-			LaneEvents:      r.HostCounter("host_sched_lane_events_total", "DES events appended behind a process lane's tail, never sifted", nil),
-			HeapEvents:      r.HostCounter("host_sched_heap_events_total", "DES events pushed on the event heap", nil),
-			HeapLenAtPop:    r.HostCounter("host_sched_heap_len_at_pop_total", "event-heap length summed over pops", nil),
-			Windows:         r.HostCounter("host_sched_windows_total", "lookahead windows executed", windowsParent),
-			ParallelWindows: r.HostCounter("host_sched_parallel_windows_total", "windows forked, one goroutine per active shard", nil),
-			ParallelEvents:  r.HostCounter("host_sched_parallel_events_total", "DES events executed in forked windows", nil),
-			CriticalEvents:  r.HostCounter("host_sched_critical_events_total", "busiest active shard's events, summed over windows", nil),
-			WindowEvents:    r.HostHistogram("host_sched_window_events", "DES events executed per window", decadeBounds),
-			ActiveShards:    r.HostHistogram("host_sched_active_shards", "shards active per window", shardBounds),
-			MergeDepth:      r.HostHistogram("host_sched_merge_queue_depth", "staged cross-shard deliveries per merge", decadeBounds),
-			ImbalanceMax:    r.HostGauge("host_sched_imbalance_max", "worst per-window max/mean shard event imbalance"),
+			LaneEvents:     r.HostCounter("host_sched_lane_events_total", "DES events appended behind a process lane's tail, never sifted", nil),
+			HeapEvents:     r.HostCounter("host_sched_heap_events_total", "DES events pushed on the event heap", nil),
+			HeapLenAtPop:   r.HostCounter("host_sched_heap_len_at_pop_total", "event-heap length summed over pops", nil),
+			Windows:        r.HostCounter("host_sched_windows_total", "lookahead windows executed", windowsParent),
+			CriticalEvents: r.HostCounter("host_sched_critical_events_total", "busiest active shard's events, summed over windows", nil),
+			WindowEvents:   r.HostHistogram("host_sched_window_events", "DES events executed per window", decadeBounds),
+			ActiveShards:   r.HostHistogram("host_sched_active_shards", "shards active per window", shardBounds),
+			MergeDepth:     r.HostHistogram("host_sched_merge_queue_depth", "staged cross-shard deliveries per merge", decadeBounds),
+			ImbalanceMax:   r.HostGauge("host_sched_imbalance_max", "worst per-window max/mean shard event imbalance"),
 		},
 	}
 }

@@ -29,11 +29,6 @@ type postRecord struct {
 // World.Run); Run calls it when paranoid.
 func (w *World) AuditTeardown() {
 	open := len(w.round.arrivals)
-	if st := w.shard; st != nil {
-		for sh := range st.outColl {
-			open += len(st.outColl[sh])
-		}
-	}
 	check.Assertf(open == 0, "mpi", "collective-round-open",
 		"a collective round (%s) is still open at teardown with %d arrivals", w.round.op, open)
 	for dst := range w.mq {

@@ -169,8 +169,6 @@ func TestMeterIsFoldOfLanes(t *testing.T) {
 				run     func() sim.Time
 				blocked func() int
 				closeFn func()
-				// Sharded only: a program with a collective must fork a window.
-				checkForks func()
 			)
 			if engine == 0 {
 				eng, world := newWorld(t, cfg)
@@ -178,7 +176,6 @@ func TestMeterIsFoldOfLanes(t *testing.T) {
 				blocked = func() int { return len(eng.Blocked()) }
 			} else {
 				shs, world := newSharded(t, cfg, engine)
-				checkForks = watchForks(t, shs, name)
 				w, run, closeFn = world, shs.Run, shs.Close
 				blocked = func() int { return len(shs.Blocked()) }
 			}
@@ -191,9 +188,6 @@ func TestMeterIsFoldOfLanes(t *testing.T) {
 			}
 			w.AuditTeardown()
 			closeFn()
-			if checkForks != nil && tally[0].barriers+tally[0].allreduces > 0 {
-				checkForks()
-			}
 
 			got := meters(w)
 			var sent, recvd, waits int64

@@ -27,15 +27,13 @@ type machine interface {
 
 // Launch builds the simulated cluster cfg describes — engine(s), fabric and
 // MPI world — and returns the world, ready for Spawn. shards == 0 selects
-// the sequential engine; shards >= 1 the conservative parallel scheduler
-// (sim.Shards) over min(shards, cfg.Nodes) contiguous node groups, each with
-// its own event queue, advanced in lockstep lookahead windows bounded by
-// cfg.Lookahead(); the scheduler forks the few windows a ghost exchange or a
-// collective release just filled and runs the rest on the caller's goroutine,
-// all of them on one P. Results are byte-identical for every shards >= 1 and
-// any GOMAXPROCS, but differ from shards == 0 (DESIGN.md §10 lists the four
-// sites where the engines differ). The caller owns the world: Close it on
-// every path.
+// the sequential engine; shards >= 1 the conservative lookahead-window
+// scheduler (sim.Shards) over min(shards, cfg.Nodes) contiguous node groups,
+// each with its own event queue, advanced in lockstep lookahead windows
+// bounded by cfg.Lookahead(), every window on the caller's goroutine.
+// Results are byte-identical for every shards >= 1, but differ from
+// shards == 0 (DESIGN.md §10 lists the four sites where the engines
+// differ). The caller owns the world: Close it on every path.
 func Launch(cfg simnet.Config, shards int) *World {
 	if shards <= 0 { // the sequential engine; DESIGN.md §10 on retiring it
 		eng := sim.NewEngine()
@@ -114,10 +112,10 @@ func (w *World) SetParanoid(on bool) {
 	}
 }
 
-// OnMerge registers fn to run on the coordinator after each scheduler
-// window, after the world's own collective merge, and reports whether the
-// world has window merges at all: on the sequential engine it returns false
-// and fn never runs.
+// OnMerge registers fn to run after each scheduler window, after the
+// world's own collective merge, and reports whether the world has window
+// merges at all: on the sequential engine it returns false and fn never
+// runs.
 func (w *World) OnMerge(fn func(horizon sim.Time)) bool {
 	st := w.shard
 	if st != nil {

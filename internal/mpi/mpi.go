@@ -114,7 +114,7 @@ type World struct {
 	release func()
 
 	// shard is the scheduler-side state of a world on sim.Shards (nil on the
-	// sequential engine): staged deliveries and collective arrivals.
+	// sequential engine).
 	shard *shardState
 
 	// tracer, when non-nil, receives a span for every communicator
@@ -136,10 +136,7 @@ type World struct {
 	paranoid bool
 }
 
-// shardState is the sharded world's coordinator-side state: the scheduler
-// and the per-shard collective outboxes. Outboxes are appended by shard
-// executors during a window and drained by the coordinator at the merge;
-// everything else is coordinator-only.
+// shardState is the sharded world's scheduler-side state.
 type shardState struct {
 	s *sim.Shards
 	// msgSeq is the per-source-rank program-order stamp for staged
@@ -147,8 +144,6 @@ type shardState struct {
 	msgSeq []int64
 	// procOf[rank] is rank's process, which the merge delivers into.
 	procOf []*sim.Proc
-	// outColl stages collective arrivals per shard until the next merge.
-	outColl [][]collArrival
 }
 
 // collArrival is one rank's arrival at the current collective round.
@@ -207,23 +202,21 @@ func NewWorld(eng *sim.Engine, net *simnet.Network) *World {
 	return buildWorld(eng, []*sim.Engine{eng}, net, make([]int32, net.Config().Nodes))
 }
 
-// NewShardedWorld creates a world over the conservative parallel scheduler:
+// NewShardedWorld creates a world over the lookahead-window scheduler:
 // one rank per network endpoint, ranks routed to the shard hosting their
 // node (shardOfNode must match the mapping the network was built with).
 // Per-rank state — instrument lanes, RNG streams (split in rank order,
 // identical to the sequential world's), matching queues — is only ever
-// touched by the owning shard; requests pool per shard; collectives stage
-// arrivals through per-shard outboxes and complete on the coordinator at
-// window merges, so the released order and the reduced sum are fixed by
-// (arrival time, rank), not by worker scheduling. Product code builds worlds
-// with Launch.
+// touched by the owning shard; requests pool per shard; a collective round
+// completes at a window merge, so the released order and the reduced sum are
+// fixed by (arrival time, rank), not by the shard count. Product code builds
+// worlds with Launch.
 func NewShardedWorld(s *sim.Shards, net *simnet.Network, shardOfNode []int32) *World {
 	w := buildWorld(s, s.Engines(), net, shardOfNode)
 	w.shard = &shardState{
-		s:       s,
-		msgSeq:  make([]int64, w.nranks),
-		procOf:  make([]*sim.Proc, w.nranks),
-		outColl: make([][]collArrival, s.NumShards()),
+		s:      s,
+		msgSeq: make([]int64, w.nranks),
+		procOf: make([]*sim.Proc, w.nranks),
 	}
 	s.OnMerge(w.mergeCollectives)
 	return w
@@ -400,7 +393,7 @@ func (c *Comm) Isend(dst, tag, bytes int) *Request {
 	// Engine-dependent site 1 of 4 (delivery staging; DESIGN.md §10).
 	if st := w.shard; st != nil && !plan.Local {
 		// Cross-node, therefore possibly cross-shard: the delivery detours
-		// through the coordinator's staging buffer even when source and
+		// through the scheduler's staging buffer even when source and
 		// destination happen to share a shard, so the injected event order —
 		// and with it every table — is independent of the shard count.
 		seq := st.msgSeq[src]
@@ -517,8 +510,8 @@ func (c *Comm) AllreduceSum(v float64) float64 {
 // engine. On the sequential engine (and in a one-rank world, whose release
 // is immediate: CollectiveLatency(1) == 0) the last arrival completes it
 // inline: the arrivals, in arrival order, are summed and released by one
-// event. On the scheduler the arrival stages in its shard's outbox and the
-// coordinator completes the round at a window merge (mergeCollectives).
+// event. On the scheduler the round completes at the window merge after the
+// last arrival (mergeCollectives).
 func (c *Comm) collective(op string, kind trace.Kind, v float64) float64 {
 	w := c.w
 	// Safe: the previous round released and this rank resumed, so no waiter
@@ -526,14 +519,10 @@ func (c *Comm) collective(op string, kind trace.Kind, v float64) float64 {
 	c.collFut.Reset()
 	arrivedAt := c.p.Now()
 	a := collArrival{t: arrivedAt, v: v, rank: int32(c.rank), op: op, c: c}
+	w.addArrival(a)
 	// Engine-dependent site 2 of 4 (who completes the round; DESIGN.md §10).
-	if st := w.shard; st == nil || w.nranks == 1 {
-		w.addArrival(a)
-		if len(w.round.arrivals) == w.nranks {
-			c.eng.At(arrivedAt+w.releaseAfter(op), w.release)
-		}
-	} else {
-		st.outColl[c.shard] = append(st.outColl[c.shard], a)
+	if (w.shard == nil || w.nranks == 1) && len(w.round.arrivals) == w.nranks {
+		c.eng.At(arrivedAt+w.releaseAfter(op), w.release)
 	}
 	c.p.Await(&c.collFut)
 	c.released(kind, arrivedAt)
@@ -619,17 +608,9 @@ func (w *World) releaseRound() {
 	r.reset()
 }
 
-// mergeCollectives is the world's merge hook (sim.Shards.OnMerge): it
-// drains every shard's arrival outbox into the round and, once all ranks
-// joined, completes it.
+// mergeCollectives is the world's merge hook (sim.Shards.OnMerge): once
+// every rank joined the round, it completes it.
 func (w *World) mergeCollectives(horizon sim.Time) {
-	st := w.shard
-	for sh := range st.outColl {
-		for i := range st.outColl[sh] {
-			w.addArrival(st.outColl[sh][i])
-		}
-		st.outColl[sh] = st.outColl[sh][:0]
-	}
 	if len(w.round.arrivals) >= w.nranks {
 		w.completeRound()
 	}

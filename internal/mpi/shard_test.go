@@ -1,12 +1,9 @@
 package mpi
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"amrtools/internal/check"
-	"amrtools/internal/metrics"
 	"amrtools/internal/sim"
 	"amrtools/internal/simnet"
 )
@@ -22,27 +19,6 @@ func newSharded(t *testing.T, cfg simnet.Config, nshards int) (*sim.Shards, *Wor
 	shs := sim.NewShards(nshards, cfg.Lookahead())
 	net := simnet.NewSharded(shs.Engines(), shardOfNode, cfg)
 	return shs, NewShardedWorld(shs, net, shardOfNode)
-}
-
-// watchForks attaches a scheduler instrument set to shs and returns the check
-// to make after the run: a multi-shard world whose program completes
-// collectives must have forked some window (each release marks one), or the
-// identity it is compared under says nothing about forked execution — except
-// on one P, where the scheduler must never fork.
-func watchForks(t *testing.T, shs *sim.Shards, name string) func() {
-	t.Helper()
-	mx := metrics.NewRunSet(1, 1, nil).Sched
-	shs.SetMetrics(mx)
-	return func() {
-		t.Helper()
-		forks := mx.ParallelWindows.Value()
-		switch multi := shs.NumShards() > 1 && runtime.GOMAXPROCS(0) > 1; {
-		case multi && forks == 0:
-			t.Errorf("%s: no window forked", name)
-		case !multi && forks != 0:
-			t.Errorf("%s: %d windows forked with one shard or one P", name, forks)
-		}
-	}
 }
 
 // meters snapshots every rank's Meter.
@@ -91,12 +67,9 @@ func TestShardedIdentityAcrossShardCounts(t *testing.T) {
 	run := func(nshards int) outcome {
 		cfg := quietConfig(4, 2)
 		shs, w := newSharded(t, cfg, nshards)
-		// The identity must cover forked windows, not just inline ones.
-		checkForks := watchForks(t, shs, fmt.Sprintf("nshards=%d", nshards))
 		sums := make([]float64, w.NumRanks())
 		exerciseWorld(w, sums)
 		shs.Run()
-		checkForks()
 		if blocked := shs.Blocked(); len(blocked) != 0 {
 			t.Fatalf("nshards=%d: %d ranks blocked", nshards, len(blocked))
 		}

@@ -1,42 +1,39 @@
-// Conservative parallel DES: node-sharded event queues under a
-// lookahead-window scheduler.
+// Conservative DES over node-sharded event queues under a lookahead-window
+// scheduler.
 //
-// The sequential Engine executes one global (t, seq) heap; at large rank
-// counts that single heap is the wall-clock bottleneck (DESIGN.md §10).
+// The sequential Engine executes one global (t, seq) heap (DESIGN.md §10).
 // Shards splits the simulated cluster into groups of nodes, giving each
 // group its own Engine, and exploits the physical property that ranks on
 // different nodes can only interact through the fabric: every cross-node
 // message is delayed by at least the network's lookahead bound L
 // (simnet.Config.Lookahead — RemoteLatency, with per-message overhead on
 // top). Events less than L apart on different shards are therefore causally
-// independent and may execute in any order — including concurrently.
+// independent and may execute in any order.
 //
-// The scheduler alternates two phases:
+// The scheduler is one loop on the caller's goroutine, alternating two
+// phases:
 //
 //	window  — every shard with an event before the window edge
 //	          W + L executes its events strictly below the edge
-//	          (W = earliest pending event across shards). Shards touch only
-//	          their own state; cross-shard sends are appended to a per-shard
-//	          staging buffer, never delivered directly.
-//	merge   — on the coordinator goroutine: staged messages are merged in
-//	          (t, src rank, per-source sequence) order and injected into
-//	          their destination shards, then the registered merge hooks run (the
-//	          MPI layer completes collective rounds, the driver flushes
-//	          per-rank table rows). Each injection is audited against the
-//	          window-safety invariant: nothing may land before the merged
-//	          horizon, because events below it already executed.
+//	          (W = earliest pending event across shards), one shard after
+//	          the other in shard order. Shards touch only their own state;
+//	          cross-shard sends are appended to a per-shard staging buffer,
+//	          never delivered directly.
+//	merge   — staged messages are merged in (t, src rank, per-source
+//	          sequence) order and injected into their destination shards,
+//	          then the registered merge hooks run (the MPI layer completes
+//	          collective rounds, the driver flushes per-rank table rows).
+//	          Each injection is audited against the window-safety invariant:
+//	          nothing may land before the merged horizon, because events
+//	          below it already executed.
 //
-// Determinism does not depend on the execution mode of a window (inline on
-// the coordinator vs forked, one goroutine per active shard): events inside a
-// window are pairwise independent across shards, each shard's own order is
-// fixed by its heap, and the merge order is fixed by the merge key — so tables are
-// byte-identical for any shard count N >= 1 and any GOMAXPROCS.
+// Events inside a window are pairwise independent across shards, each
+// shard's own order is fixed by its heap, and the merge order is fixed by the
+// merge key — so tables are byte-identical for any shard count N >= 1.
 package sim
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"amrtools/internal/check"
 	"amrtools/internal/metrics"
@@ -46,7 +43,7 @@ import (
 // until the next merge. The (t, src, seq) triple is the deterministic merge
 // key: seq is a per-source-rank program-order counter maintained by the MPI
 // layer, so ties at equal t between sources break by rank and within a
-// source by issue order — independent of shard count and worker scheduling.
+// source by issue order — independent of the shard count.
 // to is the destination process, nil when the delivery was staged without
 // one.
 type stagedMsg struct {
@@ -96,10 +93,8 @@ func (h runHeap) down(i int) {
 	}
 }
 
-// Shards is the conservative parallel scheduler: a fixed set of Engines
-// (one per node group) advanced in lockstep lookahead windows. Construct
-// with NewShards; all methods except the staging/injection APIs documented
-// otherwise must be called from the coordinator goroutine (the Run caller).
+// Shards is the conservative scheduler: a fixed set of Engines (one per node
+// group) advanced in lockstep lookahead windows. Construct with NewShards.
 type Shards struct {
 	engs      []*Engine
 	lookahead float64
@@ -113,32 +108,16 @@ type Shards struct {
 	hooks  []func(horizon Time)
 	intr   func() bool
 
-	// burst is set when the coordinator itself just made the next window
-	// big — the merge injected at least forkMinStaged deliveries, or a hook
-	// released a collective through InjectAt — and cleared by the window that
-	// follows. Only such a window is worth a fork: the compute-spread phase
-	// of a BSP step crawls through windows of a handful of events on one or
-	// two shards, fewer than a goroutine hand-off costs, while a ghost
-	// exchange or a barrier release activates every shard at once. Execution
-	// mode never affects results (see package comment).
-	burst bool
-
 	// mx, when non-nil, is the run's host-plane scheduler instrument set
-	// (internal/metrics): window counts, events per window, the forked and
-	// critical-path shares, merge depth. Host plane because all of it depends on the shard count;
-	// updated only on the coordinator, between window executions. evBase is
-	// its per-window Events() baseline, reused across windows.
+	// (internal/metrics): window counts, events per window, the critical-path
+	// share, merge depth. Host plane because all of it depends on the shard
+	// count. evBase is its per-window Events() baseline, reused across
+	// windows.
 	mx     *metrics.SchedMetrics
 	evBase []int64
 
 	running bool
 }
-
-// forkMinStaged is the number of staged deliveries one merge must inject for
-// the window after it to fork; see Shards.burst. The windows that can repay a
-// fork hold thousands of events (a ghost exchange stages ~20 000 deliveries
-// at 512 ranks) and the rest hold tens, so the exact value matters little.
-const forkMinStaged = 1000
 
 // NewShards builds n empty engines under a scheduler with the given
 // lookahead bound (seconds of virtual time; must be positive — the network
@@ -186,18 +165,16 @@ func (s *Shards) SetInterrupt(fn func() bool) { s.intr = fn }
 // SetMetrics attaches the run's scheduler instrument set (nil detaches it).
 func (s *Shards) SetMetrics(mx *metrics.SchedMetrics) { s.mx = mx }
 
-// OnMerge registers a hook run on the coordinator after each window, once
-// staged deliveries are injected. Hooks run in registration order with the
-// merged horizon: every event with t < horizon has executed, and any work
+// OnMerge registers a hook run after each window, once staged deliveries
+// are injected. Hooks run in registration order with the merged horizon: every event with t < horizon has executed, and any work
 // the hook injects must land at or beyond it. The MPI layer registers its
 // collective-round completion here; the driver registers its table flush.
 func (s *Shards) OnMerge(fn func(horizon Time)) { s.hooks = append(s.hooks, fn) }
 
 // StageDelivery parks a cross-shard message delivery in the source shard's
-// staging buffer. Safe to call from srcShard's executor during a window (the
-// buffer is owned by that shard until the next merge). seq must be a
-// per-source-rank program-order counter — it is the deterministic tie-break
-// for equal-time deliveries from the same rank. The merge schedules the
+// staging buffer until the next merge. seq must be a per-source-rank
+// program-order counter — it is the deterministic tie-break for equal-time
+// deliveries from the same rank. The merge schedules the
 // delivery on the destination shard's heap; StageDeliveryTo names the
 // process that receives it, so that it can wait in that process's lane.
 func (s *Shards) StageDelivery(srcShard, dstShard int, t Time, src, dst, tag int32, bytes int64, seq int64) {
@@ -228,18 +205,16 @@ func (s *Shards) StageDeliveryTo(srcShard, dstShard int, to *Proc, t Time, src, 
 	})
 }
 
-// InjectAt schedules coordinator-originated work (a collective release) on a
-// shard. Only merge hooks may call it. The event is silent — the caller
-// accounts its work via AddCoordinatorEvents so Events() stays independent
-// of the shard count. A release wakes every rank of the shard at once, so
-// the next window is marked a burst.
+// InjectAt schedules work a merge hook originates (a collective release) on
+// a shard, at or beyond the merged horizon. Only merge hooks may call it. The
+// event is silent — the caller accounts its work via AddCoordinatorEvents so
+// Events() stays independent of the shard count.
 func (s *Shards) InjectAt(shard int, t Time, fn func()) {
 	if t < s.horizon {
 		check.Failf("sim", "window-safety",
 			"coordinator injection on shard %d at t=%.9g before merged horizon %.9g",
 			shard, t, s.horizon)
 	}
-	s.burst = true
 	s.engs[shard].injectSilent(t, fn)
 }
 
@@ -286,8 +261,9 @@ func (s *Shards) Close() {
 }
 
 // Run advances windows until every shard drains and no hook injects further
-// work, then returns the simulated makespan. Deadlocked processes are left
-// blocked; query Blocked() as with Engine.Run.
+// work, then returns the simulated makespan. Every window, merge and hook
+// runs on the caller's goroutine. Deadlocked processes are left blocked;
+// query Blocked() as with Engine.Run.
 func (s *Shards) Run() Time {
 	if s.running {
 		panic("sim: Run re-entered")
@@ -299,9 +275,6 @@ func (s *Shards) Run() Time {
 			e.flushQueueStats(s.mx)
 		}
 	}()
-	// Read once per Run, not once per process: tests change it between runs.
-	// On one P a fork can only add hand-offs, so every window runs inline.
-	multiP := runtime.GOMAXPROCS(0) > 1
 	for {
 		if s.intr != nil && s.intr() {
 			panic(ErrInterrupted)
@@ -323,7 +296,7 @@ func (s *Shards) Run() Time {
 			break // drained
 		}
 		end := w + s.lookahead
-		s.runOneWindow(end, multiP)
+		s.runOneWindow(end)
 		s.horizon = end
 	}
 	return s.Now()
@@ -358,9 +331,6 @@ func (s *Shards) mergeStaged() {
 	if mx := s.mx; mx != nil {
 		mx.MergeDepth.Observe(float64(n))
 	}
-	if n >= forkMinStaged {
-		s.burst = true
-	}
 	for i := len(runs)/2 - 1; i >= 0; i-- {
 		runs.down(i)
 	}
@@ -387,12 +357,9 @@ func (s *Shards) mergeStaged() {
 	s.runs = runs
 }
 
-// runOneWindow executes one window on every shard holding an event before
-// end: inline on the coordinator, or — when the preceding merge marked a
-// burst, at least two shards are active and the host has a second P —
-// forked, the coordinator running the first active shard and one goroutine
-// each the rest.
-func (s *Shards) runOneWindow(end Time, multiP bool) {
+// runOneWindow executes one window: every shard holding an event before end
+// runs its events below end, in shard order.
+func (s *Shards) runOneWindow(end Time) {
 	act := s.active[:0]
 	for i, e := range s.engs {
 		if t, ok := e.nextTime(); ok && t < end {
@@ -400,8 +367,6 @@ func (s *Shards) runOneWindow(end Time, multiP bool) {
 		}
 	}
 	s.active = act
-	fork := s.burst && multiP && len(act) >= 2
-	s.burst = false
 	if mx := s.mx; mx != nil {
 		mx.Windows.Inc()
 		mx.ActiveShards.Observe(float64(len(act)))
@@ -412,53 +377,18 @@ func (s *Shards) runOneWindow(end Time, multiP bool) {
 			s.evBase[i] = s.engs[i].Events()
 		}
 	}
-	if fork {
-		s.forkWindow(act, end)
-	} else {
-		for _, i := range act {
-			s.engs[i].runWindow(end)
-		}
+	for _, i := range act {
+		s.engs[i].runWindow(end)
 	}
-	s.observeWindow(act, fork)
-}
-
-// forkWindow runs one window's active shards concurrently and joins them. A
-// goroutine owns its engine only between the go statement and wg.Wait's
-// return; the coordinator owns it otherwise, so engine state needs no locking
-// and the fork and the join are the only happens-before edges required.
-func (s *Shards) forkWindow(act []int, end Time) {
-	panics := make([]interface{}, len(act))
-	run := func(k int) {
-		defer func() { panics[k] = recover() }()
-		s.engs[act[k]].runWindow(end)
-	}
-	var wg sync.WaitGroup
-	for k := 1; k < len(act); k++ {
-		wg.Add(1)
-		//lint:ignore determinism conservative-PDES fork-join: shards own disjoint engine state, cross-shard effects only move through the staged merge in (t, src, seq) order, and wg.Wait joins every goroutine before the window returns — so their interleaving can never reach result tables
-		go func(k int) {
-			defer wg.Done()
-			run(k)
-		}(k)
-	}
-	run(0)
-	wg.Wait()
-	// Propagate the lowest panicking shard's value, matching the inline
-	// path's shard-order abort point: the panicking set is deterministic
-	// (each shard's window execution is), so the surfaced panic is too.
-	for _, pv := range panics {
-		if pv != nil {
-			panic(pv)
-		}
-	}
+	s.observeWindow(act)
 }
 
 // observeWindow records the finished window's per-shard event deltas into
 // the host-plane instruments: total events this window, the busiest shard's
-// share of them (what the window costs however it runs — Σ events ÷ Σ
-// critical is the run's Amdahl ceiling), the events that ran forked, and the
-// max/mean imbalance across its active shards.
-func (s *Shards) observeWindow(act []int, forked bool) {
+// share of them (Σ events ÷ Σ critical is the speed-up ceiling of running a
+// window's shards at once), and the max/mean imbalance across its active
+// shards.
+func (s *Shards) observeWindow(act []int) {
 	mx := s.mx
 	if mx == nil || len(act) == 0 {
 		return
@@ -473,10 +403,6 @@ func (s *Shards) observeWindow(act []int, forked bool) {
 	}
 	mx.WindowEvents.Observe(float64(total))
 	mx.CriticalEvents.Add(max)
-	if forked {
-		mx.ParallelWindows.Inc()
-		mx.ParallelEvents.Add(total)
-	}
 	if total > 0 {
 		mx.ImbalanceMax.SetMax(float64(max) * float64(len(act)) / float64(total))
 	}

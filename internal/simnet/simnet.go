@@ -139,11 +139,11 @@ type Census struct {
 
 // Network is the simulated fabric. Over one engine (New) all methods must be
 // called from engine context (events or procs); Network is not safe for
-// other goroutines. Over the scheduler's engines (NewSharded) the per-message
-// paths (PlanSend, DeliveryDone, RecordIntraRank) may be called concurrently
-// from different shards, because every mutable word they touch — NIC clock,
-// shm queue, RNG stream, census — is indexed by the caller's node and nodes
-// never span shards.
+// other goroutines. Over the scheduler's engines (NewSharded) every mutable
+// word the per-message paths (PlanSend, DeliveryDone, RecordIntraRank)
+// touch — NIC clock, shm queue, RNG stream, census — is indexed by the
+// caller's node, and nodes never span shards, so a shard's window touches
+// only its own nodes' fabric state.
 type Network struct {
 	cfg       Config
 	engOf     []*sim.Engine // per-node: the engine carrying the node's events

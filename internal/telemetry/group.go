@@ -266,22 +266,17 @@ func (g *GroupAgg) fold(cols []Column, sel []int, lo, hi int) {
 // per aggregate — ascending by key values under compareCells, groups whose
 // keys compare equal (-0 and +0) in order of first appearance.
 func (g *GroupAgg) Table() *Table {
+	keys := make([]Column, len(g.keyCols))
+	by := make([]orderKey, len(g.keyCols))
+	at := make([]*Column, len(g.keyCols))
+	for j, kc := range g.keyCols {
+		keys[j], by[j], at[j] = kc.Column, orderKey{typ: kc.spec.Type}, &kc.Column
+	}
 	order := make([]int, len(g.count))
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		for _, kc := range g.keyCols {
-			if c := compareCells(kc.spec.Type, &kc.Column, a, &kc.Column, b); c != 0 {
-				return c
-			}
-		}
-		return 0
-	})
-	keys := make([]Column, len(g.keyCols))
-	for j, kc := range g.keyCols {
-		keys[j] = kc.Column
-	}
+	slices.SortStableFunc(order, func(a, b int) int { return compareRows(by, at, a, at, b) })
 	cols := adopt(g.specs[:len(keys)], keys, 0, len(order)).take(order).Columns()
 	for a := range g.aggs {
 		f := &g.aggs[a]

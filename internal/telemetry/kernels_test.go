@@ -217,6 +217,19 @@ func checkOperators(t *testing.T, label string, rng *xrand.RNG, tb *telemetry.Ta
 			check(fmt.Sprintf("SortBy(%s, %v)", name, desc), tb.SortBy(name, desc), refTake(tb, refSorted(tb, name, desc)))
 		}
 	}
+	// SortByKeys over up to three keys, in every asc/desc mix, is the stable
+	// SortBy chain from the last key to the first. The drawn cells repeat and
+	// hold NaN and both zeros, so keys tie and NaNs meet.
+	keys := rng.Perm(len(names))[:min(3, len(names))]
+	for mix := 0; mix < 1<<len(keys); mix++ {
+		by := make([]telemetry.SortKey, len(keys))
+		ref := tb
+		for i := len(keys) - 1; i >= 0; i-- {
+			by[i] = telemetry.SortKey{Col: names[keys[i]], Desc: mix&(1<<i) != 0}
+			ref = refTake(ref, refSorted(ref, by[i].Col, by[i].Desc))
+		}
+		mustMatch(t, fmt.Sprintf("%s SortByKeys(%v)", label, by), tb.SortByKeys(by...), ref)
+	}
 
 	var some, rest []string
 	picked := map[string]bool{}
@@ -237,8 +250,8 @@ func checkOperators(t *testing.T, label string, rng *xrand.RNG, tb *telemetry.Ta
 	return derived
 }
 
-// TestKernelsMatchReference: Head, Slice, Filter, SortBy, Select and
-// Without — on drawn tables and again on their own results, whose
+// TestKernelsMatchReference: Head, Slice, Filter, SortBy, SortByKeys,
+// Select and Without — on drawn tables and again on their own results, whose
 // dictionaries by then hold unused and reordered entries — equal the
 // row-at-a-time reference, and so do their encoded files.
 func TestKernelsMatchReference(t *testing.T) {

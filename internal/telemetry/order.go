@@ -31,14 +31,41 @@ type SortKey struct {
 	Desc bool
 }
 
+// orderKey is one ORDER BY term bound to a column: its type and direction.
+type orderKey struct {
+	typ  ColType
+	desc bool
+}
+
+// compareRows is the package's one row order — what SortByKeys, TopK and
+// GroupAgg.Table all sort by: row i of the columns a against row j of the
+// columns b, where a[k] and b[k] hold key k, key after key under
+// compareCells, a desc key reversing its column's order. 0 means every key
+// ties; the caller orders ties by row.
+func compareRows(keys []orderKey, a []*Column, i int, b []*Column, j int) int {
+	for k, key := range keys {
+		if c := compareCells(key.typ, a[k], i, b[k], j); c != 0 {
+			if key.desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
 // TopK keeps the first k rows, in order, of everything fed to it under the
-// lexicographic order (keys…, arrival): exactly Head(k) of the stable SortBy
-// chain over the same rows, without holding more than k of them. Feed it
+// lexicographic order (keys…, arrival): exactly Head(k) of SortByKeys over
+// the same rows, without holding more than k of them. Feed it
 // with Add, chunk by chunk; read it with Table.
 type TopK struct {
-	by   []topKey
-	k    int
-	seen int // rows fed so far: the next row's arrival ordinal
+	by []orderKey
+	// cols are each key's column index in the feeds' schema; feed and kept
+	// hold each key's column of the current feed and of cand.
+	cols       []int
+	feed, kept []*Column
+	k          int
+	seen       int // rows fed so far: the next row's arrival ordinal
 	// cand holds the kept rows by slot, copied out of the feeds (a kept row
 	// must not pin the chunk it came from); arrival is each slot's ordinal.
 	// Both grow as rows are kept, never ahead of them: k is a LIMIT literal
@@ -50,20 +77,17 @@ type TopK struct {
 	heap []int
 }
 
-type topKey struct {
-	col  int
-	typ  ColType
-	desc bool
-}
-
 // NewTopK returns an empty TopK over feeds of the given schema. An unknown
 // key column panics; a negative k keeps nothing.
 func NewTopK(schema []ColSpec, by []SortKey, k int) *TopK {
 	h := &TopK{k: max(k, 0), cand: NewTable(schema...)}
 	for _, key := range by {
 		ci := schemaIndex(schema, key.Col)
-		h.by = append(h.by, topKey{col: ci, typ: schema[ci].Type, desc: key.Desc})
+		h.by = append(h.by, orderKey{typ: schema[ci].Type, desc: key.Desc})
+		h.cols = append(h.cols, ci)
+		h.kept = append(h.kept, &h.cand.cols[ci].Column)
 	}
+	h.feed = make([]*Column, len(h.by))
 	return h
 }
 
@@ -76,6 +100,10 @@ func (h *TopK) Add(cols []Column, sel []int) {
 	if h.k == 0 {
 		return
 	}
+	for j, ci := range h.cols {
+		h.feed[j] = &cols[ci]
+	}
+	defer clear(h.feed) // the feed's columns must not outlive the call
 	for i := 0; i < n; i++ {
 		r := i
 		if sel != nil {
@@ -91,7 +119,7 @@ func (h *TopK) Add(cols []Column, sel []int) {
 					h.siftDown(at)
 				}
 			}
-		case h.beatsWorst(cols, r):
+		case h.beatsWorst(r):
 			h.arrival[h.heap[0]] = first + i
 			h.put(h.heap[0], cols, r)
 			h.siftDown(0)
@@ -99,33 +127,17 @@ func (h *TopK) Add(cols []Column, sel []int) {
 	}
 }
 
-// beatsWorst reports whether row r of cols sorts before the worst kept row.
-// Strictly: r arrived after every kept row, so equal keys leave it behind.
-func (h *TopK) beatsWorst(cols []Column, r int) bool {
-	worst := h.heap[0]
-	for _, key := range h.by {
-		c := compareCells(key.typ, &cols[key.col], r, &h.cand.cols[key.col].Column, worst)
-		if key.desc {
-			c = -c
-		}
-		if c != 0 {
-			return c < 0
-		}
-	}
-	return false
+// beatsWorst reports whether row r of the current feed sorts before the
+// worst kept row. Strictly: r arrived after every kept row, so equal keys
+// leave it behind.
+func (h *TopK) beatsWorst(r int) bool {
+	return compareRows(h.by, h.feed, r, h.kept, h.heap[0]) < 0
 }
 
 // before is the order kept rows come out in: keys, then arrival.
 func (h *TopK) before(a, b int) int {
-	for _, key := range h.by {
-		kept := &h.cand.cols[key.col].Column
-		c := compareCells(key.typ, kept, a, kept, b)
-		if key.desc {
-			c = -c
-		}
-		if c != 0 {
-			return c
-		}
+	if c := compareRows(h.by, h.kept, a, h.kept, b); c != 0 {
+		return c
 	}
 	return cmp.Compare(h.arrival[a], h.arrival[b])
 }

@@ -486,17 +486,23 @@ func (t *Table) take(sel []int) *Table {
 // by byte), stably — rows with equal keys keep their order. desc reverses
 // the order of unequal keys, so NaN then sorts last; ties still keep theirs.
 func (t *Table) SortBy(name string, desc bool) *Table {
-	c := &t.col(name).Column
-	typ := t.col(name).spec.Type
+	return t.SortByKeys(SortKey{Col: name, Desc: desc})
+}
+
+// SortByKeys is SortBy over several keys: rows in the lexicographic order
+// of by, rows whose keys all tie in table order — one stable sort, the same
+// rows as the chain of SortBy calls from the last key to the first.
+func (t *Table) SortByKeys(by ...SortKey) *Table {
+	keys := make([]orderKey, len(by))
+	cols := make([]*Column, len(by))
+	for k, key := range by {
+		c := t.col(key.Col)
+		keys[k], cols[k] = orderKey{typ: c.spec.Type, desc: key.Desc}, &c.Column
+	}
 	idx := make([]int, t.rows)
 	for i := range idx {
 		idx[i] = i
 	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		if desc {
-			a, b = b, a
-		}
-		return compareCells(typ, c, a, c, b)
-	})
+	slices.SortStableFunc(idx, func(a, b int) int { return compareRows(keys, cols, a, cols, b) })
 	return t.take(idx)
 }

@@ -180,8 +180,8 @@ func (b *bound) finish(cur *telemetry.Table) *telemetry.Table {
 }
 
 // orderLimit runs the ORDER BY and LIMIT stages, by one rule: ORDER BY with
-// a LIMIT is the top-k kernel, ORDER BY alone the stable sort chain (which
-// the kernel equals, row for row, followed by Head).
+// a LIMIT is the top-k kernel, ORDER BY alone one stable multi-key sort
+// (which the kernel equals, row for row, followed by Head).
 func (b *bound) orderLimit(cur *telemetry.Table) *telemetry.Table {
 	by := b.q.OrderBy
 	switch {
@@ -192,8 +192,8 @@ func (b *bound) orderLimit(cur *telemetry.Table) *telemetry.Table {
 	case b.q.Limit >= 0:
 		return cur.Head(b.q.Limit)
 	}
-	for i := len(by) - 1; i >= 0; i-- { // stable multi-key sort
-		cur = cur.SortBy(by[i].Col, by[i].Desc)
+	if len(by) > 0 {
+		return cur.SortByKeys(by...)
 	}
 	return cur
 }

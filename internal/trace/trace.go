@@ -157,9 +157,8 @@ const (
 // ring is a circular span buffer of at most cap spans, stored in pages that
 // are allocated as the ring fills: slot i lives at pages[i>>pageShift]
 // [i&(pageSpans-1)], and a ring that has reached cap overwrites its oldest
-// slot. Its eviction counter is per-ring (not recorder-global) so that ranks
-// emitting concurrently from different shards of the parallel scheduler never
-// share a counter word.
+// slot. Its eviction counter is per-ring (not recorder-global), like every
+// other piece of per-span state: a rank's drops are its own.
 type ring struct {
 	pages   []*[pageSpans]Span
 	cap     int
@@ -201,13 +200,10 @@ func (rg *ring) run(i int) []Span {
 // Recorder is the per-run flight recorder. It is bound to one simulation and
 // is not safe for concurrent use across simulations. Within one simulation
 // all mutable per-span state — rings, step/epoch stamps, drop and suppress
-// counters — is indexed by rank, so emission is safe both under the
-// sequential engine (one goroutine) and under the sharded scheduler, where
-// ranks on different shards emit concurrently but each rank's state is only
-// ever touched by the shard that owns it. The armed flag is written only by
-// the coordinator between windows (Arm via the step-telemetry trigger), which
-// the scheduler's fork and sync.WaitGroup join order against every read from
-// a forked shard.
+// counters — is indexed by rank, so each rank's state is only ever touched
+// by the shard that owns it. The armed flag is written only between windows
+// on the sharded scheduler (Arm via the step-telemetry trigger), so every
+// shard of a window reads the same value.
 type Recorder struct {
 	rpn        int // ranks per node, for the table's node column
 	armed      bool
