@@ -19,25 +19,26 @@ import (
 )
 
 func main() {
-	// 1. Collect: a 64-rank Sedov run with per-step, per-rank telemetry,
-	// plus a live trigger (§IV-C): flag the first step where some rank's
-	// synchronization time exceeds twice its compute time.
+	// 1. Collect: a 64-rank Sedov run with per-step, per-rank telemetry.
 	cfg := driver.DefaultConfig([3]int{4, 4, 4}, 2, 20, placement.CPLX{X: 50}, 3)
-	trigStep, trigRank := int64(-1), int64(-1)
-	cfg.OnStepRecord = func(tab *telemetry.Table, row int) {
-		if trigStep < 0 && tab.Floats("sync")[row] > 2*tab.Floats("compute")[row] {
-			trigStep, trigRank = tab.Ints("step")[row], tab.Ints("rank")[row]
-		}
-	}
 	res, err := driver.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("collected %d telemetry rows from %d ranks x %d steps\n",
 		res.Steps.NumRows(), 64, 20)
-	if trigStep >= 0 {
-		fmt.Printf("live trigger: sync > 2x compute first seen at step %d on rank %d\n",
-			trigStep, trigRank)
+
+	// The §IV-C trigger as a query: the first step where some rank's
+	// synchronization time exceeds twice its compute time (ties on step keep
+	// row order, so this is the first such row the run appended).
+	trig, err := tql.Run("SELECT step, rank FROM t WHERE sync > 2 * compute ORDER BY step LIMIT 1",
+		map[string]*telemetry.Table{"t": res.Steps})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if trig.NumRows() > 0 {
+		fmt.Printf("trigger: sync > 2x compute first seen at step %d on rank %d\n",
+			trig.Ints("step")[0], trig.Ints("rank")[0])
 	}
 
 	// 2. Persist: binary columnar format with per-chunk min/max statistics

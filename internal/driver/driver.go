@@ -112,14 +112,6 @@ type Config struct {
 	// way, so setting this changes nothing else in the Result.
 	Metrics *metrics.Config
 
-	// OnStepRecord, when set (requires CollectSteps), observes every
-	// per-step per-rank telemetry row as it is appended, in (step, rank)
-	// order on the scheduler and engine order on the sequential engine,
-	// after Trace.ArmOn has seen the row. Arming the flight recorder is
-	// Trace.ArmOn's job; this hook is for a caller's own reaction to live
-	// telemetry (§IV-C).
-	OnStepRecord func(t *telemetry.Table, row int)
-
 	// Shards picks the DES engine the cluster is launched on (mpi.Launch):
 	// 0 the sequential engine, >= 1 the conservative lookahead-window
 	// scheduler over min(Shards, Net.Nodes) contiguous node groups, run on
@@ -747,13 +739,10 @@ func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World) {
 // sites call it (the sequential step loop and the scheduler's flushSteps).
 // While the recorder is disarmed — which it starts as exactly when
 // Trace.ArmOn is set — it evaluates ArmOn and arms on the first match (the
-// §IV-C programmable trigger); then it fires OnStepRecord.
+// §IV-C programmable trigger).
 func (st *runState) stepRecorded() {
 	row := st.res.Steps.NumRows() - 1
 	if tr := st.tracer; tr != nil && !tr.Armed() && st.cfg.Trace.ArmOn(st.res.Steps, row) {
 		tr.Arm()
-	}
-	if st.cfg.OnStepRecord != nil {
-		st.cfg.OnStepRecord(st.res.Steps, row)
 	}
 }

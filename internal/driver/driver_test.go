@@ -10,7 +10,6 @@ import (
 	"amrtools/internal/mpi"
 	"amrtools/internal/placement"
 	"amrtools/internal/simnet"
-	"amrtools/internal/telemetry"
 	"amrtools/internal/trace"
 )
 
@@ -486,30 +485,5 @@ func TestFluxCorrectionMessages(t *testing.T) {
 	// Restricted faces only: a modest share of the exchange.
 	if float64(flux) > 0.25*float64(total) {
 		t.Fatalf("%d of %d planned sends are flux riders: implausibly many", flux, total)
-	}
-}
-
-func TestOnStepRecordTrigger(t *testing.T) {
-	// The §IV-C trigger workflow: watch live step telemetry and flag the
-	// first step where synchronization dominates compute on some rank.
-	cfg := smallConfig(placement.Baseline{}, 15, 53)
-	var firedStep int64 = -1
-	cfg.OnStepRecord = func(tab *telemetry.Table, row int) {
-		if firedStep >= 0 {
-			return
-		}
-		if tab.Floats("sync")[row] > tab.Floats("compute")[row] {
-			firedStep = tab.Ints("step")[row]
-		}
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steps.NumRows() == 0 {
-		t.Fatal("no telemetry")
-	}
-	if firedStep < 0 {
-		t.Fatal("trigger never fired (baseline Sedov should have sync-dominated ranks)")
 	}
 }

@@ -67,11 +67,34 @@ func TestMetricsPopulated(t *testing.T) {
 	if ms.Drv.Steps.Total() == 0 {
 		t.Error("no timesteps counted")
 	}
-	if ms.Sched.Windows.Value() == 0 {
+	if ms.Sched.Windows.Total() == 0 {
 		t.Error("sharded run executed no windows")
 	}
 	if ms.Sched.WindowEvents.Count() == 0 {
 		t.Error("no per-window event observations")
+	}
+}
+
+// TestCampaignLiveWindows: the scheduler bumps the campaign's live window
+// count with its own window counter, so a two-shard run ends with the two
+// equal, and a run on the sequential engine, which has no windows, leaves
+// the count at zero.
+func TestCampaignLiveWindows(t *testing.T) {
+	for _, shards := range []int{2, 0} {
+		c := metrics.NewCampaign()
+		cfg := shardConfig(placement.LPT{}, 6, 7, shards)
+		cfg.Metrics = &metrics.Config{Campaign: c}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		live, windows := c.StatusNow().LiveWindows, res.Metrics.Sched.Windows.Total()
+		if live != windows {
+			t.Errorf("shards=%d: campaign live windows %d, run windows %d", shards, live, windows)
+		}
+		if (shards > 0) != (live > 0) {
+			t.Errorf("shards=%d: campaign live windows %d", shards, live)
+		}
 	}
 }
 
@@ -88,10 +111,10 @@ func TestGOMAXPROCSIdentity(t *testing.T) {
 		return res
 	}
 	one, two := run(1), run(2)
-	if crit := two.Metrics.Sched.CriticalEvents.Value(); crit <= 0 || crit > two.Events {
+	if crit := two.Metrics.Sched.CriticalEvents.Total(); crit <= 0 || crit > two.Events {
 		t.Errorf("GOMAXPROCS=2: critical path %d of %d events", crit, two.Events)
 	}
-	if c1, c2 := one.Metrics.Sched.CriticalEvents.Value(), two.Metrics.Sched.CriticalEvents.Value(); c1 != c2 {
+	if c1, c2 := one.Metrics.Sched.CriticalEvents.Total(), two.Metrics.Sched.CriticalEvents.Total(); c1 != c2 {
 		t.Errorf("critical path depends on GOMAXPROCS: %d on one P, %d on two", c1, c2)
 	}
 	if one.Steps.Render(0) != two.Steps.Render(0) || one.Waits.Render(0) != two.Waits.Render(0) ||

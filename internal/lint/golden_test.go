@@ -38,9 +38,9 @@ func TestRealModuleClean(t *testing.T) {
 
 // TestCoreReachesMetricsSimPlane: internal/metrics is not a core package, yet
 // its sim plane is checked, because the core calls into it. On a copy of the
-// module with a time.Now seeded in (*Counter).Inc, determinism reports
-// exactly that site, with the call path from the core function that reaches
-// it.
+// module with a time.Now seeded in (*Sum).Add, which only sim-plane sets
+// register, determinism reports exactly that site, with the call path from
+// the core function that reaches it.
 func TestCoreReachesMetricsSimPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -52,12 +52,12 @@ func TestCoreReachesMetricsSimPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded := strings.Replace(string(src), "\"sync/atomic\"\n", "\"sync/atomic\"\n\t\"time\"\n", 1)
+	seeded := strings.Replace(string(src), "\"strconv\"\n", "\"strconv\"\n\t\"time\"\n", 1)
 	seeded = strings.Replace(seeded,
-		"func (c *Counter) Inc(lane int) { c.lanes[lane]++ }",
-		"func (c *Counter) Inc(lane int) { _ = time.Now(); c.lanes[lane]++ }", 1)
+		"func (s *Sum) Add(lane int, v float64) { s.lanes[lane] += v }",
+		"func (s *Sum) Add(lane int, v float64) { _ = time.Now(); s.lanes[lane] += v }", 1)
 	if seeded == string(src) || !strings.Contains(seeded, "time.Now()") {
-		t.Fatal("metrics.go no longer has the (*Counter).Inc this test seeds")
+		t.Fatal("metrics.go no longer has the (*Sum).Add this test seeds")
 	}
 	if err := os.WriteFile(path, []byte(seeded), 0o644); err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestCoreReachesMetricsSimPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	diags, _ := Run(set, Analyzers())
-	const witness = "[via simnet.(*Network).planLocal -> metrics.(*Counter).Inc]"
+	const witness = "[via simnet.(*Network).planLocal -> metrics.(*Sum).Add]"
 	if len(diags) != 1 || diags[0].Rule != "determinism" ||
 		!strings.HasSuffix(diags[0].File, filepath.Join("internal", "metrics", "metrics.go")) ||
 		!strings.Contains(diags[0].String(), witness) {

@@ -16,8 +16,8 @@ import (
 )
 
 // Campaign accumulates metrics across the runs of one process: harness run
-// outcomes (completed/failed, wall clock), campaign-wide allocation, live
-// host counters mirrored from in-flight runs, and the merged snapshots of
+// outcomes (completed/failed, wall clock), campaign-wide allocation, the
+// live window count in-flight runs bump, and the merged snapshots of
 // completed runs. The HTTP endpoints (serve.go) read it concurrently with
 // runs executing.
 //
@@ -87,7 +87,7 @@ func (c *Campaign) AddAlloc(bytes, mallocs uint64) {
 }
 
 // AddRun merges a completed run's registry into the campaign aggregate:
-// counters and histogram buckets add, gauges keep the maximum.
+// counters and histogram buckets add.
 func (c *Campaign) AddRun(r *Registry) {
 	if r == nil {
 		return
@@ -109,10 +109,6 @@ func (c *Campaign) AddRun(r *Registry) {
 		switch e.kind {
 		case kindCounter:
 			old.value += e.value
-		case kindGauge:
-			if e.value > old.value {
-				old.value = e.value
-			}
 		case kindHistogram:
 			for i := range old.buckets {
 				old.buckets[i] += e.buckets[i]

@@ -1,5 +1,5 @@
 // Package metrics is the simulator's aggregate-observability layer: a
-// registry of counters, gauges, and histograms with two strictly separated
+// registry of counters, sums, and histograms with two strictly separated
 // planes (DESIGN.md §11).
 //
 // Simulated-plane instruments carry DES-derived quantities — MPI bytes/ops
@@ -7,18 +7,22 @@
 // per-phase virtual-time attribution mirroring the paper's profiling
 // breakdown. Their values are part of the reproduction surface: a run's
 // simulated-plane snapshot must be bit-identical across shard counts and
-// harness worker counts, exactly like every result table. To make float
-// accumulation order-independent of worker scheduling, sim-plane instruments
-// are *laned*: every update lands in the caller's lane (rank for MPI-driven
+// harness worker counts, exactly like every result table. Instruments are
+// *laned*: every update lands in the caller's lane (rank for MPI-driven
 // metrics, node for fabric-driven ones — the ownership discipline of the
-// DES itself), and Snapshot folds lanes in ascending lane order.
+// DES itself), and Snapshot folds lanes in ascending lane order, so a float
+// total's rounding depends on each lane's own event order, never on which
+// shard ran first.
 //
-// Host-plane instruments carry execution-machinery quantities — shard
-// windows, events per window, critical-path events, merge-queue depth,
-// campaign run counts. They are wall-clock/schedule-dependent by nature and
+// Host-plane instruments carry execution-machinery quantities — event-queue
+// splits, shard windows, events per window, critical-path events,
+// merge-queue depth. They are wall-clock/schedule-dependent by nature and
 // are excluded from every equality check, the row-level counterpart of
-// experiments.NondetCols. Host instruments are atomics so a live HTTP
-// handler (serve.go) can read them mid-run without touching sim-plane state.
+// experiments.NondetCols. The plane is a registration attribute, not a
+// type: Registry.HostCounter and HostHistogram register one-lane instances
+// of the same Counter and Histogram. A run's registry is written by the one
+// goroutine executing the run and read after it; the live HTTP handlers
+// (serve.go) read only the Campaign aggregate.
 //
 // The sim-plane MPI and fabric sets are not an optional mirror of some
 // other bookkeeping: they are the store. mpi.World and simnet.Network each
@@ -34,7 +38,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"sync/atomic"
 
 	"amrtools/internal/telemetry"
 )
@@ -108,10 +111,10 @@ type instrument interface {
 	export() export
 }
 
-// Registry holds one run's instruments. Construction and snapshotting are
-// single-threaded (the driver builds the registry before spawning ranks and
-// snapshots it after the engines drain); updates follow each instrument's
-// own concurrency rule (lane ownership for sim, atomics for host).
+// Registry holds one run's instruments. The driver builds it before spawning
+// ranks and snapshots it after the engines drain; in between, every update
+// comes from the run's own event order, so a snapshot is a pure function of
+// the run.
 type Registry struct {
 	names map[string]bool
 	ins   []instrument
@@ -139,14 +142,23 @@ func (r *Registry) register(name string, in instrument) {
 
 // Counter registers a sim-plane monotonic counter with the given lane count.
 func (r *Registry) Counter(name, help string, lanes int) *Counter {
-	c := &Counter{name: name, help: help, lanes: make([]int64, lanes)}
+	return r.counter(name, help, SimPlane, lanes)
+}
+
+// HostCounter registers a one-lane host-plane counter.
+func (r *Registry) HostCounter(name, help string) *Counter {
+	return r.counter(name, help, HostPlane, 1)
+}
+
+func (r *Registry) counter(name, help string, plane Plane, lanes int) *Counter {
+	c := &Counter{name: name, help: help, plane: plane, lanes: make([]int64, lanes)}
 	r.register(name, c)
 	return c
 }
 
 // Sum registers a sim-plane float accumulator with the given lane count.
 func (r *Registry) Sum(name, help string, lanes int) *Sum {
-	s := &Sum{name: name, help: help, lanes: make([]float64, lanes)}
+	s := &Sum{name: name, help: help, plane: SimPlane, lanes: make([]float64, lanes)}
 	r.register(name, s)
 	return s
 }
@@ -154,6 +166,16 @@ func (r *Registry) Sum(name, help string, lanes int) *Sum {
 // Histogram registers a sim-plane histogram with the given lane count and
 // ascending upper bucket bounds (an implicit +Inf bucket is appended).
 func (r *Registry) Histogram(name, help string, lanes int, bounds []float64) *Histogram {
+	return r.histogram(name, help, SimPlane, lanes, bounds)
+}
+
+// HostHistogram registers a one-lane host-plane histogram with ascending
+// upper bucket bounds (implicit +Inf appended).
+func (r *Registry) HostHistogram(name, help string, bounds []float64) *Histogram {
+	return r.histogram(name, help, HostPlane, 1, bounds)
+}
+
+func (r *Registry) histogram(name, help string, plane Plane, lanes int, bounds []float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic("metrics: histogram bounds not strictly ascending: " + name)
@@ -161,7 +183,7 @@ func (r *Registry) Histogram(name, help string, lanes int, bounds []float64) *Hi
 	}
 	nb := len(bounds) + 1 // + the +Inf bucket
 	h := &Histogram{
-		name: name, help: help, bounds: bounds,
+		name: name, help: help, plane: plane, bounds: bounds,
 		counts: make([]int64, lanes*nb),
 		sums:   make([]float64, lanes),
 		ns:     make([]int64, lanes),
@@ -171,43 +193,13 @@ func (r *Registry) Histogram(name, help string, lanes int, bounds []float64) *Hi
 	return h
 }
 
-// HostCounter registers a host-plane atomic counter. A non-nil parent
-// receives every increment too — the campaign-global live mirror the HTTP
-// endpoints read while runs are still executing.
-func (r *Registry) HostCounter(name, help string, parent *atomic.Int64) *HostCounter {
-	c := &HostCounter{name: name, help: help, parent: parent}
-	r.register(name, c)
-	return c
-}
-
-// HostGauge registers a host-plane atomic gauge.
-func (r *Registry) HostGauge(name, help string) *HostGauge {
-	g := &HostGauge{name: name, help: help}
-	r.register(name, g)
-	return g
-}
-
-// HostHistogram registers a host-plane histogram with ascending upper bucket
-// bounds (implicit +Inf appended). Updates are atomic per bucket.
-func (r *Registry) HostHistogram(name, help string, bounds []float64) *HostHistogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("metrics: histogram bounds not strictly ascending: " + name)
-		}
-	}
-	h := &HostHistogram{
-		name: name, help: help, bounds: bounds,
-		buckets: make([]atomic.Int64, len(bounds)+1),
-	}
-	r.register(name, h)
-	return h
-}
-
-// Counter is a sim-plane monotonic counter. Each lane is owned by exactly
-// one deterministic execution context (a rank's program, a node's fabric
-// events), so no lane's value depends on the shard count.
+// Counter is a monotonic counter. Each lane is owned by exactly one
+// deterministic execution context (a rank's program, a node's fabric
+// events; the scheduler for a one-lane host counter), so no sim-plane
+// lane's value depends on the shard count.
 type Counter struct {
 	name, help string
+	plane      Plane
 	lanes      []int64
 }
 
@@ -230,16 +222,17 @@ func (c *Counter) Total() int64 {
 }
 
 func (c *Counter) export() export {
-	return export{name: c.name, help: c.help, plane: SimPlane, kind: kindCounter,
+	return export{name: c.name, help: c.help, plane: c.plane, kind: kindCounter,
 		value: float64(c.Total())}
 }
 
-// Sum is a sim-plane float accumulator. Per-lane accumulation order is fixed
-// by the lane owner's deterministic event order, and Total folds lanes in
+// Sum is a float accumulator. Per-lane accumulation order is fixed by the
+// lane owner's deterministic event order, and Total folds lanes in
 // ascending lane order — so the result is bit-identical across shard counts
 // and GOMAXPROCS even though float addition does not commute in rounding.
 type Sum struct {
 	name, help string
+	plane      Plane
 	lanes      []float64
 }
 
@@ -259,15 +252,16 @@ func (s *Sum) Total() float64 {
 }
 
 func (s *Sum) export() export {
-	return export{name: s.name, help: s.help, plane: SimPlane, kind: kindCounter,
+	return export{name: s.name, help: s.help, plane: s.plane, kind: kindCounter,
 		value: s.Total()}
 }
 
-// Histogram is a sim-plane histogram with fixed bounds and laned storage:
-// bucket counts are integers (order-free) and the per-lane value sums fold
-// in lane order like Sum.
+// Histogram is a histogram with fixed bounds and laned storage: bucket
+// counts are integers (order-free) and the per-lane value sums fold in lane
+// order like Sum.
 type Histogram struct {
 	name, help string
+	plane      Plane
 	bounds     []float64
 	counts     []int64 // lane-major: counts[lane*nb+bucket]
 	sums       []float64
@@ -312,109 +306,8 @@ func (h *Histogram) export() export {
 		sum += h.sums[lane]
 		count += h.ns[lane]
 	}
-	return export{name: h.name, help: h.help, plane: SimPlane, kind: kindHistogram,
+	return export{name: h.name, help: h.help, plane: h.plane, kind: kindHistogram,
 		bounds: h.bounds, buckets: buckets, sum: sum, count: count}
-}
-
-// HostCounter is a host-plane atomic counter, optionally mirrored into a
-// campaign-global parent for live exposition.
-type HostCounter struct {
-	name, help string
-	v          atomic.Int64
-	parent     *atomic.Int64
-}
-
-// Inc adds 1.
-func (c *HostCounter) Inc() { c.Add(1) }
-
-// Add adds n (and mirrors it to the parent, if any).
-func (c *HostCounter) Add(n int64) {
-	c.v.Add(n)
-	if c.parent != nil {
-		c.parent.Add(n)
-	}
-}
-
-// Value returns the current count.
-func (c *HostCounter) Value() int64 { return c.v.Load() }
-
-func (c *HostCounter) export() export {
-	return export{name: c.name, help: c.help, plane: HostPlane, kind: kindCounter,
-		value: float64(c.v.Load())}
-}
-
-// HostGauge is a host-plane atomic float gauge.
-type HostGauge struct {
-	name, help string
-	bits       atomic.Uint64
-}
-
-// Set stores v.
-func (g *HostGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// SetMax raises the gauge to v if v is larger (running maximum).
-func (g *HostGauge) SetMax(v float64) {
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *HostGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *HostGauge) export() export {
-	return export{name: g.name, help: g.help, plane: HostPlane, kind: kindGauge,
-		value: g.Value()}
-}
-
-// HostHistogram is a host-plane histogram with atomic bucket counts. The
-// value sum is tracked as a float through a CAS loop; host-plane sums are
-// never part of an equality surface, so the accumulation order is free.
-type HostHistogram struct {
-	name, help string
-	bounds     []float64
-	buckets    []atomic.Int64
-	sumBits    atomic.Uint64
-	n          atomic.Int64
-}
-
-// Observe records v.
-func (h *HostHistogram) Observe(v float64) {
-	b := len(h.bounds)
-	for i, ub := range h.bounds {
-		if v <= ub {
-			b = i
-			break
-		}
-	}
-	h.buckets[b].Add(1)
-	h.n.Add(1)
-	for {
-		old := h.sumBits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
-// Count returns the total number of observations.
-func (h *HostHistogram) Count() int64 { return h.n.Load() }
-
-func (h *HostHistogram) export() export {
-	buckets := make([]int64, len(h.buckets))
-	for i := range h.buckets {
-		buckets[i] = h.buckets[i].Load()
-	}
-	return export{name: h.name, help: h.help, plane: HostPlane, kind: kindHistogram,
-		bounds: h.bounds, buckets: buckets,
-		sum: math.Float64frombits(h.sumBits.Load()), count: h.n.Load()}
 }
 
 // exports snapshots every instrument, sim plane first, name-sorted within
@@ -461,11 +354,12 @@ func boundLabel(b float64) string {
 	return string(out)
 }
 
-// appendRows flattens one export into table rows.
+// appendRows flattens one registry export into table rows (a registry
+// holds no gauges: those are the campaign's own live series).
 func appendRows(t *telemetry.Table, e export) {
 	plane := e.plane.String()
 	switch e.kind {
-	case kindCounter, kindGauge:
+	case kindCounter:
 		t.Append(plane, e.name, e.value)
 	case kindHistogram:
 		cum := int64(0)

@@ -3,7 +3,7 @@ package metrics
 import (
 	"reflect"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,7 +78,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestSnapshotLayout(t *testing.T) {
 	r := NewRegistry()
-	r.HostGauge("host_z", "z")            // registered first ...
+	r.HostCounter("host_z", "z")          // registered first ...
 	c := r.Counter("sim_a_total", "a", 1) // ... but sim sorts first
 	h := r.Histogram("sim_b_ms", "b", 1, []float64{1, 10})
 	c.Add(0, 3)
@@ -109,8 +109,8 @@ func TestSimSnapshotExcludesHostPlane(t *testing.T) {
 		c := r.Counter("sim_a_total", "a", 2)
 		c.Add(0, 10)
 		c.Add(1, 20)
-		hc := r.HostCounter("host_b_total", "b", nil)
-		hc.Add(hostN)
+		hc := r.HostCounter("host_b_total", "b")
+		hc.Add(0, hostN)
 		return r
 	}
 	r1, r2 := build(1), build(999)
@@ -131,8 +131,8 @@ func TestWritePromFormat(t *testing.T) {
 	c := r.Counter("sim_a_total", "things counted", 1)
 	c.Add(0, 2)
 	h := r.HostHistogram("host_h", "host hist", []float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(100)
+	h.Observe(0, 0.5)
+	h.Observe(0, 100)
 	var sb strings.Builder
 	if err := r.WriteProm(&sb); err != nil {
 		t.Fatal(err)
@@ -155,50 +155,14 @@ func TestWritePromFormat(t *testing.T) {
 	}
 }
 
-func TestHostCounterParentMirroring(t *testing.T) {
-	camp := NewCampaign()
-	rs := NewRunSet(2, 1, camp)
-	rs.Sched.Windows.Add(3)
-	rs.Sched.Windows.Inc()
-	if got := rs.Sched.Windows.Value(); got != 4 {
-		t.Fatalf("run-local value = %d, want 4", got)
-	}
-	if got := camp.StatusNow().LiveWindows; got != 4 {
-		t.Fatalf("campaign live mirror = %d, want 4", got)
-	}
-}
-
-func TestHostGaugeSetMax(t *testing.T) {
-	r := NewRegistry()
-	g := r.HostGauge("host_g", "g")
-	g.SetMax(2)
-	g.SetMax(1) // lower: ignored
-	g.SetMax(5)
-	if g.Value() != 5 {
-		t.Fatalf("Value = %v, want 5", g.Value())
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(v float64) {
-			defer wg.Done()
-			g.SetMax(v)
-		}(float64(i))
-	}
-	wg.Wait()
-	if g.Value() != 7 {
-		t.Fatalf("concurrent SetMax: Value = %v, want 7", g.Value())
-	}
-}
-
 func TestCampaignAddRunMerges(t *testing.T) {
 	camp := NewCampaign()
 	for i := 0; i < 2; i++ {
 		r := NewRegistry()
 		c := r.Counter("sim_a_total", "a", 1)
 		c.Add(0, 10)
-		g := r.HostGauge("host_g", "g")
-		g.Set(float64(i)) // gauge merge keeps the max
+		hc := r.HostCounter("host_c_total", "c")
+		hc.Add(0, int64(i+1))
 		h := r.Histogram("sim_h", "h", 1, []float64{1})
 		h.Observe(0, 0.5)
 		camp.AddRun(r)
@@ -210,8 +174,8 @@ func TestCampaignAddRunMerges(t *testing.T) {
 	got := sb.String()
 	for _, want := range []string{
 		`sim_a_total{plane="sim"} 20`, // counters add
-		`host_g{plane="host"} 1`,      // gauges max
-		`sim_h_count{plane="sim"} 2`,  // histogram counts add
+		`host_c_total{plane="host"} 3`,
+		`sim_h_count{plane="sim"} 2`, // histogram counts add
 		`sim_h_bucket{plane="sim",le="1"} 2`,
 		"host_campaign_runs_total", // live series present
 	} {
@@ -242,42 +206,47 @@ func TestCampaignStatus(t *testing.T) {
 }
 
 // TestInstrumentSetsKeepTheirPlane: the two-plane split (DESIGN.md §11) is
-// carried by the set types. Every field of a sim-plane set is a laned
-// instrument and every field of SchedMetrics an atomic host instrument, so a
-// layer handed a set can only update the plane the set belongs to. A new set
-// in RunSet must be entered in planeOf.
+// carried by the sets. Every field of a sim-plane set is an instrument
+// registered on the sim plane and every field of SchedMetrics one
+// registered on the host plane (LiveWindows, the campaign's live count, is
+// the one non-instrument), so a layer handed a set can only update the
+// plane the set belongs to. A new set in RunSet must be entered in planeOf.
 func TestInstrumentSetsKeepTheirPlane(t *testing.T) {
-	simTypes := map[reflect.Type]bool{
-		reflect.TypeOf((*Counter)(nil)): true, reflect.TypeOf((*Sum)(nil)): true,
-		reflect.TypeOf((*Histogram)(nil)): true,
+	planeOf := map[reflect.Type]Plane{
+		reflect.TypeOf((*MPIMetrics)(nil)):    SimPlane,
+		reflect.TypeOf((*NetMetrics)(nil)):    SimPlane,
+		reflect.TypeOf((*DriverMetrics)(nil)): SimPlane,
+		reflect.TypeOf((*SchedMetrics)(nil)):  HostPlane,
 	}
-	hostTypes := map[reflect.Type]bool{
-		reflect.TypeOf((*HostCounter)(nil)): true, reflect.TypeOf((*HostGauge)(nil)): true,
-		reflect.TypeOf((*HostHistogram)(nil)): true,
-	}
-	planeOf := map[reflect.Type]map[reflect.Type]bool{
-		reflect.TypeOf((*MPIMetrics)(nil)):    simTypes,
-		reflect.TypeOf((*NetMetrics)(nil)):    simTypes,
-		reflect.TypeOf((*DriverMetrics)(nil)): simTypes,
-		reflect.TypeOf((*SchedMetrics)(nil)):  hostTypes,
-	}
-	run := reflect.TypeOf(RunSet{})
+	live := reflect.TypeOf((*atomic.Int64)(nil))
+	run := reflect.ValueOf(*NewRunSet(2, 1, NewCampaign()))
 	sets := 0
 	for i := 0; i < run.NumField(); i++ {
-		f := run.Field(i)
+		f := run.Type().Field(i)
 		if f.Type == reflect.TypeOf((*Registry)(nil)) {
 			continue
 		}
-		allowed, ok := planeOf[f.Type]
+		plane, ok := planeOf[f.Type]
 		if !ok {
 			t.Errorf("RunSet.%s (%v) belongs to no plane", f.Name, f.Type)
 			continue
 		}
 		sets++
-		set := f.Type.Elem()
+		set := run.Field(i).Elem()
 		for j := 0; j < set.NumField(); j++ {
-			if g := set.Field(j); !allowed[g.Type] {
-				t.Errorf("%s.%s is a %v, not an instrument of its set's plane", set.Name(), g.Name, g.Type)
+			g, v := set.Type().Field(j), set.Field(j)
+			if plane == HostPlane && g.Type == live {
+				continue
+			}
+			in, ok := v.Interface().(instrument)
+			switch {
+			case !ok:
+				t.Errorf("%s.%s is a %v, not an instrument", set.Type().Name(), g.Name, g.Type)
+			case v.IsNil():
+				t.Errorf("%s.%s is not registered", set.Type().Name(), g.Name)
+			case in.export().plane != plane:
+				t.Errorf("%s.%s is registered on the %s plane, its set on the %s plane",
+					set.Type().Name(), g.Name, in.export().plane, plane)
 			}
 		}
 	}

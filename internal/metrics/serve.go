@@ -4,7 +4,7 @@ package metrics
 // campaign aggregate as Prometheus text (/metrics), a human progress page
 // (/statusz), and the standard pprof handlers (/debug/pprof/). Everything
 // here reads Campaign atomics or mutex-guarded aggregates — never a live
-// run's sim-plane lanes — so serving concurrently with executing runs is
+// run's registry — so serving concurrently with executing runs is
 // safe and cannot perturb results. This file is host-plane, and only the
 // binaries' -serve flags reach it, never simulation code.
 

@@ -34,13 +34,13 @@ func TestServeEndpoints(t *testing.T) {
 	// A sharded run's scheduler split: 60 events in windows, 40 on the
 	// busiest shard.
 	rs := NewRunSet(2, 1, camp)
-	rs.Sched.WindowEvents.Observe(60)
-	rs.Sched.CriticalEvents.Add(40)
+	rs.Sched.WindowEvents.Observe(0, 60)
+	rs.Sched.CriticalEvents.Add(0, 40)
 	// Its event queue: 75 of 100 events appended to a lane, 2 000 heap
 	// entries summed over the pops.
-	rs.Sched.LaneEvents.Add(75)
-	rs.Sched.HeapEvents.Add(25)
-	rs.Sched.HeapLenAtPop.Add(2000)
+	rs.Sched.LaneEvents.Add(0, 75)
+	rs.Sched.HeapEvents.Add(0, 25)
+	rs.Sched.HeapLenAtPop.Add(0, 2000)
 	camp.AddRun(rs.Reg)
 
 	srv, err := Serve("127.0.0.1:0", camp)

@@ -8,9 +8,10 @@ import "sync/atomic"
 // are the run's accounting (see MPIMetrics).
 type Config struct {
 	// Campaign, when non-nil, is the campaign-level aggregate the run
-	// reports into: host-plane counters mirror into it live (so /metrics
-	// and /statusz move while the run executes), and the caller merges the
-	// run's full snapshot via Campaign.AddRun on completion.
+	// reports into: the run bumps its live window count as windows execute
+	// (so /metrics and /statusz move while the run executes), and the
+	// caller merges the run's full snapshot via Campaign.AddRun on
+	// completion.
 	Campaign *Campaign
 }
 
@@ -79,26 +80,29 @@ type SchedMetrics struct {
 	// lane, HeapEvents the events pushed on the event heap (every other one,
 	// lane fronts included); HeapLenAtPop sums the heap length over pops, so
 	// HeapLenAtPop ÷ (LaneEvents + HeapEvents) is the mean heap at pop.
-	LaneEvents   *HostCounter
-	HeapEvents   *HostCounter
-	HeapLenAtPop *HostCounter
+	LaneEvents   *Counter
+	HeapEvents   *Counter
+	HeapLenAtPop *Counter
 
 	// Windows counts executed lookahead windows. CriticalEvents sums, over
 	// every window, the busiest active shard's events — the run's critical
 	// path in events, so total events ÷ CriticalEvents is the speed-up that
 	// running a window's shards at once could not exceed.
-	Windows        *HostCounter
-	CriticalEvents *HostCounter
+	Windows        *Counter
+	CriticalEvents *Counter
 	// WindowEvents is the distribution of DES events executed per window,
 	// ActiveShards the distribution of shards active per window.
-	WindowEvents *HostHistogram
-	ActiveShards *HostHistogram
+	WindowEvents *Histogram
+	ActiveShards *Histogram
 	// MergeDepth is the distribution of staged cross-shard deliveries per
 	// merge (the merge-injection queue depth).
-	MergeDepth *HostHistogram
-	// ImbalanceMax is the run's worst per-window shard imbalance:
-	// max-shard-events / mean-shard-events over the window's active shards.
-	ImbalanceMax *HostGauge
+	MergeDepth *Histogram
+
+	// LiveWindows, when non-nil, is the campaign's live window count
+	// (Config.Campaign): the scheduler bumps it with Windows, and it is the
+	// one value a run publishes while it executes — the HTTP handlers read
+	// it from other goroutines, so it is the run's only atomic.
+	LiveWindows *atomic.Int64
 }
 
 // RunSet is the full instrument collection of one simulation run, handed
@@ -155,15 +159,11 @@ func NewNetMetrics(r *Registry, nodes int) *NetMetrics {
 }
 
 // NewRunSet builds the registry and instrument sets for a run over nranks
-// ranks on nodes nodes. campaign may be nil; when set, host counters mirror
-// into its live aggregates.
+// ranks on nodes nodes. campaign may be nil; when set, the scheduler set's
+// LiveWindows is its live window count.
 func NewRunSet(nranks, nodes int, campaign *Campaign) *RunSet {
 	r := NewRegistry()
-	var windowsParent *atomic.Int64
-	if campaign != nil {
-		windowsParent = &campaign.liveWindows
-	}
-	return &RunSet{
+	rs := &RunSet{
 		Reg: r,
 		MPI: NewMPIMetrics(r, nranks),
 		Net: NewNetMetrics(r, nodes),
@@ -176,15 +176,18 @@ func NewRunSet(nranks, nodes int, campaign *Campaign) *RunSet {
 			Steps:          r.Counter("sim_driver_steps_total", "BSP timesteps executed, summed over ranks", 1),
 		},
 		Sched: &SchedMetrics{
-			LaneEvents:     r.HostCounter("host_sched_lane_events_total", "DES events appended behind a process lane's tail, never sifted", nil),
-			HeapEvents:     r.HostCounter("host_sched_heap_events_total", "DES events pushed on the event heap", nil),
-			HeapLenAtPop:   r.HostCounter("host_sched_heap_len_at_pop_total", "event-heap length summed over pops", nil),
-			Windows:        r.HostCounter("host_sched_windows_total", "lookahead windows executed", windowsParent),
-			CriticalEvents: r.HostCounter("host_sched_critical_events_total", "busiest active shard's events, summed over windows", nil),
+			LaneEvents:     r.HostCounter("host_sched_lane_events_total", "DES events appended behind a process lane's tail, never sifted"),
+			HeapEvents:     r.HostCounter("host_sched_heap_events_total", "DES events pushed on the event heap"),
+			HeapLenAtPop:   r.HostCounter("host_sched_heap_len_at_pop_total", "event-heap length summed over pops"),
+			Windows:        r.HostCounter("host_sched_windows_total", "lookahead windows executed"),
+			CriticalEvents: r.HostCounter("host_sched_critical_events_total", "busiest active shard's events, summed over windows"),
 			WindowEvents:   r.HostHistogram("host_sched_window_events", "DES events executed per window", decadeBounds),
 			ActiveShards:   r.HostHistogram("host_sched_active_shards", "shards active per window", shardBounds),
 			MergeDepth:     r.HostHistogram("host_sched_merge_queue_depth", "staged cross-shard deliveries per merge", decadeBounds),
-			ImbalanceMax:   r.HostGauge("host_sched_imbalance_max", "worst per-window max/mean shard event imbalance"),
 		},
 	}
+	if campaign != nil {
+		rs.Sched.LiveWindows = &campaign.liveWindows
+	}
+	return rs
 }

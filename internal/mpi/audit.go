@@ -45,17 +45,15 @@ func (w *World) AuditTeardown() {
 				dst, -s.n, s.key.src, s.key.tag)
 		}
 	}
-	for i := range w.pools {
-		for _, p := range w.pools[i].posted {
-			r, op := p.req, "Irecv from"
-			if r.kind == WaitSend {
-				op = "Isend to"
-				check.Assertf(r.Done(), "mpi", "send-completion",
-					"send %d->%d tag %d never completed", p.rank, r.peer, r.tag)
-			}
-			check.Assertf(r.freed, "mpi", "request-waited",
-				"rank %d never waited on its %s rank %d tag %d", p.rank, op, r.peer, r.tag)
+	for _, p := range w.pool.posted {
+		r, op := p.req, "Irecv from"
+		if r.kind == WaitSend {
+			op = "Isend to"
+			check.Assertf(r.Done(), "mpi", "send-completion",
+				"send %d->%d tag %d never completed", p.rank, r.peer, r.tag)
 		}
+		check.Assertf(r.freed, "mpi", "request-waited",
+			"rank %d never waited on its %s rank %d tag %d", p.rank, op, r.peer, r.tag)
 	}
 
 	sent, recvd, bytes := w.mx.P2PMsgs.Total(), w.mx.P2PRecvd.Total(), w.mx.P2PBytes.Total()

@@ -140,7 +140,7 @@ func TestRequestRecycledAfterWait(t *testing.T) {
 	if first != second {
 		t.Error("second Isend did not reuse the recycled request")
 	}
-	if len(w.pools[0].reqFree) == 0 {
+	if len(w.pool.reqFree) == 0 {
 		t.Error("no requests on the free list after all Waits completed")
 	}
 }
@@ -184,7 +184,7 @@ func TestParanoidKeepsRequestsLive(t *testing.T) {
 	if !strings.Contains(msg, "already released") {
 		t.Fatalf("double Wait did not panic with the release message: %q", msg)
 	}
-	if len(w.pools[0].reqFree) != 0 {
+	if len(w.pool.reqFree) != 0 {
 		t.Fatal("paranoid mode recycled a request the teardown audit tracks")
 	}
 	w.AuditTeardown()

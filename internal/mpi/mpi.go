@@ -23,7 +23,7 @@
 //
 // The runtime is the inner loop of every experiment (two DES events per
 // message, millions per run), so the per-message path is allocation-free in
-// steady state: requests come from a per-shard free list and carry their
+// steady state: requests come from the world's free list and carry their
 // completion future inline, the two per-message events (sender done,
 // delivery) are typed sim payloads instead of closures, and matching state
 // lives inline in the slots of a per-rank open-addressed index that holds
@@ -68,10 +68,10 @@ const (
 	WaitRecv
 )
 
-// reqPool is one request free list plus its paranoid request log. A world owns
-// one per shard (a sequential world is one shard), so requests never cross
-// shards and PR-4's zero-allocation steady state survives parallel execution
-// without any locking.
+// reqPool is the world's request free list plus its paranoid request log.
+// One goroutine runs every rank's events, on either engine, so one pool
+// serves them all; the ranks draw from it in the run's deterministic event
+// order, though which request object a post reuses is never observable.
 type reqPool struct {
 	// reqFree is the request free list: Wait returns completed requests
 	// here (outside paranoid mode) and Isend/Irecv reuse them, so steady
@@ -95,17 +95,19 @@ type World struct {
 	// mq[dst] holds the per-(source, tag) matching state of rank dst:
 	// arrived-but-unmatched messages and posted-but-unmatched receives, a
 	// key only while something is queued on it. Matching is FIFO per key.
-	// Only rank dst's shard ever touches mq[dst] — deliveries execute on the
-	// destination's engine — so the matching state needs no locking in
-	// sharded mode.
+	// Only rank dst's deliveries and receives touch mq[dst], and they
+	// execute in the destination engine's (t, seq) order, so the matching
+	// state evolves identically for any shard count.
 	mq []matchIndex
 
-	// engOf[rank] is the engine carrying rank's events, shardOf[rank] its
-	// shard and pools[shard] the request pool it draws from. A sequential
-	// world is one shard: every rank on the one engine, one pool.
+	// engOf[rank] is the engine carrying rank's events and shardOf[rank]
+	// its shard. A sequential world is one shard: every rank on the one
+	// engine.
 	engOf   []*sim.Engine
 	shardOf []int32
-	pools   []reqPool
+
+	// pool is the request free list every rank draws from.
+	pool reqPool
 
 	// round is the open collective round, on either engine (see collective),
 	// and release the sequential engine's release event for it, built once
@@ -125,7 +127,7 @@ type World struct {
 	// mx is the sim-plane MPI instrument set (internal/metrics), laned by
 	// rank: the world's only phase and message accounting. Never nil — the
 	// world starts with a free-standing set and SetMetrics swaps in the
-	// run's registered one. Only rank r's shard ever writes lane r.
+	// run's registered one. Only rank r's events ever write lane r.
 	mx *metrics.MPIMetrics
 
 	// paranoid enables the invariant audits of internal/check: collective
@@ -165,8 +167,8 @@ type collRound struct {
 }
 
 // buildWorld builds the engine-independent part of a world: one rank per
-// network endpoint on the engine of the shard hosting its node, one request
-// pool per shard, RNG streams split in rank order.
+// network endpoint on the engine of the shard hosting its node, RNG streams
+// split in rank order.
 func buildWorld(mach machine, engs []*sim.Engine, net *simnet.Network, shardOfNode []int32) *World {
 	n := net.NumRanks()
 	w := &World{
@@ -177,7 +179,6 @@ func buildWorld(mach machine, engs []*sim.Engine, net *simnet.Network, shardOfNo
 		mq:       make([]matchIndex, n),
 		engOf:    make([]*sim.Engine, n),
 		shardOf:  make([]int32, n),
-		pools:    make([]reqPool, len(engs)),
 		mx:       metrics.NewMPIMetrics(nil, n),
 		paranoid: check.Forced(),
 	}
@@ -207,10 +208,10 @@ func NewWorld(eng *sim.Engine, net *simnet.Network) *World {
 // node (shardOfNode must match the mapping the network was built with).
 // Per-rank state — instrument lanes, RNG streams (split in rank order,
 // identical to the sequential world's), matching queues — is only ever
-// touched by the owning shard; requests pool per shard; a collective round
-// completes at a window merge, so the released order and the reduced sum are
-// fixed by (arrival time, rank), not by the shard count. Product code builds
-// worlds with Launch.
+// touched by the owning shard; a collective round completes at a window
+// merge, so the released order and the reduced sum are fixed by (arrival
+// time, rank), not by the shard count. Product code builds worlds with
+// Launch.
 func NewShardedWorld(s *sim.Shards, net *simnet.Network, shardOfNode []int32) *World {
 	w := buildWorld(s, s.Engines(), net, shardOfNode)
 	w.shard = &shardState{
@@ -252,10 +253,10 @@ func (w *World) Metrics() *metrics.MPIMetrics { return w.mx }
 
 // SetMetrics swaps in the run's registered MPI instrument set. The set must
 // be laned by rank (metrics.NewRunSet does this): each rank only ever writes
-// its own lane, so sharded execution needs no locking and float phase totals
-// fold in deterministic lane order. mx must not be nil (the lanes are the
-// world's accounting). Call before Spawn: anything already accounted stays
-// with the set being replaced.
+// its own lane, in its own event order, so float phase totals fold in
+// deterministic lane order for any shard count. mx must not be nil (the
+// lanes are the world's accounting). Call before Spawn: anything already
+// accounted stays with the set being replaced.
 func (w *World) SetMetrics(mx *metrics.MPIMetrics) { w.mx = mx }
 
 // Spawn starts rank's program as a simulated process. body receives the
@@ -265,9 +266,8 @@ func (w *World) Spawn(rank int, body func(c *Comm)) {
 		panic(fmt.Sprintf("mpi: spawn of invalid rank %d", rank))
 	}
 	eng, shard := w.engOf[rank], w.shardOf[rank]
-	pool := &w.pools[shard]
 	p := eng.Spawn(fmt.Sprintf("rank%d", rank), func(p *sim.Proc) {
-		body(&Comm{w: w, rank: rank, p: p, eng: eng, shard: shard, pool: pool})
+		body(&Comm{w: w, rank: rank, p: p, eng: eng, shard: shard})
 	})
 	if st := w.shard; st != nil {
 		st.procOf[rank] = p
@@ -294,13 +294,14 @@ type Request struct {
 // Done reports whether the request has completed.
 func (r *Request) Done() bool { return r.fut.Done() }
 
-// newRequest returns a reset request from the caller's shard pool, or a
-// fresh one, and logs it for the teardown audit when paranoid.
+// newRequest returns a reset request from the world's pool, or a fresh
+// one, and logs it for the teardown audit when paranoid.
 func (c *Comm) newRequest(kind WaitKind, bytes, peer, tag int) *Request {
 	var r *Request
-	if n := len(c.pool.reqFree); n > 0 {
-		r = c.pool.reqFree[n-1]
-		c.pool.reqFree = c.pool.reqFree[:n-1]
+	pool := &c.w.pool
+	if n := len(pool.reqFree); n > 0 {
+		r = pool.reqFree[n-1]
+		pool.reqFree = pool.reqFree[:n-1]
 		r.fut.Reset()
 		r.freed = false
 	} else {
@@ -311,12 +312,12 @@ func (c *Comm) newRequest(kind WaitKind, bytes, peer, tag int) *Request {
 	r.peer = int32(peer)
 	r.tag = int32(tag)
 	if c.w.paranoid {
-		c.pool.posted = append(c.pool.posted, postRecord{req: r, rank: c.rank})
+		pool.posted = append(pool.posted, postRecord{req: r, rank: c.rank})
 	}
 	return r
 }
 
-// release returns a completed, waited-on request to its shard's free list.
+// release returns a completed, waited-on request to the world's free list.
 // Paranoid mode marks it freed but keeps it out of the pool: the teardown
 // audit asserts on the very pointers it recorded when they were posted.
 func (c *Comm) release(r *Request) {
@@ -324,22 +325,20 @@ func (c *Comm) release(r *Request) {
 	if c.w.paranoid {
 		return
 	}
-	c.pool.reqFree = append(c.pool.reqFree, r)
+	c.w.pool.reqFree = append(c.w.pool.reqFree, r)
 }
 
 // Comm is a rank-bound communicator; all calls must happen on the rank's
 // own process. That single-rank binding is the ownership protocol: each
-// Comm (including its jitter RNG and request pool) is mutated only by the
-// simulated process that owns it, which paranoid mode asserts at runtime.
+// Comm (including its jitter RNG) is mutated only by the simulated process
+// that owns it, which paranoid mode asserts at runtime.
 type Comm struct {
 	w    *World
 	rank int
 	p    *sim.Proc
 
-	// eng is the engine carrying this rank's events (its shard's), and pool
-	// the request pool it draws from.
+	// eng is the engine carrying this rank's events (its shard's).
 	eng   *sim.Engine
-	pool  *reqPool
 	shard int32
 
 	// collFut/collSum are this rank's pooled collective future and

@@ -91,7 +91,7 @@ func TestLanedEventsAllocFree(t *testing.T) {
 // TestMergedDeliveriesAllocFree: a cross-shard delivery's whole scheduler
 // path — staged by the source shard, merged on the coordinator into its
 // destination process's remote lane, popped from the lane — must be
-// allocation-free once the staging buffers, the merge's run heap and the
+// allocation-free once the staging buffer, the merge's run heap and the
 // lane ring have grown. Attached to a run's metrics, the lane count Run
 // flushes must be non-zero: the merged deliveries waited in the lane, not on
 // the heap.
@@ -119,7 +119,7 @@ func TestMergedDeliveriesAllocFree(t *testing.T) {
 	ms := metrics.NewRunSet(2, 1, nil)
 	s.SetMetrics(ms.Sched)
 	cycle()
-	if ms.Sched.LaneEvents.Value() == 0 {
+	if ms.Sched.LaneEvents.Total() == 0 {
 		t.Error("no merged delivery entered the destination's lane: the merge fell back to the heap")
 	}
 }

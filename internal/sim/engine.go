@@ -301,9 +301,9 @@ func (e *Engine) flushQueueStats(mx *metrics.SchedMetrics) {
 	if mx == nil {
 		return
 	}
-	mx.LaneEvents.Add(e.laneIn)
-	mx.HeapEvents.Add(e.seq - e.flushedSeq - e.laneIn)
-	mx.HeapLenAtPop.Add(e.heapLenSum)
+	mx.LaneEvents.Add(0, e.laneIn)
+	mx.HeapEvents.Add(0, e.seq-e.flushedSeq-e.laneIn)
+	mx.HeapLenAtPop.Add(0, e.heapLenSum)
 	e.laneIn, e.heapLenSum, e.flushedSeq = 0, 0, e.seq
 }
 

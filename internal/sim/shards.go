@@ -17,8 +17,8 @@
 //	          W + L executes its events strictly below the edge
 //	          (W = earliest pending event across shards), one shard after
 //	          the other in shard order. Shards touch only their own state;
-//	          cross-shard sends are appended to a per-shard staging buffer,
-//	          never delivered directly.
+//	          cross-shard sends are appended to the staging buffer, never
+//	          delivered directly.
 //	merge   — staged messages are merged in (t, src rank, per-source
 //	          sequence) order and injected into their destination shards,
 //	          then the registered merge hooks run (the MPI layer completes
@@ -39,7 +39,7 @@ import (
 	"amrtools/internal/metrics"
 )
 
-// stagedMsg is one cross-shard message delivery parked in a staging buffer
+// stagedMsg is one cross-shard message delivery parked in the staging buffer
 // until the next merge. The (t, src, seq) triple is the deterministic merge
 // key: seq is a per-source-rank program-order counter maintained by the MPI
 // layer, so ties at equal t between sources break by rank and within a
@@ -68,24 +68,30 @@ func stagedLess(a, b *stagedMsg) bool {
 	return a.seq < b.seq
 }
 
-// runHeap is the merge's min-heap of ascending runs, ordered by each run's
-// first delivery; every run is non-empty.
-type runHeap [][]stagedMsg
+// stagedRun is the unmerged rest of one ascending run of the staging
+// buffer: out[next:end], never empty.
+type stagedRun struct{ next, end int }
 
-func (h runHeap) less(i, j int) bool { return stagedLess(&h[i][0], &h[j][0]) }
+// runHeap is the merge's min-heap of the staging buffer's runs, ordered by
+// each run's next delivery in out.
+type runHeap []stagedRun
 
-// down restores the heap below i after h[i]'s first delivery changed.
-func (h runHeap) down(i int) {
+func (h runHeap) less(out []stagedMsg, i, j int) bool {
+	return stagedLess(&out[h[i].next], &out[h[j].next])
+}
+
+// down restores the heap below i after h[i]'s next delivery changed.
+func (h runHeap) down(out []stagedMsg, i int) {
 	n := len(h)
 	for {
 		least := 2*i + 1
 		if least >= n {
 			return
 		}
-		if r := least + 1; r < n && h.less(r, least) {
+		if r := least + 1; r < n && h.less(out, r, least) {
 			least = r
 		}
-		if !h.less(least, i) {
+		if !h.less(out, least, i) {
 			return
 		}
 		h[i], h[least] = h[least], h[i]
@@ -102,9 +108,9 @@ type Shards struct {
 	extra     int64 // coordinator-accounted events (completed collective rounds)
 	paranoid  bool
 
-	out    [][]stagedMsg // staged cross-shard deliveries, indexed by source shard
-	runs   runHeap       // merge-time run cursors into out, reused across windows
-	active []int         // shards with an event inside the current window, reused
+	out    []stagedMsg // staged cross-shard deliveries, in staging order
+	runs   runHeap     // merge-time runs of out, reused across windows
+	active []int       // shards with an event inside the current window, reused
 	hooks  []func(horizon Time)
 	intr   func() bool
 
@@ -132,7 +138,6 @@ func NewShards(n int, lookahead float64) *Shards {
 	s := &Shards{
 		engs:      make([]*Engine, n),
 		lookahead: lookahead,
-		out:       make([][]stagedMsg, n),
 		paranoid:  check.Forced(),
 	}
 	for i := range s.engs {
@@ -171,10 +176,10 @@ func (s *Shards) SetMetrics(mx *metrics.SchedMetrics) { s.mx = mx }
 // collective-round completion here; the driver registers its table flush.
 func (s *Shards) OnMerge(fn func(horizon Time)) { s.hooks = append(s.hooks, fn) }
 
-// StageDelivery parks a cross-shard message delivery in the source shard's
-// staging buffer until the next merge. seq must be a per-source-rank
-// program-order counter — it is the deterministic tie-break for equal-time
-// deliveries from the same rank. The merge schedules the
+// StageDelivery parks a cross-shard message delivery, sent from shard
+// srcShard, in the staging buffer until the next merge. seq must be a
+// per-source-rank program-order counter — it is the deterministic tie-break
+// for equal-time deliveries from the same rank. The merge schedules the
 // delivery on the destination shard's heap; StageDeliveryTo names the
 // process that receives it, so that it can wait in that process's lane.
 func (s *Shards) StageDelivery(srcShard, dstShard int, t Time, src, dst, tag int32, bytes int64, seq int64) {
@@ -200,7 +205,7 @@ func (s *Shards) StageDeliveryTo(srcShard, dstShard int, to *Proc, t Time, src, 
 				src, dst, tag, to.name, dstShard)
 		}
 	}
-	s.out[srcShard] = append(s.out[srcShard], stagedMsg{
+	s.out = append(s.out, stagedMsg{
 		t: t, seq: seq, bytes: bytes, to: to, src: src, dst: dst, tag: tag, dstShard: int32(dstShard),
 	})
 }
@@ -302,58 +307,53 @@ func (s *Shards) Run() Time {
 	return s.Now()
 }
 
-// mergeStaged drains every shard's staging buffer in (t, src, seq) order,
-// audits each delivery against the merged horizon, and injects it into its
-// destination engine. Injection order assigns destination-heap sequence
-// numbers, so equal-time deliveries replay identically for any shard count.
+// mergeStaged drains the staging buffer in (t, src, seq) order, audits each
+// delivery against the merged horizon, and injects it into its destination
+// engine. Injection order assigns destination-heap sequence numbers, so
+// equal-time deliveries replay identically for any shard count.
 //
-// A buffer fills in its shard's execution order, so it is a few long
-// ascending runs — about one per node NIC clock — not random: the merge
-// splits every buffer into its maximal ascending runs and interleaves them
-// through a heap of run cursors keyed by each run's next delivery, reading
-// the deliveries where they were staged.
+// The buffer fills in execution order — each active shard's window in turn
+// — so it is a few long ascending runs, about one per node NIC clock, not
+// random: the merge splits it into its maximal ascending runs and
+// interleaves them through a heap of index ranges keyed by each run's next
+// delivery, reading the deliveries where they were staged. The key is
+// unique, so the merged order does not depend on where the runs break.
 func (s *Shards) mergeStaged() {
-	runs, n := s.runs[:0], 0
-	for _, buf := range s.out {
-		n += len(buf)
-		for len(buf) > 0 {
-			k := 1
-			for k < len(buf) && !stagedLess(&buf[k], &buf[k-1]) {
-				k++
-			}
-			runs = append(runs, buf[:k])
-			buf = buf[k:]
-		}
-	}
+	out, n := s.out, len(s.out)
 	if n == 0 {
 		return
 	}
+	runs := s.runs[:0]
+	for i := 0; i < n; {
+		k := i + 1
+		for k < n && !stagedLess(&out[k], &out[k-1]) {
+			k++
+		}
+		runs = append(runs, stagedRun{i, k})
+		i = k
+	}
 	if mx := s.mx; mx != nil {
-		mx.MergeDepth.Observe(float64(n))
+		mx.MergeDepth.Observe(0, float64(n))
 	}
 	for i := len(runs)/2 - 1; i >= 0; i-- {
-		runs.down(i)
+		runs.down(out, i)
 	}
 	for len(runs) > 0 {
-		m := &runs[0][0]
+		m := &out[runs[0].next]
 		if m.t < s.horizon {
 			check.Failf("sim", "window-safety",
 				"staged delivery %d->%d tag %d at t=%.9g merged after horizon %.9g already executed (lookahead %.3g)",
 				m.src, m.dst, m.tag, m.t, s.horizon, s.lookahead)
 		}
 		s.engs[m.dstShard].deliver(m.t, m.to, laneRemote, m.src, m.dst, m.tag, m.bytes)
-		if r := runs[0][1:]; len(r) > 0 {
-			runs[0] = r
-		} else {
+		if runs[0].next++; runs[0].next == runs[0].end {
 			last := len(runs) - 1
 			runs[0] = runs[last]
 			runs = runs[:last]
 		}
-		runs.down(0)
+		runs.down(out, 0)
 	}
-	for i := range s.out {
-		s.out[i] = s.out[i][:0]
-	}
+	s.out = out[:0]
 	s.runs = runs
 }
 
@@ -368,8 +368,11 @@ func (s *Shards) runOneWindow(end Time) {
 	}
 	s.active = act
 	if mx := s.mx; mx != nil {
-		mx.Windows.Inc()
-		mx.ActiveShards.Observe(float64(len(act)))
+		mx.Windows.Inc(0)
+		if mx.LiveWindows != nil {
+			mx.LiveWindows.Add(1)
+		}
+		mx.ActiveShards.Observe(0, float64(len(act)))
 		if s.evBase == nil {
 			s.evBase = make([]int64, len(s.engs))
 		}
@@ -384,10 +387,9 @@ func (s *Shards) runOneWindow(end Time) {
 }
 
 // observeWindow records the finished window's per-shard event deltas into
-// the host-plane instruments: total events this window, the busiest shard's
-// share of them (Σ events ÷ Σ critical is the speed-up ceiling of running a
-// window's shards at once), and the max/mean imbalance across its active
-// shards.
+// the host-plane instruments: total events this window and the busiest
+// shard's share of them (Σ events ÷ Σ critical is the speed-up ceiling of
+// running a window's shards at once).
 func (s *Shards) observeWindow(act []int) {
 	mx := s.mx
 	if mx == nil || len(act) == 0 {
@@ -401,9 +403,6 @@ func (s *Shards) observeWindow(act []int) {
 			max = d
 		}
 	}
-	mx.WindowEvents.Observe(float64(total))
-	mx.CriticalEvents.Add(max)
-	if total > 0 {
-		mx.ImbalanceMax.SetMax(float64(max) * float64(len(act)) / float64(total))
-	}
+	mx.WindowEvents.Observe(0, float64(total))
+	mx.CriticalEvents.Add(0, max)
 }

@@ -102,8 +102,8 @@ func TestMergeStagedOrder(t *testing.T) {
 	}
 }
 
-// drawMerge deals one randomized merge input: the staging buffers of 1–4
-// shards, each a concatenation of ascending, descending or unordered pieces,
+// drawMerge deals one randomized merge input: what 1–4 shards stage, shard
+// by shard, each a concatenation of ascending, descending or unordered pieces,
 // over a few sources and a few distinct times so that equal-time ties across
 // sources are common. tag is each delivery's index in staging order; (src,
 // seq) is unique, as the MPI layer's per-source counter makes it.
@@ -189,10 +189,8 @@ func checkMerge(t testing.TB, bufs [][]stagedMsg) {
 			t.Fatalf("shard %d injected tags %v, sort oracle %v (staged %v)", sh, got, wantTags, bufs)
 		}
 	}
-	for i := range s.out {
-		if len(s.out[i]) != 0 {
-			t.Fatalf("shard %d staging buffer holds %d deliveries after the merge", i, len(s.out[i]))
-		}
+	if len(s.out) != 0 {
+		t.Fatalf("the staging buffer holds %d deliveries after the merge", len(s.out))
 	}
 }
 
@@ -226,7 +224,7 @@ func injectedTags(e *Engine) []int32 {
 	return tags
 }
 
-// TestMergeMatchesSortOracle: on random staging buffers of 1–4 shards the
+// TestMergeMatchesSortOracle: on random staging from 1–4 shards the
 // run merge injects exactly the order slices.SortFunc gives on (t, src,
 // seq), and the draws cover what a run merge can get wrong: equal-time ties
 // across sources, descending and single-element runs, empty shards and a

@@ -178,13 +178,13 @@ func TestQueueStatsReachMetrics(t *testing.T) {
 	}
 	want := func(name string, mx *metrics.SchedMetrics, events int64) {
 		t.Helper()
-		if got := mx.LaneEvents.Value(); got != 21 {
+		if got := mx.LaneEvents.Total(); got != 21 {
 			t.Errorf("%s: %d laned events, want 21", name, got)
 		}
-		if got := mx.LaneEvents.Value() + mx.HeapEvents.Value(); got != events {
+		if got := mx.LaneEvents.Total() + mx.HeapEvents.Total(); got != events {
 			t.Errorf("%s: %d laned + heap events, want every event (%d)", name, got, events)
 		}
-		if mx.HeapLenAtPop.Value() <= 0 {
+		if mx.HeapLenAtPop.Total() <= 0 {
 			t.Errorf("%s: heap length at pop not counted", name)
 		}
 	}
@@ -250,8 +250,8 @@ func TestStepTouchesNoHostInstrument(t *testing.T) {
 		t.Fatal("the run set exports no host-plane rows")
 	}
 	e.Run()
-	if rs.Sched.LaneEvents.Value() == 0 || rs.Sched.HeapEvents.Value() == 0 {
+	if rs.Sched.LaneEvents.Total() == 0 || rs.Sched.HeapEvents.Total() == 0 {
 		t.Fatalf("Run flushed %d laned and %d heap events, want both non-zero",
-			rs.Sched.LaneEvents.Value(), rs.Sched.HeapEvents.Value())
+			rs.Sched.LaneEvents.Total(), rs.Sched.HeapEvents.Total())
 	}
 }

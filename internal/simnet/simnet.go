@@ -164,9 +164,10 @@ type Network struct {
 	tracer *trace.Recorder
 
 	// mx is the sim-plane fabric instrument set (internal/metrics), laned
-	// by node — a node's fabric events never span shards, so lane updates
-	// need no locking. Never nil: the network starts with a free-standing
-	// set and SetMetrics swaps in the run's registered one.
+	// by node — a node's fabric events never span shards, so each lane
+	// accumulates in its node's event order for any shard count. Never nil:
+	// the network starts with a free-standing set and SetMetrics swaps in
+	// the run's registered one.
 	mx *metrics.NetMetrics
 
 	// paranoid enables the invariant audits of internal/check: shm queue

@@ -157,9 +157,9 @@ func (c *column) appendValue(v interface{}) error {
 }
 
 // Table is a columnar table with a fixed schema. The zero value is not
-// usable; construct with NewTable. Tables are single-writer: the j1-vs-jN
-// identity tests pin down that every append happens on the run's collector
-// context, never concurrently from shard windows.
+// usable; construct with NewTable. Tables are single-writer: a run appends
+// its rows in its own deterministic event order, which is what the
+// j1-vs-jN and shard-count identity tests pin down.
 //
 // Rows move between tables through two kernels, both in this file: view
 // (zero-copy: Slice, Head, Select, Without) and AppendColumns (the one
