@@ -362,7 +362,9 @@ var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
 // uvarint decodes the varint at p[at:], returning the index after it. A
 // payload that ends first is io.EOF at the varint's first byte and
-// io.ErrUnexpectedEOF inside it, as a byte reader would report.
+// io.ErrUnexpectedEOF inside it, as a byte reader would report. The
+// per-row loops test for a one-byte varint before they call it: every id of
+// a small dictionary, most deltas of a sorted column.
 func uvarint(p []byte, at int) (uint64, int, error) {
 	var x uint64
 	var s uint
@@ -387,13 +389,17 @@ func uvarint(p []byte, at int) (uint64, int, error) {
 }
 
 // decodeColumnData decodes one column payload of n rows, walking the payload
-// by index. A String column stays in dictionary form, with the chunk's own
-// dictionary.
-func decodeColumnData(s telemetry.ColSpec, payload []byte, n int) (telemetry.Column, error) {
+// by index, into the storage buf holds — grown when it is too small, and
+// left in buf for the next chunk. The column it returns has the type's
+// representation alone. A String column stays in dictionary form, with the
+// chunk's own dictionary; an entry whose bytes equal the string already at
+// its index keeps that string, so a scan whose chunks share their
+// dictionaries copies each string once.
+func decodeColumnData(s telemetry.ColSpec, payload []byte, n int, buf *telemetry.Column) (telemetry.Column, error) {
 	var cd telemetry.Column
 	// Every encoding needs at least one byte per value (floats eight), so a
 	// row count that outruns the payload is corruption — reject it before
-	// allocating n-sized slices.
+	// sizing anything by n.
 	minBytes := n
 	if s.Type == telemetry.Float64 {
 		minBytes = 8 * n
@@ -403,21 +409,25 @@ func decodeColumnData(s telemetry.ColSpec, payload []byte, n int) (telemetry.Col
 	}
 	switch s.Type {
 	case telemetry.Int64:
-		out := make([]int64, n)
+		out := resize(buf.Ints, n)
+		buf.Ints = out
 		at, prev := 0, int64(0)
 		for i := range out {
-			u, next, err := uvarint(payload, at)
-			if err != nil {
+			var u uint64
+			var err error
+			if at < len(payload) && payload[at] < 0x80 {
+				u, at = uint64(payload[at]), at+1
+			} else if u, at, err = uvarint(payload, at); err != nil {
 				return cd, err
 			}
-			at = next
 			prev += int64(u>>1) ^ -int64(u&1) // zig-zag
 			out[i] = prev
 		}
 		cd.Ints = out
 		return cd, nil
 	case telemetry.Float64:
-		out := make([]float64, n)
+		out := resize(buf.Floats, n)
+		buf.Floats = out
 		for i := range out {
 			out[i] = math.Float64frombits(le.Uint64(payload[8*i:]))
 		}
@@ -432,7 +442,8 @@ func decodeColumnData(s telemetry.ColSpec, payload []byte, n int) (telemetry.Col
 		if dictN > uint64(len(payload)-at) {
 			return cd, fmt.Errorf("dictionary size %d exceeds payload", dictN)
 		}
-		dict := make([]string, dictN)
+		dict := resize(buf.Dict, int(dictN))
+		buf.Dict = dict
 		for i := range dict {
 			var l uint64
 			if l, at, err = uvarint(payload, at); err != nil {
@@ -441,13 +452,20 @@ func decodeColumnData(s telemetry.ColSpec, payload []byte, n int) (telemetry.Col
 			if l > uint64(len(payload)-at) {
 				return cd, fmt.Errorf("dictionary entry length %d exceeds payload", l)
 			}
-			dict[i] = string(payload[at : at+int(l)])
+			// A copy, never a view of the payload; the comparison does not
+			// allocate.
+			if b := payload[at : at+int(l)]; string(b) != dict[i] {
+				dict[i] = string(b)
+			}
 			at += int(l)
 		}
-		out := make([]uint32, n)
+		out := resize(buf.IDs, n)
+		buf.IDs = out
 		for i := range out {
 			var id uint64
-			if id, at, err = uvarint(payload, at); err != nil {
+			if at < len(payload) && payload[at] < 0x80 {
+				id, at = uint64(payload[at]), at+1
+			} else if id, at, err = uvarint(payload, at); err != nil {
 				return cd, err
 			}
 			if id >= dictN || id > math.MaxUint32 {
@@ -463,6 +481,12 @@ func decodeColumnData(s telemetry.ColSpec, payload []byte, n int) (telemetry.Col
 	}
 }
 
+// resize returns xs's storage at length n, reallocated only when it is too
+// small: what it held stays in place, so the caller writes every element.
+func resize[T any](xs []T, n int) []T {
+	return slices.Grow(xs[:0], n)[:n]
+}
+
 // u32At reads the little-endian u32 at body[at:]; a body that ends first is
 // io.EOF at the field's first byte and io.ErrUnexpectedEOF inside it.
 func u32At(body []byte, at int) (uint32, error) {
@@ -475,10 +499,23 @@ func u32At(body []byte, at int) (uint32, error) {
 	return le.Uint32(body[at:]), nil
 }
 
-// decodeChunkBody walks a chunk body by index and decodes the selected
-// columns (want == nil decodes all). The returned slice is indexed by schema
-// column index; unselected columns are zero Columns.
-func decodeChunkBody(schema []telemetry.ColSpec, body []byte, want []bool) (int, []telemetry.Column, error) {
+// Scratch is one scan's decode working memory: the body buffer of a Reader
+// that reads chunks out of an io.ReaderAt, and per schema column the storage
+// the decoder fills, reused from chunk to chunk, so a scan allocates one
+// chunk's worth once. The zero value is ready to use. A Scratch belongs to
+// one scan at a time, never to a Reader: concurrent queries over one Reader
+// each hold their own.
+type Scratch struct {
+	body  []byte
+	store []telemetry.Column // per column: its buffers, kept while unselected
+	cols  []telemetry.Column // the last decode: store's selected columns, zero elsewhere
+}
+
+// decode walks a chunk body by index and decodes the selected columns (want
+// == nil decodes all) into s. The returned slice is indexed by schema column
+// index; unselected columns are zero Columns. It is s's, valid until s
+// decodes again; the dictionary strings alone are the caller's to keep.
+func (s *Scratch) decode(schema []telemetry.ColSpec, body []byte, want []bool) (int, []telemetry.Column, error) {
 	nrows, err := u32At(body, 0)
 	if err != nil {
 		return 0, nil, err
@@ -488,8 +525,12 @@ func decodeChunkBody(schema []telemetry.ColSpec, body []byte, want []bool) (int,
 	if len(schema) == 0 && n > 0 {
 		return 0, nil, fmt.Errorf("colfile: %d rows in a zero-column chunk", n)
 	}
-	cols := make([]telemetry.Column, len(schema))
-	for ci, s := range schema {
+	if len(s.store) != len(schema) {
+		s.store = make([]telemetry.Column, len(schema))
+		s.cols = make([]telemetry.Column, len(schema))
+	}
+	clear(s.cols)
+	for ci, sp := range schema {
 		if at >= len(body) {
 			return 0, nil, io.EOF
 		}
@@ -503,20 +544,20 @@ func decodeChunkBody(schema []telemetry.ColSpec, body []byte, want []bool) (int,
 		}
 		at += 4
 		if int64(plen) > int64(len(body)-at) {
-			return 0, nil, fmt.Errorf("colfile: column %q payload length %d exceeds chunk body", s.Name, plen)
+			return 0, nil, fmt.Errorf("colfile: column %q payload length %d exceeds chunk body", sp.Name, plen)
 		}
 		payload := body[at : at+int(plen)]
 		at += int(plen)
 		if want != nil && !want[ci] {
 			continue
 		}
-		cd, err := decodeColumnData(s, payload, n)
+		cd, err := decodeColumnData(sp, payload, n, &s.store[ci])
 		if err != nil {
-			return 0, nil, fmt.Errorf("colfile: column %q: %w", s.Name, err)
+			return 0, nil, fmt.Errorf("colfile: column %q: %w", sp.Name, err)
 		}
-		cols[ci] = cd
+		s.cols[ci] = cd
 	}
-	return n, cols, nil
+	return n, s.cols, nil
 }
 
 // parseHeader reads the file header from r, returning version, schema, and

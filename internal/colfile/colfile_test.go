@@ -182,7 +182,7 @@ func TestChunkStats(t *testing.T) {
 		t.Fatalf("version %d, %d chunks, %d decodes", r.Version(), r.NumChunks(), r.DecodeCount())
 	}
 	// Body: rows u32, then step's flag u8 and inline [min, max] f64.
-	body, err := r.chunkBody(0)
+	body, err := r.chunkBody(0, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,11 +154,12 @@ func sameColumns(specs []telemetry.ColSpec, a, b []telemetry.Column) error {
 	return nil
 }
 
-// decodeBoth runs the index decoder and the byte-reader oracle over body and
-// fails unless they agree: on the error, word for word, or on every cell.
-func decodeBoth(t *testing.T, what string, specs []telemetry.ColSpec, body []byte, want []bool) (int, []telemetry.Column, error) {
+// decodeBoth runs the index decoder, into s, and the byte-reader oracle over
+// body and fails unless they agree: on the error, word for word, or on every
+// cell.
+func decodeBoth(t *testing.T, what string, s *Scratch, specs []telemetry.ColSpec, body []byte, want []bool) (int, []telemetry.Column, error) {
 	t.Helper()
-	n, cols, err := decodeChunkBody(specs, body, want)
+	n, cols, err := s.decode(specs, body, want)
 	on, ocols, oerr := oracleDecodeChunkBody(specs, body, want)
 	if (err == nil) != (oerr == nil) || (err != nil && err.Error() != oerr.Error()) {
 		t.Fatalf("%s: decoder says %v, oracle says %v", what, err, oerr)
@@ -180,7 +181,9 @@ func decodeBoth(t *testing.T, what string, specs []telemetry.ColSpec, body []byt
 // buffer-per-column encoder wrote, twice over from one writer; both decoders
 // must give the table back; and on a truncated, bit-flipped or row-count-
 // patched body the two decoders must agree — same error or same cells, never
-// a panic, never a slice sized by a count the payload cannot back.
+// a panic, never a slice sized by a count the payload cannot back. Every
+// decode of one table reuses one Scratch, as a scan does, so whatever a
+// decode leaves behind — a failed one's included — must not reach the next.
 func FuzzCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 9, 0, 1, 2, 6, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 0, 5, 3, 0, 2, 4})
@@ -216,23 +219,28 @@ func FuzzCodec(f *testing.F) {
 					t.Fatalf("length prefix %d, body %d", got, len(want))
 				}
 			}
-			n, back, err := decodeBoth(t, "valid body", specs, want, nil)
-			if err != nil {
-				t.Fatalf("valid body does not decode: %v", err)
+			var scratch Scratch
+			roundTrip := func(what string) {
+				t.Helper()
+				n, back, err := decodeBoth(t, what, &scratch, specs, want, nil)
+				if err != nil {
+					t.Fatalf("%s does not decode: %v", what, err)
+				}
+				if n != tab.NumRows() {
+					t.Fatalf("%s: decoded %d rows of %d", what, n, tab.NumRows())
+				}
+				if err := sameColumns(specs, back, tab.Columns()); err != nil {
+					t.Fatalf("%s: round trip: %v", what, err)
+				}
 			}
-			if n != tab.NumRows() {
-				t.Fatalf("decoded %d rows of %d", n, tab.NumRows())
-			}
-			if err := sameColumns(specs, back, tab.Columns()); err != nil {
-				t.Fatalf("round trip: %v", err)
-			}
+			roundTrip("valid body")
 
 			// Projection: a fuzzed subset of the columns.
 			mask := make([]bool, len(specs))
 			for i := range mask {
 				mask[i] = src.byte()%2 == 0
 			}
-			decodeBoth(t, "projection", specs, want, mask)
+			decodeBoth(t, "projection", &scratch, specs, want, mask)
 
 			// Damage.
 			for k := 0; k < 8; k++ {
@@ -251,12 +259,13 @@ func FuzzCodec(f *testing.F) {
 					binary.LittleEndian.PutUint32(bad, rows)
 					what = fmt.Sprintf("row count patched to %d", rows)
 				}
-				n, _, err := decodeBoth(t, what, specs, bad, nil)
+				n, _, err := decodeBoth(t, what, &scratch, specs, bad, nil)
 				// A count the body cannot back must be refused, not allocated.
 				if err == nil && len(specs) > 0 && n > len(bad) {
 					t.Fatalf("%s: decoded %d rows from %d bytes", what, n, len(bad))
 				}
 			}
+			roundTrip("valid body after damage")
 		}
 	})
 }

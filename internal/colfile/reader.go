@@ -17,11 +17,17 @@ import (
 // maps — so queries seek straight to matching chunks (or skip payloads
 // entirely for metadata-only aggregates).
 //
+// A Reader from OpenBytes reads chunk bodies in place, as slices of its
+// bytes; one from Open or OpenFile reads each into the scan's Scratch.
+// Either way every body is checked against the index and its checksum on
+// every read.
+//
 // A Reader is safe for concurrent use: the index is immutable after Open,
-// chunk reads go through io.ReaderAt, and the decode counter is atomic.
-// This is the concurrency-safe substrate the amrd query server builds on.
+// chunk reads go through io.ReaderAt or the immutable bytes, every scan
+// decodes into its own Scratch, and the decode counter is atomic.
 type Reader struct {
 	ra      io.ReaderAt
+	data    []byte // the whole file, when OpenBytes had it in memory; else nil
 	size    int64
 	version byte
 	schema  []telemetry.ColSpec
@@ -56,9 +62,16 @@ func OpenFile(f *os.File) (*Reader, error) {
 	return Open(f, st.Size())
 }
 
-// OpenBytes opens a Reader over an in-memory encoded file.
+// OpenBytes opens a Reader over an in-memory encoded file. The Reader
+// reads chunk bodies in place, so data must not change while it is in use;
+// nothing it returns aliases data.
 func OpenBytes(data []byte) (*Reader, error) {
-	return Open(bytes.NewReader(data), int64(len(data)))
+	r, err := Open(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	r.data = data
+	return r, nil
 }
 
 // loadFooter parses the footer block index and validates it
@@ -199,18 +212,26 @@ func (r *Reader) ColIndex(name string) int {
 // metadata alone (zero) or how many chunks pushdown actually touched.
 func (r *Reader) DecodeCount() int64 { return r.decodes.Load() }
 
-// chunkBody reads the raw body of chunk i, verified against the index: the
-// chunk's own length prefix must agree with it, and so must the checksum.
-func (r *Reader) chunkBody(i int) ([]byte, error) {
+// chunkBody returns the raw body of chunk i, verified against the index:
+// the chunk's own length prefix must agree with it, and so must the
+// checksum. The body is a slice of the Reader's bytes when it has them, and
+// is read into *buf otherwise.
+func (r *Reader) chunkBody(i int, buf *[]byte) ([]byte, error) {
 	m := r.chunks[i]
-	buf := make([]byte, 4+int64(m.Length))
-	if _, err := r.ra.ReadAt(buf, m.Offset); err != nil {
-		return nil, fmt.Errorf("colfile: chunk %d: %w", i, err)
+	var raw []byte
+	if r.data != nil {
+		raw = r.data[m.Offset : m.Offset+4+int64(m.Length)] // in range: loadFooter checked
+	} else {
+		raw = resize(*buf, 4+int(m.Length))
+		*buf = raw
+		if _, err := r.ra.ReadAt(raw, m.Offset); err != nil {
+			return nil, fmt.Errorf("colfile: chunk %d: %w", i, err)
+		}
 	}
-	if got := binary.LittleEndian.Uint32(buf); got != m.Length {
+	if got := binary.LittleEndian.Uint32(raw); got != m.Length {
 		return nil, fmt.Errorf("colfile: chunk %d length prefix %d does not match the index (%d)", i, got, m.Length)
 	}
-	body := buf[4:]
+	body := raw[4:]
 	if got := crc32.ChecksumIEEE(body); got != m.CRC {
 		return nil, fmt.Errorf("colfile: chunk %d checksum mismatch: %08x != %08x", i, got, m.CRC)
 	}
@@ -235,14 +256,22 @@ func (r *Reader) DecodeChunk(i int) (*telemetry.Table, error) {
 // (projection pushdown): unselected payloads are skipped, not parsed; a nil
 // want selects every column. The returned slice is indexed by schema column
 // index; unselected entries are zero. The second result is the chunk's row
-// count.
+// count. The columns are the caller's: DecodeColumnsInto over a Scratch of
+// their own.
 func (r *Reader) DecodeColumns(i int, want []bool) ([]telemetry.Column, int, error) {
-	body, err := r.chunkBody(i)
+	return r.DecodeColumnsInto(new(Scratch), i, want)
+}
+
+// DecodeColumnsInto is DecodeColumns into s's storage: the columns are
+// valid until the next call with s, which reuses their buffers. A scan
+// holds one Scratch for all its chunks.
+func (r *Reader) DecodeColumnsInto(s *Scratch, i int, want []bool) ([]telemetry.Column, int, error) {
+	body, err := r.chunkBody(i, &s.body)
 	if err != nil {
 		return nil, 0, err
 	}
 	r.decodes.Add(1)
-	n, cols, err := decodeChunkBody(r.schema, body, want)
+	n, cols, err := s.decode(r.schema, body, want)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -252,8 +281,9 @@ func (r *Reader) DecodeColumns(i int, want []bool) ([]telemetry.Column, int, err
 // Table materializes the whole file as one table.
 func (r *Reader) Table() (*telemetry.Table, error) {
 	out := telemetry.NewTable(r.schema...)
+	var s Scratch // AppendColumns copies what it takes
 	for i := range r.chunks {
-		cols, _, err := r.DecodeColumns(i, nil)
+		cols, _, err := r.DecodeColumnsInto(&s, i, nil)
 		if err != nil {
 			return nil, err
 		}

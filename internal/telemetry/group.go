@@ -35,6 +35,11 @@ type GroupAgg struct {
 	keyCols []*column // key cells of the group's first row; strings interned here
 	count   []float64
 
+	// Scratch, one feed at a time: per string key, source dictionary id →
+	// code+1 (0: not met yet), so a string is hashed once per distinct id
+	// per feed, not once per row.
+	xlat [][]uint32
+
 	// Scratch, one block of rows at a time.
 	code []uint64 // len(keys) per row, row-major
 	gid  []uint32
@@ -83,17 +88,19 @@ func NewGroupAgg(schema []ColSpec, keys []string, aggs []AggSpec) *GroupAgg {
 // AppendColumns takes them.
 func (g *GroupAgg) Add(cols []Column, sel []int) {
 	n := feedRows("GroupAgg.Add", g.schema, cols, sel)
-	// Source dictionary id → code+1 per string key (0: not met yet), so a
-	// string is hashed once per distinct id per feed, not once per row.
-	xlat := make([][]uint32, len(g.keys))
+	if g.xlat == nil {
+		g.xlat = make([][]uint32, len(g.keys))
+	}
 	for j, ci := range g.keys {
 		if g.schema[ci].Type == String {
-			xlat[j] = make([]uint32, len(cols[ci].Dict))
+			d := len(cols[ci].Dict)
+			g.xlat[j] = slices.Grow(g.xlat[j][:0], d)[:d]
+			clear(g.xlat[j])
 		}
 	}
 	for lo := 0; lo < n; lo += aggBlock {
 		hi := min(lo+aggBlock, n)
-		g.resolve(cols, sel, lo, hi, xlat)
+		g.resolve(cols, sel, lo, hi)
 		g.fold(cols, sel, lo, hi)
 	}
 }
@@ -110,7 +117,7 @@ func block[T any](buf *[]T, src []T, sel []int, lo, hi int) []T {
 
 // resolve fills g.gid with the group of each row of the block, creating
 // groups as first rows reach them.
-func (g *GroupAgg) resolve(cols []Column, sel []int, lo, hi int, xlat [][]uint32) {
+func (g *GroupAgg) resolve(cols []Column, sel []int, lo, hi int) {
 	n, nk := hi-lo, len(g.keys)
 	g.code = slices.Grow(g.code[:0], n*nk)[:n*nk]
 	for j, ci := range g.keys {
@@ -128,7 +135,7 @@ func (g *GroupAgg) resolve(cols []Column, sel []int, lo, hi int, xlat [][]uint32
 				g.code[i*nk+j] = math.Float64bits(v)
 			}
 		case String:
-			known := xlat[j]
+			known := g.xlat[j]
 			for i, id := range block(&g.ids, src.IDs, sel, lo, hi) {
 				if known[id] == 0 {
 					known[id] = kc.intern(src.Dict[id]) + 1

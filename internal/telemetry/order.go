@@ -59,7 +59,8 @@ func compareRows(keys []orderKey, a []*Column, i int, b []*Column, j int) int {
 // the same rows, without holding more than k of them. Feed it
 // with Add, chunk by chunk; read it with Table.
 type TopK struct {
-	by []orderKey
+	schema []ColSpec // the feeds'
+	by     []orderKey
 	// cols are each key's column index in the feeds' schema; feed and kept
 	// hold each key's column of the current feed and of cand.
 	cols       []int
@@ -80,7 +81,7 @@ type TopK struct {
 // NewTopK returns an empty TopK over feeds of the given schema. An unknown
 // key column panics; a negative k keeps nothing.
 func NewTopK(schema []ColSpec, by []SortKey, k int) *TopK {
-	h := &TopK{k: max(k, 0), cand: NewTable(schema...)}
+	h := &TopK{schema: schema, k: max(k, 0), cand: NewTable(schema...)}
 	for _, key := range by {
 		ci := schemaIndex(schema, key.Col)
 		h.by = append(h.by, orderKey{typ: schema[ci].Type, desc: key.Desc})
@@ -94,7 +95,7 @@ func NewTopK(schema []ColSpec, by []SortKey, k int) *TopK {
 // Add feeds rows sel of cols, in sel order (a nil sel: every row), as
 // AppendColumns takes them.
 func (h *TopK) Add(cols []Column, sel []int) {
-	n := feedRows("TopK.Add", h.cand.Schema(), cols, sel)
+	n := feedRows("TopK.Add", h.schema, cols, sel)
 	first := h.seen
 	h.seen += n
 	if h.k == 0 {

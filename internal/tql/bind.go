@@ -350,13 +350,18 @@ func (b *bound) compileCmp(x cmp) (operand, error) {
 	case l.typ != r.typ:
 		return operand{}, fmt.Errorf("tql: comparing %s with %s", l.typ, r.typ)
 	case l.typ == tNum:
-		out.pred = vCmpNum{op: op, l: l.num, r: r.num}
-		// Sargable: a numeric column against a numeric literal.
+		// Sargable: a numeric column against a numeric literal, which its
+		// kernel compares in place.
 		switch {
 		case l.isCol && r.isLit:
 			out.sarg = &sargPred{colIdx: l.col, op: op, val: r.litVal}
 		case r.isCol && l.isLit:
 			out.sarg = &sargPred{colIdx: r.col, op: op.flip(), val: l.litVal}
+		}
+		if s := out.sarg; s != nil {
+			out.pred = vCmpColLit{sargPred: *s, isInt: b.schema[s.colIdx].Type == telemetry.Int64}
+		} else {
+			out.pred = vCmpNum{op: op, l: l.num, r: r.num}
 		}
 	case !l.isCol && !r.isCol:
 		out.pred = vConstBool{v: cmpStrings(op, l.str, r.str)}

@@ -43,26 +43,27 @@ func Exec(q *Query, t *telemetry.Table) (*telemetry.Table, error) {
 }
 
 // chunkSource is what the executor scans: a schema and a sequence of
-// chunks, each with block-index metadata and a projection decode.
-// *colfile.Reader is one as it stands; tableSource adapts a table.
+// chunks, each with block-index metadata and a projection decode into the
+// scan's scratch. *colfile.Reader is one as it stands; tableSource adapts a
+// table.
 type chunkSource interface {
 	Schema() []telemetry.ColSpec
 	NumChunks() int
 	Meta(i int) colfile.ChunkMeta
-	DecodeColumns(i int, want []bool) ([]telemetry.Column, int, error)
+	DecodeColumnsInto(s *colfile.Scratch, i int, want []bool) ([]telemetry.Column, int, error)
 }
 
 // tableSource presents an in-memory table as one chunk with no zone maps,
-// its columns the table's own (nothing is copied). Without zone maps a
-// WHERE makes the chunk classSome, so the metadata-only path never sees it;
-// Exec scans a tableSource only when there is a WHERE.
+// its columns the table's own (nothing is copied, so it needs no scratch).
+// Without zone maps a WHERE makes the chunk classSome, so the metadata-only
+// path never sees it; Exec scans a tableSource only when there is a WHERE.
 type tableSource struct{ t *telemetry.Table }
 
 func (s tableSource) Schema() []telemetry.ColSpec { return s.t.Schema() }
 func (s tableSource) NumChunks() int              { return 1 }
 func (s tableSource) Meta(int) colfile.ChunkMeta  { return colfile.ChunkMeta{Rows: s.t.NumRows()} }
 
-func (s tableSource) DecodeColumns(int, []bool) ([]telemetry.Column, int, error) {
+func (s tableSource) DecodeColumnsInto(*colfile.Scratch, int, []bool) ([]telemetry.Column, int, error) {
 	return s.t.Columns(), s.t.NumRows(), nil
 }
 
@@ -70,7 +71,11 @@ func (s tableSource) DecodeColumns(int, []bool) ([]telemetry.Column, int, error)
 // map, answer from metadata alone when that suffices, otherwise decode only
 // the referenced columns of only the surviving chunks, filter them through
 // the kernels and feed the matched rows, chunk by chunk, to the query's
-// post-WHERE sink. The Explain is valid even when the result is an error.
+// post-WHERE sink. The scan's working memory — the decoded columns, the
+// kernels' vectors — is one chunk's worth, allocated once and reused for
+// every chunk: what a chunk hands the sink is valid only until the next
+// chunk, so every sink copies what it keeps. The Explain is valid even when
+// the result is an error.
 func execute(q *Query, src chunkSource) (*telemetry.Table, *Explain, error) {
 	ex := &Explain{ChunksTotal: src.NumChunks()}
 	b, err := bind(q, src.Schema())
@@ -106,12 +111,14 @@ func execute(q *Query, src chunkSource) (*telemetry.Table, *Explain, error) {
 	// must be filtered add the WHERE columns.
 	acc := newAccumulator(b)
 	decoded := b.needOut
+	var dec colfile.Scratch
+	var ctx chunkCtx
 	for i, class := range classes {
 		switch class {
 		case classNone:
 			ex.ChunksSkipped++
 		case classAll:
-			cols, n, err := src.DecodeColumns(i, b.needOut)
+			cols, n, err := src.DecodeColumnsInto(&dec, i, b.needOut)
 			if err != nil {
 				return nil, ex, err
 			}
@@ -119,13 +126,14 @@ func execute(q *Query, src chunkSource) (*telemetry.Table, *Explain, error) {
 			ex.RowsMatched += int64(n)
 			acc.add(cols, n, nil)
 		case classSome:
-			cols, n, err := src.DecodeColumns(i, b.needScan)
+			cols, n, err := src.DecodeColumnsInto(&dec, i, b.needScan)
 			if err != nil {
 				return nil, ex, err
 			}
 			ex.ChunksScanned++
 			decoded = b.needScan
-			sel, err := b.match(&chunkCtx{cols: cols, n: n})
+			ctx.load(cols, n)
+			sel, err := b.match(&ctx)
 			if err != nil {
 				return nil, ex, err
 			}
@@ -144,11 +152,11 @@ func execute(q *Query, src chunkSource) (*telemetry.Table, *Explain, error) {
 }
 
 // match returns the rows of the chunk that satisfy the WHERE clause, in
-// row order — never nil, which the accumulator would read as "every row".
-// Conjuncts run left to right, each on the rows its predecessors kept —
-// short-circuit AND over the top-level spine.
+// row order — never nil, which the accumulator would read as "every row" —
+// in one of c's buffers. Conjuncts run left to right, each on the rows its
+// predecessors kept — short-circuit AND over the top-level spine.
 func (b *bound) match(c *chunkCtx) ([]int, error) {
-	sel := make([]int, c.n)
+	sel := c.rows.get(c.n)
 	for i := range sel {
 		sel[i] = i
 	}
@@ -238,6 +246,7 @@ func (g gatherSink) Table() *telemetry.Table                { return g.t }
 type accumulator struct {
 	idx  []int              // schema index of each carried column
 	pick []telemetry.Column // scratch: one chunk's carried columns
+	rows []int64            // scratch: the count(*) placeholder column
 	sink sink
 }
 
@@ -273,7 +282,10 @@ func newAccumulator(b *bound) *accumulator {
 // rows that is.
 func (a *accumulator) add(cols []telemetry.Column, n int, sel []int) {
 	if len(a.idx) == 0 {
-		a.pick[0], sel = telemetry.Column{Ints: make([]int64, n)}, nil
+		if cap(a.rows) < n {
+			a.rows = make([]int64, n) // the sink reads only how many
+		}
+		a.pick[0], sel = telemetry.Column{Ints: a.rows[:n]}, nil
 	}
 	for k, ci := range a.idx {
 		a.pick[k] = cols[ci]

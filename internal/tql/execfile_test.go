@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -173,13 +174,15 @@ var differentialQueries = []corpusQuery{
 	{src: "SELECT count(*) AS n FROM t WHERE policy = 'cdp' ORDER BY n LIMIT 7"},
 }
 
-// corpusReaders encodes src at the corpus chunk sizes.
+// corpusReaders encodes src at the corpus chunk sizes, read in place, and at
+// one of them behind a plain io.ReaderAt.
 func corpusReaders(t *testing.T, src *telemetry.Table) map[string]*colfile.Reader {
 	t.Helper()
 	readers := map[string]*colfile.Reader{}
 	for _, chunkRows := range []int{0, 1, 2, 4} {
 		readers[fmt.Sprintf("file chunk=%d", chunkRows)] = fileFor(t, src, chunkRows)
 	}
+	readers["ReaderAt file chunk=2"] = fileVia(t, src, 2, false)
 	return readers
 }
 
@@ -271,19 +274,39 @@ func TestDifferentialExecFileEmptyTable(t *testing.T) {
 	runDifferential(t, "empty", empty, corpusReaders(t, empty))
 }
 
-// fileFor writes src as a v2 colfile and opens a seekable reader on it.
+// fileFor writes src as a v2 colfile and opens a seekable reader on it, one
+// that reads chunk bodies in place.
 func fileFor(t *testing.T, src *telemetry.Table, chunkRows int) *colfile.Reader {
+	t.Helper()
+	return fileVia(t, src, chunkRows, true)
+}
+
+// fileVia is fileFor on either read path: OpenBytes, which reads chunk
+// bodies in place, or Open over a plain io.ReaderAt, which reads each into
+// the scan's buffer.
+func fileVia(t *testing.T, src *telemetry.Table, chunkRows int, inPlace bool) *colfile.Reader {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := colfile.WriteTable(&buf, src, chunkRows); err != nil {
 		t.Fatal(err)
 	}
-	r, err := colfile.OpenBytes(buf.Bytes())
+	open := colfile.OpenBytes
+	if !inPlace {
+		open = func(b []byte) (*colfile.Reader, error) {
+			return colfile.Open(readerAtOnly{bytes.NewReader(b)}, int64(len(b)))
+		}
+	}
+	r, err := open(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
 }
+
+// readerAtOnly hides everything of its io.ReaderAt but ReadAt.
+type readerAtOnly struct{ ra io.ReaderAt }
+
+func (r readerAtOnly) ReadAt(p []byte, off int64) (int, error) { return r.ra.ReadAt(p, off) }
 
 // sortedTable builds rows with step ascending so chunks have disjoint
 // step ranges — the shape zone-map pruning thrives on.
@@ -488,5 +511,42 @@ func TestRenameSharedMatchesCopy(t *testing.T) {
 	tb, names := renameBenchTable(100)
 	if !telemetry.Equal(oldRename(tb, names), project(tb, []string{"a", "b", "c"}, names)) {
 		t.Fatal("storage-sharing projection differs from copying rename")
+	}
+}
+
+// TestInPlaceBodyChecksum: a Reader over bytes in memory reads chunk bodies
+// in place, and still checks every one on every read. A byte flipped inside
+// one chunk's body fails that chunk's decode with the checksum error on a
+// first scan and on a second: the check is neither skipped nor cached.
+func TestInPlaceBodyChecksum(t *testing.T) {
+	var buf bytes.Buffer
+	if err := colfile.WriteTable(&buf, sortedTable(64), 16); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	r, err := colfile.OpenBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = 2
+	m := r.Meta(bad)
+	data[m.Offset+4+int64(m.Length)/2] ^= 0x10
+	q, err := Parse("SELECT policy, p50(wait) AS m FROM t GROUP BY policy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("colfile: chunk %d checksum mismatch", bad)
+	for scan := 1; scan <= 2; scan++ {
+		before := r.DecodeCount()
+		_, err := ExecFile(q, r)
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("scan %d: err = %v, want %q…", scan, err, want)
+		}
+		if got := r.DecodeCount() - before; got != bad {
+			t.Fatalf("scan %d decoded %d chunks before failing, want %d", scan, got, bad)
+		}
+	}
+	if _, _, err := r.DecodeColumns(bad, nil); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("DecodeColumns(%d) = %v, want %q…", bad, err, want)
 	}
 }

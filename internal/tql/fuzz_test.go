@@ -62,9 +62,12 @@ var fuzzCols = []string{"step", "rank", "wait", "compute", "policy", "note"}
 
 var fuzzStrs = []string{"lpt", "cdp", "cpl50", "", "a", "b"}
 
-// fuzzShape derives FuzzQuery's table and chunk size from fuzz input:
+// fuzzShape derives FuzzQuery's table, chunk size and read path from fuzz
+// input:
 //
-//	shape[0] % 9        rows per chunk (0: one chunk)
+//	shape[0] & 0x7f % 9 rows per chunk (0: one chunk)
+//	shape[0] & 0x80     set: the file is read through a plain io.ReaderAt
+//	                    (bodies into the scan's buffer), else in place
 //	shape[1] % 6 + 1    columns, named fuzzCols[:n]
 //	next n bytes % 3    their types
 //	the rest            cells in row order, one byte each, at most 64 rows
@@ -73,7 +76,7 @@ var fuzzStrs = []string{"lpt", "cdp", "cpl50", "", "a", "b"}
 // dyadic rational, so every sum is exact and the footer's per-chunk partial
 // sums fold to the same bits as a row-order sum; a string cell picks from
 // fuzzStrs. Missing bytes read as zero.
-func fuzzShape(shape []byte) (*telemetry.Table, int) {
+func fuzzShape(shape []byte) (tb *telemetry.Table, chunk int, inPlace bool) {
 	next := func() byte {
 		if len(shape) == 0 {
 			return 0
@@ -82,12 +85,13 @@ func fuzzShape(shape []byte) (*telemetry.Table, int) {
 		shape = shape[1:]
 		return b
 	}
-	chunk := int(next() % 9)
+	b0 := next()
+	chunk, inPlace = int(b0&0x7f%9), b0&0x80 == 0
 	specs := make([]telemetry.ColSpec, next()%6+1)
 	for i := range specs {
 		specs[i] = telemetry.ColSpec{Name: fuzzCols[i], Type: telemetry.ColType(next() % 3)}
 	}
-	tb := telemetry.NewTable(specs...)
+	tb = telemetry.NewTable(specs...)
 	vals := make([]interface{}, len(specs))
 	for rows := 0; len(shape) > 0 && rows < 64; rows++ {
 		for i, s := range specs {
@@ -102,7 +106,7 @@ func fuzzShape(shape []byte) (*telemetry.Table, int) {
 		}
 		tb.Append(vals...)
 	}
-	return tb, chunk
+	return tb, chunk, inPlace
 }
 
 // fuzzShapes seed FuzzQuery's table dimension. The first is the five-row
@@ -127,6 +131,12 @@ var fuzzShapes = [][]byte{
 		0x80, 3, 4, 7, 3, 3,
 		5, 0xfe, 3, 0, 1, 4},
 	{3, 0, 1, 9, 9, 200, 9, 13}, // one float column
+	{0x82, 4, 0, 0, 1, 1, 2, // the first shape, read through a plain io.ReaderAt
+		1, 0, 6, 8, 0,
+		2, 1, 2, 4, 1,
+		2, 0, 8, 0, 1,
+		3, 1, 1, 16, 0,
+		4, 0, 8, 2, 2},
 }
 
 // TestFuzzShapeSeed pins the first seed shape to the table in its comment.
@@ -140,17 +150,17 @@ func TestFuzzShapeSeed(t *testing.T) {
 	want.Append(2, 0, 2.0, 0.0, "cdp")
 	want.Append(3, 1, 0.25, 4.0, "lpt")
 	want.Append(4, 0, 2.0, 0.5, "cpl50")
-	if got, chunk := fuzzShape(fuzzShapes[0]); chunk != 2 || !telemetry.Equal(got, want) {
+	if got, chunk, inPlace := fuzzShape(fuzzShapes[0]); chunk != 2 || !inPlace || !telemetry.Equal(got, want) {
 		t.Fatalf("first seed shape is, in chunks of %d,\n%s", chunk, got.Render(0))
 	}
 }
 
-// FuzzQuery is the differential fuzzer: the second input shapes a table and
-// a chunk size (fuzzShape); anything that parses is bound against it; a
-// bind error must be reported identically by both sources, and a query that
-// binds must get the oracle's answer — the same table or the same
-// division-by-zero error — from the in-memory source and from a file source
-// in chunks of that size. Nothing may panic.
+// FuzzQuery is the differential fuzzer: the second input shapes a table, a
+// chunk size and a read path (fuzzShape); anything that parses is bound
+// against it; a bind error must be reported identically by both sources,
+// and a query that binds must get the oracle's answer — the same table or
+// the same division-by-zero error — from the in-memory source and from a
+// file source in chunks of that size, read that way. Nothing may panic.
 func FuzzQuery(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s, fuzzShapes[0])
@@ -165,8 +175,8 @@ func FuzzQuery(f *testing.F) {
 		if err != nil {
 			return
 		}
-		tb, chunk := fuzzShape(shape)
-		r := fileFor(t, tb, chunk)
+		tb, chunk, inPlace := fuzzShape(shape)
+		r := fileVia(t, tb, chunk, inPlace)
 		mem, memErr := Exec(q, tb)
 		file, fileErr := ExecFile(q, r)
 		if _, bindErr := bind(q, tb.Schema()); bindErr != nil {

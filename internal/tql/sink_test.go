@@ -3,6 +3,7 @@ package tql
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"amrtools/internal/colfile"
@@ -102,4 +103,104 @@ func TestGroupedQueryDoesNotGather(t *testing.T) {
 func TestTopKQueryDoesNotGather(t *testing.T) {
 	const shape = "SELECT step, rank, wait FROM t WHERE %s ORDER BY wait DESC LIMIT 10"
 	checkSinkBudget(t, fmt.Sprintf(shape, "step < 250"), fmt.Sprintf(shape, "wait < 0.1"), fmt.Sprintf(shape, "wait < 0.9"))
+}
+
+// scanQueries are the aggregate and top-k shapes of the benchmark's query
+// mix, over scanTable's columns.
+var scanQueries = []string{
+	"SELECT rank, sum(wait) AS w FROM t WHERE step >= 920 GROUP BY rank ORDER BY w DESC LIMIT 8",
+	"SELECT rank, count(*) AS n FROM t WHERE wait > 0.002 AND rank < 64 GROUP BY rank ORDER BY n DESC, rank LIMIT 4",
+	"SELECT count(*) AS n, min(wait) AS lo, max(wait) AS hi, sum(wait) AS s, avg(wait) AS m FROM t",
+	"SELECT count(*) AS n, sum(wait) AS w FROM t WHERE policy = 'cdp'",
+	"SELECT policy, count(*) AS n, avg(wait) AS w FROM t GROUP BY policy ORDER BY policy",
+	"SELECT step, rank, wait FROM t WHERE step < 250 ORDER BY wait DESC LIMIT 10",
+}
+
+// scanTable is the benchmark's table in miniature: step ascending over
+// 0..999, rank scattered over 512, wait over [0, 0.01), and the policies in
+// turn, so that every chunk of a multiple of four rows has the same
+// dictionary in the same order.
+func scanTable() *telemetry.Table {
+	const rows = 16 << 10
+	tb := telemetry.NewTable(
+		telemetry.IntCol("step"), telemetry.IntCol("rank"),
+		telemetry.FloatCol("wait"), telemetry.StrCol("policy"))
+	policies := []string{"baseline", "lpt", "cdp", "cpl50"}
+	for i := 0; i < rows; i++ {
+		tb.Append(i*1000/rows, i*7919%512, float64(i*104729%1000)/1e5, policies[i%4])
+	}
+	return tb
+}
+
+// TestScanAllocBudget: a scan's working memory is one chunk's worth,
+// allocated once and reused for every chunk, so the same rows in eight
+// times the chunks cost an aggregate or top-k query at most a few more
+// objects, on either read path — it used to be about thirteen more per
+// chunk: the body, every decoded column, the selection vector, every
+// kernel's vectors. (A chunk whose dictionary differs from its
+// predecessor's copies the entries that differ; scanTable's do not. The
+// gather sink is exempt: its output is O(rows).)
+func TestScanAllocBudget(t *testing.T) {
+	const few, many = 16, 128
+	tb := scanTable()
+	for _, inPlace := range []bool{true, false} {
+		rFew := fileVia(t, tb, tb.NumRows()/few, inPlace)
+		rMany := fileVia(t, tb, tb.NumRows()/many, inPlace)
+		for _, src := range scanQueries {
+			q, err := Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := func(r *colfile.Reader) float64 {
+				return testing.AllocsPerRun(5, func() {
+					if _, err := ExecFile(q, r); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			a, b := allocs(rFew), allocs(rMany)
+			t.Logf("in place %v: %.0f allocs in %d chunks, %.0f in %d: %q", inPlace, a, few, b, many, src)
+			if b-a > 4 {
+				t.Errorf("in place %v: %q allocates %.0f objects over %d chunks, %.0f over %d: the scan allocates per chunk",
+					inPlace, src, a, few, b, many)
+			}
+		}
+	}
+}
+
+// TestConcurrentScansShareReader: every scan owns its scratch, so one
+// Reader serves concurrent queries on either read path, each getting the
+// answer it gets alone. Run it under -race.
+func TestConcurrentScansShareReader(t *testing.T) {
+	tb := scanTable()
+	for _, inPlace := range []bool{true, false} {
+		r := fileVia(t, tb, tb.NumRows()/64, inPlace)
+		qs := make([]*Query, len(scanQueries))
+		want := make([]*telemetry.Table, len(scanQueries))
+		for i, src := range scanQueries {
+			q, err := Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs[i] = q
+			if want[i], err = ExecFile(q, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := range qs {
+					i := (g + k) % len(qs)
+					got, err := ExecFile(qs[i], r)
+					if err != nil || !telemetry.Equal(got, want[i]) {
+						t.Errorf("in place %v, goroutine %d: %q differs from its lone run (err %v)", inPlace, g, scanQueries[i], err)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
 }

@@ -8,11 +8,13 @@
 # two binaries then run PAIRS alternating pairs (old-new, new-old, …) of
 # `-workload W -seed S -out ""`, which cancels the host-speed drift that
 # makes single runs incomparable (bench/README.md). Per end-to-end metric it
-# prints both sides' median and quartiles, the shift, and the pairs each side
-# won; the verdict column applies the claim rule of the choosing-metrics
-# guide (new wins >= 9/10 of the pairs and the medians are further apart than
-# old's inter-quartile spread). Exits non-zero when the two sides' result
-# digests differ or any run reports "correct":false.
+# prints both sides' median and quartiles, the shift, the pairs each side
+# won and the median of the per-pair new/old ratios; the verdict column
+# applies the claim rule of the choosing-metrics guide (new wins >= 9/10 of
+# the pairs and the medians are further apart than old's inter-quartile
+# spread). The ratio keeps the pairing the verdict's two medians discard; it
+# is printed beside the verdict and does not enter it. Exits non-zero when
+# the two sides' result digests differ or any run reports "correct":false.
 set -eu
 
 old=${OLD:?usage: OLD=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1] $0}
@@ -72,7 +74,7 @@ done
 
 # Quartiles by the exclusive method (Python's statistics.quantiles n=4), the
 # same cut points bench/stats.go prints.
-printf '\n%-12s %-34s %-34s %8s  %-9s %s\n' metric "old median (q1..q3)" "new median (q1..q3)" shift "new wins" verdict
+printf '\n%-12s %-34s %-34s %8s  %-9s %-7s %s\n' metric "old median (q1..q3)" "new median (q1..q3)" shift "new wins" "new/old" verdict
 for m in setup_s wall_s cpu_s peak_rss_mb; do
     for side in old new; do
         sed "s/.*\"$m\":{\"value\":\([^,}]*\).*/\1/" "$tmp/$side.json" >"$tmp/$side.$m"
@@ -91,18 +93,19 @@ for m in setup_s wall_s cpu_s peak_rss_mb; do
             for (i = 2; i <= n; i++) { t = s[i]; for (j = i - 1; j >= 1 && s[j] > t; j--) s[j + 1] = s[j]; s[j + 1] = t }
         }
         { n++; o[n] = $1 + 0; w[n] = $2 + 0
+          r[n] = o[n] != 0 ? w[n] / o[n] : 1
           if (w[n] < o[n]) nw++; else if (o[n] < w[n]) ow++ }
         END {
-            sorted(o, n, so); sorted(w, n, sw)
+            sorted(o, n, so); sorted(w, n, sw); sorted(r, n, sr)
             om = cut(so, n, 2); wm = cut(sw, n, 2)
             oq1 = cut(so, n, 1); oq3 = cut(so, n, 3)
             verdict = "no change shown"
             if (nw * 10 >= n * 9 && om - wm > oq3 - oq1) verdict = "new better"
             if (ow * 10 >= n * 9 && wm - om > oq3 - oq1) verdict = "NEW WORSE"
-            printf "%-12s %-34s %-34s %+7.1f%%  %d/%-7d %s\n", m,
+            printf "%-12s %-34s %-34s %+7.1f%%  %d/%-7d %-7.3f %s\n", m,
                 sprintf("%.4g (%.4g..%.4g)", om, oq1, oq3),
                 sprintf("%.4g (%.4g..%.4g)", wm, cut(sw, n, 1), cut(sw, n, 3)),
-                (wm - om) / om * 100, nw, n, verdict
+                (wm - om) / om * 100, nw, n, cut(sr, n, 2), verdict
         }'
 done
 
