@@ -72,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceDir := fs.String("trace", "", "record per-run span traces into this directory (one colfile per run, plus campaign.col)")
 	timeout := fs.Duration("timeout", 0, "per-run timeout (0 = none); a safety net against simulated deadlocks")
 	paranoid := fs.Bool("paranoid", false, "run every simulation with the internal/check invariant audits on")
-	shards := fs.Int("shards", 0, "node-sharded event queues for every simulation the binary runs, advanced in lookahead windows on one goroutine; results are identical for every value >= 1 (0 = the sequential engine, whose tables differ)")
 	serve := fs.String("serve", "", "serve live /metrics, /statusz, and /debug/pprof on this address (e.g. :8080) for the duration of the run")
 	metricsDir := fs.String("metricsdir", "", "write each run's metric snapshot into this directory (one colfile per run)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this file")
@@ -154,7 +153,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Quick:      *quick,
 		Seed:       *seed,
 		Paranoid:   *paranoid,
-		Shards:     *shards,
 		TraceDir:   *traceDir,
 		MetricsDir: *metricsDir,
 		Exec: harness.Exec{

@@ -105,9 +105,7 @@ type Config struct {
 	// registry (internal/metrics): sim-plane counters/sums/histograms for
 	// MPI traffic, fabric stalls, and migration volume (bit-identical
 	// across Shards and harness workers) plus host-plane scheduler
-	// instruments. Result.Metrics holds the populated set; a Campaign in
-	// the config receives live host-plane updates for the HTTP endpoints.
-	// Nil means no registry in Result.Metrics and no scheduler instruments;
+	// instruments. Result.Metrics holds the populated set. Nil means no registry in Result.Metrics and no scheduler instruments;
 	// the MPI and fabric lanes are the run's accounting and exist either
 	// way, so setting this changes nothing else in the Result.
 	Metrics *metrics.Config
@@ -317,7 +315,7 @@ func Run(cfg Config) (*Result, error) {
 		obs:       make([][]obsRow, nranks),
 	}
 	if cfg.Metrics != nil {
-		ms := metrics.NewRunSet(nranks, cfg.Net.Nodes, cfg.Metrics.Campaign)
+		ms := metrics.NewRunSet(nranks, cfg.Net.Nodes, nil)
 		st.res.Metrics = ms
 		world.SetMetrics(ms.MPI)
 		net.SetMetrics(ms.Net)

@@ -45,7 +45,7 @@ func TestMetricsShardIdentity(t *testing.T) {
 
 // TestMetricsPopulated: a metered run must actually move the core series —
 // the instrumentation sites fire, the phase attribution accumulates, and
-// the sharded scheduler reports host-plane window structure.
+// the scheduler reports its host-plane event-queue split.
 func TestMetricsPopulated(t *testing.T) {
 	res, err := Run(metricsConfig(placement.LPT{}, 12, 7, 2))
 	if err != nil {
@@ -67,40 +67,14 @@ func TestMetricsPopulated(t *testing.T) {
 	if ms.Drv.Steps.Total() == 0 {
 		t.Error("no timesteps counted")
 	}
-	if ms.Sched.Windows.Total() == 0 {
-		t.Error("sharded run executed no windows")
-	}
-	if ms.Sched.WindowEvents.Count() == 0 {
-		t.Error("no per-window event observations")
-	}
-}
-
-// TestCampaignLiveWindows: the scheduler bumps the campaign's live window
-// count with its own window counter, so a two-shard run ends with the two
-// equal, and a run on the sequential engine, which has no windows, leaves
-// the count at zero.
-func TestCampaignLiveWindows(t *testing.T) {
-	for _, shards := range []int{2, 0} {
-		c := metrics.NewCampaign()
-		cfg := shardConfig(placement.LPT{}, 6, 7, shards)
-		cfg.Metrics = &metrics.Config{Campaign: c}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		live, windows := c.StatusNow().LiveWindows, res.Metrics.Sched.Windows.Total()
-		if live != windows {
-			t.Errorf("shards=%d: campaign live windows %d, run windows %d", shards, live, windows)
-		}
-		if (shards > 0) != (live > 0) {
-			t.Errorf("shards=%d: campaign live windows %d", shards, live)
-		}
+	if ms.Sched.LaneEvents.Total()+ms.Sched.HeapEvents.Total() == 0 {
+		t.Error("no event-queue split counted")
 	}
 }
 
 // TestGOMAXPROCSIdentity: the scheduler runs every window on the caller's
-// goroutine, so a two-shard run's tables, sim-plane snapshot and window
-// structure (the critical path in events) are the same on one P and on two.
+// goroutine, so a two-shard run's tables and sim-plane snapshot are the same
+// on one P and on two.
 func TestGOMAXPROCSIdentity(t *testing.T) {
 	run := func(procs int) *Result {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -111,12 +85,6 @@ func TestGOMAXPROCSIdentity(t *testing.T) {
 		return res
 	}
 	one, two := run(1), run(2)
-	if crit := two.Metrics.Sched.CriticalEvents.Total(); crit <= 0 || crit > two.Events {
-		t.Errorf("GOMAXPROCS=2: critical path %d of %d events", crit, two.Events)
-	}
-	if c1, c2 := one.Metrics.Sched.CriticalEvents.Total(), two.Metrics.Sched.CriticalEvents.Total(); c1 != c2 {
-		t.Errorf("critical path depends on GOMAXPROCS: %d on one P, %d on two", c1, c2)
-	}
 	if one.Steps.Render(0) != two.Steps.Render(0) || one.Waits.Render(0) != two.Waits.Render(0) ||
 		one.Makespan != two.Makespan || one.Events != two.Events {
 		t.Errorf("tables differ between GOMAXPROCS 1 and 2: makespan %v vs %v, events %d vs %d",

@@ -52,7 +52,7 @@ type Options struct {
 	// campaign aggregate — the object behind the live /metrics and /statusz
 	// endpoints. Merging happens in run-completion order, so the aggregate
 	// is exposition-only; per-run sim-plane snapshots remain bit-identical
-	// across -j and -shards.
+	// across -j.
 	Exec harness.Exec
 	// Paranoid turns on the runtime invariant audits (internal/check) in
 	// every driver run the experiments launch (worlds launched outside the
@@ -60,13 +60,6 @@ type Options struct {
 	// under check.Force, which cmd/experiments -paranoid also sets). The
 	// differential experiment always runs paranoid regardless of this flag.
 	Paranoid bool
-	// Shards, when positive, runs every simulation — driver runs,
-	// commbench and neighborhood rounds — on the conservative
-	// lookahead-window scheduler with that many node-sharded event queues
-	// (mpi.Launch), one window after the other on the run's goroutine.
-	// Results are bit-identical to any other positive shard count; 0 keeps
-	// the sequential engine.
-	Shards int
 	// TraceDir, when non-empty, turns on the flight recorder
 	// (internal/trace) in every driver run and writes each run's span
 	// stream as `<TraceDir>/<campaign>--<id>.col` — a colfile readable by
@@ -89,7 +82,7 @@ func (o Options) metricsOn() bool {
 // must mask out (telemetry.EqualMasked): the harness recorder's wall_ms and
 // heap_mb, and Fig 7c's placement_ms with its derived budget verdict. Every
 // other column comes from virtual time or deterministic plan construction
-// and must reproduce bit-for-bit across -j, -shards, and hosts.
+// and must reproduce bit-for-bit across -j, GOMAXPROCS, and hosts.
 var NondetCols = []string{"wall_ms", "heap_mb", "alloc_mb", "placement_ms", "within_50ms_budget"}
 
 // SedovScale is one Table I configuration.
@@ -135,7 +128,6 @@ func (o Options) steps() int {
 func (o Options) sedovConfig(sc SedovScale, pol placement.Policy, steps int, seed uint64) driver.Config {
 	cfg := driver.DefaultConfig(sc.RootDims, 2, steps, pol, seed)
 	cfg.Paranoid = o.Paranoid
-	cfg.Shards = o.Shards
 	return cfg
 }
 
@@ -147,7 +139,7 @@ func (o Options) sedovSpec(id string, cfg driver.Config) harness.Spec[*driver.Re
 		cfg.Trace = &trace.Config{}
 	}
 	if o.metricsOn() && cfg.Metrics == nil {
-		cfg.Metrics = &metrics.Config{Campaign: o.Exec.Metrics}
+		cfg.Metrics = &metrics.Config{}
 	}
 	return harness.Spec[*driver.Result]{
 		ID: id,

@@ -98,9 +98,9 @@ func TestFromSpansOnSpanColfile(t *testing.T) {
 
 // fig4Window runs the Fig 4 compute-first configuration under the flight
 // recorder and returns the run.
-func fig4Window(t *testing.T, shards int, tc trace.Config) *driver.Result {
+func fig4Window(t *testing.T, tc trace.Config) *driver.Result {
 	t.Helper()
-	cfg := Options{Shards: shards}.sedovConfig(QuickScale, placement.Baseline{}, 8, 42)
+	cfg := Options{}.sedovConfig(QuickScale, placement.Baseline{}, 8, 42)
 	cfg.SendsFirst = false
 	cfg.CollectSteps = false
 	cfg.Trace = &tc
@@ -120,34 +120,32 @@ func taskList(tr *critpath.Trace) []critpath.Task {
 	return out
 }
 
-// TestFromSpansIdenticalAcrossShards: the rebuilt window — every task, every
-// edge, and the analysed path — is the same for any shard count and any
-// GOMAXPROCS, so `-shards N` cannot move a Fig 4 row.
-func TestFromSpansIdenticalAcrossShards(t *testing.T) {
+// TestFromSpansIdenticalAcrossGOMAXPROCS: the rebuilt window — every task,
+// every edge, and the analysed path — is the same for any GOMAXPROCS, so the
+// host's core count cannot move a Fig 4 row.
+func TestFromSpansIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var baseTasks []critpath.Task
 	var baseRes critpath.Result
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		for _, shards := range []int{1, 2, 4} {
-			tr, err := critpath.FromSpans(fig4Window(t, shards, trace.Config{}).Spans.Table(), fig4Step)
-			if err != nil {
-				t.Fatalf("GOMAXPROCS=%d shards=%d: %v", procs, shards, err)
+		tr, err := critpath.FromSpans(fig4Window(t, trace.Config{}).Spans.Table(), fig4Step)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		tasks, res := taskList(tr), tr.Analyze()
+		if baseTasks == nil {
+			if len(tasks) == 0 || res.Makespan <= 0 {
+				t.Fatalf("degenerate window: %d tasks, makespan %v", len(tasks), res.Makespan)
 			}
-			tasks, res := taskList(tr), tr.Analyze()
-			if baseTasks == nil {
-				if len(tasks) == 0 || res.Makespan <= 0 {
-					t.Fatalf("degenerate window: %d tasks, makespan %v", len(tasks), res.Makespan)
-				}
-				baseTasks, baseRes = tasks, res
-				continue
-			}
-			if !reflect.DeepEqual(tasks, baseTasks) {
-				t.Errorf("GOMAXPROCS=%d shards=%d: task list differs from the first run", procs, shards)
-			}
-			if !reflect.DeepEqual(res, baseRes) {
-				t.Errorf("GOMAXPROCS=%d shards=%d: critical path %+v, want %+v", procs, shards, res, baseRes)
-			}
+			baseTasks, baseRes = tasks, res
+			continue
+		}
+		if !reflect.DeepEqual(tasks, baseTasks) {
+			t.Errorf("GOMAXPROCS=%d: task list differs from the first run", procs)
+		}
+		if !reflect.DeepEqual(res, baseRes) {
+			t.Errorf("GOMAXPROCS=%d: critical path %+v, want %+v", procs, res, baseRes)
 		}
 	}
 }
@@ -156,7 +154,7 @@ func TestFromSpansIdenticalAcrossShards(t *testing.T) {
 // evicted (part of) the requested step; the analysis must say so, naming the
 // rank and the step, rather than report the critical path of half a window.
 func TestFromSpansRefusesTruncatedWindow(t *testing.T) {
-	res := fig4Window(t, 0, trace.Config{PerRankCap: 64})
+	res := fig4Window(t, trace.Config{PerRankCap: 64})
 	if res.Spans.Dropped() == 0 {
 		t.Fatal("a 64-span ring held the whole run; cap not exercised")
 	}

@@ -40,7 +40,7 @@ func Fig7a(opts Options) *telemetry.Table {
 			cells = append(cells, meshCell{id: id, ranks: sc.ranks, rootDims: sc.rootDims, pol: pol})
 		}
 	}
-	out, err := meshCampaign(opts.Exec, "fig7a", cells, opts.Seed, opts.Shards, meshes, rounds)
+	out, err := meshCampaign(opts.Exec, "fig7a", cells, opts.Seed, meshes, rounds)
 	if err != nil {
 		panic(err) // statically-correct specs: harness.MustValues' contract
 	}
@@ -64,14 +64,14 @@ type meshCell struct {
 // sequential loop would.
 //
 // Columns: ranks, policy, mean_round_ms, p99_round_ms, remote_share.
-func meshCampaign(ex harness.Exec, campaign string, cells []meshCell, seed uint64, shards, meshes, rounds int) (*telemetry.Table, error) {
+func meshCampaign(ex harness.Exec, campaign string, cells []meshCell, seed uint64, meshes, rounds int) (*telemetry.Table, error) {
 	var specs []harness.Spec[meshRun]
 	for _, c := range cells {
 		rng := xrand.New(seed + uint64(c.ranks))
 		for m := 0; m < meshes; m++ {
 			specs = append(specs, commbenchSpec(
 				fmt.Sprintf("%s-mesh%d", c.id, m),
-				shards, c.ranks, c.rootDims, c.pol, rounds, rng.Split()))
+				c.ranks, c.rootDims, c.pol, rounds, rng.Split()))
 		}
 	}
 	runs, err := harness.Values(harness.Run(ex, campaign, specs))
@@ -110,12 +110,12 @@ type meshRun struct {
 // boundary-exchange rounds over one random AMR mesh under the given policy,
 // keeping the round latencies and the remote message share. The cold-start
 // round and rounds above the 10 ms fabric-recovery threshold are discarded.
-func commbenchSpec(id string, shards, ranks int, rootDims [3]int, pol placement.Policy, rounds int, rng *xrand.RNG) harness.Spec[meshRun] {
+func commbenchSpec(id string, ranks int, rootDims [3]int, pol placement.Policy, rounds int, rng *xrand.RNG) harness.Spec[meshRun] {
 	return harness.Spec[meshRun]{
 		ID: id,
 		Run: func(m *harness.Meter) (meshRun, error) {
 			plan := commbenchPlan(ranks, rootDims, pol, rng)
-			res, err := runRounds(m.Aborted, shards, rounds, rng, plan)
+			res, err := runRounds(m.Aborted, rounds, rng, plan)
 			if err != nil {
 				return meshRun{}, err
 			}
@@ -166,7 +166,7 @@ func Commbench(cfg CommbenchConfig) (*telemetry.Table, error) {
 		}
 		cells[i] = meshCell{id: pol.Name(), ranks: cfg.Ranks, rootDims: rootDims, pol: pol}
 	}
-	return meshCampaign(cfg.Exec, "commbench", cells, cfg.Seed, 0, cfg.Meshes, cfg.Rounds)
+	return meshCampaign(cfg.Exec, "commbench", cells, cfg.Seed, cfg.Meshes, cfg.Rounds)
 }
 
 // cubeDims builds a near-cubic root grid with the given product, doubling

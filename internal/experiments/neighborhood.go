@@ -56,7 +56,7 @@ func NeighborhoodCollectives(opts Options) *telemetry.Table {
 				}
 				specs = append(specs, neighborhoodSpec(
 					fmt.Sprintf("%dranks-%s-mesh%d", sc.ranks, mode, m),
-					opts.Shards, sc.ranks, sc.rootDims, aggregate, rounds, rng.Split()))
+					sc.ranks, sc.rootDims, aggregate, rounds, rng.Split()))
 			}
 		}
 	}
@@ -87,12 +87,12 @@ type roundOut struct {
 }
 
 // neighborhoodSpec wraps one neighborhood mesh as a harness spec.
-func neighborhoodSpec(id string, shards, ranks int, rootDims [3]int, aggregate bool, rounds int, rng *xrand.RNG) harness.Spec[roundOut] {
+func neighborhoodSpec(id string, ranks int, rootDims [3]int, aggregate bool, rounds int, rng *xrand.RNG) harness.Spec[roundOut] {
 	return harness.Spec[roundOut]{
 		ID: id,
 		Run: func(mt *harness.Meter) (roundOut, error) {
 			plan := neighborhoodPlan(ranks, rootDims, aggregate, rng)
-			res, err := runRounds(mt.Aborted, shards, rounds, rng, plan)
+			res, err := runRounds(mt.Aborted, rounds, rng, plan)
 			mt.AddEvents(res.events)
 			return roundOut{lats: res.lats, msgs: plan.ntags}, err
 		},

@@ -41,14 +41,14 @@ type roundsResult struct {
 // ranks per node, no ACK loss — the round benchmarks isolate placement
 // effects): each round every rank pre-posts its receives, posts its sends,
 // waits for all of them and joins a barrier, and rank 0 records the release.
-// shards picks the engine (mpi.Launch), the fabric seed is rng's next draw,
-// and aborted (harness.Meter.Aborted) interrupts the run.
-func runRounds(aborted func() bool, shards, rounds int, rng *xrand.RNG, plan *roundPlan) (roundsResult, error) {
+// The world runs on the sequential engine, the fabric seed is rng's next
+// draw, and aborted (harness.Meter.Aborted) interrupts the run.
+func runRounds(aborted func() bool, rounds int, rng *xrand.RNG, plan *roundPlan) (roundsResult, error) {
 	ranks := len(plan.sends)
 	nodes := max(ranks/16, 1)
 	cfg := simnet.Tuned(nodes, ranks/nodes, rng.Uint64())
 	cfg.AckLossProb = 0
-	world := mpi.Launch(cfg, shards)
+	world := mpi.Launch(cfg, 0)
 	defer world.Close()
 	world.SetInterrupt(aborted)
 

@@ -66,7 +66,6 @@ func Scale(opts Options) *telemetry.Table {
 		if err != nil {
 			panic(err) // rank counts above are powers of two by construction
 		}
-		cfg.Shards = opts.Shards
 		specs = append(specs, opts.sedovSpec(fmt.Sprintf("%dranks", r), cfg))
 	}
 	for i, res := range runCampaign(opts, "scale", specs) {

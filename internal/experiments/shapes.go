@@ -215,14 +215,14 @@ var Shapes = []Claim{
 		Holds, "mean_comm_ms_per_step", "stage", down, "untuned", "sends-first"),
 	rows("fig3/queue-tuning-cuts-comm", "fig3", "queue tuning cuts comm time further",
 		Holds, "mean_comm_ms_per_step", "stage", down, "sends-first", "sends-first+queue-tuned"),
-	variesAtQuick(rows("fig3/send-priority-cuts-cv", "fig3", "send priority reduces rankwise noise (comm CV)",
-		Holds, "comm_cv", "stage", down, "untuned", "sends-first")),
+	rows("fig3/send-priority-cuts-cv", "fig3", "send priority reduces rankwise noise (comm CV)",
+		Holds, "comm_cv", "stage", down, "untuned", "sends-first"),
 	variesAtQuick(rows("fig3/queue-tuning-cuts-cv", "fig3", "queue tuning further reduces variance (comm CV)",
 		Holds, "comm_cv", "stage", down, "sends-first", "sends-first+queue-tuned")),
 	rows("fig3/tuning-cuts-cv", "fig3", "full tuning cuts comm CV versus untuned",
 		Holds, "comm_cv", "stage", down, "untuned", "sends-first+queue-tuned"),
-	variesAtQuick(rows("fig3/send-priority-raises-corr", "fig3", "send priority reveals faint trends (corr up)",
-		Holds, "corr", "stage", up, "untuned", "sends-first")),
+	rows("fig3/send-priority-raises-corr", "fig3", "send priority reveals faint trends (corr up)",
+		Holds, "corr", "stage", up, "untuned", "sends-first"),
 	rows("fig3/tuning-raises-corr", "fig3", "full tuning raises corr(msg volume, comm time)",
 		Holds, "corr", "stage", up, "untuned", "sends-first+queue-tuned"),
 	{ID: "fig4/two-rank-principle", Exps: []string{"fig4"}, Full: Holds,

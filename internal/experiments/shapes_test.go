@@ -13,9 +13,7 @@ import (
 // mode does not run.
 var seed1 = map[string]string{
 	"fig2/pruning-speedup-4x":            "holds",
-	"fig3/send-priority-cuts-cv":         "holds",
 	"fig3/queue-tuning-cuts-cv":          "fails",
-	"fig3/send-priority-raises-corr":     "holds",
 	"table1/growth-near-paper":           "n/a",
 	"fig6a/cpl0-beats-baseline":          "holds",
 	"fig6a/interior-optimum":             "fails",
@@ -192,7 +190,9 @@ func TestJudge(t *testing.T) {
 // TestExperimentsDocClaims requires EXPERIMENTS.md's claims table to be
 // the ledger's rendering, and its seed-sweep table, which holds the sweep's
 // counts, to list exactly the claims whose quick status is varies: a status
-// changes in the doc and the ledger or in neither.
+// changes in the doc and the ledger or in neither. Each sweep row's
+// held/total count must lie strictly between 0 and total, since a varies
+// claim has seen both verdicts.
 func TestExperimentsDocClaims(t *testing.T) {
 	raw, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
@@ -226,8 +226,14 @@ func TestExperimentsDocClaims(t *testing.T) {
 	var swept []string
 	for _, line := range strings.Split(block("<!-- sweep: one row per varies claim of experiments.Shapes -->\n", "<!-- end sweep -->"), "\n") {
 		if id, ok := strings.CutPrefix(line, "| `"); ok {
-			id, _, _ = strings.Cut(id, "`")
+			id, rest, _ := strings.Cut(id, "`")
 			swept = append(swept, id)
+			var held, total int
+			if _, err := fmt.Sscanf(rest, " | %d/%d |", &held, &total); err != nil {
+				t.Errorf("sweep row %s: no held/total count: %v", id, err)
+			} else if held <= 0 || held >= total {
+				t.Errorf("sweep row %s: held %d/%d, but a varies claim must have held and failed", id, held, total)
+			}
 		}
 	}
 	slices.Sort(varies)

@@ -16,10 +16,9 @@ import (
 )
 
 // Campaign accumulates metrics across the runs of one process: harness run
-// outcomes (completed/failed, wall clock), campaign-wide allocation, the
-// live window count in-flight runs bump, and the merged snapshots of
-// completed runs. The HTTP endpoints (serve.go) read it concurrently with
-// runs executing.
+// outcomes (completed/failed, wall clock), campaign-wide allocation, and
+// the merged snapshots of completed runs. The HTTP endpoints (serve.go) read
+// it concurrently with runs executing.
 //
 // Merged sim-plane values accumulate in run-completion order, which varies
 // with -j — the campaign aggregate is an exposition surface, never an
@@ -27,12 +26,11 @@ import (
 // tables instead.
 type Campaign struct {
 	// Live counters, updated from worker goroutines without the mutex.
-	liveWindows atomic.Int64
-	runsDone    atomic.Int64
-	runsFailed  atomic.Int64
-	runsTotal   atomic.Int64
-	allocBytes  atomic.Int64
-	mallocs     atomic.Int64
+	runsDone   atomic.Int64
+	runsFailed atomic.Int64
+	runsTotal  atomic.Int64
+	allocBytes atomic.Int64
+	mallocs    atomic.Int64
 
 	mu       sync.Mutex
 	created  time.Time
@@ -136,8 +134,6 @@ func (c *Campaign) liveExports() []export {
 			plane: HostPlane, kind: kindCounter, value: float64(c.allocBytes.Load())},
 		{name: "host_campaign_mallocs_total", help: "process allocations across campaigns",
 			plane: HostPlane, kind: kindCounter, value: float64(c.mallocs.Load())},
-		{name: "host_campaign_live_windows", help: "lookahead windows executed by in-flight and completed runs",
-			plane: HostPlane, kind: kindGauge, value: float64(c.liveWindows.Load())},
 		{name: "host_campaign_uptime_seconds", help: "seconds since the campaign aggregate was created",
 			plane: HostPlane, kind: kindGauge, value: uptime},
 	}
@@ -183,12 +179,6 @@ type Status struct {
 	LastWall    time.Duration
 	Elapsed     time.Duration // since the current campaign began
 	ETA         time.Duration // naive remaining-time estimate (0 = unknown)
-	LiveWindows int64         // shard windows executed so far (live)
-	// Scheduler event split over completed runs: events executed in shard
-	// windows and the critical path (busiest shard per window) —
-	// SchedEvents ÷ CriticalEvents bounds what running a window's shards at
-	// once could gain.
-	SchedEvents, CriticalEvents int64
 	// Event-queue split over completed runs, either engine: events appended
 	// behind a process lane's tail, events pushed on the heap, and the heap
 	// length summed over pops.
@@ -211,8 +201,6 @@ func (c *Campaign) StatusNow() Status {
 	if !c.began.IsZero() {
 		s.Elapsed = now.Sub(c.began)
 	}
-	s.SchedEvents = int64(c.agg["host_sched_window_events"].sum)
-	s.CriticalEvents = int64(c.agg["host_sched_critical_events_total"].value)
 	s.LaneEvents = int64(c.agg["host_sched_lane_events_total"].value)
 	s.HeapEvents = int64(c.agg["host_sched_heap_events_total"].value)
 	s.HeapLenAtPop = int64(c.agg["host_sched_heap_len_at_pop_total"].value)
@@ -220,7 +208,6 @@ func (c *Campaign) StatusNow() Status {
 	s.AllDone = c.runsDone.Load()
 	s.AllTotal = c.runsTotal.Load()
 	s.Failed = c.runsFailed.Load()
-	s.LiveWindows = c.liveWindows.Load()
 	s.Uptime = now.Sub(c.created)
 	if s.Done > 0 && s.Total > s.Done {
 		s.ETA = time.Duration(float64(s.Elapsed) / float64(s.Done) * float64(s.Total-s.Done))

@@ -14,13 +14,12 @@
 // total's rounding depends on each lane's own event order, never on which
 // shard ran first.
 //
-// Host-plane instruments carry execution-machinery quantities — event-queue
-// splits, shard windows, events per window, critical-path events,
-// merge-queue depth. They are wall-clock/schedule-dependent by nature and
-// are excluded from every equality check, the row-level counterpart of
+// Host-plane instruments carry execution-machinery quantities — the event
+// queue's lane and heap split. They depend on the engine by nature and are
+// excluded from every equality check, the row-level counterpart of
 // experiments.NondetCols. The plane is a registration attribute, not a
-// type: Registry.HostCounter and HostHistogram register one-lane instances
-// of the same Counter and Histogram. A run's registry is written by the one
+// type: Registry.HostCounter registers a one-lane instance of the same
+// Counter. A run's registry is written by the one
 // goroutine executing the run and read after it; the live HTTP handlers
 // (serve.go) read only the Campaign aggregate.
 //
@@ -30,7 +29,7 @@
 // swaps in the run's registered one), every emission site updates its lane
 // unconditionally, and mpi.Meter, the census stall counts, the driver's
 // per-step rows and Result.Phases are folds over those lanes. Only the
-// host-plane scheduler set is optional (a nil check per window).
+// host-plane scheduler set is optional (a nil check per Run).
 package metrics
 
 import (
@@ -166,16 +165,6 @@ func (r *Registry) Sum(name, help string, lanes int) *Sum {
 // Histogram registers a sim-plane histogram with the given lane count and
 // ascending upper bucket bounds (an implicit +Inf bucket is appended).
 func (r *Registry) Histogram(name, help string, lanes int, bounds []float64) *Histogram {
-	return r.histogram(name, help, SimPlane, lanes, bounds)
-}
-
-// HostHistogram registers a one-lane host-plane histogram with ascending
-// upper bucket bounds (implicit +Inf appended).
-func (r *Registry) HostHistogram(name, help string, bounds []float64) *Histogram {
-	return r.histogram(name, help, HostPlane, 1, bounds)
-}
-
-func (r *Registry) histogram(name, help string, plane Plane, lanes int, bounds []float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic("metrics: histogram bounds not strictly ascending: " + name)
@@ -183,7 +172,7 @@ func (r *Registry) histogram(name, help string, plane Plane, lanes int, bounds [
 	}
 	nb := len(bounds) + 1 // + the +Inf bucket
 	h := &Histogram{
-		name: name, help: help, plane: plane, bounds: bounds,
+		name: name, help: help, plane: SimPlane, bounds: bounds,
 		counts: make([]int64, lanes*nb),
 		sums:   make([]float64, lanes),
 		ns:     make([]int64, lanes),

@@ -3,7 +3,6 @@ package metrics
 import (
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,7 +129,7 @@ func TestWritePromFormat(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("sim_a_total", "things counted", 1)
 	c.Add(0, 2)
-	h := r.HostHistogram("host_h", "host hist", []float64{1, 10})
+	h := r.Histogram("sim_h", "sim hist", 1, []float64{1, 10})
 	h.Observe(0, 0.5)
 	h.Observe(0, 100)
 	var sb strings.Builder
@@ -142,12 +141,12 @@ func TestWritePromFormat(t *testing.T) {
 		"# HELP sim_a_total things counted\n",
 		"# TYPE sim_a_total counter\n",
 		`sim_a_total{plane="sim"} 2` + "\n",
-		"# TYPE host_h histogram\n",
-		`host_h_bucket{plane="host",le="1"} 1` + "\n",
-		`host_h_bucket{plane="host",le="10"} 1` + "\n",
-		`host_h_bucket{plane="host",le="+Inf"} 2` + "\n",
-		`host_h_sum{plane="host"} 100.5` + "\n",
-		`host_h_count{plane="host"} 2` + "\n",
+		"# TYPE sim_h histogram\n",
+		`sim_h_bucket{plane="sim",le="1"} 1` + "\n",
+		`sim_h_bucket{plane="sim",le="10"} 1` + "\n",
+		`sim_h_bucket{plane="sim",le="+Inf"} 2` + "\n",
+		`sim_h_sum{plane="sim"} 100.5` + "\n",
+		`sim_h_count{plane="sim"} 2` + "\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, got)
@@ -208,8 +207,7 @@ func TestCampaignStatus(t *testing.T) {
 // TestInstrumentSetsKeepTheirPlane: the two-plane split (DESIGN.md §11) is
 // carried by the sets. Every field of a sim-plane set is an instrument
 // registered on the sim plane and every field of SchedMetrics one
-// registered on the host plane (LiveWindows, the campaign's live count, is
-// the one non-instrument), so a layer handed a set can only update the
+// registered on the host plane, so a layer handed a set can only update the
 // plane the set belongs to. A new set in RunSet must be entered in planeOf.
 func TestInstrumentSetsKeepTheirPlane(t *testing.T) {
 	planeOf := map[reflect.Type]Plane{
@@ -218,8 +216,7 @@ func TestInstrumentSetsKeepTheirPlane(t *testing.T) {
 		reflect.TypeOf((*DriverMetrics)(nil)): SimPlane,
 		reflect.TypeOf((*SchedMetrics)(nil)):  HostPlane,
 	}
-	live := reflect.TypeOf((*atomic.Int64)(nil))
-	run := reflect.ValueOf(*NewRunSet(2, 1, NewCampaign()))
+	run := reflect.ValueOf(*NewRunSet(2, 1, nil))
 	sets := 0
 	for i := 0; i < run.NumField(); i++ {
 		f := run.Type().Field(i)
@@ -235,9 +232,6 @@ func TestInstrumentSetsKeepTheirPlane(t *testing.T) {
 		set := run.Field(i).Elem()
 		for j := 0; j < set.NumField(); j++ {
 			g, v := set.Type().Field(j), set.Field(j)
-			if plane == HostPlane && g.Type == live {
-				continue
-			}
 			in, ok := v.Interface().(instrument)
 			switch {
 			case !ok:

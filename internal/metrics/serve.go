@@ -97,11 +97,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	if st.ETA > 0 {
 		row("eta", st.ETA.Round(time.Second).String())
 	}
-	row("shard windows (live)", fmt.Sprintf("%d", st.LiveWindows))
-	if st.CriticalEvents > 0 {
-		row("shard events (completed runs)", fmt.Sprintf("%d in windows, %d critical (ceiling %.2fx)",
-			st.SchedEvents, st.CriticalEvents, float64(st.SchedEvents)/float64(st.CriticalEvents)))
-	}
 	if n := st.LaneEvents + st.HeapEvents; n > 0 {
 		row("event queue (completed runs)", fmt.Sprintf("%d laned, %d via heap (%.1f%% laned), mean heap %.0f at pop",
 			st.LaneEvents, st.HeapEvents, 100*float64(st.LaneEvents)/float64(n), float64(st.HeapLenAtPop)/float64(n)))

@@ -31,13 +31,9 @@ func TestServeEndpoints(t *testing.T) {
 	c := r.Counter("sim_probe_total", "probe", 1)
 	c.Add(0, 11)
 	camp.AddRun(r)
-	// A sharded run's scheduler split: 60 events in windows, 40 on the
-	// busiest shard.
-	rs := NewRunSet(2, 1, camp)
-	rs.Sched.WindowEvents.Observe(0, 60)
-	rs.Sched.CriticalEvents.Add(0, 40)
-	// Its event queue: 75 of 100 events appended to a lane, 2 000 heap
+	// A run's event queue: 75 of 100 events appended to a lane, 2 000 heap
 	// entries summed over the pops.
+	rs := NewRunSet(2, 1, nil)
 	rs.Sched.LaneEvents.Add(0, 75)
 	rs.Sched.HeapEvents.Add(0, 25)
 	rs.Sched.HeapLenAtPop.Add(0, 2000)
@@ -72,7 +68,6 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("/statusz status = %d", code)
 	}
 	for _, want := range []string{"serve-test", "1/3", "campaign progress",
-		"60 in windows, 40 critical (ceiling 1.50x)",
 		"75 laned, 25 via heap (75.0% laned), mean heap 20 at pop"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/statusz missing %q:\n%s", want, body)

@@ -1,19 +1,11 @@
 package metrics
 
-import "sync/atomic"
-
 // Config asks a run to publish its metrics (driver.Config.Metrics). A nil
 // Config means no registry in Result.Metrics and no host-plane scheduler
 // instruments; the sim-plane MPI and fabric lanes exist either way — they
-// are the run's accounting (see MPIMetrics).
-type Config struct {
-	// Campaign, when non-nil, is the campaign-level aggregate the run
-	// reports into: the run bumps its live window count as windows execute
-	// (so /metrics and /statusz move while the run executes), and the
-	// caller merges the run's full snapshot via Campaign.AddRun on
-	// completion.
-	Campaign *Campaign
-}
+// are the run's accounting (see MPIMetrics). A campaign merges a completed
+// run's registry itself, via Campaign.AddRun.
+type Config struct{}
 
 // MPIMetrics is the sim-plane instrument set of the MPI runtime, laned by
 // rank: every update happens on the owning rank's events, whose order is
@@ -72,9 +64,8 @@ type DriverMetrics struct {
 }
 
 // SchedMetrics is the host-plane instrument set of the DES machinery: the
-// event queue of either engine, and the sharded scheduler's window
-// structure. Everything here depends on the engine and shard count, so it
-// lives on the host plane and is excluded from identity checks.
+// event queue of either engine. Its counts depend on the engine and shard
+// count, so it lives on the host plane and is excluded from identity checks.
 type SchedMetrics struct {
 	// LaneEvents counts events appended behind the tail of a process's FIFO
 	// lane, HeapEvents the events pushed on the event heap (every other one,
@@ -83,26 +74,6 @@ type SchedMetrics struct {
 	LaneEvents   *Counter
 	HeapEvents   *Counter
 	HeapLenAtPop *Counter
-
-	// Windows counts executed lookahead windows. CriticalEvents sums, over
-	// every window, the busiest active shard's events — the run's critical
-	// path in events, so total events ÷ CriticalEvents is the speed-up that
-	// running a window's shards at once could not exceed.
-	Windows        *Counter
-	CriticalEvents *Counter
-	// WindowEvents is the distribution of DES events executed per window,
-	// ActiveShards the distribution of shards active per window.
-	WindowEvents *Histogram
-	ActiveShards *Histogram
-	// MergeDepth is the distribution of staged cross-shard deliveries per
-	// merge (the merge-injection queue depth).
-	MergeDepth *Histogram
-
-	// LiveWindows, when non-nil, is the campaign's live window count
-	// (Config.Campaign): the scheduler bumps it with Windows, and it is the
-	// one value a run publishes while it executes — the HTTP handlers read
-	// it from other goroutines, so it is the run's only atomic.
-	LiveWindows *atomic.Int64
 }
 
 // RunSet is the full instrument collection of one simulation run, handed
@@ -119,12 +90,6 @@ type RunSet struct {
 // healthy range is sub-millisecond; the ACK-recovery pathology lands in the
 // millisecond buckets.
 var waitBounds = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1}
-
-// decadeBounds buckets nonnegative integer-ish host quantities by decade.
-var decadeBounds = []float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6}
-
-// shardBounds buckets active-shard counts by power of two.
-var shardBounds = []float64{1, 2, 4, 8, 16, 32, 64}
 
 // NewMPIMetrics builds the MPI instrument set over nranks rank lanes. A nil
 // registry yields a free-standing set: the same lanes, exported nowhere —
@@ -159,11 +124,11 @@ func NewNetMetrics(r *Registry, nodes int) *NetMetrics {
 }
 
 // NewRunSet builds the registry and instrument sets for a run over nranks
-// ranks on nodes nodes. campaign may be nil; when set, the scheduler set's
-// LiveWindows is its live window count.
-func NewRunSet(nranks, nodes int, campaign *Campaign) *RunSet {
+// ranks on nodes nodes. The campaign parameter is ignored: it is declared
+// only because bench/ passes it (nil).
+func NewRunSet(nranks, nodes int, _ *Campaign) *RunSet {
 	r := NewRegistry()
-	rs := &RunSet{
+	return &RunSet{
 		Reg: r,
 		MPI: NewMPIMetrics(r, nranks),
 		Net: NewNetMetrics(r, nodes),
@@ -176,18 +141,9 @@ func NewRunSet(nranks, nodes int, campaign *Campaign) *RunSet {
 			Steps:          r.Counter("sim_driver_steps_total", "BSP timesteps executed, summed over ranks", 1),
 		},
 		Sched: &SchedMetrics{
-			LaneEvents:     r.HostCounter("host_sched_lane_events_total", "DES events appended behind a process lane's tail, never sifted"),
-			HeapEvents:     r.HostCounter("host_sched_heap_events_total", "DES events pushed on the event heap"),
-			HeapLenAtPop:   r.HostCounter("host_sched_heap_len_at_pop_total", "event-heap length summed over pops"),
-			Windows:        r.HostCounter("host_sched_windows_total", "lookahead windows executed"),
-			CriticalEvents: r.HostCounter("host_sched_critical_events_total", "busiest active shard's events, summed over windows"),
-			WindowEvents:   r.HostHistogram("host_sched_window_events", "DES events executed per window", decadeBounds),
-			ActiveShards:   r.HostHistogram("host_sched_active_shards", "shards active per window", shardBounds),
-			MergeDepth:     r.HostHistogram("host_sched_merge_queue_depth", "staged cross-shard deliveries per merge", decadeBounds),
+			LaneEvents:   r.HostCounter("host_sched_lane_events_total", "DES events appended behind a process lane's tail, never sifted"),
+			HeapEvents:   r.HostCounter("host_sched_heap_events_total", "DES events pushed on the event heap"),
+			HeapLenAtPop: r.HostCounter("host_sched_heap_len_at_pop_total", "event-heap length summed over pops"),
 		},
 	}
-	if campaign != nil {
-		rs.Sched.LiveWindows = &campaign.liveWindows
-	}
-	return rs
 }

@@ -91,7 +91,7 @@ func (w *World) Events() int64 { return w.mach.Events() }
 func (w *World) SetInterrupt(fn func() bool) { w.mach.SetInterrupt(fn) }
 
 // SetSchedMetrics attaches the run's host-plane scheduler instrument set:
-// event-queue counts on either engine, window structure on the scheduler.
+// the event-queue counts of either engine.
 func (w *World) SetSchedMetrics(mx *metrics.SchedMetrics) { w.mach.SetMetrics(mx) }
 
 // The two setters below reach the scheduler, which a world on the

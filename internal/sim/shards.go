@@ -115,12 +115,9 @@ type Shards struct {
 	intr   func() bool
 
 	// mx, when non-nil, is the run's host-plane scheduler instrument set
-	// (internal/metrics): window counts, events per window, the critical-path
-	// share, merge depth. Host plane because all of it depends on the shard
-	// count. evBase is its per-window Events() baseline, reused across
-	// windows.
-	mx     *metrics.SchedMetrics
-	evBase []int64
+	// (internal/metrics): each engine's event-queue counts, added when Run
+	// returns.
+	mx *metrics.SchedMetrics
 
 	running bool
 }
@@ -332,9 +329,6 @@ func (s *Shards) mergeStaged() {
 		runs = append(runs, stagedRun{i, k})
 		i = k
 	}
-	if mx := s.mx; mx != nil {
-		mx.MergeDepth.Observe(0, float64(n))
-	}
 	for i := len(runs)/2 - 1; i >= 0; i-- {
 		runs.down(out, i)
 	}
@@ -367,42 +361,7 @@ func (s *Shards) runOneWindow(end Time) {
 		}
 	}
 	s.active = act
-	if mx := s.mx; mx != nil {
-		mx.Windows.Inc(0)
-		if mx.LiveWindows != nil {
-			mx.LiveWindows.Add(1)
-		}
-		mx.ActiveShards.Observe(0, float64(len(act)))
-		if s.evBase == nil {
-			s.evBase = make([]int64, len(s.engs))
-		}
-		for _, i := range act {
-			s.evBase[i] = s.engs[i].Events()
-		}
-	}
 	for _, i := range act {
 		s.engs[i].runWindow(end)
 	}
-	s.observeWindow(act)
-}
-
-// observeWindow records the finished window's per-shard event deltas into
-// the host-plane instruments: total events this window and the busiest
-// shard's share of them (Σ events ÷ Σ critical is the speed-up ceiling of
-// running a window's shards at once).
-func (s *Shards) observeWindow(act []int) {
-	mx := s.mx
-	if mx == nil || len(act) == 0 {
-		return
-	}
-	var total, max int64
-	for _, i := range act {
-		d := s.engs[i].Events() - s.evBase[i]
-		total += d
-		if d > max {
-			max = d
-		}
-	}
-	mx.WindowEvents.Observe(0, float64(total))
-	mx.CriticalEvents.Add(0, max)
 }
