@@ -8,6 +8,8 @@
 //	amrquery -file telemetry.col -explain "SELECT count(*) FROM t WHERE step >= 10"
 //	amrquery -file telemetry.col -schema
 //	amrquery -file telemetry.col            # interactive: one query per line
+//	amrquery -file spans.col -diagnose      # run the built-in detectors over a span file
+//	amrquery -file spans.col -perfetto out.json "SELECT * FROM t WHERE step >= 10"
 //
 // The file's table is named "t" in queries. Queries execute directly
 // against the file through the footer block index: chunks whose zone maps
@@ -19,6 +21,17 @@
 // query is checked against the file's schema before anything is read, so a
 // mistyped column or an ill-typed comparison is an error, never an empty
 // result. `-csv` emits results as CSV.
+//
+// Two modes read flight-recorder span files (`experiments -trace dir/`).
+// `-diagnose` runs the wait-spike, shm-contention and throttling detectors
+// (internal/trace/diagnose) and prints their findings, including the
+// pre/post probe drift column; the detectors are TQL queries over the open
+// file too, a chunk at a time, only the columns they name. `-perfetto`
+// writes the query result — every span when no query is given — as Chrome
+// trace-event JSON loadable in Perfetto or chrome://tracing: one timeline
+// row per rank, one slice per span, so a query slices the trace down (by
+// step window, kind, rank...) before export. The result must keep the span
+// columns.
 package main
 
 import (
@@ -30,7 +43,10 @@ import (
 	"strings"
 
 	"amrtools/internal/colfile"
+	"amrtools/internal/telemetry"
 	"amrtools/internal/tql"
+	"amrtools/internal/trace"
+	"amrtools/internal/trace/diagnose"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
@@ -45,7 +61,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	explain := fs.Bool("explain", false, "print chunks scanned vs skipped, columns decoded, rows matched, and metadata-only status")
 	maxRows := fs.Int("rows", 50, "maximum rows to print (0 = all)")
 	asCSV := fs.Bool("csv", false, "emit query results as CSV instead of an aligned table")
+	diag := fs.Bool("diagnose", false, "run the span detectors over a span file and print their findings")
+	perfetto := fs.String("perfetto", "", "write the query result (with no query, every span) as Chrome trace-event JSON to this file")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "amrquery:", msg)
 		return 2
 	}
 	fail := func(err error) int {
@@ -53,9 +75,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if *file == "" {
-		fmt.Fprintln(stderr, "amrquery: -file is required")
-		return 2
+	query := strings.Join(fs.Args(), " ")
+	hasQuery := strings.TrimSpace(query) != ""
+	switch {
+	case *file == "":
+		return usage("-file is required")
+	case *diag && (hasQuery || *asCSV || *explain || *perfetto != ""):
+		return usage("-diagnose takes no query, -csv, -explain or -perfetto")
+	case *asCSV && *perfetto != "":
+		return usage("-csv and -perfetto both choose where the result goes")
 	}
 	f, err := os.Open(*file)
 	if err != nil {
@@ -65,7 +93,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	r, err := colfile.OpenFile(f)
 	if err != nil {
-		return fail(err)
+		return fail(fmt.Errorf("%s: %w", *file, err))
 	}
 
 	if *schema {
@@ -74,6 +102,20 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		for _, s := range r.Schema() {
 			fmt.Fprintf(stdout, "  %-16s %s\n", s.Name, s.Type)
 		}
+		return 0
+	}
+
+	if *diag {
+		findings, err := diagnose.Diagnose(r, diagnose.Options{})
+		if err != nil {
+			return fail(fmt.Errorf("%s: %w", *file, err))
+		}
+		if len(findings) == 0 {
+			fmt.Fprintf(stdout, "%s: %d spans, no findings (wait-spike, shm-contention and throttling detectors all clean)\n",
+				*file, r.NumRows())
+			return 0
+		}
+		fmt.Fprint(stdout, diagnose.ReportTable(findings).Render(*maxRows))
 		return 0
 	}
 
@@ -89,7 +131,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
-		if *asCSV {
+		switch {
+		case *perfetto != "":
+			if err := writePerfetto(out, *perfetto); err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "amrquery: %d spans -> %s\n", out.NumRows(), *perfetto)
+			return nil
+		case *asCSV:
 			return out.WriteCSV(stdout)
 		}
 		if !*explain && ex.ChunksSkipped > 0 {
@@ -99,8 +148,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return nil
 	}
 
-	query := strings.Join(fs.Args(), " ")
-	if strings.TrimSpace(query) != "" {
+	if !hasQuery && *perfetto != "" {
+		query, hasQuery = "SELECT * FROM t", true
+	}
+	if hasQuery {
 		if err := runOne(query); err != nil {
 			return fail(err)
 		}
@@ -146,4 +197,17 @@ func formatExplain(ex *tql.Explain) string {
 		sb.WriteString("; answered from footer metadata only")
 	}
 	return sb.String()
+}
+
+// writePerfetto writes t to path as Chrome trace-event JSON.
+func writePerfetto(t *telemetry.Table, path string) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trace.WritePerfetto(out, t); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }

@@ -16,7 +16,8 @@
 // flight recorder (internal/trace) in every driver run and writes one span
 // colfile per run into the given directory, plus the campaign telemetry as
 // `campaign.col` so span streams can be joined with harness metrics (see
-// EXPERIMENTS.md); read the spans with cmd/amrtrace. -paranoid turns on
+// EXPERIMENTS.md); read the spans with cmd/amrquery (-diagnose runs the
+// span detectors, -perfetto exports a timeline). -paranoid turns on
 // the runtime invariant audits of internal/check in every layer (MPI
 // collective membership, simnet queue accounting, per-epoch mesh/plan
 // consistency, teardown hygiene); a breached invariant aborts the run with

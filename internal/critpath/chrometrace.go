@@ -1,38 +1,13 @@
 package critpath
 
 import (
-	"encoding/json"
 	"io"
+
+	"amrtools/internal/trace"
 )
 
-// chromeEvent is one complete event ("ph":"X") in the Chrome trace-event
-// format (the Catapult JSON format of the paper's ref [42]) — loadable in
-// chrome://tracing or Perfetto for visual inspection of a synchronization
-// window.
-type chromeEvent struct {
-	Name string                 `json:"name"`
-	Cat  string                 `json:"cat"`
-	Ph   string                 `json:"ph"`
-	Ts   float64                `json:"ts"`  // microseconds
-	Dur  float64                `json:"dur"` // microseconds
-	Pid  int                    `json:"pid"`
-	Tid  int                    `json:"tid"`
-	Args map[string]interface{} `json:"args,omitempty"`
-}
-
-// chromeFlow is a flow event pair ("s"/"f") drawing a dependency arrow.
-type chromeFlow struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Ph   string  `json:"ph"`
-	ID   int     `json:"id"`
-	Ts   float64 `json:"ts"`
-	Pid  int     `json:"pid"`
-	Tid  int     `json:"tid"`
-	BP   string  `json:"bp,omitempty"`
-}
-
-// WriteChromeTrace serializes the trace as Chrome trace-event JSON: one
+// WriteChromeTrace serializes the trace as Chrome trace-event JSON
+// (trace.ChromeEvent) for visual inspection of a synchronization window: one
 // timeline row per rank, one duration slice per task, and flow arrows for
 // every cross-rank data dependency. Tasks on the critical path (if res is
 // non-nil) carry an "onCriticalPath" arg so they can be highlighted.
@@ -43,7 +18,7 @@ func (tr *Trace) WriteChromeTrace(w io.Writer, res *Result) error {
 			onPath[id] = true
 		}
 	}
-	var events []interface{}
+	var events []trace.ChromeEvent
 	flowID := 0
 	for _, t := range tr.tasks {
 		args := map[string]interface{}{"kind": t.Kind.String()}
@@ -54,7 +29,7 @@ func (tr *Trace) WriteChromeTrace(w io.Writer, res *Result) error {
 		if dur <= 0 {
 			dur = 0.01 // zero-width posts still need visible slices
 		}
-		events = append(events, chromeEvent{
+		events = append(events, trace.ChromeEvent{
 			Name: t.Label, Cat: t.Kind.String(), Ph: "X",
 			Ts: t.Start * 1e6, Dur: dur,
 			Pid: 0, Tid: t.Rank, Args: args,
@@ -66,13 +41,12 @@ func (tr *Trace) WriteChromeTrace(w io.Writer, res *Result) error {
 			}
 			flowID++
 			events = append(events,
-				chromeFlow{Name: "msg", Cat: "dep", Ph: "s", ID: flowID,
+				trace.ChromeEvent{Name: "msg", Cat: "dep", Ph: "s", ID: flowID,
 					Ts: dep.End * 1e6, Pid: 0, Tid: dep.Rank},
-				chromeFlow{Name: "msg", Cat: "dep", Ph: "f", ID: flowID,
+				trace.ChromeEvent{Name: "msg", Cat: "dep", Ph: "f", ID: flowID,
 					Ts: t.Start * 1e6, Pid: 0, Tid: t.Rank, BP: "e"},
 			)
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]interface{}{"traceEvents": events})
+	return trace.WriteChromeEvents(w, events)
 }

@@ -63,7 +63,7 @@ type Options struct {
 	// TraceDir, when non-empty, turns on the flight recorder
 	// (internal/trace) in every driver run and writes each run's span
 	// stream as `<TraceDir>/<campaign>--<id>.col` — a colfile readable by
-	// cmd/amrtrace and cmd/amrquery. Span colfiles derive from the
+	// cmd/amrquery (-diagnose, -perfetto). Span colfiles derive from the
 	// deterministic simulation only, so they are bit-identical across
 	// Exec.Workers settings.
 	TraceDir string

@@ -1,6 +1,10 @@
 package mpi
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"amrtools/internal/sim"
+)
 
 // msgKey identifies one matching queue of a destination rank. Both fields
 // are int32 by contract: Isend/Irecv reject a peer outside the world and a
@@ -29,8 +33,8 @@ type matchSlot struct {
 // messages on one key do, and a drained queue keeps its rings' storage on
 // the index's free list, so spilling costs no allocation once warm.
 type matchQueue struct {
-	arrivals ring[int64]
-	recvs    ring[*Request]
+	arrivals sim.Ring[int64]
+	recvs    sim.Ring[*Request]
 }
 
 // matchIndex is one destination rank's table from (source, tag) to the
@@ -87,7 +91,7 @@ func (x *matchIndex) deliver(key msgKey, bytes int64) *Request {
 	}
 	s := &x.slots[i]
 	if s.n > 0 {
-		x.spillOf(key, s.n).arrivals.push(bytes)
+		x.spillOf(key, s.n).arrivals.Push(bytes)
 		s.n++
 		return nil
 	}
@@ -97,7 +101,7 @@ func (x *matchIndex) deliver(key msgKey, bytes int64) *Request {
 		return req
 	}
 	q := x.spill[key]
-	s.req = q.recvs.pop()
+	s.req = q.recvs.Pop()
 	s.n++
 	if s.n == -1 {
 		x.unspill(key, q)
@@ -115,7 +119,7 @@ func (x *matchIndex) post(key msgKey, req *Request) (bytes int64, matched bool) 
 	}
 	s := &x.slots[i]
 	if s.n < 0 {
-		x.spillOf(key, -s.n).recvs.push(req)
+		x.spillOf(key, -s.n).recvs.Push(req)
 		s.n--
 		return 0, false
 	}
@@ -125,7 +129,7 @@ func (x *matchIndex) post(key msgKey, req *Request) (bytes int64, matched bool) 
 		return bytes, true
 	}
 	q := x.spill[key]
-	s.bytes = q.arrivals.pop()
+	s.bytes = q.arrivals.Pop()
 	s.n--
 	if s.n == 1 {
 		x.unspill(key, q)

@@ -159,7 +159,7 @@ func (o *matchOracle) check() error {
 		switch {
 		case rest == 0 && sq != nil:
 			return fmt.Errorf("key %+v holds one element but keeps a spill queue", s.key)
-		case rest > 0 && (sq == nil || sq.arrivals.n+sq.recvs.n != rest):
+		case rest > 0 && (sq == nil || sq.arrivals.Len()+sq.recvs.Len() != rest):
 			return fmt.Errorf("key %+v: spill does not hold the %d elements behind the slot", s.key, rest)
 		}
 	}

@@ -524,3 +524,44 @@ func TestEqualCostBounds(t *testing.T) {
 		}
 	}
 }
+
+// optimalContiguousMakespan returns the exact optimal makespan over ALL
+// contiguous partitions of costs into at most r segments, via binary search
+// on the answer with a greedy feasibility check: the reference optimum the
+// CDP solutions are validated against.
+func optimalContiguousMakespan(costs []float64, r int) float64 {
+	if len(costs) == 0 || r <= 0 {
+		return 0
+	}
+	lo, hi := 0.0, 0.0
+	for _, c := range costs {
+		hi += c
+		if c > lo {
+			lo = c
+		}
+	}
+	feasible := func(cap float64) bool {
+		segs, cur := 1, 0.0
+		for _, c := range costs {
+			if cur+c > cap {
+				segs++
+				cur = c
+				if segs > r {
+					return false
+				}
+			} else {
+				cur += c
+			}
+		}
+		return true
+	}
+	for iter := 0; iter < 100 && hi-lo > 1e-12*(1+hi); iter++ {
+		mid := (lo + hi) / 2
+		if feasible(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}

@@ -243,7 +243,7 @@ func TestCDPFullMatchesBinarySearchOptimum(t *testing.T) {
 		costs := randomCosts(rng, n)
 		a := CDP{Restricted: false}.Assign(costs, r)
 		ms := Makespan(costs, a, r)
-		want := OptimalContiguousMakespan(costs, r)
+		want := optimalContiguousMakespan(costs, r)
 		return math.Abs(ms-want) < 1e-6*(1+want)
 	}, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

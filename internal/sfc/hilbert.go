@@ -22,19 +22,6 @@ func HilbertEncode3D(x, y, z uint32, bits int) uint64 {
 	return key
 }
 
-// HilbertDecode3D is the inverse of HilbertEncode3D.
-func HilbertDecode3D(key uint64, bits int) (x, y, z uint32) {
-	var axes [3]uint32
-	for b := bits - 1; b >= 0; b-- {
-		for d := 0; d < 3; d++ {
-			bit := uint32(key>>uint(3*b+2-d)) & 1
-			axes[d] |= bit << uint(b)
-		}
-	}
-	transposeToAxes(&axes, bits)
-	return axes[0], axes[1], axes[2]
-}
-
 // axesToTranspose converts coordinates into the "transpose" Hilbert form
 // in place.
 func axesToTranspose(x *[3]uint32, bits int) {
@@ -65,31 +52,5 @@ func axesToTranspose(x *[3]uint32, bits int) {
 	}
 	for i := 0; i < n; i++ {
 		x[i] ^= t
-	}
-}
-
-// transposeToAxes converts the "transpose" Hilbert form back into
-// coordinates in place.
-func transposeToAxes(x *[3]uint32, bits int) {
-	const n = 3
-	m := uint32(2) << uint(bits-1)
-	// Gray decode by H ^ (H/2).
-	t := x[n-1] >> 1
-	for i := n - 1; i > 0; i-- {
-		x[i] ^= x[i-1]
-	}
-	x[0] ^= t
-	// Undo excess work.
-	for q := uint32(2); q != m; q <<= 1 {
-		p := q - 1
-		for i := n - 1; i >= 0; i-- {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
-		}
 	}
 }

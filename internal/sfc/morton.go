@@ -24,26 +24,10 @@ func spread1in3(x uint64) uint64 {
 	return x
 }
 
-// compact1in3 is the inverse of spread1in3.
-func compact1in3(x uint64) uint64 {
-	x &= 0x1249249249249249
-	x = (x | x>>2) & 0x10c30c30c30c30c3
-	x = (x | x>>4) & 0x100f00f00f00f00f
-	x = (x | x>>8) & 0x1f0000ff0000ff
-	x = (x | x>>16) & 0x1f00000000ffff
-	x = (x | x>>32) & 0x1fffff
-	return x
-}
-
 // Encode3D interleaves the low 21 bits of x, y, z into a Morton key with
 // x occupying the least-significant position of each bit triple.
 func Encode3D(x, y, z uint32) uint64 {
 	return spread1in3(uint64(x)) | spread1in3(uint64(y))<<1 | spread1in3(uint64(z))<<2
-}
-
-// Decode3D is the inverse of Encode3D.
-func Decode3D(key uint64) (x, y, z uint32) {
-	return uint32(compact1in3(key)), uint32(compact1in3(key >> 1)), uint32(compact1in3(key >> 2))
 }
 
 // Key3DAtLevel returns the ordering key for a block whose integer coordinates

@@ -33,7 +33,7 @@ func TestMorton3DRoundTrip(t *testing.T) {
 		x &= 0x1fffff
 		y &= 0x1fffff
 		z &= 0x1fffff
-		gx, gy, gz := Decode3D(Encode3D(x, y, z))
+		gx, gy, gz := decode3D(Encode3D(x, y, z))
 		return gx == x && gy == y && gz == z
 	}, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestHilbertRoundTrip(t *testing.T) {
 			x &= mask
 			y &= mask
 			z &= mask
-			gx, gy, gz := HilbertDecode3D(HilbertEncode3D(x, y, z, bits), bits)
+			gx, gy, gz := hilbertDecode3D(HilbertEncode3D(x, y, z, bits), bits)
 			return gx == x && gy == y && gz == z
 		}, &quick.Config{MaxCount: 500}); err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)
@@ -153,9 +153,9 @@ func TestHilbertIsBijection(t *testing.T) {
 func TestHilbertUnitSteps(t *testing.T) {
 	bits := 4
 	total := uint64(1) << uint(3*bits)
-	px, py, pz := HilbertDecode3D(0, bits)
+	px, py, pz := hilbertDecode3D(0, bits)
 	for k := uint64(1); k < total; k++ {
-		x, y, z := HilbertDecode3D(k, bits)
+		x, y, z := hilbertDecode3D(k, bits)
 		d := absDiff(x, px) + absDiff(y, py) + absDiff(z, pz)
 		if d != 1 {
 			t.Fatalf("Hilbert step %d: distance %d from previous cell", k, d)

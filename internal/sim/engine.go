@@ -21,7 +21,7 @@
 // for cold paths; the per-message fast paths (future completion, message
 // delivery) have dedicated typed variants so the MPI layer never allocates
 // to schedule them, and most of them skip the heap and the arena: they wait,
-// payload and all, in a process's FIFO lanes (see ring).
+// payload and all, in a process's FIFO lanes (see Ring).
 package sim
 
 import (
@@ -198,52 +198,18 @@ type msgEntry struct {
 	src, dst, tag int32
 }
 
-// procLanes is one process's three lanes. The lane of kind k of the process
-// whose Proc.lanes is i has the id i<<2 | k.
+// procLanes is one process's three lanes. A lane is a FIFO of pending typed
+// events sorted by (t, seq), represented on the heap by one entry keyed by
+// its front; a ring, so a lane that drains and refills every BSP step reuses
+// its storage. The lane of kind k of the process whose Proc.lanes is i has
+// the id i<<2 | k.
 type procLanes struct {
-	msg  [2]ring[msgEntry] // indexed by laneLocal, laneRemote
-	done ring[doneEntry]
+	msg  [2]Ring[msgEntry] // indexed by laneLocal, laneRemote
+	done Ring[doneEntry]
 }
 
 // laneID names lane k of the process whose lanes are at index i.
 func laneID(i, k int32) int32 { return i<<2 | k }
-
-// ring is one lane: a FIFO of pending typed events sorted by (t, seq),
-// represented on the heap by one entry keyed by its front. A power-of-two
-// ring, not an append-only slice, so a lane that drains and refills every
-// BSP step reuses its storage.
-type ring[E any] struct {
-	buf  []E
-	head int
-	n    int
-}
-
-func (r *ring[E]) push(x E) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = x
-	r.n++
-}
-
-func (r *ring[E]) grow() {
-	nb := make([]E, max(8, 2*len(r.buf)))
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf, r.head = nb, 0
-}
-
-// front and back return the first and the last entry; the ring must be
-// non-empty.
-func (r *ring[E]) front() *E { return &r.buf[r.head] }
-func (r *ring[E]) back() *E  { return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)] }
-
-// drop removes the front entry.
-func (r *ring[E]) drop() {
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-}
 
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with NewEngine. Engines are not safe for concurrent use: in
@@ -365,9 +331,9 @@ func (e *Engine) CompleteAt(t Time, f *Future) {
 	}
 	if p := e.cur; p != nil {
 		// Issued by the running process: its done lane, if it fits.
-		if l := &e.lanes[p.lanes].done; l.n == 0 || t >= l.back().t {
+		if l := &e.lanes[p.lanes].done; l.n == 0 || t >= l.Back().t {
 			e.seq++
-			l.push(doneEntry{t: t, seq: e.seq, fut: f})
+			l.Push(doneEntry{t: t, seq: e.seq, fut: f})
 			e.enlaned(l.n, t, laneID(p.lanes, laneDone))
 			return
 		}
@@ -401,9 +367,9 @@ func (e *Engine) deliver(t Time, p *Proc, k int32, src, dst, tag int32, bytes in
 		panic("sim: DeliverAt with no MsgSink registered")
 	}
 	if p != nil {
-		if l := &e.lanes[p.lanes].msg[k]; l.n == 0 || t >= l.back().t {
+		if l := &e.lanes[p.lanes].msg[k]; l.n == 0 || t >= l.Back().t {
 			e.seq++
-			l.push(msgEntry{t: t, seq: e.seq, bytes: bytes, src: src, dst: dst, tag: tag})
+			l.Push(msgEntry{t: t, seq: e.seq, bytes: bytes, src: src, dst: dst, tag: tag})
 			e.enlaned(l.n, t, laneID(p.lanes, k))
 			return
 		}
@@ -496,10 +462,9 @@ func (e *Engine) stepLane(idx int32) {
 	switch k := id & 3; k {
 	case laneDone:
 		l := &pl.done
-		f := l.front().fut
-		l.drop()
+		f := l.Pop().fut
 		if l.n > 0 {
-			nx := l.front()
+			nx := l.Front()
 			e.pq.replaceTop(event{t: nx.t, seq: nx.seq, idx: idx})
 		} else {
 			e.pq.pop()
@@ -507,10 +472,9 @@ func (e *Engine) stepLane(idx int32) {
 		f.Complete(e)
 	case laneLocal, laneRemote:
 		l := &pl.msg[k]
-		m := *l.front()
-		l.drop()
+		m := l.Pop()
 		if l.n > 0 {
-			nx := l.front()
+			nx := l.Front()
 			e.pq.replaceTop(event{t: nx.t, seq: nx.seq, idx: idx})
 		} else {
 			e.pq.pop()

@@ -267,10 +267,10 @@ func runProgram(t testing.TB, prog program, oracle bool) progResult {
 				var t0 Time
 				var seq int64
 				if k := id & 3; k == laneDone {
-					x := pl.done.front()
+					x := pl.done.Front()
 					t0, seq, rec.kind, rec.fut = x.t, x.seq, evFuture, r.futID[x.fut]
 				} else {
-					m := pl.msg[k].front()
+					m := pl.msg[k].Front()
 					t0, seq, rec.kind = m.t, m.seq, evMsg
 					rec.src, rec.dst, rec.tag, rec.bytes, rec.local = m.src, m.dst, m.tag, m.bytes, k == laneLocal
 				}

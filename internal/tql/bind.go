@@ -121,8 +121,8 @@ func schemaIdx(schema []telemetry.ColSpec, name string) int {
 }
 
 // bind resolves q against schema. It is the single entry point both
-// sources go through: Exec binds against a table's schema, ExecFile against
-// a file's.
+// sources go through: execTable binds against a table's schema, execute
+// against a file's.
 func bind(q *Query, schema []telemetry.ColSpec) (*bound, error) {
 	b := &bound{q: q, schema: schema, needOut: make([]bool, len(schema))}
 

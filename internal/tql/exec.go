@@ -17,13 +17,13 @@ func Run(query string, tables map[string]*telemetry.Table) (*telemetry.Table, er
 	if !ok {
 		return nil, fmt.Errorf("tql: unknown table %q", q.From)
 	}
-	return Exec(q, t)
+	return execTable(q, t)
 }
 
-// Exec executes a parsed query against one in-memory table: the same bind
-// and the same kernels as ExecFile, with the table's own column storage
-// standing in as a single chunk.
-func Exec(q *Query, t *telemetry.Table) (*telemetry.Table, error) {
+// execTable executes a parsed query against one in-memory table: the same
+// bind and the same kernels as a file scan, with the table's own column
+// storage standing in as a single chunk.
+func execTable(q *Query, t *telemetry.Table) (*telemetry.Table, error) {
 	if q.Where == nil {
 		b, err := bind(q, t.Schema())
 		if err != nil {
@@ -56,7 +56,7 @@ type chunkSource interface {
 // tableSource presents an in-memory table as one chunk with no zone maps,
 // its columns the table's own (nothing is copied, so it needs no scratch).
 // Without zone maps a WHERE makes the chunk classSome, so the metadata-only
-// path never sees it; Exec scans a tableSource only when there is a WHERE.
+// path never sees it; execTable scans a tableSource only when there is a WHERE.
 type tableSource struct{ t *telemetry.Table }
 
 func (s tableSource) Schema() []telemetry.ColSpec { return s.t.Schema() }

@@ -14,8 +14,8 @@ type Source interface {
 }
 
 // RunOn parses query and executes it against src, whichever of the two it
-// is (the FROM name is not looked at): ExecFile over a colfile, Exec over a
-// table — for callers that hold a stream of rows and should not care
+// is (the FROM name is not looked at): a block-index scan over a colfile,
+// the table's own storage as one chunk over a table — for callers that hold a stream of rows and should not care
 // whether it is still on disk.
 func RunOn(query string, src Source) (*telemetry.Table, error) {
 	q, err := Parse(query)
@@ -24,26 +24,21 @@ func RunOn(query string, src Source) (*telemetry.Table, error) {
 	}
 	switch s := src.(type) {
 	case *colfile.Reader:
-		return ExecFile(q, s)
+		t, _, err := execute(q, s)
+		return t, err
 	case *telemetry.Table:
-		return Exec(q, s)
+		return execTable(q, s)
 	}
 	return nil, fmt.Errorf("tql: cannot query a %T", src)
 }
 
-// ExecFile executes a parsed query directly against a colfile, using the
-// footer block index for predicate pushdown (zone-map chunk skipping),
+// ExecFileExplain executes a parsed query directly against a colfile, using
+// the footer block index for predicate pushdown (zone-map chunk skipping),
 // projection pushdown (only referenced columns decoded) and metadata-only
-// aggregate answers. It is Exec over a different chunk source: the result
-// equals materializing the file and calling Exec, in O(one chunk + result)
-// memory instead of O(file).
-func ExecFile(q *Query, r *colfile.Reader) (*telemetry.Table, error) {
-	t, _, err := execute(q, r)
-	return t, err
-}
-
-// ExecFileExplain is ExecFile plus a report of how the query was answered.
-// The Explain is valid even when the result is an error.
+// aggregate answers, and reports how the query was answered. The result
+// equals materializing the file and querying the table, in O(one chunk +
+// result) memory instead of O(file). The Explain is valid even when the
+// result is an error.
 func ExecFileExplain(q *Query, r *colfile.Reader) (*telemetry.Table, *Explain, error) {
 	return execute(q, r)
 }

@@ -232,11 +232,11 @@ func runDifferential(t *testing.T, label string, src *telemetry.Table, readers m
 				t.Errorf("%s %s %q: RowsMatched = %d, oracle matched %d rows (err %v)", label, source, cq.src, ex.RowsMatched, len(rows), err)
 			}
 		}
-		got, gotErr := Exec(q, src)
+		got, gotErr := execTable(q, src)
 		check("memory", got, gotErr)
 		got, gotErr = RunOn(cq.src, src)
 		check("RunOn memory", got, gotErr)
-		if q.Where != nil { // without one Exec has nothing to scan, and no Explain
+		if q.Where != nil { // without one execTable has nothing to scan, and no Explain
 			_, ex, _ := execute(q, tableSource{src})
 			checkMatched("memory", ex)
 		}
@@ -344,7 +344,7 @@ func TestMetadataOnlyAggregates(t *testing.T) {
 		t.Fatalf("wrong metadata answer:\n%s", out.Render(0))
 	}
 	// Cross-check sum and mean against the legacy path.
-	want, err := Exec(q, src)
+	want, err := execTable(q, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestPruningUnsoundWithFalliblePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gotErr := ExecFile(q, r)
+	_, _, gotErr := execute(q, r)
 	if gotErr == nil || !strings.Contains(gotErr.Error(), "division by zero") {
 		t.Fatalf("err = %v, want division by zero", gotErr)
 	}
@@ -441,7 +441,7 @@ func TestPruningUnsoundWithFalliblePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ExecFile(q2, r)
+	out, _, err := execute(q2, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +538,7 @@ func TestInPlaceBodyChecksum(t *testing.T) {
 	want := fmt.Sprintf("colfile: chunk %d checksum mismatch", bad)
 	for scan := 1; scan <= 2; scan++ {
 		before := r.DecodeCount()
-		_, err := ExecFile(q, r)
+		_, _, err := execute(q, r)
 		if err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Fatalf("scan %d: err = %v, want %q…", scan, err, want)
 		}

@@ -177,8 +177,8 @@ func FuzzQuery(f *testing.F) {
 		}
 		tb, chunk, inPlace := fuzzShape(shape)
 		r := fileVia(t, tb, chunk, inPlace)
-		mem, memErr := Exec(q, tb)
-		file, fileErr := ExecFile(q, r)
+		mem, memErr := execTable(q, tb)
+		file, _, fileErr := execute(q, r)
 		if _, bindErr := bind(q, tb.Schema()); bindErr != nil {
 			if memErr == nil || fileErr == nil || memErr.Error() != bindErr.Error() || fileErr.Error() != bindErr.Error() {
 				t.Fatalf("%q: bind error %v, but memory err = %v, file err = %v", src, bindErr, memErr, fileErr)

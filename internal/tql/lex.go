@@ -19,9 +19,9 @@
 // kernel, aggregate and output-name legality checked — so every mistake
 // that depends only on query + schema is an error before a row is read.
 // One executor then runs the bound query over a chunk source: a colfile
-// (ExecFile: zone-map chunk skipping, projection pushdown, aggregates
-// answered from the footer) or an in-memory table (Exec: the table's own
-// storage as a single chunk). The only error left for run time is division
+// (ExecFileExplain: zone-map chunk skipping, projection pushdown, aggregates
+// answered from the footer) or an in-memory table (Run, or RunOn a table:
+// the table's own storage as a single chunk). The only error left for run time is division
 // by zero. The row-at-a-time interpreter this replaced lives on in the
 // package's tests as the differential oracle (DESIGN.md §12).
 package tql

@@ -2,7 +2,7 @@ package tql
 
 import "amrtools/internal/colfile"
 
-// Explain reports how ExecFile answered a query — the observable side of
+// Explain reports how ExecFileExplain answered a query — the observable side of
 // predicate and projection pushdown. amrquery -explain prints it.
 type Explain struct {
 	ChunksTotal    int      // chunks in the file's block index

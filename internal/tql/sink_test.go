@@ -153,7 +153,7 @@ func TestScanAllocBudget(t *testing.T) {
 			}
 			allocs := func(r *colfile.Reader) float64 {
 				return testing.AllocsPerRun(5, func() {
-					if _, err := ExecFile(q, r); err != nil {
+					if _, _, err := execute(q, r); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -183,7 +183,7 @@ func TestConcurrentScansShareReader(t *testing.T) {
 				t.Fatal(err)
 			}
 			qs[i] = q
-			if want[i], err = ExecFile(q, r); err != nil {
+			if want[i], _, err = execute(q, r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -194,7 +194,7 @@ func TestConcurrentScansShareReader(t *testing.T) {
 				defer wg.Done()
 				for k := range qs {
 					i := (g + k) % len(qs)
-					got, err := ExecFile(qs[i], r)
+					got, _, err := execute(qs[i], r)
 					if err != nil || !telemetry.Equal(got, want[i]) {
 						t.Errorf("in place %v, goroutine %d: %q differs from its lone run (err %v)", inPlace, g, scanQueries[i], err)
 					}

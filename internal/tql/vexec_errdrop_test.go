@@ -33,8 +33,8 @@ func wantBadOp(t *testing.T, name string, src *telemetry.Table, where Expr) {
 	if _, err := bind(q, src.Schema()); err == nil || !strings.Contains(err.Error(), `bad operator "~"`) {
 		t.Fatalf("%s: bind error = %v, want bad-operator error", name, err)
 	}
-	if _, err := Exec(q, src); err == nil || !strings.Contains(err.Error(), `bad operator "~"`) {
-		t.Fatalf("%s: Exec error = %v, want bad-operator error", name, err)
+	if _, err := execTable(q, src); err == nil || !strings.Contains(err.Error(), `bad operator "~"`) {
+		t.Fatalf("%s: execTable error = %v, want bad-operator error", name, err)
 	}
 }
 

@@ -120,7 +120,7 @@ type Finding struct {
 
 // The detector queries, over the span table "t" — the whole of what the
 // detectors read. Each runs through the one TQL executor (paste any of them
-// into `amrtrace -tql`), so a file-backed diagnosis decodes only the columns
+// after `amrquery -file F`), so a file-backed diagnosis decodes only the columns
 // a query names, one chunk at a time, and holds groups, never spans. Grouped
 // results arrive in key order, which is what makes every fold below ordered.
 const (

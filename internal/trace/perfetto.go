@@ -8,26 +8,38 @@ import (
 	"amrtools/internal/telemetry"
 )
 
-// chromeEvent is one complete event ("ph":"X") or metadata event ("ph":"M")
-// in the Chrome trace-event format — the same Catapult JSON that
-// critpath.WriteChromeTrace emits for a single synchronization window, here
-// covering the whole run: one timeline row per rank, one slice per span.
-type chromeEvent struct {
+// ChromeEvent is one event of the Chrome trace-event format (the Catapult
+// JSON of the paper's ref [42]), loadable in Perfetto or chrome://tracing: a
+// duration slice ("ph":"X"), a metadata record ("M"), or one end of a flow
+// arrow ("s"/"f", the pair sharing an ID). Optional fields are omitted when
+// zero, so each phase encodes only its own fields.
+type ChromeEvent struct {
 	Name string                 `json:"name"`
 	Cat  string                 `json:"cat,omitempty"`
 	Ph   string                 `json:"ph"`
+	ID   int                    `json:"id,omitempty"`
 	Ts   float64                `json:"ts"`            // microseconds
 	Dur  float64                `json:"dur,omitempty"` // microseconds
 	Pid  int                    `json:"pid"`
 	Tid  int                    `json:"tid"`
+	BP   string                 `json:"bp,omitempty"`
 	Args map[string]interface{} `json:"args,omitempty"`
 }
 
+// WriteChromeEvents writes events as one trace-event JSON document,
+// {"traceEvents":[...]}, newline-terminated.
+func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents []ChromeEvent `json:"traceEvents"`
+	}{events})
+}
+
 // WritePerfetto serializes a span table (trace.Schema layout, from a
-// Recorder or a span colfile) as Chrome trace-event JSON loadable in
-// Perfetto or chrome://tracing: pid 0, tid = rank (one timeline row per
-// rank), a thread_name metadata event per rank, and one duration slice per
-// span carrying peer/bytes/tag/step/epoch as args. Output is deterministic
+// Recorder or a span colfile) as Chrome trace-event JSON, the format
+// critpath.WriteChromeTrace writes for one synchronization window, here
+// covering the whole run: pid 0, tid = rank (one timeline row per rank), a
+// thread_name metadata event per rank, and one duration slice per span
+// carrying peer/bytes/tag/step/epoch as args. Output is deterministic
 // for a given input table.
 func WritePerfetto(w io.Writer, t *telemetry.Table) error {
 	for _, name := range []string{"rank", "kind", "t0", "t1", "peer", "bytes", "tag", "step", "epoch"} {
@@ -41,12 +53,12 @@ func WritePerfetto(w io.Writer, t *telemetry.Table) error {
 	peers, bytes := t.Ints("peer"), t.Ints("bytes")
 	tags, steps, epochs := t.Ints("tag"), t.Ints("step"), t.Ints("epoch")
 
-	events := make([]chromeEvent, 0, t.NumRows())
+	events := make([]ChromeEvent, 0, t.NumRows())
 	named := map[int64]bool{}
 	for r := 0; r < t.NumRows(); r++ {
 		if !named[ranks[r]] {
 			named[ranks[r]] = true
-			events = append(events, chromeEvent{
+			events = append(events, ChromeEvent{
 				Name: "thread_name", Ph: "M", Pid: 0, Tid: int(ranks[r]),
 				Args: map[string]interface{}{"name": fmt.Sprintf("rank %d", ranks[r])},
 			})
@@ -65,12 +77,11 @@ func WritePerfetto(w io.Writer, t *telemetry.Table) error {
 		if tags[r] >= 0 {
 			args["tag"] = tags[r]
 		}
-		events = append(events, chromeEvent{
+		events = append(events, ChromeEvent{
 			Name: kinds[r], Cat: kinds[r], Ph: "X",
 			Ts: t0s[r] * 1e6, Dur: dur,
 			Pid: 0, Tid: int(ranks[r]), Args: args,
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]interface{}{"traceEvents": events})
+	return WriteChromeEvents(w, events)
 }
