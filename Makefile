@@ -24,9 +24,12 @@ vet:
 # waiver(s)" on stderr — the register CHANGES.md quotes (`amrlint -json`
 # lists it), which only goes down: 3, all `determinism` — PlacementWall's
 # two wall-clock reads and placement's span fork-join (internal/lint
-# TestRealModuleClean pins the bound).
+# TestRealModuleClean pins the bound). The nested bench/ module is a second
+# run (-C bench), since ./... at the root does not reach it; it carries no
+# waivers.
 lint:
 	$(GO) run ./cmd/amrlint ./...
+	$(GO) run ./cmd/amrlint -C bench ./...
 
 test:
 	$(GO) test ./...

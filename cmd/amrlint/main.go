@@ -8,8 +8,11 @@
 //
 //	amrlint [-json] [-C dir] [patterns ...]
 //
-// Patterns default to ./... and are module-relative ("./internal/sim/...",
-// "./cmd/experiments"). Exit status is 1 when any diagnostic survives
+// Patterns default to ./... and mean what they mean to `go vet` run in the
+// -C directory ("./internal/sim/...", "./cmd/experiments"); the go command
+// supplies the package graph, and a package it reports an error for is a
+// load error. File names in the output are relative to the main module's
+// directory. Exit status is 1 when any diagnostic survives
 // waivers, 2 on load errors — so `go run ./cmd/amrlint ./...` is a CI gate.
 //
 // In -json mode each diagnostic is one JSON object per line, and the stream
@@ -37,12 +40,12 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command behind main, returning the exit status: 0 clean,
 // 1 when a diagnostic survives waivers, 2 for a usage or load error (bad
-// flag, no go.mod, a pattern matching nothing).
+// flag, no go.mod, a package error, a pattern matching nothing).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("amrlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit one JSON object per diagnostic line, then one {\"waivers\":[…]} line")
-	dir := fs.String("C", "", "module root (default: nearest go.mod above the working directory)")
+	dir := fs.String("C", "", "directory to run the go command in (default: the working directory)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: amrlint [-json] [-C dir] [patterns ...]\n\nrules:\n")
 		for _, a := range lint.Analyzers() {
@@ -59,14 +62,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	root := *dir
-	if root == "" {
-		var err error
-		if root, err = moduleRoot(); err != nil {
-			return fail(err)
-		}
+	abs, err := filepath.Abs(*dir)
+	if err != nil {
+		return fail(err)
 	}
-	set, err := lint.LoadSet(lint.LoadConfig{Dir: root, Patterns: fs.Args()})
+	set, err := lint.LoadSet(lint.LoadConfig{Dir: abs, Patterns: fs.Args()})
 	if err != nil {
 		return fail(err)
 	}
@@ -76,10 +76,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	diags, waivers := lint.Run(set, lint.Analyzers())
 	for i := range diags {
-		diags[i].File = relativize(diags[i].File, root)
+		diags[i].File = relativize(diags[i].File, set.Root)
 	}
 	for i := range waivers {
-		waivers[i].File = relativize(waivers[i].File, root)
+		waivers[i].File = relativize(waivers[i].File, set.Root)
 	}
 
 	if *jsonOut {
@@ -99,24 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// moduleRoot walks up from the working directory to the nearest go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod above the working directory")
-		}
-		dir = parent
-	}
 }
 
 // relativize rewrites an absolute file path to a module-relative one so

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -74,4 +76,21 @@ func TestCLI(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestCLIPackageError: a package the go command reports an error for (here
+// an import cycle) is a load error: exit 2, naming the package.
+func TestCLIPackageError(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("../../internal/lint/testdata/src/fixturemod")); err != nil {
+		t.Fatal(err)
+	}
+	cycle := "package util\n\nimport _ \"fixturemod/core\"\n"
+	if err := os.WriteFile(filepath.Join(dir, "util", "cycle.go"), []byte(cycle), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := amrlintCLI("-C", dir, "./...")
+	if code != 2 || stdout != "" || !strings.Contains(stderr, "fixturemod/util: import cycle not allowed") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2 naming fixturemod/util's import cycle", code, stdout, stderr)
+	}
 }

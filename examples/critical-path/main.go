@@ -60,10 +60,11 @@ func main() {
 	}
 
 	// Dispatch-delay audit: sends that sat in the queue after their data
-	// was ready (what the sends-first optimization eliminates).
+	// was ready (what the sends-first optimization eliminates). Ties go to
+	// the lowest task id, so map order cannot pick the send.
 	worst, worstID := 0.0, -1
 	for id, d := range tr.SendDelay() {
-		if d > worst {
+		if d > worst || d == worst && id < worstID {
 			worst, worstID = d, id
 		}
 	}

@@ -200,7 +200,7 @@ func (st *runState) auditPlanEquivalence(ep *epoch, nranks int) {
 		}
 		return j
 	}
-	fluxBytes := st.fluxBytes()
+	sizes := MessageSizes()
 	refSends := make([][]exchange, nranks)
 	refRecvs := make([][]exchange, nranks)
 	refIntra := make([]int, nranks)
@@ -212,7 +212,7 @@ func (st *runState) auditPlanEquivalence(ep *epoch, nranks int) {
 				return
 			}
 			tag := messageTag(int32(i), e)
-			size := exchangeSize(e, st.sizes, fluxBytes)
+			size := exchangeSize(e, sizes, fluxBytes)
 			refSends[sr] = append(refSends[sr],
 				exchange{tag: tag, from: int32(i), to: int32(j), peer: int32(dr), size: size})
 			refRecvs[dr] = append(refRecvs[dr],

@@ -47,13 +47,6 @@ type Config struct {
 	// paper's codes trigger every 5 steps in the worst case.
 	LBInterval int
 
-	// BlockCells is the cells per block side (16 in Table I), NVars the
-	// physics variables exchanged, GhostDepth the ghost-zone width. These
-	// set boundary-message sizes.
-	BlockCells int
-	NVars      int
-	GhostDepth int
-
 	// CostTimeScale converts problem cost units into seconds of compute.
 	CostTimeScale float64
 
@@ -152,9 +145,6 @@ func DefaultConfig(rootDims [3]int, maxLevel, steps int, pol placement.Policy, s
 		MaxLevel:         maxLevel,
 		Steps:            steps,
 		LBInterval:       5,
-		BlockCells:       16,
-		NVars:            9, // GRMHD-scale variable count (Phoebus)
-		GhostDepth:       2,
 		CostTimeScale:    2e-3,
 		SendsFirst:       true,
 		UseMeasuredCosts: true,
@@ -274,7 +264,6 @@ type runState struct {
 	chargePending bool
 	res           *Result
 	tracer        *trace.Recorder // nil unless Config.Trace
-	sizes         [3]int          // face/edge/vertex message bytes
 	// obs stages each rank's per-block cost observations until rank 0
 	// replays them at the next redistribution (syncObservations).
 	obs [][]obsRow
@@ -311,7 +300,6 @@ func Run(cfg Config) (*Result, error) {
 		rec:       cost.NewRecorder(cfg.CostAlpha),
 		rebCharge: make([]float64, nranks),
 		res:       &Result{},
-		sizes:     messageSizes(cfg),
 		obs:       make([][]obsRow, nranks),
 	}
 	if cfg.Metrics != nil {
@@ -391,7 +379,7 @@ func Run(cfg Config) (*Result, error) {
 		res, d := st.res, ms.Drv
 		d.Epochs.Add(0, int64(len(res.BlockHistory)))
 		d.MigratedBlocks.Add(0, int64(res.Migrations))
-		d.MigratedBytes.Add(0, int64(res.Migrations)*int64(st.blockBytes()))
+		d.MigratedBytes.Add(0, int64(res.Migrations)*blockBytes)
 		d.DirHandoffs.Add(0, int64(res.Deltas.Handoffs))
 		d.DirInstalls.Add(0, int64(res.Deltas.Installs))
 		d.Steps.Add(0, int64(cfg.Steps)*int64(nranks))
@@ -439,18 +427,6 @@ func emitProbes(tr *trace.Recorder, net simnet.Config, kind trace.Kind, t0 float
 	}
 }
 
-// blockBytes is the state one migrating block carries.
-func (st *runState) blockBytes() int {
-	return st.cfg.BlockCells * st.cfg.BlockCells * st.cfg.BlockCells * st.cfg.NVars * 8
-}
-
-// fluxBytes is one flux-correction message (§II-B): a fine block's face
-// fluxes restricted to the coarser neighbor's resolution, half the cells
-// along each face axis.
-func (st *runState) fluxBytes() int {
-	return (st.cfg.BlockCells / 2) * (st.cfg.BlockCells / 2) * st.cfg.NVars * 8
-}
-
 func unitCosts(n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
@@ -459,16 +435,32 @@ func unitCosts(n int) []float64 {
 	return out
 }
 
-// messageSizes returns [face, edge, vertex] boundary-message bytes: ghost
+// Block geometry, the same for every run (Table I): 16³-cell blocks
+// carrying 9 physics variables (GRMHD-scale, as in Phoebus) with 2-deep
+// ghost zones, 8 B per value. Every message size derives from it.
+const (
+	blockCells = 16
+	nVars      = 9
+	ghostDepth = 2
+	valueBytes = 8
+
+	// blockBytes is the state one migrating block carries.
+	blockBytes = blockCells * blockCells * blockCells * nVars * valueBytes
+	// fluxBytes is one flux-correction message (§II-B): a fine block's face
+	// fluxes restricted to the coarser neighbor's resolution, half the cells
+	// along each face axis.
+	fluxBytes = (blockCells / 2) * (blockCells / 2) * nVars * valueBytes
+)
+
+// MessageSizes returns [face, edge, vertex] boundary-message bytes: ghost
 // slabs of the block surface scaled by variable count (§II-B: volume depends
 // on variables and neighbor type, not refinement level).
-func messageSizes(cfg Config) [3]int {
-	c, g, v := cfg.BlockCells, cfg.GhostDepth, cfg.NVars
-	const w = 8 // bytes per value
+func MessageSizes() [3]int {
+	c, g, v := blockCells, ghostDepth, nVars*valueBytes
 	return [3]int{
-		c * c * g * v * w, // face: cells² × depth
-		c * g * g * v * w, // edge: cells × depth²
-		g * g * g * v * w, // vertex: depth³
+		c * c * g * v, // face: cells² × depth
+		c * g * g * v, // edge: cells × depth²
+		g * g * g * v, // vertex: depth³
 	}
 }
 
@@ -528,7 +520,6 @@ func (st *runState) buildEpochWith(assign placement.Assignment, costs []float64,
 	// pay the fabric — charging everything at remote rates overstated the
 	// rebalance cost of exactly the locality-preserving policies the
 	// PlacementEvery/Fig 6 comparisons are about.
-	blockBytes := st.blockBytes()
 	migTime := make([]float64, nranks)
 	oldDir := st.dir
 	if oldDir != nil {
@@ -557,10 +548,10 @@ func (st *runState) buildEpochWith(assign placement.Assignment, costs []float64,
 	// endpoints compute independently. The view build is the substrate pass
 	// standing in for a real code's neighborhood exchange.
 	views := st.m.BuildRankViews(assign, nranks)
-	fluxBytes := st.fluxBytes()
+	sizes := MessageSizes()
 	ep.plans = make([]rankPlan, nranks)
 	for r := 0; r < nranks; r++ {
-		ep.plans[r] = buildRankPlan(views[r], st.sizes, fluxBytes)
+		ep.plans[r] = buildRankPlan(views[r], sizes, fluxBytes)
 	}
 
 	// New ownership directory, and the install records pushing each block's

@@ -441,7 +441,6 @@ func TestFluxCorrectionMessages(t *testing.T) {
 		rec:       cost.NewRecorder(cfg.CostAlpha),
 		rebCharge: make([]float64, nranks),
 		res:       &Result{},
-		sizes:     messageSizes(cfg),
 	}
 	costs := unitCosts(m.NumLeaves())
 	st.buildEpochWith(placement.Baseline{}.Assign(costs, nranks), costs, nranks, true)
@@ -460,10 +459,10 @@ func TestFluxCorrectionMessages(t *testing.T) {
 				if x.tag != messageTag(v.Owned[k].Index, e) {
 					t.Fatalf("rank %d send %d: tag %d, want the entry's %d", r, i-1, x.tag, messageTag(v.Owned[k].Index, e))
 				}
-				want := st.sizes[e.Kind]
+				want := MessageSizes()[e.Kind]
 				if e.Flux {
 					flux++
-					want = st.fluxBytes()
+					want = fluxBytes
 				}
 				if int(x.size) != want {
 					t.Errorf("rank %d send %d (flux %v): %d bytes, want %d", r, i-1, e.Flux, x.size, want)
@@ -475,9 +474,9 @@ func TestFluxCorrectionMessages(t *testing.T) {
 		}
 		total += i
 	}
-	if st.fluxBytes() != st.sizes[mesh.Edge] {
+	if fluxBytes != MessageSizes()[mesh.Edge] {
 		t.Fatalf("flux message %d B, edge slab %d B: the test's premise that size cannot tell them apart is stale",
-			st.fluxBytes(), st.sizes[mesh.Edge])
+			fluxBytes, MessageSizes()[mesh.Edge])
 	}
 	if flux == 0 {
 		t.Fatalf("refined mesh plans no flux riders among %d sends", total)

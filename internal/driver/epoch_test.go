@@ -31,7 +31,6 @@ func epochState(tb testing.TB, rootDims [3]int, maxLevel int) (*runState, placem
 		rec:       cost.NewRecorder(cfg.CostAlpha),
 		rebCharge: make([]float64, nranks),
 		res:       &Result{},
-		sizes:     messageSizes(cfg),
 	}
 	return st, cfg.Policy.Assign(unitCosts(m.NumLeaves()), nranks)
 }

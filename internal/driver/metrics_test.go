@@ -140,7 +140,6 @@ func TestMetricsAreViewsOfTheRun(t *testing.T) {
 		if res.Migrations == 0 || res.Deltas.Installs == 0 {
 			t.Fatalf("shards=%d: run migrated nothing; the driver series are untested", shards)
 		}
-		blockBytes := cfg.BlockCells * cfg.BlockCells * cfg.BlockCells * cfg.NVars * 8
 		for name, want := range map[string]int{
 			"sim_driver_epochs_total":          len(res.BlockHistory),
 			"sim_driver_migrated_blocks_total": res.Migrations,

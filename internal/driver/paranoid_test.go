@@ -36,7 +36,6 @@ func auditState(t *testing.T) *runState {
 		rec:       cost.NewRecorder(cfg.CostAlpha),
 		rebCharge: make([]float64, 8),
 		res:       &Result{},
-		sizes:     messageSizes(cfg),
 	}
 	ident := make(placement.Assignment, 8)
 	for i := range ident {
@@ -139,7 +138,6 @@ func TestMigrationCoarsenedOntoMajorityNotCounted(t *testing.T) {
 		rec:       cost.NewRecorder(cfg.CostAlpha),
 		rebCharge: make([]float64, 2),
 		res:       &Result{},
-		sizes:     messageSizes(cfg),
 	}
 	kids := root.Children()
 	want := map[mesh.BlockID]int{kids[0]: 0, other: 0}
@@ -181,7 +179,6 @@ func TestMigrationChargePricesIntraNodeAtLocalBandwidth(t *testing.T) {
 		t.Fatalf("migrations = %d, want 2", st.res.Migrations)
 	}
 	cfg := st.cfg
-	blockBytes := float64(cfg.BlockCells * cfg.BlockCells * cfg.BlockCells * cfg.NVars * 8)
 	tLocal := blockBytes / cfg.Net.LocalBandwidth
 	tRemote := blockBytes / cfg.Net.RemoteBandwidth
 	if tLocal == tRemote {

@@ -24,7 +24,7 @@ func Fig1Top(opts Options) *telemetry.Table {
 	)
 	sc := TableIScales[0] // 512 ranks
 	if opts.Quick {
-		sc = SedovScale{Ranks: 128, RootDims: [3]int{4, 4, 8}}
+		sc = QuickScale
 	}
 	steps := opts.steps()
 	names := []string{"untuned", "tuned"}
@@ -69,7 +69,7 @@ func Fig1Bottom(opts Options) *telemetry.Table {
 		telemetry.IntCol("spikes_gt_1ms"), telemetry.FloatCol("p99_wait_ms"),
 		telemetry.FloatCol("max_wait_ms"), telemetry.FloatCol("mean_sync_per_step_ms"),
 	)
-	sc := SedovScale{Ranks: 128, RootDims: [3]int{4, 4, 8}}
+	sc := QuickScale
 	steps := opts.steps()
 	names := []string{"no-drain", "drain-queue"}
 	var specs []harness.Spec[*driver.Result]

@@ -22,7 +22,7 @@ func Fig3(opts Options) *telemetry.Table {
 	)
 	sc := TableIScales[0]
 	if opts.Quick {
-		sc = SedovScale{Ranks: 128, RootDims: [3]int{4, 4, 8}}
+		sc = QuickScale
 	}
 	steps := opts.steps()
 

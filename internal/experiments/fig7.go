@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"amrtools/internal/cost"
+	"amrtools/internal/driver"
 	"amrtools/internal/harness"
 	"amrtools/internal/mesh"
 	"amrtools/internal/placement"
@@ -240,8 +241,8 @@ func commbenchPlan(ranks int, rootDims [3]int, pol placement.Policy, rng *xrand.
 }
 
 // boundaryBytes is the [face, edge, vertex] message size of the round
-// benchmarks' 16³-cell, 9-variable, 2-deep-ghost blocks.
-var boundaryBytes = [3]int{16 * 16 * 2 * 9 * 8, 16 * 2 * 2 * 9 * 8, 2 * 2 * 2 * 9 * 8}
+// benchmarks' blocks: the simulator's block geometry.
+var boundaryBytes = driver.MessageSizes()
 
 // Fig7b is scalebench's makespan panel (§VI-C middle): normalized makespan
 // (relative to the trivial lower bound) across CPLX settings for the three

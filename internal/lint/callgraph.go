@@ -203,44 +203,48 @@ func walkOwn(body *ast.BlockStmt, fn func(ast.Node)) {
 	})
 }
 
-// callEdge resolves one call expression into call/iface edges.
+// callEdge resolves one call expression into a call edge to its static
+// callee or, for an interface-method call, edges to every implementer.
 func (g *Graph) callEdge(from *FuncNode, call *ast.CallExpr) {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.FuncLit:
-		if to := g.byLit[fun]; to != nil {
-			from.Out = append(from.Out, Edge{To: to, Pos: call.Pos()})
-		}
-	case *ast.Ident:
-		if obj, ok := from.Pkg.Info.Uses[fun].(*types.Func); ok {
-			if to := g.NodeOf(obj); to != nil {
-				from.Out = append(from.Out, Edge{To: to, Pos: call.Pos()})
-			}
-		}
-	case *ast.SelectorExpr:
-		sel, isMethod := from.Pkg.Info.Selections[fun]
-		if !isMethod {
-			// Package-qualified function: pkg.Fun.
-			if obj, ok := from.Pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-				if to := g.NodeOf(obj); to != nil {
-					from.Out = append(from.Out, Edge{To: to, Pos: call.Pos()})
-				}
-			}
-			return
-		}
-		obj, ok := sel.Obj().(*types.Func)
-		if !ok {
-			return
-		}
-		if types.IsInterface(sel.Recv()) {
+	if to := staticCallee(g, from.Pkg, call); to != nil {
+		from.Out = append(from.Out, Edge{To: to, Pos: call.Pos()})
+		return
+	}
+	fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	if sel, ok := from.Pkg.Info.Selections[fun]; ok && types.IsInterface(sel.Recv()) {
+		if obj, ok := sel.Obj().(*types.Func); ok {
 			for _, impl := range g.implementers(obj, sel.Recv()) {
 				from.Out = append(from.Out, Edge{To: impl, Pos: call.Pos()})
 			}
-			return
-		}
-		if to := g.NodeOf(obj); to != nil {
-			from.Out = append(from.Out, Edge{To: to, Pos: call.Pos()})
 		}
 	}
+}
+
+// staticCallee resolves a call in pkg to its static module callee node
+// (nil for dynamic, interface, and non-module calls).
+func staticCallee(g *Graph, pkg *Package, call *ast.CallExpr) *FuncNode {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if obj, ok := pkg.Info.Uses[fun].(*types.Func); ok {
+			return g.NodeOf(obj)
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := pkg.Info.Selections[fun]; ok {
+			if obj, ok := sel.Obj().(*types.Func); ok && !types.IsInterface(sel.Recv()) {
+				return g.NodeOf(obj)
+			}
+			return nil
+		}
+		if obj, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
+			return g.NodeOf(obj)
+		}
+	case *ast.FuncLit:
+		return g.byLit[fun]
+	}
+	return nil
 }
 
 // implementers resolves an interface method to the concrete module methods

@@ -15,10 +15,11 @@
 // evidence ledger.
 //
 // The implementation is deliberately stdlib-only: go/parser, go/ast and
-// go/types with the "source" importer — no golang.org/x/tools. Module
-// packages are parsed and type-checked in dependency order by the loader in
-// load.go; only standard-library imports are delegated to the source
-// importer.
+// go/types with the "source" importer — no golang.org/x/tools. The go
+// command supplies the package graph (`go list -deps`, with build
+// constraints applied); the loader in load.go parses and type-checks the
+// module's packages in that order, and only standard-library imports are
+// delegated to the source importer.
 //
 // Diagnostics can be waived at the site with
 //

@@ -1,32 +1,30 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
 
-// LoadConfig parameterizes a module load.
+// LoadConfig parameterizes a load.
 type LoadConfig struct {
-	// Dir is the module root (the directory holding go.mod, or — for
-	// analyzer fixtures — any directory tree of packages).
+	// Dir is the directory the go command runs in (empty: the working
+	// directory). The main module is the one that holds it.
 	Dir string
-	// Module is the module path used to derive package import paths from
-	// directories. When empty it is read from Dir/go.mod.
-	Module string
-	// Patterns selects the packages to analyze, relative to Dir. "./..."
-	// (the default when empty) selects everything; "./internal/sim/..."
-	// selects a subtree; "./internal/sim" a single package. Packages outside
-	// the patterns are still loaded when analyzed packages depend on them.
+	// Patterns selects the packages to analyze, read relative to Dir as
+	// `go vet` reads them: "./..." (the default when empty) selects every
+	// package below Dir, "./internal/sim/..." a subtree, "./internal/sim"
+	// one package.
 	Patterns []string
 }
 
@@ -37,7 +35,11 @@ type LoadConfig struct {
 type ModuleSet struct {
 	// Fset positions every file of the load.
 	Fset *token.FileSet
-	// All is every module package, in dependency order.
+	// Root is the main module's directory, as the go command reports it.
+	Root string
+	// All is every non-standard package of the main module's build: its
+	// own packages and what they import from other modules, in dependency
+	// order.
 	All []*Package
 	// Selected is the pattern-matched subset, sorted by import path.
 	Selected []*Package
@@ -66,69 +68,79 @@ func (s *ModuleSet) restrict(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-// Load parses and type-checks the module and returns the packages matching
-// cfg.Patterns, sorted by import path. It is LoadSet's selected view, kept
-// for callers that only need per-package analysis.
-func Load(cfg LoadConfig) ([]*Package, error) {
-	set, err := LoadSet(cfg)
+// LoadSet type-checks the main module's non-test packages using only the
+// standard library. The go command supplies the package graph (`go list
+// -deps`): which packages exist, their dependency order, and which files
+// each compiles under the current build configuration. The loader parses
+// those files and checks every non-standard package in that order;
+// standard-library imports go through go/importer's "source" importer. A
+// package the go command reports an error for fails the load.
+//
+// File names are Dir joined with each file's path below it, so a relative
+// Dir gives relative names.
+func LoadSet(cfg LoadConfig) (*ModuleSet, error) {
+	dir, err := filepath.Abs(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
-	return set.Selected, nil
-}
-
-// LoadSet parses and type-checks the module's non-test packages in
-// dependency order using only the standard library: module-internal imports
-// resolve to the packages checked earlier in the order, standard-library
-// imports go through go/importer's "source" importer.
-func LoadSet(cfg LoadConfig) (*ModuleSet, error) {
-	if cfg.Module == "" {
-		mod, err := modulePath(cfg.Dir)
-		if err != nil {
+	mods, err := goList(dir, "-m", "-json=Dir")
+	if err != nil {
+		return nil, err
+	}
+	if len(mods) == 0 || mods[0].Dir == "" { // an empty go.work lists one module with no directory
+		return nil, fmt.Errorf("lint: no main module holds %s", dir)
+	}
+	root := mods[0].Dir
+	listed, err := goList(root, "-e", "-deps", "-json=ImportPath,Dir,GoFiles,Standard,Error,DepsErrors", "./...")
+	if err != nil {
+		return nil, err
+	}
+	patterns := cfg.Patterns
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	matched, err := goList(dir, append([]string{"-e", "-find", "-json=ImportPath,Error"}, patterns...)...)
+	if err != nil {
+		return nil, err
+	}
+	want := map[string]bool{}
+	for _, lp := range matched {
+		if err := lp.err(); err != nil {
 			return nil, err
 		}
-		cfg.Module = mod
-	}
-
-	dirs, err := packageDirs(cfg.Dir)
-	if err != nil {
-		return nil, err
+		want[lp.ImportPath] = true
 	}
 
 	fset := token.NewFileSet()
-	byPath := map[string]*parsedPkg{}
-	var order []string
-	for _, dir := range dirs {
-		files, err := parseDir(fset, dir)
-		if err != nil {
-			return nil, err
-		}
-		if len(files) == 0 {
-			continue
-		}
-		rel, err := filepath.Rel(cfg.Dir, dir)
-		if err != nil {
-			return nil, err
-		}
-		path := cfg.Module
-		if rel != "." {
-			path = cfg.Module + "/" + filepath.ToSlash(rel)
-		}
-		byPath[path] = &parsedPkg{path: path, dir: dir, files: files}
-		order = append(order, path)
-	}
-
-	sorted, err := topoSort(byPath, order, cfg.Module)
-	if err != nil {
-		return nil, err
-	}
-
 	std := importer.ForCompiler(fset, "source", nil)
 	checked := map[string]*Package{}
-	imp := &moduleImporter{module: cfg.Module, local: checked, std: std}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg.Types, nil
+		}
+		return std.Import(path)
+	})
 	var pkgs []*Package
-	for _, path := range sorted {
-		p := byPath[path]
+	for _, lp := range listed {
+		if lp.Standard {
+			continue
+		}
+		if err := lp.err(); err != nil {
+			return nil, err
+		}
+		rel, err := filepath.Rel(dir, lp.Dir)
+		if err != nil {
+			return nil, err
+		}
+		var files []*ast.File
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(cfg.Dir, rel, name), nil,
+				parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
 		info := &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
@@ -137,231 +149,87 @@ func LoadSet(cfg LoadConfig) (*ModuleSet, error) {
 			Implicits:  map[ast.Node]types.Object{},
 		}
 		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(path, fset, p.files, info)
+		tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
 		if err != nil {
-			return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
+			return nil, fmt.Errorf("lint: type-checking %s: %w", lp.ImportPath, err)
 		}
-		pkg := &Package{Path: path, Fset: fset, Files: p.files, Types: tpkg, Info: info}
-		checked[path] = pkg
+		pkg := &Package{Path: lp.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info}
+		checked[lp.ImportPath] = pkg
 		pkgs = append(pkgs, pkg)
 	}
 
-	selected := pkgs[:0:0]
+	var selected []*Package
 	for _, pkg := range pkgs {
-		if matchPatterns(cfg, byPath[pkg.Path].dir) {
+		if want[pkg.Path] {
 			selected = append(selected, pkg)
 		}
 	}
 	sort.Slice(selected, func(i, j int) bool { return selected[i].Path < selected[j].Path })
-	return &ModuleSet{Fset: fset, All: pkgs, Selected: selected}, nil
+	return &ModuleSet{Fset: fset, Root: root, All: pkgs, Selected: selected}, nil
 }
 
-// modulePath reads the module declaration from dir/go.mod.
-func modulePath(dir string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-	if err != nil {
-		return "", fmt.Errorf("lint: reading module path: %w", err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	return "", fmt.Errorf("lint: no module declaration in %s/go.mod", dir)
+// listedPkg is the part of one `go list -json` record the loader reads.
+type listedPkg struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Standard   bool
+	Error      *listError
+	DepsErrors []*listError
 }
 
-// packageDirs walks root for directories that may hold Go packages, skipping
-// hidden directories and testdata trees.
-func packageDirs(root string) ([]string, error) {
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		dirs = append(dirs, path)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(dirs)
-	return dirs, nil
+// listError is a package error as `go list -e` reports it.
+type listError struct {
+	ImportStack []string
+	Pos         string
+	Err         string
 }
 
-// parseDir parses the non-test .go files of one directory, in name order.
-func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
+// err returns the package's own error, else its first dependency error,
+// naming the package either way.
+func (p *listedPkg) err() error {
+	e := p.Error
+	if e == nil && len(p.DepsErrors) > 0 {
+		e = p.DepsErrors[0]
 	}
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		path := filepath.Join(dir, name)
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		if !buildIncluded(src) {
-			continue
-		}
-		f, err := parser.ParseFile(fset, path, src,
-			parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return files, nil
-}
-
-// buildIncluded evaluates a file's //go:build line (if any) against the
-// default build configuration: current GOOS/GOARCH, the gc toolchain, and
-// no extra tags — matching what `go build ./...` compiles. Legacy
-// "// +build" lines without a //go:build equivalent are not supported (gofmt
-// has rewritten them since Go 1.17).
-func buildIncluded(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		line = strings.TrimSpace(line)
-		if constraint.IsGoBuild(line) {
-			expr, err := constraint.Parse(line)
-			if err != nil {
-				return true // malformed: let the type-checker complain
-			}
-			return expr.Eval(defaultBuildTag)
-		}
-		// The build line must precede the package clause.
-		if strings.HasPrefix(line, "package ") {
-			break
-		}
-	}
-	return true
-}
-
-func defaultBuildTag(tag string) bool {
-	if tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" || tag == "unix" {
-		return true
-	}
-	// goX.Y release tags up to the toolchain's own version.
-	if strings.HasPrefix(tag, "go1.") {
-		return true
-	}
-	return false
-}
-
-// parsedPkg is one parsed-but-not-yet-checked package.
-type parsedPkg struct {
-	path  string // import path
-	dir   string
-	files []*ast.File
-}
-
-// topoSort orders package paths so every module-internal import precedes its
-// importer.
-func topoSort(byPath map[string]*parsedPkg, order []string, module string) ([]string, error) {
-	sort.Strings(order)
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	state := map[string]int{}
-	var sorted []string
-	var visit func(path string, from string) error
-	visit = func(path, from string) error {
-		switch state[path] {
-		case black:
-			return nil
-		case gray:
-			return fmt.Errorf("lint: import cycle through %s (from %s)", path, from)
-		}
-		state[path] = gray
-		p := byPath[path]
-		var imps []string
-		for _, f := range p.files {
-			for _, spec := range f.Imports {
-				ipath := strings.Trim(spec.Path.Value, `"`)
-				if ipath == module || strings.HasPrefix(ipath, module+"/") {
-					imps = append(imps, ipath)
-				}
-			}
-		}
-		sort.Strings(imps)
-		for _, ipath := range imps {
-			if _, ok := byPath[ipath]; !ok {
-				return fmt.Errorf("lint: %s imports %s, which has no source under the module root", path, ipath)
-			}
-			if err := visit(ipath, path); err != nil {
-				return err
-			}
-		}
-		state[path] = black
-		sorted = append(sorted, path)
+	if e == nil {
 		return nil
 	}
-	for _, path := range order {
-		if err := visit(path, ""); err != nil {
-			return nil, err
-		}
+	msg := e.Err
+	if e.Pos != "" {
+		msg = e.Pos + ": " + msg
 	}
-	return sorted, nil
+	if len(e.ImportStack) > 1 {
+		msg += " (" + strings.Join(e.ImportStack, " -> ") + ")"
+	}
+	return fmt.Errorf("lint: %s: %s", p.ImportPath, msg)
 }
 
-// moduleImporter resolves module-internal imports from the already-checked
-// set and delegates everything else to the standard-library source importer.
-type moduleImporter struct {
-	module string
-	local  map[string]*Package
-	std    types.Importer
-}
-
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if path == m.module || strings.HasPrefix(path, m.module+"/") {
-		pkg, ok := m.local[path]
-		if !ok {
-			return nil, fmt.Errorf("lint: internal import %s not yet checked (loader ordering bug)", path)
-		}
-		return pkg.Types, nil
-	}
-	return m.std.Import(path)
-}
-
-// matchPatterns reports whether dir is selected by cfg.Patterns.
-func matchPatterns(cfg LoadConfig, dir string) bool {
-	if len(cfg.Patterns) == 0 {
-		return true
-	}
-	rel, err := filepath.Rel(cfg.Dir, dir)
+// goList runs `go list args...` in dir and decodes the JSON records it
+// prints.
+func goList(dir string, args ...string) ([]listedPkg, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
 	if err != nil {
-		return false
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			err = errors.New(string(bytes.TrimSpace(exit.Stderr)))
+		}
+		return nil, fmt.Errorf("lint: go list in %s: %w", dir, err)
 	}
-	rel = filepath.ToSlash(rel)
-	for _, pat := range cfg.Patterns {
-		pat = strings.TrimPrefix(filepath.ToSlash(pat), "./")
-		if pat == "..." || pat == "" {
-			return true
+	var pkgs []listedPkg
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPkg
+		if err := dec.Decode(&p); err != nil {
+			return nil, fmt.Errorf("lint: decoding go list output: %w", err)
 		}
-		if sub, ok := strings.CutSuffix(pat, "/..."); ok {
-			if rel == sub || strings.HasPrefix(rel, sub+"/") {
-				return true
-			}
-			continue
-		}
-		if rel == pat {
-			return true
-		}
+		pkgs = append(pkgs, p)
 	}
-	return false
+	return pkgs, nil
 }
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

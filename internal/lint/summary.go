@@ -36,30 +36,6 @@ func Summarize(g *Graph) *Summaries {
 	return s
 }
 
-// staticCallee resolves a call in pkg to its static module callee node
-// (nil for dynamic, interface, and non-module calls).
-func staticCallee(g *Graph, pkg *Package, call *ast.CallExpr) *FuncNode {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if obj, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return g.NodeOf(obj)
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[fun]; ok {
-			if obj, ok := sel.Obj().(*types.Func); ok && !types.IsInterface(sel.Recv()) {
-				return g.NodeOf(obj)
-			}
-			return nil
-		}
-		if obj, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return g.NodeOf(obj)
-		}
-	case *ast.FuncLit:
-		return g.byLit[fun]
-	}
-	return nil
-}
-
 // errorResultSlots returns the indices of error-typed results of a node's
 // signature (nil when it has none).
 func errorResultSlots(n *FuncNode) []int {
