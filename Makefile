@@ -100,4 +100,4 @@ fuzz-smoke:
 fmt:
 	gofmt -l . && test -z "$$(gofmt -l .)"
 
-check: vet lint build test race bench-module
+check: fmt vet lint build test race bench-module

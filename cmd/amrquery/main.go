@@ -106,7 +106,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if *diag {
-		findings, err := diagnose.Diagnose(r, diagnose.Options{})
+		findings, err := diagnose.Diagnose(r)
 		if err != nil {
 			return fail(fmt.Errorf("%s: %w", *file, err))
 		}

@@ -138,10 +138,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	var camp *metrics.Campaign
-	if *serve != "" || *metricsDir != "" {
-		camp = metrics.NewCampaign()
-	}
 	if *serve != "" {
+		camp = metrics.NewCampaign()
 		srv, err := metrics.Serve(*serve, camp)
 		if err != nil {
 			return fail(err)
@@ -153,7 +151,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := experiments.Options{
 		Quick:      *quick,
 		Seed:       *seed,
-		Paranoid:   *paranoid,
 		TraceDir:   *traceDir,
 		MetricsDir: *metricsDir,
 		Exec: harness.Exec{

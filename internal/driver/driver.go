@@ -74,11 +74,6 @@ type Config struct {
 	// capped at 200 000 rows.
 	CollectWaits bool
 
-	// PlacementCharge is the virtual time charged per redistribution for
-	// computing the placement (deterministic stand-in for the measured
-	// wall clock, which is reported separately). Zero uses a 2 ms default.
-	PlacementCharge float64
-
 	// PlacementEvery recomputes placement on every k-th mesh change; in
 	// between, new blocks inherit their parent's rank (the deferred
 	// load-balancing question of Meta-Balancer, §VIII). 0 or 1 re-places
@@ -159,6 +154,14 @@ func DefaultConfig(rootDims [3]int, maxLevel, steps int, pol placement.Policy, s
 // maxWaitEvents caps the wait-event table (Config.CollectWaits): an untuned
 // fabric blocks in Wait millions of times, and Fig 1b needs the early ones.
 const maxWaitEvents = 200_000
+
+// placementCharge is the virtual time (seconds) each rank is charged per
+// redistribution for computing the placement. It is a deterministic
+// stand-in for the measured wall clock: that lands in Result.PlacementWall
+// and never feeds back into simulated time. Every table and bench digest is
+// computed at this value, which is why it is a constant and not a Config
+// field.
+const placementCharge = 2e-3
 
 // PhaseTotals aggregates per-phase times (mean over ranks, seconds).
 type PhaseTotals struct {
@@ -410,9 +413,6 @@ func validate(cfg *Config) error {
 	if cfg.CostAlpha <= 0 || cfg.CostAlpha > 1 {
 		cfg.CostAlpha = 0.5
 	}
-	if cfg.PlacementCharge <= 0 {
-		cfg.PlacementCharge = 2e-3
-	}
 	return nil
 }
 
@@ -540,7 +540,7 @@ func (st *runState) buildEpochWith(assign placement.Assignment, costs []float64,
 		}
 	}
 	for r := 0; r < nranks; r++ {
-		st.rebCharge[r] = st.cfg.PlacementCharge + migTime[r]
+		st.rebCharge[r] = placementCharge + migTime[r]
 	}
 
 	// Distributed views and per-rank plans: each rank's plan derives from

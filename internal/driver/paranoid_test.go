@@ -185,11 +185,11 @@ func TestMigrationChargePricesIntraNodeAtLocalBandwidth(t *testing.T) {
 		t.Fatal("test needs distinct local/remote bandwidths")
 	}
 	want := map[int]float64{
-		0: cfg.PlacementCharge + tLocal,  // source of the intra-node move
-		1: cfg.PlacementCharge + tLocal,  // destination of the intra-node move
-		7: cfg.PlacementCharge + tRemote, // source of the inter-node move
-		3: cfg.PlacementCharge + tRemote, // destination of the inter-node move
-		2: cfg.PlacementCharge,           // untouched rank
+		0: placementCharge + tLocal,  // source of the intra-node move
+		1: placementCharge + tLocal,  // destination of the intra-node move
+		7: placementCharge + tRemote, // source of the inter-node move
+		3: placementCharge + tRemote, // destination of the inter-node move
+		2: placementCharge,           // untouched rank
 	}
 	for r, w := range want {
 		if math.Abs(st.rebCharge[r]-w) > 1e-12*w {

@@ -37,12 +37,12 @@ func Ablations(opts Options) *telemetry.Table {
 	// fan out as one campaign: the baseline reference, measured vs unit
 	// costs (ablation 1), and the three EWMA alphas (ablation 3).
 	cplxCfg := func(mutate func(*driver.Config)) driver.Config {
-		cfg := opts.sedovConfig(sc, placement.CPLX{X: 50}, steps, opts.Seed)
+		cfg := sedovConfig(sc, placement.CPLX{X: 50}, steps, opts.Seed)
 		mutate(&cfg)
 		return cfg
 	}
 	specs := []harness.Spec[*driver.Result]{
-		opts.sedovSpec("baseline", opts.sedovConfig(sc, placement.Baseline{}, steps, opts.Seed)),
+		opts.sedovSpec("baseline", sedovConfig(sc, placement.Baseline{}, steps, opts.Seed)),
 		opts.sedovSpec("measured-costs", cplxCfg(func(cfg *driver.Config) { cfg.UseMeasuredCosts = true })),
 		opts.sedovSpec("unit-costs", cplxCfg(func(cfg *driver.Config) { cfg.UseMeasuredCosts = false })),
 		opts.sedovSpec("alpha-1.0", cplxCfg(func(cfg *driver.Config) { cfg.CostAlpha = 1.0 })),

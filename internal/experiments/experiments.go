@@ -39,7 +39,11 @@ import (
 
 // Options selects experiment scale. Quick mode shrinks rank counts and step
 // counts so the whole suite runs in seconds (used by tests and CI);
-// full mode reproduces the paper's scales.
+// full mode reproduces the paper's scales. The runtime invariant audits
+// (internal/check) are not an option: check.Force turns them on in every
+// world the experiments launch, driver runs included (cmd/experiments
+// -paranoid sets it), and the differential experiment always runs
+// paranoid.
 type Options struct {
 	Quick bool
 	Seed  uint64
@@ -54,12 +58,6 @@ type Options struct {
 	// is exposition-only; per-run sim-plane snapshots remain bit-identical
 	// across -j.
 	Exec harness.Exec
-	// Paranoid turns on the runtime invariant audits (internal/check) in
-	// every driver run the experiments launch (worlds launched outside the
-	// driver — commbench and neighborhood rounds, health probes — audit
-	// under check.Force, which cmd/experiments -paranoid also sets). The
-	// differential experiment always runs paranoid regardless of this flag.
-	Paranoid bool
 	// TraceDir, when non-empty, turns on the flight recorder
 	// (internal/trace) in every driver run and writes each run's span
 	// stream as `<TraceDir>/<campaign>--<id>.col` — a colfile readable by
@@ -123,12 +121,9 @@ func (o Options) steps() int {
 	return 60
 }
 
-// sedovConfig builds the standard tuned-environment Sedov run, carrying the
-// options' paranoid switch into the driver.
-func (o Options) sedovConfig(sc SedovScale, pol placement.Policy, steps int, seed uint64) driver.Config {
-	cfg := driver.DefaultConfig(sc.RootDims, 2, steps, pol, seed)
-	cfg.Paranoid = o.Paranoid
-	return cfg
+// sedovConfig builds the standard tuned-environment Sedov run.
+func sedovConfig(sc SedovScale, pol placement.Policy, steps int, seed uint64) driver.Config {
+	return driver.DefaultConfig(sc.RootDims, 2, steps, pol, seed)
 }
 
 // sedovSpec wraps one driver run as a harness spec, reporting the run's

@@ -39,7 +39,7 @@ func LBIntervalSweep(opts Options) *telemetry.Table {
 	intervals := []int{never, 4, 2, 1}
 	var specs []harness.Spec[*driver.Result]
 	for _, every := range intervals {
-		cfg := opts.sedovConfig(sc, placement.CPLX{X: 50}, steps, opts.Seed)
+		cfg := sedovConfig(sc, placement.CPLX{X: 50}, steps, opts.Seed)
 		cfg.PlacementEvery = every
 		id := fmt.Sprintf("every-%d", every)
 		if every == never {

@@ -30,7 +30,7 @@ func Fig1Top(opts Options) *telemetry.Table {
 	names := []string{"untuned", "tuned"}
 	var specs []harness.Spec[*driver.Result]
 	for _, name := range names {
-		cfg := opts.sedovConfig(sc, placement.Baseline{}, steps, opts.Seed)
+		cfg := sedovConfig(sc, placement.Baseline{}, steps, opts.Seed)
 		if name == "untuned" {
 			cfg.Net = untunedNet(cfg.Net.Nodes, cfg.Net.RanksPerNode, opts.Seed)
 			cfg.SendsFirst = false
@@ -74,7 +74,7 @@ func Fig1Bottom(opts Options) *telemetry.Table {
 	names := []string{"no-drain", "drain-queue"}
 	var specs []harness.Spec[*driver.Result]
 	for _, name := range names {
-		cfg := opts.sedovConfig(sc, placement.Baseline{}, steps, opts.Seed)
+		cfg := sedovConfig(sc, placement.Baseline{}, steps, opts.Seed)
 		net := simnet.Tuned(cfg.Net.Nodes, cfg.Net.RanksPerNode, opts.Seed)
 		net.AckLossProb = 0.02 // the faulty fabric of Fig 1b
 		net.DrainQueue = name == "drain-queue"

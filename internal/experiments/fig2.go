@@ -61,7 +61,7 @@ func Fig2(opts Options) *telemetry.Table {
 			naiveNet.ThrottledNodes[n] = f
 		}
 	}
-	cfgNaive := opts.sedovConfig(SedovScale{RootDims: rootFor(want)}, placement.Baseline{}, steps, opts.Seed)
+	cfgNaive := sedovConfig(SedovScale{RootDims: rootFor(want)}, placement.Baseline{}, steps, opts.Seed)
 	cfgNaive.Net = naiveNet
 
 	// Run 2: the §IV-A workflow — probe the overprovisioned pool, prune
@@ -78,7 +78,7 @@ func Fig2(opts Options) *telemetry.Table {
 	// Built from scratch, not copied from cfgNaive: the Problem inside a
 	// Config is stateful (its RNG advances during the run), and specs of one
 	// campaign may execute concurrently.
-	cfgPruned := opts.sedovConfig(SedovScale{RootDims: rootFor(want)}, placement.Baseline{}, steps, opts.Seed)
+	cfgPruned := sedovConfig(SedovScale{RootDims: rootFor(want)}, placement.Baseline{}, steps, opts.Seed)
 	cfgPruned.Net = prunedNet
 
 	results := runCampaign(opts, "fig2", []harness.Spec[*driver.Result]{

@@ -38,7 +38,7 @@ func Fig3(opts Options) *telemetry.Table {
 	}
 	var specs []harness.Spec[*driver.Result]
 	for _, s := range stages {
-		cfg := opts.sedovConfig(sc, placement.Baseline{}, steps, opts.Seed)
+		cfg := sedovConfig(sc, placement.Baseline{}, steps, opts.Seed)
 		net := untunedNet(cfg.Net.Nodes, cfg.Net.RanksPerNode, opts.Seed)
 		net.DrainQueue = true // isolate the two Fig 3 knobs from Fig 1b's
 		if s.queueDepth > 0 {

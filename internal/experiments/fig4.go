@@ -66,7 +66,7 @@ func Fig4(opts Options) *telemetry.Table {
 	names := []string{"sedov-window-compute-first", "sedov-window-sends-first"}
 	var specs []harness.Spec[*driver.Result]
 	for _, name := range names {
-		cfg := opts.sedovConfig(QuickScale, placement.Baseline{}, 8, opts.Seed)
+		cfg := sedovConfig(QuickScale, placement.Baseline{}, 8, opts.Seed)
 		cfg.SendsFirst = name == "sedov-window-sends-first"
 		cfg.Trace = &trace.Config{}
 		cfg.CollectSteps = false

@@ -100,7 +100,7 @@ func TestFromSpansOnSpanColfile(t *testing.T) {
 // recorder and returns the run.
 func fig4Window(t *testing.T, tc trace.Config) *driver.Result {
 	t.Helper()
-	cfg := Options{}.sedovConfig(QuickScale, placement.Baseline{}, 8, 42)
+	cfg := sedovConfig(QuickScale, placement.Baseline{}, 8, 42)
 	cfg.SendsFirst = false
 	cfg.CollectSteps = false
 	cfg.Trace = &tc

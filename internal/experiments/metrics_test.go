@@ -20,7 +20,7 @@ func metricsCampaign(t *testing.T, opts Options) []string {
 	sc := QuickScale
 	var specs []harness.Spec[*driver.Result]
 	for i, pol := range []placement.Policy{placement.LPT{}, placement.Baseline{}, placement.CDP{}} {
-		cfg := opts.sedovConfig(sc, pol, 10, opts.Seed)
+		cfg := sedovConfig(sc, pol, 10, opts.Seed)
 		specs = append(specs, opts.sedovSpec(fmt.Sprintf("m/%d", i), cfg))
 	}
 	results := runCampaign(opts, "metrics-identity", specs)
@@ -87,7 +87,7 @@ func TestExecMetricsReachesEveryCampaign(t *testing.T) {
 func TestMetricsHostPlaneExcluded(t *testing.T) {
 	opts := Options{Quick: true, Seed: 11}
 	run := func(shards int) *metrics.RunSet {
-		cfg := opts.sedovConfig(QuickScale, placement.LPT{}, 10, opts.Seed)
+		cfg := sedovConfig(QuickScale, placement.LPT{}, 10, opts.Seed)
 		cfg.Shards = shards
 		cfg.Metrics = &metrics.Config{}
 		res, err := driver.Run(cfg)

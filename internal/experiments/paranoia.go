@@ -60,7 +60,7 @@ func differentialTable(opts Options) *telemetry.Table {
 	var specs []harness.Spec[*driver.Result]
 	for _, p := range differentialPairs {
 		for side, pol := range []placement.Policy{p.A, p.B} {
-			cfg := opts.sedovConfig(sc, pol, steps, opts.Seed)
+			cfg := sedovConfig(sc, pol, steps, opts.Seed)
 			cfg.Paranoid = true // the audit campaign always runs paranoid
 			cfg.Metrics = &metrics.Config{}
 			specs = append(specs, opts.sedovSpec(fmt.Sprintf("%s/%d", p.ID, side), cfg))

@@ -62,7 +62,7 @@ func Scale(opts Options) *telemetry.Table {
 	ranks := scaleRanks(opts.Quick)
 	var specs []harness.Spec[*driver.Result]
 	for _, r := range ranks {
-		cfg, err := ScaleConfig(r, opts.Paranoid, opts.Seed)
+		cfg, err := ScaleConfig(r, false, opts.Seed)
 		if err != nil {
 			panic(err) // rank counts above are powers of two by construction
 		}

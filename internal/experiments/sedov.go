@@ -25,7 +25,7 @@ func TableI(opts Options) *telemetry.Table {
 	scales := opts.scales()
 	var specs []harness.Spec[*driver.Result]
 	for _, sc := range scales {
-		cfg := opts.sedovConfig(sc, placement.Baseline{}, steps, opts.Seed)
+		cfg := sedovConfig(sc, placement.Baseline{}, steps, opts.Seed)
 		cfg.CollectSteps = false // Table I only needs mesh statistics
 		specs = append(specs, opts.sedovSpec(fmt.Sprintf("%dranks", sc.Ranks), cfg))
 	}
@@ -79,7 +79,7 @@ func Fig6(opts Options) (a, b, c *telemetry.Table) {
 			cells = append(cells, cell{sc, pol})
 			specs = append(specs, opts.sedovSpec(
 				fmt.Sprintf("%dranks-%s", sc.Ranks, pol.Name()),
-				opts.sedovConfig(sc, pol, steps, opts.Seed)))
+				sedovConfig(sc, pol, steps, opts.Seed)))
 		}
 	}
 	var base *driver.Result
@@ -158,7 +158,7 @@ func Fig6Cooling(opts Options) *telemetry.Table {
 	var specs []harness.Spec[*driver.Result]
 	for _, problem := range []string{"sedov", "cooling"} {
 		for _, pol := range []placement.Policy{placement.Baseline{}, placement.CPLX{X: 50}} {
-			cfg := opts.sedovConfig(sc, pol, steps, opts.Seed)
+			cfg := sedovConfig(sc, pol, steps, opts.Seed)
 			if problem == "cooling" {
 				cfg.Problem = coolingProblem(sc, opts.Seed)
 			}

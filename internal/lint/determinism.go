@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -87,22 +86,20 @@ func (d *Determinism) coreSet() map[string]bool {
 	return out
 }
 
-// RunModule applies the in-core checks to every core package, then walks
+// Run applies the in-core checks to every core package, then walks
 // the call graph outward: any non-core module function reachable from core
 // code — by direct call, sealed-interface dispatch, or function-value
 // reference — is held to the same standard, with a call-path witness.
-func (d *Determinism) RunModule(mp *ModulePass) {
+func (d *Determinism) Run(p *Pass) {
 	core := d.coreSet()
-	for _, pkg := range mp.Set.All {
+	for _, pkg := range p.Set.All {
 		if !core[pkg.Path] {
 			continue
 		}
-		d.checkCorePkg(pkg, func(pos token.Pos, fix, format string, args ...interface{}) {
-			mp.Reportf(pos, d.Name(), fix, nil, format, args...)
-		})
+		d.checkCorePkg(p, pkg)
 	}
 	var roots []*FuncNode
-	for _, n := range mp.Graph.Nodes {
+	for _, n := range p.Graph.Nodes {
 		if core[n.Pkg.Path] {
 			roots = append(roots, n)
 		}
@@ -110,45 +107,45 @@ func (d *Determinism) RunModule(mp *ModulePass) {
 	if len(roots) == 0 {
 		return
 	}
-	reach := mp.Graph.Reachable(roots)
-	for _, n := range mp.Graph.Nodes {
+	reach := p.Graph.Reachable(roots)
+	for _, n := range p.Graph.Nodes {
 		if core[n.Pkg.Path] || !reach.Has(n) {
 			continue
 		}
-		d.checkReachedNode(mp, n, reach)
+		d.checkReachedNode(p, n, reach)
 	}
 }
 
 // checkCorePkg applies the syntactic in-core checks to one core package.
-func (d *Determinism) checkCorePkg(pkg *Package, report func(pos token.Pos, fix, format string, args ...interface{})) {
+func (d *Determinism) checkCorePkg(p *Pass, pkg *Package) {
 	for _, f := range pkg.Files {
 		for _, spec := range f.Imports {
 			path := strings.Trim(spec.Path.Value, `"`)
 			if path == "math/rand" || path == "math/rand/v2" {
-				report(spec.Pos(),
+				p.Reportf(spec.Pos(), d.Name(),
 					"use internal/xrand (seeded, stream-splittable)",
-					"import of %s in deterministic core package %s", path, pkg.Path)
+					nil, "import of %s in deterministic core package %s", path, pkg.Path)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				report(n.Pos(),
+				p.Reportf(n.Pos(), d.Name(),
 					"use a deterministic fork-join (fixed partition, WaitGroup, disjoint writes) and waive it with the invariant it preserves",
-					"goroutine spawn in deterministic core package %s", pkg.Path)
+					nil, "goroutine spawn in deterministic core package %s", pkg.Path)
 			case *ast.SelectorExpr:
 				// Flagging the selector rather than a call catches stored
 				// references (fn := time.Now) as well as direct calls.
 				pkgName, fun := pkgSelector(pkg, n)
 				switch {
 				case pkgName == "time" && wallClockFuncs[fun]:
-					report(n.Pos(),
+					p.Reportf(n.Pos(), d.Name(),
 						"derive times from the DES virtual clock or replace the wall-clock dependence with a deterministic budget",
-						"wall-clock call time.%s in deterministic core package %s", fun, pkg.Path)
+						nil, "wall-clock call time.%s in deterministic core package %s", fun, pkg.Path)
 				case pkgName == "os" && envFuncs[fun]:
-					report(n.Pos(),
+					p.Reportf(n.Pos(), d.Name(),
 						"thread configuration through the package's Config struct",
-						"environment lookup os.%s in deterministic core package %s", fun, pkg.Path)
+						nil, "environment lookup os.%s in deterministic core package %s", fun, pkg.Path)
 				}
 			}
 			return true
@@ -158,27 +155,27 @@ func (d *Determinism) checkCorePkg(pkg *Package, report func(pos token.Pos, fix,
 
 // checkReachedNode applies the determinism checks to the own body of a
 // non-core function the core reaches.
-func (d *Determinism) checkReachedNode(mp *ModulePass, n *FuncNode, reach *Reach) {
+func (d *Determinism) checkReachedNode(p *Pass, n *FuncNode, reach *Reach) {
 	path := reach.Path(n)
 	walkOwn(n.Body(), func(node ast.Node) {
 		switch node := node.(type) {
 		case *ast.GoStmt:
-			mp.Reportf(node.Pos(), d.Name(),
+			p.Reportf(node.Pos(), d.Name(),
 				"restructure so the core does not reach this spawn, or waive it with the invariant that keeps it schedule-invisible",
 				path, "goroutine spawn in %s, reachable from the deterministic core", n.Name)
 		case *ast.SelectorExpr:
 			pkgName, fun := pkgSelector(n.Pkg, node)
 			switch {
 			case pkgName == "time" && wallClockFuncs[fun]:
-				mp.Reportf(node.Pos(), d.Name(),
+				p.Reportf(node.Pos(), d.Name(),
 					"derive times from the DES virtual clock or hoist the wall-clock read out of core-reachable code",
 					path, "wall-clock call time.%s in %s, reachable from the deterministic core", fun, n.Name)
 			case pkgName == "os" && envFuncs[fun]:
-				mp.Reportf(node.Pos(), d.Name(),
+				p.Reportf(node.Pos(), d.Name(),
 					"thread configuration through a Config struct instead of reading the environment",
 					path, "environment lookup os.%s in %s, reachable from the deterministic core", fun, n.Name)
 			case (pkgName == "math/rand" || pkgName == "math/rand/v2") && fun != "":
-				mp.Reportf(node.Pos(), d.Name(),
+				p.Reportf(node.Pos(), d.Name(),
 					"use internal/xrand (seeded, stream-splittable)",
 					path, "math/rand use rand.%s in %s, reachable from the deterministic core", fun, n.Name)
 			}

@@ -19,11 +19,11 @@ import (
 //  3. An error local overwritten by a later assignment in the same block
 //     with no intervening read.
 //
-// Only calls resolving to module functions are considered, and functions
-// whose error results are statically nil on every path (the errNil summary,
-// propagated through wrappers) are exempt — ignoring an error that cannot
-// be non-nil is not a drop. Named results are exempt from shape 2/3 (their
-// reads can be implicit in a naked return or a deferred mutation).
+// Only calls resolving to module functions with an error result are
+// considered, whether or not the callee can actually fail: an error result
+// that is always nil is deleted, not ignored. Named results are exempt from
+// shape 2/3 (their reads can be implicit in a naked return or a deferred
+// mutation).
 //
 // Runtime counterpart: failures surface as silently-empty tables or
 // half-applied configuration; there is no audit that can catch a swallowed
@@ -35,35 +35,63 @@ func (ErrDrop) Doc() string {
 	return "module-internal error results must be checked, not discarded or overwritten"
 }
 
-func (ed ErrDrop) RunModule(mp *ModulePass) {
-	for _, n := range mp.Graph.Nodes {
+func (ed ErrDrop) Run(p *Pass) {
+	for _, n := range p.Graph.Nodes {
 		if n.Body() == nil {
 			continue
 		}
-		ed.checkDiscards(mp, n)
-		ed.checkLocals(mp, n)
+		ed.checkDiscards(p, n)
+		ed.checkLocals(p, n)
 	}
 }
 
-// droppableError reports whether a call resolves to a module function that
-// can actually return a non-nil error, returning the callee for the
-// message.
-func droppableError(mp *ModulePass, n *FuncNode, call *ast.CallExpr) (*FuncNode, bool) {
-	callee := staticCallee(mp.Graph, n.Pkg, call)
-	if callee == nil {
-		return nil, false
+// errorCallee resolves a call to its module callee when that callee has an
+// error result (nil otherwise).
+func errorCallee(p *Pass, n *FuncNode, call *ast.CallExpr) *FuncNode {
+	callee := staticCallee(p.Graph, n.Pkg, call)
+	if callee == nil || len(errorResultSlots(callee)) == 0 {
+		return nil
 	}
-	if len(errorResultSlots(callee)) == 0 {
-		return nil, false
+	return callee
+}
+
+// errorResultSlots returns the indices of error-typed results of a node's
+// signature (nil when it has none).
+func errorResultSlots(n *FuncNode) []int {
+	sig := nodeSignature(n)
+	if sig == nil || sig.Results() == nil {
+		return nil
 	}
-	if mp.Sums.ErrAlwaysNil(callee) {
-		return nil, false
+	var out []int
+	for i := 0; i < sig.Results().Len(); i++ {
+		if isErrorType(sig.Results().At(i).Type()) {
+			out = append(out, i)
+		}
 	}
-	return callee, true
+	return out
+}
+
+func nodeSignature(n *FuncNode) *types.Signature {
+	if n.Obj != nil {
+		sig, _ := n.Obj.Type().(*types.Signature)
+		return sig
+	}
+	if n.Lit != nil {
+		if tv, ok := n.Pkg.Info.Types[n.Lit]; ok {
+			sig, _ := tv.Type.(*types.Signature)
+			return sig
+		}
+	}
+	return nil
+}
+
+func isErrorType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
 }
 
 // checkDiscards flags shape 1: floor drops and blank assignments.
-func (ed ErrDrop) checkDiscards(mp *ModulePass, n *FuncNode) {
+func (ed ErrDrop) checkDiscards(p *Pass, n *FuncNode) {
 	walkOwn(n.Body(), func(node ast.Node) {
 		switch stmt := node.(type) {
 		case *ast.ExprStmt:
@@ -71,19 +99,19 @@ func (ed ErrDrop) checkDiscards(mp *ModulePass, n *FuncNode) {
 			if !ok {
 				return
 			}
-			if callee, bad := droppableError(mp, n, call); bad {
-				mp.Reportf(call.Pos(), "errdrop",
+			if callee := errorCallee(p, n, call); callee != nil {
+				p.Reportf(call.Pos(), "errdrop",
 					"check the error (or waive with the reason it is ignorable)", nil,
 					"error result of %s discarded", callee.Name)
 			}
 		case *ast.AssignStmt:
-			ed.checkBlankAssign(mp, n, stmt)
+			ed.checkBlankAssign(p, n, stmt)
 		}
 	})
 }
 
 // checkBlankAssign flags an error slot landing in the blank identifier.
-func (ed ErrDrop) checkBlankAssign(mp *ModulePass, n *FuncNode, stmt *ast.AssignStmt) {
+func (ed ErrDrop) checkBlankAssign(p *Pass, n *FuncNode, stmt *ast.AssignStmt) {
 	blankAt := func(i int) bool {
 		id, ok := ast.Unparen(stmt.Lhs[i]).(*ast.Ident)
 		return ok && id.Name == "_"
@@ -94,13 +122,13 @@ func (ed ErrDrop) checkBlankAssign(mp *ModulePass, n *FuncNode, stmt *ast.Assign
 		if !ok {
 			return
 		}
-		callee, bad := droppableError(mp, n, call)
-		if !bad {
+		callee := errorCallee(p, n, call)
+		if callee == nil {
 			return
 		}
 		for _, i := range errorResultSlots(callee) {
 			if i < len(stmt.Lhs) && blankAt(i) {
-				mp.Reportf(stmt.Lhs[i].Pos(), "errdrop",
+				p.Reportf(stmt.Lhs[i].Pos(), "errdrop",
 					"bind and check the error", nil,
 					"error result of %s assigned to the blank identifier", callee.Name)
 			}
@@ -118,8 +146,8 @@ func (ed ErrDrop) checkBlankAssign(mp *ModulePass, n *FuncNode, stmt *ast.Assign
 		if !ok {
 			continue
 		}
-		if callee, bad := droppableError(mp, n, call); bad && isErrorType(n.Pkg.Info.TypeOf(call)) {
-			mp.Reportf(stmt.Lhs[i].Pos(), "errdrop",
+		if callee := errorCallee(p, n, call); callee != nil && isErrorType(n.Pkg.Info.TypeOf(call)) {
+			p.Reportf(stmt.Lhs[i].Pos(), "errdrop",
 				"bind and check the error", nil,
 				"error result of %s assigned to the blank identifier", callee.Name)
 		}
@@ -137,7 +165,7 @@ type errUse struct {
 
 // checkLocals flags shapes 2 and 3 over every error-typed local declared in
 // the function body.
-func (ed ErrDrop) checkLocals(mp *ModulePass, n *FuncNode) {
+func (ed ErrDrop) checkLocals(p *Pass, n *FuncNode) {
 	body := n.Body()
 	// Collect error-typed locals declared in this function's own body.
 	locals := map[*types.Var][]errUse{}
@@ -187,7 +215,7 @@ func (ed ErrDrop) checkLocals(mp *ModulePass, n *FuncNode) {
 	ast.Inspect(body, func(node ast.Node) bool {
 		as, ok := node.(*ast.AssignStmt)
 		if ok {
-			ed.recordWrites(mp, n, as, locals)
+			ed.recordWrites(p, n, as, locals)
 			return true
 		}
 		if id, isID := node.(*ast.Ident); isID && !skipRead[id] {
@@ -202,13 +230,13 @@ func (ed ErrDrop) checkLocals(mp *ModulePass, n *FuncNode) {
 		return true
 	})
 	for v, uses := range locals {
-		ed.reportLocal(mp, n, v, uses)
+		ed.reportLocal(p, n, v, uses)
 	}
 }
 
 // recordWrites registers assignment uses of tracked error locals, noting
 // the module callee when the assigned value is a flaggable call result.
-func (ed ErrDrop) recordWrites(mp *ModulePass, n *FuncNode, as *ast.AssignStmt, locals map[*types.Var][]errUse) {
+func (ed ErrDrop) recordWrites(p *Pass, n *FuncNode, as *ast.AssignStmt, locals map[*types.Var][]errUse) {
 	for i, lhs := range as.Lhs {
 		id, ok := ast.Unparen(lhs).(*ast.Ident)
 		if !ok {
@@ -229,16 +257,14 @@ func (ed ErrDrop) recordWrites(mp *ModulePass, n *FuncNode, as *ast.AssignStmt, 
 			call, _ = ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
 		}
 		if call != nil {
-			if callee, bad := droppableError(mp, n, call); bad {
-				use.from = callee
-			}
+			use.from = errorCallee(p, n, call)
 		}
 		locals[v] = append(locals[v], use)
 	}
 }
 
 // reportLocal applies shapes 2 and 3 to one local's use list.
-func (ed ErrDrop) reportLocal(mp *ModulePass, n *FuncNode, v *types.Var, uses []errUse) {
+func (ed ErrDrop) reportLocal(p *Pass, n *FuncNode, v *types.Var, uses []errUse) {
 	reads := 0
 	for _, u := range uses {
 		if !u.write {
@@ -256,7 +282,7 @@ func (ed ErrDrop) reportLocal(mp *ModulePass, n *FuncNode, v *types.Var, uses []
 	}
 	if reads == 0 {
 		u := flagWrites[0]
-		mp.Reportf(u.pos, "errdrop",
+		p.Reportf(u.pos, "errdrop",
 			"check the error after the call", nil,
 			"error from %s assigned to %q but never checked", u.from.Name, v.Name())
 		return
@@ -283,7 +309,7 @@ func (ed ErrDrop) reportLocal(mp *ModulePass, n *FuncNode, v *types.Var, uses []
 			}
 		}
 		if !readBetween && sameBlockSequential(n, v, u.pos, nextWrite) {
-			mp.Reportf(u.pos, "errdrop",
+			p.Reportf(u.pos, "errdrop",
 				"check the error before the next assignment", nil,
 				"error from %s overwritten before any check", u.from.Name)
 		}

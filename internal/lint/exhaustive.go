@@ -29,23 +29,29 @@ func (Exhaustive) Doc() string {
 	return "switches over module enum types and sealed interfaces must cover every variant or panic in default"
 }
 
-func (Exhaustive) Run(pass *Pass) {
-	modulePkgs := map[*types.Package]*Package{}
-	for _, p := range pass.Module {
-		modulePkgs[p.Types] = p
+func (Exhaustive) Run(p *Pass) {
+	modulePkgs := map[*types.Package]bool{}
+	for _, pkg := range p.Set.All {
+		modulePkgs[pkg.Types] = true
 	}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch sw := n.(type) {
-			case *ast.SwitchStmt:
-				checkEnumSwitch(pass, modulePkgs, sw)
-			case *ast.TypeSwitchStmt:
-				checkTypeSwitch(pass, modulePkgs, sw)
-			}
-			return true
-		})
+	for _, pkg := range p.Set.Selected {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch sw := n.(type) {
+				case *ast.SwitchStmt:
+					checkEnumSwitch(p, pkg, modulePkgs, sw)
+				case *ast.TypeSwitchStmt:
+					checkTypeSwitch(p, pkg, modulePkgs, sw)
+				}
+				return true
+			})
+		}
 	}
 }
+
+// variant is one member of a closed set: the key its case expressions
+// resolve to, and the name a diagnostic lists it under.
+type variant struct{ key, name string }
 
 // sentinelConst reports whether a constant is a terminator/sentinel rather
 // than a variant (numKinds-style counters).
@@ -58,14 +64,15 @@ func sentinelConst(name string) bool {
 }
 
 // enumVariants returns the package-level constants of exactly type named,
-// excluding sentinels, when named is a module-declared basic-kinded type
-// with at least two such constants.
-func enumVariants(modulePkgs map[*types.Package]*Package, named *types.Named) []*types.Const {
+// excluding sentinels, in value order, when named is a module-declared
+// basic-kinded type with at least two such constants. A constant's key is
+// its exact value.
+func enumVariants(modulePkgs map[*types.Package]bool, named *types.Named) []variant {
 	obj := named.Obj()
 	if obj == nil || obj.Pkg() == nil {
 		return nil
 	}
-	if _, inModule := modulePkgs[obj.Pkg()]; !inModule {
+	if !modulePkgs[obj.Pkg()] {
 		return nil
 	}
 	if _, basic := named.Underlying().(*types.Basic); !basic {
@@ -86,14 +93,18 @@ func enumVariants(modulePkgs map[*types.Package]*Package, named *types.Named) []
 	sort.Slice(consts, func(i, j int) bool {
 		return constant.Compare(consts[i].Val(), token.LSS, consts[j].Val())
 	})
-	return consts
+	out := make([]variant, len(consts))
+	for i, c := range consts {
+		out[i] = variant{key: c.Val().ExactString(), name: c.Name()}
+	}
+	return out
 }
 
-func checkEnumSwitch(pass *Pass, modulePkgs map[*types.Package]*Package, sw *ast.SwitchStmt) {
+func checkEnumSwitch(p *Pass, pkg *Package, modulePkgs map[*types.Package]bool, sw *ast.SwitchStmt) {
 	if sw.Tag == nil {
 		return
 	}
-	named, ok := pass.TypeOf(sw.Tag).(*types.Named)
+	named, ok := pkg.Info.TypeOf(sw.Tag).(*types.Named)
 	if !ok {
 		return
 	}
@@ -101,37 +112,19 @@ func checkEnumSwitch(pass *Pass, modulePkgs map[*types.Package]*Package, sw *ast
 	if variants == nil {
 		return
 	}
-
-	covered := map[string]bool{}
-	hasDefault, defaultPanics := false, false
-	for _, stmt := range sw.Body.List {
-		cc := stmt.(*ast.CaseClause)
-		if cc.List == nil {
-			hasDefault = true
-			defaultPanics = bodyPanics(cc.Body)
-			continue
+	checkCases(p, sw.Pos(), named.Obj().Name(), sw.Body, variants, func(e ast.Expr) string {
+		if tv, ok := pkg.Info.Types[e]; ok && tv.Value != nil {
+			return tv.Value.ExactString()
 		}
-		for _, e := range cc.List {
-			if tv, ok := pass.Pkg.Info.Types[e]; ok && tv.Value != nil {
-				covered[tv.Value.ExactString()] = true
-			}
-		}
-	}
-
-	var missing []string
-	for _, c := range variants {
-		if !covered[c.Val().ExactString()] {
-			missing = append(missing, c.Name())
-		}
-	}
-	reportSwitch(pass, sw.Pos(), named.Obj().Name(), missing, hasDefault, defaultPanics)
+		return ""
+	})
 }
 
 // checkTypeSwitch enforces coverage for type switches over sealed module
 // interfaces: every module-declared named type implementing the interface
 // must appear as a case.
-func checkTypeSwitch(pass *Pass, modulePkgs map[*types.Package]*Package, sw *ast.TypeSwitchStmt) {
-	iface, name := switchedInterface(pass, sw)
+func checkTypeSwitch(p *Pass, pkg *Package, modulePkgs map[*types.Package]bool, sw *ast.TypeSwitchStmt) {
+	iface, name := switchedInterface(pkg, sw)
 	if iface == nil || !sealedModuleInterface(modulePkgs, iface) {
 		return
 	}
@@ -139,63 +132,58 @@ func checkTypeSwitch(pass *Pass, modulePkgs map[*types.Package]*Package, sw *ast
 	if len(impls) < 2 {
 		return
 	}
-
-	covered := map[string]bool{}
-	hasDefault, defaultPanics := false, false
-	for _, stmt := range sw.Body.List {
-		cc := stmt.(*ast.CaseClause)
-		if cc.List == nil {
-			hasDefault = true
-			defaultPanics = bodyPanics(cc.Body)
-			continue
+	checkCases(p, sw.Pos(), name, sw.Body, impls, func(e ast.Expr) string {
+		t := pkg.Info.TypeOf(e)
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
 		}
-		for _, e := range cc.List {
-			t := pass.TypeOf(e)
-			if t == nil {
-				continue
-			}
-			if ptr, ok := t.(*types.Pointer); ok {
-				t = ptr.Elem()
-			}
-			if n, ok := t.(*types.Named); ok {
-				covered[typeKey(n)] = true
-			}
+		if n, ok := t.(*types.Named); ok {
+			return typeKey(n)
 		}
-	}
-
-	var missing []string
-	for _, impl := range impls {
-		if !covered[typeKey(impl)] {
-			missing = append(missing, impl.Obj().Name())
-		}
-	}
-	reportSwitch(pass, sw.Pos(), name, missing, hasDefault, defaultPanics)
+		return ""
+	})
 }
 
-// reportSwitch emits the shared diagnostic for both switch forms.
-func reportSwitch(pass *Pass, pos token.Pos, typeName string, missing []string, hasDefault, defaultPanics bool) {
-	if len(missing) == 0 {
+// checkCases is the case walk both switch forms share: every variant's key
+// must be among the keys caseKey resolves the case expressions to, or the
+// default clause must panic.
+func checkCases(p *Pass, pos token.Pos, typeName string, body *ast.BlockStmt, variants []variant, caseKey func(ast.Expr) string) {
+	covered := map[string]bool{}
+	var deflt *ast.CaseClause
+	for _, stmt := range body.List {
+		cc := stmt.(*ast.CaseClause)
+		if cc.List == nil {
+			deflt = cc
+		}
+		for _, e := range cc.List {
+			covered[caseKey(e)] = true
+		}
+	}
+	var missing []string
+	for _, v := range variants {
+		if !covered[v.key] {
+			missing = append(missing, v.name)
+		}
+	}
+	if len(missing) == 0 || deflt != nil && bodyPanics(deflt.Body) {
 		return
 	}
-	if hasDefault && defaultPanics {
-		return
-	}
-	if !hasDefault {
-		pass.Reportf(pos, "exhaustive",
+	if deflt == nil {
+		p.Reportf(pos, "exhaustive",
 			"add the missing cases or a default clause that panics",
-			"switch over %s misses variants %s and has no default",
+			nil, "switch over %s misses variants %s and has no default",
 			typeName, strings.Join(missing, ", "))
 		return
 	}
-	pass.Reportf(pos, "exhaustive",
+	p.Reportf(pos, "exhaustive",
 		"make the default panic (check.Failf) so a new variant cannot be silently absorbed",
-		"switch over %s misses variants %s behind a non-panicking default",
+		nil, "switch over %s misses variants %s behind a non-panicking default",
 		typeName, strings.Join(missing, ", "))
 }
 
 // switchedInterface resolves the interface type being switched over and a
 // printable name for it.
-func switchedInterface(pass *Pass, sw *ast.TypeSwitchStmt) (*types.Named, string) {
+func switchedInterface(pkg *Package, sw *ast.TypeSwitchStmt) (*types.Named, string) {
 	var x ast.Expr
 	switch a := sw.Assign.(type) {
 	case *ast.AssignStmt:
@@ -212,7 +200,7 @@ func switchedInterface(pass *Pass, sw *ast.TypeSwitchStmt) (*types.Named, string
 	if x == nil {
 		return nil, ""
 	}
-	named, ok := pass.TypeOf(x).(*types.Named)
+	named, ok := pkg.Info.TypeOf(x).(*types.Named)
 	if !ok {
 		return nil, ""
 	}
@@ -225,12 +213,12 @@ func switchedInterface(pass *Pass, sw *ast.TypeSwitchStmt) (*types.Named, string
 // sealedModuleInterface reports whether iface is declared in a module
 // package and has at least one unexported method (so no type outside the
 // module can implement it: its implementer set is closed and enumerable).
-func sealedModuleInterface(modulePkgs map[*types.Package]*Package, named *types.Named) bool {
+func sealedModuleInterface(modulePkgs map[*types.Package]bool, named *types.Named) bool {
 	obj := named.Obj()
 	if obj == nil || obj.Pkg() == nil {
 		return false
 	}
-	if _, inModule := modulePkgs[obj.Pkg()]; !inModule {
+	if !modulePkgs[obj.Pkg()] {
 		return false
 	}
 	iface := named.Underlying().(*types.Interface)
@@ -243,10 +231,11 @@ func sealedModuleInterface(modulePkgs map[*types.Package]*Package, named *types.
 }
 
 // implementers enumerates the module-declared named non-interface types
-// implementing iface (by value or pointer receiver).
-func implementers(modulePkgs map[*types.Package]*Package, named *types.Named) []*types.Named {
+// implementing iface (by value or pointer receiver), in key order. A type's
+// key is its qualified name.
+func implementers(modulePkgs map[*types.Package]bool, named *types.Named) []variant {
 	iface := named.Underlying().(*types.Interface)
-	var out []*types.Named
+	var out []variant
 	for tpkg := range modulePkgs {
 		scope := tpkg.Scope()
 		for _, name := range scope.Names() {
@@ -262,11 +251,11 @@ func implementers(modulePkgs map[*types.Package]*Package, named *types.Named) []
 				continue
 			}
 			if types.Implements(n, iface) || types.Implements(types.NewPointer(n), iface) {
-				out = append(out, n)
+				out = append(out, variant{key: typeKey(n), name: n.Obj().Name()})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return typeKey(out[i]) < typeKey(out[j]) })
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
 

@@ -51,7 +51,7 @@ func ReadJSON(r io.Reader) ([]Diagnostic, []Waiver, error) {
 	}
 }
 
-// Analyzers returns the production analyzer set over the module's default
+// Analyzers returns the production rule set over the module's default
 // deterministic-core package list: the rules with a true positive on the real
 // tree, or with no runtime check on the same defect (DESIGN.md §8's ledger).
 func Analyzers() []Rule {

@@ -14,6 +14,10 @@
 // a second opinion. DESIGN.md §8 holds the rule table and the per-rule
 // evidence ledger.
 //
+// Every rule is one kind, a Rule run once over the whole module. The module
+// call graph (callgraph.go) is the one shared structure: built once per Run,
+// it gives determinism its reachability and errdrop its callees.
+//
 // The implementation is deliberately stdlib-only: go/parser, go/ast and
 // go/types with the "source" importer — no golang.org/x/tools. The go
 // command supplies the package graph (`go list -deps`, with build
@@ -88,86 +92,34 @@ type Package struct {
 	Info *types.Info
 }
 
-// Pass is one analyzer's view of one package.
-type Pass struct {
-	Pkg *Package
-	// Module holds every loaded module package, for whole-module questions
-	// (e.g. enumerating the implementers of a sealed interface).
-	Module []*Package
-
-	diags *[]Diagnostic
-}
-
-// Reportf records a diagnostic at pos under the given rule.
-func (p *Pass) Reportf(pos token.Pos, rule, fix, format string, args ...interface{}) {
-	position := p.Pkg.Fset.Position(pos)
-	*p.diags = append(*p.diags, Diagnostic{
-		File:    position.Filename,
-		Line:    position.Line,
-		Col:     position.Column,
-		Rule:    rule,
-		Message: fmt.Sprintf(format, args...),
-		Fix:     fix,
-	})
-}
-
-// TypeOf is a nil-tolerant shorthand for the type of an expression.
-func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
-
-// ObjectOf resolves an identifier to its object (nil when unresolved).
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if o := p.Pkg.Info.Defs[id]; o != nil {
-		return o
-	}
-	return p.Pkg.Info.Uses[id]
-}
-
-// A Rule is one named check. Every rule is exactly one of an Analyzer (per
-// package) or a ModuleAnalyzer (whole module).
+// A Rule is one named check over the module.
 type Rule interface {
 	// Name is the stable rule id used in diagnostics and waivers.
 	Name() string
 	// Doc is a one-line description for amrlint's usage text.
 	Doc() string
+	// Run analyzes the module, reporting findings through p.Reportf.
+	Run(p *Pass)
 }
 
-// An Analyzer checks one rule over one package at a time.
-type Analyzer interface {
-	Rule
-	// Run analyzes pass.Pkg, reporting findings through pass.Reportf.
-	Run(pass *Pass)
-}
-
-// A ModuleAnalyzer checks one rule over the whole module at once — the
-// interface of the interprocedural rules, which need the module call graph
-// and the per-function summaries rather than one package's AST.
-type ModuleAnalyzer interface {
-	Rule
-	// RunModule analyzes the whole module through the shared call graph and
-	// summaries, reporting through mp.Reportf.
-	RunModule(mp *ModulePass)
-}
-
-// ModulePass is one interprocedural analyzer's view of the module: every
-// loaded package, the call graph, and the per-function summaries. Graph and
-// summaries are built once per Run and shared by all module analyzers.
-type ModulePass struct {
+// Pass is one rule's view of the module: every loaded package, the
+// pattern-selected subset, and the call graph. The graph is built once per
+// Run and shared by every rule.
+type Pass struct {
 	// Set holds every loaded package plus the pattern-selected subset.
 	Set *ModuleSet
 	// Graph is the module call graph (static calls, sealed-interface
 	// dispatch, closure/function-value references).
 	Graph *Graph
-	// Sums holds the per-function summaries (error propagation).
-	Sums *Summaries
 
 	diags *[]Diagnostic
 }
 
-// Reportf records an interprocedural diagnostic at pos, with an optional
-// call-path witness (root → containing function display names).
-func (mp *ModulePass) Reportf(pos token.Pos, rule, fix string, path []string, format string, args ...interface{}) {
-	position := mp.Set.Fset.Position(pos)
-	*mp.diags = append(*mp.diags, Diagnostic{
+// Reportf records a diagnostic at pos under the given rule, with an
+// optional call-path witness (root → containing function display names).
+func (p *Pass) Reportf(pos token.Pos, rule, fix string, path []string, format string, args ...interface{}) {
+	position := p.Set.Fset.Position(pos)
+	*p.diags = append(*p.diags, Diagnostic{
 		File:    position.Filename,
 		Line:    position.Line,
 		Col:     position.Column,
@@ -180,40 +132,24 @@ func (mp *ModulePass) Reportf(pos token.Pos, rule, fix string, path []string, fo
 
 // Run executes every rule over the module, applies waivers, flags unused
 // waivers, and returns the surviving diagnostics sorted by position plus the
-// live waiver set of the selected packages. Per-package analyzers see the
-// pattern-selected packages; module analyzers always see the whole module
-// (an interprocedural fact does not stop at a pattern boundary) but their
-// findings are filtered to selected packages.
+// live waiver set of the selected packages. A rule sees the whole module
+// (an interprocedural fact does not stop at a pattern boundary), but only
+// its findings in selected packages are kept.
 func Run(set *ModuleSet, rules []Rule) ([]Diagnostic, []Waiver) {
 	var raw []Diagnostic
-	var modRaw []Diagnostic
-	var mp *ModulePass
-	var perPkg []Analyzer
+	p := &Pass{Set: set, Graph: BuildGraph(set.All), diags: &raw}
 	for _, r := range rules {
-		switch a := r.(type) {
-		case ModuleAnalyzer:
-			if mp == nil {
-				g := BuildGraph(set.All)
-				mp = &ModulePass{Set: set, Graph: g, Sums: Summarize(g), diags: &modRaw}
-			}
-			a.RunModule(mp)
-		case Analyzer:
-			perPkg = append(perPkg, a)
-		default:
-			panic("lint: rule " + r.Name() + " is neither an Analyzer nor a ModuleAnalyzer")
-		}
+		r.Run(p)
 	}
-	for _, pkg := range set.Selected {
-		pass := &Pass{Pkg: pkg, Module: set.All, diags: &raw}
-		for _, a := range perPkg {
-			a.Run(pass)
-		}
-	}
-	raw = append(raw, set.restrict(modRaw)...)
-	ws := collectWaivers(set.All)
-	diags := ws.filter(raw)
 	selected := set.selectedFiles()
-	diags = append(diags, ws.unusedIn(selected)...)
+	var kept []Diagnostic
+	for _, d := range raw {
+		if selected[d.File] {
+			kept = append(kept, d)
+		}
+	}
+	ws := collectWaivers(set.All)
+	diags := append(ws.filter(kept), ws.unusedIn(selected)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.File != b.File {

@@ -29,9 +29,8 @@ type LoadConfig struct {
 }
 
 // ModuleSet is one full module load: every package, plus the subset
-// selected by the load patterns. Per-package rules run over Selected;
-// interprocedural rules always analyze All (reachability does not stop at a
-// pattern boundary) and restrict their findings to Selected.
+// selected by the load patterns. Rules analyze All (reachability does not
+// stop at a pattern boundary); only findings in Selected are reported.
 type ModuleSet struct {
 	// Fset positions every file of the load.
 	Fset *token.FileSet
@@ -51,18 +50,6 @@ func (s *ModuleSet) selectedFiles() map[string]bool {
 	for _, pkg := range s.Selected {
 		for _, f := range pkg.Files {
 			out[s.Fset.Position(f.Pos()).Filename] = true
-		}
-	}
-	return out
-}
-
-// restrict filters diagnostics to files of selected packages.
-func (s *ModuleSet) restrict(diags []Diagnostic) []Diagnostic {
-	files := s.selectedFiles()
-	out := diags[:0:0]
-	for _, d := range diags {
-		if files[d.File] {
-			out = append(out, d)
 		}
 	}
 	return out

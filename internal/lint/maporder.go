@@ -46,25 +46,27 @@ func (MapOrder) Doc() string {
 	return "flag map iteration feeding ordered sinks (tables, writers, appends) without sorting"
 }
 
-func (MapOrder) Run(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+func (MapOrder) Run(p *Pass) {
+	for _, pkg := range p.Set.Selected {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				checkMapRanges(p, pkg, fn.Body)
 			}
-			checkMapRanges(pass, fn.Body)
 		}
 	}
 }
 
-func checkMapRanges(pass *Pass, body *ast.BlockStmt) {
+func checkMapRanges(p *Pass, pkg *Package, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
 			return true
 		}
-		t := pass.TypeOf(rng.X)
+		t := pkg.Info.TypeOf(rng.X)
 		if t == nil {
 			return true
 		}
@@ -80,8 +82,8 @@ func checkMapRanges(pass *Pass, body *ast.BlockStmt) {
 			if !ok || sinkName != "" {
 				return
 			}
-			if isAppend(pass, call) {
-				if tgt := appendTarget(pass, call, stack); tgt != nil {
+			if isAppend(pkg, call) {
+				if tgt := appendTarget(pkg, call, stack); tgt != nil {
 					appended = append(appended, tgt)
 					return
 				}
@@ -95,15 +97,15 @@ func checkMapRanges(pass *Pass, body *ast.BlockStmt) {
 
 		switch {
 		case sinkName != "":
-			pass.Reportf(sinkPos.Pos(), "maporder",
+			p.Reportf(sinkPos.Pos(), "maporder",
 				"collect the keys, sort them, and iterate the sorted slice",
-				"map iteration reaches ordered sink %s: row order depends on Go's randomized map order", sinkName)
+				nil, "map iteration reaches ordered sink %s: row order depends on Go's randomized map order", sinkName)
 		case len(appended) > 0:
 			for _, obj := range appended {
-				if !sortedAfter(pass, body, rng, obj) {
-					pass.Reportf(rng.Pos(), "maporder",
+				if !sortedAfter(pkg, body, rng, obj) {
+					p.Reportf(rng.Pos(), "maporder",
 						"sort the collected slice before it is consumed, or waive with the reason order cannot matter",
-						"map iteration appends to %q, which is never sorted in this function", obj.Name())
+						nil, "map iteration appends to %q, which is never sorted in this function", obj.Name())
 				}
 			}
 		}
@@ -125,7 +127,7 @@ func calleeName(call *ast.CallExpr) string {
 // sortedAfter reports whether obj appears as an argument (possibly nested)
 // of a sort/slices call, or a call whose name contains "Sort", positioned
 // after the range statement in the same function body.
-func sortedAfter(pass *Pass, body *ast.BlockStmt, rng *ast.RangeStmt, obj types.Object) bool {
+func sortedAfter(pkg *Package, body *ast.BlockStmt, rng *ast.RangeStmt, obj types.Object) bool {
 	sorted := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if sorted {
@@ -135,13 +137,13 @@ func sortedAfter(pass *Pass, body *ast.BlockStmt, rng *ast.RangeStmt, obj types.
 		if !ok || call.Pos() < rng.End() {
 			return true
 		}
-		if !isSortCall(pass, call) {
+		if !isSortCall(pkg, call) {
 			return true
 		}
 		for _, a := range call.Args {
 			used := false
 			ast.Inspect(a, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok && pass.Pkg.Info.Uses[id] == obj {
+				if id, ok := m.(*ast.Ident); ok && pkg.Info.Uses[id] == obj {
 					used = true
 				}
 				return !used
@@ -159,11 +161,11 @@ func sortedAfter(pass *Pass, body *ast.BlockStmt, rng *ast.RangeStmt, obj types.
 // isSortCall recognizes calls that establish a deterministic order: the
 // sort and slices packages, plus local helpers following the sortXxx/SortXxx
 // naming convention (sortFindings, SortBy).
-func isSortCall(pass *Pass, call *ast.CallExpr) bool {
+func isSortCall(pkg *Package, call *ast.CallExpr) bool {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			if pn, ok := pass.Pkg.Info.Uses[id].(*types.PkgName); ok {
+			if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
 				return sortPackages[pn.Imported().Path()]
 			}
 		}
@@ -193,12 +195,12 @@ func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
 	})
 }
 
-func isAppend(pass *Pass, call *ast.CallExpr) bool {
+func isAppend(pkg *Package, call *ast.CallExpr) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok {
 		return false
 	}
-	b, ok := pass.Pkg.Info.Uses[id].(*types.Builtin)
+	b, ok := pkg.Info.Uses[id].(*types.Builtin)
 	return ok && b.Name() == "append"
 }
 
@@ -206,7 +208,7 @@ func isAppend(pass *Pass, call *ast.CallExpr) bool {
 // to: a plain ident (local or package-level) or a field selector
 // (m.ordered = append(m.ordered, …) resolves to the field). nil when the
 // result lands anywhere else.
-func appendTarget(pass *Pass, appendCall *ast.CallExpr, stack []ast.Node) types.Object {
+func appendTarget(pkg *Package, appendCall *ast.CallExpr, stack []ast.Node) types.Object {
 	for i := len(stack) - 1; i >= 0; i-- {
 		if as, ok := stack[i].(*ast.AssignStmt); ok {
 			idx := rhsIndex(as.Rhs, appendCall)
@@ -215,9 +217,9 @@ func appendTarget(pass *Pass, appendCall *ast.CallExpr, stack []ast.Node) types.
 			}
 			switch lhs := ast.Unparen(as.Lhs[idx]).(type) {
 			case *ast.Ident:
-				return pass.ObjectOf(lhs)
+				return pkg.Info.ObjectOf(lhs)
 			case *ast.SelectorExpr:
-				return pass.Pkg.Info.Uses[lhs.Sel]
+				return pkg.Info.Uses[lhs.Sel]
 			}
 			return nil
 		}

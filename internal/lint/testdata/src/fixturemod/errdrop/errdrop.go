@@ -1,7 +1,7 @@
 // Package errdrop exercises the error-drop rule: module-internal error
 // results that never reach a check — discarded, blanked, assigned and never
-// read, or overwritten before any read. Functions whose error results are
-// statically always nil (directly or through wrappers) are exempt.
+// read, or overwritten before any read — whether or not the callee can
+// actually fail.
 package errdrop
 
 import "errors"
@@ -12,10 +12,10 @@ func fallible() error { return errors.New("boom") }
 // pair returns a value and an error.
 func pair() (int, error) { return 0, errors.New("boom") }
 
-// neverFails cannot return a non-nil error; ignoring it is not a drop.
+// neverFails cannot return a non-nil error, yet declares one.
 func neverFails() error { return nil }
 
-// wraps inherits always-nil through the summary fixpoint.
+// wraps forwards neverFails' error.
 func wraps() error { return neverFails() }
 
 // FloorDrop discards the result as an expression statement.
@@ -60,12 +60,13 @@ func Checked() error {
 	return nil
 }
 
-// AlwaysNilExempt drops results that cannot be non-nil — no diagnostics,
-// including through the wrapper.
+// AlwaysNilExempt drops results that cannot be non-nil. Each drop is
+// reported, the wrapper's included: an error result that is always nil is
+// deleted, not ignored.
 func AlwaysNilExempt() {
-	neverFails()
-	wraps()
-	_ = neverFails()
+	neverFails()     // want `error result of .*neverFails discarded`
+	wraps()          // want `error result of .*wraps discarded`
+	_ = neverFails() // want `error result of .*neverFails assigned to the blank identifier`
 }
 
 // BranchWrites assigns in sibling branches: neither overwrite is

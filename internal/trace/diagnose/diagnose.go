@@ -28,67 +28,51 @@ import (
 	"amrtools/internal/tql"
 )
 
-// Options are the detector thresholds. The zero value selects defaults.
-type Options struct {
-	// SpikeFloor is the minimum absolute send-wait duration (seconds)
+// thresholds are the detector cuts. Diagnose always runs at defaults; the
+// differential test draws others through diagnoseWith.
+type thresholds struct {
+	// spikeFloor is the minimum absolute send-wait duration (seconds)
 	// counted as a spike. A healthy send request completes in ~SendOverhead
-	// (sub-microsecond), so the default 1 ms matches the "spikes > 1 ms"
-	// cut of Fig 1b.
-	SpikeFloor float64
-	// SpikeFactor additionally requires a spike to exceed this multiple of
+	// (sub-microsecond), so 1 ms matches the "spikes > 1 ms" cut of Fig 1b.
+	spikeFloor float64
+	// spikeFactor additionally requires a spike to exceed this multiple of
 	// the step's fleet-median send-wait (per-rank totals, zero for ranks
 	// that never blocked), keeping the detector rank-relative when the
 	// whole fleet is slow without letting a handful of spikes set their own
 	// baseline.
-	SpikeFactor float64
-	// ShmMinEvents gates shm-contention findings on a minimum number of
-	// queue-full stalls per node. ShmSaturation is the stall rate (stalls
+	spikeFactor float64
+	// shmMinEvents gates shm-contention findings on a minimum number of
+	// queue-full stalls per node. shmSaturation is the stall rate (stalls
 	// per local send) above which the node's queue counts as undersized: a
 	// mis-tuned queue saturates (rate near 1), while a healthy queue only
 	// stalls at burst peaks. When the span stream carries no send posts to
-	// compute a rate from, ShmMeanStall (mean seconds per stall) is the
+	// compute a rate from, shmMeanStall (mean seconds per stall) is the
 	// fallback gate.
-	ShmMinEvents  int
-	ShmSaturation float64
-	ShmMeanStall  float64
-	// ThrottleRatio is the per-step node-compute inflation over the fleet
-	// median that marks a step as throttled; SustainFrac is the fraction of
+	shmMinEvents  int
+	shmSaturation float64
+	shmMeanStall  float64
+	// throttleRatio is the per-step node-compute inflation over the fleet
+	// median that marks a step as throttled; sustainFrac is the fraction of
 	// observed steps that must be throttled for the node to be flagged
 	// (sustained inflation, not a jitter excursion).
-	ThrottleRatio float64
-	SustainFrac   float64
-	// ProbeRatio is the health-probe kernel-time ratio (vs the
+	throttleRatio float64
+	sustainFrac   float64
+	// probeRatio is the health-probe kernel-time ratio (vs the
 	// lower-quartile reference, as in internal/health) above which a probe
 	// confirms a throttling finding.
-	ProbeRatio float64
+	probeRatio float64
 }
 
-func (o Options) withDefaults() Options {
-	if o.SpikeFloor <= 0 {
-		o.SpikeFloor = 1e-3
-	}
-	if o.SpikeFactor <= 0 {
-		o.SpikeFactor = 50
-	}
-	if o.ShmMinEvents <= 0 {
-		o.ShmMinEvents = 8
-	}
-	if o.ShmSaturation <= 0 {
-		o.ShmSaturation = 0.5
-	}
-	if o.ShmMeanStall <= 0 {
-		o.ShmMeanStall = 2e-3
-	}
-	if o.ThrottleRatio <= 1 {
-		o.ThrottleRatio = 2
-	}
-	if o.SustainFrac <= 0 || o.SustainFrac > 1 {
-		o.SustainFrac = 0.6
-	}
-	if o.ProbeRatio <= 1 {
-		o.ProbeRatio = 1.5
-	}
-	return o
+// defaults are the thresholds Diagnose runs at.
+var defaults = thresholds{
+	spikeFloor:    1e-3,
+	spikeFactor:   50,
+	shmMinEvents:  8,
+	shmSaturation: 0.5,
+	shmMeanStall:  2e-3,
+	throttleRatio: 2,
+	sustainFrac:   0.6,
+	probeRatio:    1.5,
 }
 
 // Finding is one detector result: a rank or node implicated by the span
@@ -112,7 +96,7 @@ type Finding struct {
 	// ProbeDrift is (post-pre)/pre, the §IV-A pre/post drift signal.
 	ProbePre, ProbePost, ProbeDrift float64
 	// ProbeConfirmed reports whether the health probe independently flags
-	// the node (ratio above Options.ProbeRatio).
+	// the node (ratio above the probe threshold, 1.5).
 	ProbeConfirmed bool
 	// Detail is a human-readable summary.
 	Detail string
@@ -127,7 +111,7 @@ const (
 	// Every rank with a span, and its node (a rank lives on one node): the
 	// fleet wait-spike counts, the peers shm-contention places.
 	qRanks = `SELECT rank, node FROM t GROUP BY rank, node`
-	// wait-spike: the candidate spans (%s: Options.SpikeFloor), then every
+	// wait-spike: the candidate spans (%s: the spike floor), then every
 	// rank's send-wait total per step, the baseline they are cut against.
 	qSpikes   = `SELECT rank, node, step, dur FROM t WHERE kind = 'send_wait' AND dur >= %s`
 	qSendWait = `SELECT step, rank, sum(dur) FROM t WHERE kind = 'send_wait' GROUP BY step, rank`
@@ -151,7 +135,10 @@ var spanCols = []telemetry.ColSpec{
 // spikes, shm contention, throttling, each ordered by node, then rank. A
 // source without the span columns, or a chunk that fails to decode, is an
 // error.
-func Diagnose(src tql.Source, o Options) ([]Finding, error) {
+func Diagnose(src tql.Source) ([]Finding, error) { return diagnoseWith(src, defaults) }
+
+// diagnoseWith is Diagnose at the thresholds th.
+func diagnoseWith(src tql.Source, th thresholds) ([]Finding, error) {
 	have := src.Schema()
 	for _, want := range spanCols {
 		i := slices.IndexFunc(have, func(s telemetry.ColSpec) bool { return s.Name == want.Name })
@@ -162,12 +149,11 @@ func Diagnose(src tql.Source, o Options) ([]Finding, error) {
 			return nil, fmt.Errorf("diagnose: not a span stream: column %q is %s, not %s", want.Name, have[i].Type, want.Type)
 		}
 	}
-	o = o.withDefaults()
 	var out []Finding
-	for _, detect := range []func(tql.Source, Options) ([]Finding, error){
+	for _, detect := range []func(tql.Source, thresholds) ([]Finding, error){
 		waitSpikes, shmContention, throttling,
 	} {
-		fs, err := detect(src, o)
+		fs, err := detect(src, th)
 		if err != nil {
 			return nil, err
 		}
@@ -214,8 +200,8 @@ func runEnd(keys []int64, lo int) int {
 // waitSpikes detects rank-relative MPI_Wait outliers: send-wait spans whose
 // duration exceeds both the absolute floor and a multiple of their step's
 // median send-wait. One finding per implicated rank.
-func waitSpikes(src tql.Source, o Options) ([]Finding, error) {
-	spikes, err := tql.RunOn(fmt.Sprintf(qSpikes, strconv.FormatFloat(o.SpikeFloor, 'g', -1, 64)), src)
+func waitSpikes(src tql.Source, th thresholds) ([]Finding, error) {
+	spikes, err := tql.RunOn(fmt.Sprintf(qSpikes, strconv.FormatFloat(th.spikeFloor, 'g', -1, 64)), src)
 	if err != nil || spikes.NumRows() == 0 {
 		return nil, err
 	}
@@ -249,8 +235,8 @@ func waitSpikes(src tql.Source, o Options) ([]Finding, error) {
 	var perRank keyed[Finding]
 	rk, nodes, steps, durs := spikes.Ints("rank"), spikes.Ints("node"), spikes.Ints("step"), spikes.Floats("dur")
 	for r := range rk {
-		cut := o.SpikeFloor
-		if rel := o.SpikeFactor * medians.get(steps[r]); rel > cut {
+		cut := th.spikeFloor
+		if rel := th.spikeFactor * medians.get(steps[r]); rel > cut {
 			cut = rel
 		}
 		if durs[r] < cut {
@@ -284,7 +270,7 @@ func waitSpikes(src tql.Source, o Options) ([]Finding, error) {
 // overflows at exchange-burst peaks (every rank posts its sends at step
 // start), so absolute stall counts cannot separate tuned from mis-tuned —
 // the rate can: an undersized queue stalls nearly every local message.
-func shmContention(src tql.Source, o Options) ([]Finding, error) {
+func shmContention(src tql.Source, th thresholds) ([]Finding, error) {
 	stalls, err := tql.RunOn(qStalls, src)
 	if err != nil || stalls.NumRows() == 0 {
 		return nil, err
@@ -320,12 +306,12 @@ func shmContention(src tql.Source, o Options) ([]Finding, error) {
 			FirstStep: int(first[r]), LastStep: int(last[r]),
 			Events: int(events[r]), Severity: secs[r],
 		}
-		if f.Events < o.ShmMinEvents {
+		if f.Events < th.shmMinEvents {
 			continue
 		}
 		if sends := localSends.get(nodes[r]); sends > 0 {
 			rate := float64(f.Events) / float64(sends)
-			if rate < o.ShmSaturation {
+			if rate < th.shmSaturation {
 				continue
 			}
 			f.Detail = fmt.Sprintf("node %d shm queue saturated: %d of %d local sends stalled (rate %.2f, %.3g s total): undersized queue signature",
@@ -334,7 +320,7 @@ func shmContention(src tql.Source, o Options) ([]Finding, error) {
 			// No send posts in the stream (partial trace): fall back to the
 			// stall magnitude — deep queues produce micro-stalls, undersized
 			// ones millisecond-scale retry loops.
-			if f.Severity/float64(f.Events) < o.ShmMeanStall {
+			if f.Severity/float64(f.Events) < th.shmMeanStall {
 				continue
 			}
 			f.Detail = fmt.Sprintf("node %d shm queue stalling %.3g ms per event over %d events: undersized queue signature",
@@ -351,7 +337,7 @@ func shmContention(src tql.Source, o Options) ([]Finding, error) {
 // the finding is cross-checked against any probe spans in the stream.
 // Inflation is relative: a node alone in the stream is its own median, at
 // ratio 1, and is never flagged.
-func throttling(src tql.Source, o Options) ([]Finding, error) {
+func throttling(src tql.Source, th thresholds) ([]Finding, error) {
 	compute, err := tql.RunOn(qCompute, src)
 	if err != nil {
 		return nil, err
@@ -372,7 +358,7 @@ func throttling(src tql.Source, o Options) ([]Finding, error) {
 		for r := lo; r < hi; r++ {
 			a := accs.at(nodes[r])
 			a.seen++
-			if ratio := secs[r] / med; ratio >= o.ThrottleRatio {
+			if ratio := secs[r] / med; ratio >= th.throttleRatio {
 				if a.hot == 0 {
 					a.first = steps[r]
 				}
@@ -385,7 +371,7 @@ func throttling(src tql.Source, o Options) ([]Finding, error) {
 
 	var out []Finding
 	for i, a := range accs.vals {
-		if float64(a.hot)/float64(a.seen) < o.SustainFrac {
+		if float64(a.hot)/float64(a.seen) < th.sustainFrac {
 			continue
 		}
 		out = append(out, Finding{
@@ -409,7 +395,7 @@ func throttling(src tql.Source, o Options) ([]Finding, error) {
 		if f.ProbePre > 0 {
 			f.ProbeDrift = (f.ProbePost - f.ProbePre) / f.ProbePre
 		}
-		f.ProbeConfirmed = f.ProbePre > o.ProbeRatio || f.ProbePost > o.ProbeRatio
+		f.ProbeConfirmed = f.ProbePre > th.probeRatio || f.ProbePost > th.probeRatio
 		f.Detail = fmt.Sprintf("node %d compute inflated %.2fx vs fleet median in %d/%d steps (probe confirmed: %v)",
 			f.Node, f.Severity, f.Events, accs.get(int64(f.Node)).seen, f.ProbeConfirmed)
 	}

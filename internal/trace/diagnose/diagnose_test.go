@@ -44,7 +44,7 @@ func tracedRun(t *testing.T, seed uint64, mut func(*simnet.Config)) *driver.Resu
 // mustDiagnose runs the detectors at their default thresholds.
 func mustDiagnose(t *testing.T, spans *telemetry.Table) []diagnose.Finding {
 	t.Helper()
-	fs, err := diagnose.Diagnose(spans, diagnose.Options{})
+	fs, err := diagnose.Diagnose(spans)
 	if err != nil {
 		t.Fatal(err)
 	}

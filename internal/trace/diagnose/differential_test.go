@@ -137,7 +137,7 @@ func TestDiagnoseMatchesOracle(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			d.spikeProb = 0.3 * rng.Float64()
 		}
-		var o Options
+		th := defaults
 		edge := "full"
 		switch seed % 8 {
 		case 1:
@@ -154,13 +154,13 @@ func TestDiagnoseMatchesOracle(t *testing.T) {
 			// Thresholds that are not the defaults, one of them a literal
 			// inside a query.
 			edge = "options"
-			o = Options{SpikeFloor: 5e-4 + 3e-3*rng.Float64(), SpikeFactor: 10, ShmMinEvents: 3,
-				ShmSaturation: 0.3, ThrottleRatio: 1.5, SustainFrac: 0.4, ProbeRatio: 2}
+			th = thresholds{spikeFloor: 5e-4 + 3e-3*rng.Float64(), spikeFactor: 10, shmMinEvents: 3,
+				shmSaturation: 0.3, shmMeanStall: 2e-3, throttleRatio: 1.5, sustainFrac: 0.4, probeRatio: 2}
 		}
 		t.Run(fmt.Sprintf("seed %d %s", seed, edge), func(t *testing.T) {
 			spans := drawSpans(rng, d)
-			want := oracleDiagnose(spans, o)
-			got, err := Diagnose(spans, o)
+			want := oracleDiagnose(spans, th)
+			got, err := diagnoseWith(spans, th)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestDiagnoseMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := Diagnose(r, o)
+				got, err := diagnoseWith(r, th)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,7 +211,7 @@ func TestDiagnoseRejectsOtherSchemas(t *testing.T) {
 		{telemetry.NewTable(telemetry.StrCol("kind"), telemetry.FloatCol("rank")),
 			`diagnose: not a span stream: column "rank" is float64, not int64`},
 	} {
-		if _, err := Diagnose(tc.src, Options{}); err == nil || err.Error() != tc.want {
+		if _, err := Diagnose(tc.src); err == nil || err.Error() != tc.want {
 			t.Errorf("Diagnose = %v, want %s", err, tc.want)
 		}
 	}

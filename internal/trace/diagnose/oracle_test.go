@@ -39,8 +39,7 @@ func view(t *telemetry.Table) spanView {
 // oracleWaitSpikes detects rank-relative MPI_Wait outliers: send-wait spans whose
 // duration exceeds both the absolute floor and a multiple of their step's
 // median send-wait. One finding per implicated rank.
-func oracleWaitSpikes(spans *telemetry.Table, o Options) []Finding {
-	o = o.withDefaults()
+func oracleWaitSpikes(spans *telemetry.Table, th thresholds) []Finding {
 	v := view(spans)
 
 	// Fleet-relative baseline: per step, the median over every rank's total
@@ -78,8 +77,8 @@ func oracleWaitSpikes(spans *telemetry.Table, o Options) []Finding {
 		if v.kinds[r] != "send_wait" {
 			continue
 		}
-		cut := o.SpikeFloor
-		if rel := o.SpikeFactor * medians[v.steps[r]]; rel > cut {
+		cut := th.spikeFloor
+		if rel := th.spikeFactor * medians[v.steps[r]]; rel > cut {
 			cut = rel
 		}
 		if v.durs[r] < cut {
@@ -120,8 +119,7 @@ func oracleWaitSpikes(spans *telemetry.Table, o Options) []Finding {
 // overflows at exchange-burst peaks (every rank posts its sends at step
 // start), so absolute stall counts cannot separate tuned from mis-tuned —
 // the rate can: an undersized queue stalls nearly every local message.
-func oracleShmContention(spans *telemetry.Table, o Options) []Finding {
-	o = o.withDefaults()
+func oracleShmContention(spans *telemetry.Table, th thresholds) []Finding {
 	v := view(spans)
 
 	// Local-send denominators: an isend span is local when its peer lives on
@@ -166,13 +164,13 @@ func oracleShmContention(spans *telemetry.Table, o Options) []Finding {
 	}
 	var out []Finding
 	for _, f := range perNode {
-		if f.Events < o.ShmMinEvents {
+		if f.Events < th.shmMinEvents {
 			continue
 		}
 		sends := localSends[int64(f.Node)]
 		if sends > 0 {
 			rate := float64(f.Events) / float64(sends)
-			if rate < o.ShmSaturation {
+			if rate < th.shmSaturation {
 				continue
 			}
 			f.Detail = fmt.Sprintf("node %d shm queue saturated: %d of %d local sends stalled (rate %.2f, %.3g s total): undersized queue signature",
@@ -181,7 +179,7 @@ func oracleShmContention(spans *telemetry.Table, o Options) []Finding {
 			// No send posts in the stream (partial trace): fall back to the
 			// stall magnitude — deep queues produce micro-stalls, undersized
 			// ones millisecond-scale retry loops.
-			if f.Severity/float64(f.Events) < o.ShmMeanStall {
+			if f.Severity/float64(f.Events) < th.shmMeanStall {
 				continue
 			}
 			f.Detail = fmt.Sprintf("node %d shm queue stalling %.3g ms per event over %d events: undersized queue signature",
@@ -197,8 +195,7 @@ func oracleShmContention(spans *telemetry.Table, o Options) []Finding {
 // node's total compute-span time is compared with the fleet median; a node
 // throttled in at least SustainFrac of its observed steps is flagged, and
 // the finding is cross-checked against any probe spans in the stream.
-func oracleThrottling(spans *telemetry.Table, o Options) []Finding {
-	o = o.withDefaults()
+func oracleThrottling(spans *telemetry.Table, th thresholds) []Finding {
 	v := view(spans)
 
 	// node -> step -> total compute seconds.
@@ -255,7 +252,7 @@ func oracleThrottling(spans *telemetry.Table, o Options) []Finding {
 			}
 			a.seen++
 			ratio := c / med
-			if ratio >= o.ThrottleRatio {
+			if ratio >= th.throttleRatio {
 				if a.hot == 0 {
 					a.first = step
 				}
@@ -269,7 +266,7 @@ func oracleThrottling(spans *telemetry.Table, o Options) []Finding {
 	probes := oracleProbeRatios(spans)
 	var out []Finding
 	for node, a := range accs {
-		if a.seen == 0 || float64(a.hot)/float64(a.seen) < o.SustainFrac {
+		if a.seen == 0 || float64(a.hot)/float64(a.seen) < th.sustainFrac {
 			continue
 		}
 		f := Finding{
@@ -284,7 +281,7 @@ func oracleThrottling(spans *telemetry.Table, o Options) []Finding {
 			if p.pre > 0 {
 				f.ProbeDrift = (p.post - p.pre) / p.pre
 			}
-			f.ProbeConfirmed = p.pre > o.ProbeRatio || p.post > o.ProbeRatio
+			f.ProbeConfirmed = p.pre > th.probeRatio || p.post > th.probeRatio
 		}
 		f.Detail = fmt.Sprintf("node %d compute inflated %.2fx vs fleet median in %d/%d steps (probe confirmed: %v)",
 			f.Node, f.Severity, a.hot, a.seen, f.ProbeConfirmed)
@@ -349,10 +346,10 @@ func oracleProbeRatios(spans *telemetry.Table) map[int64]oracleProbePair {
 
 // oracleDiagnose runs all three detectors and returns their findings,
 // most-severe-first within each detector, detectors in a stable order.
-func oracleDiagnose(spans *telemetry.Table, o Options) []Finding {
+func oracleDiagnose(spans *telemetry.Table, th thresholds) []Finding {
 	var out []Finding
-	out = append(out, oracleWaitSpikes(spans, o)...)
-	out = append(out, oracleShmContention(spans, o)...)
-	out = append(out, oracleThrottling(spans, o)...)
+	out = append(out, oracleWaitSpikes(spans, th)...)
+	out = append(out, oracleShmContention(spans, th)...)
+	out = append(out, oracleThrottling(spans, th)...)
 	return out
 }
