@@ -7,7 +7,7 @@ GO ?= go
 # pass at the default GOMAXPROCS covers it.
 RACE_PKGS = ./...
 
-.PHONY: all build vet lint test race bench-module bench-layers ab serve-smoke scale-smoke fuzz-smoke check fmt
+.PHONY: all build vet lint test race bench-module examples bench-layers ab serve-smoke scale-smoke fuzz-smoke check fmt
 
 all: check
 
@@ -43,6 +43,16 @@ race:
 # package it uses fails `make check`, not the benchmark pipeline.
 bench-module:
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
+
+# Every examples/ program once, each from a scratch directory (critical-path
+# writes critical_path_trace.json into its working directory): `go build
+# ./...` only compiles them, so one that panics or exits non-zero fails here.
+examples:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for dir in examples/*/; do \
+		ex=$$(basename $$dir); echo "examples: $$ex"; \
+		$(GO) build -o "$$tmp/$$ex" ./$$dir && (cd "$$tmp" && ./$$ex >/dev/null) || exit 1; \
+	done
 
 # One iteration of every package-level microbenchmark under internal/ (event
 # heap, proc switch, LPT/CDP/CPLX kernels, mesh refine and neighbours, SFC
@@ -100,4 +110,4 @@ fuzz-smoke:
 fmt:
 	gofmt -l . && test -z "$$(gofmt -l .)"
 
-check: fmt vet lint build test race bench-module
+check: fmt vet lint build test race bench-module examples

@@ -404,14 +404,12 @@ func validate(cfg *Config) error {
 		return fmt.Errorf("driver: invalid network config")
 	case cfg.CostTimeScale <= 0:
 		return fmt.Errorf("driver: non-positive cost time scale")
+	case cfg.LBInterval <= 0:
+		return fmt.Errorf("driver: non-positive LB interval %d", cfg.LBInterval)
+	case cfg.CostAlpha <= 0 || cfg.CostAlpha > 1:
+		return fmt.Errorf("driver: cost EWMA alpha %v outside (0, 1]", cfg.CostAlpha)
 	case cfg.Trace != nil && cfg.Trace.ArmOn != nil && !cfg.CollectSteps:
 		return fmt.Errorf("driver: Trace.ArmOn requires CollectSteps (the trigger reads per-step telemetry)")
-	}
-	if cfg.LBInterval <= 0 {
-		cfg.LBInterval = 5
-	}
-	if cfg.CostAlpha <= 0 || cfg.CostAlpha > 1 {
-		cfg.CostAlpha = 0.5
 	}
 	return nil
 }

@@ -15,9 +15,11 @@
 //	TableI      – Sedov problem configurations and block growth
 //	Fig6        – runtime/phase decomposition across policies and scales
 //	Fig7a       – commbench: round latency vs locality
+//	Commbench   – commbench for any policy list (cmd/commbench)
 //	Fig7b       – scalebench: makespan vs X across cost distributions
 //	Fig7c       – placement computation overhead vs scale
 //	LPTvsILP    – LPT against the exact branch-and-bound reference
+//	NeighborhoodCollectives – rank-pair aggregation vs raw P2P (§VIII)
 package experiments
 
 import (

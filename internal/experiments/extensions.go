@@ -9,6 +9,7 @@ import (
 	"amrtools/internal/mesh"
 	"amrtools/internal/placement"
 	"amrtools/internal/sfc"
+	"amrtools/internal/stats"
 	"amrtools/internal/telemetry"
 	"amrtools/internal/xrand"
 )
@@ -160,6 +161,54 @@ func HilbertOrderStudy(opts Options) *telemetry.Table {
 	names := []string{"morton", "hilbert"}
 	for i, loc := range harness.MustValues(harness.Run(opts.Exec, "hilbert", specs)) {
 		out.Append(names[i], n, loc.rank, loc.node)
+	}
+	return out
+}
+
+// NeighborhoodCollectives evaluates the §VIII related-work alternative the
+// paper's codes do not use: replacing per-boundary-element point-to-point
+// messages with rank-pair aggregation (the effect of MPI neighborhood
+// collectives — one combined message per communicating rank pair per
+// round). Aggregation amortizes per-message fabric overheads at the price
+// of coupling every boundary element between a rank pair to the slowest
+// byte of the bundle. Both modes place the same meshes under CPL50 on unit
+// costs.
+//
+// Columns: ranks, mode, msgs_per_round, mean_round_ms, p99_round_ms.
+func NeighborhoodCollectives(opts Options) *telemetry.Table {
+	out := telemetry.NewTable(
+		telemetry.IntCol("ranks"), telemetry.StrCol("mode"),
+		telemetry.IntCol("msgs_per_round"), telemetry.FloatCol("mean_round_ms"),
+		telemetry.FloatCol("p99_round_ms"),
+	)
+	sc := TableIScales[0]
+	rounds, meshes := 15, 3
+	if opts.Quick {
+		sc = QuickScale
+		rounds, meshes = 8, 2
+	}
+	modes := []string{"p2p", "aggregated"}
+	cells := make([]roundCell, len(modes))
+	for i, mode := range modes {
+		cells[i] = roundCell{
+			id: fmt.Sprintf("%dranks-%s", sc.Ranks, mode), sc: sc,
+			pol: placement.CPLX{X: 50}, seed: opts.Seed + uint64(sc.Ranks) + 77,
+			unitCosts: true, aggregate: mode == "aggregated",
+		}
+	}
+	runs, err := roundCampaign(opts.Exec, "neighborhood", cells, meshes, rounds)
+	if err != nil {
+		panic(err) // statically-correct specs: harness.MustValues' contract
+	}
+	for i, mode := range modes {
+		var lats []float64
+		msgs := 0
+		for _, run := range runs[i] {
+			lats = append(lats, run.lats...)
+			msgs += run.msgs
+		}
+		out.Append(sc.Ranks, mode, msgs/meshes,
+			stats.Mean(lats)*1e3, stats.Percentile(lats, 99)*1e3)
 	}
 	return out
 }

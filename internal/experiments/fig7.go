@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"amrtools/internal/cost"
-	"amrtools/internal/driver"
 	"amrtools/internal/harness"
-	"amrtools/internal/mesh"
 	"amrtools/internal/placement"
 	"amrtools/internal/stats"
 	"amrtools/internal/telemetry"
@@ -23,59 +22,35 @@ import (
 //
 // Columns: ranks, policy, mean_round_ms, p99_round_ms, remote_share.
 func Fig7a(opts Options) *telemetry.Table {
-	type scale struct {
-		ranks    int
-		rootDims [3]int
-	}
-	scales := []scale{{512, [3]int{8, 8, 8}}, {2048, [3]int{8, 16, 16}}}
+	scales := []SedovScale{TableIScales[0], TableIScales[2]} // 512, 2048 ranks
 	meshes, rounds := 5, 20
 	if opts.Quick {
-		scales = []scale{{128, [3]int{4, 4, 8}}}
+		scales = []SedovScale{QuickScale}
 		meshes, rounds = 2, 8
 	}
-	var cells []meshCell
+	var cells []roundCell
 	for _, sc := range scales {
 		for _, x := range []int{0, 25, 50, 75, 100} {
-			pol := placement.CPLX{X: x, ChunkSize: chunkFor(sc.ranks)}
-			id := fmt.Sprintf("%dranks-%s", sc.ranks, pol.Name())
-			cells = append(cells, meshCell{id: id, ranks: sc.ranks, rootDims: sc.rootDims, pol: pol})
+			pol := placement.CPLX{X: x, ChunkSize: chunkFor(sc.Ranks)}
+			id := fmt.Sprintf("%dranks-%s", sc.Ranks, pol.Name())
+			cells = append(cells, roundCell{id: id, sc: sc, pol: pol, seed: opts.Seed + uint64(sc.Ranks)})
 		}
 	}
-	out, err := meshCampaign(opts.Exec, "fig7a", cells, opts.Seed, meshes, rounds)
+	out, err := commbench(opts.Exec, "fig7a", cells, meshes, rounds)
 	if err != nil {
 		panic(err) // statically-correct specs: harness.MustValues' contract
 	}
 	return out
 }
 
-// meshCell is one row of a commbench table: a policy on a rank count,
-// averaged over several random meshes. id prefixes the cell's spec ids.
-type meshCell struct {
-	id       string
-	ranks    int
-	rootDims [3]int
-	pol      placement.Policy
-}
-
-// meshCampaign is the commbench fan-out and reduce behind Fig7a and
-// Commbench: one spec per (cell, mesh), then one row per cell pooling its
-// meshes' round latencies and averaging their remote shares. The per-mesh
-// RNGs are split off sequentially at plan-build time, from one stream per
-// cell seeded by seed + ranks, so the fan-out sees the exact streams a
-// sequential loop would.
+// commbench is the reduce behind Fig7a and Commbench: one row per cell
+// pooling its meshes' round latencies, rounds above the 10 ms
+// fabric-recovery threshold discarded, and averaging their remote message
+// shares.
 //
 // Columns: ranks, policy, mean_round_ms, p99_round_ms, remote_share.
-func meshCampaign(ex harness.Exec, campaign string, cells []meshCell, seed uint64, meshes, rounds int) (*telemetry.Table, error) {
-	var specs []harness.Spec[meshRun]
-	for _, c := range cells {
-		rng := xrand.New(seed + uint64(c.ranks))
-		for m := 0; m < meshes; m++ {
-			specs = append(specs, commbenchSpec(
-				fmt.Sprintf("%s-mesh%d", c.id, m),
-				c.ranks, c.rootDims, c.pol, rounds, rng.Split()))
-		}
-	}
-	runs, err := harness.Values(harness.Run(ex, campaign, specs))
+func commbench(ex harness.Exec, campaign string, cells []roundCell, meshes, rounds int) (*telemetry.Table, error) {
+	runs, err := roundCampaign(ex, campaign, cells, meshes, rounds)
 	if err != nil {
 		return nil, err
 	}
@@ -87,51 +62,20 @@ func meshCampaign(ex harness.Exec, campaign string, cells []meshCell, seed uint6
 	for i, c := range cells {
 		var lats []float64
 		var remoteShare float64
-		for _, run := range runs[i*meshes : (i+1)*meshes] {
+		for _, run := range runs[i] {
 			lats = append(lats, run.lats...)
-			remoteShare += run.share
+			cs := run.census
+			remoteShare += float64(cs.RemoteMsgs) / float64(cs.RemoteMsgs+cs.LocalMsgs)
 		}
+		lats = slices.DeleteFunc(lats, func(lat float64) bool { return lat > 10e-3 }) // fabric-recovery outliers
 		if len(lats) == 0 {
 			continue
 		}
-		out.Append(c.ranks, c.pol.Name(),
+		out.Append(c.sc.Ranks, c.pol.Name(),
 			stats.Mean(lats)*1e3, stats.Percentile(lats, 99)*1e3,
 			remoteShare/float64(meshes))
 	}
 	return out, nil
-}
-
-// meshRun is one commbench mesh outcome.
-type meshRun struct {
-	lats  []float64
-	share float64
-}
-
-// commbenchSpec wraps one commbench mesh as a harness spec: rounds
-// boundary-exchange rounds over one random AMR mesh under the given policy,
-// keeping the round latencies and the remote message share. The cold-start
-// round and rounds above the 10 ms fabric-recovery threshold are discarded.
-func commbenchSpec(id string, ranks int, rootDims [3]int, pol placement.Policy, rounds int, rng *xrand.RNG) harness.Spec[meshRun] {
-	return harness.Spec[meshRun]{
-		ID: id,
-		Run: func(m *harness.Meter) (meshRun, error) {
-			plan := commbenchPlan(ranks, rootDims, pol, rng)
-			res, err := runRounds(m.Aborted, rounds, rng, plan)
-			if err != nil {
-				return meshRun{}, err
-			}
-			m.AddEvents(res.events)
-			var lats []float64
-			for _, lat := range res.lats {
-				if lat <= 10e-3 { // fabric-recovery outliers
-					lats = append(lats, lat)
-				}
-			}
-			cs := res.census
-			share := float64(cs.RemoteMsgs) / float64(cs.RemoteMsgs+cs.LocalMsgs)
-			return meshRun{lats: lats, share: share}, nil
-		},
-	}
 }
 
 // CommbenchConfig parameterizes a standalone commbench run (the cmd/commbench
@@ -159,15 +103,16 @@ func Commbench(cfg CommbenchConfig) (*telemetry.Table, error) {
 	if cfg.Meshes <= 0 || cfg.Rounds <= 1 {
 		return nil, fmt.Errorf("experiments: commbench needs >=1 mesh and >=2 rounds")
 	}
-	cells := make([]meshCell, len(cfg.Policies))
+	sc := SedovScale{Ranks: cfg.Ranks, RootDims: rootDims}
+	cells := make([]roundCell, len(cfg.Policies))
 	for i, name := range cfg.Policies {
 		pol, err := placement.ByName(name, chunkFor(cfg.Ranks))
 		if err != nil {
 			return nil, err
 		}
-		cells[i] = meshCell{id: pol.Name(), ranks: cfg.Ranks, rootDims: rootDims, pol: pol}
+		cells[i] = roundCell{id: pol.Name(), sc: sc, pol: pol, seed: cfg.Seed + uint64(cfg.Ranks)}
 	}
-	return meshCampaign(cfg.Exec, "commbench", cells, cfg.Seed, cfg.Meshes, cfg.Rounds)
+	return commbench(cfg.Exec, "commbench", cells, cfg.Meshes, cfg.Rounds)
 }
 
 // cubeDims builds a near-cubic root grid with the given product, doubling
@@ -188,61 +133,6 @@ func cubeDims(ranks int) ([3]int, error) {
 	}
 	return dims, nil
 }
-
-// commbenchPlan builds one random AMR mesh, places it under pol and returns
-// the round plan of its boundary exchanges.
-//
-// commbench simulates the full placement pipeline (§VI-C): block "costs"
-// fed to the policy are per-block boundary-traffic volumes (face exchanges
-// dominate), so CPLX's rebalancing diffuses the communication hotspots that
-// strict locality preservation clusters onto few ranks — the mechanism
-// behind the latency inversion of Fig 7 (top).
-func commbenchPlan(ranks int, rootDims [3]int, pol placement.Policy, rng *xrand.RNG) *roundPlan {
-	target := ranks + ranks/2 // 1.5 blocks per rank
-	m := mesh.RandomRefined(rootDims[0], rootDims[1], rootDims[2], 3, target, rng)
-	leaves := m.Leaves()
-	n := len(leaves)
-
-	// Directed exchange inventory and per-block traffic volumes.
-	index := make(map[mesh.BlockID]int, n)
-	for i, b := range leaves {
-		index[b.ID] = i
-	}
-	type exch struct{ from, to, size int }
-	var all []exch
-	traffic := make([]float64, n)
-	for i, b := range leaves {
-		for _, nb := range m.NeighborsOf(b.ID) {
-			e := exch{from: i, to: index[nb.ID], size: boundaryBytes[int(nb.Kind)]}
-			all = append(all, e)
-			traffic[e.from] += float64(e.size)
-			traffic[e.to] += float64(e.size)
-		}
-	}
-	// Normalize traffic to unit mean so the policy sees familiar cost
-	// magnitudes.
-	mean := 0.0
-	for _, v := range traffic {
-		mean += v
-	}
-	mean /= float64(n)
-	for i := range traffic {
-		traffic[i] /= mean
-	}
-	assign := pol.Assign(traffic, ranks)
-
-	plan := newRoundPlan(ranks)
-	for _, e := range all {
-		if sr, dr := assign[e.from], assign[e.to]; sr != dr {
-			plan.add(sr, dr, e.size)
-		}
-	}
-	return plan
-}
-
-// boundaryBytes is the [face, edge, vertex] message size of the round
-// benchmarks' blocks: the simulator's block geometry.
-var boundaryBytes = driver.MessageSizes()
 
 // Fig7b is scalebench's makespan panel (§VI-C middle): normalized makespan
 // (relative to the trivial lower bound) across CPLX settings for the three
