@@ -35,6 +35,13 @@
 // experiments (combine with -only to isolate one figure; see EXPERIMENTS.md
 // for a worked example). The heap profile is taken after a final GC, so it
 // shows live retention, not transient garbage.
+//
+// A failed experiment (a run that errs, panics, or exceeds -timeout) prints
+// one stderr line, `experiments: <id> failed: <error>`, naming the spec and
+// the cause; its claims leave the ledger and the remaining experiments run.
+// Exit status: 0 on success, 1 for an I/O error or a paper claim that
+// disagrees with its ledger status, 2 for a usage error, 3 when any
+// experiment failed.
 package main
 
 import (
@@ -57,11 +64,13 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command behind main, returning the exit status: 0, 1 for
 // an I/O error or a paper claim whose verdict disagrees with its ledger
-// status, 2 for a usage error (bad flag, unknown experiment id). Tables, then
-// the paper-claims ledger (experiments.Shapes), go to stdout; progress,
-// timing and file notices go to stderr. The ledger's statuses were recorded
-// at seed 42 (full) and seeds 1-10 and 42 (quick), so at another -seed a
-// disagreement is a finding for the ledger, not a regression.
+// status, 2 for a usage error (bad flag, unknown experiment id), 3 when an
+// experiment failed (a spec erred, panicked or timed out; 3 wins over 1).
+// Tables, then the paper-claims ledger (experiments.Shapes), go to stdout;
+// progress, timing, failures and file notices go to stderr. The ledger's
+// statuses were recorded at seed 42 (full) and seeds 1-10 and 42 (quick),
+// so at another -seed a disagreement is a finding for the ledger, not a
+// regression.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -165,24 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		},
 	}
 
-	tables := map[string][]experiments.NamedTable{}
-	for _, e := range selected {
-		fmt.Fprintf(stdout, "=== %s [%s] ===\n", e.Title, e.ID)
-		start := time.Now()
-		tables[e.ID] = e.Run(opts)
-		for _, nt := range tables[e.ID] {
-			if nt.Name != "" {
-				fmt.Fprintf(stdout, "--- %s ---\n", nt.Name)
-			}
-			fmt.Fprint(stdout, nt.Table.Render(0))
-		}
-		fmt.Fprintln(stdout)
-		fmt.Fprintf(stderr, "[%s] elapsed %v\n", e.ID, time.Since(start).Round(time.Millisecond))
-	}
-	ledger, disagree := experiments.Judge(experiments.Shapes, tables, *quick)
-	if ledger.NumRows() > 0 {
-		fmt.Fprintf(stdout, "=== paper claims ===\n%s\n", ledger.Render(0))
-	}
+	code := runSuite(selected, opts, stdout, stderr)
 
 	var dumps []string
 	if *out != "" {
@@ -197,13 +189,54 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, path := range dumps {
 		if err := rec.WriteFile(path); err != nil {
-			return fail(err)
+			fmt.Fprintln(stderr, "experiments:", err)
+			return max(code, 1) // a failed experiment's 3 stands
 		}
 		fmt.Fprintf(stderr, "campaign telemetry: %d rows -> %s\n", rec.Table().NumRows(), path)
+	}
+	return code
+}
+
+// runSuite runs the experiments in turn and prints each one's tables, then
+// the paper-claims ledger of those that succeeded. A failed experiment gets
+// one stderr line naming it, its spec and the cause; its claims are left
+// out of the ledger, and the suite runs on. runSuite returns the exit
+// status: 3 if an experiment failed, else 1 if a claim disagrees with its
+// ledger status, else 0.
+func runSuite(suite []experiments.Experiment, opts experiments.Options, stdout, stderr io.Writer) int {
+	tables := map[string][]experiments.NamedTable{}
+	failed := 0
+	for _, e := range suite {
+		start := time.Now()
+		nts, err := e.Run(opts)
+		if err != nil {
+			fmt.Fprintf(stderr, "experiments: %s failed: %v\n", e.ID, err)
+			failed++
+			continue
+		}
+		tables[e.ID] = nts
+		fmt.Fprintf(stdout, "=== %s [%s] ===\n", e.Title, e.ID)
+		for _, nt := range nts {
+			if nt.Name != "" {
+				fmt.Fprintf(stdout, "--- %s ---\n", nt.Name)
+			}
+			fmt.Fprint(stdout, nt.Table.Render(0))
+		}
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stderr, "[%s] elapsed %v\n", e.ID, time.Since(start).Round(time.Millisecond))
+	}
+	ledger, disagree := experiments.Judge(experiments.Shapes, tables, opts.Quick)
+	if ledger.NumRows() > 0 {
+		fmt.Fprintf(stdout, "=== paper claims ===\n%s\n", ledger.Render(0))
 	}
 	if disagree > 0 {
 		fmt.Fprintf(stderr, "experiments: %d paper claim(s) disagree with their ledger status, "+
 			"recorded at seed 42 (full) and seeds 1-10 and 42 (quick); at another seed this is a finding for the ledger\n", disagree)
+	}
+	switch {
+	case failed > 0:
+		return 3
+	case disagree > 0:
 		return 1
 	}
 	return 0

@@ -2,14 +2,19 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"amrtools/internal/colfile"
 	"amrtools/internal/experiments"
+	"amrtools/internal/harness"
+	"amrtools/internal/telemetry"
 )
 
 // experimentsCLI runs the command in process and returns its exit status
@@ -72,8 +77,8 @@ func cutLedger(t *testing.T, stdout, exp string) string {
 }
 
 // TestCLI pins exit codes and output shape: usage errors exit 2 and name
-// what is known, tables land on stdout only, progress and file notices on
-// stderr only.
+// what is known, a failed experiment exits 3 and names its spec, tables land
+// on stdout only, progress, failures and file notices on stderr only.
 func TestCLI(t *testing.T) {
 	t.Run("unknown experiment id", func(t *testing.T) {
 		code, stdout, stderr := experimentsCLI("-quick", "-only", "nosuch")
@@ -193,4 +198,88 @@ func TestCLI(t *testing.T) {
 			t.Fatalf("exit %d, stderr:\n%s\nwant exit 1 and an experiments: error line", code, stderr)
 		}
 	})
+	t.Run("every experiment fails cleanly at -timeout 1us", func(t *testing.T) {
+		// 1us, not the 1ms a fresh process needs: warm, the quick Hilbert
+		// study's one run takes under a millisecond and would succeed.
+		base := runtime.NumGoroutine()
+		for _, id := range experiments.SuiteIDs() {
+			code, _, stderr := experimentsCLI("-quick", "-timeout", "1us", "-only", id)
+			if code != 3 || !strings.Contains(stderr, "experiments: "+id+` failed: harness: spec "`) ||
+				strings.Contains(stderr, "goroutine") {
+				t.Errorf("%s: exit %d, stderr:\n%s\nwant exit 3, a failure line naming %s and a spec, no goroutine dump",
+					id, code, stderr, id)
+			}
+		}
+		// The timed-out runs unwind at their next interrupt poll; the rest
+		// (placement and solver specs poll nothing) finish on their own.
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > base {
+			t.Errorf("%d goroutines 5 s after the timed-out suite, %d before", n, base)
+		}
+	})
+}
+
+// TestSuiteRunsOnAfterFailure: an experiment whose runner fails gets one
+// stderr line and no tables, the experiments around it still print theirs,
+// and the suite exits 3.
+func TestSuiteRunsOnAfterFailure(t *testing.T) {
+	real, err := experiments.Select("table1,fig1top")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake := experiments.Experiment{ID: "fake", Title: "Fake", Run: func(experiments.Options) ([]experiments.NamedTable, error) {
+		return nil, errors.New(`harness: spec "fake-run" exceeded 1ms timeout`)
+	}}
+	var stdout, stderr bytes.Buffer
+	opts := experiments.Options{Quick: true, Seed: 42, Exec: harness.Exec{Workers: 1}}
+	code := runSuite([]experiments.Experiment{real[0], fake, real[1]}, opts, &stdout, &stderr)
+	for _, header := range []string{"=== Fig 1 (top): ", "=== Table I: ", "=== paper claims ==="} {
+		if !strings.Contains(stdout.String(), header) {
+			t.Errorf("stdout lacks %q:\n%s", header, stdout.String())
+		}
+	}
+	var named []string
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if strings.Contains(line, "fake") {
+			named = append(named, line)
+		}
+	}
+	want := []string{`experiments: fake failed: harness: spec "fake-run" exceeded 1ms timeout`}
+	if code != 3 || !slices.Equal(named, want) || strings.Contains(stderr.String(), "goroutine") {
+		t.Fatalf("exit %d, stderr lines naming fake %q, stderr:\n%s\nwant exit 3 and %q", code, named, stderr.String(), want)
+	}
+}
+
+// TestOutIdenticalAcrossWorkers: the campaign telemetry of one quick
+// campaign is the same at -j 1 and -j 2 once experiments.NondetCols are
+// masked; every other column is simulated or plan-derived.
+func TestOutIdenticalAcrossWorkers(t *testing.T) {
+	read := func(workers string) *telemetry.Table {
+		out := filepath.Join(t.TempDir(), "campaign.col")
+		if code, _, stderr := experimentsCLI("-quick", "-j", workers, "-only", "fig1top", "-out", out); code != 0 {
+			t.Fatalf("-j %s: exit %d, stderr:\n%s", workers, code, stderr)
+		}
+		f, err := os.Open(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		r, err := colfile.OpenFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := r.Table()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	j1, j2 := read("1"), read("2")
+	if j1.NumRows() != 3 || !telemetry.EqualMasked(j1, j2, experiments.NondetCols...) {
+		t.Fatalf("campaign telemetry differs between -j 1 and -j 2 outside %v:\n%s\n%s",
+			experiments.NondetCols, j1.Render(0), j2.Render(0))
+	}
 }

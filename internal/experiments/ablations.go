@@ -21,7 +21,7 @@ import (
 //
 // Columns: ablation, variant, total_s, makespan_norm, improvement_pct.
 // Rows with total_s = 0 are placement-only ablations (no simulation run).
-func Ablations(opts Options) *telemetry.Table {
+func Ablations(opts Options) (*telemetry.Table, error) {
 	out := telemetry.NewTable(
 		telemetry.StrCol("ablation"), telemetry.StrCol("variant"),
 		telemetry.FloatCol("total_s"), telemetry.FloatCol("makespan_norm"),
@@ -49,7 +49,10 @@ func Ablations(opts Options) *telemetry.Table {
 		opts.sedovSpec("alpha-0.5", cplxCfg(func(cfg *driver.Config) { cfg.CostAlpha = 0.5 })),
 		opts.sedovSpec("alpha-0.1", cplxCfg(func(cfg *driver.Config) { cfg.CostAlpha = 0.1 })),
 	}
-	results := runCampaign(opts, "ablations", specs)
+	results, err := runCampaign(opts, "ablations", specs)
+	if err != nil {
+		return nil, err
+	}
 	base := results[0]
 	improvement := func(res *driver.Result) float64 {
 		return 100 * (base.Phases.Total() - res.Phases.Total()) / base.Phases.Total()
@@ -88,5 +91,5 @@ func Ablations(opts Options) *telemetry.Table {
 		res := results[3+i]
 		out.Append("ewma-alpha", variant, res.Phases.Total(), 0.0, improvement(res))
 	}
-	return out
+	return out, nil
 }

@@ -16,7 +16,10 @@ import (
 func TestParallelMatchesSequential(t *testing.T) {
 	render := func(workers int) string {
 		opts := Options{Quick: true, Seed: 42, Exec: harness.Exec{Workers: workers}}
-		a, b, c := Fig6(opts)
+		a, b, c, err := Fig6(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var sb strings.Builder
 		sb.WriteString(a.Render(0))
 		sb.WriteString(b.Render(0))
@@ -38,7 +41,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestParallelMatchesSequentialFig7c(t *testing.T) {
 	tab := func(workers int) *telemetry.Table {
 		opts := Options{Quick: true, Seed: 42, Exec: harness.Exec{Workers: workers}}
-		return Fig7c(opts)
+		return table(t)(Fig7c(opts))
 	}
 	serial, parallel := tab(1), tab(3)
 	if !telemetry.EqualMasked(serial, parallel, NondetCols...) {
@@ -59,7 +62,7 @@ func TestParallelMatchesSequentialFig7c(t *testing.T) {
 func TestParallelMatchesSequentialSharedProblemRegression(t *testing.T) {
 	render := func(workers int) string {
 		opts := Options{Quick: true, Seed: 42, Exec: harness.Exec{Workers: workers}}
-		return Fig2(opts).Render(0)
+		return table(t)(Fig2(opts)).Render(0)
 	}
 	if serial, parallel := render(1), render(3); serial != parallel {
 		t.Fatalf("Fig2 tables differ between -j 1 and -j 3:\n--- j=1 ---\n%s\n--- j=3 ---\n%s",
@@ -74,7 +77,7 @@ func TestParallelMatchesSequentialSharedProblemRegression(t *testing.T) {
 func TestParallelMatchesSequentialPresampledRNG(t *testing.T) {
 	render := func(workers int) string {
 		opts := Options{Quick: true, Seed: 7, Exec: harness.Exec{Workers: workers}}
-		return NeighborhoodCollectives(opts).Render(0)
+		return table(t)(NeighborhoodCollectives(opts)).Render(0)
 	}
 	if serial, parallel := render(1), render(3); serial != parallel {
 		t.Fatalf("neighborhood tables differ between -j 1 and -j 3:\n--- j=1 ---\n%s\n--- j=3 ---\n%s",

@@ -1,9 +1,10 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation. Each runner returns a telemetry.Table whose rows are
-// the series the paper plots, so the same code backs the `experiments`
-// binary and EXPERIMENTS.md. Shapes (shapes.go) states each of the paper's
-// shape claims once, as a predicate over those tables, with its status in
-// this reproduction.
+// the series the paper plots, and an error: a spec that fails, panics or
+// times out stops its runner, and the error names the spec and the cause.
+// The same code backs the `experiments` binary and EXPERIMENTS.md. Shapes
+// (shapes.go) states each of the paper's shape claims once, as a predicate
+// over those tables, with its status in this reproduction.
 //
 // Index (see DESIGN.md for the full mapping):
 //
@@ -78,12 +79,13 @@ func (o Options) metricsOn() bool {
 	return o.Exec.Metrics != nil || o.MetricsDir != ""
 }
 
-// NondetCols names the wall-clock-derived columns that byte-identity checks
-// must mask out (telemetry.EqualMasked): the harness recorder's wall_ms and
-// heap_mb, and Fig 7c's placement_ms with its derived budget verdict. Every
-// other column comes from virtual time or deterministic plan construction
-// and must reproduce bit-for-bit across -j, GOMAXPROCS, and hosts.
-var NondetCols = []string{"wall_ms", "heap_mb", "alloc_mb", "placement_ms", "within_50ms_budget"}
+// NondetCols names the host-derived columns that byte-identity checks must
+// mask out (telemetry.EqualMasked): the harness recorder's wall_ms, heap_mb,
+// and its process-wide alloc_mb and mallocs, and Fig 7c's placement_ms with
+// its derived budget verdict. Every other column comes from virtual time or
+// deterministic plan construction and must reproduce bit-for-bit across -j,
+// GOMAXPROCS, and hosts.
+var NondetCols = []string{"wall_ms", "heap_mb", "alloc_mb", "mallocs", "placement_ms", "within_50ms_budget"}
 
 // SedovScale is one Table I configuration.
 type SedovScale struct {
@@ -161,12 +163,14 @@ func (o Options) sedovSpec(id string, cfg driver.Config) harness.Spec[*driver.Re
 }
 
 // runCampaign fans the specs out through the harness and returns their
-// results in spec order, panicking on any failure (the experiment
-// definitions are static, so a failed run is a bug, not an input error).
+// results in spec order, or the first failure, which names its spec.
 // With Options.TraceDir set, every traced run's spans are streamed to
 // `<TraceDir>/<campaign>--<id>.col` (the span table is never built).
-func runCampaign(opts Options, campaign string, specs []harness.Spec[*driver.Result]) []*driver.Result {
-	results := harness.MustValues(harness.Run(opts.Exec, campaign, specs))
+func runCampaign(opts Options, campaign string, specs []harness.Spec[*driver.Result]) ([]*driver.Result, error) {
+	results, err := harness.Values(harness.Run(opts.Exec, campaign, specs))
+	if err != nil {
+		return nil, err
+	}
 	if opts.TraceDir != "" {
 		err := dumpFiles(opts.TraceDir, campaign, specs, results, func(r *driver.Result) func(io.Writer) error {
 			if r.Spans == nil {
@@ -175,7 +179,7 @@ func runCampaign(opts Options, campaign string, specs []harness.Spec[*driver.Res
 			return func(w io.Writer) error { return r.Spans.WriteTo(w, dumpChunkRows) }
 		})
 		if err != nil {
-			panic(fmt.Sprintf("experiments: span dump failed: %v", err))
+			return nil, fmt.Errorf("experiments: span dump: %w", err)
 		}
 	}
 	if opts.MetricsDir != "" {
@@ -187,10 +191,10 @@ func runCampaign(opts Options, campaign string, specs []harness.Spec[*driver.Res
 			return func(w io.Writer) error { return colfile.WriteTable(w, r.Metrics.Reg.Snapshot(), dumpChunkRows) }
 		})
 		if err != nil {
-			panic(fmt.Sprintf("experiments: metrics dump failed: %v", err))
+			return nil, fmt.Errorf("experiments: metrics dump: %w", err)
 		}
 	}
-	return results
+	return results, nil
 }
 
 // dumpChunkRows is the chunk size of every per-run colfile a campaign dumps.

@@ -1,8 +1,28 @@
 package experiments
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"amrtools/internal/driver"
+	"amrtools/internal/harness"
+	"amrtools/internal/placement"
+	"amrtools/internal/telemetry"
+)
 
 var quick = Options{Quick: true, Seed: 1}
+
+// table fails t on a runner's error and otherwise returns its table:
+// table(t)(Fig7c(quick)).
+func table(t *testing.T) func(*telemetry.Table, error) *telemetry.Table {
+	return func(tab *telemetry.Table, err error) *telemetry.Table {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+}
 
 // TestFig7cWithinBudget checks the table's structure only: one cpl50 row per
 // quick scale, a positive measurement, and a budget flag that agrees with
@@ -10,7 +30,7 @@ var quick = Options{Quick: true, Seed: 1}
 // wall-clock question and belongs to the repo benchmark
 // (placement.cpl50_*_ms in BENCHMARK.json), not to a unit test.
 func TestFig7cWithinBudget(t *testing.T) {
-	tab := Fig7c(quick)
+	tab := table(t)(Fig7c(quick))
 	want := []int64{512, 2048, 8192}
 	if tab.NumRows() != len(want) {
 		t.Fatalf("%d rows, want one per quick scale %v:\n%s", tab.NumRows(), want, tab.Render(0))
@@ -70,5 +90,28 @@ func TestCubeDims(t *testing.T) {
 	}
 	if _, err := cubeDims(100); err == nil {
 		t.Error("cubeDims(100) accepted")
+	}
+}
+
+// panicky is a test-only policy whose Assign panics.
+type panicky struct{}
+
+func (panicky) Name() string { return "panicky" }
+
+func (panicky) Assign([]float64, int) placement.Assignment { panic("panicky: no placement") }
+
+// TestRunCampaignNamesPanickingSpec: a policy that panics inside one driver
+// run fails the campaign with the *harness.PanicError naming that spec; the
+// panic does not escape runCampaign.
+func TestRunCampaignNamesPanickingSpec(t *testing.T) {
+	opts := Options{Quick: true, Seed: 3, Exec: harness.Exec{Workers: 2}}
+	var specs []harness.Spec[*driver.Result]
+	for _, pol := range []placement.Policy{placement.Baseline{}, panicky{}, placement.LPT{}} {
+		specs = append(specs, opts.sedovSpec(pol.Name(), sedovConfig(QuickScale, pol, 6, opts.Seed)))
+	}
+	results, err := runCampaign(opts, "panicky", specs)
+	var pe *harness.PanicError
+	if results != nil || !errors.As(err, &pe) || pe.ID != "panicky" || pe.Value != "panicky: no placement" {
+		t.Fatalf("runCampaign = %v, %v; want the *harness.PanicError of spec panicky", results, err)
 	}
 }

@@ -23,7 +23,7 @@ import (
 //
 // Columns: placement_every, lb_steps, total_s, sync_s, rebalance_s,
 // improvement_pct (vs the never-re-place run).
-func LBIntervalSweep(opts Options) *telemetry.Table {
+func LBIntervalSweep(opts Options) (*telemetry.Table, error) {
 	out := telemetry.NewTable(
 		telemetry.IntCol("placement_every"), telemetry.IntCol("lb_steps"),
 		telemetry.FloatCol("total_s"), telemetry.FloatCol("sync_s"),
@@ -49,7 +49,11 @@ func LBIntervalSweep(opts Options) *telemetry.Table {
 		specs = append(specs, opts.sedovSpec(id, cfg))
 	}
 	var ref float64
-	for i, res := range runCampaign(opts, "lbinterval", specs) {
+	results, err := runCampaign(opts, "lbinterval", specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
 		every := intervals[i]
 		if every == never {
 			ref = res.Phases.Total()
@@ -65,7 +69,7 @@ func LBIntervalSweep(opts Options) *telemetry.Table {
 		out.Append(label, res.LBSteps, res.Phases.Total(),
 			res.Phases.Sync, res.Phases.Rebalance, imp)
 	}
-	return out
+	return out, nil
 }
 
 // HilbertOrderStudy compares block orderings for contiguous placement: the
@@ -73,21 +77,38 @@ func LBIntervalSweep(opts Options) *telemetry.Table {
 // Hilbert curve (an extension the paper leaves on the table). For each
 // ordering it reports the locality of the contiguous baseline assignment at
 // rank and node granularity. Hilbert's strictly-adjacent traversal usually
-// keeps more neighbor pairs on the same rank.
+// keeps more neighbor pairs on the same rank. The study is one spec: the
+// mesh and the Hilbert permutation are most of its work, so the harness
+// times and bounds all of it.
 //
 // Columns: ordering, blocks, rank_locality, node_locality.
-func HilbertOrderStudy(opts Options) *telemetry.Table {
-	out := telemetry.NewTable(
-		telemetry.StrCol("ordering"), telemetry.IntCol("blocks"),
-		telemetry.FloatCol("rank_locality"), telemetry.FloatCol("node_locality"),
-	)
+func HilbertOrderStudy(opts Options) (*telemetry.Table, error) {
 	ranks := 128
 	rootDims := [3]int{4, 4, 8}
 	if !opts.Quick {
 		ranks = 512
 		rootDims = [3]int{8, 8, 8}
 	}
-	rng := xrand.New(opts.Seed + 21)
+	tables, err := harness.Values(harness.Run(opts.Exec, "hilbert", []harness.Spec[*telemetry.Table]{{
+		ID: fmt.Sprintf("%dranks", ranks),
+		Run: func(*harness.Meter) (*telemetry.Table, error) {
+			return hilbertLocality(ranks, rootDims, opts.Seed), nil
+		},
+	}}))
+	if err != nil {
+		return nil, err
+	}
+	return tables[0], nil
+}
+
+// hilbertLocality builds the random mesh of HilbertOrderStudy and tabulates
+// the locality of the contiguous baseline assignment along each ordering.
+func hilbertLocality(ranks int, rootDims [3]int, seed uint64) *telemetry.Table {
+	out := telemetry.NewTable(
+		telemetry.StrCol("ordering"), telemetry.IntCol("blocks"),
+		telemetry.FloatCol("rank_locality"), telemetry.FloatCol("node_locality"),
+	)
+	rng := xrand.New(seed + 21)
 	m := mesh.RandomRefined(rootDims[0], rootDims[1], rootDims[2], 3, ranks*2, rng)
 	leaves := m.Leaves()
 	n := len(leaves)
@@ -119,48 +140,21 @@ func HilbertOrderStudy(opts Options) *telemetry.Table {
 		}
 	}
 	sort.Slice(hs, func(a, b int) bool { return hs[a].key < hs[b].key })
-	hilbertPos := make([]int, n) // morton index → hilbert position
+
+	// Morton ordering: the contiguous assignment indexed directly. Hilbert
+	// ordering: the same contiguous ranges laid along the Hilbert traversal,
+	// mapped back to Morton indexing for the locality metrics.
+	morton := placement.Baseline{}.Assign(unitCosts(n), ranks)
+	hilbert := make(placement.Assignment, n)
 	for pos, e := range hs {
-		hilbertPos[e.morton] = pos
+		hilbert[e.morton] = morton[pos]
 	}
-
-	base := placement.Baseline{}
-	costs := unitCosts(n)
-
-	// The mesh and Hilbert permutation above share one RNG stream and are
-	// built once; the two ordering evaluations are independent and fan out.
-	type locality struct{ rank, node float64 }
-	evalSpec := func(id string, assign func() placement.Assignment) harness.Spec[locality] {
-		return harness.Spec[locality]{
-			ID: id,
-			Run: func(m *harness.Meter) (locality, error) {
-				a := assign()
-				return locality{
-					rank: placement.LocalityFraction(adjMorton, a),
-					node: placement.NodeLocalityFraction(adjMorton, a, 16),
-				}, nil
-			},
-		}
-	}
-	specs := []harness.Spec[locality]{
-		// Morton ordering: assignment indexed directly.
-		evalSpec("morton", func() placement.Assignment {
-			return base.Assign(costs, ranks)
-		}),
-		// Hilbert ordering: contiguous ranges along the Hilbert traversal,
-		// mapped back to Morton indexing for the locality metrics.
-		evalSpec("hilbert", func() placement.Assignment {
-			aHilbertByPos := base.Assign(costs, ranks)
-			aHilbert := make(placement.Assignment, n)
-			for mortonIdx, pos := range hilbertPos {
-				aHilbert[mortonIdx] = aHilbertByPos[pos]
-			}
-			return aHilbert
-		}),
-	}
-	names := []string{"morton", "hilbert"}
-	for i, loc := range harness.MustValues(harness.Run(opts.Exec, "hilbert", specs)) {
-		out.Append(names[i], n, loc.rank, loc.node)
+	for _, o := range []struct {
+		name string
+		a    placement.Assignment
+	}{{"morton", morton}, {"hilbert", hilbert}} {
+		out.Append(o.name, n, placement.LocalityFraction(adjMorton, o.a),
+			placement.NodeLocalityFraction(adjMorton, o.a, 16))
 	}
 	return out
 }
@@ -175,7 +169,7 @@ func HilbertOrderStudy(opts Options) *telemetry.Table {
 // costs.
 //
 // Columns: ranks, mode, msgs_per_round, mean_round_ms, p99_round_ms.
-func NeighborhoodCollectives(opts Options) *telemetry.Table {
+func NeighborhoodCollectives(opts Options) (*telemetry.Table, error) {
 	out := telemetry.NewTable(
 		telemetry.IntCol("ranks"), telemetry.StrCol("mode"),
 		telemetry.IntCol("msgs_per_round"), telemetry.FloatCol("mean_round_ms"),
@@ -198,7 +192,7 @@ func NeighborhoodCollectives(opts Options) *telemetry.Table {
 	}
 	runs, err := roundCampaign(opts.Exec, "neighborhood", cells, meshes, rounds)
 	if err != nil {
-		panic(err) // statically-correct specs: harness.MustValues' contract
+		return nil, err
 	}
 	for i, mode := range modes {
 		var lats []float64
@@ -210,5 +204,5 @@ func NeighborhoodCollectives(opts Options) *telemetry.Table {
 		out.Append(sc.Ranks, mode, msgs/meshes,
 			stats.Mean(lats)*1e3, stats.Percentile(lats, 99)*1e3)
 	}
-	return out
+	return out, nil
 }

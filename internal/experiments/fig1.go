@@ -16,7 +16,7 @@ import (
 // message volume.
 //
 // Columns: config, corr, comm_cv, ack_stalls, shm_contentions.
-func Fig1Top(opts Options) *telemetry.Table {
+func Fig1Top(opts Options) (*telemetry.Table, error) {
 	out := telemetry.NewTable(
 		telemetry.StrCol("config"), telemetry.FloatCol("corr"),
 		telemetry.FloatCol("comm_cv"), telemetry.IntCol("ack_stalls"),
@@ -37,12 +37,16 @@ func Fig1Top(opts Options) *telemetry.Table {
 		}
 		specs = append(specs, opts.sedovSpec(name, cfg))
 	}
-	for i, res := range runCampaign(opts, "fig1top", specs) {
+	results, err := runCampaign(opts, "fig1top", specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
 		corr, cv := commCorrelation(res)
 		out.Append(names[i], corr, cv,
 			int(res.Census.AckStalls), int(res.Census.ShmContentions))
 	}
-	return out
+	return out, nil
 }
 
 // commCorrelation computes corr(per-rank message count, per-rank comm time)
@@ -63,7 +67,7 @@ func commCorrelation(res *driver.Result) (corr, cv float64) {
 //
 // Columns: config, send_waits, spikes_gt_1ms, p99_wait_ms, max_wait_ms,
 // mean_sync_per_step_ms.
-func Fig1Bottom(opts Options) *telemetry.Table {
+func Fig1Bottom(opts Options) (*telemetry.Table, error) {
 	out := telemetry.NewTable(
 		telemetry.StrCol("config"), telemetry.IntCol("send_waits"),
 		telemetry.IntCol("spikes_gt_1ms"), telemetry.FloatCol("p99_wait_ms"),
@@ -86,7 +90,11 @@ func Fig1Bottom(opts Options) *telemetry.Table {
 		cfg.CollectWaits = true
 		specs = append(specs, opts.sedovSpec(name, cfg))
 	}
-	for i, res := range runCampaign(opts, "fig1bottom", specs) {
+	results, err := runCampaign(opts, "fig1bottom", specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
 		name := names[i]
 		sendWaits := res.Waits.Filter(func(r int) bool {
 			return res.Waits.ValueAt("kind", r) == "send"
@@ -106,5 +114,5 @@ func Fig1Bottom(opts Options) *telemetry.Table {
 		out.Append(name, len(durs), spikes, p99*1e3, max*1e3,
 			res.Phases.Sync/float64(steps)*1e3)
 	}
-	return out
+	return out, nil
 }

@@ -21,7 +21,7 @@ import (
 // kernel time between the pre-run and post-run health checks (§IV-A runs the
 // probe on both sides of the job; drift means the node's condition changed
 // mid-run and the pre-run pruning decision may be stale).
-func Fig2(opts Options) *telemetry.Table {
+func Fig2(opts Options) (*telemetry.Table, error) {
 	out := telemetry.NewTable(
 		telemetry.StrCol("config"), telemetry.IntCol("nodes"),
 		telemetry.FloatCol("runtime_s"), telemetry.FloatCol("compute_s"),
@@ -72,7 +72,7 @@ func Fig2(opts Options) *telemetry.Table {
 	preProbes := health.ProbeNodes(poolNet)
 	healthy, err := checker.SelectHealthy(preProbes, want)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	prunedNet := health.PruneConfig(poolNet, healthy)
 	// Built from scratch, not copied from cfgNaive: the Problem inside a
@@ -81,10 +81,13 @@ func Fig2(opts Options) *telemetry.Table {
 	cfgPruned := sedovConfig(SedovScale{RootDims: rootFor(want)}, placement.Baseline{}, steps, opts.Seed)
 	cfgPruned.Net = prunedNet
 
-	results := runCampaign(opts, "fig2", []harness.Spec[*driver.Result]{
+	results, err := runCampaign(opts, "fig2", []harness.Spec[*driver.Result]{
 		opts.sedovSpec("throttled", cfgNaive),
 		opts.sedovSpec("health-pruned", cfgPruned),
 	})
+	if err != nil {
+		return nil, err
+	}
 	resNaive, resPruned := results[0], results[1]
 
 	// Post-run probe of the same pool (§IV-A probes on both sides of the
@@ -105,7 +108,7 @@ func Fig2(opts Options) *telemetry.Table {
 		resPruned.Phases.Sync/resPruned.Phases.Total(),
 		throttledComputeRatio(resPruned.Steps, prunedNet.ThrottledNodes),
 		resNaive.Makespan/resPruned.Makespan, drift)
-	return out
+	return out, nil
 }
 
 // maxProbeDrift returns the worst |post-pre|/pre kernel-time change across

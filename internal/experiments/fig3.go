@@ -14,7 +14,7 @@ import (
 // telemetry structure (and restoring the volume↔time correlation).
 //
 // Columns: stage, mean_comm_ms_per_step, comm_cv, corr, shm_contentions.
-func Fig3(opts Options) *telemetry.Table {
+func Fig3(opts Options) (*telemetry.Table, error) {
 	out := telemetry.NewTable(
 		telemetry.StrCol("stage"), telemetry.FloatCol("mean_comm_ms_per_step"),
 		telemetry.FloatCol("comm_cv"), telemetry.FloatCol("corr"),
@@ -49,11 +49,15 @@ func Fig3(opts Options) *telemetry.Table {
 		cfg.SendsFirst = s.sendsFirst
 		specs = append(specs, opts.sedovSpec(s.name, cfg))
 	}
-	for i, res := range runCampaign(opts, "fig3", specs) {
+	results, err := runCampaign(opts, "fig3", specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
 		corr, cv := commCorrelation(res)
 		out.Append(stages[i].name,
 			res.Phases.Comm/float64(steps)*1e3, cv, corr,
 			int(res.Census.ShmContentions))
 	}
-	return out
+	return out, nil
 }

@@ -20,7 +20,7 @@ import (
 //
 // Columns: window, ranks_on_path, cross_rank_edges, makespan_ms,
 // wait_on_path_ms, principle_holds (1/0).
-func Fig4(opts Options) *telemetry.Table {
+func Fig4(opts Options) (*telemetry.Table, error) {
 	out := telemetry.NewTable(
 		telemetry.StrCol("window"), telemetry.IntCol("ranks_on_path"),
 		telemetry.IntCol("cross_rank_edges"), telemetry.FloatCol("makespan_ms"),
@@ -54,7 +54,11 @@ func Fig4(opts Options) *telemetry.Table {
 			},
 		})
 	}
-	for i, w := range harness.MustValues(harness.Run(opts.Exec, "fig4-windows", windowSpecs)) {
+	windows, err := harness.Values(harness.Run(opts.Exec, "fig4-windows", windowSpecs))
+	if err != nil {
+		return nil, err
+	}
+	for i, w := range windows {
 		out.Append(fmt.Sprintf("random-%dranks", scales[i]),
 			len(w.res.Ranks), w.res.CrossRankEdges,
 			w.res.Makespan*1e3, w.res.WaitOnPath*1e3, w.holds)
@@ -72,10 +76,14 @@ func Fig4(opts Options) *telemetry.Table {
 		cfg.CollectSteps = false
 		specs = append(specs, opts.sedovSpec(name, cfg))
 	}
-	for i, res := range runCampaign(opts, "fig4-sedov", specs) {
+	results, err := runCampaign(opts, "fig4-sedov", specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
 		tr, err := critpath.FromSpans(res.Spans.Table(), fig4Step)
 		if err != nil {
-			panic(fmt.Sprintf("experiments: fig4 %s: %v", names[i], err))
+			return nil, fmt.Errorf("experiments: fig4 %s: %w", names[i], err)
 		}
 		cpRes, ok := critpath.CheckTwoRankPrinciple(tr)
 		holds := 0
@@ -102,7 +110,7 @@ func Fig4(opts Options) *telemetry.Table {
 		out.Append(name, len(res.Ranks), res.CrossRankEdges,
 			res.Makespan*1e3, res.WaitOnPath*1e3, holds)
 	}
-	return out
+	return out, nil
 }
 
 // fig4Step is the timestep whose synchronization window Fig 4 analyzes:

@@ -43,7 +43,7 @@ var fig4Golden = map[uint64]map[string]fig4Row{
 func TestFig4SedovWindowGolden(t *testing.T) {
 	for _, quick := range []bool{true, false} {
 		for seed, want := range fig4Golden {
-			tab := Fig4(Options{Quick: quick, Seed: seed})
+			tab := table(t)(Fig4(Options{Quick: quick, Seed: seed}))
 			seen := 0
 			for r := 0; r < tab.NumRows(); r++ {
 				w, ok := want[tab.Strings("window")[r]]
@@ -70,7 +70,7 @@ func TestFig4SedovWindowGolden(t *testing.T) {
 // recorder.
 func TestFromSpansOnSpanColfile(t *testing.T) {
 	dir := t.TempDir()
-	Fig4(Options{Quick: true, Seed: 42, TraceDir: dir})
+	table(t)(Fig4(Options{Quick: true, Seed: 42, TraceDir: dir}))
 	for name, want := range fig4Golden[42] {
 		data, err := os.ReadFile(filepath.Join(dir, "fig4-sedov--"+name+".col"))
 		if err != nil {

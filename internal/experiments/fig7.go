@@ -21,7 +21,7 @@ import (
 // placement) are discarded, exactly as the paper does.
 //
 // Columns: ranks, policy, mean_round_ms, p99_round_ms, remote_share.
-func Fig7a(opts Options) *telemetry.Table {
+func Fig7a(opts Options) (*telemetry.Table, error) {
 	scales := []SedovScale{TableIScales[0], TableIScales[2]} // 512, 2048 ranks
 	meshes, rounds := 5, 20
 	if opts.Quick {
@@ -36,11 +36,7 @@ func Fig7a(opts Options) *telemetry.Table {
 			cells = append(cells, roundCell{id: id, sc: sc, pol: pol, seed: opts.Seed + uint64(sc.Ranks)})
 		}
 	}
-	out, err := commbench(opts.Exec, "fig7a", cells, meshes, rounds)
-	if err != nil {
-		panic(err) // statically-correct specs: harness.MustValues' contract
-	}
-	return out
+	return commbench(opts.Exec, "fig7a", cells, meshes, rounds)
 }
 
 // commbench is the reduce behind Fig7a and Commbench: one row per cell
@@ -139,7 +135,7 @@ func cubeDims(ranks int) ([3]int, error) {
 // representative block-cost distributions, at 1.5 blocks per rank.
 //
 // Columns: ranks, dist, policy, norm_makespan.
-func Fig7b(opts Options) *telemetry.Table {
+func Fig7b(opts Options) (*telemetry.Table, error) {
 	out := telemetry.NewTable(
 		telemetry.IntCol("ranks"), telemetry.StrCol("dist"),
 		telemetry.StrCol("policy"), telemetry.FloatCol("norm_makespan"),
@@ -187,12 +183,16 @@ func Fig7b(opts Options) *telemetry.Table {
 			})
 		}
 	}
-	for i, rows := range harness.MustValues(harness.Run(opts.Exec, "fig7b", specs)) {
+	runs, err := harness.Values(harness.Run(opts.Exec, "fig7b", specs))
+	if err != nil {
+		return nil, err
+	}
+	for i, rows := range runs {
 		for _, r := range rows {
 			out.Append(cells[i].ranks, cells[i].dist, r.policy, r.norm)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Fig7c is scalebench's overhead panel (§VI-C bottom): wall-clock placement
@@ -201,7 +201,7 @@ func Fig7b(opts Options) *telemetry.Table {
 // line is 50 ms per redistribution.
 //
 // Columns: ranks, policy, placement_ms, within_50ms_budget (1/0).
-func Fig7c(opts Options) *telemetry.Table {
+func Fig7c(opts Options) (*telemetry.Table, error) {
 	out := telemetry.NewTable(
 		telemetry.IntCol("ranks"), telemetry.StrCol("policy"),
 		telemetry.FloatCol("placement_ms"), telemetry.IntCol("within_50ms_budget"),
@@ -256,10 +256,14 @@ func Fig7c(opts Options) *telemetry.Table {
 			},
 		})
 	}
-	for i, rows := range harness.MustValues(harness.Run(opts.Exec.Serial(), "fig7c", specs)) {
+	runs, err := harness.Values(harness.Run(opts.Exec.Serial(), "fig7c", specs))
+	if err != nil {
+		return nil, err
+	}
+	for i, rows := range runs {
 		for _, r := range rows {
 			out.Append(scales[i], r.policy, r.ms, r.within)
 		}
 	}
-	return out
+	return out, nil
 }

@@ -22,7 +22,7 @@ import (
 //
 // Columns: blocks, ranks, lpt_makespan, solver_makespan, solver_optimal,
 // gap_pct.
-func LPTvsILP(opts Options) *telemetry.Table {
+func LPTvsILP(opts Options) (*telemetry.Table, error) {
 	out := telemetry.NewTable(
 		telemetry.IntCol("blocks"), telemetry.IntCol("ranks"),
 		telemetry.FloatCol("lpt_makespan"), telemetry.FloatCol("solver_makespan"),
@@ -66,9 +66,13 @@ func LPTvsILP(opts Options) *telemetry.Table {
 			},
 		})
 	}
-	for i, v := range harness.MustValues(harness.Run(opts.Exec, "lptilp", specs)) {
+	verdicts, err := harness.Values(harness.Run(opts.Exec, "lptilp", specs))
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range verdicts {
 		gap := 100 * (v.lpt - v.makespan) / v.lpt
 		out.Append(sizes[i].n, sizes[i].r, v.lpt, v.makespan, v.optimal, gap)
 	}
-	return out
+	return out, nil
 }

@@ -23,7 +23,10 @@ func metricsCampaign(t *testing.T, opts Options) []string {
 		cfg := sedovConfig(sc, pol, 10, opts.Seed)
 		specs = append(specs, opts.sedovSpec(fmt.Sprintf("m/%d", i), cfg))
 	}
-	results := runCampaign(opts, "metrics-identity", specs)
+	results, err := runCampaign(opts, "metrics-identity", specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make([]string, len(results))
 	for i, res := range results {
 		if res.Metrics == nil {
@@ -60,7 +63,7 @@ func TestExecMetricsReachesEveryCampaign(t *testing.T) {
 	camp := metrics.NewCampaign()
 	opts := Options{Quick: true, Seed: 11, Exec: harness.Exec{Workers: 2, Metrics: camp}}
 
-	Fig7b(opts) // 2 scales x 3 distributions
+	table(t)(Fig7b(opts)) // 2 scales x 3 distributions
 	st := camp.StatusNow()
 	if st.AllDone != 6 || st.AllTotal != 6 || st.Campaign != "fig7b" {
 		t.Fatalf("after fig7b: campaign %q, %d/%d runs done; want fig7b, 6/6", st.Campaign, st.AllDone, st.AllTotal)

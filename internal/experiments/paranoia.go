@@ -33,19 +33,25 @@ var differentialPairs = []struct {
 //
 // Columns: pair, mesh, ranks, makespan_a, makespan_b, equal (1 when the two
 // runs match on makespan, census, and final block count).
-func Differential(opts Options) *telemetry.Table {
+func Differential(opts Options) (*telemetry.Table, error) {
 	j1, j4 := opts, opts
 	j1.Exec.Workers = 1
 	j4.Exec.Workers = 4
-	t1 := differentialTable(j1)
-	t4 := differentialTable(j4)
+	t1, err := differentialTable(j1)
+	if err != nil {
+		return nil, err
+	}
+	t4, err := differentialTable(j4)
+	if err != nil {
+		return nil, err
+	}
 	jEqual := 0
 	if telemetry.EqualMasked(t1, t4, NondetCols...) {
 		jEqual = 1
 	}
 	sc := opts.scales()[0]
 	t4.Append("j1-vs-j4", sc.MeshDesc, sc.Ranks, 0.0, 0.0, jEqual)
-	return t4
+	return t4, nil
 }
 
 // differentialTable runs the pair campaign once under the given options and
@@ -54,7 +60,7 @@ func Differential(opts Options) *telemetry.Table {
 // byte-identical too. Host-plane metrics are excluded by construction —
 // SimSnapshot never contains them — so wall-clock-dependent series can never
 // fail (or mask a failure of) the differential audit.
-func differentialTable(opts Options) *telemetry.Table {
+func differentialTable(opts Options) (*telemetry.Table, error) {
 	sc := opts.scales()[0]
 	steps := opts.steps()
 	var specs []harness.Spec[*driver.Result]
@@ -66,7 +72,10 @@ func differentialTable(opts Options) *telemetry.Table {
 			specs = append(specs, opts.sedovSpec(fmt.Sprintf("%s/%d", p.ID, side), cfg))
 		}
 	}
-	results := runCampaign(opts, "differential", specs)
+	results, err := runCampaign(opts, "differential", specs)
+	if err != nil {
+		return nil, err
+	}
 
 	t := telemetry.NewTable(
 		telemetry.StrCol("pair"), telemetry.StrCol("mesh"), telemetry.IntCol("ranks"),
@@ -82,5 +91,5 @@ func differentialTable(opts Options) *telemetry.Table {
 		}
 		t.Append(p.ID, sc.MeshDesc, sc.Ranks, a.Makespan, b.Makespan, equal)
 	}
-	return t
+	return t, nil
 }

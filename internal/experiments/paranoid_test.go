@@ -16,7 +16,7 @@ func TestMain(m *testing.M) {
 }
 
 func TestDifferentialIdentitiesHold(t *testing.T) {
-	tbl := Differential(Options{Quick: true, Seed: 5})
+	tbl := table(t)(Differential(Options{Quick: true, Seed: 5}))
 	if tbl.NumRows() != len(differentialPairs)+1 {
 		t.Fatalf("differential rows = %d, want %d", tbl.NumRows(), len(differentialPairs)+1)
 	}

@@ -52,7 +52,7 @@ func ScaleConfig(ranks int, paranoid bool, seed uint64) (driver.Config, error) {
 //
 // Columns: ranks, blocks, makespan, rank_meta_b, partition_b, handoffs,
 // installs.
-func Scale(opts Options) *telemetry.Table {
+func Scale(opts Options) (*telemetry.Table, error) {
 	out := telemetry.NewTable(
 		telemetry.IntCol("ranks"), telemetry.IntCol("blocks"),
 		telemetry.FloatCol("makespan"), telemetry.IntCol("rank_meta_b"),
@@ -68,10 +68,14 @@ func Scale(opts Options) *telemetry.Table {
 		}
 		specs = append(specs, opts.sedovSpec(fmt.Sprintf("%dranks", r), cfg))
 	}
-	for i, res := range runCampaign(opts, "scale", specs) {
+	results, err := runCampaign(opts, "scale", specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
 		out.Append(ranks[i], res.FinalBlocks, res.Makespan,
 			res.MaxRankMetaBytes, res.PartitionBytes,
 			res.Deltas.Handoffs, res.Deltas.Installs)
 	}
-	return out
+	return out, nil
 }

@@ -15,7 +15,7 @@ import (
 // emergent from the simulation.
 //
 // Columns: ranks, mesh, t_total, t_lb, n_initial, n_final.
-func TableI(opts Options) *telemetry.Table {
+func TableI(opts Options) (*telemetry.Table, error) {
 	out := telemetry.NewTable(
 		telemetry.IntCol("ranks"), telemetry.StrCol("mesh"),
 		telemetry.IntCol("t_total"), telemetry.IntCol("t_lb"),
@@ -29,11 +29,15 @@ func TableI(opts Options) *telemetry.Table {
 		cfg.CollectSteps = false // Table I only needs mesh statistics
 		specs = append(specs, opts.sedovSpec(fmt.Sprintf("%dranks", sc.Ranks), cfg))
 	}
-	for i, res := range runCampaign(opts, "table1", specs) {
+	results, err := runCampaign(opts, "table1", specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
 		out.Append(scales[i].Ranks, scales[i].MeshDesc, steps, res.LBSteps,
 			res.InitialBlocks, res.FinalBlocks)
 	}
-	return out
+	return out, nil
 }
 
 // Fig6 runs the full placement evaluation (the paper's headline experiment)
@@ -45,7 +49,7 @@ func TableI(opts Options) *telemetry.Table {
 //	    (the load–locality tradeoff);
 //	C – local (intra-node) vs remote message counts normalized to the
 //	    baseline total (locality degradation with X).
-func Fig6(opts Options) (a, b, c *telemetry.Table) {
+func Fig6(opts Options) (a, b, c *telemetry.Table, err error) {
 	a = telemetry.NewTable(
 		telemetry.IntCol("ranks"), telemetry.StrCol("policy"),
 		telemetry.FloatCol("total_s"), telemetry.FloatCol("compute_s"),
@@ -82,14 +86,18 @@ func Fig6(opts Options) (a, b, c *telemetry.Table) {
 				sedovConfig(sc, pol, steps, opts.Seed)))
 		}
 	}
+	results, err := runCampaign(opts, "fig6", specs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	var base *driver.Result
-	for i, res := range runCampaign(opts, "fig6", specs) {
+	for i, res := range results {
 		if cells[i].pol.Name() == "baseline" {
 			base = res
 		}
 		appendFig6Rows(a, b, c, cells[i].sc.Ranks, cells[i].pol.Name(), res, base)
 	}
-	return a, b, c
+	return a, b, c, nil
 }
 
 // chunkFor returns the CDP chunk size the paper uses at scale (512-rank
@@ -140,7 +148,7 @@ func appendFig6Rows(a, b, c *telemetry.Table, ranks int, policy string, res, bas
 // smaller — but same-signed — placement gains.
 //
 // Columns: problem, policy, total_s, improvement_pct.
-func Fig6Cooling(opts Options) *telemetry.Table {
+func Fig6Cooling(opts Options) (*telemetry.Table, error) {
 	out := telemetry.NewTable(
 		telemetry.StrCol("problem"), telemetry.StrCol("policy"),
 		telemetry.FloatCol("total_s"), telemetry.FloatCol("improvement_pct"),
@@ -167,7 +175,11 @@ func Fig6Cooling(opts Options) *telemetry.Table {
 		}
 	}
 	var baseTotal float64
-	for i, res := range runCampaign(opts, "cooling", specs) {
+	results, err := runCampaign(opts, "cooling", specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
 		improvement := 0.0
 		if cells[i].pol.Name() == "baseline" {
 			baseTotal = res.Phases.Total()
@@ -176,5 +188,5 @@ func Fig6Cooling(opts Options) *telemetry.Table {
 		}
 		out.Append(cells[i].problem, cells[i].pol.Name(), res.Phases.Total(), improvement)
 	}
-	return out
+	return out, nil
 }

@@ -72,7 +72,11 @@ func checkShapes(t *testing.T, exp string) {
 		claims = append(claims, c)
 		for _, id := range c.Exps {
 			if shapeRuns[id] == nil {
-				shapeRuns[id] = Suite()[slices.IndexFunc(Suite(), func(e Experiment) bool { return e.ID == id })].Run(quick)
+				nts, err := Suite()[slices.IndexFunc(Suite(), func(e Experiment) bool { return e.ID == id })].Run(quick)
+				if err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+				shapeRuns[id] = nts
 			}
 			ts[id] = shapeRuns[id]
 		}

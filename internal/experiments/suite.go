@@ -16,62 +16,58 @@ type NamedTable struct {
 }
 
 // Experiment is one entry of the paper's evaluation: a stable id (used by
-// the -only flag), a human title, and a runner producing one or more tables.
+// the -only flag), a human title, and a runner producing one or more tables
+// or the error of the run that failed.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(Options) []NamedTable
+	Run   func(Options) ([]NamedTable, error)
 }
 
-func one(t *telemetry.Table) []NamedTable { return []NamedTable{{Table: t}} }
+// single adapts a one-table runner to Experiment.Run.
+func single(run func(Options) (*telemetry.Table, error)) func(Options) ([]NamedTable, error) {
+	return func(o Options) ([]NamedTable, error) {
+		t, err := run(o)
+		if err != nil {
+			return nil, err
+		}
+		return []NamedTable{{Table: t}}, nil
+	}
+}
 
 // Suite returns every experiment in presentation order (the order DESIGN.md
 // documents and cmd/experiments prints).
 func Suite() []Experiment {
 	return []Experiment{
-		{"fig1top", "Fig 1 (top): telemetry correlation before/after tuning",
-			func(o Options) []NamedTable { return one(Fig1Top(o)) }},
-		{"fig1bottom", "Fig 1 (bottom): MPI_Wait spikes and drain-queue mitigation",
-			func(o Options) []NamedTable { return one(Fig1Bottom(o)) }},
-		{"fig2", "Fig 2: thermal throttling and health-check pruning",
-			func(o Options) []NamedTable { return one(Fig2(o)) }},
-		{"fig3", "Fig 3: rankwise boundary communication across tuning stages",
-			func(o Options) []NamedTable { return one(Fig3(o)) }},
-		{"fig4", "Fig 4: critical paths within a synchronization window",
-			func(o Options) []NamedTable { return one(Fig4(o)) }},
-		{"table1", "Table I: Sedov Blast Wave 3D problem configurations",
-			func(o Options) []NamedTable { return one(TableI(o)) }},
+		{"fig1top", "Fig 1 (top): telemetry correlation before/after tuning", single(Fig1Top)},
+		{"fig1bottom", "Fig 1 (bottom): MPI_Wait spikes and drain-queue mitigation", single(Fig1Bottom)},
+		{"fig2", "Fig 2: thermal throttling and health-check pruning", single(Fig2)},
+		{"fig3", "Fig 3: rankwise boundary communication across tuning stages", single(Fig3)},
+		{"fig4", "Fig 4: critical paths within a synchronization window", single(Fig4)},
+		{"table1", "Table I: Sedov Blast Wave 3D problem configurations", single(TableI)},
 		{"fig6", "Fig 6: placement policy evaluation (Sedov, 512-4096 ranks)",
-			func(o Options) []NamedTable {
-				a, b, c := Fig6(o)
+			func(o Options) ([]NamedTable, error) {
+				a, b, c, err := Fig6(o)
+				if err != nil {
+					return nil, err
+				}
 				return []NamedTable{
 					{"(a) runtime by phase", a},
 					{"(b) comm/sync vs baseline", b},
 					{"(c) message locality", c},
-				}
+				}, nil
 			}},
-		{"cooling", "§VI: galaxy-cooling comparison (directionally similar)",
-			func(o Options) []NamedTable { return one(Fig6Cooling(o)) }},
-		{"fig7a", "Fig 7 (top): commbench round latency vs locality",
-			func(o Options) []NamedTable { return one(Fig7a(o)) }},
-		{"fig7b", "Fig 7 (middle): scalebench normalized makespan",
-			func(o Options) []NamedTable { return one(Fig7b(o)) }},
-		{"fig7c", "Fig 7 (bottom): placement computation overhead",
-			func(o Options) []NamedTable { return one(Fig7c(o)) }},
-		{"lptilp", "§V-B: LPT vs exact solver",
-			func(o Options) []NamedTable { return one(LPTvsILP(o)) }},
-		{"ablations", "Design ablations: cost source, rebalance ends, EWMA alpha",
-			func(o Options) []NamedTable { return one(Ablations(o)) }},
-		{"lbinterval", "Extension: deferred load balancing (placement trigger frequency)",
-			func(o Options) []NamedTable { return one(LBIntervalSweep(o)) }},
-		{"hilbert", "Extension: Hilbert vs Morton block ordering",
-			func(o Options) []NamedTable { return one(HilbertOrderStudy(o)) }},
-		{"neighborhood", "Extension: neighborhood-collective aggregation vs raw P2P",
-			func(o Options) []NamedTable { return one(NeighborhoodCollectives(o)) }},
-		{"scale", "Extension: distributed-forest rank scaling (per-rank metadata economy)",
-			func(o Options) []NamedTable { return one(Scale(o)) }},
-		{"differential", "Differential audit: CPL0 = CDP, CPL100 = LPT, -j identity (paranoid)",
-			func(o Options) []NamedTable { return one(Differential(o)) }},
+		{"cooling", "§VI: galaxy-cooling comparison (directionally similar)", single(Fig6Cooling)},
+		{"fig7a", "Fig 7 (top): commbench round latency vs locality", single(Fig7a)},
+		{"fig7b", "Fig 7 (middle): scalebench normalized makespan", single(Fig7b)},
+		{"fig7c", "Fig 7 (bottom): placement computation overhead", single(Fig7c)},
+		{"lptilp", "§V-B: LPT vs exact solver", single(LPTvsILP)},
+		{"ablations", "Design ablations: cost source, rebalance ends, EWMA alpha", single(Ablations)},
+		{"lbinterval", "Extension: deferred load balancing (placement trigger frequency)", single(LBIntervalSweep)},
+		{"hilbert", "Extension: Hilbert vs Morton block ordering", single(HilbertOrderStudy)},
+		{"neighborhood", "Extension: neighborhood-collective aggregation vs raw P2P", single(NeighborhoodCollectives)},
+		{"scale", "Extension: distributed-forest rank scaling (per-rank metadata economy)", single(Scale)},
+		{"differential", "Differential audit: CPL0 = CDP, CPL100 = LPT, -j identity (paranoid)", single(Differential)},
 	}
 }
 

@@ -17,7 +17,7 @@ func TestTraceDumpDeterministicAcrossWorkers(t *testing.T) {
 		dir := t.TempDir()
 		opts := Options{Quick: true, Seed: 42, TraceDir: dir,
 			Exec: harness.Exec{Workers: workers}}
-		Fig2(opts)
+		table(t)(Fig2(opts))
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)

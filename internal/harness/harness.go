@@ -347,24 +347,19 @@ func call[T any](s Spec[T], m *Meter) (value T, err error, status Status) {
 }
 
 // Values extracts the spec values in spec order, returning the first
-// failure (error, panic, or timeout) if any run did not succeed.
+// failure (error, panic, or timeout) if any run did not succeed. The error
+// names the failed spec: PanicError and TimeoutError carry its id, and a
+// spec's own error is wrapped with it (errors.Is still reaches the cause).
 func Values[T any](results []Result[T]) ([]T, error) {
 	out := make([]T, len(results))
 	for i, r := range results {
+		if r.Status == StatusErr {
+			return nil, fmt.Errorf("harness: spec %q: %w", r.ID, r.Err)
+		}
 		if r.Err != nil {
 			return nil, r.Err
 		}
 		out[i] = r.Value
 	}
 	return out, nil
-}
-
-// MustValues is Values for campaigns with statically-correct specs (the
-// experiment definitions): any failure panics.
-func MustValues[T any](results []Result[T]) []T {
-	out, err := Values(results)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }

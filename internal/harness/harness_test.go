@@ -108,8 +108,8 @@ func TestSpecErrorDoesNotStopPlan(t *testing.T) {
 	if results[3].Status != StatusOK || results[3].Value != 3 {
 		t.Fatalf("result 3 = %+v", results[3])
 	}
-	if _, err := Values(results); !errors.Is(err, wantErr) {
-		t.Fatalf("Values err = %v", err)
+	if _, err := Values(results); !errors.Is(err, wantErr) || !strings.Contains(err.Error(), `"spec-01"`) {
+		t.Fatalf("Values err = %v, want spec-01's error naming the spec", err)
 	}
 }
 
@@ -245,16 +245,6 @@ func TestZeroSpecsAndWorkerClamp(t *testing.T) {
 	if ran != 2 || len(results) != 2 {
 		t.Fatalf("ran=%d results=%d", ran, len(results))
 	}
-}
-
-func TestMustValuesPanicsOnFailure(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustValues did not panic")
-		}
-	}()
-	MustValues(Run(Exec{}, "must",
-		plan(1, func(i int, m *Meter) (int, error) { return 0, errors.New("no") })))
 }
 
 func TestSerialPinsOneWorker(t *testing.T) {
