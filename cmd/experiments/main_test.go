@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,18 +26,28 @@ func experimentsCLI(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// maskNondet blanks the experiments.NondetCols fields of a rendered table
-// (header line, dash line, rows) so wall-clock columns compare equal.
+// hostCols names the host-plane columns of a quick Fig 7c table, the only
+// rendered table with host readings: its schema says which they are.
+var hostCols = sync.OnceValues(func() ([]string, error) {
+	tab, err := experiments.Fig7c(experiments.Options{Quick: true, Seed: 42})
+	if err != nil {
+		return nil, err
+	}
+	return tab.HostCols(), nil
+})
+
+// maskNondet blanks the host-plane fields of a rendered table (header line,
+// dash line, rows) so wall-clock columns compare equal.
 func maskNondet(t *testing.T, table []string) []string {
 	t.Helper()
+	host, err := hostCols()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cols := strings.Fields(table[0])
 	masked := map[int]bool{}
 	for i, c := range cols {
-		for _, nd := range experiments.NondetCols {
-			if c == nd {
-				masked[i] = true
-			}
-		}
+		masked[i] = slices.Contains(host, c)
 	}
 	out := []string{strings.Join(cols, " ")}
 	for _, line := range table[2:] {
@@ -254,9 +265,14 @@ func TestSuiteRunsOnAfterFailure(t *testing.T) {
 }
 
 // TestOutIdenticalAcrossWorkers: the campaign telemetry of one quick
-// campaign is the same at -j 1 and -j 2 once experiments.NondetCols are
-// masked; every other column is simulated or plan-derived.
+// campaign is the same run after run, and at -j 1 and -j 2, in every column
+// the recorder declares sim-plane. A file read back is all-sim (the plane is
+// not stored), so the recorder's own schema names the columns to compare.
 func TestOutIdenticalAcrossWorkers(t *testing.T) {
+	var sim []string
+	for _, s := range harness.NewRecorder().Table().Sim().Schema() {
+		sim = append(sim, s.Name)
+	}
 	read := func(workers string) *telemetry.Table {
 		out := filepath.Join(t.TempDir(), "campaign.col")
 		if code, _, stderr := experimentsCLI("-quick", "-j", workers, "-only", "fig1top", "-out", out); code != 0 {
@@ -275,11 +291,13 @@ func TestOutIdenticalAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tab
+		return tab.Select(sim...)
 	}
-	j1, j2 := read("1"), read("2")
-	if j1.NumRows() != 3 || !telemetry.EqualMasked(j1, j2, experiments.NondetCols...) {
-		t.Fatalf("campaign telemetry differs between -j 1 and -j 2 outside %v:\n%s\n%s",
-			experiments.NondetCols, j1.Render(0), j2.Render(0))
+	j1 := read("1")
+	for _, again := range []struct{ what, workers string }{{"a second -j 1 run", "1"}, {"-j 2", "2"}} {
+		if other := read(again.workers); j1.NumRows() != 3 || !telemetry.Equal(j1, other) {
+			t.Fatalf("campaign telemetry differs between -j 1 and %s in %v:\n%s\n%s",
+				again.what, sim, j1.Render(0), other.Render(0))
+		}
 	}
 }

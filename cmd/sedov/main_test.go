@@ -20,7 +20,8 @@ func sedovCLI(args ...string) (code int, stdout, stderr string) {
 }
 
 // wallLine is the one wall-clock line of the report (the driver's measured
-// placement cost): masked like experiments.NondetCols.
+// placement cost): masked here as a host-plane column is dropped by
+// telemetry.Table.Sim.
 var wallLine = regexp.MustCompile(`worst [0-9.]+ ms`)
 
 // TestCLI pins exit codes and the report's shape on the smallest Table I

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,21 +38,35 @@ func TestParallelMatchesSequential(t *testing.T) {
 // TestParallelMatchesSequentialFig7c covers the campaign earlier identity
 // tests had to skip: Fig 7c measures host wall clock (placement_ms and its
 // budget verdict never reproduce), so its j1-vs-jN identity only holds —
-// and is only meaningful — under the nondeterministic-column mask.
+// and is only meaningful — on its sim-plane columns.
 func TestParallelMatchesSequentialFig7c(t *testing.T) {
 	tab := func(workers int) *telemetry.Table {
 		opts := Options{Quick: true, Seed: 42, Exec: harness.Exec{Workers: workers}}
 		return table(t)(Fig7c(opts))
 	}
 	serial, parallel := tab(1), tab(3)
-	if !telemetry.EqualMasked(serial, parallel, NondetCols...) {
-		t.Fatalf("Fig7c virtual-time columns differ between -j 1 and -j 3:\n--- j=1 ---\n%s\n--- j=3 ---\n%s",
+	if !telemetry.Equal(serial.Sim(), parallel.Sim()) {
+		t.Fatalf("Fig7c sim-plane columns differ between -j 1 and -j 3:\n--- j=1 ---\n%s\n--- j=3 ---\n%s",
 			serial.Render(0), parallel.Render(0))
 	}
-	// The masked columns must be exactly the wall-clock ones: masking must
-	// not have hidden a whole-schema mismatch.
-	if got := len(serial.Schema()) - len(serial.Without("placement_ms", "within_50ms_budget").Schema()); got != 2 {
-		t.Fatalf("expected exactly 2 wall columns masked, got %d", got)
+	// Sim must drop exactly the wall-clock columns: the plane must not
+	// have hidden a whole-schema mismatch.
+	if got, want := serial.NumCols()-serial.Sim().NumCols(), 2; got != want {
+		t.Fatalf("Sim dropped %d columns, want %d", got, want)
+	}
+	if got, want := serial.HostCols(), []string{"placement_ms", "within_50ms_budget"}; !slices.Equal(got, want) {
+		t.Fatalf("host-plane columns %v, want %v", got, want)
+	}
+}
+
+// TestNondetColsSet pins the derived list to the names the bench module's
+// digest mask has always dropped: a column that leaves the host plane, or a
+// new one that joins it, moves every bench digest and must be deliberate.
+func TestNondetColsSet(t *testing.T) {
+	got := slices.Sorted(slices.Values(NondetCols))
+	want := []string{"alloc_mb", "heap_mb", "mallocs", "placement_ms", "wall_ms", "within_50ms_budget"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("NondetCols %v, want the set %v", NondetCols, want)
 	}
 }
 

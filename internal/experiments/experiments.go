@@ -36,7 +36,7 @@ import (
 	"amrtools/internal/metrics"
 	"amrtools/internal/physics"
 	"amrtools/internal/placement"
-	"amrtools/internal/simnet"
+	"amrtools/internal/telemetry"
 	"amrtools/internal/trace"
 )
 
@@ -79,13 +79,11 @@ func (o Options) metricsOn() bool {
 	return o.Exec.Metrics != nil || o.MetricsDir != ""
 }
 
-// NondetCols names the host-derived columns that byte-identity checks must
-// mask out (telemetry.EqualMasked): the harness recorder's wall_ms, heap_mb,
-// and its process-wide alloc_mb and mallocs, and Fig 7c's placement_ms with
-// its derived budget verdict. Every other column comes from virtual time or
-// deterministic plan construction and must reproduce bit-for-bit across -j,
-// GOMAXPROCS, and hosts.
-var NondetCols = []string{"wall_ms", "heap_mb", "alloc_mb", "mallocs", "placement_ms", "within_50ms_budget"}
+// NondetCols names the host-plane columns of the harness recorder's and Fig
+// 7c's schemas, the two tables with host readings. Identity checks compare
+// Table.Sim views; the list is kept for the bench module's digest mask
+// only, and goes once that mask reads the plane.
+var NondetCols = append(harness.NewRecorder().Table().HostCols(), telemetry.NewTable(fig7cSchema...).HostCols()...)
 
 // SedovScale is one Table I configuration.
 type SedovScale struct {
@@ -230,11 +228,6 @@ func dumpFiles(dir, campaign string, specs []harness.Spec[*driver.Result], resul
 		}
 	}
 	return nil
-}
-
-// untunedNet is the pre-§IV environment for a given cluster size.
-func untunedNet(nodes, ranksPerNode int, seed uint64) simnet.Config {
-	return simnet.Untuned(nodes, ranksPerNode, seed)
 }
 
 // unitCosts returns n unit block costs (the framework default).

@@ -32,7 +32,7 @@ func Fig1Top(opts Options) (*telemetry.Table, error) {
 	for _, name := range names {
 		cfg := sedovConfig(sc, placement.Baseline{}, steps, opts.Seed)
 		if name == "untuned" {
-			cfg.Net = untunedNet(cfg.Net.Nodes, cfg.Net.RanksPerNode, opts.Seed)
+			cfg.Net = simnet.Untuned(cfg.Net.Nodes, cfg.Net.RanksPerNode, opts.Seed)
 			cfg.SendsFirst = false
 		}
 		specs = append(specs, opts.sedovSpec(name, cfg))

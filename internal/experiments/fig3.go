@@ -4,6 +4,7 @@ import (
 	"amrtools/internal/driver"
 	"amrtools/internal/harness"
 	"amrtools/internal/placement"
+	"amrtools/internal/simnet"
 	"amrtools/internal/telemetry"
 )
 
@@ -39,7 +40,7 @@ func Fig3(opts Options) (*telemetry.Table, error) {
 	var specs []harness.Spec[*driver.Result]
 	for _, s := range stages {
 		cfg := sedovConfig(sc, placement.Baseline{}, steps, opts.Seed)
-		net := untunedNet(cfg.Net.Nodes, cfg.Net.RanksPerNode, opts.Seed)
+		net := simnet.Untuned(cfg.Net.Nodes, cfg.Net.RanksPerNode, opts.Seed)
 		net.DrainQueue = true // isolate the two Fig 3 knobs from Fig 1b's
 		if s.queueDepth > 0 {
 			net.ShmQueueDepth = s.queueDepth

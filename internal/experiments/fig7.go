@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -174,6 +175,9 @@ func Fig7b(opts Options) (*telemetry.Table, error) {
 					}
 					rows := make([]row, 0, len(policies))
 					for _, pol := range policies {
+						if m.Aborted() {
+							return nil, errAborted
+						}
 						a := pol.Assign(costs, ranks)
 						rows = append(rows, row{pol.Name(),
 							placement.Makespan(costs, a, ranks) / lb})
@@ -195,6 +199,16 @@ func Fig7b(opts Options) (*telemetry.Table, error) {
 	return out, nil
 }
 
+// errAborted ends a spec that sees harness.Meter.Aborted; the harness has
+// already recorded its timeout.
+var errAborted = errors.New("experiments: run aborted")
+
+// fig7cSchema: placement_ms is host wall clock and the verdict follows it.
+var fig7cSchema = []telemetry.ColSpec{
+	telemetry.IntCol("ranks"), telemetry.StrCol("policy"),
+	telemetry.FloatCol("placement_ms").Host(), telemetry.IntCol("within_50ms_budget").Host(),
+}
+
 // Fig7c is scalebench's overhead panel (§VI-C bottom): wall-clock placement
 // computation time as a function of scale, for chunked CPLX and for the
 // zonal variant the paper recommends beyond 16K ranks. The paper's budget
@@ -202,10 +216,7 @@ func Fig7b(opts Options) (*telemetry.Table, error) {
 //
 // Columns: ranks, policy, placement_ms, within_50ms_budget (1/0).
 func Fig7c(opts Options) (*telemetry.Table, error) {
-	out := telemetry.NewTable(
-		telemetry.IntCol("ranks"), telemetry.StrCol("policy"),
-		telemetry.FloatCol("placement_ms"), telemetry.IntCol("within_50ms_budget"),
-	)
+	out := telemetry.NewTable(fig7cSchema...)
 	scales := []int{512, 2048, 8192, 16384, 65536, 131072}
 	if opts.Quick {
 		scales = []int{512, 2048, 8192}
@@ -240,6 +251,9 @@ func Fig7c(opts Options) (*telemetry.Table, error) {
 					// outside amrlint's deterministic core for exactly this case.
 					best := time.Duration(1 << 62)
 					for rep := 0; rep < 3; rep++ {
+						if m.Aborted() {
+							return nil, errAborted
+						}
 						start := time.Now()
 						_ = pol.Assign(costs, ranks)
 						if d := time.Since(start); d < best {

@@ -57,7 +57,10 @@ func LPTvsILP(opts Options) (*telemetry.Table, error) {
 			ID: fmt.Sprintf("%dblocks-%dranks", s.n, s.r),
 			Run: func(m *harness.Meter) (verdict, error) {
 				lpt := placement.Makespan(costs, placement.LPT{}.Assign(costs, s.r), s.r)
-				res := solver.Solve(costs, s.r, budget)
+				res := solver.Solve(costs, s.r, budget, m.Aborted)
+				if m.Aborted() {
+					return verdict{}, errAborted
+				}
 				optimal := 0
 				if res.Optimal {
 					optimal = 1

@@ -46,7 +46,7 @@ func Differential(opts Options) (*telemetry.Table, error) {
 		return nil, err
 	}
 	jEqual := 0
-	if telemetry.EqualMasked(t1, t4, NondetCols...) {
+	if telemetry.Equal(t1.Sim(), t4.Sim()) {
 		jEqual = 1
 	}
 	sc := opts.scales()[0]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -228,6 +229,16 @@ func TestRecorderRowsAndSummary(t *testing.T) {
 	}
 	if campaigns[4] != "camp-b" || specsCol[5] != CampaignRow {
 		t.Fatalf("camp-b rows misplaced: %v %v", campaigns[4:], specsCol[4:])
+	}
+}
+
+// TestRecorderHostColumns pins the recorder's plane split: its host
+// readings are exactly the wall clock and the three heap columns, so every
+// other column of -out telemetry joins the identity contract.
+func TestRecorderHostColumns(t *testing.T) {
+	host := NewRecorder().Table().HostCols()
+	if want := []string{"wall_ms", "heap_mb", "alloc_mb", "mallocs"}; !slices.Equal(host, want) {
+		t.Fatalf("host-plane columns %v, want %v", host, want)
 	}
 }
 

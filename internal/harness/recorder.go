@@ -20,7 +20,7 @@ const CampaignRow = "__campaign__"
 //
 // Schema: campaign (str), spec (str), status (str), wall_ms (float),
 // events (int), rank_bytes (int), heap_mb (float), alloc_mb (float),
-// mallocs (int), err (str).
+// mallocs (int), err (str); wall_ms and the heap columns are host-plane.
 //
 // Per-run rows record wall clock, DES events, the run's largest per-rank
 // metadata footprint (Meter.SetRankBytes; 0 when untracked — the
@@ -41,10 +41,10 @@ type Recorder struct {
 func NewRecorder() *Recorder {
 	return &Recorder{table: telemetry.NewTable(
 		telemetry.StrCol("campaign"), telemetry.StrCol("spec"),
-		telemetry.StrCol("status"), telemetry.FloatCol("wall_ms"),
+		telemetry.StrCol("status"), telemetry.FloatCol("wall_ms").Host(),
 		telemetry.IntCol("events"), telemetry.IntCol("rank_bytes"),
-		telemetry.FloatCol("heap_mb"), telemetry.FloatCol("alloc_mb"),
-		telemetry.IntCol("mallocs"), telemetry.StrCol("err"),
+		telemetry.FloatCol("heap_mb").Host(), telemetry.FloatCol("alloc_mb").Host(),
+		telemetry.IntCol("mallocs").Host(), telemetry.StrCol("err"),
 	)}
 }
 

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"amrtools/internal/telemetry"
 )
 
 // Campaign accumulates metrics across the runs of one process: harness run
@@ -125,17 +127,17 @@ func (c *Campaign) liveExports() []export {
 	uptime := time.Since(c.created).Seconds()
 	return []export{
 		{name: "host_campaign_runs_total", help: "runs planned across campaigns",
-			plane: HostPlane, kind: kindCounter, value: float64(c.runsTotal.Load())},
+			plane: telemetry.HostPlane, kind: kindCounter, value: float64(c.runsTotal.Load())},
 		{name: "host_campaign_runs_completed_total", help: "runs completed",
-			plane: HostPlane, kind: kindCounter, value: float64(c.runsDone.Load())},
+			plane: telemetry.HostPlane, kind: kindCounter, value: float64(c.runsDone.Load())},
 		{name: "host_campaign_runs_failed_total", help: "runs that ended err/panic/timeout",
-			plane: HostPlane, kind: kindCounter, value: float64(c.runsFailed.Load())},
+			plane: telemetry.HostPlane, kind: kindCounter, value: float64(c.runsFailed.Load())},
 		{name: "host_campaign_alloc_bytes_total", help: "process heap growth across campaigns",
-			plane: HostPlane, kind: kindCounter, value: float64(c.allocBytes.Load())},
+			plane: telemetry.HostPlane, kind: kindCounter, value: float64(c.allocBytes.Load())},
 		{name: "host_campaign_mallocs_total", help: "process allocations across campaigns",
-			plane: HostPlane, kind: kindCounter, value: float64(c.mallocs.Load())},
+			plane: telemetry.HostPlane, kind: kindCounter, value: float64(c.mallocs.Load())},
 		{name: "host_campaign_uptime_seconds", help: "seconds since the campaign aggregate was created",
-			plane: HostPlane, kind: kindGauge, value: uptime},
+			plane: telemetry.HostPlane, kind: kindGauge, value: uptime},
 	}
 }
 

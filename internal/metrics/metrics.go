@@ -16,12 +16,12 @@
 //
 // Host-plane instruments carry execution-machinery quantities — the event
 // queue's lane and heap split. They depend on the engine by nature and are
-// excluded from every equality check, the row-level counterpart of
-// experiments.NondetCols. The plane is a registration attribute, not a
-// type: Registry.HostCounter registers a one-lane instance of the same
-// Counter. A run's registry is written by the one
-// goroutine executing the run and read after it; the live HTTP handlers
-// (serve.go) read only the Campaign aggregate.
+// excluded from every equality check, as host-plane table columns are
+// (telemetry.Table.Sim). The plane is telemetry.Plane, a registration
+// attribute, not a type: Registry.HostCounter registers a one-lane instance
+// of the same Counter. A run's registry is written by the one goroutine
+// executing the run and read after it; the live HTTP handlers (serve.go)
+// read only the Campaign aggregate.
 //
 // The sim-plane MPI and fabric sets are not an optional mirror of some
 // other bookkeeping: they are the store. mpi.World and simnet.Network each
@@ -40,31 +40,6 @@ import (
 
 	"amrtools/internal/telemetry"
 )
-
-// Plane separates the deterministic simulated-plane instruments from the
-// host-plane execution-machinery ones.
-type Plane uint8
-
-const (
-	// SimPlane marks DES-derived metrics: bit-identical across -j and
-	// shard counts, compared by the identity tests.
-	SimPlane Plane = iota
-	// HostPlane marks execution-machinery metrics: wall-clock- and
-	// schedule-dependent, masked from every equality check.
-	HostPlane
-)
-
-// String returns "sim" or "host".
-func (p Plane) String() string {
-	switch p {
-	case SimPlane:
-		return "sim"
-	case HostPlane:
-		return "host"
-	default:
-		panic(fmt.Sprintf("metrics: unknown plane %d", p))
-	}
-}
 
 // kind is the exposition type of an instrument.
 type kind uint8
@@ -94,7 +69,7 @@ func (k kind) String() string {
 type export struct {
 	name  string
 	help  string
-	plane Plane
+	plane telemetry.Plane
 	kind  kind
 	value float64 // counter/gauge value
 	// Histogram payload (nil for counters/gauges): per-bucket counts
@@ -141,15 +116,15 @@ func (r *Registry) register(name string, in instrument) {
 
 // Counter registers a sim-plane monotonic counter with the given lane count.
 func (r *Registry) Counter(name, help string, lanes int) *Counter {
-	return r.counter(name, help, SimPlane, lanes)
+	return r.counter(name, help, telemetry.SimPlane, lanes)
 }
 
 // HostCounter registers a one-lane host-plane counter.
 func (r *Registry) HostCounter(name, help string) *Counter {
-	return r.counter(name, help, HostPlane, 1)
+	return r.counter(name, help, telemetry.HostPlane, 1)
 }
 
-func (r *Registry) counter(name, help string, plane Plane, lanes int) *Counter {
+func (r *Registry) counter(name, help string, plane telemetry.Plane, lanes int) *Counter {
 	c := &Counter{name: name, help: help, plane: plane, lanes: make([]int64, lanes)}
 	r.register(name, c)
 	return c
@@ -157,7 +132,7 @@ func (r *Registry) counter(name, help string, plane Plane, lanes int) *Counter {
 
 // Sum registers a sim-plane float accumulator with the given lane count.
 func (r *Registry) Sum(name, help string, lanes int) *Sum {
-	s := &Sum{name: name, help: help, plane: SimPlane, lanes: make([]float64, lanes)}
+	s := &Sum{name: name, help: help, plane: telemetry.SimPlane, lanes: make([]float64, lanes)}
 	r.register(name, s)
 	return s
 }
@@ -172,7 +147,7 @@ func (r *Registry) Histogram(name, help string, lanes int, bounds []float64) *Hi
 	}
 	nb := len(bounds) + 1 // + the +Inf bucket
 	h := &Histogram{
-		name: name, help: help, plane: SimPlane, bounds: bounds,
+		name: name, help: help, plane: telemetry.SimPlane, bounds: bounds,
 		counts: make([]int64, lanes*nb),
 		sums:   make([]float64, lanes),
 		ns:     make([]int64, lanes),
@@ -188,7 +163,7 @@ func (r *Registry) Histogram(name, help string, lanes int, bounds []float64) *Hi
 // lane's value depends on the shard count.
 type Counter struct {
 	name, help string
-	plane      Plane
+	plane      telemetry.Plane
 	lanes      []int64
 }
 
@@ -221,7 +196,7 @@ func (c *Counter) export() export {
 // and GOMAXPROCS even though float addition does not commute in rounding.
 type Sum struct {
 	name, help string
-	plane      Plane
+	plane      telemetry.Plane
 	lanes      []float64
 }
 
@@ -250,7 +225,7 @@ func (s *Sum) export() export {
 // order like Sum.
 type Histogram struct {
 	name, help string
-	plane      Plane
+	plane      telemetry.Plane
 	bounds     []float64
 	counts     []int64 // lane-major: counts[lane*nb+bucket]
 	sums       []float64
@@ -379,12 +354,12 @@ func (r *Registry) Snapshot() *telemetry.Table {
 
 // SimSnapshot renders the simulated-plane instruments only — the
 // bit-identity surface the shard/worker identity tests compare. Host-plane
-// rows are excluded here by construction, the row-level analogue of masking
-// experiments.NondetCols.
+// rows are excluded here by construction, the row-level analogue of
+// telemetry.Table.Sim dropping host-plane columns.
 func (r *Registry) SimSnapshot() *telemetry.Table {
 	t := telemetry.NewTable(Schema()...)
 	for _, e := range r.exports() {
-		if e.plane == SimPlane {
+		if e.plane == telemetry.SimPlane {
 			appendRows(t, e)
 		}
 	}

@@ -102,7 +102,7 @@ func TestSnapshotLayout(t *testing.T) {
 func TestSimSnapshotExcludesHostPlane(t *testing.T) {
 	// Two registries with identical sim-plane activity but different
 	// host-plane activity: full snapshots differ, sim snapshots are
-	// byte-identical — the row-level analogue of NondetCols masking.
+	// byte-identical — the row-level analogue of telemetry.Table.Sim.
 	build := func(hostN int64) *Registry {
 		r := NewRegistry()
 		c := r.Counter("sim_a_total", "a", 2)
@@ -210,11 +210,11 @@ func TestCampaignStatus(t *testing.T) {
 // registered on the host plane, so a layer handed a set can only update the
 // plane the set belongs to. A new set in RunSet must be entered in planeOf.
 func TestInstrumentSetsKeepTheirPlane(t *testing.T) {
-	planeOf := map[reflect.Type]Plane{
-		reflect.TypeOf((*MPIMetrics)(nil)):    SimPlane,
-		reflect.TypeOf((*NetMetrics)(nil)):    SimPlane,
-		reflect.TypeOf((*DriverMetrics)(nil)): SimPlane,
-		reflect.TypeOf((*SchedMetrics)(nil)):  HostPlane,
+	planeOf := map[reflect.Type]telemetry.Plane{
+		reflect.TypeOf((*MPIMetrics)(nil)):    telemetry.SimPlane,
+		reflect.TypeOf((*NetMetrics)(nil)):    telemetry.SimPlane,
+		reflect.TypeOf((*DriverMetrics)(nil)): telemetry.SimPlane,
+		reflect.TypeOf((*SchedMetrics)(nil)):  telemetry.HostPlane,
 	}
 	run := reflect.ValueOf(*NewRunSet(2, 1, nil))
 	sets := 0

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"amrtools/internal/metrics"
+	"amrtools/internal/telemetry"
 )
 
 // msgRec is a test MsgSink recording every delivery it receives.
@@ -238,7 +239,7 @@ func TestStepTouchesNoHostInstrument(t *testing.T) {
 	planes, names, vals := snap.Strings("plane"), snap.Strings("metric"), snap.Floats("value")
 	host := 0
 	for i := range planes {
-		if planes[i] != metrics.HostPlane.String() {
+		if planes[i] != telemetry.HostPlane.String() {
 			continue
 		}
 		host++

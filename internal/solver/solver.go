@@ -36,10 +36,17 @@ type Result struct {
 	Nodes int64
 }
 
+// stopEvery is how many nodes Solve explores between two polls of its stop
+// function.
+const stopEvery = 4096
+
 // Solve minimizes makespan exactly, stopping early once maxNodes
 // branch-and-bound nodes have been explored (maxNodes <= 0 means no limit:
-// search to proven optimality). It panics if nranks <= 0.
-func Solve(costs []float64, nranks int, maxNodes int64) Result {
+// search to proven optimality). stop, when non-nil, is polled every
+// stopEvery nodes; once it reports true the search ends as if the budget had
+// run out (harness.Meter.Aborted is one). A stop that never fires leaves the
+// search, and Nodes, unchanged. It panics if nranks <= 0.
+func Solve(costs []float64, nranks int, maxNodes int64, stop func() bool) Result {
 	if nranks <= 0 {
 		panic("solver: nranks <= 0")
 	}
@@ -88,7 +95,7 @@ func Solve(costs []float64, nranks int, maxNodes int64) Result {
 			return
 		}
 		nodes++
-		if maxNodes > 0 && nodes >= maxNodes {
+		if maxNodes > 0 && nodes >= maxNodes || stop != nil && nodes%stopEvery == 0 && stop() {
 			exhausted = true
 			return
 		}

@@ -15,7 +15,7 @@ import (
 const noLimit = 0
 
 func TestSolveTrivial(t *testing.T) {
-	r := Solve(nil, 4, noLimit)
+	r := Solve(nil, 4, noLimit, nil)
 	if !r.Optimal || r.Makespan != 0 {
 		t.Fatalf("empty solve = %+v", r)
 	}
@@ -24,7 +24,7 @@ func TestSolveTrivial(t *testing.T) {
 func TestSolveKnownInstance(t *testing.T) {
 	// {7,6,5,4,3} on 2 ranks: optimum 13 ({7,6} | {5,4,3} → 13/12 → 13).
 	costs := []float64{7, 6, 5, 4, 3}
-	r := Solve(costs, 2, noLimit)
+	r := Solve(costs, 2, noLimit, nil)
 	if !r.Optimal {
 		t.Fatal("tiny instance not solved to optimality")
 	}
@@ -45,7 +45,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 		for i := range costs {
 			costs[i] = 0.5 + rng.Float64()*9
 		}
-		res := Solve(costs, nr, noLimit)
+		res := Solve(costs, nr, noLimit, nil)
 		if !res.Optimal {
 			return false
 		}
@@ -90,7 +90,7 @@ func TestSolverNeverWorseThanLPT(t *testing.T) {
 			costs[i] = rng.Pareto(0.6, 2.5)
 		}
 		lpt := placement.Makespan(costs, placement.LPT{}.Assign(costs, nr), nr)
-		res := Solve(costs, nr, 200_000)
+		res := Solve(costs, nr, 200_000, nil)
 		if res.Makespan > lpt+1e-9 {
 			t.Fatalf("solver %v worse than LPT %v", res.Makespan, lpt)
 		}
@@ -108,7 +108,7 @@ func TestLPTWithinGrahamBoundOfOptimum(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			costs := cost.Sample(d, 1+rng.Intn(12), rng)
 			m := 1 + rng.Intn(4)
-			res := Solve(costs, m, noLimit)
+			res := Solve(costs, m, noLimit, nil)
 			if !res.Optimal {
 				t.Fatalf("%s %v on %d ranks: unbounded search did not prove optimality", d.Name(), costs, m)
 			}
@@ -126,7 +126,7 @@ func TestSolverUniformProvedOptimalFast(t *testing.T) {
 	for i := range costs {
 		costs[i] = 1
 	}
-	res := Solve(costs, 8, noLimit)
+	res := Solve(costs, 8, noLimit, nil)
 	if !res.Optimal || res.Makespan != 4 {
 		t.Fatalf("uniform solve = %+v, want optimal makespan 4", res)
 	}
@@ -148,8 +148,8 @@ func TestSolveDeterministicUnderBudget(t *testing.T) {
 		costs[i] = 0.5 + rng.Float64()*9
 	}
 	const budget = 300_000
-	a := Solve(costs, 7, budget)
-	b := Solve(costs, 7, budget)
+	a := Solve(costs, 7, budget, nil)
+	b := Solve(costs, 7, budget, nil)
 	if a.Optimal {
 		t.Fatal("instance solved to optimality; budget too large for a truncation test")
 	}
@@ -173,12 +173,38 @@ func TestSolverRespectsBudget(t *testing.T) {
 	for i := range costs {
 		costs[i] = 0.5 + rng.Float64()*9
 	}
-	res := Solve(costs, 7, 50_000)
+	res := Solve(costs, 7, 50_000, nil)
 	if res.Nodes > 50_000 {
 		t.Fatalf("solver explored %d nodes past a 50k-node budget", res.Nodes)
 	}
 	if res.Optimal {
 		t.Fatal("truncated search claimed optimality")
+	}
+}
+
+// TestSolveStopPoll: a stop that never fires leaves the truncated search
+// exactly as it was, and one that fires ends it at the next poll.
+func TestSolveStopPoll(t *testing.T) {
+	rng := xrand.New(11)
+	costs := make([]float64, 40)
+	for i := range costs {
+		costs[i] = 0.5 + rng.Float64()*9
+	}
+	const budget = 300_000
+	polls := 0
+	want := Solve(costs, 7, budget, nil)
+	got := Solve(costs, 7, budget, func() bool { polls++; return false })
+	if got.Nodes != want.Nodes || got.Makespan != want.Makespan || !reflect.DeepEqual(got.Assignment, want.Assignment) {
+		t.Fatalf("a stop that never fires changed the search: %d nodes, makespan %v; want %d, %v",
+			got.Nodes, got.Makespan, want.Nodes, want.Makespan)
+	}
+	if polls != budget/stopEvery {
+		t.Fatalf("stop polled %d times in %d nodes, want every %d", polls, budget, stopEvery)
+	}
+	stopped := Solve(costs, 7, budget, func() bool { return true })
+	if stopped.Nodes != stopEvery || stopped.Optimal {
+		t.Fatalf("stopped search explored %d nodes (optimal %v), want %d and not optimal",
+			stopped.Nodes, stopped.Optimal, stopEvery)
 	}
 }
 
@@ -188,5 +214,5 @@ func TestSolvePanicsOnBadRanks(t *testing.T) {
 			t.Fatal("nranks=0 did not panic")
 		}
 	}()
-	Solve([]float64{1}, 0, noLimit)
+	Solve([]float64{1}, 0, noLimit, nil)
 }

@@ -1,11 +1,10 @@
-// Table equality with a nondeterministic-column mask. Experiment tables mix
-// two kinds of columns: virtual-time results, which the deterministic
-// simulation reproduces bit-for-bit across worker counts and hosts, and
-// wall-clock measurements (harness wall_ms, Fig 7c's placement_ms and its
-// derived budget verdict), which never repeat. Identity checks — the
-// differential campaign, the j1-vs-jN tests — must compare only the former;
-// before this helper each comparison had to carve wall columns out by hand
-// or drop the table from the check entirely.
+// Table equality and the sim-plane view. Experiment tables mix two kinds of
+// columns: simulated values, which the deterministic simulation reproduces
+// bit-for-bit across worker counts and hosts, and host readings (the harness
+// recorder's wall_ms and heap columns, Fig 7c's placement_ms and its budget
+// verdict), which never repeat. Each column's schema says which it is
+// (ColSpec.Plane), so an identity check compares Sim views:
+// Equal(a.Sim(), b.Sim()).
 package telemetry
 
 import "fmt"
@@ -31,9 +30,24 @@ func (t *Table) Without(names ...string) *Table {
 	return t.view(pick, 0, t.rows)
 }
 
-// Equal reports whether two tables have the same schema and bit-identical
-// cell values (floats compare by value, so NaN != NaN: a NaN cell means a
-// computation bug upstream and must not slip through an identity check).
+// Sim returns the table without its host-plane columns, the part every
+// identity check compares: Without(t.HostCols()...).
+func (t *Table) Sim() *Table { return t.Without(t.HostCols()...) }
+
+// HostCols names the table's host-plane columns in schema order.
+func (t *Table) HostCols() (names []string) {
+	for _, c := range t.cols {
+		if c.spec.Plane == HostPlane {
+			names = append(names, c.spec.Name)
+		}
+	}
+	return names
+}
+
+// Equal reports whether two tables have the same schema, planes included,
+// and bit-identical cell values (floats compare by value, so NaN != NaN: a
+// NaN cell means a computation bug upstream and must not slip through an
+// identity check).
 func Equal(a, b *Table) bool {
 	if a.rows != b.rows || len(a.cols) != len(b.cols) {
 		return false
@@ -65,26 +79,4 @@ func Equal(a, b *Table) bool {
 		}
 	}
 	return true
-}
-
-// EqualMasked reports whether two tables are Equal after removing the named
-// nondeterministic columns. Mask names a table does not have are skipped for
-// that table, so one shared mask list (wall_ms, placement_ms, ...) works
-// across campaigns with different schemas; a name present in only one table
-// still compares unequal, because the schemas diverge after masking.
-func EqualMasked(a, b *Table, nondet ...string) bool {
-	return Equal(dropPresent(a, nondet), dropPresent(b, nondet))
-}
-
-func dropPresent(t *Table, names []string) *Table {
-	present := names[:0:0]
-	for _, n := range names {
-		if t.HasCol(n) {
-			present = append(present, n)
-		}
-	}
-	if len(present) == 0 {
-		return t
-	}
-	return t.Without(present...)
 }

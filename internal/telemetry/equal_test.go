@@ -3,11 +3,12 @@ package telemetry
 import (
 	"math"
 	"testing"
+	"unsafe"
 )
 
 func pairOfTables() (*Table, *Table) {
 	mk := func(wall1, wall2 float64) *Table {
-		t := NewTable(IntCol("ranks"), StrCol("policy"), FloatCol("makespan"), FloatCol("wall_ms"))
+		t := NewTable(IntCol("ranks"), StrCol("policy"), FloatCol("makespan"), FloatCol("wall_ms").Host())
 		t.Append(64, "lpt", 1.25, wall1)
 		t.Append(128, "cpl50", 0.75, wall2)
 		return t
@@ -15,21 +16,21 @@ func pairOfTables() (*Table, *Table) {
 	return mk(3.5, 9.25), mk(4.75, 120.0)
 }
 
-// TestEqualMaskedWallOnlyDiff is the regression the mask exists for: two
-// runs of the same campaign differ only in wall-clock cells and must count
-// as identical — while a virtual-time diff must still fail.
-func TestEqualMaskedWallOnlyDiff(t *testing.T) {
+// TestSimWallOnlyDiff is the regression the plane exists for: two runs of
+// the same campaign differ only in host-plane cells and must count as
+// identical — while a simulated-value diff must still fail.
+func TestSimWallOnlyDiff(t *testing.T) {
 	a, b := pairOfTables()
 	if Equal(a, b) {
-		t.Fatal("tables with differing wall_ms compared equal unmasked")
+		t.Fatal("tables with differing wall_ms compared equal in full")
 	}
-	if !EqualMasked(a, b, "wall_ms") {
-		t.Fatal("wall-only diff failed the masked comparison")
+	if !Equal(a.Sim(), b.Sim()) {
+		t.Fatal("wall-only diff failed the sim-plane comparison")
 	}
-	// A data diff in a kept column still fails under the mask.
+	// A data diff in a sim column still fails.
 	b.cols[2].Floats[1] = 0.75000001
-	if EqualMasked(a, b, "wall_ms") {
-		t.Fatal("masked comparison missed a virtual-time diff")
+	if Equal(a.Sim(), b.Sim()) {
+		t.Fatal("sim-plane comparison missed a simulated-value diff")
 	}
 }
 
@@ -47,8 +48,15 @@ func TestEqualSchemaAndValueMismatches(t *testing.T) {
 	}
 	c, _ := pairOfTables()
 	c.cols[0].Ints[0] = 65
-	if EqualMasked(a, c, "wall_ms") {
+	if Equal(a.Sim(), c.Sim()) {
 		t.Fatal("int diff compared equal")
+	}
+	// The plane is part of the schema: the same cells under a column that
+	// changed plane are a different table.
+	d := NewTable(IntCol("ranks").Host())
+	d.Append(64)
+	if Equal(short, d) {
+		t.Fatal("tables differing only in one column's plane compared equal")
 	}
 }
 
@@ -59,27 +67,47 @@ func TestEqualRejectsNaN(t *testing.T) {
 	b, _ := pairOfTables()
 	a.cols[2].Floats[0] = math.NaN()
 	b.cols[2].Floats[0] = math.NaN()
-	if EqualMasked(a, b, "wall_ms") {
+	if Equal(a.Sim(), b.Sim()) {
 		t.Fatal("NaN cells satisfied the identity check")
 	}
 }
 
-// One shared mask list serves every campaign: names a table lacks are
-// skipped for it, but a column present on only one side still fails (the
-// masked schemas differ).
-func TestEqualMaskedToleratesAbsentMaskNames(t *testing.T) {
-	a, b := pairOfTables()
-	if !EqualMasked(a, b, "wall_ms", "placement_ms", "heap_mb") {
-		t.Fatal("mask names absent from both tables broke the comparison")
+// TestSimHostColumnCases: Sim drops exactly the host-plane columns — none
+// from an all-sim table, every one from an all-host table — and a host
+// column on one side only still aligns the sim views, while the same
+// column declared sim on one side does not.
+func TestSimHostColumnCases(t *testing.T) {
+	a, _ := pairOfTables()
+	noHost := NewTable(IntCol("ranks"), StrCol("policy"), FloatCol("makespan"))
+	noHost.Append(64, "lpt", 1.25)
+	noHost.Append(128, "cpl50", 0.75)
+	if got := noHost.Sim(); !Equal(got, noHost) || noHost.HostCols() != nil {
+		t.Fatal("Sim of a table with no host column is not the table")
 	}
-	onlyB := NewTable(IntCol("ranks"), StrCol("policy"), FloatCol("makespan"))
-	onlyB.Append(64, "lpt", 1.25)
-	onlyB.Append(128, "cpl50", 0.75)
-	if !EqualMasked(a, onlyB, "wall_ms") {
-		t.Fatal("masking wall_ms out of one side should align the schemas")
+	if got := a.HostCols(); len(got) != 1 || got[0] != "wall_ms" {
+		t.Fatalf("HostCols %v, want [wall_ms]", got)
 	}
-	if EqualMasked(a, onlyB, "placement_ms") {
-		t.Fatal("unmasked schema mismatch compared equal")
+	allHost := NewTable(FloatCol("wall_ms").Host(), FloatCol("heap_mb").Host())
+	allHost.Append(3.5, 12.0)
+	if got := allHost.Sim(); got.NumCols() != 0 || got.NumRows() != 1 {
+		t.Fatalf("Sim of an all-host table is %dx%d, want 1x0", got.NumRows(), got.NumCols())
+	}
+	if !Equal(a.Sim(), noHost.Sim()) {
+		t.Fatal("a host column on one side only broke the sim-plane comparison")
+	}
+	simWall := NewTable(IntCol("ranks"), StrCol("policy"), FloatCol("makespan"), FloatCol("wall_ms"))
+	simWall.Append(64, "lpt", 1.25, 3.5)
+	simWall.Append(128, "cpl50", 0.75, 9.25)
+	if Equal(a.Sim(), simWall.Sim()) {
+		t.Fatal("a column that is sim on one side only compared equal")
+	}
+}
+
+// TestColSpecSize: the plane rides in ColSpec's padding, so schemas cost
+// what they did before it.
+func TestColSpecSize(t *testing.T) {
+	if got := unsafe.Sizeof(ColSpec{}); got != 24 {
+		t.Fatalf("ColSpec is %d bytes, want 24", got)
 	}
 }
 

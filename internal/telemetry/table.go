@@ -43,10 +43,33 @@ func (t ColType) String() string {
 	return "unknown"
 }
 
-// ColSpec declares one column of a table schema.
+// Plane says what a column (or a metric instrument) holds: simulated
+// values, bit-identical across worker counts, shard counts and hosts, or
+// host readings such as wall clock and heap, which never repeat.
+type Plane uint8
+
+const (
+	// SimPlane, the zero value, marks simulated values.
+	SimPlane Plane = iota
+	// HostPlane marks host readings; Table.Sim drops such columns.
+	HostPlane
+)
+
+// String returns "sim" or "host".
+func (p Plane) String() string { return [...]string{"sim", "host"}[p] }
+
+// ColSpec declares one column of a table schema; a colfile keeps its name
+// and type, not its plane, so a table read back from a file is all-sim.
 type ColSpec struct {
-	Name string
-	Type ColType
+	Name  string
+	Type  ColType
+	Plane Plane
+}
+
+// Host returns s declared as a host-plane column.
+func (s ColSpec) Host() ColSpec {
+	s.Plane = HostPlane
+	return s
 }
 
 // IntCol declares an Int64 column.

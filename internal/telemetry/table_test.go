@@ -338,6 +338,9 @@ func TestColTypeStrings(t *testing.T) {
 	if ColType(99).String() != "unknown" {
 		t.Fatal("unknown ColType string wrong")
 	}
+	if SimPlane.String() != "sim" || HostPlane.String() != "host" {
+		t.Fatal("Plane strings wrong")
+	}
 }
 
 func TestAggFuncStrings(t *testing.T) {
