@@ -92,7 +92,7 @@ scale-smoke:
 # writer), the chunk codec against the buffer-per-column encoder and
 # byte-reader decoder it replaced (kept as _test.go oracles), the
 # hash-aggregate kernel against its row-loop reference, fed whole and in
-# pieces, the DES engine's laned event order against the heap-only order it
+# pieces, the chunked table layout against a flat reference, the DES engine's laned event order against the heap-only order it
 # must equal, the sharded scheduler's run merge against sorting the staged
 # deliveries, and the MPI match index against a map of FIFOs. `go test`
 # alone only replays the seed corpora.
@@ -103,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAll$$' -fuzztime 15s ./internal/colfile
 	$(GO) test -run '^$$' -fuzz '^FuzzCodec$$' -fuzztime 15s ./internal/colfile
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupBy$$' -fuzztime 15s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzTableChunks$$' -fuzztime 15s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeStaged$$' -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzMatchIndex$$' -fuzztime 15s ./internal/mpi

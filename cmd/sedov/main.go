@@ -22,6 +22,7 @@ import (
 	"amrtools/internal/experiments"
 	"amrtools/internal/placement"
 	"amrtools/internal/simnet"
+	"amrtools/internal/telemetry"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -99,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *out != "" {
-		if err := colfile.WriteFile(*out, res.Steps, 8192); err != nil {
+		if err := colfile.WriteFile(*out, res.Steps, telemetry.ChunkRows); err != nil {
 			fmt.Fprintln(stderr, "sedov: writing telemetry:", err)
 			return 1
 		}

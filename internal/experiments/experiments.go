@@ -174,7 +174,7 @@ func runCampaign(opts Options, campaign string, specs []harness.Spec[*driver.Res
 			if r.Spans == nil {
 				return nil
 			}
-			return func(w io.Writer) error { return r.Spans.WriteTo(w, dumpChunkRows) }
+			return func(w io.Writer) error { return r.Spans.WriteTo(w, telemetry.ChunkRows) }
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: span dump: %w", err)
@@ -186,7 +186,7 @@ func runCampaign(opts Options, campaign string, specs []harness.Spec[*driver.Res
 			if r.Metrics == nil {
 				return nil
 			}
-			return func(w io.Writer) error { return colfile.WriteTable(w, r.Metrics.Reg.Snapshot(), dumpChunkRows) }
+			return func(w io.Writer) error { return colfile.WriteTable(w, r.Metrics.Reg.Snapshot(), telemetry.ChunkRows) }
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: metrics dump: %w", err)
@@ -194,9 +194,6 @@ func runCampaign(opts Options, campaign string, specs []harness.Spec[*driver.Res
 	}
 	return results, nil
 }
-
-// dumpChunkRows is the chunk size of every per-run colfile a campaign dumps.
-const dumpChunkRows = 8192
 
 // dumpFiles writes one colfile per result, named `<campaign>--<id>.col`
 // under dir ("/" in spec ids becomes "_"), through the writer pick returns

@@ -1,6 +1,7 @@
 package physics
 
 import (
+	"math"
 	"testing"
 
 	"amrtools/internal/mesh"
@@ -147,4 +148,19 @@ func TestCoolingRefinesOnlyNearClumps(t *testing.T) {
 func TestProblemInterfaceCompliance(t *testing.T) {
 	var _ Problem = NewSedov([3]int{2, 2, 2}, 10, 1)
 	var _ Problem = NewCooling([3]int{2, 2, 2}, 1, 1)
+}
+
+// TestSedovCostAllocFree: the cost noise draws from a generator on the
+// caller's stack, so a cost query allocates nothing, and the factors keep
+// their bits.
+func TestSedovCostAllocFree(t *testing.T) {
+	s := NewSedov([3]int{8, 8, 8}, 100, 1)
+	id := mesh.BlockID{Level: 2, X: 3, Y: 4, Z: 5}
+	var got float64
+	if n := testing.AllocsPerRun(100, func() { got = s.Cost(id, 7) }); n != 0 {
+		t.Errorf("Cost allocates %v objects per call, want 0", n)
+	}
+	if bits := math.Float64bits(got); bits != 0x3ff03d13b01b7366 {
+		t.Errorf("Cost = %v (bits %#x), want bits %#x", got, bits, uint64(0x3ff03d13b01b7366))
+	}
 }

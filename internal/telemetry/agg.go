@@ -124,18 +124,20 @@ func (a AggSpec) outName() string {
 }
 
 // GroupBy groups rows by the key columns and evaluates the aggregates per
-// group: one feed of the whole table through GroupAgg, which defines group
-// identity and the floats. The result has the key columns followed by one
+// group: the table's chunks fed in order through GroupAgg, which defines
+// group identity and the floats. The result has the key columns followed by one
 // Float64 column per aggregate, groups ascending by key values — the order
 // SortBy sorts in: NaN first, strings by byte — and the two zeros, which are
 // distinct groups that compare equal, in order of first appearance.
 func (t *Table) GroupBy(keys []string, aggs []AggSpec) *Table {
 	g := NewGroupAgg(t.Schema(), keys, aggs)
-	var sel []int
-	if len(t.cols) == 0 {
-		sel = make([]int, t.rows) // no column to count a zero-column table's rows by
-	}
-	g.Add(t.Columns(), sel)
+	t.eachChunk(func(_ int, cols []Column, n int) {
+		var sel []int
+		if len(cols) == 0 {
+			sel = make([]int, n) // no column to count a zero-column table's rows by
+		}
+		g.Add(cols, sel)
+	})
 	return g.Table()
 }
 
@@ -167,13 +169,14 @@ func (t *Table) Render(maxRows int) string {
 	for r := 0; r < n; r++ {
 		row := make([]string, len(t.cols))
 		for i, c := range t.cols {
+			ch, at := c.cell(r)
 			switch c.spec.Type {
 			case Int64:
-				row[i] = fmt.Sprintf("%d", c.Ints[r])
+				row[i] = fmt.Sprintf("%d", ch.Ints[at])
 			case Float64:
-				row[i] = fmt.Sprintf("%.6g", c.Floats[r])
+				row[i] = fmt.Sprintf("%.6g", ch.Floats[at])
 			case String:
-				row[i] = c.Dict[c.IDs[r]]
+				row[i] = c.Dict[ch.IDs[at]]
 			default:
 				panic("telemetry: unknown column type")
 			}

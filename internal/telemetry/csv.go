@@ -21,13 +21,14 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	row := make([]string, t.NumCols())
 	for r := 0; r < t.rows; r++ {
 		for i, c := range t.cols {
+			ch, at := c.cell(r)
 			switch c.spec.Type {
 			case Int64:
-				row[i] = strconv.FormatInt(c.Ints[r], 10)
+				row[i] = strconv.FormatInt(ch.Ints[at], 10)
 			case Float64:
-				row[i] = strconv.FormatFloat(c.Floats[r], 'g', -1, 64)
+				row[i] = strconv.FormatFloat(ch.Floats[at], 'g', -1, 64)
 			case String:
-				row[i] = c.Dict[c.IDs[r]]
+				row[i] = c.Dict[ch.IDs[at]]
 			default:
 				panic("telemetry: unknown column type")
 			}

@@ -47,7 +47,7 @@ func (t *Table) HostCols() (names []string) {
 // Equal reports whether two tables have the same schema, planes included,
 // and bit-identical cell values (floats compare by value, so NaN != NaN: a
 // NaN cell means a computation bug upstream and must not slip through an
-// identity check).
+// identity check). It is a flat read of both.
 func Equal(a, b *Table) bool {
 	if a.rows != b.rows || len(a.cols) != len(b.cols) {
 		return false
@@ -57,22 +57,23 @@ func Equal(a, b *Table) bool {
 		if ca.spec != cb.spec {
 			return false
 		}
+		fa, fb := ca.flat(), cb.flat()
 		switch ca.spec.Type {
 		case Int64:
-			for r := range ca.Ints {
-				if ca.Ints[r] != cb.Ints[r] {
+			for r := range fa.Ints {
+				if fa.Ints[r] != fb.Ints[r] {
 					return false
 				}
 			}
 		case Float64:
-			for r := range ca.Floats {
-				if ca.Floats[r] != cb.Floats[r] {
+			for r := range fa.Floats {
+				if fa.Floats[r] != fb.Floats[r] {
 					return false
 				}
 			}
 		case String:
-			for r := range ca.IDs {
-				if ca.Dict[ca.IDs[r]] != cb.Dict[cb.IDs[r]] {
+			for r := range fa.IDs {
+				if fa.Dict[fa.IDs[r]] != fb.Dict[fb.IDs[r]] {
 					return false
 				}
 			}

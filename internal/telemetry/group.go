@@ -284,7 +284,7 @@ func (g *GroupAgg) Table() *Table {
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return compareRows(by, at, a, at, b) })
-	cols := adopt(g.specs[:len(keys)], keys, 0, len(order)).take(order).Columns()
+	cols := adopt(g.specs[:len(keys)], keys, len(order)).take(order).Columns()
 	for a := range g.aggs {
 		f := &g.aggs[a]
 		out := make([]float64, len(order))

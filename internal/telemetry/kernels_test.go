@@ -10,7 +10,9 @@ package telemetry_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -439,5 +441,36 @@ func TestFromColumnsAdoptsAndValidates(t *testing.T) {
 	if _, err := telemetry.FromColumns(specs, []telemetry.Column{{Ints: ints}, {IDs: []uint32{0}, Dict: dict}}); err == nil ||
 		!strings.Contains(err.Error(), `column "s" has 1 rows, want 2`) {
 		t.Errorf("ragged columns: err = %v", err)
+	}
+}
+
+// TestWriteTableSharesChunks: an appended table's chunks are ChunkRows rows
+// from row 0, so each slice WriteTable takes at ChunkRows is one chunk and
+// writing copies no column: the writer allocates no more for the appended
+// table than for the same cells adopted whole.
+func TestWriteTableSharesChunks(t *testing.T) {
+	const rows = 16*telemetry.ChunkRows + 100
+	chunked := telemetry.NewTable(telemetry.IntCol("step"), telemetry.FloatCol("wait"), telemetry.StrCol("policy"))
+	for i := 0; i < rows; i++ {
+		chunked.Append(i/1000, float64(i%977)*1e-6, []string{"lpt", "cdp", "cpl50"}[i%3])
+	}
+	whole, err := telemetry.FromColumns(chunked.Schema(), chunked.Slice(0, rows).Columns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(tb *telemetry.Table) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := colfile.WriteTable(io.Discard, tb, telemetry.ChunkRows); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	write(whole) // warm up
+	base, got := write(whole), write(chunked)
+	t.Logf("WriteTable of %d rows: %d B adopted whole, %d B chunked", rows, base, got)
+	if copied := int64(got) - int64(base); copied > rows { // a copied chunk costs 20 B a row
+		t.Errorf("writing the chunked table allocated %d B more than writing it whole: a column was copied", copied)
 	}
 }

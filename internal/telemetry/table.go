@@ -100,7 +100,7 @@ type Column struct {
 }
 
 // rows returns the column's row count, read off the representation typ uses.
-func (c Column) rows(typ ColType) int {
+func (c *Column) rows(typ ColType) int {
 	switch typ {
 	case Int64:
 		return len(c.Ints)
@@ -112,14 +112,153 @@ func (c Column) rows(typ ColType) int {
 	panic("telemetry: unknown column type")
 }
 
-// column is one column of a table.
+// part returns rows [lo, hi) of c's typ representation, shared and capped at
+// hi, so an append to the part reallocates. It carries no dictionary.
+func (c *Column) part(typ ColType, lo, hi int) Column {
+	switch typ {
+	case Int64:
+		return Column{Ints: c.Ints[lo:hi:hi]}
+	case Float64:
+		return Column{Floats: c.Floats[lo:hi:hi]}
+	case String:
+		return Column{IDs: c.IDs[lo:hi:hi]}
+	}
+	panic("telemetry: unknown column type")
+}
+
+// ChunkRows is the row count of a sealed chunk: a table column fills its
+// open chunk in place and seals it at ChunkRows rows, so no row is copied to
+// make room for another. Files written from tables cut their chunks at the
+// same size, so a file chunk is a memory chunk.
+const ChunkRows = 8192
+
+// column is one column of a table, stored as chunks: the sealed ones, which
+// nothing writes again, then the open one, which appends fill.
+//
+// Every sealed chunk but the first holds exactly ChunkRows rows, so a row's
+// chunk is arithmetic. The first may hold any number (a column adopted whole,
+// or a view starting inside a chunk), and the open chunk holds more than
+// ChunkRows only when no chunk is sealed (an adopted or joined column).
 type column struct {
 	spec ColSpec
+	// Column is the open chunk, and its Dict is the column's dictionary:
+	// every chunk's ids index it.
 	Column
+	sealed []Column // the chunks before the open one; their Dicts are unset
+	openAt int      // row of the open chunk's first row: the sealed rows
 	// dictID maps a string to its id in Dict, for appends. It is built on
 	// the table's first append and never shared: a view has its source's
 	// dictionary but not its index, so neither can see an id the other adds.
 	dictID map[string]uint32
+}
+
+// find returns the chunk holding row r — len(c.sealed) for the open one —
+// and r's index in it.
+func (c *column) find(r int) (k, i int) {
+	if r >= c.openAt {
+		return len(c.sealed), r - c.openAt
+	}
+	head := c.openAt - (len(c.sealed)-1)*ChunkRows // rows of sealed[0]
+	if r < head {
+		return 0, r
+	}
+	return 1 + (r-head)/ChunkRows, (r - head) % ChunkRows
+}
+
+// chunk returns chunk k, as find numbers them.
+func (c *column) chunk(k int) *Column {
+	if k == len(c.sealed) {
+		return &c.Column
+	}
+	return &c.sealed[k]
+}
+
+// cell returns the chunk holding row r and r's index in it: a cell read
+// joins nothing.
+func (c *column) cell(r int) (*Column, int) {
+	k, i := c.find(r)
+	return c.chunk(k), i
+}
+
+// reserve makes room in the full open chunk for at least one more row and
+// for up to want: a chunk of ChunkRows rows or more is sealed and a new one
+// of ChunkRows opened; a smaller one moves to twice its size (at least want,
+// at most ChunkRows), so a small table stays small.
+func (c *column) reserve(want int) {
+	n := c.Column.rows(c.spec.Type)
+	size := min(max(2*n, n+want, 8), ChunkRows)
+	if n >= ChunkRows {
+		c.sealed = append(c.sealed, c.Column.part(c.spec.Type, 0, n))
+		c.openAt += n
+		n, size = 0, ChunkRows
+	}
+	switch c.spec.Type {
+	case Int64:
+		c.Ints = regrow(c.Ints[:n], size)
+	case Float64:
+		c.Floats = regrow(c.Floats[:n], size)
+	case String:
+		c.IDs = regrow(c.IDs[:n], size)
+	}
+}
+
+// regrow returns s copied into a new slice of capacity size.
+func regrow[T any](s []T, size int) []T { return append(make([]T, 0, size), s...) }
+
+// flat joins c's chunks into its open chunk, once, and returns it: a flat
+// read. The joined chunk keeps a quarter of spare capacity, so appends after
+// a read still cost amortized O(1).
+func (c *column) flat() *Column {
+	if len(c.sealed) == 0 {
+		return &c.Column
+	}
+	switch c.spec.Type {
+	case Int64:
+		c.Ints = join(c.sealed, c.Ints, func(ch *Column) []int64 { return ch.Ints })
+	case Float64:
+		c.Floats = join(c.sealed, c.Floats, func(ch *Column) []float64 { return ch.Floats })
+	case String:
+		c.IDs = join(c.sealed, c.IDs, func(ch *Column) []uint32 { return ch.IDs })
+	}
+	c.sealed, c.openAt = nil, 0
+	return &c.Column
+}
+
+// join returns the cells of sealed, then open, in one new slice.
+func join[T any](sealed []Column, open []T, cells func(*Column) []T) []T {
+	n := len(open)
+	for k := range sealed {
+		n += len(cells(&sealed[k]))
+	}
+	out := make([]T, 0, n+n/4)
+	for k := range sealed {
+		out = append(out, cells(&sealed[k])...)
+	}
+	return append(out, open...)
+}
+
+// cut returns rows [lo, hi) of c as a column of its own that shares c's
+// chunks: the chunk holding row hi-1 becomes its open chunk, capped, so an
+// append to either side never writes where the other can see. Only a cut
+// starting inside a sealed chunk copies chunk headers, those it covers.
+func (c *column) cut(lo, hi int) *column {
+	out := &column{spec: c.spec}
+	if lo < hi {
+		typ := c.spec.Type
+		kl, il := c.find(lo)
+		kh, ih := c.find(hi - 1)
+		if kl < kh {
+			out.sealed = c.sealed[kl:kh:kh]
+			if il > 0 {
+				out.sealed = slices.Clone(out.sealed)
+				out.sealed[0] = out.sealed[0].part(typ, il, out.sealed[0].rows(typ))
+			}
+			out.openAt, il = hi-lo-(ih+1), 0
+		}
+		out.Column = c.chunk(kh).part(typ, il, ih+1)
+	}
+	out.Dict = c.Dict[:len(c.Dict):len(c.Dict)]
+	return out
 }
 
 // intern returns the id of s in the column's dictionary, adding it if new.
@@ -149,44 +288,66 @@ func typeName(v interface{}) string {
 	return reflect.TypeOf(v).String()
 }
 
+// appendValue appends v to the open chunk, in place unless it is full.
 func (c *column) appendValue(v interface{}) error {
 	switch c.spec.Type {
 	case Int64:
-		switch x := v.(type) {
+		var x int64
+		switch y := v.(type) {
 		case int64:
-			c.Ints = append(c.Ints, x)
+			x = y
 		case int:
-			c.Ints = append(c.Ints, int64(x))
+			x = int64(y)
 		default:
 			return fmt.Errorf("telemetry: column %q wants int64, got %s", c.spec.Name, typeName(v))
 		}
+		if len(c.Ints) == cap(c.Ints) {
+			c.reserve(1)
+		}
+		c.Ints = append(c.Ints, x)
 	case Float64:
-		switch x := v.(type) {
+		var x float64
+		switch y := v.(type) {
 		case float64:
-			c.Floats = append(c.Floats, x)
+			x = y
 		case int:
-			c.Floats = append(c.Floats, float64(x))
+			x = float64(y)
 		default:
 			return fmt.Errorf("telemetry: column %q wants float64, got %s", c.spec.Name, typeName(v))
 		}
+		if len(c.Floats) == cap(c.Floats) {
+			c.reserve(1)
+		}
+		c.Floats = append(c.Floats, x)
 	case String:
 		x, ok := v.(string)
 		if !ok {
 			return fmt.Errorf("telemetry: column %q wants string, got %s", c.spec.Name, typeName(v))
 		}
-		c.IDs = append(c.IDs, c.intern(x))
+		id := c.intern(x)
+		if len(c.IDs) == cap(c.IDs) {
+			c.reserve(1)
+		}
+		c.IDs = append(c.IDs, id)
 	}
 	return nil
 }
 
 // Table is a columnar table with a fixed schema. The zero value is not
-// usable; construct with NewTable. Tables are single-writer: a run appends
-// its rows in its own deterministic event order, which is what the
-// j1-vs-jN and shard-count identity tests pin down.
+// usable; construct with NewTable. A run appends its rows in its own
+// deterministic event order, which is what the j1-vs-jN and shard-count
+// identity tests pin down.
+//
+// A Table belongs to one goroutine at a time, reads included: each column is
+// a list of chunks (see ChunkRows), and a flat read — Columns, Ints, Floats,
+// Strings, Equal, SortByKeys — joins a column of several chunks into one, in
+// place, the first time it is asked to. Cell reads (ValueAt, NumericAt) and
+// views never join.
 //
 // Rows move between tables through two kernels, both in this file: view
-// (zero-copy: Slice, Head, Select, Without) and AppendColumns (the one
-// copying loop: Filter, SortBy, every reader assembling a table from chunks).
+// (zero-copy: Slice, Head, Select, Without, sharing the chunks they cover)
+// and AppendColumns (the one copying loop: Filter, SortBy, every reader
+// assembling a table from chunks).
 type Table struct {
 	cols   []*column
 	byName map[string]int
@@ -207,25 +368,16 @@ func NewTable(schema ...ColSpec) *Table {
 	return t
 }
 
-// adopt builds the table whose columns are rows [lo, hi) of cols, shared,
-// not copied. Every slice is capped at its length, so an append to either
-// side reallocates instead of writing where the other can see.
-func adopt(specs []ColSpec, cols []Column, lo, hi int) *Table {
+// adopt builds the table whose columns are rows [0, n) of cols, each
+// shared, not copied, as one open chunk. Every slice is capped at its
+// length, so an append to either side reallocates instead of writing where
+// the other can see.
+func adopt(specs []ColSpec, cols []Column, n int) *Table {
 	t := NewTable(specs...)
-	t.rows = hi - lo
+	t.rows = n
 	for i, c := range t.cols {
-		src := cols[i]
-		switch c.spec.Type {
-		case Int64:
-			c.Ints = src.Ints[lo:hi:hi]
-		case Float64:
-			c.Floats = src.Floats[lo:hi:hi]
-		case String:
-			c.IDs = src.IDs[lo:hi:hi]
-			c.Dict = src.Dict[:len(src.Dict):len(src.Dict)]
-		default:
-			panic("telemetry: unknown column type")
-		}
+		c.Column = cols[i].part(c.spec.Type, 0, n)
+		c.Dict = cols[i].Dict[:len(cols[i].Dict):len(cols[i].Dict)]
 	}
 	return t
 }
@@ -246,15 +398,15 @@ func FromColumns(specs []ColSpec, cols []Column) (*Table, error) {
 		}
 		rows = n
 	}
-	return adopt(specs, cols, 0, rows), nil
+	return adopt(specs, cols, rows), nil
 }
 
-// Columns returns the table's columns in schema order. They share the
-// table's storage: read-only.
+// Columns returns the table's columns in schema order, each one flat (a
+// flat read). They share the table's storage: read-only.
 func (t *Table) Columns() []Column {
 	out := make([]Column, len(t.cols))
 	for i, c := range t.cols {
-		out[i] = c.Column
+		out[i] = *c.flat()
 	}
 	return out
 }
@@ -304,34 +456,55 @@ func (t *Table) Append(vals ...interface{}) {
 
 // AppendColumns is the copying row kernel: it appends rows sel of cols, in
 // sel order; cols holds one column per table column, of its type. A nil sel
-// — nil, not merely empty — means every row. String ids go through the
-// table's dictionary once per distinct source id, new entries added as rows
-// reach them, so the table ends up as if each row had been Appended in turn.
+// — nil, not merely empty — means every row. Rows fill the open chunks as
+// Append does. String ids go through the table's dictionary once per
+// distinct source id, new entries added as rows reach them, so the table
+// ends up as if each row had been Appended in turn.
 func (t *Table) AppendColumns(cols []Column, sel []int) {
 	n := feedRows("AppendColumns", t.Schema(), cols, sel)
 	for i, c := range t.cols {
-		src := cols[i]
+		src := &cols[i]
 		switch c.spec.Type {
 		case Int64:
-			c.Ints = gather(c.Ints, src.Ints, sel)
+			fill(c, &c.Ints, src.Ints, sel, n, nil)
 		case Float64:
-			c.Floats = gather(c.Floats, src.Floats, sel)
+			fill(c, &c.Floats, src.Floats, sel, n, nil)
 		case String:
 			xlat := make([]uint32, len(src.Dict)) // source id → table id + 1; 0: not met yet
-			ids := gather(c.IDs, src.IDs, sel)
-			for k := len(c.IDs); k < len(ids); k++ {
-				id := ids[k]
-				if xlat[id] == 0 {
-					xlat[id] = c.intern(src.Dict[id]) + 1
+			fill(c, &c.IDs, src.IDs, sel, n, func(ids []uint32) {
+				for k, id := range ids {
+					if xlat[id] == 0 {
+						xlat[id] = c.intern(src.Dict[id]) + 1
+					}
+					ids[k] = xlat[id] - 1
 				}
-				ids[k] = xlat[id] - 1
-			}
-			c.IDs = ids
+			})
 		default:
 			panic("telemetry: unknown column type")
 		}
 	}
 	t.rows += n
+}
+
+// fill appends the n rows sel of src (all of src when sel is nil) to open,
+// c's open chunk, a chunk at a time; fix, if set, rewrites each run of rows
+// as it lands.
+func fill[T any](c *column, open *[]T, src []T, sel []int, n int, fix func([]T)) {
+	for done := 0; done < n; {
+		if len(*open) == cap(*open) {
+			c.reserve(n - done)
+		}
+		at, k := len(*open), min(n-done, cap(*open)-len(*open))
+		if sel == nil {
+			*open = append(*open, src[done:done+k]...)
+		} else {
+			*open = gather(*open, src, sel[done:done+k])
+		}
+		if fix != nil {
+			fix((*open)[at:])
+		}
+		done += k
+	}
 }
 
 // feedRows checks one feed of the (cols, sel) shape AppendColumns defines —
@@ -364,11 +537,8 @@ func schemaIndex(schema []ColSpec, name string) int {
 	return i
 }
 
-// gather appends src[sel...] (all of src when sel is nil) to dst.
+// gather appends src[sel...] to dst.
 func gather[T any](dst, src []T, sel []int) []T {
-	if sel == nil {
-		return append(dst, src...)
-	}
 	dst = slices.Grow(dst, len(sel))
 	for _, r := range sel {
 		dst = append(dst, src[r])
@@ -377,17 +547,32 @@ func gather[T any](dst, src []T, sel []int) []T {
 }
 
 // view is the zero-copy row kernel: rows [lo, hi) of the columns pick, in
-// that order. See adopt for why neither table can reach the other afterwards.
+// that order. See cut for why neither table can reach the other afterwards.
 func (t *Table) view(pick []*column, lo, hi int) *Table {
 	if lo < 0 || hi > t.rows || lo > hi {
 		panic(fmt.Sprintf("telemetry: rows [%d, %d) of a table with %d", lo, hi, t.rows))
 	}
 	specs := make([]ColSpec, len(pick))
-	cols := make([]Column, len(pick))
 	for i, c := range pick {
-		specs[i], cols[i] = c.spec, c.Column
+		specs[i] = c.spec
 	}
-	return adopt(specs, cols, lo, hi)
+	out := NewTable(specs...)
+	out.rows = hi - lo
+	for i, c := range pick {
+		out.cols[i] = c.cut(lo, hi)
+	}
+	return out
+}
+
+// eachChunk calls f with rows [lo, lo+n) of the table, for every ChunkRows
+// rows from lo = 0: the table's own chunks, shared, when it was built by
+// appends (rows that straddle chunks are joined into a copy of their own).
+// An empty table is one empty chunk.
+func (t *Table) eachChunk(f func(lo int, cols []Column, n int)) {
+	for lo := 0; lo == 0 || lo < t.rows; lo += ChunkRows {
+		hi := min(lo+ChunkRows, t.rows)
+		f(lo, t.Slice(lo, hi).Columns(), hi-lo)
+	}
 }
 
 // Slice returns rows [lo, hi) as a view: a table sharing t's storage, though
@@ -419,32 +604,35 @@ func (t *Table) col(name string) *column {
 	return t.cols[i]
 }
 
-// Ints returns the backing slice of an Int64 column (do not modify).
+// Ints returns the backing slice of an Int64 column (do not modify); a
+// flat read.
 func (t *Table) Ints(name string) []int64 {
 	c := t.col(name)
 	if c.spec.Type != Int64 {
 		panic("telemetry: " + name + " is not int64")
 	}
-	return c.Ints
+	return c.flat().Ints
 }
 
-// Floats returns the backing slice of a Float64 column (do not modify).
+// Floats returns the backing slice of a Float64 column (do not modify); a
+// flat read.
 func (t *Table) Floats(name string) []float64 {
 	c := t.col(name)
 	if c.spec.Type != Float64 {
 		panic("telemetry: " + name + " is not float64")
 	}
-	return c.Floats
+	return c.flat().Floats
 }
 
-// Strings materializes a String column as a []string.
+// Strings materializes a String column as a []string; a flat read.
 func (t *Table) Strings(name string) []string {
 	c := t.col(name)
 	if c.spec.Type != String {
 		panic("telemetry: " + name + " is not string")
 	}
-	out := make([]string, len(c.IDs))
-	for i, id := range c.IDs {
+	ids := c.flat().IDs
+	out := make([]string, len(ids))
+	for i, id := range ids {
 		out[i] = c.Dict[id]
 	}
 	return out
@@ -454,7 +642,8 @@ func (t *Table) Strings(name string) []string {
 // columns return NaN.
 func (t *Table) NumericAt(name string, row int) float64 {
 	c := t.col(name)
-	return numericCell(c.spec.Type, &c.Column, row)
+	ch, i := c.cell(row)
+	return numericCell(c.spec.Type, ch, i)
 }
 
 // numericCell is NumericAt on a bare column of type typ.
@@ -474,30 +663,37 @@ func numericCell(typ ColType, c *Column, row int) float64 {
 // ValueAt returns the value at (col, row) as interface{}.
 func (t *Table) ValueAt(name string, row int) interface{} {
 	c := t.col(name)
+	ch, i := c.cell(row)
 	switch c.spec.Type {
 	case Int64:
-		return c.Ints[row]
+		return ch.Ints[i]
 	case Float64:
-		return c.Floats[row]
+		return ch.Floats[i]
 	case String:
-		return c.Dict[c.IDs[row]]
+		return c.Dict[ch.IDs[i]]
 	default:
 		panic("telemetry: unknown column type")
 	}
 }
 
-// Filter returns a new table holding rows where keep(row) is true.
+// Filter returns a new table holding rows where keep(row) is true. It reads
+// t chunk by chunk and joins nothing.
 func (t *Table) Filter(keep func(row int) bool) *Table {
-	sel := make([]int, 0, t.rows) // never nil: no match must not mean every row
-	for r := 0; r < t.rows; r++ {
-		if keep(r) {
-			sel = append(sel, r)
+	out := NewTable(t.Schema()...)
+	sel := make([]int, 0, min(t.rows, ChunkRows)) // never nil: no match must not mean every row
+	t.eachChunk(func(lo int, cols []Column, n int) {
+		sel = sel[:0]
+		for r := 0; r < n; r++ {
+			if keep(lo + r) {
+				sel = append(sel, r)
+			}
 		}
-	}
-	return t.take(sel)
+		out.AppendColumns(cols, sel)
+	})
+	return out
 }
 
-// take returns a new table holding rows sel of t, in sel order.
+// take returns a new table holding rows sel of t, in sel order; a flat read.
 func (t *Table) take(sel []int) *Table {
 	out := NewTable(t.Schema()...)
 	out.AppendColumns(t.Columns(), sel)
@@ -514,13 +710,14 @@ func (t *Table) SortBy(name string, desc bool) *Table {
 
 // SortByKeys is SortBy over several keys: rows in the lexicographic order
 // of by, rows whose keys all tie in table order — one stable sort, the same
-// rows as the chain of SortBy calls from the last key to the first.
+// rows as the chain of SortBy calls from the last key to the first. It is a
+// flat read.
 func (t *Table) SortByKeys(by ...SortKey) *Table {
 	keys := make([]orderKey, len(by))
 	cols := make([]*Column, len(by))
 	for k, key := range by {
 		c := t.col(key.Col)
-		keys[k], cols[k] = orderKey{typ: c.spec.Type, desc: key.Desc}, &c.Column
+		keys[k], cols[k] = orderKey{typ: c.spec.Type, desc: key.Desc}, c.flat()
 	}
 	idx := make([]int, t.rows)
 	for i := range idx {

@@ -21,8 +21,8 @@ func Run(query string, tables map[string]*telemetry.Table) (*telemetry.Table, er
 }
 
 // execTable executes a parsed query against one in-memory table: the same
-// bind and the same kernels as a file scan, with the table's own column
-// storage standing in as a single chunk.
+// bind and the same kernels as a file scan, with the table's own chunks
+// standing in for the file's.
 func execTable(q *Query, t *telemetry.Table) (*telemetry.Table, error) {
 	if q.Where == nil {
 		b, err := bind(q, t.Schema())
@@ -35,7 +35,7 @@ func execTable(q *Query, t *telemetry.Table) (*telemetry.Table, error) {
 			return b.finish(t), nil
 		}
 		acc := newAccumulator(b)
-		acc.add(t.Columns(), t.NumRows(), nil)
+		tableSource{t}.each(func(cols []telemetry.Column, n int) { acc.add(cols, n, nil) })
 		return b.finish(acc.sink.Table()), nil
 	}
 	out, _, err := execute(q, tableSource{t})
@@ -53,18 +53,47 @@ type chunkSource interface {
 	DecodeColumnsInto(s *colfile.Scratch, i int, want []bool) ([]telemetry.Column, int, error)
 }
 
-// tableSource presents an in-memory table as one chunk with no zone maps,
-// its columns the table's own (nothing is copied, so it needs no scratch).
-// Without zone maps a WHERE makes the chunk classSome, so the metadata-only
-// path never sees it; execTable scans a tableSource only when there is a WHERE.
+// tableSource presents an in-memory table as chunks of telemetry.ChunkRows
+// rows with no zone maps, their columns the table's own chunks (nothing is
+// copied for a table built by appends, so it needs no scratch); an empty
+// table is one empty chunk. Without zone maps a WHERE makes every chunk
+// classSome, so the metadata-only path never sees them; execTable scans a
+// tableSource only when there is a WHERE.
 type tableSource struct{ t *telemetry.Table }
 
 func (s tableSource) Schema() []telemetry.ColSpec { return s.t.Schema() }
-func (s tableSource) NumChunks() int              { return 1 }
-func (s tableSource) Meta(int) colfile.ChunkMeta  { return colfile.ChunkMeta{Rows: s.t.NumRows()} }
 
-func (s tableSource) DecodeColumnsInto(*colfile.Scratch, int, []bool) ([]telemetry.Column, int, error) {
-	return s.t.Columns(), s.t.NumRows(), nil
+func (s tableSource) NumChunks() int {
+	return max(1, (s.t.NumRows()+telemetry.ChunkRows-1)/telemetry.ChunkRows)
+}
+
+// rows returns the bounds of chunk i.
+func (s tableSource) rows(i int) (lo, hi int) {
+	lo = i * telemetry.ChunkRows
+	return lo, min(lo+telemetry.ChunkRows, s.t.NumRows())
+}
+
+func (s tableSource) Meta(i int) colfile.ChunkMeta {
+	lo, hi := s.rows(i)
+	return colfile.ChunkMeta{Rows: hi - lo}
+}
+
+// chunk returns chunk i's columns and rows.
+func (s tableSource) chunk(i int) ([]telemetry.Column, int) {
+	lo, hi := s.rows(i)
+	return s.t.Slice(lo, hi).Columns(), hi - lo
+}
+
+func (s tableSource) DecodeColumnsInto(_ *colfile.Scratch, i int, _ []bool) ([]telemetry.Column, int, error) {
+	cols, n := s.chunk(i)
+	return cols, n, nil
+}
+
+// each calls f with every chunk, in order.
+func (s tableSource) each(f func(cols []telemetry.Column, n int)) {
+	for i := range s.NumChunks() {
+		f(s.chunk(i))
+	}
 }
 
 // execute is the one executor: bind, classify every chunk from its zone
@@ -195,7 +224,7 @@ func (b *bound) orderLimit(cur *telemetry.Table) *telemetry.Table {
 	switch {
 	case len(by) > 0 && b.q.Limit >= 0:
 		top := telemetry.NewTopK(cur.Schema(), by, b.q.Limit)
-		top.Add(cur.Columns(), nil)
+		tableSource{cur}.each(func(cols []telemetry.Column, _ int) { top.Add(cols, nil) })
 		return top.Table()
 	case b.q.Limit >= 0:
 		return cur.Head(b.q.Limit)
@@ -207,8 +236,9 @@ func (b *bound) orderLimit(cur *telemetry.Table) *telemetry.Table {
 }
 
 // project returns the table whose i-th column is t's column src[i] under
-// the name out[i]. A source may repeat (SELECT rank AS a, rank AS b). The
-// result shares t's storage: a relabel is O(columns), not O(rows).
+// the name out[i], its type and plane kept. A source may repeat (SELECT
+// rank AS a, rank AS b). The result shares t's storage: a relabel is
+// O(columns), not O(rows).
 func project(t *telemetry.Table, src, out []string) *telemetry.Table {
 	schema, all := t.Schema(), t.Columns()
 	specs := make([]telemetry.ColSpec, len(src))
@@ -218,7 +248,8 @@ func project(t *telemetry.Table, src, out []string) *telemetry.Table {
 		if ci < 0 {
 			panic("tql: no column " + name) // bind resolved every name
 		}
-		specs[i] = telemetry.ColSpec{Name: out[i], Type: schema[ci].Type}
+		specs[i] = schema[ci]
+		specs[i].Name = out[i]
 		cols[i] = all[ci]
 	}
 	res, err := telemetry.FromColumns(specs, cols)

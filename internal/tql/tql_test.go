@@ -311,3 +311,25 @@ func TestArithmeticErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestProjectionKeepsPlane: a projected column keeps its source's plane
+// under its new name, with or without a WHERE.
+func TestProjectionKeepsPlane(t *testing.T) {
+	tb := telemetry.NewTable(telemetry.StrCol("spec"), telemetry.FloatCol("wall_ms").Host())
+	tb.Append("a", 1.5)
+	tb.Append("b", 2.5)
+	for _, q := range []string{
+		"SELECT spec, wall_ms FROM t",
+		"SELECT spec, wall_ms FROM t WHERE wall_ms > 0",
+		"SELECT spec, wall_ms AS ms FROM t ORDER BY ms LIMIT 1",
+	} {
+		out, err := Run(q, map[string]*telemetry.Table{"t": tb})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		want := out.Schema()[1].Name
+		if got := out.HostCols(); len(got) != 1 || got[0] != want {
+			t.Errorf("%s: HostCols = %q, want [%q]", q, got, want)
+		}
+	}
+}

@@ -471,9 +471,11 @@ func (r *Recorder) WriteTo(w io.Writer, chunkRows int) error {
 
 // WaitSpikeCondition matches a step-table row whose per-step communication
 // wait exceeds threshold seconds — the wait-spike anomaly of Fig 1b as seen
-// from the cheap per-step telemetry.
+// from the cheap per-step telemetry. It is evaluated after every appended
+// row, so it reads one cell: a flat read would join the growing column each
+// time.
 func WaitSpikeCondition(threshold float64) func(t *telemetry.Table, row int) bool {
 	return func(t *telemetry.Table, row int) bool {
-		return t.Floats("comm")[row] >= threshold
+		return t.NumericAt("comm", row) >= threshold
 	}
 }

@@ -26,9 +26,17 @@ func splitmix64(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// New returns a generator seeded from seed via SplitMix64.
+// New returns a generator seeded from seed via SplitMix64. It is small
+// enough to inline, so a generator that does not outlive its caller stays on
+// the caller's stack.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.seed(seed)
+	return r
+}
+
+// seed sets r's state from seed via SplitMix64.
+func (r *RNG) seed(seed uint64) {
 	x := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)
@@ -37,7 +45,6 @@ func New(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
