@@ -146,27 +146,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
+	rec := harness.NewRecorder()
 	var camp *metrics.Campaign
 	if *serve != "" {
 		camp = metrics.NewCampaign()
-		srv, err := metrics.Serve(*serve, camp)
+		srv, err := metrics.Serve(*serve, camp, rec.Status)
 		if err != nil {
 			return fail(err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(stderr, "serving /metrics /statusz /debug/pprof on http://%s\n", srv.Addr())
 	}
-	rec := harness.NewRecorder()
 	opts := experiments.Options{
 		Quick:      *quick,
 		Seed:       *seed,
 		TraceDir:   *traceDir,
 		MetricsDir: *metricsDir,
+		Metrics:    camp,
 		Exec: harness.Exec{
 			Workers:  *workers,
 			Timeout:  *timeout,
 			Recorder: rec,
-			Metrics:  camp,
 			Progress: func(p harness.Progress) {
 				fmt.Fprintf(stderr, "  [%s] %d/%d done: %s (%s, %v)\n",
 					p.Campaign, p.Done, p.Total, p.ID, p.Status, p.Wall.Round(time.Millisecond))

@@ -47,9 +47,6 @@ type Config struct {
 	// paper's codes trigger every 5 steps in the worst case.
 	LBInterval int
 
-	// CostTimeScale converts problem cost units into seconds of compute.
-	CostTimeScale float64
-
 	// SendsFirst interleaves each block's sends right after its compute
 	// (tuned schedule); false models the untuned compute-then-send order.
 	SendsFirst bool
@@ -140,7 +137,6 @@ func DefaultConfig(rootDims [3]int, maxLevel, steps int, pol placement.Policy, s
 		MaxLevel:         maxLevel,
 		Steps:            steps,
 		LBInterval:       5,
-		CostTimeScale:    2e-3,
 		SendsFirst:       true,
 		UseMeasuredCosts: true,
 		CostAlpha:        0.5,
@@ -162,6 +158,10 @@ const maxWaitEvents = 200_000
 // computed at this value, which is why it is a constant and not a Config
 // field.
 const placementCharge = 2e-3
+
+// costTimeScale converts problem cost units into seconds of compute. Like
+// placementCharge, every table and bench digest is computed at this value.
+const costTimeScale = 2e-3
 
 // PhaseTotals aggregates per-phase times (mean over ranks, seconds).
 type PhaseTotals struct {
@@ -402,8 +402,6 @@ func validate(cfg *Config) error {
 		return fmt.Errorf("driver: nil problem")
 	case cfg.Net.Nodes <= 0 || cfg.Net.RanksPerNode <= 0:
 		return fmt.Errorf("driver: invalid network config")
-	case cfg.CostTimeScale <= 0:
-		return fmt.Errorf("driver: non-positive cost time scale")
 	case cfg.LBInterval <= 0:
 		return fmt.Errorf("driver: non-positive LB interval %d", cfg.LBInterval)
 	case cfg.CostAlpha <= 0 || cfg.CostAlpha > 1:
@@ -626,7 +624,6 @@ func (st *runState) redistribute(step, nranks int) {
 func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World) {
 	rank := c.Rank()
 	nranks := world.NumRanks()
-	scale := st.cfg.CostTimeScale
 	var prev mpi.Meter // the rank's accounting at the end of the previous step
 	// The step's requests, in slices reused across steps: Wait recycles the
 	// requests themselves, these only hold them until then.
@@ -659,8 +656,8 @@ func (st *runState) rankProgram(c *mpi.Comm, world *mpi.World) {
 		}
 		compute := func() {
 			for _, lb := range plan.view.Owned {
-				dur := c.Compute(st.cfg.Problem.Cost(lb.ID, step) * scale)
-				st.observe(rank, lb.ID, dur/scale)
+				dur := c.Compute(st.cfg.Problem.Cost(lb.ID, step) * costTimeScale)
+				st.observe(rank, lb.ID, dur/costTimeScale)
 			}
 		}
 		if st.cfg.SendsFirst {

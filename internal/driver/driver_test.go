@@ -287,7 +287,6 @@ func TestValidationErrors(t *testing.T) {
 		func(c *Config) { c.Policy = nil },
 		func(c *Config) { c.Problem = nil },
 		func(c *Config) { c.Net.Nodes = 0 },
-		func(c *Config) { c.CostTimeScale = 0 },
 		func(c *Config) { c.CostAlpha = 0 },
 		func(c *Config) { c.CostAlpha = 1.5 },
 		func(c *Config) { c.LBInterval = 0 },

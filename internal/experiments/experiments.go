@@ -51,15 +51,9 @@ type Options struct {
 	Quick bool
 	Seed  uint64
 	// Exec carries the campaign-execution knobs — worker count (-j),
-	// per-run timeout, progress callback, metrics recorder — into every
-	// runner's harness plan. The zero value runs plans on GOMAXPROCS
-	// workers with no timeout and no recording. Exec.Metrics, when non-nil,
-	// also turns on the two-plane metrics registry (internal/metrics) in
-	// every driver run and merges each completed run's snapshot into that
-	// campaign aggregate — the object behind the live /metrics and /statusz
-	// endpoints. Merging happens in run-completion order, so the aggregate
-	// is exposition-only; per-run sim-plane snapshots remain bit-identical
-	// across -j.
+	// per-run timeout, progress callback, the campaign ledger
+	// (Exec.Recorder) — into every runner's harness plan. The zero value
+	// runs plans on GOMAXPROCS workers with no timeout and no recording.
 	Exec harness.Exec
 	// TraceDir, when non-empty, turns on the flight recorder
 	// (internal/trace) in every driver run and writes each run's span
@@ -72,11 +66,18 @@ type Options struct {
 	// snapshot as `<MetricsDir>/<campaign>--<id>.col` (amrquery-compatible).
 	// Setting MetricsDir alone enables collection without a live aggregate.
 	MetricsDir string
+	// Metrics, when non-nil, turns on the two-plane metrics registry
+	// (internal/metrics) in every driver run and merges each completed
+	// run's registry into this campaign aggregate — the merged series
+	// behind the live /metrics endpoint. Merging happens in run-completion
+	// order, so the aggregate is exposition-only; per-run sim-plane
+	// snapshots remain bit-identical across -j.
+	Metrics *metrics.Campaign
 }
 
 // metricsOn reports whether driver runs should build a metrics registry.
 func (o Options) metricsOn() bool {
-	return o.Exec.Metrics != nil || o.MetricsDir != ""
+	return o.Metrics != nil || o.MetricsDir != ""
 }
 
 // NondetCols names the host-plane columns of the harness recorder's and Fig
@@ -152,8 +153,8 @@ func (o Options) sedovSpec(id string, cfg driver.Config) harness.Spec[*driver.Re
 			}
 			m.AddEvents(res.Events)
 			m.SetRankBytes(int64(res.MaxRankMetaBytes))
-			if o.Exec.Metrics != nil && res.Metrics != nil {
-				o.Exec.Metrics.AddRun(res.Metrics.Reg)
+			if o.Metrics != nil && res.Metrics != nil {
+				o.Metrics.AddRun(res.Metrics.Reg)
 			}
 			return res, nil
 		},

@@ -77,7 +77,8 @@ func commbench(ex harness.Exec, campaign string, cells []roundCell, meshes, roun
 
 // CommbenchConfig parameterizes a standalone commbench run (the cmd/commbench
 // binary); placement policies are drop-in by name. Exec carries the campaign
-// execution knobs (worker count, progress, metrics) into the mesh fan-out.
+// execution knobs (worker count, progress, the campaign ledger) into the
+// mesh fan-out.
 type CommbenchConfig struct {
 	Ranks    int
 	Policies []string

@@ -42,8 +42,8 @@ func metricsCampaign(t *testing.T, opts Options) []string {
 // to perturb the metric surface, exactly like the result tables.
 func TestMetricsParallelIdentity(t *testing.T) {
 	run := func(workers int) []string {
-		opts := Options{Quick: true, Seed: 11,
-			Exec: harness.Exec{Workers: workers, Metrics: metrics.NewCampaign()}}
+		opts := Options{Quick: true, Seed: 11, Metrics: metrics.NewCampaign(),
+			Exec: harness.Exec{Workers: workers}}
 		return metricsCampaign(t, opts)
 	}
 	serial, parallel := run(1), run(4)
@@ -55,30 +55,31 @@ func TestMetricsParallelIdentity(t *testing.T) {
 	}
 }
 
-// TestExecMetricsReachesEveryCampaign: Exec.Metrics is the one campaign
-// sink. A campaign that calls harness.Run itself (Fig7b) and a driver
-// campaign through runCampaign both advance the /statusz run counts, and the
-// driver runs build registries that reach the aggregate.
-func TestExecMetricsReachesEveryCampaign(t *testing.T) {
-	camp := metrics.NewCampaign()
-	opts := Options{Quick: true, Seed: 11, Exec: harness.Exec{Workers: 2, Metrics: camp}}
+// TestExecRecorderReachesEveryCampaign: Exec.Recorder is the one campaign
+// ledger. A campaign that calls harness.Run itself (Fig7b) and a driver
+// campaign through runCampaign both advance its run counts, the ones
+// /statusz renders, and the driver runs build registries that reach
+// Options.Metrics, the aggregate behind /metrics.
+func TestExecRecorderReachesEveryCampaign(t *testing.T) {
+	rec, camp := harness.NewRecorder(), metrics.NewCampaign()
+	opts := Options{Quick: true, Seed: 11, Metrics: camp, Exec: harness.Exec{Workers: 2, Recorder: rec}}
 
 	table(t)(Fig7b(opts)) // 2 scales x 3 distributions
-	st := camp.StatusNow()
+	st := rec.Status()
 	if st.AllDone != 6 || st.AllTotal != 6 || st.Campaign != "fig7b" {
 		t.Fatalf("after fig7b: campaign %q, %d/%d runs done; want fig7b, 6/6", st.Campaign, st.AllDone, st.AllTotal)
 	}
-	if st.LaneEvents+st.HeapEvents != 0 {
-		t.Fatalf("fig7b runs no simulation, yet the aggregate holds %d queued events", st.LaneEvents+st.HeapEvents)
+	if lane, heap, _ := camp.QueueSplit(); lane+heap != 0 {
+		t.Fatalf("fig7b runs no simulation, yet the aggregate holds %d queued events", lane+heap)
 	}
 
 	metricsCampaign(t, opts) // 3 driver runs
-	st = camp.StatusNow()
+	st = rec.Status()
 	if st.AllDone != 9 || st.AllTotal != 9 || st.Campaign != "metrics-identity" {
 		t.Fatalf("after the driver campaign: campaign %q, %d/%d runs done; want metrics-identity, 9/9",
 			st.Campaign, st.AllDone, st.AllTotal)
 	}
-	if st.LaneEvents+st.HeapEvents == 0 {
+	if lane, heap, _ := camp.QueueSplit(); lane+heap == 0 {
 		t.Fatal("the driver runs' registries never reached the campaign aggregate")
 	}
 }

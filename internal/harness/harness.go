@@ -31,8 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"amrtools/internal/metrics"
 )
 
 // Status classifies how a run ended.
@@ -179,12 +177,11 @@ type Exec struct {
 	Timeout time.Duration
 	// Progress, when set, observes every run completion.
 	Progress ProgressFunc
-	// Recorder, when set, accumulates per-run metrics across campaigns.
+	// Recorder, when set, is the campaign ledger: it counts every run in as
+	// it completes and records every campaign's rows when it ends (the -out
+	// table, /statusz, the host_campaign_* series). Purely observational —
+	// it never influences execution.
 	Recorder *Recorder
-	// Metrics, when set, receives live host-plane campaign telemetry: run
-	// completions, process allocation deltas, and the progress state behind
-	// /statusz. Purely observational — it never influences execution.
-	Metrics *metrics.Campaign
 }
 
 // Serial returns a copy of e pinned to one worker. Campaigns that measure
@@ -221,14 +218,10 @@ func Run[T any](e Exec, campaign string, specs []Spec[T]) []Result[T] {
 	if n == 0 {
 		return results
 	}
-	var rec recording
-	if e.Recorder != nil || e.Metrics != nil {
-		rec.begin()
+	var m mark
+	if e.Recorder != nil {
+		m = e.Recorder.begin(campaign, n)
 	}
-	if e.Metrics != nil {
-		e.Metrics.BeginCampaign(campaign, n)
-	}
-	start := time.Now()
 
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -242,8 +235,8 @@ func Run[T any](e Exec, campaign string, specs []Spec[T]) []Result[T] {
 				results[i] = runOne(e.Timeout, specs[i])
 				mu.Lock()
 				done++
-				if e.Metrics != nil {
-					e.Metrics.ObserveRun(results[i].ID, results[i].Status.String(), results[i].Wall)
+				if e.Recorder != nil {
+					e.Recorder.observe(results[i].ID, results[i].Status, results[i].Wall)
 				}
 				if e.Progress != nil {
 					e.Progress(Progress{
@@ -262,14 +255,8 @@ func Run[T any](e Exec, campaign string, specs []Spec[T]) []Result[T] {
 	close(idx)
 	wg.Wait()
 
-	if e.Recorder != nil || e.Metrics != nil {
-		alloc := rec.end()
-		if e.Recorder != nil {
-			recordCampaign(e.Recorder, campaign, time.Since(start), alloc, results)
-		}
-		if e.Metrics != nil {
-			e.Metrics.AddAlloc(alloc.bytes, alloc.mallocs)
-		}
+	if e.Recorder != nil {
+		recordCampaign(e.Recorder, campaign, m, results)
 	}
 	return results
 }

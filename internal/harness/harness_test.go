@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -229,6 +230,67 @@ func TestRecorderRowsAndSummary(t *testing.T) {
 	}
 	if campaigns[4] != "camp-b" || specsCol[5] != CampaignRow {
 		t.Fatalf("camp-b rows misplaced: %v %v", campaigns[4:], specsCol[4:])
+	}
+}
+
+// TestRecorderStatusMatchesTable: the ledger behind /statusz and the -out
+// table are one record. After a campaign with an erring spec and one with a
+// timed-out spec, Status counts the table's per-run rows and its non-ok
+// ones, sums its summary rows' allocation, and names the second campaign
+// and its last run.
+func TestRecorderStatusMatchesTable(t *testing.T) {
+	rec := NewRecorder()
+	Run(Exec{Workers: 2, Recorder: rec}, "camp-a", plan(4, func(i int, m *Meter) (int, error) {
+		if i == 2 {
+			return 0, errors.New("sad")
+		}
+		return i, nil
+	}))
+	Run(Exec{Workers: 1, Timeout: 20 * time.Millisecond, Recorder: rec}, "camp-b",
+		plan(3, func(i int, m *Meter) (int, error) {
+			for i == 1 && !m.Aborted() {
+				time.Sleep(time.Millisecond)
+			}
+			return i, nil
+		}))
+
+	st, tab := rec.Status(), rec.Table()
+	spec, status := tab.Strings("spec"), tab.Strings("status")
+	runs, failed, mallocs, allocMB := 0, 0, int64(0), 0.0
+	for r := range tab.NumRows() {
+		if spec[r] == CampaignRow {
+			mallocs += tab.Ints("mallocs")[r]
+			allocMB += tab.Floats("alloc_mb")[r]
+			continue
+		}
+		runs++
+		if status[r] != StatusOK.String() {
+			failed++
+		}
+	}
+	if runs != 7 || failed != 2 {
+		t.Fatalf("table: %d runs, %d failed; want 7, 2", runs, failed)
+	}
+	if st.AllDone != int64(runs) || st.AllTotal != int64(runs) || st.Failed != int64(failed) {
+		t.Fatalf("ledger: %d/%d done, %d failed; table: %d runs, %d failed",
+			st.AllDone, st.AllTotal, st.Failed, runs, failed)
+	}
+	if st.Mallocs == 0 || st.Mallocs != uint64(mallocs) {
+		t.Fatalf("ledger mallocs %d, summary rows %d", st.Mallocs, mallocs)
+	}
+	if got := float64(st.AllocBytes) / (1 << 20); math.Abs(got-allocMB) > 1e-9*allocMB {
+		t.Fatalf("ledger alloc %v MB, summary rows %v MB", got, allocMB)
+	}
+	last := tab.NumRows() - 2 // camp-b's last run, before its summary row
+	if st.Campaign != "camp-b" || st.Done != 3 || st.Total != 3 ||
+		st.LastID != spec[last] || st.LastStatus != status[last] ||
+		float64(st.LastWall)/float64(time.Millisecond) != tab.Floats("wall_ms")[last] {
+		t.Fatalf("ledger: campaign %q %d/%d, last %s (%s, %v); want camp-b 3/3, last %s (%s, %vms)",
+			st.Campaign, st.Done, st.Total, st.LastID, st.LastStatus, st.LastWall,
+			spec[last], status[last], tab.Floats("wall_ms")[last])
+	}
+	if st.ETA != 0 || st.Elapsed <= 0 || st.Uptime < st.Elapsed {
+		t.Fatalf("ledger clock: elapsed %v, eta %v, uptime %v", st.Elapsed, st.ETA, st.Uptime)
 	}
 }
 

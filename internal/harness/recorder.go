@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"amrtools/internal/colfile"
+	"amrtools/internal/metrics"
 	"amrtools/internal/telemetry"
 )
 
@@ -13,10 +14,13 @@ import (
 // metrics table (per-run rows carry the spec's own id).
 const CampaignRow = "__campaign__"
 
-// Recorder accumulates harness run metrics across campaigns into one
-// telemetry.Table, the same columnar pipeline the simulations themselves
+// Recorder is the campaign ledger: harness.Run reports every campaign to it
+// and to nothing else. It accumulates per-run metrics across campaigns into
+// one telemetry.Table, the same columnar pipeline the simulations themselves
 // use, so campaign execution is queryable with amrquery after a colfile
-// dump.
+// dump; and it keeps the running counts behind Status, which the live
+// endpoints (metrics.Serve) render on /statusz and as the host_campaign_*
+// series.
 //
 // Schema: campaign (str), spec (str), status (str), wall_ms (float),
 // events (int), rank_bytes (int), heap_mb (float), alloc_mb (float),
@@ -33,13 +37,16 @@ const CampaignRow = "__campaign__"
 // alloc_mb/mallocs are the process-wide heap growth across the campaign
 // measured with runtime.ReadMemStats.
 type Recorder struct {
-	mu    sync.Mutex
-	table *telemetry.Table
+	mu      sync.Mutex
+	table   *telemetry.Table
+	created time.Time
+	began   time.Time      // when the current campaign began
+	st      metrics.Status // the ledger; Status fills in its clock fields
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{table: telemetry.NewTable(
+	return &Recorder{created: time.Now(), table: telemetry.NewTable(
 		telemetry.StrCol("campaign"), telemetry.StrCol("spec"),
 		telemetry.StrCol("status"), telemetry.FloatCol("wall_ms").Host(),
 		telemetry.IntCol("events"), telemetry.IntCol("rank_bytes"),
@@ -61,33 +68,70 @@ func (r *Recorder) WriteFile(path string) error {
 	return colfile.WriteFile(path, r.Table(), 256)
 }
 
-// recording measures process-wide allocation across one campaign.
-type recording struct {
-	before runtime.MemStats
-}
-
-func (r *recording) begin() { runtime.ReadMemStats(&r.before) }
-
-// allocDelta is the heap growth over one campaign.
-type allocDelta struct {
-	bytes   uint64
-	mallocs uint64
-}
-
-func (r *recording) end() allocDelta {
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	return allocDelta{
-		bytes:   after.TotalAlloc - r.before.TotalAlloc,
-		mallocs: after.Mallocs - r.before.Mallocs,
-	}
-}
-
-// recordCampaign appends the campaign's per-run rows (in spec order) and
-// its summary row. (Package-level because Go methods cannot be generic.)
-func recordCampaign[T any](r *Recorder, campaign string, elapsed time.Duration, alloc allocDelta, results []Result[T]) {
+// Status returns the ledger as it stands: the current (or last) campaign
+// and its progress, the counts over all campaigns, the last completed run,
+// and the heap growth of the finished campaigns. It is safe to call while
+// campaigns run.
+func (r *Recorder) Status() metrics.Status {
+	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.st
+	if !r.began.IsZero() {
+		s.Elapsed = now.Sub(r.began)
+	}
+	if s.Done > 0 && s.Total > s.Done {
+		s.ETA = time.Duration(float64(s.Elapsed) / float64(s.Done) * float64(s.Total-s.Done))
+	}
+	s.Uptime = now.Sub(r.created)
+	return s
+}
+
+// mark is where a campaign began: the wall clock and the process's
+// cumulative allocation counters, which its end measures against.
+type mark struct {
+	at             time.Time
+	bytes, mallocs uint64
+}
+
+// begin opens a campaign of n runs in the ledger.
+func (r *Recorder) begin(campaign string, n int) mark {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	m := mark{at: time.Now(), bytes: ms.TotalAlloc, mallocs: ms.Mallocs}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.began = m.at
+	r.st.Campaign, r.st.Done, r.st.Total = campaign, 0, int64(n)
+	r.st.AllTotal += int64(n)
+	return m
+}
+
+// observe counts one run completion in.
+func (r *Recorder) observe(id string, status Status, wall time.Duration) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.st.Done++
+	r.st.AllDone++
+	if status != StatusOK {
+		r.st.Failed++
+	}
+	r.st.LastID, r.st.LastStatus, r.st.LastWall = id, status.String(), wall
+}
+
+// recordCampaign closes the campaign begun at m: it appends the campaign's
+// per-run rows (in spec order) and its summary row, and adds the campaign's
+// heap growth to the ledger. (Package-level because Go methods cannot be
+// generic.)
+func recordCampaign[T any](r *Recorder, campaign string, m mark, results []Result[T]) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	elapsed := time.Since(m.at)
+	bytes, mallocs := ms.TotalAlloc-m.bytes, ms.Mallocs-m.mallocs
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.st.AllocBytes += bytes
+	r.st.Mallocs += mallocs
 	var events, maxRankBytes int64
 	maxHeap := 0.0
 	for _, res := range results {
@@ -109,5 +153,5 @@ func recordCampaign[T any](r *Recorder, campaign string, elapsed time.Duration, 
 	r.table.Append(campaign, CampaignRow, StatusOK.String(),
 		float64(elapsed)/float64(time.Millisecond), events,
 		int(maxRankBytes), maxHeap,
-		float64(alloc.bytes)/(1<<20), int(alloc.mallocs), "")
+		float64(bytes)/(1<<20), int(mallocs), "")
 }

@@ -67,12 +67,3 @@ func writeProm(w io.Writer, exps []export) error {
 	}
 	return nil
 }
-
-// WriteProm renders the registry's current state in the Prometheus text
-// exposition format. Sim-plane instruments must only be rendered after the
-// run's engines drained (their lanes are owned by shard executors while the
-// simulation runs); the live endpoints therefore expose the Campaign
-// aggregate, not per-run registries.
-func (r *Registry) WriteProm(w io.Writer) error {
-	return writeProm(w, r.exports())
-}

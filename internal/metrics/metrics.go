@@ -21,7 +21,7 @@
 // attribute, not a type: Registry.HostCounter registers a one-lane instance
 // of the same Counter. A run's registry is written by the one goroutine
 // executing the run and read after it; the live HTTP handlers (serve.go)
-// read only the Campaign aggregate.
+// read only the Campaign aggregate and the campaign ledger's Status.
 //
 // The sim-plane MPI and fabric sets are not an optional mirror of some
 // other bookkeeping: they are the store. mpi.World and simnet.Network each

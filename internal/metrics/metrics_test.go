@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"amrtools/internal/telemetry"
 )
@@ -125,6 +124,8 @@ func TestSimSnapshotExcludesHostPlane(t *testing.T) {
 	}
 }
 
+// TestWritePromFormat: the exposition writer, through the campaign
+// aggregate of one run (the live /metrics renders nothing else).
 func TestWritePromFormat(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("sim_a_total", "things counted", 1)
@@ -132,8 +133,10 @@ func TestWritePromFormat(t *testing.T) {
 	h := r.Histogram("sim_h", "sim hist", 1, []float64{1, 10})
 	h.Observe(0, 0.5)
 	h.Observe(0, 100)
+	camp := NewCampaign()
+	camp.AddRun(r)
 	var sb strings.Builder
-	if err := r.WriteProm(&sb); err != nil {
+	if err := camp.WriteProm(&sb, Status{}); err != nil {
 		t.Fatal(err)
 	}
 	got := sb.String()
@@ -167,7 +170,7 @@ func TestCampaignAddRunMerges(t *testing.T) {
 		camp.AddRun(r)
 	}
 	var sb strings.Builder
-	if err := camp.WriteProm(&sb); err != nil {
+	if err := camp.WriteProm(&sb, Status{}); err != nil {
 		t.Fatal(err)
 	}
 	got := sb.String()
@@ -181,26 +184,6 @@ func TestCampaignAddRunMerges(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Fatalf("campaign exposition missing %q:\n%s", want, got)
 		}
-	}
-}
-
-func TestCampaignStatus(t *testing.T) {
-	camp := NewCampaign()
-	camp.BeginCampaign("fig6", 10)
-	camp.ObserveRun("fig6/0", "ok", 50*time.Millisecond)
-	camp.ObserveRun("fig6/1", "err", 10*time.Millisecond)
-	st := camp.StatusNow()
-	if st.Campaign != "fig6" || st.Done != 2 || st.Total != 10 {
-		t.Fatalf("status = %+v", st)
-	}
-	if st.Failed != 1 {
-		t.Fatalf("Failed = %d, want 1", st.Failed)
-	}
-	if st.LastID != "fig6/1" || st.LastStatus != "err" {
-		t.Fatalf("last run = %s/%s", st.LastID, st.LastStatus)
-	}
-	if st.ETA <= 0 {
-		t.Fatalf("ETA should be positive with 2/10 done, got %v", st.ETA)
 	}
 }
 

@@ -1,12 +1,13 @@
 package metrics
 
 // Live serving surface (host plane): an opt-in HTTP server exposing the
-// campaign aggregate as Prometheus text (/metrics), a human progress page
-// (/statusz), and the standard pprof handlers (/debug/pprof/). Everything
-// here reads Campaign atomics or mutex-guarded aggregates — never a live
-// run's registry — so serving concurrently with executing runs is
-// safe and cannot perturb results. This file is host-plane, and only the
-// binaries' -serve flags reach it, never simulation code.
+// campaign aggregate and the campaign ledger as Prometheus text (/metrics),
+// a human progress page (/statusz), and the standard pprof handlers
+// (/debug/pprof/). Everything here reads the mutex-guarded Campaign
+// aggregate or a Status the ledger hands out — never a live run's registry
+// — so serving concurrently with executing runs is safe and cannot perturb
+// results. This file is host-plane, and only the binaries' -serve flags
+// reach it, never simulation code.
 
 import (
 	"fmt"
@@ -17,22 +18,27 @@ import (
 	"time"
 )
 
-// Server is a live metrics endpoint bound to a campaign aggregate.
+// Server is a live metrics endpoint bound to a campaign aggregate and a
+// campaign ledger.
 type Server struct {
-	c   *Campaign
-	lis net.Listener
-	srv *http.Server
+	c      *Campaign
+	status func() Status
+	lis    net.Listener
+	srv    *http.Server
 }
 
 // Serve starts an HTTP server on addr (e.g. ":8080" or "127.0.0.1:0") and
 // returns once the listener is bound, so callers can print the resolved
-// address before the campaign starts. Close releases it.
-func Serve(addr string, c *Campaign) (*Server, error) {
+// address before the campaign starts. Close releases it. c supplies the
+// merged run series and the event-queue split; status, called on every
+// request from the server's goroutines, supplies the campaign ledger's view
+// (harness.Recorder.Status).
+func Serve(addr string, c *Campaign, status func() Status) (*Server, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: serve: %w", err)
 	}
-	s := &Server{c: c, lis: lis}
+	s := &Server{c: c, status: status, lis: lis}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/statusz", s.handleStatusz)
@@ -68,14 +74,14 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.c.WriteProm(w); err != nil {
+	if err := s.c.WriteProm(w, s.status()); err != nil {
 		// Headers are gone; nothing to do but drop the connection.
 		return
 	}
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	st := s.c.StatusNow()
+	st := s.status()
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprint(w, "<html><head><title>amrtools statusz</title>")
 	fmt.Fprint(w, `<meta http-equiv="refresh" content="2"></head><body>`)
@@ -97,9 +103,10 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	if st.ETA > 0 {
 		row("eta", st.ETA.Round(time.Second).String())
 	}
-	if n := st.LaneEvents + st.HeapEvents; n > 0 {
+	if lane, heap, heapLen := s.c.QueueSplit(); lane+heap > 0 {
+		n := lane + heap
 		row("event queue (completed runs)", fmt.Sprintf("%d laned, %d via heap (%.1f%% laned), mean heap %.0f at pop",
-			st.LaneEvents, st.HeapEvents, 100*float64(st.LaneEvents)/float64(n), float64(st.HeapLenAtPop)/float64(n)))
+			lane, heap, 100*float64(lane)/float64(n), float64(heapLen)/float64(n)))
 	}
 	row("uptime", st.Uptime.Round(time.Second).String())
 	fmt.Fprint(w, "</table>")

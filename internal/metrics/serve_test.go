@@ -1,11 +1,15 @@
-package metrics
+package metrics_test
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"amrtools/internal/harness"
+	"amrtools/internal/metrics"
 )
 
 // get fetches a path from the test server and returns status + body.
@@ -23,23 +27,52 @@ func get(t *testing.T, addr, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// TestServeEndpoints: the endpoints render the campaign ledger of a
+// harness.Recorder mid-campaign (one of three runs done) and the merged
+// registries of a Campaign.
 func TestServeEndpoints(t *testing.T) {
-	camp := NewCampaign()
-	camp.BeginCampaign("serve-test", 3)
-	camp.ObserveRun("serve-test/0", "ok", 5*time.Millisecond)
-	r := NewRegistry()
+	rec := harness.NewRecorder()
+	release, finished := make(chan struct{}), make(chan struct{})
+	specs := make([]harness.Spec[int], 3)
+	for i := range specs {
+		specs[i] = harness.Spec[int]{ID: fmt.Sprintf("serve-test/%d", i), Run: func(*harness.Meter) (int, error) {
+			if i > 0 {
+				<-release
+			}
+			return i, nil
+		}}
+	}
+	go func() {
+		harness.Run(harness.Exec{Workers: 3, Recorder: rec}, "serve-test", specs)
+		close(finished)
+	}()
+	defer func() {
+		close(release)
+		<-finished
+	}()
+	for deadline := time.Now().Add(10 * time.Second); rec.Status().Done < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first run never reached the ledger")
+		}
+	}
+	if st := rec.Status(); st.ETA <= 0 {
+		t.Fatalf("ETA should be positive with 1/3 done, got %v", st.ETA)
+	}
+
+	camp := metrics.NewCampaign()
+	r := metrics.NewRegistry()
 	c := r.Counter("sim_probe_total", "probe", 1)
 	c.Add(0, 11)
 	camp.AddRun(r)
 	// A run's event queue: 75 of 100 events appended to a lane, 2 000 heap
 	// entries summed over the pops.
-	rs := NewRunSet(2, 1, nil)
+	rs := metrics.NewRunSet(2, 1, nil)
 	rs.Sched.LaneEvents.Add(0, 75)
 	rs.Sched.HeapEvents.Add(0, 25)
 	rs.Sched.HeapLenAtPop.Add(0, 2000)
 	camp.AddRun(rs.Reg)
 
-	srv, err := Serve("127.0.0.1:0", camp)
+	srv, err := metrics.Serve("127.0.0.1:0", camp, rec.Status)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -564,14 +564,26 @@ func (t *Table) view(pick []*column, lo, hi int) *Table {
 	return out
 }
 
-// eachChunk calls f with rows [lo, lo+n) of the table, for every ChunkRows
-// rows from lo = 0: the table's own chunks, shared, when it was built by
-// appends (rows that straddle chunks are joined into a copy of their own).
-// An empty table is one empty chunk.
+// NumChunks returns how many chunks a reader walks the table in: one per
+// ChunkRows rows from row 0, the last one shorter; an empty table is one
+// empty chunk.
+func (t *Table) NumChunks() int { return max(1, (t.rows+ChunkRows-1)/ChunkRows) }
+
+// Chunk returns chunk i of the walk as a view: rows [i*ChunkRows,
+// min((i+1)*ChunkRows, NumRows)). Its columns are the table's own chunks,
+// shared, when the table was built by appends (rows that straddle chunks
+// are joined into a copy of their own).
+func (t *Table) Chunk(i int) *Table {
+	lo := i * ChunkRows
+	return t.Slice(lo, min(lo+ChunkRows, t.rows))
+}
+
+// eachChunk calls f with rows [lo, lo+n) of every chunk of the walk, in
+// order.
 func (t *Table) eachChunk(f func(lo int, cols []Column, n int)) {
-	for lo := 0; lo == 0 || lo < t.rows; lo += ChunkRows {
-		hi := min(lo+ChunkRows, t.rows)
-		f(lo, t.Slice(lo, hi).Columns(), hi-lo)
+	for i := range t.NumChunks() {
+		c := t.Chunk(i)
+		f(i*ChunkRows, c.Columns(), c.rows)
 	}
 }
 

@@ -35,7 +35,10 @@ func execTable(q *Query, t *telemetry.Table) (*telemetry.Table, error) {
 			return b.finish(t), nil
 		}
 		acc := newAccumulator(b)
-		tableSource{t}.each(func(cols []telemetry.Column, n int) { acc.add(cols, n, nil) })
+		for i := range t.NumChunks() {
+			c := t.Chunk(i)
+			acc.add(c.Columns(), c.NumRows(), nil)
+		}
 		return b.finish(acc.sink.Table()), nil
 	}
 	out, _, err := execute(q, tableSource{t})
@@ -53,47 +56,21 @@ type chunkSource interface {
 	DecodeColumnsInto(s *colfile.Scratch, i int, want []bool) ([]telemetry.Column, int, error)
 }
 
-// tableSource presents an in-memory table as chunks of telemetry.ChunkRows
-// rows with no zone maps, their columns the table's own chunks (nothing is
-// copied for a table built by appends, so it needs no scratch); an empty
-// table is one empty chunk. Without zone maps a WHERE makes every chunk
-// classSome, so the metadata-only path never sees them; execTable scans a
-// tableSource only when there is a WHERE.
-type tableSource struct{ t *telemetry.Table }
-
-func (s tableSource) Schema() []telemetry.ColSpec { return s.t.Schema() }
-
-func (s tableSource) NumChunks() int {
-	return max(1, (s.t.NumRows()+telemetry.ChunkRows-1)/telemetry.ChunkRows)
-}
-
-// rows returns the bounds of chunk i.
-func (s tableSource) rows(i int) (lo, hi int) {
-	lo = i * telemetry.ChunkRows
-	return lo, min(lo+telemetry.ChunkRows, s.t.NumRows())
-}
+// tableSource presents an in-memory table as its chunk walk
+// (Table.NumChunks, Table.Chunk) with no zone maps; the chunks' columns are
+// the table's own (nothing is copied for a table built by appends, so it
+// needs no scratch). Without zone maps a WHERE makes every chunk classSome,
+// so the metadata-only path never sees them; execTable scans a tableSource
+// only when there is a WHERE.
+type tableSource struct{ *telemetry.Table }
 
 func (s tableSource) Meta(i int) colfile.ChunkMeta {
-	lo, hi := s.rows(i)
-	return colfile.ChunkMeta{Rows: hi - lo}
-}
-
-// chunk returns chunk i's columns and rows.
-func (s tableSource) chunk(i int) ([]telemetry.Column, int) {
-	lo, hi := s.rows(i)
-	return s.t.Slice(lo, hi).Columns(), hi - lo
+	return colfile.ChunkMeta{Rows: s.Chunk(i).NumRows()}
 }
 
 func (s tableSource) DecodeColumnsInto(_ *colfile.Scratch, i int, _ []bool) ([]telemetry.Column, int, error) {
-	cols, n := s.chunk(i)
-	return cols, n, nil
-}
-
-// each calls f with every chunk, in order.
-func (s tableSource) each(f func(cols []telemetry.Column, n int)) {
-	for i := range s.NumChunks() {
-		f(s.chunk(i))
-	}
+	c := s.Chunk(i)
+	return c.Columns(), c.NumRows(), nil
 }
 
 // execute is the one executor: bind, classify every chunk from its zone
@@ -224,7 +201,9 @@ func (b *bound) orderLimit(cur *telemetry.Table) *telemetry.Table {
 	switch {
 	case len(by) > 0 && b.q.Limit >= 0:
 		top := telemetry.NewTopK(cur.Schema(), by, b.q.Limit)
-		tableSource{cur}.each(func(cols []telemetry.Column, _ int) { top.Add(cols, nil) })
+		for i := range cur.NumChunks() {
+			top.Add(cur.Chunk(i).Columns(), nil)
+		}
 		return top.Table()
 	case b.q.Limit >= 0:
 		return cur.Head(b.q.Limit)

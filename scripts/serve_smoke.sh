@@ -2,9 +2,10 @@
 # serve_smoke.sh — smoke-test the live observability endpoint: start a
 # short campaign with -serve, scrape /metrics and /statusz while the
 # campaign executes, and fail on any non-200 response, an empty
-# exposition, a completed run's series that never reach /metrics, or a
-# runs-done count that never leaves zero. Used by `make serve-smoke` and
-# the CI serve-smoke job.
+# exposition, a completed run's series that never reach /metrics, campaign
+# ledger totals (runs completed, heap growth of the finished campaigns) that
+# never leave zero, or a runs-done count that never leaves zero. Used by
+# `make serve-smoke` and the CI serve-smoke job.
 set -eu
 
 log=$(mktemp)
@@ -82,6 +83,11 @@ poll() {
 poll /metrics "a completed run's host and sim series" \
     '^host_sched_lane_events_total\{plane="host"\} [0-9]' \
     '^sim_mpi_p2p_msgs_total\{plane="sim"\} [0-9]'
+# The ledger's totals reach /metrics: runs as they complete, heap growth
+# when a campaign ends.
+poll /metrics "non-zero campaign ledger totals" \
+    '^host_campaign_runs_completed_total\{plane="host"\} [1-9]' \
+    '^host_campaign_alloc_bytes_total\{plane="host"\} [1-9]'
 # The harness counts each run in as it completes, while the campaign runs.
 poll /statusz "a non-zero runs-done count" 'runs done/total</b></td><td>[1-9][0-9]*/'
 
