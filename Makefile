@@ -62,11 +62,14 @@ examples:
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./internal/...
 
-# Paired A/B of one repo-benchmark workload (BENCHMARK.json) between a base
+# Paired A/B of repo-benchmark workloads (BENCHMARK.json) between a base
 # revision and the working tree, both measured by the working tree's bench/:
-#   make ab OLD=HEAD~1 WORKLOAD=sedov_sweep [PAIRS=10] [SEED=1]
-# Alternating pairs, per-metric medians, quartiles and pairs won; fails on a
-# result-digest mismatch. This is how a PR's speed claim is produced.
+#   make ab OLD=HEAD~1 WORKLOAD=sedov_sweep[,scale_4k,…] [PAIRS=10] [SEED=1]
+# The two binaries are built once; each workload of the comma-separated list
+# gets its own alternating pairs and its own table of per-metric medians,
+# quartiles and pairs won. Fails if any workload's result digests differ or
+# any run reports "correct":false. This is how a PR's speed claim is
+# produced.
 PAIRS ?= 10
 SEED ?= 1
 ab:

@@ -85,7 +85,7 @@ func (st *runState) auditHaloConsistency(ep *epoch, nranks int) {
 			check.Assertf(i >= 0 && i < n && ep.leafIDs[i] == lb.ID,
 				"driver", "halo-consistency",
 				"rank %d owned[%d] = %v carries stale sfc index %d", r, k, lb.ID, lb.Index)
-			check.Assertf(ep.assign[i] == r, "driver", "halo-consistency",
+			check.Assertf(int(ep.assign[i]) == r, "driver", "halo-consistency",
 				"rank %d view owns leaf %v, assignment gives it to rank %d", r, lb.ID, ep.assign[i])
 		}
 		for k, hb := range v.Halo {
@@ -93,7 +93,7 @@ func (st *runState) auditHaloConsistency(ep *epoch, nranks int) {
 			check.Assertf(i >= 0 && i < n && ep.leafIDs[i] == hb.ID,
 				"driver", "halo-consistency",
 				"rank %d halo[%d] = %v carries stale sfc index %d", r, k, hb.ID, hb.Index)
-			check.Assertf(int(hb.Owner) == ep.assign[i] && int(hb.Owner) != r,
+			check.Assertf(hb.Owner == ep.assign[i] && int(hb.Owner) != r,
 				"driver", "halo-consistency",
 				"rank %d halo leaf %v records owner %d, assignment says %d",
 				r, hb.ID, hb.Owner, ep.assign[i])
@@ -107,16 +107,15 @@ func (st *runState) auditHaloConsistency(ep *epoch, nranks int) {
 // rank as its peer, with the same source block and size — and vice versa.
 func (st *runState) auditPlanSymmetry(ep *epoch) {
 	type plannedRecv struct {
-		rank        int
-		from, size  int32
-		peer, count int32
+		rank, from, size int32
+		peer, count      int32
 	}
 	recvs := make(map[int32]plannedRecv)
 	totalRecvs := 0
 	for r := range ep.plans {
 		for _, e := range ep.plans[r].recvs {
 			prev := recvs[e.tag]
-			recvs[e.tag] = plannedRecv{rank: r, from: e.from, size: e.size, peer: e.peer, count: prev.count + 1}
+			recvs[e.tag] = plannedRecv{rank: int32(r), from: e.from, size: e.size, peer: e.peer, count: prev.count + 1}
 			totalRecvs++
 		}
 	}
@@ -132,7 +131,7 @@ func (st *runState) auditPlanSymmetry(ep *epoch) {
 			check.Assertf(got.rank == ep.assign[e.to], "driver", "plan-symmetry",
 				"tag %d recv planned on rank %d, but destination block %d is owned by rank %d",
 				e.tag, got.rank, e.to, ep.assign[e.to])
-			check.Assertf(got.rank == int(e.peer), "driver", "plan-symmetry",
+			check.Assertf(got.rank == e.peer, "driver", "plan-symmetry",
 				"tag %d send names peer %d, but its recv is posted on rank %d", e.tag, e.peer, got.rank)
 			check.Assertf(int(got.peer) == r, "driver", "plan-symmetry",
 				"tag %d recv names peer %d, but its send is posted on rank %d", e.tag, got.peer, r)
@@ -153,11 +152,11 @@ func (st *runState) auditPlanSymmetry(ep *epoch) {
 // blocks). Asymmetry means a rank's local view disagrees with the substrate
 // about which blocks it just received.
 func (st *runState) auditDeltaSymmetry(ep *epoch, oldDir *ownerDirectory, nranks int) {
-	type edge struct{ oldRank, newRank int }
+	type edge struct{ oldRank, newRank int32 }
 	sent := make(map[edge]int)
 	for i, id := range ep.leafIDs {
 		old, ok := oldDir.inherit(id)
-		if ok && old >= 0 && old < nranks && old != ep.assign[i] {
+		if ok && old >= 0 && int(old) < nranks && old != ep.assign[i] {
 			sent[edge{old, ep.assign[i]}]++
 		}
 	}
@@ -165,8 +164,8 @@ func (st *runState) auditDeltaSymmetry(ep *epoch, oldDir *ownerDirectory, nranks
 	for r := range ep.plans {
 		for _, lb := range ep.plans[r].view.Owned {
 			old, ok := oldDir.inherit(lb.ID)
-			if ok && old >= 0 && old < nranks && old != r {
-				recvd[edge{old, r}]++
+			if ok && old >= 0 && int(old) < nranks && int(old) != r {
+				recvd[edge{old, int32(r)}]++
 			}
 		}
 	}

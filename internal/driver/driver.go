@@ -480,7 +480,7 @@ func (st *runState) inheritAssignment(leaves []*mesh.Block, nranks int) placemen
 	assign := make(placement.Assignment, len(leaves))
 	for i, b := range leaves {
 		owner, ok := st.dir.inherit(b.ID)
-		if !ok || owner < 0 || owner >= nranks {
+		if !ok || owner < 0 || int(owner) >= nranks {
 			owner = 0
 		}
 		assign[i] = owner
@@ -522,11 +522,11 @@ func (st *runState) buildEpochWith(assign placement.Assignment, costs []float64,
 		rpn := st.cfg.Net.RanksPerNode
 		for i, id := range ep.leafIDs {
 			old, ok := oldDir.inherit(id)
-			if ok && old != assign[i] && old >= 0 && old < nranks {
+			if ok && old != assign[i] && old >= 0 && int(old) < nranks {
 				st.res.Migrations++
 				st.res.Deltas.Handoffs++
 				bw := st.cfg.Net.RemoteBandwidth
-				if old/rpn == assign[i]/rpn {
+				if int(old)/rpn == int(assign[i])/rpn {
 					bw = st.cfg.Net.LocalBandwidth
 				}
 				t := float64(blockBytes) / bw

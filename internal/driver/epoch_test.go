@@ -62,7 +62,7 @@ func TestBuildEpochAllocBudget(t *testing.T) {
 // and an empty plan beside ranks whose plans pair up.
 func TestBuildRankPlanEmptyRank(t *testing.T) {
 	m := mesh.NewUniform(2, 2, 1, 0)
-	views := m.BuildRankViews([]int{0, 1, 0, 1}, 3)
+	views := m.BuildRankViews([]int32{0, 1, 0, 1}, 3)
 	v := views[2]
 	if len(v.Owned) != 0 || len(v.Halo) != 0 || v.Bytes() != 0 {
 		t.Fatalf("empty rank view: %d owned, %d halo, %d bytes", len(v.Owned), len(v.Halo), v.Bytes())

@@ -75,14 +75,14 @@ func buildDirectory(geom mesh.Geometry, leafIDs []mesh.BlockID, assign placement
 		s := &d.shards[homes[i]]
 		s.keys = append(s.keys, keys[i])
 		s.levels = append(s.levels, uint8(id.Level))
-		s.owners = append(s.owners, int32(assign[i]))
+		s.owners = append(s.owners, assign[i])
 	}
 	return d
 }
 
 // lookup resolves the owner of block id, or ok=false when id is not a leaf
 // of the directory's epoch.
-func (d *ownerDirectory) lookup(id mesh.BlockID) (int, bool) {
+func (d *ownerDirectory) lookup(id mesh.BlockID) (int32, bool) {
 	if d == nil || len(d.shards) == 0 {
 		return 0, false
 	}
@@ -92,7 +92,7 @@ func (d *ownerDirectory) lookup(id mesh.BlockID) (int, bool) {
 	if i == len(s.keys) || s.keys[i] != key || int(s.levels[i]) != id.Level {
 		return 0, false
 	}
-	return int(s.owners[i]), true
+	return s.owners[i], true
 }
 
 // inherit resolves the previous owner of a block that may not have existed
@@ -102,7 +102,7 @@ func (d *ownerDirectory) lookup(id mesh.BlockID) (int, bool) {
 // walk goes all the way to the root — resolving only one level up silently
 // dropped blocks created more than one level below any previous leaf to the
 // rank-0 fallback (see TestInheritDeepAncestor).
-func (d *ownerDirectory) inherit(id mesh.BlockID) (int, bool) {
+func (d *ownerDirectory) inherit(id mesh.BlockID) (int32, bool) {
 	if o, ok := d.lookup(id); ok {
 		return o, true
 	}
@@ -124,9 +124,9 @@ func (d *ownerDirectory) inherit(id mesh.BlockID) (int, bool) {
 // breaking ties toward the earliest child in Z order. A coarsened block's
 // state lives wherever most of its children lived, so that rank is the
 // cheapest inheritor.
-func (d *ownerDirectory) childMajority(id mesh.BlockID) (int, bool) {
-	counts := make(map[int]int, 2)
-	var seen []int // owners in first-child order, for the tiebreak
+func (d *ownerDirectory) childMajority(id mesh.BlockID) (int32, bool) {
+	counts := make(map[int32]int, 2)
+	var seen []int32 // owners in first-child order, for the tiebreak
 	for _, c := range id.Children() {
 		o, ok := d.lookup(c)
 		if !ok {
@@ -137,7 +137,7 @@ func (d *ownerDirectory) childMajority(id mesh.BlockID) (int, bool) {
 		}
 		counts[o]++
 	}
-	best, bestN := 0, 0
+	best, bestN := int32(0), 0
 	for _, o := range seen {
 		if counts[o] > bestN {
 			best, bestN = o, counts[o]
@@ -229,7 +229,7 @@ func buildRankPlan(v *mesh.RankView, sizes [3]int, fluxBytes int) rankPlan {
 			tag:  messageTag(from, x.PairEntry),
 			from: from,
 			to:   v.RefIndex(x.To),
-			peer: int32(v.RefOwner(x.To)),
+			peer: v.RefOwner(x.To),
 			size: exchangeSize(x.PairEntry, sizes, fluxBytes),
 		})
 	}
@@ -241,7 +241,7 @@ func buildRankPlan(v *mesh.RankView, sizes [3]int, fluxBytes int) rankPlan {
 			tag:  messageTag(from, x.PairEntry),
 			from: from,
 			to:   v.RefIndex(x.To),
-			peer: int32(v.RefOwner(x.From)),
+			peer: v.RefOwner(x.From),
 			size: exchangeSize(x.PairEntry, sizes, fluxBytes),
 		}
 	}
@@ -269,11 +269,11 @@ func (st *runState) gatherCostViews(leaves []*mesh.Block, nranks int) []float64 
 	}
 	for i, b := range leaves {
 		r, ok := st.dir.inherit(b.ID)
-		if !ok || r < 0 || r >= nranks {
+		if !ok || r < 0 || int(r) >= nranks {
 			r = 0
 		}
 		est, _ := st.rec.Estimate(b.ID)
-		views[r].Indices = append(views[r].Indices, i)
+		views[r].Indices = append(views[r].Indices, int32(i))
 		views[r].Costs = append(views[r].Costs, est)
 	}
 	return placement.GatherCosts(views, len(leaves))

@@ -17,7 +17,7 @@ func TestInheritDeepAncestor(t *testing.T) {
 	m := mesh.NewUniform(2, 1, 1, 2)
 	rootA := m.Leaves()[0].ID
 	rootB := m.Leaves()[1].ID
-	dir := directoryFor(m, map[mesh.BlockID]int{rootA: 3, rootB: 1}, 4)
+	dir := directoryFor(m, map[mesh.BlockID]int32{rootA: 3, rootB: 1}, 4)
 
 	// A grandchild of rootA, off the child-0 chain so its normalized key
 	// differs from rootA's and an exact-key lookup cannot mask the walk.
@@ -47,7 +47,7 @@ func TestDirectoryLevelDisambiguation(t *testing.T) {
 	if err := m.Refine(root); err != nil {
 		t.Fatal(err)
 	}
-	owner := map[mesh.BlockID]int{m.Leaves()[len(m.Leaves())-1].ID: 1}
+	owner := map[mesh.BlockID]int32{m.Leaves()[len(m.Leaves())-1].ID: 1}
 	kids := root.Children()
 	owner[kids[0]] = 0
 	for _, c := range kids[1:] {
@@ -96,7 +96,7 @@ func TestDirectoryHomeRankBalance(t *testing.T) {
 func TestDirectorySingleBlockMesh(t *testing.T) {
 	m := mesh.NewUniform(1, 1, 1, 2)
 	root := m.Leaves()[0].ID
-	dir := directoryFor(m, map[mesh.BlockID]int{root: 5}, 8)
+	dir := directoryFor(m, map[mesh.BlockID]int32{root: 5}, 8)
 	if o, ok := dir.lookup(root); !ok || o != 5 {
 		t.Fatalf("lookup = (%d, %v), want (5, true)", o, ok)
 	}
@@ -112,7 +112,7 @@ func TestDirectorySingleBlockMesh(t *testing.T) {
 func TestDirectoryZeroBlockRanks(t *testing.T) {
 	m := mesh.NewUniform(2, 1, 1, 1)
 	a, b := m.Leaves()[0].ID, m.Leaves()[1].ID
-	dir := directoryFor(m, map[mesh.BlockID]int{a: 1, b: 0}, 16)
+	dir := directoryFor(m, map[mesh.BlockID]int32{a: 1, b: 0}, 16)
 	if o, ok := dir.lookup(a); !ok || o != 1 {
 		t.Fatalf("leaf a = (%d, %v), want (1, true)", o, ok)
 	}
@@ -140,7 +140,7 @@ func TestDirectoryZeroBlockRanks(t *testing.T) {
 func TestInheritMaxDepthKeys(t *testing.T) {
 	m := mesh.NewUniform(2, 1, 1, 2) // maxLevel 2
 	rootA := m.Leaves()[0].ID
-	dir := directoryFor(m, map[mesh.BlockID]int{rootA: 3}, 4)
+	dir := directoryFor(m, map[mesh.BlockID]int32{rootA: 3}, 4)
 	deepest := rootA.Children()[2].Children()[6]
 	if deepest.Level != 2 {
 		t.Fatalf("deepest level %d, want the mesh max 2", deepest.Level)
@@ -162,9 +162,9 @@ func TestInheritMaxDepthKeys(t *testing.T) {
 // rebuild the directory for any rank count without perturbing results.
 func TestDirectoryRoutingShardCountIndependent(t *testing.T) {
 	m := mesh.NewUniform(2, 2, 1, 1)
-	owners := map[mesh.BlockID]int{}
+	owners := map[mesh.BlockID]int32{}
 	for i, b := range m.Leaves() {
-		owners[b.ID] = i % 3
+		owners[b.ID] = int32(i % 3)
 	}
 	base := directoryFor(m, owners, 1)
 	for _, nranks := range []int{2, 3, 8, 64} {

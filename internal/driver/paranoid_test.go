@@ -39,7 +39,7 @@ func auditState(t *testing.T) *runState {
 	}
 	ident := make(placement.Assignment, 8)
 	for i := range ident {
-		ident[i] = i
+		ident[i] = int32(i)
 	}
 	st.buildEpochWith(ident, unitCosts(8), 8, true)
 	return st
@@ -49,7 +49,7 @@ func auditState(t *testing.T) *runState {
 // current leaves present in owner (in SFC order), standing in for a previous
 // epoch's directory in inheritance tests. Leaves absent from owner get no
 // record — the "unknown previous owner" case.
-func directoryFor(m *mesh.Mesh, owner map[mesh.BlockID]int, nranks int) *ownerDirectory {
+func directoryFor(m *mesh.Mesh, owner map[mesh.BlockID]int32, nranks int) *ownerDirectory {
 	var ids []mesh.BlockID
 	var assign placement.Assignment
 	for _, b := range m.Leaves() {
@@ -80,7 +80,7 @@ func TestInheritAssignmentCoarsenedMajority(t *testing.T) {
 	// A coarsened block whose first child lived on a minority rank must
 	// inherit the majority owner, not the first child's.
 	m, root, other := refineFirstRoot(t)
-	owner := map[mesh.BlockID]int{other: 1}
+	owner := map[mesh.BlockID]int32{other: 1}
 	kids := root.Children()
 	owner[kids[0]] = 0 // minority
 	for _, c := range kids[1:] {
@@ -92,7 +92,7 @@ func TestInheritAssignmentCoarsenedMajority(t *testing.T) {
 	}
 	assign := st.inheritAssignment(m.Leaves(), 4)
 	for i, b := range m.Leaves() {
-		want := 1
+		want := int32(1)
 		if b.ID == root {
 			want = 3
 		}
@@ -106,7 +106,7 @@ func TestInheritAssignmentCoarsenedFirstChildUnknown(t *testing.T) {
 	// When the first child's owner is unknown the majority of the remaining
 	// children must still win — not the rank-0 fallback.
 	m, root, other := refineFirstRoot(t)
-	owner := map[mesh.BlockID]int{other: 1}
+	owner := map[mesh.BlockID]int32{other: 1}
 	kids := root.Children()
 	for _, c := range kids[1:] {
 		owner[c] = 2
@@ -140,7 +140,7 @@ func TestMigrationCoarsenedOntoMajorityNotCounted(t *testing.T) {
 		res:       &Result{},
 	}
 	kids := root.Children()
-	want := map[mesh.BlockID]int{kids[0]: 0, other: 0}
+	want := map[mesh.BlockID]int32{kids[0]: 0, other: 0}
 	for _, c := range kids[1:] {
 		want[c] = 1 // rank 1 holds 7 of 8 children
 	}
@@ -210,7 +210,7 @@ func (p *roguePolicy) Assign(costs []float64, nranks int) placement.Assignment {
 	a := make(placement.Assignment, len(costs))
 	if p.calls >= p.badAt {
 		for i := range a {
-			a[i] = nranks // one past the last valid rank
+			a[i] = int32(nranks) // one past the last valid rank
 		}
 	}
 	return a

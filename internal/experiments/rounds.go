@@ -112,7 +112,7 @@ func roundPlanFor(c roundCell, rng *xrand.RNG) *roundPlan {
 	plan := newRoundPlan(ranks)
 	for _, e := range all {
 		if sr, dr := assign[e.from], assign[e.to]; sr != dr {
-			plan.add(sr, dr, e.size)
+			plan.add(int(sr), int(dr), e.size)
 		}
 	}
 	if c.aggregate {

@@ -111,13 +111,14 @@ func (m *Mesh) UniqueNeighbors(id BlockID) []Neighbor {
 
 // AdjacencyBySFC returns, for each leaf (indexed by SFCIndex), the SFCIndex
 // list of its distinct neighbors. This is the compact adjacency structure
-// placement-quality metrics and commbench consume.
-func (m *Mesh) AdjacencyBySFC() [][]int {
+// placement-quality metrics and commbench consume; indices are int32, as
+// LocalBlock.Index is.
+func (m *Mesh) AdjacencyBySFC() [][]int32 {
 	leaves := m.Leaves()
-	adj := make([][]int, len(leaves))
+	adj := make([][]int32, len(leaves))
 	for i, b := range leaves {
 		for _, n := range m.UniqueNeighbors(b.ID) {
-			adj[i] = append(adj[i], m.leaves[n.ID].SFCIndex)
+			adj[i] = append(adj[i], int32(m.leaves[n.ID].SFCIndex))
 		}
 	}
 	return adj

@@ -240,11 +240,11 @@ func (v *RankView) RefIndex(r Ref) int32 {
 }
 
 // RefOwner returns the rank owning the block behind a ref.
-func (v *RankView) RefOwner(r Ref) int {
+func (v *RankView) RefOwner(r Ref) int32 {
 	if r.IsOwned() {
-		return v.Rank
+		return int32(v.Rank)
 	}
-	return int(v.Halo[r.HaloIndex()].Owner)
+	return v.Halo[r.HaloIndex()].Owner
 }
 
 // Neighbors enumerates the boundary messages owned block ownedIdx sends, in
@@ -294,7 +294,7 @@ func (v *RankView) Bytes() int {
 // Receives are then scattered from the senders' recorded sends, senders in
 // SFC order and each sender's messages in slot order: every view's receives
 // arrive in tag order, with no reconstruction and no sort.
-func (m *Mesh) BuildRankViews(assign []int, nranks int) []*RankView {
+func (m *Mesh) BuildRankViews(assign []int32, nranks int) []*RankView {
 	leaves := m.Leaves()
 	n := len(leaves)
 	if len(assign) != n {
@@ -399,7 +399,7 @@ func (m *Mesh) BuildRankViews(assign []int, nranks int) []*RankView {
 type viewWalk struct {
 	m      *Mesh
 	g      Geometry
-	assign []int
+	assign []int32
 	// stamp[j] is the mark (1 + rank) of the view that last recorded leaf
 	// j, and ref[j] is leaf j's ref in that view.
 	stamp []int32
@@ -450,7 +450,7 @@ func (w *viewWalk) send(mark int32, from Ref, b *Block, e PairEntry) {
 	if w.stamp[j] != mark {
 		w.stamp[j] = mark
 		w.ref[j] = Ref(len(w.halo))
-		w.halo = append(w.halo, HaloBlock{ID: b.ID, Index: int32(j), Owner: int32(w.assign[j])})
+		w.halo = append(w.halo, HaloBlock{ID: b.ID, Index: int32(j), Owner: w.assign[j]})
 	}
 	to := w.ref[j]
 	if !to.IsOwned() {

@@ -112,7 +112,7 @@ func TestPairExchangesMatchesNeighborsOf(t *testing.T) {
 type testAssign struct {
 	name   string
 	nranks int
-	assign []int
+	assign []int32
 }
 
 // testAssigns returns the assignment shapes the view tests run over n
@@ -120,15 +120,15 @@ type testAssign struct {
 // over ranks 0, 1 and 3, which leaves rank 2 without a block.
 func testAssigns(n int) []testAssign {
 	out := []testAssign{
-		{"single", 1, make([]int, n)},
-		{"roundrobin", 7, make([]int, n)},
-		{"split", 3, make([]int, n)},
-		{"gap", 4, make([]int, n)},
+		{"single", 1, make([]int32, n)},
+		{"roundrobin", 7, make([]int32, n)},
+		{"split", 3, make([]int32, n)},
+		{"gap", 4, make([]int32, n)},
 	}
 	for i := range n {
-		out[1].assign[i] = i % 7
-		out[2].assign[i] = i * 3 / n
-		out[3].assign[i] = []int{0, 1, 3}[i%3]
+		out[1].assign[i] = int32(i % 7)
+		out[2].assign[i] = int32(i * 3 / n)
+		out[3].assign[i] = []int32{0, 1, 3}[i%3]
 	}
 	return out
 }
@@ -233,9 +233,9 @@ func TestViewReceivesMatchPairExchanges(t *testing.T) {
 func TestViewHaloDeterminism(t *testing.T) {
 	m := RandomRefined(2, 3, 2, 2, 100, xrand.New(9))
 	leaves := m.Leaves()
-	assign := make([]int, len(leaves))
+	assign := make([]int32, len(leaves))
 	for i := range assign {
-		assign[i] = i % 5
+		assign[i] = int32(i % 5)
 	}
 	a := m.BuildRankViews(assign, 5)
 	b := m.BuildRankViews(assign, 5)
@@ -272,10 +272,10 @@ func TestViewBytesTracksLocalSize(t *testing.T) {
 	}
 }
 
-func seq(n int) []int {
-	out := make([]int, n)
+func seq(n int) []int32 {
+	out := make([]int32, n)
 	for i := range out {
-		out[i] = i
+		out[i] = int32(i)
 	}
 	return out
 }
@@ -285,7 +285,7 @@ func seq(n int) []int {
 // same message seen from the receiving side.
 func TestViewRefEncoding(t *testing.T) {
 	m := NewUniform(2, 1, 1, 0)
-	v := m.BuildRankViews([]int{0, 1}, 2)[0]
+	v := m.BuildRankViews([]int32{0, 1}, 2)[0]
 	if len(v.Halo) != 1 {
 		t.Fatalf("halo size %d, want 1", len(v.Halo))
 	}
@@ -307,7 +307,7 @@ func TestViewRefEncoding(t *testing.T) {
 	}
 
 	// One rank owning both: the partner resolves to the second owned block.
-	v = m.BuildRankViews([]int{0, 0}, 1)[0]
+	v = m.BuildRankViews([]int32{0, 0}, 1)[0]
 	refs = refs[:0]
 	v.Neighbors(0, func(ref Ref, e PairEntry) { refs = append(refs, ref) })
 	if len(refs) != 1 || !refs[0].IsOwned() || refs[0].OwnedIndex() != 1 || v.RefIndex(refs[0]) != 1 {

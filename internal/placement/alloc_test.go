@@ -52,3 +52,49 @@ func TestChunkedCPLXAllocBudget(t *testing.T) {
 		t.Errorf("%s at %d ranks allocates %.0f objects per call, budget %.0f (8 per chunk)", p.Name(), ranks, per, budget)
 	}
 }
+
+// bytesPerCall returns the heap bytes one call of f allocates, averaged over
+// runs calls after a warm-up call, as testing.AllocsPerRun does for objects.
+func bytesPerCall(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestFlatKernelBytesPerBlock: the bytes LPT, the unchunked restricted CDP
+// and the unchunked CPL50 allocate, per block, at n = 2r blocks on r ranks
+// (the shape placement_scale places). The kernels are serial, so the count
+// repeats on any host. Each budget is the 4 B int32 result per block plus
+// the kernel's scratch, which at n = 2r is a closed form in B per block:
+//
+//   - LPT: two int32 permutations (8) and one 16 B heap entry per rank (8);
+//   - CDP: n = 2r divides evenly, so the DP is skipped and only the int
+//     sizes, one per rank, remain (4);
+//   - CPL50: the CDP seed (4), then the rebalance's float64 loads (4), its
+//     int32 rank order and radix scratch (4), the selection flags (0.5),
+//     the heap of the r/2 picked ranks (4) and the pool of their r blocks
+//     with its radix scratch (4).
+//
+// The slack is 1 B per block, a quarter of what an 8 B result would add.
+func TestFlatKernelBytesPerBlock(t *testing.T) {
+	const slack = 1.0
+	for _, c := range []struct {
+		p       Policy
+		scratch float64 // B per block besides the result
+	}{{LPT{}, 16}, {CDP{Restricted: true}, 4}, {CPLX{X: 50}, 20.5}} {
+		for _, r := range []int{2048, 16384} {
+			costs := randomCosts(xrand.New(uint64(r)), 2*r)
+			per := bytesPerCall(3, func() { c.p.Assign(costs, r) }) / float64(len(costs))
+			if budget := 4 + c.scratch + slack; per > budget {
+				t.Errorf("%s at %d ranks allocates %.2f B per block, budget %.2f (4 result + %.1f scratch + %.0f slack)",
+					c.p.Name(), r, per, budget, c.scratch, slack)
+			}
+		}
+	}
+}

@@ -1,5 +1,10 @@
 package placement
 
+import (
+	"fmt"
+	"math"
+)
+
 // Baseline is the stock placement policy of block-based AMR frameworks
 // (§V-A2): order blocks by SFC block ID and hand contiguous ranges of
 // ⌈n/r⌉ or ⌊n/r⌋ blocks to consecutive ranks. It balances block *counts* —
@@ -12,9 +17,7 @@ func (Baseline) Name() string { return "baseline" }
 // Assign splits the SFC order into r contiguous ranges: the first n mod r
 // ranks receive ⌈n/r⌉ blocks, the rest ⌊n/r⌋.
 func (Baseline) Assign(costs []float64, nranks int) Assignment {
-	if nranks <= 0 {
-		panic("placement: baseline with nranks <= 0")
-	}
+	checkRanks("baseline", nranks)
 	n := len(costs)
 	a := make(Assignment, n)
 	lo := n / nranks
@@ -26,7 +29,7 @@ func (Baseline) Assign(costs []float64, nranks int) Assignment {
 			size++
 		}
 		for k := 0; k < size && idx < n; k++ {
-			a[idx] = r
+			a[idx] = int32(r)
 			idx++
 		}
 	}
@@ -35,8 +38,12 @@ func (Baseline) Assign(costs []float64, nranks int) Assignment {
 
 // ContiguousFromSizes builds an assignment from explicit contiguous chunk
 // sizes (sizes[r] blocks to rank r, in SFC order). It panics if the sizes do
-// not sum to n. Shared by CDP and the chunked variants.
+// not sum to n, or if there are more than math.MaxInt32 ranks. Shared by CDP
+// and the chunked variants.
 func ContiguousFromSizes(n int, sizes []int) Assignment {
+	if len(sizes) > math.MaxInt32 {
+		panic(fmt.Sprintf("placement: ContiguousFromSizes with %d ranks > math.MaxInt32", len(sizes)))
+	}
 	a := make(Assignment, n)
 	idx := 0
 	for r, size := range sizes {
@@ -44,7 +51,7 @@ func ContiguousFromSizes(n int, sizes []int) Assignment {
 			if idx >= n {
 				panic("placement: chunk sizes exceed block count")
 			}
-			a[idx] = r
+			a[idx] = int32(r)
 			idx++
 		}
 	}

@@ -39,9 +39,7 @@ func (c CDP) Name() string {
 
 // Assign partitions blocks contiguously to minimize makespan.
 func (c CDP) Assign(costs []float64, nranks int) Assignment {
-	if nranks <= 0 {
-		panic("placement: cdp with nranks <= 0")
-	}
+	checkRanks("cdp", nranks)
 	if c.ChunkSize > 0 && nranks > c.ChunkSize {
 		return c.assignChunked(costs, nranks)
 	}
@@ -255,7 +253,7 @@ func (c CDP) assignChunked(costs []float64, nranks int) Assignment {
 		idx := sp.bLo
 		for rr, size := range cdpRestrictedSizes(s, costs[sp.bLo:sp.bHi], sp.ranks) {
 			for end := idx + size; idx < end; idx++ {
-				a[idx] = sp.rankLo + rr
+				a[idx] = int32(sp.rankLo + rr)
 			}
 		}
 	})

@@ -36,9 +36,7 @@ func (p CPLX) Name() string {
 
 // Assign computes the CPLX placement.
 func (p CPLX) Assign(costs []float64, nranks int) Assignment {
-	if nranks <= 0 {
-		panic("placement: cplx with nranks <= 0")
-	}
+	checkRanks("cplx", nranks)
 	if p.X < 0 || p.X > 100 {
 		panic(fmt.Sprintf("placement: cplx X=%d out of [0,100]", p.X))
 	}
@@ -52,7 +50,9 @@ func (p CPLX) Assign(costs []float64, nranks int) Assignment {
 // own, and re-place the pool across exactly those ranks with LPT. Ranks
 // outside the selection are untouched, preserving their locality.
 // x = 0 means rebalance zero percent of the ranks: a is left untouched.
+// It panics if nranks <= 0 or nranks > math.MaxInt32.
 func RebalanceExtremes(costs []float64, a Assignment, nranks, x int) {
+	checkRanks("rebalance", nranks)
 	rebalance(costs, a, nranks, x, false)
 }
 
@@ -106,7 +106,7 @@ func rebalance(costs []float64, a Assignment, nranks, x int, topOnly bool) {
 	h := make([]rankLoad, 0, len(picked))
 	for r, s := range selected {
 		if s {
-			h = append(h, rankLoad{rank: r})
+			h = append(h, rankLoad{rank: int32(r)})
 		}
 	}
 	npool := 0

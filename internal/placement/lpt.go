@@ -15,9 +15,7 @@ func (LPT) Name() string { return "lpt" }
 // Assign places blocks by LPT. Ties (equal loads, equal costs) break on
 // lower rank and lower block index, keeping the policy deterministic.
 func (LPT) Assign(costs []float64, nranks int) Assignment {
-	if nranks <= 0 {
-		panic("placement: lpt with nranks <= 0")
-	}
+	checkRanks("lpt", nranks)
 	buf := make([]int32, 2*len(costs))
 	blocks := buf[:len(costs)]
 	for i := range blocks {
@@ -25,7 +23,7 @@ func (LPT) Assign(costs []float64, nranks int) Assignment {
 	}
 	h := make([]rankLoad, nranks)
 	for r := range h {
-		h[r].rank = r
+		h[r].rank = int32(r)
 	}
 	a := make(Assignment, len(costs))
 	lptInto(costs, blocks, buf[len(costs):], h, a)
@@ -36,7 +34,7 @@ func (LPT) Assign(costs []float64, nranks int) Assignment {
 // rank id) sits on top.
 type rankLoad struct {
 	load float64
-	rank int
+	rank int32
 }
 
 func (a rankLoad) less(b rankLoad) bool {

@@ -132,7 +132,7 @@ func oracleLPTInto(costs []float64, blocks, ranks []int, initLoad []float64, out
 		if initLoad != nil {
 			load = initLoad[i]
 		}
-		h[i] = rankLoad{load: load, rank: r}
+		h[i] = rankLoad{load: load, rank: int32(r)}
 	}
 	heap.Init(&h)
 	for _, b := range order {
@@ -207,7 +207,7 @@ func oracleRebalance(costs []float64, a Assignment, nranks, x int, topOnly bool)
 	sort.Ints(ranks) // deterministic rank ordering for the LPT heap
 	var pool []int
 	for b, r := range a {
-		if selected[r] {
+		if selected[int(r)] {
 			pool = append(pool, b)
 		}
 	}
@@ -247,7 +247,7 @@ func oracleSpans(costs []float64, nranks, k int, solve func(costs []float64, ran
 		bLo, bHi := bounds[s], bounds[s+1]
 		if bHi > bLo {
 			for i, r := range solve(costs[bLo:bHi], ranks) {
-				a[bLo+i] = rankLo + r
+				a[bLo+i] = int32(rankLo) + r
 			}
 		}
 		rankLo += ranks
@@ -483,7 +483,7 @@ func TestRebalanceMatchesOracle(t *testing.T) {
 		start := make(Assignment, n)
 		for i := range costs {
 			costs[i] = dist.draw(rng)
-			start[i] = rng.Intn(r)
+			start[i] = int32(rng.Intn(r))
 		}
 		x := rng.Intn(101)
 		topOnly := rng.Intn(2) == 0

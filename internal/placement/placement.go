@@ -12,10 +12,28 @@
 // assignment.
 package placement
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Assignment maps each block (by SFC index) to a rank.
-type Assignment []int
+// Assignment maps each block (by SFC index) to a rank. Rank ids are int32,
+// as everywhere downstream (mesh views, MPI ranks, the owner directory):
+// the map is the one O(blocks) array every policy allocates, so its width is
+// half of placement's output memory.
+type Assignment []int32
+
+// checkRanks panics unless nranks is a rank count an Assignment can hold:
+// positive and no larger than math.MaxInt32. Every entry point calls it
+// before it allocates anything sized by nranks.
+func checkRanks(who string, nranks int) {
+	if nranks <= 0 {
+		panic("placement: " + who + " with nranks <= 0")
+	}
+	if nranks > math.MaxInt32 {
+		panic(fmt.Sprintf("placement: %s with nranks %d > math.MaxInt32", who, nranks))
+	}
+}
 
 // Policy computes block→rank assignments from SFC-ordered block costs.
 type Policy interface {
@@ -23,7 +41,8 @@ type Policy interface {
 	// "lpt", "cpl50").
 	Name() string
 	// Assign places len(costs) blocks onto nranks ranks. Implementations
-	// panic if nranks <= 0. Blocks may outnumber ranks or vice versa.
+	// panic if nranks <= 0 or nranks > math.MaxInt32. Blocks may outnumber
+	// ranks or vice versa.
 	Assign(costs []float64, nranks int) Assignment
 }
 
@@ -34,7 +53,7 @@ func Validate(a Assignment, nblocks, nranks int) error {
 		return fmt.Errorf("placement: assignment covers %d blocks, want %d", len(a), nblocks)
 	}
 	for i, r := range a {
-		if r < 0 || r >= nranks {
+		if r < 0 || int(r) >= nranks {
 			return fmt.Errorf("placement: block %d assigned to rank %d (nranks=%d)", i, r, nranks)
 		}
 	}
@@ -100,11 +119,11 @@ func Imbalance(costs []float64, a Assignment, nranks int) float64 {
 // land on the same rank under a. adj lists, for each block, the SFC indices
 // of its distinct neighbors (mesh.AdjacencyBySFC). Each undirected edge is
 // counted once. Returns 1 for a mesh with no edges.
-func LocalityFraction(adj [][]int, a Assignment) float64 {
+func LocalityFraction(adj [][]int32, a Assignment) float64 {
 	same, total := 0, 0
 	for i, ns := range adj {
 		for _, j := range ns {
-			if j <= i { // count each undirected edge once
+			if int(j) <= i { // count each undirected edge once
 				continue
 			}
 			total++
@@ -121,19 +140,20 @@ func LocalityFraction(adj [][]int, a Assignment) float64 {
 
 // NodeLocalityFraction is LocalityFraction at node granularity: endpoints on
 // the same node (rank/ranksPerNode) count as local. This is the metric
-// behind Fig 6c's local-vs-remote message split.
-func NodeLocalityFraction(adj [][]int, a Assignment, ranksPerNode int) float64 {
+// behind Fig 6c's local-vs-remote message split. It panics if
+// ranksPerNode <= 0.
+func NodeLocalityFraction(adj [][]int32, a Assignment, ranksPerNode int) float64 {
 	if ranksPerNode <= 0 {
-		ranksPerNode = 1
+		panic(fmt.Sprintf("placement: NodeLocalityFraction with ranksPerNode %d <= 0", ranksPerNode))
 	}
 	same, total := 0, 0
 	for i, ns := range adj {
 		for _, j := range ns {
-			if j <= i {
+			if int(j) <= i {
 				continue
 			}
 			total++
-			if a[i]/ranksPerNode == a[j]/ranksPerNode {
+			if int(a[i])/ranksPerNode == int(a[j])/ranksPerNode {
 				same++
 			}
 		}

@@ -1,8 +1,10 @@
 package placement
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -155,7 +157,7 @@ func TestLPTGrahamBound(t *testing.T) {
 func bruteForceOptimal(costs []float64, r int) float64 {
 	n := len(costs)
 	best := math.Inf(1)
-	assign := make([]int, n)
+	assign := make(Assignment, n)
 	var rec func(i int)
 	rec = func(i int) {
 		if i == n {
@@ -165,7 +167,7 @@ func bruteForceOptimal(costs []float64, r int) float64 {
 			}
 			return
 		}
-		for k := 0; k < r; k++ {
+		for k := range int32(r) {
 			assign[i] = k
 			rec(i + 1)
 		}
@@ -465,28 +467,80 @@ func TestZonalFallsBackOnSmallRankCounts(t *testing.T) {
 
 func TestLocalityFraction(t *testing.T) {
 	// Chain 0-1-2-3; assignment [0,0,1,1] keeps edges (0,1) and (2,3) local.
-	adj := [][]int{{1}, {0, 2}, {1, 3}, {2}}
+	adj := [][]int32{{1}, {0, 2}, {1, 3}, {2}}
 	a := Assignment{0, 0, 1, 1}
 	if f := LocalityFraction(adj, a); f != 2.0/3.0 {
 		t.Fatalf("locality = %v, want 2/3", f)
 	}
-	if f := LocalityFraction([][]int{{}, {}}, Assignment{0, 1}); f != 1 {
+	if f := LocalityFraction([][]int32{{}, {}}, Assignment{0, 1}); f != 1 {
 		t.Fatalf("edgeless locality = %v, want 1", f)
 	}
 }
 
 func TestNodeLocalityFraction(t *testing.T) {
-	adj := [][]int{{1}, {0, 2}, {1, 3}, {2}}
+	adj := [][]int32{{1}, {0, 2}, {1, 3}, {2}}
 	a := Assignment{0, 1, 2, 3}
 	// ranksPerNode=2: nodes {0,1} and {2,3}: edges 0-1 local, 1-2 remote,
 	// 2-3 local.
 	if f := NodeLocalityFraction(adj, a, 2); f != 2.0/3.0 {
 		t.Fatalf("node locality = %v, want 2/3", f)
 	}
-	// ranksPerNode <= 0 degrades to rank-level locality: no edge here
-	// shares a rank.
-	if f := NodeLocalityFraction(adj, a, 0); f != 0 {
-		t.Fatalf("node locality rpn=0 = %v, want 0", f)
+	// ranksPerNode = 1 is rank-level locality: no edge here shares a rank.
+	if f := NodeLocalityFraction(adj, a, 1); f != 0 {
+		t.Fatalf("node locality rpn=1 = %v, want 0", f)
+	}
+}
+
+// TestNodeLocalityFractionRejectsNonPositiveNode: a node of zero or fewer
+// ranks is an invalid input, not a request for rank-level locality, so it
+// panics instead of being rewritten to 1.
+func TestNodeLocalityFractionRejectsNonPositiveNode(t *testing.T) {
+	adj := [][]int32{{1}, {0}}
+	for _, rpn := range []int{0, -16} {
+		msg := panicMessage(func() { NodeLocalityFraction(adj, Assignment{0, 1}, rpn) })
+		if want := fmt.Sprintf("ranksPerNode %d <= 0", rpn); !strings.Contains(msg, want) {
+			t.Errorf("ranksPerNode=%d: panic %q, want one naming %q", rpn, msg, want)
+		}
+	}
+}
+
+// panicMessage runs f and returns the string it panics with ("" if it
+// returns).
+func panicMessage(f func()) (msg string) {
+	defer func() { msg, _ = recover().(string) }()
+	f()
+	return ""
+}
+
+// TestRankCountGuards: every policy, and the exported rebalance step, panics
+// on a rank count an int32 rank id cannot hold, and on a non-positive one,
+// before it allocates anything sized by nranks. The costs are empty, so a
+// guard that came after a rank-sized allocation would show as a multi-GB
+// allocation rather than a wrong answer; the order is what this pins.
+func TestRankCountGuards(t *testing.T) {
+	const tooMany = math.MaxInt32 + 1
+	type call struct {
+		name string
+		run  func(nranks int)
+	}
+	calls := []call{{"rebalance", func(n int) { RebalanceExtremes(nil, nil, n, 50) }}}
+	for _, p := range []Policy{
+		Baseline{}, LPT{},
+		CDP{Restricted: true}, CDP{}, CDP{Restricted: true, ChunkSize: 512},
+		CPLX{X: 50}, CPLX{X: 100, ChunkSize: 512},
+		Zonal{Inner: CPLX{X: 50}, Zones: 4},
+	} {
+		calls = append(calls, call{p.Name(), func(n int) { p.Assign(nil, n) }})
+	}
+	for _, c := range calls {
+		for _, tc := range []struct {
+			nranks int
+			want   string
+		}{{tooMany, "nranks 2147483648 > math.MaxInt32"}, {0, "nranks <= 0"}, {-1, "nranks <= 0"}} {
+			if msg := panicMessage(func() { c.run(tc.nranks) }); !strings.Contains(msg, tc.want) {
+				t.Errorf("%s at nranks=%d: panic %q, want one naming %q", c.name, tc.nranks, msg, tc.want)
+			}
+		}
 	}
 }
 

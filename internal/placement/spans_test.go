@@ -36,7 +36,7 @@ func TestFewBlocksPerSpan(t *testing.T) {
 			bounds := equalCostBounds(prefixSums(all[:n]), k)
 			for s := 0; s < k; s++ {
 				for b := bounds[s]; b < bounds[s+1]; b++ {
-					if a[b]/(nranks/k) != s {
+					if int(a[b])/(nranks/k) != s {
 						t.Errorf("%s n=%d: block %d of span %d on rank %d", p.Name(), n, b, s, a[b])
 					}
 				}

@@ -9,7 +9,7 @@ import "fmt"
 // placement round needs before the policy runs.
 type LocalView struct {
 	Rank    int
-	Indices []int
+	Indices []int32
 	Costs   []float64
 }
 
@@ -26,7 +26,7 @@ func GatherCosts(views []LocalView, n int) []float64 {
 				v.Rank, len(v.Indices), len(v.Costs)))
 		}
 		for k, i := range v.Indices {
-			if i < 0 || i >= n {
+			if i < 0 || int(i) >= n {
 				panic(fmt.Sprintf("placement: rank %d reports block %d outside [0,%d)", v.Rank, i, n))
 			}
 			if filled[i] {

@@ -22,9 +22,7 @@ func (z Zonal) Name() string { return fmt.Sprintf("zonal%d-%s", z.Zones, z.Inner
 // Assign splits blocks and ranks into zones and runs Inner per zone
 // concurrently.
 func (z Zonal) Assign(costs []float64, nranks int) Assignment {
-	if nranks <= 0 {
-		panic("placement: zonal with nranks <= 0")
-	}
+	checkRanks("zonal", nranks)
 	k := z.Zones
 	if k <= 1 || nranks < 2*k {
 		return z.Inner.Assign(costs, nranks)
@@ -32,7 +30,7 @@ func (z Zonal) Assign(costs []float64, nranks int) Assignment {
 	a := make(Assignment, len(costs))
 	forEachSpan(costs, nranks, k, func(sp span, _ *cdpScratch) {
 		for i, r := range z.Inner.Assign(costs[sp.bLo:sp.bHi], sp.ranks) {
-			a[sp.bLo+i] = sp.rankLo + r
+			a[sp.bLo+i] = int32(sp.rankLo) + r
 		}
 	})
 	return a

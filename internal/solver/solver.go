@@ -17,6 +17,8 @@
 package solver
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	"amrtools/internal/placement"
@@ -45,10 +47,14 @@ const stopEvery = 4096
 // search to proven optimality). stop, when non-nil, is polled every
 // stopEvery nodes; once it reports true the search ends as if the budget had
 // run out (harness.Meter.Aborted is one). A stop that never fires leaves the
-// search, and Nodes, unchanged. It panics if nranks <= 0.
+// search, and Nodes, unchanged. It panics if nranks <= 0 or nranks >
+// math.MaxInt32 (a rank id is an int32).
 func Solve(costs []float64, nranks int, maxNodes int64, stop func() bool) Result {
 	if nranks <= 0 {
 		panic("solver: nranks <= 0")
+	}
+	if nranks > math.MaxInt32 {
+		panic(fmt.Sprintf("solver: nranks %d > math.MaxInt32", nranks))
 	}
 	n := len(costs)
 	// Incumbent: LPT (§V-B — remarkably strong in practice).
@@ -115,7 +121,7 @@ func Solve(costs []float64, nranks int, maxNodes int64, stop func() bool) Result
 		// Symmetry breaking: branching into any one of several equally
 		// loaded ranks is equivalent; try each distinct load once.
 		seen := make(map[float64]bool, nranks)
-		for r := 0; r < nranks; r++ {
+		for r := range int32(nranks) {
 			if seen[loads[r]] {
 				continue
 			}

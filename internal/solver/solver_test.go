@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -68,7 +69,7 @@ func bruteForce(costs []float64, r int) float64 {
 			}
 			return
 		}
-		for k := 0; k < r; k++ {
+		for k := range int32(r) {
 			assign[i] = k
 			rec(i + 1)
 		}
@@ -208,11 +209,21 @@ func TestSolveStopPoll(t *testing.T) {
 	}
 }
 
+// TestSolvePanicsOnBadRanks: a non-positive rank count, and one an int32
+// rank id cannot hold, panic before anything sized by nranks is allocated
+// (the costs are empty, so nothing else is).
 func TestSolvePanicsOnBadRanks(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nranks=0 did not panic")
-		}
-	}()
-	Solve([]float64{1}, 0, noLimit, nil)
+	for _, tc := range []struct {
+		nranks int
+		want   string
+	}{{0, "nranks <= 0"}, {math.MaxInt32 + 1, "nranks 2147483648 > math.MaxInt32"}} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Errorf("nranks=%d: panic %q, want one naming %q", tc.nranks, msg, tc.want)
+				}
+			}()
+			Solve(nil, tc.nranks, noLimit, nil)
+		}()
+	}
 }

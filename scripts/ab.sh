@@ -1,11 +1,13 @@
 #!/bin/sh
-# ab.sh — paired A/B of one repo-benchmark workload between a base revision
-# and the working tree (`make ab OLD=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]`).
+# ab.sh — paired A/B of repo-benchmark workloads between a base revision and
+# the working tree (`make ab OLD=<rev> WORKLOAD=<name>[,<name>…] [PAIRS=10]
+# [SEED=1]`).
 #
 # Both sides are measured by the *same* benchmark program: the working
 # tree's bench/ sources are built once against a throwaway export of OLD and
-# once against the working tree, so only the code under test differs. The
-# two binaries then run PAIRS alternating pairs (old-new, new-old, …) of
+# once against the working tree, so only the code under test differs. For
+# each workload of the comma-separated WORKLOAD list in turn, the two
+# binaries then run PAIRS alternating pairs (old-new, new-old, …) of
 # `-workload W -seed S -out ""`, which cancels the host-speed drift that
 # makes single runs incomparable (bench/README.md). Per end-to-end metric it
 # prints both sides' median and quartiles, the shift, the pairs each side
@@ -13,12 +15,14 @@
 # applies the claim rule of the choosing-metrics guide (new wins >= 9/10 of
 # the pairs and the medians are further apart than old's inter-quartile
 # spread). The ratio keeps the pairing the verdict's two medians discard; it
-# is printed beside the verdict and does not enter it. Exits non-zero when
-# the two sides' result digests differ or any run reports "correct":false.
+# is printed beside the verdict and does not enter it. One table is printed
+# per workload. Exits non-zero when, on any workload, the two sides' result
+# digests differ or a run reports "correct":false.
 set -eu
 
-old=${OLD:?usage: OLD=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1] $0}
-workload=${WORKLOAD:?usage: OLD=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1] $0}
+usage="usage: OLD=<rev> WORKLOAD=<name>[,<name>...] [PAIRS=10] [SEED=1] $0"
+old=${OLD:?$usage}
+workloads=${WORKLOAD:?$usage}
 pairs=${PAIRS:-10}
 seed=${SEED:-1}
 
@@ -56,71 +60,84 @@ run() {
     sed -n 's/^ *digest \([0-9a-f]*\)$/\1/p' "$tmp/out" >>"$tmp/$side.digest"
 }
 
-echo "ab: $workload seed=$seed, $pairs alternating pairs: old=$(echo "$rev" | cut -c1-12) new=working tree"
-i=1
-while [ "$i" -le "$pairs" ]; do
-    if [ $((i % 2)) -eq 1 ]; then
-        run old
-        run new
-    else
-        run new
-        run old
-    fi
-    printf 'ab: pair %d/%d  wall_s old %s new %s\n' "$i" "$pairs" \
-        "$(tail -n 1 "$tmp/old.json" | sed 's/.*"wall_s":{"value":\([^,}]*\).*/\1/')" \
-        "$(tail -n 1 "$tmp/new.json" | sed 's/.*"wall_s":{"value":\([^,}]*\).*/\1/')"
-    i=$((i + 1))
-done
-
-# Quartiles by the exclusive method (Python's statistics.quantiles n=4), the
-# same cut points bench/stats.go prints.
-printf '\n%-12s %-34s %-34s %8s  %-9s %-7s %s\n' metric "old median (q1..q3)" "new median (q1..q3)" shift "new wins" "new/old" verdict
-for m in setup_s wall_s cpu_s peak_rss_mb; do
-    for side in old new; do
-        sed "s/.*\"$m\":{\"value\":\([^,}]*\).*/\1/" "$tmp/$side.json" >"$tmp/$side.$m"
+# ab WORKLOAD: the paired runs and the table of one workload; sets fail=1
+# on a digest mismatch or an incorrect run.
+ab() {
+    workload=$1
+    rm -f "$tmp"/old.* "$tmp"/new.*
+    echo "ab: $workload seed=$seed, $pairs alternating pairs: old=$(echo "$rev" | cut -c1-12) new=working tree"
+    i=1
+    while [ "$i" -le "$pairs" ]; do
+        if [ $((i % 2)) -eq 1 ]; then
+            run old
+            run new
+        else
+            run new
+            run old
+        fi
+        printf 'ab: pair %d/%d  wall_s old %s new %s\n' "$i" "$pairs" \
+            "$(tail -n 1 "$tmp/old.json" | sed 's/.*"wall_s":{"value":\([^,}]*\).*/\1/')" \
+            "$(tail -n 1 "$tmp/new.json" | sed 's/.*"wall_s":{"value":\([^,}]*\).*/\1/')"
+        i=$((i + 1))
     done
-    paste "$tmp/old.$m" "$tmp/new.$m" | awk -v m="$m" '
-        function cut(s, n, i,    mm, j, d) {
-            if (n == 1) return s[1]
-            mm = n + 1; j = int(i * mm / 4)
-            if (j < 1) j = 1
-            if (j > n - 1) j = n - 1
-            d = i * mm - j * 4
-            return (s[j] * (4 - d) + s[j + 1] * d) / 4
-        }
-        function sorted(a, n, s,    i, j, t) {
-            for (i = 1; i <= n; i++) s[i] = a[i]
-            for (i = 2; i <= n; i++) { t = s[i]; for (j = i - 1; j >= 1 && s[j] > t; j--) s[j + 1] = s[j]; s[j + 1] = t }
-        }
-        { n++; o[n] = $1 + 0; w[n] = $2 + 0
-          r[n] = o[n] != 0 ? w[n] / o[n] : 1
-          if (w[n] < o[n]) nw++; else if (o[n] < w[n]) ow++ }
-        END {
-            sorted(o, n, so); sorted(w, n, sw); sorted(r, n, sr)
-            om = cut(so, n, 2); wm = cut(sw, n, 2)
-            oq1 = cut(so, n, 1); oq3 = cut(so, n, 3)
-            verdict = "no change shown"
-            if (nw * 10 >= n * 9 && om - wm > oq3 - oq1) verdict = "new better"
-            if (ow * 10 >= n * 9 && wm - om > oq3 - oq1) verdict = "NEW WORSE"
-            printf "%-12s %-34s %-34s %+7.1f%%  %d/%-7d %-7.3f %s\n", m,
-                sprintf("%.4g (%.4g..%.4g)", om, oq1, oq3),
-                sprintf("%.4g (%.4g..%.4g)", wm, cut(sw, n, 1), cut(sw, n, 3)),
-                (wm - om) / om * 100, nw, n, cut(sr, n, 2), verdict
-        }'
-done
+
+    # Quartiles by the exclusive method (Python's statistics.quantiles
+    # n=4), the same cut points bench/stats.go prints.
+    printf '\n%-12s %-34s %-34s %8s  %-9s %-7s %s\n' metric "old median (q1..q3)" "new median (q1..q3)" shift "new wins" "new/old" verdict
+    for m in setup_s wall_s cpu_s peak_rss_mb; do
+        for side in old new; do
+            sed "s/.*\"$m\":{\"value\":\([^,}]*\).*/\1/" "$tmp/$side.json" >"$tmp/$side.$m"
+        done
+        paste "$tmp/old.$m" "$tmp/new.$m" | awk -v m="$m" '
+            function cut(s, n, i,    mm, j, d) {
+                if (n == 1) return s[1]
+                mm = n + 1; j = int(i * mm / 4)
+                if (j < 1) j = 1
+                if (j > n - 1) j = n - 1
+                d = i * mm - j * 4
+                return (s[j] * (4 - d) + s[j + 1] * d) / 4
+            }
+            function sorted(a, n, s,    i, j, t) {
+                for (i = 1; i <= n; i++) s[i] = a[i]
+                for (i = 2; i <= n; i++) { t = s[i]; for (j = i - 1; j >= 1 && s[j] > t; j--) s[j + 1] = s[j]; s[j + 1] = t }
+            }
+            { n++; o[n] = $1 + 0; w[n] = $2 + 0
+              r[n] = o[n] != 0 ? w[n] / o[n] : 1
+              if (w[n] < o[n]) nw++; else if (o[n] < w[n]) ow++ }
+            END {
+                sorted(o, n, so); sorted(w, n, sw); sorted(r, n, sr)
+                om = cut(so, n, 2); wm = cut(sw, n, 2)
+                oq1 = cut(so, n, 1); oq3 = cut(so, n, 3)
+                verdict = "no change shown"
+                if (nw * 10 >= n * 9 && om - wm > oq3 - oq1) verdict = "new better"
+                if (ow * 10 >= n * 9 && wm - om > oq3 - oq1) verdict = "NEW WORSE"
+                printf "%-12s %-34s %-34s %+7.1f%%  %d/%-7d %-7.3f %s\n", m,
+                    sprintf("%.4g (%.4g..%.4g)", om, oq1, oq3),
+                    sprintf("%.4g (%.4g..%.4g)", wm, cut(sw, n, 1), cut(sw, n, 3)),
+                    (wm - om) / om * 100, nw, n, cut(sr, n, 2), verdict
+            }'
+    done
+
+    od=$(sort -u "$tmp/old.digest" | tr '\n' ' ')
+    nd=$(sort -u "$tmp/new.digest" | tr '\n' ' ')
+    echo
+    echo "digest old: $od"
+    echo "digest new: $nd"
+    if [ "$od" != "$nd" ]; then
+        echo "ab: $workload: result digests differ between the two sides" >&2
+        fail=1
+    fi
+    if grep -q '"correct":false' "$tmp/old.json" "$tmp/new.json"; then
+        echo "ab: $workload: a run reported \"correct\":false" >&2
+        fail=1
+    fi
+}
 
 fail=0
-od=$(sort -u "$tmp/old.digest" | tr '\n' ' ')
-nd=$(sort -u "$tmp/new.digest" | tr '\n' ' ')
-echo
-echo "digest old: $od"
-echo "digest new: $nd"
-if [ "$od" != "$nd" ]; then
-    echo "ab: result digests differ between the two sides" >&2
-    fail=1
-fi
-if grep -q '"correct":false' "$tmp/old.json" "$tmp/new.json"; then
-    echo "ab: a run reported \"correct\":false" >&2
-    fail=1
-fi
+first=1
+for w in $(echo "$workloads" | tr ',' ' '); do
+    [ "$first" = 1 ] || echo
+    first=0
+    ab "$w"
+done
 exit $fail
