@@ -28,6 +28,8 @@ type GroupAgg struct {
 
 	// The index: open addressing over group numbers, hashed on the packed
 	// key codes. It is only ever probed; output order comes from the keys.
+	// A lone String key has none (slots nil): its code is its group number,
+	// since both count distinct strings in order of first appearance.
 	slots []uint32 // group+1; 0: empty. len is a power of two
 	codes []uint64 // len(keys) per group, group-major
 
@@ -64,7 +66,10 @@ const aggBlock = 4096
 // grouping by keys and evaluating aggs per group. An unknown column or a
 // non-Count aggregate over a String column panics.
 func NewGroupAgg(schema []ColSpec, keys []string, aggs []AggSpec) *GroupAgg {
-	g := &GroupAgg{schema: schema, slots: make([]uint32, 16)}
+	g := &GroupAgg{schema: schema}
+	if len(keys) != 1 || schema[schemaIndex(schema, keys[0])].Type != String {
+		g.slots = make([]uint32, 16)
+	}
 	for _, k := range keys {
 		ci := schemaIndex(schema, k)
 		g.keys = append(g.keys, ci)
@@ -72,14 +77,15 @@ func NewGroupAgg(schema []ColSpec, keys []string, aggs []AggSpec) *GroupAgg {
 		g.specs = append(g.specs, schema[ci])
 	}
 	for _, a := range aggs {
-		f := groupFold{fn: a.Func}
+		f, out := groupFold{fn: a.Func}, FloatCol(a.outName())
 		if a.Func != Count {
 			if f.col = schemaIndex(schema, a.Col); schema[f.col].Type == String {
 				panic("telemetry: aggregate over string column " + a.Col)
 			}
+			out.Plane = schema[f.col].Plane
 		}
 		g.aggs = append(g.aggs, f)
-		g.specs = append(g.specs, FloatCol(a.outName()))
+		g.specs = append(g.specs, out)
 	}
 	return g
 }
@@ -147,15 +153,27 @@ func (g *GroupAgg) resolve(cols []Column, sel []int, lo, hi int) {
 		}
 	}
 	g.gid = slices.Grow(g.gid[:0], n)[:n]
+	row := func(i int) int {
+		if sel != nil {
+			return sel[lo+i]
+		}
+		return lo + i
+	}
+	if g.slots == nil { // a lone String key: a new code is the next group
+		for i, code := range g.code {
+			if int(code) == len(g.count) {
+				g.newGroup(g.code[i:i+1], cols, row(i))
+			}
+			g.gid[i] = uint32(code)
+		}
+		return
+	}
 	for i := range g.gid {
 		code := g.code[i*nk : (i+1)*nk]
 		at := g.probe(code)
 		if g.slots[at] == 0 {
-			r := lo + i
-			if sel != nil {
-				r = sel[r]
-			}
-			at = g.newGroup(at, code, cols, r)
+			at = g.insert(at, code)
+			g.newGroup(code, cols, row(i))
 		}
 		g.gid[i] = g.slots[at] - 1
 	}
@@ -178,9 +196,9 @@ func (g *GroupAgg) probe(code []uint64) int {
 	}
 }
 
-// newGroup opens the group whose first row is row r of cols, at the empty
-// slot probe found for its code, and returns the slot it ends up in.
-func (g *GroupAgg) newGroup(at int, code []uint64, cols []Column, r int) int {
+// insert indexes the group newGroup opens next under its code, at the empty
+// slot probe found for it, and returns the slot it ends up in.
+func (g *GroupAgg) insert(at int, code []uint64) int {
 	grp := len(g.count)
 	if 2*(grp+1) > len(g.slots) { // keep the index at most half full
 		g.slots = make([]uint32, 2*len(g.slots))
@@ -191,6 +209,12 @@ func (g *GroupAgg) newGroup(at int, code []uint64, cols []Column, r int) int {
 	}
 	g.slots[at] = uint32(grp + 1)
 	g.codes = append(g.codes, code...)
+	return at
+}
+
+// newGroup opens the next group, whose key codes are code and whose first
+// row is row r of cols.
+func (g *GroupAgg) newGroup(code []uint64, cols []Column, r int) {
 	g.count = append(g.count, 0)
 	for j, kc := range g.keyCols {
 		src := &cols[g.keys[j]]
@@ -219,7 +243,6 @@ func (g *GroupAgg) newGroup(at int, code []uint64, cols []Column, r int) int {
 			panic("telemetry: unknown aggregate")
 		}
 	}
-	return at
 }
 
 // fold updates every aggregate with the rows of the block, in row order.

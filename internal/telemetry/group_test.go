@@ -353,7 +353,12 @@ func TestTopKTableIsItsOwn(t *testing.T) {
 }
 
 var (
-	fuzzGroupStrs   = []string{"lpt", "cdp", "", "z\x00z", "z", "\x00z"}
+	// Well past the entries a column searches in place, so a key column can
+	// cross into the indexed regime mid-feed.
+	fuzzGroupStrs = []string{
+		"lpt", "cdp", "", "z\x00z", "z", "\x00z", "cpl50", "baseline",
+		"s08", "s09", "s10", "s11", "s12", "s13", "s14", "s15", "s16", "s17", "s18", "s19",
+	}
 	fuzzGroupFloats = map[byte]float64{
 		0x80: math.NaN(), 0x81: math.Float64frombits(0x7ff800000000beef),
 		0x7f: math.Inf(1), 0x82: math.Inf(-1), 0x83: math.Copysign(0, -1),
@@ -439,6 +444,8 @@ func FuzzGroupBy(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0x80, 0x81, 0x83, 0, 0x7f, 0x82, 0x80, 1, 0x1e, 0})    // a float key: NaNs, zeros, infinities
 	f.Add([]byte{3, 2, 2, 2, 0, 3, 4, 1, 4, 3, 2, 3, 3, 3, 5, 0, 4, 3, 0xfe, 1}) // NUL strings under two keys
 	f.Add([]byte{0, 0, 0, 7, 7, 0x80, 0, 0xff, 0xff})                            // no keys
+	// A lone string key over sixteen values, fed three rows at a time.
+	f.Add([]byte{3, 0, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 9, 1, 1, 0, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tb, keys, aggs, feedRows := fuzzGroupInput(data)

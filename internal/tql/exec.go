@@ -171,15 +171,25 @@ func (b *bound) match(c *chunkCtx) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		kept := sel[:0]
-		for i, ok := range mask {
-			if ok {
-				kept = append(kept, sel[i])
-			}
-		}
-		sel = kept
+		sel = compact(sel, mask)
 	}
 	return sel, nil
+}
+
+// compact returns the rows of sel whose mask entry is set, in order, in
+// sel's own storage. It stores every row and advances k past the kept ones,
+// so no branch depends on the mask — on amd64 the increment is a CMOVQNE
+// (go build -gcflags=-S) — where a branch on a mask keeping one row in four
+// to eight is mispredicted about as often as a row is kept.
+func compact(sel []int, mask []bool) []int {
+	k := 0
+	for i, ok := range mask {
+		sel[k] = sel[i]
+		if ok {
+			k++
+		}
+	}
+	return sel[:k]
 }
 
 // finish turns what the sink holds — the matched rows, their groups, or

@@ -1,6 +1,7 @@
 package tql
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -330,6 +331,29 @@ func TestProjectionKeepsPlane(t *testing.T) {
 		want := out.Schema()[1].Name
 		if got := out.HostCols(); len(got) != 1 || got[0] != want {
 			t.Errorf("%s: HostCols = %q, want [%q]", q, got, want)
+		}
+	}
+}
+
+// TestAggregateKeepsPlane: a grouped query's aggregate over a host column is
+// host-plane, one over a sim column and count(*) are sim, and the key keeps
+// its own plane.
+func TestAggregateKeepsPlane(t *testing.T) {
+	tb := telemetry.NewTable(telemetry.StrCol("spec"), telemetry.FloatCol("wall_ms").Host(), telemetry.IntCol("events"))
+	tb.Append("a", 1.5, int64(3))
+	tb.Append("b", 2.5, int64(4))
+	tb.Append("a", 0.5, int64(5))
+	for q, want := range map[string][]string{
+		"SELECT spec, avg(wall_ms) AS w, sum(events) AS e, count(*) AS n FROM t GROUP BY spec": {"w"},
+		"SELECT max(wall_ms), min(events) FROM t WHERE events > 3":                             {"max_wall_ms"},
+		"SELECT spec, count(*) FROM t GROUP BY spec ORDER BY spec LIMIT 1":                     nil,
+	} {
+		out, err := Run(q, map[string]*telemetry.Table{"t": tb})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := out.HostCols(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: HostCols = %q, want %q", q, got, want)
 		}
 	}
 }

@@ -15,9 +15,12 @@
 # applies the claim rule of the choosing-metrics guide (new wins >= 9/10 of
 # the pairs and the medians are further apart than old's inter-quartile
 # spread). The ratio keeps the pairing the verdict's two medians discard; it
-# is printed beside the verdict and does not enter it. One table is printed
-# per workload. Exits non-zero when, on any workload, the two sides' result
-# digests differ or a run reports "correct":false.
+# is printed beside the verdict and does not enter it. The last column is the
+# regression side: whether the median shift, in the metric's worse
+# direction, stays within the metric's "bound" in BENCHMARK.json (the
+# metrics, their directions and bounds are all read from that file). One
+# table is printed per workload. Exits non-zero when, on any workload, the
+# two sides' result digests differ or a run reports "correct":false.
 set -eu
 
 usage="usage: OLD=<rev> WORKLOAD=<name>[,<name>...] [PAIRS=10] [SEED=1] $0"
@@ -28,6 +31,23 @@ seed=${SEED:-1}
 
 root=$(git rev-parse --show-toplevel)
 rev=$(git -C "$root" rev-parse --verify "$old^{commit}")
+
+# The end-to-end metrics of BENCHMARK.json, one "name better bound" line
+# each, in file order; each object lists name, then better, then bound.
+metrics=$(awk '
+    /"end_to_end"/ { on = 1 }
+    /"per_layer"/ { on = 0 }
+    on && /"(name|better|bound)"/ {
+        v = $0
+        sub(/^[^:]*: */, "", v); gsub(/[",]/, "", v)
+        if ($0 ~ /"name"/) name = v
+        else if ($0 ~ /"better"/) better = v
+        else print name, better, v
+    }' "$root/BENCHMARK.json")
+if [ -z "$metrics" ]; then
+    echo "ab: no end_to_end metric with a bound in $root/BENCHMARK.json" >&2
+    exit 2
+fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
@@ -83,12 +103,12 @@ ab() {
 
     # Quartiles by the exclusive method (Python's statistics.quantiles
     # n=4), the same cut points bench/stats.go prints.
-    printf '\n%-12s %-34s %-34s %8s  %-9s %-7s %s\n' metric "old median (q1..q3)" "new median (q1..q3)" shift "new wins" "new/old" verdict
-    for m in setup_s wall_s cpu_s peak_rss_mb; do
+    printf '\n%-12s %-34s %-34s %8s  %-9s %-7s %-15s %s\n' metric "old median (q1..q3)" "new median (q1..q3)" shift "new wins" "new/old" verdict bound
+    echo "$metrics" | while read -r m better bound; do
         for side in old new; do
             sed "s/.*\"$m\":{\"value\":\([^,}]*\).*/\1/" "$tmp/$side.json" >"$tmp/$side.$m"
         done
-        paste "$tmp/old.$m" "$tmp/new.$m" | awk -v m="$m" '
+        paste "$tmp/old.$m" "$tmp/new.$m" | awk -v m="$m" -v better="$better" -v bound="$bound" '
             function cut(s, n, i,    mm, j, d) {
                 if (n == 1) return s[1]
                 mm = n + 1; j = int(i * mm / 4)
@@ -111,10 +131,14 @@ ab() {
                 verdict = "no change shown"
                 if (nw * 10 >= n * 9 && om - wm > oq3 - oq1) verdict = "new better"
                 if (ow * 10 >= n * 9 && wm - om > oq3 - oq1) verdict = "NEW WORSE"
-                printf "%-12s %-34s %-34s %+7.1f%%  %d/%-7d %-7.3f %s\n", m,
+                shift = (wm - om) / om
+                worse = better == "higher" ? -shift : shift
+                within = worse > bound + 0 ? "OUTSIDE" : "within"
+                printf "%-12s %-34s %-34s %+7.1f%%  %d/%-7d %-7.3f %-15s %s %g%%\n", m,
                     sprintf("%.4g (%.4g..%.4g)", om, oq1, oq3),
                     sprintf("%.4g (%.4g..%.4g)", wm, cut(sw, n, 1), cut(sw, n, 3)),
-                    (wm - om) / om * 100, nw, n, cut(sr, n, 2), verdict
+                    shift * 100, nw, n, cut(sr, n, 2), verdict,
+                    within, bound * 100
             }'
     done
 
